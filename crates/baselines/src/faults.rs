@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stayaway_core::{ControlPolicy, ControllerStats, CoreError, EventLog};
+use stayaway_core::{ControlPolicy, ControllerStats, CoreError};
 use stayaway_sim::{Action, Observation, Policy, ResourceVector};
 use stayaway_statespace::Template;
 
@@ -107,8 +107,8 @@ impl<P: ControlPolicy> ControlPolicy for FaultInjector<P> {
         self.inner.stats()
     }
 
-    fn events(&self) -> Option<&EventLog> {
-        self.inner.events()
+    fn first_throttle(&self) -> Option<(u64, bool)> {
+        self.inner.first_throttle()
     }
 
     fn supports_templates(&self) -> bool {

@@ -71,7 +71,7 @@ fn fault_injector_outcome_is_identical_through_the_trait() {
 fn baseline_introspection_hooks_default_to_empty() {
     let policy: Box<dyn ControlPolicy> = Box::new(ReactivePolicy::new(10));
     assert_eq!(policy.stats(), ControllerStats::default());
-    assert!(policy.events().is_none());
+    assert!(policy.first_throttle().is_none());
     assert!(!policy.supports_templates());
     assert_eq!(policy.export_template("vlc").expect("export ok"), None);
 }

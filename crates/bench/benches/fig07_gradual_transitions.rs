@@ -6,19 +6,25 @@
 //! ticks, so consecutive mapped states drift in small steps — giving the
 //! predictor time to act before the violation-range is entered.
 
-use stayaway_bench::{run, stayaway, ExperimentSink, Table};
-use stayaway_core::{ControllerConfig, ControllerEvent};
+use stayaway_bench::{run, ExperimentSink, Table};
+use stayaway_core::{Controller, ControllerConfig, Observability};
+use stayaway_obs::{AttrValue, EventKind, FlightRecorder};
 use stayaway_sim::scenario::Scenario;
 use stayaway_statespace::StateKind;
 
 fn main() {
     println!("=== Figure 7: gradual transitions (VLC streaming + Twitter-Analysis) ===\n");
     let scenario = Scenario::vlc_with_twitter(21);
-    let run = run(
-        &scenario,
-        stayaway(&scenario, ControllerConfig::default()),
-        300,
-    );
+    // The throttle split below is read from the decision stream, so this
+    // controller carries a flight recorder.
+    let recorder = FlightRecorder::for_scope(0, "fig07");
+    let controller = Controller::for_host_observed(
+        ControllerConfig::default(),
+        scenario.host_spec(),
+        Observability::disabled().with_recorder(recorder.clone()),
+    )
+    .expect("valid controller config");
+    let run = run(&scenario, controller, 300);
     let ctl = &run.policy;
 
     let mut table = Table::new(&["state", "position", "kind", "visits"]);
@@ -53,13 +59,14 @@ fn main() {
     // any violation was reported this episode) — possible precisely because
     // transitions are gradual.
     let (mut proactive, mut reactive) = (0usize, 0usize);
-    for e in ctl.events() {
-        if let ControllerEvent::Throttled { proactive: p, .. } = e {
-            if *p {
-                proactive += 1;
-            } else {
-                reactive += 1;
-            }
+    for e in recorder.events() {
+        if e.kind != EventKind::Throttle {
+            continue;
+        }
+        if e.attr("proactive") == Some(&AttrValue::Bool(true)) {
+            proactive += 1;
+        } else {
+            reactive += 1;
         }
     }
     println!("throttle actions: {proactive} proactive, {reactive} reactive");

@@ -58,7 +58,8 @@ pub struct CellSummary {
     pub resumes: u64,
     /// Representative states learned.
     pub states: usize,
-    /// Events evicted from the bounded decision log.
+    /// Events evicted from the cell's flight-recorder ring (0 when the cell
+    /// collects no events).
     pub events_dropped: u64,
     /// True when the cell warm-started from a registry template.
     pub imported_template: bool,
@@ -110,7 +111,7 @@ pub struct PolicyRollup {
     pub throttles: u64,
     /// Total resume actions.
     pub resumes: u64,
-    /// Total events evicted from this cohort's bounded decision logs —
+    /// Total events evicted from this cohort's flight-recorder rings —
     /// surfaces which control plane is churning hardest under memory
     /// pressure.
     pub events_dropped: u64,
@@ -282,7 +283,7 @@ pub struct FleetOutcome {
     pub prediction_checks: u64,
     /// Total checked predictions that matched reality.
     pub prediction_hits: u64,
-    /// Total events evicted from bounded decision logs.
+    /// Total events evicted from the cells' flight-recorder rings.
     pub events_dropped: u64,
     /// Total observation samples sanitised fleet-wide (sense-stage
     /// rejections plus predictor-reported ones).

@@ -6,7 +6,7 @@ use crate::predictor::PredictorSpec;
 use crate::seed::derive_cell_seed;
 use crate::source::SourceSpec;
 use crate::FleetError;
-use stayaway_core::{ControllerConfig, ControllerEvent, ControllerStats, Observability};
+use stayaway_core::{ControllerConfig, ControllerStats, Observability};
 use stayaway_obs::{
     attr, EventKind, EventRecord, FlightRecorder, Layer, MetricsRegistry, MetricsSnapshot, Span,
 };
@@ -131,7 +131,7 @@ pub struct CellOutcome {
     /// the cell's policy has no template support.
     pub template: Option<Template>,
     /// Tick of the policy's first throttle, or `u64::MAX` if it never
-    /// throttled (or keeps no decision log).
+    /// throttled (or does not track it).
     pub first_throttle_tick: u64,
     /// True when the first throttle was proactive (prediction- or
     /// template-driven, not a reaction to an observed violation).
@@ -221,17 +221,8 @@ pub fn run_cell(
         drive(source.as_mut(), policy.as_mut(), ticks)?
     };
     let template = policy.export_template(plan.sensitive_key())?;
-    let (first_throttle_tick, first_throttle_proactive) = policy
-        .events()
-        .and_then(|events| {
-            events.iter().find_map(|e| match e {
-                ControllerEvent::Throttled {
-                    tick, proactive, ..
-                } => Some((*tick, *proactive)),
-                _ => None,
-            })
-        })
-        .unwrap_or((u64::MAX, false));
+    let (first_throttle_tick, first_throttle_proactive) =
+        policy.first_throttle().unwrap_or((u64::MAX, false));
     Ok(CellOutcome {
         idx: plan.idx,
         scenario: plan.scenario.name().to_string(),
@@ -281,6 +272,30 @@ mod tests {
         // CPUBomb forces throttles; the cold first throttle is reactive.
         assert!(out.first_throttle_tick < u64::MAX);
         assert!(!out.first_throttle_proactive);
+    }
+
+    #[test]
+    fn first_throttle_is_the_first_pause_however_many_decisions_follow() {
+        // The storm violates almost every tick, so the controller makes
+        // more decisions (> 4096) than a bounded ring of them would retain.
+        // The reported first throttle must be the run's first actuation,
+        // not the oldest throttle some ring still holds at the end.
+        let plan =
+            stayaway_plan(0, 7, Scenario::vlc_with_cpubomb(7)).with_source(SourceSpec::Workload {
+                scenario: "multi-tenant-storm".into(),
+            });
+        let out = run_cell(&plan, &ControllerConfig::default(), None, 4_500).unwrap();
+        let s = &out.stats;
+        let decisions = s.throttles + s.resumes + s.violations_observed + s.violations_predicted;
+        assert!(decisions > 4096, "only {decisions} decisions");
+        assert!(s.throttles > 1, "later throttles exist to be confused with");
+        let first_pause = out
+            .run
+            .timeline
+            .iter()
+            .find(|r| r.actions > 0)
+            .expect("the cell throttled");
+        assert_eq!(out.first_throttle_tick, first_pause.tick);
     }
 
     #[test]
@@ -341,7 +356,7 @@ mod tests {
         assert_eq!(out.policy, "reactive");
         assert!(out.template.is_none());
         assert_eq!(out.stats, ControllerStats::default());
-        // Keeps no decision log → no first-throttle telemetry.
+        // Baselines do not track their first throttle.
         assert_eq!(out.first_throttle_tick, u64::MAX);
         // A template offered to a non-supporting policy is ignored.
         let teacher = stayaway_plan(1, 13, Scenario::vlc_with_cpubomb(13));

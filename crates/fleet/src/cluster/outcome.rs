@@ -42,7 +42,8 @@ pub struct HostRollup {
     pub throttles: u64,
     /// Resumes issued by the host controller.
     pub resumes: u64,
-    /// Events evicted from the host controller's bounded decision log.
+    /// Events evicted from the host's flight-recorder ring (0 when the
+    /// cluster collects no events).
     pub events_dropped: u64,
     /// Interference verdicts checked against observed outcomes on this
     /// host.
@@ -120,7 +121,7 @@ pub struct ClusterOutcome {
     pub throttles: u64,
     /// Total resumes across host controllers.
     pub resumes: u64,
-    /// Total events evicted from bounded decision logs.
+    /// Total events evicted from the hosts' flight-recorder rings.
     pub events_dropped: u64,
     /// Total interference verdicts checked against observed outcomes.
     pub prediction_checks: u64,

@@ -15,6 +15,7 @@ use crate::cluster::outcome::{ClusterOutcome, HostRollup, JobRollup};
 use crate::cluster::policy::{ClusterPolicySpec, HostSnapshot, JobView};
 use crate::cluster::scenario::ClusterScenario;
 use crate::policy::PolicySpec;
+use crate::pool::map_indexed;
 use crate::registry::TemplateRegistry;
 use crate::seed::derive_cell_seed;
 use crate::FleetError;
@@ -22,8 +23,7 @@ use stayaway_core::{ControlPolicy, ControllerConfig, Observability};
 use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer, MetricsRegistry};
 use stayaway_telemetry::{AppClass, QosSummary};
 use stayaway_workload::{WorkloadHost, WorkloadMetrics};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Configuration of one cluster run.
 #[derive(Debug, Clone)]
@@ -186,43 +186,6 @@ impl HostCell {
                 .map(|e| e.template.violation_count() as u64),
         }
     }
-}
-
-/// Advances every cell one epoch. Serial for one worker; otherwise the
-/// cells are parked in slots and claimed by index from an atomic cursor —
-/// each cell is advanced exactly once, by exactly one worker, and the
-/// results are put back in index order, so scheduling cannot leak into
-/// the outcome.
-fn advance_all(cells: &mut Vec<HostCell>, ticks: u64, workers: usize) {
-    let workers = workers.min(cells.len());
-    if workers <= 1 {
-        for cell in cells.iter_mut() {
-            cell.advance_epoch(ticks);
-        }
-        return;
-    }
-    let slots: Vec<Mutex<Option<HostCell>>> =
-        cells.drain(..).map(|c| Mutex::new(Some(c))).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                let mut slot = slots[i].lock().expect("slot lock");
-                if let Some(cell) = slot.as_mut() {
-                    cell.advance_epoch(ticks);
-                }
-            });
-        }
-    });
-    cells.extend(slots.into_iter().map(|slot| {
-        slot.into_inner()
-            .expect("slot lock")
-            .expect("cell returned")
-    }));
 }
 
 /// A cluster of open hosts under one scheduling policy.
@@ -555,7 +518,8 @@ impl Cluster {
             }
 
             // 6. Parallel section: each host advances alone.
-            advance_all(&mut cells, config.ticks_per_epoch, config.workers);
+            let ticks = config.ticks_per_epoch;
+            map_indexed(&mut cells, config.workers, |cell| cell.advance_epoch(ticks));
 
             // 7. Departures, in job-id order at the epoch's end.
             for job in &mut jobs {

@@ -24,11 +24,6 @@ pub enum FleetError {
     Workload(WorkloadError),
     /// Template registry (de)serialisation failed.
     Registry(String),
-    /// A worker thread died without reporting a result.
-    WorkerPanicked {
-        /// Index of the cell whose result never arrived.
-        cell: usize,
-    },
 }
 
 impl std::fmt::Display for FleetError {
@@ -42,9 +37,6 @@ impl std::fmt::Display for FleetError {
             FleetError::Telemetry(e) => write!(f, "cell observation source error: {e}"),
             FleetError::Workload(e) => write!(f, "cluster host workload error: {e}"),
             FleetError::Registry(reason) => write!(f, "template registry error: {reason}"),
-            FleetError::WorkerPanicked { cell } => {
-                write!(f, "worker panicked while running cell {cell}")
-            }
         }
     }
 }
@@ -101,8 +93,5 @@ mod tests {
             reason: "cells must be positive".into(),
         };
         assert!(e.to_string().contains("cells must be positive"));
-        assert!(FleetError::WorkerPanicked { cell: 3 }
-            .to_string()
-            .contains("cell 3"));
     }
 }

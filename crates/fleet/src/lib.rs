@@ -26,9 +26,10 @@
 //!   match before its first tick, throttling proactively on first contact.
 //!   Sharing is phased (pioneers → barrier → followers) precisely so the
 //!   registry contents a cell observes do not depend on thread scheduling.
-//! * **Constant-memory cells.** Controllers bound their decision logs
-//!   ([`stayaway_core::EventLog`]), so week-long fleet runs do not grow
-//!   without limit; evictions are surfaced in the fleet rollup.
+//! * **Constant-memory cells.** A controller retains decisions only in
+//!   the bounded [`stayaway_obs::FlightRecorder`] a cell attaches when
+//!   [`FleetConfig::collect_events`] is set, so week-long fleet runs do
+//!   not grow without limit; evictions are surfaced in the fleet rollup.
 //!
 //! ```
 //! use stayaway_fleet::{Fleet, FleetConfig};
@@ -59,6 +60,7 @@ pub mod source;
 pub mod tournament;
 
 mod error;
+mod pool;
 
 pub use aggregate::{CellSummary, FleetOutcome, PolicyRollup, PredictorRollup};
 pub use cell::{CellOutcome, CellPlan};

@@ -1,8 +1,8 @@
 //! The sharded fleet executor.
 //!
-//! Cells are distributed over a fixed pool of worker threads via an atomic
-//! work counter (work-stealing by index). Determinism is preserved by
-//! construction:
+//! Cells are distributed over the crate's worker pool (`pool::map_indexed`),
+//! which hands each cell to exactly one thread and returns outcomes in
+//! cell order. Determinism is preserved by construction:
 //!
 //! * cell plans (scenario, seed) are fixed before any worker starts;
 //! * cells share nothing mutable while running;
@@ -21,12 +21,12 @@
 use crate::aggregate::FleetOutcome;
 use crate::cell::{run_cell, CellOutcome, CellPlan};
 use crate::config::FleetConfig;
+use crate::pool::map_indexed;
 use crate::registry::TemplateRegistry;
 use crate::FleetError;
 use stayaway_statespace::Template;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// A configured fleet, ready to run.
 #[derive(Debug)]
@@ -101,9 +101,8 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Propagates the failure of the lowest-indexed failing cell (a
-    /// deterministic choice), or [`FleetError::WorkerPanicked`] if a
-    /// worker died.
+    /// Propagates the failure of the lowest-indexed failing cell of the
+    /// first failing wave (a deterministic choice).
     pub fn run(&self) -> Result<FleetOutcome, FleetError> {
         let plans = self.plans();
         let mut outcomes: Vec<CellOutcome>;
@@ -166,57 +165,19 @@ impl Fleet {
     }
 
     /// Executes one wave of `(plan, optional import)` jobs over the worker
-    /// pool and returns the outcomes sorted by cell index.
+    /// pool. Jobs arrive in cell-index order and outcomes come back in the
+    /// same order, so collecting stops at the lowest-indexed failure.
     fn run_wave(
         &self,
-        jobs: Vec<(CellPlan, Option<Template>)>,
+        mut jobs: Vec<(CellPlan, Option<Template>)>,
     ) -> Result<Vec<CellOutcome>, FleetError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = self.config.workers.min(jobs.len());
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<CellOutcome, FleetError>)>();
         let controller = &self.config.controller;
         let ticks = self.config.ticks;
-        let jobs = &jobs;
-        let next = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((plan, import)) = jobs.get(i) else {
-                        break;
-                    };
-                    let result = run_cell(plan, controller, import.as_ref(), ticks);
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-        });
-        drop(tx);
-        let mut slots: Vec<Option<Result<CellOutcome, FleetError>>> =
-            (0..jobs.len()).map(|_| None).collect();
-        for (i, result) in rx {
-            slots[i] = Some(result);
-        }
-        // Resolve deterministically: report the lowest-indexed failure.
-        let mut outcomes = Vec::with_capacity(jobs.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(Ok(outcome)) => outcomes.push(outcome),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(FleetError::WorkerPanicked {
-                        cell: jobs[i].0.idx,
-                    })
-                }
-            }
-        }
-        outcomes.sort_by_key(|o| o.idx);
-        Ok(outcomes)
+        map_indexed(&mut jobs, self.config.workers, |(plan, import)| {
+            run_cell(plan, controller, import.as_ref(), ticks)
+        })
+        .into_iter()
+        .collect()
     }
 }
 

@@ -305,6 +305,11 @@ impl EventRecord {
         }
     }
 
+    /// The attribute called `name`, when the record carries one.
+    pub fn attr(&self, name: &str) -> Option<&AttrValue> {
+        self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
     /// The total sort key: `(tick, layer, seq, scope)`. Unique per
     /// event in any merged stream, since `(scope, seq)` is unique.
     pub fn sort_key(&self) -> (u64, Layer, u64, u32) {

@@ -90,8 +90,7 @@ impl FlightRecorder {
         cause: Option<EventId>,
         attrs: Vec<(String, crate::event::AttrValue)>,
     ) -> EventId {
-        let subject = self.subject();
-        self.record_for(tick, layer, kind, subject, cause, attrs)
+        self.push(tick, layer, kind, None, cause, attrs)
     }
 
     /// Records one event for an explicit subject (cluster verbs name
@@ -102,6 +101,20 @@ impl FlightRecorder {
         layer: Layer,
         kind: EventKind,
         subject: impl Into<String>,
+        cause: Option<EventId>,
+        attrs: Vec<(String, crate::event::AttrValue)>,
+    ) -> EventId {
+        self.push(tick, layer, kind, Some(subject.into()), cause, attrs)
+    }
+
+    /// The one critical section behind both record calls; `subject`
+    /// defaults to the recorder's own.
+    fn push(
+        &self,
+        tick: u64,
+        layer: Layer,
+        kind: EventKind,
+        subject: Option<String>,
         cause: Option<EventId>,
         attrs: Vec<(String, crate::event::AttrValue)>,
     ) -> EventId {
@@ -130,7 +143,7 @@ impl FlightRecorder {
             seq,
             scope: id.scope,
             kind,
-            subject: subject.into(),
+            subject: subject.unwrap_or_else(|| inner.subject.clone()),
             cause,
             attrs,
         };

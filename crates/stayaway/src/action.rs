@@ -19,7 +19,7 @@
 //! hold; the resume happens when the controller calls
 //! [`ThrottleManager::commit_resume`].
 
-use crate::events::ResumeReason;
+use crate::stats::ResumeReason;
 use rand::Rng;
 
 /// Throttle state machine.

@@ -12,7 +12,7 @@
 //! one tick on one host* to feed the sense stage, while the fleet module
 //! folds *finished cell outcomes* into fleet-wide rollups. They share no
 //! numeric helper except the hits-over-checks ratio, which lives in
-//! [`crate::events::hit_ratio`] (its single home) and is reused by both
+//! [`crate::stats::hit_ratio`] (its single home) and is reused by both
 //! [`crate::ControllerStats::prediction_accuracy`] and the fleet's
 //! aggregation.
 

@@ -75,9 +75,6 @@ pub struct ControllerConfig {
     /// Seed of the controller's internal randomness (prediction sampling
     /// and optimistic resumes).
     pub seed: u64,
-    /// Maximum number of retained [`crate::EventLog`] entries; older events
-    /// are evicted (and counted) so long fleet runs hold constant memory.
-    pub events_capacity: usize,
 }
 
 impl Default for ControllerConfig {
@@ -109,7 +106,6 @@ impl Default for ControllerConfig {
             mapping_kernel: SweepKernel::F64,
             control_period_secs: 1.0,
             seed: 0,
-            events_capacity: 4096,
         }
     }
 }
@@ -181,11 +177,6 @@ impl ControllerConfig {
                 reason: "mapping_workers must be at least 1".into(),
             });
         }
-        if self.events_capacity == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "events_capacity must be positive".into(),
-            });
-        }
         if !(self.control_period_secs.is_finite() && self.control_period_secs > 0.0) {
             return Err(CoreError::InvalidConfig {
                 reason: format!(
@@ -245,10 +236,6 @@ mod tests {
             },
             ControllerConfig {
                 max_states: 1,
-                ..base.clone()
-            },
-            ControllerConfig {
-                events_capacity: 0,
                 ..base.clone()
             },
             ControllerConfig {

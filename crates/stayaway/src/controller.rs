@@ -2,10 +2,9 @@
 //! (sense → map → predict → act), every period.
 
 use crate::config::ControllerConfig;
-use crate::events::ResumeReason;
-use crate::events::{ControllerEvent, ControllerStats, EventLog, StageClock, StageTiming};
 use crate::obs::{ControllerMetrics, MappingMetrics, Observability};
 use crate::stages::{ActStage, MapStage, PredictStage, ResumeDecision, SenseStage};
+use crate::stats::{ControllerStats, ResumeReason, StageClock, StageTiming};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,8 +24,10 @@ use std::time::{Duration, Instant};
 ///
 /// The controller itself owns no mechanism: each period it routes data
 /// through the four [`crate::stages`] in the paper's §3 order, translates
-/// stage outcomes into events/statistics, and records per-stage wall time
-/// into [`crate::events::StageTiming`]. All randomness is drawn from the
+/// stage outcomes into statistics and flight-recorder events (the one
+/// decision stream, present only when [`Observability::with_recorder`]
+/// supplied a recorder), and records per-stage wall time into
+/// [`crate::stats::StageTiming`]. All randomness is drawn from the
 /// controller's single seeded RNG, in a fixed call order, so runs with the
 /// same seed are bit-identical.
 #[derive(Debug)]
@@ -37,8 +38,8 @@ pub struct Controller {
     predict: PredictStage,
     act: ActStage,
     rng: StdRng,
-    events: EventLog,
     stats: ControllerStats,
+    first_throttle: Option<(u64, bool)>,
     obs: ControllerMetrics,
 }
 
@@ -60,10 +61,11 @@ impl Controller {
     /// [`Observability`] bundle (registry, optional span sink, deep
     /// derived metrics).
     ///
-    /// Observability is decision-inert: the controller's actions,
-    /// events, β, and state map are bit-for-bit identical whichever
-    /// bundle is passed — instrumentation reads the clock and writes
-    /// atomics, never consuming the controller's RNG.
+    /// Observability is decision-inert: the controller's actions, β and
+    /// state map are bit-for-bit identical whichever bundle is passed (and
+    /// so is the event stream, for any bundle carrying a recorder) —
+    /// instrumentation reads the clock and writes atomics, never consuming
+    /// the controller's RNG.
     ///
     /// # Errors
     ///
@@ -81,8 +83,8 @@ impl Controller {
             map: MapStage::new(&config, spec)?.with_metrics(mapping_metrics),
             predict: PredictStage::new(&config),
             act: ActStage::new(&config, spec.capacities()),
-            events: EventLog::with_capacity(config.events_capacity),
             stats: ControllerStats::default(),
+            first_throttle: None,
             obs: ControllerMetrics::register(&obs),
             config,
         })
@@ -132,7 +134,7 @@ impl Controller {
         s.samples_rejected += self.predict.predictor_stats().rejected;
         s.states = self.map.repr_count();
         s.violation_states = self.map.state_map().violation_count();
-        s.events_dropped = self.events.dropped();
+        s.events_dropped = self.events_dropped();
         let clock = |h: &stayaway_obs::Histogram| StageClock {
             invocations: h.count(),
             nanos: h.sum(),
@@ -153,10 +155,17 @@ impl Controller {
         self.obs.registry.snapshot()
     }
 
-    /// The decision log: the most recent
-    /// [`ControllerConfig::events_capacity`] events, oldest first.
-    pub fn events(&self) -> &EventLog {
-        &self.events
+    /// Tick of the first throttle and whether it was proactive
+    /// (prediction- or template-driven rather than a reaction to an
+    /// observed violation); `None` until the controller throttles. Kept
+    /// outside the bounded recorder ring so eviction cannot lose it.
+    pub fn first_throttle(&self) -> Option<(u64, bool)> {
+        self.first_throttle
+    }
+
+    /// Records the flight recorder evicted or refused; 0 without one.
+    fn events_dropped(&self) -> u64 {
+        self.obs.recorder.as_ref().map_or(0, |rec| rec.dropped())
     }
 
     /// The current β (§3.3).
@@ -240,10 +249,6 @@ impl Controller {
             let span = Instant::now();
             self.map.mark_violation(mapped.rep)?;
             map_span += span.elapsed();
-            self.events.push(ControllerEvent::ViolationLearned {
-                tick,
-                state: mapped.rep,
-            });
             if let Some(rec) = &self.obs.recorder {
                 // The causal link points at the verdict that was in force
                 // when the violation slipped through (the forecast that
@@ -262,10 +267,6 @@ impl Controller {
             let beta_increased = self.act.note_violation(tick);
             act_span += span.elapsed();
             if beta_increased {
-                self.events.push(ControllerEvent::BetaIncreased {
-                    tick,
-                    beta: self.act.beta(),
-                });
                 if let Some(rec) = &self.obs.recorder {
                     let cause = rec.last_id_of_kind(EventKind::SloViolation);
                     rec.record(
@@ -320,7 +321,6 @@ impl Controller {
                 actions = resumes;
                 self.stats.resumes += 1;
                 self.obs.resumes.inc();
-                self.events.push(ControllerEvent::Resumed { tick, reason });
                 if let Some(rec) = &self.obs.recorder {
                     let cause = rec.last_id_of_kind(EventKind::Throttle);
                     let why = match reason {
@@ -372,11 +372,6 @@ impl Controller {
                     if forecast.predicted_violation {
                         self.stats.violations_predicted += 1;
                         self.obs.violations_predicted.inc();
-                        self.events.push(ControllerEvent::ViolationPredicted {
-                            tick,
-                            votes: forecast.votes,
-                            samples: forecast.samples,
-                        });
                     }
                 }
             }
@@ -398,11 +393,7 @@ impl Controller {
                     self.stats.throttles += 1;
                     self.obs.throttles.inc();
                     let proactive = (predicted_violation || current_in_range) && !sensed.violated;
-                    self.events.push(ControllerEvent::Throttled {
-                        tick,
-                        count: targets.len(),
-                        proactive,
-                    });
+                    self.first_throttle.get_or_insert((tick, proactive));
                     if let Some(rec) = &self.obs.recorder {
                         // Cause: the forecast verdict in force this period
                         // when one exists (proactive path); a reactive
@@ -474,7 +465,7 @@ impl Controller {
         self.obs
             .duty_cycle
             .set(self.obs.throttled_periods.get() as f64 / self.stats.periods as f64);
-        self.obs.events_dropped.set(self.events.dropped() as f64);
+        self.obs.events_dropped.set(self.events_dropped() as f64);
         self.obs.states.set(self.map.repr_count() as f64);
         self.obs
             .violation_states
@@ -524,11 +515,18 @@ impl Policy for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stayaway_obs::FlightRecorder;
     use stayaway_sim::scenario::Scenario;
     use stayaway_sim::NullPolicy;
 
     fn default_controller(h: &stayaway_sim::Harness) -> Controller {
         Controller::for_host(ControllerConfig::default(), h.host().spec()).unwrap()
+    }
+
+    /// A default controller emitting its decisions into `rec`.
+    fn recorded_controller(h: &stayaway_sim::Harness, rec: &FlightRecorder) -> Controller {
+        let obs = Observability::disabled().with_recorder(rec.clone());
+        Controller::for_host_observed(ControllerConfig::default(), h.host().spec(), obs).unwrap()
     }
 
     #[test]
@@ -640,15 +638,6 @@ mod tests {
 
         let reuse = Scenario::vlc_with_soplex(19);
 
-        let first_throttle = |ctl: &Controller| {
-            ctl.events().iter().find_map(|e| match e {
-                ControllerEvent::Throttled {
-                    tick, proactive, ..
-                } => Some((*tick, *proactive)),
-                _ => None,
-            })
-        };
-
         // Cold controller.
         let mut h_cold = reuse.build_harness().unwrap();
         let mut cold = default_controller(&h_cold);
@@ -660,8 +649,8 @@ mod tests {
         warm.import_template(&template).unwrap();
         h_warm.run(&mut warm, 250);
 
-        let (warm_tick, warm_proactive) = first_throttle(&warm).expect("warm controller throttles");
-        let (cold_tick, cold_proactive) = first_throttle(&cold).expect("cold controller throttles");
+        let (warm_tick, warm_proactive) = warm.first_throttle().expect("warm controller throttles");
+        let (cold_tick, cold_proactive) = cold.first_throttle().expect("cold controller throttles");
         assert!(
             warm_proactive,
             "warm first throttle at tick {warm_tick} was reactive"
@@ -680,16 +669,17 @@ mod tests {
     fn stats_and_events_accumulate() {
         let scenario = Scenario::vlc_with_cpubomb(23);
         let mut h = scenario.build_harness().unwrap();
-        let mut ctl = default_controller(&h);
+        let rec = FlightRecorder::for_scope(0, "run");
+        let mut ctl = recorded_controller(&h, &rec);
         h.run(&mut ctl, 200);
         let stats = ctl.stats();
         assert_eq!(stats.periods, 200);
         assert!(stats.states > 0);
         assert!(stats.violation_states > 0);
-        assert!(!ctl.events().is_empty());
+        assert!(!rec.is_empty());
         assert_eq!(stats.mapping_errors, 0);
         // Events are tick-ordered.
-        let ticks: Vec<u64> = ctl.events().iter().map(|e| e.tick()).collect();
+        let ticks: Vec<u64> = rec.events().iter().map(|e| e.tick).collect();
         assert!(ticks.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -709,25 +699,35 @@ mod tests {
     }
 
     #[test]
-    fn event_log_is_bounded_and_drops_are_counted() {
+    fn recorder_bound_is_the_event_bound_and_drops_are_counted() {
         let scenario = Scenario::vlc_with_cpubomb(29);
         let mut h = scenario.build_harness().unwrap();
-        let config = ControllerConfig {
-            events_capacity: 8,
-            ..ControllerConfig::default()
-        };
-        let mut ctl = Controller::for_host(config, h.host().spec()).unwrap();
+        let rec = FlightRecorder::bounded(0, "run", 8);
+        let mut ctl = recorded_controller(&h, &rec);
         h.run(&mut ctl, 400);
-        assert!(ctl.events().len() <= 8);
+        assert!(rec.len() <= 8);
         let stats = ctl.stats();
         assert!(
             stats.events_dropped > 0,
-            "a 400-tick CPUBomb run must overflow an 8-event log"
+            "a 400-tick CPUBomb run must overflow an 8-event ring"
         );
-        assert_eq!(stats.events_dropped, ctl.events().dropped());
+        assert_eq!(stats.events_dropped, rec.dropped());
         // The retained suffix is still tick-ordered.
-        let ticks: Vec<u64> = ctl.events().iter().map(|e| e.tick()).collect();
+        let ticks: Vec<u64> = rec.events().iter().map(|e| e.tick).collect();
         assert!(ticks.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn without_a_recorder_no_events_are_retained_or_dropped() {
+        let scenario = Scenario::vlc_with_cpubomb(29);
+        let mut h = scenario.build_harness().unwrap();
+        let mut ctl = default_controller(&h);
+        h.run(&mut ctl, 400);
+        let stats = ctl.stats();
+        assert!(stats.throttles > 0);
+        assert_eq!(stats.events_dropped, 0);
+        // The first throttle is still known: it never lived in a ring.
+        assert!(ctl.first_throttle().is_some());
     }
 
     #[test]
@@ -751,12 +751,13 @@ mod tests {
         // β should be incremented at least once over a long run.
         let scenario = Scenario::vlc_with_cpubomb(31);
         let mut h = scenario.build_harness().unwrap();
-        let mut ctl = default_controller(&h);
+        let rec = FlightRecorder::for_scope(0, "run");
+        let mut ctl = recorded_controller(&h, &rec);
         h.run(&mut ctl, 400);
-        let increases = ctl
+        let increases = rec
             .events()
             .iter()
-            .filter(|e| matches!(e, ControllerEvent::BetaIncreased { .. }))
+            .filter(|e| e.kind == EventKind::BetaChange)
             .count();
         assert!(
             ctl.beta() > 0.01 || increases == 0,

@@ -29,7 +29,7 @@
 //! Stay-Away controller and baselines alike. Per-stage cost is recorded in
 //! latency histograms by the observability plane ([`obs`], DESIGN.md §11)
 //! and surfaced both as a [`stayaway_obs::MetricsSnapshot`] and through the
-//! [`events::StageTiming`] compatibility view on [`ControllerStats`].
+//! [`stats::StageTiming`] compatibility view on [`ControllerStats`].
 //!
 //! The state map doubles as a reusable [`stayaway_statespace::Template`]
 //! for future runs of the same sensitive application (§6).
@@ -63,12 +63,12 @@ pub mod action;
 pub mod aggregate;
 pub mod config;
 pub mod controller;
-pub mod events;
 pub mod mapping;
 pub mod obs;
 pub mod policy;
 pub mod predictors;
 pub mod stages;
+pub mod stats;
 pub mod violation;
 
 mod error;
@@ -76,12 +76,10 @@ mod error;
 pub use config::ControllerConfig;
 pub use controller::Controller;
 pub use error::CoreError;
-pub use events::{
-    hit_ratio, ControllerEvent, ControllerStats, EventLog, ResumeReason, StageClock, StageTiming,
-};
 pub use mapping::EmbeddingStrategy;
 pub use obs::{MappingMetrics, Observability};
 pub use policy::ControlPolicy;
 pub use predictors::{Forecast, Predictor, PredictorKind, PredictorStats};
+pub use stats::{hit_ratio, ControllerStats, ResumeReason, StageClock, StageTiming};
 pub use stayaway_mds::SweepKernel;
 pub use violation::{ViolationDetection, ViolationDetector};

@@ -9,8 +9,9 @@
 //!
 //! Everything here obeys the plane's one invariant: recording reads
 //! the clock and writes atomics — it never consumes controller RNG and
-//! never branches control logic — so an instrumented run's actions,
-//! events, β, and state map are bit-for-bit those of a bare run.
+//! never branches control logic — so an instrumented run's actions, β
+//! and state map are bit-for-bit those of a bare run, and the recorded
+//! event stream is the same whichever other instruments are on.
 
 use stayaway_obs::{
     Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SpanSink, StateCell,
@@ -72,7 +73,9 @@ impl Observability {
 
     /// Records typed controller decisions (throttle, resume, β change,
     /// predictor verdicts, drift anchors, learned violations) into the
-    /// flight recorder's bounded event ring (DESIGN.md §16).
+    /// flight recorder's bounded event ring (DESIGN.md §16). This is the
+    /// controller's only event path: without a recorder no decision is
+    /// retained.
     pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -242,7 +245,7 @@ impl ControllerMetrics {
             ),
             events_dropped: r.gauge(
                 "stayaway_controller_events_dropped",
-                "Events evicted from the bounded decision log",
+                "Events evicted from the flight recorder's bounded ring",
             ),
             states: r.gauge(
                 "stayaway_controller_states",

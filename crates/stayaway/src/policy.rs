@@ -4,8 +4,8 @@
 //! speaks — the staged Stay-Away [`Controller`] and all baselines alike. It
 //! is a strict superset of the simulator's [`Policy`] (observe → actions):
 //! on top of the decision loop it exposes the *introspection* surface the
-//! bench runner, fleet cells and CLI need — aggregate statistics, the
-//! decision-event log, and state-map templates (§6) — all with default
+//! bench runner, fleet cells and CLI need — aggregate statistics, metrics,
+//! the first throttle, and state-map templates (§6) — all with default
 //! implementations, so a baseline adopts the trait with a single empty
 //! `impl` block.
 //!
@@ -13,7 +13,7 @@
 //! upcast to `&mut dyn Policy` when handing the policy to the simulator
 //! harness.
 
-use crate::events::{ControllerStats, EventLog};
+use crate::stats::ControllerStats;
 use crate::{Controller, CoreError};
 use stayaway_obs::MetricsSnapshot;
 use stayaway_statespace::Template;
@@ -31,9 +31,9 @@ pub trait ControlPolicy: Policy {
         ControllerStats::default()
     }
 
-    /// The bounded decision log, oldest first. `None` for policies that
-    /// keep no log.
-    fn events(&self) -> Option<&EventLog> {
+    /// Tick of the policy's first throttle and whether it was proactive.
+    /// `None` for policies that never throttled or do not track it.
+    fn first_throttle(&self) -> Option<(u64, bool)> {
         None
     }
 
@@ -78,8 +78,8 @@ impl ControlPolicy for Controller {
         Controller::stats(self)
     }
 
-    fn events(&self) -> Option<&EventLog> {
-        Some(Controller::events(self))
+    fn first_throttle(&self) -> Option<(u64, bool)> {
+        Controller::first_throttle(self)
     }
 
     fn metrics(&self) -> Option<MetricsSnapshot> {
@@ -121,7 +121,7 @@ mod tests {
         let p = NullPolicy::new();
         let cp: &dyn ControlPolicy = &p;
         assert_eq!(cp.stats(), ControllerStats::default());
-        assert!(cp.events().is_none());
+        assert!(cp.first_throttle().is_none());
         assert!(!cp.supports_templates());
         assert!(cp.export_template("vlc").unwrap().is_none());
     }
@@ -136,7 +136,7 @@ mod tests {
         let cp: &dyn ControlPolicy = &ctl;
         assert!(cp.supports_templates());
         assert!(cp.stats().periods == 150);
-        assert!(cp.events().is_some());
+        assert!(cp.first_throttle().is_some());
         let template = cp.export_template("vlc-streaming").unwrap().unwrap();
         assert!(!template.is_empty());
 

@@ -10,7 +10,7 @@ use super::sense::Sensed;
 use crate::action::ThrottleManager;
 use crate::aggregate::majority_share_batch;
 use crate::config::ControllerConfig;
-use crate::events::ResumeReason;
+use crate::stats::ResumeReason;
 use rand::rngs::StdRng;
 use stayaway_statespace::{ExecutionMode, Point2};
 use stayaway_telemetry::{Action, ContainerId, Observation, ResourceKind, ResourceVector};

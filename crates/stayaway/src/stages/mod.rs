@@ -4,7 +4,7 @@
 //! prediction, action — fed by per-VM measurements. This module makes each
 //! a first-class stage with its own state, so the [`crate::Controller`]
 //! reduces to a thin composer and per-stage cost is measurable
-//! ([`crate::events::StageTiming`]):
+//! ([`crate::stats::StageTiming`]):
 //!
 //! ```text
 //! Observation ─▶ SenseStage ─▶ MapStage ─▶ PredictStage ─▶ ActStage ─▶ Actions

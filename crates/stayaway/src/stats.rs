@@ -1,4 +1,8 @@
-//! Controller telemetry: events and aggregate statistics.
+//! Controller telemetry: aggregate statistics and per-stage timing.
+//!
+//! Decisions themselves are not kept here: each one is emitted once, to
+//! the [`stayaway_obs::FlightRecorder`] carried by
+//! [`crate::Observability`] (DESIGN.md §16).
 
 use serde::{Deserialize, Serialize};
 
@@ -10,149 +14,6 @@ pub enum ResumeReason {
     PhaseChange,
     /// The random anti-starvation factor fired after a long stable period.
     Optimistic,
-}
-
-/// One notable controller decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ControllerEvent {
-    /// A transition towards a violation-range was predicted.
-    ViolationPredicted {
-        /// Tick of the prediction.
-        tick: u64,
-        /// How many candidate states fell inside a violation-range.
-        votes: usize,
-        /// Total candidates drawn.
-        samples: usize,
-    },
-    /// An actual QoS violation was reported and learned.
-    ViolationLearned {
-        /// Tick of the violation.
-        tick: u64,
-        /// Representative state index that was labelled.
-        state: usize,
-    },
-    /// Batch applications were throttled.
-    Throttled {
-        /// Tick of the action.
-        tick: u64,
-        /// Number of containers paused.
-        count: usize,
-        /// True when triggered by prediction rather than an observed
-        /// violation.
-        proactive: bool,
-    },
-    /// Batch applications were resumed.
-    Resumed {
-        /// Tick of the action.
-        tick: u64,
-        /// Why.
-        reason: ResumeReason,
-    },
-    /// β was incremented after a resume immediately re-violated.
-    BetaIncreased {
-        /// Tick of the adjustment.
-        tick: u64,
-        /// The new β.
-        beta: f64,
-    },
-}
-
-impl ControllerEvent {
-    /// The tick the event happened at.
-    pub fn tick(&self) -> u64 {
-        match *self {
-            ControllerEvent::ViolationPredicted { tick, .. }
-            | ControllerEvent::ViolationLearned { tick, .. }
-            | ControllerEvent::Throttled { tick, .. }
-            | ControllerEvent::Resumed { tick, .. }
-            | ControllerEvent::BetaIncreased { tick, .. } => tick,
-        }
-    }
-}
-
-/// Fixed-capacity ring buffer over [`ControllerEvent`]s.
-///
-/// The controller appends one or more events per control period; a
-/// week-long run would grow an unbounded `Vec` without limit. The ring
-/// keeps the most recent `capacity` events and counts how many older ones
-/// were evicted (exposed as [`ControllerStats::events_dropped`]), so
-/// long-lived fleet cells run in constant memory while recent decisions
-/// stay inspectable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventLog {
-    buf: Vec<ControllerEvent>,
-    /// Index of the oldest retained event once the buffer is full.
-    head: usize,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl EventLog {
-    /// An empty log retaining at most `capacity` events (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventLog {
-            buf: Vec::new(),
-            head: 0,
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of currently retained events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Number of events evicted to honour the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Appends an event, evicting the oldest one when full.
-    pub fn push(&mut self, event: ControllerEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Iterates oldest-to-newest over the retained events.
-    pub fn iter(&self) -> EventLogIter<'_> {
-        self.buf[self.head..]
-            .iter()
-            .chain(self.buf[..self.head].iter())
-    }
-
-    /// The retained events, oldest first, as an owned vector.
-    pub fn to_vec(&self) -> Vec<ControllerEvent> {
-        self.iter().cloned().collect()
-    }
-}
-
-/// Iterator over an [`EventLog`], oldest event first.
-pub type EventLogIter<'a> =
-    std::iter::Chain<std::slice::Iter<'a, ControllerEvent>, std::slice::Iter<'a, ControllerEvent>>;
-
-impl<'a> IntoIterator for &'a EventLog {
-    type Item = &'a ControllerEvent;
-    type IntoIter = EventLogIter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
 }
 
 /// Invocation count and accumulated wall-time of one pipeline stage.
@@ -276,7 +137,9 @@ pub struct ControllerStats {
     /// Raw metric samples rejected by the sense stage — non-finite or
     /// negative readings sanitised to zero before embedding.
     pub samples_rejected: u64,
-    /// Events evicted from the bounded decision log (see [`EventLog`]).
+    /// Records the controller's [`stayaway_obs::FlightRecorder`] evicted or
+    /// refused because its ring was full; 0 for a controller built without
+    /// a recorder, which retains no events.
     pub events_dropped: u64,
     /// Per-stage tick counters and wall-time of the control pipeline.
     pub stage_timing: StageTiming,
@@ -296,21 +159,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn event_tick_accessor() {
-        let e = ControllerEvent::Throttled {
-            tick: 42,
-            count: 1,
-            proactive: true,
-        };
-        assert_eq!(e.tick(), 42);
-        let e = ControllerEvent::Resumed {
-            tick: 43,
-            reason: ResumeReason::PhaseChange,
-        };
-        assert_eq!(e.tick(), 43);
-    }
-
-    #[test]
     fn accuracy_without_checks_is_unknown() {
         assert_eq!(ControllerStats::default().prediction_accuracy(), None);
     }
@@ -323,54 +171,6 @@ mod tests {
             ..ControllerStats::default()
         };
         assert!((s.prediction_accuracy().unwrap() - 0.9).abs() < 1e-12);
-    }
-
-    fn throttled(tick: u64) -> ControllerEvent {
-        ControllerEvent::Throttled {
-            tick,
-            count: 1,
-            proactive: false,
-        }
-    }
-
-    #[test]
-    fn event_log_below_capacity_keeps_everything() {
-        let mut log = EventLog::with_capacity(4);
-        assert!(log.is_empty());
-        for t in 0..3 {
-            log.push(throttled(t));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 0);
-        let ticks: Vec<u64> = log.iter().map(|e| e.tick()).collect();
-        assert_eq!(ticks, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn event_log_evicts_oldest_and_counts_drops() {
-        let mut log = EventLog::with_capacity(4);
-        for t in 0..10 {
-            log.push(throttled(t));
-        }
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.dropped(), 6);
-        // Oldest-to-newest order is preserved across the wrap.
-        let ticks: Vec<u64> = log.iter().map(|e| e.tick()).collect();
-        assert_eq!(ticks, vec![6, 7, 8, 9]);
-        assert_eq!(log.to_vec().len(), 4);
-        // `for e in &log` works through IntoIterator.
-        assert_eq!((&log).into_iter().count(), 4);
-    }
-
-    #[test]
-    fn event_log_zero_capacity_clamps_to_one() {
-        let mut log = EventLog::with_capacity(0);
-        assert_eq!(log.capacity(), 1);
-        log.push(throttled(1));
-        log.push(throttled(2));
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.dropped(), 1);
-        assert_eq!(log.iter().next().unwrap().tick(), 2);
     }
 
     #[test]
@@ -403,16 +203,5 @@ mod tests {
     fn hit_ratio_handles_zero_checks() {
         assert_eq!(hit_ratio(0, 0), None);
         assert_eq!(hit_ratio(3, 4), Some(0.75));
-    }
-
-    #[test]
-    fn events_serialize() {
-        let e = ControllerEvent::BetaIncreased {
-            tick: 1,
-            beta: 0.02,
-        };
-        let json = serde_json::to_string(&e).unwrap();
-        let back: ControllerEvent = serde_json::from_str(&json).unwrap();
-        assert_eq!(e, back);
     }
 }

@@ -1,7 +1,9 @@
 //! Golden-fixture equivalence for the staged controller pipeline.
 //!
 //! The fixture under `tests/fixtures/` was captured from the pre-refactor
-//! monolithic controller (one `period()` function). The staged pipeline
+//! monolithic controller (one `period()` function, decisions kept in a
+//! private log; `tests/common/mod.rs` reads the same shape back from the
+//! flight-recorder stream). The staged pipeline
 //! (Sense → Map → Predict → Act) must reproduce the recorded event and
 //! stat streams **bit-for-bit** on the same scenario: identical events in
 //! identical order, identical counters, identical per-tick action counts,
@@ -13,9 +15,11 @@
 //! STAYAWAY_REGEN_GOLDEN=1 cargo test -p stayaway-core --test golden_fixture
 //! ```
 
+mod common;
+
 use serde_json::Value;
-use stayaway_core::{Controller, ControllerConfig, Observability};
-use stayaway_obs::{MetricsRegistry, SpanSink};
+use stayaway_core::{ControllerConfig, Observability};
+use stayaway_obs::{FlightRecorder, MetricsRegistry, SpanSink};
 use stayaway_sim::scenario::Scenario;
 
 const FIXTURE_PATH: &str = concat!(
@@ -24,47 +28,19 @@ const FIXTURE_PATH: &str = concat!(
 );
 
 /// Runs the default scenario under the default configuration and projects
-/// the observable controller behaviour into a canonical JSON document.
-///
-/// Only behaviourally meaningful, deterministic fields enter the
-/// projection: wall-clock stage timings are explicitly excluded, stat
-/// fields are listed one by one so adding a *new* counter cannot silently
-/// change the fixture.
+/// the observable controller behaviour into the canonical JSON document
+/// (see [`common::capture`]); `"events"` is read from the flight-recorder
+/// stream, the controller's only event path.
 fn capture() -> Value {
     capture_observed(Observability::disabled())
 }
 
 fn capture_observed(obs: Observability) -> Value {
-    let scenario = Scenario::vlc_with_cpubomb(7);
-    let ticks = 300u64;
-    let mut harness = scenario.build_harness().expect("scenario builds");
-    let mut ctl =
-        Controller::for_host_observed(ControllerConfig::default(), harness.host().spec(), obs)
-            .expect("default config is valid");
-    let outcome = harness.run(&mut ctl, ticks);
-    let stats = ctl.stats();
-    let actions: Vec<usize> = outcome.timeline.iter().map(|r| r.actions).collect();
-    serde_json::json!({
-        "scenario": scenario.name(),
-        "ticks": ticks,
-        "events": ctl.events().to_vec(),
-        "stats": serde_json::json!({
-            "periods": stats.periods,
-            "violations_observed": stats.violations_observed,
-            "violations_predicted": stats.violations_predicted,
-            "throttles": stats.throttles,
-            "resumes": stats.resumes,
-            "prediction_checks": stats.prediction_checks,
-            "prediction_hits": stats.prediction_hits,
-            "states": stats.states,
-            "violation_states": stats.violation_states,
-            "mapping_errors": stats.mapping_errors,
-            "events_dropped": stats.events_dropped,
-        }),
-        "beta": ctl.beta(),
-        "qos_violations": outcome.qos.violations,
-        "timeline_actions": actions,
-    })
+    common::capture(
+        ControllerConfig::default(),
+        &Scenario::vlc_with_cpubomb(7),
+        obs,
+    )
 }
 
 #[test]
@@ -152,4 +128,43 @@ fn fully_instrumented_run_matches_the_golden_fixture_bit_for_bit() {
         "every verdict came from a recorded forecast invocation"
     );
     assert!(!sink.is_empty(), "span sink captured records");
+}
+
+/// Recording is the only event path, and it stays decision-inert: a run
+/// with a flight recorder and a run without one agree on every counter,
+/// β and the per-tick actuation counts.
+#[test]
+fn recording_is_decision_inert() {
+    let scenario = Scenario::vlc_with_cpubomb(7);
+    let bare = common::run(
+        ControllerConfig::default(),
+        &scenario,
+        Observability::disabled(),
+    );
+    let recorder = FlightRecorder::for_scope(0, "golden");
+    let recorded = common::run(
+        ControllerConfig::default(),
+        &scenario,
+        Observability::disabled().with_recorder(recorder.clone()),
+    );
+    assert!(!recorder.is_empty(), "the recorder saw the run");
+    assert_eq!(bare.stats, recorded.stats);
+    assert_eq!(bare.beta.to_bits(), recorded.beta.to_bits());
+    assert_eq!(bare.timeline_actions(), recorded.timeline_actions());
+    assert_eq!(bare.stats.events_dropped, 0, "no recorder, nothing dropped");
+}
+
+/// `events_dropped` is the recorder's own eviction count: the ring bound
+/// lives in the recorder's capacity and nowhere else.
+#[test]
+fn events_dropped_reports_the_recorder_under_a_tiny_capacity() {
+    let recorder = FlightRecorder::bounded(0, "golden", 4);
+    let run = common::run(
+        ControllerConfig::default(),
+        &Scenario::vlc_with_cpubomb(7),
+        Observability::disabled().with_recorder(recorder.clone()),
+    );
+    assert_eq!(recorder.len(), 4);
+    assert!(recorder.dropped() > 0, "300 ticks overflow a 4-slot ring");
+    assert_eq!(run.stats.events_dropped, recorder.dropped());
 }

@@ -15,12 +15,14 @@
 //!    malformed forecast (`votes > samples`, zero samples), and count
 //!    rejected features where the plane contract requires sanitising.
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::Value;
 use stayaway_core::stages::{MapStage, Sensed};
-use stayaway_core::{Controller, ControllerConfig, PredictorKind};
+use stayaway_core::{ControllerConfig, Observability, PredictorKind};
 use stayaway_sim::scenario::Scenario;
 use stayaway_statespace::ExecutionMode;
 use stayaway_telemetry::{HostSpec, ResourceKind};
@@ -31,39 +33,13 @@ const FIXTURE_PATH: &str = concat!(
 );
 
 /// Projects one full controller run into the same canonical document the
-/// golden fixture uses (see `tests/golden_fixture.rs`).
+/// golden fixture uses (see `tests/common/mod.rs`).
 fn capture(config: ControllerConfig) -> Value {
     capture_on(config, Scenario::vlc_with_cpubomb(7))
 }
 
 fn capture_on(config: ControllerConfig, scenario: Scenario) -> Value {
-    let ticks = 300u64;
-    let mut harness = scenario.build_harness().expect("scenario builds");
-    let mut ctl = Controller::for_host(config, harness.host().spec()).expect("config is valid");
-    let outcome = harness.run(&mut ctl, ticks);
-    let stats = ctl.stats();
-    let actions: Vec<usize> = outcome.timeline.iter().map(|r| r.actions).collect();
-    serde_json::json!({
-        "scenario": scenario.name(),
-        "ticks": ticks,
-        "events": ctl.events().to_vec(),
-        "stats": serde_json::json!({
-            "periods": stats.periods,
-            "violations_observed": stats.violations_observed,
-            "violations_predicted": stats.violations_predicted,
-            "throttles": stats.throttles,
-            "resumes": stats.resumes,
-            "prediction_checks": stats.prediction_checks,
-            "prediction_hits": stats.prediction_hits,
-            "states": stats.states,
-            "violation_states": stats.violation_states,
-            "mapping_errors": stats.mapping_errors,
-            "events_dropped": stats.events_dropped,
-        }),
-        "beta": ctl.beta(),
-        "qos_violations": outcome.qos.violations,
-        "timeline_actions": actions,
-    })
+    common::capture(config, &scenario, Observability::disabled())
 }
 
 /// The tentpole's pin: selecting the KDE predictor *explicitly* routes

@@ -5,7 +5,8 @@
 # workers, the staged-controller golden fixture, the
 # observability suites, the telemetry record→replay determinism
 # suite, the workload-engine determinism suite and the cluster-plane
-# determinism suite at several worker counts), a replay smoke run
+# determinism suite at several worker counts), the perf-ledger package's
+# own gate (`benchmarks/run.sh --check`), a replay smoke run
 # over the committed fixture trace, a metrics exposition smoke (64
 # instrumented ticks, output validated by the in-tree promlint), a
 # workload-scenario CLI smoke (library listing plus a short
@@ -25,42 +26,56 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace
-cargo test -q --workspace
-cargo test -q -p stayaway-fleet --test determinism
-# Mapping determinism: the chunk-parallel SMACOF sweep and distance-matrix
-# builders must stay bit-identical to the serial reference (the property
-# suite fuzzes 1-8 workers internally; the fleet test pins the 1-vs-4
-# worker configuration end to end through a full fleet run).
-cargo test -q -p stayaway-mds --test parallel_determinism
-cargo test -q -p stayaway-fleet --test determinism mapping_workers_1_and_4_agree_bit_for_bit
-cargo test -q -p stayaway-core --test golden_fixture
-# Workload determinism: the request-driven engine must be a pure function
-# of (scenario, seed) — bit-identical timelines and byte-identical JSON —
-# and must uphold the fleet's worker-count-independence contract.
-cargo test -q -p stayaway-workload --test determinism
-cargo test -q -p stayaway-fleet --test determinism workload_cells_agree_across_worker_counts
-# Cluster determinism: the epoch loop must render byte-identical outcome
+# One workspace invocation runs every suite below; the comments say what
+# each pins.
+#
+# Fleet determinism (`stayaway-fleet --test determinism`): FleetOutcome
+# and its JSON are bit-identical for workers 1 vs 4.
+#
+# Mapping determinism (`stayaway-mds --test parallel_determinism`): the
+# chunk-parallel SMACOF sweep and distance-matrix builders must stay
+# bit-identical to the serial reference (the property suite fuzzes 1-8
+# workers internally; the fleet test
+# `mapping_workers_1_and_4_agree_bit_for_bit` pins the 1-vs-4 worker
+# configuration end to end through a full fleet run).
+#
+# Golden fixture (`stayaway-core --test golden_fixture`): the staged
+# controller reproduces the pre-refactor fixture bit-for-bit, reading its
+# events from the flight-recorder stream alone.
+#
+# Workload determinism (`stayaway-workload --test determinism`): the
+# request-driven engine must be a pure function of (scenario, seed) —
+# bit-identical timelines and byte-identical JSON — and must uphold the
+# fleet's worker-count-independence contract
+# (`workload_cells_agree_across_worker_counts`).
+#
+# Cluster determinism (`stayaway-fleet --test cluster_determinism`,
+# `cluster_seed_props`): the epoch loop must render byte-identical outcome
 # JSON for workers 1 vs 2/4/8 — with the migration verb exercised and
 # with it disabled — and job request streams must not depend on the
 # cluster policy (pinned both deterministically and by property tests
 # over random cluster seeds).
-cargo test -q -p stayaway-fleet --test cluster_determinism
-cargo test -q -p stayaway-fleet --test cluster_seed_props
-# Flight-recorder determinism: the canonical event stream must be
-# byte-identical for any worker count at fleet and cluster scale,
-# recording must be decision-inert, and the causal links must
-# reconstruct the cluster ← host ← predictor chain from the stream alone.
-cargo test -q -p stayaway-fleet --test event_determinism
-# Predictor-plane determinism: the KDE reference through the Predictor
-# trait must stay bit-for-bit on the pre-refactor golden fixture, every
-# competitor plane must drive deterministic NaN-free runs, and the
-# tournament's ranked JSON — bootstrap confidence intervals included —
-# must be byte-identical for any worker count.
-cargo test -q -p stayaway-core --test predictor_plane
-cargo test -q -p stayaway-fleet --test tournament_determinism
-cargo test -q --test record_replay
-cargo test -q -p stayaway-obs
-cargo test -q --test observability
+#
+# Flight-recorder determinism (`stayaway-fleet --test event_determinism`):
+# the canonical event stream must be byte-identical for any worker count
+# at fleet and cluster scale, recording must be decision-inert, and the
+# causal links must reconstruct the cluster ← host ← predictor chain from
+# the stream alone.
+#
+# Predictor-plane determinism (`stayaway-core --test predictor_plane`,
+# `stayaway-fleet --test tournament_determinism`): the KDE reference
+# through the Predictor trait must stay bit-for-bit on the pre-refactor
+# golden fixture, every competitor plane must drive deterministic
+# NaN-free runs, and the tournament's ranked JSON — bootstrap confidence
+# intervals included — must be byte-identical for any worker count.
+#
+# Also here: `--test record_replay`, the `stayaway-obs` suites and
+# `--test observability`.
+cargo test -q --workspace
+# The perf-ledger package is its own workspace, so the line above does not
+# reach it; it compiles against the public API of every crate, so an API
+# removal must pass through here (fmt --check, clippy, its tests).
+benchmarks/run.sh --check
 # Replay smoke: the committed fixture trace must stay readable by the
 # current trace codec, end to end through the CLI.
 cargo run -q --release --bin stayaway -- \

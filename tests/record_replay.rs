@@ -2,13 +2,15 @@
 //!
 //! A live simulated run recorded through a trace tee, replayed through an
 //! identically-configured controller, must reproduce the controller's
-//! observable behaviour bit-for-bit: per-tick action counts, the event
-//! log, the stats counters, the learned β and the full state map. This
+//! observable behaviour bit-for-bit: per-tick action counts, the
+//! flight-recorder event stream, the stats counters, the learned β and
+//! the full state map. This
 //! holds because the controller is a pure function of its observation
 //! sequence plus its own seeded RNG — the trace captures the former and
 //! the config pins the latter.
 
-use stay_away::core::{Controller, ControllerConfig};
+use stay_away::core::{Controller, ControllerConfig, Observability};
+use stay_away::obs::FlightRecorder;
 use stay_away::sim::scenario::Scenario;
 use stay_away::sim::SimSource;
 use stay_away::telemetry::{drive, RecordingSource, SourceKind, TraceSource};
@@ -20,6 +22,15 @@ fn controller(scenario: &Scenario) -> Controller {
         .expect("default config is valid")
 }
 
+/// A default controller emitting its decisions into a fresh recorder.
+fn recorded_controller(scenario: &Scenario) -> (Controller, FlightRecorder) {
+    let events = FlightRecorder::for_scope(0, "run");
+    let obs = Observability::disabled().with_recorder(events.clone());
+    let ctl = Controller::for_host_observed(ControllerConfig::default(), scenario.host_spec(), obs)
+        .expect("default config is valid");
+    (ctl, events)
+}
+
 #[test]
 fn record_then_replay_is_bit_identical() {
     let scenario = Scenario::vlc_with_cpubomb(7);
@@ -28,14 +39,14 @@ fn record_then_replay_is_bit_identical() {
     let harness = scenario.build_harness().expect("scenario builds");
     let mut recorder =
         RecordingSource::new(SimSource::new(harness), Vec::new()).expect("header writes");
-    let mut live = controller(&scenario);
+    let (mut live, live_events) = recorded_controller(&scenario);
     let live_out = drive(&mut recorder, &mut live, TICKS).expect("live run");
     let (_, trace) = recorder.finish().expect("trace flushes");
 
     // Replay the trace through a fresh, identically-configured controller.
     let mut source = TraceSource::new(trace.as_slice()).expect("trace parses");
     assert_eq!(source.header().recorded_from, SourceKind::Sim);
-    let mut replayed = controller(&scenario);
+    let (mut replayed, replayed_events) = recorded_controller(&scenario);
     let replay_out = drive(&mut source, &mut replayed, TICKS).expect("replayed run");
 
     // Actions: the same actuation count on every tick.
@@ -49,7 +60,8 @@ fn record_then_replay_is_bit_identical() {
     assert_eq!(live_out.qos, replay_out.qos);
 
     // Controller internals: events, stats, β and the learned state map.
-    assert_eq!(live.events().to_vec(), replayed.events().to_vec());
+    assert!(!live_events.is_empty());
+    assert_eq!(live_events.events(), replayed_events.events());
     assert_eq!(live.stats(), replayed.stats());
     assert_eq!(live.beta().to_bits(), replayed.beta().to_bits());
     // StateMap intentionally has no PartialEq; its serialised form is a
