@@ -1,14 +1,14 @@
-//! The parallel + cache-blocked mapping plane vs its serial f64 reference.
+//! The chunk-parallel, incrementally maintained mapping plane vs its
+//! serial and naive references.
 //!
 //! Three timed groups over the mapping-bound hot path (ROADMAP item 3):
 //!
 //! * `smacof_sweep_512` — pure Guttman sweeps on a fixed 512-point
 //!   dissimilarity matrix, warm-started from one precomputed classical
 //!   seed so the timing isolates the sweep kernel (`tolerance(0.0)` pins
-//!   every arm at exactly `SWEEPS` sweeps): the serial f64 reference, the
-//!   chunk-parallel f64 path, and the cache-blocked f32 kernel at 1 and 4
-//!   workers. The f64 arms are bit-identical to each other by
-//!   construction; the f32 arms are deterministic across worker counts.
+//!   every arm at exactly `SWEEPS` sweeps): the serial reference and the
+//!   chunk-parallel path at 4 workers, bit-identical to each other by
+//!   construction.
 //! * `matrix_maintenance_512` — growing the 512-point distance matrix one
 //!   representative at a time: from-scratch rebuilds (the naive baseline)
 //!   vs incremental column appends, serial and at 4 workers. The
@@ -17,21 +17,16 @@
 //!   The naive arm is the paper's literal §2.2 pipeline run every period:
 //!   rebuild the distance matrix from scratch and solve from a fresh
 //!   classical-MDS seed. The incremental arm is the plane the engine
-//!   actually runs: column append + warm-started sweep on the f32 blocked
-//!   kernel. Both arms run one majorization sweep per period, so the gap
+//!   actually runs: column append + warm-started sweep. Both arms run one majorization sweep per period, so the gap
 //!   is the maintenance machinery itself; it carries the end-to-end ≥10×
 //!   claim and widens further with worker count on a multi-core host.
-//!
-//! Before timing, the harness prints the f32-vs-f64 accuracy check
-//! (|Δstress| after the pinned sweeps on the 512-point solve) so the
-//! kernel's accuracy budget is visible next to its speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stayaway_mds::classical::classical_mds;
 use stayaway_mds::distance::{DistanceMatrix, Metric};
-use stayaway_mds::smacof::{warm_start_with_new_points, Smacof, SweepKernel};
+use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 
 const N_SWEEP: usize = 512;
 const N_PATH: usize = 128;
@@ -48,11 +43,10 @@ fn vectors(n: usize, dim: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn solver(kernel: SweepKernel, workers: usize) -> Smacof {
+fn solver(workers: usize) -> Smacof {
     Smacof::new(2)
         .max_iterations(SWEEPS)
         .tolerance(0.0)
-        .kernel(kernel)
         .workers(workers)
 }
 
@@ -63,34 +57,10 @@ fn bench_parallel_mapping(c: &mut Criterion) {
     // eigensolve happens once, outside all timings.
     let seed = classical_mds(&dissim, 2).expect("seed");
 
-    // Accuracy budget: the f32 kernel's stress must track the reference.
-    let e64 = solver(SweepKernel::F64, 1)
-        .embed_warm(&dissim, seed.clone())
-        .expect("embed");
-    let e32 = solver(SweepKernel::F32Blocked, 1)
-        .embed_warm(&dissim, seed.clone())
-        .expect("embed");
-    let s64 = e64.stress(&dissim).expect("stress");
-    let s32 = e32.stress(&dissim).expect("stress");
-    println!(
-        "accuracy: {N_SWEEP}-point stress f64 {s64:.6} vs f32-blocked {s32:.6} \
-         (|Δ| = {:.2e})",
-        (s64 - s32).abs()
-    );
-    assert!(
-        (s64 - s32).abs() < 1e-3,
-        "f32 kernel outside accuracy budget"
-    );
-
     let mut group = c.benchmark_group("smacof_sweep_512");
     group.sample_size(10);
-    for (label, kernel, workers) in [
-        ("f64_serial", SweepKernel::F64, 1),
-        ("f64_4workers", SweepKernel::F64, WORKERS),
-        ("f32_blocked_serial", SweepKernel::F32Blocked, 1),
-        ("f32_blocked_4workers", SweepKernel::F32Blocked, WORKERS),
-    ] {
-        let s = solver(kernel, workers);
+    for (label, workers) in [("f64_serial", 1), ("f64_4workers", WORKERS)] {
+        let s = solver(workers);
         group.bench_function(label, |b| {
             b.iter(|| {
                 s.embed_warm(std::hint::black_box(&dissim), seed.clone())
@@ -151,12 +121,11 @@ fn bench_parallel_mapping(c: &mut Criterion) {
         });
     });
     group.bench_function("incremental_parallel_plane", |b| {
-        // Column append + warm start + the blocked f32 kernel — the
-        // engine's actual per-period work.
+        // Column append + warm start — the engine's actual per-period
+        // work.
         let s = Smacof::new(2)
             .max_iterations(1)
             .tolerance(0.0)
-            .kernel(SweepKernel::F32Blocked)
             .workers(WORKERS);
         b.iter(|| {
             let mut dissim =

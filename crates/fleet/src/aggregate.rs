@@ -452,6 +452,25 @@ impl FleetOutcome {
     pub fn to_json(&self) -> Result<String, FleetError> {
         serde_json::to_string_pretty(self).map_err(|e| FleetError::Registry(e.to_string()))
     }
+
+    /// The headline summary a post-run introspection server publishes on
+    /// `/state`.
+    pub fn state_json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "plane": "fleet",
+            "cells": self.cells as u64,
+            "ticks_per_cell": self.ticks_per_cell,
+            "fleet_seed": self.fleet_seed,
+            "total_batch_work": self.total_batch_work,
+            "mean_utilization": self.mean_utilization,
+            "mean_gained_utilization": self.mean_gained_utilization,
+            "throttles": self.throttles,
+            "resumes": self.resumes,
+            "violations_predicted": self.violations_predicted,
+            "events_dropped": self.events_dropped,
+            "metric_unit_mismatches": self.metric_unit_mismatches
+        })
+    }
 }
 
 #[cfg(test)]

@@ -1,19 +1,22 @@
-//! One fleet cell: an observation source + control-policy closed loop on
-//! "one host".
+//! One host's closed loop — observation source + control policy — as the
+//! single function ([`run_host`]) every single-host CLI command and every
+//! fleet cell ([`run_cell`]) runs through.
 
 use crate::policy::PolicySpec;
 use crate::predictor::PredictorSpec;
 use crate::seed::derive_cell_seed;
 use crate::source::SourceSpec;
 use crate::FleetError;
-use stayaway_core::{ControllerConfig, ControllerStats, Observability};
+use stayaway_core::{ControlPolicy, ControllerConfig, ControllerStats, CoreError, Observability};
 use stayaway_obs::{
     attr, EventKind, EventRecord, FlightRecorder, Layer, MetricsRegistry, MetricsSnapshot, Span,
+    StateCell,
 };
 use stayaway_sim::scenario::Scenario;
-use stayaway_sim::RunOutcome;
+use stayaway_sim::{HostSpec, RunOutcome};
 use stayaway_statespace::Template;
-use stayaway_telemetry::drive;
+use stayaway_telemetry::{drive, RecordingSource, RequestQos};
+use std::io::Write;
 
 /// The immutable plan for one cell, fixed before any worker starts.
 #[derive(Debug, Clone)]
@@ -146,11 +149,171 @@ pub struct CellOutcome {
     pub events: Option<Vec<EventRecord>>,
 }
 
-/// Runs one cell to completion: build the observation source from the
-/// cell's [`SourceSpec`] (the simulator substrate injects the per-cell
-/// seed), instantiate the cell's control policy against the source's host
-/// spec, optionally import a registry template, drive the closed loop,
-/// and export the learned template (when the policy supports one).
+/// The decision-inert instruments a host's closed loop records into: a
+/// metrics registry, a flight recorder and the `/state` cell. Each is
+/// optional; a default bundle records nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Instruments {
+    /// Receives the policy's and the substrate's instruments.
+    pub registry: Option<MetricsRegistry>,
+    /// Receives typed decision events (the policy's only event path).
+    pub recorder: Option<FlightRecorder>,
+    /// Receives the live controller-state document after every period.
+    pub state: Option<StateCell>,
+}
+
+impl Instruments {
+    /// The controller-facing bundle — the crate's one [`Observability`]
+    /// assembly, shared by single-host runs, fleet cells and cluster hosts.
+    pub fn observability(&self) -> Observability {
+        let mut obs = match &self.registry {
+            Some(registry) => Observability::enabled(registry.clone()),
+            None => Observability::disabled(),
+        };
+        if let Some(recorder) = &self.recorder {
+            obs = obs.with_recorder(recorder.clone());
+        }
+        if let Some(state) = &self.state {
+            obs = obs.with_state(state.clone());
+        }
+        obs
+    }
+
+    /// Warm-starts `policy` from `template`, recording the import in the
+    /// flight recorder. Returns whether the policy took the template
+    /// (baselines ignore it).
+    pub(crate) fn import_template(
+        &self,
+        policy: &mut dyn ControlPolicy,
+        template: &Template,
+    ) -> Result<bool, CoreError> {
+        let imported = policy.import_template(template)?;
+        if let (true, Some(recorder)) = (imported, &self.recorder) {
+            recorder.record(
+                0,
+                Layer::Fleet,
+                EventKind::TemplateImport,
+                None,
+                vec![
+                    attr("states", template.len() as u64),
+                    attr("violations", template.violation_count() as u64),
+                ],
+            );
+        }
+        Ok(imported)
+    }
+}
+
+/// One host's closed loop as data: which substrate, which control plane,
+/// and the optional extras — instruments, a template in, a template out, a
+/// trace tee. [`run_host`] is the only place that turns one into a run;
+/// every single-host `stayaway` command and [`run_cell`] go through it.
+pub struct HostRun<'a> {
+    /// The observation substrate.
+    pub source: &'a SourceSpec,
+    /// The simulator prototype ([`SourceSpec::Sim`] builds its harness
+    /// from it) and the fallback host spec for substrates that know none.
+    pub scenario: &'a Scenario,
+    /// Substrate seed (simulator noise, workload arrivals).
+    pub seed: u64,
+    /// The control plane.
+    pub policy: &'a PolicySpec,
+    /// Controller configuration, consulted by predictive policies only.
+    pub controller: &'a ControllerConfig,
+    /// Control periods to run; finite traces may end sooner.
+    pub ticks: u64,
+    /// Where the run records to.
+    pub instruments: &'a Instruments,
+    /// Template to warm-start the policy from.
+    pub import: Option<&'a Template>,
+    /// Sensitive-workload key to export the learned template under.
+    pub export_as: Option<&'a str>,
+    /// Sink teed every observation, as a replayable JSONL trace.
+    pub trace_out: Option<Box<dyn Write + 'a>>,
+    /// Span timed around the closed loop alone (not setup or export).
+    pub loop_span: Option<&'a Span>,
+}
+
+/// What one host's closed loop reports back.
+#[derive(Debug, Clone)]
+pub struct HostOutcome {
+    /// Closed-loop run result.
+    pub run: RunOutcome,
+    /// Control-policy statistics at the end of the run (all-zero for
+    /// baselines that track nothing).
+    pub stats: ControllerStats,
+    /// The host the policy was built against: the substrate's own spec
+    /// (trace header, workload scenario), else the scenario prototype's.
+    pub host: HostSpec,
+    /// True when the policy warm-started from [`HostRun::import`].
+    pub imported_template: bool,
+    /// The learned template; `None` unless [`HostRun::export_as`] was set
+    /// and the policy supports templates.
+    pub template: Option<Template>,
+    /// Tick and proactivity of the policy's first throttle, when it
+    /// throttled and tracks it.
+    pub first_throttle: Option<(u64, bool)>,
+    /// Per-request QoS, when the substrate simulates requests.
+    pub requests: Option<RequestQos>,
+}
+
+/// Runs one host's closed loop to completion: build the observation
+/// source from its [`SourceSpec`], instantiate the control policy against
+/// the source's host spec, optionally import a template and tee a trace,
+/// drive, optionally export the learned template.
+///
+/// # Errors
+///
+/// Propagates source construction, policy construction, telemetry and
+/// template import/export failures.
+pub fn run_host(plan: HostRun<'_>) -> Result<HostOutcome, FleetError> {
+    let instruments = plan.instruments;
+    let mut source = plan.source.build(
+        plan.scenario,
+        plan.seed,
+        instruments.registry.as_ref(),
+        instruments.recorder.as_ref(),
+    )?;
+    // Trace replays take the controller's host spec from the trace header
+    // (the capacities the recording was made against); substrates without
+    // one fall back to the scenario prototype's host.
+    let host = source
+        .meta()
+        .host
+        .unwrap_or_else(|| *plan.scenario.host_spec());
+    let mut policy =
+        plan.policy
+            .build_observed(plan.controller, &host, instruments.observability())?;
+    let imported_template = match plan.import {
+        Some(template) => instruments.import_template(policy.as_mut(), template)?,
+        None => false,
+    };
+    if let Some(out) = plan.trace_out {
+        source = Box::new(RecordingSource::new(source, out)?);
+    }
+    let run = {
+        let _guard = plan.loop_span.map(|span| span.start(0));
+        drive(source.as_mut(), policy.as_mut(), plan.ticks)?
+    };
+    let template = match plan.export_as {
+        Some(key) => policy.export_template(key)?,
+        None => None,
+    };
+    Ok(HostOutcome {
+        run,
+        stats: policy.stats(),
+        host,
+        imported_template,
+        template,
+        first_throttle: policy.first_throttle(),
+        requests: source.request_qos(),
+    })
+}
+
+/// Runs one cell to completion — [`run_host`] under the cell's derived
+/// seed (substrate and controller), predictor plane and per-cell
+/// instruments, exporting the learned template under the cell's
+/// sensitive key.
 ///
 /// # Errors
 ///
@@ -162,67 +325,38 @@ pub fn run_cell(
     import: Option<&Template>,
     ticks: u64,
 ) -> Result<CellOutcome, FleetError> {
-    let registry = plan.collect_metrics.then(MetricsRegistry::new);
-    let recorder = plan
-        .collect_events
-        .then(|| FlightRecorder::for_scope(plan.idx as u32, format!("cell:{}", plan.idx)));
-    let cell_runtime = registry.as_ref().map(|r| {
+    let instruments = Instruments {
+        registry: plan.collect_metrics.then(MetricsRegistry::new),
+        recorder: plan
+            .collect_events
+            .then(|| FlightRecorder::for_scope(plan.idx as u32, format!("cell:{}", plan.idx))),
+        state: None,
+    };
+    let cell_runtime = instruments.registry.as_ref().map(|r| {
         Span::new("fleet.cell").with_histogram(r.latency_histogram(
             "stayaway_fleet_cell_runtime_nanos",
             "Wall time of one fleet cell's closed-loop run",
         ))
     });
-    let mut source = plan.source.build_instrumented(
-        &plan.scenario,
-        plan.seed,
-        registry.as_ref(),
-        recorder.as_ref(),
-    )?;
-    // Trace cells take the controller's host spec from the trace header
-    // (the capacities the recording was made against); cells without one
-    // fall back to the scenario prototype's host.
-    let host_spec = source
-        .meta()
-        .host
-        .unwrap_or_else(|| *plan.scenario.host_spec());
-    let config = ControllerConfig {
+    let out = run_host(HostRun {
+        source: &plan.source,
+        scenario: &plan.scenario,
         seed: plan.seed,
-        predictor: plan.predictor.kind(),
-        ..controller.clone()
-    };
-    let mut obs = match &registry {
-        Some(registry) => Observability::enabled(registry.clone()),
-        None => Observability::disabled(),
-    };
-    if let Some(recorder) = &recorder {
-        obs = obs.with_recorder(recorder.clone());
-    }
-    let mut policy = plan.policy.build_observed(&config, &host_spec, obs)?;
-    let mut imported_template = false;
-    if let Some(template) = import {
-        imported_template = policy.import_template(template)?;
-        if imported_template {
-            if let Some(recorder) = &recorder {
-                recorder.record(
-                    0,
-                    Layer::Fleet,
-                    EventKind::TemplateImport,
-                    None,
-                    vec![
-                        attr("states", template.len() as u64),
-                        attr("violations", template.violation_count() as u64),
-                    ],
-                );
-            }
-        }
-    }
-    let run = {
-        let _guard = cell_runtime.as_ref().map(|span| span.start(0));
-        drive(source.as_mut(), policy.as_mut(), ticks)?
-    };
-    let template = policy.export_template(plan.sensitive_key())?;
+        policy: &plan.policy,
+        controller: &ControllerConfig {
+            seed: plan.seed,
+            predictor: plan.predictor.kind(),
+            ..controller.clone()
+        },
+        ticks,
+        instruments: &instruments,
+        import,
+        export_as: Some(plan.sensitive_key()),
+        trace_out: None,
+        loop_span: cell_runtime.as_ref(),
+    })?;
     let (first_throttle_tick, first_throttle_proactive) =
-        policy.first_throttle().unwrap_or((u64::MAX, false));
+        out.first_throttle.unwrap_or((u64::MAX, false));
     Ok(CellOutcome {
         idx: plan.idx,
         scenario: plan.scenario.name().to_string(),
@@ -231,15 +365,15 @@ pub fn run_cell(
         predictor: plan.predictor_label().to_string(),
         source: plan.source.label(),
         seed: plan.seed,
-        stats: policy.stats(),
-        cpu_capacity: host_spec.cpu_cores,
-        imported_template,
-        template,
+        stats: out.stats,
+        cpu_capacity: out.host.cpu_cores,
+        imported_template: out.imported_template,
+        template: out.template,
         first_throttle_tick,
         first_throttle_proactive,
-        metrics: registry.map(|r| r.snapshot()),
-        events: recorder.map(|r| r.events()),
-        run,
+        metrics: instruments.registry.map(|r| r.snapshot()),
+        events: instruments.recorder.map(|r| r.events()),
+        run: out.run,
     })
 }
 
@@ -256,6 +390,95 @@ mod tests {
         let plan = stayaway_plan(0, 7, Scenario::vlc_with_cpubomb(7));
         assert_eq!(plan.sensitive_key(), "vlc");
         assert_eq!(plan.seed, derive_cell_seed(7, 0));
+    }
+
+    /// The plan of a bare stay-away run over `source`; tests override the
+    /// extras with struct-update syntax.
+    fn host_run<'a>(
+        source: &'a SourceSpec,
+        scenario: &'a Scenario,
+        controller: &'a ControllerConfig,
+        instruments: &'a Instruments,
+    ) -> HostRun<'a> {
+        HostRun {
+            source,
+            scenario,
+            seed: scenario.seed(),
+            policy: &PolicySpec::StayAway,
+            controller,
+            ticks: 60,
+            instruments,
+            import: None,
+            export_as: None,
+            trace_out: None,
+            loop_span: None,
+        }
+    }
+
+    #[test]
+    fn trace_tee_then_replay_reproduces_the_run() {
+        // The `record` → `replay` path: tee a live run into a trace file,
+        // then drive a fresh controller from that file.
+        let path = std::env::temp_dir().join(format!("stayaway-tee-{}.jsonl", std::process::id()));
+        let scenario = Scenario::vlc_with_cpubomb(3);
+        let (config, bare) = (ControllerConfig::default(), Instruments::default());
+        let mut file = std::fs::File::create(&path).unwrap();
+        let live = run_host(HostRun {
+            trace_out: Some(Box::new(&mut file)),
+            ..host_run(&SourceSpec::Sim, &scenario, &config, &bare)
+        })
+        .unwrap();
+        let trace = SourceSpec::Trace {
+            path: path.to_str().unwrap().to_string(),
+        };
+        let replayed = run_host(host_run(&trace, &scenario, &config, &bare)).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(live.run.timeline.len(), 60);
+        assert_eq!(live.run.qos, replayed.run.qos);
+        assert_eq!(live.stats, replayed.stats);
+        // The replay's host spec came from the trace header.
+        assert_eq!(live.host, replayed.host);
+        // Nothing was asked for beyond the run itself.
+        assert!(live.template.is_none() && live.requests.is_none());
+        assert!(!live.imported_template);
+    }
+
+    #[test]
+    fn workload_runs_report_request_qos_and_instruments_observe_them() {
+        let scenario = Scenario::vlc_with_cpubomb(7);
+        let config = ControllerConfig::default();
+        let source = SourceSpec::Workload {
+            scenario: "cpu-bomb".into(),
+        };
+        let bare = run_host(host_run(
+            &source,
+            &scenario,
+            &config,
+            &Instruments::default(),
+        ))
+        .unwrap();
+        let qos = bare
+            .requests
+            .expect("the workload engine simulates requests");
+        assert!(qos.requests > 0 && qos.completed > 0);
+        assert!(qos.p50_ms <= qos.p95_ms && qos.p95_ms <= qos.p99_ms);
+        // The policy was built against the workload scenario's own host.
+        assert_eq!(
+            bare.host,
+            stayaway_workload::by_name("cpu-bomb").unwrap().host
+        );
+
+        let observed = Instruments {
+            registry: Some(MetricsRegistry::new()),
+            recorder: Some(FlightRecorder::for_scope(0, "run")),
+            state: Some(StateCell::new()),
+        };
+        let seen = run_host(host_run(&source, &scenario, &config, &observed)).unwrap();
+        // Decision-inert, and every instrument saw the run.
+        assert_eq!((&bare.run, &bare.stats), (&seen.run, &seen.stats));
+        assert!(!observed.registry.unwrap().snapshot().is_empty());
+        assert!(!observed.recorder.unwrap().events().is_empty());
+        assert!(observed.state.unwrap().get().get("tick").is_some());
     }
 
     #[test]

@@ -196,4 +196,25 @@ impl ClusterOutcome {
     pub fn to_json(&self) -> Result<String, FleetError> {
         serde_json::to_string_pretty(self).map_err(|e| FleetError::Registry(e.to_string()))
     }
+
+    /// The headline summary a post-run introspection server publishes on
+    /// `/state`.
+    pub fn state_json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "plane": "cluster",
+            "scenario": self.scenario.clone(),
+            "cluster_policy": self.cluster_policy.clone(),
+            "host_policy": self.host_policy.clone(),
+            "seed": self.seed,
+            "epochs": self.epochs,
+            "ticks_per_epoch": self.ticks_per_epoch,
+            "slo_violation_rate": self.slo_violation_rate,
+            "total_batch_work": self.total_batch_work,
+            "admissions": self.admissions,
+            "migrations": self.migrations,
+            "deferrals": self.deferrals,
+            "queue_actions": self.queue_actions,
+            "metric_unit_mismatches": self.metric_unit_mismatches
+        })
+    }
 }

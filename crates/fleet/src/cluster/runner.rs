@@ -9,6 +9,7 @@
 //! streams ([`crate::cluster::job`]), the run is bit-identical for any
 //! worker count, migrations included.
 
+use crate::cell::Instruments;
 use crate::cluster::action::ClusterAction;
 use crate::cluster::job::JobState;
 use crate::cluster::outcome::{ClusterOutcome, HostRollup, JobRollup};
@@ -19,7 +20,7 @@ use crate::pool::map_indexed;
 use crate::registry::TemplateRegistry;
 use crate::seed::derive_cell_seed;
 use crate::FleetError;
-use stayaway_core::{ControlPolicy, ControllerConfig, Observability};
+use stayaway_core::{ControlPolicy, ControllerConfig};
 use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer, MetricsRegistry};
 use stayaway_telemetry::{AppClass, QosSummary};
 use stayaway_workload::{WorkloadHost, WorkloadMetrics};
@@ -242,41 +243,26 @@ impl Cluster {
             seed,
             ..self.config.controller.clone()
         };
-        let mut obs = match &registry {
-            Some(r) => Observability::enabled(r.clone()),
-            None => Observability::disabled(),
+        let instruments = Instruments {
+            registry: registry.clone(),
+            recorder: recorder.clone(),
+            state: None,
         };
-        if let Some(rec) = &recorder {
-            obs = obs.with_recorder(rec.clone());
-        }
-        let mut policy =
-            self.config
-                .host_policy
-                .build_observed(&controller, &scenario.host, obs)?;
+        let mut policy = self.config.host_policy.build_observed(
+            &controller,
+            &scenario.host,
+            instruments.observability(),
+        )?;
         let sensitive_key = scenario
             .tenants
             .iter()
             .find(|t| t.class == AppClass::Sensitive)
             .map(|t| t.name.clone())
             .expect("validated: every host has a sensitive tenant");
-        let mut imported_template = false;
-        if let Some(entry) = self.registry.lookup(&sensitive_key) {
-            imported_template = policy.import_template(&entry.template)?;
-            if imported_template {
-                if let Some(rec) = &recorder {
-                    rec.record(
-                        0,
-                        Layer::Fleet,
-                        EventKind::TemplateImport,
-                        None,
-                        vec![
-                            attr("states", entry.template.len() as u64),
-                            attr("violations", entry.template.violation_count() as u64),
-                        ],
-                    );
-                }
-            }
-        }
+        let imported_template = match self.registry.lookup(&sensitive_key) {
+            Some(entry) => instruments.import_template(policy.as_mut(), &entry.template)?,
+            None => false,
+        };
         Ok(HostCell {
             idx,
             host,

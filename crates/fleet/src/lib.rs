@@ -54,6 +54,7 @@ pub mod config;
 pub mod policy;
 pub mod predictor;
 pub mod registry;
+pub mod report;
 pub mod runner;
 pub mod seed;
 pub mod source;

@@ -265,4 +265,23 @@ mod tests {
             assert_eq!(built.name(), policy_spec.name());
         }
     }
+
+    #[test]
+    fn built_policies_close_the_loop_over_workload_scenarios() {
+        // The `bench-scenarios` shape: a library scenario under each
+        // spec-built policy, closed over the workload substrate.
+        let scenario = stayaway_workload::by_name("cpu-bomb").unwrap();
+        for name in ["stayaway", "reactive", "null"] {
+            let spec = PolicySpec::parse(name).unwrap();
+            let mut policy = spec
+                .build(&ControllerConfig::default(), &scenario.host)
+                .unwrap();
+            let row = stayaway_workload::bench_scenario(&scenario, policy.as_mut(), 7, 20).unwrap();
+            assert_eq!(row.scenario, "cpu-bomb");
+            assert_eq!(row.policy, spec.name());
+            assert_eq!(row.ticks, 20);
+            assert!(row.requests > 0);
+            assert!(row.p50_ms <= row.p95_ms && row.p95_ms <= row.p99_ms);
+        }
+    }
 }

@@ -138,52 +138,20 @@ impl SourceSpec {
         }
     }
 
-    /// Instantiates the observation substrate for one cell. `scenario`
+    /// Instantiates the observation substrate for one host. `scenario`
     /// and `seed` are only consulted by [`SourceSpec::Sim`] (the harness
-    /// is built from the scenario prototype and reseeded per cell); a
-    /// trace replays exactly what was recorded and procfs samples the
-    /// live host.
+    /// is built from the scenario prototype and reseeded) and
+    /// [`SourceSpec::Workload`] (seed); a trace replays exactly what was
+    /// recorded and procfs samples the live host. A `registry` receives
+    /// the substrate's instruments (trace decode errors, procfs probe
+    /// failures, workload engine metrics; the simulator has none), a
+    /// `recorder` the workload engine's SLO-violation events.
     ///
     /// # Errors
     ///
     /// Propagates harness construction, trace-open and procfs-probe
     /// failures.
     pub fn build(
-        &self,
-        scenario: &Scenario,
-        seed: u64,
-    ) -> Result<Box<dyn ObservationSource>, FleetError> {
-        self.build_observed(scenario, seed, None)
-    }
-
-    /// Like [`SourceSpec::build`], additionally registering the
-    /// substrate's error counters (trace decode errors, procfs probe
-    /// failures) into `registry` when one is given. The simulator has no
-    /// failure modes to count and registers nothing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates harness construction, trace-open and procfs-probe
-    /// failures.
-    pub fn build_observed(
-        &self,
-        scenario: &Scenario,
-        seed: u64,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<Box<dyn ObservationSource>, FleetError> {
-        self.build_instrumented(scenario, seed, registry, None)
-    }
-
-    /// Like [`SourceSpec::build_observed`], additionally attaching a
-    /// [`FlightRecorder`] to substrates that emit workload-layer events
-    /// (currently the workload engine's SLO violations). Substrates
-    /// without an event surface ignore the recorder.
-    ///
-    /// # Errors
-    ///
-    /// Propagates harness construction, trace-open and procfs-probe
-    /// failures.
-    pub fn build_instrumented(
         &self,
         scenario: &Scenario,
         seed: u64,
@@ -269,7 +237,7 @@ mod tests {
     #[test]
     fn build_sim_produces_a_driveable_source() {
         let scenario = Scenario::vlc_with_cpubomb(5);
-        let mut source = SourceSpec::Sim.build(&scenario, 5).unwrap();
+        let mut source = SourceSpec::Sim.build(&scenario, 5, None, None).unwrap();
         let meta = source.meta();
         assert_eq!(meta.kind, SourceKind::Sim);
         assert!(meta.host.is_some());
@@ -282,7 +250,7 @@ mod tests {
         let spec = SourceSpec::Trace {
             path: "/nonexistent/trace.jsonl".into(),
         };
-        assert!(spec.build(&scenario, 5).is_err());
+        assert!(spec.build(&scenario, 5, None, None).is_err());
     }
 
     #[test]
@@ -314,7 +282,7 @@ mod tests {
         let spec = SourceSpec::Workload {
             scenario: "memcached-like".into(),
         };
-        let mut source = spec.build(&scenario, 5).unwrap();
+        let mut source = spec.build(&scenario, 5, None, None).unwrap();
         let meta = source.meta();
         assert_eq!(meta.kind, SourceKind::Workload);
         assert!(meta.host.is_some());

@@ -10,7 +10,7 @@ use stayaway_fleet::{
     cluster_by_name, Cluster, ClusterConfig, ClusterOutcome, ClusterPolicySpec, Fleet, FleetConfig,
     FleetOutcome,
 };
-use stayaway_obs::{events_to_jsonl, EventId, EventKind, EventRecord, Layer};
+use stayaway_obs::{causal_chain, events_to_jsonl, EventKind, Layer};
 
 fn fleet(workers: usize, collect_events: bool) -> FleetOutcome {
     let mut config = FleetConfig::new(64, workers, 7);
@@ -26,13 +26,6 @@ fn cluster(scenario: &str, workers: usize, collect_events: bool) -> ClusterOutco
     config.migration = true;
     config.collect_events = collect_events;
     Cluster::new(config).unwrap().run().unwrap()
-}
-
-fn find(events: &[EventRecord], id: EventId) -> &EventRecord {
-    events
-        .iter()
-        .find(|e| e.scope == id.scope && e.seq == id.seq)
-        .unwrap_or_else(|| panic!("cause {id} missing from the stream"))
 }
 
 #[test]
@@ -107,13 +100,17 @@ fn storm_cluster_migration_chains_back_to_a_predictor_verdict() {
     let mut full_chains = 0;
     for migrate in events.iter().filter(|e| e.kind == EventKind::Migrate) {
         assert_eq!(migrate.layer, Layer::Cluster);
-        let Some(cause) = migrate.cause else { continue };
+        // The library walk the `events --cause` command prints: every
+        // link must resolve inside the stream.
+        let chain = causal_chain(events, migrate.id()).expect("chain resolves");
+        assert_eq!(chain[0], migrate);
         // First hop: the source host's SLO violation that motivated it.
-        let violation = find(events, cause);
+        let Some(violation) = chain.get(1) else {
+            continue;
+        };
         assert_eq!(violation.kind, EventKind::SloViolation);
         // Second hop: the predictor verdict active on that host.
-        if let Some(cause) = violation.cause {
-            let verdict = find(events, cause);
+        if let Some(verdict) = chain.get(2) {
             assert_eq!(verdict.kind, EventKind::PredictorVerdict);
             assert_eq!(verdict.layer, Layer::Predictor);
             assert_eq!(verdict.scope, violation.scope);

@@ -65,4 +65,3 @@ mod parallel;
 
 pub use embedding::Embedding;
 pub use error::MdsError;
-pub use smacof::SweepKernel;

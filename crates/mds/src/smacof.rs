@@ -20,44 +20,15 @@ use crate::parallel;
 use crate::MdsError;
 
 /// Inter-point distances at or below this threshold are treated as
-/// coincident by the f64 Guttman transform: their `δ/d` ratio is clamped
+/// coincident by the Guttman transform: their `δ/d` ratio is clamped
 /// to zero instead of emitting a huge or non-finite coordinate update
 /// that would poison the whole embedding.
 const MIN_EMBED_DIST: f64 = 1e-12;
-
-/// The f32 kernel's coincidence threshold. `1e-12` underflows the f32
-/// significand's usable range, so the blocked kernel clamps earlier; the
-/// difference is covered by the kernel's documented accuracy budget.
-const MIN_EMBED_DIST_F32: f32 = 1e-6;
 
 /// Rows per parallel sweep chunk. Derived only from the point count —
 /// never from the worker count — so chunk boundaries (and therefore the
 /// result bits) are identical however many workers run them.
 const SWEEP_CHUNK_ROWS: usize = 64;
-
-/// Columns per cache block of the f32 kernel: 64 points × 2 coordinates
-/// × 4 bytes keeps a block of the coordinate array resident in L1 while
-/// every row of a chunk scans it.
-const F32_BLOCK: usize = 64;
-
-/// Numeric kernel used for the Guttman-transform distance accumulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum SweepKernel {
-    /// Full f64 accumulation — the reference kernel and the default. Its
-    /// results are bit-for-bit those of the original serial solver, for
-    /// any worker count.
-    #[default]
-    F64,
-    /// Cache-blocked f32 kernel: coordinates and dissimilarities are
-    /// demoted to f32 once per solve, pair contributions are computed in
-    /// f32 over `F32_BLOCK`-column tiles, and row accumulation happens in
-    /// f64. Roughly halves memory traffic on large maps at the cost of
-    /// ~1e-6 relative coordinate error (stress convergence checks stay
-    /// f64). Deterministic for any worker count, but *not* bit-identical
-    /// to [`SweepKernel::F64`].
-    F32Blocked,
-}
 
 /// Configuration and entry point for the SMACOF solver.
 ///
@@ -84,13 +55,11 @@ pub struct Smacof {
     max_iterations: usize,
     tolerance: f64,
     workers: usize,
-    kernel: SweepKernel,
 }
 
 impl Smacof {
     /// Creates a solver targeting `dim` dimensions with default iteration
-    /// budget (300), relative stress tolerance (1e-8), a single worker and
-    /// the f64 reference kernel.
+    /// budget (300), relative stress tolerance (1e-8) and a single worker.
     ///
     /// # Panics
     ///
@@ -102,7 +71,6 @@ impl Smacof {
             max_iterations: 300,
             tolerance: 1e-8,
             workers: 1,
-            kernel: SweepKernel::F64,
         }
     }
 
@@ -128,13 +96,6 @@ impl Smacof {
         self
     }
 
-    /// Selects the numeric kernel of the Guttman transform (default
-    /// [`SweepKernel::F64`], the bit-stable reference).
-    pub fn kernel(mut self, kernel: SweepKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// Target dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -143,11 +104,6 @@ impl Smacof {
     /// The worker-thread budget.
     pub fn worker_count(&self) -> usize {
         self.workers
-    }
-
-    /// The configured sweep kernel.
-    pub fn sweep_kernel(&self) -> SweepKernel {
-        self.kernel
     }
 
     /// Embeds `dissim` starting from a classical-MDS seed.
@@ -221,18 +177,11 @@ impl Smacof {
             return Ok((init, 0));
         }
 
-        // The f32 kernel reads dissimilarities out of a dense row-major
-        // f32 copy built once per solve (they never change across sweeps).
-        let dissim32 = match self.kernel {
-            SweepKernel::F64 => None,
-            SweepKernel::F32Blocked => Some(dense_f32(dissim)),
-        };
-
         let mut x = init;
         let mut prev_stress = x.raw_stress(dissim)?;
         let mut sweeps = 0u64;
         for _ in 0..self.max_iterations {
-            x = self.guttman_transform(&x, dissim, dissim32.as_deref());
+            x = self.guttman_transform(&x, dissim);
             sweeps += 1;
             let stress = x.raw_stress(dissim)?;
             // Relative improvement check (stress is monotonically
@@ -249,47 +198,15 @@ impl Smacof {
     /// One Guttman transform sweep `X⁺ = (1/n)·B(X)·X`, chunk-parallel
     /// over output rows. Row computations are independent, so the result
     /// is bit-identical for any worker count and chunking.
-    fn guttman_transform(
-        &self,
-        x: &Embedding,
-        dissim: &DistanceMatrix,
-        dissim32: Option<&[f32]>,
-    ) -> Embedding {
-        let n = x.len();
+    fn guttman_transform(&self, x: &Embedding, dissim: &DistanceMatrix) -> Embedding {
         let dim = x.dim();
-        let mut out = vec![0.0; n * dim];
-        match (self.kernel, dissim32) {
-            (SweepKernel::F32Blocked, Some(d32)) => {
-                let x32: Vec<f32> = x.iter().flatten().map(|&v| v as f32).collect();
-                let pieces = parallel::row_pieces(&mut out, dim, SWEEP_CHUNK_ROWS);
-                parallel::scatter(self.workers, pieces, |first_row, rows| {
-                    guttman_rows_f32_blocked(&x32, d32, n, dim, first_row, rows);
-                });
-            }
-            _ => {
-                let pieces = parallel::row_pieces(&mut out, dim, SWEEP_CHUNK_ROWS);
-                parallel::scatter(self.workers, pieces, |first_row, rows| {
-                    guttman_rows_f64(x, dissim, first_row, rows);
-                });
-            }
-        }
+        let mut out = vec![0.0; x.len() * dim];
+        let pieces = parallel::row_pieces(&mut out, dim, SWEEP_CHUNK_ROWS);
+        parallel::scatter(self.workers, pieces, |first_row, rows| {
+            guttman_rows(x, dissim, first_row, rows);
+        });
         Embedding::from_coords(dim, out).expect("guttman transform preserves shape")
     }
-}
-
-/// The dense row-major f32 copy of a dissimilarity matrix (zero
-/// diagonal), the read layout of the cache-blocked kernel.
-fn dense_f32(dissim: &DistanceMatrix) -> Vec<f32> {
-    let n = dissim.len();
-    let mut dense = vec![0.0f32; n * n];
-    for j in 1..n {
-        for i in 0..j {
-            let d = dissim.get(i, j) as f32;
-            dense[i * n + j] = d;
-            dense[j * n + i] = d;
-        }
-    }
-    dense
 }
 
 impl Default for Smacof {
@@ -315,11 +232,11 @@ fn guarded_ratio(delta: f64, d: f64) -> f64 {
     }
 }
 
-/// Reference kernel: rows `[first_row, first_row + rows)` of one Guttman
+/// Rows `[first_row, first_row + rows)` of one Guttman
 /// sweep, `rows = out.len() / dim`. Row i of B·X expands to
 /// Σ_{j≠i} (δ_ij / d_ij)(x_i − x_j) because the diagonal entry b_ii
 /// closes each row of B to zero sum.
-fn guttman_rows_f64(x: &Embedding, dissim: &DistanceMatrix, first_row: usize, out: &mut [f64]) {
+fn guttman_rows(x: &Embedding, dissim: &DistanceMatrix, first_row: usize, out: &mut [f64]) {
     let n = x.len();
     let dim = x.dim();
     for (r, acc) in out.chunks_mut(dim).enumerate() {
@@ -336,60 +253,6 @@ fn guttman_rows_f64(x: &Embedding, dissim: &DistanceMatrix, first_row: usize, ou
                 acc[k] += ratio * (xi[k] - xj[k]);
             }
         }
-        for v in acc.iter_mut() {
-            *v /= n as f64;
-        }
-    }
-}
-
-/// Cache-blocked f32 kernel for the same rows: the column range is walked
-/// in `F32_BLOCK`-wide tiles so a tile of the f32 coordinate array stays
-/// cache-resident while every row of the chunk scans it. Pair terms are
-/// f32; row accumulation is f64. Per row, contributions are added in
-/// ascending column order regardless of chunking, so the result is
-/// deterministic for any worker count.
-fn guttman_rows_f32_blocked(
-    x32: &[f32],
-    dissim32: &[f32],
-    n: usize,
-    dim: usize,
-    first_row: usize,
-    out: &mut [f64],
-) {
-    for block_start in (0..n).step_by(F32_BLOCK) {
-        let block_end = (block_start + F32_BLOCK).min(n);
-        for (r, acc) in out.chunks_mut(dim).enumerate() {
-            let i = first_row + r;
-            let xi = &x32[i * dim..(i + 1) * dim];
-            let drow = &dissim32[i * n..(i + 1) * n];
-            for j in block_start..block_end {
-                if i == j {
-                    continue;
-                }
-                let xj = &x32[j * dim..(j + 1) * dim];
-                let mut sq = 0.0f32;
-                for k in 0..dim {
-                    let t = xi[k] - xj[k];
-                    sq += t * t;
-                }
-                let d = sq.sqrt();
-                let ratio = if d > MIN_EMBED_DIST_F32 {
-                    let r = drow[j] / d;
-                    if r.is_finite() {
-                        r
-                    } else {
-                        0.0
-                    }
-                } else {
-                    0.0
-                };
-                for k in 0..dim {
-                    acc[k] += (ratio * (xi[k] - xj[k])) as f64;
-                }
-            }
-        }
-    }
-    for acc in out.chunks_mut(dim) {
         for v in acc.iter_mut() {
             *v /= n as f64;
         }
@@ -482,7 +345,7 @@ mod tests {
         let mut x = classical_mds(&d, 2).unwrap();
         let mut prev = x.raw_stress(&d).unwrap();
         for _ in 0..50 {
-            x = solver.guttman_transform(&x, &d, None);
+            x = solver.guttman_transform(&x, &d);
             let s = x.raw_stress(&d).unwrap();
             assert!(s <= prev + 1e-12, "stress increased: {prev} -> {s}");
             prev = s;
@@ -518,43 +381,10 @@ mod tests {
     }
 
     #[test]
-    fn f32_kernel_is_deterministic_and_close_to_f64() {
-        let d = cloud(100);
-        let f64_embed = Smacof::new(2).max_iterations(25).embed(&d).unwrap();
-        let f32_one = Smacof::new(2)
-            .max_iterations(25)
-            .kernel(SweepKernel::F32Blocked)
-            .embed(&d)
-            .unwrap();
-        for workers in [2, 4, 7] {
-            let f32_many = Smacof::new(2)
-                .max_iterations(25)
-                .kernel(SweepKernel::F32Blocked)
-                .workers(workers)
-                .embed(&d)
-                .unwrap();
-            assert_eq!(
-                f32_one, f32_many,
-                "f32 kernel diverged at {workers} workers"
-            );
-        }
-        // Accuracy budget: the f32 kernel tracks the reference stress.
-        let s64 = f64_embed.stress(&d).unwrap();
-        let s32 = f32_one.stress(&d).unwrap();
-        assert!(
-            (s32 - s64).abs() < 1e-3,
-            "f32 stress {s32} strays from f64 stress {s64}"
-        );
-    }
-
-    #[test]
     fn workers_builder_clamps_to_one() {
         let s = Smacof::new(2).workers(0);
         assert_eq!(s.worker_count(), 1);
-        assert_eq!(s.sweep_kernel(), SweepKernel::F64);
-        let s = s.kernel(SweepKernel::F32Blocked).workers(4);
-        assert_eq!(s.worker_count(), 4);
-        assert_eq!(s.sweep_kernel(), SweepKernel::F32Blocked);
+        assert_eq!(s.workers(4).worker_count(), 4);
     }
 
     #[test]

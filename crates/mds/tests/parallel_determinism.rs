@@ -4,16 +4,14 @@
 //! boundary: (1) the chunk-parallel SMACOF sweep and the chunk-parallel
 //! `DistanceMatrix` builders are **bit-for-bit identical** to the serial
 //! reference for 1–8 workers, because chunk boundaries derive from the
-//! problem size alone; (2) the f32 cache-blocked kernel is deterministic
-//! across worker counts (though intentionally not bit-identical to f64);
-//! (3) adversarial inputs — NaN/inf observations, duplicate/coincident
-//! points — surface as typed [`MdsError`]s or finite embeddings, never a
-//! panic or a poisoned (non-finite) configuration.
+//! problem size alone; (2) adversarial inputs — NaN/inf observations,
+//! duplicate/coincident points — surface as typed [`MdsError`]s or finite
+//! embeddings, never a panic or a poisoned (non-finite) configuration.
 
 use proptest::prelude::*;
 use stayaway_mds::dedup::ReprSet;
 use stayaway_mds::distance::{DistanceMatrix, Metric};
-use stayaway_mds::smacof::{Smacof, SweepKernel};
+use stayaway_mds::smacof::Smacof;
 use stayaway_mds::MdsError;
 
 /// Deterministic pseudo-random point cloud parameterised by a seed; big
@@ -72,24 +70,6 @@ proptest! {
     }
 
     #[test]
-    fn f32_kernel_is_worker_count_deterministic(
-        n in 2usize..96,
-        seed in 0u64..1000,
-        workers in 2usize..=8,
-    ) {
-        let d = DistanceMatrix::from_vectors(&cloud(n, 3, seed)).unwrap();
-        let embed = |w: usize| {
-            Smacof::new(2)
-                .max_iterations(10)
-                .kernel(SweepKernel::F32Blocked)
-                .workers(w)
-                .embed(&d)
-                .unwrap()
-        };
-        prop_assert_eq!(embed(1), embed(workers));
-    }
-
-    #[test]
     fn non_finite_observations_yield_typed_errors_not_panics(
         n in 1usize..40,
         poison_at in 0usize..40,
@@ -126,7 +106,6 @@ proptest! {
         n in 2usize..40,
         dup_of in 0usize..40,
         workers in 1usize..=8,
-        kernel in prop::sample::select(vec![SweepKernel::F64, SweepKernel::F32Blocked]),
     ) {
         // Duplicate an arbitrary point, then pile three exact copies of
         // point 0 on top: the guarded ratio must keep every coordinate
@@ -139,7 +118,6 @@ proptest! {
         let d = DistanceMatrix::from_vectors(&pts).unwrap();
         let e = Smacof::new(2)
             .max_iterations(10)
-            .kernel(kernel)
             .workers(workers)
             .embed(&d)
             .unwrap();

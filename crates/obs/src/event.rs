@@ -14,6 +14,7 @@
 //! it), letting tooling walk multi-layer "why did this happen" chains.
 
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Which layer of the stack an event originates from. The discriminant
@@ -316,25 +317,76 @@ impl EventRecord {
         (self.tick, self.layer, self.seq, self.scope)
     }
 
-    /// Renders the record as one human-facing line (the `stayaway
-    /// events` listing format).
+    /// Renders the record as one human-facing timeline line (the `stayaway
+    /// events` listing format):
+    /// `scope:seq t=<tick> [layer] kind subject k=v ... <- cause`.
     pub fn render(&self) -> String {
         let mut line = format!(
-            "[tick {:>4}] {:<10} {:<17} {:<12} id {}",
-            self.tick,
-            self.layer.name(),
-            self.kind.name(),
-            self.subject,
+            "{} t={} [{}] {} {}",
             self.id(),
+            self.tick,
+            self.layer,
+            self.kind,
+            self.subject
         );
-        if let Some(cause) = self.cause {
-            line.push_str(&format!("  cause {cause}"));
-        }
         for (name, value) in &self.attrs {
-            line.push_str(&format!("  {name}={}", value.render()));
+            line.push_str(&format!(" {name}={}", value.render()));
+        }
+        if let Some(cause) = self.cause {
+            line.push_str(&format!(" <- {cause}"));
         }
         line
     }
+}
+
+/// Why a causal chain could not be walked to its root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainError {
+    /// The chain names an event the stream does not contain (evicted from
+    /// a recorder ring, filtered out of an export, or never recorded).
+    Missing(EventId),
+    /// The `cause` links lead back to an event already on the chain — only
+    /// a hand-edited or corrupted stream can do this, since recorders link
+    /// each event to an earlier one.
+    Cycle(EventId),
+}
+
+impl fmt::Display for ChainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ChainError::Missing(id) => write!(f, "event {id} not found in the stream"),
+            ChainError::Cycle(id) => write!(f, "causal chain loops back to event {id}"),
+        }
+    }
+}
+
+impl std::error::Error for ChainError {}
+
+/// Walks the `cause` links from event `id` back to its root: the returned
+/// chain starts at `id` and ends at the first event without a cause. Every
+/// event is visited at most once, so the walk terminates on any input.
+///
+/// # Errors
+///
+/// [`ChainError::Missing`] when a link names an event absent from
+/// `events`, [`ChainError::Cycle`] when the links loop.
+pub fn causal_chain(events: &[EventRecord], id: EventId) -> Result<Vec<&EventRecord>, ChainError> {
+    let mut unvisited: HashMap<EventId, &EventRecord> =
+        events.iter().map(|e| (e.id(), e)).collect();
+    let mut chain: Vec<&EventRecord> = Vec::new();
+    let mut next = Some(id);
+    while let Some(id) = next {
+        let Some(event) = unvisited.remove(&id) else {
+            return Err(if chain.iter().any(|e| e.id() == id) {
+                ChainError::Cycle(id)
+            } else {
+                ChainError::Missing(id)
+            });
+        };
+        chain.push(event);
+        next = event.cause;
+    }
+    Ok(chain)
 }
 
 /// Sorts a merged event stream into its canonical total order.
@@ -439,9 +491,72 @@ mod tests {
     fn render_mentions_cause_and_attrs() {
         let mut event = sample(9, Layer::Cluster, 4, 1);
         event.cause = Some(EventId { scope: 1, seq: 33 });
-        let line = event.render();
-        assert!(line.contains("tick    9"));
-        assert!(line.contains("cause 1:33"));
-        assert!(line.contains("count=3"));
+        assert_eq!(
+            event.render(),
+            "4:1 t=9 [cluster] throttle cell:4 count=3 proactive=true <- 1:33"
+        );
+    }
+
+    /// `scope:seq`, caused by `cause` (same scope).
+    fn linked(scope: u32, seq: u64, kind: EventKind, cause: Option<(u32, u64)>) -> EventRecord {
+        EventRecord {
+            kind,
+            cause: cause.map(|(scope, seq)| EventId { scope, seq }),
+            ..sample(seq, Layer::Controller, scope, seq)
+        }
+    }
+
+    #[test]
+    fn chain_walks_migrate_back_to_the_predictor_verdict() {
+        // The storm-cluster shape: cluster migrate <- host slo-violation
+        // <- predictor verdict, spread over two recorder scopes.
+        let events = vec![
+            linked(2, 31, EventKind::PredictorVerdict, None),
+            linked(2, 33, EventKind::SloViolation, Some((2, 31))),
+            linked(4, 3, EventKind::Migrate, Some((2, 33))),
+            linked(2, 34, EventKind::Throttle, Some((2, 33))),
+        ];
+        let chain = causal_chain(&events, EventId { scope: 4, seq: 3 }).unwrap();
+        let kinds: Vec<EventKind> = chain.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::Migrate,
+                EventKind::SloViolation,
+                EventKind::PredictorVerdict
+            ]
+        );
+        // A root event is a one-hop chain.
+        assert_eq!(
+            causal_chain(&events, EventId { scope: 2, seq: 31 })
+                .unwrap()
+                .len(),
+            1
+        );
+    }
+
+    #[test]
+    fn chain_reports_cycles_and_missing_links_as_typed_errors() {
+        let cyclic = vec![
+            linked(2, 0, EventKind::Throttle, Some((2, 1))),
+            linked(2, 1, EventKind::Throttle, Some((2, 0))),
+        ];
+        let start = EventId { scope: 2, seq: 1 };
+        assert_eq!(causal_chain(&cyclic, start), Err(ChainError::Cycle(start)));
+        let self_caused = vec![linked(0, 0, EventKind::Resume, Some((0, 0)))];
+        let id = EventId { scope: 0, seq: 0 };
+        assert_eq!(causal_chain(&self_caused, id), Err(ChainError::Cycle(id)));
+
+        let dangling = vec![linked(1, 5, EventKind::Throttle, Some((1, 4)))];
+        let gone = EventId { scope: 1, seq: 4 };
+        assert_eq!(
+            causal_chain(&dangling, EventId { scope: 1, seq: 5 }),
+            Err(ChainError::Missing(gone))
+        );
+        assert_eq!(causal_chain(&[], gone), Err(ChainError::Missing(gone)));
+        assert_eq!(
+            ChainError::Missing(gone).to_string(),
+            "event 1:4 not found in the stream"
+        );
     }
 }

@@ -15,7 +15,8 @@
 //! - [`HttpServer`] / [`Introspection`] — a std-only live HTTP view
 //!   (`/metrics`, `/state`, `/events`, `/health`).
 //! - [`export`] — Prometheus text exposition and pretty JSON
-//!   snapshots; [`promlint`] validates the former in CI.
+//!   snapshots; [`promlint`] validates the former in CI and [`diff`]
+//!   compares two of the latter (the `metrics-diff` regression gate).
 //!
 //! The plane's one hard invariant is **decision-inertness**: recording
 //! reads the monotonic clock and writes atomics, never consuming
@@ -26,6 +27,7 @@
 //! [`MetricsSnapshot::stable_view`] so merged JSON stays byte-identical
 //! across worker counts.
 
+pub mod diff;
 pub mod event;
 pub mod export;
 pub mod hist;
@@ -37,8 +39,8 @@ pub mod snapshot;
 pub mod span;
 
 pub use event::{
-    attr, events_from_jsonl, events_to_jsonl, sort_events, AttrValue, EventId, EventKind,
-    EventRecord, Layer,
+    attr, causal_chain, events_from_jsonl, events_to_jsonl, sort_events, AttrValue, ChainError,
+    EventId, EventKind, EventRecord, Layer,
 };
 pub use export::{to_json, to_prometheus};
 pub use hist::{

@@ -19,6 +19,9 @@ pub enum SimError {
         /// Description of the rejection.
         reason: String,
     },
+    /// A scenario name that [`crate::scenario::Scenario::parse`] cannot
+    /// resolve; the message names the malformed or unknown part.
+    UnknownScenario(String),
     /// Failure while loading an external workload trace.
     Trace(String),
     /// Underlying I/O failure.
@@ -33,6 +36,7 @@ impl fmt::Display for SimError {
             SimError::UnknownContainer { id } => write!(f, "unknown container id {id}"),
             SimError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             SimError::ActionRejected { reason } => write!(f, "action rejected: {reason}"),
+            SimError::UnknownScenario(msg) => f.write_str(msg),
             SimError::Trace(msg) => write!(f, "trace error: {msg}"),
             SimError::Io(e) => write!(f, "i/o error: {e}"),
             SimError::Telemetry(e) => write!(f, "telemetry error: {e}"),

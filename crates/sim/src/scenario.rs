@@ -224,6 +224,53 @@ impl Scenario {
             .build())
     }
 
+    /// Builds the scenario a `<sensitive>+<batch>` name describes — the
+    /// vocabulary of `--scenario`: sensitive ∈ {`vlc`, `web-cpu`, `web-mem`,
+    /// `web-mix`} under a diurnal workload, batch ∈ [`BatchKind::ALL`] by
+    /// [`BatchKind::name`], scheduled at [`DEFAULT_BATCH_START`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnknownScenario`] naming the malformed or
+    /// unknown half.
+    pub fn parse(name: &str, seed: u64) -> Result<Scenario, SimError> {
+        let (sens, batch) = name.split_once('+').ok_or_else(|| {
+            SimError::UnknownScenario(format!(
+                "scenario `{name}` is not of the form <sensitive>+<batch>"
+            ))
+        })?;
+        let batch_kind = BatchKind::ALL
+            .into_iter()
+            .find(|k| k.name() == batch)
+            .ok_or_else(|| {
+                SimError::UnknownScenario(format!(
+                    "unknown batch app `{batch}` (expected one of {})",
+                    BatchKind::ALL.map(|k| k.name()).join(", ")
+                ))
+            })?;
+        let trace = Trace::diurnal(DiurnalParams::default(), seed.wrapping_add(1));
+        let workload = match sens {
+            "vlc" => None,
+            "web-cpu" => Some(WebWorkload::CpuIntensive),
+            "web-mem" => Some(WebWorkload::MemIntensive),
+            "web-mix" => Some(WebWorkload::Mix),
+            other => {
+                return Err(SimError::UnknownScenario(format!(
+                    "unknown sensitive app `{other}` (expected vlc, web-cpu, web-mem or web-mix)"
+                )))
+            }
+        };
+        let sensitive = match workload {
+            Some(workload) => SensitiveKind::Webservice { workload, trace },
+            None => SensitiveKind::VlcStreaming { trace },
+        };
+        Ok(Scenario::builder(name)
+            .seed(seed)
+            .sensitive(sensitive)
+            .batch(batch_kind, DEFAULT_BATCH_START)
+            .build())
+    }
+
     /// Scenario name.
     pub fn name(&self) -> &str {
         &self.name
@@ -376,6 +423,31 @@ mod tests {
             let out = h.run(&mut NullPolicy::new(), 30);
             assert_eq!(out.timeline.len(), 30, "{}", scenario.name());
         }
+    }
+
+    #[test]
+    fn parse_covers_every_sensitive_batch_pair() {
+        for sens in ["vlc", "web-cpu", "web-mem", "web-mix"] {
+            for batch in BatchKind::ALL {
+                let name = format!("{sens}+{batch}");
+                let s = Scenario::parse(&name, 1).unwrap();
+                assert_eq!(s.name(), name);
+                assert_eq!(s.batches(), [(batch, DEFAULT_BATCH_START)]);
+            }
+        }
+        // The named presets are the same scenarios.
+        assert_eq!(
+            Scenario::parse("vlc+cpu-bomb", 9).unwrap(),
+            Scenario::vlc_with_cpubomb(9)
+        );
+    }
+
+    #[test]
+    fn parse_names_the_malformed_half() {
+        let err = |name: &str| Scenario::parse(name, 1).unwrap_err().to_string();
+        assert!(err("vlc").contains("<sensitive>+<batch>"));
+        assert!(err("vlc+unknown").contains("unknown batch app `unknown`"));
+        assert!(err("nope+soplex").contains("unknown sensitive app `nope`"));
     }
 
     #[test]

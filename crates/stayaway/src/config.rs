@@ -4,7 +4,6 @@ use crate::mapping::EmbeddingStrategy;
 use crate::predictors::PredictorKind;
 use crate::violation::ViolationDetection;
 use crate::CoreError;
-use stayaway_mds::SweepKernel;
 use stayaway_telemetry::ResourceKind;
 
 /// Tunables of the Stay-Away controller; defaults follow the paper where it
@@ -65,9 +64,6 @@ pub struct ControllerConfig {
     /// distance-matrix maintenance). Mapping results are bit-for-bit
     /// identical for any value ≥ 1; the budget only bounds concurrency.
     pub mapping_workers: usize,
-    /// Numeric kernel of the SMACOF majorization sweep: the bit-stable f64
-    /// reference (default) or the cache-blocked f32 kernel.
-    pub mapping_kernel: SweepKernel,
     /// Length of one control period in seconds (the paper samples per-VM
     /// metrics once per second, §5). The simulator equates one tick with
     /// one period; a deployment would use this to pace its sampling loop.
@@ -103,7 +99,6 @@ impl Default for ControllerConfig {
             violation_detection: ViolationDetection::AppReported,
             embedding_strategy: EmbeddingStrategy::Smacof,
             mapping_workers: 1,
-            mapping_kernel: SweepKernel::F64,
             control_period_secs: 1.0,
             seed: 0,
         }

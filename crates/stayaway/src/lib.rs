@@ -81,5 +81,4 @@ pub use obs::{MappingMetrics, Observability};
 pub use policy::ControlPolicy;
 pub use predictors::{Forecast, Predictor, PredictorKind, PredictorStats};
 pub use stats::{hit_ratio, ControllerStats, ResumeReason, StageClock, StageTiming};
-pub use stayaway_mds::SweepKernel;
 pub use violation::{ViolationDetection, ViolationDetector};

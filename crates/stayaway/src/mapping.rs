@@ -7,7 +7,7 @@ use stayaway_mds::distance::{DistanceMatrix, Metric};
 use stayaway_mds::landmark::LandmarkMds;
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
 use stayaway_mds::procrustes::align_to_previous;
-use stayaway_mds::smacof::{warm_start_with_new_points, Smacof, SweepKernel};
+use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 use stayaway_mds::Embedding;
 use stayaway_statespace::Point2;
 use stayaway_telemetry::{HostSpec, ResourceKind};
@@ -135,13 +135,6 @@ impl MappingEngine {
         self
     }
 
-    /// Selects the SMACOF sweep kernel (builder-style; default
-    /// [`SweepKernel::F64`], the bit-stable reference).
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.smacof = self.smacof.clone().kernel(kernel);
-        self
-    }
-
     /// Attaches observability instruments (builder-style; default none).
     /// Recording is decision-inert: identical mapping decisions with or
     /// without instruments.
@@ -154,11 +147,6 @@ impl MappingEngine {
     /// The worker-thread budget of the mapping kernels.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The SMACOF sweep kernel in use.
-    pub fn kernel(&self) -> SweepKernel {
-        self.smacof.sweep_kernel()
     }
 
     /// The embedding strategy in use.

@@ -50,8 +50,7 @@ impl MapStage {
             config.max_states,
         )?
         .with_strategy(config.embedding_strategy)
-        .with_workers(config.mapping_workers)
-        .with_kernel(config.mapping_kernel);
+        .with_workers(config.mapping_workers);
         Ok(MapStage {
             mapping,
             map: StateMap::new(),

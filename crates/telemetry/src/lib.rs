@@ -44,7 +44,7 @@ pub use observation::{
 };
 pub use procfs::ProcfsSource;
 pub use resources::{ResourceKind, ResourceVector};
-pub use run::{derive_record, drive, QosSummary, RunOutcome, TickRecord};
+pub use run::{derive_record, drive, QosSummary, RequestQos, RunOutcome, TickRecord};
 pub use source::{ObservationSource, SourceKind, SourceMeta};
 pub use trace::{
     RecordingSource, TraceHeader, TraceSource, TraceWriter, TRACE_FORMAT, TRACE_VERSION,

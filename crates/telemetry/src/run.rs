@@ -142,6 +142,34 @@ impl RunOutcome {
     }
 }
 
+/// Whole-run per-request QoS, reported by substrates that simulate
+/// individual requests (the workload engine) through
+/// [`ObservationSource::request_qos`]; tick-level substrates have none.
+/// Latencies cover sensitive requests, counts cover every tenant.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RequestQos {
+    /// Median sensitive-request latency in milliseconds.
+    pub p50_ms: f64,
+    /// 95th-percentile sensitive-request latency in milliseconds.
+    pub p95_ms: f64,
+    /// 99th-percentile sensitive-request latency in milliseconds.
+    pub p99_ms: f64,
+    /// Mean sensitive-request latency in milliseconds.
+    pub mean_ms: f64,
+    /// Fraction of sensitive requests that missed their SLO.
+    pub slo_violation_rate: f64,
+    /// Requests that arrived.
+    pub requests: u64,
+    /// Invocations completed.
+    pub completed: u64,
+    /// Requests dropped on queue overflow.
+    pub dropped: u64,
+    /// Containers cold-started.
+    pub cold_starts: u64,
+    /// Idle containers evicted.
+    pub evictions: u64,
+}
+
 /// Derives a best-effort [`TickRecord`] from an observation alone.
 ///
 /// This is the fallback used by sources without ground-truth physics

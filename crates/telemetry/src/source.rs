@@ -6,14 +6,16 @@
 //! `Box<dyn ObservationSource>` and neither know nor care which substrate
 //! is behind it — and deliberately small: one pull method plus metadata,
 //! with optional hooks for substrates that can actuate ([`apply`]) or
-//! report ground-truth accounting ([`record_for`], [`batch_work`]).
+//! report ground-truth accounting ([`record_for`], [`batch_work`],
+//! [`request_qos`]).
 //!
 //! [`apply`]: ObservationSource::apply
 //! [`record_for`]: ObservationSource::record_for
 //! [`batch_work`]: ObservationSource::batch_work
+//! [`request_qos`]: ObservationSource::request_qos
 
 use crate::observation::{Action, Observation};
-use crate::run::{derive_record, TickRecord};
+use crate::run::{derive_record, RequestQos, TickRecord};
 use crate::{HostSpec, ResourceKind, TelemetryError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -99,6 +101,41 @@ pub trait ObservationSource {
     fn batch_work(&self) -> f64 {
         0.0
     }
+
+    /// Per-request QoS of the run so far. Only substrates that simulate
+    /// individual requests (the workload engine) report one.
+    fn request_qos(&self) -> Option<RequestQos> {
+        None
+    }
+}
+
+/// A boxed source is a source, so wrappers generic over `S:
+/// ObservationSource` (the [`crate::RecordingSource`] tee) compose with
+/// `Box<dyn ObservationSource>`.
+impl<S: ObservationSource + ?Sized> ObservationSource for Box<S> {
+    fn meta(&self) -> SourceMeta {
+        (**self).meta()
+    }
+
+    fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
+        (**self).next_observation()
+    }
+
+    fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {
+        (**self).apply(actions)
+    }
+
+    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+        (**self).record_for(observation, actions)
+    }
+
+    fn batch_work(&self) -> f64 {
+        (**self).batch_work()
+    }
+
+    fn request_qos(&self) -> Option<RequestQos> {
+        (**self).request_qos()
+    }
 }
 
 #[cfg(test)]
@@ -126,6 +163,7 @@ mod tests {
         assert!(boxed.next_observation().unwrap().is_none());
         assert_eq!(boxed.apply(&[]).unwrap(), 0);
         assert_eq!(boxed.batch_work(), 0.0);
+        assert_eq!(boxed.request_qos(), None);
         assert_eq!(boxed.meta().kind, SourceKind::Procfs);
     }
 

@@ -18,7 +18,7 @@
 //! [`TraceSource`] streams a trace back as an open-loop source.
 
 use crate::observation::{Action, Observation};
-use crate::run::TickRecord;
+use crate::run::{RequestQos, TickRecord};
 use crate::source::{ObservationSource, SourceKind, SourceMeta};
 use crate::{HostSpec, ResourceKind, TelemetryError};
 use serde::{Deserialize, Serialize};
@@ -236,6 +236,10 @@ impl<S: ObservationSource, W: Write> ObservationSource for RecordingSource<S, W>
 
     fn batch_work(&self) -> f64 {
         self.inner.batch_work()
+    }
+
+    fn request_qos(&self) -> Option<RequestQos> {
+        self.inner.request_qos()
     }
 }
 
@@ -524,5 +528,21 @@ mod tests {
         let replay = drive(&mut replayed, &mut NullPolicy::new(), 10).unwrap();
         assert_eq!(replay.timeline, live.timeline);
         assert_eq!(replay.qos, live.qos);
+    }
+
+    #[test]
+    fn the_tee_composes_with_boxed_sources_and_borrowed_sinks() {
+        // How a `SourceSpec`-built run records: the source arrives boxed,
+        // the sink stays with the caller, and nothing calls `finish`.
+        let boxed: Box<dyn ObservationSource> = Box::new(Canned(0));
+        let mut bytes = Vec::new();
+        let mut tee: Box<dyn ObservationSource + '_> =
+            Box::new(RecordingSource::new(boxed, &mut bytes).unwrap());
+        let live = drive(tee.as_mut(), &mut NullPolicy::new(), 10).unwrap();
+        assert_eq!(tee.request_qos(), None);
+        drop(tee);
+        let mut replayed = TraceSource::new(bytes.as_slice()).unwrap();
+        let replay = drive(&mut replayed, &mut NullPolicy::new(), 10).unwrap();
+        assert_eq!(replay.timeline, live.timeline);
     }
 }

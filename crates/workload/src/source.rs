@@ -15,8 +15,8 @@ use crate::spec::WorkloadScenario;
 use crate::WorkloadError;
 use stayaway_obs::{attr, EventKind, FlightRecorder, Layer, MetricsRegistry};
 use stayaway_telemetry::{
-    Action, Observation, ObservationSource, ResourceKind, SourceKind, SourceMeta, TelemetryError,
-    TickRecord,
+    Action, Observation, ObservationSource, RequestQos, ResourceKind, SourceKind, SourceMeta,
+    TelemetryError, TickRecord,
 };
 
 /// Drives a [`WorkloadHost`] as a telemetry observation source.
@@ -123,6 +123,22 @@ impl ObservationSource for WorkloadSource {
     fn batch_work(&self) -> f64 {
         self.host.batch_work()
     }
+
+    fn request_qos(&self) -> Option<RequestQos> {
+        let (latency, totals) = (self.latency(), self.totals());
+        Some(RequestQos {
+            p50_ms: latency.quantile_ms(0.50),
+            p95_ms: latency.quantile_ms(0.95),
+            p99_ms: latency.quantile_ms(0.99),
+            mean_ms: latency.mean_ms(),
+            slo_violation_rate: totals.slo_violation_rate(),
+            requests: totals.arrivals,
+            completed: totals.completed,
+            dropped: totals.dropped,
+            cold_starts: totals.cold_starts,
+            evictions: totals.evictions,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -154,6 +170,13 @@ mod tests {
         assert_eq!(a.timeline_digest(), b.timeline_digest());
         assert_eq!(out_a.timeline.len(), 30);
         assert!(out_a.batch_work > 0.0);
+        // The per-request read-out mirrors the engine's own accounting.
+        let qos = a.request_qos().expect("the engine simulates requests");
+        assert_eq!(a.request_qos(), b.request_qos());
+        assert_eq!(qos.requests, a.totals().arrivals);
+        assert_eq!(qos.completed, a.totals().completed);
+        assert_eq!(qos.p95_ms, a.latency().quantile_ms(0.95));
+        assert_eq!(qos.slo_violation_rate, a.totals().slo_violation_rate());
     }
 
     /// Pauses every unpaused batch container it sees.

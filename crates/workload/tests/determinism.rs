@@ -90,6 +90,9 @@ fn every_library_scenario_is_reproducible() {
         let row_b =
             bench_scenario(&by_name(&name).unwrap(), &mut NullPolicy::new(), 5, 25).unwrap();
         assert_eq!(row_a, row_b, "{name}");
+        // Every library entry survives a drive and generates load.
+        assert_eq!(row_a.ticks, 25, "{name}");
+        assert!(row_a.requests > 0, "{name}");
         // The CLI contract is byte-identical JSON (float rendering
         // included).
         assert_eq!(

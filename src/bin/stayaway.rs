@@ -1,50 +1,39 @@
 //! `stayaway` — command-line front end to the reproduction.
 //!
-//! ```text
-//! stayaway list
-//! stayaway scenarios --json
-//! stayaway run --scenario vlc+cpu-bomb --policy stay-away --ticks 384 --seed 7
-//! stayaway run --source trace:trace.jsonl
-//! stayaway run --source workload:multi-tenant-storm --policy stayaway
-//! stayaway bench-scenarios --ticks 120
-//! stayaway compare --scenario web-mem+twitter-analysis --ticks 300
-//! stayaway capture --scenario vlc+cpu-bomb --out template.json
-//! stayaway reuse --scenario vlc+soplex --template template.json
-//! stayaway record --scenario vlc+cpu-bomb --out trace.jsonl
-//! stayaway replay --trace trace.jsonl
-//! stayaway fleet --cells 64 --workers 4 --seed 7 --share-templates --json
-//! stayaway fleet --predictor kde,xapp,denoise,last-tick --json
-//! stayaway tournament --json
-//! stayaway tournament --scenario cpu-bomb,flash-crowd --predictor kde,xapp
-//! stayaway cluster --cluster-scenario hotspot --cluster-policy score --json
-//! stayaway cluster --compare --cluster-scenario storm-cluster
-//! ```
+//! Every subcommand is parse → call → print: the flag table below decides
+//! what a subcommand accepts, the work happens in the library crates, and
+//! all output goes through one writer. `stayaway --help` lists the
+//! subcommands and flags; README.md walks through them.
 //!
 //! Scenario names are `<sensitive>+<batch>` with sensitive ∈ {vlc,
 //! web-cpu, web-mem, web-mix} and batch ∈ {cpu-bomb, memory-bomb, soplex,
 //! twitter-analysis, vlc-transcode}.
 
-use stay_away::core::{ControlPolicy, ControllerConfig, ControllerStats, Observability};
+use stay_away::core::ControllerConfig;
+use stay_away::fleet::cell::{run_host, HostOutcome, HostRun, Instruments};
+use stay_away::fleet::report::format_accuracy;
 use stay_away::fleet::{
     cluster_by_name, cluster_library, run_tournament, Cluster, ClusterConfig, ClusterOutcome,
     ClusterPolicySpec, Fleet, FleetConfig, PolicySpec, PredictorSpec, SourceSpec, TournamentConfig,
-    TournamentOutcome,
 };
+use stay_away::obs::diff::{diff_series, parse_snapshot};
 use stay_away::obs::{
-    events_from_jsonl, events_to_jsonl, promlint, to_json, to_prometheus, EventId, EventKind,
-    EventRecord, FlightRecorder, HttpServer, Introspection, MetricsRegistry, MetricsSnapshot,
-    StateCell,
+    causal_chain, events_from_jsonl, events_to_jsonl, promlint, to_json, to_prometheus, EventId,
+    EventKind, EventRecord, FlightRecorder, HttpServer, Introspection, MetricsRegistry,
+    MetricsSnapshot,
 };
-use stay_away::sim::apps::WebWorkload;
-use stay_away::sim::scenario::{BatchKind, Scenario, SensitiveKind};
-use stay_away::sim::workload::{DiurnalParams, Trace};
-use stay_away::sim::{RunOutcome, SimSource};
+use stay_away::sim::scenario::{BatchKind, Scenario};
 use stay_away::statespace::Template;
-use stay_away::telemetry::{drive, RecordingSource, TraceSource};
-use stay_away::workload::{bench_scenario, BenchTable, WorkloadSource};
+use stay_away::telemetry::TraceSource;
+use stay_away::workload::{bench_scenario, BenchTable};
+use std::io::Write;
+use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: stayaway <command> [options]
+
+A command accepts only the options it reads (the descriptions below say
+which); any other option or a stray operand is an error.
 
 commands:
   list                       list scenarios and policies
@@ -54,7 +43,8 @@ commands:
   reuse                      run stay-away seeded from a template
   record                     run one scenario and record the observation
                              stream to a JSONL trace file
-  replay                     drive a policy from a recorded trace
+  replay                     drive a policy from a recorded trace: run
+                             --source trace:<path> plus a header line
   fleet                      run many co-location cells over a worker pool
   tournament                 rank every prediction plane over a set of
                              workload scenarios (the full predictor x
@@ -95,22 +85,23 @@ options:
                              tournament enters every listed plane)
   --resamples <n>            tournament: bootstrap resamples behind each
                              confidence interval (default 1000)
-  --source <spec>            observation substrate for run/compare/fleet:
-                             sim | trace:<path> | procfs |
+  --source <spec>            run/metrics/compare/fleet: the observation
+                             substrate, sim | trace:<path> | procfs |
                              workload:<scenario> (default sim; fleet:
                              comma-separated list round-robined across
                              cells)
   --trace <path>             recorded trace file for replay
   --ticks <n>                simulation length (default 384)
   --seed <n>                 deterministic seed (default 7)
-  --template <path>          template file for capture/reuse
+  --template <path>          template file for reuse
   --out <path>               output path for capture (template.json) and
                              record (trace.jsonl)
   --cells <n>                fleet: number of co-location cells (default 8);
                              tournament: cells per predictor x scenario
                              combination (default 3)
-  --workers <n>              fleet/cluster: worker threads (default 1;
-                             results are identical for any value)
+  --workers <n>              fleet/tournament/cluster: worker threads
+                             (default 1; results are identical for any
+                             value)
   --share-templates          fleet: warm-start cells from the registry
   --cluster-scenario <name>  cluster: hotspot | storm-cluster
                              (default hotspot)
@@ -127,8 +118,9 @@ options:
                              JSON to stdout, a `.json` path writes pretty
                              JSON, any other path writes Prometheus text
                              exposition
-  --events-out <path>        run/fleet/cluster: write the canonical event
-                             stream as JSON Lines (`-` writes to stdout)
+  --events-out <path>        run/fleet/cluster/events: write the canonical
+                             event stream as JSON Lines (`-` writes to
+                             stdout)
   --events-in <path>         events: read a recorded JSONL stream instead
                              of running a scenario
   --http <addr>              run/fleet/cluster: serve /health /metrics
@@ -149,1438 +141,866 @@ options:
   --json                     print a JSON summary instead of text
 ";
 
+/// Why a command did not run to completion.
+#[derive(Debug)]
+enum CliError {
+    /// Reported as `error: <message>` plus the usage text; exit code 2.
+    Message(String),
+    /// The reader closed stdout (`stayaway … | head -1`): not an error,
+    /// the run just ends.
+    StdoutClosed,
+}
+
+/// Every library error reaches the user as its display form.
+impl<E: std::error::Error> From<E> for CliError {
+    fn from(e: E) -> Self {
+        CliError::Message(e.to_string())
+    }
+}
+
+/// Shorthand for a failed command with a fixed message.
+fn fail<T>(message: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Message(message.into()))
+}
+
+/// The one writer all stdout goes through. `write!` / `writeln!` resolve
+/// to [`Out::write_fmt`], so a closed pipe surfaces as
+/// [`CliError::StdoutClosed`] through `?` instead of a panic.
+struct Out<'a>(&'a mut dyn Write);
+
+impl Out<'_> {
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+        self.0.write_fmt(args).map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe => CliError::StdoutClosed,
+            _ => CliError::Message(format!("cannot write to stdout: {e}")),
+        })
+    }
+}
+
+/// The subcommands, in `USAGE` order.
+#[rustfmt::skip]
+const COMMANDS: [&str; 16] = [
+    "list", "run", "compare", "capture", "reuse", "record", "replay", "fleet", "tournament",
+    "cluster", "metrics", "events", "metrics-diff", "promlint", "scenarios", "bench-scenarios",
+];
+
+/// (subcommand, fewest, most) operands — non-flag arguments; every
+/// subcommand not listed takes none.
+const OPERANDS: &[(&str, usize, usize)] = &[("metrics-diff", 2, 2), ("promlint", 0, 1)];
+
+/// The shape of a flag's value: none, any string, an unsigned integer, a
+/// number, or a repeatable `<metric>=<number>`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    Switch,
+    Text,
+    Int,
+    Float,
+    Pair,
+}
+use Shape::{Float, Int, Pair, Switch, Text};
+
+/// Every flag, once: (name, value shape, the subcommands that read it —
+/// any other subcommand rejects it). `USAGE` carries the prose;
+/// `usage_and_flag_table_agree` keeps the two in step.
+#[rustfmt::skip]
+const FLAGS: &[(&str, Shape, &str)] = &[
+    ("--scenario", Text, "run metrics compare capture reuse record fleet tournament"),
+    ("--policy", Text, "run metrics record replay fleet bench-scenarios cluster events"),
+    ("--predictor", Text, "run metrics compare capture reuse record replay fleet tournament"),
+    ("--resamples", Int, "tournament"),
+    ("--source", Text, "run metrics compare fleet"),
+    ("--trace", Text, "replay"),
+    ("--ticks", Int, "run metrics compare capture reuse record replay fleet tournament bench-scenarios"),
+    ("--seed", Int, "run metrics compare capture reuse record fleet tournament bench-scenarios cluster events"),
+    ("--template", Text, "reuse"),
+    ("--out", Text, "capture record"),
+    ("--cells", Int, "fleet tournament"),
+    ("--workers", Int, "fleet tournament cluster events"),
+    ("--share-templates", Switch, "fleet"),
+    // `events` records its demo stream from a cluster run.
+    ("--cluster-scenario", Text, "cluster events"),
+    ("--cluster-policy", Text, "cluster events"),
+    ("--epochs", Int, "cluster events"),
+    ("--epoch-ticks", Int, "cluster events"),
+    ("--no-migration", Switch, "cluster events"),
+    ("--compare", Switch, "cluster"),
+    ("--metrics-out", Text, "run metrics fleet tournament cluster"),
+    ("--events-out", Text, "run fleet cluster events"),
+    ("--events-in", Text, "events"),
+    ("--http", Text, "run fleet cluster"),
+    ("--http-linger", Int, "run fleet cluster"),
+    ("--kind", Text, "events"),
+    ("--host", Int, "events"),
+    ("--tick-from", Int, "events"),
+    ("--tick-to", Int, "events"),
+    ("--cause", Text, "events"),
+    ("--threshold", Float, "metrics-diff"),
+    ("--threshold-for", Pair, "metrics-diff"),
+    ("--json", Switch, "run metrics compare capture reuse record replay fleet tournament cluster events scenarios bench-scenarios"),
+];
+
+impl Shape {
+    /// The one value check: why `token` is not a value of this shape for
+    /// flag `name`, or `None` when it is.
+    fn reject(self, name: &str, token: &str) -> Option<String> {
+        let number = |text: &str| text.parse::<f64>().is_ok();
+        match self {
+            Int if token.parse::<u64>().is_err() => Some(format!("{name} expects an integer")),
+            Float if !number(token) => Some(format!("{name} expects a number")),
+            Pair if !token
+                .split_once('=')
+                .is_some_and(|(_, tolerance)| number(tolerance)) =>
+            {
+                Some(format!("{name} `{token}` is not <metric>=<tolerance>"))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A parsed command line: the subcommand, the flags it reads with their
+/// shape-checked values (in the order given; a switch's value is empty)
+/// and its operands. Parsing has already rejected every flag the
+/// subcommand does not read, so an absent flag is simply `None`.
 #[derive(Debug, Clone)]
 struct Args {
     command: String,
-    /// None means "not given on the command line": single-run commands
-    /// default to vlc+cpu-bomb, the fleet to its standard scenario mix.
-    scenario: Option<String>,
-    /// None means "not given on the command line": most commands default
-    /// to stay-away, bench-scenarios to its baseline-comparison list.
-    policy: Option<String>,
-    /// None means "not given": every predictive command defaults to the
-    /// reference KDE plane.
-    predictor: Option<String>,
-    source: String,
-    trace: Option<String>,
-    ticks: u64,
-    seed: u64,
-    template: Option<String>,
-    out: Option<String>,
-    /// None means "not given": the fleet defaults to 8 cells, the
-    /// tournament to 3 cells per predictor × scenario combination.
-    cells: Option<usize>,
-    workers: usize,
-    resamples: usize,
-    share_templates: bool,
-    /// None means "not given": the cluster defaults to hotspot.
-    cluster_scenario: Option<String>,
-    /// None means "not given": the cluster defaults to scoring placement.
-    cluster_policy: Option<String>,
-    epochs: u64,
-    epoch_ticks: u64,
-    no_migration: bool,
-    compare: bool,
-    metrics_out: Option<String>,
-    events_out: Option<String>,
-    events_in: Option<String>,
-    /// None means "don't serve": `--http <addr>` starts the introspection
-    /// server (DESIGN.md §16) for the duration of the run.
-    http: Option<String>,
-    /// Seconds the HTTP server outlives the run (0 = stop immediately).
-    http_linger: u64,
-    kind: Option<String>,
-    host: Option<u32>,
-    tick_from: Option<u64>,
-    tick_to: Option<u64>,
-    cause: Option<String>,
-    /// metrics-diff: global relative tolerance (0 = exact).
-    threshold: f64,
-    /// metrics-diff: per-metric overrides, `name=tolerance`.
-    threshold_for: Vec<(String, f64)>,
-    /// Non-flag operands after the command (metrics-diff paths, a
-    /// promlint file).
-    positional: Vec<String>,
-    json: bool,
+    values: Vec<(&'static str, String)>,
+    operands: Vec<String>,
 }
 
 /// Scenario used by the single-run commands when `--scenario` is omitted.
 const DEFAULT_SCENARIO: &str = "vlc+cpu-bomb";
 
 impl Args {
+    /// The last value given for `flag` (later occurrences win).
+    fn text(&self, flag: &str) -> Option<&str> {
+        debug_assert!(FLAGS.iter().any(|f| f.0 == flag), "{flag} not in FLAGS");
+        let given = self.values.iter().rev().find(|(name, _)| *name == flag);
+        given.map(|(_, value)| value.as_str())
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.text(flag).is_some()
+    }
+
+    fn int(&self, flag: &str) -> Option<u64> {
+        self.text(flag)
+            .map(|value| value.parse().expect("parse_args checked the shape"))
+    }
+
+    /// `--ticks`, default 384.
+    fn ticks(&self) -> u64 {
+        self.int("--ticks").unwrap_or(384)
+    }
+
+    /// `--seed`, default 7.
+    fn seed(&self) -> u64 {
+        self.int("--seed").unwrap_or(7)
+    }
+
+    /// A count flag, saturating where `usize` is narrower than `u64`.
+    fn count(&self, flag: &str) -> Option<usize> {
+        self.int(flag)
+            .map(|value| usize::try_from(value).unwrap_or(usize::MAX))
+    }
+
+    /// `--workers`, default 1 and never 0.
+    fn workers(&self) -> usize {
+        self.count("--workers").unwrap_or(1).max(1)
+    }
+
     /// The `--policy` value, or `default` when the flag was omitted.
     fn policy_or<'a>(&'a self, default: &'a str) -> &'a str {
-        self.policy.as_deref().unwrap_or(default)
+        self.text("--policy").unwrap_or(default)
+    }
+
+    /// `--scenario`, default [`DEFAULT_SCENARIO`].
+    fn scenario_name(&self) -> &str {
+        self.text("--scenario").unwrap_or(DEFAULT_SCENARIO)
+    }
+
+    /// The `<sensitive>+<batch>` scenario of a single-host command, under
+    /// `--seed`.
+    fn scenario(&self) -> Result<Scenario, CliError> {
+        Ok(Scenario::parse(self.scenario_name(), self.seed())?)
+    }
+
+    /// `--source`, default the simulator.
+    fn source(&self) -> Result<SourceSpec, CliError> {
+        Ok(SourceSpec::parse(self.text("--source").unwrap_or("sim"))?)
+    }
+
+    /// Whether a flag asks for a metrics rollup (`--metrics-out`, `--http`).
+    fn wants_metrics(&self) -> bool {
+        self.switch("--metrics-out") || self.switch("--http")
+    }
+
+    /// Whether a flag asks for the event stream (`--events-out`, `--http`).
+    fn wants_events(&self) -> bool {
+        self.switch("--events-out") || self.switch("--http")
     }
 
     /// The controller configuration single-run commands build policies
     /// with: the defaults, with `--predictor` applied when given.
-    fn controller_config(&self) -> Result<ControllerConfig, String> {
+    fn controller_config(&self) -> Result<ControllerConfig, CliError> {
         let config = ControllerConfig::default();
-        match &self.predictor {
-            Some(token) => Ok(PredictorSpec::parse(token)
-                .map_err(|e| e.to_string())?
-                .apply(&config)),
-            None => Ok(config),
-        }
+        Ok(match self.text("--predictor") {
+            Some(token) => PredictorSpec::parse(token)?.apply(&config),
+            None => config,
+        })
     }
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut args = Args {
-        command: argv.first().cloned().ok_or("missing command")?,
-        scenario: None,
-        policy: None,
-        predictor: None,
-        source: "sim".into(),
-        trace: None,
-        ticks: 384,
-        seed: 7,
-        template: None,
-        out: None,
-        cells: None,
-        workers: 1,
-        resamples: 1000,
-        share_templates: false,
-        cluster_scenario: None,
-        cluster_policy: None,
-        epochs: 24,
-        epoch_ticks: 8,
-        no_migration: false,
-        compare: false,
-        metrics_out: None,
-        events_out: None,
-        events_in: None,
-        http: None,
-        http_linger: 0,
-        kind: None,
-        host: None,
-        tick_from: None,
-        tick_to: None,
-        cause: None,
-        threshold: 0.0,
-        threshold_for: Vec::new(),
-        positional: Vec::new(),
-        json: false,
+fn parse_args(argv: &[String]) -> Result<Args, CliError> {
+    let Some(command) = argv.first().filter(|c| COMMANDS.contains(&c.as_str())) else {
+        return fail(match argv.first() {
+            Some(command) => format!("unknown command `{command}`"),
+            None => "missing command".to_string(),
+        });
     };
-    let mut it = argv[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} expects a value"))
-        };
-        match flag.as_str() {
-            "--scenario" => args.scenario = Some(value("--scenario")?),
-            "--policy" => args.policy = Some(value("--policy")?),
-            "--predictor" => args.predictor = Some(value("--predictor")?),
-            "--resamples" => {
-                args.resamples = value("--resamples")?
-                    .parse()
-                    .map_err(|_| "--resamples expects an integer".to_string())?
-            }
-            "--source" => args.source = value("--source")?,
-            "--trace" => args.trace = Some(value("--trace")?),
-            "--ticks" => {
-                args.ticks = value("--ticks")?
-                    .parse()
-                    .map_err(|_| "--ticks expects an integer".to_string())?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|_| "--seed expects an integer".to_string())?
-            }
-            "--template" => args.template = Some(value("--template")?),
-            "--out" => args.out = Some(value("--out")?),
-            "--cells" => {
-                args.cells = Some(
-                    value("--cells")?
-                        .parse()
-                        .map_err(|_| "--cells expects an integer".to_string())?,
-                )
-            }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "--workers expects an integer".to_string())?
-            }
-            "--share-templates" => args.share_templates = true,
-            "--cluster-scenario" => args.cluster_scenario = Some(value("--cluster-scenario")?),
-            "--cluster-policy" => args.cluster_policy = Some(value("--cluster-policy")?),
-            "--epochs" => {
-                args.epochs = value("--epochs")?
-                    .parse()
-                    .map_err(|_| "--epochs expects an integer".to_string())?
-            }
-            "--epoch-ticks" => {
-                args.epoch_ticks = value("--epoch-ticks")?
-                    .parse()
-                    .map_err(|_| "--epoch-ticks expects an integer".to_string())?
-            }
-            "--no-migration" => args.no_migration = true,
-            "--compare" => args.compare = true,
-            "--metrics-out" => args.metrics_out = Some(value("--metrics-out")?),
-            "--events-out" => args.events_out = Some(value("--events-out")?),
-            "--events-in" => args.events_in = Some(value("--events-in")?),
-            "--http" => args.http = Some(value("--http")?),
-            "--http-linger" => {
-                args.http_linger = value("--http-linger")?
-                    .parse()
-                    .map_err(|_| "--http-linger expects seconds".to_string())?
-            }
-            "--kind" => args.kind = Some(value("--kind")?),
-            "--host" => {
-                args.host = Some(
-                    value("--host")?
-                        .parse()
-                        .map_err(|_| "--host expects an integer scope".to_string())?,
-                )
-            }
-            "--tick-from" => {
-                args.tick_from = Some(
-                    value("--tick-from")?
-                        .parse()
-                        .map_err(|_| "--tick-from expects an integer".to_string())?,
-                )
-            }
-            "--tick-to" => {
-                args.tick_to = Some(
-                    value("--tick-to")?
-                        .parse()
-                        .map_err(|_| "--tick-to expects an integer".to_string())?,
-                )
-            }
-            "--cause" => args.cause = Some(value("--cause")?),
-            "--threshold" => {
-                args.threshold = value("--threshold")?
-                    .parse()
-                    .map_err(|_| "--threshold expects a number".to_string())?
-            }
-            "--threshold-for" => {
-                let spec = value("--threshold-for")?;
-                let (name, tol) = spec.split_once('=').ok_or_else(|| {
-                    format!("--threshold-for `{spec}` is not <metric>=<tolerance>")
-                })?;
-                let tol: f64 = tol
-                    .parse()
-                    .map_err(|_| format!("--threshold-for tolerance `{tol}` is not a number"))?;
-                args.threshold_for.push((name.to_string(), tol));
-            }
-            "--json" => args.json = true,
-            other if !other.starts_with('-') => args.positional.push(other.to_string()),
-            other => return Err(format!("unknown flag `{other}`")),
+    let mut args = Args {
+        command: command.clone(),
+        values: Vec::new(),
+        operands: Vec::new(),
+    };
+    let mut tokens = argv[1..].iter();
+    while let Some(token) = tokens.next() {
+        // A bare `-` is the stdin/stdout operand, not a flag.
+        if token == "-" || !token.starts_with('-') {
+            args.operands.push(token.clone());
+            continue;
         }
+        let Some(&(name, shape, read_by)) = FLAGS.iter().find(|f| f.0 == token) else {
+            return fail(format!("unknown flag `{token}`"));
+        };
+        if !read_by.split(' ').any(|reader| reader == command) {
+            return fail(format!("{name} is not read by `{command}`"));
+        }
+        let value = match shape {
+            Switch => String::new(),
+            _ => match tokens.next() {
+                Some(value) => value.clone(),
+                None => return fail(format!("{name} expects a value")),
+            },
+        };
+        if let Some(reason) = shape.reject(name, &value) {
+            return fail(reason);
+        }
+        args.values.push((name, value));
+    }
+    let given = args.operands.len();
+    let (_, min, max) = *OPERANDS
+        .iter()
+        .find(|o| o.0 == command)
+        .unwrap_or(&("", 0, 0));
+    if !(min..=max).contains(&given) {
+        let takes = match (min, max) {
+            (_, 0) => "no operands".to_string(),
+            (min, max) if min == max => format!("exactly {max} operands"),
+            (_, max) => format!("at most {max} operand(s)"),
+        };
+        let operands = args.operands.join(" ");
+        return fail(format!(
+            "`{command}` takes {takes}, got {given}: {operands}"
+        ));
     }
     Ok(args)
 }
 
-fn parse_scenario(name: &str, seed: u64) -> Result<Scenario, String> {
-    let (sens, batch) = name
-        .split_once('+')
-        .ok_or_else(|| format!("scenario `{name}` is not of the form <sensitive>+<batch>"))?;
-    let batch_kind = BatchKind::ALL
-        .into_iter()
-        .find(|k| k.name() == batch)
-        .ok_or_else(|| {
-            format!(
-                "unknown batch app `{batch}` (expected one of {})",
-                BatchKind::ALL.map(|k| k.name()).join(", ")
-            )
-        })?;
-    let trace = Trace::diurnal(DiurnalParams::default(), seed.wrapping_add(1));
-    let sensitive = match sens {
-        "vlc" => SensitiveKind::VlcStreaming { trace },
-        "web-cpu" => SensitiveKind::Webservice {
-            workload: WebWorkload::CpuIntensive,
-            trace,
-        },
-        "web-mem" => SensitiveKind::Webservice {
-            workload: WebWorkload::MemIntensive,
-            trace,
-        },
-        "web-mix" => SensitiveKind::Webservice {
-            workload: WebWorkload::Mix,
-            trace,
-        },
-        other => {
-            return Err(format!(
-                "unknown sensitive app `{other}` (expected vlc, web-cpu, web-mem or web-mix)"
-            ))
-        }
-    };
-    Ok(Scenario::builder(name)
-        .seed(seed)
-        .sensitive(sensitive)
-        .batch(batch_kind, 20)
-        .build())
-}
-
+/// Prints one single-host outcome: a JSON document under `--json`, the
+/// text headline otherwise. `full` adds the controller internals (when the
+/// policy counted its periods — baselines track nothing) and the
+/// per-request QoS (when the substrate simulates requests).
 fn summarize(
-    label: &str,
-    scenario_name: &str,
-    cpu_capacity: f64,
-    out: &RunOutcome,
-    stats: Option<&ControllerStats>,
+    out: &mut Out<'_>,
     json: bool,
-) {
-    let cap = cpu_capacity;
+    label: &str,
+    scenario: &str,
+    outcome: &HostOutcome,
+    full: bool,
+) -> Result<(), CliError> {
+    let run = &outcome.run;
+    let gained = run.mean_gained_utilization(outcome.host.cpu_cores);
+    let stats = Some(&outcome.stats).filter(|s| full && s.periods > 0);
+    let requests = outcome.requests.as_ref().filter(|_| full);
     if json {
         let mut doc = serde_json::json!({
-            "scenario": scenario_name,
+            "scenario": scenario,
             "policy": label,
-            "ticks": out.timeline.len(),
-            "violations": out.qos.violations,
-            "satisfaction": out.qos.satisfaction(),
-            "mean_qos": out.qos.mean_qos(),
-            "gained_utilization": out.mean_gained_utilization(cap),
-            "batch_work": out.batch_work,
+            "ticks": run.timeline.len(),
+            "violations": run.qos.violations,
+            "satisfaction": run.qos.satisfaction(),
+            "mean_qos": run.qos.mean_qos(),
+            "gained_utilization": gained,
+            "batch_work": run.batch_work,
         });
-        if let (Some(stats), serde_json::Value::Object(pairs)) = (stats, &mut doc) {
-            pairs.push(("controller".to_string(), serde_json::to_value(stats)));
+        if let serde_json::Value::Object(pairs) = &mut doc {
+            if let Some(requests) = requests {
+                pairs.push(("latency".to_string(), serde_json::to_value(requests)));
+            }
+            if let Some(stats) = stats {
+                pairs.push(("controller".to_string(), serde_json::to_value(stats)));
+            }
         }
-        println!("{}", serde_json::to_string_pretty(&doc).expect("json"));
-    } else {
-        println!(
-            "{label:<16} violations {:>4}  satisfaction {:>5.1}%  gained util {:>5.1}%  batch work {:>6.0}",
-            out.qos.violations,
-            100.0 * out.qos.satisfaction(),
-            100.0 * out.mean_gained_utilization(cap),
-            out.batch_work,
-        );
-        if let Some(stats) = stats {
-            println!(
-                "controller: {} states ({} violation), {} throttles, {} resumes, prediction accuracy {}",
-                stats.states,
-                stats.violation_states,
-                stats.throttles,
-                stats.resumes,
-                format_accuracy(stats.prediction_accuracy()),
-            );
-            let t = &stats.stage_timing;
-            println!(
-                "stages: sense {}x/{}µs, map {}x/{}µs, predict {}x/{}µs, act {}x/{}µs",
-                t.sense.invocations,
-                t.sense.nanos / 1_000,
-                t.map.invocations,
-                t.map.nanos / 1_000,
-                t.predict.invocations,
-                t.predict.nanos / 1_000,
-                t.act.invocations,
-                t.act.nanos / 1_000,
-            );
-        }
+        return writeln!(out, "{}", serde_json::to_string_pretty(&doc)?);
     }
+    writeln!(
+        out,
+        "{label:<16} violations {:>4}  satisfaction {:>5.1}%  gained util {:>5.1}%  batch work {:>6.0}",
+        run.qos.violations,
+        100.0 * run.qos.satisfaction(),
+        100.0 * gained,
+        run.batch_work,
+    )?;
+    if let Some(stats) = stats {
+        writeln!(
+            out,
+            "controller: {} states ({} violation), {} throttles, {} resumes, prediction accuracy {}",
+            stats.states,
+            stats.violation_states,
+            stats.throttles,
+            stats.resumes,
+            format_accuracy(stats.prediction_accuracy()),
+        )?;
+        let t = &stats.stage_timing;
+        writeln!(
+            out,
+            "stages: sense {}x/{}µs, map {}x/{}µs, predict {}x/{}µs, act {}x/{}µs",
+            t.sense.invocations,
+            t.sense.nanos / 1_000,
+            t.map.invocations,
+            t.map.nanos / 1_000,
+            t.predict.invocations,
+            t.predict.nanos / 1_000,
+            t.act.invocations,
+            t.act.nanos / 1_000,
+        )?;
+    }
+    if let Some(r) = requests {
+        writeln!(
+            out,
+            "latency: p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  slo-violation {:.2}%",
+            r.p50_ms,
+            r.p95_ms,
+            r.p99_ms,
+            100.0 * r.slo_violation_rate,
+        )?;
+        writeln!(
+            out,
+            "requests: {} arrived, {} completed, {} dropped, {} cold starts, {} evictions",
+            r.requests, r.completed, r.dropped, r.cold_starts, r.evictions,
+        )?;
+    }
+    Ok(())
 }
 
-/// Prediction accuracy for humans: a percentage, or "n/a" before any
-/// prediction has been checked (never a made-up 100%).
-fn format_accuracy(accuracy: Option<f64>) -> String {
-    match accuracy {
-        Some(a) => format!("{:.1}%", 100.0 * a),
-        None => "n/a".to_string(),
-    }
+/// Pretty JSON of a metrics snapshot.
+fn metrics_json(snapshot: &MetricsSnapshot) -> Result<String, CliError> {
+    Ok(serde_json::to_string_pretty(&to_json(snapshot))?)
 }
 
 /// Writes a metrics snapshot to `path`: `-` prints pretty JSON to
 /// stdout, a `.json` path gets pretty JSON, anything else gets the
 /// Prometheus text exposition.
-fn write_metrics(snapshot: &MetricsSnapshot, path: &str) -> Result<(), String> {
+fn write_metrics(
+    out: &mut Out<'_>,
+    snapshot: &MetricsSnapshot,
+    path: &str,
+) -> Result<(), CliError> {
     if path == "-" {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&to_json(snapshot)).expect("metrics json")
-        );
-        return Ok(());
+        return writeln!(out, "{}", metrics_json(snapshot)?);
     }
     let rendered = if path.ends_with(".json") {
-        let mut text = serde_json::to_string_pretty(&to_json(snapshot)).expect("metrics json");
-        text.push('\n');
-        text
+        metrics_json(snapshot)? + "\n"
     } else {
         to_prometheus(snapshot)
     };
-    std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("metrics written to {path}");
+    write_file(path, &rendered)?;
+    writeln!(out, "metrics written to {path}")
+}
+
+/// Writes an event stream to `path` as JSON Lines (`-` prints to stdout).
+fn write_events(out: &mut Out<'_>, events: &[EventRecord], path: &str) -> Result<(), CliError> {
+    let jsonl = events_to_jsonl(events);
+    if path == "-" {
+        return write!(out, "{jsonl}");
+    }
+    write_file(path, &jsonl)?;
+    writeln!(out, "{} events written to {path}", events.len())
+}
+
+fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
+    std::fs::write(path, contents).or_else(|e| fail(format!("cannot write {path}: {e}")))
+}
+
+/// Reads a whole text input: `-` means stdin, anything else a path.
+fn read_text_input(path: &str) -> Result<String, CliError> {
+    if path == "-" {
+        let mut buf = String::new();
+        return match std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {
+            Ok(_) => Ok(buf),
+            Err(e) => fail(format!("cannot read stdin: {e}")),
+        };
+    }
+    std::fs::read_to_string(path).or_else(|e| fail(format!("cannot read {path}: {e}")))
+}
+
+/// Starts the introspection server on `addr` and prints the bound address
+/// — ephemeral ports resolve here, scripts scrape this line.
+fn serve(out: &mut Out<'_>, addr: &str, intro: Introspection) -> Result<HttpServer, CliError> {
+    let server = match HttpServer::serve(addr, intro) {
+        Ok(server) => server,
+        Err(e) => return fail(format!("cannot serve on {addr}: {e}")),
+    };
+    writeln!(
+        out,
+        "introspection server listening on http://{}",
+        server.local_addr()
+    )?;
+    Ok(server)
+}
+
+/// The `/state` document of a command that serves none of its own.
+const NO_STATE: serde_json::Value = serde_json::Value::Null;
+
+/// The export tail every observable command ends with: write
+/// `--metrics-out`, write `--events-out`, then keep the `--http` server up
+/// for `--http-linger` seconds and stop it. A single-host run hands over
+/// the `live` server that watched it. The multi-cell planes publish after
+/// the run rather than live, so their streams stay canonical: without a
+/// live server, `--http` starts one now over the frozen metrics rollup,
+/// `state` and the merged event stream. `plane` names the producer in
+/// "produced no …" errors.
+fn publish(
+    args: &Args,
+    out: &mut Out<'_>,
+    plane: &str,
+    metrics: Option<&MetricsSnapshot>,
+    events: Option<&[EventRecord]>,
+    live: Option<HttpServer>,
+    state: serde_json::Value,
+) -> Result<(), CliError> {
+    if let Some(path) = args.text("--metrics-out") {
+        let Some(snapshot) = metrics else {
+            return fail(format!("{plane} produced no metrics rollup"));
+        };
+        write_metrics(out, snapshot, path)?;
+    }
+    if let Some(path) = args.text("--events-out") {
+        let Some(events) = events else {
+            return fail(format!("{plane} produced no event stream"));
+        };
+        write_events(out, events, path)?;
+    }
+    let server = match (live, args.text("--http")) {
+        (Some(server), _) => server,
+        (None, None) => return Ok(()),
+        (None, Some(addr)) => {
+            let intro = Introspection::new();
+            if let Some(snapshot) = metrics {
+                intro.set_metrics(snapshot.clone());
+            }
+            if let Some(events) = events {
+                intro.set_events(events.to_vec());
+            }
+            intro.state().set(state);
+            serve(out, addr, intro)?
+        }
+    };
+    let linger = args.int("--http-linger").unwrap_or(0);
+    if linger > 0 {
+        writeln!(
+            out,
+            "introspection server lingering for {linger}s (ctrl-c to abort)"
+        )?;
+        std::thread::sleep(std::time::Duration::from_secs(linger));
+    }
+    server.shutdown();
     Ok(())
 }
 
-/// The live observability handles a single-host run shares between the
-/// controller, the workload source and the HTTP introspection server:
-/// one flight recorder (scope 0), the `/state` cell the controller
-/// publishes into, and — when `--http` was given — the running server.
-struct RunIntrospection {
-    recorder: FlightRecorder,
-    state: StateCell,
-    server: Option<HttpServer>,
+/// What one single-host subcommand adds to the run its flags describe.
+#[derive(Default)]
+struct HostJob<'a> {
+    /// Overrides `--source` (`replay` senses through its `--trace`).
+    source: Option<SourceSpec>,
+    /// Overrides `--policy` (`compare` runs each policy in turn).
+    policy: Option<&'a str>,
+    /// Template to warm-start from (`reuse`).
+    import: Option<&'a Template>,
+    /// Sensitive key to export the learned template under (`capture`).
+    export_as: Option<&'a str>,
+    /// Trace tee (`record`).
+    trace_out: Option<Box<dyn Write + 'a>>,
+    /// Record into a metrics registry even without `--metrics-out` /
+    /// `--http` (`metrics`).
+    registry: bool,
 }
 
-/// Builds the single-run introspection plane when `--http` or
-/// `--events-out` asks for it. With `--http` the server starts before
-/// the run (live observation) and the bound address is printed —
-/// ephemeral ports resolve here, scripts scrape this line.
-fn run_introspection(
+/// The single-host run path of `run`, `metrics`, `compare`, `capture`,
+/// `reuse`, `record` and `replay`: the substrate, scenario, policy,
+/// predictor, seed and length come from the flags (a flag the subcommand
+/// does not read is absent, so its default applies), `job` adds the
+/// subcommand's own extras, and [`run_host`] does the rest. Instruments
+/// exist only when a flag asks for them: a registry for `--metrics-out` /
+/// `--http`, a flight recorder for `--events-out` / `--http`; under
+/// `--http` the server starts before the run and observes it live.
+/// Returns the outcome, the instruments and that server.
+fn single_host(
     args: &Args,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Option<RunIntrospection>, String> {
-    if args.http.is_none() && args.events_out.is_none() {
-        return Ok(None);
-    }
-    let recorder = FlightRecorder::for_scope(0, "run");
-    let (state, server) = match &args.http {
+    out: &mut Out<'_>,
+    job: HostJob<'_>,
+) -> Result<(HostOutcome, Instruments, Option<HttpServer>), CliError> {
+    let source = match job.source {
+        Some(source) => source,
+        None => args.source()?,
+    };
+    let policy = PolicySpec::parse(job.policy.unwrap_or(args.policy_or("stay-away")))?;
+    let http = args.text("--http");
+    let mut instruments = Instruments {
+        registry: (job.registry || args.wants_metrics()).then(MetricsRegistry::new),
+        recorder: args
+            .wants_events()
+            .then(|| FlightRecorder::for_scope(0, "run")),
+        state: None,
+    };
+    let server = match http {
         Some(addr) => {
-            let mut intro = Introspection::new().with_recorder(recorder.clone());
-            if let Some(registry) = registry {
+            let mut intro = Introspection::new();
+            if let Some(recorder) = &instruments.recorder {
+                intro = intro.with_recorder(recorder.clone());
+            }
+            if let Some(registry) = &instruments.registry {
                 intro = intro.with_registry(registry.clone());
             }
             // The server's own cell doubles as the controller's `/state`
             // sink — one handle, no copying.
-            let state = intro.state();
-            let server = HttpServer::serve(addr, intro)
-                .map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-            println!(
-                "introspection server listening on http://{}",
-                server.local_addr()
-            );
-            (state, Some(server))
+            instruments.state = Some(intro.state());
+            Some(serve(out, addr, intro)?)
         }
-        None => (StateCell::new(), None),
+        None => None,
     };
-    Ok(Some(RunIntrospection {
-        recorder,
-        state,
-        server,
-    }))
+    let outcome = run_host(HostRun {
+        source: &source,
+        scenario: &args.scenario()?,
+        seed: args.seed(),
+        policy: &policy,
+        controller: &args.controller_config()?,
+        ticks: args.ticks(),
+        instruments: &instruments,
+        import: job.import,
+        export_as: job.export_as,
+        trace_out: job.trace_out,
+        loop_span: None,
+    })?;
+    Ok((outcome, instruments, server))
 }
 
-/// Post-run: exports the event stream when `--events-out` asked for it,
-/// honours `--http-linger`, then stops the server.
-fn finish_introspection(
-    args: &Args,
-    introspection: Option<RunIntrospection>,
-) -> Result<(), String> {
-    let Some(intro) = introspection else {
-        return Ok(());
-    };
-    if let Some(path) = &args.events_out {
-        write_events(&intro.recorder.events(), path)?;
-    }
-    linger_and_shutdown(args, intro.server);
-    Ok(())
-}
-
-/// Honours `--http-linger`, then stops the server.
-fn linger_and_shutdown(args: &Args, server: Option<HttpServer>) {
-    let Some(server) = server else { return };
-    if args.http_linger > 0 {
-        println!(
-            "introspection server lingering for {}s (ctrl-c to abort)",
-            args.http_linger
-        );
-        std::thread::sleep(std::time::Duration::from_secs(args.http_linger));
-    }
-    server.shutdown();
-}
-
-/// Writes the canonical event stream to `path` as JSON Lines (`-`
-/// prints to stdout).
-fn write_events(events: &[EventRecord], path: &str) -> Result<(), String> {
-    let jsonl = events_to_jsonl(events);
-    if path == "-" {
-        print!("{jsonl}");
-        return Ok(());
-    }
-    std::fs::write(path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("{} events written to {path}", events.len());
-    Ok(())
-}
-
-/// Reads a whole text input: `-` means stdin, anything else a path.
-fn read_text_input(path: &str) -> Result<String, String> {
-    if path == "-" {
-        let mut buf = String::new();
-        std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf)
-            .map_err(|e| format!("cannot read stdin: {e}"))?;
-        Ok(buf)
-    } else {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-    }
-}
-
-/// Serves a *completed* fleet or cluster outcome over `--http`: the
-/// frozen metrics rollup on `/metrics`, a summary document on `/state`
-/// and the merged canonical event stream on `/events`. The server only
-/// exists for the `--http-linger` window — multi-cell planes publish
-/// after the run rather than live, so their streams stay canonical.
-fn serve_outcome_http(
-    args: &Args,
-    metrics: Option<&MetricsSnapshot>,
-    events: Option<Vec<EventRecord>>,
-    state: serde_json::Value,
-) -> Result<(), String> {
-    let Some(addr) = &args.http else {
-        return Ok(());
-    };
-    let intro = Introspection::new();
-    if let Some(snapshot) = metrics {
-        intro.set_metrics(snapshot.clone());
-    }
-    if let Some(events) = events {
-        intro.set_events(events);
-    }
-    intro.state().set(state);
-    let server =
-        HttpServer::serve(addr, intro).map_err(|e| format!("cannot serve on {addr}: {e}"))?;
-    println!(
-        "introspection server listening on http://{}",
-        server.local_addr()
-    );
-    linger_and_shutdown(args, Some(server));
-    Ok(())
-}
-
-/// The `/state` summary a post-run fleet server publishes.
-fn fleet_state_json(outcome: &stay_away::fleet::FleetOutcome) -> serde_json::Value {
-    serde_json::json!({
-        "plane": "fleet",
-        "cells": outcome.cells as u64,
-        "ticks_per_cell": outcome.ticks_per_cell,
-        "fleet_seed": outcome.fleet_seed,
-        "total_batch_work": outcome.total_batch_work,
-        "mean_utilization": outcome.mean_utilization,
-        "mean_gained_utilization": outcome.mean_gained_utilization,
-        "throttles": outcome.throttles,
-        "resumes": outcome.resumes,
-        "violations_predicted": outcome.violations_predicted,
-        "events_dropped": outcome.events_dropped,
-        "metric_unit_mismatches": outcome.metric_unit_mismatches
-    })
-}
-
-/// The `/state` summary a post-run cluster server publishes.
-fn cluster_state_json(outcome: &ClusterOutcome) -> serde_json::Value {
-    serde_json::json!({
-        "plane": "cluster",
-        "scenario": outcome.scenario.clone(),
-        "cluster_policy": outcome.cluster_policy.clone(),
-        "host_policy": outcome.host_policy.clone(),
-        "seed": outcome.seed,
-        "epochs": outcome.epochs,
-        "ticks_per_epoch": outcome.ticks_per_epoch,
-        "slo_violation_rate": outcome.slo_violation_rate,
-        "total_batch_work": outcome.total_batch_work,
-        "admissions": outcome.admissions,
-        "migrations": outcome.migrations,
-        "deferrals": outcome.deferrals,
-        "queue_actions": outcome.queue_actions,
-        "metric_unit_mismatches": outcome.metric_unit_mismatches
-    })
-}
-
-/// One human-readable timeline line:
-/// `scope:seq t=<tick> [layer] kind subject k=v ... <- cause`.
-fn render_event(e: &EventRecord) -> String {
-    let mut line = format!(
-        "{} t={} [{}] {} {}",
-        e.id(),
-        e.tick,
-        e.layer,
-        e.kind,
-        e.subject
-    );
-    for (name, value) in &e.attrs {
-        line.push_str(&format!(" {name}={}", value.render()));
-    }
-    if let Some(cause) = e.cause {
-        line.push_str(&format!(" <- {cause}"));
-    }
-    line
-}
-
-/// The event stream the `events` command inspects: `--events-in` reads
-/// a JSONL export, otherwise a demo cluster run records one live.
-/// storm-cluster is the demo default because it exercises every cluster
-/// verb including migration (hotspot under scoring placement admits
-/// cleanly and never migrates).
-fn load_or_record_events(args: &Args) -> Result<Vec<EventRecord>, String> {
-    if let Some(path) = &args.events_in {
-        let text = read_text_input(path)?;
-        return events_from_jsonl(&text).map_err(|e| format!("{path}: {e}"));
-    }
-    let mut demo = args.clone();
-    if demo.cluster_scenario.is_none() {
-        demo.cluster_scenario = Some("storm-cluster".into());
-    }
-    let policy = ClusterPolicySpec::parse(demo.cluster_policy.as_deref().unwrap_or("score"))
-        .map_err(|e| e.to_string())?;
-    let outcome = run_cluster_policy(&demo, policy)?;
-    outcome
-        .events
-        .ok_or_else(|| "cluster run recorded no events".to_string())
-}
-
-/// Walks `--cause` links from `id` back to the root, printing each hop.
-fn print_causal_chain(events: &[EventRecord], id: EventId) -> Result<(), String> {
-    let find = |id: EventId| {
-        events
-            .iter()
-            .find(|e| e.scope == id.scope && e.seq == id.seq)
-    };
-    let mut next = Some(id);
-    let mut depth = 0usize;
-    while let Some(id) = next {
-        let event = find(id).ok_or_else(|| format!("event {id} not found in the stream"))?;
-        if depth == 0 {
-            println!("{}", render_event(event));
-        } else {
-            println!(
-                "{:indent$}caused by {}",
-                "",
-                render_event(event),
-                indent = depth * 2
-            );
-        }
-        next = event.cause;
-        depth += 1;
-    }
-    Ok(())
-}
-
-/// One comparable series extracted from a metrics snapshot JSON:
-/// histograms expand to one series per statistic; `metric` names the
-/// owning metric so `--threshold-for` overrides attach to all of them.
-struct MetricSeries {
-    key: String,
-    metric: String,
-    value: f64,
-}
-
-/// A numeric JSON field, whatever integer/float shape it parsed as.
-fn number_field(value: &serde_json::Value) -> Option<f64> {
-    value
-        .as_f64()
-        .or_else(|| value.as_u64().map(|u| u as f64))
-        .or_else(|| value.as_i64().map(|i| i as f64))
-}
-
-/// Wall-clock series are nondeterministic by nature and excluded from
-/// the regression gate.
-fn is_wall_clock(name: &str, unit: Option<&str>) -> bool {
-    name.ends_with("_nanos") || name.contains("_nanos_") || unit == Some("nanos")
-}
-
-/// Extracts the comparable series from a `--metrics-out *.json`
-/// snapshot, skipping wall-clock series and null quantiles.
-fn load_metric_values(path: &str) -> Result<Vec<MetricSeries>, String> {
-    let text = read_text_input(path)?;
-    let doc: serde_json::Value = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = Vec::new();
-    for section in ["counters", "gauges"] {
-        let Some(entries) = doc.get(section).and_then(|v| v.as_array()) else {
-            continue;
-        };
-        for entry in entries {
-            let Some(name) = entry.get("name").and_then(|v| v.as_str()) else {
-                continue;
-            };
-            if is_wall_clock(name, None) {
-                continue;
-            }
-            let Some(value) = entry.get("value").and_then(number_field) else {
-                continue;
-            };
-            out.push(MetricSeries {
-                key: name.to_string(),
-                metric: name.to_string(),
-                value,
-            });
-        }
-    }
-    if let Some(entries) = doc.get("histograms").and_then(|v| v.as_array()) {
-        for entry in entries {
-            let Some(name) = entry.get("name").and_then(|v| v.as_str()) else {
-                continue;
-            };
-            let unit = entry.get("unit").and_then(|v| v.as_str());
-            if is_wall_clock(name, unit) {
-                continue;
-            }
-            for stat in ["count", "sum", "min", "max", "mean", "p50", "p95", "p99"] {
-                let Some(value) = entry.get(stat).and_then(number_field) else {
-                    continue;
-                };
-                out.push(MetricSeries {
-                    key: format!("{name}/{stat}"),
-                    metric: name.to_string(),
-                    value,
-                });
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// One row of the regression-gate comparison.
-struct DiffRow {
-    key: String,
-    metric: String,
-    a: f64,
-    b: f64,
-    rel: f64,
-}
-
-/// Symmetric relative difference: `|a-b| / max(|a|,|b|)`; 0 when equal.
-fn relative_difference(a: f64, b: f64) -> f64 {
-    if a == b {
-        return 0.0;
-    }
-    let scale = a.abs().max(b.abs());
-    if scale == 0.0 {
-        0.0
-    } else {
-        (a - b).abs() / scale
-    }
-}
-
-/// Compares two extracted series sets over the union of keys. A series
-/// present on only one side diffs as infinite — a missing metric is a
-/// regression, not a skip.
-fn diff_metric_values(a: &[MetricSeries], b: &[MetricSeries]) -> Vec<DiffRow> {
-    use std::collections::BTreeMap;
-    let index = |series: &[MetricSeries]| -> BTreeMap<String, (String, f64)> {
-        series
-            .iter()
-            .map(|m| (m.key.clone(), (m.metric.clone(), m.value)))
-            .collect()
-    };
-    let left = index(a);
-    let right = index(b);
-    let mut keys: Vec<String> = left.keys().chain(right.keys()).cloned().collect();
-    keys.sort();
-    keys.dedup();
-    keys.into_iter()
-        .map(|key| {
-            let l = left.get(&key);
-            let r = right.get(&key);
-            let metric = l.or(r).map(|(m, _)| m.clone()).unwrap_or_default();
-            let (a, b, rel) = match (l, r) {
-                (Some((_, a)), Some((_, b))) => (*a, *b, relative_difference(*a, *b)),
-                (Some((_, a)), None) => (*a, f64::NAN, f64::INFINITY),
-                (None, Some((_, b))) => (f64::NAN, *b, f64::INFINITY),
-                (None, None) => unreachable!("key came from one of the maps"),
-            };
-            DiffRow {
-                key,
-                metric,
-                a,
-                b,
-                rel,
-            }
-        })
-        .collect()
-}
-
-/// Runs the named policy against the selected observation substrate via
-/// the unified [`ControlPolicy`] surface; returns the outcome, the
-/// post-run policy (for introspection: stats, template export) and the
-/// CPU capacity of the sensed host (for utilisation summaries). When a
-/// `registry` is given, the policy and substrate register their
-/// instruments into it (decision-inert).
-#[allow(clippy::too_many_arguments)]
-fn run_policy_by_name(
-    scenario: &Scenario,
-    policy: &str,
-    config: &ControllerConfig,
-    source_spec: &SourceSpec,
-    seed: u64,
-    ticks: u64,
-    registry: Option<&MetricsRegistry>,
-    introspection: Option<&RunIntrospection>,
-) -> Result<(RunOutcome, Box<dyn ControlPolicy>, f64), String> {
-    let spec = PolicySpec::parse(policy).map_err(|e| e.to_string())?;
-    let mut source = source_spec
-        .build_instrumented(
-            scenario,
-            seed,
-            registry,
-            introspection.map(|intro| &intro.recorder),
-        )
-        .map_err(|e| e.to_string())?;
-    let host_spec = source.meta().host.unwrap_or_else(|| *scenario.host_spec());
-    let mut obs = match registry {
-        Some(registry) => Observability::enabled(registry.clone()),
-        None => Observability::disabled(),
-    };
-    if let Some(intro) = introspection {
-        obs = obs
-            .with_recorder(intro.recorder.clone())
-            .with_state(intro.state.clone());
-    }
-    let mut policy = spec
-        .build_observed(config, &host_spec, obs)
-        .map_err(|e| e.to_string())?;
-    let out = drive(source.as_mut(), policy.as_mut(), ticks).map_err(|e| e.to_string())?;
-    Ok((out, policy, host_spec.cpu_cores))
-}
-
-/// Runs a workload-library scenario under one policy, keeping the
-/// concrete [`WorkloadSource`] in hand so the summary can include the
-/// per-request latency QoS the tick-level summary cannot see.
-fn run_workload(name: &str, args: &Args) -> Result<(), String> {
-    let scenario = stay_away::workload::by_name(name).map_err(|e| e.to_string())?;
-    let host_spec = scenario.host;
-    let registry = (args.metrics_out.is_some() || args.http.is_some()).then(MetricsRegistry::new);
-    let introspection = run_introspection(args, registry.as_ref())?;
-    let spec = PolicySpec::parse(args.policy_or("stay-away")).map_err(|e| e.to_string())?;
-    let mut obs = match &registry {
-        Some(registry) => Observability::enabled(registry.clone()),
-        None => Observability::disabled(),
-    };
-    if let Some(intro) = &introspection {
-        obs = obs
-            .with_recorder(intro.recorder.clone())
-            .with_state(intro.state.clone());
-    }
-    let mut policy = spec
-        .build_observed(&args.controller_config()?, &host_spec, obs)
-        .map_err(|e| e.to_string())?;
-    let mut source = WorkloadSource::new(scenario, args.seed).map_err(|e| e.to_string())?;
-    if let Some(registry) = &registry {
-        source = source.with_metrics(registry);
-    }
-    if let Some(intro) = &introspection {
-        source = source.with_recorder(intro.recorder.clone());
-    }
-    let out = drive(&mut source, policy.as_mut(), args.ticks).map_err(|e| e.to_string())?;
-    let latency = source.latency();
-    let totals = source.totals();
-    let stats = policy.stats();
-    let stats = (stats.periods > 0).then_some(&stats);
-    let label = format!("workload:{name}");
-    if args.json {
-        let mut doc = serde_json::json!({
-            "scenario": label,
-            "policy": policy.name(),
-            "ticks": out.timeline.len(),
-            "violations": out.qos.violations,
-            "satisfaction": out.qos.satisfaction(),
-            "mean_qos": out.qos.mean_qos(),
-            "gained_utilization": out.mean_gained_utilization(host_spec.cpu_cores),
-            "batch_work": out.batch_work,
-            "latency": serde_json::json!({
-                "p50_ms": latency.quantile_ms(0.50),
-                "p95_ms": latency.quantile_ms(0.95),
-                "p99_ms": latency.quantile_ms(0.99),
-                "mean_ms": latency.mean_ms(),
-                "slo_violation_rate": totals.slo_violation_rate(),
-                "requests": totals.arrivals,
-                "completed": totals.completed,
-                "dropped": totals.dropped,
-                "cold_starts": totals.cold_starts,
-                "evictions": totals.evictions,
-            }),
-        });
-        if let (Some(stats), serde_json::Value::Object(pairs)) = (stats, &mut doc) {
-            pairs.push(("controller".to_string(), serde_json::to_value(stats)));
-        }
-        println!("{}", serde_json::to_string_pretty(&doc).expect("json"));
-    } else {
-        summarize(
-            policy.name(),
-            &label,
-            host_spec.cpu_cores,
-            &out,
-            stats,
-            false,
-        );
-        println!(
-            "latency: p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  slo-violation {:.2}%",
-            latency.quantile_ms(0.50),
-            latency.quantile_ms(0.95),
-            latency.quantile_ms(0.99),
-            100.0 * totals.slo_violation_rate(),
-        );
-        println!(
-            "requests: {} arrived, {} completed, {} dropped, {} cold starts, {} evictions",
-            totals.arrivals, totals.completed, totals.dropped, totals.cold_starts, totals.evictions,
-        );
-    }
-    if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
-        write_metrics(&registry.snapshot(), path)?;
-    }
-    finish_introspection(args, introspection)?;
-    Ok(())
-}
-
-fn main() {
+fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() || argv[0] == "--help" || argv[0] == "-h" || argv[0] == "help" {
-        print!("{USAGE}");
-        return;
-    }
-    if let Err(e) = run(&argv) {
-        eprintln!("error: {e}");
-        eprint!("{USAGE}");
-        std::process::exit(2);
-    }
-}
-
-fn fleet_summary(outcome: &stay_away::fleet::FleetOutcome) {
-    println!(
-        "fleet: {} cells x {} ticks, seed {}, template sharing {}",
-        outcome.cells,
-        outcome.ticks_per_cell,
-        outcome.fleet_seed,
-        if outcome.share_templates { "on" } else { "off" },
-    );
-    println!(
-        "qos: {} violations / {} active ticks ({:.1}% satisfaction), worst {:.3}",
-        outcome.qos.violations,
-        outcome.qos.active_ticks,
-        100.0 * outcome.satisfaction(),
-        outcome.qos.worst,
-    );
-    println!(
-        "utilization: mean {:.1}%, gained from batch {:.1}%, total batch work {:.0}",
-        100.0 * outcome.mean_utilization,
-        100.0 * outcome.mean_gained_utilization,
-        outcome.total_batch_work,
-    );
-    println!(
-        "control: {} throttles, {} resumes, prediction accuracy {}, {} samples rejected, {} log events dropped",
-        outcome.throttles,
-        outcome.resumes,
-        format_accuracy(outcome.prediction_accuracy()),
-        outcome.samples_rejected,
-        outcome.events_dropped,
-    );
-    println!(
-        "templates: {} cells imported, {} proactive first throttles",
-        outcome.cells_imported, outcome.proactive_first_throttles,
-    );
-    if outcome.per_policy.len() > 1 {
-        for r in &outcome.per_policy {
-            println!(
-                "  {:<16} {} cells  satisfaction {:>5.1}%  gained util {:>5.1}%  {} throttles / {} resumes  {} log events dropped",
-                r.policy,
-                r.cells,
-                100.0 * r.satisfaction(),
-                100.0 * r.mean_gained_utilization,
-                r.throttles,
-                r.resumes,
-                r.events_dropped,
-            );
-        }
-    }
-    if outcome.per_predictor.len() > 1 {
-        for r in &outcome.per_predictor {
-            println!(
-                "  predictor {:<10} {} cells  satisfaction {:>5.1}%  slo-viol {:>5.2}%  accuracy {:>6}  {} samples rejected",
-                r.predictor,
-                r.cells,
-                100.0 * r.satisfaction(),
-                100.0 * r.slo_violation_rate(),
-                format_accuracy(r.prediction_accuracy()),
-                r.samples_rejected,
-            );
+    let mut stdout = std::io::stdout().lock();
+    let mut out = Out(&mut stdout);
+    let result = match argv.first().map(String::as_str) {
+        None | Some("--help" | "-h" | "help") => write!(out, "{USAGE}").map(|()| ExitCode::SUCCESS),
+        Some(_) => run(&argv, &mut out),
+    };
+    match result {
+        Ok(code) => code,
+        Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
+        Err(CliError::Message(e)) => {
+            eprintln!("error: {e}");
+            eprint!("{USAGE}");
+            ExitCode::from(2)
         }
     }
 }
 
-fn tournament_summary(outcome: &TournamentOutcome) {
-    println!(
-        "tournament: {} predictors x {} scenarios x {} cells/combo = {} cells, {} ticks each, seed {}",
-        outcome.predictors.len(),
-        outcome.scenarios.len(),
-        outcome.cells_per_combo,
-        outcome.cells,
-        outcome.ticks,
-        outcome.seed,
-    );
-    println!(
-        "scenarios: {} ({} bootstrap resamples per interval)",
-        outcome.scenarios.join(", "),
-        outcome.bootstrap_resamples,
-    );
-    println!(
-        "{:<5} {:<10} {:>5} {:>24} {:>22} {:>10} {:>8} {:>8} {:>9}",
-        "rank",
-        "predictor",
-        "cells",
-        "satisfaction [95% ci]",
-        "slo-viol [95% ci]",
-        "batch",
-        "accuracy",
-        "rejected",
-        "decide",
-    );
-    for s in &outcome.standings {
-        println!(
-            "{:<5} {:<10} {:>5} {:>7.1}% [{:>4.1}, {:>5.1}] {:>6.2}% [{:>4.2}, {:>5.2}] {:>10.0} {:>8} {:>8} {:>9}",
-            s.rank,
-            s.predictor,
-            s.cells,
-            100.0 * s.satisfaction.mean,
-            100.0 * s.satisfaction.lo,
-            100.0 * s.satisfaction.hi,
-            100.0 * s.slo_violation_rate.mean,
-            100.0 * s.slo_violation_rate.lo,
-            100.0 * s.slo_violation_rate.hi,
-            s.batch_work.mean,
-            format_accuracy(s.prediction_accuracy),
-            s.samples_rejected,
-            match s.decide_nanos {
-                Some(nanos) => format!("{:.1}µs", nanos / 1_000.0),
-                None => "n/a".to_string(),
-            },
-        );
-    }
-    println!("per-scenario satisfaction:");
-    for s in &outcome.standings {
-        let row: Vec<String> = s
-            .per_scenario
-            .iter()
-            .map(|sc| format!("{} {:>5.1}%", sc.scenario, 100.0 * sc.satisfaction))
-            .collect();
-        println!("  {:<10} {}", s.predictor, row.join("  "));
-    }
-}
-
-fn cluster_summary(outcome: &ClusterOutcome) {
-    println!(
-        "cluster: {} ({} hosts, {} jobs), {} epochs x {} ticks, seed {}",
-        outcome.scenario,
-        outcome.per_host.len(),
-        outcome.per_job.len(),
-        outcome.epochs,
-        outcome.ticks_per_epoch,
-        outcome.seed,
-    );
-    println!(
-        "placement: {} above per-host {}, migration {}",
-        outcome.cluster_policy,
-        outcome.host_policy,
-        if outcome.migration { "on" } else { "off" },
-    );
-    println!(
-        "qos: {} violations / {} active ticks ({:.1}% satisfaction), pooled slo-violation {:.2}%",
-        outcome.qos.violations,
-        outcome.qos.active_ticks,
-        100.0 * outcome.satisfaction(),
-        100.0 * outcome.slo_violation_rate,
-    );
-    println!(
-        "utilization: mean {:.1}%, gained from batch {:.1}%, total batch work {:.0}",
-        100.0 * outcome.mean_utilization,
-        100.0 * outcome.mean_gained_utilization,
-        outcome.total_batch_work,
-    );
-    println!(
-        "scheduling: {} admissions, {} migrations, {} deferrals, {} queue actions \
-         (max depth {}, mean {:.2}), {} invalid, {} jobs unfinished",
-        outcome.admissions,
-        outcome.migrations,
-        outcome.deferrals,
-        outcome.queue_actions,
-        outcome.max_queue_depth,
-        outcome.mean_queue_depth,
-        outcome.invalid_actions,
-        outcome.jobs_unfinished,
-    );
-    println!(
-        "control: {} throttles, {} resumes, prediction accuracy {}, {} samples rejected, {} log events dropped",
-        outcome.throttles,
-        outcome.resumes,
-        format_accuracy(outcome.prediction_accuracy()),
-        outcome.samples_rejected,
-        outcome.events_dropped,
-    );
-    for h in &outcome.per_host {
-        println!(
-            "  host {:<12} satisfaction {:>5.1}%  slo-viol {:>5.2}%  batch work {:>6.0}  \
-             {} throttles  jobs {:?}",
-            h.name,
-            100.0 * h.qos.satisfaction(),
-            100.0 * h.slo_violation_rate,
-            h.batch_work,
-            h.throttles,
-            h.jobs_hosted,
-        );
-    }
-    for j in &outcome.per_job {
-        println!(
-            "  job  {:<14} {:>6} requests  hosts {:?}  {} migrations  {} queued epochs{}",
-            j.name,
-            j.generated,
-            j.placements,
-            j.migrations,
-            j.queued_epochs,
-            if j.departed { "  (departed)" } else { "" },
-        );
-    }
-}
-
-/// Runs one cluster configuration; the compare table and the single-run
-/// path share this builder so they measure exactly the same experiment.
-fn run_cluster_policy(args: &Args, policy: ClusterPolicySpec) -> Result<ClusterOutcome, String> {
-    let name = args.cluster_scenario.as_deref().unwrap_or("hotspot");
-    let scenario = cluster_by_name(name).map_err(|e| e.to_string())?;
-    let mut config = ClusterConfig::new(scenario, args.seed);
-    config.epochs = args.epochs;
-    config.ticks_per_epoch = args.epoch_ticks;
-    config.workers = args.workers.max(1);
+/// Runs one cluster configuration; the compare table, the single run and
+/// the `events` demo share this builder so they measure exactly the same
+/// experiment. `events` always collects the event stream.
+fn run_cluster_policy(
+    args: &Args,
+    policy: ClusterPolicySpec,
+    default_scenario: &str,
+) -> Result<ClusterOutcome, CliError> {
+    let name = args.text("--cluster-scenario").unwrap_or(default_scenario);
+    let mut config = ClusterConfig::new(cluster_by_name(name)?, args.seed());
+    config.epochs = args.int("--epochs").unwrap_or(24);
+    config.ticks_per_epoch = args.int("--epoch-ticks").unwrap_or(8);
+    config.workers = args.workers();
     config.cluster_policy = policy;
-    config.host_policy =
-        PolicySpec::parse(args.policy_or("stay-away")).map_err(|e| e.to_string())?;
-    config.migration = !args.no_migration;
-    config.collect_metrics = args.metrics_out.is_some() || args.http.is_some();
-    config.collect_events =
-        args.events_out.is_some() || args.http.is_some() || args.command == "events";
-    let cluster = Cluster::new(config).map_err(|e| e.to_string())?;
-    cluster.run().map_err(|e| e.to_string())
+    config.host_policy = PolicySpec::parse(args.policy_or("stay-away"))?;
+    config.migration = !args.switch("--no-migration");
+    config.collect_metrics = args.wants_metrics();
+    config.collect_events = args.wants_events() || args.command == "events";
+    Ok(Cluster::new(config)?.run()?)
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
-    let args = parse_args(argv)?;
-    let scenario_name = args.scenario.clone().unwrap_or(DEFAULT_SCENARIO.into());
+/// `--cluster-policy`, default scoring placement.
+fn cluster_policy(args: &Args) -> Result<ClusterPolicySpec, CliError> {
+    Ok(ClusterPolicySpec::parse(
+        args.text("--cluster-policy").unwrap_or("score"),
+    )?)
+}
+
+fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
+    let args = &parse_args(argv)?;
+    let json = args.switch("--json");
     match args.command.as_str() {
         "list" => {
-            println!("sensitive applications: vlc, web-cpu, web-mem, web-mix");
-            println!(
-                "batch applications:     {}",
-                BatchKind::ALL.map(|k| k.name()).join(", ")
-            );
-            println!("policies:               stayaway, reactive, static, always, null");
-            println!(
-                "predictors:             {}",
-                PredictorSpec::all()
-                    .iter()
-                    .map(|p| p.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            println!("workload scenarios:     see `stayaway scenarios`");
+            let batch = BatchKind::ALL.map(|k| k.name()).join(", ");
+            let predictors: Vec<&str> = PredictorSpec::all().iter().map(|p| p.name()).collect();
+            let cluster_policies = ClusterPolicySpec::all().map(|p| p.name()).join(", ");
+            let predictors = predictors.join(", ");
+            writeln!(
+                out,
+                "sensitive applications: vlc, web-cpu, web-mem, web-mix"
+            )?;
+            writeln!(out, "batch applications:     {batch}")?;
+            writeln!(
+                out,
+                "policies:               stayaway, reactive, static, always, null"
+            )?;
+            writeln!(out, "predictors:             {predictors}")?;
+            writeln!(out, "workload scenarios:     see `stayaway scenarios`")?;
             for c in cluster_library() {
-                println!("cluster scenario:       {:<14} {}", c.name, c.description);
+                let (name, about) = (c.name, c.description);
+                writeln!(out, "cluster scenario:       {name:<14} {about}")?;
             }
-            println!(
-                "cluster policies:       {}",
-                ClusterPolicySpec::all().map(|p| p.name()).join(", ")
-            );
-            Ok(())
+            writeln!(out, "cluster policies:       {cluster_policies}")?;
         }
         "scenarios" => {
             let library = stay_away::workload::library();
-            if args.json {
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&library).expect("scenario json")
-                );
-                return Ok(());
+            if json {
+                writeln!(out, "{}", serde_json::to_string_pretty(&library)?)?;
+                return Ok(ExitCode::SUCCESS);
             }
             for scenario in &library {
-                println!("{:<20} {}", scenario.name, scenario.description);
-                println!(
+                writeln!(out, "{:<20} {}", scenario.name, scenario.description)?;
+                writeln!(
+                    out,
                     "{:20} slo: {} ms deadline, {:.0}% of a tick's requests",
                     "",
                     scenario.slo.deadline_ms,
                     100.0 * scenario.slo.target_satisfaction,
-                );
+                )?;
                 for tenant in &scenario.tenants {
-                    println!(
+                    writeln!(
+                        out,
                         "{:20} {:<9} {:<12} {}",
                         "",
                         tenant.class.to_string(),
                         tenant.name,
                         tenant.arrival.summary(),
-                    );
+                    )?;
                 }
-                println!(
+                let co_runners = scenario.co_runners();
+                writeln!(
+                    out,
                     "{:20} co-runners: {}",
                     "",
-                    match scenario.co_runners().join(", ") {
-                        ref s if s.is_empty() => "none".to_string(),
-                        s => s,
+                    if co_runners.is_empty() {
+                        "none".to_string()
+                    } else {
+                        co_runners.join(", ")
                     },
-                );
+                )?;
             }
-            Ok(())
         }
         "bench-scenarios" => {
-            let policies = PolicySpec::parse_list(args.policy_or("stayaway,reactive,null"))
-                .map_err(|e| e.to_string())?;
+            let policies = PolicySpec::parse_list(args.policy_or("stayaway,reactive,null"))?;
             let mut table = BenchTable::default();
             for scenario in stay_away::workload::library() {
                 for spec in &policies {
-                    let mut policy = spec
-                        .build(&ControllerConfig::default(), &scenario.host)
-                        .map_err(|e| e.to_string())?;
-                    let row = bench_scenario(&scenario, policy.as_mut(), args.seed, args.ticks)
-                        .map_err(|e| e.to_string())?;
-                    table.rows.push(row);
+                    let mut policy = spec.build(&ControllerConfig::default(), &scenario.host)?;
+                    table.rows.push(bench_scenario(
+                        &scenario,
+                        policy.as_mut(),
+                        args.seed(),
+                        args.ticks(),
+                    )?);
                 }
             }
-            if args.json {
-                println!("{}", table.to_json().map_err(|e| e.to_string())?);
+            if json {
+                writeln!(out, "{}", table.to_json()?)?;
             } else {
-                print!("{}", table.render());
+                write!(out, "{}", table.render())?;
             }
-            Ok(())
         }
         "run" => {
-            let source = SourceSpec::parse(&args.source).map_err(|e| e.to_string())?;
-            // Workload runs bypass the `<sensitive>+<batch>` scenario
-            // machinery: the named library scenario IS the workload, and
-            // the concrete source exposes per-request latency QoS.
-            if let SourceSpec::Workload { scenario } = &source {
-                return run_workload(scenario, &args);
-            }
-            let scenario = parse_scenario(&scenario_name, args.seed)?;
-            // `--http` wants a live registry behind `/metrics` even when
-            // no snapshot export was requested.
-            let registry =
-                (args.metrics_out.is_some() || args.http.is_some()).then(MetricsRegistry::new);
-            let introspection = run_introspection(&args, registry.as_ref())?;
-            let (out, policy, cap) = run_policy_by_name(
-                &scenario,
-                args.policy_or("stay-away"),
-                &args.controller_config()?,
-                &source,
-                args.seed,
-                args.ticks,
-                registry.as_ref(),
-                introspection.as_ref(),
-            )?;
-            let stats = policy.stats();
-            // Baselines track nothing; only show controller internals when
-            // the policy actually counted its periods.
-            let stats = (stats.periods > 0).then_some(&stats);
-            summarize(policy.name(), scenario.name(), cap, &out, stats, args.json);
-            if let (Some(path), Some(registry)) = (&args.metrics_out, &registry) {
-                write_metrics(&registry.snapshot(), path)?;
-            }
-            finish_introspection(&args, introspection)?;
-            Ok(())
+            let source = args.source()?;
+            // A workload run is named after its library scenario, which the
+            // source carries; `--scenario` names the simulator's.
+            let scenario = match &source {
+                SourceSpec::Workload { .. } => source.label(),
+                _ => args.scenario_name().to_string(),
+            };
+            let job = HostJob {
+                source: Some(source),
+                ..HostJob::default()
+            };
+            let (outcome, instruments, server) = single_host(args, out, job)?;
+            summarize(out, json, &outcome.run.policy, &scenario, &outcome, true)?;
+            let metrics = instruments.registry.map(|r| r.snapshot());
+            let events = instruments.recorder.map(|r| r.events());
+            let (metrics, events) = (metrics.as_ref(), events.as_deref());
+            publish(args, out, "run", metrics, events, server, NO_STATE)?;
         }
         "metrics" => {
-            let scenario = parse_scenario(&scenario_name, args.seed)?;
-            let source = SourceSpec::parse(&args.source).map_err(|e| e.to_string())?;
-            let registry = MetricsRegistry::new();
-            run_policy_by_name(
-                &scenario,
-                args.policy_or("stay-away"),
-                &args.controller_config()?,
-                &source,
-                args.seed,
-                args.ticks,
-                Some(&registry),
-                None,
-            )?;
-            let snapshot = registry.snapshot();
-            match &args.metrics_out {
-                Some(path) => write_metrics(&snapshot, path)?,
+            let job = HostJob {
+                registry: true,
+                ..HostJob::default()
+            };
+            let (_, instruments, _) = single_host(args, out, job)?;
+            let snapshot = instruments.registry.expect("asked for above").snapshot();
+            match args.text("--metrics-out") {
+                Some(path) => write_metrics(out, &snapshot, path)?,
                 // Default exposition: JSON with --json, Prometheus text
                 // otherwise, both to stdout.
-                None if args.json => println!(
-                    "{}",
-                    serde_json::to_string_pretty(&to_json(&snapshot)).expect("metrics json")
-                ),
-                None => print!("{}", to_prometheus(&snapshot)),
+                None if json => writeln!(out, "{}", metrics_json(&snapshot)?)?,
+                None => write!(out, "{}", to_prometheus(&snapshot))?,
             }
-            Ok(())
         }
         "compare" => {
-            let scenario = parse_scenario(&scenario_name, args.seed)?;
-            let source = SourceSpec::parse(&args.source).map_err(|e| e.to_string())?;
-            println!(
+            let (scenario, source) = (args.scenario()?, args.source()?);
+            writeln!(
+                out,
                 "scenario: {} ({} ticks, seed {}, source {})\n",
                 scenario.name(),
-                args.ticks,
-                args.seed,
+                args.ticks(),
+                args.seed(),
                 source.name(),
-            );
-            let config = args.controller_config()?;
+            )?;
             for policy in ["null", "always", "reactive", "static", "stayaway"] {
-                let (out, built, cap) = run_policy_by_name(
-                    &scenario, policy, &config, &source, args.seed, args.ticks, None, None,
-                )?;
-                summarize(built.name(), scenario.name(), cap, &out, None, args.json);
+                let job = HostJob {
+                    policy: Some(policy),
+                    ..HostJob::default()
+                };
+                let (outcome, ..) = single_host(args, out, job)?;
+                let label = &outcome.run.policy;
+                summarize(out, json, label, scenario.name(), &outcome, false)?;
             }
-            Ok(())
         }
         "capture" => {
-            let scenario = parse_scenario(&scenario_name, args.seed)?;
-            let (out, policy, cap) = run_policy_by_name(
-                &scenario,
-                "stay-away",
-                &args.controller_config()?,
-                &SourceSpec::Sim,
-                args.seed,
-                args.ticks,
-                None,
-                None,
-            )?;
-            let sens_name = scenario_name.split('+').next().unwrap_or("sensitive");
-            let template = policy
-                .export_template(sens_name)
-                .map_err(|e| e.to_string())?
-                .ok_or("the selected policy does not learn templates")?;
-            let path = args.out.unwrap_or_else(|| "template.json".into());
-            template.save_to_path(&path).map_err(|e| e.to_string())?;
-            summarize("stay-away", scenario.name(), cap, &out, None, args.json);
-            println!(
+            let scenario = args.scenario_name();
+            let job = HostJob {
+                export_as: Some(scenario.split('+').next().unwrap_or("sensitive")),
+                ..HostJob::default()
+            };
+            let (outcome, ..) = single_host(args, out, job)?;
+            let Some(template) = &outcome.template else {
+                return fail("the selected policy does not learn templates");
+            };
+            let path = args.text("--out").unwrap_or("template.json");
+            template.save_to_path(path)?;
+            summarize(out, json, "stay-away", scenario, &outcome, false)?;
+            writeln!(
+                out,
                 "template with {} states ({} violation) written to {path}",
                 template.len(),
                 template.violation_count()
-            );
-            Ok(())
+            )?;
         }
         "reuse" => {
-            let config = args.controller_config()?;
-            let path = args.template.ok_or("reuse requires --template <path>")?;
-            let template = Template::load_from_path(&path).map_err(|e| e.to_string())?;
-            let scenario = parse_scenario(&scenario_name, args.seed)?;
-            let mut harness = scenario.build_harness().map_err(|e| e.to_string())?;
-            let mut policy = PolicySpec::StayAway
-                .build(&config, harness.host().spec())
-                .map_err(|e| e.to_string())?;
-            policy
-                .import_template(&template)
-                .map_err(|e| e.to_string())?;
-            let out = harness.run(policy.as_mut(), args.ticks);
-            println!(
+            let Some(path) = args.text("--template") else {
+                return fail("reuse requires --template <path>");
+            };
+            let template = Template::load_from_path(path)?;
+            let job = HostJob {
+                import: Some(&template),
+                ..HostJob::default()
+            };
+            let (outcome, ..) = single_host(args, out, job)?;
+            writeln!(
+                out,
                 "seeded with {} template states ({} violation) from {path}",
                 template.len(),
                 template.violation_count()
-            );
-            summarize(
-                "stay-away+tpl",
-                scenario.name(),
-                scenario.host_spec().cpu_cores,
-                &out,
-                None,
-                args.json,
-            );
-            Ok(())
+            )?;
+            let scenario = args.scenario_name();
+            summarize(out, json, "stay-away+tpl", scenario, &outcome, false)?;
         }
         "record" => {
-            let scenario = parse_scenario(&scenario_name, args.seed)?;
-            let spec = PolicySpec::parse(args.policy_or("stay-away")).map_err(|e| e.to_string())?;
-            let harness = scenario.build_harness().map_err(|e| e.to_string())?;
-            let host_spec = *harness.host().spec();
-            let mut policy = spec
-                .build(&args.controller_config()?, &host_spec)
-                .map_err(|e| e.to_string())?;
-            let path = args.out.unwrap_or_else(|| "trace.jsonl".into());
-            let file = std::fs::File::create(&path).map_err(|e| e.to_string())?;
-            let mut recorder =
-                RecordingSource::new(SimSource::new(harness), std::io::BufWriter::new(file))
-                    .map_err(|e| e.to_string())?;
-            let out =
-                drive(&mut recorder, policy.as_mut(), args.ticks).map_err(|e| e.to_string())?;
-            recorder.finish().map_err(|e| e.to_string())?;
-            summarize(
-                policy.name(),
-                scenario.name(),
-                host_spec.cpu_cores,
-                &out,
-                None,
-                args.json,
-            );
-            println!(
+            // Reject a bad scenario before creating the file.
+            args.scenario()?;
+            let path = args.text("--out").unwrap_or("trace.jsonl");
+            let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
+            let job = HostJob {
+                trace_out: Some(Box::new(&mut file)),
+                ..HostJob::default()
+            };
+            let (outcome, ..) = single_host(args, out, job)?;
+            file.flush()?;
+            let (label, scenario) = (&outcome.run.policy, args.scenario_name());
+            summarize(out, json, label, scenario, &outcome, false)?;
+            writeln!(
+                out,
                 "trace with {} observations written to {path}",
-                out.timeline.len()
-            );
-            Ok(())
+                outcome.run.timeline.len()
+            )?;
         }
         "replay" => {
-            let path = args.trace.clone().ok_or("replay requires --trace <path>")?;
-            let mut source = TraceSource::open(&path).map_err(|e| e.to_string())?;
-            let recorded_from = source.header().recorded_from;
-            // The controller runs against the capacities the trace was
-            // recorded on; traces without a host spec get the defaults.
-            let host_spec = source.header().host.unwrap_or_default();
-            let spec = PolicySpec::parse(args.policy_or("stay-away")).map_err(|e| e.to_string())?;
-            let mut policy = spec
-                .build(&args.controller_config()?, &host_spec)
-                .map_err(|e| e.to_string())?;
-            let out = drive(&mut source, policy.as_mut(), args.ticks).map_err(|e| e.to_string())?;
-            println!(
+            let Some(path) = args.text("--trace") else {
+                return fail("replay requires --trace <path>");
+            };
+            let recorded_from = TraceSource::open(path)?.header().recorded_from;
+            // From here on: `run --source trace:<path>` plus one header line.
+            let job = HostJob {
+                source: Some(SourceSpec::Trace { path: path.into() }),
+                ..HostJob::default()
+            };
+            let (outcome, ..) = single_host(args, out, job)?;
+            writeln!(
+                out,
                 "replayed {} observations from {path} (recorded from {recorded_from})",
-                out.timeline.len(),
-            );
-            let stats = policy.stats();
-            let stats = (stats.periods > 0).then_some(&stats);
-            summarize(
-                policy.name(),
-                &format!("replay:{path}"),
-                host_spec.cpu_cores,
-                &out,
-                stats,
-                args.json,
-            );
-            Ok(())
+                outcome.run.timeline.len(),
+            )?;
+            let scenario = format!("replay:{path}");
+            summarize(out, json, &outcome.run.policy, &scenario, &outcome, true)?;
         }
         "fleet" => {
-            let scenarios = match &args.scenario {
-                Some(name) => vec![parse_scenario(name, args.seed)?],
-                None => FleetConfig::standard_mix(args.seed),
-            };
-            let policies =
-                PolicySpec::parse_list(args.policy_or("stay-away")).map_err(|e| e.to_string())?;
-            let predictors = PredictorSpec::parse_list(args.predictor.as_deref().unwrap_or("kde"))
-                .map_err(|e| e.to_string())?;
-            let sources = SourceSpec::parse_list(&args.source).map_err(|e| e.to_string())?;
             let config = FleetConfig {
-                cells: args.cells.unwrap_or(8),
-                workers: args.workers,
-                ticks: args.ticks,
-                fleet_seed: args.seed,
-                share_templates: args.share_templates,
-                scenarios,
-                policies,
-                predictors,
-                sources,
+                cells: args.count("--cells").unwrap_or(8),
+                workers: args.workers(),
+                ticks: args.ticks(),
+                fleet_seed: args.seed(),
+                share_templates: args.switch("--share-templates"),
+                scenarios: match args.text("--scenario") {
+                    Some(name) => vec![Scenario::parse(name, args.seed())?],
+                    None => FleetConfig::standard_mix(args.seed()),
+                },
+                policies: PolicySpec::parse_list(args.policy_or("stay-away"))?,
+                predictors: PredictorSpec::parse_list(args.text("--predictor").unwrap_or("kde"))?,
+                sources: SourceSpec::parse_list(args.text("--source").unwrap_or("sim"))?,
                 controller: ControllerConfig::default(),
-                collect_metrics: args.metrics_out.is_some() || args.http.is_some(),
-                collect_events: args.events_out.is_some() || args.http.is_some(),
+                collect_metrics: args.wants_metrics(),
+                collect_events: args.wants_events(),
                 mapping_workers: 1,
             };
-            let fleet = Fleet::new(config).map_err(|e| e.to_string())?;
-            let outcome = fleet.run().map_err(|e| e.to_string())?;
-            if args.json {
-                println!("{}", outcome.to_json().map_err(|e| e.to_string())?);
-            } else {
-                fleet_summary(&outcome);
+            let outcome = Fleet::new(config)?.run()?;
+            match json {
+                true => writeln!(out, "{}", outcome.to_json()?)?,
+                false => write!(out, "{}", outcome.render())?,
             }
-            if let Some(path) = &args.metrics_out {
-                let rollup = outcome
-                    .metrics
-                    .as_ref()
-                    .ok_or("fleet produced no metrics rollup")?;
-                write_metrics(rollup, path)?;
-            }
-            if let Some(path) = &args.events_out {
-                let events = outcome
-                    .events
-                    .as_ref()
-                    .ok_or("fleet produced no event stream")?;
-                write_events(events, path)?;
-            }
-            serve_outcome_http(
-                &args,
-                outcome.metrics.as_ref(),
-                outcome.events.clone(),
-                fleet_state_json(&outcome),
+            let (metrics, events) = (outcome.metrics.as_ref(), outcome.events.as_deref());
+            publish(
+                args,
+                out,
+                "fleet",
+                metrics,
+                events,
+                None,
+                outcome.state_json(),
             )?;
-            Ok(())
         }
         "tournament" => {
-            let mut config = TournamentConfig::new(args.seed);
-            if let Some(tokens) = &args.predictor {
-                config.predictors = PredictorSpec::parse_list(tokens).map_err(|e| e.to_string())?;
+            let mut config = TournamentConfig::new(args.seed());
+            if let Some(tokens) = args.text("--predictor") {
+                config.predictors = PredictorSpec::parse_list(tokens)?;
             }
-            if let Some(names) = &args.scenario {
+            if let Some(names) = args.text("--scenario") {
                 config.scenarios = names
                     .split(',')
                     .map(str::trim)
@@ -1588,191 +1008,196 @@ fn run(argv: &[String]) -> Result<(), String> {
                     .map(String::from)
                     .collect();
             }
-            config.cells_per_combo = args.cells.unwrap_or(3);
-            config.ticks = args.ticks;
-            config.workers = args.workers.max(1);
-            config.bootstrap_resamples = args.resamples;
+            config.cells_per_combo = args.count("--cells").unwrap_or(3);
+            config.ticks = args.ticks();
+            config.workers = args.workers();
+            config.bootstrap_resamples = args.count("--resamples").unwrap_or(1000);
             // Latency calibration is wall-clock and text-only; JSON output
             // is the deterministic contract, so skip the extra runs there.
-            config.calibrate_latency = !args.json;
-            config.collect_metrics = args.metrics_out.is_some();
-            let outcome = run_tournament(&config).map_err(|e| e.to_string())?;
-            if args.json {
-                println!("{}", outcome.to_json().map_err(|e| e.to_string())?);
-            } else {
-                tournament_summary(&outcome);
+            config.calibrate_latency = !json;
+            config.collect_metrics = args.wants_metrics();
+            let outcome = run_tournament(&config)?;
+            match json {
+                true => writeln!(out, "{}", outcome.to_json()?)?,
+                false => write!(out, "{}", outcome.render())?,
             }
-            if let Some(path) = &args.metrics_out {
-                let rollup = outcome
-                    .metrics
-                    .as_ref()
-                    .ok_or("tournament produced no metrics rollup")?;
-                write_metrics(rollup, path)?;
+            let metrics = outcome.metrics.as_ref();
+            publish(args, out, "tournament", metrics, None, None, NO_STATE)?;
+        }
+        "cluster" if args.switch("--compare") => {
+            let reference = run_cluster_policy(args, ClusterPolicySpec::NoPlacement, "hotspot")?;
+            writeln!(
+                out,
+                "cluster comparison: {} ({} epochs x {} ticks, seed {}, host policy {}, migration {})\n",
+                reference.scenario,
+                reference.epochs,
+                reference.ticks_per_epoch,
+                reference.seed,
+                reference.host_policy,
+                if reference.migration { "on" } else { "off" },
+            )?;
+            writeln!(
+                out,
+                "{:<14} {:>10} {:>9} {:>8} {:>7} {:>6} {:>6} {:>7} {:>11}",
+                "policy",
+                "batch-work",
+                "slo-viol",
+                "satisf",
+                "admits",
+                "migr",
+                "defer",
+                "queued",
+                "log-dropped",
+            )?;
+            for spec in ClusterPolicySpec::all() {
+                let row = if spec == ClusterPolicySpec::NoPlacement {
+                    reference.clone()
+                } else {
+                    run_cluster_policy(args, spec, "hotspot")?
+                };
+                writeln!(
+                    out,
+                    "{:<14} {:>10.0} {:>8.2}% {:>7.1}% {:>7} {:>6} {:>6} {:>7} {:>11}",
+                    row.cluster_policy,
+                    row.total_batch_work,
+                    100.0 * row.slo_violation_rate,
+                    100.0 * row.satisfaction(),
+                    row.admissions,
+                    row.migrations,
+                    row.deferrals,
+                    row.queue_actions,
+                    row.events_dropped,
+                )?;
             }
-            Ok(())
         }
         "cluster" => {
-            if args.compare {
-                let reference = run_cluster_policy(&args, ClusterPolicySpec::NoPlacement)?;
-                println!(
-                    "cluster comparison: {} ({} epochs x {} ticks, seed {}, host policy {}, migration {})\n",
-                    reference.scenario,
-                    reference.epochs,
-                    reference.ticks_per_epoch,
-                    reference.seed,
-                    reference.host_policy,
-                    if !args.no_migration { "on" } else { "off" },
-                );
-                println!(
-                    "{:<14} {:>10} {:>9} {:>8} {:>7} {:>6} {:>6} {:>7} {:>11}",
-                    "policy",
-                    "batch-work",
-                    "slo-viol",
-                    "satisf",
-                    "admits",
-                    "migr",
-                    "defer",
-                    "queued",
-                    "log-dropped",
-                );
-                for spec in ClusterPolicySpec::all() {
-                    let out = if spec == ClusterPolicySpec::NoPlacement {
-                        reference.clone()
-                    } else {
-                        run_cluster_policy(&args, spec)?
-                    };
-                    println!(
-                        "{:<14} {:>10.0} {:>8.2}% {:>7.1}% {:>7} {:>6} {:>6} {:>7} {:>11}",
-                        out.cluster_policy,
-                        out.total_batch_work,
-                        100.0 * out.slo_violation_rate,
-                        100.0 * out.satisfaction(),
-                        out.admissions,
-                        out.migrations,
-                        out.deferrals,
-                        out.queue_actions,
-                        out.events_dropped,
-                    );
-                }
-                return Ok(());
+            let outcome = run_cluster_policy(args, cluster_policy(args)?, "hotspot")?;
+            match json {
+                true => writeln!(out, "{}", outcome.to_json()?)?,
+                false => write!(out, "{}", outcome.render())?,
             }
-            let policy =
-                ClusterPolicySpec::parse(args.cluster_policy.as_deref().unwrap_or("score"))
-                    .map_err(|e| e.to_string())?;
-            let outcome = run_cluster_policy(&args, policy)?;
-            if args.json {
-                println!("{}", outcome.to_json().map_err(|e| e.to_string())?);
-            } else {
-                cluster_summary(&outcome);
-            }
-            if let Some(path) = &args.metrics_out {
-                let rollup = outcome
-                    .metrics
-                    .as_ref()
-                    .ok_or("cluster produced no metrics rollup")?;
-                write_metrics(rollup, path)?;
-            }
-            if let Some(path) = &args.events_out {
-                let events = outcome
-                    .events
-                    .as_ref()
-                    .ok_or("cluster produced no event stream")?;
-                write_events(events, path)?;
-            }
-            serve_outcome_http(
-                &args,
-                outcome.metrics.as_ref(),
-                outcome.events.clone(),
-                cluster_state_json(&outcome),
+            let (metrics, events) = (outcome.metrics.as_ref(), outcome.events.as_deref());
+            publish(
+                args,
+                out,
+                "cluster",
+                metrics,
+                events,
+                None,
+                outcome.state_json(),
             )?;
-            Ok(())
         }
         "events" => {
-            let events = load_or_record_events(&args)?;
-            if let Some(token) = &args.cause {
-                let id = EventId::parse(token).map_err(|e| e.to_string())?;
-                return print_causal_chain(&events, id);
+            // `--events-in` reads a JSONL export, otherwise a demo cluster
+            // run records one live. storm-cluster is the demo default
+            // because it exercises every cluster verb including migration
+            // (hotspot under scoring placement admits cleanly and never
+            // migrates).
+            let events = match args.text("--events-in") {
+                Some(path) => match events_from_jsonl(&read_text_input(path)?) {
+                    Ok(events) => events,
+                    Err(e) => return fail(format!("{path}: {e}")),
+                },
+                None => run_cluster_policy(args, cluster_policy(args)?, "storm-cluster")?
+                    .events
+                    .expect("the events command always collects the stream"),
+            };
+            if let Some(token) = args.text("--cause") {
+                let id = EventId::parse(token).map_err(CliError::Message)?;
+                for (depth, event) in causal_chain(&events, id)?.into_iter().enumerate() {
+                    match depth {
+                        0 => writeln!(out, "{}", event.render())?,
+                        _ => writeln!(
+                            out,
+                            "{:indent$}caused by {}",
+                            "",
+                            event.render(),
+                            indent = depth * 2
+                        )?,
+                    }
+                }
+                return Ok(ExitCode::SUCCESS);
             }
             let kind = args
-                .kind
-                .as_deref()
+                .text("--kind")
                 .map(EventKind::parse)
                 .transpose()
-                .map_err(|e| e.to_string())?;
+                .map_err(CliError::Message)?;
+            let (host, from, to) = (
+                args.int("--host"),
+                args.int("--tick-from"),
+                args.int("--tick-to"),
+            );
             let filtered: Vec<EventRecord> = events
                 .into_iter()
                 .filter(|e| kind.is_none_or(|k| e.kind == k))
-                .filter(|e| args.host.is_none_or(|scope| e.scope == scope))
-                .filter(|e| args.tick_from.is_none_or(|from| e.tick >= from))
-                .filter(|e| args.tick_to.is_none_or(|to| e.tick <= to))
+                .filter(|e| host.is_none_or(|scope| u64::from(e.scope) == scope))
+                .filter(|e| from.is_none_or(|from| e.tick >= from))
+                .filter(|e| to.is_none_or(|to| e.tick <= to))
                 .collect();
-            if let Some(path) = &args.events_out {
-                write_events(&filtered, path)?;
-            } else if args.json {
-                print!("{}", events_to_jsonl(&filtered));
+            if let Some(path) = args.text("--events-out") {
+                write_events(out, &filtered, path)?;
+            } else if json {
+                write!(out, "{}", events_to_jsonl(&filtered))?;
             } else {
                 for event in &filtered {
-                    println!("{}", render_event(event));
+                    writeln!(out, "{}", event.render())?;
                 }
-                println!("{} events", filtered.len());
+                writeln!(out, "{} events", filtered.len())?;
             }
-            Ok(())
         }
         "metrics-diff" => {
-            let [a_path, b_path] = args.positional.as_slice() else {
-                return Err(
-                    "metrics-diff expects exactly two snapshot paths (from --metrics-out *.json)"
-                        .into(),
-                );
+            let load = |path: &String| match parse_snapshot(&read_text_input(path)?) {
+                Ok(series) => Ok(series),
+                Err(e) => fail(format!("{path}: {e}")),
             };
-            let rows =
-                diff_metric_values(&load_metric_values(a_path)?, &load_metric_values(b_path)?);
+            let rows = diff_series(&load(&args.operands[0])?, &load(&args.operands[1])?);
+            let number = |text: &str| text.parse::<f64>().expect("parse_args checked the shape");
+            let threshold = args.text("--threshold").map_or(0.0, number);
+            // `<metric>=<tolerance>` values can only be `--threshold-for`'s.
+            let overrides: Vec<(&str, &str)> = args
+                .values
+                .iter()
+                .filter_map(|(_, value)| value.split_once('='))
+                .collect();
             let mut failures = 0usize;
             for row in &rows {
-                let tolerance = args
-                    .threshold_for
-                    .iter()
-                    .find(|(name, _)| *name == row.metric)
-                    .map(|(_, tol)| *tol)
-                    .unwrap_or(args.threshold);
+                // The first override naming the metric beats `--threshold`.
+                let named = overrides.iter().find(|(metric, _)| *metric == row.metric);
+                let tolerance = named.map_or(threshold, |(_, tolerance)| number(tolerance));
                 if row.rel > tolerance {
                     failures += 1;
-                    println!(
+                    writeln!(
+                        out,
                         "FAIL {:<44} a={} b={} rel={:.6} tolerance={}",
                         row.key, row.a, row.b, row.rel, tolerance
-                    );
+                    )?;
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "metrics-diff: {} series compared, {} beyond tolerance",
                 rows.len(),
                 failures
-            );
-            if failures > 0 {
-                // A plain exit keeps CI semantics crisp: nonzero means
-                // the gate tripped, stderr stays free for real errors.
-                std::process::exit(1);
-            }
-            Ok(())
+            )?;
+            // Exit 1 means the gate tripped; stderr and exit 2 stay
+            // reserved for real errors.
+            return Ok(ExitCode::from(u8::from(failures > 0)));
         }
         "promlint" => {
-            let path = args.positional.first().map(String::as_str).unwrap_or("-");
+            let path = args.operands.first().map_or("-", String::as_str);
             let text = read_text_input(path)?;
-            match promlint::validate(&text) {
-                Ok(()) => {
-                    println!("{path}: exposition lints clean");
-                    Ok(())
+            if let Err(errors) = promlint::validate(&text) {
+                for error in &errors {
+                    writeln!(out, "{path}: {error}")?;
                 }
-                Err(errors) => {
-                    for error in &errors {
-                        println!("{path}: {error}");
-                    }
-                    std::process::exit(1);
-                }
+                return Ok(ExitCode::from(1));
             }
+            writeln!(out, "{path}: exposition lints clean")?;
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` is in COMMANDS but has no arm"),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 #[cfg(test)]
@@ -1783,16 +1208,127 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    /// Runs one command line in-process; returns the exit code (or the
+    /// error message) and everything it printed.
+    fn cli(line: &str) -> (Result<ExitCode, String>, String) {
+        let mut stdout = Vec::new();
+        let result = run(&argv(line), &mut Out(&mut stdout)).map_err(|e| match e {
+            CliError::Message(message) => message,
+            CliError::StdoutClosed => unreachable!("a Vec never closes"),
+        });
+        (result, String::from_utf8(stdout).expect("utf-8 output"))
+    }
+
+    /// Stdout of a command line that must succeed with exit code 0.
+    fn stdout_of(line: &str) -> String {
+        let (result, stdout) = cli(line);
+        assert_eq!(result, Ok(ExitCode::SUCCESS), "`{line}`");
+        stdout
+    }
+
+    /// The error message of a command line that must fail.
+    fn error_of(line: &str) -> String {
+        cli(line).0.expect_err(line)
+    }
+
+    /// A scratch file path unique to this test process.
+    fn scratch(name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("stayaway-bin-{}-{name}", std::process::id()));
+        path.to_str().expect("utf-8 temp dir").to_string()
+    }
+
+    #[test]
+    fn usage_and_flag_table_agree() {
+        let (commands, options) = USAGE
+            .split_once("\noptions:\n")
+            .expect("USAGE has an options section");
+        // An entry line is indented by exactly two spaces; continuation
+        // lines are indented further.
+        let entries = |section: &'static str| {
+            section
+                .lines()
+                .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+                .map(|l| l.split_whitespace().take(2).collect::<Vec<_>>())
+        };
+        let documented: Vec<&str> = entries(commands.split_once("\ncommands:\n").unwrap().1)
+            .map(|entry| entry[0])
+            .collect();
+        assert_eq!(documented, COMMANDS, "USAGE commands vs COMMANDS, in order");
+
+        let documented: Vec<(&str, bool)> = entries(options)
+            .map(|entry| (entry[0], entry[1].starts_with('<')))
+            .collect();
+        let table: Vec<(&str, bool)> = FLAGS
+            .iter()
+            .map(|&(name, shape, _)| (name, shape != Switch))
+            .collect();
+        assert_eq!(
+            documented, table,
+            "USAGE options vs FLAGS: (name, takes a value), in order"
+        );
+        // Every subcommand named in the tables is a real one.
+        let readers = FLAGS.iter().flat_map(|(_, _, read_by)| read_by.split(' '));
+        for named in readers.chain(OPERANDS.iter().map(|(command, ..)| *command)) {
+            assert!(COMMANDS.contains(&named), "`{named}` is not a subcommand");
+        }
+    }
+
+    #[test]
+    fn every_subcommand_accepts_the_flags_it_reads_and_rejects_one_it_does_not() {
+        for command in COMMANDS {
+            let reads = |flag: &&(&str, Shape, &str)| flag.2.split(' ').any(|r| r == command);
+            let mut line = vec![command.to_string()];
+            if let Some((_, min, _)) = OPERANDS.iter().find(|o| o.0 == command) {
+                line.extend((0..*min).map(|i| format!("operand{i}")));
+            }
+            for (name, shape, _) in FLAGS.iter().filter(reads) {
+                line.push(name.to_string());
+                line.extend(match shape {
+                    Switch => None,
+                    Text => Some("text".to_string()),
+                    Int => Some("3".to_string()),
+                    Float => Some("0.5".to_string()),
+                    Pair => Some("metric=0.5".to_string()),
+                });
+            }
+            let args = parse_args(&line).unwrap_or_else(|e| panic!("`{}`: {e:?}", line.join(" ")));
+            for (name, ..) in FLAGS.iter().filter(reads) {
+                assert!(args.switch(name), "{command} {name}");
+            }
+            let (stranger, ..) = FLAGS
+                .iter()
+                .find(|flag| !reads(flag))
+                .expect("no subcommand reads every flag");
+            let message = match parse_args(&argv(&format!("{command} {stranger} 1"))) {
+                Err(CliError::Message(message)) => message,
+                other => panic!("{command} accepted {stranger}: {other:?}"),
+            };
+            assert_eq!(message, format!("{stranger} is not read by `{command}`"));
+        }
+    }
+
+    #[test]
+    fn operands_are_counted_per_subcommand() {
+        assert!(parse_args(&argv("metrics-diff a.json b.json")).is_ok());
+        assert!(error_of("metrics-diff a.json").contains("exactly 2 operands"));
+        assert!(error_of("metrics-diff a.json b.json c.json").contains("exactly 2 operands, got 3"));
+        assert!(parse_args(&argv("promlint")).is_ok());
+        // A bare `-` is the stdin operand, not a flag.
+        assert_eq!(parse_args(&argv("promlint -")).unwrap().operands, ["-"]);
+        assert!(error_of("promlint a b").contains("at most 1"));
+        assert!(error_of("run stray").contains("`run` takes no operands, got 1: stray"));
+    }
+
     #[test]
     fn parses_introspection_flags() {
         let a = parse_args(&argv(
             "run --http 127.0.0.1:0 --http-linger 2 --events-out ev.jsonl --metrics-out m.json",
         ))
         .unwrap();
-        assert_eq!(a.http.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(a.http_linger, 2);
-        assert_eq!(a.events_out.as_deref(), Some("ev.jsonl"));
-        assert_eq!(a.metrics_out.as_deref(), Some("m.json"));
+        assert_eq!(a.text("--http"), Some("127.0.0.1:0"));
+        assert_eq!(a.int("--http-linger"), Some(2));
+        assert_eq!(a.text("--events-out"), Some("ev.jsonl"));
+        assert_eq!(a.text("--metrics-out"), Some("m.json"));
     }
 
     #[test]
@@ -1801,56 +1337,79 @@ mod tests {
             "events --events-in ev.jsonl --kind migrate --host 2 --tick-from 10 --tick-to 20 --cause 2:17",
         ))
         .unwrap();
-        assert_eq!(a.events_in.as_deref(), Some("ev.jsonl"));
-        assert_eq!(a.kind.as_deref(), Some("migrate"));
-        assert_eq!(a.host, Some(2));
-        assert_eq!(a.tick_from, Some(10));
-        assert_eq!(a.tick_to, Some(20));
-        assert_eq!(a.cause.as_deref(), Some("2:17"));
+        assert_eq!(a.text("--events-in"), Some("ev.jsonl"));
+        assert_eq!(a.text("--kind"), Some("migrate"));
+        assert_eq!(a.int("--host"), Some(2));
+        assert_eq!(a.int("--tick-from"), Some(10));
+        assert_eq!(a.int("--tick-to"), Some(20));
+        assert_eq!(a.text("--cause"), Some("2:17"));
         let d = parse_args(&argv(
             "metrics-diff a.json b.json --threshold 0.05 --threshold-for stayaway_throttles_total=0.2",
         ))
         .unwrap();
+        assert_eq!(d.operands, ["a.json", "b.json"]);
+        assert_eq!(d.text("--threshold"), Some("0.05"));
         assert_eq!(
-            d.positional,
-            vec!["a.json".to_string(), "b.json".to_string()]
-        );
-        assert_eq!(d.threshold, 0.05);
-        assert_eq!(
-            d.threshold_for,
-            vec![("stayaway_throttles_total".to_string(), 0.2)]
+            d.text("--threshold-for"),
+            Some("stayaway_throttles_total=0.2")
         );
         assert!(parse_args(&argv("metrics-diff a b --threshold-for nope")).is_err());
+        assert!(parse_args(&argv("metrics-diff a b --threshold-for m=high")).is_err());
+    }
+
+    /// A minimal `--metrics-out *.json` snapshot.
+    fn snapshot(counters: &[(&str, u64)]) -> String {
+        let entries: Vec<String> = counters
+            .iter()
+            .map(|(name, value)| format!("{{\"name\": \"{name}\", \"value\": {value}}}"))
+            .collect();
+        format!("{{\"counters\": [{}]}}", entries.join(", "))
     }
 
     #[test]
     fn metrics_diff_flags_missing_and_changed_series() {
-        let series = |key: &str, value: f64| MetricSeries {
-            key: key.into(),
-            metric: key.into(),
-            value,
-        };
-        let a = vec![series("x_total", 10.0), series("only_a", 1.0)];
-        let b = vec![series("x_total", 11.0)];
-        let rows = diff_metric_values(&a, &b);
-        assert_eq!(rows.len(), 2);
-        let only = rows.iter().find(|r| r.key == "only_a").unwrap();
+        let (a, b) = (scratch("diff-a.json"), scratch("diff-b.json"));
+        std::fs::write(&a, snapshot(&[("x_total", 10), ("only_a", 1)])).unwrap();
+        std::fs::write(&b, snapshot(&[("x_total", 11)])).unwrap();
+        let (result, stdout) = cli(&format!("metrics-diff {a} {b}"));
+        assert_eq!(result, Ok(ExitCode::from(1)), "a tripped gate exits 1");
         assert!(
-            only.rel.is_infinite(),
-            "a vanished series must trip any gate"
+            stdout.contains("FAIL only_a"),
+            "a vanished series trips any gate"
         );
-        let x = rows.iter().find(|r| r.key == "x_total").unwrap();
-        assert!((x.rel - 1.0 / 11.0).abs() < 1e-12);
-        assert!(diff_metric_values(&[], &[]).is_empty());
+        assert!(stdout.contains("FAIL x_total"));
+        assert!(stdout.ends_with("metrics-diff: 2 series compared, 2 beyond tolerance\n"));
+        // A tolerance forgives the changed series, never the vanished one;
+        // a per-metric override beats the global threshold.
+        let (result, stdout) = cli(&format!("metrics-diff {a} {b} --threshold 0.5"));
+        assert_eq!(result, Ok(ExitCode::from(1)));
+        assert!(!stdout.contains("FAIL x_total") && stdout.contains("FAIL only_a"));
+        let (_, stdout) = cli(&format!(
+            "metrics-diff {a} {b} --threshold 0.5 --threshold-for x_total=0.01"
+        ));
+        assert!(stdout.contains("FAIL x_total"));
+        assert_eq!(
+            stdout_of(&format!("metrics-diff {a} {a}")).lines().count(),
+            1
+        );
+        assert!(error_of(&format!("metrics-diff {a} {a}.missing")).starts_with("cannot read"));
+        for path in [a, b] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]
     fn wall_clock_series_are_excluded_from_the_gate() {
-        assert!(is_wall_clock("stayaway_controller_stage_nanos", None));
-        assert!(is_wall_clock("anything", Some("nanos")));
-        assert!(!is_wall_clock("stayaway_throttles_total", None));
-        assert_eq!(relative_difference(0.0, 0.0), 0.0);
-        assert_eq!(relative_difference(2.0, 1.0), 0.5);
+        let (a, b) = (scratch("wall-a.json"), scratch("wall-b.json"));
+        std::fs::write(&a, snapshot(&[("x_total", 3), ("busy_nanos_total", 100)])).unwrap();
+        std::fs::write(&b, snapshot(&[("x_total", 3), ("busy_nanos_total", 999)])).unwrap();
+        assert_eq!(
+            stdout_of(&format!("metrics-diff {a} {b}")),
+            "metrics-diff: 1 series compared, 0 beyond tolerance\n"
+        );
+        for path in [a, b] {
+            let _ = std::fs::remove_file(path);
+        }
     }
 
     #[test]
@@ -1860,11 +1419,18 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(a.command, "run");
-        assert_eq!(a.scenario.as_deref(), Some("web-mem+soplex"));
-        assert_eq!(a.policy.as_deref(), Some("reactive"));
-        assert_eq!(a.ticks, 100);
-        assert_eq!(a.seed, 3);
-        assert!(a.json);
+        assert_eq!(a.text("--scenario"), Some("web-mem+soplex"));
+        assert_eq!(a.text("--policy"), Some("reactive"));
+        assert_eq!(a.ticks(), 100);
+        assert_eq!(a.seed(), 3);
+        assert!(a.switch("--json"));
+        // Later occurrences win.
+        assert_eq!(
+            parse_args(&argv("run --ticks 1 --ticks 2"))
+                .unwrap()
+                .ticks(),
+            2
+        );
     }
 
     #[test]
@@ -1874,13 +1440,13 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(a.command, "fleet");
-        assert_eq!(a.cells, Some(64));
-        assert_eq!(a.workers, 4);
-        assert_eq!(a.seed, 7);
-        assert!(a.share_templates);
-        assert!(a.json);
+        assert_eq!(a.int("--cells"), Some(64));
+        assert_eq!(a.workers(), 4);
+        assert_eq!(a.seed(), 7);
+        assert!(a.switch("--share-templates"));
+        assert!(a.switch("--json"));
         // No --scenario means the fleet runs its standard mix.
-        assert_eq!(a.scenario, None);
+        assert_eq!(a.text("--scenario"), None);
     }
 
     #[test]
@@ -1888,11 +1454,11 @@ mod tests {
         let a = parse_args(&argv("fleet")).unwrap();
         // No --cells on the command line: the fleet defaults to 8, the
         // tournament to 3 per combination.
-        assert_eq!(a.cells, None);
-        assert_eq!(a.workers, 1);
-        assert!(!a.share_templates);
-        assert_eq!(a.predictor, None);
-        assert_eq!(a.resamples, 1000);
+        assert_eq!(a.int("--cells"), None);
+        assert_eq!(a.workers(), 1);
+        assert!(!a.switch("--share-templates"));
+        assert_eq!(a.text("--predictor"), None);
+        assert_eq!((a.ticks(), a.seed()), (384, 7));
     }
 
     #[test]
@@ -1903,38 +1469,34 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(a.command, "tournament");
-        assert_eq!(a.predictor.as_deref(), Some("kde,xapp"));
-        assert_eq!(a.scenario.as_deref(), Some("cpu-bomb,flash-crowd"));
-        assert_eq!(a.cells, Some(2));
-        assert_eq!(a.resamples, 250);
-        assert!(a.json);
-        let specs = PredictorSpec::parse_list(a.predictor.as_deref().unwrap()).unwrap();
-        assert_eq!(specs.len(), 2);
+        assert_eq!(a.text("--predictor"), Some("kde,xapp"));
+        assert_eq!(a.text("--scenario"), Some("cpu-bomb,flash-crowd"));
+        assert_eq!(a.int("--cells"), Some(2));
+        assert_eq!(a.int("--resamples"), Some(250));
+        assert!(a.switch("--json"));
         // A single --predictor flows into the controller configuration.
         let a = parse_args(&argv("run --predictor last-tick")).unwrap();
-        let config = a.controller_config().unwrap();
         assert_eq!(
-            config.predictor,
+            a.controller_config().unwrap().predictor,
             PredictorSpec::parse("last-tick").unwrap().kind()
         );
         assert!(parse_args(&argv("run --predictor")).is_err());
         assert!(parse_args(&argv("tournament --resamples abc")).is_err());
-        assert!(Args {
-            predictor: Some("warp-core".into()),
-            ..a
-        }
-        .controller_config()
-        .is_err());
+        let a = parse_args(&argv("run --predictor warp-core")).unwrap();
+        assert!(a.controller_config().is_err());
     }
 
     #[test]
     fn rejects_unknown_flags_and_bad_values() {
         assert!(parse_args(&argv("run --bogus 1")).is_err());
         assert!(parse_args(&argv("run --ticks abc")).is_err());
+        assert!(parse_args(&argv("run --ticks -3")).is_err());
         assert!(parse_args(&argv("run --scenario")).is_err());
         assert!(parse_args(&argv("fleet --cells abc")).is_err());
         assert!(parse_args(&argv("fleet --workers")).is_err());
         assert!(parse_args(&argv("replay --trace")).is_err());
+        assert!(parse_args(&argv("metrics-diff a b --threshold lots")).is_err());
+        assert!(parse_args(&argv("warp-core")).is_err());
         assert!(parse_args(&[]).is_err());
     }
 
@@ -1946,95 +1508,66 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(a.command, "cluster");
-        assert_eq!(a.cluster_scenario.as_deref(), Some("storm-cluster"));
-        assert_eq!(a.cluster_policy.as_deref(), Some("least-loaded"));
-        assert_eq!(a.epochs, 12);
-        assert_eq!(a.epoch_ticks, 4);
-        assert_eq!(a.workers, 4);
-        assert!(a.no_migration);
-        assert!(!a.compare);
-        assert!(a.json);
+        assert_eq!(a.text("--cluster-scenario"), Some("storm-cluster"));
+        assert_eq!(cluster_policy(&a).unwrap(), ClusterPolicySpec::LeastLoaded);
+        assert_eq!(a.int("--epochs"), Some(12));
+        assert_eq!(a.int("--epoch-ticks"), Some(4));
+        assert_eq!(a.workers(), 4);
+        assert!(a.switch("--no-migration"));
+        assert!(!a.switch("--compare"));
+        assert!(a.switch("--json"));
         let a = parse_args(&argv("cluster --compare")).unwrap();
-        assert!(a.compare);
+        assert!(a.switch("--compare"));
         // Defaults when nothing is given: the library's standard shape.
-        assert_eq!(a.cluster_scenario, None);
-        assert_eq!(a.cluster_policy, None);
-        assert_eq!(a.epochs, 24);
-        assert_eq!(a.epoch_ticks, 8);
-        assert!(!a.no_migration);
+        assert_eq!(a.text("--cluster-scenario"), None);
+        assert_eq!(cluster_policy(&a).unwrap(), ClusterPolicySpec::Score);
+        assert_eq!(a.int("--epochs"), None);
+        assert!(!a.switch("--no-migration"));
         assert!(parse_args(&argv("cluster --epochs abc")).is_err());
         assert!(parse_args(&argv("cluster --cluster-policy")).is_err());
-        assert!(ClusterPolicySpec::parse("bogus").is_err());
+        assert!(
+            cluster_policy(&parse_args(&argv("cluster --cluster-policy bogus")).unwrap()).is_err()
+        );
     }
 
     #[test]
     fn cluster_command_runs_through_the_cli_path() {
         // The same builder the `cluster` command uses, at smoke size.
-        let mut args = parse_args(&argv("cluster --epochs 4 --epoch-ticks 2 --seed 3")).unwrap();
-        let out = run_cluster_policy(&args, ClusterPolicySpec::Score).unwrap();
+        let args = parse_args(&argv("cluster --epochs 4 --epoch-ticks 2 --seed 3")).unwrap();
+        let out = run_cluster_policy(&args, ClusterPolicySpec::Score, "hotspot").unwrap();
         assert_eq!(out.scenario, "hotspot");
         assert_eq!(out.cluster_policy, "score");
         assert_eq!(out.host_policy, "stay-away");
         assert_eq!(out.epochs, 4);
         assert_eq!(out.per_host.len(), 3);
         assert_eq!(out.per_job.len(), 4);
+        assert!(
+            out.events.is_none(),
+            "only `events` collects without a flag"
+        );
         // --no-migration and the host-policy override flow through too.
-        args.no_migration = true;
-        args.policy = Some("reactive".into());
-        let out = run_cluster_policy(&args, ClusterPolicySpec::NoPlacement).unwrap();
+        let args = parse_args(&argv(
+            "cluster --epochs 4 --epoch-ticks 2 --seed 3 --no-migration --policy reactive",
+        ))
+        .unwrap();
+        let out = run_cluster_policy(&args, ClusterPolicySpec::NoPlacement, "hotspot").unwrap();
         assert!(!out.migration);
         assert_eq!(out.migrations, 0);
         assert_eq!(out.host_policy, "reactive");
-        assert!(run_cluster_policy(
-            &Args {
-                cluster_scenario: Some("warp-core".into()),
-                ..args
-            },
-            ClusterPolicySpec::Score,
-        )
-        .is_err());
+        let args = parse_args(&argv("events --cluster-scenario warp-core")).unwrap();
+        assert!(run_cluster_policy(&args, ClusterPolicySpec::Score, "storm-cluster").is_err());
     }
 
     #[test]
     fn parses_source_and_trace_flags() {
         let a = parse_args(&argv("run --source trace:/tmp/t.jsonl")).unwrap();
-        assert_eq!(a.source, "trace:/tmp/t.jsonl");
-        assert_eq!(
-            SourceSpec::parse(&a.source).unwrap(),
-            SourceSpec::Trace {
-                path: "/tmp/t.jsonl".into()
-            }
-        );
+        assert_eq!(a.text("--source"), Some("trace:/tmp/t.jsonl"));
         let a = parse_args(&argv("replay --trace out.jsonl --policy reactive")).unwrap();
-        assert_eq!(a.trace.as_deref(), Some("out.jsonl"));
-        // The default substrate is the simulator.
-        let a = parse_args(&argv("run")).unwrap();
-        assert_eq!(SourceSpec::parse(&a.source).unwrap(), SourceSpec::Sim);
-    }
-
-    #[test]
-    fn record_then_replay_reproduces_the_run_through_the_cli_paths() {
-        // Exercise the same code paths the `record` and `replay` commands
-        // use, against an in-memory trace.
-        let scenario = parse_scenario("vlc+cpu-bomb", 3).unwrap();
-        let harness = scenario.build_harness().unwrap();
-        let host_spec = *harness.host().spec();
-        let mut recorder = RecordingSource::new(SimSource::new(harness), Vec::new()).unwrap();
-        let mut live = PolicySpec::StayAway
-            .build(&ControllerConfig::default(), &host_spec)
-            .unwrap();
-        let live_out = drive(&mut recorder, live.as_mut(), 60).unwrap();
-        let (_, trace) = recorder.finish().unwrap();
-
-        let mut source = TraceSource::new(trace.as_slice()).unwrap();
-        let replay_host = source.header().host.unwrap();
-        assert_eq!(replay_host, host_spec);
-        let mut replayed = PolicySpec::StayAway
-            .build(&ControllerConfig::default(), &replay_host)
-            .unwrap();
-        let replay_out = drive(&mut source, replayed.as_mut(), 60).unwrap();
-        assert_eq!(live_out.qos, replay_out.qos);
-        assert_eq!(live.stats(), replayed.stats());
+        assert_eq!(a.text("--trace"), Some("out.jsonl"));
+        assert_eq!(a.policy_or("stay-away"), "reactive");
+        // `replay` senses through --trace alone.
+        assert!(parse_args(&argv("replay --source sim")).is_err());
+        assert_eq!(error_of("replay"), "replay requires --trace <path>");
     }
 
     #[test]
@@ -2042,51 +1575,55 @@ mod tests {
         for sens in ["vlc", "web-cpu", "web-mem", "web-mix"] {
             for batch in BatchKind::ALL {
                 let name = format!("{sens}+{batch}");
-                let s = parse_scenario(&name, 1).unwrap();
-                assert_eq!(s.name(), name);
+                let stdout = stdout_of(&format!("run --scenario {name} --ticks 1 --json"));
+                assert!(stdout.contains(&format!("\"scenario\": \"{name}\"")));
             }
         }
     }
 
     #[test]
     fn rejects_malformed_scenarios() {
-        assert!(parse_scenario("vlc", 1).is_err());
-        assert!(parse_scenario("vlc+unknown", 1).is_err());
-        assert!(parse_scenario("nope+soplex", 1).is_err());
+        for (name, reason) in [
+            ("vlc", "<sensitive>+<batch>"),
+            ("vlc+unknown", "unknown batch app `unknown`"),
+            ("nope+soplex", "unknown sensitive app `nope`"),
+        ] {
+            assert!(error_of(&format!("run --scenario {name} --ticks 1")).contains(reason));
+        }
     }
 
     #[test]
     fn run_policy_by_name_covers_all_policies() {
-        let scenario = parse_scenario("vlc+soplex", 1).unwrap();
-        let config = ControllerConfig::default();
-        for p in ["stay-away", "none", "always", "reactive", "static", "null"] {
-            let (out, policy, cap) =
-                run_policy_by_name(&scenario, p, &config, &SourceSpec::Sim, 1, 30, None, None)
-                    .unwrap();
-            assert_eq!(out.timeline.len(), 30);
-            assert_eq!(cap, scenario.host_spec().cpu_cores);
-            // Only the controller counts its periods and learns templates.
-            let is_stayaway = p == "stay-away";
-            assert_eq!(policy.stats().periods > 0, is_stayaway);
-            assert_eq!(policy.supports_templates(), is_stayaway);
+        for (token, name) in [
+            ("stay-away", "stay-away"),
+            ("none", "no-prevention"),
+            ("always", "always-throttle"),
+            ("reactive", "reactive"),
+            ("static", "static-threshold"),
+            ("null", "no-prevention"),
+        ] {
+            let args = parse_args(&argv(&format!(
+                "run --scenario vlc+soplex --policy {token} --seed 1 --ticks 30"
+            )))
+            .unwrap();
+            let (outcome, instruments, server) =
+                single_host(&args, &mut Out(&mut Vec::new()), HostJob::default()).unwrap();
+            assert_eq!(outcome.run.policy, name);
+            assert_eq!(outcome.run.timeline.len(), 30);
+            assert_eq!(outcome.host, *Scenario::vlc_with_soplex(1).host_spec());
+            // Only the controller counts its periods.
+            assert_eq!(outcome.stats.periods > 0, token == "stay-away");
+            // No flag asked for instruments, so none exist.
+            assert!(instruments.registry.is_none() && instruments.recorder.is_none());
+            assert!(server.is_none());
         }
-        assert!(run_policy_by_name(
-            &scenario,
-            "bogus",
-            &config,
-            &SourceSpec::Sim,
-            1,
-            10,
-            None,
-            None
-        )
-        .is_err());
+        assert!(error_of("run --policy bogus --ticks 10").contains("unknown policy"));
     }
 
     #[test]
     fn policy_defaults_are_per_command() {
         let a = parse_args(&argv("run")).unwrap();
-        assert_eq!(a.policy, None);
+        assert_eq!(a.text("--policy"), None);
         assert_eq!(a.policy_or("stay-away"), "stay-away");
         assert_eq!(
             a.policy_or("stayaway,reactive,null"),
@@ -2098,44 +1635,11 @@ mod tests {
 
     #[test]
     fn parses_workload_source_tokens() {
-        let a = parse_args(&argv("run --source workload:cpu-bomb")).unwrap();
-        assert_eq!(
-            SourceSpec::parse(&a.source).unwrap(),
-            SourceSpec::Workload {
-                scenario: "cpu-bomb".into()
-            }
-        );
-        assert!(SourceSpec::parse("workload:warp-core").is_err());
-    }
-
-    #[test]
-    fn workload_scenarios_run_under_cli_built_policies() {
-        // The bench-scenarios path: library scenario × PolicySpec-built
-        // policy, closed over the workload substrate.
-        let scenario = stay_away::workload::by_name("cpu-bomb").unwrap();
-        for name in ["stayaway", "reactive", "null"] {
-            let spec = PolicySpec::parse(name).unwrap();
-            let mut policy = spec
-                .build(&ControllerConfig::default(), &scenario.host)
-                .unwrap();
-            let row = bench_scenario(&scenario, policy.as_mut(), 7, 20).unwrap();
-            assert_eq!(row.scenario, "cpu-bomb");
-            assert_eq!(row.ticks, 20);
-            assert!(row.requests > 0);
-            assert!(row.p50_ms <= row.p95_ms && row.p95_ms <= row.p99_ms);
-        }
-    }
-
-    #[test]
-    fn every_library_scenario_drives_through_the_run_path() {
-        // The run --source workload:<name> path builds the same concrete
-        // source; make sure each library entry survives a short drive.
-        for name in stay_away::workload::names() {
-            let scenario = stay_away::workload::by_name(&name).unwrap();
-            let mut source = WorkloadSource::new(scenario, 7).unwrap();
-            let out = drive(&mut source, &mut stay_away::telemetry::NullPolicy::new(), 5).unwrap();
-            assert_eq!(out.timeline.len(), 5, "{name}");
-            assert!(source.totals().arrivals > 0, "{name}");
-        }
+        // A workload run is labelled by its library scenario and reports
+        // per-request QoS next to the tick-level summary.
+        let stdout = stdout_of("run --source workload:cpu-bomb --policy null --ticks 5 --json");
+        assert!(stdout.contains("\"scenario\": \"workload:cpu-bomb\""));
+        assert!(stdout.contains("\"latency\": {"));
+        assert!(error_of("run --source workload:warp-core").contains("warp-core"));
     }
 }
