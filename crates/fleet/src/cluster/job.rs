@@ -119,8 +119,11 @@ impl JobState {
     /// Builds the runtime state of job `id` under `cluster_seed`, with
     /// the clock geometry needed to anchor the stream window.
     pub fn new(id: usize, spec: JobSpec, cluster_seed: u64, tick_period_ns: u64) -> Self {
-        let submit_ns = spec.submit_tick * tick_period_ns;
-        let end_ns = submit_ns.saturating_add(spec.duration_ticks * tick_period_ns);
+        // Spec ticks are outside input: a submit tick or duration near
+        // `u64::MAX` means "never" / "forever" and must pin the clock at
+        // its end instead of wrapping round to an early arrival.
+        let submit_ns = spec.submit_tick.saturating_mul(tick_period_ns);
+        let end_ns = submit_ns.saturating_add(spec.duration_ticks.saturating_mul(tick_period_ns));
         JobState {
             arrival_rng: StdRng::seed_from_u64(derive_job_seed(cluster_seed, id as u64, 0)),
             service_rng: StdRng::seed_from_u64(derive_job_seed(cluster_seed, id as u64, 1)),

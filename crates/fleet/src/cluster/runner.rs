@@ -22,8 +22,8 @@ use crate::seed::derive_cell_seed;
 use crate::FleetError;
 use stayaway_core::{ControlPolicy, ControllerConfig};
 use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer, MetricsRegistry};
-use stayaway_telemetry::{AppClass, QosSummary};
-use stayaway_workload::{WorkloadHost, WorkloadMetrics};
+use stayaway_telemetry::{step, AppClass, QosSummary, TelemetryError};
+use stayaway_workload::WorkloadSource;
 use std::sync::Arc;
 
 /// Configuration of one cluster run.
@@ -103,16 +103,17 @@ impl ClusterConfig {
     }
 }
 
-/// One open host: a workload engine plus its local control policy.
+/// One open host: the [`WorkloadSource`] + control policy pair a fleet cell
+/// over `workload:<scenario>` runs, kept open across epochs so the cluster
+/// plane can act on the engine between them. Tick records are folded into
+/// the epoch and run sums as they are produced, never retained.
 struct HostCell {
     idx: usize,
-    host: WorkloadHost,
+    source: WorkloadSource,
     policy: Box<dyn ControlPolicy + Send>,
-    registry: Option<MetricsRegistry>,
-    recorder: Option<FlightRecorder>,
+    instruments: Instruments,
     sensitive_key: String,
     seed: u64,
-    cpu_capacity: f64,
     imported_template: bool,
     qos: QosSummary,
     epoch_qos: QosSummary,
@@ -122,65 +123,51 @@ struct HostCell {
     sum_batch_cpu: f64,
     ticks: u64,
     rejected: u64,
+    /// Source failure of the last epoch advance, parked so the parallel
+    /// section returns (and allocates) nothing; surfaced at the barrier.
+    failure: Option<TelemetryError>,
 }
 
 impl HostCell {
-    /// Runs `ticks` control ticks of the local closed loop, mirroring
-    /// `stayaway_telemetry::drive` decision for decision.
-    fn advance_epoch(&mut self, ticks: u64) {
+    /// Advances the local closed loop by up to `ticks` periods of
+    /// [`stayaway_telemetry::step`] — the loop every fleet cell runs —
+    /// folding each record into the epoch and run sums.
+    fn advance_epoch(&mut self, ticks: u64) -> Result<(), TelemetryError> {
         self.epoch_qos = QosSummary::new();
         self.epoch_cpu_sum = 0.0;
         self.epoch_ticks = ticks;
         for _ in 0..ticks {
-            let observation = self.host.advance_tick();
-            let actions = self.policy.decide(&observation);
-            self.rejected += self.host.apply(&actions);
-            let record = self
-                .host
-                .last_record(actions.len())
-                .expect("workload host records every tick");
+            let Some((record, rejected)) = step(&mut self.source, self.policy.as_mut())? else {
+                break;
+            };
             if record.sensitive_active {
                 self.qos.record(record.qos_value, record.violated);
                 self.epoch_qos.record(record.qos_value, record.violated);
-                if record.violated {
-                    if let Some(rec) = &self.recorder {
-                        // Link back to the verdict that was in force when
-                        // the request missed its bound (if any).
-                        let cause = rec.last_id_of_kind(EventKind::PredictorVerdict);
-                        rec.record(
-                            record.tick,
-                            Layer::Workload,
-                            EventKind::SloViolation,
-                            cause,
-                            vec![
-                                attr("qos", record.qos_value),
-                                attr("batch_active", record.batch_active as u64),
-                            ],
-                        );
-                    }
-                }
             }
+            self.rejected += rejected;
             self.sum_utilization += record.utilization;
             self.sum_batch_cpu += record.batch_cpu;
             self.epoch_cpu_sum += record.sensitive_cpu + record.batch_cpu;
             self.ticks += 1;
         }
+        Ok(())
     }
 
     /// The host's epoch-boundary view for the cluster policy.
     fn snapshot(&self, placed_jobs: Vec<usize>, registry: &TemplateRegistry) -> HostSnapshot {
+        let host = self.source.host();
         HostSnapshot {
             idx: self.idx,
-            name: self.host.scenario().name.clone(),
-            spec: self.host.scenario().host,
-            load: self.host.load(),
+            name: host.scenario().name.clone(),
+            spec: host.scenario().host,
+            load: host.load(),
             mean_cpu: if self.epoch_ticks > 0 {
                 self.epoch_cpu_sum / self.epoch_ticks as f64
             } else {
                 0.0
             },
             epoch_qos: self.epoch_qos,
-            frozen_jobs: self.host.frozen_batch(),
+            frozen_jobs: host.frozen_batch(),
             placed_jobs,
             template_violations: registry
                 .lookup(&self.sensitive_key)
@@ -228,25 +215,26 @@ impl Cluster {
     }
 
     fn build_cell(&self, idx: usize) -> Result<HostCell, FleetError> {
-        let scenario = self.config.scenario.hosts[idx].clone();
+        let scenario = &self.config.scenario.hosts[idx];
         let seed = derive_cell_seed(self.config.seed, idx as u64);
-        let registry = self.config.collect_metrics.then(MetricsRegistry::new);
-        let recorder = self
-            .config
-            .collect_events
-            .then(|| FlightRecorder::for_scope(idx as u32, format!("host:{idx}")));
-        let mut host = WorkloadHost::new(scenario.clone(), seed)?;
-        if let Some(r) = &registry {
-            host = host.with_metrics(WorkloadMetrics::register(r));
+        let instruments = Instruments {
+            registry: self.config.collect_metrics.then(MetricsRegistry::new),
+            recorder: self
+                .config
+                .collect_events
+                .then(|| FlightRecorder::for_scope(idx as u32, format!("host:{idx}"))),
+            state: None,
+        };
+        let mut source = WorkloadSource::new(scenario.clone(), seed)?;
+        if let Some(registry) = &instruments.registry {
+            source = source.with_metrics(registry);
+        }
+        if let Some(recorder) = &instruments.recorder {
+            source = source.with_recorder(recorder.clone());
         }
         let controller = ControllerConfig {
             seed,
             ..self.config.controller.clone()
-        };
-        let instruments = Instruments {
-            registry: registry.clone(),
-            recorder: recorder.clone(),
-            state: None,
         };
         let mut policy = self.config.host_policy.build_observed(
             &controller,
@@ -265,13 +253,11 @@ impl Cluster {
         };
         Ok(HostCell {
             idx,
-            host,
+            source,
             policy,
-            registry,
-            recorder,
+            instruments,
             sensitive_key,
             seed,
-            cpu_capacity: scenario.host.cpu_cores,
             imported_template,
             qos: QosSummary::new(),
             epoch_qos: QosSummary::new(),
@@ -281,6 +267,7 @@ impl Cluster {
             sum_batch_cpu: 0.0,
             ticks: 0,
             rejected: 0,
+            failure: None,
         })
     }
 
@@ -351,7 +338,7 @@ impl Cluster {
                     name: j.spec.name.clone(),
                     placement: j.placement,
                     pending: match (j.placement, j.tenant_idx) {
-                        (Some(h), Some(ti)) => cells[h].host.tenant_pending(ti),
+                        (Some(h), Some(ti)) => cells[h].source.host().tenant_pending(ti),
                         _ => j.carried.len() as u64,
                     },
                     queued_epochs: j.queued_epochs,
@@ -379,7 +366,8 @@ impl Cluster {
                             continue;
                         }
                         let ti = cells[host]
-                            .host
+                            .source
+                            .host_mut()
                             .attach_tenant(jobs[job].spec.tenant.clone())?;
                         jobs[job].placement = Some(host);
                         jobs[job].tenant_idx = Some(ti);
@@ -441,10 +429,11 @@ impl Cluster {
                             continue;
                         }
                         let ti = jobs[job].tenant_idx.expect("placed job has a tenant");
-                        let carried = cells[from].host.detach_tenant(ti)?;
+                        let carried = cells[from].source.host_mut().detach_tenant(ti)?;
                         jobs[job].carry(carried);
                         let ti = cells[to]
-                            .host
+                            .source
+                            .host_mut()
                             .attach_tenant(jobs[job].spec.tenant.clone())?;
                         jobs[job].placement = Some(to);
                         jobs[job].tenant_idx = Some(ti);
@@ -458,6 +447,7 @@ impl Cluster {
                             // source host, so point at its most recent
                             // workload-layer SLO violation.
                             let cause = cells[from]
+                                .instruments
                                 .recorder
                                 .as_ref()
                                 .and_then(|r| r.last_id_of_kind(EventKind::SloViolation));
@@ -496,7 +486,7 @@ impl Cluster {
                         for (t, nominal) in job.carried.drain(..).chain(due) {
                             // Past arrival times (carried backlog) are
                             // clamped to the host's current tick boundary.
-                            cells[h].host.inject_arrival(ti, t, nominal)?;
+                            cells[h].source.host_mut().inject_arrival(ti, t, nominal)?;
                         }
                     }
                     _ => job.carry(due),
@@ -505,7 +495,12 @@ impl Cluster {
 
             // 6. Parallel section: each host advances alone.
             let ticks = config.ticks_per_epoch;
-            map_indexed(&mut cells, config.workers, |cell| cell.advance_epoch(ticks));
+            map_indexed(&mut cells, config.workers, |cell| {
+                cell.failure = cell.advance_epoch(ticks).err();
+            });
+            if let Some(e) = cells.iter_mut().find_map(|cell| cell.failure.take()) {
+                return Err(e.into());
+            }
 
             // 7. Departures, in job-id order at the epoch's end.
             for job in &mut jobs {
@@ -514,8 +509,8 @@ impl Cluster {
                 }
                 match (job.placement, job.tenant_idx) {
                     (Some(h), Some(ti)) => {
-                        if cells[h].host.tenant_pending(ti) == 0 {
-                            cells[h].host.detach_tenant(ti)?;
+                        if cells[h].source.host().tenant_pending(ti) == 0 {
+                            cells[h].source.host_mut().detach_tenant(ti)?;
                             job.placement = None;
                             job.tenant_idx = None;
                             job.departed = true;
@@ -583,7 +578,8 @@ impl Cluster {
         let per_host: Vec<HostRollup> = cells
             .iter()
             .map(|cell| {
-                let totals = cell.host.totals();
+                let host = cell.source.host();
+                let totals = host.totals();
                 let stats = cell.policy.stats();
                 qos.active_ticks += cell.qos.active_ticks;
                 qos.violations += cell.qos.violations;
@@ -591,11 +587,11 @@ impl Cluster {
                 qos.worst = qos.worst.min(cell.qos.worst);
                 slo_met += totals.sensitive_met;
                 slo_total += totals.sensitive_completed + totals.sensitive_dropped;
-                total_batch_work += cell.host.batch_work();
+                total_batch_work += host.batch_work();
                 let ticks = cell.ticks.max(1) as f64;
                 mean_utilization += cell.sum_utilization / ticks;
-                let gained =
-                    cell.sum_batch_cpu / (ticks * cell.cpu_capacity.max(f64::MIN_POSITIVE));
+                let gained = cell.sum_batch_cpu
+                    / (ticks * host.scenario().host.cpu_cores.max(f64::MIN_POSITIVE));
                 mean_gained += gained;
                 throttles += stats.throttles;
                 resumes += stats.resumes;
@@ -603,14 +599,14 @@ impl Cluster {
                 prediction_checks += stats.prediction_checks;
                 prediction_hits += stats.prediction_hits;
                 samples_rejected += stats.samples_rejected;
-                if let Some(r) = &cell.registry {
+                if let Some(r) = &cell.instruments.registry {
                     metric_unit_mismatches += metrics
                         .get_or_insert_with(stayaway_obs::MetricsSnapshot::default)
                         .merge(&r.snapshot());
                 }
                 HostRollup {
                     host: cell.idx,
-                    name: cell.host.scenario().name.clone(),
+                    name: host.scenario().name.clone(),
                     sensitive: cell.sensitive_key.clone(),
                     seed: cell.seed,
                     qos: cell.qos,
@@ -620,7 +616,7 @@ impl Cluster {
                     dropped: totals.dropped,
                     mean_utilization: cell.sum_utilization / ticks,
                     gained_utilization: gained,
-                    batch_work: cell.host.batch_work(),
+                    batch_work: host.batch_work(),
                     throttles: stats.throttles,
                     resumes: stats.resumes,
                     events_dropped: stats.events_dropped,
@@ -634,7 +630,7 @@ impl Cluster {
                         .filter(|j| j.placements.contains(&cell.idx))
                         .map(|j| j.id)
                         .collect(),
-                    timeline_digest: cell.host.timeline_digest(),
+                    timeline_digest: host.timeline_digest(),
                 }
             })
             .collect();
@@ -692,7 +688,7 @@ impl Cluster {
             events: cluster_recorder.map(|cluster_rec| {
                 let streams = cells
                     .iter()
-                    .filter_map(|cell| cell.recorder.as_ref().map(|r| r.events()))
+                    .filter_map(|cell| cell.instruments.recorder.as_ref().map(|r| r.events()))
                     .chain(std::iter::once(cluster_rec.events()));
                 merge_streams(streams)
             }),
@@ -745,6 +741,23 @@ mod tests {
         }
         // The worker count is not part of the document.
         assert!(!out.to_json().unwrap().contains("workers"));
+    }
+
+    #[test]
+    fn a_job_that_never_arrives_leaves_the_run_untouched() {
+        // `submit_tick = u64::MAX` passes validation; its clock arithmetic
+        // must saturate rather than overflow (a debug panic, or a release
+        // wrap-around to an early arrival).
+        let mut c = config("hotspot", 7);
+        c.scenario.jobs[0].submit_tick = u64::MAX;
+        c.scenario.jobs[1].duration_ticks = u64::MAX;
+        let out = Cluster::new(c).unwrap().run().unwrap();
+        let never = &out.per_job[0];
+        assert!(!never.arrived && !never.departed);
+        assert_eq!(never.generated, 0);
+        assert!(never.placements.is_empty());
+        // A job that never ends still arrives and streams.
+        assert!(out.per_job[1].arrived && out.per_job[1].generated > 0);
     }
 
     #[test]

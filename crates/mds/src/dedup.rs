@@ -19,8 +19,8 @@ use crate::MdsError;
 /// (normalized, `[0, 1]`-ish) measurement space.
 ///
 /// Buckets hold representative indices keyed by the cell of their 2-D
-/// projection. Because every supported metric dominates the per-coordinate
-/// difference (L∞ ≤ L2, L1), a vector within `epsilon` of a representative
+/// projection. Because the Euclidean metric dominates the per-coordinate
+/// difference (L∞ ≤ L2), a vector within `epsilon` of a representative
 /// differs by at most `epsilon` in each projected coordinate, so with a
 /// cell side ≥ `epsilon` the 3×3 neighbourhood of the query cell covers
 /// every merge candidate. Likewise, any representative whose projected
@@ -138,7 +138,6 @@ impl DedupOutcome {
 #[derive(Debug, Clone)]
 pub struct ReprSet {
     epsilon: f64,
-    metric: Metric,
     dim: Option<usize>,
     representatives: Vec<Vec<f64>>,
     hits: Vec<u64>,
@@ -168,18 +167,11 @@ impl ReprSet {
         }
         Ok(ReprSet {
             epsilon,
-            metric: Metric::Euclidean,
             dim: None,
             representatives: Vec::new(),
             hits: Vec::new(),
             grid: None,
         })
-    }
-
-    /// Sets the distance metric used for merging (default Euclidean).
-    pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
-        self
     }
 
     /// Enables the uniform-grid bucket index, pruning [`ReprSet::insert`]
@@ -290,7 +282,7 @@ impl ReprSet {
         let mut best: Option<(usize, f64)> = None;
         let consider = |i: usize, rep: &[f64], best: &mut Option<(usize, f64)>| {
             let bound = best.map_or(self.epsilon, |(_, bd)| bd);
-            if let Some(d) = self.metric.distance_pruned(rep, vector, bound) {
+            if let Some(d) = Metric::Euclidean.distance_pruned(rep, vector, bound) {
                 if self.merges(d) && best.is_none_or(|(bi, bd)| d < bd || (d == bd && i < bi)) {
                     *best = Some((i, d));
                 }
@@ -375,7 +367,7 @@ impl ReprSet {
     fn consider_nearest(&self, i: usize, vector: &[f64], best: &mut Option<(usize, f64)>) {
         let bound = best.map_or(f64::INFINITY, |(_, bd)| bd);
         let rep = &self.representatives[i];
-        if let Some(d) = self.metric.distance_pruned(rep, vector, bound) {
+        if let Some(d) = Metric::Euclidean.distance_pruned(rep, vector, bound) {
             if best.is_none_or(|(bi, bd)| d < bd || (d == bd && i < bi)) {
                 *best = Some((i, d));
             }

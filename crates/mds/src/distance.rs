@@ -19,10 +19,6 @@ pub enum Metric {
     /// Standard Euclidean (L2) distance — the metric used by the paper.
     #[default]
     Euclidean,
-    /// Manhattan (L1) distance.
-    Manhattan,
-    /// Chebyshev (L∞) distance.
-    Chebyshev,
 }
 
 impl Metric {
@@ -34,20 +30,11 @@ impl Metric {
     /// shorter length is used.
     pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len(), "vectors must share a dimension");
-        match self {
-            Metric::Euclidean => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt(),
-            Metric::Manhattan => a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum(),
-            Metric::Chebyshev => a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max),
-        }
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt()
     }
 
     /// Computes the distance with per-coordinate early exit: returns `None`
@@ -64,41 +51,15 @@ impl Metric {
         // One part in 2^40 over-admits boundary candidates rather than ever
         // mispruning one; their exact distance decides as in the full scan.
         const SLACK: f64 = 1.0 + 1e-12;
-        match self {
-            Metric::Euclidean => {
-                let limit = bound * bound * SLACK;
-                let mut sum = 0.0;
-                for (x, y) in a.iter().zip(b) {
-                    sum += (x - y) * (x - y);
-                    if sum > limit {
-                        return None;
-                    }
-                }
-                Some(sum.sqrt())
-            }
-            Metric::Manhattan => {
-                let limit = bound * SLACK;
-                let mut sum = 0.0;
-                for (x, y) in a.iter().zip(b) {
-                    sum += (x - y).abs();
-                    if sum > limit {
-                        return None;
-                    }
-                }
-                Some(sum)
-            }
-            Metric::Chebyshev => {
-                let limit = bound * SLACK;
-                let mut max = 0.0f64;
-                for (x, y) in a.iter().zip(b) {
-                    max = max.max((x - y).abs());
-                    if max > limit {
-                        return None;
-                    }
-                }
-                Some(max)
+        let limit = bound * bound * SLACK;
+        let mut sum = 0.0;
+        for (x, y) in a.iter().zip(b) {
+            sum += (x - y) * (x - y);
+            if sum > limit {
+                return None;
             }
         }
+        Some(sum.sqrt())
     }
 }
 
@@ -124,24 +85,15 @@ impl DistanceMatrix {
     /// [`MdsError::DimensionMismatch`] if the vectors have differing lengths
     /// and [`MdsError::NonFinite`] if any coordinate is NaN or infinite.
     pub fn from_vectors(vectors: &[Vec<f64>]) -> Result<Self, MdsError> {
-        Self::from_vectors_with(vectors, Metric::Euclidean)
+        Self::from_vectors_with_workers(vectors, Metric::Euclidean, 1)
     }
 
-    /// Builds the distance matrix of a set of vectors under `metric`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DistanceMatrix::from_vectors`].
-    pub fn from_vectors_with(vectors: &[Vec<f64>], metric: Metric) -> Result<Self, MdsError> {
-        Self::from_vectors_with_workers(vectors, metric, 1)
-    }
-
-    /// [`DistanceMatrix::from_vectors_with`] with the pairwise scan spread
-    /// over up to `workers` threads. Chunks are whole columns of the packed
-    /// triangle whose boundaries depend only on the point count, and every
-    /// entry is an independent distance evaluation, so **the result is
-    /// bit-for-bit identical for any worker count** (including 1, the
-    /// inline path).
+    /// [`DistanceMatrix::from_vectors`] under an explicit `metric`, with the
+    /// pairwise scan spread over up to `workers` threads. Chunks are whole
+    /// columns of the packed triangle whose boundaries depend only on the
+    /// point count, and every entry is an independent distance evaluation,
+    /// so **the result is bit-for-bit identical for any worker count**
+    /// (including 1, the inline path).
     ///
     /// # Errors
     ///
@@ -197,30 +149,16 @@ impl DistanceMatrix {
     /// and [`MdsError::NonFinite`] if `point` has a NaN or infinite
     /// coordinate.
     pub fn append_point(&mut self, existing: &[Vec<f64>], point: &[f64]) -> Result<(), MdsError> {
-        self.append_point_with(existing, point, Metric::Euclidean)
+        self.append_point_with_workers(existing, point, Metric::Euclidean, 1)
     }
 
-    /// [`DistanceMatrix::append_point`] under an explicit `metric`. The
-    /// metric must match the one the matrix was built with for the result
-    /// to stay consistent.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DistanceMatrix::append_point`].
-    pub fn append_point_with(
-        &mut self,
-        existing: &[Vec<f64>],
-        point: &[f64],
-        metric: Metric,
-    ) -> Result<(), MdsError> {
-        self.append_point_with_workers(existing, point, metric, 1)
-    }
-
-    /// [`DistanceMatrix::append_point_with`] with the new column's distance
-    /// evaluations spread over up to `workers` threads. Chunk boundaries
-    /// depend only on the current point count and every entry is an
-    /// independent distance evaluation, so **the result is bit-for-bit
-    /// identical for any worker count** (including 1, the inline path).
+    /// [`DistanceMatrix::append_point`] under an explicit `metric` (it must
+    /// match the one the matrix was built with), with the new column's
+    /// distance evaluations spread over up to `workers` threads. Chunk
+    /// boundaries depend only on the current point count and every entry
+    /// is an independent distance evaluation, so **the result is
+    /// bit-for-bit identical for any worker count** (including 1, the
+    /// inline path).
     ///
     /// # Errors
     ///
@@ -350,25 +288,18 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_and_chebyshev() {
-        assert_eq!(Metric::Manhattan.distance(&[0.0, 0.0], &[3.0, 4.0]), 7.0);
-        assert_eq!(Metric::Chebyshev.distance(&[0.0, 0.0], &[3.0, 4.0]), 4.0);
-    }
-
-    #[test]
     fn distance_pruned_matches_full_distance_or_proves_excess() {
         let a = [0.1, 0.9, 0.4, 0.7];
         let b = [0.3, 0.2, 0.8, 0.1];
-        for metric in [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev] {
-            let d = metric.distance(&a, &b);
-            // Generous bound: completes and matches exactly.
-            assert_eq!(metric.distance_pruned(&a, &b, d), Some(d));
-            assert_eq!(metric.distance_pruned(&a, &b, f64::INFINITY), Some(d));
-            // Bound provably below the distance: pruned.
-            assert_eq!(metric.distance_pruned(&a, &b, d * 0.5), None);
-            // Zero distance survives a zero bound.
-            assert_eq!(metric.distance_pruned(&a, &a, 0.0), Some(0.0));
-        }
+        let metric = Metric::Euclidean;
+        let d = metric.distance(&a, &b);
+        // Generous bound: completes and matches exactly.
+        assert_eq!(metric.distance_pruned(&a, &b, d), Some(d));
+        assert_eq!(metric.distance_pruned(&a, &b, f64::INFINITY), Some(d));
+        // Bound provably below the distance: pruned.
+        assert_eq!(metric.distance_pruned(&a, &b, d * 0.5), None);
+        // Zero distance survives a zero bound.
+        assert_eq!(metric.distance_pruned(&a, &a, 0.0), Some(0.0));
     }
 
     #[test]

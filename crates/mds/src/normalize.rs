@@ -131,60 +131,6 @@ impl Normalizer {
     }
 }
 
-/// An online min-max tracker for metrics without a priori bounds.
-///
-/// The paper's prototype knows host capacities, but some metrics (e.g.
-/// network traffic on an uncapped NIC) have no natural upper bound. This
-/// tracker observes values and exposes the running range; the normalised
-/// value of `v` is `v / max_seen` (with `min` pinned to 0 when requested).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OnlineRange {
-    min: f64,
-    max: f64,
-    count: u64,
-}
-
-impl OnlineRange {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        OnlineRange {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            count: 0,
-        }
-    }
-
-    /// Observes a value (NaN values are ignored).
-    pub fn observe(&mut self, value: f64) {
-        if value.is_nan() {
-            return;
-        }
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-        self.count += 1;
-    }
-
-    /// Number of observed values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Normalises `value` against the observed range; returns 0.0 when fewer
-    /// than two distinct values have been seen.
-    pub fn normalize(&self, value: f64) -> f64 {
-        if self.count == 0 || self.max <= self.min {
-            return 0.0;
-        }
-        ((value - self.min) / (self.max - self.min)).clamp(0.0, 1.0)
-    }
-}
-
-impl Default for OnlineRange {
-    fn default() -> Self {
-        OnlineRange::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,18 +182,6 @@ mod tests {
     fn nan_input_normalizes_to_zero() {
         let b = MetricBounds::zero_to(1.0).unwrap();
         assert_eq!(b.normalize(f64::NAN), 0.0);
-    }
-
-    #[test]
-    fn online_range_tracks_and_normalizes() {
-        let mut r = OnlineRange::new();
-        assert_eq!(r.normalize(5.0), 0.0);
-        r.observe(0.0);
-        r.observe(10.0);
-        r.observe(f64::NAN); // ignored
-        assert_eq!(r.count(), 2);
-        assert_eq!(r.normalize(5.0), 0.5);
-        assert_eq!(r.normalize(20.0), 1.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::app::AppClass;
 use crate::container::ContainerId;
 use crate::host::{Host, HostTick};
 use crate::policy::{Action, ContainerObs, Observation, Policy};
-use crate::qos::{QosSpec, QosSummary};
+use crate::qos::QosSpec;
 use crate::resources::{ResourceKind, ResourceVector};
 use crate::SimError;
 use rand::rngs::StdRng;
@@ -233,36 +233,19 @@ impl Harness {
 
     /// Runs one closed-loop tick: advance the host, observe, let the policy
     /// act, and apply the actions (they take effect from the next tick).
+    /// This is [`stayaway_telemetry::step`] over the harness as its own
+    /// [`stayaway_telemetry::ObservationSource`].
     pub fn step_with(&mut self, policy: &mut dyn Policy) -> (TickRecord, u64) {
-        let obs = self.tick_observation();
-        let actions = policy.decide(&obs);
-        let rejected = self.apply(&actions);
-        let record = self
-            .record_for_last(actions.len())
-            .expect("tick_observation just ran");
-        (record, rejected)
+        stayaway_telemetry::step(self, policy)
+            .ok()
+            .flatten()
+            .expect("the simulator source neither fails nor runs dry")
     }
 
-    /// Runs `ticks` closed-loop ticks under `policy`.
+    /// Runs `ticks` closed-loop ticks under `policy`:
+    /// [`stayaway_telemetry::drive`] over the harness itself.
     pub fn run(&mut self, policy: &mut dyn Policy, ticks: u64) -> RunOutcome {
-        let mut qos = QosSummary::new();
-        let mut timeline = Vec::with_capacity(ticks as usize);
-        let mut rejected_actions = 0;
-        for _ in 0..ticks {
-            let (record, rejected) = self.step_with(policy);
-            if record.sensitive_active {
-                qos.record(record.qos_value, record.violated);
-            }
-            rejected_actions += rejected;
-            timeline.push(record);
-        }
-        RunOutcome {
-            policy: policy.name().to_string(),
-            qos,
-            timeline,
-            batch_work: self.batch_work(),
-            rejected_actions,
-        }
+        stayaway_telemetry::drive(self, policy, ticks).expect("the simulator source never fails")
     }
 }
 

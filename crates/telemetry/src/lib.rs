@@ -15,8 +15,9 @@
 //!   ([`TraceSource`], tee-recordable around any source via
 //!   [`RecordingSource`]) and best-effort live Linux procfs/cgroup
 //!   sampling ([`ProcfsSource`]);
-//! * [`drive`] is the source-agnostic closed loop the bench runner, fleet
-//!   cells and CLI all share.
+//! * [`step`] is the one control period — sample, decide, actuate,
+//!   account — and [`drive`] the run loop over it that the bench runner,
+//!   fleet cells, the simulator harness, cluster hosts and the CLI share.
 //!
 //! Record/replay is the determinism tool of the workspace: a controller's
 //! state depends only on the observation sequence and its own seeded
@@ -44,7 +45,7 @@ pub use observation::{
 };
 pub use procfs::ProcfsSource;
 pub use resources::{ResourceKind, ResourceVector};
-pub use run::{derive_record, drive, QosSummary, RequestQos, RunOutcome, TickRecord};
+pub use run::{derive_record, drive, step, QosSummary, RequestQos, RunOutcome, TickRecord};
 pub use source::{ObservationSource, SourceKind, SourceMeta};
 pub use trace::{
     RecordingSource, TraceHeader, TraceSource, TraceWriter, TRACE_FORMAT, TRACE_VERSION,

@@ -1,12 +1,12 @@
 //! Run accounting and the source-agnostic closed loop.
 //!
-//! [`drive`] is the telemetry-plane replacement for the simulator harness's
-//! built-in run loop: it pulls observations from any
-//! [`ObservationSource`], feeds them to a [`Policy`], pushes the decided
-//! actions back through the source and accumulates the same
-//! [`RunOutcome`] the harness produced — so every consumer (bench runner,
-//! fleet cells, CLI) works identically over sim, trace and procfs
-//! substrates.
+//! [`step`] is the one control period of the system — sample, decide,
+//! actuate, account — over any [`ObservationSource`] and any [`Policy`],
+//! and the only closed-loop body in the workspace: [`drive`] loops it into
+//! a [`RunOutcome`], the simulator harness's `run`/`step_with` call it on
+//! the harness itself, and cluster hosts advance their epochs with it — so
+//! every consumer (bench runner, fleet cells, cluster hosts, CLI) closes
+//! the loop identically over sim, trace, workload and procfs substrates.
 
 use crate::observation::{AppClass, Observation, Policy};
 use crate::source::ObservationSource;
@@ -212,9 +212,41 @@ pub fn derive_record(
     }
 }
 
-/// Runs the closed loop: up to `ticks` iterations of observe → decide →
-/// actuate against `source`, mirroring the simulator harness's run loop
-/// tick for tick. Stops early when the source is exhausted (finite traces).
+/// Upper bound on the timeline capacity [`drive`] reserves up front. The
+/// tick budget is outside input (`--ticks`) and only a ceiling for finite
+/// traces, so it must not size an allocation by itself; longer runs grow
+/// the timeline as they go.
+const MAX_RESERVED_TICKS: u64 = 1 << 16;
+
+/// Runs one control period of the closed loop: pull the next observation
+/// from `source`, let `policy` decide, push the actions back through the
+/// source and build the tick's accounting record. Returns the record and
+/// how many actions the substrate rejected, or `None` once the source is
+/// exhausted (finite traces).
+///
+/// # Errors
+///
+/// Propagates source failures ([`TelemetryError`]): trace decode errors,
+/// I/O failures, procfs sampling problems.
+pub fn step<S, P>(
+    source: &mut S,
+    policy: &mut P,
+) -> Result<Option<(TickRecord, u64)>, TelemetryError>
+where
+    S: ObservationSource + ?Sized,
+    P: Policy + ?Sized,
+{
+    let Some(observation) = source.next_observation()? else {
+        return Ok(None);
+    };
+    let actions = policy.decide(&observation);
+    let rejected = source.apply(&actions)?;
+    Ok(Some((source.record_for(&observation, &actions), rejected)))
+}
+
+/// Runs the closed loop: up to `ticks` [`step`]s against `source`,
+/// accumulated into a [`RunOutcome`]. Stops early when the source is
+/// exhausted (finite traces), so `ticks` is a budget, not a promise.
 ///
 /// # Errors
 ///
@@ -226,18 +258,16 @@ pub fn drive(
     ticks: u64,
 ) -> Result<RunOutcome, TelemetryError> {
     let mut qos = QosSummary::new();
-    let mut timeline = Vec::with_capacity(ticks as usize);
+    let mut timeline = Vec::with_capacity(ticks.min(MAX_RESERVED_TICKS) as usize);
     let mut rejected_actions = 0;
     for _ in 0..ticks {
-        let Some(observation) = source.next_observation()? else {
+        let Some((record, rejected)) = step(source, policy)? else {
             break;
         };
-        let actions = policy.decide(&observation);
-        rejected_actions += source.apply(&actions)?;
-        let record = source.record_for(&observation, &actions);
         if record.sensitive_active {
             qos.record(record.qos_value, record.violated);
         }
+        rejected_actions += rejected;
         timeline.push(record);
     }
     Ok(RunOutcome {
@@ -348,7 +378,22 @@ mod tests {
     }
 
     #[test]
-    fn drive_accumulates_like_the_harness_loop() {
+    fn step_runs_one_period_and_reports_exhaustion() {
+        let mut source = Canned(vec![observation(0, true), observation(1, false)], 0);
+        let mut policy = NullPolicy::new();
+        let (first, rejected) = step(&mut source, &mut policy).unwrap().unwrap();
+        assert_eq!((first.tick, first.violated, rejected), (0, false, 0));
+        assert_eq!((first.batch_active, first.actions), (1, 0));
+        let (second, _) = step(&mut source, &mut policy).unwrap().unwrap();
+        assert_eq!((second.tick, second.violated), (1, true));
+        assert_eq!(second.batch_paused, 1);
+        // The trace ran dry: no record, and asking again stays quiet.
+        assert!(step(&mut source, &mut policy).unwrap().is_none());
+        assert!(step(&mut source, &mut policy).unwrap().is_none());
+    }
+
+    #[test]
+    fn drive_stops_when_the_source_is_exhausted() {
         let mut source = Canned((0..6).map(|t| observation(t, true)).collect(), 0);
         let mut policy = NullPolicy::new();
         let out = drive(&mut source, &mut policy, 10).unwrap();
@@ -368,5 +413,15 @@ mod tests {
         let out = drive(&mut source, &mut NullPolicy::new(), 4).unwrap();
         assert_eq!(out.timeline.len(), 4);
         assert_eq!(out.timeline.last().unwrap().batch_paused, 1);
+    }
+
+    #[test]
+    fn an_unbounded_tick_budget_reserves_no_more_than_the_cap() {
+        // `--ticks` is outside input: the budget may exceed any trace (and
+        // any address space) and must not be allocated up front.
+        let mut source = Canned((0..6).map(|t| observation(t, true)).collect(), 0);
+        let out = drive(&mut source, &mut NullPolicy::new(), u64::MAX).unwrap();
+        assert_eq!(out.timeline.len(), 6);
+        assert!(out.timeline.capacity() as u64 <= MAX_RESERVED_TICKS);
     }
 }

@@ -60,6 +60,13 @@ impl WorkloadSource {
         &self.host
     }
 
+    /// Mutable access to the engine, for the verbs that act on a host from
+    /// outside its closed loop (the cluster plane's `attach_tenant`,
+    /// `detach_tenant` and `inject_arrival`).
+    pub fn host_mut(&mut self) -> &mut WorkloadHost {
+        &mut self.host
+    }
+
     /// Whole-run latency histogram of sensitive requests.
     pub fn latency(&self) -> &LatencyHistogram {
         self.host.latency()

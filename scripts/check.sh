@@ -43,6 +43,12 @@ cargo build --release --workspace
 # cluster policy (pinned both deterministically and by property tests
 # over random cluster seeds).
 #
+# Cross-plane equivalence (`stayaway-fleet --test cross_plane_equivalence`):
+# a one-host cluster whose only job never arrives must equal the fleet
+# cell over the same workload scenario and derived seed — QoS, throttles,
+# batch-work and utilisation bits, rejected actions and the host-scope
+# event stream — because both planes run the one `telemetry::step` loop.
+#
 # Flight-recorder determinism (`stayaway-fleet --test event_determinism`):
 # the canonical event stream must be byte-identical for any worker count
 # at fleet and cluster scale, recording must be decision-inert, and the
@@ -68,6 +74,7 @@ benchmarks/run.sh --check
 # (fixtures under tests/fixtures/cli/), which the workspace run above
 # includes:
 #   replay of the committed fixture trace    -> replay_fixture.txt
+#   replay under `--ticks 1000000000000`     -> replay_unbounded_ticks.txt
 #   metrics exposition (periods, histograms) -> metrics.txt
 #   scenarios JSON, library listing          -> list.txt
 #   workload run `latency:` line             -> run_workload.txt
