@@ -32,8 +32,28 @@ fn bench_statespace_queries(c: &mut Criterion) {
     group.bench_function("nearest_safe_200", |b| {
         b.iter(|| map.nearest_safe(std::hint::black_box(probe)))
     });
+    // Range *query* on a settled map against range *mutation*: the radii
+    // are derived state, so the query reads them and the first query after
+    // a mutation that moves a range pays the recompute.
     group.bench_function("in_violation_range_200", |b| {
         b.iter(|| map.in_violation_range(std::hint::black_box(probe)))
+    });
+    let mut moving = map.clone();
+    let mut flip = false;
+    group.bench_function("move_state_then_in_violation_range_200", |b| {
+        b.iter(|| {
+            flip = !flip;
+            let to = if flip { 0.9 } else { -0.9 };
+            moving.set_position(7, Point2::new(to, to)).expect("move");
+            moving.in_violation_range(std::hint::black_box(probe))
+        })
+    });
+    group.bench_function("rewrite_same_position_then_in_violation_range_200", |b| {
+        let unchanged = moving.entry(7).expect("entry").point();
+        b.iter(|| {
+            moving.set_position(7, unchanged).expect("rewrite");
+            moving.in_violation_range(std::hint::black_box(probe))
+        })
     });
     group.bench_function("violation_ranges_200", |b| {
         b.iter(|| map.violation_ranges())
@@ -67,6 +87,11 @@ fn bench_trajectory_kernels(c: &mut Criterion) {
     }
     group.bench_function("empirical_sample", |b| {
         b.iter(|| dist.sample(&mut rng).expect("sample"))
+    });
+    // The other side of the maintained histogram: an observation into a
+    // full window (one eviction; a rebuild only when an extreme moves).
+    group.bench_function("empirical_observe_full_window", |b| {
+        b.iter(|| dist.observe(rng.gen_range(0.0..1.0)))
     });
 
     let mut predictor = ModePredictor::new();

@@ -8,6 +8,14 @@
 //! in ticks, so the per-tick figure is the reciprocal of the element
 //! rate.
 //!
+//! Two cases per plane. `*_200_ticks` is a cold start: a handful of
+//! states and trajectory windows under 200 samples, construction
+//! included. `*_formed_200_ticks` warms the controller up for 3 000
+//! periods outside the timed closure — the state map forms (100 to 150
+//! states on this pair) and the 512-sample windows fill — and then times
+//! steady periods, which is where a deployed controller lives and where
+//! per-forecast cost that grows with the map or the window shows.
+//!
 //! [`Predictor`]: stayaway_core::predictors::Predictor
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -16,6 +24,7 @@ use stayaway_fleet::{PolicySpec, PredictorSpec};
 use stayaway_sim::scenario::Scenario;
 
 const TICKS: u64 = 200;
+const WARM_UP_TICKS: u64 = 3_000;
 
 fn bench_predictor_matrix(c: &mut Criterion) {
     // Twitter-analysis keeps the verify loop busy (verdicts are checked,
@@ -41,6 +50,18 @@ fn bench_predictor_matrix(c: &mut Criterion) {
                     .expect("controller builds");
                 harness.run(policy.as_mut(), TICKS)
             })
+        });
+
+        let mut harness = scenario.build_harness().expect("scenario builds");
+        let mut policy = PolicySpec::StayAway
+            .build(
+                &spec.apply(&ControllerConfig::default()),
+                harness.host().spec(),
+            )
+            .expect("controller builds");
+        harness.run(policy.as_mut(), WARM_UP_TICKS);
+        group.bench_function(format!("{}_formed_{TICKS}_ticks", spec.name()), |b| {
+            b.iter(|| harness.run(policy.as_mut(), TICKS))
         });
     }
     group.finish();

@@ -6,7 +6,9 @@
 //! The generated representation matches upstream serde's external JSON
 //! encoding: structs become objects, one-field tuple structs are
 //! transparent newtypes, unit enum variants encode as their name string and
-//! data-carrying variants as a single-key object.
+//! data-carrying variants as a single-key object. The one field attribute
+//! understood is `#[serde(skip)]` on a named struct field: never written,
+//! `Default::default()` on read.
 //!
 //! The implementation parses the raw `proc_macro::TokenStream` directly so
 //! the workspace does not need `syn`/`quote` from crates.io.
@@ -18,6 +20,8 @@ enum Item {
     NamedStruct {
         name: String,
         fields: Vec<String>,
+        /// `#[serde(skip)]` fields: absent from the encoding.
+        skipped: Vec<String>,
     },
     TupleStruct {
         name: String,
@@ -44,7 +48,7 @@ struct Variant {
 }
 
 /// Derives the compat `serde::Serialize` trait.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item).parse().expect("generated code parses"),
@@ -53,7 +57,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derives the compat `serde::Deserialize` trait.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_deserialize(&item)
@@ -98,9 +102,11 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     match keyword.as_str() {
         "struct" => match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+                let (fields, skipped) = parse_named_fields(g.stream())?;
                 Ok(Item::NamedStruct {
                     name,
-                    fields: parse_named_fields(g.stream())?,
+                    fields,
+                    skipped,
                 })
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
@@ -174,18 +180,32 @@ fn split_top_level_commas(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     parts
 }
 
-fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
+/// True when the field's tokens carry a `#[serde(skip)]` attribute.
+fn has_serde_skip(part: &[TokenTree]) -> bool {
+    part.windows(2).any(|w| {
+        matches!(&w[0], TokenTree::Punct(p) if p.as_char() == '#')
+            && matches!(&w[1], TokenTree::Group(g)
+                if g.stream().to_string().replace(' ', "") == "serde(skip)")
+    })
+}
+
+/// Field names of a braced body: `(encoded, skipped)`.
+fn parse_named_fields(stream: TokenStream) -> Result<(Vec<String>, Vec<String>), String> {
     let mut fields = Vec::new();
+    let mut skipped = Vec::new();
     for part in split_top_level_commas(stream) {
         let mut pos = 0;
         skip_attributes_and_visibility(&part, &mut pos);
         match part.get(pos) {
+            Some(TokenTree::Ident(id)) if has_serde_skip(&part[..pos]) => {
+                skipped.push(id.to_string())
+            }
             Some(TokenTree::Ident(id)) => fields.push(id.to_string()),
             None => continue,
             other => return Err(format!("expected field name, got {other:?}")),
         }
     }
-    Ok(fields)
+    Ok((fields, skipped))
 }
 
 fn count_tuple_fields(stream: TokenStream) -> usize {
@@ -206,7 +226,14 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
         let kind = match part.get(pos) {
             None => VariantKind::Unit,
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                VariantKind::Named(parse_named_fields(g.stream())?)
+                let (fields, skipped) = parse_named_fields(g.stream())?;
+                if !skipped.is_empty() {
+                    return Err(format!(
+                        "serde compat derive supports `#[serde(skip)]` on struct fields only \
+                         (variant `{name}`)"
+                    ));
+                }
+                VariantKind::Named(fields)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 VariantKind::Tuple(count_tuple_fields(g.stream()))
@@ -235,7 +262,7 @@ fn object_literal(pairs: &[(String, String)]) -> String {
 
 fn gen_serialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
+        Item::NamedStruct { name, fields, .. } => {
             let pairs: Vec<(String, String)> = fields
                 .iter()
                 .map(|f| {
@@ -342,10 +369,19 @@ fn field_extract(owner: &str, field: &str) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     match item {
-        Item::NamedStruct { name, fields } => {
+        Item::NamedStruct {
+            name,
+            fields,
+            skipped,
+        } => {
             let inits: Vec<String> = fields
                 .iter()
                 .map(|f| format!("{f}: {}", field_extract(name, f)))
+                .chain(
+                    skipped
+                        .iter()
+                        .map(|f| format!("{f}: ::core::default::Default::default()")),
+                )
                 .collect();
             impl_deserialize(
                 name,

@@ -5,12 +5,21 @@
 //! owns entry `i`. Every control period the embedding is refreshed, so the
 //! 2-D positions of all entries are rewritten; labels (safe/violation) and
 //! visit statistics persist across refreshes.
+//!
+//! The violation-range radii are *derived state*: computed once from the
+//! entries and the coordinate scale, kept until a mutation that can move a
+//! range (a new entry, a position or scale that actually changed, a new
+//! violation label) invalidates them, and computed again by the next range
+//! query. A burst of mutations — a re-embedding rewrites every position —
+//! therefore costs one recompute, and a query on an unchanged map costs one
+//! distance per violation-state.
 
 use crate::mode::ExecutionMode;
 use crate::point::Point2;
 use crate::range::{rayleigh_radius, ViolationRange};
 use crate::StateSpaceError;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Whether a mapped state has been associated with a QoS violation.
 ///
@@ -68,15 +77,17 @@ pub struct StateMap {
     entries: Vec<StateEntry>,
     /// Median coordinate range of the mapped space — the `c` of §3.2.2.
     coordinate_scale: f64,
+    /// `(violation-state index, range radius)` in entry order, derived from
+    /// the two fields above; unset while stale. Never serialised. Writers
+    /// hold `&mut self`, so readers only ever pay an atomic load here.
+    #[serde(skip)]
+    ranges: OnceLock<Vec<(usize, f64)>>,
 }
 
 impl StateMap {
     /// Creates an empty map.
     pub fn new() -> Self {
-        StateMap {
-            entries: Vec::new(),
-            coordinate_scale: 0.0,
-        }
+        StateMap::default()
     }
 
     /// Number of states.
@@ -125,7 +136,10 @@ impl StateMap {
                 name: "coordinate_scale",
             });
         }
-        self.coordinate_scale = c;
+        if self.coordinate_scale != c {
+            self.coordinate_scale = c;
+            self.ranges.take();
+        }
         Ok(())
     }
 
@@ -149,13 +163,14 @@ impl StateMap {
         use std::cmp::Ordering;
         match index.cmp(&self.entries.len()) {
             Ordering::Less => {
+                self.set_position(index, point)?;
                 let e = &mut self.entries[index];
-                e.point = point;
                 e.visits += 1;
                 e.last_tick = tick;
                 Ok(())
             }
             Ordering::Equal => {
+                self.ranges.take();
                 self.entries.push(StateEntry {
                     point,
                     kind: StateKind::Safe,
@@ -183,6 +198,11 @@ impl StateMap {
             .entries
             .get_mut(index)
             .ok_or(StateSpaceError::UnknownState { index, len })?;
+        // The controller rewrites the current state's position every
+        // period, almost always with the value it already has.
+        if e.point != point {
+            self.ranges.take();
+        }
         e.point = point;
         Ok(())
     }
@@ -198,7 +218,10 @@ impl StateMap {
             .entries
             .get_mut(index)
             .ok_or(StateSpaceError::UnknownState { index, len })?;
-        e.kind = StateKind::Violation;
+        if e.kind != StateKind::Violation {
+            e.kind = StateKind::Violation;
+            self.ranges.take();
+        }
         Ok(())
     }
 
@@ -241,6 +264,22 @@ impl StateMap {
         best
     }
 
+    /// The derived range set: every violation-state's index and Rayleigh
+    /// radius against its nearest safe-state (zero when there is none).
+    fn ranges(&self) -> &[(usize, f64)] {
+        self.ranges.get_or_init(|| {
+            self.entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.kind == StateKind::Violation)
+                .map(|(i, e)| {
+                    let d = self.nearest_safe(e.point).map_or(0.0, |(_, d)| d);
+                    (i, rayleigh_radius(d, self.coordinate_scale))
+                })
+                .collect()
+        })
+    }
+
     /// The violation-range around violation-state `index`, using the
     /// Rayleigh radius against the nearest safe-state. When no safe-state
     /// exists the radius collapses to zero (exact-overlap matching).
@@ -252,26 +291,20 @@ impl StateMap {
     /// violation-state.
     pub fn violation_range(&self, index: usize) -> Result<ViolationRange, StateSpaceError> {
         let e = self.entry(index)?;
-        if e.kind != StateKind::Violation {
-            return Err(StateSpaceError::InvalidParameter {
+        let ranges = self.ranges();
+        let at = ranges
+            .binary_search_by_key(&index, |&(i, _)| i)
+            .map_err(|_| StateSpaceError::InvalidParameter {
                 name: "index (not a violation-state)",
-            });
-        }
-        let d = self.nearest_safe(e.point).map(|(_, d)| d).unwrap_or(0.0);
-        let r = rayleigh_radius(d, self.coordinate_scale);
-        Ok(ViolationRange::new(e.point, r))
+            })?;
+        Ok(ViolationRange::new(e.point, ranges[at].1))
     }
 
     /// All violation-ranges.
     pub fn violation_ranges(&self) -> Vec<ViolationRange> {
-        self.entries
+        self.ranges()
             .iter()
-            .enumerate()
-            .filter(|(_, e)| e.kind == StateKind::Violation)
-            .map(|(i, _)| {
-                self.violation_range(i)
-                    .expect("index enumerates violation entries")
-            })
+            .map(|&(i, r)| ViolationRange::new(self.entries[i].point, r))
             .collect()
     }
 
@@ -284,18 +317,10 @@ impl StateMap {
     /// (the nearest-centred one when several overlap).
     pub fn violation_range_containing(&self, point: Point2) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.kind != StateKind::Violation {
-                continue;
-            }
-            let range = self
-                .violation_range(i)
-                .expect("violation entry yields a range");
-            if range.contains(point) {
-                let d = e.point.distance(point);
-                if best.is_none_or(|(_, bd)| d.total_cmp(&bd).is_lt()) {
-                    best = Some((i, d));
-                }
+        for &(i, radius) in self.ranges() {
+            let d = self.entries[i].point.distance(point);
+            if d <= radius && best.is_none_or(|(_, bd)| d.total_cmp(&bd).is_lt()) {
+                best = Some((i, d));
             }
         }
         best.map(|(i, _)| i)
@@ -447,5 +472,34 @@ mod tests {
         assert_eq!(m2.len(), 3);
         assert_eq!(m2.violation_count(), 1);
         assert_eq!(m2.coordinate_scale(), 1.0);
+    }
+
+    #[test]
+    fn derived_ranges_are_rebuilt_not_serialised() {
+        let mut m = mk_map();
+        m.visit(3, Point2::new(1.5, 0.2), ExecutionMode::CoLocated, 4)
+            .unwrap();
+        m.mark_violation(1).unwrap();
+        m.mark_violation(3).unwrap();
+        // Queried (ranges derived) before serialising: the JSON still holds
+        // the two stored fields and nothing else.
+        assert!(m.in_violation_range(Point2::new(1.2, 0.0)));
+        let json = serde_json::to_string(&m).unwrap();
+        assert!(json.starts_with("{\"entries\":[") && json.contains("],\"coordinate_scale\":1.0}"));
+        assert!(!json.contains("ranges"));
+
+        let back: StateMap = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.violation_ranges(), m.violation_ranges());
+        for rep in 0..m.len() {
+            assert_eq!(back.violation_range(rep).ok(), m.violation_range(rep).ok());
+        }
+        for k in 0..400 {
+            let probe = Point2::new(-0.5 + 0.05 * (k % 50) as f64, -0.5 + 0.25 * (k / 50) as f64);
+            assert_eq!(
+                back.violation_range_containing(probe),
+                m.violation_range_containing(probe),
+                "probe {probe}"
+            );
+        }
     }
 }

@@ -10,6 +10,54 @@ fn point_strategy() -> impl Strategy<Value = Point2> {
     (-10.0f64..10.0, -10.0f64..10.0).prop_map(|(x, y)| Point2::new(x, y))
 }
 
+/// Points on a coarse grid half the time, so coincident states, ties
+/// between nearest neighbours and probes exactly on a centre all occur.
+fn grid_point_strategy() -> impl Strategy<Value = Point2> {
+    (any::<bool>(), -3.0f64..3.0, -3.0f64..3.0).prop_map(|(snap, x, y)| {
+        if snap {
+            Point2::new(x.round(), y.round())
+        } else {
+            Point2::new(x, y)
+        }
+    })
+}
+
+/// Every violation-range of `map`, recomputed from its entries alone: the
+/// Rayleigh radius against the nearest safe-state, zero without one.
+fn reference_ranges(map: &StateMap) -> Vec<(usize, ViolationRange)> {
+    let safe: Vec<Point2> = map
+        .iter()
+        .filter(|e| e.kind() == StateKind::Safe)
+        .map(|e| e.point())
+        .collect();
+    map.iter()
+        .enumerate()
+        .filter(|(_, e)| e.kind() == StateKind::Violation)
+        .map(|(i, e)| {
+            let d = safe
+                .iter()
+                .map(|s| e.point().distance(*s))
+                .min_by(f64::total_cmp)
+                .unwrap_or(0.0);
+            let radius = rayleigh_radius(d, map.coordinate_scale());
+            (i, ViolationRange::new(e.point(), radius))
+        })
+        .collect()
+}
+
+/// The nearest-centred range containing `probe` (first wins a tie).
+fn reference_containing(ranges: &[(usize, ViolationRange)], probe: Point2) -> Option<usize> {
+    ranges
+        .iter()
+        .filter(|(_, r)| r.contains(probe))
+        .min_by(|(_, a), (_, b)| {
+            a.center()
+                .distance(probe)
+                .total_cmp(&b.center().distance(probe))
+        })
+        .map(|&(i, _)| i)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -79,26 +127,52 @@ proptest! {
         }
     }
 
-    /// in_violation_range agrees with an exhaustive scan of the ranges.
+    /// After every step of a random interleaving of `visit` (appending,
+    /// moving, and rewriting an unchanged position), `set_position`,
+    /// `mark_violation` and `set_coordinate_scale`, every range query
+    /// agrees with a from-scratch scan of the entries.
     #[test]
     fn range_query_matches_exhaustive_scan(
-        points in prop::collection::vec(point_strategy(), 2..20),
-        probe in point_strategy(),
+        ops in prop::collection::vec(
+            (0u8..6, 0usize..64, grid_point_strategy(), 0.0f64..3.0),
+            1..40,
+        ),
+        probes in prop::collection::vec(grid_point_strategy(), 1..6),
     ) {
         let mut map = StateMap::new();
-        map.set_coordinate_scale(1.0).unwrap();
-        for (i, p) in points.iter().enumerate() {
-            map.visit(i, *p, ExecutionMode::CoLocated, 0).unwrap();
+        for (step, &(kind, index, point, scale)) in ops.iter().enumerate() {
+            let len = map.len();
+            match kind {
+                _ if len == 0 => map.visit(0, point, ExecutionMode::CoLocated, 0).unwrap(),
+                0 => map
+                    .visit(index % (len + 1), point, ExecutionMode::CoLocated, step as u64)
+                    .unwrap(),
+                1 => {
+                    let unchanged = map.entry(index % len).unwrap().point();
+                    map.visit(index % len, unchanged, ExecutionMode::CoLocated, step as u64)
+                        .unwrap();
+                }
+                2 => map.set_position(index % len, point).unwrap(),
+                3 | 4 => map.mark_violation(index % len).unwrap(),
+                _ => map.set_coordinate_scale(scale).unwrap(),
+            }
+
+            let reference = reference_ranges(&map);
+            let listed = map.violation_ranges();
+            prop_assert_eq!(listed.len(), reference.len());
+            for (&(i, range), &got) in reference.iter().zip(&listed) {
+                prop_assert_eq!(got, range);
+                prop_assert_eq!(map.violation_range(i).unwrap(), range);
+            }
+            // Zero-radius ranges contain only their centre, so the entries'
+            // own positions are the probes that find them.
+            let centres: Vec<Point2> = map.iter().map(|e| e.point()).collect();
+            for &probe in probes.iter().chain(&centres) {
+                let want = reference_containing(&reference, probe);
+                prop_assert_eq!(map.violation_range_containing(probe), want);
+                prop_assert_eq!(map.in_violation_range(probe), want.is_some());
+            }
         }
-        // Mark every third state.
-        for i in (0..points.len()).step_by(3) {
-            map.mark_violation(i).unwrap();
-        }
-        let exhaustive = map
-            .violation_ranges()
-            .iter()
-            .any(|r| r.contains(probe));
-        prop_assert_eq!(map.in_violation_range(probe), exhaustive);
     }
 
     /// Templates round-trip arbitrary contents through JSON bit-exactly.

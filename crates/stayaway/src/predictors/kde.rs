@@ -29,16 +29,17 @@ impl AnyModel {
         }
     }
 
-    fn predict(
+    fn vote(
         &self,
         mode: ExecutionMode,
         current: Point2,
         n: usize,
         rng: &mut StdRng,
-    ) -> Option<stayaway_trajectory::Prediction> {
+        inside: &mut dyn FnMut(Point2) -> bool,
+    ) -> Option<usize> {
         match self {
-            AnyModel::PerMode(p) => p.predict(mode, current, n, rng),
-            AnyModel::Single(p) => p.predict(mode, current, n, rng),
+            AnyModel::PerMode(p) => p.vote(mode, current, n, rng, inside),
+            AnyModel::Single(p) => p.vote(mode, current, n, rng, inside),
         }
     }
 }
@@ -107,14 +108,17 @@ impl Predictor for KdePredictor {
         point: Point2,
         rng: &mut StdRng,
     ) -> Option<Forecast> {
-        let prediction = self.model.predict(sensed.mode, point, self.samples, rng)?;
-        let votes = prediction.count_where(|c| map.in_violation_range(c));
-        let predicted_violation = 2 * votes > prediction.len();
+        let votes = self
+            .model
+            .vote(sensed.mode, point, self.samples, rng, &mut |c| {
+                map.in_violation_range(c)
+            })?;
+        let predicted_violation = 2 * votes > self.samples;
         self.ledger.record(predicted_violation);
         Some(Forecast {
             predicted_violation,
             votes,
-            samples: prediction.len(),
+            samples: self.samples,
         })
     }
 

@@ -219,7 +219,7 @@ impl VerdictLedger {
     /// Resolves the pending verdict against the state actually reached.
     pub fn verify(&mut self, map: &MapStage, rep: usize, point: Point2) -> Option<bool> {
         let predicted_in_range = self.pending.take()?;
-        let actually_in_range = map.in_violation_range(point) || map.is_violation_state(rep);
+        let actually_in_range = map.is_violation_state(rep) || map.in_violation_range(point);
         Some(predicted_in_range == actually_in_range)
     }
 

@@ -5,8 +5,19 @@
 //! bounded sliding window (oldest evicted first). From the window the
 //! distribution exposes histogram-CDF inverse-transform sampling (the
 //! paper's method) and KDE smoothing for inspection.
+//!
+//! **Maintenance invariant.** The distribution owns the histogram it
+//! samples from, and after every [`observe`](EmpiricalDistribution::observe)
+//! that histogram equals `Histogram::auto_range(window, bins)` — counts,
+//! bounds and error cases alike. While the window's extremes stay put an
+//! observation costs one bin increment (plus one decrement for the evicted
+//! value); only an observation that moves an extreme — a new minimum or
+//! maximum, or the eviction of the last copy of one — recounts the window,
+//! so at most one rebuild per window change and none per draw.
+//! [`sample`](EmpiricalDistribution::sample) is one CDF inversion on that
+//! live state and allocates nothing.
 
-use crate::histogram::Histogram;
+use crate::histogram::{extremes, Histogram};
 use crate::kde::Kde;
 use crate::TrajectoryError;
 use rand::Rng;
@@ -24,6 +35,15 @@ pub struct EmpiricalDistribution {
     window: VecDeque<f64>,
     capacity: usize,
     bins: usize,
+    /// Always `Histogram::auto_range(window, bins)`.
+    histogram: Result<Histogram, TrajectoryError>,
+    /// Smallest and largest value in the window (`(∞, −∞)` when empty).
+    extremes: (f64, f64),
+    /// How many window entries equal each extreme. Step lengths sit on
+    /// their minimum (a period that stays in its state is a zero-length
+    /// step), so evicting *a* copy of an extreme is routine and only
+    /// evicting the *last* one moves the range.
+    copies: (usize, usize),
 }
 
 impl EmpiricalDistribution {
@@ -45,6 +65,9 @@ impl EmpiricalDistribution {
             window: VecDeque::with_capacity(capacity),
             capacity,
             bins,
+            histogram: Histogram::auto_range(&[], bins),
+            extremes: extremes(std::iter::empty()),
+            copies: (0, 0),
         }
     }
 
@@ -69,10 +92,35 @@ impl EmpiricalDistribution {
         if !value.is_finite() {
             return;
         }
-        if self.window.len() == self.capacity {
-            self.window.pop_front();
-        }
+        let evicted = if self.window.len() == self.capacity {
+            self.window.pop_front()
+        } else {
+            None
+        };
         self.window.push_back(value);
+
+        let (lo, hi) = self.extremes;
+        let (lo_copies, hi_copies) = &mut self.copies;
+        *lo_copies += usize::from(value == lo);
+        *hi_copies += usize::from(value == hi);
+        if let Some(old) = evicted {
+            *lo_copies -= usize::from(old == lo);
+            *hi_copies -= usize::from(old == hi);
+        }
+        // The range moves when a value lands outside it or the last copy of
+        // an extreme leaves; only then is the window recounted.
+        if value < lo || value > hi || *lo_copies == 0 || *hi_copies == 0 {
+            let (lo, hi) = extremes(self.window.iter().copied());
+            let copies_of = |x: f64| self.window.iter().filter(|&&v| v == x).count();
+            self.copies = (copies_of(lo), copies_of(hi));
+            self.extremes = (lo, hi);
+            self.histogram = Histogram::auto_range(self.window.make_contiguous(), self.bins);
+        } else if let Ok(h) = &mut self.histogram {
+            if let Some(old) = evicted {
+                h.remove(old);
+            }
+            h.insert(value);
+        }
     }
 
     /// Mean of the windowed observations (0.0 when empty).
@@ -83,14 +131,13 @@ impl EmpiricalDistribution {
         self.window.iter().sum::<f64>() / self.window.len() as f64
     }
 
-    /// Builds the histogram of the current window.
+    /// A copy of the histogram of the current window.
     ///
     /// # Errors
     ///
     /// Returns [`TrajectoryError::InsufficientData`] when empty.
     pub fn histogram(&self) -> Result<Histogram, TrajectoryError> {
-        let samples: Vec<f64> = self.window.iter().copied().collect();
-        Histogram::auto_range(&samples, self.bins)
+        self.histogram.clone()
     }
 
     /// Fits a KDE to the current window.
@@ -99,8 +146,7 @@ impl EmpiricalDistribution {
     ///
     /// Returns [`TrajectoryError::InsufficientData`] when empty.
     pub fn kde(&self) -> Result<Kde, TrajectoryError> {
-        let samples: Vec<f64> = self.window.iter().copied().collect();
-        Kde::fit(&samples)
+        Kde::fit(&self.to_vec())
     }
 
     /// Draws a value by inverse-transform sampling on the windowed
@@ -110,7 +156,7 @@ impl EmpiricalDistribution {
     ///
     /// Returns [`TrajectoryError::InsufficientData`] when empty.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<f64, TrajectoryError> {
-        let h = self.histogram()?;
+        let h = self.histogram.as_ref().map_err(Clone::clone)?;
         Ok(h.inverse_cdf(rng.gen_range(0.0..=1.0)))
     }
 

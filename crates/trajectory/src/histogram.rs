@@ -41,21 +41,19 @@ impl Histogram {
         if max <= min {
             return Err(TrajectoryError::InvalidParameter { name: "range" });
         }
-        let mut counts = vec![0u64; bins];
+        let mut h = Histogram {
+            min,
+            max,
+            counts: vec![0u64; bins],
+            total: 0,
+        };
         for &s in samples {
             if !s.is_finite() {
                 return Err(TrajectoryError::NonFinite);
             }
-            let unit = ((s - min) / (max - min)).clamp(0.0, 1.0);
-            let idx = ((unit * bins as f64) as usize).min(bins - 1);
-            counts[idx] += 1;
+            h.insert(s);
         }
-        Ok(Histogram {
-            min,
-            max,
-            counts,
-            total: samples.len() as u64,
-        })
+        Ok(h)
     }
 
     /// Builds a histogram with the range taken from the data itself
@@ -72,15 +70,10 @@ impl Histogram {
                 available: 0,
             });
         }
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &s in samples {
-            if !s.is_finite() {
-                return Err(TrajectoryError::NonFinite);
-            }
-            lo = lo.min(s);
-            hi = hi.max(s);
+        if samples.iter().any(|s| !s.is_finite()) {
+            return Err(TrajectoryError::NonFinite);
         }
+        let (mut lo, mut hi) = extremes(samples.iter().copied());
         if hi <= lo {
             // All samples identical: widen symmetrically.
             let pad = lo.abs().max(1.0) * 1e-6;
@@ -88,6 +81,27 @@ impl Histogram {
             hi += pad;
         }
         Histogram::from_samples(samples, bins, lo, hi)
+    }
+
+    /// The bin a sample falls into (clamped into the boundary bins).
+    fn bin_of(&self, x: f64) -> usize {
+        let bins = self.counts.len();
+        let unit = ((x - self.min) / (self.max - self.min)).clamp(0.0, 1.0);
+        ((unit * bins as f64) as usize).min(bins - 1)
+    }
+
+    /// Counts one more (finite) sample.
+    pub(crate) fn insert(&mut self, x: f64) {
+        let i = self.bin_of(x);
+        self.counts[i] += 1;
+        self.total += 1;
+    }
+
+    /// Uncounts a sample that was inserted under the same bounds.
+    pub(crate) fn remove(&mut self, x: f64) {
+        let i = self.bin_of(x);
+        self.counts[i] -= 1;
+        self.total -= 1;
     }
 
     /// Number of bins.
@@ -139,9 +153,7 @@ impl Histogram {
         if self.total == 0 || x < self.min || x > self.max {
             return 0.0;
         }
-        let unit = ((x - self.min) / (self.max - self.min)).clamp(0.0, 1.0);
-        let idx = ((unit * self.bins() as f64) as usize).min(self.bins() - 1);
-        self.mass(idx) / self.bin_width()
+        self.mass(self.bin_of(x)) / self.bin_width()
     }
 
     /// Centre of bin `i`.
@@ -206,6 +218,13 @@ impl Histogram {
             / n;
         m3 / var.powf(1.5)
     }
+}
+
+/// Smallest and largest of `samples` (`(∞, −∞)` when empty).
+pub(crate) fn extremes(samples: impl Iterator<Item = f64>) -> (f64, f64) {
+    samples.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), s| {
+        (lo.min(s), hi.max(s))
+    })
 }
 
 #[cfg(test)]

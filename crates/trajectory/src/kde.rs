@@ -4,8 +4,9 @@
 //! kernel density estimation" for the step-length and angle distributions of
 //! each execution mode. This module provides that smoothing, plus *smoothed
 //! bootstrap* sampling (draw a data point uniformly, add kernel noise) which
-//! is exactly a draw from the KDE and is used by the predictor as an
-//! alternative to histogram-CDF inversion.
+//! is exactly a draw from the KDE. The predictor does not use it — it
+//! inverts the histogram CDF, as the paper does; the KDE is for inspection
+//! and the figure-5 renderings.
 
 use crate::TrajectoryError;
 use rand::Rng;

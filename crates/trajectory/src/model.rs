@@ -79,6 +79,27 @@ impl TrajectoryModel {
         Ok(Step { length, angle })
     }
 
+    /// Draws `n` candidate future positions starting from `current`,
+    /// handing each to `visit` as it is drawn.
+    fn for_each_candidate<R: Rng + ?Sized>(
+        &self,
+        current: Point2,
+        n: usize,
+        rng: &mut R,
+        mut visit: impl FnMut(Point2),
+    ) -> Result<(), TrajectoryError> {
+        if !self.is_ready() {
+            return Err(TrajectoryError::InsufficientData {
+                required: DEFAULT_MIN_OBSERVATIONS,
+                available: self.lengths.len(),
+            });
+        }
+        for _ in 0..n {
+            visit(self.sample_step(rng)?.apply(current));
+        }
+        Ok(())
+    }
+
     /// Draws `n` candidate future positions starting from `current`.
     ///
     /// # Errors
@@ -91,17 +112,23 @@ impl TrajectoryModel {
         n: usize,
         rng: &mut R,
     ) -> Result<Prediction, TrajectoryError> {
-        if !self.is_ready() {
-            return Err(TrajectoryError::InsufficientData {
-                required: DEFAULT_MIN_OBSERVATIONS,
-                available: self.lengths.len(),
-            });
-        }
         let mut candidates = Vec::with_capacity(n);
-        for _ in 0..n {
-            candidates.push(self.sample_step(rng)?.apply(current));
-        }
+        self.for_each_candidate(current, n, rng, |c| candidates.push(c))?;
         Ok(Prediction { candidates })
+    }
+
+    /// Draws the `n` candidates [`predict_from`](Self::predict_from) would
+    /// and counts those satisfying `inside`, without storing them.
+    fn vote_from<R: Rng + ?Sized>(
+        &self,
+        current: Point2,
+        n: usize,
+        rng: &mut R,
+        mut inside: impl FnMut(Point2) -> bool,
+    ) -> Result<usize, TrajectoryError> {
+        let mut votes = 0;
+        self.for_each_candidate(current, n, rng, |c| votes += usize::from(inside(c)))?;
+        Ok(votes)
     }
 }
 
@@ -162,6 +189,18 @@ pub trait Predictor {
         n: usize,
         rng: &mut dyn rand::RngCore,
     ) -> Option<Prediction>;
+
+    /// Draws the same `n` candidates as [`predict`](Predictor::predict)
+    /// and counts those satisfying `inside`, without storing them — the
+    /// per-period voting path.
+    fn vote(
+        &self,
+        mode: ExecutionMode,
+        current: Point2,
+        n: usize,
+        rng: &mut dyn rand::RngCore,
+        inside: &mut dyn FnMut(Point2) -> bool,
+    ) -> Option<usize>;
 }
 
 /// One [`TrajectoryModel`] per execution mode — the paper's design.
@@ -195,6 +234,19 @@ impl Predictor for ModePredictor {
         rng: &mut dyn rand::RngCore,
     ) -> Option<Prediction> {
         self.models[mode.index()].predict_from(current, n, rng).ok()
+    }
+
+    fn vote(
+        &self,
+        mode: ExecutionMode,
+        current: Point2,
+        n: usize,
+        rng: &mut dyn rand::RngCore,
+        inside: &mut dyn FnMut(Point2) -> bool,
+    ) -> Option<usize> {
+        self.models[mode.index()]
+            .vote_from(current, n, rng, inside)
+            .ok()
     }
 }
 
@@ -230,6 +282,17 @@ impl Predictor for SingleModelPredictor {
         rng: &mut dyn rand::RngCore,
     ) -> Option<Prediction> {
         self.model.predict_from(current, n, rng).ok()
+    }
+
+    fn vote(
+        &self,
+        _mode: ExecutionMode,
+        current: Point2,
+        n: usize,
+        rng: &mut dyn rand::RngCore,
+        inside: &mut dyn FnMut(Point2) -> bool,
+    ) -> Option<usize> {
+        self.model.vote_from(current, n, rng, inside).ok()
     }
 }
 
