@@ -98,7 +98,7 @@ impl FullRebuildBaseline {
             Some(prev) => {
                 let init = warm_start_with_new_points(prev, &dissim).expect("warm start");
                 let refined = self.smacof.embed_warm(&dissim, init).expect("embed warm");
-                align_to_previous(&refined, prev).expect("align")
+                align_to_previous(refined, prev).expect("align")
             }
         };
         self.embedding = Some(new_embedding);

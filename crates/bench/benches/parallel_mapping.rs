@@ -1,14 +1,16 @@
-//! The chunk-parallel, incrementally maintained mapping plane vs its
-//! serial and naive references.
+//! The incrementally maintained mapping plane vs its naive references.
 //!
-//! Three timed groups over the mapping-bound hot path (ROADMAP item 3):
+//! Three timed groups over the mapping-bound hot path (ROADMAP item 1):
 //!
-//! * `smacof_sweep_512` — pure Guttman sweeps on a fixed 512-point
-//!   dissimilarity matrix, warm-started from one precomputed classical
-//!   seed so the timing isolates the sweep kernel (`tolerance(0.0)` pins
-//!   every arm at exactly `SWEEPS` sweeps): the serial reference and the
-//!   chunk-parallel path at 4 workers, bit-identical to each other by
-//!   construction.
+//! * `smacof_solve` — `SWEEPS` majorization sweeps on fixed 64 / 150 /
+//!   400-point dissimilarity matrices, warm-started from one precomputed
+//!   classical seed so the timing isolates the sweep kernel
+//!   (`tolerance(0.0)` pins every arm at exactly `SWEEPS` sweeps): the
+//!   solver's fused triangular pass (each pair's distance evaluated once,
+//!   feeding stress and Guttman update together) against the test-only
+//!   reference formulation it replaced (`crates/mds/tests/reference`: row
+//!   sums over the full n × n plus a separate stress pass per sweep).
+//!   Both arms are asserted bit-identical before anything is timed.
 //! * `matrix_maintenance_512` — growing the 512-point distance matrix one
 //!   representative at a time: from-scratch rebuilds (the naive baseline)
 //!   vs incremental column appends, serial and at 4 workers. The
@@ -17,22 +19,28 @@
 //!   The naive arm is the paper's literal §2.2 pipeline run every period:
 //!   rebuild the distance matrix from scratch and solve from a fresh
 //!   classical-MDS seed. The incremental arm is the plane the engine
-//!   actually runs: column append + warm-started sweep. Both arms run one majorization sweep per period, so the gap
-//!   is the maintenance machinery itself; it carries the end-to-end ≥10×
-//!   claim and widens further with worker count on a multi-core host.
+//!   actually runs: column append + warm-started sweep. Both arms run one
+//!   majorization sweep per period, so the gap is the maintenance
+//!   machinery itself; it carries the end-to-end ≥10× claim.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+#[path = "../../mds/tests/reference/mod.rs"]
+mod reference;
+
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stayaway_mds::classical::classical_mds;
 use stayaway_mds::distance::{DistanceMatrix, Metric};
 use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 
-const N_SWEEP: usize = 512;
+const N_MATRIX: usize = 512;
 const N_PATH: usize = 128;
-/// Sweeps per solve in the pure-sweep group (`tolerance(0.0)` keeps every
-/// arm at exactly this count, so the arms time identical sweep workloads).
-const SWEEPS: usize = 3;
+/// Map sizes of the solve group: one row chunk of the old sweep, a formed
+/// `host-steady` map, and the `max_states` ceiling.
+const N_SOLVE: [usize; 3] = [64, 150, 400];
+/// Sweeps per solve in the solve group (`tolerance(0.0)` keeps every arm
+/// at exactly this count) — about what a warm-started re-embed runs.
+const SWEEPS: usize = 12;
 const WORKERS: usize = 4;
 
 /// Deterministic pseudo-random measurement vectors in `[0, 1]^dim`.
@@ -43,28 +51,34 @@ fn vectors(n: usize, dim: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn solver(workers: usize) -> Smacof {
-    Smacof::new(2)
-        .max_iterations(SWEEPS)
-        .tolerance(0.0)
-        .workers(workers)
-}
-
 fn bench_parallel_mapping(c: &mut Criterion) {
-    let pts = vectors(N_SWEEP, 10);
-    let dissim = DistanceMatrix::from_vectors(&pts).expect("matrix");
-    // One classical seed shared by every sweep arm: the expensive O(n³)
-    // eigensolve happens once, outside all timings.
-    let seed = classical_mds(&dissim, 2).expect("seed");
+    let pts = vectors(N_MATRIX, 10);
 
-    let mut group = c.benchmark_group("smacof_sweep_512");
+    let solver = Smacof::new(2).max_iterations(SWEEPS).tolerance(0.0);
+    let mut group = c.benchmark_group("smacof_solve");
     group.sample_size(10);
-    for (label, workers) in [("f64_serial", 1), ("f64_4workers", WORKERS)] {
-        let s = solver(workers);
-        group.bench_function(label, |b| {
+    for n in N_SOLVE {
+        let dissim = DistanceMatrix::from_vectors(&pts[..n]).expect("matrix");
+        // One classical seed shared by both arms: the expensive O(n³)
+        // eigensolve happens once, outside all timings.
+        let seed = classical_mds(&dissim, 2).expect("seed");
+        let fused = solver.embed_warm(&dissim, seed.clone()).expect("embed");
+        let (expected, _) = reference::embed_warm_traced(&dissim, seed.clone(), SWEEPS, 0.0);
+        assert_eq!(
+            reference::bits(&fused),
+            reference::bits(&expected),
+            "fused kernel diverged from the reference at n = {n}"
+        );
+        group.bench_with_input(BenchmarkId::new("fused", n), &dissim, |b, d| {
             b.iter(|| {
-                s.embed_warm(std::hint::black_box(&dissim), seed.clone())
+                solver
+                    .embed_warm(std::hint::black_box(d), seed.clone())
                     .expect("embed")
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("reference", n), &dissim, |b, d| {
+            b.iter(|| {
+                reference::embed_warm_traced(std::hint::black_box(d), seed.clone(), SWEEPS, 0.0)
             });
         });
     }
@@ -123,10 +137,7 @@ fn bench_parallel_mapping(c: &mut Criterion) {
     group.bench_function("incremental_parallel_plane", |b| {
         // Column append + warm start — the engine's actual per-period
         // work.
-        let s = Smacof::new(2)
-            .max_iterations(1)
-            .tolerance(0.0)
-            .workers(WORKERS);
+        let s = Smacof::new(2).max_iterations(1).tolerance(0.0);
         b.iter(|| {
             let mut dissim =
                 DistanceMatrix::from_vectors(std::hint::black_box(&path_pts[..2])).expect("matrix");

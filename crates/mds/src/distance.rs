@@ -191,7 +191,7 @@ impl DistanceMatrix {
         }
         let base = self.upper.len();
         self.upper.resize(base + self.n, 0.0);
-        let pieces = parallel::row_pieces(&mut self.upper[base..], 1, APPEND_CHUNK);
+        let pieces = parallel::run_pieces(&mut self.upper[base..], APPEND_CHUNK);
         parallel::scatter(workers, pieces, |first, slice| {
             for (k, v) in slice.iter_mut().enumerate() {
                 *v = metric.distance(&existing[first + k], point);
@@ -254,6 +254,18 @@ impl DistanceMatrix {
         }
         let (i, j) = if i < j { (i, j) } else { (j, i) };
         self.upper[j * (j - 1) / 2 + i]
+    }
+
+    /// The condensed strict upper triangle, grouped by column: entry (i, j)
+    /// with i < j at `j*(j-1)/2 + i`.
+    pub(crate) fn condensed(&self) -> &[f64] {
+        &self.upper
+    }
+
+    /// Column `j` of the triangle: the dissimilarities between point `j`
+    /// and points `0..j`, contiguous.
+    pub(crate) fn column(&self, j: usize) -> &[f64] {
+        &self.upper[j * j.saturating_sub(1) / 2..][..j]
     }
 
     /// Largest pairwise dissimilarity (0.0 for a single point).

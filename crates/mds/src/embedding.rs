@@ -36,6 +36,11 @@ impl Embedding {
         Ok(Embedding { dim, coords })
     }
 
+    /// Consumes the embedding, returning its row-major coordinates.
+    pub(crate) fn into_coords(self) -> Vec<f64> {
+        self.coords
+    }
+
     /// An embedding of `n` points at the origin of a `dim`-space.
     pub fn zeros(n: usize, dim: usize) -> Self {
         Embedding {
@@ -168,24 +173,12 @@ impl Embedding {
     /// Returns [`MdsError::DimensionMismatch`] if the number of points
     /// differs from the matrix size.
     pub fn stress(&self, dissim: &DistanceMatrix) -> Result<f64, MdsError> {
-        if dissim.len() != self.len() {
-            return Err(MdsError::DimensionMismatch {
-                expected: dissim.len(),
-                found: self.len(),
-            });
-        }
+        let raw = self.raw_stress(dissim)?;
         let denom = dissim.sum_squares();
         if denom == 0.0 {
             return Ok(0.0);
         }
-        let mut num = 0.0;
-        for i in 0..self.len() {
-            for j in (i + 1)..self.len() {
-                let diff = self.distance(i, j) - dissim.get(i, j);
-                num += diff * diff;
-            }
-        }
-        Ok((num / denom).sqrt())
+        Ok((raw / denom).sqrt())
     }
 
     /// Raw (unnormalized) stress: `Σ_{i<j} (d_ij − δ_ij)²` — the loss

@@ -1,8 +1,8 @@
 //! Deterministic fixed-chunk parallelism for the mapping kernels.
 //!
-//! The mapping hot path (SMACOF majorization sweeps, distance-matrix
-//! maintenance) parallelizes over *chunks of output* whose boundaries are
-//! derived **only from the problem size**, never from the worker count.
+//! Distance-matrix maintenance (build and column append) parallelizes
+//! over *chunks of output* whose boundaries are derived **only from the
+//! problem size**, never from the worker count.
 //! Each chunk is computed by exactly the same sequential code regardless
 //! of which thread runs it, and chunks are disjoint output slices carved
 //! out of one buffer in index order — so the assembled result is
@@ -57,18 +57,14 @@ where
     });
 }
 
-/// Splits a row-major buffer of `row_len`-wide rows into chunks of
-/// `chunk_rows` rows (the last chunk may be shorter). Boundaries depend
-/// only on the buffer shape.
-pub(crate) fn row_pieces(
-    out: &mut [f64],
-    row_len: usize,
-    chunk_rows: usize,
-) -> Vec<Piece<'_, f64>> {
-    let chunk_elems = (chunk_rows * row_len).max(1);
-    out.chunks_mut(chunk_elems)
+/// Splits a buffer into runs of `chunk_len` entries (the last may be
+/// shorter), each tagged with the index of its first entry. Boundaries
+/// depend only on the buffer length.
+pub(crate) fn run_pieces(out: &mut [f64], chunk_len: usize) -> Vec<Piece<'_, f64>> {
+    let chunk_len = chunk_len.max(1);
+    out.chunks_mut(chunk_len)
         .enumerate()
-        .map(|(ci, slice)| (ci * chunk_rows, slice))
+        .map(|(ci, slice)| (ci * chunk_len, slice))
         .collect()
 }
 
@@ -111,10 +107,10 @@ mod tests {
         let reference: Vec<f64> = (0..1000).map(|i| (i as f64).sin()).collect();
         for workers in [1, 2, 3, 8] {
             let mut out = vec![0.0; 1000];
-            let pieces = row_pieces(&mut out, 4, 16);
-            scatter(workers, pieces, |first_row, slice| {
+            let pieces = run_pieces(&mut out, 64);
+            scatter(workers, pieces, |first, slice| {
                 for (k, v) in slice.iter_mut().enumerate() {
-                    *v = ((first_row * 4 + k) as f64).sin();
+                    *v = ((first + k) as f64).sin();
                 }
             });
             assert_eq!(out, reference, "diverged at {workers} workers");
@@ -122,11 +118,11 @@ mod tests {
     }
 
     #[test]
-    fn row_pieces_cover_the_buffer_in_order() {
-        let mut out = vec![0.0; 7 * 3];
-        let pieces = row_pieces(&mut out, 3, 2);
+    fn run_pieces_cover_the_buffer_in_order() {
+        let mut out = vec![0.0; 21];
+        let pieces = run_pieces(&mut out, 6);
         let tags: Vec<usize> = pieces.iter().map(|p| p.0).collect();
-        assert_eq!(tags, vec![0, 2, 4, 6]);
+        assert_eq!(tags, vec![0, 6, 12, 18]);
         let total: usize = pieces.iter().map(|p| p.1.len()).sum();
         assert_eq!(total, 21);
     }
@@ -156,7 +152,7 @@ mod tests {
     #[test]
     fn empty_input_is_a_no_op() {
         let mut out: Vec<f64> = Vec::new();
-        scatter(4, row_pieces(&mut out, 2, 8), |_, _| panic!("no work"));
+        scatter(4, run_pieces(&mut out, 16), |_, _| panic!("no work"));
         let pieces = tri_column_pieces(1, &mut out, 10);
         assert!(pieces.is_empty());
     }

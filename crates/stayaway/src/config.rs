@@ -60,9 +60,10 @@ pub struct ControllerConfig {
     /// How the 2-D embedding is maintained: per-period SMACOF (the paper's
     /// pipeline) or the landmark-MDS incremental alternative §4 cites.
     pub embedding_strategy: EmbeddingStrategy,
-    /// Worker-thread budget of the mapping kernels (SMACOF sweeps and
-    /// distance-matrix maintenance). Mapping results are bit-for-bit
-    /// identical for any value ≥ 1; the budget only bounds concurrency.
+    /// Worker-thread budget of the distance-matrix build and column
+    /// appends (the SMACOF sweep is serial, DESIGN.md §12). Mapping results
+    /// are bit-for-bit identical for any value ≥ 1; the budget only bounds
+    /// concurrency.
     pub mapping_workers: usize,
     /// Length of one control period in seconds (the paper samples per-VM
     /// metrics once per second, §5). The simulator equates one tick with

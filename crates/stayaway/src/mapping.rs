@@ -54,9 +54,9 @@ pub struct MappingEngine {
     /// bump hit counts — so cached entries can never go stale.
     dissim: Option<DistanceMatrix>,
     smacof: Smacof,
-    /// Worker-thread budget shared by the SMACOF sweeps and the
-    /// distance-matrix maintenance. Results are bit-for-bit identical for
-    /// any value (chunk boundaries never depend on it).
+    /// Worker-thread budget of the distance-matrix maintenance (the
+    /// SMACOF sweep is serial). Results are bit-for-bit identical for any
+    /// value (chunk boundaries never depend on it).
     workers: usize,
     strategy: EmbeddingStrategy,
     landmark: Option<LandmarkMds>,
@@ -121,14 +121,13 @@ impl MappingEngine {
         self
     }
 
-    /// Sets the worker-thread budget of the mapping kernels — SMACOF
-    /// majorization sweeps and distance-matrix maintenance (builder-style;
-    /// clamped to ≥ 1, default 1). The embedding and every mapping
+    /// Sets the worker-thread budget of the distance-matrix build and
+    /// column appends (builder-style; clamped to ≥ 1, default 1); the
+    /// SMACOF sweep itself is serial. The embedding and every mapping
     /// decision are **bit-for-bit identical for any worker count**; the
     /// budget only bounds how many fixed chunks run concurrently.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self.smacof = self.smacof.clone().workers(self.workers);
         if let Some(m) = &self.metrics {
             m.set_workers(self.workers);
         }
@@ -346,8 +345,12 @@ impl MappingEngine {
             self.dissim = None;
             return Ok(());
         }
-        self.refresh_dissim()?;
-        let dissim = self.dissim.as_ref().expect("cache refreshed");
+        let dissim = Self::refresh_dissim(
+            &mut self.dissim,
+            self.repr.representatives(),
+            self.workers,
+            self.metrics.as_ref(),
+        )?;
         let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         let (embedding, sweeps) = self.smacof.embed_traced(dissim)?;
         self.record_embed_time(start);
@@ -380,37 +383,37 @@ impl MappingEngine {
 
     /// Brings the cached distance matrix up to date with the representative
     /// set by appending one column per new representative — O(growth·n·dim)
-    /// instead of the O(n²·dim) full rebuild. A full rebuild happens only
-    /// when no cache exists yet.
-    fn refresh_dissim(&mut self) -> Result<(), CoreError> {
-        let reps = self.repr.representatives();
+    /// instead of the O(n²·dim) full rebuild — and hands it back. A full
+    /// rebuild happens only when no cache exists yet (a failed append
+    /// leaves none, so the next call rebuilds); an empty representative
+    /// set is [`MdsError::Empty`](stayaway_mds::MdsError).
+    ///
+    /// Borrows only the fields it maintains, so callers keep the rest of
+    /// the engine usable beside the returned matrix.
+    fn refresh_dissim<'a>(
+        cache: &'a mut Option<DistanceMatrix>,
+        reps: &[Vec<f64>],
+        workers: usize,
+        metrics: Option<&MappingMetrics>,
+    ) -> Result<&'a DistanceMatrix, CoreError> {
         let n = reps.len();
-        if n == 0 {
-            self.dissim = None;
-            return Ok(());
-        }
         // `len() > n` cannot happen (the set never shrinks), but a rebuild
         // is the safe response if it ever does.
-        if self.dissim.as_ref().is_none_or(|d| d.len() > n) {
-            self.dissim = Some(DistanceMatrix::from_vectors_with_workers(
-                reps,
-                Metric::Euclidean,
-                self.workers,
-            )?);
-            return Ok(());
+        let Some(mut d) = cache.take().filter(|d| d.len() <= n) else {
+            let built =
+                DistanceMatrix::from_vectors_with_workers(reps, Metric::Euclidean, workers)?;
+            return Ok(cache.insert(built));
+        };
+        if d.len() < n {
+            let start = metrics.map(|_| std::time::Instant::now());
+            for m in d.len()..n {
+                d.append_point_with_workers(&reps[..m], &reps[m], Metric::Euclidean, workers)?;
+            }
+            if let (Some(metrics), Some(t0)) = (metrics, start) {
+                metrics.on_append_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            }
         }
-        let d = self.dissim.as_mut().expect("cache exists");
-        if d.len() == n {
-            return Ok(());
-        }
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        for m in d.len()..n {
-            d.append_point_with_workers(&reps[..m], &reps[m], Metric::Euclidean, self.workers)?;
-        }
-        if let (Some(metrics), Some(t0)) = (&self.metrics, start) {
-            metrics.on_append_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        Ok(())
+        Ok(cache.insert(d))
     }
 
     /// Incremental re-embedding after a new representative was added.
@@ -428,15 +431,19 @@ impl MappingEngine {
     /// its nearest neighbour, run a few majorization sweeps, and
     /// Procrustes-align back to the previous frame.
     fn re_embed_smacof(&mut self) -> Result<(), CoreError> {
-        self.refresh_dissim()?;
-        let dissim = self.dissim.as_ref().expect("cache refreshed");
+        let dissim = Self::refresh_dissim(
+            &mut self.dissim,
+            self.repr.representatives(),
+            self.workers,
+            self.metrics.as_ref(),
+        )?;
         let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
         let (new_embedding, sweeps) = match &self.embedding {
             None => self.smacof.embed_traced(dissim)?,
             Some(prev) => {
                 let init = warm_start_with_new_points(prev, dissim)?;
                 let (refined, sweeps) = self.smacof.embed_warm_traced(dissim, init)?;
-                (align_to_previous(&refined, prev)?, sweeps)
+                (align_to_previous(refined, prev)?, sweeps)
             }
         };
         self.record_embed_time(start);
@@ -456,32 +463,32 @@ impl MappingEngine {
             self.landmark = None;
             return self.re_embed_smacof();
         }
-        let needs_refit = match &self.landmark {
-            None => true,
-            Some(_) => (n as f64) >= (self.fitted_at as f64) * refit_growth.max(1.01),
-        };
-        if needs_refit {
-            // The refit reads all its pairwise distances out of the cached
-            // matrix instead of recomputing O(n·k·dim) of them.
-            self.refresh_dissim()?;
-            let dissim = self.dissim.as_ref().expect("cache refreshed");
-            let model = LandmarkMds::fit_with_dissim(self.repr.representatives(), dissim, k, 2)?;
-            let placed = model.place_all(self.repr.representatives())?;
-            let aligned = match &self.embedding {
-                Some(prev) if prev.len() > 1 => align_to_previous(&placed, prev)?,
-                _ => placed,
-            };
-            self.embedding = Some(aligned);
-            self.landmark = Some(model);
-            self.fitted_at = n;
-            return Ok(());
+        if let (Some(model), Some(embedding)) = (&self.landmark, &mut self.embedding) {
+            if (n as f64) < (self.fitted_at as f64) * refit_growth.max(1.01) {
+                // Cheap path: triangulate only the newest representative.
+                let pos = model.place(self.repr.representative(n - 1))?;
+                embedding.push(&pos);
+                return Ok(());
+            }
         }
-        // Cheap path: triangulate only the newest representative.
-        let model = self.landmark.as_ref().expect("landmark model fitted");
-        let newest = self.repr.representative(n - 1).to_vec();
-        let pos = model.place(&newest)?;
-        let embedding = self.embedding.as_mut().expect("embedding exists");
-        embedding.push(&pos);
+        // No basis yet, or the set outgrew it: refit. The refit reads all
+        // its pairwise distances out of the cached matrix instead of
+        // recomputing O(n·k·dim) of them.
+        let dissim = Self::refresh_dissim(
+            &mut self.dissim,
+            self.repr.representatives(),
+            self.workers,
+            self.metrics.as_ref(),
+        )?;
+        let model = LandmarkMds::fit_with_dissim(self.repr.representatives(), dissim, k, 2)?;
+        let placed = model.place_all(self.repr.representatives())?;
+        let aligned = match &self.embedding {
+            Some(prev) if prev.len() > 1 => align_to_previous(placed, prev)?,
+            _ => placed,
+        };
+        self.embedding = Some(aligned);
+        self.landmark = Some(model);
+        self.fitted_at = n;
         Ok(())
     }
 }

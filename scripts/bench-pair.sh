@@ -8,16 +8,19 @@
 # Each pair runs `benchmarks/run.sh --workload W --seed S --seconds 20
 # --trace 0` once in each checkout under one fresh seed, alternating which
 # side goes first. Every checkout builds into its own ./target. Prints each
-# pair, the win count (ties count for neither), each side's median and
-# quartiles of the metric, and whether the gain rule holds: the change wins
-# at least nine tenths of the pairs and the medians differ by more than the
-# parent's inter-quartile range. Runs that fail their own checks abort the
-# script. Changes nothing in either checkout besides build output and
-# benchmarks/results/.
+# pair — with `behaviour: identical` when `qos_satisfaction` and
+# `batch_work` are equal to the last digit on both sides and `behaviour:
+# moved` when not, so a change that claims bit-identity shows it beside its
+# gain — then the win count (ties count for neither), each side's median
+# and quartiles of the metric, and whether the gain rule holds: the change
+# wins at least nine tenths of the pairs and the medians differ by more
+# than the parent's inter-quartile range. Runs that fail their own checks
+# abort the script. Changes nothing in either checkout besides build output
+# and benchmarks/results/.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -37,9 +40,10 @@ if [ -z "$better" ]; then
     exit 2
 fi
 
-# One timed run in checkout $1 under seed $2; prints the metric's value.
+# One timed run in checkout $1 under seed $2; prints the values of the
+# metric, `qos_satisfaction` and `batch_work` on one line.
 run_one() {
-    local line
+    local line field
     line=$(CARGO_TARGET_DIR="$1/target" bash "$1/benchmarks/run.sh" \
         --workload "$workload" --seed "$2" --seconds 20 --trace 0 | tail -n 1)
     case $line in
@@ -49,7 +53,11 @@ run_one() {
         exit 1
         ;;
     esac
-    printf '%s\n' "$line" | sed -n "s/.*\"$metric\":{\"value\":\([-+0-9.eE]*\).*/\1/p"
+    for field in "$metric" qos_satisfaction batch_work; do
+        printf '%s ' "$(printf '%s\n' "$line" |
+            sed -n "s/.*\"$field\":{\"value\":\([-+0-9.eE]*\).*/\1/p")"
+    done
+    echo
 }
 
 # Build both sides before anything is timed.
@@ -65,16 +73,23 @@ for ((i = 0; i < pairs; i++)); do
     seed=$((first_seed + i))
     if ((i % 2 == 0)); then
         first=parent
-        p=$(run_one "$parent" "$seed")
-        c=$(run_one "$change" "$seed")
+        p_out=$(run_one "$parent" "$seed")
+        c_out=$(run_one "$change" "$seed")
     else
         first=change
-        c=$(run_one "$change" "$seed")
-        p=$(run_one "$parent" "$seed")
+        c_out=$(run_one "$change" "$seed")
+        p_out=$(run_one "$parent" "$seed")
     fi
+    read -r p p_behaviour <<<"$p_out"
+    read -r c c_behaviour <<<"$c_out"
     parent_values+=("$p")
     change_values+=("$c")
-    echo "pair $((i + 1)) seed $seed first=$first parent=$p change=$c"
+    if [ "$p_behaviour" = "$c_behaviour" ]; then
+        behaviour=identical
+    else
+        behaviour=moved
+    fi
+    echo "pair $((i + 1)) seed $seed first=$first parent=$p change=$c behaviour: $behaviour"
 done
 
 # Win count, quartiles (linear interpolation) and the gain rule.

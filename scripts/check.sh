@@ -19,12 +19,14 @@ cargo build --release --workspace
 # Fleet determinism (`stayaway-fleet --test determinism`): FleetOutcome
 # and its JSON are bit-identical for workers 1 vs 4.
 #
-# Mapping determinism (`stayaway-mds --test parallel_determinism`): the
-# chunk-parallel SMACOF sweep and distance-matrix builders must stay
-# bit-identical to the serial reference (the property suite fuzzes 1-8
-# workers internally; the fleet test
+# Mapping determinism (`stayaway-mds --test parallel_determinism`,
+# `--test smacof_equivalence`): the chunk-parallel distance-matrix
+# builders must stay bit-identical to the serial reference (the property
+# suite fuzzes 1-8 workers internally; the fleet test
 # `mapping_workers_1_and_4_agree_bit_for_bit` pins the 1-vs-4 worker
-# configuration end to end through a full fleet run).
+# configuration end to end through a full fleet run), and the serial
+# SMACOF sweep must return the bits and sweep count of the test-only
+# reference solver.
 #
 # Golden fixture (`stayaway-core --test golden_fixture`): the staged
 # controller reproduces the pre-refactor fixture bit-for-bit, reading its
