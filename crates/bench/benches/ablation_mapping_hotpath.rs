@@ -17,15 +17,16 @@
 //! * `distance_matrix_maintenance` — growing the 500-point matrix one
 //!   representative at a time: column appends vs from-scratch rebuilds.
 //!
-//! Both arms run the identical warm-start SMACOF solve during map growth,
-//! so the embeddings — and therefore the final stress — agree bit-for-bit;
+//! Both arms run the identical place → gate → solve embedding step during
+//! map growth, so the embeddings — and therefore the final stress — agree
+//! bit-for-bit;
 //! the equivalence (rep counts and |Δstress| < 1e-6) is printed once
 //! before the timing runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stayaway_core::mapping::MappingEngine;
+use stayaway_core::mapping::{MappingEngine, COLUMN_STRESS_BUDGET, MIN_GATED_POINTS};
 use stayaway_mds::dedup::ReprSet;
 use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
@@ -42,18 +43,18 @@ const METRICS: [ResourceKind; 5] = [
     ResourceKind::Network,
 ];
 const EPSILON: f64 = 0.05;
-/// One majorization sweep: the solver is identical work in both arms and
-/// not what this ablation measures.
+/// One majorization sweep (and one placement round): the solver is
+/// identical work in both arms and not what this ablation measures.
 const SMACOF_SWEEPS: usize = 1;
 const REPS: usize = 500;
 /// Merge-heavy tail: revisits of already-learned states (the steady-state
 /// shape of a Stay-Away run).
 const REVISITS: usize = 2000;
 
-/// Pre-PR replica of the observe loop: identical normalise → dedup →
-/// warm-start SMACOF → Procrustes pipeline, but every re-embed rebuilds
-/// the distance matrix from scratch and every dedup/nearest query is a
-/// linear scan over all representatives.
+/// Naive-plumbing replica of the observe loop: identical normalise → dedup
+/// → place → gate → (warm-start SMACOF → Procrustes) pipeline, but every
+/// new representative rebuilds the distance matrix from scratch and every
+/// dedup/nearest query is a linear scan over all representatives.
 struct FullRebuildBaseline {
     normalizer: Normalizer,
     repr: ReprSet,
@@ -93,15 +94,14 @@ impl FullRebuildBaseline {
         }
         // Full rebuild: all n(n-1)/2 distances from scratch.
         let dissim = DistanceMatrix::from_vectors(self.repr.representatives()).expect("matrix");
-        let new_embedding = match &self.embedding {
-            None => self.smacof.embed(&dissim).expect("embed"),
-            Some(prev) => {
-                let init = warm_start_with_new_points(prev, &dissim).expect("warm start");
-                let refined = self.smacof.embed_warm(&dissim, init).expect("embed warm");
-                align_to_previous(refined, prev).expect("align")
-            }
-        };
-        self.embedding = Some(new_embedding);
+        let prev = self.embedding.get_or_insert_with(|| Embedding::zeros(0, 2));
+        let mut grown = warm_start_with_new_points(prev, &dissim).expect("warm start");
+        let column_stress = self.smacof.place_last(&dissim, &mut grown).expect("place");
+        if grown.len() < MIN_GATED_POINTS || column_stress > COLUMN_STRESS_BUDGET {
+            let refined = self.smacof.embed_warm(&dissim, grown).expect("embed warm");
+            grown = align_to_previous(refined, prev).expect("align");
+        }
+        *prev = grown;
         outcome.index()
     }
 }

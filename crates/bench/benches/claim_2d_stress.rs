@@ -8,26 +8,16 @@
 //! stress must already be low (the figure-ready elbow), with little gained
 //! by a third dimension.
 
-use stayaway_bench::{run, stayaway, ExperimentSink, Table};
+use stayaway_bench::{run, stayaway, stress_elbow_scenarios, ExperimentSink, Table};
 use stayaway_core::ControllerConfig;
 use stayaway_mds::classical::explained_fraction;
 use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::smacof::Smacof;
-use stayaway_sim::apps::WebWorkload;
-use stayaway_sim::scenario::{BatchKind, Scenario};
 
 fn main() {
     println!("=== Claim: 2-D embedding is adequate for 2 co-locations (§5) ===\n");
     let ticks = 384;
-    let scenarios = vec![
-        Scenario::vlc_with_cpubomb(61),
-        Scenario::vlc_with_twitter(62),
-        Scenario::webservice_with(WebWorkload::Mix, BatchKind::TwitterAnalysis, 63),
-        // Table 1 combos: several batch apps aggregated as one logical VM,
-        // keeping the dimensionality (and therefore 2-D adequacy) intact.
-        Scenario::webservice_with_combo(WebWorkload::Mix, &BatchKind::BATCH_1, 64),
-        Scenario::webservice_with_combo(WebWorkload::Mix, &BatchKind::BATCH_2, 65),
-    ];
+    let scenarios = stress_elbow_scenarios();
 
     let mut table = Table::new(&[
         "co-location",

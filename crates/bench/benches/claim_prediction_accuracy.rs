@@ -6,23 +6,13 @@
 //! prediction's in-violation-range verdict is checked against the actually
 //! reached next state.
 
-use stayaway_bench::{run, stayaway, ExperimentSink, Table};
+use stayaway_bench::{prediction_accuracy_scenarios, run, stayaway, ExperimentSink, Table};
 use stayaway_core::ControllerConfig;
-use stayaway_sim::apps::WebWorkload;
-use stayaway_sim::scenario::{BatchKind, Scenario};
 
 fn main() {
     println!("=== Claim: ≥90% prediction accuracy with 5 samples (§3.2.3) ===\n");
     let ticks = 384;
-    let scenarios: Vec<Scenario> = vec![
-        Scenario::vlc_with_cpubomb(1),
-        Scenario::vlc_with_twitter(2),
-        Scenario::vlc_with_soplex(3),
-        Scenario::webservice_with(WebWorkload::CpuIntensive, BatchKind::TwitterAnalysis, 4),
-        Scenario::webservice_with(WebWorkload::MemIntensive, BatchKind::TwitterAnalysis, 5),
-        Scenario::webservice_with(WebWorkload::Mix, BatchKind::Soplex, 6),
-        Scenario::webservice_with(WebWorkload::Mix, BatchKind::MemoryBomb, 7),
-    ];
+    let scenarios = prediction_accuracy_scenarios();
 
     let mut table = Table::new(&["co-location", "checked predictions", "accuracy"]);
     let mut sum = 0.0;

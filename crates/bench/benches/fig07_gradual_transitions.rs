@@ -6,9 +6,9 @@
 //! ticks, so consecutive mapped states drift in small steps — giving the
 //! predictor time to act before the violation-range is entered.
 
-use stayaway_bench::{run, ExperimentSink, Table};
+use stayaway_bench::{run, throttle_split, ExperimentSink, Table};
 use stayaway_core::{Controller, ControllerConfig, Observability};
-use stayaway_obs::{AttrValue, EventKind, FlightRecorder};
+use stayaway_obs::FlightRecorder;
 use stayaway_sim::scenario::Scenario;
 use stayaway_statespace::StateKind;
 
@@ -58,17 +58,7 @@ fn main() {
     // Gradualness: fraction of proactive throttles (prediction fired before
     // any violation was reported this episode) — possible precisely because
     // transitions are gradual.
-    let (mut proactive, mut reactive) = (0usize, 0usize);
-    for e in recorder.events() {
-        if e.kind != EventKind::Throttle {
-            continue;
-        }
-        if e.attr("proactive") == Some(&AttrValue::Bool(true)) {
-            proactive += 1;
-        } else {
-            reactive += 1;
-        }
-    }
+    let (proactive, reactive) = throttle_split(&recorder);
     println!("throttle actions: {proactive} proactive, {reactive} reactive");
     println!(
         "violations: {} (baseline comparison in fig09)",

@@ -135,8 +135,9 @@ fn bench_parallel_mapping(c: &mut Criterion) {
         });
     });
     group.bench_function("incremental_parallel_plane", |b| {
-        // Column append + warm start — the engine's actual per-period
-        // work.
+        // Column append + warm-started global solve — the engine's work
+        // for a state that does not fit its map (one that fits is placed
+        // in O(n): `smacof_scaling`'s `place_point` arm).
         let s = Smacof::new(2).max_iterations(1).tolerance(0.0);
         b.iter(|| {
             let mut dissim =

@@ -1,7 +1,8 @@
 //! §4 overhead — "the SMACOF algorithm … solves a quadratic form
 //! iteratively and can become computationally expensive as the number of
-//! samples increase": measures embedding cost vs sample-set size (cold
-//! start and the controller's warm-started incremental step).
+//! samples increase": measures embedding cost vs sample-set size — cold
+//! start, the warm-started global solve a new state costs when it does not
+//! fit the map, and the single-point placement it costs when it does.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -52,5 +53,44 @@ fn bench_incremental_step(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cold_embed, bench_incremental_step);
+/// One new state on a formed map of n points, both arms of the mapping
+/// engine's gate from the same warm start: the O(n)-per-round placement
+/// every new state gets, and the O(n²)-per-sweep global solve only a
+/// misfit goes on to.
+fn bench_new_state(c: &mut Criterion) {
+    let mut group = c.benchmark_group("smacof_new_state");
+    group.sample_size(10);
+    for &n in &[64usize, 150, 400] {
+        let mut vectors = synthetic_vectors(n, 10, 4);
+        let dissim = DistanceMatrix::from_vectors(&vectors).expect("matrix");
+        let solver = Smacof::new(2).max_iterations(20);
+        let prev = solver.embed(&dissim).expect("embeds");
+        vectors.push(synthetic_vectors(1, 10, 5).pop().expect("one"));
+        let grown = DistanceMatrix::from_vectors(&vectors).expect("matrix");
+        let init = warm_start_with_new_points(&prev, &grown).expect("warm start");
+        group.bench_with_input(BenchmarkId::new("place_point", n), &grown, |b, d| {
+            b.iter(|| {
+                let mut config = init.clone();
+                solver
+                    .place_last(std::hint::black_box(d), &mut config)
+                    .expect("places")
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("warm_solve", n), &grown, |b, d| {
+            b.iter(|| {
+                solver
+                    .embed_warm(std::hint::black_box(d), init.clone())
+                    .expect("embeds")
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cold_embed,
+    bench_incremental_step,
+    bench_new_state
+);
 criterion_main!(benches);

@@ -4,7 +4,9 @@
 use crate::report::{ascii_chart, sparkline};
 use crate::runner::{outcome_json, run, stayaway, ExperimentSink, PolicyRun};
 use stayaway_core::{Controller, ControllerConfig};
-use stayaway_sim::scenario::Scenario;
+use stayaway_obs::{AttrValue, EventKind, FlightRecorder};
+use stayaway_sim::apps::WebWorkload;
+use stayaway_sim::scenario::{BatchKind, Scenario};
 use stayaway_sim::{NullPolicy, RunOutcome};
 
 /// The result of a paired (no-prevention vs Stay-Away) run.
@@ -25,6 +27,52 @@ pub fn paired_runs(scenario: &Scenario, ticks: u64) -> PairedRuns {
         ticks,
     );
     PairedRuns { baseline, stayaway }
+}
+
+/// The co-locations `claim_prediction_accuracy` scores — one definition for
+/// the bench target and for the shape fence in `tests/figure_shapes.rs`.
+pub fn prediction_accuracy_scenarios() -> Vec<Scenario> {
+    vec![
+        Scenario::vlc_with_cpubomb(1),
+        Scenario::vlc_with_twitter(2),
+        Scenario::vlc_with_soplex(3),
+        Scenario::webservice_with(WebWorkload::CpuIntensive, BatchKind::TwitterAnalysis, 4),
+        Scenario::webservice_with(WebWorkload::MemIntensive, BatchKind::TwitterAnalysis, 5),
+        Scenario::webservice_with(WebWorkload::Mix, BatchKind::Soplex, 6),
+        Scenario::webservice_with(WebWorkload::Mix, BatchKind::MemoryBomb, 7),
+    ]
+}
+
+/// The co-locations `claim_2d_stress` embeds at 1, 2 and 3 dimensions —
+/// shared with the shape fence like [`prediction_accuracy_scenarios`].
+pub fn stress_elbow_scenarios() -> Vec<Scenario> {
+    vec![
+        Scenario::vlc_with_cpubomb(61),
+        Scenario::vlc_with_twitter(62),
+        Scenario::webservice_with(WebWorkload::Mix, BatchKind::TwitterAnalysis, 63),
+        // Table 1 combos: several batch apps aggregated as one logical VM,
+        // keeping the dimensionality (and therefore 2-D adequacy) intact.
+        Scenario::webservice_with_combo(WebWorkload::Mix, &BatchKind::BATCH_1, 64),
+        Scenario::webservice_with_combo(WebWorkload::Mix, &BatchKind::BATCH_2, 65),
+    ]
+}
+
+/// `(proactive, reactive)` throttle counts of a recorded decision stream:
+/// a proactive throttle came from a forecast or a known violation-state,
+/// a reactive one answered an observed violation (fig07's split).
+pub fn throttle_split(recorder: &FlightRecorder) -> (usize, usize) {
+    let (mut proactive, mut reactive) = (0, 0);
+    for e in recorder.events() {
+        if e.kind != EventKind::Throttle {
+            continue;
+        }
+        if e.attr("proactive") == Some(&AttrValue::Bool(true)) {
+            proactive += 1;
+        } else {
+            reactive += 1;
+        }
+    }
+    (proactive, reactive)
 }
 
 /// Prints a Figure-8/9/14/15/16-style normalised-QoS timeline comparison

@@ -13,6 +13,9 @@ pub mod figures;
 pub mod report;
 pub mod runner;
 
-pub use figures::{gained_utilization_figure, paired_runs, qos_timeline_figure, PairedRuns};
+pub use figures::{
+    gained_utilization_figure, paired_runs, prediction_accuracy_scenarios, qos_timeline_figure,
+    stress_elbow_scenarios, throttle_split, PairedRuns,
+};
 pub use report::{ascii_chart, sparkline, Table};
 pub use runner::{experiments_dir, outcome_json, run, stayaway, ExperimentSink, PolicyRun};

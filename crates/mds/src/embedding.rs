@@ -41,6 +41,12 @@ impl Embedding {
         self.coords
     }
 
+    /// The row-major coordinates, mutably — for kernels that update points
+    /// in place without reshaping the configuration.
+    pub(crate) fn coords_mut(&mut self) -> &mut [f64] {
+        &mut self.coords
+    }
+
     /// An embedding of `n` points at the origin of a `dim`-space.
     pub fn zeros(n: usize, dim: usize) -> Self {
         Embedding {

@@ -11,13 +11,16 @@
 //! solve of `s` sweeps costs `s + 1` passes over `n(n−1)/2` pairs and two
 //! coordinate buffers.
 //!
-//! Two entry points are provided:
+//! Three entry points are provided:
 //!
 //! * [`Smacof::embed`] — cold-start embedding seeded by classical MDS;
-//! * [`Smacof::embed_warm`] — warm-start from a previous configuration, the
-//!   basis of the incremental per-period re-embedding used by the Stay-Away
-//!   controller (new points are appended via
-//!   [`warm_start_with_new_points`]).
+//! * [`Smacof::embed_warm`] — warm-start from a previous configuration (new
+//!   points are appended via [`warm_start_with_new_points`]);
+//! * [`Smacof::place_last`] — the same majorization restricted to one point,
+//!   every other point fixed: O(n) per round instead of O(n²) per sweep.
+//!   The Stay-Away controller fits each new state this way and falls back
+//!   to `embed_warm` only when the point's own column of the stress says it
+//!   does not fit the map it was placed into.
 
 use crate::classical::classical_mds;
 use crate::distance::DistanceMatrix;
@@ -199,6 +202,70 @@ impl Default for Smacof {
     }
 }
 
+impl Smacof {
+    /// Fits the **last** point of `config` to its column of `dissim`,
+    /// leaving every other point where it is, and returns the normalised
+    /// stress of that column at the final position,
+    /// `sqrt(Σ_j (d_pj − δ_pj)² / Σ_j δ_pj²)`: how well the point's place
+    /// in this map reproduces its dissimilarities to every other point
+    /// (0.0 for a column without mass).
+    ///
+    /// Each round is the Guttman update restricted to that point `p`,
+    /// `x_p ← (1/(n−1)) Σ_j [x_j + (δ_pj/d_pj)(x_p − x_j)]` — the
+    /// majorizer of the column stress `Σ_j (d_pj − δ_pj)²`, so a round
+    /// never raises it. Rounds stop on the solver's own iteration budget
+    /// and relative tolerance. One round costs one pass over the column and
+    /// allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MdsError::Empty`] for an empty matrix and
+    /// [`MdsError::DimensionMismatch`] when `config` has the wrong number
+    /// of points or dimensionality.
+    pub fn place_last(
+        &self,
+        dissim: &DistanceMatrix,
+        config: &mut Embedding,
+    ) -> Result<f64, MdsError> {
+        let n = dissim.len();
+        if n == 0 {
+            return Err(MdsError::Empty);
+        }
+        for (expected, found) in [(n, config.len()), (self.dim, config.dim())] {
+            if expected != found {
+                return Err(MdsError::DimensionMismatch { expected, found });
+            }
+        }
+        if n == 1 {
+            // Nothing to fit the point to.
+            return Ok(0.0);
+        }
+        let dim = self.dim;
+        let delta = dissim.column(n - 1);
+        let (fixed, point) = config.coords_mut().split_at_mut((n - 1) * dim);
+        let mut next = vec![0.0; dim];
+        // As in the solver, a pass over the current position returns its
+        // stress and leaves the next one behind; unlike the solver the
+        // final position's stress is always wanted, so it is always taken.
+        let mut stress = place_pass(dim, fixed, point, delta, &mut next);
+        for _ in 0..self.max_iterations {
+            point.copy_from_slice(&next);
+            let moved = place_pass(dim, fixed, point, delta, &mut next);
+            let gain = (stress - moved) / stress.max(f64::MIN_POSITIVE);
+            stress = moved;
+            if gain < self.tolerance {
+                break;
+            }
+        }
+        let mass: f64 = delta.iter().map(|d| d * d).sum();
+        Ok(if mass > 0.0 {
+            (stress / mass).sqrt()
+        } else {
+            0.0
+        })
+    }
+}
+
 /// `δ/d` with the coincidence clamp: zero for (near-)coincident embedded
 /// points and for any non-finite quotient, so one degenerate pair can
 /// never inject inf/NaN into the whole configuration.
@@ -278,16 +345,68 @@ fn fused_pass(dim: usize, x: &[f64], delta: &[f64], next: &mut [f64]) -> f64 {
     }
 }
 
+/// One placement round for the point at `point` against the row-major
+/// `fixed` points and its dissimilarities `delta` to them: returns the
+/// column's raw stress `Σ_j (d_pj − δ_pj)²` at `point` and writes the
+/// restricted Guttman update into `next`. `fixed` must not be empty.
+#[inline(always)]
+fn place_pass_dim(
+    dim: usize,
+    fixed: &[f64],
+    point: &[f64],
+    delta: &[f64],
+    next: &mut [f64],
+) -> f64 {
+    next.fill(0.0);
+    let mut stress = 0.0;
+    for (xj, &target) in fixed.chunks_exact(dim).zip(delta) {
+        let mut sq = 0.0;
+        for k in 0..dim {
+            let dx = point[k] - xj[k];
+            sq += dx * dx;
+        }
+        let d = sq.sqrt();
+        let diff = d - target;
+        stress += diff * diff;
+        let ratio = guarded_ratio(target, d);
+        for k in 0..dim {
+            next[k] += xj[k] + ratio * (point[k] - xj[k]);
+        }
+    }
+    for v in next {
+        *v /= delta.len() as f64;
+    }
+    stress
+}
+
+/// [`place_pass_dim`] with the planar case unrolled, as [`fused_pass`].
+fn place_pass(dim: usize, fixed: &[f64], point: &[f64], delta: &[f64], next: &mut [f64]) -> f64 {
+    match dim {
+        2 => place_pass_dim(2, fixed, point, delta, next),
+        _ => place_pass_dim(dim, fixed, point, delta, next),
+    }
+}
+
+/// Angle between the start offsets of consecutive new points: the golden
+/// angle, whose multiples never line up.
+const NUDGE_TURN: f64 = 2.399_963_229_728_653;
+
 /// Builds a warm-start configuration for a dissimilarity matrix that extends
 /// a previous one with extra trailing points.
 ///
 /// The first `prev.len()` points keep their old coordinates; each new point
 /// is placed at the coordinates of its nearest already-embedded neighbour
 /// (by the dissimilarities in `dissim`), nudged by a tiny deterministic
-/// offset so coincident starts can separate. This is the placement strategy
-/// the Stay-Away controller uses every period so the map stays visually and
+/// offset so coincident starts can separate. This is the start the
+/// Stay-Away controller gives every new state so the map stays visually and
 /// topologically stable (§4 of the paper relies on the map being steady
 /// enough to define trajectories on).
+///
+/// The offset's direction turns by the golden angle from one point to the
+/// next. It must: a Guttman sweep maps a collinear configuration to a
+/// collinear one, so offsets that all share a direction confine a map grown
+/// from one point to the line its first two points span — a stationary
+/// point of the stress that no number of sweeps leaves.
 ///
 /// # Errors
 ///
@@ -323,11 +442,13 @@ pub fn warm_start_with_new_points(
         }
         let mut p = init.point(best).to_vec();
         // Deterministic tiny offset so two coincident points can separate
-        // during majorization.
+        // during majorization: (cos θ, sin θ, sin 2θ, …), functions of θ no
+        // hyperplane contains. One axis has no direction to turn.
         let nudge = 1e-6 * (1.0 + (i % 7) as f64);
-        p[0] += nudge;
-        if p.len() > 1 {
-            p[1] -= nudge * 0.5;
+        let theta = i as f64 * NUDGE_TURN;
+        p[0] += nudge * if p.len() > 1 { theta.cos() } else { 1.0 };
+        for (k, v) in p.iter_mut().enumerate().skip(1) {
+            *v += nudge * (k as f64 * theta).sin();
         }
         init.push(&p);
     }
@@ -415,6 +536,36 @@ mod tests {
             (x - 4.0).abs() < 1e-4 && y.abs() < 1e-4,
             "placed at ({x}, {y})"
         );
+    }
+
+    #[test]
+    fn consecutive_starts_leave_the_line_of_the_first_two() {
+        // Four points grown from nothing, each beside point 0: offsets that
+        // shared one direction would keep every later sweep on a line.
+        let d = simplex(4);
+        let init = warm_start_with_new_points(&Embedding::zeros(0, 2), &d).unwrap();
+        let (ax, ay) = init.xy(1);
+        for i in 2..4 {
+            let (bx, by) = init.xy(i);
+            let sine = (ax * by - ay * bx) / (ax.hypot(ay) * bx.hypot(by));
+            assert!(sine.abs() > 0.1, "start {i} is collinear with start 1");
+        }
+    }
+
+    #[test]
+    fn place_last_validates_shapes_and_leaves_a_lone_point_alone() {
+        let d = simplex(4);
+        for wrong in [Embedding::zeros(3, 2), Embedding::zeros(4, 3)] {
+            let mut config = wrong;
+            assert!(matches!(
+                Smacof::new(2).place_last(&d, &mut config),
+                Err(MdsError::DimensionMismatch { .. })
+            ));
+        }
+        let lone = DistanceMatrix::from_vectors(&[vec![1.0]]).unwrap();
+        let mut config = Embedding::from_coords(2, vec![0.3, 0.4]).unwrap();
+        assert_eq!(Smacof::new(2).place_last(&lone, &mut config), Ok(0.0));
+        assert_eq!(config.xy(0), (0.3, 0.4));
     }
 
     #[test]

@@ -8,6 +8,40 @@ use stayaway_mds::landmark::{select_landmarks, LandmarkMds};
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
 use stayaway_mds::procrustes::{align_to_previous, prefix_rmsd};
 use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
+use stayaway_mds::Embedding;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts this thread's heap allocations, so a test can show that a loop
+/// allocates nothing however often it runs.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a plain thread-local integer with no destructor, so touching
+// it neither allocates nor outlives its thread.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 fn vectors_strategy(max_points: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(prop::collection::vec(0.0f64..1.0, dim..=dim), 2..max_points)
@@ -215,5 +249,135 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// `vectors` with all but the last embedded by a full solve in `dim`
+/// dimensions and the last given the controller's warm start.
+fn grown_by_one(vectors: &[Vec<f64>], dim: usize) -> (DistanceMatrix, Embedding) {
+    let head = DistanceMatrix::from_vectors(&vectors[..vectors.len() - 1]).unwrap();
+    let prev = Smacof::new(dim).embed(&head).unwrap();
+    let d = DistanceMatrix::from_vectors(vectors).unwrap();
+    let start = warm_start_with_new_points(&prev, &d).unwrap();
+    (d, start)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Single-point placement is a majorization too: one more round never
+    /// raises the placed point's column stress, no other point moves, and
+    /// the same input gives the same bits — in 1, 2 and 3 dimensions.
+    #[test]
+    fn placement_rounds_never_raise_the_column_stress(
+        vectors in vectors_strategy(14, 4),
+        dim in 1usize..=3,
+    ) {
+        let (d, start) = grown_by_one(&vectors, dim);
+        let fixed = start.len() - 1;
+        let mut last = f64::INFINITY;
+        for rounds in 0..12 {
+            // A tolerance nothing is below: exactly `rounds` rounds run.
+            let solver = Smacof::new(dim).max_iterations(rounds).tolerance(f64::NEG_INFINITY);
+            let mut config = start.clone();
+            let stress = solver.place_last(&d, &mut config).unwrap();
+            prop_assert!(stress.is_finite());
+            prop_assert!(stress <= last + 1e-12,
+                "round {} raised the column stress {} -> {}", rounds, last, stress);
+            last = stress;
+            prop_assert!(prefix_rmsd(&config, &start, fixed) == 0.0, "a fixed point moved");
+            let mut again = start.clone();
+            prop_assert_eq!(solver.place_last(&d, &mut again).unwrap().to_bits(), stress.to_bits());
+            prop_assert_eq!(again, config);
+        }
+    }
+
+    /// Degenerate columns stay finite: the new vector an exact duplicate of
+    /// an old one or 1e-13 away from it, started on top of a fixed point
+    /// with no nudge at all.
+    #[test]
+    fn placement_survives_duplicates_and_coincident_starts(
+        vectors in vectors_strategy(10, 3),
+        twin in 0usize..8,
+        gap in prop::sample::select(vec![0.0, 1e-13]),
+        dim in 1usize..=3,
+    ) {
+        let twin = twin % vectors.len();
+        let mut grown = vectors.clone();
+        let mut copy = vectors[twin].clone();
+        copy[0] += gap;
+        grown.push(copy);
+        let (d, mut config) = grown_by_one(&grown, dim);
+        let onto = config.point(twin).to_vec();
+        let p = config.len() - 1;
+        config.point_mut(p).copy_from_slice(&onto);
+        let start = config.clone();
+        let stress = Smacof::new(dim).place_last(&d, &mut config).unwrap();
+        prop_assert!(stress.is_finite());
+        prop_assert!(config.iter().all(|x| x.iter().all(|v| v.is_finite())));
+        let mut again = start;
+        prop_assert_eq!(Smacof::new(dim).place_last(&d, &mut again).unwrap().to_bits(), stress.to_bits());
+        prop_assert_eq!(again, config);
+    }
+}
+
+/// One allocation-free pass per round: 200 rounds allocate exactly what one
+/// round does — the call's single scratch point, which also shows the
+/// counter counts.
+#[test]
+fn placement_allocates_nothing_per_round() {
+    let vectors: Vec<Vec<f64>> = (0..40)
+        .map(|i| {
+            let t = i as f64;
+            vec![
+                (t * 0.37).sin(),
+                (t * 0.61).cos(),
+                t * 0.02,
+                (t * 0.11).sin(),
+            ]
+        })
+        .collect();
+    for dim in 1..=3 {
+        let (d, start) = grown_by_one(&vectors, dim);
+        let count = |rounds: usize| {
+            let solver = Smacof::new(dim)
+                .max_iterations(rounds)
+                .tolerance(f64::NEG_INFINITY);
+            let mut config = start.clone();
+            let before = allocations();
+            solver.place_last(&d, &mut config).unwrap();
+            allocations() - before
+        };
+        assert_eq!((count(1), count(200)), (1, 1), "dim {dim}: rounds allocate");
+    }
+}
+
+/// A point whose dissimilarities are exact planar distances to a map that
+/// is itself exact has one position with zero column stress, and placement
+/// started beside the nearest neighbour finds it.
+#[test]
+fn placement_recovers_a_planar_point() {
+    let anchors: Vec<Vec<f64>> = (0..16)
+        .map(|i| vec![(i % 4) as f64 * 0.25, (i / 4) as f64 * 0.25])
+        .collect();
+    let solver = Smacof::new(2).max_iterations(300).tolerance(1e-14);
+    for target in [
+        [0.31, 0.52],
+        [0.05, 0.9],
+        [0.74, 0.11],
+        [1.2, 0.4],
+        [0.5, 0.5],
+    ] {
+        let mut vectors = anchors.clone();
+        vectors.push(target.to_vec());
+        let d = DistanceMatrix::from_vectors(&vectors).unwrap();
+        let exact = Embedding::from_coords(2, anchors.concat()).unwrap();
+        let mut config = warm_start_with_new_points(&exact, &d).unwrap();
+        let stress = solver.place_last(&d, &mut config).unwrap();
+        let (x, y) = config.xy(16);
+        assert!(
+            (x - target[0]).hypot(y - target[1]) < 1e-6 && stress < 1e-6,
+            "target {target:?} placed at ({x}, {y}), column stress {stress}"
+        );
     }
 }

@@ -20,7 +20,9 @@ pub struct ControllerConfig {
     /// Number of candidate future states drawn per prediction (§3.2.3 —
     /// "with 5 samples … more than 90% accuracy").
     pub prediction_samples: usize,
-    /// Majorization sweeps per incremental re-embedding.
+    /// Iteration budget of embedding one new state: rounds of its
+    /// single-point placement, and majorization sweeps of the global solve
+    /// when the placement does not fit.
     pub smacof_iterations: usize,
     /// Initial β: maximum allowed distance between consecutive isolated
     /// sensitive states before the batch application is resumed (§3.3).

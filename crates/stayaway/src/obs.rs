@@ -283,7 +283,9 @@ pub struct MappingMetrics {
     samples: Counter,
     smacof_runs: Counter,
     smacof_iterations: Histogram,
+    placements: Counter,
     final_stress: Gauge,
+    column_stress: Gauge,
     dedup_ratio: Gauge,
     repr_states: Gauge,
     soft_capped: Counter,
@@ -295,8 +297,9 @@ pub struct MappingMetrics {
 
 impl MappingMetrics {
     /// Registers the mapping instruments into `registry`. `deep`
-    /// additionally computes the final embedding stress after each
-    /// re-embedding (O(n²), decision-inert).
+    /// additionally computes the map's stress after each global solve
+    /// (O(n²), decision-inert) and publishes each placed state's column
+    /// stress.
     pub fn register(registry: &MetricsRegistry, deep: bool) -> Self {
         MappingMetrics {
             samples: registry.counter(
@@ -305,15 +308,23 @@ impl MappingMetrics {
             ),
             smacof_runs: registry.counter(
                 "stayaway_mapping_smacof_runs_total",
-                "SMACOF solver invocations (re-embeddings)",
+                "Global SMACOF solves (new states that re-laid the whole map)",
             ),
             smacof_iterations: registry.histogram(
                 "stayaway_mapping_smacof_iterations",
-                "Majorization sweeps per SMACOF invocation",
+                "Majorization sweeps per global SMACOF solve",
+            ),
+            placements: registry.counter(
+                "stayaway_mapping_placements_total",
+                "New states kept where single-point placement put them, no other state moved",
             ),
             final_stress: registry.gauge(
                 "stayaway_mapping_final_stress",
-                "Normalised stress of the most recent embedding",
+                "Normalised stress of the map after its most recent global solve",
+            ),
+            column_stress: registry.gauge(
+                "stayaway_mapping_column_stress",
+                "Normalised column stress of the newest state after its single-point placement",
             ),
             dedup_ratio: registry.gauge(
                 "stayaway_mapping_dedup_ratio",
@@ -331,7 +342,7 @@ impl MappingMetrics {
             // their timing payload via `stable_view` (counts survive).
             sweep_latency: registry.latency_histogram(
                 "stayaway_mapping_sweep_latency_nanos",
-                "Wall time of one SMACOF solve (all majorization sweeps)",
+                "Wall time of one global SMACOF solve (all majorization sweeps)",
             ),
             append_latency: registry.latency_histogram(
                 "stayaway_mapping_append_latency_nanos",
@@ -360,14 +371,27 @@ impl MappingMetrics {
         self.soft_capped.inc();
     }
 
-    /// One SMACOF invocation completed with `sweeps` majorization
+    /// One new state fitted by single-point placement, and whether the
+    /// map was `kept` as it stood or went on to a global solve; the column
+    /// stress that decided it is published in deep mode, beside the final
+    /// stress.
+    pub fn on_placement(&self, column_stress: f64, kept: bool) {
+        if kept {
+            self.placements.inc();
+        }
+        if self.deep {
+            self.column_stress.set(column_stress);
+        }
+    }
+
+    /// One global SMACOF solve completed with `sweeps` majorization
     /// sweeps.
     pub fn on_smacof(&self, sweeps: u64) {
         self.smacof_runs.inc();
         self.smacof_iterations.record(sweeps);
     }
 
-    /// One SMACOF solve finished in `nanos` wall-nanoseconds.
+    /// One global SMACOF solve finished in `nanos` wall-nanoseconds.
     pub fn on_embed_timed(&self, nanos: u64) {
         self.sweep_latency.record(nanos);
     }
@@ -384,8 +408,8 @@ impl MappingMetrics {
         self.sweep_workers.set(workers as f64);
     }
 
-    /// Publishes the final embedding stress, computing it only in deep
-    /// mode (`stress` is a closure so shallow mode pays nothing).
+    /// Publishes the map's stress after a global solve, computing it only
+    /// in deep mode (`stress` is a closure so shallow mode pays nothing).
     pub fn on_stress(&self, stress: impl FnOnce() -> Option<f64>) {
         if self.deep {
             if let Some(s) = stress() {

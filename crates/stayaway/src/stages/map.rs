@@ -66,10 +66,11 @@ impl MapStage {
         self
     }
 
-    /// Maps one sensed period: dedup/embed the raw measurement vector,
-    /// record the visit, and refresh positions when a new representative
-    /// shifted the embedding. Returns the representative with its
-    /// **post-refresh** position.
+    /// Maps one sensed period: dedup/embed the raw measurement vector and
+    /// record the visit at the representative's position. A new
+    /// representative that re-laid the embedding refreshes every position;
+    /// one that was placed into the map as it stands changes only the
+    /// coordinate scale.
     ///
     /// # Errors
     ///
@@ -78,13 +79,14 @@ impl MapStage {
         let mapped = self.mapping.observe(&sensed.raw)?;
         self.map
             .visit(mapped.rep, mapped.point, sensed.mode, sensed.tick)?;
-        if mapped.is_new {
+        if mapped.relaid {
             self.refresh_positions()?;
+        } else if mapped.is_new {
+            self.refresh_scale()?;
         }
-        let point = self.mapping.point_of(mapped.rep)?;
         Ok(MappedState {
             rep: mapped.rep,
-            point,
+            point: mapped.point,
             is_new: mapped.is_new,
         })
     }
@@ -99,6 +101,11 @@ impl MapStage {
         for rep in 0..self.mapping.repr_count().min(self.map.len()) {
             self.map.set_position(rep, self.mapping.point_of(rep)?)?;
         }
+        self.refresh_scale()
+    }
+
+    /// Synchronises the violation-range scale with the current embedding.
+    fn refresh_scale(&mut self) -> Result<(), CoreError> {
         // With violation-ranges disabled (ablation), a zero coordinate
         // scale collapses every range to exact-overlap matching.
         let scale = if self.violation_range_enabled {
@@ -197,18 +204,18 @@ impl MapStage {
     /// embedding failures.
     pub fn import_template(&mut self, template: &Template) -> Result<(), CoreError> {
         for state in template.iter() {
-            let (rep, _is_new) = self.mapping.insert_normalized(&state.vector)?;
+            let mapped = self.mapping.import_state(&state.vector)?;
             // Ensure a map entry exists for the representative.
-            if rep >= self.map.len() {
+            if mapped.rep >= self.map.len() {
                 self.map
-                    .visit(rep, Point2::origin(), ExecutionMode::CoLocated, 0)?;
+                    .visit(mapped.rep, mapped.point, ExecutionMode::CoLocated, 0)?;
             }
             if state.violation {
-                self.map.mark_violation(rep)?;
+                self.map.mark_violation(mapped.rep)?;
             }
         }
-        self.mapping.rebuild()?;
-        self.refresh_positions()?;
-        Ok(())
+        // Any of the inserts may have re-laid the map; one sweep over the
+        // positions at the end covers them all.
+        self.refresh_positions()
     }
 }

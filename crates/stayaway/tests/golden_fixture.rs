@@ -9,6 +9,14 @@
 //! identical order, identical counters, identical per-tick action counts,
 //! identical final β. Any divergence means the refactor changed behaviour.
 //!
+//! The fixture has been re-pinned once, on purpose: when new states began
+//! to be placed into the map instead of re-solving it and the map stopped
+//! being a line, coordinates moved. Against the pre-refactor capture no
+//! tick's action set changed — 17 violations, 17 throttles, 16 resumes,
+//! final β 0.17 on both sides — and two redundant `ViolationPredicted`
+//! events (ticks 74 and 169, each beside a reactive throttle that fired
+//! anyway) went away; CHANGES.md (PR 19) has the diff.
+//!
 //! Regenerate (only when a behaviour change is intended and reviewed):
 //!
 //! ```text
@@ -126,6 +134,15 @@ fn fully_instrumented_run_matches_the_golden_fixture_bit_for_bit() {
     assert!(
         verdicts <= forecast.hist.count,
         "every verdict came from a recorded forecast invocation"
+    );
+    // Nor does the map stage's gate read its instruments: the run matched
+    // the fixture while new states went down both of its arms — placed
+    // into the map as it stood, and re-solving it.
+    let placed = counter("stayaway_mapping_placements_total");
+    let solved = counter("stayaway_mapping_smacof_runs_total");
+    assert!(
+        placed > 0 && solved > 0,
+        "placements {placed}, global solves {solved}"
     );
     assert!(!sink.is_empty(), "span sink captured records");
 }

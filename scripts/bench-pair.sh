@@ -14,13 +14,16 @@
 # gain — then the win count (ties count for neither), each side's median
 # and quartiles of the metric, and whether the gain rule holds: the change
 # wins at least nine tenths of the pairs and the medians differ by more
-# than the parent's inter-quartile range. Runs that fail their own checks
+# than the parent's inter-quartile range. When any pair moved, each side's
+# median `qos_satisfaction` and `batch_work` over the pairs and their
+# relative move follow, so a change that moves coordinates shows what its
+# gain cost in behaviour in the same run. Runs that fail their own checks
 # abort the script. Changes nothing in either checkout besides build output
 # and benchmarks/results/.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,22p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -69,6 +72,8 @@ done
 echo "workload=$workload metric=$metric better=$better pairs=$pairs"
 parent_values=()
 change_values=()
+behaviours=() # "<P|C> <qos_satisfaction> <batch_work>", one entry per run
+moved=0
 for ((i = 0; i < pairs; i++)); do
     seed=$((first_seed + i))
     if ((i % 2 == 0)); then
@@ -84,27 +89,36 @@ for ((i = 0; i < pairs; i++)); do
     read -r c c_behaviour <<<"$c_out"
     parent_values+=("$p")
     change_values+=("$c")
+    behaviours+=("P $p_behaviour" "C $c_behaviour")
     if [ "$p_behaviour" = "$c_behaviour" ]; then
         behaviour=identical
     else
         behaviour=moved
+        moved=1
     fi
     echo "pair $((i + 1)) seed $seed first=$first parent=$p change=$c behaviour: $behaviour"
 done
 
-# Win count, quartiles (linear interpolation) and the gain rule.
+# Win count, quartiles (linear interpolation) and the gain rule; then, when
+# any pair moved, what the two behaviour metrics did.
 {
     printf '%s\n' "${parent_values[@]}" | sort -g | sed 's/^/P /'
     printf '%s\n' "${change_values[@]}" | sort -g | sed 's/^/C /'
     paste -d' ' <(printf '%s\n' "${parent_values[@]}") <(printf '%s\n' "${change_values[@]}") |
         sed 's/^/W /'
-} | awk -v better="$better" '
+    # Tagged "<side><column> value", each side and column sorted on its own.
+    for column in 2 3; do
+        printf '%s\n' "${behaviours[@]}" | awk -v c=$column '{ print $1 c, $c }' | sort -k1,1 -k2,2g
+    done
+} | awk -v better="$better" -v moved="$moved" '
     function quantile(v, n, q,    h, lo) {
         h = (n - 1) * q + 1; lo = int(h)
         return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
     }
     $1 == "P" { p[++np] = $2 }
     $1 == "C" { c[++nc] = $2 }
+    $1 == "P2" { pq[++npq] = $2 } $1 == "C2" { cq[++ncq] = $2 }
+    $1 == "P3" { pb[++npb] = $2 } $1 == "C3" { cb[++ncb] = $2 }
     $1 == "W" {
         d = (better == "higher") ? $3 - $2 : $2 - $3
         if (d > 0) cw++; else if (d < 0) pw++; else ties++
@@ -119,4 +133,11 @@ done
         gain = (better == "higher") ? cm - pm : pm - cm
         met = (cw * 10 >= np * 9 && gain > iqr)
         printf "gain rule (>= 9/10 pairs won, medians apart by more than the parent IQR): %s\n", met ? "met" : "not met"
+        if (moved) {
+            pm = quantile(pq, npq, 0.5); cm = quantile(cq, ncq, 0.5)
+            printf "behaviour: median qos_satisfaction parent %.8g change %.8g (%+.3f%%)\n", pm, cm, (cm / pm - 1) * 100
+            pm = quantile(pb, npb, 0.5); cm = quantile(cb, ncb, 0.5)
+            printf "behaviour: median batch_work parent %.8g change %.8g (%+.3f%%)\n", pm, cm, (cm / pm - 1) * 100
+        }
     }'
+

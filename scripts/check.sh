@@ -64,6 +64,13 @@ cargo build --release --workspace
 # NaN-free runs, and the tournament's ranked JSON — bootstrap confidence
 # intervals included — must be byte-identical for any worker count.
 #
+# Behaviour fence (`stayaway-bench --test figure_shapes`, facade `--test
+# map_quality`): what a change that moves map coordinates must keep, since
+# it cannot keep bits — the "shape holds?" predicates of EXPERIMENTS.md
+# (fig07–fig16, prediction accuracy, the 2-D stress elbow) re-run through
+# the bench targets' own helpers, and the live map's stress within 0.03 of
+# an exact solve, using both dimensions, on the paper's four co-locations.
+#
 # Also here: `--test record_replay`, the `stayaway-obs` suites and
 # `--test observability`.
 cargo test -q --workspace
