@@ -3,8 +3,14 @@
 //! The real serde separates the data model from formats; this workspace
 //! only ever serializes to and from JSON, so the stand-in collapses the
 //! two: [`Serialize`] renders a value into a JSON-shaped [`Value`] tree and
-//! [`Deserialize`] rebuilds a value from one. The `serde_json` compat crate
-//! adds the text encoding on top. The derive macros (`serde_derive`,
+//! [`Deserialize`] rebuilds a value from one. The JSON text layer under
+//! the tree lives in [`value`] and is public on its own — the scalar
+//! writers `Value::to_json` renders through and the pull
+//! [`value::Cursor`] that [`value::parse_json`] drives — so a caller with a
+//! fixed schema on a hot path can write and read text without building a
+//! tree, through the same tokenizer, float formatter and string escaper.
+//! The `serde_json` compat crate names the text entry points upstream
+//! does. The derive macros (`serde_derive`,
 //! re-exported behind the `derive` feature like upstream) generate the same
 //! external representation serde would: structs as objects, newtype structs
 //! transparently, unit enum variants as strings and data-carrying variants

@@ -1,7 +1,14 @@
 //! The JSON-shaped data model shared by the `serde`/`serde_json` compat
-//! crates: a value tree, its text rendering and a recursive-descent parser.
+//! crates, and the one JSON text layer under it: the scalar writers
+//! ([`write_json_string`], [`write_json_f64`], [`write_json_u64`],
+//! [`write_json_i64`], [`write_json_bool`]) and the pull [`Cursor`].
+//! [`Value::to_json`] renders through those writers and [`parse_json`]
+//! builds its tree by driving the cursor; a caller with a fixed schema (the
+//! telemetry trace codec) uses the same two directly and never builds a
+//! tree.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// A JSON number. The three variants preserve the distinction between
 /// unsigned, signed and floating-point sources so integer round-trips are
@@ -123,26 +130,10 @@ impl Value {
     fn write_json(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Number(Number::U64(n)) => out.push_str(&n.to_string()),
-            Value::Number(Number::I64(n)) => out.push_str(&n.to_string()),
-            Value::Number(Number::F64(n)) => {
-                // Rust's shortest round-trip float formatting; integral
-                // floats keep a ".0" so they re-parse as F64. Rust never
-                // emits exponent notation, so huge integral floats
-                // (|n| ≥ 1e15, fract 0) would otherwise print as bare
-                // digit runs and re-parse down the integer path.
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{n:.1}"));
-                } else {
-                    let text = format!("{n}");
-                    let floaty = text.contains(['.', 'e', 'E']);
-                    out.push_str(&text);
-                    if !floaty {
-                        out.push_str(".0");
-                    }
-                }
-            }
+            Value::Bool(b) => write_json_bool(out, *b),
+            Value::Number(Number::U64(n)) => write_json_u64(out, *n),
+            Value::Number(Number::I64(n)) => write_json_i64(out, *n),
+            Value::Number(Number::F64(n)) => write_json_f64(out, *n),
             Value::String(s) => write_json_string(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
@@ -194,22 +185,68 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal: `"` and `\` escaped, `\n` `\r`
+/// `\t` by their short forms, every other control character below U+0020
+/// as `\u00xx`, everything else verbatim.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Start of the run of bytes not yet copied; every escaped byte is
+    // ASCII, so the slices below always fall on character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+}
+
+/// Appends a float in Rust's shortest round-trip formatting. Integral
+/// floats keep a ".0" so they re-parse as [`Number::F64`]; Rust never emits
+/// exponent notation, so huge integral floats (|n| ≥ 1e15, fract 0) would
+/// otherwise print as bare digit runs and re-parse down the integer path.
+/// JSON has no non-finite numbers: those render as `null`, as
+/// `Serialize for f64` maps them.
+pub fn write_json_f64(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{n:.1}");
+    } else {
+        let start = out.len();
+        let _ = write!(out, "{n}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    }
+}
+
+/// Appends `true` or `false`.
+pub fn write_json_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends an unsigned integer.
+pub fn write_json_u64(out: &mut String, n: u64) {
+    let _ = write!(out, "{n}");
+}
+
+/// Appends a signed integer.
+pub fn write_json_i64(out: &mut String, n: i64) {
+    let _ = write!(out, "{n}");
 }
 
 impl fmt::Display for Value {
@@ -228,40 +265,56 @@ impl fmt::Display for Value {
 ///
 /// Returns a message describing the first syntax error.
 pub fn parse_json(input: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing characters at byte {}", p.pos));
-    }
-    Ok(v)
+    let mut cursor = Cursor::new(input);
+    let value = cursor.value()?;
+    cursor.end()?;
+    Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull cursor over JSON text: the tokenizer [`parse_json`] is built on,
+/// public so a reader that knows its schema can decode straight into its
+/// own types. Every reader skips leading JSON whitespace, consumes exactly
+/// one token or value and fails with a message naming the byte offset.
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Cursor { text, pos: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// The byte at the cursor, whitespace included.
+    fn at(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    /// Skips JSON whitespace (space, tab, line feed, carriage return).
+    pub fn skip_ws(&mut self) {
+        while matches!(self.at(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The first byte of the next token, without consuming it.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.at()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Consumes the punctuation byte `b`.
+    ///
+    /// # Errors
+    ///
+    /// When the next token does not start with `b`.
+    pub fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -270,167 +323,304 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, String> {
+    /// Succeeds when only whitespace is left.
+    ///
+    /// # Errors
+    ///
+    /// When anything else follows.
+    pub fn end(&mut self) -> Result<(), String> {
         match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            None => Ok(()),
+            Some(_) => Err(format!("trailing characters at byte {}", self.pos)),
         }
     }
 
-    fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+    /// Reads a string, borrowed from the text when it holds no escape.
+    /// Runs between `"` and `\` are copied whole, so the scan is linear in
+    /// the string's length. A `\uD800`–`\uDBFF` escape followed directly by
+    /// a `\uDC00`–`\uDFFF` one decodes to the scalar the pair encodes; a
+    /// surrogate half on its own decodes to U+FFFD.
+    ///
+    /// # Errors
+    ///
+    /// When the next token is not a string, the string is unterminated or
+    /// an escape is malformed.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            let stop = self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map(|offset| start + offset)
+                .ok_or("unterminated string")?;
+            // `start` follows a quote or an all-ASCII escape and `stop` is
+            // at an ASCII byte: both are character boundaries.
+            let run = &self.text[start..stop];
+            self.pos = stop + 1;
+            if self.bytes()[stop] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
+            }
+            let escaped = self.escape()?;
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            out.push(escaped);
+        }
+    }
+
+    /// Decodes the escape whose backslash was just consumed.
+    fn escape(&mut self) -> Result<char, String> {
+        let c = match self.at() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                self.pos += 1;
+                let mut code = self.hex4()?;
+                if (0xd800..0xdc00).contains(&code) {
+                    let mut ahead = self.clone();
+                    if ahead.bytes()[ahead.pos..].starts_with(b"\\u") {
+                        ahead.pos += 2;
+                        if let Ok(low @ 0xdc00..=0xdfff) = ahead.hex4() {
+                            code = 0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                            self.pos = ahead.pos;
+                        }
+                    }
+                }
+                return Ok(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &b in digits {
+            code = code * 16 + char::from(b).to_digit(16).ok_or("bad \\u escape")?;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Reads a number: digits alone are an integer ([`Number::U64`], or
+    /// [`Number::I64`] after a `-`), a fraction or exponent makes a
+    /// [`Number::F64`].
+    ///
+    /// # Errors
+    ///
+    /// When the next token is not a number or does not fit its type.
+    pub fn number(&mut self) -> Result<Number, String> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(format!("expected number at byte {}", self.pos));
+        }
+        let start = self.pos;
+        if self.at() == Some(b'-') {
+            self.pos += 1;
+        }
+        self.skip_digits();
+        let mut float = false;
+        if self.at() == Some(b'.') {
+            float = true;
+            self.pos += 1;
+            self.skip_digits();
+        }
+        if matches!(self.at(), Some(b'e' | b'E')) {
+            float = true;
+            self.pos += 1;
+            if matches!(self.at(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.skip_digits();
+        }
+        let text = &self.text[start..self.pos];
+        let bad = |e: &dyn fmt::Display| format!("bad number: {e}");
+        if float {
+            text.parse().map(Number::F64).map_err(|e| bad(&e))
+        } else if text.starts_with('-') {
+            text.parse().map(Number::I64).map_err(|e| bad(&e))
+        } else {
+            text.parse().map(Number::U64).map_err(|e| bad(&e))
+        }
+    }
+
+    fn skip_digits(&mut self) {
+        while self.at().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+    }
+
+    /// Reads any number as `f64`, as [`Value::as_f64`] would.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Cursor::number`].
+    pub fn f64(&mut self) -> Result<f64, String> {
+        self.number().map(|n| n.as_f64())
+    }
+
+    /// Reads a non-negative integer, as [`Value::as_u64`] would.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Cursor::number`], or when the number is negative or has
+    /// a fraction or exponent.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.skip_ws();
+        let start = self.pos;
+        match self.number()? {
+            Number::U64(n) => Ok(n),
+            Number::I64(n) if n >= 0 => Ok(n as u64),
+            _ => Err(format!("expected unsigned integer at byte {start}")),
+        }
+    }
+
+    /// Reads `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// When the next token is neither.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        match self.peek() {
+            Some(b't') => self.keyword("true").map(|()| true),
+            Some(b'f') => self.keyword("false").map(|()| false),
+            _ => Err(format!("expected boolean at byte {}", self.pos)),
+        }
+    }
+
+    fn keyword(&mut self, kw: &str) -> Result<(), String> {
+        if self.bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(format!("invalid literal at byte {}", self.pos))
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Walks an object: `field` is called once per member, after the key
+    /// and its `:`, and must consume the member's value.
+    ///
+    /// # Errors
+    ///
+    /// When the next token is not an object, its punctuation is malformed
+    /// or `field` fails.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(b'{')?;
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
         loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            field(self, key)?;
             match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction: it came from a &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(format!("expected ',' or '}}', got {other:?}")),
             }
         }
     }
 
-    fn parse_number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut float = false;
-        if self.peek() == Some(b'.') {
-            float = true;
-            self.pos += 1;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
-        if float {
-            let n: f64 = text.parse().map_err(|e| format!("bad number: {e}"))?;
-            Ok(Value::Number(Number::F64(n)))
-        } else if text.starts_with('-') {
-            let n: i64 = text.parse().map_err(|e| format!("bad number: {e}"))?;
-            Ok(Value::Number(Number::I64(n)))
-        } else {
-            let n: u64 = text.parse().map_err(|e| format!("bad number: {e}"))?;
-            Ok(Value::Number(Number::U64(n)))
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
+    /// Walks an array: `item` is called once per element and must consume
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// When the next token is not an array, its punctuation is malformed
+    /// or `item` fails.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
+            item(self)?;
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(());
                 }
                 other => return Err(format!("expected ',' or ']', got {other:?}")),
             }
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
+    /// Reads the next value of any type into a [`Value`] tree.
+    ///
+    /// # Errors
+    ///
+    /// On the first syntax error.
+    pub fn value(&mut self) -> Result<Value, String> {
+        match self.peek() {
+            Some(b'n') => self.keyword("null").map(|()| Value::Null),
+            Some(b't' | b'f') => self.bool().map(Value::Bool),
+            Some(b'"') => self.string().map(|s| Value::String(s.into_owned())),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|cursor| {
+                    items.push(cursor.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
             }
+            Some(b'{') => {
+                let mut entries = Vec::new();
+                self.object(|cursor, key| {
+                    entries.push((key.into_owned(), cursor.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(entries))
+            }
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
+            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+        }
+    }
+
+    /// Consumes the next value of any type, checking its syntax exactly as
+    /// [`Cursor::value`] does, without building it.
+    ///
+    /// # Errors
+    ///
+    /// On the first syntax error.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'n') => self.keyword("null"),
+            Some(b't' | b'f') => self.bool().map(drop),
+            Some(b'"') => self.string().map(drop),
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'{') => self.object(|cursor, _| cursor.skip_value()),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
+            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
     }
 }

@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod host;
 pub mod observation;
 pub mod procfs;
@@ -38,6 +39,7 @@ pub mod trace;
 
 mod error;
 
+pub use codec::{decode_observation, encode_observation};
 pub use error::TelemetryError;
 pub use host::HostSpec;
 pub use observation::{

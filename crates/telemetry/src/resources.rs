@@ -77,7 +77,7 @@ impl fmt::Display for ResourceKind {
 /// A vector of per-resource quantities (demands, grants or usages).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ResourceVector {
-    values: [f64; 6],
+    pub(crate) values: [f64; 6],
 }
 
 impl ResourceVector {

@@ -10,13 +10,16 @@
 //! at most [`TRACE_VERSION`] (newer minor revisions must stay
 //! backwards-readable; a breaking change bumps the version and old readers
 //! reject it with [`TelemetryError::UnsupportedVersion`] instead of
-//! misdecoding). Decode failures carry the 1-based line number of the
-//! offending line so hand-edited traces fail debuggably.
+//! misdecoding). Decode failures — a line that is not UTF-8 included —
+//! carry the 1-based line number of the offending line so hand-edited
+//! traces fail debuggably. The header line goes through `serde_json` once
+//! per file; observation lines go through [`crate::codec`].
 //!
 //! [`TraceWriter`] appends to any [`Write`]; [`RecordingSource`] tees it
 //! around any other [`ObservationSource`] so a live run records itself;
 //! [`TraceSource`] streams a trace back as an open-loop source.
 
+use crate::codec::{decode_observation, encode_observation};
 use crate::observation::{Action, Observation};
 use crate::run::{RequestQos, TickRecord};
 use crate::source::{ObservationSource, SourceKind, SourceMeta};
@@ -101,6 +104,9 @@ impl TraceHeader {
 pub struct TraceWriter<W: Write> {
     out: W,
     observations: u64,
+    /// The line being written, kept across ticks so a steady recording
+    /// allocates nothing per observation.
+    line: String,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -119,6 +125,7 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter {
             out,
             observations: 0,
+            line: String::new(),
         })
     }
 
@@ -137,11 +144,10 @@ impl<W: Write> TraceWriter<W> {
                 reason,
             });
         }
-        let line = serde_json::to_string(observation).map_err(|e| TelemetryError::Codec {
-            line: self.observations + 2,
-            reason: e.to_string(),
-        })?;
-        writeln!(self.out, "{line}")?;
+        self.line.clear();
+        encode_observation(&mut self.line, observation);
+        self.line.push('\n');
+        self.out.write_all(self.line.as_bytes())?;
         self.observations += 1;
         Ok(())
     }
@@ -255,7 +261,8 @@ pub struct TraceSource<R: BufRead> {
     header: TraceHeader,
     /// 1-based number of the last line consumed (the header is line 1).
     line: u64,
-    buf: String,
+    /// The raw bytes of the current line, reused across lines.
+    buf: Vec<u8>,
     /// Counts undecodable observation lines (DESIGN.md §11); decoding
     /// still fails hard — the counter only makes the failure visible in
     /// exported metrics.
@@ -285,14 +292,16 @@ impl<R: BufRead> TraceSource<R> {
     /// a version this build cannot read, [`TelemetryError::Io`] on read
     /// failures.
     pub fn new(mut reader: R) -> Result<Self, TelemetryError> {
-        let mut buf = String::new();
-        if reader.read_line(&mut buf)? == 0 {
+        let mut buf = Vec::new();
+        if reader.read_until(b'\n', &mut buf)? == 0 {
             return Err(TelemetryError::MissingHeader {
                 reason: "empty stream".into(),
             });
         }
-        let header: TraceHeader =
-            serde_json::from_str(buf.trim_end()).map_err(|e| TelemetryError::MissingHeader {
+        let header: TraceHeader = std::str::from_utf8(&buf)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text.trim_end()).map_err(|e| e.to_string()))
+            .map_err(|e| TelemetryError::MissingHeader {
                 reason: format!("undecodable header line: {e}"),
             })?;
         header.validate()?;
@@ -330,23 +339,32 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
     fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
         loop {
             self.buf.clear();
-            if self.reader.read_line(&mut self.buf)? == 0 {
+            // `read_until` + one validation is what `read_line` does, but a
+            // byte that is not UTF-8 stays a decode failure of this line
+            // instead of an I/O error without a line number.
+            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
                 return Ok(None);
             }
             self.line += 1;
-            let text = self.buf.trim();
-            if text.is_empty() {
-                continue; // tolerate blank separator lines
+            let decoded = std::str::from_utf8(&self.buf)
+                .map_err(|e| e.to_string())
+                .and_then(|text| match text.trim() {
+                    "" => Ok(None), // tolerate blank separator lines
+                    text => decode_observation(text).map(Some),
+                });
+            match decoded {
+                Ok(None) => continue,
+                Ok(observation) => return Ok(observation),
+                Err(reason) => {
+                    if let Some(counter) = &self.decode_errors {
+                        counter.inc();
+                    }
+                    return Err(TelemetryError::Codec {
+                        line: self.line,
+                        reason,
+                    });
+                }
             }
-            return serde_json::from_str(text).map(Some).map_err(|e| {
-                if let Some(counter) = &self.decode_errors {
-                    counter.inc();
-                }
-                TelemetryError::Codec {
-                    line: self.line,
-                    reason: e.to_string(),
-                }
-            });
         }
     }
 }
@@ -469,6 +487,48 @@ mod tests {
         assert_eq!(errors.get(), 0);
         assert!(source.next_observation().is_err());
         assert_eq!(errors.get(), 1);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_counted_codec_error_on_its_line() {
+        let mut bytes = record_two_ticks();
+        bytes.extend_from_slice(b"{\"tick\":\xff}\n");
+        let registry = MetricsRegistry::new();
+        let mut source = TraceSource::new(bytes.as_slice())
+            .unwrap()
+            .with_metrics(&registry);
+        assert!(source.next_observation().unwrap().is_some());
+        assert!(source.next_observation().unwrap().is_some());
+        match source.next_observation() {
+            Err(TelemetryError::Codec { line, reason }) => {
+                assert_eq!(line, 4);
+                assert!(reason.contains("utf-8"), "{reason}");
+            }
+            other => panic!("expected Codec error, got {other:?}"),
+        }
+        let errors = registry.counter(
+            "stayaway_telemetry_trace_decode_errors_total",
+            "Trace observation lines that failed to decode",
+        );
+        assert_eq!(errors.get(), 1);
+    }
+
+    #[test]
+    fn a_header_that_is_not_utf8_is_a_missing_header() {
+        match TraceSource::new(&b"{\"format\":\"\xff\"}\n"[..]) {
+            Err(TelemetryError::MissingHeader { .. }) => {}
+            other => panic!("expected MissingHeader, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_final_line_without_a_newline_still_decodes() {
+        let mut bytes = record_two_ticks();
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        let mut source = TraceSource::new(bytes.as_slice()).unwrap();
+        assert_eq!(source.next_observation().unwrap().unwrap(), observation(0));
+        assert_eq!(source.next_observation().unwrap().unwrap(), observation(1));
+        assert!(source.next_observation().unwrap().is_none());
     }
 
     #[test]

@@ -71,8 +71,16 @@ cargo build --release --workspace
 # the bench targets' own helpers, and the live map's stress within 0.03 of
 # an exact solve, using both dimensions, on the paper's four co-locations.
 #
-# Also here: `--test record_replay`, the `stayaway-obs` suites and
-# `--test observability`.
+# Trace format (`--test record_replay`, `stayaway-telemetry --test
+# properties`, `serde --test text_layer`): a recorded run replays bit for
+# bit; the observation-line codec is held to its oracle, the serde derives
+# — encoder byte-equal to `serde_json::to_string`, decoder equal to
+# `serde_json::from_str` on accept / reject and value over rewritten,
+# truncated and arbitrary lines, the committed fixture re-encoding to
+# itself; and the JSON text layer under both renders a pinned corpus to
+# the same bytes and scans strings in linear time.
+#
+# Also here: the `stayaway-obs` suites and `--test observability`.
 cargo test -q --workspace
 # The perf-ledger package is its own workspace, so the line above does not
 # reach it; it compiles against the public API of every crate, so an API
