@@ -13,8 +13,8 @@
 //!   Both arms are asserted bit-identical before anything is timed.
 //! * `matrix_maintenance_512` — growing the 512-point distance matrix one
 //!   representative at a time: from-scratch rebuilds (the naive baseline)
-//!   vs incremental column appends, serial and at 4 workers. The
-//!   rebuild-vs-append gap carries the ≥10× matrix-maintenance claim.
+//!   vs incremental column appends. The rebuild-vs-append gap carries the
+//!   ≥10× matrix-maintenance claim.
 //! * `mapping_bound_path_128` — the per-period mapping plane end to end.
 //!   The naive arm is the paper's literal §2.2 pipeline run every period:
 //!   rebuild the distance matrix from scratch and solve from a fresh
@@ -30,7 +30,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stayaway_mds::classical::classical_mds;
-use stayaway_mds::distance::{DistanceMatrix, Metric};
+use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 
 const N_MATRIX: usize = 512;
@@ -41,7 +41,6 @@ const N_SOLVE: [usize; 3] = [64, 150, 400];
 /// Sweeps per solve in the solve group (`tolerance(0.0)` keeps every arm
 /// at exactly this count) — about what a warm-started re-embed runs.
 const SWEEPS: usize = 12;
-const WORKERS: usize = 4;
 
 /// Deterministic pseudo-random measurement vectors in `[0, 1]^dim`.
 fn vectors(n: usize, dim: usize) -> Vec<Vec<f64>> {
@@ -51,7 +50,7 @@ fn vectors(n: usize, dim: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn bench_parallel_mapping(c: &mut Criterion) {
+fn bench_incremental_mapping(c: &mut Criterion) {
     let pts = vectors(N_MATRIX, 10);
 
     let solver = Smacof::new(2).max_iterations(SWEEPS).tolerance(0.0);
@@ -97,22 +96,16 @@ fn bench_parallel_mapping(c: &mut Criterion) {
             last
         });
     });
-    for (label, workers) in [
-        ("incremental_append_serial", 1),
-        ("incremental_append_4workers", WORKERS),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut d =
-                    DistanceMatrix::from_vectors(std::hint::black_box(&pts[..2])).expect("matrix");
-                for m in 2..pts.len() {
-                    d.append_point_with_workers(&pts[..m], &pts[m], Metric::Euclidean, workers)
-                        .expect("append");
-                }
-                d.get(0, pts.len() - 1)
-            });
+    group.bench_function("incremental_append_serial", |b| {
+        b.iter(|| {
+            let mut d =
+                DistanceMatrix::from_vectors(std::hint::black_box(&pts[..2])).expect("matrix");
+            for m in 2..pts.len() {
+                d.append_point(&pts[..m], &pts[m]).expect("append");
+            }
+            d.get(0, pts.len() - 1)
         });
-    }
+    });
     group.finish();
 
     // End-to-end per-period mapping plane, one sweep per new point.
@@ -134,7 +127,7 @@ fn bench_parallel_mapping(c: &mut Criterion) {
             x
         });
     });
-    group.bench_function("incremental_parallel_plane", |b| {
+    group.bench_function("incremental_plane", |b| {
         // Column append + warm-started global solve — the engine's work
         // for a state that does not fit its map (one that fits is placed
         // in O(n): `smacof_scaling`'s `place_point` arm).
@@ -145,12 +138,7 @@ fn bench_parallel_mapping(c: &mut Criterion) {
             let mut embedding = s.embed(&dissim).expect("embed");
             for m in 2..path_pts.len() {
                 dissim
-                    .append_point_with_workers(
-                        &path_pts[..m],
-                        &path_pts[m],
-                        Metric::Euclidean,
-                        WORKERS,
-                    )
+                    .append_point(&path_pts[..m], &path_pts[m])
                     .expect("append");
                 let init = warm_start_with_new_points(&embedding, &dissim).expect("warm start");
                 embedding = s.embed_warm(&dissim, init).expect("embed warm");
@@ -161,5 +149,5 @@ fn bench_parallel_mapping(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_parallel_mapping);
+criterion_group!(benches, bench_incremental_mapping);
 criterion_main!(benches);

@@ -65,12 +65,6 @@ pub struct FleetConfig {
     /// seed overrides [`ControllerConfig::seed`]); ignored by baseline
     /// policies.
     pub controller: ControllerConfig,
-    /// Per-cell worker-thread budget of the mapping kernels; overrides
-    /// [`ControllerConfig::mapping_workers`] for every cell. Defaults to 1
-    /// — fleet parallelism is across cells, so each cell's mapping plane
-    /// stays serial unless a mapping-bound deployment raises it. Mapping
-    /// results are bit-for-bit identical for any value ≥ 1.
-    pub mapping_workers: usize,
 }
 
 impl FleetConfig {
@@ -91,7 +85,6 @@ impl FleetConfig {
             predictors: vec![PredictorSpec::default()],
             sources: vec![SourceSpec::Sim],
             controller: ControllerConfig::default(),
-            mapping_workers: 1,
         }
     }
 
@@ -155,11 +148,6 @@ impl FleetConfig {
         }
         for source in &self.sources {
             source.validate()?;
-        }
-        if self.mapping_workers == 0 {
-            return Err(FleetError::InvalidConfig {
-                reason: "mapping_workers must be positive".into(),
-            });
         }
         self.controller.validate().map_err(FleetError::Core)
     }

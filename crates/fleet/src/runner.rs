@@ -60,11 +60,6 @@ impl Fleet {
         registry: Arc<TemplateRegistry>,
     ) -> Result<Self, FleetError> {
         config.validate()?;
-        let mut config = config;
-        // The fleet-level budget is authoritative for every cell
-        // (documented on `FleetConfig::mapping_workers`); results are
-        // bit-identical for any value, so this is a concurrency knob only.
-        config.controller.mapping_workers = config.mapping_workers;
         Ok(Fleet { config, registry })
     }
 

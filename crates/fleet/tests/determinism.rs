@@ -33,23 +33,6 @@ fn workers_1_and_4_agree_with_template_sharing() {
 }
 
 #[test]
-fn mapping_workers_1_and_4_agree_bit_for_bit() {
-    // The per-cell mapping-kernel budget (SMACOF sweeps, distance-matrix
-    // maintenance) must not leak into any result bit either: chunk
-    // boundaries derive from the point count alone, never from the
-    // worker count.
-    let run = |mapping_workers: usize| {
-        let mut c = config(6, 2, 11, false);
-        c.mapping_workers = mapping_workers;
-        Fleet::new(c).unwrap().run().unwrap()
-    };
-    let serial = run(1);
-    let pooled = run(4);
-    assert_eq!(serial, pooled);
-    assert_eq!(serial.to_json().unwrap(), pooled.to_json().unwrap());
-}
-
-#[test]
 fn workload_cells_agree_across_worker_counts() {
     // The request-driven workload substrate must uphold the same
     // contract as the simulator: worker count leaks into no result bit,

@@ -1,16 +1,6 @@
 //! Dissimilarity matrices over measurement vectors.
 
-use crate::parallel;
 use crate::MdsError;
-
-/// Entries per parallel chunk when appending a point's column. Derived
-/// only from the matrix size, so chunk boundaries — and the result bits —
-/// are independent of the worker count.
-const APPEND_CHUNK: usize = 256;
-
-/// Target entries per whole-column chunk when building a matrix in
-/// parallel. Same determinism rule as [`APPEND_CHUNK`].
-const BUILD_CHUNK: usize = 4096;
 
 /// Pairwise distance metric between measurement vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,24 +75,6 @@ impl DistanceMatrix {
     /// [`MdsError::DimensionMismatch`] if the vectors have differing lengths
     /// and [`MdsError::NonFinite`] if any coordinate is NaN or infinite.
     pub fn from_vectors(vectors: &[Vec<f64>]) -> Result<Self, MdsError> {
-        Self::from_vectors_with_workers(vectors, Metric::Euclidean, 1)
-    }
-
-    /// [`DistanceMatrix::from_vectors`] under an explicit `metric`, with the
-    /// pairwise scan spread over up to `workers` threads. Chunks are whole
-    /// columns of the packed triangle whose boundaries depend only on the
-    /// point count, and every entry is an independent distance evaluation,
-    /// so **the result is bit-for-bit identical for any worker count**
-    /// (including 1, the inline path).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DistanceMatrix::from_vectors`].
-    pub fn from_vectors_with_workers(
-        vectors: &[Vec<f64>],
-        metric: Metric,
-        workers: usize,
-    ) -> Result<Self, MdsError> {
         let first = vectors.first().ok_or(MdsError::Empty)?;
         let dim = first.len();
         for v in vectors {
@@ -119,22 +91,16 @@ impl DistanceMatrix {
             }
         }
         let n = vectors.len();
-        let mut upper = vec![0.0; n * (n - 1) / 2];
-        let pieces = parallel::tri_column_pieces(n, &mut upper, BUILD_CHUNK);
-        parallel::scatter(workers, pieces, |first_col, slice| {
-            // Walk the packed column-grouped layout: column j holds the
-            // entries (0, j) .. (j-1, j) contiguously.
-            let mut j = first_col;
-            let mut i = 0usize;
-            for v in slice.iter_mut() {
-                *v = metric.distance(&vectors[i], &vectors[j]);
-                i += 1;
-                if i == j {
-                    i = 0;
-                    j += 1;
-                }
-            }
-        });
+        // Column j of the packed triangle holds the entries (0, j) ..
+        // (j-1, j) contiguously.
+        let mut upper = Vec::with_capacity(n * (n - 1) / 2);
+        for (j, point) in vectors.iter().enumerate().skip(1) {
+            upper.extend(
+                vectors[..j]
+                    .iter()
+                    .map(|v| Metric::Euclidean.distance(v, point)),
+            );
+        }
         Ok(DistanceMatrix { n, upper })
     }
 
@@ -147,30 +113,8 @@ impl DistanceMatrix {
     /// Returns [`MdsError::DimensionMismatch`] unless `existing.len()`
     /// equals [`DistanceMatrix::len`] and `point` has the common dimension,
     /// and [`MdsError::NonFinite`] if `point` has a NaN or infinite
-    /// coordinate.
+    /// coordinate; a failed append leaves the matrix untouched.
     pub fn append_point(&mut self, existing: &[Vec<f64>], point: &[f64]) -> Result<(), MdsError> {
-        self.append_point_with_workers(existing, point, Metric::Euclidean, 1)
-    }
-
-    /// [`DistanceMatrix::append_point`] under an explicit `metric` (it must
-    /// match the one the matrix was built with), with the new column's
-    /// distance evaluations spread over up to `workers` threads. Chunk
-    /// boundaries depend only on the current point count and every entry
-    /// is an independent distance evaluation, so **the result is
-    /// bit-for-bit identical for any worker count** (including 1, the
-    /// inline path).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DistanceMatrix::append_point`]; a failed append
-    /// leaves the matrix untouched.
-    pub fn append_point_with_workers(
-        &mut self,
-        existing: &[Vec<f64>],
-        point: &[f64],
-        metric: Metric,
-        workers: usize,
-    ) -> Result<(), MdsError> {
         if existing.len() != self.n {
             return Err(MdsError::DimensionMismatch {
                 expected: self.n,
@@ -189,14 +133,11 @@ impl DistanceMatrix {
                 context: "distance matrix appended point",
             });
         }
-        let base = self.upper.len();
-        self.upper.resize(base + self.n, 0.0);
-        let pieces = parallel::run_pieces(&mut self.upper[base..], APPEND_CHUNK);
-        parallel::scatter(workers, pieces, |first, slice| {
-            for (k, v) in slice.iter_mut().enumerate() {
-                *v = metric.distance(&existing[first + k], point);
-            }
-        });
+        self.upper.extend(
+            existing
+                .iter()
+                .map(|v| Metric::Euclidean.distance(v, point)),
+        );
         self.n += 1;
         Ok(())
     }
@@ -366,15 +307,29 @@ mod tests {
 
     #[test]
     fn append_point_matches_full_rebuild() {
-        let mut vectors = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 2.0]];
-        let mut incremental = DistanceMatrix::from_vectors(&vectors).unwrap();
-        for new in [vec![3.0, 4.0], vec![-1.0, 0.5], vec![2.0, 2.0]] {
-            incremental.append_point(&vectors, &new).unwrap();
-            vectors.push(new);
-            let rebuilt = DistanceMatrix::from_vectors(&vectors).unwrap();
-            assert_eq!(incremental, rebuilt);
+        let small = vec![
+            vec![0.0, 0.0],
+            vec![1.0, 0.0],
+            vec![0.0, 2.0],
+            vec![3.0, 4.0],
+            vec![-1.0, 0.5],
+            vec![2.0, 2.0],
+        ];
+        // A cloud the size of a full state map: large-n append ≡ rebuild.
+        let cloud: Vec<Vec<f64>> = (0..300)
+            .map(|i| vec![(i as f64 * 0.37).sin(), (i as f64 * 0.61).cos()])
+            .collect();
+        for (vectors, seed_len) in [(small, 3), (cloud, 290)] {
+            let mut incremental = DistanceMatrix::from_vectors(&vectors[..seed_len]).unwrap();
+            for m in seed_len..vectors.len() {
+                incremental
+                    .append_point(&vectors[..m], &vectors[m])
+                    .unwrap();
+                let rebuilt = DistanceMatrix::from_vectors(&vectors[..=m]).unwrap();
+                assert_eq!(incremental, rebuilt, "diverged appending point {m}");
+            }
+            assert_eq!(incremental.len(), vectors.len());
         }
-        assert_eq!(incremental.len(), 6);
     }
 
     #[test]
@@ -394,43 +349,6 @@ mod tests {
             Err(MdsError::NonFinite { .. })
         ));
         // Failed appends leave the matrix untouched.
-        assert_eq!(d, DistanceMatrix::from_vectors(&vectors).unwrap());
-    }
-
-    #[test]
-    fn parallel_build_and_append_are_bit_identical_to_serial() {
-        // Enough points to span several BUILD_CHUNK / APPEND_CHUNK chunks.
-        let vectors: Vec<Vec<f64>> = (0..300)
-            .map(|i| vec![(i as f64 * 0.37).sin(), (i as f64 * 0.61).cos()])
-            .collect();
-        let serial = DistanceMatrix::from_vectors(&vectors).unwrap();
-        for workers in [2, 3, 4, 8] {
-            let par =
-                DistanceMatrix::from_vectors_with_workers(&vectors, Metric::Euclidean, workers)
-                    .unwrap();
-            assert_eq!(serial, par, "build diverged at {workers} workers");
-
-            let mut appended = DistanceMatrix::from_vectors(&vectors[..299]).unwrap();
-            appended
-                .append_point_with_workers(
-                    &vectors[..299],
-                    &vectors[299],
-                    Metric::Euclidean,
-                    workers,
-                )
-                .unwrap();
-            assert_eq!(serial, appended, "append diverged at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn parallel_append_validates_and_leaves_matrix_untouched() {
-        let vectors = vec![vec![0.0, 0.0], vec![1.0, 0.0]];
-        let mut d = DistanceMatrix::from_vectors(&vectors).unwrap();
-        assert!(matches!(
-            d.append_point_with_workers(&vectors, &[f64::INFINITY, 0.0], Metric::Euclidean, 4),
-            Err(MdsError::NonFinite { .. })
-        ));
         assert_eq!(d, DistanceMatrix::from_vectors(&vectors).unwrap());
     }
 

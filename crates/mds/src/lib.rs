@@ -17,9 +17,7 @@
 //! * [`procrustes`] — orthogonal Procrustes alignment that keeps successive
 //!   embeddings in the same frame so trajectories stay meaningful;
 //! * [`pca`] — a PCA projector used only as an ablation baseline (§2.2
-//!   argues MDS is preferable to projection operators such as PCA);
-//! * [`landmark`] — landmark MDS, the fast incremental approximation the
-//!   paper's §4 points to as an alternative to its dedup optimisation.
+//!   argues MDS is preferable to projection operators such as PCA).
 //!
 //! # Example
 //!
@@ -53,7 +51,6 @@ pub mod classical;
 pub mod dedup;
 pub mod distance;
 pub mod embedding;
-pub mod landmark;
 pub mod linalg;
 pub mod normalize;
 pub mod pca;
@@ -61,7 +58,6 @@ pub mod procrustes;
 pub mod smacof;
 
 mod error;
-mod parallel;
 
 pub use embedding::Embedding;
 pub use error::MdsError;

@@ -34,28 +34,6 @@ impl RigidTransform {
         self.translation.len()
     }
 
-    /// Writes the image `R·point + t` into `out`.
-    fn image_into(&self, point: &[f64], out: &mut [f64]) {
-        out.copy_from_slice(&self.translation);
-        for (r, item) in out.iter_mut().enumerate() {
-            for (c, p) in point.iter().enumerate() {
-                *item += self.rotation[(r, c)] * p;
-            }
-        }
-    }
-
-    /// Applies the transform to a single point, returning the image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `point.len() != self.dim()`.
-    pub fn apply_point(&self, point: &[f64]) -> Vec<f64> {
-        assert_eq!(point.len(), self.dim(), "point dimension mismatch");
-        let mut out = vec![0.0; self.dim()];
-        self.image_into(point, &mut out);
-        out
-    }
-
     /// Applies the transform to every point of an embedding in place.
     ///
     /// # Panics
@@ -67,7 +45,12 @@ impl RigidTransform {
         for i in 0..embedding.len() {
             let point = embedding.point_mut(i);
             source.copy_from_slice(point);
-            self.image_into(&source, point);
+            point.copy_from_slice(&self.translation);
+            for (r, item) in point.iter_mut().enumerate() {
+                for (c, p) in source.iter().enumerate() {
+                    *item += self.rotation[(r, c)] * p;
+                }
+            }
         }
     }
 }
@@ -293,11 +276,11 @@ mod tests {
 
     #[test]
     fn single_shared_point_translates() {
-        let a = Embedding::from_coords(2, vec![1.0, 1.0, 9.0, 9.0]).unwrap();
+        let mut a = Embedding::from_coords(2, vec![1.0, 1.0, 9.0, 9.0]).unwrap();
         let b = Embedding::from_coords(2, vec![4.0, 4.0]).unwrap();
-        let t = align_prefix(&a, &b, 1).unwrap();
-        let img = t.apply_point(&[1.0, 1.0]);
-        assert!((img[0] - 4.0).abs() < 1e-12 && (img[1] - 4.0).abs() < 1e-12);
+        align_prefix(&a, &b, 1).unwrap().apply(&mut a);
+        let (x, y) = a.xy(0);
+        assert!((x - 4.0).abs() < 1e-12 && (y - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -308,7 +291,8 @@ mod tests {
 
     #[test]
     fn identity_transform_is_a_noop() {
-        let t = RigidTransform::identity(2);
-        assert_eq!(t.apply_point(&[3.0, -4.0]), vec![3.0, -4.0]);
+        let mut e = Embedding::from_coords(2, vec![3.0, -4.0]).unwrap();
+        RigidTransform::identity(2).apply(&mut e);
+        assert_eq!(e.xy(0), (3.0, -4.0));
     }
 }

@@ -1,17 +1,12 @@
-//! Property tests for the parallel mapping kernels.
+//! Property tests for adversarial inputs at the crate boundary.
 //!
-//! The invariants the fleet suites lean on, fuzzed here at the crate
-//! boundary: (1) the chunk-parallel `DistanceMatrix` builders are
-//! **bit-for-bit identical** to the serial reference for 1–8 workers,
-//! because chunk boundaries derive from the problem size alone (the SMACOF
-//! sweep is serial; `smacof_equivalence.rs` pins its bits); (2) adversarial
-//! inputs — NaN/inf observations, duplicate/coincident points — surface as
-//! typed [`MdsError`]s or finite embeddings, never a panic or a poisoned
+//! NaN/inf observations and duplicate/coincident points surface as typed
+//! [`MdsError`]s or finite embeddings, never a panic or a poisoned
 //! (non-finite) configuration.
 
 use proptest::prelude::*;
 use stayaway_mds::dedup::ReprSet;
-use stayaway_mds::distance::{DistanceMatrix, Metric};
+use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::smacof::Smacof;
 use stayaway_mds::MdsError;
 
@@ -34,37 +29,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn parallel_matrix_builders_match_serial_bit_for_bit(
-        n in 2usize..120,
-        seed in 0u64..1000,
-        workers in 1usize..=8,
-    ) {
-        let pts = cloud(n, 4, seed);
-        let serial = DistanceMatrix::from_vectors(&pts).unwrap();
-        let built =
-            DistanceMatrix::from_vectors_with_workers(&pts, Metric::Euclidean, workers).unwrap();
-        prop_assert_eq!(&serial, &built);
-
-        let mut appended = DistanceMatrix::from_vectors(&pts[..n - 1]).unwrap();
-        appended
-            .append_point_with_workers(&pts[..n - 1], &pts[n - 1], Metric::Euclidean, workers)
-            .unwrap();
-        prop_assert_eq!(&serial, &appended);
-    }
-
-    #[test]
     fn non_finite_observations_yield_typed_errors_not_panics(
         n in 1usize..40,
         poison_at in 0usize..40,
         poison in prop::sample::select(vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
-        workers in 1usize..=8,
     ) {
         let mut pts = cloud(n, 3, 7);
         let poison_at = poison_at % n;
         pts[poison_at][0] = poison;
 
         let build_err = matches!(
-            DistanceMatrix::from_vectors_with_workers(&pts, Metric::Euclidean, workers),
+            DistanceMatrix::from_vectors(&pts),
             Err(MdsError::NonFinite { .. })
         );
         prop_assert!(build_err, "poisoned build must return NonFinite");
@@ -72,7 +47,7 @@ proptest! {
         let clean = cloud(n, 3, 7);
         let mut m = DistanceMatrix::from_vectors(&clean).unwrap();
         let append_err = matches!(
-            m.append_point_with_workers(&clean, &pts[poison_at], Metric::Euclidean, workers),
+            m.append_point(&clean, &pts[poison_at]),
             Err(MdsError::NonFinite { .. })
         );
         prop_assert!(append_err, "poisoned append must return NonFinite");

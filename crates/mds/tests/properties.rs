@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use stayaway_mds::classical::classical_mds;
 use stayaway_mds::dedup::ReprSet;
 use stayaway_mds::distance::{DistanceMatrix, Metric};
-use stayaway_mds::landmark::{select_landmarks, LandmarkMds};
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
 use stayaway_mds::procrustes::{align_to_previous, prefix_rmsd};
 use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
@@ -166,26 +165,6 @@ proptest! {
         let init = warm_start_with_new_points(&e, &d2).unwrap();
         prop_assert!(prefix_rmsd(&init, &e, e.len()) < 1e-12);
         prop_assert_eq!(init.len(), grown.len());
-    }
-
-    /// Landmark selection returns distinct indices within bounds, and the
-    /// fitted placement keeps planar data's stress low.
-    #[test]
-    fn landmark_placement_on_planar_data(vectors in vectors_strategy(40, 2), k in 4usize..10) {
-        let idx = select_landmarks(&vectors, k);
-        let mut sorted = idx.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), idx.len());
-        prop_assert!(idx.iter().all(|&i| i < vectors.len()));
-
-        if idx.len() >= 3 {
-            let lmds = LandmarkMds::fit(&vectors, k, 2).unwrap();
-            let placed = lmds.place_all(&vectors).unwrap();
-            let d = DistanceMatrix::from_vectors(&vectors).unwrap();
-            prop_assert!(placed.stress(&d).unwrap() < 0.05,
-                "landmark stress too high on planar data");
-        }
     }
 
     /// The grid-indexed dedup path is an exact drop-in for the naive linear

@@ -9,7 +9,7 @@
 //! through [`DistanceMatrix::get`]. Nothing here is shared with the
 //! production kernel except the public accessors.
 //!
-//! `crates/bench/benches/parallel_mapping.rs` includes this file by path to
+//! `crates/bench/benches/incremental_mapping.rs` includes this file by path to
 //! time the kernel against it.
 
 use stayaway_mds::distance::DistanceMatrix;

@@ -1,6 +1,5 @@
 //! Controller configuration.
 
-use crate::mapping::EmbeddingStrategy;
 use crate::predictors::PredictorKind;
 use crate::violation::ViolationDetection;
 use crate::CoreError;
@@ -59,14 +58,6 @@ pub struct ControllerConfig {
     /// instrumented application, or inferred from the sensitive VM's IPC
     /// proxy.
     pub violation_detection: ViolationDetection,
-    /// How the 2-D embedding is maintained: per-period SMACOF (the paper's
-    /// pipeline) or the landmark-MDS incremental alternative §4 cites.
-    pub embedding_strategy: EmbeddingStrategy,
-    /// Worker-thread budget of the distance-matrix build and column
-    /// appends (the SMACOF sweep is serial, DESIGN.md §12). Mapping results
-    /// are bit-for-bit identical for any value ≥ 1; the budget only bounds
-    /// concurrency.
-    pub mapping_workers: usize,
     /// Length of one control period in seconds (the paper samples per-VM
     /// metrics once per second, §5). The simulator equates one tick with
     /// one period; a deployment would use this to pace its sampling loop.
@@ -100,8 +91,6 @@ impl Default for ControllerConfig {
             per_mode_models: true,
             predictor: PredictorKind::Kde,
             violation_detection: ViolationDetection::AppReported,
-            embedding_strategy: EmbeddingStrategy::Smacof,
-            mapping_workers: 1,
             control_period_secs: 1.0,
             seed: 0,
         }
@@ -155,24 +144,6 @@ impl ControllerConfig {
         if self.max_states < 2 {
             return Err(CoreError::InvalidConfig {
                 reason: "max_states must be at least 2".into(),
-            });
-        }
-        if let EmbeddingStrategy::Landmark {
-            landmarks,
-            refit_growth,
-        } = self.embedding_strategy
-        {
-            if landmarks < 3 || !(refit_growth.is_finite() && refit_growth > 1.0) {
-                return Err(CoreError::InvalidConfig {
-                    reason: format!(
-                        "landmark strategy needs landmarks >= 3 and refit_growth > 1,                          got {landmarks} / {refit_growth}"
-                    ),
-                });
-            }
-        }
-        if self.mapping_workers == 0 {
-            return Err(CoreError::InvalidConfig {
-                reason: "mapping_workers must be at least 1".into(),
             });
         }
         if !(self.control_period_secs.is_finite() && self.control_period_secs > 0.0) {
@@ -234,10 +205,6 @@ mod tests {
             },
             ControllerConfig {
                 max_states: 1,
-                ..base.clone()
-            },
-            ControllerConfig {
-                mapping_workers: 0,
                 ..base.clone()
             },
             ControllerConfig {

@@ -10,8 +10,9 @@
 //!    *logical VM*, §5).
 //! 2. **Map** ([`stages::map`], backed by [`mapping`]): the vector is
 //!    normalised into `[0, 1]` per metric, deduplicated to a
-//!    representative sample set (§4), embedded into 2-D with warm-started
-//!    SMACOF and Procrustes-aligned to the previous period's map.
+//!    representative sample set (§4), and a new representative is placed
+//!    into the 2-D map — re-solved with warm-started SMACOF and
+//!    Procrustes-aligned to the previous frame only when it does not fit.
 //! 3. **Predict** ([`stages::predict`], a shell over the swappable
 //!    [`predictors`] plane): the configured [`predictors::Predictor`] —
 //!    the paper's KDE/trajectory design by default, or a competitor
@@ -76,7 +77,6 @@ mod error;
 pub use config::ControllerConfig;
 pub use controller::Controller;
 pub use error::CoreError;
-pub use mapping::EmbeddingStrategy;
 pub use obs::{MappingMetrics, Observability};
 pub use policy::ControlPolicy;
 pub use predictors::{Forecast, Predictor, PredictorKind, PredictorStats};

@@ -3,37 +3,13 @@
 use crate::obs::MappingMetrics;
 use crate::CoreError;
 use stayaway_mds::dedup::ReprSet;
-use stayaway_mds::distance::{DistanceMatrix, Metric};
-use stayaway_mds::landmark::LandmarkMds;
+use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
-use stayaway_mds::procrustes::{align_prefix, align_to_previous, RigidTransform};
+use stayaway_mds::procrustes::align_to_previous;
 use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 use stayaway_mds::Embedding;
 use stayaway_statespace::Point2;
 use stayaway_telemetry::{HostSpec, ResourceKind};
-
-/// How the 2-D embedding is maintained as representatives accumulate.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum EmbeddingStrategy {
-    /// The §2.2 pipeline made incremental the way §4 asks (default): every
-    /// new representative is fitted to the existing map by single-point
-    /// SMACOF placement, and the whole map is re-solved — warm-started
-    /// SMACOF plus Procrustes alignment — only when that point does not
-    /// fit ([`COLUMN_STRESS_BUDGET`]).
-    #[default]
-    Smacof,
-    /// Landmark MDS (§4's cited incremental alternative): new
-    /// representatives are placed out-of-sample by distance triangulation
-    /// in O(landmarks); the landmark basis is refitted only when the
-    /// representative set has grown by `refit_growth`×.
-    Landmark {
-        /// Number of landmarks to fit (≥ 3).
-        landmarks: usize,
-        /// Growth factor of the representative count that triggers a
-        /// refit (e.g. 1.5).
-        refit_growth: f64,
-    },
-}
 
 /// Largest normalised column stress (`stayaway_mds::smacof::Smacof::place_last`) at
 /// which a newly placed point is accepted into the map as it stands; above
@@ -76,15 +52,6 @@ pub struct MappingEngine {
     /// bump hit counts — so cached entries can never go stale.
     dissim: Option<DistanceMatrix>,
     smacof: Smacof,
-    /// Worker-thread budget of the distance-matrix maintenance (the
-    /// SMACOF sweep is serial). Results are bit-for-bit identical for any
-    /// value (chunk boundaries never depend on it).
-    workers: usize,
-    strategy: EmbeddingStrategy,
-    /// The fitted landmark basis and the rigid transform from its own
-    /// frame into the map's (the Procrustes alignment of the refit).
-    landmark: Option<(LandmarkMds, RigidTransform)>,
-    fitted_at: usize,
     embedding: Option<Embedding>,
     max_states: usize,
     soft_capped: u64,
@@ -127,10 +94,6 @@ impl MappingEngine {
             repr: ReprSet::new(dedup_epsilon)?.grid_indexed(),
             dissim: None,
             smacof: Smacof::new(2).max_iterations(smacof_iterations),
-            workers: 1,
-            strategy: EmbeddingStrategy::Smacof,
-            landmark: None,
-            fitted_at: 0,
             embedding: None,
             max_states,
             soft_capped: 0,
@@ -139,42 +102,12 @@ impl MappingEngine {
         })
     }
 
-    /// Selects the embedding strategy (builder-style; default SMACOF).
-    pub fn with_strategy(mut self, strategy: EmbeddingStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Sets the worker-thread budget of the distance-matrix build and
-    /// column appends (builder-style; clamped to ≥ 1, default 1); the
-    /// SMACOF sweep itself is serial. The embedding and every mapping
-    /// decision are **bit-for-bit identical for any worker count**; the
-    /// budget only bounds how many fixed chunks run concurrently.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        if let Some(m) = &self.metrics {
-            m.set_workers(self.workers);
-        }
-        self
-    }
-
     /// Attaches observability instruments (builder-style; default none).
     /// Recording is decision-inert: identical mapping decisions with or
     /// without instruments.
     pub fn with_metrics(mut self, metrics: MappingMetrics) -> Self {
-        metrics.set_workers(self.workers);
         self.metrics = Some(metrics);
         self
-    }
-
-    /// The worker-thread budget of the mapping kernels.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The embedding strategy in use.
-    pub fn strategy(&self) -> EmbeddingStrategy {
-        self.strategy
     }
 
     /// Number of representative states.
@@ -303,25 +236,6 @@ impl MappingEngine {
     pub fn observe(&mut self, raw: &[f64]) -> Result<MappedSample, CoreError> {
         let normalized = self.normalizer.normalize(raw)?;
         self.samples_seen += 1;
-
-        // Soft cap: past `max_states`, absorb into the nearest existing
-        // representative instead of growing the observation matrix.
-        if self.repr.len() >= self.max_states {
-            if let Some((rep, _)) = self.repr.nearest(&normalized) {
-                self.soft_capped += 1;
-                if let Some(m) = &self.metrics {
-                    m.on_soft_capped();
-                    m.on_sample(self.repr.len(), self.samples_seen);
-                }
-                return Ok(MappedSample {
-                    rep,
-                    is_new: false,
-                    relaid: false,
-                    point: self.point_of(rep)?,
-                });
-            }
-        }
-
         let mapped = self.insert(&normalized)?;
         if let Some(m) = &self.metrics {
             m.on_sample(self.repr.len(), self.samples_seen);
@@ -331,9 +245,9 @@ impl MappingEngine {
 
     /// Maps one pre-normalised vector of a template (§6) exactly as
     /// [`MappingEngine::observe`] maps a measured one — merged into a
-    /// representative within dedup range, otherwise embedded as a new one —
-    /// except that it is no sample: the dedup ratio and the soft cap do not
-    /// see it.
+    /// representative within dedup range, embedded as a new one, or past
+    /// `max_states` absorbed by its nearest representative — except that it
+    /// is no sample: the dedup ratio does not see it.
     ///
     /// # Errors
     ///
@@ -355,6 +269,22 @@ impl MappingEngine {
     /// Dedups a normalised vector into the representative set, embedding
     /// it when it founds a new representative.
     fn insert(&mut self, normalized: &[f64]) -> Result<MappedSample, CoreError> {
+        // Soft cap: past `max_states`, absorb into the nearest existing
+        // representative instead of growing the observation matrix.
+        if self.repr.len() >= self.max_states {
+            if let Some((rep, _)) = self.repr.nearest(normalized) {
+                self.soft_capped += 1;
+                if let Some(m) = &self.metrics {
+                    m.on_soft_capped();
+                }
+                return Ok(MappedSample {
+                    rep,
+                    is_new: false,
+                    relaid: false,
+                    point: self.point_of(rep)?,
+                });
+            }
+        }
         let outcome = self.repr.insert(normalized)?;
         let rep = outcome.index();
         let relaid = outcome.is_new() && self.re_embed()?;
@@ -378,21 +308,18 @@ impl MappingEngine {
     fn refresh_dissim<'a>(
         cache: &'a mut Option<DistanceMatrix>,
         reps: &[Vec<f64>],
-        workers: usize,
         metrics: Option<&MappingMetrics>,
     ) -> Result<&'a DistanceMatrix, CoreError> {
         let n = reps.len();
         // `len() > n` cannot happen (the set never shrinks), but a rebuild
         // is the safe response if it ever does.
         let Some(mut d) = cache.take().filter(|d| d.len() <= n) else {
-            let built =
-                DistanceMatrix::from_vectors_with_workers(reps, Metric::Euclidean, workers)?;
-            return Ok(cache.insert(built));
+            return Ok(cache.insert(DistanceMatrix::from_vectors(reps)?));
         };
         if d.len() < n {
             let start = metrics.map(|_| std::time::Instant::now());
             for m in d.len()..n {
-                d.append_point_with_workers(&reps[..m], &reps[m], Metric::Euclidean, workers)?;
+                d.append_point(&reps[..m], &reps[m])?;
             }
             if let (Some(metrics), Some(t0)) = (metrics, start) {
                 metrics.on_append_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -401,30 +328,18 @@ impl MappingEngine {
         Ok(cache.insert(d))
     }
 
-    /// Embeds the representative just added; true when that re-laid the
-    /// whole map rather than placing the one point.
-    fn re_embed(&mut self) -> Result<bool, CoreError> {
-        match self.strategy {
-            EmbeddingStrategy::Smacof => self.re_embed_smacof(),
-            EmbeddingStrategy::Landmark {
-                landmarks,
-                refit_growth,
-            } => self.re_embed_landmark(landmarks, refit_growth),
-        }
-    }
-
     /// Place, then decide. The new point starts beside its nearest
     /// neighbour and is fitted to the map as it stands — every other point
     /// fixed, O(n) per round. If its column of the stress stays within
     /// [`COLUMN_STRESS_BUDGET`] the map is kept: no old coordinate moves and
     /// there is nothing to align. Otherwise the point says the map is wrong
     /// around it, and the whole configuration is re-solved from that start
-    /// and Procrustes-aligned back to the previous frame.
-    fn re_embed_smacof(&mut self) -> Result<bool, CoreError> {
+    /// and Procrustes-aligned back to the previous frame. True when the map
+    /// was re-laid rather than the one point placed.
+    fn re_embed(&mut self) -> Result<bool, CoreError> {
         let dissim = Self::refresh_dissim(
             &mut self.dissim,
             self.repr.representatives(),
-            self.workers,
             self.metrics.as_ref(),
         )?;
         let prev = self.embedding.get_or_insert_with(|| Embedding::zeros(0, 2));
@@ -447,53 +362,6 @@ impl MappingEngine {
             m.on_stress(|| aligned.stress(dissim).ok());
         }
         *prev = aligned;
-        Ok(true)
-    }
-
-    /// Landmark path: place the new representative out-of-sample (O(k));
-    /// refit the landmark basis only when the set grew substantially, and
-    /// Procrustes-align the refitted layout to the previous frame. The
-    /// basis triangulates in its own frame, so that alignment is kept and
-    /// applied to every point placed until the next refit.
-    fn re_embed_landmark(
-        &mut self,
-        landmarks: usize,
-        refit_growth: f64,
-    ) -> Result<bool, CoreError> {
-        let n = self.repr.len();
-        let k = landmarks.max(3);
-        // Too few points for a landmark basis: keep the exact pipeline.
-        if n < k + 1 {
-            self.landmark = None;
-            return self.re_embed_smacof();
-        }
-        if let (Some((model, frame)), Some(embedding)) = (&self.landmark, &mut self.embedding) {
-            if (n as f64) < (self.fitted_at as f64) * refit_growth.max(1.01) {
-                // Cheap path: triangulate only the newest representative.
-                let pos = model.place(self.repr.representative(n - 1))?;
-                embedding.push(&frame.apply_point(&pos));
-                return Ok(false);
-            }
-        }
-        // No basis yet, or the set outgrew it: refit. The refit reads all
-        // its pairwise distances out of the cached matrix instead of
-        // recomputing O(n·k·dim) of them.
-        let dissim = Self::refresh_dissim(
-            &mut self.dissim,
-            self.repr.representatives(),
-            self.workers,
-            self.metrics.as_ref(),
-        )?;
-        let model = LandmarkMds::fit_with_dissim(self.repr.representatives(), dissim, k, 2)?;
-        let mut placed = model.place_all(self.repr.representatives())?;
-        let frame = match &self.embedding {
-            Some(prev) if prev.len() > 1 => align_prefix(&placed, prev, prev.len())?,
-            _ => RigidTransform::identity(2),
-        };
-        frame.apply(&mut placed);
-        self.embedding = Some(placed);
-        self.landmark = Some((model, frame));
-        self.fitted_at = n;
         Ok(true)
     }
 }
@@ -681,14 +549,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_and_instruments_leave_the_embedding_bits_alone() {
+    fn instruments_leave_the_embedding_bits_alone_and_account_for_every_state() {
         let stream: Vec<Vec<f64>> = planar_stream(16)
             .into_iter()
             .chain([misfit()])
             .chain(planar_stream(20).split_off(16))
             .collect();
-        let run = |workers: usize, registry: Option<&stayaway_obs::MetricsRegistry>| {
-            let mut e = engine().with_workers(workers);
+        let run = |registry: Option<&stayaway_obs::MetricsRegistry>| {
+            let mut e = engine();
             if let Some(r) = registry {
                 e = e.with_metrics(MappingMetrics::register(r, true));
             }
@@ -698,9 +566,8 @@ mod tests {
             e.embedding().unwrap().clone()
         };
         let registry = stayaway_obs::MetricsRegistry::new();
-        let bare = run(1, None);
-        assert_eq!(bare, run(4, None), "mapping_workers changed the map");
-        assert_eq!(bare, run(1, Some(&registry)), "instruments changed the map");
+        let bare = run(None);
+        assert_eq!(bare, run(Some(&registry)), "instruments changed the map");
         // The instrumented run went down both arms of the gate, and every
         // state is accounted for by exactly one of them.
         let snapshot = registry.snapshot();
@@ -757,73 +624,6 @@ mod tests {
     #[test]
     fn empty_metric_list_rejected() {
         assert!(MappingEngine::new(&[], &HostSpec::default(), 0.05, 10, 10).is_err());
-    }
-
-    #[test]
-    fn landmark_strategy_tracks_smacof_geometry() {
-        let spec = HostSpec::default();
-        let metrics = [ResourceKind::Cpu, ResourceKind::Memory];
-        let mut smacof = MappingEngine::new(&metrics, &spec, 0.0, 30, 400).unwrap();
-        let mut landmark = MappingEngine::new(&metrics, &spec, 0.0, 30, 400)
-            .unwrap()
-            .with_strategy(EmbeddingStrategy::Landmark {
-                landmarks: 8,
-                refit_growth: 1.5,
-            });
-        assert_eq!(smacof.strategy(), EmbeddingStrategy::Smacof);
-
-        // A stream sweeping through three regimes.
-        let raws: Vec<Vec<f64>> = (0..30)
-            .map(|i| {
-                let t = i as f64 / 29.0;
-                vec![4.0 * t, 8000.0 * t, 4.0 * (1.0 - t), 2000.0]
-            })
-            .collect();
-        for r in &raws {
-            smacof.observe(r).unwrap();
-            landmark.observe(r).unwrap();
-        }
-        assert_eq!(smacof.repr_count(), landmark.repr_count());
-
-        // Both embeddings must be low-stress representations of the same
-        // dissimilarities.
-        let vectors: Vec<Vec<f64>> = (0..landmark.repr_count())
-            .map(|i| landmark.normalized_vector(i).to_vec())
-            .collect();
-        let d = DistanceMatrix::from_vectors(&vectors).unwrap();
-        let s_stress = smacof.embedding().unwrap().stress(&d).unwrap();
-        let l_stress = landmark.embedding().unwrap().stress(&d).unwrap();
-        assert!(s_stress < 0.05, "smacof stress {s_stress}");
-        assert!(l_stress < 0.1, "landmark stress {l_stress}");
-
-        // The basis was last refitted at 21 states: state 20 was laid out
-        // by that refit, state 21 triangulated afterwards. Neighbours on
-        // the stream must be neighbours on the map — the triangulated
-        // point has to land in the frame the refit was aligned into.
-        let gap = landmark.embedding().unwrap().distance(20, 21);
-        assert!(
-            (gap - d.get(20, 21)).abs() < 0.01,
-            "placed state is {gap} from its neighbour, {} on the stream",
-            d.get(20, 21)
-        );
-    }
-
-    #[test]
-    fn landmark_strategy_small_sets_fall_back_to_smacof() {
-        let spec = HostSpec::default();
-        let mut e = MappingEngine::new(&[ResourceKind::Cpu], &spec, 0.0, 20, 100)
-            .unwrap()
-            .with_strategy(EmbeddingStrategy::Landmark {
-                landmarks: 6,
-                refit_growth: 2.0,
-            });
-        // Only three points: below the landmark minimum, but mapping must
-        // still work.
-        for i in 0..3 {
-            let s = e.observe(&[i as f64, i as f64 * 100.0]).unwrap();
-            assert!(s.point.is_finite());
-        }
-        assert_eq!(e.repr_count(), 3);
     }
 
     #[test]

@@ -291,7 +291,6 @@ pub struct MappingMetrics {
     soft_capped: Counter,
     sweep_latency: Histogram,
     append_latency: Histogram,
-    sweep_workers: Gauge,
     deep: bool,
 }
 
@@ -348,10 +347,6 @@ impl MappingMetrics {
                 "stayaway_mapping_append_latency_nanos",
                 "Wall time of one distance-matrix column append batch",
             ),
-            sweep_workers: registry.gauge(
-                "stayaway_mapping_sweep_workers",
-                "Worker-thread budget of the parallel mapping kernels",
-            ),
             deep,
         }
     }
@@ -400,12 +395,6 @@ impl MappingMetrics {
     /// wall-nanoseconds.
     pub fn on_append_timed(&self, nanos: u64) {
         self.append_latency.record(nanos);
-    }
-
-    /// Publishes the configured kernel worker budget (config-reflecting,
-    /// decision-inert).
-    pub fn set_workers(&self, workers: usize) {
-        self.sweep_workers.set(workers as f64);
     }
 
     /// Publishes the map's stress after a global solve, computing it only

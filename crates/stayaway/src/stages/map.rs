@@ -48,9 +48,7 @@ impl MapStage {
             config.dedup_epsilon,
             config.smacof_iterations,
             config.max_states,
-        )?
-        .with_strategy(config.embedding_strategy)
-        .with_workers(config.mapping_workers);
+        )?;
         Ok(MapStage {
             mapping,
             map: StateMap::new(),
@@ -217,5 +215,38 @@ impl MapStage {
         // Any of the inserts may have re-laid the map; one sweep over the
         // positions at the end covers them all.
         self.refresh_positions()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stayaway_telemetry::ResourceKind;
+
+    #[test]
+    fn template_import_honours_the_soft_state_cap() {
+        let config = ControllerConfig {
+            metrics: vec![ResourceKind::Cpu],
+            dedup_epsilon: 0.0, // exact-duplicate merging only
+            max_states: 10,
+            ..ControllerConfig::default()
+        };
+        let mut stage = MapStage::new(&config, &HostSpec::default()).unwrap();
+        // 30 distinct states; only the last — past the cap — violated.
+        let mut template = Template::new("svc", 2).unwrap();
+        for i in 0..30 {
+            let t = i as f64 / 30.0;
+            template.push(vec![t, 1.0 - t * t], i == 29).unwrap();
+        }
+        stage.import_template(&template).unwrap();
+
+        assert_eq!(stage.repr_count(), config.max_states);
+        assert_eq!(stage.state_map().len(), config.max_states);
+        assert_eq!(stage.mapping.soft_capped(), 20);
+        // The absorbed state's violation label landed on the
+        // representative that absorbed it.
+        let last = template.iter().last().unwrap();
+        let (rep, _) = stage.nearest(&last.vector).unwrap();
+        assert!(stage.is_violation_state(rep));
     }
 }

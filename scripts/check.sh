@@ -19,14 +19,11 @@ cargo build --release --workspace
 # Fleet determinism (`stayaway-fleet --test determinism`): FleetOutcome
 # and its JSON are bit-identical for workers 1 vs 4.
 #
-# Mapping determinism (`stayaway-mds --test parallel_determinism`,
-# `--test smacof_equivalence`): the chunk-parallel distance-matrix
-# builders must stay bit-identical to the serial reference (the property
-# suite fuzzes 1-8 workers internally; the fleet test
-# `mapping_workers_1_and_4_agree_bit_for_bit` pins the 1-vs-4 worker
-# configuration end to end through a full fleet run), and the serial
-# SMACOF sweep must return the bits and sweep count of the test-only
-# reference solver.
+# Mapping plane (`stayaway-mds --test smacof_equivalence`, `--test
+# adversarial_inputs`): the serial SMACOF sweep must return the bits and
+# sweep count of the test-only reference solver, and NaN / infinite /
+# coincident inputs must surface as typed errors or finite embeddings,
+# never a panic. The plane is serial, so it has no worker-count contract.
 #
 # Golden fixture (`stayaway-core --test golden_fixture`): the staged
 # controller reproduces the pre-refactor fixture bit-for-bit, reading its

@@ -977,7 +977,6 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 controller: ControllerConfig::default(),
                 collect_metrics: args.wants_metrics(),
                 collect_events: args.wants_events(),
-                mapping_workers: 1,
             };
             let outcome = Fleet::new(config)?.run()?;
             match json {
