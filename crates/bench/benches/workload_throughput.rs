@@ -1,6 +1,6 @@
 //! Throughput pin for the request-driven workload engine.
 //!
-//! The binary-heap event queue must sustain at least one million
+//! The event engine must sustain at least one million
 //! simulated requests per second of wall time, or the larger scenario
 //! sweeps (`stayaway bench-scenarios`, fleet workload cells) stop being
 //! interactive. The bench measures end-to-end engine speed — arrival

@@ -291,4 +291,19 @@ mod tests {
         s.hosts[2].tenants[0].class = AppClass::Batch;
         assert!(s.validate().is_err());
     }
+
+    #[test]
+    fn validation_inherits_the_tick_period_bounds() {
+        // Every host shares the period, so only the host scenario's own
+        // check can object: below 1 ns no tick ends, beyond a day the
+        // clock overflows.
+        for secs in [1e-10, 1e300] {
+            let mut s = cluster_by_name("hotspot").unwrap();
+            for host in &mut s.hosts {
+                host.tick_period_secs = secs;
+            }
+            let err = s.validate().unwrap_err().to_string();
+            assert!(err.contains("tick_period_secs"), "{secs}: {err}");
+        }
+    }
 }

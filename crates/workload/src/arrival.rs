@@ -17,6 +17,11 @@ use std::fmt;
 /// Nanoseconds per second, the engine's time unit.
 pub const NANOS_PER_SEC: f64 = 1e9;
 
+/// One simulated day: the longest inter-arrival gap a draw can produce
+/// and the longest control tick a scenario may declare, so neither can
+/// walk the `u64` nanosecond clock to its end.
+pub(crate) const MAX_GAP_SECS: f64 = 86_400.0;
+
 /// A time-varying request arrival process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
@@ -225,7 +230,7 @@ impl ArrivalProcess {
         let gap_secs = -u.ln() / rate;
         // Clamp to a day of simulated time so a pathological draw can
         // never overflow the u64 clock.
-        let gap_ns = (gap_secs * NANOS_PER_SEC).min(86_400.0 * NANOS_PER_SEC) as u64;
+        let gap_ns = (gap_secs * NANOS_PER_SEC).min(MAX_GAP_SECS * NANOS_PER_SEC) as u64;
         t_ns.saturating_add(gap_ns.max(1))
     }
 

@@ -1,15 +1,23 @@
 //! The deterministic discrete-event engine behind a workload scenario.
 //!
 //! [`WorkloadHost`] simulates one multi-tenant host in integer
-//! nanoseconds. Four event kinds drive it — request arrivals, container
-//! deploy completions, invocation completions and idle-container
-//! expiries — ordered by a binary heap keyed on `(time, seq)` so ties
-//! break by insertion order and the timeline is a pure function of
-//! `(scenario, seed, action sequence)`. Every tenant owns two split
-//! RNG streams (arrival gaps, service jitter), both derived from the run
-//! seed by SplitMix64, so arrival timelines are identical under every
-//! control policy: the open-loop property that makes latency comparable
-//! across policies.
+//! nanoseconds. Five event kinds drive it — native and injected request
+//! arrivals, container deploy completions, invocation completions and
+//! idle-container expiries — popped in `(time, seq)` order, `seq` being
+//! the push counter, so ties break by insertion order and the timeline is
+//! a pure function of `(scenario, seed, action sequence)`. The queue
+//! behind that order (`queue.rs`, DESIGN.md §13) sorts only the control
+//! tick that is open: later ticks' events wait unsorted in per-tick
+//! buckets and each tenant's next native arrival is a slot. Cancelled
+//! timers are still queued, popped and folded into the timeline digest —
+//! the generation counters make them no-ops — and the per-tenant
+//! resource-time integrals move only for tenants whose running rates are
+//! not all exactly zero, one `rate · dt` term per event as before.
+//!
+//! Every tenant owns two split RNG streams (arrival gaps, service
+//! jitter), both derived from the run seed by SplitMix64, so arrival
+//! timelines are identical under every control policy: the open-loop
+//! property that makes latency comparable across policies.
 //!
 //! Contention is modelled at dispatch: an invocation's service time is
 //! stretched by the product of the host's per-resource oversubscription
@@ -25,6 +33,7 @@
 use crate::arrival::NANOS_PER_SEC;
 use crate::latency::LatencyHistogram;
 use crate::metrics::WorkloadMetrics;
+use crate::queue::{Event, EventKind, EventQueue};
 use crate::spec::WorkloadScenario;
 use crate::WorkloadError;
 use rand::rngs::StdRng;
@@ -34,8 +43,7 @@ use stayaway_telemetry::{
     Action, AppClass, ContainerId, ContainerObs, Observation, ResourceKind, ResourceVector,
     TickRecord,
 };
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// SplitMix64 — the same mixer the rest of the workspace uses for seed
 /// derivation, reproduced here so tenant streams are stable even if the
@@ -45,62 +53,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// A request arrives at `tenant`.
-    Arrival { tenant: usize },
-    /// A deploying container finishes its cold start.
-    ContainerReady {
-        tenant: usize,
-        slot: usize,
-        gen: u64,
-    },
-    /// A running invocation completes.
-    Completion { tenant: usize, inv: usize, gen: u64 },
-    /// An idle warm container's keepalive window expires.
-    IdleExpire {
-        tenant: usize,
-        slot: usize,
-        gen: u64,
-    },
-    /// An externally generated request arrives at `tenant` (cluster-routed
-    /// job traffic). Carries its nominal service time, so processing it
-    /// consumes no host RNG stream: the request timeline stays a pure
-    /// function of whoever generated it, not of where it was routed.
-    Injected { tenant: usize, nominal_ns: u64 },
-}
-
-impl EventKind {
-    fn discriminant(&self) -> u64 {
-        match self {
-            EventKind::Arrival { .. } => 0,
-            EventKind::ContainerReady { .. } => 1,
-            EventKind::Completion { .. } => 2,
-            EventKind::IdleExpire { .. } => 3,
-            EventKind::Injected { .. } => 4,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Event {
-    time_ns: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time_ns, self.seq).cmp(&(other.time_ns, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,6 +159,9 @@ struct Tenant {
     arrival_rng: StdRng,
     service_rng: StdRng,
     containers: Vec<Container>,
+    /// Containers not `Dead`, maintained by construction,
+    /// `deploy_container` and `evict_container`.
+    alive: u32,
     free_slots: Vec<usize>,
     queue: VecDeque<Request>,
     running: Vec<Option<Running>>,
@@ -219,15 +174,65 @@ struct Tenant {
     run_membw: f64,
     run_disk: f64,
     run_net: f64,
+    /// True while this tenant is listed in [`WorkloadHost::rated`].
+    rated: bool,
     stats: TickStats,
 }
 
 impl Tenant {
+    /// A tenant with no containers, no work and zero rates.
+    fn new(name: String, class: AppClass, arrival_seed: u64, service_seed: u64) -> Self {
+        Tenant {
+            name,
+            class,
+            frozen: false,
+            detached: false,
+            arrival_rng: StdRng::seed_from_u64(arrival_seed),
+            service_rng: StdRng::seed_from_u64(service_seed),
+            containers: Vec::new(),
+            alive: 0,
+            free_slots: Vec::new(),
+            queue: VecDeque::new(),
+            running: Vec::new(),
+            running_free: Vec::new(),
+            running_count: 0,
+            inv_gen: 0,
+            run_cpu: 0.0,
+            run_membw: 0.0,
+            run_disk: 0.0,
+            run_net: 0.0,
+            rated: false,
+            stats: TickStats::default(),
+        }
+    }
+
+    /// The pre-warmed container an eager-keepalive tenant starts with.
+    fn prewarm(&mut self) {
+        self.containers.push(Container {
+            state: ContainerState::Warm,
+            gen: 0,
+            active: 0,
+        });
+        self.alive += 1;
+    }
+
     fn alive_containers(&self) -> u32 {
-        self.containers
-            .iter()
-            .filter(|c| c.state != ContainerState::Dead)
-            .count() as u32
+        debug_assert_eq!(
+            self.alive as usize,
+            self.containers
+                .iter()
+                .filter(|c| c.state != ContainerState::Dead)
+                .count()
+        );
+        self.alive
+    }
+
+    /// True when any running rate is not exactly zero — counts would not
+    /// do: add/sub residues (`0.1 + 0.1 + 0.1 − 0.1 − 0.1 − 0.1 =
+    /// 2.8e-17`) outlive the invocations that left them and are
+    /// integrated like any other rate.
+    fn has_rates(&self) -> bool {
+        self.run_cpu != 0.0 || self.run_membw != 0.0 || self.run_disk != 0.0 || self.run_net != 0.0
     }
 }
 
@@ -259,9 +264,11 @@ pub struct WorkloadHost {
     tick: u64,
     /// Time up to which the resource-time integrals have been advanced.
     now_ns: u64,
-    seq: u64,
-    events: BinaryHeap<Reverse<Event>>,
+    events: EventQueue,
     tenants: Vec<Tenant>,
+    /// Indices of the tenants whose running rates are not all exactly
+    /// zero — the only ones whose integrals [`Self::advance`] can move.
+    rated: Vec<usize>,
     /// Host-wide running rate demand (all unfrozen invocations).
     total_cpu: f64,
     total_membw: f64,
@@ -301,9 +308,9 @@ impl WorkloadHost {
             deadline_ns: scenario.slo.deadline_ns(),
             tick: 0,
             now_ns: 0,
-            seq: 0,
-            events: BinaryHeap::new(),
+            events: EventQueue::new(scenario.tick_period_ns()),
             tenants: Vec::new(),
+            rated: Vec::new(),
             total_cpu: 0.0,
             total_membw: 0.0,
             total_disk: 0.0,
@@ -321,38 +328,15 @@ impl WorkloadHost {
         for (i, t) in host.scenario.tenants.clone().iter().enumerate() {
             let arrival_seed = splitmix64(seed ^ splitmix64(2 * i as u64));
             let service_seed = splitmix64(seed ^ splitmix64(2 * i as u64 + 1));
-            let mut tenant = Tenant {
-                name: t.name.clone(),
-                class: t.class,
-                frozen: false,
-                detached: false,
-                arrival_rng: StdRng::seed_from_u64(arrival_seed),
-                service_rng: StdRng::seed_from_u64(service_seed),
-                containers: Vec::new(),
-                free_slots: Vec::new(),
-                queue: VecDeque::new(),
-                running: Vec::new(),
-                running_free: Vec::new(),
-                running_count: 0,
-                inv_gen: 0,
-                run_cpu: 0.0,
-                run_membw: 0.0,
-                run_disk: 0.0,
-                run_net: 0.0,
-                stats: TickStats::default(),
-            };
+            let mut tenant = Tenant::new(t.name.clone(), t.class, arrival_seed, service_seed);
             if t.keepalive.idle_window_ns().is_none() {
-                tenant.containers.push(Container {
-                    state: ContainerState::Warm,
-                    gen: 0,
-                    active: 0,
-                });
+                tenant.prewarm();
                 host.total_mem_mb += t.demand.container_mb;
                 host.total_cache_mb += t.demand.cache_mb;
             }
             let first = t.arrival.next_arrival_ns(0, &mut tenant.arrival_rng);
             host.tenants.push(tenant);
-            host.push_event(first, EventKind::Arrival { tenant: i });
+            host.events.push(first, EventKind::Arrival { tenant: i });
         }
         Ok(host)
     }
@@ -451,33 +435,16 @@ impl WorkloadHost {
     pub fn attach_tenant(&mut self, spec: crate::spec::TenantSpec) -> Result<usize, WorkloadError> {
         spec.validate()?;
         let ti = self.tenants.len();
-        let mut tenant = Tenant {
-            name: spec.name.clone(),
-            class: spec.class,
-            frozen: false,
-            detached: false,
-            // Never consumed: attached tenants are externally driven.
-            arrival_rng: StdRng::seed_from_u64(splitmix64(ti as u64)),
-            service_rng: StdRng::seed_from_u64(splitmix64(ti as u64 + 1)),
-            containers: Vec::new(),
-            free_slots: Vec::new(),
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            running_free: Vec::new(),
-            running_count: 0,
-            inv_gen: 0,
-            run_cpu: 0.0,
-            run_membw: 0.0,
-            run_disk: 0.0,
-            run_net: 0.0,
-            stats: TickStats::default(),
-        };
+        // The RNG streams are never consumed: attached tenants are
+        // externally driven.
+        let mut tenant = Tenant::new(
+            spec.name.clone(),
+            spec.class,
+            splitmix64(ti as u64),
+            splitmix64(ti as u64 + 1),
+        );
         if spec.keepalive.idle_window_ns().is_none() {
-            tenant.containers.push(Container {
-                state: ContainerState::Warm,
-                gen: 0,
-                active: 0,
-            });
+            tenant.prewarm();
             self.total_mem_mb += spec.demand.container_mb;
             self.total_cache_mb += spec.demand.cache_mb;
         }
@@ -510,7 +477,7 @@ impl WorkloadHost {
             }
             Some(_) => {}
         }
-        let now_ns = self.tick * self.tick_period_ns;
+        let now_ns = self.boundary_ns();
         self.advance(now_ns);
         let mut carried = Vec::new();
         for i in 0..self.tenants[ti].running.len() {
@@ -566,8 +533,8 @@ impl WorkloadHost {
         if nominal_ns == 0 {
             return Err(invalid("inject: nominal_ns must be positive".into()));
         }
-        let time_ns = time_ns.max(self.tick * self.tick_period_ns);
-        self.push_event(
+        let time_ns = time_ns.max(self.boundary_ns());
+        self.events.push(
             time_ns,
             EventKind::Injected {
                 tenant: ti,
@@ -577,10 +544,11 @@ impl WorkloadHost {
         Ok(())
     }
 
-    fn push_event(&mut self, time_ns: u64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Event { time_ns, seq, kind }));
+    /// The current tick boundary — where the next tick starts and where
+    /// `apply`, `detach_tenant` and `inject_arrival` act — in nanoseconds,
+    /// saturating at the end of the `u64` clock.
+    fn boundary_ns(&self) -> u64 {
+        self.tick.saturating_mul(self.tick_period_ns)
     }
 
     fn fold_digest(&mut self, e: &Event) {
@@ -594,10 +562,16 @@ impl WorkloadHost {
 
     /// Advances the per-tenant resource-time integrals to `to_ns`. Must
     /// be called before any mutation of the running set.
+    ///
+    /// Only the tenants in `rated` are visited: everyone else's four rates
+    /// are exactly `0.0`, and adding `0.0 · dt` is the identity. Each call
+    /// adds its own `rate · dt` term — `acc += r·dt₁; acc += r·dt₂` is not
+    /// `acc += r·(dt₁ + dt₂)` in f64, so intervals are never merged.
     fn advance(&mut self, to_ns: u64) {
         let dt = to_ns.saturating_sub(self.now_ns) as f64;
         if dt > 0.0 {
-            for t in &mut self.tenants {
+            for &ti in &self.rated {
+                let t = &mut self.tenants[ti];
                 t.stats.acc_cpu += t.run_cpu * dt;
                 t.stats.acc_membw += t.run_membw * dt;
                 t.stats.acc_disk += t.run_disk * dt;
@@ -641,6 +615,7 @@ impl WorkloadHost {
         self.total_membw += membw;
         self.total_disk += disk;
         self.total_net += net;
+        self.refresh_rated(ti);
     }
 
     fn sub_running_rates(&mut self, ti: usize) {
@@ -660,6 +635,23 @@ impl WorkloadHost {
         self.total_membw = (self.total_membw - membw).max(0.0);
         self.total_disk = (self.total_disk - disk).max(0.0);
         self.total_net = (self.total_net - net).max(0.0);
+        self.refresh_rated(ti);
+    }
+
+    /// Re-derives tenant `ti`'s membership of `rated` after its running
+    /// rates changed.
+    fn refresh_rated(&mut self, ti: usize) {
+        let t = &mut self.tenants[ti];
+        let rated = t.has_rates();
+        if rated == t.rated {
+            return;
+        }
+        t.rated = rated;
+        if rated {
+            self.rated.push(ti);
+        } else {
+            self.rated.retain(|&other| other != ti);
+        }
     }
 
     /// Starts `req` on container `slot` of tenant `ti` at `now`.
@@ -694,7 +686,7 @@ impl WorkloadHost {
         c.active += 1;
         c.gen += 1; // invalidates any pending idle expiry
         self.add_running_rates(ti);
-        self.push_event(
+        self.events.push(
             finish_ns,
             EventKind::Completion {
                 tenant: ti,
@@ -765,6 +757,7 @@ impl WorkloadHost {
             }
         };
         let gen = t.containers[slot].gen;
+        t.alive += 1;
         t.stats.cold_starts += 1;
         self.totals.cold_starts += 1;
         self.total_mem_mb += mem;
@@ -772,7 +765,7 @@ impl WorkloadHost {
         if let Some(m) = &self.metrics {
             m.cold_starts.inc();
         }
-        self.push_event(
+        self.events.push(
             now_ns.saturating_add(cold_ns.max(1)),
             EventKind::ContainerReady {
                 tenant: ti,
@@ -790,6 +783,7 @@ impl WorkloadHost {
         c.state = ContainerState::Dead;
         c.gen += 1;
         c.active = 0;
+        t.alive -= 1;
         t.free_slots.push(slot);
         t.stats.evictions += 1;
         self.totals.evictions += 1;
@@ -808,7 +802,7 @@ impl WorkloadHost {
             Some(0) => self.evict_container(ti, slot),
             Some(window) => {
                 let gen = self.tenants[ti].containers[slot].gen;
-                self.push_event(
+                self.events.push(
                     now_ns.saturating_add(window),
                     EventKind::IdleExpire {
                         tenant: ti,
@@ -822,14 +816,11 @@ impl WorkloadHost {
 
     /// Feeds queued requests into any free capacity of tenant `ti`.
     fn drain_queue(&mut self, ti: usize, now_ns: u64) {
-        while !self.tenants[ti].queue.is_empty() {
+        while let Some(&req) = self.tenants[ti].queue.front() {
             let Some(slot) = self.free_capacity_slot(ti) else {
                 break;
             };
-            let req = self.tenants[ti]
-                .queue
-                .pop_front()
-                .expect("checked non-empty");
+            self.tenants[ti].queue.pop_front();
             self.start_invocation(ti, slot, req, now_ns);
         }
     }
@@ -840,7 +831,7 @@ impl WorkloadHost {
         let next = self.scenario.tenants[ti]
             .arrival
             .next_arrival_ns(now_ns, &mut self.tenants[ti].arrival_rng);
-        self.push_event(next, EventKind::Arrival { tenant: ti });
+        self.events.push(next, EventKind::Arrival { tenant: ti });
         // Nominal service time comes from the dedicated service stream,
         // also consumed in arrival order.
         let d = &self.scenario.tenants[ti].demand;
@@ -1004,8 +995,7 @@ impl WorkloadHost {
         if let Some(m) = &self.metrics {
             m.freezes.inc();
         }
-        let slots: Vec<usize> = (0..self.tenants[ti].running.len()).collect();
-        for i in slots {
+        for i in 0..self.tenants[ti].running.len() {
             let t = &mut self.tenants[ti];
             let Some(r) = &mut t.running[i] else { continue };
             if r.frozen_remaining.is_some() {
@@ -1040,7 +1030,7 @@ impl WorkloadHost {
             r.gen = t.inv_gen;
             let (finish_ns, gen) = (r.finish_ns, r.gen);
             self.add_running_rates(ti);
-            self.push_event(
+            self.events.push(
                 finish_ns,
                 EventKind::Completion {
                     tenant: ti,
@@ -1061,7 +1051,7 @@ impl WorkloadHost {
     /// Applies policy actions at the current tick boundary, returning
     /// how many were rejected (freezing sensitive tenants, unknown ids).
     pub fn apply(&mut self, actions: &[Action]) -> u64 {
-        let now_ns = self.tick * self.tick_period_ns;
+        let now_ns = self.boundary_ns();
         self.advance(now_ns);
         let mut rejected = 0;
         for action in actions {
@@ -1103,12 +1093,8 @@ impl WorkloadHost {
     /// observation; the matching ground-truth [`TickRecord`] is stored
     /// for [`Self::last_record`].
     pub fn advance_tick(&mut self) -> Observation {
-        let tick_end = (self.tick + 1) * self.tick_period_ns;
-        while let Some(Reverse(head)) = self.events.peek() {
-            if head.time_ns >= tick_end {
-                break;
-            }
-            let Reverse(event) = self.events.pop().expect("peeked non-empty");
+        let tick_end = self.events.open_tick(self.tick);
+        while let Some(event) = self.events.pop_due() {
             self.process(event);
         }
         self.advance(tick_end);
@@ -1350,6 +1336,64 @@ mod tests {
         }
         assert!(h.totals().cold_starts > 0);
         assert!(h.totals().evictions > 0, "fixed keepalive should evict");
+    }
+
+    #[test]
+    fn rated_set_lists_exactly_the_tenants_with_a_nonzero_rate() {
+        let mut h = host("multi-tenant-storm", 17);
+        let batch: Vec<ContainerId> = (0..h.tenant_count())
+            .filter(|&ti| h.tenants[ti].class == AppClass::Batch)
+            .map(ContainerId::from_raw)
+            .collect();
+        let mut seen_idle = false;
+        for tick in 0..40 {
+            h.advance_tick();
+            match tick % 8 {
+                2 => h.apply(
+                    &batch
+                        .iter()
+                        .map(|id| Action::Pause(*id))
+                        .collect::<Vec<_>>(),
+                ),
+                5 => h.apply(
+                    &batch
+                        .iter()
+                        .map(|id| Action::Resume(*id))
+                        .collect::<Vec<_>>(),
+                ),
+                _ => 0,
+            };
+            let mut listed = h.rated.clone();
+            listed.sort_unstable();
+            let expected: Vec<usize> = (0..h.tenant_count())
+                .filter(|&ti| h.tenants[ti].has_rates())
+                .collect();
+            assert_eq!(listed, expected, "tick {tick}");
+            for (ti, t) in h.tenants.iter().enumerate() {
+                assert_eq!(t.rated, expected.contains(&ti));
+            }
+            seen_idle |= expected.len() < h.tenant_count();
+        }
+        assert!(seen_idle, "frozen tenants must leave the set");
+    }
+
+    #[test]
+    fn one_nanosecond_ticks_emit_finite_observations() {
+        // The shortest period validation admits: ticks end, rate means
+        // divide by 1 ns and stay finite.
+        let mut scenario = by_name("memcached-like").unwrap();
+        scenario.tick_period_secs = 1e-9;
+        let mut h = WorkloadHost::new(scenario, 3).unwrap();
+        for _ in 0..1_000 {
+            let obs = h.advance_tick();
+            for c in &obs.containers {
+                assert!(ResourceKind::ALL
+                    .iter()
+                    .all(|k| c.usage.get(*k).is_finite()));
+            }
+            assert!(obs.qos_value.is_finite());
+        }
+        assert_eq!(h.tick(), 1_000);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   demand, container-pool shape, cold-start penalty, idle eviction.
 //! - [`WorkloadScenario`] — declarative serde specs; [`library`] ships
 //!   seven named co-location situations resolvable [`by_name`].
-//! - [`WorkloadHost`] — the binary-heap event engine: container
+//! - [`WorkloadHost`] — the discrete-event engine (its queue orders only
+//!   the control tick that is open, DESIGN.md §13): container
 //!   lifecycle, contention-stretched service times, SIGSTOP-style
 //!   freezes, integer-nanosecond determinism.
 //! - [`WorkloadSource`] — the [`ObservationSource`] adapter: existing
@@ -28,6 +29,7 @@ pub mod engine;
 mod error;
 pub mod latency;
 pub mod metrics;
+mod queue;
 pub mod report;
 pub mod source;
 pub mod spec;

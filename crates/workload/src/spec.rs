@@ -10,7 +10,7 @@
 //! aggressors, phase-shifting batch, flash crowds and a many-tenant
 //! storm).
 
-use crate::arrival::ArrivalProcess;
+use crate::arrival::{ArrivalProcess, MAX_GAP_SECS, NANOS_PER_SEC};
 use crate::demand::{DemandProfile, KeepalivePolicy};
 use crate::WorkloadError;
 use serde::{Deserialize, Serialize};
@@ -130,10 +130,14 @@ impl WorkloadScenario {
             .map_err(|e| WorkloadError::InvalidSpec {
                 reason: format!("scenario '{}': {e}", self.name),
             })?;
-        if !self.tick_period_secs.is_finite() || self.tick_period_secs <= 0.0 {
+        // The engine's clock is integer nanoseconds: a period that rounds
+        // below 1 ns never ends a tick, and one beyond a day (the bound
+        // inter-arrival gaps are clamped to) walks off the u64 clock.
+        let period_ns = self.tick_period_secs * NANOS_PER_SEC;
+        if !(period_ns >= 1.0 && self.tick_period_secs <= MAX_GAP_SECS) {
             return Err(WorkloadError::InvalidSpec {
                 reason: format!(
-                    "tick_period_secs must be positive, got {}",
+                    "tick_period_secs must be between 1 ns and {MAX_GAP_SECS} s, got {}",
                     self.tick_period_secs
                 ),
             });
@@ -157,7 +161,7 @@ impl WorkloadScenario {
 
     /// Tick period in integer nanoseconds.
     pub fn tick_period_ns(&self) -> u64 {
-        (self.tick_period_secs * 1e9) as u64
+        (self.tick_period_secs * NANOS_PER_SEC) as u64
     }
 
     /// Names of the batch co-runners, for listings.
@@ -613,6 +617,40 @@ mod tests {
         let mut s = by_name("memcached-like").unwrap();
         s.tick_period_secs = 0.0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn a_tick_period_below_one_nanosecond_is_rejected() {
+        // 1e-10 s truncates to a 0 ns period: no tick ever ends.
+        let mut s = by_name("memcached-like").unwrap();
+        for secs in [1e-10, 0.9e-9, f64::MIN_POSITIVE, -1.0, f64::NAN] {
+            s.tick_period_secs = secs;
+            assert!(
+                matches!(s.validate(), Err(WorkloadError::InvalidSpec { .. })),
+                "{secs}"
+            );
+            assert!(crate::WorkloadHost::new(s.clone(), 1).is_err(), "{secs}");
+        }
+        s.tick_period_secs = 1e-9;
+        assert_eq!(s.validate(), Ok(()));
+        assert_eq!(s.tick_period_ns(), 1);
+    }
+
+    #[test]
+    fn a_tick_period_beyond_one_day_is_rejected() {
+        // 1e300 s saturates to u64::MAX ns: the first tick simulates
+        // centuries and the second overflows.
+        let mut s = by_name("memcached-like").unwrap();
+        for secs in [86_400.5, 1e300, f64::INFINITY] {
+            s.tick_period_secs = secs;
+            assert!(
+                matches!(s.validate(), Err(WorkloadError::InvalidSpec { .. })),
+                "{secs}"
+            );
+            assert!(crate::WorkloadHost::new(s.clone(), 1).is_err(), "{secs}");
+        }
+        s.tick_period_secs = 86_400.0;
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 # determinism / golden-fixture suite, including the byte-for-byte CLI
 # transcripts of `tests/cli_golden.rs`), the perf-ledger package's own
 # gate (`benchmarks/run.sh --check`), a live `--http` introspection scrape
-# (the one CLI check that needs a running server) and a compile check of
-# every criterion bench target. Run from anywhere inside the repository.
+# (the one CLI check that needs a running server), the cluster scale curve
+# in release and a compile check of every criterion bench target. Run from
+# anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -77,8 +78,21 @@ cargo build --release --workspace
 # itself; and the JSON text layer under both renders a pinned corpus to
 # the same bytes and scans strings in linear time.
 #
+# Engine timelines (`stayaway-workload --test pinned_timelines`, the
+# `queue::tests` property tests): the seven library scenarios, bare and
+# under a pause/resume script, and one attach/inject/detach cycle must
+# reproduce literals recorded before the event queue was rebuilt — a pin
+# across commits, where `determinism` only compares a run with itself —
+# and the queue must pop in the order of one global binary heap.
+#
 # Also here: the `stayaway-obs` suites and `--test observability`.
 cargo test -q --workspace
+# The cluster scale curve, 4x10 to 100x1000 hosts x jobs (`#[ignore]`d in
+# the run above: minutes in debug, ~20 s in release). Every size must
+# complete with its per-host engine timelines equal to the pinned
+# digests, and the largest must not depend on the worker count; the table
+# it prints is the one EXPERIMENTS.md quotes.
+cargo test -q --release -p stayaway-fleet --test cluster_scale_curve -- --ignored --nocapture
 # The perf-ledger package is its own workspace, so the line above does not
 # reach it; it compiles against the public API of every crate, so an API
 # removal must pass through here (fmt --check, clippy, its tests).
