@@ -19,12 +19,12 @@ use stayaway_core::ControllerConfig;
 use stayaway_sim::apps::WebWorkload;
 use stayaway_sim::scenario::{BatchKind, Scenario};
 use stayaway_statespace::{ExecutionMode, Point2};
-use stayaway_trajectory::{ModePredictor, Predictor, SingleModelPredictor, Step};
+use stayaway_trajectory::{ModePredictor, Step};
 
 /// Mean open-loop prediction error of a predictor over a trail.
 fn open_loop_error(trail: &[(ExecutionMode, Point2)], per_mode: bool, seed: u64) -> (f64, u64) {
     let mut mode_p = ModePredictor::new();
-    let mut single_p = SingleModelPredictor::new();
+    let mut single_p = ModePredictor::pooled();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut err_sum = 0.0;
     let mut checks = 0u64;

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use stayaway_bench::{ExperimentSink, Table};
 use stayaway_statespace::{ExecutionMode, Point2};
 use stayaway_trajectory::generators::{BiasedRandomWalk, BurstyWalk, LevyFlight};
-use stayaway_trajectory::{ModePredictor, Predictor, Step, VarModel};
+use stayaway_trajectory::{ModePredictor, Step, VarModel};
 
 fn one_step_errors(trail: &[Point2], warmup: usize) -> (f64, f64, u64) {
     let mut var = VarModel::new();

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stayaway_statespace::{ExecutionMode, Point2, StateMap};
-use stayaway_trajectory::{EmpiricalDistribution, Histogram, Kde, ModePredictor, Predictor, Step};
+use stayaway_trajectory::{EmpiricalDistribution, Histogram, Kde, ModePredictor, Step};
 
 fn filled_map(n: usize, violations: usize) -> StateMap {
     let mut map = StateMap::new();

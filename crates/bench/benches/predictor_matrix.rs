@@ -19,8 +19,8 @@
 //! [`Predictor`]: stayaway_core::predictors::Predictor
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use stayaway_core::ControllerConfig;
-use stayaway_fleet::{PolicySpec, PredictorSpec};
+use stayaway_core::{ControllerConfig, PredictorKind};
+use stayaway_fleet::PolicySpec;
 use stayaway_sim::scenario::Scenario;
 
 const TICKS: u64 = 200;
@@ -34,19 +34,20 @@ fn bench_predictor_matrix(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("predictor_matrix");
     group.sample_size(20);
-    for spec in PredictorSpec::all() {
+    for kind in PredictorKind::ALL {
+        let config = ControllerConfig {
+            predictor: kind,
+            ..ControllerConfig::default()
+        };
         // Each sample is one full 200-tick run including harness and
         // controller construction; the setup cost is identical across
         // rows, so differences between rows are pure per-tick predictor
         // cost.
-        group.bench_function(format!("{}_{TICKS}_ticks", spec.name()), |b| {
+        group.bench_function(format!("{}_{TICKS}_ticks", kind.name()), |b| {
             b.iter(|| {
                 let mut harness = scenario.build_harness().expect("scenario builds");
                 let mut policy = PolicySpec::StayAway
-                    .build(
-                        &spec.apply(&ControllerConfig::default()),
-                        harness.host().spec(),
-                    )
+                    .build(&config, harness.host().spec())
                     .expect("controller builds");
                 harness.run(policy.as_mut(), TICKS)
             })
@@ -54,13 +55,10 @@ fn bench_predictor_matrix(c: &mut Criterion) {
 
         let mut harness = scenario.build_harness().expect("scenario builds");
         let mut policy = PolicySpec::StayAway
-            .build(
-                &spec.apply(&ControllerConfig::default()),
-                harness.host().spec(),
-            )
+            .build(&config, harness.host().spec())
             .expect("controller builds");
         harness.run(policy.as_mut(), WARM_UP_TICKS);
-        group.bench_function(format!("{}_formed_{TICKS}_ticks", spec.name()), |b| {
+        group.bench_function(format!("{}_formed_{TICKS}_ticks", kind.name()), |b| {
             b.iter(|| harness.run(policy.as_mut(), TICKS))
         });
     }

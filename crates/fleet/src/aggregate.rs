@@ -363,7 +363,7 @@ impl FleetOutcome {
                     per_policy.push(rollup);
                 }
             }
-            if o.predictor != crate::predictor::PredictorSpec::NONE {
+            if o.predictor != crate::predictor::NONE {
                 match per_predictor
                     .iter_mut()
                     .find(|r| r.predictor == o.predictor)

@@ -3,11 +3,13 @@
 //! fleet cell ([`run_cell`]) runs through.
 
 use crate::policy::PolicySpec;
-use crate::predictor::PredictorSpec;
+use crate::predictor;
 use crate::seed::derive_cell_seed;
 use crate::source::SourceSpec;
 use crate::FleetError;
-use stayaway_core::{ControlPolicy, ControllerConfig, ControllerStats, CoreError, Observability};
+use stayaway_core::{
+    ControlPolicy, ControllerConfig, ControllerStats, CoreError, Observability, PredictorKind,
+};
 use stayaway_obs::{
     attr, EventKind, EventRecord, FlightRecorder, Layer, MetricsRegistry, MetricsSnapshot, Span,
     StateCell,
@@ -31,7 +33,7 @@ pub struct CellPlan {
     pub policy: PolicySpec,
     /// The prediction plane this cell's controller runs (ignored by
     /// baseline policies, which carry no predictor).
-    pub predictor: PredictorSpec,
+    pub predictor: PredictorKind,
     /// The observation substrate this cell senses through.
     pub source: SourceSpec,
     /// When true, the cell records into its own [`MetricsRegistry`] and
@@ -52,7 +54,7 @@ impl CellPlan {
             seed: derive_cell_seed(fleet_seed, idx as u64),
             scenario,
             policy,
-            predictor: PredictorSpec::default(),
+            predictor: PredictorKind::default(),
             source: SourceSpec::Sim,
             collect_metrics: false,
             collect_events: false,
@@ -66,18 +68,18 @@ impl CellPlan {
     }
 
     /// Replaces the prediction plane (builder style).
-    pub fn with_predictor(mut self, predictor: PredictorSpec) -> Self {
+    pub fn with_predictor(mut self, predictor: PredictorKind) -> Self {
         self.predictor = predictor;
         self
     }
 
     /// The predictor name this cell reports: the canonical token for
-    /// predictive policies, [`PredictorSpec::NONE`] for baselines.
+    /// predictive policies, [`predictor::NONE`] for baselines.
     pub fn predictor_label(&self) -> &'static str {
         if self.policy.uses_predictor() {
             self.predictor.name()
         } else {
-            PredictorSpec::NONE
+            predictor::NONE
         }
     }
 
@@ -94,11 +96,25 @@ impl CellPlan {
         self
     }
 
-    /// The sensitive-workload key templates are registered under: the
-    /// `<sensitive>` half of the scenario's `<sensitive>+<batch>` name.
-    pub fn sensitive_key(&self) -> &str {
-        let name = self.scenario.name();
-        name.split('+').next().unwrap_or(name)
+    /// The sensitive-workload key templates are registered under — named
+    /// after what the cell senses, so a template only ever warm-starts a
+    /// cell protecting the same application: the `<sensitive>` half of the
+    /// scenario's `<sensitive>+<batch>` name on the simulator, the
+    /// scenario's sensitive tenant on the workload engine (the key
+    /// [`crate::Cluster`] hosts use, so the two planes serve each other),
+    /// the source label for a trace or the live host.
+    pub fn sensitive_key(&self) -> String {
+        match &self.source {
+            SourceSpec::Sim => {
+                let name = self.scenario.name();
+                name.split('+').next().unwrap_or(name).to_string()
+            }
+            SourceSpec::Workload { scenario } => stayaway_workload::by_name(scenario)
+                .ok()
+                .and_then(|s| s.sensitive_tenant().map(|t| t.name.clone()))
+                .unwrap_or_else(|| self.source.label()),
+            SourceSpec::Trace { .. } | SourceSpec::Procfs => self.source.label(),
+        }
     }
 }
 
@@ -338,6 +354,7 @@ pub fn run_cell(
             "Wall time of one fleet cell's closed-loop run",
         ))
     });
+    let sensitive = plan.sensitive_key();
     let out = run_host(HostRun {
         source: &plan.source,
         scenario: &plan.scenario,
@@ -345,13 +362,13 @@ pub fn run_cell(
         policy: &plan.policy,
         controller: &ControllerConfig {
             seed: plan.seed,
-            predictor: plan.predictor.kind(),
+            predictor: plan.predictor,
             ..controller.clone()
         },
         ticks,
         instruments: &instruments,
         import,
-        export_as: Some(plan.sensitive_key()),
+        export_as: Some(&sensitive),
         trace_out: None,
         loop_span: cell_runtime.as_ref(),
     })?;
@@ -360,7 +377,7 @@ pub fn run_cell(
     Ok(CellOutcome {
         idx: plan.idx,
         scenario: plan.scenario.name().to_string(),
-        sensitive: plan.sensitive_key().to_string(),
+        sensitive,
         policy: plan.policy.name().to_string(),
         predictor: plan.predictor_label().to_string(),
         source: plan.source.label(),
@@ -386,10 +403,18 @@ mod tests {
     }
 
     #[test]
-    fn sensitive_key_is_the_name_prefix() {
+    fn sensitive_key_names_what_the_cell_senses() {
         let plan = stayaway_plan(0, 7, Scenario::vlc_with_cpubomb(7));
         assert_eq!(plan.sensitive_key(), "vlc");
         assert_eq!(plan.seed, derive_cell_seed(7, 0));
+        let workload = plan.clone().with_source(SourceSpec::Workload {
+            scenario: "cpu-bomb".into(),
+        });
+        assert_eq!(workload.sensitive_key(), "kv-front");
+        let trace = plan.with_source(SourceSpec::Trace {
+            path: "t.jsonl".into(),
+        });
+        assert_eq!(trace.sensitive_key(), "trace:t.jsonl");
     }
 
     /// The plan of a bare stay-away run over `source`; tests override the

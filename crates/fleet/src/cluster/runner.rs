@@ -22,7 +22,7 @@ use crate::seed::derive_cell_seed;
 use crate::FleetError;
 use stayaway_core::{ControlPolicy, ControllerConfig};
 use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer, MetricsRegistry};
-use stayaway_telemetry::{step, AppClass, QosSummary, TelemetryError};
+use stayaway_telemetry::{step, QosSummary, TelemetryError};
 use stayaway_workload::WorkloadSource;
 use std::sync::Arc;
 
@@ -242,9 +242,7 @@ impl Cluster {
             instruments.observability(),
         )?;
         let sensitive_key = scenario
-            .tenants
-            .iter()
-            .find(|t| t.class == AppClass::Sensitive)
+            .sensitive_tenant()
             .map(|t| t.name.clone())
             .expect("validated: every host has a sensitive tenant");
         let imported_template = match self.registry.lookup(&sensitive_key) {

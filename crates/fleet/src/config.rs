@@ -1,10 +1,9 @@
 //! Fleet configuration: how many cells, how many workers, which scenarios.
 
 use crate::policy::PolicySpec;
-use crate::predictor::PredictorSpec;
 use crate::source::SourceSpec;
 use crate::FleetError;
-use stayaway_core::ControllerConfig;
+use stayaway_core::{ControllerConfig, PredictorKind};
 use stayaway_sim::apps::WebWorkload;
 use stayaway_sim::scenario::{BatchKind, Scenario};
 
@@ -54,7 +53,7 @@ pub struct FleetConfig {
     /// KDE list keeps every cell on the paper's design; several entries
     /// run a mixed-predictor population — the substrate of the predictor
     /// tournament ([`crate::tournament`]).
-    pub predictors: Vec<PredictorSpec>,
+    pub predictors: Vec<PredictorKind>,
     /// Observation substrates round-robined across cells (cell `i` senses
     /// through `sources[i % sources.len()]`); must be non-empty. The
     /// default single-entry `[SourceSpec::Sim]` list keeps every cell on
@@ -82,7 +81,7 @@ impl FleetConfig {
             collect_events: false,
             scenarios: Self::standard_mix(fleet_seed),
             policies: vec![PolicySpec::StayAway],
-            predictors: vec![PredictorSpec::default()],
+            predictors: vec![PredictorKind::default()],
             sources: vec![SourceSpec::Sim],
             controller: ControllerConfig::default(),
         }

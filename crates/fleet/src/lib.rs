@@ -10,6 +10,10 @@
 //! can be homogeneous or round-robin several policies across its cells,
 //! running a Stay-Away cohort against a control group in one experiment;
 //! the rollup reports per-policy aggregates alongside the fleet totals.
+//! Stay-Away cells round-robin a list of prediction planes the same way —
+//! plain [`stayaway_core::PredictorKind`]s, parsed from the CLI's comma
+//! list by [`predictor::parse_list`] — and the rollup reports
+//! per-predictor aggregates too.
 //!
 //! Three properties define the design:
 //!
@@ -73,7 +77,6 @@ pub use cluster::{
 pub use config::FleetConfig;
 pub use error::FleetError;
 pub use policy::PolicySpec;
-pub use predictor::PredictorSpec;
 pub use registry::{RegistryEntry, TemplateRegistry};
 pub use runner::Fleet;
 pub use seed::derive_cell_seed;

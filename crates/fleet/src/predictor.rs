@@ -1,93 +1,44 @@
 //! Predictor selection: which prediction plane a Stay-Away cell runs.
 //!
-//! A [`PredictorSpec`] is the fleet-side, declarative description of one
-//! prediction plane (DESIGN.md §15) — a thin wrapper over
-//! [`stayaway_core::PredictorKind`] that parses CLI tokens into
-//! [`FleetError`]s and applies itself onto a [`ControllerConfig`]. Fleets
-//! round-robin a list of specs across their cells exactly like
+//! Fleets, cell plans and tournaments hold
+//! [`stayaway_core::PredictorKind`] directly (DESIGN.md §15) and
+//! round-robin a list of them across cells exactly like
 //! [`crate::PolicySpec`], so one fleet can run a mixed-predictor
 //! population — the substrate of the predictor tournament
-//! ([`crate::tournament`]).
+//! ([`crate::tournament`]). What the fleet adds is here: the label of a
+//! cell that runs no predictor, and the CLI list parser with the fleet's
+//! error wording.
 
 use crate::FleetError;
-use stayaway_core::{ControllerConfig, PredictorKind};
+use stayaway_core::PredictorKind;
 
-/// Declarative choice of prediction plane for Stay-Away cells.
+/// The marker non-predictive (baseline) cells report in place of a
+/// predictor name.
+pub const NONE: &str = "-";
+
+/// Parses a comma-separated list of predictor tokens (see
+/// [`PredictorKind::parse`] for the accepted aliases).
 ///
-/// Baseline policies carry no predictor; their cells report the
-/// [`PredictorSpec::NONE`] marker instead of a predictor name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PredictorSpec {
-    kind: PredictorKind,
-}
-
-impl PredictorSpec {
-    /// The marker non-predictive (baseline) cells report in place of a
-    /// predictor name.
-    pub const NONE: &'static str = "-";
-
-    /// Wraps a concrete predictor kind.
-    pub fn new(kind: PredictorKind) -> Self {
-        PredictorSpec { kind }
-    }
-
-    /// Every selectable predictor, in canonical (tournament) order.
-    pub fn all() -> Vec<Self> {
-        PredictorKind::ALL.into_iter().map(Self::new).collect()
-    }
-
-    /// The wrapped kind.
-    pub fn kind(self) -> PredictorKind {
-        self.kind
-    }
-
-    /// The canonical CLI token (`kde`, `xapp`, `denoise`, `last-tick`).
-    pub fn name(self) -> &'static str {
-        self.kind.name()
-    }
-
-    /// Parses one CLI predictor token (see [`PredictorKind::parse`] for
-    /// the accepted aliases).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::InvalidConfig`] for an unknown token.
-    pub fn parse(token: &str) -> Result<Self, FleetError> {
-        PredictorKind::parse(token)
-            .map(Self::new)
-            .map_err(|e| FleetError::InvalidConfig {
+/// # Errors
+///
+/// Returns [`FleetError::InvalidConfig`] for an empty list or any unknown
+/// token.
+pub fn parse_list(tokens: &str) -> Result<Vec<PredictorKind>, FleetError> {
+    let kinds: Vec<PredictorKind> = tokens
+        .split(',')
+        .filter(|t| !t.trim().is_empty())
+        .map(|t| {
+            PredictorKind::parse(t).map_err(|e| FleetError::InvalidConfig {
                 reason: e.to_string(),
             })
+        })
+        .collect::<Result<_, _>>()?;
+    if kinds.is_empty() {
+        return Err(FleetError::InvalidConfig {
+            reason: "predictor list must not be empty".into(),
+        });
     }
-
-    /// Parses a comma-separated list of predictor tokens (for
-    /// mixed-predictor fleets and tournaments).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::InvalidConfig`] for an empty list or any
-    /// unknown token.
-    pub fn parse_list(tokens: &str) -> Result<Vec<Self>, FleetError> {
-        let specs: Vec<Self> = tokens
-            .split(',')
-            .filter(|t| !t.trim().is_empty())
-            .map(Self::parse)
-            .collect::<Result<_, _>>()?;
-        if specs.is_empty() {
-            return Err(FleetError::InvalidConfig {
-                reason: "predictor list must not be empty".into(),
-            });
-        }
-        Ok(specs)
-    }
-
-    /// Returns `config` with this predictor selected.
-    pub fn apply(self, config: &ControllerConfig) -> ControllerConfig {
-        ControllerConfig {
-            predictor: self.kind,
-            ..config.clone()
-        }
-    }
+    Ok(kinds)
 }
 
 #[cfg(test)]
@@ -95,41 +46,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_accepts_canonical_names_and_aliases() {
-        for spec in PredictorSpec::all() {
-            assert_eq!(PredictorSpec::parse(spec.name()).unwrap(), spec);
-        }
+    fn parse_list_accepts_canonical_names_and_aliases() {
+        let names: Vec<&str> = PredictorKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(parse_list(&names.join(",")).unwrap(), PredictorKind::ALL);
         assert_eq!(
-            PredictorSpec::parse("trajectory").unwrap().kind(),
-            PredictorKind::Kde
+            parse_list("trajectory,alioth").unwrap(),
+            [PredictorKind::Kde, PredictorKind::Denoise]
         );
-        assert_eq!(
-            PredictorSpec::parse("alioth").unwrap().kind(),
-            PredictorKind::Denoise
-        );
-        assert!(PredictorSpec::parse("bogus").is_err());
+        assert!(parse_list("bogus").is_err());
     }
 
     #[test]
     fn parse_list_splits_on_commas() {
-        let specs = PredictorSpec::parse_list("kde, xapp,last-tick").unwrap();
-        assert_eq!(specs.len(), 3);
-        assert_eq!(specs[0].name(), "kde");
-        assert_eq!(specs[2].name(), "last-tick");
-        assert!(PredictorSpec::parse_list("").is_err());
-        assert!(PredictorSpec::parse_list("kde,bogus").is_err());
+        let kinds = parse_list("kde, xapp,last-tick").unwrap();
+        assert_eq!(kinds.len(), 3);
+        assert_eq!(kinds[0].name(), "kde");
+        assert_eq!(kinds[2].name(), "last-tick");
+        assert!(parse_list("").is_err());
+        assert!(parse_list("kde,bogus").is_err());
     }
 
     #[test]
-    fn default_is_the_papers_kde_plane() {
-        assert_eq!(PredictorSpec::default().kind(), PredictorKind::Kde);
-    }
-
-    #[test]
-    fn apply_selects_the_predictor() {
-        let base = ControllerConfig::default();
-        let applied = PredictorSpec::parse("denoise").unwrap().apply(&base);
-        assert_eq!(applied.predictor, PredictorKind::Denoise);
-        assert_eq!(applied.seed, base.seed);
+    fn unknown_tokens_keep_the_fleet_wording() {
+        assert_eq!(
+            parse_list("warp-core").unwrap_err().to_string(),
+            "invalid fleet configuration: invalid configuration: unknown predictor \
+             'warp-core' (expected kde|xapp|denoise|last-tick)"
+        );
     }
 }

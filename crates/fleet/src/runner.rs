@@ -106,17 +106,14 @@ impl Fleet {
             // sensitive workload that the registry cannot already serve.
             // Cells whose policy has no template support (baselines) never
             // pioneer and never import; they run in the follower wave.
-            let mut served: BTreeSet<String> = plans
-                .iter()
-                .map(|p| p.sensitive_key())
-                .filter(|key| self.registry.contains(key))
-                .map(str::to_string)
-                .collect();
+            let mut pioneered = BTreeSet::new();
             let mut pioneer_jobs = Vec::new();
             let mut follower_plans = Vec::new();
             for plan in plans {
+                let key = plan.sensitive_key();
                 if plan.policy.supports_templates()
-                    && served.insert(plan.sensitive_key().to_string())
+                    && !self.registry.contains(&key)
+                    && pioneered.insert(key)
                 {
                     pioneer_jobs.push((plan, None));
                 } else {
@@ -136,7 +133,7 @@ impl Fleet {
                 .map(|plan| {
                     let import = if plan.policy.supports_templates() {
                         self.registry
-                            .lookup(plan.sensitive_key())
+                            .lookup(&plan.sensitive_key())
                             .map(|entry| entry.template)
                     } else {
                         None
@@ -180,6 +177,8 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::policy::PolicySpec;
+    use crate::source::SourceSpec;
+    use stayaway_sim::scenario::Scenario;
 
     fn small_config(workers: usize, share: bool) -> FleetConfig {
         let mut config = FleetConfig::new(6, workers, 21);
@@ -222,6 +221,44 @@ mod tests {
             .filter(|c| c.imported_template)
             .count();
         assert_eq!(imported, 4);
+    }
+
+    #[test]
+    fn workload_cells_share_templates_by_their_own_sensitive_tenant() {
+        // `fleet --cells 4 --ticks 200 --seed 5 --scenario vlc+cpu-bomb
+        // --source workload:cpu-bomb,workload:video-transcode-like
+        // --share-templates`: the simulator prototype is never built, so
+        // its name must not key the templates the workload cells learn.
+        let mut config = FleetConfig::new(4, 2, 5);
+        config.ticks = 200;
+        config.share_templates = true;
+        config.scenarios = vec![Scenario::vlc_with_cpubomb(5)];
+        config.sources = ["cpu-bomb", "video-transcode-like"]
+            .map(|scenario| SourceSpec::Workload {
+                scenario: scenario.into(),
+            })
+            .to_vec();
+        let fleet = Fleet::new(config).unwrap();
+        let outcome = fleet.run().unwrap();
+        let keys: Vec<&str> = outcome
+            .per_cell
+            .iter()
+            .map(|c| c.sensitive.as_str())
+            .collect();
+        assert_eq!(keys, ["kv-front", "api", "kv-front", "api"]);
+        // One pioneer per tenant; each follower imports from the pioneer
+        // that sensed the same workload.
+        assert_eq!(outcome.cells_imported, 2);
+        assert_eq!(fleet.registry().len(), 2);
+        for cell in outcome.per_cell.iter().filter(|c| c.imported_template) {
+            let pioneer = outcome
+                .per_cell
+                .iter()
+                .find(|c| c.sensitive == cell.sensitive)
+                .unwrap();
+            assert!(!pioneer.imported_template);
+            assert_eq!(pioneer.source, cell.source, "cell {}", cell.cell);
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@
 
 use crate::aggregate::{CellSummary, PredictorRollup};
 use crate::config::FleetConfig;
-use crate::predictor::PredictorSpec;
 use crate::runner::Fleet;
 use crate::seed::derive_cell_seed;
 use crate::source::SourceSpec;
@@ -29,8 +28,7 @@ use crate::FleetError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
-use stayaway_core::{Controller, ControllerConfig, Observability};
+use stayaway_core::{Controller, ControllerConfig, Observability, PredictorKind};
 use stayaway_obs::{MetricsRegistry, MetricsSnapshot};
 use stayaway_sim::scenario::Scenario;
 
@@ -45,7 +43,7 @@ const CALIBRATION_TICKS: u64 = 96;
 #[derive(Debug, Clone)]
 pub struct TournamentConfig {
     /// Prediction planes entering the tournament; must be non-empty.
-    pub predictors: Vec<PredictorSpec>,
+    pub predictors: Vec<PredictorKind>,
     /// Named workload scenarios (see [`stayaway_workload::library`]) the
     /// predictors are swept over; must be non-empty.
     pub scenarios: Vec<String>,
@@ -81,7 +79,7 @@ impl TournamentConfig {
     /// combination, 256 ticks, without latency calibration.
     pub fn new(seed: u64) -> Self {
         TournamentConfig {
-            predictors: PredictorSpec::all(),
+            predictors: PredictorKind::ALL.to_vec(),
             scenarios: vec![
                 "cpu-bomb".into(),
                 "memory-bomb".into(),
@@ -154,7 +152,7 @@ impl TournamentConfig {
     fn fleet_config(&self) -> FleetConfig {
         let s = self.scenarios.len();
         let p = self.predictors.len();
-        let expanded: Vec<PredictorSpec> =
+        let expanded: Vec<PredictorKind> =
             (0..p * s).map(|i| self.predictors[(i / s) % p]).collect();
         let sources: Vec<SourceSpec> = self
             .scenarios
@@ -242,7 +240,7 @@ pub struct ScenarioScore {
 }
 
 /// One predictor's final tournament standing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Standing {
     /// 1-based rank (1 = winner).
     pub rank: usize,
@@ -266,11 +264,12 @@ pub struct Standing {
     /// micro-run; `None` unless calibration ran and forecasts happened.
     /// Informational only: wall-clock time is non-deterministic, so this
     /// never enters [`TournamentOutcome::to_json`] and never ranks.
+    #[serde(skip)]
     pub decide_nanos: Option<f64>,
 }
 
 /// The ranked result of one predictor tournament.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TournamentOutcome {
     /// Predictor tokens entered, in configured order.
     pub predictors: Vec<String>,
@@ -312,37 +311,7 @@ impl TournamentOutcome {
     ///
     /// Returns [`FleetError::Registry`] on serialisation failure.
     pub fn to_json(&self) -> Result<String, FleetError> {
-        let standings: Vec<Value> = self
-            .standings
-            .iter()
-            .map(|s| {
-                serde_json::json!({
-                    "rank": s.rank,
-                    "predictor": s.predictor,
-                    "cells": s.cells,
-                    "satisfaction": serde_json::to_value(&s.satisfaction),
-                    "slo_violation_rate": serde_json::to_value(&s.slo_violation_rate),
-                    "batch_work": serde_json::to_value(&s.batch_work),
-                    "prediction_accuracy": s.prediction_accuracy,
-                    "samples_rejected": s.samples_rejected,
-                    "per_scenario": serde_json::to_value(&s.per_scenario),
-                })
-            })
-            .collect();
-        let doc = serde_json::json!({
-            "predictors": self.predictors,
-            "scenarios": self.scenarios,
-            "cells_per_combo": self.cells_per_combo,
-            "cells": self.cells,
-            "ticks": self.ticks,
-            "seed": self.seed,
-            "bootstrap_resamples": self.bootstrap_resamples,
-            "standings": standings,
-            "per_predictor": serde_json::to_value(&self.per_predictor),
-            "metrics": serde_json::to_value(&self.metrics),
-            "metric_unit_mismatches": self.metric_unit_mismatches,
-        });
-        serde_json::to_string_pretty(&doc).map_err(|e| FleetError::Registry(e.to_string()))
+        serde_json::to_string_pretty(self).map_err(|e| FleetError::Registry(e.to_string()))
     }
 }
 
@@ -361,8 +330,8 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
         .predictors
         .iter()
         .enumerate()
-        .map(|(idx, spec)| {
-            let name = spec.name();
+        .map(|(idx, &predictor)| {
+            let name = predictor.name();
             // Per-cell metric vectors in cell-index order — a fixed-order
             // basis for the bootstrap regardless of scheduling.
             let cells: Vec<&CellSummary> = fleet_outcome
@@ -435,7 +404,7 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
                 per_scenario,
                 decide_nanos: config
                     .calibrate_latency
-                    .then(|| calibrate_decide_latency(config, *spec))
+                    .then(|| calibrate_decide_latency(config, predictor))
                     .flatten(),
             }
         })
@@ -478,13 +447,14 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
 /// instrumented controller run (the `stayaway_predict_forecast_latency_nanos`
 /// histogram). Wall-clock and therefore non-deterministic — the result is
 /// reported text-only and never serialised.
-fn calibrate_decide_latency(config: &TournamentConfig, spec: PredictorSpec) -> Option<f64> {
+fn calibrate_decide_latency(config: &TournamentConfig, predictor: PredictorKind) -> Option<f64> {
     let scenario = Scenario::vlc_with_twitter(config.seed);
     let mut harness = scenario.build_harness().ok()?;
     let registry = MetricsRegistry::new();
     let controller_config = ControllerConfig {
         seed: config.seed,
-        ..spec.apply(&config.controller)
+        predictor,
+        ..config.controller.clone()
     };
     let mut controller = Controller::for_host_observed(
         controller_config,

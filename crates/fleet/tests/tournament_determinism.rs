@@ -2,9 +2,7 @@
 //! intervals included — is a pure function of the tournament
 //! configuration. The worker count must not leak into any serialised bit.
 
-use stayaway_fleet::{
-    run_tournament, Fleet, FleetConfig, PolicySpec, PredictorSpec, TournamentConfig,
-};
+use stayaway_fleet::{predictor, run_tournament, Fleet, FleetConfig, PolicySpec, TournamentConfig};
 
 fn tournament(workers: usize, seed: u64) -> TournamentConfig {
     let mut config = TournamentConfig::new(seed);
@@ -54,7 +52,7 @@ fn mixed_predictor_fleets_agree_across_worker_counts() {
     let run = |workers: usize| {
         let mut c = FleetConfig::new(8, workers, 7);
         c.ticks = 80;
-        c.predictors = PredictorSpec::parse_list("kde,xapp,denoise,last-tick").unwrap();
+        c.predictors = predictor::parse_list("kde,xapp,denoise,last-tick").unwrap();
         Fleet::new(c).unwrap().run().unwrap()
     };
     let solo = run(1);
@@ -73,13 +71,13 @@ fn baseline_cells_carry_no_predictor_and_stay_out_of_the_rollup() {
     let mut c = FleetConfig::new(6, 2, 9);
     c.ticks = 80;
     c.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive { cooldown: 10 }];
-    c.predictors = PredictorSpec::parse_list("xapp").unwrap();
+    c.predictors = predictor::parse_list("xapp").unwrap();
     let outcome = Fleet::new(c).unwrap().run().unwrap();
     for cell in &outcome.per_cell {
         if cell.policy == "stay-away" {
             assert_eq!(cell.predictor, "xapp");
         } else {
-            assert_eq!(cell.predictor, PredictorSpec::NONE);
+            assert_eq!(cell.predictor, predictor::NONE);
         }
     }
     assert_eq!(outcome.per_predictor.len(), 1);

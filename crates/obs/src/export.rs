@@ -6,7 +6,7 @@
 //! derived statistics (mean, p50/p95/p99) computed at render time so
 //! the stored snapshot stays raw and mergeable.
 
-use crate::hist::{bucket_bounds, HistogramSnapshot, Unit};
+use crate::hist::{bucket_bounds, HistogramSnapshot, Unit, SUB_BITS};
 use crate::snapshot::MetricsSnapshot;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
@@ -21,7 +21,7 @@ fn write_histogram(out: &mut String, name: &str, hist: &HistogramSnapshot) {
     let mut cumulative = 0u64;
     for bucket in &hist.buckets {
         cumulative = cumulative.saturating_add(bucket.count);
-        let (_, le) = bucket_bounds(bucket.index as usize);
+        let (_, le) = bucket_bounds::<SUB_BITS>(bucket.index as usize);
         let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count);

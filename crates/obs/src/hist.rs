@@ -2,10 +2,13 @@
 //!
 //! Buckets follow an HDR-style log-linear layout: values below
 //! `2^SUB_BITS` get one exact bucket each, and every higher power-of-two
-//! octave is split into `2^SUB_BITS` linear sub-buckets. With
-//! `SUB_BITS = 3` the relative quantile error is bounded by one eighth
-//! of the bucket's octave (~12.5%) while the whole `u64` domain fits in
-//! [`NUM_BUCKETS`] slots.
+//! octave is split into `2^SUB_BITS` linear sub-buckets. The layout
+//! ([`bucket_index`], [`bucket_bounds`], [`num_buckets`]) is generic over
+//! the bit count and is the workspace's only one: these histograms use
+//! [`SUB_BITS`]` = 3` — relative quantile error bounded by one eighth of
+//! the bucket's octave (~12.5%), the whole `u64` domain in
+//! [`NUM_BUCKETS`] slots — and the workload engine's latency histogram
+//! uses 5.
 //!
 //! Recording is lock-free (relaxed atomics); snapshots are sparse
 //! (only non-empty buckets) so they stay cheap to merge, serialize, and
@@ -15,12 +18,16 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Linear sub-bucket bits per octave.
-const SUB_BITS: u32 = 3;
-/// Sub-buckets per octave (`2^SUB_BITS`).
-const SUB_COUNT: u64 = 1 << SUB_BITS;
+/// Linear sub-bucket bits per octave of this module's histograms.
+pub const SUB_BITS: u32 = 3;
 /// Total bucket count covering the full `u64` domain.
-pub const NUM_BUCKETS: usize = (SUB_COUNT + (64 - SUB_BITS as u64) * SUB_COUNT) as usize;
+pub const NUM_BUCKETS: usize = num_buckets(SUB_BITS);
+
+/// Buckets a layout with `sub_bits` linear sub-bucket bits per octave
+/// needs to cover the full `u64` domain.
+pub const fn num_buckets(sub_bits: u32) -> usize {
+    (65 - sub_bits as usize) << sub_bits
+}
 
 /// What a histogram's recorded values measure. Timing histograms get
 /// relaxed equality (wall-clock nanos are non-deterministic) and are
@@ -36,25 +43,28 @@ pub enum Unit {
     Nanos,
 }
 
-/// Maps a value to its bucket index. Total and monotone over `u64`.
-pub fn bucket_index(value: u64) -> usize {
-    if value < SUB_COUNT {
+/// Maps a value to its bucket index in the layout with `BITS` sub-bucket
+/// bits per octave. Total and monotone over `u64`.
+pub fn bucket_index<const BITS: u32>(value: u64) -> usize {
+    let sub_count = 1u64 << BITS;
+    if value < sub_count {
         return value as usize;
     }
     let octave = 63 - value.leading_zeros() as u64; // 2^octave <= value
-    let sub = (value >> (octave - SUB_BITS as u64)) & (SUB_COUNT - 1);
-    (SUB_COUNT + (octave - SUB_BITS as u64) * SUB_COUNT + sub) as usize
+    let sub = (value >> (octave - BITS as u64)) & (sub_count - 1);
+    (sub_count + (octave - BITS as u64) * sub_count + sub) as usize
 }
 
-/// Inclusive `[lo, hi]` value range covered by bucket `index`.
-pub fn bucket_bounds(index: usize) -> (u64, u64) {
-    let index = index as u64;
-    if index < SUB_COUNT {
+/// Inclusive `[lo, hi]` value range covered by bucket `index` of the
+/// layout with `BITS` sub-bucket bits per octave.
+pub fn bucket_bounds<const BITS: u32>(index: usize) -> (u64, u64) {
+    let (index, sub_count) = (index as u64, 1u64 << BITS);
+    if index < sub_count {
         return (index, index);
     }
-    let octave = (index - SUB_COUNT) / SUB_COUNT + SUB_BITS as u64;
-    let sub = (index - SUB_COUNT) % SUB_COUNT;
-    let width = 1u64 << (octave - SUB_BITS as u64);
+    let octave = (index - sub_count) / sub_count + BITS as u64;
+    let sub = (index - sub_count) % sub_count;
+    let width = 1u64 << (octave - BITS as u64);
     let lo = (1u64 << octave) + sub * width;
     (lo, lo + (width - 1))
 }
@@ -62,7 +72,7 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 /// Representative value reported for bucket `index` (the range
 /// midpoint; exact for the low linear buckets).
 fn bucket_midpoint(index: usize) -> u64 {
-    let (lo, hi) = bucket_bounds(index);
+    let (lo, hi) = bucket_bounds::<SUB_BITS>(index);
     lo + (hi - lo) / 2
 }
 
@@ -110,7 +120,7 @@ impl Histogram {
     /// synchronisation edges).
     pub fn record(&self, value: u64) {
         let core = &*self.core;
-        core.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
+        core.buckets[bucket_index::<SUB_BITS>(value)].fetch_add(1, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);
         core.sum.fetch_add(value, Ordering::Relaxed);
         core.min.fetch_min(value, Ordering::Relaxed);
@@ -358,9 +368,9 @@ mod tests {
 
     #[test]
     fn low_values_get_exact_buckets() {
-        for v in 0..SUB_COUNT {
-            assert_eq!(bucket_index(v), v as usize);
-            assert_eq!(bucket_bounds(v as usize), (v, v));
+        for v in 0..1 << SUB_BITS {
+            assert_eq!(bucket_index::<SUB_BITS>(v), v as usize);
+            assert_eq!(bucket_bounds::<SUB_BITS>(v as usize), (v, v));
         }
     }
 
@@ -368,11 +378,11 @@ mod tests {
     fn bucket_bounds_partition_the_domain() {
         let mut expected_lo = 0u64;
         for index in 0..NUM_BUCKETS {
-            let (lo, hi) = bucket_bounds(index);
+            let (lo, hi) = bucket_bounds::<SUB_BITS>(index);
             assert_eq!(lo, expected_lo, "bucket {index} lower bound");
             assert!(hi >= lo);
-            assert_eq!(bucket_index(lo), index);
-            assert_eq!(bucket_index(hi), index);
+            assert_eq!(bucket_index::<SUB_BITS>(lo), index);
+            assert_eq!(bucket_index::<SUB_BITS>(hi), index);
             if hi == u64::MAX {
                 assert_eq!(index, NUM_BUCKETS - 1);
                 return;

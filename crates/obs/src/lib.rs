@@ -44,7 +44,8 @@ pub use event::{
 };
 pub use export::{to_json, to_prometheus};
 pub use hist::{
-    bucket_bounds, bucket_index, Histogram, HistogramSnapshot, MergeOutcome, Unit, NUM_BUCKETS,
+    bucket_bounds, bucket_index, num_buckets, Histogram, HistogramSnapshot, MergeOutcome, Unit,
+    NUM_BUCKETS, SUB_BITS,
 };
 pub use http::{HttpServer, Introspection, StateCell};
 pub use recorder::{merge_streams, FlightRecorder, DEFAULT_EVENT_CAPACITY};

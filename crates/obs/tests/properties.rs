@@ -3,7 +3,9 @@
 //! snapshots in arbitrary groupings) and quantiles must be monotone.
 
 use proptest::prelude::*;
-use stayaway_obs::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, Unit, NUM_BUCKETS};
+use stayaway_obs::{
+    bucket_bounds, bucket_index, Histogram, HistogramSnapshot, Unit, NUM_BUCKETS, SUB_BITS,
+};
 
 fn values_strategy(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 0..max_len)
@@ -91,9 +93,9 @@ proptest! {
     /// Every value maps into a bucket whose bounds contain it.
     #[test]
     fn bucket_bounds_contain_their_values(v in any::<u64>()) {
-        let index = bucket_index(v);
+        let index = bucket_index::<SUB_BITS>(v);
         prop_assert!(index < NUM_BUCKETS);
-        let (lo, hi) = bucket_bounds(index);
+        let (lo, hi) = bucket_bounds::<SUB_BITS>(index);
         prop_assert!(lo <= v && v <= hi, "value {v} outside bucket [{lo}, {hi}]");
     }
 
@@ -102,7 +104,7 @@ proptest! {
     #[test]
     fn bucket_index_is_monotone(a in any::<u64>(), b in any::<u64>()) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(bucket_index(lo) <= bucket_index(hi));
+        prop_assert!(bucket_index::<SUB_BITS>(lo) <= bucket_index::<SUB_BITS>(hi));
     }
 
     /// Merge respects the relaxed-equality contract too: counts add.

@@ -58,10 +58,6 @@ pub struct ControllerConfig {
     /// instrumented application, or inferred from the sensitive VM's IPC
     /// proxy.
     pub violation_detection: ViolationDetection,
-    /// Length of one control period in seconds (the paper samples per-VM
-    /// metrics once per second, §5). The simulator equates one tick with
-    /// one period; a deployment would use this to pace its sampling loop.
-    pub control_period_secs: f64,
     /// Seed of the controller's internal randomness (prediction sampling
     /// and optimistic resumes).
     pub seed: u64,
@@ -91,7 +87,6 @@ impl Default for ControllerConfig {
             per_mode_models: true,
             predictor: PredictorKind::Kde,
             violation_detection: ViolationDetection::AppReported,
-            control_period_secs: 1.0,
             seed: 0,
         }
     }
@@ -146,14 +141,6 @@ impl ControllerConfig {
                 reason: "max_states must be at least 2".into(),
             });
         }
-        if !(self.control_period_secs.is_finite() && self.control_period_secs > 0.0) {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "control_period_secs must be positive and finite, got {}",
-                    self.control_period_secs
-                ),
-            });
-        }
         if let ViolationDetection::IpcInferred { threshold } = self.violation_detection {
             if !(threshold.is_finite() && threshold > 0.0 && threshold <= 1.0) {
                 return Err(CoreError::InvalidConfig {
@@ -176,6 +163,7 @@ mod tests {
         assert_eq!(c.prediction_samples, 5);
         assert_eq!(c.beta_initial, 0.01);
         assert!(c.per_mode_models);
+        assert_eq!(c.predictor, PredictorKind::Kde);
         assert!(c.actions_enabled);
     }
 
@@ -207,28 +195,9 @@ mod tests {
                 max_states: 1,
                 ..base.clone()
             },
-            ControllerConfig {
-                control_period_secs: 0.0,
-                ..base.clone()
-            },
-            ControllerConfig {
-                control_period_secs: f64::NAN,
-                ..base.clone()
-            },
-            ControllerConfig {
-                control_period_secs: f64::INFINITY,
-                ..base.clone()
-            },
         ];
         for c in cases {
             assert!(c.validate().is_err());
         }
-    }
-
-    #[test]
-    fn default_control_period_is_one_second() {
-        let c = ControllerConfig::default();
-        assert_eq!(c.control_period_secs, 1.0);
-        c.validate().unwrap();
     }
 }

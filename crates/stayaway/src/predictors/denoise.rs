@@ -1,13 +1,12 @@
 //! Alioth-style denoising predictor: filter the observation vector
 //! before consulting the map, learn the violation threshold online.
 
-use super::{clean_features, contention_pairs, Forecast, Predictor, PredictorKind};
-use super::{PredictorStats, VerdictLedger};
+use super::{clean_features, contention_pairs, Forecast, Predictor, PredictorKind, PredictorStats};
 use crate::stages::map::MapStage;
 use crate::stages::sense::Sensed;
 use crate::CoreError;
 use rand::rngs::StdRng;
-use stayaway_statespace::Point2;
+use stayaway_statespace::{ExecutionMode, Point2};
 
 /// EMA smoothing factor applied after the median filter.
 const EMA_ALPHA: f64 = 0.35;
@@ -44,7 +43,6 @@ pub struct DenoisePredictor {
     /// Learned pressure centroid over clear ticks.
     clear_pressure: Option<f64>,
     observations: u64,
-    ledger: VerdictLedger,
     rejected: u64,
 }
 
@@ -63,7 +61,6 @@ impl DenoisePredictor {
             violation_pressure: None,
             clear_pressure: None,
             observations: 0,
-            ledger: VerdictLedger::default(),
             rejected: 0,
         }
     }
@@ -130,14 +127,11 @@ impl Predictor for DenoisePredictor {
         PredictorKind::Denoise
     }
 
-    fn verify(&mut self, map: &MapStage, rep: usize, point: Point2) -> Option<bool> {
-        self.ledger.verify(map, rep, point)
-    }
-
     fn observe(
         &mut self,
         map: &MapStage,
-        rep: usize,
+        _prev: Option<(usize, ExecutionMode)>,
+        _rep: usize,
         _point: Point2,
         sensed: &Sensed,
     ) -> Result<(), CoreError> {
@@ -151,13 +145,13 @@ impl Predictor for DenoisePredictor {
             update_centroid(&mut self.clear_pressure, pressure);
         }
         self.observations += 1;
-        self.ledger.advance(rep, sensed.mode);
         Ok(())
     }
 
     fn forecast(
         &mut self,
         map: &MapStage,
+        _rep: Option<usize>,
         _sensed: &Sensed,
         _point: Point2,
         _rng: &mut StdRng,
@@ -176,20 +170,11 @@ impl Predictor for DenoisePredictor {
             .is_some_and(|threshold| Self::pressure(&filtered) > threshold);
         let votes = usize::from(in_range) + usize::from(over_threshold);
         let predicted_violation = votes > 0;
-        self.ledger.record(predicted_violation);
         Some(Forecast {
             predicted_violation,
             votes,
             samples: 2,
         })
-    }
-
-    fn cancel_verdict(&mut self) {
-        self.ledger.cancel();
-    }
-
-    fn current_state(&self) -> Option<usize> {
-        self.ledger.current_state()
     }
 
     fn stats(&self) -> PredictorStats {

@@ -1,11 +1,11 @@
 //! Trivial oracle baseline: the next tick repeats the last tick.
 
-use super::{Forecast, Predictor, PredictorKind, VerdictLedger};
+use super::{Forecast, Predictor, PredictorKind};
 use crate::stages::map::MapStage;
 use crate::stages::sense::Sensed;
 use crate::CoreError;
 use rand::rngs::StdRng;
-use stayaway_statespace::Point2;
+use stayaway_statespace::{ExecutionMode, Point2};
 
 /// The `last-tick` baseline every learned predictor must beat: it
 /// predicts a violation for the next co-located state exactly when the
@@ -13,14 +13,12 @@ use stayaway_statespace::Point2;
 /// representative, or a position inside a violation-range. No model, no
 /// learning, no RNG; purely the persistence forecast.
 #[derive(Debug, Default)]
-pub struct LastTickPredictor {
-    ledger: VerdictLedger,
-}
+pub struct LastTickPredictor;
 
 impl LastTickPredictor {
     /// Creates the baseline.
     pub fn new() -> Self {
-        LastTickPredictor::default()
+        LastTickPredictor
     }
 }
 
@@ -29,47 +27,32 @@ impl Predictor for LastTickPredictor {
         PredictorKind::LastTick
     }
 
-    fn verify(&mut self, map: &MapStage, rep: usize, point: Point2) -> Option<bool> {
-        self.ledger.verify(map, rep, point)
-    }
-
     fn observe(
         &mut self,
         _map: &MapStage,
-        rep: usize,
+        _prev: Option<(usize, ExecutionMode)>,
+        _rep: usize,
         _point: Point2,
-        sensed: &Sensed,
+        _sensed: &Sensed,
     ) -> Result<(), CoreError> {
-        self.ledger.advance(rep, sensed.mode);
         Ok(())
     }
 
     fn forecast(
         &mut self,
         map: &MapStage,
+        rep: Option<usize>,
         sensed: &Sensed,
         point: Point2,
         _rng: &mut StdRng,
     ) -> Option<Forecast> {
         let current_violates = sensed.violated
             || map.in_violation_range(point)
-            || self
-                .ledger
-                .current_state()
-                .is_some_and(|rep| map.is_violation_state(rep));
-        self.ledger.record(current_violates);
+            || rep.is_some_and(|rep| map.is_violation_state(rep));
         Some(Forecast {
             predicted_violation: current_violates,
             votes: usize::from(current_violates),
             samples: 1,
         })
-    }
-
-    fn cancel_verdict(&mut self) {
-        self.ledger.cancel();
-    }
-
-    fn current_state(&self) -> Option<usize> {
-        self.ledger.current_state()
     }
 }

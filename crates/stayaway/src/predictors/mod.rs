@@ -3,17 +3,20 @@
 //! Stay-Away's core contribution is the *prediction* step — forecasting
 //! whether the next co-located state lands in a violation region of the
 //! embedded state map. This module makes that step a first-class,
-//! swappable layer: the object-safe [`Predictor`] trait is the contract
-//! every forecaster implements, and the controller's
-//! [`crate::stages::PredictStage`] is a thin shell around one boxed
-//! implementation selected by [`crate::ControllerConfig::predictor`].
+//! swappable layer: the object-safe [`Predictor`] trait — `observe` and
+//! `forecast` — is the contract every forecaster implements, and the
+//! controller's [`crate::stages::PredictStage`] holds one boxed
+//! implementation selected by [`crate::ControllerConfig::predictor`]
+//! together with the verdict ledger every plane shares (cursor, pending
+//! verdict, verify, cancel-on-throttle).
 //!
 //! Four predictors ship behind the trait:
 //!
 //! * [`KdePredictor`] — the paper's design (§3.2.3): per-mode trajectory
-//!   models with KDE inverse-transform sampling and majority voting.
-//!   This is the *reference implementation*: routed through the trait it
-//!   is pinned **bit-for-bit** to the pre-refactor golden fixture.
+//!   models, inverse-transform sampling from their windowed step
+//!   histograms and majority voting. This is the *reference
+//!   implementation*: routed through the trait it is pinned
+//!   **bit-for-bit** to the golden fixture.
 //! * [`XAppPredictor`] — a quantitative cross-application interference
 //!   scorer in the spirit of Alves & Drummond: per-resource contention
 //!   features feed an online-learned scalar slowdown estimate, and a
@@ -142,15 +145,15 @@ pub struct PredictorStats {
     pub rejected: u64,
 }
 
-/// The object-safe contract of one prediction plane.
+/// The object-safe contract of one prediction plane: two verbs.
 ///
-/// The controller calls the methods in a fixed order each period:
-/// [`verify`](Predictor::verify) (before the map learns this period's
-/// violation label), then [`observe`](Predictor::observe), then — only
-/// while co-located and not throttling — [`forecast`](Predictor::forecast).
-/// A throttle that consumes a forecast calls
-/// [`cancel_verdict`](Predictor::cancel_verdict), because the predicted
-/// next state will never be observed under co-location.
+/// Each period [`crate::stages::PredictStage`] calls
+/// [`observe`](Predictor::observe) with the mapped observation, then —
+/// only while co-located and not throttling —
+/// [`forecast`](Predictor::forecast). The stage owns the bookkeeping
+/// around those calls (the previous-state cursor it hands in, recording a
+/// verdict, checking it next period, dropping it on a throttle); a plane
+/// keeps only its model.
 ///
 /// See the [module docs](self) for the determinism contract; the trait is
 /// `Send` (never `Sync`) because fleet cells move their controllers onto
@@ -159,12 +162,9 @@ pub trait Predictor: Send {
     /// Which plane this is (stable name for specs, rollups, metrics).
     fn kind(&self) -> PredictorKind;
 
-    /// Checks the previous period's verdict against the state actually
-    /// reached. Returns `Some(hit)` when a verdict was pending.
-    fn verify(&mut self, map: &MapStage, rep: usize, point: Point2) -> Option<bool>;
-
-    /// Feeds this period's mapped observation into the predictor's model
-    /// and advances its previous-state cursor.
+    /// Feeds this period's mapped observation into the predictor's model.
+    /// `prev` is the representative and mode of the last observation the
+    /// plane accepted (`None` on the first).
     ///
     /// # Errors
     ///
@@ -172,29 +172,24 @@ pub trait Predictor: Send {
     fn observe(
         &mut self,
         map: &MapStage,
+        prev: Option<(usize, ExecutionMode)>,
         rep: usize,
         point: Point2,
         sensed: &Sensed,
     ) -> Result<(), CoreError>;
 
-    /// Forecasts the next co-located state's violation verdict and
-    /// records it for next period's accuracy check. `None` while the
-    /// model is still warming up. `rng` is the controller's seeded
-    /// stream; only the KDE draws from it.
+    /// Forecasts the next co-located state's violation verdict from the
+    /// state just observed (`rep`, at `point`). `None` while the model is
+    /// still warming up. `rng` is the controller's seeded stream; only
+    /// the KDE draws from it.
     fn forecast(
         &mut self,
         map: &MapStage,
+        rep: Option<usize>,
         sensed: &Sensed,
         point: Point2,
         rng: &mut StdRng,
     ) -> Option<Forecast>;
-
-    /// Drops the pending verdict: a throttle consumed the prediction, so
-    /// its next state will not be observed under co-location.
-    fn cancel_verdict(&mut self);
-
-    /// The representative the most recent observation mapped to.
-    fn current_state(&self) -> Option<usize>;
 
     /// Self-reported counters (defaulted hook; all-zero by default).
     fn stats(&self) -> PredictorStats {
@@ -204,49 +199,6 @@ pub trait Predictor: Send {
     /// Notification that the map warm-started from an imported template
     /// (defaulted hook; predictors with learned history may reset it).
     fn on_template_imported(&mut self, _map: &MapStage) {}
-}
-
-/// Shared verify/cursor bookkeeping every predictor needs: the
-/// previous-state cursor driving step attribution and the pending
-/// verdict measured against the actually reached next state.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VerdictLedger {
-    prev: Option<(usize, ExecutionMode)>,
-    pending: Option<bool>,
-}
-
-impl VerdictLedger {
-    /// Resolves the pending verdict against the state actually reached.
-    pub fn verify(&mut self, map: &MapStage, rep: usize, point: Point2) -> Option<bool> {
-        let predicted_in_range = self.pending.take()?;
-        let actually_in_range = map.is_violation_state(rep) || map.in_violation_range(point);
-        Some(predicted_in_range == actually_in_range)
-    }
-
-    /// The previous period's representative and mode, if any.
-    pub fn prev(&self) -> Option<(usize, ExecutionMode)> {
-        self.prev
-    }
-
-    /// Advances the previous-state cursor to this period's mapping.
-    pub fn advance(&mut self, rep: usize, mode: ExecutionMode) {
-        self.prev = Some((rep, mode));
-    }
-
-    /// Records a verdict to be checked next period.
-    pub fn record(&mut self, predicted_violation: bool) {
-        self.pending = Some(predicted_violation);
-    }
-
-    /// Drops the pending verdict.
-    pub fn cancel(&mut self) {
-        self.pending = None;
-    }
-
-    /// The representative the most recent observation mapped to.
-    pub fn current_state(&self) -> Option<usize> {
-        self.prev.map(|(rep, _)| rep)
-    }
 }
 
 /// Normalises a sensed measurement vector through the map's scaler,

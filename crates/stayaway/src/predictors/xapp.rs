@@ -1,13 +1,12 @@
 //! Quantitative cross-application interference scorer
 //! (Alves & Drummond style).
 
-use super::{clean_features, contention_pairs, Forecast, Predictor, PredictorKind};
-use super::{PredictorStats, VerdictLedger};
+use super::{clean_features, contention_pairs, Forecast, Predictor, PredictorKind, PredictorStats};
 use crate::stages::map::MapStage;
 use crate::stages::sense::Sensed;
 use crate::CoreError;
 use rand::rngs::StdRng;
-use stayaway_statespace::Point2;
+use stayaway_statespace::{ExecutionMode, Point2};
 
 /// Online logistic learning rate — small enough to smooth per-tick noise,
 /// large enough to converge within one warm-up window.
@@ -37,7 +36,6 @@ pub struct XAppPredictor {
     weights: Vec<f64>,
     bias: f64,
     observations: u64,
-    ledger: VerdictLedger,
     rejected: u64,
 }
 
@@ -54,7 +52,6 @@ impl XAppPredictor {
             weights: Vec::new(),
             bias: 0.0,
             observations: 0,
-            ledger: VerdictLedger::default(),
             rejected: 0,
         }
     }
@@ -94,14 +91,11 @@ impl Predictor for XAppPredictor {
         PredictorKind::XApp
     }
 
-    fn verify(&mut self, map: &MapStage, rep: usize, point: Point2) -> Option<bool> {
-        self.ledger.verify(map, rep, point)
-    }
-
     fn observe(
         &mut self,
         map: &MapStage,
-        rep: usize,
+        _prev: Option<(usize, ExecutionMode)>,
+        _rep: usize,
         _point: Point2,
         sensed: &Sensed,
     ) -> Result<(), CoreError> {
@@ -125,13 +119,13 @@ impl Predictor for XAppPredictor {
             self.rejected += 1;
         }
         self.observations += 1;
-        self.ledger.advance(rep, sensed.mode);
         Ok(())
     }
 
     fn forecast(
         &mut self,
         map: &MapStage,
+        _rep: Option<usize>,
         sensed: &Sensed,
         _point: Point2,
         _rng: &mut StdRng,
@@ -142,20 +136,11 @@ impl Predictor for XAppPredictor {
         let features = self.features(map, sensed);
         let estimate = self.score(&features);
         let predicted_violation = estimate > VIOLATION_THRESHOLD;
-        self.ledger.record(predicted_violation);
         Some(Forecast {
             predicted_violation,
             votes: usize::from(predicted_violation),
             samples: 1,
         })
-    }
-
-    fn cancel_verdict(&mut self) {
-        self.ledger.cancel();
-    }
-
-    fn current_state(&self) -> Option<usize> {
-        self.ledger.current_state()
     }
 
     fn stats(&self) -> PredictorStats {

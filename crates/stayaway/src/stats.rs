@@ -30,23 +30,6 @@ pub struct StageClock {
     pub nanos: u64,
 }
 
-impl StageClock {
-    /// Records one invocation taking `elapsed`.
-    pub fn record(&mut self, elapsed: std::time::Duration) {
-        self.invocations += 1;
-        self.nanos = self.nanos.saturating_add(elapsed.as_nanos() as u64);
-    }
-
-    /// Mean nanoseconds per invocation (0 when the stage never ran).
-    pub fn mean_nanos(&self) -> f64 {
-        if self.invocations == 0 {
-            0.0
-        } else {
-            self.nanos as f64 / self.invocations as f64
-        }
-    }
-}
-
 impl PartialEq for StageClock {
     fn eq(&self, other: &Self) -> bool {
         self.invocations == other.invocations
@@ -66,31 +49,6 @@ pub struct StageTiming {
     pub predict: StageClock,
     /// Throttle/resume decisions and β adaptation.
     pub act: StageClock,
-}
-
-impl StageTiming {
-    /// Records one control period's four stage spans.
-    pub fn record_period(
-        &mut self,
-        sense: std::time::Duration,
-        map: std::time::Duration,
-        predict: std::time::Duration,
-        act: std::time::Duration,
-    ) {
-        self.sense.record(sense);
-        self.map.record(map);
-        self.predict.record(predict);
-        self.act.record(act);
-    }
-
-    /// Total wall-clock nanoseconds across all four stages.
-    pub fn total_nanos(&self) -> u64 {
-        self.sense
-            .nanos
-            .saturating_add(self.map.nanos)
-            .saturating_add(self.predict.nanos)
-            .saturating_add(self.act.nanos)
-    }
 }
 
 /// Ratio of `hits` over `checks`, or `None` when nothing was checked.
@@ -175,28 +133,13 @@ mod tests {
 
     #[test]
     fn stage_clock_equality_ignores_wall_time() {
-        let mut a = StageClock::default();
-        let mut b = StageClock::default();
-        a.record(std::time::Duration::from_nanos(10));
-        b.record(std::time::Duration::from_nanos(9999));
-        assert_eq!(a, b, "same invocation count must compare equal");
-        b.record(std::time::Duration::from_nanos(1));
-        assert_ne!(a, b);
-        assert!(a.mean_nanos() > 0.0);
-        assert_eq!(StageClock::default().mean_nanos(), 0.0);
-    }
-
-    #[test]
-    fn stage_timing_records_all_four_stages() {
-        let mut t = StageTiming::default();
-        let d = std::time::Duration::from_nanos(5);
-        t.record_period(d, d, d, d);
-        t.record_period(d, d, d, d);
-        for clock in [t.sense, t.map, t.predict, t.act] {
-            assert_eq!(clock.invocations, 2);
-            assert_eq!(clock.nanos, 10);
-        }
-        assert_eq!(t.total_nanos(), 40);
+        let clock = |invocations, nanos| StageClock { invocations, nanos };
+        assert_eq!(
+            clock(1, 10),
+            clock(1, 9999),
+            "same invocation count must compare equal"
+        );
+        assert_ne!(clock(1, 10), clock(2, 10_000));
     }
 
     #[test]

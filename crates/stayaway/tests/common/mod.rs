@@ -33,11 +33,22 @@ impl Run {
 
 /// Drives `scenario` for [`TICKS`] periods under a controller built from
 /// `config` and `obs`.
+#[allow(dead_code)] // called by golden_fixture.rs only
 pub fn run(config: ControllerConfig, scenario: &Scenario, obs: Observability) -> Run {
+    run_for(config, scenario, obs, TICKS)
+}
+
+/// [`run`] over an explicit number of control periods.
+pub fn run_for(
+    config: ControllerConfig,
+    scenario: &Scenario,
+    obs: Observability,
+    ticks: u64,
+) -> Run {
     let mut harness = scenario.build_harness().expect("scenario builds");
     let mut ctl =
         Controller::for_host_observed(config, harness.host().spec(), obs).expect("config is valid");
-    let outcome = harness.run(&mut ctl, TICKS);
+    let outcome = harness.run(&mut ctl, ticks);
     Run {
         stats: ctl.stats(),
         beta: ctl.beta(),
@@ -53,12 +64,22 @@ pub fn run(config: ControllerConfig, scenario: &Scenario, obs: Observability) ->
 /// fields are listed one by one so adding a *new* counter cannot silently
 /// change the fixture.
 pub fn capture(config: ControllerConfig, scenario: &Scenario, obs: Observability) -> Value {
+    capture_for(config, scenario, obs, TICKS)
+}
+
+/// [`capture`] over an explicit number of control periods.
+pub fn capture_for(
+    config: ControllerConfig,
+    scenario: &Scenario,
+    obs: Observability,
+    ticks: u64,
+) -> Value {
     let recorder = FlightRecorder::for_scope(0, "golden");
-    let run = run(config, scenario, obs.with_recorder(recorder.clone()));
+    let run = run_for(config, scenario, obs.with_recorder(recorder.clone()), ticks);
     let stats = &run.stats;
     json!({
         "scenario": scenario.name(),
-        "ticks": TICKS,
+        "ticks": ticks,
         "events": legacy_events(&recorder.events()),
         "stats": json!({
             "periods": stats.periods,

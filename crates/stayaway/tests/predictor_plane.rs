@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::Value;
-use stayaway_core::stages::{MapStage, Sensed};
+use stayaway_core::stages::{MapStage, PredictStage, Sensed};
 use stayaway_core::{ControllerConfig, Observability, PredictorKind};
 use stayaway_sim::scenario::Scenario;
 use stayaway_statespace::ExecutionMode;
@@ -135,6 +135,84 @@ fn competitor_predictors_are_not_aliases_of_the_reference() {
     );
 }
 
+/// FNV-1a over the compact JSON of a [`common::capture_for`] projection.
+fn projection_digest(projection: &Value) -> u64 {
+    serde_json::to_string(projection)
+        .expect("serialises")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Cross-commit pin of the planes the golden fixture does not cover: the
+/// three competitors and the pooled KDE (`per_mode_models: false`), 400
+/// ticks at seed 7 on two co-locations. The literals were recorded at the
+/// parent of the PR that moved the verdict ledger into the stage, before
+/// any predictor file was touched; a behaviour-preserving change to the
+/// prediction plane leaves them unedited.
+#[test]
+fn uncovered_planes_match_their_cross_commit_digests() {
+    const PINS: [(&str, PredictorKind, bool, u64, u64); 4] = [
+        (
+            "xapp",
+            PredictorKind::XApp,
+            true,
+            0x0417_2573_a1de_0a26,
+            0x1f31_e48c_11c7_b20e,
+        ),
+        (
+            "denoise",
+            PredictorKind::Denoise,
+            true,
+            0xa0e3_6bf9_7189_fa1d,
+            0xc247_6da8_9f38_dd91,
+        ),
+        (
+            "last-tick",
+            PredictorKind::LastTick,
+            true,
+            0xce33_3e17_8f02_d31b,
+            0xc081_49f5_ae00_caa8,
+        ),
+        (
+            "kde-pooled",
+            PredictorKind::Kde,
+            false,
+            0xe08f_122a_00d4_5253,
+            0xdbf9_c705_0c03_94b0,
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (label, predictor, per_mode_models, vlc_twitter, web_mem_bomb) in PINS {
+        let config = ControllerConfig {
+            predictor,
+            per_mode_models,
+            ..ControllerConfig::default()
+        };
+        for (scenario, pinned) in [
+            ("vlc+twitter-analysis", vlc_twitter),
+            ("web-mem+memory-bomb", web_mem_bomb),
+        ] {
+            let scenario = Scenario::parse(scenario, 7).expect("scenario parses");
+            let projection =
+                common::capture_for(config.clone(), &scenario, Observability::disabled(), 400);
+            let digest = projection_digest(&projection);
+            if digest != pinned {
+                moved.push(format!(
+                    "{label} on {}: {digest:#018x}, pinned {pinned:#018x}",
+                    scenario.name()
+                ));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "plane digests moved:\n{}",
+        moved.join("\n")
+    );
+}
+
 #[test]
 fn predictor_tokens_parse_and_round_trip() {
     for kind in PredictorKind::ALL {
@@ -233,8 +311,9 @@ fn fuzz_tick() -> impl Strategy<Value = FuzzTick> {
         )
 }
 
-/// Drives one predictor directly over the fuzzed tick stream and checks
-/// the plane's hardening contract. Returns the number of forecasts made.
+/// Drives one predictor, inside its [`PredictStage`], over the fuzzed tick
+/// stream and checks the plane's hardening contract. Returns the number of
+/// forecasts made.
 fn drive_predictor(kind: PredictorKind, ticks: &[FuzzTick]) -> usize {
     let config = ControllerConfig {
         metrics: vec![ResourceKind::Cpu],
@@ -242,7 +321,7 @@ fn drive_predictor(kind: PredictorKind, ticks: &[FuzzTick]) -> usize {
         ..ControllerConfig::default()
     };
     let mut map = MapStage::new(&config, &HostSpec::default()).expect("map builds");
-    let mut predictor = kind.build(&config);
+    let mut predictor = PredictStage::new(&config);
     let mut rng = StdRng::seed_from_u64(7);
     let mut forecasts = 0usize;
     let mut corrupt_fed = false;
@@ -274,7 +353,7 @@ fn drive_predictor(kind: PredictorKind, ticks: &[FuzzTick]) -> usize {
             map.mark_violation(mapped.rep).expect("rep exists");
         }
         predictor
-            .observe(&map, mapped.rep, mapped.point, &dirty_sensed)
+            .track(&map, mapped.rep, mapped.point, &dirty_sensed)
             .expect("observe never fails on an ingested rep");
         let state = predictor.current_state();
         assert_eq!(
@@ -301,7 +380,7 @@ fn drive_predictor(kind: PredictorKind, ticks: &[FuzzTick]) -> usize {
     }
     if corrupt_fed && matches!(kind, PredictorKind::XApp | PredictorKind::Denoise) {
         assert!(
-            predictor.stats().rejected > 0,
+            predictor.predictor_stats().rejected > 0,
             "{}: non-finite features must be counted as rejected",
             kind.name()
         );

@@ -3,8 +3,9 @@
 //! The trajectory of an execution mode drifts as applications change phase,
 //! so the model must weight recent behaviour: observations are kept in a
 //! bounded sliding window (oldest evicted first). From the window the
-//! distribution exposes histogram-CDF inverse-transform sampling (the
-//! paper's method) and KDE smoothing for inspection.
+//! distribution exposes histogram-CDF inverse-transform sampling (what the
+//! predictor draws from — the paper's sampler without its KDE smoothing
+//! step) and a KDE fit for inspection only.
 //!
 //! **Maintenance invariant.** The distribution owns the histogram it
 //! samples from, and after every [`observe`](EmpiricalDistribution::observe)

@@ -8,19 +8,29 @@
 //! * **absolute angle** `α` — the angle between the x-axis and the step.
 //!
 //! Each of the four [execution modes](stayaway_statespace::ExecutionMode)
-//! gets its own empirical model: histograms of `d` and `α` (smoothed by a
-//! Gaussian kernel density estimate), from which candidate future states are
-//! drawn by inverse-transform sampling. A majority of candidates falling
-//! inside a violation-range triggers preventive throttling.
+//! gets its own empirical model: windowed histograms of `d` and `α`, from
+//! which candidate future states are drawn by inverse-transform sampling —
+//! one uniform draw inverted through the histogram's CDF, linearly
+//! interpolated inside the bin. A majority of candidates falling inside a
+//! violation-range triggers preventive throttling.
+//!
+//! The paper smooths the histograms with a Gaussian kernel density
+//! estimate before sampling; this crate does not. [`Kde`] exists and is
+//! tested, but it is reached only through the
+//! [`EmpiricalDistribution::kde`] inspection accessor and the `kernels`
+//! bench — never on the forecast path (ROADMAP item 6 records the gap).
 //!
 //! Modules:
 //!
 //! * [`step`] — step extraction from point sequences;
 //! * [`histogram`] — fixed-bin empirical histograms with CDF inversion;
-//! * [`kde`] — Gaussian kernel density estimation (Silverman bandwidth);
-//! * [`dist`] — windowed empirical distributions combining the two;
-//! * [`model`] — the per-mode trajectory model and the mode-aware
-//!   predictor, plus a single-model variant for the ablation study;
+//! * [`kde`] — Gaussian kernel density estimation (Silverman bandwidth),
+//!   for inspection;
+//! * [`dist`] — windowed empirical distributions: the maintained histogram
+//!   the sampler inverts, and the window a [`Kde`] can be fitted to;
+//! * [`model`] — the per-mode trajectory model and [`ModePredictor`], which
+//!   routes a mode to its model (or, pooled, every mode to one — the
+//!   ablation study's baseline);
 //! * [`generators`] — reference synthetic trajectories (biased random walk,
 //!   Lévy flight, correlated bursts) used for validation;
 //! * [`var`] — a VAR(1) forecaster, the §3.1 alternative the paper
@@ -43,6 +53,6 @@ pub use dist::EmpiricalDistribution;
 pub use error::TrajectoryError;
 pub use histogram::Histogram;
 pub use kde::Kde;
-pub use model::{ModePredictor, Prediction, Predictor, SingleModelPredictor, TrajectoryModel};
+pub use model::{ModePredictor, Prediction, TrajectoryModel};
 pub use step::Step;
 pub use var::{VarFit, VarModel};

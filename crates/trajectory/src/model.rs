@@ -8,7 +8,7 @@
 //! majority of candidates inside a violation-range constitutes a predicted
 //! violation.
 //!
-//! [`SingleModelPredictor`] pools all modes into one model and exists for
+//! [`ModePredictor::pooled`] routes all modes to one model and exists for
 //! the `ablation_modes` experiment.
 
 use crate::dist::EmpiricalDistribution;
@@ -175,124 +175,82 @@ impl Prediction {
     }
 }
 
-/// Common interface over mode-aware and pooled predictors.
-pub trait Predictor {
-    /// Records an observed transition in `mode`.
-    fn observe(&mut self, mode: ExecutionMode, step: Step);
-
-    /// Predicts `n` candidate future states from `current` under `mode`.
-    /// Returns `None` while the relevant model is still warming up.
-    fn predict(
-        &self,
-        mode: ExecutionMode,
-        current: Point2,
-        n: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Option<Prediction>;
-
-    /// Draws the same `n` candidates as [`predict`](Predictor::predict)
-    /// and counts those satisfying `inside`, without storing them — the
-    /// per-period voting path.
-    fn vote(
-        &self,
-        mode: ExecutionMode,
-        current: Point2,
-        n: usize,
-        rng: &mut dyn rand::RngCore,
-        inside: &mut dyn FnMut(Point2) -> bool,
-    ) -> Option<usize>;
-}
-
-/// One [`TrajectoryModel`] per execution mode — the paper's design.
-#[derive(Debug, Clone, Default)]
+/// The trajectory models behind a forecast: one [`TrajectoryModel`] per
+/// execution mode — the paper's design — or, from
+/// [`pooled`](ModePredictor::pooled), one model every mode shares (the
+/// ablation baseline §3.2.3 argues against).
+#[derive(Debug, Clone)]
 pub struct ModePredictor {
     models: [TrajectoryModel; 4],
+    per_mode: bool,
+}
+
+impl Default for ModePredictor {
+    fn default() -> Self {
+        ModePredictor::new()
+    }
 }
 
 impl ModePredictor {
     /// Creates a predictor with empty per-mode models.
     pub fn new() -> Self {
-        ModePredictor::default()
+        ModePredictor {
+            models: Default::default(),
+            per_mode: true,
+        }
     }
 
-    /// Borrow the model of `mode`.
+    /// Creates a predictor whose modes all share one empty model.
+    pub fn pooled() -> Self {
+        ModePredictor {
+            per_mode: false,
+            ..ModePredictor::new()
+        }
+    }
+
+    /// The slot `mode` observes into and predicts from.
+    fn slot(&self, mode: ExecutionMode) -> usize {
+        if self.per_mode {
+            mode.index()
+        } else {
+            0
+        }
+    }
+
+    /// Borrow the model of `mode` (the shared one when pooled).
     pub fn model(&self, mode: ExecutionMode) -> &TrajectoryModel {
-        &self.models[mode.index()]
-    }
-}
-
-impl Predictor for ModePredictor {
-    fn observe(&mut self, mode: ExecutionMode, step: Step) {
-        self.models[mode.index()].observe(step);
+        &self.models[self.slot(mode)]
     }
 
-    fn predict(
+    /// Records an observed transition in `mode`.
+    pub fn observe(&mut self, mode: ExecutionMode, step: Step) {
+        self.models[self.slot(mode)].observe(step);
+    }
+
+    /// Predicts `n` candidate future states from `current` under `mode`.
+    /// Returns `None` while the relevant model is still warming up.
+    pub fn predict<R: Rng + ?Sized>(
         &self,
         mode: ExecutionMode,
         current: Point2,
         n: usize,
-        rng: &mut dyn rand::RngCore,
+        rng: &mut R,
     ) -> Option<Prediction> {
-        self.models[mode.index()].predict_from(current, n, rng).ok()
+        self.model(mode).predict_from(current, n, rng).ok()
     }
 
-    fn vote(
+    /// Draws the same `n` candidates as [`predict`](Self::predict) and
+    /// counts those satisfying `inside`, without storing them — the
+    /// per-period voting path.
+    pub fn vote<R: Rng + ?Sized>(
         &self,
         mode: ExecutionMode,
         current: Point2,
         n: usize,
-        rng: &mut dyn rand::RngCore,
-        inside: &mut dyn FnMut(Point2) -> bool,
+        rng: &mut R,
+        inside: impl FnMut(Point2) -> bool,
     ) -> Option<usize> {
-        self.models[mode.index()]
-            .vote_from(current, n, rng, inside)
-            .ok()
-    }
-}
-
-/// A single pooled model for all modes — the ablation baseline §3.2.3
-/// argues against.
-#[derive(Debug, Clone, Default)]
-pub struct SingleModelPredictor {
-    model: TrajectoryModel,
-}
-
-impl SingleModelPredictor {
-    /// Creates an empty pooled predictor.
-    pub fn new() -> Self {
-        SingleModelPredictor::default()
-    }
-
-    /// Borrow the pooled model.
-    pub fn model(&self) -> &TrajectoryModel {
-        &self.model
-    }
-}
-
-impl Predictor for SingleModelPredictor {
-    fn observe(&mut self, _mode: ExecutionMode, step: Step) {
-        self.model.observe(step);
-    }
-
-    fn predict(
-        &self,
-        _mode: ExecutionMode,
-        current: Point2,
-        n: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Option<Prediction> {
-        self.model.predict_from(current, n, rng).ok()
-    }
-
-    fn vote(
-        &self,
-        _mode: ExecutionMode,
-        current: Point2,
-        n: usize,
-        rng: &mut dyn rand::RngCore,
-        inside: &mut dyn FnMut(Point2) -> bool,
-    ) -> Option<usize> {
-        self.model.vote_from(current, n, rng, inside).ok()
+        self.model(mode).vote_from(current, n, rng, inside).ok()
     }
 }
 
@@ -426,8 +384,8 @@ mod tests {
     }
 
     #[test]
-    fn single_model_predictor_pools_everything() {
-        let mut p = SingleModelPredictor::new();
+    fn pooled_predictor_pools_everything() {
+        let mut p = ModePredictor::pooled();
         for _ in 0..10 {
             p.observe(
                 ExecutionMode::CoLocated,
@@ -442,6 +400,6 @@ mod tests {
         assert!(p
             .predict(ExecutionMode::Idle, Point2::origin(), 5, &mut rng)
             .is_some());
-        assert_eq!(p.model().observations(), 10);
+        assert_eq!(p.model(ExecutionMode::Idle).observations(), 10);
     }
 }

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 use stayaway_statespace::{ExecutionMode, Point2};
 use stayaway_trajectory::step::{steps_between, wrap_angle};
 use stayaway_trajectory::{
-    EmpiricalDistribution, Histogram, Kde, ModePredictor, Predictor, Step, VarModel,
+    EmpiricalDistribution, Histogram, Kde, ModePredictor, Step, TrajectoryModel, VarModel,
 };
 
 /// The sampler as it was before the histogram became maintained state, kept
@@ -177,10 +177,49 @@ proptest! {
             prop_assert!(c.is_finite());
         }
         let votes = p
-            .vote(ExecutionMode::CoLocated, Point2::new(0.3, -0.2), n, &mut vote_rng, &mut |c| c.x > 0.3)
+            .vote(ExecutionMode::CoLocated, Point2::new(0.3, -0.2), n, &mut vote_rng, |c| c.x > 0.3)
             .unwrap();
         prop_assert_eq!(votes, pred.count_where(|c| c.x > 0.3));
         prop_assert_eq!(rng, vote_rng);
+    }
+
+    /// `ModePredictor` only routes: fed steps under random modes, the
+    /// pooled one votes exactly like one bare `TrajectoryModel` fed every
+    /// step, and the per-mode one like four bare models routed by
+    /// `mode.index()` — same seeded RNG in, equal counts and equal RNG
+    /// state out, warm-up refusals included.
+    #[test]
+    fn mode_predictor_votes_like_the_bare_models_it_routes_to(
+        steps in prop::collection::vec((0usize..4, 0.0f64..2.0, -3.0f64..3.0), 1..60),
+        n in 1usize..12,
+        seed in 0u64..500,
+    ) {
+        let mut pooled = ModePredictor::pooled();
+        let mut per_mode = ModePredictor::new();
+        let mut one = TrajectoryModel::new();
+        let mut four: [TrajectoryModel; 4] = Default::default();
+        for &(m, length, angle) in &steps {
+            let (mode, step) = (ExecutionMode::ALL[m], Step { length, angle });
+            pooled.observe(mode, step);
+            per_mode.observe(mode, step);
+            one.observe(step);
+            four[mode.index()].observe(step);
+        }
+        let from = Point2::new(0.3, -0.2);
+        let inside = |c: Point2| c.x > 0.3;
+        for mode in ExecutionMode::ALL {
+            for (routed, bare) in [(&pooled, &one), (&per_mode, &four[mode.index()])] {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut bare_rng = rng.clone();
+                let votes = routed.vote(mode, from, n, &mut rng, inside);
+                let bare_votes = bare
+                    .predict_from(from, n, &mut bare_rng)
+                    .ok()
+                    .map(|p| p.count_where(inside));
+                prop_assert_eq!(votes, bare_votes);
+                prop_assert_eq!(rng, bare_rng);
+            }
+        }
     }
 
     /// The VAR model either refuses (too little data) or produces a finite

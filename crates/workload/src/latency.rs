@@ -8,31 +8,12 @@
 //! regardless of worker count or platform.
 
 use serde::{Deserialize, Serialize};
+use stayaway_obs::{bucket_bounds, bucket_index, num_buckets};
 
-/// Sub-buckets per octave: 2^(1/32) spacing ≈ 2.2 % relative error.
-const SUBBUCKETS_BITS: u32 = 5;
-const SUBBUCKETS: usize = 1 << SUBBUCKETS_BITS;
-/// Values below `SUBBUCKETS` get exact unit buckets; above, log buckets.
-const NUM_BUCKETS: usize = SUBBUCKETS * (65 - SUBBUCKETS_BITS as usize);
-
-fn bucket_of(value_ns: u64) -> usize {
-    if value_ns < SUBBUCKETS as u64 {
-        return value_ns as usize;
-    }
-    let exp = 63 - value_ns.leading_zeros(); // floor(log2), >= SUBBUCKETS_BITS
-    let mantissa = (value_ns >> (exp - SUBBUCKETS_BITS)) as usize & (SUBBUCKETS - 1);
-    ((exp - SUBBUCKETS_BITS + 1) as usize) * SUBBUCKETS + mantissa
-}
-
-/// Lower bound of a bucket, used as its representative value.
-fn bucket_floor(index: usize) -> u64 {
-    if index < SUBBUCKETS {
-        return index as u64;
-    }
-    let exp = (index / SUBBUCKETS - 1) as u32 + SUBBUCKETS_BITS;
-    let mantissa = (index % SUBBUCKETS) as u64;
-    (1u64 << exp) | (mantissa << (exp - SUBBUCKETS_BITS))
-}
+/// Linear sub-bucket bits per octave in the shared log-linear layout
+/// ([`stayaway_obs::bucket_index`]): 32 sub-buckets ≈ 2.2 % relative
+/// error. A bucket is represented by its lower bound.
+const SUB_BITS: u32 = 5;
 
 /// A log-bucketed latency histogram over integer nanoseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,7 +34,7 @@ impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            counts: vec![0; NUM_BUCKETS],
+            counts: vec![0; num_buckets(SUB_BITS)],
             total: 0,
             sum_ns: 0,
             max_ns: 0,
@@ -62,7 +43,7 @@ impl LatencyHistogram {
 
     /// Records one latency sample.
     pub fn record(&mut self, latency_ns: u64) {
-        self.counts[bucket_of(latency_ns)] += 1;
+        self.counts[bucket_index::<SUB_BITS>(latency_ns)] += 1;
         self.total += 1;
         self.sum_ns = self.sum_ns.saturating_add(latency_ns);
         self.max_ns = self.max_ns.max(latency_ns);
@@ -99,7 +80,7 @@ impl LatencyHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return bucket_floor(i).min(self.max_ns);
+                return bucket_bounds::<SUB_BITS>(i).0.min(self.max_ns);
             }
         }
         self.max_ns
@@ -125,16 +106,70 @@ impl LatencyHistogram {
 mod tests {
     use super::*;
 
+    /// `bucket_of` as this file defined it before the layout moved to
+    /// `stayaway_obs`, kept verbatim as the reference.
+    fn parent_bucket_of(value_ns: u64) -> usize {
+        const SUBBUCKETS: usize = 1 << SUB_BITS;
+        if value_ns < SUBBUCKETS as u64 {
+            return value_ns as usize;
+        }
+        let exp = 63 - value_ns.leading_zeros(); // floor(log2), >= SUB_BITS
+        let mantissa = (value_ns >> (exp - SUB_BITS)) as usize & (SUBBUCKETS - 1);
+        ((exp - SUB_BITS + 1) as usize) * SUBBUCKETS + mantissa
+    }
+
+    /// `bucket_floor` likewise.
+    fn parent_bucket_floor(index: usize) -> u64 {
+        const SUBBUCKETS: usize = 1 << SUB_BITS;
+        if index < SUBBUCKETS {
+            return index as u64;
+        }
+        let exp = (index / SUBBUCKETS - 1) as u32 + SUB_BITS;
+        let mantissa = (index % SUBBUCKETS) as u64;
+        (1u64 << exp) | (mantissa << (exp - SUB_BITS))
+    }
+
+    #[test]
+    fn shared_layout_at_five_bits_is_the_layout_this_file_had() {
+        let mut values = vec![0, u64::MAX];
+        for shift in 0..64 {
+            let p = 1u64 << shift;
+            values.extend([p - 1, p, p.saturating_add(1)]);
+        }
+        for v in values {
+            let index = bucket_index::<SUB_BITS>(v);
+            assert_eq!(index, parent_bucket_of(v), "index of {v}");
+            assert_eq!(
+                bucket_bounds::<SUB_BITS>(index).0,
+                parent_bucket_floor(index),
+                "floor of {v}"
+            );
+        }
+        assert_eq!(num_buckets(SUB_BITS), 1920);
+        // Spot values, as literals.
+        for (v, index, floor) in [
+            (0, 0, 0),
+            (31, 31, 31),
+            (33, 33, 33),
+            (65, 64, 64),
+            (1_000_000, 509, 999_424),
+            (u64::MAX, 1919, 0xfc00_0000_0000_0000),
+        ] {
+            assert_eq!(bucket_index::<SUB_BITS>(v), index);
+            assert_eq!(bucket_bounds::<SUB_BITS>(index).0, floor);
+        }
+    }
+
     #[test]
     fn buckets_are_monotone_and_self_consistent() {
         let mut last = 0;
         for v in [0u64, 1, 31, 32, 33, 100, 1_000, 1_000_000, u64::MAX / 2] {
-            let b = bucket_of(v);
+            let b = bucket_index::<SUB_BITS>(v);
             assert!(b >= last || v < 32, "bucket order broke at {v}");
             last = b;
             // The representative never exceeds the value, and is within
             // ~3.2% below it for log buckets.
-            let floor = bucket_floor(b);
+            let floor = bucket_bounds::<SUB_BITS>(b).0;
             assert!(floor <= v, "floor {floor} > value {v}");
             if v >= 32 {
                 assert!((v - floor) as f64 <= v as f64 / 32.0 + 1.0);

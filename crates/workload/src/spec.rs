@@ -113,6 +113,12 @@ pub struct WorkloadScenario {
 }
 
 impl WorkloadScenario {
+    /// The first sensitive tenant: the application a host running this
+    /// scenario protects, whose name keys the templates learned on it.
+    pub fn sensitive_tenant(&self) -> Option<&TenantSpec> {
+        self.tenants.iter().find(|t| t.class == AppClass::Sensitive)
+    }
+
     /// Validates the scenario.
     ///
     /// # Errors

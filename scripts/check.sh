@@ -55,12 +55,20 @@ cargo build --release --workspace
 # causal links must reconstruct the cluster ← host ← predictor chain from
 # the stream alone.
 #
-# Predictor-plane determinism (`stayaway-core --test predictor_plane`,
+# Predictor plane (`stayaway-core --test predictor_plane`, `--lib
+# stages::predict`, `stayaway-trajectory --test properties`,
 # `stayaway-fleet --test tournament_determinism`): the KDE reference
-# through the Predictor trait must stay bit-for-bit on the pre-refactor
-# golden fixture, every competitor plane must drive deterministic
-# NaN-free runs, and the tournament's ranked JSON — bootstrap confidence
-# intervals included — must be byte-identical for any worker count.
+# through the Predictor trait must stay bit-for-bit on the golden
+# fixture; the three competitor planes and the pooled KDE must reproduce
+# eight literal digests recorded before the verdict ledger moved into
+# `PredictStage` (a pin across commits); every plane, driven through the
+# stage, must survive NaN / infinite observations; the stage must keep
+# its three ledger rules (no verdict from a `None` forecast, no cursor
+# move on a failed observe, cancel drops exactly the pending verdict);
+# `ModePredictor` must vote like the bare `TrajectoryModel`s it routes
+# to, pooled and per mode; and the tournament's ranked JSON — the serde
+# derive's output, bootstrap confidence intervals included — must be
+# byte-identical for any worker count.
 #
 # Behaviour fence (`stayaway-bench --test figure_shapes`, facade `--test
 # map_quality`): what a change that moves map coordinates must keep, since
@@ -83,7 +91,10 @@ cargo build --release --workspace
 # under a pause/resume script, and one attach/inject/detach cycle must
 # reproduce literals recorded before the event queue was rebuilt — a pin
 # across commits, where `determinism` only compares a run with itself —
-# and the queue must pop in the order of one global binary heap.
+# and the queue must pop in the order of one global binary heap. The
+# latency histogram's buckets are `stayaway_obs`'s log-linear layout at 5
+# bits; `latency::tests::shared_layout_at_five_bits_is_the_layout_this_file_had`
+# sweeps it against the functions `latency.rs` used to carry.
 #
 # Also here: the `stayaway-obs` suites and `--test observability`.
 cargo test -q --workspace

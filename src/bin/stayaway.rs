@@ -9,12 +9,13 @@
 //! web-cpu, web-mem, web-mix} and batch ∈ {cpu-bomb, memory-bomb, soplex,
 //! twitter-analysis, vlc-transcode}.
 
-use stay_away::core::ControllerConfig;
+use stay_away::core::{ControllerConfig, PredictorKind};
 use stay_away::fleet::cell::{run_host, HostOutcome, HostRun, Instruments};
 use stay_away::fleet::report::format_accuracy;
 use stay_away::fleet::{
-    cluster_by_name, cluster_library, run_tournament, Cluster, ClusterConfig, ClusterOutcome,
-    ClusterPolicySpec, Fleet, FleetConfig, PolicySpec, PredictorSpec, SourceSpec, TournamentConfig,
+    cluster_by_name, cluster_library, predictor, run_tournament, Cluster, ClusterConfig,
+    ClusterOutcome, ClusterPolicySpec, Fleet, FleetConfig, PolicySpec, SourceSpec,
+    TournamentConfig,
 };
 use stay_away::obs::diff::{diff_series, parse_snapshot};
 use stay_away::obs::{
@@ -345,11 +346,14 @@ impl Args {
     /// The controller configuration single-run commands build policies
     /// with: the defaults, with `--predictor` applied when given.
     fn controller_config(&self) -> Result<ControllerConfig, CliError> {
-        let config = ControllerConfig::default();
-        Ok(match self.text("--predictor") {
-            Some(token) => PredictorSpec::parse(token)?.apply(&config),
-            None => config,
-        })
+        let mut config = ControllerConfig::default();
+        if let Some(tokens) = self.text("--predictor") {
+            let [predictor] = predictor::parse_list(tokens)?[..] else {
+                return fail(format!("`{}` runs one predictor", self.command));
+            };
+            config.predictor = predictor;
+        }
+        Ok(config)
     }
 }
 
@@ -751,7 +755,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
     match args.command.as_str() {
         "list" => {
             let batch = BatchKind::ALL.map(|k| k.name()).join(", ");
-            let predictors: Vec<&str> = PredictorSpec::all().iter().map(|p| p.name()).collect();
+            let predictors: Vec<&str> = PredictorKind::ALL.iter().map(|p| p.name()).collect();
             let cluster_policies = ClusterPolicySpec::all().map(|p| p.name()).join(", ");
             let predictors = predictors.join(", ");
             writeln!(
@@ -972,7 +976,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                     None => FleetConfig::standard_mix(args.seed()),
                 },
                 policies: PolicySpec::parse_list(args.policy_or("stay-away"))?,
-                predictors: PredictorSpec::parse_list(args.text("--predictor").unwrap_or("kde"))?,
+                predictors: predictor::parse_list(args.text("--predictor").unwrap_or("kde"))?,
                 sources: SourceSpec::parse_list(args.text("--source").unwrap_or("sim"))?,
                 controller: ControllerConfig::default(),
                 collect_metrics: args.wants_metrics(),
@@ -997,7 +1001,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
         "tournament" => {
             let mut config = TournamentConfig::new(args.seed());
             if let Some(tokens) = args.text("--predictor") {
-                config.predictors = PredictorSpec::parse_list(tokens)?;
+                config.predictors = predictor::parse_list(tokens)?;
             }
             if let Some(names) = args.text("--scenario") {
                 config.scenarios = names
@@ -1477,11 +1481,14 @@ mod tests {
         let a = parse_args(&argv("run --predictor last-tick")).unwrap();
         assert_eq!(
             a.controller_config().unwrap().predictor,
-            PredictorSpec::parse("last-tick").unwrap().kind()
+            PredictorKind::LastTick
         );
         assert!(parse_args(&argv("run --predictor")).is_err());
         assert!(parse_args(&argv("tournament --resamples abc")).is_err());
         let a = parse_args(&argv("run --predictor warp-core")).unwrap();
+        assert!(a.controller_config().is_err());
+        // One host runs one plane: a list is for `fleet` and `tournament`.
+        let a = parse_args(&argv("run --predictor kde,xapp")).unwrap();
         assert!(a.controller_config().is_err());
     }
 
