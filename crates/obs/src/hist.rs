@@ -118,13 +118,24 @@ impl Histogram {
 
     /// Records one value. Lock-free; relaxed ordering (metrics need no
     /// synchronisation edges).
+    ///
+    /// Three read-modify-writes in the common case: the extremes are
+    /// touched only when a plain load says `value` would move them. The
+    /// load can be stale only towards a *looser* extreme (`min` only ever
+    /// falls, `max` only ever rises), so a skipped update is never one
+    /// that was needed, and the update itself is still `fetch_min` /
+    /// `fetch_max`, so concurrent writers cannot overwrite a tighter one.
     pub fn record(&self, value: u64) {
         let core = &*self.core;
         core.buckets[bucket_index::<SUB_BITS>(value)].fetch_add(1, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);
         core.sum.fetch_add(value, Ordering::Relaxed);
-        core.min.fetch_min(value, Ordering::Relaxed);
-        core.max.fetch_max(value, Ordering::Relaxed);
+        if value < core.min.load(Ordering::Relaxed) {
+            core.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > core.max.load(Ordering::Relaxed) {
+            core.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded values.

@@ -21,7 +21,7 @@ use crate::export::to_prometheus;
 use crate::recorder::{merge_streams, FlightRecorder};
 use crate::registry::MetricsRegistry;
 use crate::snapshot::MetricsSnapshot;
-use serde::Value;
+use serde::{Serialize, Value};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,12 +29,55 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// One scalar field of a flat `/state` document (see
+/// [`StateCell::publish`]). Renders exactly as the same Rust value would
+/// through `json!`: a non-finite float becomes `null`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum StateScalar {
+    /// An unsigned integer field.
+    U64(u64),
+    /// A floating-point field.
+    F64(f64),
+    /// A boolean field.
+    Bool(bool),
+}
+
+impl StateScalar {
+    fn to_value(self) -> Value {
+        match self {
+            StateScalar::U64(n) => n.to_value(),
+            StateScalar::F64(x) => x.to_value(),
+            StateScalar::Bool(b) => b.to_value(),
+        }
+    }
+}
+
+/// What a [`StateCell`] holds: a document handed over whole, or the
+/// fields of a flat object that no one has asked to see yet.
+#[derive(Debug)]
+enum StateDoc {
+    Tree(Value),
+    Flat(Vec<(&'static str, StateScalar)>),
+}
+
 /// A shareable cell holding the `/state` JSON document. The run loop
 /// publishes into it (e.g. once per controller period); handlers read
 /// whatever is current. Starts as JSON `null`.
-#[derive(Debug, Clone, Default)]
+///
+/// Publishing is far more frequent than scraping, so the per-period path
+/// ([`StateCell::publish`]) copies scalars into a reused buffer and the
+/// JSON tree is built only when [`StateCell::get`] is called.
+#[derive(Debug, Clone)]
 pub struct StateCell {
-    inner: Arc<Mutex<Value>>,
+    inner: Arc<Mutex<StateDoc>>,
+}
+
+impl Default for StateCell {
+    fn default() -> Self {
+        StateCell {
+            inner: Arc::new(Mutex::new(StateDoc::Tree(Value::Null))),
+        }
+    }
 }
 
 impl StateCell {
@@ -45,12 +88,34 @@ impl StateCell {
 
     /// Replaces the published document.
     pub fn set(&self, value: Value) {
-        *self.inner.lock().expect("state cell poisoned") = value;
+        *crate::lock(&self.inner) = StateDoc::Tree(value);
     }
 
-    /// Clones out the current document.
+    /// Replaces the published document with a flat object of `fields`, in
+    /// order. Allocation-free once the cell has held a flat document of
+    /// this size.
+    pub fn publish(&self, fields: &[(&'static str, StateScalar)]) {
+        let mut doc = crate::lock(&self.inner);
+        match &mut *doc {
+            StateDoc::Flat(held) => {
+                held.clear();
+                held.extend_from_slice(fields);
+            }
+            StateDoc::Tree(_) => *doc = StateDoc::Flat(fields.to_vec()),
+        }
+    }
+
+    /// The current document.
     pub fn get(&self) -> Value {
-        self.inner.lock().expect("state cell poisoned").clone()
+        match &*crate::lock(&self.inner) {
+            StateDoc::Tree(value) => value.clone(),
+            StateDoc::Flat(fields) => Value::Object(
+                fields
+                    .iter()
+                    .map(|(key, scalar)| (key.to_string(), scalar.to_value()))
+                    .collect(),
+            ),
+        }
     }
 }
 
@@ -116,26 +181,25 @@ impl Introspection {
 
     /// Points `/events` at a set of live recorders (merged per request).
     pub fn set_recorders(&self, recorders: Vec<FlightRecorder>) {
-        *self.events.lock().expect("events source poisoned") = EventsSource::Recorders(recorders);
+        *crate::lock(&self.events) = EventsSource::Recorders(recorders);
     }
 
     /// Freezes `/metrics` onto an already-aggregated rollup snapshot
     /// (published after a fleet or cluster run completes); overrides any
     /// live registry.
     pub fn set_metrics(&self, snapshot: MetricsSnapshot) {
-        *self.frozen_metrics.lock().expect("metrics source poisoned") = Some(snapshot);
+        *crate::lock(&self.frozen_metrics) = Some(snapshot);
     }
 
     /// Freezes `/events` onto an already-merged stream (published after
     /// a fleet or cluster run completes).
     pub fn set_events(&self, events: Vec<EventRecord>) {
-        *self.events.lock().expect("events source poisoned") =
-            EventsSource::Frozen(Arc::new(events));
+        *crate::lock(&self.events) = EventsSource::Frozen(Arc::new(events));
     }
 
     /// The current event stream in canonical order.
     fn events_snapshot(&self) -> Vec<EventRecord> {
-        let source = self.events.lock().expect("events source poisoned").clone();
+        let source = crate::lock(&self.events).clone();
         match source {
             EventsSource::None => Vec::new(),
             EventsSource::Recorders(recorders) => {
@@ -193,11 +257,7 @@ fn route(intro: &Introspection, method: &str, target: &str) -> Response {
     match path {
         "/health" => Response::ok("text/plain; charset=utf-8", "ok\n".to_string()),
         "/metrics" => {
-            let frozen = intro
-                .frozen_metrics
-                .lock()
-                .expect("metrics source poisoned")
-                .clone();
+            let frozen = crate::lock(&intro.frozen_metrics).clone();
             let snapshot = frozen
                 .or_else(|| intro.registry.as_ref().map(MetricsRegistry::snapshot))
                 .unwrap_or_default();
@@ -375,6 +435,49 @@ mod tests {
         assert!(state.body.contains("\"beta\""));
         let events = route(&intro, "GET", "/events");
         assert_eq!(events.body.lines().count(), 5);
+    }
+
+    #[test]
+    fn a_published_flat_document_renders_as_the_eager_tree_did() {
+        let cell = StateCell::new();
+        assert_eq!(cell.get(), Value::Null);
+        let (tick, beta, throttling, gone) = (7u64, 1.0f64, true, f64::NAN);
+        cell.publish(&[
+            ("tick", StateScalar::U64(tick)),
+            ("beta", StateScalar::F64(beta)),
+            ("throttling", StateScalar::Bool(throttling)),
+            ("gone", StateScalar::F64(gone)),
+        ]);
+        let eager = serde_json::json!({
+            "tick": tick,
+            "beta": beta,
+            "throttling": throttling,
+            "gone": gone,
+        });
+        assert_eq!(cell.get(), eager);
+        assert_eq!(
+            serde_json::to_string_pretty(&cell.get()).unwrap(),
+            "{\n  \"tick\": 7,\n  \"beta\": 1.0,\n  \"throttling\": true,\n  \"gone\": null\n}"
+        );
+        // A second publish replaces every field; a whole document replaces
+        // the flat one, and the other way round.
+        cell.publish(&[("tick", StateScalar::U64(8))]);
+        assert_eq!(cell.get(), serde_json::json!({"tick": 8u64}));
+        cell.set(serde_json::json!({"cells": [1, 2]}));
+        assert_eq!(cell.get(), serde_json::json!({"cells": [1, 2]}));
+        cell.publish(&[("tick", StateScalar::U64(9))]);
+        assert_eq!(cell.get(), serde_json::json!({"tick": 9u64}));
+    }
+
+    #[test]
+    fn a_reader_that_panics_holding_the_cell_does_not_stop_the_publisher() {
+        let cell = StateCell::new();
+        cell.publish(&[("tick", StateScalar::U64(1))]);
+        crate::poison(&cell.inner);
+        cell.publish(&[("tick", StateScalar::U64(2))]);
+        assert_eq!(cell.get(), serde_json::json!({"tick": 2u64}));
+        cell.set(Value::Null);
+        assert_eq!(cell.get(), Value::Null);
     }
 
     #[test]

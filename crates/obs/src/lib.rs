@@ -47,8 +47,32 @@ pub use hist::{
     bucket_bounds, bucket_index, num_buckets, Histogram, HistogramSnapshot, MergeOutcome, Unit,
     NUM_BUCKETS, SUB_BITS,
 };
-pub use http::{HttpServer, Introspection, StateCell};
+pub use http::{HttpServer, Introspection, StateCell, StateScalar};
 pub use recorder::{merge_streams, FlightRecorder, DEFAULT_EVENT_CAPACITY};
 pub use registry::{valid_metric_name, Counter, Gauge, MetricsRegistry};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 pub use span::{Span, SpanGuard, SpanRecord, SpanSink};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks one of the plane's mutexes, recovering the guard when a thread
+/// panicked while holding it. Every critical section in this crate leaves
+/// its data valid at each step (ring pushes, counter bumps, whole-value
+/// replacement), so the state behind a poisoned lock is still good — and a
+/// reader that panicked must not take the controller down with it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Test support: leaves `mutex` poisoned, the way a reader thread that
+/// panicked while holding the guard would.
+#[cfg(test)]
+pub(crate) fn poison<T: Send + 'static>(mutex: &std::sync::Arc<Mutex<T>>) {
+    let held = std::sync::Arc::clone(mutex);
+    let reader = std::thread::spawn(move || {
+        let _guard = held.lock().unwrap();
+        panic!("reader died holding the lock");
+    });
+    assert!(reader.join().is_err());
+    assert!(mutex.is_poisoned());
+}

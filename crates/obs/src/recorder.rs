@@ -69,16 +69,12 @@ impl FlightRecorder {
 
     /// This recorder's scope index.
     pub fn scope(&self) -> u32 {
-        self.inner.lock().expect("recorder poisoned").scope
+        crate::lock(&self.inner).scope
     }
 
     /// This recorder's default subject label.
     pub fn subject(&self) -> String {
-        self.inner
-            .lock()
-            .expect("recorder poisoned")
-            .subject
-            .clone()
+        crate::lock(&self.inner).subject.clone()
     }
 
     /// Records one event against the recorder's default subject.
@@ -118,7 +114,7 @@ impl FlightRecorder {
         cause: Option<EventId>,
         attrs: Vec<(String, crate::event::AttrValue)>,
     ) -> EventId {
-        let mut inner = self.inner.lock().expect("recorder poisoned");
+        let mut inner = crate::lock(&self.inner);
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let id = EventId {
@@ -156,7 +152,7 @@ impl FlightRecorder {
     /// violation names the last predictor verdict, a migration names
     /// the source host's last violation.
     pub fn last_id_of_kind(&self, kind: EventKind) -> Option<EventId> {
-        let inner = self.inner.lock().expect("recorder poisoned");
+        let inner = crate::lock(&self.inner);
         inner
             .last_by_kind
             .iter()
@@ -166,7 +162,7 @@ impl FlightRecorder {
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("recorder poisoned").events.len()
+        crate::lock(&self.inner).events.len()
     }
 
     /// True when no records are retained.
@@ -176,12 +172,12 @@ impl FlightRecorder {
 
     /// Number of records evicted or refused because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("recorder poisoned").dropped
+        crate::lock(&self.inner).dropped
     }
 
     /// Clones out the retained records, oldest first.
     pub fn events(&self) -> Vec<EventRecord> {
-        let inner = self.inner.lock().expect("recorder poisoned");
+        let inner = crate::lock(&self.inner);
         inner.events.iter().cloned().collect()
     }
 
@@ -249,6 +245,23 @@ mod tests {
         assert_ne!(first, second);
         assert_eq!(rec.last_id_of_kind(EventKind::Throttle), Some(second));
         assert_eq!(rec.last_id_of_kind(EventKind::Resume), None);
+    }
+
+    #[test]
+    fn a_reader_that_panics_holding_the_ring_does_not_stop_the_recorder() {
+        let rec = FlightRecorder::bounded(0, "run", 4);
+        let first = rec.record(1, Layer::Controller, EventKind::Throttle, None, Vec::new());
+        crate::poison(&rec.inner);
+        let second = rec.record(
+            2,
+            Layer::Controller,
+            EventKind::Resume,
+            Some(first),
+            Vec::new(),
+        );
+        assert_eq!(second.seq, first.seq + 1);
+        assert_eq!(rec.last_id_of_kind(EventKind::Throttle), Some(first));
+        assert_eq!((rec.len(), rec.dropped()), (2, 0));
     }
 
     #[test]

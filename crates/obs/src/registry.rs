@@ -113,7 +113,7 @@ impl MetricsRegistry {
         F: FnOnce() -> Instrument,
     {
         assert!(valid_metric_name(name), "invalid metric name: {name:?}");
-        let mut entries = self.entries.lock().expect("metrics registry poisoned");
+        let mut entries = crate::lock(&self.entries);
         let entry = entries.entry(name.to_string()).or_insert_with(|| Entry {
             help: help.to_string(),
             instrument: make(),
@@ -184,7 +184,7 @@ impl MetricsRegistry {
 
     /// Takes a point-in-time snapshot, sorted by metric name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let entries = self.entries.lock().expect("metrics registry poisoned");
+        let entries = crate::lock(&self.entries);
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
@@ -244,6 +244,19 @@ mod tests {
     #[should_panic(expected = "invalid metric name")]
     fn invalid_names_panic() {
         MetricsRegistry::new().counter("bad-name", "dashes are not allowed");
+    }
+
+    #[test]
+    fn a_reader_that_panics_holding_the_registry_does_not_stop_registration() {
+        let reg = MetricsRegistry::new();
+        reg.counter("stayaway_before_total", "registered before the panic")
+            .inc();
+        crate::poison(&reg.entries);
+        reg.counter("stayaway_after_total", "registered after the panic")
+            .add(2);
+        let snap = reg.snapshot();
+        let values: Vec<u64> = snap.counters.iter().map(|c| c.value).collect();
+        assert_eq!(values, vec![2, 1]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! Spans are decision-inert by construction — they read the monotonic
 //! clock and write atomics/ring slots, never touching control state or
-//! RNG streams. The sink is a fixed-capacity ring: once full, the
-//! oldest records are dropped and counted, so a long run can never
-//! grow memory unboundedly.
+//! RNG streams. The sink is a fixed-capacity ring of `Copy` slots: once
+//! full, the oldest records are dropped and counted, so a long run can
+//! never grow memory unboundedly, and emitting never allocates — names are
+//! `&'static str` until a reader asks for [`SpanRecord`]s.
 
 use crate::hist::Histogram;
 use serde::{Deserialize, Serialize};
@@ -15,7 +16,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One completed span.
+/// One completed span, as readers see it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Span name (e.g. `"controller.sense"`).
@@ -26,10 +27,28 @@ pub struct SpanRecord {
     pub nanos: u64,
 }
 
+/// One completed span, as the ring stores it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    name: &'static str,
+    tick: u64,
+    nanos: u64,
+}
+
+impl Slot {
+    fn record(&self) -> SpanRecord {
+        SpanRecord {
+            name: self.name.to_string(),
+            tick: self.tick,
+            nanos: self.nanos,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SinkInner {
     capacity: usize,
-    records: VecDeque<SpanRecord>,
+    slots: VecDeque<Slot>,
     dropped: u64,
 }
 
@@ -46,33 +65,37 @@ impl SpanSink {
         SpanSink {
             inner: Arc::new(Mutex::new(SinkInner {
                 capacity,
-                records: VecDeque::with_capacity(capacity.min(4096)),
+                slots: VecDeque::with_capacity(capacity.min(4096)),
                 dropped: 0,
             })),
         }
     }
 
     /// Appends one record, evicting the oldest when full.
-    pub fn emit(&self, name: &str, tick: u64, nanos: u64) {
-        let mut inner = self.inner.lock().expect("span sink poisoned");
+    pub fn emit(&self, name: &'static str, tick: u64, nanos: u64) {
+        self.emit_all(tick, &[(name, nanos)]);
+    }
+
+    /// Appends the `(name, nanos)` spans of one tick, in order, under one
+    /// lock — what a control period does with its four stage spans.
+    pub fn emit_all(&self, tick: u64, spans: &[(&'static str, u64)]) {
+        let mut inner = crate::lock(&self.inner);
         if inner.capacity == 0 {
-            inner.dropped += 1;
+            inner.dropped += spans.len() as u64;
             return;
         }
-        if inner.records.len() == inner.capacity {
-            inner.records.pop_front();
-            inner.dropped += 1;
+        for &(name, nanos) in spans {
+            if inner.slots.len() == inner.capacity {
+                inner.slots.pop_front();
+                inner.dropped += 1;
+            }
+            inner.slots.push_back(Slot { name, tick, nanos });
         }
-        inner.records.push_back(SpanRecord {
-            name: name.to_string(),
-            tick,
-            nanos,
-        });
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("span sink poisoned").records.len()
+        crate::lock(&self.inner).slots.len()
     }
 
     /// True when no records are retained.
@@ -82,22 +105,24 @@ impl SpanSink {
 
     /// Number of records evicted or refused because the sink was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("span sink poisoned").dropped
+        crate::lock(&self.inner).dropped
     }
 
     /// Clones out the retained records, oldest first.
     pub fn records(&self) -> Vec<SpanRecord> {
-        let inner = self.inner.lock().expect("span sink poisoned");
-        inner.records.iter().cloned().collect()
+        crate::lock(&self.inner)
+            .slots
+            .iter()
+            .map(Slot::record)
+            .collect()
     }
 
     /// Renders the retained records as JSON Lines, one record per
     /// line, oldest first.
     pub fn to_jsonl(&self) -> String {
-        let inner = self.inner.lock().expect("span sink poisoned");
         let mut out = String::new();
-        for record in &inner.records {
-            let line = serde_json::to_string(record).expect("span record serializes");
+        for record in self.records() {
+            let line = serde_json::to_string(&record).expect("span record serializes");
             let _ = writeln!(out, "{line}");
         }
         out
@@ -109,16 +134,16 @@ impl SpanSink {
 /// wall time into both on drop.
 #[derive(Debug, Clone, Default)]
 pub struct Span {
-    name: String,
+    name: &'static str,
     histogram: Option<Histogram>,
     sink: Option<SpanSink>,
 }
 
 impl Span {
     /// Creates a span with no outputs (a no-op until wired).
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'static str) -> Self {
         Span {
-            name: name.into(),
+            name,
             histogram: None,
             sink: None,
         }
@@ -152,7 +177,7 @@ impl Span {
             h.record(nanos);
         }
         if let Some(s) = &self.sink {
-            s.emit(&self.name, tick, nanos);
+            s.emit(self.name, tick, nanos);
         }
     }
 }
@@ -212,6 +237,30 @@ mod tests {
         sink.emit("s", 0, 1);
         assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 1);
+    }
+
+    #[test]
+    fn a_batch_is_the_same_as_its_emits_in_order() {
+        let (one_by_one, batched) = (SpanSink::bounded(3), SpanSink::bounded(3));
+        for tick in 0..3 {
+            one_by_one.emit("a", tick, 1);
+            one_by_one.emit("b", tick, 2);
+            batched.emit_all(tick, &[("a", 1), ("b", 2)]);
+        }
+        assert_eq!(batched.records(), one_by_one.records());
+        assert_eq!(batched.dropped(), 3);
+        assert_eq!(batched.to_jsonl(), one_by_one.to_jsonl());
+    }
+
+    #[test]
+    fn a_reader_that_panics_holding_the_sink_does_not_stop_the_emitter() {
+        let sink = SpanSink::bounded(2);
+        sink.emit("s", 0, 1);
+        crate::poison(&sink.inner);
+        sink.emit("s", 1, 1);
+        sink.emit_all(2, &[("s", 1)]);
+        assert_eq!((sink.len(), sink.dropped()), (2, 1));
+        assert_eq!(sink.records()[1].tick, 2);
     }
 
     #[test]

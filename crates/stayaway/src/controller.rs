@@ -8,11 +8,10 @@ use crate::stats::{ControllerStats, ResumeReason, StageClock, StageTiming};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde_json::json;
 use stayaway_obs::{attr, EventId, EventKind, Layer, MetricsSnapshot};
 use stayaway_statespace::{ExecutionMode, Point2, StateMap, Template};
 use stayaway_telemetry::{Action, HostSpec, Observation, Policy};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The Stay-Away middleware for one host.
 ///
@@ -207,32 +206,33 @@ impl Controller {
     /// Stage calls interleave where the paper's mechanism demands it (an
     /// observed violation first labels the map, then adapts β), so each
     /// stage's wall time is accumulated across its calls within the period
-    /// and recorded once at the end.
+    /// and recorded once at the end. The clock is read once per stage
+    /// boundary ([`Laps`]): the read that ends one stretch starts the
+    /// next. Verify → track is one predict stretch unless a violation is
+    /// learned in between, and its end is the forecast's start.
     fn period(&mut self, obs: &Observation) -> Result<Vec<Action>, CoreError> {
         self.stats.periods += 1;
         self.obs.periods.inc();
         let tick = obs.tick;
+        let mut spent = StageNanos::default();
+        let mut clock = Laps::start();
 
         // ---- Sense ------------------------------------------------------
-        let span = Instant::now();
         let sensed = self.sense.observe(obs);
-        self.stats.samples_rejected += sensed.rejected;
-        self.obs.samples_rejected.add(sensed.rejected);
-        let sense_span = span.elapsed();
+        if sensed.rejected > 0 {
+            self.stats.samples_rejected += sensed.rejected;
+            self.obs.samples_rejected.add(sensed.rejected);
+        }
+        spent.sense = clock.lap();
 
         // ---- Map --------------------------------------------------------
-        let span = Instant::now();
         let mapped = self.map.ingest(&sensed)?;
-        let mut map_span = span.elapsed();
-        let mut predict_span = Duration::ZERO;
-        let mut act_span = Duration::ZERO;
+        spent.map = clock.lap();
 
         // ---- Verify the previous prediction against reality -------------
         // (Before the violation label below: the verdict is judged against
         // the map as the forecast could have known it.)
-        let span = Instant::now();
         let verdict = self.predict.verify(&self.map, mapped.rep, mapped.point);
-        predict_span += span.elapsed();
         if let Some(hit) = verdict {
             self.stats.prediction_checks += 1;
             self.obs.prediction_checks.inc();
@@ -244,11 +244,11 @@ impl Controller {
 
         // ---- Learn violations --------------------------------------------
         if sensed.violated {
+            spent.predict += clock.lap();
             self.stats.violations_observed += 1;
             self.obs.violations_observed.inc();
-            let span = Instant::now();
             self.map.mark_violation(mapped.rep)?;
-            map_span += span.elapsed();
+            spent.map += clock.lap();
             if let Some(rec) = &self.obs.recorder {
                 // The causal link points at the verdict that was in force
                 // when the violation slipped through (the forecast that
@@ -262,10 +262,10 @@ impl Controller {
                     cause,
                     vec![attr("state", mapped.rep as u64)],
                 );
+                clock.skip();
             }
-            let span = Instant::now();
             let beta_increased = self.act.note_violation(tick);
-            act_span += span.elapsed();
+            spent.act += clock.lap();
             if beta_increased {
                 if let Some(rec) = &self.obs.recorder {
                     let cause = rec.last_id_of_kind(EventKind::SloViolation);
@@ -276,15 +276,15 @@ impl Controller {
                         cause,
                         vec![attr("beta", self.act.beta())],
                     );
+                    clock.skip();
                 }
             }
         }
 
         // ---- Trajectory update -------------------------------------------
-        let span = Instant::now();
         self.predict
             .track(&self.map, mapped.rep, mapped.point, &sensed)?;
-        predict_span += span.elapsed();
+        spent.predict += clock.lap();
 
         // ---- Act ---------------------------------------------------------
         let mut actions = Vec::new();
@@ -292,7 +292,6 @@ impl Controller {
         if self.act.is_throttling() {
             // §3.3: watch the sensitive application's isolated trajectory
             // for a phase change; resume on drift beyond β or optimistically.
-            let span = Instant::now();
             let decision = self.act.maybe_resume(
                 &self.map,
                 &sensed,
@@ -300,7 +299,7 @@ impl Controller {
                 self.sense.last_batch_usage(),
                 &mut self.rng,
             );
-            act_span += span.elapsed();
+            spent.act += clock.lap();
             if let Some(anchor) = self.act.take_anchor_established() {
                 if let Some(rec) = &self.obs.recorder {
                     let cause = rec.last_id_of_kind(EventKind::Throttle);
@@ -341,15 +340,12 @@ impl Controller {
             let mut predicted_violation = false;
             let mut verdict_event: Option<EventId> = None;
             if sensed.mode == ExecutionMode::CoLocated {
-                let span = Instant::now();
                 let forecast =
                     self.predict
                         .forecast(&self.map, &sensed, mapped.point, &mut self.rng);
-                let forecast_span = span.elapsed();
-                predict_span += forecast_span;
-                self.obs
-                    .forecast_latency
-                    .record(forecast_span.as_nanos() as u64);
+                let forecast_nanos = clock.lap();
+                spent.predict += forecast_nanos;
+                self.obs.forecast_latency.record(forecast_nanos);
                 if let Some(forecast) = forecast {
                     self.obs.verdicts.inc();
                     if forecast.predicted_violation {
@@ -386,9 +382,11 @@ impl Controller {
             let should_throttle = sensed.mode == ExecutionMode::CoLocated
                 && (predicted_violation || current_in_range || sensed.violated);
             if should_throttle {
-                let span = Instant::now();
+                if verdict_event.is_some() {
+                    clock.skip();
+                }
                 let targets = self.act.throttle_targets(obs);
-                act_span += span.elapsed();
+                spent.act += clock.lap();
                 if !targets.is_empty() {
                     self.stats.throttles += 1;
                     self.obs.throttles.inc();
@@ -410,10 +408,10 @@ impl Controller {
                                 attr("proactive", proactive),
                             ],
                         );
+                        clock.skip();
                     }
-                    let span = Instant::now();
                     let (engaged, pauses) = self.act.engage(tick, targets);
-                    act_span += span.elapsed();
+                    spent.act += clock.lap();
                     if engaged {
                         // A prediction consumed now will not see its next
                         // state under co-location; drop the pending verdict.
@@ -424,74 +422,101 @@ impl Controller {
             }
         }
 
-        self.finish_period(
-            tick,
-            mapped.point,
-            sense_span,
-            map_span,
-            predict_span,
-            act_span,
-        );
+        self.finish_period(tick, mapped.point, spent);
         Ok(actions)
     }
 
     /// End-of-period instrumentation: one latency record per stage
     /// (keeping histogram invocation counts == periods), mirrored span
     /// records, and the derived gauges. Pure writes — decision-inert.
-    fn finish_period(
-        &mut self,
-        tick: u64,
-        point: Point2,
-        sense: Duration,
-        map: Duration,
-        predict: Duration,
-        act: Duration,
-    ) {
-        let ns = |d: Duration| d.as_nanos() as u64;
-        self.obs.sense_latency.record(ns(sense));
-        self.obs.map_latency.record(ns(map));
-        self.obs.predict_latency.record(ns(predict));
-        self.obs.act_latency.record(ns(act));
+    fn finish_period(&mut self, tick: u64, point: Point2, spent: StageNanos) {
+        use stayaway_obs::StateScalar::{Bool, F64, U64};
+        self.obs.sense_latency.record(spent.sense);
+        self.obs.map_latency.record(spent.map);
+        self.obs.predict_latency.record(spent.predict);
+        self.obs.act_latency.record(spent.act);
         if let Some(sink) = &self.obs.sink {
-            sink.emit("controller.sense", tick, ns(sense));
-            sink.emit("controller.map", tick, ns(map));
-            sink.emit("controller.predict", tick, ns(predict));
-            sink.emit("controller.act", tick, ns(act));
+            sink.emit_all(
+                tick,
+                &[
+                    ("controller.sense", spent.sense),
+                    ("controller.map", spent.map),
+                    ("controller.predict", spent.predict),
+                    ("controller.act", spent.act),
+                ],
+            );
         }
-        if self.act.is_throttling() {
+        let throttling = self.act.is_throttling();
+        if throttling {
             self.obs.throttled_periods.inc();
         }
-        self.obs.beta.set(self.act.beta());
-        self.obs
-            .duty_cycle
-            .set(self.obs.throttled_periods.get() as f64 / self.stats.periods as f64);
+        let beta = self.act.beta();
+        let duty_cycle = self.obs.throttled_periods.get() as f64 / self.stats.periods as f64;
+        let states = self.map.repr_count();
+        let violation_states = self.map.state_map().violation_count();
+        self.obs.beta.set(beta);
+        self.obs.duty_cycle.set(duty_cycle);
         self.obs.events_dropped.set(self.events_dropped() as f64);
-        self.obs.states.set(self.map.repr_count() as f64);
-        self.obs
-            .violation_states
-            .set(self.map.state_map().violation_count() as f64);
+        self.obs.states.set(states as f64);
+        self.obs.violation_states.set(violation_states as f64);
         if self.stats.prediction_checks > 0 {
             self.obs.set_hit_ratio(
                 self.stats.prediction_hits as f64 / self.stats.prediction_checks as f64,
             );
         }
         if let Some(state) = &self.obs.state {
-            state.set(json!({
-                "tick": tick,
-                "beta": self.act.beta(),
-                "throttling": self.act.is_throttling(),
-                "duty_cycle": self.obs.throttled_periods.get() as f64
-                    / self.stats.periods as f64,
-                "point_x": point.x,
-                "point_y": point.y,
-                "states": self.map.repr_count() as u64,
-                "violation_states": self.map.state_map().violation_count() as u64,
-                "periods": self.stats.periods,
-                "violations_observed": self.stats.violations_observed,
-                "throttles": self.stats.throttles,
-                "resumes": self.stats.resumes,
-            }));
+            state.publish(&[
+                ("tick", U64(tick)),
+                ("beta", F64(beta)),
+                ("throttling", Bool(throttling)),
+                ("duty_cycle", F64(duty_cycle)),
+                ("point_x", F64(point.x)),
+                ("point_y", F64(point.y)),
+                ("states", U64(states as u64)),
+                ("violation_states", U64(violation_states as u64)),
+                ("periods", U64(self.stats.periods)),
+                ("violations_observed", U64(self.stats.violations_observed)),
+                ("throttles", U64(self.stats.throttles)),
+                ("resumes", U64(self.stats.resumes)),
+            ]);
         }
+    }
+}
+
+/// Wall time one period spent in each stage, in nanoseconds.
+#[derive(Debug, Clone, Copy, Default)]
+struct StageNanos {
+    sense: u64,
+    map: u64,
+    predict: u64,
+    act: u64,
+}
+
+/// The period's stopwatch: one clock read per boundary, shared by the
+/// stretch that ends there and the one that starts.
+struct Laps {
+    boundary: Instant,
+}
+
+impl Laps {
+    fn start() -> Self {
+        Laps {
+            boundary: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds since the previous boundary; now is the new boundary.
+    fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let nanos = now.duration_since(self.boundary).as_nanos() as u64;
+        self.boundary = now;
+        nanos
+    }
+
+    /// Moves the boundary to now, charging the stretch behind it (a
+    /// flight-recorder write) to no stage.
+    fn skip(&mut self) {
+        self.boundary = Instant::now();
     }
 }
 
@@ -696,6 +721,54 @@ mod tests {
             assert_eq!(clock.invocations, 200);
         }
         assert!(timing.sense.nanos > 0 || timing.map.nanos > 0);
+    }
+
+    /// `/state` is rendered when someone asks; the bytes must be those of
+    /// the `json!` tree the controller used to build every period — key
+    /// order, `u64` fields as integers, floats with their `.0` (the first
+    /// period's point is the origin, `0.0`), `beta` and the duty cycle as
+    /// floats. Checked after every period of the run.
+    #[test]
+    fn state_document_renders_the_bytes_the_eager_tree_did() {
+        let scenario = Scenario::vlc_with_cpubomb(23);
+        let mut h = scenario.build_harness().unwrap();
+        let cell = stayaway_obs::StateCell::new();
+        let obs = Observability::disabled().with_state(cell.clone());
+        let mut ctl =
+            Controller::for_host_observed(ControllerConfig::default(), h.host().spec(), obs)
+                .unwrap();
+        let mut whole_floats = 0;
+        for _ in 0..400 {
+            let observation = h.tick_observation();
+            let actions = ctl.decide(&observation);
+            h.apply(&actions);
+            let point = ctl.state_point(ctl.current_state().unwrap()).unwrap();
+            let eager = serde_json::json!({
+                "tick": observation.tick,
+                "beta": ctl.act.beta(),
+                "throttling": ctl.act.is_throttling(),
+                "duty_cycle": ctl.obs.throttled_periods.get() as f64
+                    / ctl.stats.periods as f64,
+                "point_x": point.x,
+                "point_y": point.y,
+                "states": ctl.map.repr_count() as u64,
+                "violation_states": ctl.map.state_map().violation_count() as u64,
+                "periods": ctl.stats.periods,
+                "violations_observed": ctl.stats.violations_observed,
+                "throttles": ctl.stats.throttles,
+                "resumes": ctl.stats.resumes,
+            });
+            let rendered = serde_json::to_string_pretty(&cell.get()).unwrap();
+            assert_eq!(
+                rendered,
+                serde_json::to_string_pretty(&eager).unwrap(),
+                "tick {}",
+                observation.tick
+            );
+            whole_floats += rendered.matches(".0,").count();
+        }
+        assert!(ctl.stats.throttles > 0 && ctl.stats.violations_observed > 0);
+        assert!(whole_floats > 0, "no whole-valued float was ever rendered");
     }
 
     #[test]

@@ -81,8 +81,9 @@ impl Observability {
         self
     }
 
-    /// Publishes a live controller-state JSON document into `state`
-    /// after every control period, for the `/state` HTTP endpoint.
+    /// Publishes the live controller state into `state` after every
+    /// control period, for the `/state` HTTP endpoint: a dozen scalars
+    /// copied per period, a JSON document only when the cell is read.
     pub fn with_state(mut self, state: StateCell) -> Self {
         self.state = Some(state);
         self

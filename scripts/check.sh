@@ -96,7 +96,18 @@ cargo build --release --workspace
 # bits; `latency::tests::shared_layout_at_five_bits_is_the_layout_this_file_had`
 # sweeps it against the functions `latency.rs` used to carry.
 #
-# Also here: the `stayaway-obs` suites and `--test observability`.
+# Introspection cost (`stayaway-core --test period_allocations`, the
+# `stayaway-obs` model tests in `--test properties`): a fence that reads no
+# clock — under a counting global allocator, a control period with
+# registry + span ring + flight recorder + `/state` cell on performs the
+# heap allocations of the same period with observability disabled, unless
+# it wrote a recorder event; `Histogram` snapshots equal a naive tally
+# (exact extremes under two concurrent writers), the span ring equals a
+# `VecDeque<SpanRecord>` at capacities 0, 1 and 4096, and `/state` rendered
+# on request is byte-for-byte the tree the controller used to build every
+# period (`controller::tests::state_document_renders_the_bytes_the_eager_tree_did`).
+#
+# Also here: the other `stayaway-obs` suites and `--test observability`.
 cargo test -q --workspace
 # The cluster scale curve, 4x10 to 100x1000 hosts x jobs (`#[ignore]`d in
 # the run above: minutes in debug, ~20 s in release). Every size must
