@@ -11,12 +11,17 @@
 //! templates for the same key, the one with more violation-states wins
 //! (more states, then lower source cell, as tie-breakers), so the final
 //! registry contents do not depend on which worker published first.
+//! **A poisoned lock is recovered**, not propagated: fleet workers share
+//! the registry, and a cell that panicked mid-publish must not take every
+//! other cell down with it. The map is never left half-written by a
+//! panic — each publish is one `insert` or one assignment — so the guard a
+//! poisoned lock hands back holds a consistent map.
 
 use crate::FleetError;
 use serde::{Deserialize, Serialize};
 use stayaway_statespace::Template;
 use std::collections::BTreeMap;
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One registered template plus its provenance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,9 +59,19 @@ impl TemplateRegistry {
         TemplateRegistry::default()
     }
 
+    /// The map for reading, recovering a poisoned lock.
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, RegistryEntry>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The map for writing, recovering a poisoned lock.
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, RegistryEntry>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of registered sensitive workloads.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("registry lock poisoned").len()
+        self.read().len()
     }
 
     /// True when nothing has been published yet.
@@ -77,7 +92,7 @@ impl TemplateRegistry {
             template,
             source_cell,
         };
-        let mut map = self.inner.write().expect("registry lock poisoned");
+        let mut map = self.write();
         match map.get_mut(&entry.sensitive) {
             Some(existing) if existing.rank() >= entry.rank() => false,
             Some(existing) => {
@@ -93,29 +108,17 @@ impl TemplateRegistry {
 
     /// True when a template is registered for this sensitive workload.
     pub fn contains(&self, sensitive: &str) -> bool {
-        self.inner
-            .read()
-            .expect("registry lock poisoned")
-            .contains_key(sensitive)
+        self.read().contains_key(sensitive)
     }
 
     /// The best registered template for a sensitive workload, if any.
     pub fn lookup(&self, sensitive: &str) -> Option<RegistryEntry> {
-        self.inner
-            .read()
-            .expect("registry lock poisoned")
-            .get(sensitive)
-            .cloned()
+        self.read().get(sensitive).cloned()
     }
 
     /// Every registered entry, ordered by sensitive-workload key.
     pub fn snapshot(&self) -> Vec<RegistryEntry> {
-        self.inner
-            .read()
-            .expect("registry lock poisoned")
-            .values()
-            .cloned()
-            .collect()
+        self.read().values().cloned().collect()
     }
 
     /// Serialises the registry (its ordered snapshot) as JSON — the wire
@@ -221,6 +224,26 @@ mod tests {
         // Snapshot is key-ordered.
         assert_eq!(snap[0].sensitive, "vlc");
         assert_eq!(snap[1].sensitive, "webservice-mix");
+    }
+
+    #[test]
+    fn a_cell_that_panics_holding_the_write_lock_does_not_stop_the_others() {
+        let r = std::sync::Arc::new(TemplateRegistry::new());
+        r.publish(template("vlc", 1, 1), 0);
+        let held = std::sync::Arc::clone(&r);
+        let writer = std::thread::spawn(move || {
+            let _guard = held.inner.write().unwrap();
+            panic!("cell died mid-publish");
+        });
+        assert!(writer.join().is_err());
+        assert!(r.inner.is_poisoned());
+        // Every entry point still works, on the map as it was.
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.lookup("vlc").unwrap().source_cell, 0);
+        assert!(r.contains("vlc"));
+        assert!(r.publish(template("webservice-mix", 2, 1), 1));
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.snapshot().len(), 2);
     }
 
     #[test]

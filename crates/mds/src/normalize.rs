@@ -117,17 +117,32 @@ impl Normalizer {
     ///
     /// Returns [`MdsError::DimensionMismatch`] for wrong-length input.
     pub fn normalize(&self, vector: &[f64]) -> Result<Vec<f64>, MdsError> {
+        let mut out = Vec::with_capacity(vector.len());
+        self.normalize_into(vector, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Normalizer::normalize`] into `out` (overwritten; untouched on
+    /// error).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MdsError::DimensionMismatch`] for wrong-length input.
+    pub fn normalize_into(&self, vector: &[f64], out: &mut Vec<f64>) -> Result<(), MdsError> {
         if vector.len() != self.bounds.len() {
             return Err(MdsError::DimensionMismatch {
                 expected: self.bounds.len(),
                 found: vector.len(),
             });
         }
-        Ok(vector
-            .iter()
-            .zip(&self.bounds)
-            .map(|(v, b)| b.normalize(*v))
-            .collect())
+        out.clear();
+        out.extend(
+            vector
+                .iter()
+                .zip(&self.bounds)
+                .map(|(v, b)| b.normalize(*v)),
+        );
+        Ok(())
     }
 }
 

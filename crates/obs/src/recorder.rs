@@ -18,6 +18,7 @@
 
 use crate::event::{sort_events, EventId, EventKind, EventRecord, Layer};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default ring capacity used by the runtime planes.
@@ -30,7 +31,6 @@ struct RecorderInner {
     capacity: usize,
     next_seq: u64,
     events: VecDeque<EventRecord>,
-    dropped: u64,
     /// Most recent id per kind — survives ring eviction, so causal
     /// links are identical for any capacity.
     last_by_kind: Vec<(EventKind, EventId)>,
@@ -40,6 +40,10 @@ struct RecorderInner {
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<RecorderInner>>,
+    /// Records evicted or refused. Bumped under the ring's lock by the one
+    /// writer, read without it: a controller sets its `events_dropped`
+    /// gauge from it every period.
+    dropped: Arc<AtomicU64>,
 }
 
 impl FlightRecorder {
@@ -56,9 +60,9 @@ impl FlightRecorder {
                 capacity,
                 next_seq: 0,
                 events: VecDeque::with_capacity(capacity.min(4096)),
-                dropped: 0,
                 last_by_kind: Vec::new(),
             })),
+            dropped: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -126,12 +130,12 @@ impl FlightRecorder {
             None => inner.last_by_kind.push((kind, id)),
         }
         if inner.capacity == 0 {
-            inner.dropped += 1;
+            self.dropped.fetch_add(1, Ordering::Relaxed);
             return id;
         }
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
-            inner.dropped += 1;
+            self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         let record = EventRecord {
             tick,
@@ -171,8 +175,9 @@ impl FlightRecorder {
     }
 
     /// Number of records evicted or refused because the ring was full.
+    /// Takes no lock.
     pub fn dropped(&self) -> u64 {
-        crate::lock(&self.inner).dropped
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Clones out the retained records, oldest first.

@@ -60,6 +60,19 @@ pub struct Allocation {
     pub cache_factor: f64,
 }
 
+/// The working vectors of [`allocate_into`], kept by the caller so a
+/// steady tick allocates nothing. Their contents between calls are
+/// meaningless; only their capacity is reused.
+#[derive(Debug, Clone, Default)]
+pub struct ContentionScratch {
+    /// One rate resource's demands, per application.
+    demand: Vec<f64>,
+    /// That resource's max-min fair grants, per application.
+    grant: Vec<f64>,
+    /// The progressive filling's unsatisfied consumers.
+    unsatisfied: Vec<usize>,
+}
+
 /// Max-min fair allocation (progressive filling) of one scalar resource.
 ///
 /// Returns per-consumer grants: consumers demanding less than the fair
@@ -67,38 +80,53 @@ pub struct Allocation {
 /// rest. Total grants never exceed `capacity`, and no consumer receives
 /// more than it demanded.
 pub fn max_min_fair(demands: &[f64], capacity: f64) -> Vec<f64> {
+    let mut grants = Vec::with_capacity(demands.len());
+    max_min_fair_into(demands, capacity, &mut grants, &mut Vec::new());
+    grants
+}
+
+/// [`max_min_fair`] into `grants` (overwritten), with `unsatisfied` as
+/// the caller's reusable working list.
+pub fn max_min_fair_into(
+    demands: &[f64],
+    capacity: f64,
+    grants: &mut Vec<f64>,
+    unsatisfied: &mut Vec<usize>,
+) {
     let n = demands.len();
-    let mut grants = vec![0.0; n];
+    grants.clear();
+    grants.resize(n, 0.0);
     if n == 0 || capacity <= 0.0 {
-        return grants;
+        return;
     }
     let mut remaining = capacity;
-    let mut unsatisfied: Vec<usize> = (0..n).filter(|&i| demands[i] > 0.0).collect();
+    unsatisfied.clear();
+    unsatisfied.extend((0..n).filter(|&i| demands[i] > 0.0));
     // Progressive filling: repeatedly give every unsatisfied consumer up to
-    // the current fair share of what remains.
+    // the current fair share of what remains. `retain` visits the list in
+    // order, so the grants accumulate in the same order as ever.
     while !unsatisfied.is_empty() && remaining > 1e-12 {
         let share = remaining / unsatisfied.len() as f64;
-        let mut still = Vec::with_capacity(unsatisfied.len());
+        let before = unsatisfied.len();
         let mut consumed = 0.0;
-        for &i in &unsatisfied {
+        unsatisfied.retain(|&i| {
             let want = demands[i] - grants[i];
             if want <= share {
                 grants[i] += want;
                 consumed += want;
+                false
             } else {
                 grants[i] += share;
                 consumed += share;
-                still.push(i);
+                true
             }
-        }
+        });
         remaining -= consumed;
-        if still.len() == unsatisfied.len() {
+        if unsatisfied.len() == before {
             // Everyone took a full share: capacity exhausted.
             break;
         }
-        unsatisfied = still;
     }
-    grants
 }
 
 /// Allocates one tick for a set of co-located demand vectors.
@@ -111,15 +139,50 @@ pub fn allocate(
     spec: &HostSpec,
     params: &ContentionParams,
 ) -> Vec<Allocation> {
+    let mut out = Vec::with_capacity(demands.len());
+    allocate_into(
+        demands,
+        spec,
+        params,
+        &mut ContentionScratch::default(),
+        &mut out,
+    );
+    out
+}
+
+/// [`allocate`] into `out` (overwritten), with the working vectors in
+/// `scratch`.
+pub fn allocate_into(
+    demands: &[ResourceVector],
+    spec: &HostSpec,
+    params: &ContentionParams,
+    scratch: &mut ContentionScratch,
+    out: &mut Vec<Allocation>,
+) {
     let n = demands.len();
-    let mut grants = vec![ResourceVector::zero(); n];
+    out.clear();
+    out.resize(
+        n,
+        Allocation {
+            granted: ResourceVector::zero(),
+            perf: 0.0,
+            swap_factor: 1.0,
+            cache_factor: 1.0,
+        },
+    );
 
     // 1. Rate resources: max-min fair per resource.
     for kind in ResourceKind::SHARED_RATES {
-        let d: Vec<f64> = demands.iter().map(|v| v.get(kind)).collect();
-        let g = max_min_fair(&d, spec.capacity(kind));
-        for i in 0..n {
-            grants[i].set(kind, g[i]);
+        scratch.demand.clear();
+        scratch.demand.extend(demands.iter().map(|v| v.get(kind)));
+        max_min_fair_into(
+            &scratch.demand,
+            spec.capacity(kind),
+            &mut scratch.grant,
+            &mut scratch.unsatisfied,
+        );
+        for (a, &g) in out.iter_mut().zip(&scratch.grant) {
+            a.granted.set(kind, g);
         }
     }
 
@@ -129,9 +192,8 @@ pub fn allocate(
     let overcommit = ((total_mem - ram) / ram).max(0.0);
     // Normalised touch intensity: how hard each app drives the memory bus.
     let membw_cap = spec.capacity(ResourceKind::MemBandwidth);
-    let mut swap_factors = vec![1.0; n];
-    for i in 0..n {
-        let mem = demands[i].get(ResourceKind::Memory);
+    for (a, demand) in out.iter_mut().zip(demands) {
+        let mem = demand.get(ResourceKind::Memory);
         // Resident set: under over-commit each app keeps a proportional
         // slice of RAM; the rest is swapped out.
         let resident = if total_mem > ram && total_mem > 0.0 {
@@ -139,25 +201,28 @@ pub fn allocate(
         } else {
             mem
         };
-        grants[i].set(ResourceKind::Memory, resident);
+        a.granted.set(ResourceKind::Memory, resident);
         if overcommit > 0.0 && mem > 0.0 {
-            let touch = (demands[i].get(ResourceKind::MemBandwidth) / membw_cap).clamp(0.0, 1.0);
-            swap_factors[i] = 1.0 / (1.0 + params.swap_slowdown * overcommit * touch);
+            let touch = (demand.get(ResourceKind::MemBandwidth) / membw_cap).clamp(0.0, 1.0);
+            a.swap_factor = 1.0 / (1.0 + params.swap_slowdown * overcommit * touch);
             // Swapping shows up as disk traffic on the victim.
             let induced = (mem - resident) * params.swap_disk_per_mb;
-            let disk = grants[i].get(ResourceKind::DiskIo) + induced;
-            grants[i].set(ResourceKind::DiskIo, disk);
+            let disk = a.granted.get(ResourceKind::DiskIo) + induced;
+            a.granted.set(ResourceKind::DiskIo, disk);
         }
     }
     // Swap traffic competes with regular I/O for the same device: rescale
     // disk grants proportionally when the induced total oversubscribes it.
-    let total_disk: f64 = grants.iter().map(|g| g.get(ResourceKind::DiskIo)).sum();
+    let total_disk: f64 = out
+        .iter()
+        .map(|a| a.granted.get(ResourceKind::DiskIo))
+        .sum();
     let disk_cap = spec.capacity(ResourceKind::DiskIo);
     if total_disk > disk_cap && total_disk > 0.0 {
         let scale = disk_cap / total_disk;
-        for g in &mut grants {
-            let d = g.get(ResourceKind::DiskIo);
-            g.set(ResourceKind::DiskIo, d * scale);
+        for a in out.iter_mut() {
+            let d = a.granted.get(ResourceKind::DiskIo);
+            a.granted.set(ResourceKind::DiskIo, d * scale);
         }
     }
 
@@ -165,50 +230,39 @@ pub fn allocate(
     let total_cache: f64 = demands.iter().map(|v| v.get(ResourceKind::Cache)).sum();
     let llc = spec.capacity(ResourceKind::Cache);
     let cache_overflow = ((total_cache - llc) / llc).clamp(0.0, 1.0);
-    let mut cache_factors = vec![1.0; n];
-    for i in 0..n {
-        let footprint = demands[i].get(ResourceKind::Cache);
+    for (a, demand) in out.iter_mut().zip(demands) {
+        let footprint = demand.get(ResourceKind::Cache);
         // Effective occupancy shrinks proportionally under overflow.
         let occupied = if total_cache > llc && total_cache > 0.0 {
             footprint * llc / total_cache
         } else {
             footprint
         };
-        grants[i].set(ResourceKind::Cache, occupied);
+        a.granted.set(ResourceKind::Cache, occupied);
         if cache_overflow > 0.0 && footprint > 0.0 {
             let sensitivity = (footprint / llc).clamp(0.0, 1.0);
-            cache_factors[i] = 1.0 - params.cache_penalty_max * cache_overflow * sensitivity;
+            a.cache_factor = 1.0 - params.cache_penalty_max * cache_overflow * sensitivity;
         }
     }
 
     // 4. Bottleneck-law performance.
-    (0..n)
-        .map(|i| {
-            let mut ratio: f64 = 1.0;
-            let mut any_demand = false;
-            for kind in ResourceKind::SHARED_RATES {
-                let d = demands[i].get(kind);
-                if d > 1e-12 {
-                    any_demand = true;
-                    ratio = ratio.min(grants[i].get(kind) / d);
-                }
-            }
-            if demands[i].get(ResourceKind::Memory) > 1e-12 {
+    for (a, demand) in out.iter_mut().zip(demands) {
+        let mut ratio: f64 = 1.0;
+        let mut any_demand = false;
+        for kind in ResourceKind::SHARED_RATES {
+            let d = demand.get(kind);
+            if d > 1e-12 {
                 any_demand = true;
+                ratio = ratio.min(a.granted.get(kind) / d);
             }
-            let perf = if any_demand {
-                (ratio * swap_factors[i] * cache_factors[i]).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            Allocation {
-                granted: grants[i],
-                perf,
-                swap_factor: swap_factors[i],
-                cache_factor: cache_factors[i],
-            }
-        })
-        .collect()
+        }
+        if demand.get(ResourceKind::Memory) > 1e-12 {
+            any_demand = true;
+        }
+        if any_demand {
+            a.perf = (ratio * a.swap_factor * a.cache_factor).clamp(0.0, 1.0);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::app::AppClass;
 use crate::container::ContainerId;
 use crate::host::{Host, HostTick};
-use crate::policy::{Action, ContainerObs, Observation, Policy};
+use crate::policy::{Action, Observation, Policy};
 use crate::qos::QosSpec;
 use crate::resources::{ResourceKind, ResourceVector};
 use crate::SimError;
@@ -18,12 +18,48 @@ pub struct Harness {
     host: Host,
     qos: QosSpec,
     sensitive: Option<ContainerId>,
-    noise_sd: f64,
-    rng: StdRng,
+    noise: Noise,
     /// Physics report of the most recent tick, kept so the accounting
     /// record can be built after the policy acted (see
-    /// [`Harness::record_for_last`]).
+    /// [`Harness::record_for_last`]), and refilled by the next tick.
     last_report: Option<HostTick>,
+    /// The observation handed back through
+    /// [`stayaway_telemetry::ObservationSource::recycle`], refilled by the
+    /// next pull.
+    pub(crate) spare: Option<Observation>,
+}
+
+/// Multiplicative Gaussian monitoring noise and its seeded stream.
+#[derive(Debug)]
+struct Noise {
+    sd: f64,
+    rng: StdRng,
+}
+
+impl Noise {
+    /// `x` perturbed by a Box–Muller draw at standard deviation `sd`;
+    /// zero, negative and noiseless readings draw nothing.
+    fn scalar(&mut self, x: f64, sd: f64) -> f64 {
+        if sd == 0.0 || x <= 0.0 {
+            return x;
+        }
+        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+        (x * (1.0 + sd * z)).max(0.0)
+    }
+
+    /// Every positive metric of `v` through [`Noise::scalar`] at the
+    /// harness's standard deviation, in [`ResourceKind::ALL`] order.
+    fn vector(&mut self, mut v: ResourceVector) -> ResourceVector {
+        for kind in ResourceKind::ALL {
+            let x = v.get(kind);
+            if x > 0.0 {
+                v.set(kind, self.scalar(x, self.sd));
+            }
+        }
+        v
+    }
 }
 
 impl Harness {
@@ -49,9 +85,12 @@ impl Harness {
             host,
             qos,
             sensitive,
-            noise_sd,
-            rng: StdRng::seed_from_u64(seed ^ 0x5f3759df),
+            noise: Noise {
+                sd: noise_sd,
+                rng: StdRng::seed_from_u64(seed ^ 0x5f3759df),
+            },
             last_report: None,
+            spare: None,
         })
     }
 
@@ -62,7 +101,7 @@ impl Harness {
     /// copy-pasting scenario construction. The host physics are untouched:
     /// only the observation noise stream changes.
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed ^ 0x5f3759df);
+        self.noise.rng = StdRng::seed_from_u64(seed ^ 0x5f3759df);
     }
 
     /// The tracked sensitive container, if any.
@@ -85,96 +124,41 @@ impl Harness {
         &mut self.host
     }
 
-    fn noisy_scalar(&mut self, x: f64, sd: f64) -> f64 {
-        if sd == 0.0 || x <= 0.0 {
-            return x;
-        }
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (x * (1.0 + sd * z)).max(0.0)
-    }
-
-    fn noisy(&mut self, v: ResourceVector) -> ResourceVector {
-        if self.noise_sd == 0.0 {
-            return v;
-        }
-        let mut out = v;
-        for kind in ResourceKind::ALL {
-            let x = out.get(kind);
-            if x > 0.0 {
-                let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = self.rng.gen_range(0.0..1.0);
-                let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-                out.set(kind, (x * (1.0 + self.noise_sd * z)).max(0.0));
-            }
-        }
-        out
-    }
-
-    fn observation_from(&mut self, report: &HostTick) -> Observation {
-        let (qos_value, violation, _active) = self.qos_of(report);
-        let containers = report
-            .containers
-            .iter()
-            .map(|ct| ContainerObs {
-                id: ct.id,
-                name: self
-                    .host
-                    .container(ct.id)
-                    .map(|c| c.app_name().to_string())
-                    .unwrap_or_default(),
-                class: ct.class,
-                active: ct.active,
-                paused: ct.paused,
-                finished: ct.finished,
-                usage: ct.usage,
-                ipc: ct.perf,
-                priority: self
-                    .host
-                    .container(ct.id)
-                    .map(|c| c.priority())
-                    .unwrap_or(0),
-            })
-            .collect::<Vec<_>>();
-        let containers = containers
-            .into_iter()
-            .map(|mut c| {
-                c.usage = self.noisy(c.usage);
-                // Hardware counters are a blurrier progress signal than the
-                // application's own QoS metric: triple the monitoring noise.
-                c.ipc = self.noisy_scalar(c.ipc, 3.0 * self.noise_sd);
-                c
-            })
-            .collect();
-        Observation {
-            tick: report.tick,
-            containers,
-            qos_violation: violation,
-            qos_value,
-        }
-    }
-
-    /// QoS value, violation flag and activity of the tracked sensitive
-    /// container for a tick report.
-    fn qos_of(&self, report: &HostTick) -> (f64, bool, bool) {
-        match self.sensitive.and_then(|id| report.container(id)) {
-            Some(ct) if ct.active => {
-                let violated = self.qos.is_violation(ct.perf);
-                (ct.perf, violated, true)
-            }
-            _ => (1.0, false, false),
-        }
-    }
-
     /// Advances the host one tick and returns the (noisy) observation of
     /// it — the "sense" half of a closed-loop step. The physics report is
     /// retained for [`Harness::record_for_last`].
     pub fn tick_observation(&mut self) -> Observation {
-        let report = self.host.step();
-        let obs = self.observation_from(&report);
-        self.last_report = Some(report);
-        obs
+        let mut observation = Observation::default();
+        self.tick_observation_into(&mut observation);
+        observation
+    }
+
+    /// [`Harness::tick_observation`] into `out`, overwriting every field
+    /// and reusing its container entries and their name strings.
+    pub fn tick_observation_into(&mut self, out: &mut Observation) {
+        let report = self.last_report.get_or_insert_with(HostTick::default);
+        self.host.step_into(report);
+        let (qos_value, violation, _active) = qos_of(self.qos, self.sensitive, report);
+        out.tick = report.tick;
+        out.qos_violation = violation;
+        out.qos_value = qos_value;
+        let slots = out.resize_containers(report.containers.len());
+        for (c, ct) in slots.iter_mut().zip(&report.containers) {
+            let container = self.host.container(ct.id).ok();
+            c.id = ct.id;
+            c.name.clear();
+            c.name.push_str(container.map_or("", |c| c.app_name()));
+            c.class = ct.class;
+            c.active = ct.active;
+            c.paused = ct.paused;
+            c.finished = ct.finished;
+            c.priority = container.map_or(0, |c| c.priority());
+            // Noise is drawn per container, usage then ipc. Hardware
+            // counters are a blurrier progress signal than the
+            // application's own QoS metric: triple the monitoring noise.
+            c.usage = self.noise.vector(ct.usage);
+            c.ipc = self.noise.scalar(ct.perf, 3.0 * self.noise.sd);
+        }
     }
 
     /// Applies policy actions to the host (they take effect from the next
@@ -199,7 +183,7 @@ impl Harness {
     /// observation). `None` before the first tick.
     pub fn record_for_last(&self, actions: usize) -> Option<TickRecord> {
         let report = self.last_report.as_ref()?;
-        let (qos_value, violated, sensitive_active) = self.qos_of(report);
+        let (qos_value, violated, sensitive_active) = qos_of(self.qos, self.sensitive, report);
         Some(TickRecord {
             tick: report.tick,
             qos_value,
@@ -246,6 +230,15 @@ impl Harness {
     /// [`stayaway_telemetry::drive`] over the harness itself.
     pub fn run(&mut self, policy: &mut dyn Policy, ticks: u64) -> RunOutcome {
         stayaway_telemetry::drive(self, policy, ticks).expect("the simulator source never fails")
+    }
+}
+
+/// QoS value, violation flag and activity of the tracked sensitive
+/// container for a tick report.
+fn qos_of(qos: QosSpec, sensitive: Option<ContainerId>, report: &HostTick) -> (f64, bool, bool) {
+    match sensitive.and_then(|id| report.container(id)) {
+        Some(ct) if ct.active => (ct.perf, qos.is_violation(ct.perf), true),
+        _ => (1.0, false, false),
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::app::{AppClass, Application};
 use crate::container::{Container, ContainerId};
-use crate::contention::{allocate, Allocation, ContentionParams};
+use crate::contention::{allocate_into, Allocation, ContentionParams, ContentionScratch};
 use crate::resources::{ResourceKind, ResourceVector};
 use crate::SimError;
 
@@ -28,7 +28,7 @@ pub struct ContainerTick {
 }
 
 /// Host-wide outcome of one tick.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct HostTick {
     /// The tick index this report describes.
     pub tick: u64,
@@ -69,6 +69,19 @@ pub struct Host {
     params: ContentionParams,
     containers: Vec<Container>,
     tick: u64,
+    physics: TickBuffers,
+}
+
+/// What one tick's physics writes, kept across ticks so a steady
+/// [`Host::step_into`] allocates nothing.
+#[derive(Debug, Default)]
+struct TickBuffers {
+    demands: Vec<ResourceVector>,
+    /// Whether each container demanded this tick, read before delivery
+    /// can finish it.
+    active: Vec<bool>,
+    allocations: Vec<Allocation>,
+    scratch: ContentionScratch,
 }
 
 impl Host {
@@ -85,6 +98,7 @@ impl Host {
             params: ContentionParams::default(),
             containers: Vec::new(),
             tick: 0,
+            physics: TickBuffers::default(),
         })
     }
 
@@ -201,9 +215,23 @@ impl Host {
     /// containers, runs the contention model, delivers progress, and
     /// reports what happened.
     pub fn step(&mut self) -> HostTick {
+        let mut report = HostTick::default();
+        self.step_into(&mut report);
+        report
+    }
+
+    /// [`Host::step`] into `report` (overwritten), the physics working in
+    /// buffers the host keeps.
+    pub fn step_into(&mut self, report: &mut HostTick) {
         let t = self.tick;
-        let mut demands = Vec::with_capacity(self.containers.len());
-        let mut active = Vec::with_capacity(self.containers.len());
+        let TickBuffers {
+            demands,
+            active,
+            allocations,
+            scratch,
+        } = &mut self.physics;
+        demands.clear();
+        active.clear();
         for c in &mut self.containers {
             if c.is_active(t) {
                 demands.push(c.app_mut().demand(t).clamp_non_negative());
@@ -214,33 +242,29 @@ impl Host {
             }
         }
 
-        let allocations: Vec<Allocation> = allocate(&demands, &self.spec, &self.params);
+        allocate_into(demands, &self.spec, &self.params, scratch, allocations);
 
-        let mut reports = Vec::with_capacity(self.containers.len());
-        for (i, c) in self.containers.iter_mut().enumerate() {
-            let alloc = &allocations[i];
-            if active[i] {
+        report.tick = t;
+        report.containers.clear();
+        for ((c, alloc), &active) in self.containers.iter_mut().zip(&*allocations).zip(&*active) {
+            if active {
                 c.app_mut().deliver(alloc.perf);
             }
-            reports.push(ContainerTick {
+            report.containers.push(ContainerTick {
                 id: c.id(),
                 class: c.class(),
-                usage: if active[i] {
+                usage: if active {
                     alloc.granted
                 } else {
                     ResourceVector::zero()
                 },
-                perf: if active[i] { alloc.perf } else { 0.0 },
-                active: active[i],
+                perf: if active { alloc.perf } else { 0.0 },
+                active,
                 paused: c.is_paused(),
                 finished: c.is_finished(),
             });
         }
         self.tick += 1;
-        HostTick {
-            tick: t,
-            containers: reports,
-        }
     }
 }
 

@@ -23,7 +23,13 @@ impl ObservationSource for Harness {
     }
 
     fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
-        Ok(Some(self.tick_observation()))
+        let mut observation = self.spare.take().unwrap_or_default();
+        self.tick_observation_into(&mut observation);
+        Ok(Some(observation))
+    }
+
+    fn recycle(&mut self, observation: Observation) {
+        self.spare = Some(observation);
     }
 
     fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {
@@ -85,6 +91,10 @@ impl ObservationSource for SimSource {
 
     fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
         self.harness.next_observation()
+    }
+
+    fn recycle(&mut self, observation: Observation) {
+        self.harness.recycle(observation);
     }
 
     fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {

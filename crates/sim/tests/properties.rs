@@ -2,9 +2,122 @@
 
 use proptest::prelude::*;
 use stayaway_sim::app::{Application, Phase, PhasedApp};
-use stayaway_sim::contention::{allocate, max_min_fair, ContentionParams};
+use stayaway_sim::contention::{
+    allocate, allocate_into, max_min_fair, max_min_fair_into, Allocation, ContentionParams,
+    ContentionScratch,
+};
 use stayaway_sim::workload::Trace;
 use stayaway_sim::{HostSpec, ResourceKind, ResourceVector};
+
+#[path = "reference/mod.rs"]
+mod reference;
+
+/// A demand vector for the default host spanning every regime the physics
+/// distinguishes: idle (one in five is all zero), rate contention, RAM
+/// over-commit (two of 6 000 MB overflow 8 192 MB), LLC overflow (two of
+/// 3 MB overflow 4 MB) and swap traffic on top of disk demand that
+/// oversubscribes the 200 MB/s device.
+fn regime_demand() -> impl Strategy<Value = ResourceVector> {
+    (
+        0u8..5,
+        (
+            0.0f64..3.0,
+            0.0f64..6_000.0,
+            0.0f64..8_000.0,
+            0.0f64..150.0,
+            0.0f64..700.0,
+            0.0f64..3.0,
+        ),
+    )
+        .prop_map(|(idle, (cpu, mem, bw, disk, net, cache))| {
+            if idle == 0 {
+                ResourceVector::zero()
+            } else {
+                ResourceVector::new(cpu, mem, bw, disk, net, cache)
+            }
+        })
+}
+
+/// Every field of an allocation, as bits.
+fn bits(a: &Allocation) -> Vec<u64> {
+    let mut out: Vec<u64> = ResourceKind::ALL
+        .iter()
+        .map(|&kind| a.granted.get(kind).to_bits())
+        .collect();
+    out.extend([a.perf, a.swap_factor, a.cache_factor].map(f64::to_bits));
+    out
+}
+
+/// `allocate_into` through one scratch and one output vector reused
+/// across `sets` equals the pre-buffer `allocate` on each, bit for bit.
+fn buffered_matches_reference(sets: &[Vec<ResourceVector>]) -> Result<(), String> {
+    let spec = HostSpec::default();
+    let params = ContentionParams::default();
+    let mut scratch = ContentionScratch::default();
+    let mut out = Vec::new();
+    for demands in sets {
+        allocate_into(demands, &spec, &params, &mut scratch, &mut out);
+        let want = reference::allocate(demands, &spec, &params);
+        let got: Vec<Vec<u64>> = out.iter().map(bits).collect();
+        let want: Vec<Vec<u64>> = want.iter().map(bits).collect();
+        if got != want {
+            return Err(format!(
+                "{demands:?}: buffered {got:?} != reference {want:?}"
+            ));
+        }
+        // The wrapper is the same function.
+        if allocate(demands, &spec, &params) != out {
+            return Err(format!("{demands:?}: allocate differs from allocate_into"));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn buffered_allocation_matches_the_reference_in_every_regime() {
+    let spec = HostSpec::default();
+    let ram = spec.capacity(ResourceKind::Memory);
+    let llc = spec.capacity(ResourceKind::Cache);
+    let disk = spec.capacity(ResourceKind::DiskIo);
+    let app = |cpu: f64, mem: f64, bw: f64, io: f64, cache: f64| {
+        ResourceVector::new(cpu, mem, bw, io, 50.0, cache)
+    };
+    let zeros = vec![ResourceVector::zero(), ResourceVector::zero()];
+    let overcommit = vec![
+        app(1.0, 0.7 * ram, 8_000.0, 10.0, 0.5),
+        app(1.0, 0.7 * ram, 200.0, 10.0, 0.5),
+    ];
+    let llc_overflow = vec![
+        app(1.0, 500.0, 1_000.0, 5.0, 0.8 * llc),
+        app(1.0, 500.0, 1_000.0, 5.0, 0.7 * llc),
+        ResourceVector::zero(),
+    ];
+    let disk_rescale = vec![
+        app(0.5, 0.9 * ram, 9_000.0, 0.6 * disk, 0.2),
+        app(0.5, 0.9 * ram, 9_000.0, 0.6 * disk, 0.2),
+        app(3.0, 100.0, 500.0, 0.3 * disk, 0.2),
+    ];
+    // Each set exercises the regime it is named after.
+    let params = ContentionParams::default();
+    assert!(allocate(&zeros, &spec, &params)
+        .iter()
+        .all(|a| a.perf == 0.0));
+    assert!(allocate(&overcommit, &spec, &params)[0].swap_factor < 1.0);
+    assert!(allocate(&llc_overflow, &spec, &params)[0].cache_factor < 1.0);
+    let rescaled: f64 = allocate(&disk_rescale, &spec, &params)
+        .iter()
+        .map(|a| a.granted.get(ResourceKind::DiskIo))
+        .sum();
+    assert!(
+        (rescaled - disk).abs() < 1e-9,
+        "disk not rescaled: {rescaled}"
+    );
+    // Shrinking and growing through the same buffers, in both orders.
+    let sets = [zeros, overcommit, llc_overflow, disk_rescale, Vec::new()];
+    buffered_matches_reference(&sets).unwrap();
+    let reversed: Vec<_> = sets.iter().rev().cloned().collect();
+    buffered_matches_reference(&reversed).unwrap();
+}
 
 fn demand_strategy() -> impl Strategy<Value = ResourceVector> {
     (
@@ -22,6 +135,35 @@ fn demand_strategy() -> impl Strategy<Value = ResourceVector> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The buffered physics equal the pre-buffer physics bit for bit on
+    /// random demand sets of changing size pushed through one set of
+    /// buffers.
+    #[test]
+    fn buffered_allocation_matches_the_reference(
+        sets in prop::collection::vec(prop::collection::vec(regime_demand(), 0..7), 1..6),
+    ) {
+        if let Err(e) = buffered_matches_reference(&sets) {
+            prop_assert!(false, "{}", e);
+        }
+    }
+
+    /// `max_min_fair_into` with reused buffers equals the pre-buffer
+    /// progressive filling bit for bit.
+    #[test]
+    fn buffered_max_min_fair_matches_the_reference(
+        sets in prop::collection::vec(prop::collection::vec(0.0f64..10.0, 0..8), 1..6),
+        capacity in 0.0f64..16.0,
+    ) {
+        let (mut grants, mut unsatisfied) = (Vec::new(), Vec::new());
+        for demands in &sets {
+            max_min_fair_into(demands, capacity, &mut grants, &mut unsatisfied);
+            let want = reference::max_min_fair(demands, capacity);
+            let got: Vec<u64> = grants.iter().map(|g| g.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|g| g.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
 
     /// Max-min fairness: grants are capacity-conserving, demand-bounded and
     /// non-negative for arbitrary demand profiles.

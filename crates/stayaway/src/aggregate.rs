@@ -86,24 +86,42 @@ pub fn aggregate_usage(observation: &Observation) -> (ResourceVector, ResourceVe
 /// starved signature plus a saturated resource, not by which application
 /// produced the pressure.
 pub fn measurement_vector(observation: &Observation, metrics: &[ResourceKind]) -> Vec<f64> {
+    let mut v = Vec::with_capacity(metrics.len() * 2);
+    measurement_vector_into(observation, metrics, &mut v);
+    v
+}
+
+/// [`measurement_vector`] into `out` (overwritten).
+pub fn measurement_vector_into(
+    observation: &Observation,
+    metrics: &[ResourceKind],
+    out: &mut Vec<f64>,
+) {
     let (sensitive, batch) = aggregate_usage(observation);
     let total = sensitive + batch;
-    let mut v = Vec::with_capacity(metrics.len() * 2);
-    for &m in metrics {
-        v.push(sensitive.get(m));
-    }
-    for &m in metrics {
-        v.push(total.get(m));
-    }
-    v
+    out.clear();
+    out.extend(metrics.iter().map(|&m| sensitive.get(m)));
+    out.extend(metrics.iter().map(|&m| total.get(m)));
 }
 
 /// The logical throttleable VM's usage on the selected metrics (used by
 /// the controller to estimate what resuming the batch applications would
 /// add to the current load).
 pub fn batch_usage_vector(observation: &Observation, metrics: &[ResourceKind]) -> Vec<f64> {
+    let mut v = Vec::with_capacity(metrics.len());
+    batch_usage_vector_into(observation, metrics, &mut v);
+    v
+}
+
+/// [`batch_usage_vector`] into `out` (overwritten).
+pub fn batch_usage_vector_into(
+    observation: &Observation,
+    metrics: &[ResourceKind],
+    out: &mut Vec<f64>,
+) {
     let (_, rest) = aggregate_usage(observation);
-    metrics.iter().map(|&m| rest.get(m)).collect()
+    out.clear();
+    out.extend(metrics.iter().map(|&m| rest.get(m)));
 }
 
 /// Picks the batch containers to throttle: active batch containers are

@@ -423,6 +423,7 @@ impl Controller {
         }
 
         self.finish_period(tick, mapped.point, spent);
+        self.sense.recycle(sensed);
         Ok(actions)
     }
 

@@ -45,6 +45,9 @@ pub struct MappedSample {
 #[derive(Debug)]
 pub struct MappingEngine {
     normalizer: Normalizer,
+    /// The period's normalised vector, kept across periods so a sample
+    /// that merges into a representative allocates nothing.
+    normalized: Vec<f64>,
     repr: ReprSet,
     /// All-pairs distance matrix over `repr`'s vectors, grown in place by
     /// column appends as representatives are created. Valid because
@@ -89,6 +92,7 @@ impl MappingEngine {
         }
         Ok(MappingEngine {
             normalizer: Normalizer::new(bounds)?,
+            normalized: Vec::new(),
             // The grid index keeps insert/nearest exact (identical indices
             // and distances) while pruning far candidates.
             repr: ReprSet::new(dedup_epsilon)?.grid_indexed(),
@@ -165,7 +169,18 @@ impl MappingEngine {
     ///
     /// Returns a dimension-mismatch error for wrong-length input.
     pub fn normalize(&self, raw: &[f64]) -> Result<Vec<f64>, CoreError> {
-        Ok(self.normalizer.normalize(raw)?)
+        let mut out = Vec::with_capacity(raw.len());
+        self.normalize_into(raw, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`MappingEngine::normalize`] into `out` (overwritten).
+    ///
+    /// # Errors
+    ///
+    /// Returns a dimension-mismatch error for wrong-length input.
+    pub fn normalize_into(&self, raw: &[f64], out: &mut Vec<f64>) -> Result<(), CoreError> {
+        Ok(self.normalizer.normalize_into(raw, out)?)
     }
 
     /// Nearest representative to a normalised vector: `(rep, distance)`.
@@ -234,9 +249,15 @@ impl MappingEngine {
     ///
     /// Propagates normalisation/embedding failures.
     pub fn observe(&mut self, raw: &[f64]) -> Result<MappedSample, CoreError> {
-        let normalized = self.normalizer.normalize(raw)?;
-        self.samples_seen += 1;
-        let mapped = self.insert(&normalized)?;
+        // The buffer is taken out for the call so `insert` can borrow the
+        // engine whole; it is put back on every path.
+        let mut normalized = std::mem::take(&mut self.normalized);
+        let mapped = self.normalize_into(raw, &mut normalized).and_then(|()| {
+            self.samples_seen += 1;
+            self.insert(&normalized)
+        });
+        self.normalized = normalized;
+        let mapped = mapped?;
         if let Some(m) = &self.metrics {
             m.on_sample(self.repr.len(), self.samples_seen);
         }

@@ -50,6 +50,11 @@ pub struct ActStage {
     /// bookkeeping — never read by the stage's own decisions.
     anchor_established: Option<Point2>,
     paused_by_us: Vec<ContainerId>,
+    /// The estimated measurement vector after a resume, and its
+    /// normalised form, kept across periods so a vetoed resume allocates
+    /// nothing.
+    estimate: Vec<f64>,
+    normalized: Vec<f64>,
 }
 
 impl ActStage {
@@ -72,6 +77,8 @@ impl ActStage {
             throttle_anchor: None,
             anchor_established: None,
             paused_by_us: Vec::new(),
+            estimate: Vec::new(),
+            normalized: Vec::new(),
         }
     }
 
@@ -154,7 +161,7 @@ impl ActStage {
     /// VM's current usage and looked up in the state map. Unknown
     /// territory is optimistically considered safe (exploration).
     fn resume_would_violate(
-        &self,
+        &mut self,
         map: &MapStage,
         sensitive_raw: &[f64],
         batch_usage: Option<&[f64]>,
@@ -165,12 +172,18 @@ impl ActStage {
         // Estimated measurement vector after a resume: the sensitive VM
         // keeps its current usage; the total becomes sensitive + the
         // remembered batch usage (normalisation clamps to capacity).
-        let mut estimate = sensitive_raw.to_vec();
-        estimate.extend(sensitive_raw.iter().zip(batch_raw).map(|(s, b)| s + b));
-        let Ok(normalized) = map.normalize(&estimate) else {
+        self.estimate.clear();
+        self.estimate.extend_from_slice(sensitive_raw);
+        self.estimate
+            .extend(sensitive_raw.iter().zip(batch_raw).map(|(s, b)| s + b));
+        if map
+            .normalize_into(&self.estimate, &mut self.normalized)
+            .is_err()
+        {
             return false;
-        };
-        let Some((point, nearest_dist)) = map.approximate_point(&normalized) else {
+        }
+        let normalized = &self.normalized;
+        let Some((point, nearest_dist)) = map.approximate_point(normalized) else {
             return false;
         };
         // The 2-D interpolation is only trustworthy near explored
@@ -186,7 +199,7 @@ impl ActStage {
         // bootstrapped, per §3.2.1's exploration bias.) In the
         // exact-overlap ablation this generalisation is disabled too: only
         // an estimate landing *on* a seen violation-state counts.
-        if let Some((rep, dist)) = map.nearest(&normalized) {
+        if let Some((rep, dist)) = map.nearest(normalized) {
             if !self.violation_range_enabled && dist > self.dedup_epsilon {
                 return false;
             }

@@ -166,6 +166,15 @@ impl MapStage {
         self.mapping.normalize(raw)
     }
 
+    /// [`MapStage::normalize`] into `out` (overwritten).
+    ///
+    /// # Errors
+    ///
+    /// Propagates dimension mismatches.
+    pub fn normalize_into(&self, raw: &[f64], out: &mut Vec<f64>) -> Result<(), CoreError> {
+        self.mapping.normalize_into(raw, out)
+    }
+
     /// Interpolated 2-D position for a normalised vector, with the
     /// distance to the nearest representative.
     pub fn approximate_point(&self, normalized: &[f64]) -> Option<(Point2, f64)> {

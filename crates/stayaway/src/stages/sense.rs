@@ -9,7 +9,7 @@
 //! resume would add to the host load.
 
 use crate::aggregate::{
-    batch_usage_vector, measurement_vector, protected_active, throttleable_active,
+    batch_usage_vector_into, measurement_vector_into, protected_active, throttleable_active,
 };
 use crate::violation::{ViolationDetection, ViolationDetector};
 use stayaway_statespace::ExecutionMode;
@@ -39,8 +39,11 @@ pub struct SenseStage {
     detector: ViolationDetector,
     /// Raw metric usage of the logical batch VM when it last ran, used by
     /// the act stage to estimate the co-located state a resume would
-    /// produce.
+    /// produce. Refilled in place.
     last_batch_usage: Option<Vec<f64>>,
+    /// The raw vector of the last [`Sensed`] handed back through
+    /// [`SenseStage::recycle`], refilled by the next observation.
+    spare_raw: Vec<f64>,
 }
 
 impl SenseStage {
@@ -50,6 +53,7 @@ impl SenseStage {
             metrics: metrics.to_vec(),
             detector: ViolationDetector::new(detection),
             last_batch_usage: None,
+            spare_raw: Vec::new(),
         }
     }
 
@@ -69,12 +73,13 @@ impl SenseStage {
             throttleable_active(observation),
         );
         let violated = self.detector.assess(observation);
-        let mut raw = measurement_vector(observation, &self.metrics);
+        let mut raw = std::mem::take(&mut self.spare_raw);
+        measurement_vector_into(observation, &self.metrics, &mut raw);
         let mut rejected = sanitize(&mut raw);
         if throttleable_active(observation) {
-            let mut batch = batch_usage_vector(observation, &self.metrics);
-            rejected += sanitize(&mut batch);
-            self.last_batch_usage = Some(batch);
+            let batch = self.last_batch_usage.get_or_insert_with(Vec::new);
+            batch_usage_vector_into(observation, &self.metrics, batch);
+            rejected += sanitize(batch);
         }
         Sensed {
             tick: observation.tick,
@@ -83,6 +88,13 @@ impl SenseStage {
             raw,
             rejected,
         }
+    }
+
+    /// Takes back a period's [`Sensed`] once every stage is done with it,
+    /// so the next [`SenseStage::observe`] refills its raw vector instead
+    /// of allocating one.
+    pub fn recycle(&mut self, sensed: Sensed) {
+        self.spare_raw = sensed.raw;
     }
 
     /// The logical batch VM's usage when it last ran, if ever.

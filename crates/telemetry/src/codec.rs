@@ -72,10 +72,23 @@ fn encode_container(out: &mut String, c: &ContainerObs) {
 /// A message naming the byte offset of a syntax error, the member that has
 /// the wrong type or is out of range, or the member that is missing.
 pub fn decode_observation(line: &str) -> Result<Observation, String> {
-    let mut cursor = Cursor::new(line);
-    let observation = observation(&mut cursor)?;
-    cursor.end()?;
+    let mut observation = Observation::default();
+    decode_observation_into(line, &mut observation)?;
     Ok(observation)
+}
+
+/// [`decode_observation`] into `out`, reusing its `containers` vector and
+/// their name strings: on success `out` equals what
+/// [`decode_observation`] returns, whatever it held before. On failure
+/// its contents are unspecified.
+///
+/// # Errors
+///
+/// Those of [`decode_observation`], with the same messages.
+pub fn decode_observation_into(line: &str, out: &mut Observation) -> Result<(), String> {
+    let mut cursor = Cursor::new(line);
+    observation(&mut cursor, out)?;
+    cursor.end()
 }
 
 /// Reads a member into its slot, or skips it when an earlier member of the
@@ -96,31 +109,34 @@ fn required<T>(slot: Option<T>, field: &str, owner: &str) -> Result<T, String> {
     slot.ok_or_else(|| format!("missing field `{field}` in {owner}"))
 }
 
-fn observation(cursor: &mut Cursor<'_>) -> Result<Observation, String> {
+fn observation(cursor: &mut Cursor<'_>, out: &mut Observation) -> Result<(), String> {
     let (mut tick, mut containers, mut qos_violation, mut qos_value) = (None, None, None, None);
     cursor.object(|cursor, key| match &*key {
         "tick" => fill(&mut tick, cursor, Cursor::u64),
         "containers" => fill(&mut containers, cursor, |cursor| {
-            let mut containers = Vec::new();
+            let mut len = 0;
             cursor.array(|cursor| {
-                containers.push(container(cursor)?);
+                container(cursor, out.container_slot(len))?;
+                len += 1;
                 Ok(())
             })?;
-            Ok(containers)
+            out.containers.truncate(len);
+            Ok(())
         }),
         "qos_violation" => fill(&mut qos_violation, cursor, Cursor::bool),
         "qos_value" => fill(&mut qos_value, cursor, Cursor::f64),
         _ => cursor.skip_value(),
     })?;
-    Ok(Observation {
-        tick: required(tick, "tick", "Observation")?,
-        containers: required(containers, "containers", "Observation")?,
-        qos_violation: required(qos_violation, "qos_violation", "Observation")?,
-        qos_value: required(qos_value, "qos_value", "Observation")?,
-    })
+    out.tick = required(tick, "tick", "Observation")?;
+    required(containers, "containers", "Observation")?;
+    out.qos_violation = required(qos_violation, "qos_violation", "Observation")?;
+    out.qos_value = required(qos_value, "qos_value", "Observation")?;
+    Ok(())
 }
 
-fn container(cursor: &mut Cursor<'_>) -> Result<ContainerObs, String> {
+/// Decodes one container into `out`; the name goes into its existing
+/// buffer.
+fn container(cursor: &mut Cursor<'_>, out: &mut ContainerObs) -> Result<(), String> {
     let (mut id, mut name, mut class, mut usage, mut ipc, mut priority) =
         (None, None, None, None, None, None);
     let (mut active, mut paused, mut finished) = (None, None, None);
@@ -130,7 +146,10 @@ fn container(cursor: &mut Cursor<'_>) -> Result<ContainerObs, String> {
             Ok(ContainerId::from_raw(raw))
         }),
         "name" => fill(&mut name, cursor, |cursor| {
-            cursor.string().map(String::from)
+            let text = cursor.string()?;
+            out.name.clear();
+            out.name.push_str(&text);
+            Ok(())
         }),
         "class" => fill(&mut class, cursor, |cursor| match &*cursor.string()? {
             "Sensitive" => Ok(AppClass::Sensitive),
@@ -147,17 +166,16 @@ fn container(cursor: &mut Cursor<'_>) -> Result<ContainerObs, String> {
         }),
         _ => cursor.skip_value(),
     })?;
-    Ok(ContainerObs {
-        id: required(id, "id", "ContainerObs")?,
-        name: required(name, "name", "ContainerObs")?,
-        class: required(class, "class", "ContainerObs")?,
-        active: required(active, "active", "ContainerObs")?,
-        paused: required(paused, "paused", "ContainerObs")?,
-        finished: required(finished, "finished", "ContainerObs")?,
-        usage: required(usage, "usage", "ContainerObs")?,
-        ipc: required(ipc, "ipc", "ContainerObs")?,
-        priority: required(priority, "priority", "ContainerObs")?,
-    })
+    out.id = required(id, "id", "ContainerObs")?;
+    required(name, "name", "ContainerObs")?;
+    out.class = required(class, "class", "ContainerObs")?;
+    out.active = required(active, "active", "ContainerObs")?;
+    out.paused = required(paused, "paused", "ContainerObs")?;
+    out.finished = required(finished, "finished", "ContainerObs")?;
+    out.usage = required(usage, "usage", "ContainerObs")?;
+    out.ipc = required(ipc, "ipc", "ContainerObs")?;
+    out.priority = required(priority, "priority", "ContainerObs")?;
+    Ok(())
 }
 
 fn resource_vector(cursor: &mut Cursor<'_>) -> Result<ResourceVector, String> {

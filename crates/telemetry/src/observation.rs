@@ -83,8 +83,28 @@ pub struct ContainerObs {
     pub priority: u8,
 }
 
+impl ContainerObs {
+    /// An entry for a source to overwrite: empty name, zero usage.
+    fn blank() -> Self {
+        ContainerObs {
+            id: ContainerId(0),
+            name: String::new(),
+            class: AppClass::Batch,
+            active: false,
+            paused: false,
+            finished: false,
+            usage: ResourceVector::zero(),
+            ipc: 0.0,
+            priority: 0,
+        }
+    }
+}
+
 /// One tick's observation, as delivered to a policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The default is the empty observation a source refills when it has no
+/// recycled one to hand (see [`crate::ObservationSource::recycle`]).
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Observation {
     /// The tick this observation describes.
     pub tick: u64,
@@ -121,6 +141,25 @@ impl Observation {
     /// True when any batch container is active.
     pub fn batch_active(&self) -> bool {
         self.batch().any(|c| c.active)
+    }
+
+    /// Resizes `containers` to `len` for a source refilling a recycled
+    /// observation in place, and returns them: surplus entries are dropped,
+    /// missing ones appended blank, and the kept ones keep their name
+    /// buffers. Every field of every returned entry is the caller's to
+    /// overwrite.
+    pub fn resize_containers(&mut self, len: usize) -> &mut [ContainerObs] {
+        self.containers.resize_with(len, ContainerObs::blank);
+        &mut self.containers
+    }
+
+    /// The entry at `index` for a decoder that learns the length as it
+    /// goes: the kept one, or a blank appended at the end.
+    pub(crate) fn container_slot(&mut self, index: usize) -> &mut ContainerObs {
+        if index == self.containers.len() {
+            self.containers.push(ContainerObs::blank());
+        }
+        &mut self.containers[index]
     }
 }
 

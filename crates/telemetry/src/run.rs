@@ -220,9 +220,10 @@ const MAX_RESERVED_TICKS: u64 = 1 << 16;
 
 /// Runs one control period of the closed loop: pull the next observation
 /// from `source`, let `policy` decide, push the actions back through the
-/// source and build the tick's accounting record. Returns the record and
-/// how many actions the substrate rejected, or `None` once the source is
-/// exhausted (finite traces).
+/// source and build the tick's accounting record, then hand the
+/// observation back for reuse ([`ObservationSource::recycle`]). Returns
+/// the record and how many actions the substrate rejected, or `None` once
+/// the source is exhausted (finite traces).
 ///
 /// # Errors
 ///
@@ -241,7 +242,9 @@ where
     };
     let actions = policy.decide(&observation);
     let rejected = source.apply(&actions)?;
-    Ok(Some((source.record_for(&observation, &actions), rejected)))
+    let record = source.record_for(&observation, &actions);
+    source.recycle(observation);
+    Ok(Some((record, rejected)))
 }
 
 /// Runs the closed loop: up to `ticks` [`step`]s against `source`,

@@ -75,6 +75,18 @@ pub trait ObservationSource {
     /// Returns [`TelemetryError`] on decode or sampling failures.
     fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError>;
 
+    /// Hands an observation back once its period is accounted for, so the
+    /// source may refill it in place on a later
+    /// [`next_observation`](ObservationSource::next_observation) instead
+    /// of allocating a fresh one. [`crate::step`] calls it. A source may
+    /// keep the buffers (the `containers` vector, the name strings) but
+    /// none of the values: what it returns next must equal what it would
+    /// have returned without the recycled observation, whatever that
+    /// observation held. The default drops it.
+    fn recycle(&mut self, observation: Observation) {
+        drop(observation);
+    }
+
     /// Applies the policy's actions to the substrate, returning how many
     /// were rejected (e.g. pausing a sensitive container). Open-loop
     /// sources (trace replay, procfs without an actuator) accept and
@@ -119,6 +131,10 @@ impl<S: ObservationSource + ?Sized> ObservationSource for Box<S> {
 
     fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
         (**self).next_observation()
+    }
+
+    fn recycle(&mut self, observation: Observation) {
+        (**self).recycle(observation);
     }
 
     fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {

@@ -19,7 +19,7 @@
 //! around any other [`ObservationSource`] so a live run records itself;
 //! [`TraceSource`] streams a trace back as an open-loop source.
 
-use crate::codec::{decode_observation, encode_observation};
+use crate::codec::{decode_observation_into, encode_observation};
 use crate::observation::{Action, Observation};
 use crate::run::{RequestQos, TickRecord};
 use crate::source::{ObservationSource, SourceKind, SourceMeta};
@@ -232,6 +232,10 @@ impl<S: ObservationSource, W: Write> ObservationSource for RecordingSource<S, W>
         Ok(next)
     }
 
+    fn recycle(&mut self, observation: Observation) {
+        self.inner.recycle(observation);
+    }
+
     fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {
         self.inner.apply(actions)
     }
@@ -263,6 +267,9 @@ pub struct TraceSource<R: BufRead> {
     line: u64,
     /// The raw bytes of the current line, reused across lines.
     buf: Vec<u8>,
+    /// The observation handed back by [`ObservationSource::recycle`],
+    /// decoded into by the next line.
+    spare: Option<Observation>,
     /// Counts undecodable observation lines (DESIGN.md §11); decoding
     /// still fails hard — the counter only makes the failure visible in
     /// exported metrics.
@@ -310,6 +317,7 @@ impl<R: BufRead> TraceSource<R> {
             header,
             line: 1,
             buf,
+            spare: None,
             decode_errors: None,
         })
     }
@@ -346,11 +354,15 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
                 return Ok(None);
             }
             self.line += 1;
+            let spare = &mut self.spare;
             let decoded = std::str::from_utf8(&self.buf)
                 .map_err(|e| e.to_string())
                 .and_then(|text| match text.trim() {
                     "" => Ok(None), // tolerate blank separator lines
-                    text => decode_observation(text).map(Some),
+                    text => {
+                        let mut observation = spare.take().unwrap_or_default();
+                        decode_observation_into(text, &mut observation).map(|()| Some(observation))
+                    }
                 });
             match decoded {
                 Ok(None) => continue,
@@ -366,6 +378,10 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
                 }
             }
         }
+    }
+
+    fn recycle(&mut self, observation: Observation) {
+        self.spare = Some(observation);
     }
 }
 

@@ -22,9 +22,9 @@ use stayaway_telemetry::procfs::{
     parse_cpu_stat, parse_memory_current, parse_pid_io, parse_proc_stat,
 };
 use stayaway_telemetry::{
-    decode_observation, encode_observation, AppClass, ContainerId, ContainerObs, HostSpec,
-    Observation, ObservationSource, ResourceKind, ResourceVector, SourceKind, SourceMeta,
-    TelemetryError, TraceHeader, TraceSource, TraceWriter, TRACE_VERSION,
+    decode_observation, decode_observation_into, encode_observation, AppClass, ContainerId,
+    ContainerObs, HostSpec, Observation, ObservationSource, ResourceKind, ResourceVector,
+    SourceKind, SourceMeta, TelemetryError, TraceHeader, TraceSource, TraceWriter, TRACE_VERSION,
 };
 
 fn meta() -> SourceMeta {
@@ -309,10 +309,30 @@ impl Gen {
     }
 }
 
+thread_local! {
+    /// The buffer every `decode_observation_into` below decodes into: never
+    /// reset, so each decode starts from whatever the last one — accepted
+    /// or failed halfway — left behind, with more or fewer containers.
+    static REUSED: std::cell::RefCell<Observation> =
+        std::cell::RefCell::new(Gen(0x5eed).observation());
+}
+
 /// Both readers on one text: they must agree on accept / reject and, when
 /// they accept, on every bit of the value (`Debug` tells `-0.0` from `0.0`).
+/// The in-place decoder must return exactly what the allocating one does —
+/// the same value or the same error message.
 fn readers_agree(text: &str) -> Result<Option<Observation>, TestCaseError> {
     let cursor = decode_observation(text);
+    let reused = REUSED.with(|buf| {
+        let mut buf = buf.borrow_mut();
+        decode_observation_into(text, &mut buf).map(|()| buf.clone())
+    });
+    prop_assert_eq!(
+        format!("{reused:?}"),
+        format!("{cursor:?}"),
+        "into, on {:?}",
+        text
+    );
     let tree = serde_json::from_str::<Observation>(text);
     match (cursor, tree) {
         (Ok(cursor), Ok(tree)) => {

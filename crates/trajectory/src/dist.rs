@@ -115,7 +115,17 @@ impl EmpiricalDistribution {
             let copies_of = |x: f64| self.window.iter().filter(|&&v| v == x).count();
             self.copies = (copies_of(lo), copies_of(hi));
             self.extremes = (lo, hi);
-            self.histogram = Histogram::auto_range(self.window.make_contiguous(), self.bins);
+            // Recounted in place once a histogram exists, so a moved
+            // extreme costs no allocation.
+            let window = self.window.make_contiguous();
+            match &mut self.histogram {
+                Ok(h) => {
+                    if let Err(e) = h.recount_auto_range(window) {
+                        self.histogram = Err(e);
+                    }
+                }
+                Err(_) => self.histogram = Histogram::auto_range(window, self.bins),
+            }
         } else if let Ok(h) = &mut self.histogram {
             if let Some(old) = evicted {
                 h.remove(old);

@@ -35,25 +35,38 @@ impl Histogram {
         if bins == 0 {
             return Err(TrajectoryError::InvalidParameter { name: "bins" });
         }
-        if !min.is_finite() || !max.is_finite() {
-            return Err(TrajectoryError::NonFinite);
-        }
-        if max <= min {
-            return Err(TrajectoryError::InvalidParameter { name: "range" });
-        }
         let mut h = Histogram {
             min,
             max,
             counts: vec![0u64; bins],
             total: 0,
         };
+        h.recount(samples, min, max)?;
+        Ok(h)
+    }
+
+    /// Re-bins `samples` over `[min, max]` in place, keeping the bin count
+    /// and the counts buffer: afterwards `self` equals
+    /// `from_samples(samples, self.bins(), min, max)`. On error its
+    /// contents are unspecified.
+    fn recount(&mut self, samples: &[f64], min: f64, max: f64) -> Result<(), TrajectoryError> {
+        if !min.is_finite() || !max.is_finite() {
+            return Err(TrajectoryError::NonFinite);
+        }
+        if max <= min {
+            return Err(TrajectoryError::InvalidParameter { name: "range" });
+        }
+        self.min = min;
+        self.max = max;
+        self.counts.fill(0);
+        self.total = 0;
         for &s in samples {
             if !s.is_finite() {
                 return Err(TrajectoryError::NonFinite);
             }
-            h.insert(s);
+            self.insert(s);
         }
-        Ok(h)
+        Ok(())
     }
 
     /// Builds a histogram with the range taken from the data itself
@@ -64,23 +77,19 @@ impl Histogram {
     /// Returns [`TrajectoryError::InsufficientData`] for an empty sample
     /// set and propagates [`Histogram::from_samples`] failures.
     pub fn auto_range(samples: &[f64], bins: usize) -> Result<Self, TrajectoryError> {
-        if samples.is_empty() {
-            return Err(TrajectoryError::InsufficientData {
-                required: 1,
-                available: 0,
-            });
-        }
-        if samples.iter().any(|s| !s.is_finite()) {
-            return Err(TrajectoryError::NonFinite);
-        }
-        let (mut lo, mut hi) = extremes(samples.iter().copied());
-        if hi <= lo {
-            // All samples identical: widen symmetrically.
-            let pad = lo.abs().max(1.0) * 1e-6;
-            lo -= pad;
-            hi += pad;
-        }
+        let (lo, hi) = auto_bounds(samples)?;
         Histogram::from_samples(samples, bins, lo, hi)
+    }
+
+    /// [`Histogram::auto_range`] in place, keeping the bin count and the
+    /// counts buffer. On error the contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Histogram::auto_range`].
+    pub(crate) fn recount_auto_range(&mut self, samples: &[f64]) -> Result<(), TrajectoryError> {
+        let (lo, hi) = auto_bounds(samples)?;
+        self.recount(samples, lo, hi)
     }
 
     /// The bin a sample falls into (clamped into the boundary bins).
@@ -218,6 +227,28 @@ impl Histogram {
             / n;
         m3 / var.powf(1.5)
     }
+}
+
+/// The range [`Histogram::auto_range`] bins `samples` over: their extremes,
+/// widened symmetrically when they coincide.
+fn auto_bounds(samples: &[f64]) -> Result<(f64, f64), TrajectoryError> {
+    if samples.is_empty() {
+        return Err(TrajectoryError::InsufficientData {
+            required: 1,
+            available: 0,
+        });
+    }
+    if samples.iter().any(|s| !s.is_finite()) {
+        return Err(TrajectoryError::NonFinite);
+    }
+    let (mut lo, mut hi) = extremes(samples.iter().copied());
+    if hi <= lo {
+        // All samples identical: widen symmetrically.
+        let pad = lo.abs().max(1.0) * 1e-6;
+        lo -= pad;
+        hi += pad;
+    }
+    Ok((lo, hi))
 }
 
 /// Smallest and largest of `samples` (`(∞, −∞)` when empty).

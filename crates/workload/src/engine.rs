@@ -40,8 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use stayaway_telemetry::{
-    Action, AppClass, ContainerId, ContainerObs, Observation, ResourceKind, ResourceVector,
-    TickRecord,
+    Action, AppClass, ContainerId, Observation, ResourceKind, ResourceVector, TickRecord,
 };
 use std::collections::VecDeque;
 
@@ -1093,6 +1092,16 @@ impl WorkloadHost {
     /// observation; the matching ground-truth [`TickRecord`] is stored
     /// for [`Self::last_record`].
     pub fn advance_tick(&mut self) -> Observation {
+        let mut observation = Observation::default();
+        self.advance_tick_into(&mut observation);
+        observation
+    }
+
+    /// [`Self::advance_tick`] into `out`, overwriting every field: one
+    /// entry per tenant slot (detached tombstones included, so indices stay
+    /// container ids), each reusing the entry — and its name string — that
+    /// `out` already held at that index.
+    pub fn advance_tick_into(&mut self, out: &mut Observation) {
         let tick_end = self.events.open_tick(self.tick);
         while let Some(event) = self.events.pop_due() {
             self.process(event);
@@ -1100,7 +1109,7 @@ impl WorkloadHost {
         self.advance(tick_end);
 
         let tick_ns = self.tick_period_ns as f64;
-        let mut containers = Vec::with_capacity(self.tenants.len());
+        let containers = out.resize_containers(self.tenants.len());
         let mut sensitive_completed = 0u64;
         let mut sensitive_met = 0u64;
         let mut sensitive_dropped = 0u64;
@@ -1109,7 +1118,7 @@ impl WorkloadHost {
         let mut batch_active = 0usize;
         let mut batch_paused = 0usize;
         let mut sensitive_active = false;
-        for (ti, t) in self.tenants.iter().enumerate() {
+        for ((ti, t), c) in self.tenants.iter().enumerate().zip(containers) {
             let spec = &self.scenario.tenants[ti];
             let mean_cpu = t.stats.acc_cpu / tick_ns;
             let busy = t.stats.acc_cpu > 0.0 || t.stats.completed > 0;
@@ -1148,17 +1157,16 @@ impl WorkloadHost {
                     }
                 }
             }
-            containers.push(ContainerObs {
-                id: ContainerId::from_raw(ti),
-                name: t.name.clone(),
-                class: t.class,
-                active,
-                paused: t.frozen,
-                finished: t.detached,
-                usage,
-                ipc,
-                priority: 0,
-            });
+            c.id = ContainerId::from_raw(ti);
+            c.name.clear();
+            c.name.push_str(&t.name);
+            c.class = t.class;
+            c.active = active;
+            c.paused = t.frozen;
+            c.finished = t.detached;
+            c.usage = usage;
+            c.ipc = ipc;
+            c.priority = 0;
         }
 
         let judged = sensitive_completed + sensitive_dropped;
@@ -1171,12 +1179,9 @@ impl WorkloadHost {
         };
         let qos_violation = qos_value < self.scenario.slo.target_satisfaction;
 
-        let observation = Observation {
-            tick: self.tick,
-            containers,
-            qos_violation,
-            qos_value,
-        };
+        out.tick = self.tick;
+        out.qos_violation = qos_violation;
+        out.qos_value = qos_value;
         let utilization =
             ((sensitive_cpu + batch_cpu) / self.scenario.host.cpu_cores).clamp(0.0, 1.0);
         self.last_record = Some(TickRecord {
@@ -1195,7 +1200,6 @@ impl WorkloadHost {
             t.stats = TickStats::default();
         }
         self.tick += 1;
-        observation
     }
 
     /// The ground-truth accounting record of the last emitted tick, with

@@ -24,6 +24,9 @@ use stayaway_telemetry::{
 pub struct WorkloadSource {
     host: WorkloadHost,
     recorder: Option<FlightRecorder>,
+    /// The observation handed back through [`ObservationSource::recycle`],
+    /// refilled by the next tick.
+    spare: Option<Observation>,
 }
 
 impl WorkloadSource {
@@ -37,6 +40,7 @@ impl WorkloadSource {
         Ok(WorkloadSource {
             host: WorkloadHost::new(scenario, seed)?,
             recorder: None,
+            spare: None,
         })
     }
 
@@ -94,7 +98,13 @@ impl ObservationSource for WorkloadSource {
     }
 
     fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
-        Ok(Some(self.host.advance_tick()))
+        let mut observation = self.spare.take().unwrap_or_default();
+        self.host.advance_tick_into(&mut observation);
+        Ok(Some(observation))
+    }
+
+    fn recycle(&mut self, observation: Observation) {
+        self.spare = Some(observation);
     }
 
     fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {

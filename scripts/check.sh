@@ -107,6 +107,22 @@ cargo build --release --workspace
 # on request is byte-for-byte the tree the controller used to build every
 # period (`controller::tests::state_document_renders_the_bytes_the_eager_tree_did`).
 #
+# Loop allocations (`stayaway-core --test loop_allocations`,
+# `stayaway-fleet --test workload_allocations`): counted, not clocked —
+# after warm-up, a `telemetry::step` over the simulator on vlc+cpubomb,
+# vlc+soplex and vlc+twitter allocates nothing unless it found a new
+# representative, labelled a violation or returned actions (the excuse
+# counts print with `--nocapture`), and the four storm-cluster workload
+# hosts, their observations recycled, average at most 0.2 allocations per
+# tick. Both fail at PR 25's parent. Beside them, the equivalence that
+# makes reuse safe: `sim --test properties` holds the buffered
+# `allocate_into` to a verbatim copy of the old physics bit for bit,
+# facade `--test observation_recycling` holds the four recycling sources
+# (sim, workload with attach / detach, tee, trace replay) to fresh runs
+# tick for tick, and the telemetry `properties` decoders check
+# `decode_observation_into` against `decode_observation` on every fuzz
+# input, error messages included.
+#
 # Also here: the other `stayaway-obs` suites and `--test observability`.
 cargo test -q --workspace
 # The cluster scale curve, 4x10 to 100x1000 hosts x jobs (`#[ignore]`d in
