@@ -1,21 +1,20 @@
 //! Experiment harness for the Stay-Away reproduction.
 //!
-//! One bench target per table/figure of the paper (see `DESIGN.md` §4 for
-//! the full index); `cargo bench -p stayaway-bench` regenerates all of
-//! them, printing the series the paper plots and writing JSON artifacts
-//! under `target/experiments/`. `EXPERIMENTS.md` records paper-vs-measured
-//! for each.
+//! Every paper result — fig01 and fig04–fig18, Table 1, the in-text
+//! claims, the ablations and the extensions; `DESIGN.md` §4 is the index —
+//! is one function in [`figures`] that returns what it measured as a typed
+//! value. `cargo bench -p stayaway-bench --bench paper [-- <id>…]` prints
+//! them: the series and rows the paper plots, plus JSON (and, for the
+//! state-map snapshots, SVG) artifacts under `target/experiments/`.
+//! `tests/figure_shapes.rs` asserts each result's shape through the same
+//! functions, and `EXPERIMENTS.md` records paper-vs-measured. The other
+//! bench targets of this package time the mapping and workload kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod report;
-pub mod runner;
+mod report;
+mod runner;
 
-pub use figures::{
-    gained_utilization_figure, paired_runs, prediction_accuracy_scenarios, qos_timeline_figure,
-    stress_elbow_scenarios, throttle_split, PairedRuns,
-};
-pub use report::{ascii_chart, sparkline, Table};
-pub use runner::{experiments_dir, outcome_json, run, stayaway, ExperimentSink, PolicyRun};
+pub use runner::PolicyRun;

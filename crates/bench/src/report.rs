@@ -80,6 +80,11 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
+/// A fraction as a percentage with one decimal, the tables' cell format.
+pub fn percent(fraction: f64) -> String {
+    format!("{:.1}%", 100.0 * fraction)
+}
+
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -104,16 +109,6 @@ impl Table {
         }
         self.rows.push(r);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows have been added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table.
@@ -223,8 +218,7 @@ mod tests {
         let s = t.render();
         assert!(s.contains("| name"));
         assert!(s.contains("| longer-name"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(s.lines().count(), 4);
         // All lines equally wide.
         let widths: Vec<usize> = s.lines().map(|l| l.chars().count()).collect();
         assert!(widths.windows(2).all(|w| w[0] == w[1]));

@@ -1,4 +1,4 @@
-//! Scenario execution helpers shared by every experiment target.
+//! Scenario execution helpers shared by every experiment.
 //!
 //! One generic entry point, [`run`], drives any [`ControlPolicy`] — the
 //! Stay-Away controller or a baseline — through a scenario's closed loop.
@@ -9,8 +9,7 @@
 use serde_json::Value;
 use stayaway_core::{ControlPolicy, Controller, ControllerConfig, ControllerStats};
 use stayaway_sim::scenario::Scenario;
-use stayaway_sim::{RunOutcome, SimSource};
-use stayaway_telemetry::drive;
+use stayaway_sim::{Policy, RunOutcome};
 
 /// The outcome of one policy-driven run, with the policy kept for
 /// inspection (state map, events, template export for the controller;
@@ -32,18 +31,20 @@ impl<P: ControlPolicy> PolicyRun<P> {
 }
 
 /// Runs a scenario under `policy` for `ticks` — the single runner every
-/// experiment target shares, for Stay-Away and baselines alike. The
-/// closed loop goes through the telemetry plane (a [`SimSource`] driven
-/// by [`drive`]), which is bit-identical to driving the harness directly.
+/// experiment shares, for Stay-Away, baselines and observing wrappers
+/// alike. The closed loop is the telemetry plane's: [`Harness::run`] is
+/// `stayaway_telemetry::drive` over the harness as its own observation
+/// source.
+///
+/// [`Harness::run`]: stayaway_sim::Harness::run
 ///
 /// # Panics
 ///
 /// Panics if the scenario cannot build a harness (misconfigured scenario —
 /// a programming error in the experiment definition).
-pub fn run<P: ControlPolicy>(scenario: &Scenario, mut policy: P, ticks: u64) -> PolicyRun<P> {
-    let harness = scenario.build_harness().expect("scenario builds a harness");
-    let mut source = SimSource::new(harness);
-    let outcome = drive(&mut source, &mut policy, ticks).expect("the simulator source never fails");
+pub fn run<P: Policy>(scenario: &Scenario, mut policy: P, ticks: u64) -> PolicyRun<P> {
+    let mut harness = scenario.build_harness().expect("scenario builds a harness");
+    let outcome = harness.run(&mut policy, ticks);
     PolicyRun { outcome, policy }
 }
 

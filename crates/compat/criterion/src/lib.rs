@@ -1,9 +1,10 @@
 //! Offline stand-in for `criterion`.
 //!
-//! Implements the benchmarking surface this workspace's `harness = false`
-//! bench targets use: [`Criterion::benchmark_group`], `bench_function`,
-//! `bench_with_input`, [`BenchmarkId`], `sample_size`, `finish`, and the
-//! [`criterion_group!`]/[`criterion_main!`] macros. Measurement is plain
+//! Implements the benchmarking surface this workspace's timing bench
+//! targets use: [`Criterion::benchmark_group`], the group's
+//! `bench_function` / `bench_with_input` / `sample_size` / `finish`,
+//! [`BenchmarkId`], and the [`criterion_group!`]/[`criterion_main!`]
+//! macros. Measurement is plain
 //! wall-clock sampling — each sample times a batch of iterations sized so a
 //! batch takes roughly a millisecond — reporting mean, median and min per
 //! iteration. No warmup plots, HTML reports or statistical regression.
@@ -43,12 +44,6 @@ impl From<&str> for BenchmarkId {
         BenchmarkId {
             label: label.to_string(),
         }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(label: String) -> Self {
-        BenchmarkId { label }
     }
 }
 
@@ -104,12 +99,6 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of samples collected per benchmark.
     pub fn sample_size(&mut self, samples: usize) -> &mut Self {
         self.sample_size = samples.max(2);
-        self
-    }
-
-    /// Sets a target measurement time. Accepted for API compatibility;
-    /// sampling here is governed by `sample_size` alone.
-    pub fn measurement_time(&mut self, _duration: Duration) -> &mut Self {
         self
     }
 
@@ -198,22 +187,7 @@ impl Criterion {
             _criterion: self,
         }
     }
-
-    /// Runs a single ungrouped benchmark.
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut group = self.benchmark_group("bench");
-        group.bench_function(id, f);
-        group.finish();
-        self
-    }
 }
-
-/// Re-export so `criterion::black_box` call sites work; `std::hint` is the
-/// canonical implementation.
-pub use std::hint::black_box;
 
 /// Bundles bench functions under one name for [`criterion_main!`].
 #[macro_export]
@@ -261,7 +235,9 @@ mod tests {
     }
 
     fn sample_bench(c: &mut Criterion) {
-        c.bench_function("noop", |b| b.iter(|| 1u32 + 1));
+        let mut group = c.benchmark_group("macro");
+        group.bench_function("noop", |b| b.iter(|| 1u32 + 1));
+        group.finish();
     }
 
     criterion_group!(group_macro_expands, sample_bench);

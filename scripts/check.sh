@@ -5,8 +5,8 @@
 # transcripts of `tests/cli_golden.rs`), the perf-ledger package's own
 # gate (`benchmarks/run.sh --check`), a live `--http` introspection scrape
 # (the one CLI check that needs a running server), the cluster scale curve
-# in release and a compile check of every criterion bench target. Run from
-# anywhere inside the repository.
+# in release and a compile check of the bench targets (`paper` and the five
+# timing targets). Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,10 +72,13 @@ cargo build --release --workspace
 #
 # Behaviour fence (`stayaway-bench --test figure_shapes`, facade `--test
 # map_quality`): what a change that moves map coordinates must keep, since
-# it cannot keep bits — the "shape holds?" predicates of EXPERIMENTS.md
-# (fig07–fig16, prediction accuracy, the 2-D stress elbow) re-run through
-# the bench targets' own helpers, and the live map's stress within 0.03 of
-# an exact solve, using both dimensions, on the paper's four co-locations.
+# it cannot keep bits — the "shape holds?" predicate of every one of the 29
+# paper results EXPERIMENTS.md lists (figures, Table 1, claims, ablations,
+# extensions), each asserted on what `stayaway_bench::figures::<id>()`
+# returns, the function the `paper` bench target prints; a drift test that
+# every result has a predicate and an EXPERIMENTS.md row; and the live
+# map's stress within 0.03 of an exact solve, using both dimensions, on
+# the paper's four co-locations.
 #
 # Trace format (`--test record_replay`, `stayaway-telemetry --test
 # properties`, `serde --test text_layer`): a recorded run replays bit for

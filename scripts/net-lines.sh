@@ -7,10 +7,10 @@
 # Counts, at <parent-ref> (read with `git show`, nothing is checked out)
 # and in the working tree, the lines of every `*.rs` file under
 # `crates/*/src` and `src/` up to its first `#[cfg(test)]` line, and
-# prints before / after / delta per crate and in total. `crates/compat`
-# (vendored stand-ins) and `crates/bench` (bench harness) are left out.
-# Comments and blank lines count: the number is "lines a reader meets",
-# not statements.
+# prints before / after / delta per crate and in total. Two rows below the
+# total stay out of it: `crates/bench` (`src/` and `benches/`, the
+# experiment harness) and `crates/compat` (the vendored stand-ins).
+# Comments and blank lines count: the number is "lines a reader meets".
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,20 +24,18 @@ git rev-parse --verify --quiet "$parent^{commit}" > /dev/null || {
     exit 2
 }
 
-counted='^(src|crates/[^/]+/src)/.*\.rs$'
-skipped='^crates/(compat|bench)/'
+counted='^(src|crates/[^/]+/src|crates/bench/benches|crates/compat/[^/]+/src)/.*\.rs$'
 # Lines before the first `#[cfg(test)]`.
 non_test_lines() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'; }
 # `crates/<name>` for a crate file, `(facade)` for the root package's.
 crate_of() { case $1 in crates/*) cut -d/ -f1,2 <<< "$1" ;; *) echo "(facade)" ;; esac; }
 
 {
-    git ls-tree -r --name-only "$parent" | grep -E "$counted" | grep -Ev "$skipped" |
+    git ls-tree -r --name-only "$parent" | grep -E "$counted" |
         while read -r file; do
             echo "$(crate_of "$file") before $(git show "$parent:$file" | non_test_lines)"
         done
-    { git ls-files; git ls-files --others --exclude-standard; } | sort -u |
-        grep -E "$counted" | grep -Ev "$skipped" |
+    { git ls-files; git ls-files --others --exclude-standard; } | sort -u | grep -E "$counted" |
         while read -r file; do
             if [ -f "$file" ]; then # a deleted file is still in the index
                 echo "$(crate_of "$file") after $(non_test_lines < "$file")"
@@ -45,8 +43,27 @@ crate_of() { case $1 in crates/*) cut -d/ -f1,2 <<< "$1" ;; *) echo "(facade)" ;
         done
 } | sort -k1,1 | awk '
     function row(name, b, a) { printf "%-22s %8d %8d %+7d\n", name, b, a, a - b }
+    function flush() {
+        if (crate ~ /^crates\/(bench|compat)$/) {
+            outside[crate] = before " " after
+        } else if (crate != "") {
+            row(crate, before, after)
+            total_before += before
+            total_after += after
+        }
+    }
     BEGIN { printf "%-22s %8s %8s %7s\n", "crate", "before", "after", "delta" }
-    $1 != crate { if (NR > 1) row(crate, before, after); crate = $1; before = after = 0 }
-    $2 == "before" { before += $3; total_before += $3 }
-    $2 == "after" { after += $3; total_after += $3 }
-    END { if (NR > 0) row(crate, before, after); row("total", total_before, total_after) }'
+    $1 != crate { flush(); crate = $1; before = after = 0 }
+    $2 == "before" { before += $3 }
+    $2 == "after" { after += $3 }
+    END {
+        flush()
+        row("total", total_before, total_after)
+        split("crates/bench crates/compat", names, " ")
+        for (i = 1; i <= 2; i++) {
+            if (names[i] in outside) {
+                split(outside[names[i]], n, " ")
+                row(names[i], n[1], n[2])
+            }
+        }
+    }'
