@@ -68,6 +68,16 @@ pub struct CellSummary {
 }
 
 impl CellSummary {
+    /// Tick-level SLO-violation rate: violation ticks over active ticks
+    /// (0 when the sensitive application never ran).
+    pub fn slo_violation_rate(&self) -> f64 {
+        if self.active_ticks == 0 {
+            0.0
+        } else {
+            self.violations as f64 / self.active_ticks as f64
+        }
+    }
+
     fn from_outcome(o: &CellOutcome) -> Self {
         CellSummary {
             cell: o.idx,
@@ -143,10 +153,7 @@ impl PolicyRollup {
 
     fn fold(&mut self, o: &CellOutcome) {
         self.cells += 1;
-        self.qos.active_ticks += o.run.qos.active_ticks;
-        self.qos.violations += o.run.qos.violations;
-        self.qos.qos_sum += o.run.qos.qos_sum;
-        self.qos.worst = self.qos.worst.min(o.run.qos.worst);
+        self.qos.absorb(&o.run.qos);
         self.mean_gained_utilization += o.run.mean_gained_utilization(o.cpu_capacity);
         self.total_batch_work += o.run.batch_work;
         self.throttles += o.stats.throttles;
@@ -218,10 +225,7 @@ impl PredictorRollup {
 
     fn fold(&mut self, o: &CellOutcome) {
         self.cells += 1;
-        self.qos.active_ticks += o.run.qos.active_ticks;
-        self.qos.violations += o.run.qos.violations;
-        self.qos.qos_sum += o.run.qos.qos_sum;
-        self.qos.worst = self.qos.worst.min(o.run.qos.worst);
+        self.qos.absorb(&o.run.qos);
         self.mean_gained_utilization += o.run.mean_gained_utilization(o.cpu_capacity);
         self.total_batch_work += o.run.batch_work;
         self.throttles += o.stats.throttles;
@@ -376,10 +380,7 @@ impl FleetOutcome {
                     }
                 }
             }
-            qos.active_ticks += o.run.qos.active_ticks;
-            qos.violations += o.run.qos.violations;
-            qos.qos_sum += o.run.qos.qos_sum;
-            qos.worst = qos.worst.min(o.run.qos.worst);
+            qos.absorb(&o.run.qos);
             mean_utilization += o.run.mean_utilization();
             mean_gained += o.run.mean_gained_utilization(o.cpu_capacity);
             total_batch_work += o.run.batch_work;

@@ -8,6 +8,7 @@
 
 use crate::FleetError;
 use serde::{Deserialize, Serialize};
+use stayaway_core::hit_ratio;
 use stayaway_obs::{EventRecord, MetricsSnapshot};
 use stayaway_telemetry::QosSummary;
 
@@ -168,8 +169,7 @@ impl HostRollup {
     /// Fraction of checked verdicts this host's controller got right;
     /// `None` when no verdict was checked.
     pub fn prediction_accuracy(&self) -> Option<f64> {
-        (self.prediction_checks > 0)
-            .then(|| self.prediction_hits as f64 / self.prediction_checks as f64)
+        hit_ratio(self.prediction_hits, self.prediction_checks)
     }
 }
 
@@ -182,8 +182,7 @@ impl ClusterOutcome {
     /// Pooled fraction of checked verdicts the host controllers got
     /// right; `None` when no verdict was checked anywhere.
     pub fn prediction_accuracy(&self) -> Option<f64> {
-        (self.prediction_checks > 0)
-            .then(|| self.prediction_hits as f64 / self.prediction_checks as f64)
+        hit_ratio(self.prediction_hits, self.prediction_checks)
     }
 
     /// Renders the outcome as pretty JSON. Deterministic: identical

@@ -28,8 +28,7 @@ use crate::cluster::job::JobSpec;
 use crate::seed::derive_cell_seed;
 use crate::FleetError;
 use serde::{Deserialize, Serialize};
-use stayaway_telemetry::{HostSpec, QosSummary};
-use stayaway_workload::HostLoad;
+use stayaway_telemetry::{HostSpec, QosSummary, ResourceKind, ResourceVector};
 
 /// How many epochs a job may be deferred before the score policy places
 /// it anyway (starvation guard).
@@ -38,6 +37,18 @@ const MAX_DEFER_EPOCHS: u64 = 6;
 /// Epochs a job must stay put after a placement change before the score
 /// policy will migrate it.
 const MIGRATION_COOLDOWN_EPOCHS: u64 = 2;
+
+/// The order the score policy sums per-resource overflow in — rates,
+/// then LLC, then RAM. Float addition is not associative, so this order
+/// is part of every placement.
+const SCORE_ORDER: [ResourceKind; 6] = [
+    ResourceKind::Cpu,
+    ResourceKind::MemBandwidth,
+    ResourceKind::DiskIo,
+    ResourceKind::Network,
+    ResourceKind::Cache,
+    ResourceKind::Memory,
+];
 
 /// Read-only per-host state handed to cluster policies at an epoch
 /// boundary.
@@ -49,8 +60,9 @@ pub struct HostSnapshot {
     pub name: String,
     /// Host capacities.
     pub spec: HostSpec,
-    /// Instantaneous resource rates and occupancy at the boundary.
-    pub load: HostLoad,
+    /// Instantaneous resource rates and occupancy at the boundary
+    /// ([`stayaway_workload::WorkloadHost::load`]).
+    pub load: ResourceVector,
     /// Mean total CPU rate (cores) over the last epoch.
     pub mean_cpu: f64,
     /// Sensitive QoS accounting over the last epoch only.
@@ -96,12 +108,12 @@ pub struct JobView {
     /// Estimated steady-state demand if placed: rates via Little's law
     /// (`mean_rps × service_time`, capped by the container pool),
     /// occupancy from the estimated container count.
-    pub est: HostLoad,
+    pub est: ResourceVector,
 }
 
 impl JobView {
     /// Builds the view's demand estimate from a job spec.
-    pub(crate) fn estimate(spec: &JobSpec) -> HostLoad {
+    pub(crate) fn estimate(spec: &JobSpec) -> ResourceVector {
         let d = &spec.tenant.demand;
         let service_secs = d.service_ns() as f64 / 1e9;
         let slots = (d.concurrency as u64 * d.max_containers as u64) as f64;
@@ -109,14 +121,7 @@ impl JobView {
         let containers = (concurrent / d.concurrency as f64)
             .ceil()
             .clamp(1.0, d.max_containers as f64);
-        HostLoad {
-            cpu_rate: concurrent * d.cpu_per_invocation,
-            membw_rate: concurrent * d.membw_per_invocation,
-            disk_rate: concurrent * d.disk_per_invocation,
-            net_rate: concurrent * d.net_per_invocation,
-            mem_mb: containers * d.container_mb,
-            cache_mb: containers * d.cache_mb,
-        }
+        d.invocation_rates().scale(concurrent) + d.container_occupancy().scale(containers)
     }
 }
 
@@ -266,10 +271,11 @@ impl ClusterPolicy for LeastLoaded {
             .filter(|j| j.placement.is_none())
             .map(|j| {
                 let host = argmin(hosts.iter().map(|h| {
-                    (h.load.cpu_rate + extra[h.idx]) / h.spec.cpu_cores.max(f64::MIN_POSITIVE)
+                    (h.load[ResourceKind::Cpu] + extra[h.idx])
+                        / h.spec.capacity(ResourceKind::Cpu).max(f64::MIN_POSITIVE)
                 }))
                 .expect("at least one host");
-                extra[host] += j.est.cpu_rate;
+                extra[host] += j.est[ResourceKind::Cpu];
                 ClusterAction::Admit { job: j.id, host }
             })
             .collect()
@@ -299,38 +305,25 @@ impl ScorePolicy {
     /// the host), amplified by the host's observed interference risk,
     /// plus a small utilisation term so healthy hosts tie-break toward
     /// the emptiest one.
-    fn score(h: &HostSnapshot, extra: &HostLoad, add: &HostLoad) -> f64 {
-        let over = |used: f64, pending: f64, more: f64, cap: f64| {
-            ((used + pending + more) / cap.max(f64::MIN_POSITIVE) - 1.0).max(0.0)
-        };
+    fn score(h: &HostSnapshot, extra: &ResourceVector, add: &ResourceVector) -> f64 {
         // The epoch-mean CPU rate sees through momentary freezes at the
         // boundary; occupancy resources use the instantaneous snapshot.
-        let cpu_used = h.load.cpu_rate.max(h.mean_cpu);
-        let overflow = over(cpu_used, extra.cpu_rate, add.cpu_rate, h.spec.cpu_cores)
-            + over(
-                h.load.membw_rate,
-                extra.membw_rate,
-                add.membw_rate,
-                h.spec.membw_mbps,
-            )
-            + over(
-                h.load.disk_rate,
-                extra.disk_rate,
-                add.disk_rate,
-                h.spec.disk_mbps,
-            )
-            + over(
-                h.load.net_rate,
-                extra.net_rate,
-                add.net_rate,
-                h.spec.net_mbps,
-            )
-            + over(h.load.cache_mb, extra.cache_mb, add.cache_mb, h.spec.llc_mb)
-            + over(h.load.mem_mb, extra.mem_mb, add.mem_mb, h.spec.ram_mb);
+        let used = |k: ResourceKind| match k {
+            ResourceKind::Cpu => h.load[k].max(h.mean_cpu),
+            _ => h.load[k],
+        };
+        let util = |k: ResourceKind| {
+            (used(k) + extra[k] + add[k]) / h.spec.capacity(k).max(f64::MIN_POSITIVE)
+        };
+        let overflow = Self::overflow(util);
         let risk = Self::risk(h);
-        let cpu_util =
-            (cpu_used + extra.cpu_rate + add.cpu_rate) / h.spec.cpu_cores.max(f64::MIN_POSITIVE);
-        overflow * (1.0 + risk) + 0.5 * risk + 0.2 * cpu_util
+        overflow * (1.0 + risk) + 0.5 * risk + 0.2 * util(ResourceKind::Cpu)
+    }
+
+    /// How far past capacity `util` (load over capacity, per resource)
+    /// runs, summed in [`SCORE_ORDER`].
+    fn overflow(util: impl Fn(ResourceKind) -> f64) -> f64 {
+        SCORE_ORDER.iter().map(|&k| (util(k) - 1.0).max(0.0)).sum()
     }
 
     /// Observed interference risk of a host: recent QoS deficit, jobs the
@@ -344,22 +337,17 @@ impl ScorePolicy {
     }
 
     /// True when the job's memory footprint fits host `h` right now.
-    fn fits(h: &HostSnapshot, extra: &HostLoad, add: &HostLoad) -> bool {
-        h.load.mem_mb + extra.mem_mb + add.mem_mb <= h.spec.ram_mb
+    fn fits(h: &HostSnapshot, extra: &ResourceVector, add: &ResourceVector) -> bool {
+        let k = ResourceKind::Memory;
+        h.load[k] + extra[k] + add[k] <= h.spec.capacity(k)
     }
 
     /// The overflow the job would cause on host `h` even if it were
     /// completely empty — demand the job brings with it wherever it goes.
     /// Deferral only makes sense for badness *beyond* this floor: waiting
     /// never shrinks the job's own appetite.
-    fn intrinsic(h: &HostSnapshot, add: &HostLoad) -> f64 {
-        let over = |x: f64, cap: f64| (x / cap.max(f64::MIN_POSITIVE) - 1.0).max(0.0);
-        over(add.cpu_rate, h.spec.cpu_cores)
-            + over(add.membw_rate, h.spec.membw_mbps)
-            + over(add.disk_rate, h.spec.disk_mbps)
-            + over(add.net_rate, h.spec.net_mbps)
-            + over(add.cache_mb, h.spec.llc_mb)
-            + over(add.mem_mb, h.spec.ram_mb)
+    fn intrinsic(h: &HostSnapshot, add: &ResourceVector) -> f64 {
+        Self::overflow(|k| add[k] / h.spec.capacity(k).max(f64::MIN_POSITIVE))
     }
 }
 
@@ -377,15 +365,7 @@ impl ClusterPolicy for ScorePolicy {
         let mut actions = Vec::new();
         // Demand routed to each host earlier in this same epoch, so
         // back-to-back placements see each other.
-        let mut extra = vec![HostLoad::default(); hosts.len()];
-        let stack = |e: &mut HostLoad, add: &HostLoad| {
-            e.cpu_rate += add.cpu_rate;
-            e.membw_rate += add.membw_rate;
-            e.disk_rate += add.disk_rate;
-            e.net_rate += add.net_rate;
-            e.mem_mb += add.mem_mb;
-            e.cache_mb += add.cache_mb;
-        };
+        let mut extra = vec![ResourceVector::zero(); hosts.len()];
 
         for j in jobs.iter().filter(|j| j.placement.is_none()) {
             let fitting: Vec<&HostSnapshot> = hosts
@@ -413,7 +393,7 @@ impl ClusterPolicy for ScorePolicy {
                 actions.push(ClusterAction::Defer { job: j.id });
                 continue;
             }
-            stack(&mut extra[host], &j.est);
+            extra[host] += j.est;
             actions.push(ClusterAction::Admit { job: j.id, host });
         }
 
@@ -434,11 +414,13 @@ impl ClusterPolicy for ScorePolicy {
                             && epoch.saturating_sub(j.last_move_epoch) >= MIGRATION_COOLDOWN_EPOCHS
                     })
                     .max_by(|a, b| {
-                        let weight = |j: &JobView| j.est.cpu_rate + j.est.membw_rate / 100.0;
+                        let weight = |j: &JobView| {
+                            j.est[ResourceKind::Cpu] + j.est[ResourceKind::MemBandwidth] / 100.0
+                        };
                         weight(a).total_cmp(&weight(b)).then(b.id.cmp(&a.id))
                     });
                 let Some(job) = candidate else { continue };
-                let here = Self::score(h, &extra[h.idx], &HostLoad::default());
+                let here = Self::score(h, &extra[h.idx], &ResourceVector::zero());
                 let elsewhere = hosts
                     .iter()
                     .filter(|to| to.idx != h.idx && Self::fits(to, &extra[to.idx], &job.est))
@@ -446,7 +428,7 @@ impl ClusterPolicy for ScorePolicy {
                     .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
                 if let Some((to, score)) = elsewhere {
                     if score + 0.5 < here {
-                        stack(&mut extra[to], &job.est);
+                        extra[to] += job.est;
                         actions.push(ClusterAction::Migrate {
                             job: job.id,
                             from: h.idx,
@@ -462,20 +444,24 @@ impl ClusterPolicy for ScorePolicy {
 }
 
 #[cfg(test)]
+#[path = "../../tests/reference/planner.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::scenario::cluster_by_name;
+    use crate::cluster::scenario::{cluster_by_name, cluster_library};
+    use proptest::prelude::*;
+    use reference::HostLoad;
+    use stayaway_workload::{ArrivalProcess, DemandProfile};
 
-    fn snapshot(idx: usize, cpu_rate: f64) -> HostSnapshot {
+    fn snapshot(idx: usize, cpu: f64) -> HostSnapshot {
         HostSnapshot {
             idx,
             name: format!("h{idx}"),
             spec: HostSpec::default(),
-            load: HostLoad {
-                cpu_rate,
-                ..HostLoad::default()
-            },
-            mean_cpu: cpu_rate,
+            load: ResourceVector::zero().with(ResourceKind::Cpu, cpu),
+            mean_cpu: cpu,
             epoch_qos: QosSummary::new(),
             frozen_jobs: 0,
             placed_jobs: Vec::new(),
@@ -526,10 +512,10 @@ mod tests {
     #[test]
     fn estimates_respect_littles_law_and_pool_caps() {
         let est = view(2).est; // batch-crunch: 4 rps × 0.4 s, 3 × 1-wide
-        assert!((est.cpu_rate - 1.6).abs() < 1e-9);
-        assert!(est.mem_mb >= 256.0);
+        assert!((est[ResourceKind::Cpu] - 1.6).abs() < 1e-9);
+        assert!(est[ResourceKind::Memory] >= 256.0);
         let heavy = view(1).est; // mem-sweep: pool-capped
-        assert!(heavy.membw_rate > 0.0);
+        assert!(heavy[ResourceKind::MemBandwidth] > 0.0);
     }
 
     #[test]
@@ -593,7 +579,7 @@ mod tests {
     #[test]
     fn score_queues_when_memory_is_exhausted() {
         let mut full = snapshot(0, 0.0);
-        full.load.mem_mb = full.spec.ram_mb;
+        full.load[ResourceKind::Memory] = full.spec.ram_mb;
         let mut p = ClusterPolicySpec::Score.build(7, true);
         let actions = p.decide(0, &[view(2)], &[full]);
         assert_eq!(actions, vec![ClusterAction::Queue { job: 2 }]);
@@ -627,5 +613,110 @@ mod tests {
         // Cooldown: a job that just moved stays put.
         placed.last_move_epoch = 5;
         assert!(p.decide(6, &[placed], &[bad, snapshot(1, 0.1)]).is_empty());
+    }
+
+    /// A load as a fraction of capacity: empty, exactly full, or anywhere
+    /// from idle to three times over.
+    fn level() -> impl Strategy<Value = f64> {
+        (0u8..4, 0.0f64..3.0).prop_map(|(pick, x)| match pick {
+            0 => 0.0,
+            1 => 1.0,
+            _ => x,
+        })
+    }
+
+    /// A random movable job: any demand profile the validator accepts,
+    /// with each rate zeroed when its bit of `zeros` is set.
+    fn random_job() -> impl Strategy<Value = JobSpec> {
+        (
+            (0.5f64..2000.0, 0.1f64..50.0, 0u8..16),
+            (0.0f64..4.0, 0.0f64..5000.0, 0.0f64..300.0, 0.0f64..1500.0),
+            (0.0f64..4096.0, 0.0f64..4.0, 1u32..8, 1u32..8),
+        )
+            .prop_map(|((service_ms, rps, zeros), rates, pool)| {
+                let (cpu, membw, disk, net) = rates;
+                let (container_mb, cache_mb, concurrency, max_containers) = pool;
+                let rate = |bit: u8, v: f64| if zeros & bit == 0 { v } else { 0.0 };
+                let mut job = cluster_by_name("hotspot").unwrap().jobs[2].clone();
+                job.tenant.arrival = ArrivalProcess::Poisson { rps };
+                job.tenant.demand = DemandProfile {
+                    service_ms,
+                    cpu_per_invocation: rate(1, cpu),
+                    membw_per_invocation: rate(2, membw),
+                    disk_per_invocation: rate(4, disk),
+                    net_per_invocation: rate(8, net),
+                    container_mb,
+                    cache_mb,
+                    concurrency,
+                    max_containers,
+                    ..job.tenant.demand
+                };
+                job
+            })
+    }
+
+    /// `levels[i]` × capacity of `ResourceKind::ALL[i]`.
+    fn scaled(spec: &HostSpec, levels: &[f64]) -> ResourceVector {
+        let mut v = ResourceVector::zero();
+        for (k, level) in ResourceKind::ALL.into_iter().zip(levels) {
+            v[k] = level * spec.capacity(k);
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The planner over `ResourceVector` computes the very bits the
+        /// `HostLoad` planner did, for every library job and random ones,
+        /// on empty, full and oversubscribed hosts with the epoch-mean CPU
+        /// above, at and below the instantaneous rate.
+        #[test]
+        fn planner_math_matches_the_host_load_reference_bit_for_bit(
+            random in random_job(),
+            capacity in prop::collection::vec(0.25f64..4.0, 6),
+            load in prop::collection::vec(level(), 6),
+            extra in prop::collection::vec(level(), 6),
+            mean_cpu in level(),
+            history in (0u64..6, 0.0f64..1.0, 0usize..4, 0u64..50),
+        ) {
+            let caps = scaled(&HostSpec::default(), &capacity);
+            let spec = HostSpec {
+                cpu_cores: caps[ResourceKind::Cpu],
+                ram_mb: caps[ResourceKind::Memory],
+                membw_mbps: caps[ResourceKind::MemBandwidth],
+                disk_mbps: caps[ResourceKind::DiskIo],
+                net_mbps: caps[ResourceKind::Network],
+                llc_mb: caps[ResourceKind::Cache],
+            };
+            let (ticks, qos, frozen_jobs, violations) = history;
+            let mut h = snapshot(0, 0.0);
+            h.spec = spec;
+            h.load = scaled(&spec, &load);
+            h.mean_cpu = mean_cpu * spec.cpu_cores;
+            for i in 0..ticks {
+                h.epoch_qos.record(qos, i % 2 == 0);
+            }
+            h.frozen_jobs = frozen_jobs;
+            h.template_violations = (violations > 0).then_some(violations);
+            let old_h = reference::HostSnapshot::of(&h);
+            let extra = scaled(&spec, &extra);
+            let pending = [ResourceVector::zero(), extra];
+
+            let library = cluster_library().into_iter().flat_map(|c| c.jobs);
+            for job in library.chain([random.clone()]) {
+                let est = JobView::estimate(&job);
+                let old_est = reference::estimate(&job);
+                prop_assert_eq!(HostLoad::of(&est).bits(), old_est.bits(), "estimate of {}", job.name);
+                for e in &pending {
+                    let new = ScorePolicy::score(&h, e, &est);
+                    let old = reference::score(&old_h, &HostLoad::of(e), &old_est);
+                    prop_assert_eq!(new.to_bits(), old.to_bits(), "score of {}: {} vs {}", job.name, new, old);
+                }
+                let new = ScorePolicy::intrinsic(&h, &est);
+                let old = reference::intrinsic(&old_h, &old_est);
+                prop_assert_eq!(new.to_bits(), old.to_bits(), "intrinsic of {}: {} vs {}", job.name, new, old);
+            }
+        }
     }
 }

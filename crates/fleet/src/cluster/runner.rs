@@ -579,10 +579,7 @@ impl Cluster {
                 let host = cell.source.host();
                 let totals = host.totals();
                 let stats = cell.policy.stats();
-                qos.active_ticks += cell.qos.active_ticks;
-                qos.violations += cell.qos.violations;
-                qos.qos_sum += cell.qos.qos_sum;
-                qos.worst = qos.worst.min(cell.qos.worst);
+                qos.absorb(&cell.qos);
                 slo_met += totals.sensitive_met;
                 slo_total += totals.sensitive_completed + totals.sensitive_dropped;
                 total_batch_work += host.batch_work();

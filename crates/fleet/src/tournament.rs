@@ -340,16 +340,7 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
                 .filter(|c| c.predictor == name)
                 .collect();
             let satisfaction: Vec<f64> = cells.iter().map(|c| c.satisfaction).collect();
-            let slo: Vec<f64> = cells
-                .iter()
-                .map(|c| {
-                    if c.active_ticks == 0 {
-                        0.0
-                    } else {
-                        c.violations as f64 / c.active_ticks as f64
-                    }
-                })
-                .collect();
+            let slo: Vec<f64> = cells.iter().map(|c| c.slo_violation_rate()).collect();
             let batch: Vec<f64> = cells.iter().map(|c| c.batch_work).collect();
             // One seeded stream per predictor, disjoint from cell seeds;
             // the three intervals consume it in fixed order.
@@ -375,13 +366,7 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
                         satisfaction: combo.iter().map(|c| c.satisfaction).sum::<f64>() / n,
                         slo_violation_rate: combo
                             .iter()
-                            .map(|c| {
-                                if c.active_ticks == 0 {
-                                    0.0
-                                } else {
-                                    c.violations as f64 / c.active_ticks as f64
-                                }
-                            })
+                            .map(|c| c.slo_violation_rate())
                             .sum::<f64>()
                             / n,
                         batch_work: combo.iter().map(|c| c.batch_work).sum::<f64>() / n,

@@ -102,11 +102,6 @@ impl Host {
         })
     }
 
-    /// Overrides the contention parameters.
-    pub fn set_contention_params(&mut self, params: ContentionParams) {
-        self.params = params;
-    }
-
     /// The host capacities.
     pub fn spec(&self) -> &HostSpec {
         &self.spec

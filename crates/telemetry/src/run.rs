@@ -47,6 +47,15 @@ impl QosSummary {
         self.worst = self.worst.min(qos_value);
     }
 
+    /// Pools `other`'s ticks into this summary: the counts add, `qos_sum`
+    /// adds the other's sum and `worst` keeps the lower of the two.
+    pub fn absorb(&mut self, other: &QosSummary) {
+        self.active_ticks += other.active_ticks;
+        self.violations += other.violations;
+        self.qos_sum += other.qos_sum;
+        self.worst = self.worst.min(other.worst);
+    }
+
     /// Fraction of active ticks that met the QoS requirement.
     pub fn satisfaction(&self) -> f64 {
         if self.active_ticks == 0 {
@@ -300,6 +309,31 @@ mod tests {
         assert!((s.satisfaction() - 1.0 / 3.0).abs() < 1e-12);
         assert!((s.mean_qos() - 2.3 / 3.0).abs() < 1e-12);
         assert_eq!(s.worst, 0.5);
+    }
+
+    #[test]
+    fn absorbing_a_summary_equals_recording_both_streams() {
+        // Dyadic QoS values, so every partial sum is exact in f64.
+        let first = [(1.0, false), (0.5, true), (0.75, false)];
+        let second = [(0.25, true), (1.0, false)];
+        let mut both = QosSummary::new();
+        let (mut a, mut b) = (QosSummary::new(), QosSummary::new());
+        for &(q, v) in &first {
+            a.record(q, v);
+            both.record(q, v);
+        }
+        for &(q, v) in &second {
+            b.record(q, v);
+            both.record(q, v);
+        }
+        a.absorb(&b);
+        assert_eq!(a, both);
+        // An empty summary is the identity on either side.
+        let mut empty = QosSummary::new();
+        empty.absorb(&both);
+        assert_eq!(empty, both);
+        both.absorb(&QosSummary::new());
+        assert_eq!(empty, both);
     }
 
     #[test]

@@ -34,15 +34,33 @@ use crate::arrival::NANOS_PER_SEC;
 use crate::latency::LatencyHistogram;
 use crate::metrics::WorkloadMetrics;
 use crate::queue::{Event, EventKind, EventQueue};
-use crate::spec::WorkloadScenario;
+use crate::spec::{TenantSpec, WorkloadScenario};
 use crate::WorkloadError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use stayaway_telemetry::{
     Action, AppClass, ContainerId, Observation, ResourceKind, ResourceVector, TickRecord,
 };
 use std::collections::VecDeque;
+
+/// The occupancy resources a warm container holds whether or not it
+/// runs; [`ResourceKind::SHARED_RATES`] are the ones its invocations use.
+const OCCUPANCY: [ResourceKind; 2] = [ResourceKind::Memory, ResourceKind::Cache];
+
+/// `v[k] += by[k]` for each `k` of `kinds`, and no other component: a
+/// component left alone keeps its bits (`-0.0 + 0.0` would not).
+fn add_kinds(v: &mut ResourceVector, by: &ResourceVector, kinds: &[ResourceKind]) {
+    for &k in kinds {
+        v[k] += by[k];
+    }
+}
+
+/// `v[k] = max(v[k] − by[k], 0)` for each `k` of `kinds`, and no other.
+fn sub_kinds(v: &mut ResourceVector, by: &ResourceVector, kinds: &[ResourceKind]) {
+    for &k in kinds {
+        v[k] = (v[k] - by[k]).max(0.0);
+    }
+}
 
 /// SplitMix64 — the same mixer the rest of the workspace uses for seed
 /// derivation, reproduced here so tenant streams are stable even if the
@@ -105,11 +123,9 @@ struct TickStats {
     cold_starts: u64,
     evictions: u64,
     slowdown_sum: f64,
-    /// Resource-time integrals over the tick (value · nanoseconds).
-    acc_cpu: f64,
-    acc_membw: f64,
-    acc_disk: f64,
-    acc_net: f64,
+    /// Resource-time integrals over the tick (value · nanoseconds), on
+    /// the [`ResourceKind::SHARED_RATES`] axes.
+    acc: ResourceVector,
 }
 
 /// Whole-run request totals (ground truth, all tenants).
@@ -167,23 +183,25 @@ struct Tenant {
     running_free: Vec<usize>,
     running_count: u32,
     inv_gen: u64,
+    /// What one invocation demands
+    /// ([`crate::DemandProfile::invocation_rates`]) and one alive container
+    /// holds ([`crate::DemandProfile::container_occupancy`]).
+    rates: ResourceVector,
+    occupancy: ResourceVector,
     /// Current rate demand of this tenant's *running, unfrozen*
-    /// invocations (CPU cores, MB/s …).
-    run_cpu: f64,
-    run_membw: f64,
-    run_disk: f64,
-    run_net: f64,
+    /// invocations, on the [`ResourceKind::SHARED_RATES`] axes.
+    run: ResourceVector,
     /// True while this tenant is listed in [`WorkloadHost::rated`].
     rated: bool,
     stats: TickStats,
 }
 
 impl Tenant {
-    /// A tenant with no containers, no work and zero rates.
-    fn new(name: String, class: AppClass, arrival_seed: u64, service_seed: u64) -> Self {
+    /// A tenant of `spec` with no containers, no work and zero rates.
+    fn new(spec: &TenantSpec, arrival_seed: u64, service_seed: u64) -> Self {
         Tenant {
-            name,
-            class,
+            name: spec.name.clone(),
+            class: spec.class,
             frozen: false,
             detached: false,
             arrival_rng: StdRng::seed_from_u64(arrival_seed),
@@ -196,10 +214,9 @@ impl Tenant {
             running_free: Vec::new(),
             running_count: 0,
             inv_gen: 0,
-            run_cpu: 0.0,
-            run_membw: 0.0,
-            run_disk: 0.0,
-            run_net: 0.0,
+            rates: spec.demand.invocation_rates(),
+            occupancy: spec.demand.container_occupancy(),
+            run: ResourceVector::zero(),
             rated: false,
             stats: TickStats::default(),
         }
@@ -231,27 +248,10 @@ impl Tenant {
     /// 2.8e-17`) outlive the invocations that left them and are
     /// integrated like any other rate.
     fn has_rates(&self) -> bool {
-        self.run_cpu != 0.0 || self.run_membw != 0.0 || self.run_disk != 0.0 || self.run_net != 0.0
+        ResourceKind::SHARED_RATES
+            .iter()
+            .any(|&k| self.run[k] != 0.0)
     }
-}
-
-/// An instantaneous load snapshot of the host, read by cluster placement
-/// policies at epoch boundaries. Pure accessors over the engine's running
-/// rate demands and container occupancy — taking one never mutates state.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct HostLoad {
-    /// CPU cores demanded by running, unfrozen invocations.
-    pub cpu_rate: f64,
-    /// Memory bandwidth demanded, MB/s.
-    pub membw_rate: f64,
-    /// Disk bandwidth demanded, MB/s.
-    pub disk_rate: f64,
-    /// Network bandwidth demanded, MB/s.
-    pub net_rate: f64,
-    /// RAM occupied by alive containers (frozen included), MB.
-    pub mem_mb: f64,
-    /// LLC footprint of alive containers, MB.
-    pub cache_mb: f64,
 }
 
 /// The deterministic multi-tenant host engine.
@@ -268,15 +268,11 @@ pub struct WorkloadHost {
     /// Indices of the tenants whose running rates are not all exactly
     /// zero — the only ones whose integrals [`Self::advance`] can move.
     rated: Vec<usize>,
-    /// Host-wide running rate demand (all unfrozen invocations).
-    total_cpu: f64,
-    total_membw: f64,
-    total_disk: f64,
-    total_net: f64,
-    /// Host-wide occupancy of alive containers (frozen ones included —
-    /// SIGSTOP keeps memory resident).
-    total_mem_mb: f64,
-    total_cache_mb: f64,
+    /// Host-wide load: the running rate demand of all unfrozen invocations
+    /// on the [`ResourceKind::SHARED_RATES`] axes, and the occupancy of
+    /// alive containers (frozen ones included — SIGSTOP keeps memory
+    /// resident) on [`ResourceKind::Memory`] and [`ResourceKind::Cache`].
+    load: ResourceVector,
     /// Nominal batch work completed, core-seconds.
     batch_work: f64,
     totals: RunTotals,
@@ -310,12 +306,7 @@ impl WorkloadHost {
             events: EventQueue::new(scenario.tick_period_ns()),
             tenants: Vec::new(),
             rated: Vec::new(),
-            total_cpu: 0.0,
-            total_membw: 0.0,
-            total_disk: 0.0,
-            total_net: 0.0,
-            total_mem_mb: 0.0,
-            total_cache_mb: 0.0,
+            load: ResourceVector::zero(),
             batch_work: 0.0,
             totals: RunTotals::default(),
             latency: LatencyHistogram::new(),
@@ -327,11 +318,10 @@ impl WorkloadHost {
         for (i, t) in host.scenario.tenants.clone().iter().enumerate() {
             let arrival_seed = splitmix64(seed ^ splitmix64(2 * i as u64));
             let service_seed = splitmix64(seed ^ splitmix64(2 * i as u64 + 1));
-            let mut tenant = Tenant::new(t.name.clone(), t.class, arrival_seed, service_seed);
+            let mut tenant = Tenant::new(t, arrival_seed, service_seed);
             if t.keepalive.idle_window_ns().is_none() {
                 tenant.prewarm();
-                host.total_mem_mb += t.demand.container_mb;
-                host.total_cache_mb += t.demand.cache_mb;
+                add_kinds(&mut host.load, &tenant.occupancy, &OCCUPANCY);
             }
             let first = t.arrival.next_arrival_ns(0, &mut tenant.arrival_rng);
             host.tenants.push(tenant);
@@ -380,16 +370,13 @@ impl WorkloadHost {
         self.timeline_digest
     }
 
-    /// Instantaneous load snapshot (cluster placement input).
-    pub fn load(&self) -> HostLoad {
-        HostLoad {
-            cpu_rate: self.total_cpu,
-            membw_rate: self.total_membw,
-            disk_rate: self.total_disk,
-            net_rate: self.total_net,
-            mem_mb: self.total_mem_mb,
-            cache_mb: self.total_cache_mb,
-        }
+    /// Instantaneous load snapshot (cluster placement input): the rates
+    /// demanded by running, unfrozen invocations on the
+    /// [`ResourceKind::SHARED_RATES`] axes, and the RAM and LLC held by
+    /// alive containers (frozen included) on [`ResourceKind::Memory`] and
+    /// [`ResourceKind::Cache`].
+    pub fn load(&self) -> ResourceVector {
+        self.load
     }
 
     /// Number of tenants hosted (attached tenants included, detached
@@ -431,21 +418,15 @@ impl WorkloadHost {
     ///
     /// Returns [`WorkloadError::InvalidSpec`] when the tenant spec fails
     /// validation.
-    pub fn attach_tenant(&mut self, spec: crate::spec::TenantSpec) -> Result<usize, WorkloadError> {
+    pub fn attach_tenant(&mut self, spec: TenantSpec) -> Result<usize, WorkloadError> {
         spec.validate()?;
         let ti = self.tenants.len();
         // The RNG streams are never consumed: attached tenants are
         // externally driven.
-        let mut tenant = Tenant::new(
-            spec.name.clone(),
-            spec.class,
-            splitmix64(ti as u64),
-            splitmix64(ti as u64 + 1),
-        );
+        let mut tenant = Tenant::new(&spec, splitmix64(ti as u64), splitmix64(ti as u64 + 1));
         if spec.keepalive.idle_window_ns().is_none() {
             tenant.prewarm();
-            self.total_mem_mb += spec.demand.container_mb;
-            self.total_cache_mb += spec.demand.cache_mb;
+            add_kinds(&mut self.load, &tenant.occupancy, &OCCUPANCY);
         }
         self.scenario.tenants.push(spec);
         self.tenants.push(tenant);
@@ -571,10 +552,9 @@ impl WorkloadHost {
         if dt > 0.0 {
             for &ti in &self.rated {
                 let t = &mut self.tenants[ti];
-                t.stats.acc_cpu += t.run_cpu * dt;
-                t.stats.acc_membw += t.run_membw * dt;
-                t.stats.acc_disk += t.run_disk * dt;
-                t.stats.acc_net += t.run_net * dt;
+                for k in ResourceKind::SHARED_RATES {
+                    t.stats.acc[k] += t.run[k] * dt;
+                }
             }
         }
         self.now_ns = self.now_ns.max(to_ns);
@@ -583,57 +563,31 @@ impl WorkloadHost {
     /// Contention-stretch factor for a new invocation of tenant `ti`:
     /// the product of per-resource oversubscription ratios (including
     /// the invocation's own demand) and a swap penalty for RAM
-    /// overcommit. Always ≥ 1.
+    /// overcommit. Always ≥ 1. The factors multiply in the fixed order
+    /// cpu · membw · disk · net · cache · (1 + overcommit).
     fn slowdown_for(&self, ti: usize) -> f64 {
-        let d = &self.scenario.tenants[ti].demand;
+        let rates = &self.tenants[ti].rates;
         let h = &self.scenario.host;
-        let ratio = |total: f64, own: f64, cap: f64| ((total + own) / cap).max(1.0);
-        let cpu = ratio(self.total_cpu, d.cpu_per_invocation, h.cpu_cores);
-        let membw = ratio(self.total_membw, d.membw_per_invocation, h.membw_mbps);
-        let disk = ratio(self.total_disk, d.disk_per_invocation, h.disk_mbps);
-        let net = ratio(self.total_net, d.net_per_invocation, h.net_mbps);
-        let cache = (self.total_cache_mb / h.llc_mb).max(1.0);
-        let overcommit = ((self.total_mem_mb - h.ram_mb) / h.ram_mb).max(0.0);
-        cpu * membw * disk * net * cache * (1.0 + overcommit)
+        let mut slowdown = 1.0;
+        for k in ResourceKind::SHARED_RATES {
+            slowdown *= ((self.load[k] + rates[k]) / h.capacity(k)).max(1.0);
+        }
+        let cache = (self.load[ResourceKind::Cache] / h.llc_mb).max(1.0);
+        let overcommit = ((self.load[ResourceKind::Memory] - h.ram_mb) / h.ram_mb).max(0.0);
+        slowdown * cache * (1.0 + overcommit)
     }
 
     fn add_running_rates(&mut self, ti: usize) {
-        let d = &self.scenario.tenants[ti].demand;
-        let (cpu, membw, disk, net) = (
-            d.cpu_per_invocation,
-            d.membw_per_invocation,
-            d.disk_per_invocation,
-            d.net_per_invocation,
-        );
         let t = &mut self.tenants[ti];
-        t.run_cpu += cpu;
-        t.run_membw += membw;
-        t.run_disk += disk;
-        t.run_net += net;
-        self.total_cpu += cpu;
-        self.total_membw += membw;
-        self.total_disk += disk;
-        self.total_net += net;
+        add_kinds(&mut t.run, &t.rates, &ResourceKind::SHARED_RATES);
+        add_kinds(&mut self.load, &t.rates, &ResourceKind::SHARED_RATES);
         self.refresh_rated(ti);
     }
 
     fn sub_running_rates(&mut self, ti: usize) {
-        let d = &self.scenario.tenants[ti].demand;
-        let (cpu, membw, disk, net) = (
-            d.cpu_per_invocation,
-            d.membw_per_invocation,
-            d.disk_per_invocation,
-            d.net_per_invocation,
-        );
         let t = &mut self.tenants[ti];
-        t.run_cpu = (t.run_cpu - cpu).max(0.0);
-        t.run_membw = (t.run_membw - membw).max(0.0);
-        t.run_disk = (t.run_disk - disk).max(0.0);
-        t.run_net = (t.run_net - net).max(0.0);
-        self.total_cpu = (self.total_cpu - cpu).max(0.0);
-        self.total_membw = (self.total_membw - membw).max(0.0);
-        self.total_disk = (self.total_disk - disk).max(0.0);
-        self.total_net = (self.total_net - net).max(0.0);
+        sub_kinds(&mut t.run, &t.rates, &ResourceKind::SHARED_RATES);
+        sub_kinds(&mut self.load, &t.rates, &ResourceKind::SHARED_RATES);
         self.refresh_rated(ti);
     }
 
@@ -735,8 +689,7 @@ impl WorkloadHost {
     }
 
     fn deploy_container(&mut self, ti: usize, now_ns: u64) {
-        let d = &self.scenario.tenants[ti].demand;
-        let (mem, cache, cold_ns) = (d.container_mb, d.cache_mb, d.cold_start_ns());
+        let cold_ns = self.scenario.tenants[ti].demand.cold_start_ns();
         let t = &mut self.tenants[ti];
         let slot = match t.free_slots.pop() {
             Some(s) => {
@@ -759,8 +712,7 @@ impl WorkloadHost {
         t.alive += 1;
         t.stats.cold_starts += 1;
         self.totals.cold_starts += 1;
-        self.total_mem_mb += mem;
-        self.total_cache_mb += cache;
+        add_kinds(&mut self.load, &t.occupancy, &OCCUPANCY);
         if let Some(m) = &self.metrics {
             m.cold_starts.inc();
         }
@@ -775,8 +727,6 @@ impl WorkloadHost {
     }
 
     fn evict_container(&mut self, ti: usize, slot: usize) {
-        let d = &self.scenario.tenants[ti].demand;
-        let (mem, cache) = (d.container_mb, d.cache_mb);
         let t = &mut self.tenants[ti];
         let c = &mut t.containers[slot];
         c.state = ContainerState::Dead;
@@ -786,8 +736,7 @@ impl WorkloadHost {
         t.free_slots.push(slot);
         t.stats.evictions += 1;
         self.totals.evictions += 1;
-        self.total_mem_mb = (self.total_mem_mb - mem).max(0.0);
-        self.total_cache_mb = (self.total_cache_mb - cache).max(0.0);
+        sub_kinds(&mut self.load, &t.occupancy, &OCCUPANCY);
         if let Some(m) = &self.metrics {
             m.evictions.inc();
         }
@@ -1119,18 +1068,17 @@ impl WorkloadHost {
         let mut batch_paused = 0usize;
         let mut sensitive_active = false;
         for ((ti, t), c) in self.tenants.iter().enumerate().zip(containers) {
-            let spec = &self.scenario.tenants[ti];
-            let mean_cpu = t.stats.acc_cpu / tick_ns;
-            let busy = t.stats.acc_cpu > 0.0 || t.stats.completed > 0;
+            let busy = t.stats.acc[ResourceKind::Cpu] > 0.0 || t.stats.completed > 0;
             let active = !t.frozen && (t.alive_containers() > 0 || busy);
             let alive = t.alive_containers() as f64;
-            let usage = ResourceVector::zero()
-                .with(ResourceKind::Cpu, mean_cpu)
-                .with(ResourceKind::Memory, alive * spec.demand.container_mb)
-                .with(ResourceKind::MemBandwidth, t.stats.acc_membw / tick_ns)
-                .with(ResourceKind::DiskIo, t.stats.acc_disk / tick_ns)
-                .with(ResourceKind::Network, t.stats.acc_net / tick_ns)
-                .with(ResourceKind::Cache, alive * spec.demand.cache_mb);
+            let mut usage = ResourceVector::zero();
+            for k in ResourceKind::SHARED_RATES {
+                usage[k] = t.stats.acc[k] / tick_ns;
+            }
+            for k in OCCUPANCY {
+                usage[k] = alive * t.occupancy[k];
+            }
+            let mean_cpu = usage[ResourceKind::Cpu];
             let ipc = if t.stats.completed > 0 {
                 (t.stats.completed as f64 / t.stats.slowdown_sum).min(1.0)
             } else if t.frozen {
@@ -1456,12 +1404,15 @@ mod tests {
         h.advance_tick();
         let pending = h.tenant_pending(ti);
         assert!(pending > 0);
-        let mem_before = h.load().mem_mb;
+        let mem_before = h.load()[ResourceKind::Memory];
         let carried = h.detach_tenant(ti).unwrap();
         assert_eq!(carried.len() as u64, pending);
         assert!(h.tenant_detached(ti));
         assert_eq!(h.tenant_pending(ti), 0);
-        assert!(h.load().mem_mb < mem_before, "detach releases RAM");
+        assert!(
+            h.load()[ResourceKind::Memory] < mem_before,
+            "detach releases RAM"
+        );
         // Detached tenants reject further traffic and actions.
         assert!(h.inject_arrival(ti, 0, 1).is_err());
         assert!(h.detach_tenant(ti).is_err());
@@ -1472,6 +1423,85 @@ mod tests {
             assert!(obs.containers[ti].finished);
             assert!(!obs.containers[ti].active);
         }
+    }
+
+    /// Asserts the host load equals what its tenants hold right now:
+    /// container RAM and LLC summed over alive containers, and each shared
+    /// rate summed over running, unfrozen invocations — within 1e-9
+    /// relative, since the running totals carry add/sub rounding.
+    fn assert_load_conserved(h: &WorkloadHost, when: &str) {
+        let mut expected = ResourceVector::zero();
+        for (t, spec) in h.tenants.iter().zip(&h.scenario.tenants) {
+            let d = &spec.demand;
+            let alive = t
+                .containers
+                .iter()
+                .filter(|c| c.state != ContainerState::Dead)
+                .count() as f64;
+            expected[ResourceKind::Memory] += alive * d.container_mb;
+            expected[ResourceKind::Cache] += alive * d.cache_mb;
+            let running = t
+                .running
+                .iter()
+                .flatten()
+                .filter(|r| r.frozen_remaining.is_none())
+                .count() as f64;
+            for k in ResourceKind::SHARED_RATES {
+                expected[k] += running * d.invocation_rates()[k];
+            }
+        }
+        let load = h.load();
+        for k in ResourceKind::ALL {
+            let scale = load[k].abs().max(expected[k].abs()).max(1.0);
+            assert!(
+                (load[k] - expected[k]).abs() <= 1e-9 * scale,
+                "{when}: load[{k}] = {} but the tenants hold {}",
+                load[k],
+                expected[k]
+            );
+        }
+    }
+
+    #[test]
+    fn load_conserves_occupancy_and_running_rates() {
+        let mut h = host("multi-tenant-storm", 19);
+        let batch: Vec<ContainerId> = (0..h.tenant_count())
+            .filter(|&ti| h.tenants[ti].class == AppClass::Batch)
+            .map(ContainerId::from_raw)
+            .collect();
+        let all = |verb: fn(ContainerId) -> Action| batch.iter().map(|&id| verb(id)).collect();
+        let period = h.scenario().tick_period_ns();
+        let mut guest = None;
+        for tick in 0..60u64 {
+            let actions: Vec<Action> = match tick {
+                5 => all(Action::Pause),
+                12 => all(Action::Resume),
+                22 => guest
+                    .map(|ti| vec![Action::Pause(ContainerId::from_raw(ti))])
+                    .unwrap(),
+                27 => guest
+                    .map(|ti| vec![Action::Resume(ContainerId::from_raw(ti))])
+                    .unwrap(),
+                _ => Vec::new(),
+            };
+            assert_eq!(h.apply(&actions), 0, "tick {tick}");
+            if tick == 15 {
+                guest = Some(h.attach_tenant(movable_job_spec("guest")).unwrap());
+            }
+            if let Some(ti) = guest.filter(|_| (15..40).contains(&tick)) {
+                for k in 0..4 {
+                    h.inject_arrival(ti, tick * period + k * period / 4, 300_000_000)
+                        .unwrap();
+                }
+            }
+            if tick == 40 {
+                assert!(!h.detach_tenant(guest.unwrap()).unwrap().is_empty());
+            }
+            assert_load_conserved(&h, &format!("before tick {tick}"));
+            h.advance_tick();
+            assert_load_conserved(&h, &format!("after tick {tick}"));
+        }
+        assert!(h.totals().evictions > 0 && h.tenant_detached(guest.unwrap()));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod spec;
 
 pub use arrival::ArrivalProcess;
 pub use demand::{DemandProfile, KeepalivePolicy};
-pub use engine::{HostLoad, RunTotals, WorkloadHost};
+pub use engine::{RunTotals, WorkloadHost};
 pub use error::WorkloadError;
 pub use latency::LatencyHistogram;
 pub use metrics::WorkloadMetrics;

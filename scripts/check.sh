@@ -99,6 +99,19 @@ cargo build --release --workspace
 # bits; `latency::tests::shared_layout_at_five_bits_is_the_layout_this_file_had`
 # sweeps it against the functions `latency.rs` used to carry.
 #
+# One resource vocabulary (`stayaway-fleet --lib cluster::policy`,
+# `stayaway-workload --lib engine::`): the engine and the cluster planner
+# count in `ResourceVector`. The planner must compute the bits of its
+# six-field `HostLoad` predecessor, kept verbatim as a test-only oracle in
+# `crates/fleet/tests/reference/planner.rs`
+# (`planner_math_matches_the_host_load_reference_bit_for_bit`: every
+# library job plus random demand profiles, on empty, full and
+# oversubscribed hosts). After every tick of a pause / resume / attach /
+# inject / detach script on multi-tenant-storm, the engine's `load()` must
+# equal what its tenants hold — alive containers' RAM and LLC, running
+# unfrozen invocations' rates — within 1e-9 relative
+# (`load_conserves_occupancy_and_running_rates`).
+#
 # Introspection cost (`stayaway-core --test period_allocations`, the
 # `stayaway-obs` model tests in `--test properties`): a fence that reads no
 # clock — under a counting global allocator, a control period with
