@@ -1,8 +1,8 @@
 //! Ablation — the incremental mapping hot path vs a full-rebuild baseline.
 //!
-//! `MappingEngine::observe` answers dedup/nearest queries through a pruned
-//! grid index and maintains its all-pairs distance matrix by column
-//! appends (O(n·dim) per new representative). The baseline replicates the
+//! `MapStage::ingest` answers dedup/nearest queries through a pruned grid
+//! index and maintains its all-pairs distance matrix by column appends
+//! (O(n·dim) per new representative). The baseline replicates the
 //! same mathematical pipeline with the naive plumbing it replaced: linear
 //! scans for every dedup/nearest query and a from-scratch
 //! `DistanceMatrix::from_vectors` on every new representative.
@@ -12,8 +12,9 @@
 //! * `observe_stream_500reps` — the steady-state hot path: a map of 500
 //!   learned representatives processing a merge-heavy observe stream (the
 //!   shape of a long Stay-Away run, where most periods revisit known
-//!   states). Incremental vs baseline differ only in query plumbing, so
-//!   the speedup isolates the pruned grid index.
+//!   states). Incremental vs baseline differ in query plumbing, plus the
+//!   stage's one state-map visit per period, so the speedup is the pruned
+//!   grid index's.
 //! * `distance_matrix_maintenance` — growing the 500-point matrix one
 //!   representative at a time: column appends vs from-scratch rebuilds.
 //!
@@ -26,7 +27,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stayaway_core::mapping::{MappingEngine, COLUMN_STRESS_BUDGET, MIN_GATED_POINTS};
+use stayaway_core::stages::map::{COLUMN_STRESS_BUDGET, MIN_GATED_POINTS};
+use stayaway_core::stages::{MapStage, Sensed};
+use stayaway_core::ControllerConfig;
 use stayaway_mds::dedup::ReprSet;
 use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
@@ -34,6 +37,7 @@ use stayaway_mds::procrustes::align_to_previous;
 use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 use stayaway_mds::Embedding;
 use stayaway_sim::{HostSpec, ResourceKind};
+use stayaway_statespace::ExecutionMode;
 
 const METRICS: [ResourceKind; 5] = [
     ResourceKind::Cpu,
@@ -106,31 +110,54 @@ impl FullRebuildBaseline {
     }
 }
 
-fn engine(spec: &HostSpec, max_states: usize) -> MappingEngine {
-    MappingEngine::new(&METRICS, spec, EPSILON, SMACOF_SWEEPS, max_states).expect("engine")
+fn map_stage(spec: &HostSpec, max_states: usize) -> MapStage {
+    let config = ControllerConfig {
+        metrics: METRICS.to_vec(),
+        dedup_epsilon: EPSILON,
+        smacof_iterations: SMACOF_SWEEPS,
+        max_states,
+        ..ControllerConfig::default()
+    };
+    MapStage::new(&config, spec).expect("map stage")
+}
+
+/// One co-located period carrying `raw`.
+fn period(raw: Vec<f64>) -> Sensed {
+    Sensed {
+        tick: 0,
+        mode: ExecutionMode::CoLocated,
+        violated: false,
+        raw,
+        rejected: 0,
+    }
 }
 
 /// `REPS` mutually distant raw vectors followed by `REVISITS`
 /// near-duplicates of them.
-fn observe_stream(spec: &HostSpec) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+fn observe_stream(spec: &HostSpec) -> (Vec<Sensed>, Vec<Sensed>) {
     let caps: Vec<f64> = (0..2)
         .flat_map(|_| METRICS.iter().map(|&m| spec.capacity(m)))
         .collect();
     let mut rng = StdRng::seed_from_u64(0x5747_4d41);
-    let growth: Vec<Vec<f64>> = (0..REPS)
+    let growth: Vec<Sensed> = (0..REPS)
         .map(|_| {
-            caps.iter()
-                .map(|c| rng.gen_range(0.0f64..1.0) * c)
-                .collect()
+            period(
+                caps.iter()
+                    .map(|c| rng.gen_range(0.0f64..1.0) * c)
+                    .collect(),
+            )
         })
         .collect();
-    let revisits: Vec<Vec<f64>> = (0..REVISITS)
+    let revisits: Vec<Sensed> = (0..REVISITS)
         .map(|i| {
-            growth[i % REPS]
-                .iter()
-                .zip(&caps)
-                .map(|(v, c)| (v + rng.gen_range(-0.002f64..0.002) * c).clamp(0.0, *c))
-                .collect()
+            period(
+                growth[i % REPS]
+                    .raw
+                    .iter()
+                    .zip(&caps)
+                    .map(|(v, c)| (v + rng.gen_range(-0.002f64..0.002) * c).clamp(0.0, *c))
+                    .collect(),
+            )
         })
         .collect();
     (growth, revisits)
@@ -143,11 +170,11 @@ fn bench_mapping_hotpath(c: &mut Criterion) {
     // Grow both maps to 500 representatives, checking equivalence: both
     // arms must land on the same representative set and — because the
     // embedding math is untouched — a bit-identical embedding.
-    let mut inc = engine(&spec, REPS);
+    let mut inc = map_stage(&spec, REPS);
     let mut base = FullRebuildBaseline::new(&spec, REPS);
-    for raw in growth.iter().chain(&revisits) {
-        let a = inc.observe(raw).expect("observe").rep;
-        let b = base.observe(raw);
+    for sensed in growth.iter().chain(&revisits) {
+        let a = inc.ingest(sensed).expect("ingest").rep;
+        let b = base.observe(&sensed.raw);
         assert_eq!(a, b, "rep assignment diverged");
     }
     assert_eq!(inc.repr_count(), base.repr.len(), "rep sets diverged");
@@ -182,17 +209,17 @@ fn bench_mapping_hotpath(c: &mut Criterion) {
     group.bench_function("full_rebuild_baseline", |b| {
         b.iter(|| {
             let mut last = 0;
-            for raw in std::hint::black_box(&revisits) {
-                last = base.observe(raw);
+            for sensed in std::hint::black_box(&revisits) {
+                last = base.observe(&sensed.raw);
             }
             last
         });
     });
-    group.bench_function("incremental_engine", |b| {
+    group.bench_function("incremental_stage", |b| {
         b.iter(|| {
             let mut last = 0;
-            for raw in std::hint::black_box(&revisits) {
-                last = inc.observe(raw).expect("observe").rep;
+            for sensed in std::hint::black_box(&revisits) {
+                last = inc.ingest(sensed).expect("ingest").rep;
             }
             last
         });

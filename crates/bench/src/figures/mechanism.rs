@@ -6,7 +6,7 @@ use super::{save_svg, state_table};
 use crate::report::{ascii_chart, sparkline, Table};
 use crate::runner::{run, stayaway, ExperimentSink, PolicyRun};
 use stayaway_core::aggregate::measurement_vector;
-use stayaway_core::mapping::MappingEngine;
+use stayaway_core::stages::{MapStage, Sensed};
 use stayaway_core::{Controller, ControllerConfig, Observability};
 use stayaway_obs::{AttrValue, EventKind, FlightRecorder};
 use stayaway_sim::apps::{soplex::soplex_with_work, vlc::vlc_transcode};
@@ -146,7 +146,7 @@ impl RadiusCurves {
 
 /// Observe-only policy that maps every tick and records the trajectory.
 struct Recorder {
-    engine: MappingEngine,
+    map: MapStage,
     metrics: Vec<stayaway_sim::ResourceKind>,
     trail: Vec<(u64, ExecutionMode, Point2)>,
 }
@@ -157,10 +157,16 @@ impl Policy for Recorder {
     }
 
     fn decide(&mut self, obs: &Observation) -> Vec<Action> {
-        let raw = measurement_vector(obs, &self.metrics);
-        if let Ok(sample) = self.engine.observe(&raw) {
-            let mode = ExecutionMode::from_activity(obs.sensitive_active(), obs.batch_active());
-            self.trail.push((obs.tick, mode, sample.point));
+        let mode = ExecutionMode::from_activity(obs.sensitive_active(), obs.batch_active());
+        let sensed = Sensed {
+            tick: obs.tick,
+            mode,
+            violated: false,
+            raw: measurement_vector(obs, &self.metrics),
+            rejected: 0,
+        };
+        if let Ok(mapped) = self.map.ingest(&sensed) {
+            self.trail.push((obs.tick, mode, mapped.point));
         }
         Vec::new()
     }
@@ -187,10 +193,15 @@ pub fn fig05_execution_modes() -> ExecutionModes {
     // Higher monitoring noise + finer dedup make the within-mode
     // micro-structure visible (the paper's real metrics fluctuate).
     let mut harness = Harness::new(host, QosSpec::default(), 0.03, 9).expect("valid harness");
-    let config = ControllerConfig::default();
+    let config = ControllerConfig {
+        dedup_epsilon: 0.01,
+        smacof_iterations: 20,
+        max_states: 400,
+        ..ControllerConfig::default()
+    };
     let mut recorder = Recorder {
-        engine: MappingEngine::new(&config.metrics, &spec, 0.01, 20, 400).expect("valid engine"),
-        metrics: config.metrics.clone(),
+        map: MapStage::new(&config, &spec).expect("valid map stage"),
+        metrics: config.metrics,
         trail: Vec::new(),
     };
     harness.run(&mut recorder, 350);

@@ -149,7 +149,7 @@ impl Controller {
 
     /// A point-in-time snapshot of every instrument this controller
     /// registered (per-stage latency histograms, decision counters, β
-    /// and duty-cycle gauges, mapping-engine metrics).
+    /// and duty-cycle gauges, map-stage metrics).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.registry.snapshot()
     }

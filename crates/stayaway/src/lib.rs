@@ -8,23 +8,24 @@
 //!    classified into an execution mode, assessed for QoS violations, and
 //!    aggregated into the raw measurement vector (batch VMs form one
 //!    *logical VM*, §5).
-//! 2. **Map** ([`stages::map`], backed by [`mapping`]): the vector is
-//!    normalised into `[0, 1]` per metric, deduplicated to a
-//!    representative sample set (§4), and a new representative is placed
-//!    into the 2-D map — re-solved with warm-started SMACOF and
-//!    Procrustes-aligned to the previous frame only when it does not fit.
-//! 3. **Predict** ([`stages::predict`], a shell over the swappable
-//!    [`predictors`] plane): the configured [`predictors::Predictor`] —
-//!    the paper's KDE/trajectory design by default, or a competitor
-//!    (`xapp`, `denoise`, `last-tick`) — feeds on the mapped observation
-//!    and forecasts whether the next co-located state violates (§3.2,
-//!    DESIGN.md §15).
-//! 4. **Act** ([`stages::act`], backed by [`action`]): a predicted (or
-//!    observed) violation pauses the batch applications holding the
-//!    majority resource share; the β-learned phase-change detector and a
-//!    randomised optimistic retry decide when to resume (§3.3).
+//! 2. **Map** ([`stages::map`]): the vector is normalised into `[0, 1]`
+//!    per metric, deduplicated to a representative sample set (§4), and a
+//!    new representative is placed into the 2-D map — re-solved with
+//!    warm-started SMACOF and Procrustes-aligned to the previous frame
+//!    only when it does not fit.
+//! 3. **Predict** ([`stages::predict`], the verdict ledger over the
+//!    swappable [`predictors`] plane): the configured
+//!    [`predictors::Predictor`] — the paper's KDE/trajectory design by
+//!    default, or a competitor (`xapp`, `denoise`, `last-tick`) — feeds on
+//!    the mapped observation and forecasts whether the next co-located
+//!    state violates (§3.2, DESIGN.md §15).
+//! 4. **Act** ([`stages::act`]): a predicted (or observed) violation
+//!    pauses the batch applications holding the majority resource share;
+//!    the β-learned phase-change detector and a randomised optimistic
+//!    retry decide when to resume (§3.3).
 //!
-//! The [`Controller`] is a thin composer over these stages and implements
+//! Each stage is one type that owns its mechanism's state outright. The
+//! [`Controller`] is a thin composer over these stages and implements
 //! [`ControlPolicy`] — the unified control-plane interface ([`policy`])
 //! that the bench runner, fleet cells and CLI program against, for the
 //! Stay-Away controller and baselines alike. Per-stage cost is recorded in
@@ -60,11 +61,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod action;
 pub mod aggregate;
 pub mod config;
 pub mod controller;
-pub mod mapping;
 pub mod obs;
 pub mod policy;
 pub mod predictors;

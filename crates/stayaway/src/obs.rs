@@ -277,8 +277,8 @@ impl ControllerMetrics {
     }
 }
 
-/// Mapping-engine instrument handles, passed down from the controller
-/// into [`crate::mapping::MappingEngine`].
+/// Mapping instrument handles, passed down from the controller into
+/// [`crate::stages::MapStage`].
 #[derive(Debug, Clone)]
 pub struct MappingMetrics {
     samples: Counter,

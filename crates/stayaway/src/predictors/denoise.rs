@@ -163,7 +163,7 @@ impl Predictor for DenoisePredictor {
         // Criterion 1: the denoised vector embeds in a violation-range.
         let in_range = map
             .approximate_point(&filtered)
-            .is_some_and(|(point, _)| map.in_violation_range(point));
+            .is_some_and(|(point, _)| map.state_map().in_violation_range(point));
         // Criterion 2: filtered pressure crosses the learned threshold.
         let over_threshold = self
             .learned_threshold()

@@ -71,7 +71,7 @@ impl Predictor for KdePredictor {
         let votes = self
             .model
             .vote(sensed.mode, point, self.samples, rng, |c| {
-                map.in_violation_range(c)
+                map.state_map().in_violation_range(c)
             })?;
         Some(Forecast {
             predicted_violation: 2 * votes > self.samples,

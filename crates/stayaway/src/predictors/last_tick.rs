@@ -47,7 +47,7 @@ impl Predictor for LastTickPredictor {
         _rng: &mut StdRng,
     ) -> Option<Forecast> {
         let current_violates = sensed.violated
-            || map.in_violation_range(point)
+            || map.state_map().in_violation_range(point)
             || rep.is_some_and(|rep| map.is_violation_state(rep));
         Some(Forecast {
             predicted_violation: current_violates,

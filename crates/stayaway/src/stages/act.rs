@@ -1,17 +1,29 @@
 //! Stage 4 — Act: throttle/resume actuation and β adaptation (§3.3).
 //!
-//! Owns the [`ThrottleManager`] (β learning, optimistic probes), the
-//! throttle anchor that phase-change drift is measured against, and the
-//! set of containers this controller paused. Resume safety is estimated
-//! against the map stage's learned violation geography.
+//! A predicted (or observed) violation pauses the batch applications
+//! holding the majority resource share. While they are paused, the stage
+//! watches how far the sensitive application's isolated states drift from
+//! the first one after the throttle. Small distances mean same phase, same
+//! workload — resuming would recreate the contention. A drift above the
+//! learned threshold β signals a phase/workload change and triggers a
+//! resume. β starts at 0.01 and grows whenever a phase-change resume is
+//! immediately followed by a violation ("the phase change … was not enough
+//! to avoid degradation"). A random factor resumes the batch application
+//! after long stable periods so it cannot starve forever; a failed random
+//! probe is an accepted gamble and does not inflate β.
+//!
+//! A phase-change resume is checked against the map stage's learned
+//! violation geography before it is committed ("the system does not resume
+//! the batch application until the system believes that resuming … will
+//! not cause a performance degradation"); an optimistic one is not.
 
 use super::map::MapStage;
 use super::sense::Sensed;
-use crate::action::ThrottleManager;
 use crate::aggregate::majority_share_batch;
 use crate::config::ControllerConfig;
 use crate::stats::ResumeReason;
 use rand::rngs::StdRng;
+use rand::Rng;
 use stayaway_statespace::{ExecutionMode, Point2};
 use stayaway_telemetry::{Action, ContainerId, Observation, ResourceKind, ResourceVector};
 
@@ -32,15 +44,29 @@ pub enum ResumeDecision {
     },
 }
 
-/// The action stage: throttle state machine plus target selection.
+/// The action stage: the throttle state machine, β learning and target
+/// selection.
 #[derive(Debug)]
 pub struct ActStage {
-    throttle: ThrottleManager,
     capacities: ResourceVector,
     metrics: Vec<ResourceKind>,
     actions_enabled: bool,
     violation_range_enabled: bool,
     dedup_epsilon: f64,
+    beta: f64,
+    beta_increment: f64,
+    reviolation_window: u64,
+    optimistic_after: u64,
+    optimistic_probability: f64,
+    /// Multiplier on `optimistic_after`, doubled whenever an optimistic
+    /// probe immediately re-violates and reset when a resume survives:
+    /// probing a co-runner that never changes phase (CPUBomb) becomes
+    /// exponentially rarer instead of paying a violation per probe.
+    optimistic_backoff: f64,
+    throttled: bool,
+    /// Sub-β periods since the throttle engaged.
+    stable_ticks: u64,
+    last_resume: Option<(u64, ResumeReason)>,
     /// The sensitive application's first isolated state after the current
     /// throttle; resume drift is measured against this anchor ("the states
     /// that follow roughly map to the same vicinity", §3.3).
@@ -60,20 +86,28 @@ pub struct ActStage {
 impl ActStage {
     /// Creates the stage from the controller configuration and the host's
     /// capacities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.beta_initial <= 0` (rejected upstream by
+    /// [`ControllerConfig::validate`]).
     pub fn new(config: &ControllerConfig, capacities: ResourceVector) -> Self {
+        assert!(config.beta_initial > 0.0, "beta must start positive");
         ActStage {
-            throttle: ThrottleManager::new(
-                config.beta_initial,
-                config.beta_increment,
-                config.reviolation_window,
-                config.optimistic_after,
-                config.optimistic_probability,
-            ),
             capacities,
             metrics: config.metrics.clone(),
             actions_enabled: config.actions_enabled,
             violation_range_enabled: config.violation_range_enabled,
             dedup_epsilon: config.dedup_epsilon,
+            beta: config.beta_initial,
+            beta_increment: config.beta_increment,
+            reviolation_window: config.reviolation_window,
+            optimistic_after: config.optimistic_after,
+            optimistic_probability: config.optimistic_probability,
+            optimistic_backoff: 1.0,
+            throttled: false,
+            stable_ticks: 0,
+            last_resume: None,
             throttle_anchor: None,
             anchor_established: None,
             paused_by_us: Vec::new(),
@@ -84,18 +118,35 @@ impl ActStage {
 
     /// The current β (§3.3).
     pub fn beta(&self) -> f64 {
-        self.throttle.beta()
+        self.beta
     }
 
     /// True while the stage holds batch applications paused.
     pub fn is_throttling(&self) -> bool {
-        self.throttle.is_throttled()
+        self.throttled
     }
 
-    /// Records an observed violation; returns `true` when β was
-    /// incremented (a premature phase-change resume took the blame).
+    /// Records an observed violation at `tick`. If it follows a
+    /// *phase-change* resume within the re-violation window, the phase
+    /// change "was not enough": β is incremented and `true` is returned.
+    /// Optimistic probes are expected to fail sometimes and never inflate
+    /// β; a failed one doubles the wait before the next (up to 6×).
     pub fn note_violation(&mut self, tick: u64) -> bool {
-        self.throttle.note_violation(tick)
+        if let Some((resumed, reason)) = self.last_resume {
+            if tick.saturating_sub(resumed) <= self.reviolation_window {
+                self.last_resume = None;
+                match reason {
+                    ResumeReason::PhaseChange => {
+                        self.beta += self.beta_increment;
+                        return true;
+                    }
+                    ResumeReason::Optimistic => {
+                        self.optimistic_backoff = (self.optimistic_backoff * 2.0).min(6.0);
+                    }
+                }
+            }
+        }
+        false
     }
 
     /// Drains the drift anchor established by the last
@@ -136,7 +187,7 @@ impl ActStage {
         } else {
             0.0
         };
-        let Some(reason) = self.throttle.resume_signal(drift, rng) else {
+        let Some(reason) = self.resume_signal(drift, rng) else {
             return ResumeDecision::Hold;
         };
         let k = self.metrics.len();
@@ -145,7 +196,9 @@ impl ActStage {
         {
             return ResumeDecision::Vetoed;
         }
-        self.throttle.commit_resume(sensed.tick, reason);
+        self.throttled = false;
+        self.stable_ticks = 0;
+        self.last_resume = Some((sensed.tick, reason));
         self.throttle_anchor = None;
         let actions = if self.actions_enabled {
             self.paused_by_us.drain(..).map(Action::Resume).collect()
@@ -153,6 +206,25 @@ impl ActStage {
             Vec::new()
         };
         ResumeDecision::Resumed { reason, actions }
+    }
+
+    /// While throttled: whether the §3.3 resume conditions hold, given the
+    /// drift of the sensitive application's isolated state. Changes only
+    /// the stable-period count; [`ActStage::maybe_resume`] either vetoes
+    /// the signal or commits it.
+    fn resume_signal(&mut self, drift: f64, rng: &mut StdRng) -> Option<ResumeReason> {
+        if !self.throttled {
+            return None;
+        }
+        if drift > self.beta {
+            return Some(ResumeReason::PhaseChange);
+        }
+        self.stable_ticks += 1;
+        let required = (self.optimistic_after as f64 * self.optimistic_backoff) as u64;
+        if self.stable_ticks >= required && rng.gen_range(0.0..1.0) < self.optimistic_probability {
+            return Some(ResumeReason::Optimistic);
+        }
+        None
     }
 
     /// Estimates whether resuming the batch applications from the current
@@ -188,7 +260,7 @@ impl ActStage {
         };
         // The 2-D interpolation is only trustworthy near explored
         // territory (within a few dedup radii of a representative).
-        if nearest_dist <= 3.0 * self.dedup_epsilon && map.in_violation_range(point) {
+        if nearest_dist <= 3.0 * self.dedup_epsilon && map.state_map().in_violation_range(point) {
             return true;
         }
         // Directional check in the high-dimensional space: when the single
@@ -216,11 +288,19 @@ impl ActStage {
 
     /// Engages the throttle on `targets`. Returns `(engaged, pauses)`;
     /// in observe-only mode nothing is engaged and no actions are issued.
+    /// A preceding resume that survived beyond the re-violation window was
+    /// a success and resets the optimistic backoff.
     pub fn engage(&mut self, tick: u64, targets: Vec<ContainerId>) -> (bool, Vec<Action>) {
         if !self.actions_enabled {
             return (false, Vec::new());
         }
-        self.throttle.note_throttle(tick);
+        if let Some((resumed, _)) = self.last_resume {
+            if tick.saturating_sub(resumed) > self.reviolation_window {
+                self.optimistic_backoff = 1.0;
+            }
+        }
+        self.throttled = true;
+        self.stable_ticks = 0;
         self.throttle_anchor = None;
         let mut actions = Vec::with_capacity(targets.len());
         for id in targets {
@@ -228,5 +308,239 @@ impl ActStage {
             actions.push(Action::Pause(id));
         }
         (true, actions)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use stayaway_telemetry::HostSpec;
+
+    /// One act stage beside a one-metric map that knows a single
+    /// violation-state, `⟨1, 4⟩` (sensitive CPU 1, total 4).
+    struct Rig {
+        act: ActStage,
+        map: MapStage,
+        rng: StdRng,
+    }
+
+    /// β₀ = 0.01, +0.01 per blamed resume, a 3-tick re-violation window.
+    fn rig(optimistic_after: u64, optimistic_probability: f64) -> Rig {
+        let config = ControllerConfig {
+            metrics: vec![ResourceKind::Cpu],
+            beta_initial: 0.01,
+            beta_increment: 0.01,
+            reviolation_window: 3,
+            optimistic_after,
+            optimistic_probability,
+            ..ControllerConfig::default()
+        };
+        let spec = HostSpec::default();
+        let mut map = MapStage::new(&config, &spec).unwrap();
+        let contended = sensed(0, ExecutionMode::CoLocated, vec![1.0, 4.0]);
+        let rep = map.ingest(&contended).unwrap().rep;
+        map.mark_violation(rep).unwrap();
+        Rig {
+            act: ActStage::new(&config, spec.capacities()),
+            map,
+            rng: StdRng::seed_from_u64(1),
+        }
+    }
+
+    fn sensed(tick: u64, mode: ExecutionMode, raw: Vec<f64>) -> Sensed {
+        Sensed {
+            tick,
+            mode,
+            violated: false,
+            raw,
+            rejected: 0,
+        }
+    }
+
+    impl Rig {
+        /// Pauses container `id` at `tick`.
+        fn throttle(&mut self, tick: u64, id: usize) -> Vec<Action> {
+            let (engaged, pauses) = self.act.engage(tick, vec![ContainerId::from_raw(id)]);
+            assert!(engaged);
+            pauses
+        }
+
+        /// One sensitive-only period whose state sits at `(x, 0)`; the
+        /// first after a throttle anchors the drift. `batch` is the
+        /// remembered batch usage a resume would add.
+        fn period_with(&mut self, tick: u64, x: f64, batch: Option<&[f64]>) -> ResumeDecision {
+            let sensed = sensed(tick, ExecutionMode::SensitiveOnly, vec![1.0, 1.0]);
+            let point = Point2::new(x, 0.0);
+            self.act
+                .maybe_resume(&self.map, &sensed, point, batch, &mut self.rng)
+        }
+
+        fn period(&mut self, tick: u64, x: f64) -> ResumeDecision {
+            self.period_with(tick, x, None)
+        }
+    }
+
+    fn resumed(decision: &ResumeDecision) -> Option<ResumeReason> {
+        match decision {
+            ResumeDecision::Resumed { reason, .. } => Some(*reason),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn starts_unthrottled() {
+        let r = rig(5, 1.0);
+        assert!(!r.act.is_throttling());
+        assert_eq!(r.act.beta(), 0.01);
+    }
+
+    #[test]
+    fn phase_change_resumes_the_pauses_it_ends() {
+        let mut r = rig(5, 1.0);
+        assert_eq!(r.throttle(0, 7), [Action::Pause(ContainerId::from_raw(7))]);
+        assert!(matches!(r.period(1, 0.0), ResumeDecision::Hold));
+        assert!(matches!(r.period(2, 0.005), ResumeDecision::Hold));
+        assert!(r.act.is_throttling());
+        let ResumeDecision::Resumed { reason, actions } = r.period(3, 0.05) else {
+            panic!("a drift beyond β resumes");
+        };
+        assert_eq!(reason, ResumeReason::PhaseChange);
+        assert_eq!(actions, [Action::Resume(ContainerId::from_raw(7))]);
+        assert!(!r.act.is_throttling());
+    }
+
+    #[test]
+    fn optimistic_resume_after_stability() {
+        let mut r = rig(5, 1.0); // probability 1.0 → fires as soon as eligible
+        r.throttle(0, 0);
+        for tick in 1..5 {
+            assert!(matches!(r.period(tick, 0.0), ResumeDecision::Hold));
+        }
+        assert_eq!(resumed(&r.period(5, 0.0)), Some(ResumeReason::Optimistic));
+    }
+
+    #[test]
+    fn optimistic_resume_respects_probability_zero() {
+        let mut r = rig(2, 0.0);
+        r.throttle(0, 0);
+        for tick in 1..=100 {
+            assert!(matches!(r.period(tick, 0.0), ResumeDecision::Hold));
+        }
+        assert!(r.act.is_throttling());
+    }
+
+    #[test]
+    fn premature_phase_change_resume_increases_beta() {
+        let mut r = rig(5, 1.0);
+        r.throttle(0, 0);
+        r.period(9, 0.0);
+        assert_eq!(
+            resumed(&r.period(10, 0.05)),
+            Some(ResumeReason::PhaseChange)
+        );
+        assert!(r.act.note_violation(12)); // within window
+        assert!((r.act.beta() - 0.02).abs() < 1e-12);
+        // No double blame for a second violation.
+        assert!(!r.act.note_violation(13));
+    }
+
+    #[test]
+    fn failed_optimistic_probe_does_not_inflate_beta() {
+        let mut r = rig(1, 1.0);
+        r.throttle(0, 0);
+        assert_eq!(resumed(&r.period(10, 0.0)), Some(ResumeReason::Optimistic));
+        assert!(!r.act.note_violation(11));
+        assert_eq!(r.act.beta(), 0.01);
+    }
+
+    #[test]
+    fn failed_optimistic_probe_doubles_the_wait_until_a_resume_survives() {
+        let mut r = rig(2, 1.0);
+        r.throttle(0, 0);
+        r.period(1, 0.0);
+        assert_eq!(resumed(&r.period(2, 0.0)), Some(ResumeReason::Optimistic));
+        assert!(!r.act.note_violation(3)); // the probe failed: wait 2 × 2
+        r.throttle(3, 0);
+        for tick in 4..7 {
+            assert!(matches!(r.period(tick, 0.0), ResumeDecision::Hold));
+        }
+        assert_eq!(resumed(&r.period(7, 0.0)), Some(ResumeReason::Optimistic));
+        // That probe outlived the window: the next throttle waits 2 again.
+        r.throttle(20, 0);
+        r.period(21, 0.0);
+        assert_eq!(resumed(&r.period(22, 0.0)), Some(ResumeReason::Optimistic));
+    }
+
+    #[test]
+    fn late_violation_does_not_blame_resume() {
+        let mut r = rig(5, 1.0);
+        r.throttle(0, 0);
+        r.period(9, 0.0);
+        assert_eq!(
+            resumed(&r.period(10, 0.05)),
+            Some(ResumeReason::PhaseChange)
+        );
+        assert!(!r.act.note_violation(20));
+        assert_eq!(r.act.beta(), 0.01);
+    }
+
+    #[test]
+    fn violation_without_resume_never_blames() {
+        let mut r = rig(5, 1.0);
+        assert!(!r.act.note_violation(5));
+        assert_eq!(r.act.beta(), 0.01);
+    }
+
+    #[test]
+    fn nothing_resumes_when_not_throttled() {
+        let mut r = rig(5, 1.0);
+        assert!(matches!(r.period(0, 0.0), ResumeDecision::Hold));
+        assert!(matches!(r.period(1, 10.0), ResumeDecision::Hold));
+    }
+
+    #[test]
+    fn throttle_resets_stability_counter() {
+        let mut r = rig(3, 1.0);
+        r.throttle(0, 0);
+        assert!(matches!(r.period(1, 0.0), ResumeDecision::Hold));
+        assert!(matches!(r.period(2, 0.0), ResumeDecision::Hold));
+        r.throttle(2, 1); // reset
+        assert!(matches!(r.period(3, 0.0), ResumeDecision::Hold));
+        assert!(matches!(r.period(4, 0.0), ResumeDecision::Hold));
+        assert!(resumed(&r.period(5, 0.0)).is_some());
+    }
+
+    #[test]
+    fn vetoed_phase_change_can_fire_again() {
+        let mut r = rig(5, 1.0);
+        r.throttle(0, 0);
+        r.period(1, 0.0);
+        // Sensitive 1 + remembered batch 3 lands on the violation-state:
+        // the signal fires, the veto holds it, and the stage stays
+        // throttled and signals again next period.
+        let contended: &[f64] = &[3.0];
+        assert!(matches!(
+            r.period_with(2, 0.5, Some(contended)),
+            ResumeDecision::Vetoed
+        ));
+        assert!(r.act.is_throttling());
+        assert!(matches!(
+            r.period_with(3, 0.5, Some(contended)),
+            ResumeDecision::Vetoed
+        ));
+        assert_eq!(resumed(&r.period(4, 0.5)), Some(ResumeReason::PhaseChange));
+    }
+
+    #[test]
+    fn observe_only_mode_engages_nothing() {
+        let mut r = rig(1, 1.0);
+        r.act.actions_enabled = false;
+        assert_eq!(
+            r.act.engage(0, vec![ContainerId::from_raw(0)]),
+            (false, vec![])
+        );
+        assert!(!r.act.is_throttling());
+        assert!(matches!(r.period(1, 0.0), ResumeDecision::Hold));
     }
 }

@@ -1,17 +1,40 @@
-//! Stage 2 — Map: raw vectors become labelled 2-D states (§3.2.1, §4).
+//! Stage 2 — Map: raw vectors become labelled 2-D states (§3.1, §3.2.1, §4).
 //!
-//! Owns the [`MappingEngine`] (normalisation, representative-sample dedup,
-//! incremental MDS embedding) and the labelled [`StateMap`]. Later stages
-//! consult this stage read-only: prediction tests candidate points against
-//! violation-ranges, action estimates whether a resume would land in one.
+//! The stage normalises each measurement vector into `[0, 1]` per metric,
+//! deduplicates it into a representative sample set, places a new
+//! representative into the 2-D map (re-solving the whole map only when it
+//! does not fit) and keeps the labelled [`StateMap`] in step with that
+//! embedding. Later stages consult it read-only: prediction tests
+//! candidate points against violation-ranges, action estimates whether a
+//! resume would land in one.
 
 use super::sense::Sensed;
 use crate::config::ControllerConfig;
-use crate::mapping::MappingEngine;
 use crate::obs::MappingMetrics;
 use crate::CoreError;
+use stayaway_mds::dedup::ReprSet;
+use stayaway_mds::distance::DistanceMatrix;
+use stayaway_mds::normalize::{MetricBounds, Normalizer};
+use stayaway_mds::procrustes::align_to_previous;
+use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
+use stayaway_mds::Embedding;
 use stayaway_statespace::{ExecutionMode, Point2, StateKind, StateMap, Template};
 use stayaway_telemetry::HostSpec;
+
+/// Largest normalised column stress (`stayaway_mds::smacof::Smacof::place_last`) at
+/// which a newly placed point is accepted into the map as it stands; above
+/// it the whole map is re-solved. Not a setting: the budget is the stress
+/// class the map is held to. Exact solves of the paper's co-locations sit
+/// at stress-1 0.003–0.03; at 0.05 the gated map stays within 0.01 of them
+/// after 3 000 periods, while 0.10 let the soplex map drift to 0.07 against
+/// 0.02 (DESIGN.md §6 has the measurements and the gates that did not
+/// work).
+pub const COLUMN_STRESS_BUDGET: f64 = 0.05;
+
+/// Below this many points every insert re-solves the map: a column of one
+/// or two dissimilarities can always be met exactly, so it says nothing
+/// about the map.
+pub const MIN_GATED_POINTS: usize = 4;
 
 /// Where one observation landed in the state map.
 #[derive(Debug, Clone, Copy)]
@@ -24,95 +47,190 @@ pub struct MappedState {
     pub is_new: bool,
 }
 
-/// The mapping stage: dedup + incremental MDS + state-map upkeep.
+/// What inserting one normalised vector did to the representative set.
+#[derive(Debug, Clone, Copy)]
+enum Insert {
+    /// Merged into an existing representative (past `max_states`, absorbed
+    /// by the nearest one).
+    Merged(usize),
+    /// A new representative, placed into the map as it stands: every other
+    /// position kept its bits.
+    Placed(usize),
+    /// A new representative that did not fit, so the whole map was
+    /// re-solved and every position may have moved.
+    Relaid(usize),
+}
+
+impl Insert {
+    fn rep(self) -> usize {
+        match self {
+            Insert::Merged(rep) | Insert::Placed(rep) | Insert::Relaid(rep) => rep,
+        }
+    }
+}
+
+/// The mapping stage: normalise → dedup → embed, plus state-map upkeep.
 #[derive(Debug)]
 pub struct MapStage {
-    mapping: MappingEngine,
+    normalizer: Normalizer,
+    /// The period's normalised vector, kept across periods so a sample
+    /// that merges into a representative allocates nothing.
+    normalized: Vec<f64>,
+    repr: ReprSet,
+    /// All-pairs distance matrix over `repr`'s vectors, grown in place by
+    /// column appends as representatives are created. Valid because
+    /// representative vectors never mutate after creation — merges only
+    /// bump hit counts — so cached entries can never go stale.
+    dissim: Option<DistanceMatrix>,
+    smacof: Smacof,
+    embedding: Option<Embedding>,
     map: StateMap,
+    max_states: usize,
     violation_range_enabled: bool,
-    /// Dimensionality of the normalised vectors (`2 × |metrics|`), needed
-    /// to construct templates.
-    dim: usize,
+    /// Total samples mapped (the dedup-ratio denominator).
+    samples_seen: u64,
+    metrics: Option<MappingMetrics>,
 }
 
 impl MapStage {
-    /// Creates the stage from the controller configuration and host spec.
+    /// Creates the stage for measurement vectors of layout
+    /// `⟨sensitive[metrics..], batch[metrics..]⟩` against the host's
+    /// capacities. Reads `metrics`, `dedup_epsilon`, `smacof_iterations`,
+    /// `max_states` and `violation_range_enabled` from `config`.
     ///
     /// # Errors
     ///
-    /// Propagates [`MappingEngine`] construction failures.
+    /// Returns [`CoreError::InvalidConfig`] for an empty metric set and
+    /// propagates invalid capacities or dedup radii.
     pub fn new(config: &ControllerConfig, spec: &HostSpec) -> Result<Self, CoreError> {
-        let mapping = MappingEngine::new(
-            &config.metrics,
-            spec,
-            config.dedup_epsilon,
-            config.smacof_iterations,
-            config.max_states,
-        )?;
+        if config.metrics.is_empty() {
+            return Err(CoreError::InvalidConfig {
+                reason: "metrics must not be empty".into(),
+            });
+        }
+        let mut bounds = Vec::with_capacity(config.metrics.len() * 2);
+        for _vm in 0..2 {
+            for &m in &config.metrics {
+                bounds.push(MetricBounds::zero_to(spec.capacity(m))?);
+            }
+        }
         Ok(MapStage {
-            mapping,
+            normalizer: Normalizer::new(bounds)?,
+            normalized: Vec::new(),
+            // The grid index keeps insert/nearest exact (identical indices
+            // and distances) while pruning far candidates.
+            repr: ReprSet::new(config.dedup_epsilon)?.grid_indexed(),
+            dissim: None,
+            smacof: Smacof::new(2).max_iterations(config.smacof_iterations),
+            embedding: None,
             map: StateMap::new(),
+            max_states: config.max_states,
             violation_range_enabled: config.violation_range_enabled,
-            dim: config.metrics.len() * 2,
+            samples_seen: 0,
+            metrics: None,
         })
     }
 
-    /// Attaches observability instruments to the mapping engine
-    /// (builder-style; decision-inert).
+    /// Attaches observability instruments (builder-style; default none).
+    /// Recording is decision-inert: identical mapping decisions with or
+    /// without instruments.
     pub fn with_metrics(mut self, metrics: MappingMetrics) -> Self {
-        self.mapping = self.mapping.with_metrics(metrics);
+        self.metrics = Some(metrics);
         self
     }
 
-    /// Maps one sensed period: dedup/embed the raw measurement vector and
-    /// record the visit at the representative's position. A new
-    /// representative that re-laid the embedding refreshes every position;
-    /// one that was placed into the map as it stands changes only the
-    /// coordinate scale.
+    /// Maps one sensed period: normalises the raw measurement vector,
+    /// merges it into the representative set (or embeds it as a new
+    /// representative) and records the visit at the representative's
+    /// position. A new representative that re-laid the embedding refreshes
+    /// every position; one that was placed into the map as it stands
+    /// changes only the coordinate scale.
     ///
     /// # Errors
     ///
-    /// Propagates mapping-pipeline failures.
+    /// Propagates normalisation and embedding failures.
     pub fn ingest(&mut self, sensed: &Sensed) -> Result<MappedState, CoreError> {
-        let mapped = self.mapping.observe(&sensed.raw)?;
-        self.map
-            .visit(mapped.rep, mapped.point, sensed.mode, sensed.tick)?;
-        if mapped.relaid {
-            self.refresh_positions()?;
-        } else if mapped.is_new {
-            self.refresh_scale()?;
+        // The buffer is taken out for the call so `insert` can borrow the
+        // stage whole; it is put back on every path.
+        let mut normalized = std::mem::take(&mut self.normalized);
+        let inserted = self
+            .normalize_into(&sensed.raw, &mut normalized)
+            .and_then(|()| {
+                self.samples_seen += 1;
+                self.insert(&normalized)
+            });
+        self.normalized = normalized;
+        let inserted = inserted?;
+        let rep = inserted.rep();
+        let point = self.point_of(rep)?;
+        if let Some(m) = &self.metrics {
+            m.on_sample(self.repr.len(), self.samples_seen);
+        }
+        self.map.visit(rep, point, sensed.mode, sensed.tick)?;
+        match inserted {
+            Insert::Relaid(_) => self.refresh_positions()?,
+            Insert::Placed(_) => self.refresh_scale()?,
+            Insert::Merged(_) => {}
         }
         Ok(MappedState {
-            rep: mapped.rep,
-            point: mapped.point,
-            is_new: mapped.is_new,
+            rep,
+            point,
+            is_new: !matches!(inserted, Insert::Merged(_)),
         })
     }
 
-    /// Synchronises the state map's positions and violation-range scale
-    /// with the current embedding.
+    /// Seeds the stage with a template captured in a previous run (§6).
+    /// Each state is inserted exactly as [`MapStage::ingest`] inserts a
+    /// measured one — merged into a representative within dedup range,
+    /// embedded as a new one, or past `max_states` absorbed by its nearest
+    /// representative — except that it is no sample: the dedup ratio does
+    /// not see it. Violation labels land on the representative that took
+    /// the state.
     ///
     /// # Errors
     ///
-    /// Propagates embedding lookups.
-    pub fn refresh_positions(&mut self) -> Result<(), CoreError> {
-        for rep in 0..self.mapping.repr_count().min(self.map.len()) {
-            self.map.set_position(rep, self.mapping.point_of(rep)?)?;
+    /// Returns [`CoreError::Template`] on dimension mismatch and propagates
+    /// embedding failures.
+    pub fn import_template(&mut self, template: &Template) -> Result<(), CoreError> {
+        let dim = self.normalizer.dim();
+        for state in template.iter() {
+            if state.vector.len() != dim {
+                return Err(CoreError::Template {
+                    reason: format!(
+                        "template vector dimension {} != expected {dim}",
+                        state.vector.len()
+                    ),
+                });
+            }
+            let rep = self.insert(&state.vector)?.rep();
+            let point = self.point_of(rep)?;
+            // Ensure a map entry exists for the representative.
+            if rep >= self.map.len() {
+                self.map.visit(rep, point, ExecutionMode::CoLocated, 0)?;
+            }
+            if state.violation {
+                self.map.mark_violation(rep)?;
+            }
         }
-        self.refresh_scale()
+        // Any of the inserts may have re-laid the map; one sweep over the
+        // positions at the end covers them all.
+        self.refresh_positions()
     }
 
-    /// Synchronises the violation-range scale with the current embedding.
-    fn refresh_scale(&mut self) -> Result<(), CoreError> {
-        // With violation-ranges disabled (ablation), a zero coordinate
-        // scale collapses every range to exact-overlap matching.
-        let scale = if self.violation_range_enabled {
-            self.mapping.median_range()
-        } else {
-            0.0
-        };
-        self.map.set_coordinate_scale(scale)?;
-        Ok(())
+    /// Exports the learned states as a reusable template (§6).
+    ///
+    /// # Errors
+    ///
+    /// Propagates template-construction failures.
+    pub fn export_template(&self, sensitive_app: &str) -> Result<Template, CoreError> {
+        let mut t = Template::new(sensitive_app, self.normalizer.dim())?;
+        for rep in 0..self.repr.len() {
+            t.push(
+                self.normalized_vector(rep).to_vec(),
+                self.is_violation_state(rep),
+            )?;
+        }
+        Ok(t)
     }
 
     /// Labels representative `rep` a violation-state.
@@ -133,104 +251,496 @@ impl MapStage {
             .unwrap_or(false)
     }
 
-    /// True when `point` falls inside any violation-range.
-    pub fn in_violation_range(&self, point: Point2) -> bool {
-        self.map.in_violation_range(point)
-    }
-
     /// The learned state map.
     pub fn state_map(&self) -> &StateMap {
         &self.map
     }
 
+    /// The current embedding, if any state has been embedded.
+    pub fn embedding(&self) -> Option<&Embedding> {
+        self.embedding.as_ref()
+    }
+
     /// Number of representative states.
     pub fn repr_count(&self) -> usize {
-        self.mapping.repr_count()
+        self.repr.len()
+    }
+
+    /// The normalised vector of representative `rep`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rep` is out of bounds.
+    pub fn normalized_vector(&self, rep: usize) -> &[f64] {
+        self.repr.representative(rep)
     }
 
     /// The 2-D position of representative `rep`.
     ///
     /// # Errors
     ///
-    /// Propagates embedding lookups for out-of-range representatives.
+    /// Returns [`CoreError::NoEmbedding`] when no embedding has been built
+    /// yet or `rep` lies outside it — the controller's decide loop counts
+    /// this instead of crashing.
     pub fn point_of(&self, rep: usize) -> Result<Point2, CoreError> {
-        self.mapping.point_of(rep)
+        let e = self
+            .embedding
+            .as_ref()
+            .filter(|e| rep < e.len())
+            .ok_or(CoreError::NoEmbedding { rep })?;
+        let (x, y) = e.xy(rep);
+        Ok(Point2::new(x, y))
     }
 
-    /// Normalises a raw measurement vector into `[0, 1]` per metric.
+    /// Normalises a raw measurement vector into `[0, 1]` per metric,
+    /// without inserting it.
     ///
     /// # Errors
     ///
-    /// Propagates dimension mismatches.
+    /// Returns a dimension-mismatch error for wrong-length input.
     pub fn normalize(&self, raw: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.mapping.normalize(raw)
+        let mut out = Vec::with_capacity(raw.len());
+        self.normalize_into(raw, &mut out)?;
+        Ok(out)
     }
 
     /// [`MapStage::normalize`] into `out` (overwritten).
     ///
     /// # Errors
     ///
-    /// Propagates dimension mismatches.
+    /// Returns a dimension-mismatch error for wrong-length input.
     pub fn normalize_into(&self, raw: &[f64], out: &mut Vec<f64>) -> Result<(), CoreError> {
-        self.mapping.normalize_into(raw, out)
+        Ok(self.normalizer.normalize_into(raw, out)?)
     }
 
-    /// Interpolated 2-D position for a normalised vector, with the
-    /// distance to the nearest representative.
-    pub fn approximate_point(&self, normalized: &[f64]) -> Option<(Point2, f64)> {
-        self.mapping.approximate_point(normalized)
-    }
-
-    /// Nearest representative to a normalised vector.
+    /// Nearest representative to a normalised vector: `(rep, distance)`.
     pub fn nearest(&self, normalized: &[f64]) -> Option<(usize, f64)> {
-        self.mapping.nearest(normalized)
+        self.repr.nearest(normalized)
     }
 
-    /// Exports the learned states as a reusable template (§6).
-    ///
-    /// # Errors
-    ///
-    /// Propagates template-construction failures.
-    pub fn export_template(&self, sensitive_app: &str) -> Result<Template, CoreError> {
-        let mut t = Template::new(sensitive_app, self.dim)?;
-        for rep in 0..self.mapping.repr_count() {
-            t.push(
-                self.mapping.normalized_vector(rep).to_vec(),
-                self.is_violation_state(rep),
-            )?;
+    /// Out-of-sample placement: approximates where a normalised vector
+    /// *would* map without inserting it, as the inverse-distance-weighted
+    /// average of its three nearest representatives' positions. Returns the
+    /// approximate point and the distance to the nearest representative
+    /// (a confidence measure — large distances mean unexplored territory).
+    pub fn approximate_point(&self, normalized: &[f64]) -> Option<(Point2, f64)> {
+        let embedding = self.embedding.as_ref()?;
+        if self.repr.is_empty() {
+            return None;
         }
-        Ok(t)
+        // Allocation-free top-3 selection, ascending by (distance, index).
+        // A candidate provably farther than the current third-best is
+        // abandoned mid-distance by the pruned metric; ties rank after the
+        // incumbent (lower index wins), matching a stable sort of the full
+        // distance list.
+        let metric = stayaway_mds::distance::Metric::Euclidean;
+        let mut top: [(usize, f64); 3] = [(usize::MAX, f64::INFINITY); 3];
+        let mut filled = 0usize;
+        for (i, rep) in self.repr.representatives().iter().enumerate() {
+            let Some(d) = metric.distance_pruned(rep, normalized, top[2].1) else {
+                continue;
+            };
+            if d >= top[2].1 {
+                continue;
+            }
+            filled = (filled + 1).min(3);
+            if d < top[1].1 {
+                top[2] = top[1];
+                if d < top[0].1 {
+                    top[1] = top[0];
+                    top[0] = (i, d);
+                } else {
+                    top[1] = (i, d);
+                }
+            } else {
+                top[2] = (i, d);
+            }
+        }
+        let nearest_dist = top[0].1;
+        let k = filled; // == min(repr count, 3)
+        let mut x = 0.0;
+        let mut y = 0.0;
+        let mut wsum = 0.0;
+        for &(i, d) in top.iter().take(k) {
+            let w = 1.0 / (d + 1e-9);
+            let (px, py) = embedding.xy(i);
+            x += w * px;
+            y += w * py;
+            wsum += w;
+        }
+        Some((Point2::new(x / wsum, y / wsum), nearest_dist))
     }
 
-    /// Seeds the stage with a template captured in a previous run: its
-    /// states become the initial state map, violation labels included (§6).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Template`] on dimension mismatch and propagates
-    /// embedding failures.
-    pub fn import_template(&mut self, template: &Template) -> Result<(), CoreError> {
-        for state in template.iter() {
-            let mapped = self.mapping.import_state(&state.vector)?;
-            // Ensure a map entry exists for the representative.
-            if mapped.rep >= self.map.len() {
-                self.map
-                    .visit(mapped.rep, mapped.point, ExecutionMode::CoLocated, 0)?;
-            }
-            if state.violation {
-                self.map.mark_violation(mapped.rep)?;
+    /// Dedups a normalised vector into the representative set, embedding
+    /// it when it founds a new representative.
+    fn insert(&mut self, normalized: &[f64]) -> Result<Insert, CoreError> {
+        // Soft cap: past `max_states`, absorb into the nearest existing
+        // representative instead of growing the observation matrix.
+        if self.repr.len() >= self.max_states {
+            if let Some((rep, _)) = self.repr.nearest(normalized) {
+                if let Some(m) = &self.metrics {
+                    m.on_soft_capped();
+                }
+                return Ok(Insert::Merged(rep));
             }
         }
-        // Any of the inserts may have re-laid the map; one sweep over the
-        // positions at the end covers them all.
-        self.refresh_positions()
+        let outcome = self.repr.insert(normalized)?;
+        let rep = outcome.index();
+        Ok(if !outcome.is_new() {
+            Insert::Merged(rep)
+        } else if self.re_embed()? {
+            Insert::Relaid(rep)
+        } else {
+            Insert::Placed(rep)
+        })
+    }
+
+    /// Brings the cached distance matrix up to date with the representative
+    /// set by appending one column per new representative — O(growth·n·dim)
+    /// instead of the O(n²·dim) full rebuild — and hands it back. A full
+    /// rebuild happens only when no cache exists yet (a failed append
+    /// leaves none, so the next call rebuilds); an empty representative
+    /// set is [`MdsError::Empty`](stayaway_mds::MdsError).
+    ///
+    /// Borrows only the fields it maintains, so callers keep the rest of
+    /// the stage usable beside the returned matrix.
+    fn refresh_dissim<'a>(
+        cache: &'a mut Option<DistanceMatrix>,
+        reps: &[Vec<f64>],
+        metrics: Option<&MappingMetrics>,
+    ) -> Result<&'a DistanceMatrix, CoreError> {
+        let n = reps.len();
+        // `len() > n` cannot happen (the set never shrinks), but a rebuild
+        // is the safe response if it ever does.
+        let Some(mut d) = cache.take().filter(|d| d.len() <= n) else {
+            return Ok(cache.insert(DistanceMatrix::from_vectors(reps)?));
+        };
+        if d.len() < n {
+            let start = metrics.map(|_| std::time::Instant::now());
+            for m in d.len()..n {
+                d.append_point(&reps[..m], &reps[m])?;
+            }
+            if let (Some(metrics), Some(t0)) = (metrics, start) {
+                metrics.on_append_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            }
+        }
+        Ok(cache.insert(d))
+    }
+
+    /// Place, then decide. The new point starts beside its nearest
+    /// neighbour and is fitted to the map as it stands — every other point
+    /// fixed, O(n) per round. If its column of the stress stays within
+    /// [`COLUMN_STRESS_BUDGET`] the map is kept: no old coordinate moves and
+    /// there is nothing to align. Otherwise the point says the map is wrong
+    /// around it, and the whole configuration is re-solved from that start
+    /// and Procrustes-aligned back to the previous frame. True when the map
+    /// was re-laid rather than the one point placed.
+    fn re_embed(&mut self) -> Result<bool, CoreError> {
+        let dissim = Self::refresh_dissim(
+            &mut self.dissim,
+            self.repr.representatives(),
+            self.metrics.as_ref(),
+        )?;
+        let prev = self.embedding.get_or_insert_with(|| Embedding::zeros(0, 2));
+        let mut grown = warm_start_with_new_points(prev, dissim)?;
+        let column_stress = self.smacof.place_last(dissim, &mut grown)?;
+        let fits = grown.len() >= MIN_GATED_POINTS && column_stress <= COLUMN_STRESS_BUDGET;
+        if let Some(m) = &self.metrics {
+            m.on_placement(column_stress, fits);
+        }
+        if fits {
+            *prev = grown;
+            return Ok(false);
+        }
+        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let (refined, sweeps) = self.smacof.embed_warm_traced(dissim, grown)?;
+        let aligned = align_to_previous(refined, prev)?;
+        if let (Some(m), Some(t0)) = (&self.metrics, start) {
+            m.on_embed_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            m.on_smacof(sweeps);
+            m.on_stress(|| aligned.stress(dissim).ok());
+        }
+        *prev = aligned;
+        Ok(true)
+    }
+
+    /// Synchronises the state map's positions and violation-range scale
+    /// with the current embedding.
+    fn refresh_positions(&mut self) -> Result<(), CoreError> {
+        for rep in 0..self.repr.len().min(self.map.len()) {
+            self.map.set_position(rep, self.point_of(rep)?)?;
+        }
+        self.refresh_scale()
+    }
+
+    /// Synchronises the violation-range scale — the Rayleigh `c`, the
+    /// embedding's median coordinate range — with the current embedding.
+    fn refresh_scale(&mut self) -> Result<(), CoreError> {
+        // With violation-ranges disabled (ablation), a zero coordinate
+        // scale collapses every range to exact-overlap matching.
+        let scale = match &self.embedding {
+            Some(e) if self.violation_range_enabled => e.median_coordinate_range(),
+            _ => 0.0,
+        };
+        self.map.set_coordinate_scale(scale)?;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stayaway_obs::MetricsRegistry;
     use stayaway_telemetry::ResourceKind;
+
+    fn config() -> ControllerConfig {
+        ControllerConfig {
+            metrics: vec![ResourceKind::Cpu, ResourceKind::Memory],
+            dedup_epsilon: 0.05,
+            smacof_iterations: 30,
+            max_states: 100,
+            ..ControllerConfig::default()
+        }
+    }
+
+    fn stage() -> MapStage {
+        MapStage::new(&config(), &HostSpec::default()).unwrap()
+    }
+
+    /// Raw vector: (sens_cpu, sens_mem, batch_cpu, batch_mem).
+    fn raw(sc: f64, sm: f64, bc: f64, bm: f64) -> Vec<f64> {
+        vec![sc, sm, bc, bm]
+    }
+
+    /// Ingests one co-located period carrying `raw`.
+    fn ingest(stage: &mut MapStage, raw: &[f64]) -> MappedState {
+        let sensed = Sensed {
+            tick: 0,
+            mode: ExecutionMode::CoLocated,
+            violated: false,
+            raw: raw.to_vec(),
+            rejected: 0,
+        };
+        stage.ingest(&sensed).unwrap()
+    }
+
+    fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
+        let snapshot = registry.snapshot();
+        let c = snapshot.counters.iter().find(|c| c.name == name);
+        c.unwrap_or_else(|| panic!("{name} registered")).value
+    }
+
+    #[test]
+    fn first_sample_creates_state_at_some_point() {
+        let mut s = stage();
+        let m = ingest(&mut s, &raw(1.0, 1000.0, 0.0, 0.0));
+        assert_eq!(m.rep, 0);
+        assert!(m.is_new);
+        assert!(m.point.is_finite());
+        assert_eq!(s.repr_count(), 1);
+        assert_eq!(s.state_map().len(), 1);
+    }
+
+    #[test]
+    fn similar_samples_merge() {
+        let mut s = stage();
+        ingest(&mut s, &raw(1.0, 1000.0, 0.0, 0.0));
+        let m = ingest(&mut s, &raw(1.02, 1010.0, 0.0, 0.0));
+        assert_eq!(m.rep, 0);
+        assert!(!m.is_new);
+        assert_eq!(s.repr_count(), 1);
+    }
+
+    #[test]
+    fn dissimilar_usage_maps_far_apart() {
+        let mut s = stage();
+        let a = ingest(&mut s, &raw(0.4, 500.0, 0.0, 0.0));
+        let b = ingest(&mut s, &raw(0.5, 520.0, 0.0, 0.0));
+        let c = ingest(&mut s, &raw(3.8, 7000.0, 3.9, 6000.0));
+        let near = a.point.distance(b.point);
+        let far = a.point.distance(c.point);
+        assert!(
+            far > 3.0 * near,
+            "contended state not separated: near={near} far={far}"
+        );
+    }
+
+    #[test]
+    fn map_stays_stable_as_points_arrive() {
+        let mut s = stage();
+        // Two clusters.
+        for i in 0..8 {
+            ingest(&mut s, &raw(0.5 + 0.2 * i as f64, 600.0, 0.1, 100.0));
+        }
+        let before = s.point_of(0).unwrap();
+        // New far-away samples must not teleport the old cluster.
+        for i in 0..8 {
+            ingest(&mut s, &raw(3.9, 7500.0, 3.9, 400.0 + 100.0 * i as f64));
+        }
+        let after = s.point_of(0).unwrap();
+        let drift = before.distance(after);
+        let spread = s.state_map().coordinate_scale();
+        assert!(
+            drift < 0.5 * spread.max(0.1),
+            "old state drifted {drift} (spread {spread})"
+        );
+        // The state map follows the embedding.
+        assert_eq!(s.state_map().entry(0).unwrap().point(), after);
+    }
+
+    #[test]
+    fn approximate_point_matches_naive_sorted_reference() {
+        let mut s = stage();
+        for i in 0..12 {
+            let t = i as f64;
+            ingest(&mut s, &raw(0.3 * t, 500.0 + 400.0 * t, 0.1 * t, 50.0 * t));
+        }
+        // Reference: the allocate-sort-all formulation the pruned top-3
+        // selection replaced.
+        let naive = |q: &[f64]| -> (Point2, f64) {
+            let embedding = s.embedding().unwrap();
+            let mut dists: Vec<(usize, f64)> = (0..s.repr_count())
+                .map(|i| {
+                    let d = stayaway_mds::distance::Metric::Euclidean
+                        .distance(s.normalized_vector(i), q);
+                    (i, d)
+                })
+                .collect();
+            dists.sort_by(|a, b| a.1.total_cmp(&b.1));
+            let (mut x, mut y, mut wsum) = (0.0, 0.0, 0.0);
+            for &(i, d) in dists.iter().take(3) {
+                let w = 1.0 / (d + 1e-9);
+                let (px, py) = embedding.xy(i);
+                x += w * px;
+                y += w * py;
+                wsum += w;
+            }
+            (Point2::new(x / wsum, y / wsum), dists[0].1)
+        };
+        for probe in [
+            raw(0.1, 600.0, 0.0, 10.0),
+            raw(2.0, 3000.0, 0.7, 300.0),
+            raw(3.9, 8000.0, 1.2, 600.0),
+            raw(0.0, 0.0, 0.0, 0.0),
+        ] {
+            let q = s.normalize(&probe).unwrap();
+            let fast = s.approximate_point(&q).unwrap();
+            assert_eq!(fast, naive(&q), "probe {probe:?} diverged");
+        }
+    }
+
+    #[test]
+    fn point_of_before_any_embedding_is_an_error_not_a_panic() {
+        let mut s = stage();
+        assert!(matches!(
+            s.point_of(0),
+            Err(CoreError::NoEmbedding { rep: 0 })
+        ));
+        ingest(&mut s, &raw(0.4, 800.0, 0.0, 0.0));
+        assert!(s.point_of(0).is_ok());
+        // Out-of-embedding index also fails soft.
+        assert!(matches!(
+            s.point_of(7),
+            Err(CoreError::NoEmbedding { rep: 7 })
+        ));
+    }
+
+    /// Up to 25 distinct raw vectors whose normalised images lie in one
+    /// plane (only the sensitive application's two metrics vary, over a
+    /// 5 × 5 grid walked out of order): a 2-D map holds them exactly, so
+    /// each fits the map its predecessors made.
+    fn planar_stream(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let cell = i * 7 % 25;
+                let (col, row) = ((cell % 5) as f64, (cell / 5) as f64);
+                raw(0.4 + 0.8 * col, 800.0 + 1600.0 * row, 0.0, 0.0)
+            })
+            .collect()
+    }
+
+    /// A vector far off that plane: no planar position reproduces its
+    /// distances to a spread of in-plane states.
+    fn misfit() -> Vec<f64> {
+        raw(2.0, 4000.0, 3.6, 7400.0)
+    }
+
+    #[test]
+    fn states_that_fit_are_placed_and_a_misfit_re_solves_once() {
+        let mut s = stage();
+        let mut relaid = Vec::new();
+        for r in planar_stream(24).iter().chain([&misfit()]) {
+            let before = s.embedding().cloned();
+            let inserted = s.insert(&s.normalize(r).unwrap()).unwrap();
+            assert!(
+                !matches!(inserted, Insert::Merged(_)),
+                "the stream repeats no state"
+            );
+            let is_relaid = matches!(inserted, Insert::Relaid(_));
+            if let (Some(before), false) = (before, is_relaid) {
+                // A placed state moves nothing but itself, to the bit.
+                let after = s.embedding().unwrap();
+                assert_eq!(after.len(), before.len() + 1);
+                for i in 0..before.len() {
+                    assert_eq!(after.point(i), before.point(i), "placing moved state {i}");
+                }
+            }
+            relaid.push(is_relaid);
+        }
+        // Below MIN_GATED_POINTS every insert solves; from there on no
+        // planar state does, and the one misfit does exactly once.
+        let solves: Vec<usize> = (0..relaid.len()).filter(|&i| relaid[i]).collect();
+        assert_eq!(solves, [0, 1, 2, 24]);
+    }
+
+    #[test]
+    fn instruments_leave_the_embedding_bits_alone_and_account_for_every_state() {
+        let stream: Vec<Vec<f64>> = planar_stream(16)
+            .into_iter()
+            .chain([misfit()])
+            .chain(planar_stream(20).split_off(16))
+            .collect();
+        let run = |registry: Option<&MetricsRegistry>| {
+            let mut s = stage();
+            if let Some(r) = registry {
+                s = s.with_metrics(MappingMetrics::register(r, true));
+            }
+            for r in &stream {
+                ingest(&mut s, r);
+            }
+            s.embedding().unwrap().clone()
+        };
+        let registry = MetricsRegistry::new();
+        let bare = run(None);
+        assert_eq!(bare, run(Some(&registry)), "instruments changed the map");
+        // The instrumented run went down both arms of the gate, and every
+        // state is accounted for by exactly one of them.
+        let placed = counter(&registry, "stayaway_mapping_placements_total");
+        let solved = counter(&registry, "stayaway_mapping_smacof_runs_total");
+        assert!(placed > 0 && solved > 3, "placed {placed}, solved {solved}");
+        assert_eq!(placed + solved, bare.len() as u64);
+    }
+
+    #[test]
+    fn soft_cap_stops_growth() {
+        let config = ControllerConfig {
+            metrics: vec![ResourceKind::Cpu],
+            dedup_epsilon: 0.0, // exact-duplicate merging only
+            smacof_iterations: 10,
+            max_states: 5,
+            ..ControllerConfig::default()
+        };
+        let registry = MetricsRegistry::new();
+        let mut s = MapStage::new(&config, &HostSpec::default())
+            .unwrap()
+            .with_metrics(MappingMetrics::register(&registry, false));
+        for i in 0..20 {
+            ingest(&mut s, &[0.2 * i as f64, 0.1 * i as f64]);
+        }
+        assert_eq!(s.repr_count(), 5);
+        assert_eq!(s.state_map().len(), 5);
+        assert_eq!(counter(&registry, "stayaway_mapping_soft_capped_total"), 15);
+    }
 
     #[test]
     fn template_import_honours_the_soft_state_cap() {
@@ -240,22 +750,73 @@ mod tests {
             max_states: 10,
             ..ControllerConfig::default()
         };
-        let mut stage = MapStage::new(&config, &HostSpec::default()).unwrap();
+        let registry = MetricsRegistry::new();
+        let mut s = MapStage::new(&config, &HostSpec::default())
+            .unwrap()
+            .with_metrics(MappingMetrics::register(&registry, false));
         // 30 distinct states; only the last — past the cap — violated.
         let mut template = Template::new("svc", 2).unwrap();
         for i in 0..30 {
             let t = i as f64 / 30.0;
             template.push(vec![t, 1.0 - t * t], i == 29).unwrap();
         }
-        stage.import_template(&template).unwrap();
+        s.import_template(&template).unwrap();
 
-        assert_eq!(stage.repr_count(), config.max_states);
-        assert_eq!(stage.state_map().len(), config.max_states);
-        assert_eq!(stage.mapping.soft_capped(), 20);
+        assert_eq!(s.repr_count(), config.max_states);
+        assert_eq!(s.state_map().len(), config.max_states);
+        assert_eq!(counter(&registry, "stayaway_mapping_soft_capped_total"), 20);
         // The absorbed state's violation label landed on the
         // representative that absorbed it.
         let last = template.iter().last().unwrap();
-        let (rep, _) = stage.nearest(&last.vector).unwrap();
-        assert!(stage.is_violation_state(rep));
+        let (rep, _) = s.nearest(&last.vector).unwrap();
+        assert!(s.is_violation_state(rep));
+    }
+
+    #[test]
+    fn imported_states_are_embedded_as_they_arrive() {
+        let mut s = stage();
+        let mut template = Template::new("svc", 4).unwrap();
+        template.push(vec![0.1, 0.1, 0.0, 0.0], false).unwrap();
+        template.push(vec![0.9, 0.9, 0.9, 0.9], false).unwrap();
+        // Within dedup range of the first state: merges into it, and its
+        // label lands there.
+        template.push(vec![0.1, 0.1, 0.0, 0.01], true).unwrap();
+        s.import_template(&template).unwrap();
+        assert_eq!(s.repr_count(), 2);
+        assert_eq!(s.state_map().len(), 2);
+        let d = s.point_of(0).unwrap().distance(s.point_of(1).unwrap());
+        assert!(d > 0.5, "imported states not separated: {d}");
+        assert!(s.is_violation_state(0) && !s.is_violation_state(1));
+        assert_eq!(s.export_template("svc").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn import_rejects_wrong_dimension() {
+        let mut s = stage();
+        let mut template = Template::new("svc", 2).unwrap();
+        template.push(vec![0.1, 0.2], false).unwrap();
+        assert!(matches!(
+            s.import_template(&template),
+            Err(CoreError::Template { .. })
+        ));
+        assert_eq!(s.repr_count(), 0);
+    }
+
+    #[test]
+    fn empty_metric_list_rejected() {
+        let config = ControllerConfig {
+            metrics: vec![],
+            ..config()
+        };
+        assert!(MapStage::new(&config, &HostSpec::default()).is_err());
+    }
+
+    #[test]
+    fn coordinate_scale_grows_with_spread() {
+        let mut s = stage();
+        ingest(&mut s, &raw(0.1, 100.0, 0.0, 0.0));
+        assert!(s.state_map().coordinate_scale() < 0.01);
+        ingest(&mut s, &raw(3.9, 8000.0, 3.9, 8000.0));
+        assert!(s.state_map().coordinate_scale() > 0.3);
     }
 }

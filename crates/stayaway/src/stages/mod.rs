@@ -2,8 +2,9 @@
 //!
 //! The paper's control loop is explicitly three mechanisms — mapping,
 //! prediction, action — fed by per-VM measurements. This module makes each
-//! a first-class stage with its own state, so the [`crate::Controller`]
-//! reduces to a thin composer and per-stage cost is measurable
+//! a first-class stage: one type that owns its mechanism's state outright,
+//! with no engine or manager behind it. The [`crate::Controller`] reduces
+//! to a thin composer and per-stage cost is measurable
 //! ([`crate::stats::StageTiming`]):
 //!
 //! ```text

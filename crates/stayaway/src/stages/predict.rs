@@ -71,7 +71,8 @@ impl PredictStage {
     /// reached. Returns `Some(hit)` when a verdict was pending.
     pub fn verify(&mut self, map: &MapStage, rep: usize, point: Point2) -> Option<bool> {
         let predicted_in_range = self.ledger.pending.take()?;
-        let actually_in_range = map.is_violation_state(rep) || map.in_violation_range(point);
+        let actually_in_range =
+            map.is_violation_state(rep) || map.state_map().in_violation_range(point);
         Some(predicted_in_range == actually_in_range)
     }
 

@@ -72,21 +72,14 @@ impl ViolationDetector {
         match self.mode {
             ViolationDetection::AppReported => observation.qos_violation,
             ViolationDetection::IpcInferred { threshold } => {
-                let sensitive_ipc: Option<f64> = {
-                    let active: Vec<f64> = observation
-                        .sensitive()
-                        .filter(|c| c.active)
-                        .map(|c| c.ipc)
-                        .collect();
-                    if active.is_empty() {
-                        None
-                    } else {
-                        Some(active.iter().sum::<f64>() / active.len() as f64)
-                    }
-                };
-                let Some(ipc) = sensitive_ipc else {
+                // Counted, then summed in observation order, in two passes
+                // so the detector allocates nothing in a steady period.
+                let active_ipcs = || observation.sensitive().filter(|c| c.active).map(|c| c.ipc);
+                let active = active_ipcs().count();
+                if active == 0 {
                     return false;
-                };
+                }
+                let ipc = active_ipcs().sum::<f64>() / active as f64;
                 if !observation.batch_active() {
                     // Isolated execution: refresh the baseline.
                     self.baseline = Some(match self.baseline {

@@ -4,11 +4,13 @@
 //! nothing once the map has formed. The only periods let off are those
 //! that found a new representative state, label a violation (the map's
 //! violation bookkeeping) or issue actions (the returned `Vec<Action>`).
+//! Both violation sources are fenced: application-reported, and inferred
+//! from the sensitive VM's IPC, whose detector runs every period.
 //!
 //! One `#[test]` only: the counting allocator is process-wide, and a
 //! second test running beside this one would be counted too.
 
-use stayaway_core::{Controller, ControllerConfig};
+use stayaway_core::{Controller, ControllerConfig, ViolationDetection};
 use stayaway_sim::scenario::Scenario;
 use stayaway_sim::SimSource;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,16 +58,21 @@ fn a_steady_closed_loop_period_allocates_nothing() {
     // CPUBomb is held throttled between optimistic and vetoed resumes,
     // soplex and the Twitter analysis move through phases while
     // co-located: between them every branch of a period runs.
-    for scenario in [
-        Scenario::vlc_with_cpubomb(7),
-        Scenario::vlc_with_soplex(7),
-        Scenario::vlc_with_twitter(7),
+    for detection in [
+        ViolationDetection::AppReported,
+        ViolationDetection::IpcInferred { threshold: 0.95 },
     ] {
-        fence(&scenario);
+        for scenario in [
+            Scenario::vlc_with_cpubomb(7),
+            Scenario::vlc_with_soplex(7),
+            Scenario::vlc_with_twitter(7),
+        ] {
+            fence(&scenario, detection);
+        }
     }
 }
 
-fn fence(scenario: &Scenario) {
+fn fence(scenario: &Scenario, detection: ViolationDetection) {
     /// Periods before the fence applies: the map has formed and every
     /// buffer of the loop has reached its working size.
     const WARM_UP: u64 = 3_000;
@@ -74,7 +81,12 @@ fn fence(scenario: &Scenario) {
     let harness = scenario.build_harness().unwrap();
     let spec = *harness.host().spec();
     let mut source = SimSource::new(harness);
-    let mut ctl = Controller::for_host(ControllerConfig::default(), &spec).unwrap();
+    let config = ControllerConfig {
+        violation_detection: detection,
+        ..ControllerConfig::default()
+    };
+    let mut ctl = Controller::for_host(config, &spec).unwrap();
+    let name = format!("{} ({detection:?})", scenario.name());
 
     let (mut fenced, mut excused) = (0u64, Excused::default());
     for tick in 0..TICKS {
@@ -96,23 +108,14 @@ fn fence(scenario: &Scenario) {
         } else {
             fenced += 1;
             assert_eq!(
-                allocations,
-                0,
-                "{}, tick {tick}: a steady period allocated",
-                scenario.name()
+                allocations, 0,
+                "{name}, tick {tick}: a steady period allocated"
             );
         }
     }
     println!(
-        "{}: {fenced} periods fenced; excused {} new-state, {} violation, {} action",
-        scenario.name(),
-        excused.new_state,
-        excused.violation,
-        excused.actions
+        "{name}: {fenced} periods fenced; excused {} new-state, {} violation, {} action",
+        excused.new_state, excused.violation, excused.actions
     );
-    assert!(
-        fenced >= 1_000,
-        "{}: only {fenced} periods were fenced",
-        scenario.name()
-    );
+    assert!(fenced >= 1_000, "{name}: only {fenced} periods were fenced");
 }

@@ -126,7 +126,8 @@ cargo build --release --workspace
 # Loop allocations (`stayaway-core --test loop_allocations`,
 # `stayaway-fleet --test workload_allocations`): counted, not clocked —
 # after warm-up, a `telemetry::step` over the simulator on vlc+cpubomb,
-# vlc+soplex and vlc+twitter allocates nothing unless it found a new
+# vlc+soplex and vlc+twitter, each with app-reported and with IPC-inferred
+# violation detection, allocates nothing unless it found a new
 # representative, labelled a violation or returned actions (the excuse
 # counts print with `--nocapture`), and the four storm-cluster workload
 # hosts, their observations recycled, average at most 0.2 allocations per
@@ -138,6 +139,14 @@ cargo build --release --workspace
 # tick for tick, and the telemetry `properties` decoders check
 # `decode_observation_into` against `decode_observation` on every fuzz
 # input, error messages included.
+#
+# Act stage (`stayaway-core --test act_stage`, `--lib stages::act`): one
+# `ActStage` driven through random engage / resume / violation sequences
+# as a state machine — β never decreases and grows by `beta_increment`
+# only when a phase-change resume re-violates within the window, a resume
+# returns exactly the pauses of the throttle it ends, optimistic resumes
+# are never vetoed, a zero-drift throttle with probability 1 resumes
+# within `optimistic_after × 6` periods, observe-only mode issues nothing.
 #
 # Also here: the other `stayaway-obs` suites and `--test observability`.
 cargo test -q --workspace

@@ -3,7 +3,7 @@
 //! faithful embedding of the measurement vectors.
 
 use stay_away::core::aggregate::measurement_vector;
-use stay_away::core::mapping::MappingEngine;
+use stay_away::core::stages::{MapStage, Sensed};
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::mds::distance::DistanceMatrix;
 use stay_away::mds::smacof::Smacof;
@@ -12,9 +12,9 @@ use stay_away::sim::scenario::Scenario;
 use stay_away::sim::{Action, Observation, Policy};
 use stay_away::statespace::{ExecutionMode, Point2, StateKind};
 
-/// Observe-only recorder over the public mapping pipeline.
+/// Observe-only recorder over the public map stage.
 struct Recorder {
-    engine: MappingEngine,
+    map: MapStage,
     metrics: Vec<stay_away::sim::ResourceKind>,
     trail: Vec<(ExecutionMode, usize, Point2)>,
 }
@@ -24,9 +24,16 @@ impl Policy for Recorder {
         "recorder"
     }
     fn decide(&mut self, obs: &Observation) -> Vec<Action> {
-        if let Ok(sample) = self.engine.observe(&measurement_vector(obs, &self.metrics)) {
-            let mode = ExecutionMode::from_activity(obs.sensitive_active(), obs.batch_active());
-            self.trail.push((mode, sample.rep, sample.point));
+        let mode = ExecutionMode::from_activity(obs.sensitive_active(), obs.batch_active());
+        let sensed = Sensed {
+            tick: obs.tick,
+            mode,
+            violated: false,
+            raw: measurement_vector(obs, &self.metrics),
+            rejected: 0,
+        };
+        if let Ok(mapped) = self.map.ingest(&sensed) {
+            self.trail.push((mode, mapped.rep, mapped.point));
         }
         Vec::new()
     }
@@ -34,16 +41,13 @@ impl Policy for Recorder {
 
 fn record(scenario: &Scenario, ticks: u64) -> Recorder {
     let mut harness = scenario.build_harness().expect("harness");
-    let config = ControllerConfig::default();
+    let config = ControllerConfig {
+        smacof_iterations: 20,
+        max_states: 400,
+        ..ControllerConfig::default()
+    };
     let mut rec = Recorder {
-        engine: MappingEngine::new(
-            &config.metrics,
-            harness.host().spec(),
-            config.dedup_epsilon,
-            20,
-            400,
-        )
-        .expect("engine"),
+        map: MapStage::new(&config, harness.host().spec()).expect("map stage"),
         metrics: config.metrics,
         trail: Vec::new(),
     };
@@ -89,10 +93,10 @@ fn paper_colocations() -> [Scenario; 4] {
     ]
 }
 
-/// The dissimilarities the engine's map is meant to reproduce.
-fn dissimilarities(engine: &MappingEngine) -> DistanceMatrix {
-    let vectors: Vec<Vec<f64>> = (0..engine.repr_count())
-        .map(|i| engine.normalized_vector(i).to_vec())
+/// The dissimilarities the stage's map is meant to reproduce.
+fn dissimilarities(map: &MapStage) -> DistanceMatrix {
+    let vectors: Vec<Vec<f64>> = (0..map.repr_count())
+        .map(|i| map.normalized_vector(i).to_vec())
         .collect();
     DistanceMatrix::from_vectors(&vectors).expect("matrix")
 }
@@ -123,12 +127,12 @@ fn incremental_embedding_keeps_low_stress() {
     let mut most_states = 0;
     for scenario in paper_colocations() {
         let rec = record(&scenario, 300);
-        most_states = most_states.max(rec.engine.repr_count());
+        most_states = most_states.max(rec.map.repr_count());
         let stress = rec
-            .engine
+            .map
             .embedding()
             .expect("embedding exists")
-            .stress(&dissimilarities(&rec.engine))
+            .stress(&dissimilarities(&rec.map))
             .expect("stress");
         assert!(
             stress < 0.15,
@@ -151,8 +155,8 @@ fn live_map_tracks_a_cold_exact_solve() {
     for scenario in paper_colocations() {
         for ticks in [384, 3_000] {
             let rec = record(&scenario, ticks);
-            let dissim = dissimilarities(&rec.engine);
-            let live = rec.engine.embedding().expect("embedding exists");
+            let dissim = dissimilarities(&rec.map);
+            let live = rec.map.embedding().expect("embedding exists");
             let cold = Smacof::new(2).embed(&dissim).expect("cold solve");
             let (live_stress, cold_stress) = (
                 live.stress(&dissim).expect("stress"),
@@ -161,7 +165,7 @@ fn live_map_tracks_a_cold_exact_solve() {
             let at = format!(
                 "{} @ {ticks} ({} states)",
                 scenario.name(),
-                rec.engine.repr_count()
+                rec.map.repr_count()
             );
             assert!(
                 live_stress <= cold_stress + 0.03,
@@ -187,13 +191,13 @@ fn recurring_regimes_reuse_representatives() {
     let rec = record(&Scenario::vlc_with_cpubomb(43), 300);
     // Far fewer representatives than ticks.
     assert!(
-        rec.engine.repr_count() * 3 < rec.trail.len(),
+        rec.map.repr_count() * 3 < rec.trail.len(),
         "{} reps for {} ticks — dedup ineffective",
-        rec.engine.repr_count(),
+        rec.map.repr_count(),
         rec.trail.len()
     );
     // At least one representative is visited many times.
-    let mut visits = vec![0usize; rec.engine.repr_count()];
+    let mut visits = vec![0usize; rec.map.repr_count()];
     for (_, rep, _) in &rec.trail {
         visits[*rep] += 1;
     }

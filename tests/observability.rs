@@ -40,7 +40,7 @@ fn prometheus_exposition_lints_clean() {
 }
 
 /// The instruments the issue demands are all present after one run:
-/// controller stage latencies and decision counters, mapping-engine
+/// controller stage latencies and decision counters, map-stage
 /// gauges, and the β / duty-cycle gauges.
 #[test]
 fn exposition_covers_controller_and_mapping_instruments() {
