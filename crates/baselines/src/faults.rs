@@ -111,10 +111,6 @@ impl<P: ControlPolicy> ControlPolicy for FaultInjector<P> {
         self.inner.first_throttle()
     }
 
-    fn supports_templates(&self) -> bool {
-        self.inner.supports_templates()
-    }
-
     fn export_template(&self, sensitive_app: &str) -> Result<Option<Template>, CoreError> {
         self.inner.export_template(sensitive_app)
     }

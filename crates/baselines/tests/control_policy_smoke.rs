@@ -72,6 +72,5 @@ fn baseline_introspection_hooks_default_to_empty() {
     let policy: Box<dyn ControlPolicy> = Box::new(ReactivePolicy::new(10));
     assert_eq!(policy.stats(), ControllerStats::default());
     assert!(policy.first_throttle().is_none());
-    assert!(!policy.supports_templates());
     assert_eq!(policy.export_template("vlc").expect("export ok"), None);
 }

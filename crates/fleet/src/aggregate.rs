@@ -1,8 +1,9 @@
 //! Fleet-level rollups of per-cell outcomes.
 //!
-//! Aggregation folds cell results in cell-index order, so every derived
-//! float is a fixed-order sum — bit-identical regardless of how cells were
-//! scheduled across workers. The JSON rendering therefore is too.
+//! Aggregation folds cell (and cluster host) results in index order
+//! through one tally, so every derived float is a fixed-order sum —
+//! bit-identical regardless of how cells were scheduled across workers.
+//! The JSON rendering therefore is too.
 //!
 //! Not to be confused with `stayaway_core::aggregate`, which shares the
 //! name but not the job: that module aggregates *within one observation*
@@ -17,9 +18,85 @@ use crate::cell::CellOutcome;
 use crate::config::FleetConfig;
 use crate::FleetError;
 use serde::{Deserialize, Serialize};
-use stayaway_core::hit_ratio;
+use stayaway_core::{hit_ratio, ControllerStats};
 use stayaway_obs::{merge_streams, EventRecord, MetricsSnapshot};
 use stayaway_sim::QosSummary;
+
+/// The one fold over finished cells and cluster hosts behind every rollup:
+/// pooled QoS, utilisation sums, batch work and controller counters, added
+/// in index order, means divided by `max(1)` — each rollup copies out the
+/// fields it declares.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub(crate) count: usize,
+    pub(crate) qos: QosSummary,
+    utilization: f64,
+    gained_utilization: f64,
+    pub(crate) batch_work: f64,
+    pub(crate) throttles: u64,
+    pub(crate) resumes: u64,
+    pub(crate) violations_predicted: u64,
+    pub(crate) prediction_checks: u64,
+    pub(crate) prediction_hits: u64,
+    pub(crate) events_dropped: u64,
+    pub(crate) samples_rejected: u64,
+}
+
+impl Tally {
+    /// The empty tally. Its QoS starts from [`QosSummary::new`] — a
+    /// derived default would pin `worst` at 0.
+    pub(crate) fn new() -> Self {
+        Tally {
+            qos: QosSummary::new(),
+            ..Tally::default()
+        }
+    }
+
+    /// Adds one finished cell or host.
+    pub(crate) fn add(
+        &mut self,
+        qos: &QosSummary,
+        mean_utilization: f64,
+        gained_utilization: f64,
+        batch_work: f64,
+        stats: &ControllerStats,
+    ) {
+        self.count += 1;
+        self.qos.absorb(qos);
+        self.utilization += mean_utilization;
+        self.gained_utilization += gained_utilization;
+        self.batch_work += batch_work;
+        self.throttles += stats.throttles;
+        self.resumes += stats.resumes;
+        self.violations_predicted += stats.violations_predicted;
+        self.prediction_checks += stats.prediction_checks;
+        self.prediction_hits += stats.prediction_hits;
+        self.events_dropped += stats.events_dropped;
+        self.samples_rejected += stats.samples_rejected;
+    }
+
+    /// Mean of the added mean utilisations.
+    pub(crate) fn mean_utilization(&self) -> f64 {
+        self.utilization / self.count.max(1) as f64
+    }
+
+    /// Mean of the added gained (batch) utilisations.
+    pub(crate) fn mean_gained_utilization(&self) -> f64 {
+        self.gained_utilization / self.count.max(1) as f64
+    }
+}
+
+/// The tally of `key`'s group, opened at the key's first appearance.
+fn group<'g, 'a>(groups: &'g mut Vec<(&'a str, Tally)>, key: &'a str) -> &'g mut Tally {
+    let at = match groups.iter().position(|(k, _)| *k == key) {
+        Some(at) => at,
+        None => {
+            groups.push((key, Tally::new()));
+            groups.len() - 1
+        }
+    };
+    &mut groups[at].1
+}
 
 /// The distilled result of one cell, embedded in the fleet outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,33 +212,20 @@ pub struct PolicyRollup {
 }
 
 impl PolicyRollup {
-    fn new(policy: &str) -> Self {
+    fn new(policy: &str, t: &Tally) -> Self {
         PolicyRollup {
             policy: policy.to_string(),
-            cells: 0,
-            qos: QosSummary::new(),
-            mean_gained_utilization: 0.0,
-            total_batch_work: 0.0,
-            throttles: 0,
-            resumes: 0,
-            events_dropped: 0,
-            prediction_checks: 0,
-            prediction_hits: 0,
-            samples_rejected: 0,
+            cells: t.count,
+            qos: t.qos,
+            mean_gained_utilization: t.mean_gained_utilization(),
+            total_batch_work: t.batch_work,
+            throttles: t.throttles,
+            resumes: t.resumes,
+            events_dropped: t.events_dropped,
+            prediction_checks: t.prediction_checks,
+            prediction_hits: t.prediction_hits,
+            samples_rejected: t.samples_rejected,
         }
-    }
-
-    fn fold(&mut self, o: &CellOutcome) {
-        self.cells += 1;
-        self.qos.absorb(&o.run.qos);
-        self.mean_gained_utilization += o.run.mean_gained_utilization(o.cpu_capacity);
-        self.total_batch_work += o.run.batch_work;
-        self.throttles += o.stats.throttles;
-        self.resumes += o.stats.resumes;
-        self.events_dropped += o.stats.events_dropped;
-        self.prediction_checks += o.stats.prediction_checks;
-        self.prediction_hits += o.stats.prediction_hits;
-        self.samples_rejected += o.stats.samples_rejected;
     }
 
     /// QoS satisfaction over this policy's pooled active ticks.
@@ -207,33 +271,20 @@ pub struct PredictorRollup {
 }
 
 impl PredictorRollup {
-    fn new(predictor: &str) -> Self {
+    fn new(predictor: &str, t: &Tally) -> Self {
         PredictorRollup {
             predictor: predictor.to_string(),
-            cells: 0,
-            qos: QosSummary::new(),
-            mean_gained_utilization: 0.0,
-            total_batch_work: 0.0,
-            throttles: 0,
-            resumes: 0,
-            violations_predicted: 0,
-            prediction_checks: 0,
-            prediction_hits: 0,
-            samples_rejected: 0,
+            cells: t.count,
+            qos: t.qos,
+            mean_gained_utilization: t.mean_gained_utilization(),
+            total_batch_work: t.batch_work,
+            throttles: t.throttles,
+            resumes: t.resumes,
+            violations_predicted: t.violations_predicted,
+            prediction_checks: t.prediction_checks,
+            prediction_hits: t.prediction_hits,
+            samples_rejected: t.samples_rejected,
         }
-    }
-
-    fn fold(&mut self, o: &CellOutcome) {
-        self.cells += 1;
-        self.qos.absorb(&o.run.qos);
-        self.mean_gained_utilization += o.run.mean_gained_utilization(o.cpu_capacity);
-        self.total_batch_work += o.run.batch_work;
-        self.throttles += o.stats.throttles;
-        self.resumes += o.stats.resumes;
-        self.violations_predicted += o.stats.violations_predicted;
-        self.prediction_checks += o.stats.prediction_checks;
-        self.prediction_hits += o.stats.prediction_hits;
-        self.samples_rejected += o.stats.samples_rejected;
     }
 
     /// QoS satisfaction over this predictor's pooled active ticks.
@@ -328,21 +379,11 @@ impl FleetOutcome {
     /// Folds per-cell outcomes (already sorted by cell index) into the
     /// fleet rollup.
     pub fn aggregate(config: &FleetConfig, outcomes: &[CellOutcome]) -> Self {
-        let mut qos = QosSummary::new();
-        let mut mean_utilization = 0.0;
-        let mut mean_gained = 0.0;
-        let mut total_batch_work = 0.0;
-        let mut throttles = 0;
-        let mut resumes = 0;
-        let mut violations_predicted = 0;
-        let mut prediction_checks = 0;
-        let mut prediction_hits = 0;
-        let mut events_dropped = 0;
-        let mut samples_rejected = 0;
+        let mut fleet = Tally::new();
+        let mut per_policy: Vec<(&str, Tally)> = Vec::new();
+        let mut per_predictor: Vec<(&str, Tally)> = Vec::new();
         let mut cells_imported = 0;
         let mut proactive_first_throttles = 0;
-        let mut per_policy: Vec<PolicyRollup> = Vec::new();
-        let mut per_predictor: Vec<PredictorRollup> = Vec::new();
         let mut metrics: Option<MetricsSnapshot> = None;
         let mut metric_unit_mismatches = 0u64;
         let mut event_streams: Option<Vec<Vec<EventRecord>>> = None;
@@ -359,68 +400,44 @@ impl FleetOutcome {
                     .get_or_insert_with(Vec::new)
                     .push(cell_events.clone());
             }
-            match per_policy.iter_mut().find(|r| r.policy == o.policy) {
-                Some(rollup) => rollup.fold(o),
-                None => {
-                    let mut rollup = PolicyRollup::new(&o.policy);
-                    rollup.fold(o);
-                    per_policy.push(rollup);
-                }
-            }
+            let utilization = o.run.mean_utilization();
+            let gained = o.run.mean_gained_utilization(o.cpu_capacity);
+            let add =
+                |t: &mut Tally| t.add(&o.run.qos, utilization, gained, o.run.batch_work, &o.stats);
+            add(group(&mut per_policy, &o.policy));
             if o.predictor != crate::predictor::NONE {
-                match per_predictor
-                    .iter_mut()
-                    .find(|r| r.predictor == o.predictor)
-                {
-                    Some(rollup) => rollup.fold(o),
-                    None => {
-                        let mut rollup = PredictorRollup::new(&o.predictor);
-                        rollup.fold(o);
-                        per_predictor.push(rollup);
-                    }
-                }
+                add(group(&mut per_predictor, &o.predictor));
             }
-            qos.absorb(&o.run.qos);
-            mean_utilization += o.run.mean_utilization();
-            mean_gained += o.run.mean_gained_utilization(o.cpu_capacity);
-            total_batch_work += o.run.batch_work;
-            throttles += o.stats.throttles;
-            resumes += o.stats.resumes;
-            violations_predicted += o.stats.violations_predicted;
-            prediction_checks += o.stats.prediction_checks;
-            prediction_hits += o.stats.prediction_hits;
-            events_dropped += o.stats.events_dropped;
-            samples_rejected += o.stats.samples_rejected;
+            add(&mut fleet);
             cells_imported += usize::from(o.imported_template);
             proactive_first_throttles += usize::from(o.first_throttle_proactive);
         }
-        for rollup in &mut per_policy {
-            rollup.mean_gained_utilization /= rollup.cells.max(1) as f64;
-        }
-        for rollup in &mut per_predictor {
-            rollup.mean_gained_utilization /= rollup.cells.max(1) as f64;
-        }
-        let n = outcomes.len().max(1) as f64;
         FleetOutcome {
             cells: outcomes.len(),
             ticks_per_cell: config.ticks,
             fleet_seed: config.fleet_seed,
             share_templates: config.share_templates,
-            qos,
-            mean_utilization: mean_utilization / n,
-            mean_gained_utilization: mean_gained / n,
-            total_batch_work,
-            throttles,
-            resumes,
-            violations_predicted,
-            prediction_checks,
-            prediction_hits,
-            events_dropped,
-            samples_rejected,
+            qos: fleet.qos,
+            mean_utilization: fleet.mean_utilization(),
+            mean_gained_utilization: fleet.mean_gained_utilization(),
+            total_batch_work: fleet.batch_work,
+            throttles: fleet.throttles,
+            resumes: fleet.resumes,
+            violations_predicted: fleet.violations_predicted,
+            prediction_checks: fleet.prediction_checks,
+            prediction_hits: fleet.prediction_hits,
+            events_dropped: fleet.events_dropped,
+            samples_rejected: fleet.samples_rejected,
             cells_imported,
             proactive_first_throttles,
-            per_policy,
-            per_predictor,
+            per_policy: per_policy
+                .iter()
+                .map(|(policy, t)| PolicyRollup::new(policy, t))
+                .collect(),
+            per_predictor: per_predictor
+                .iter()
+                .map(|(predictor, t)| PredictorRollup::new(predictor, t))
+                .collect(),
             per_cell: outcomes.iter().map(CellSummary::from_outcome).collect(),
             metrics: metrics.map(|m| m.stable_view()),
             metric_unit_mismatches,

@@ -1,6 +1,6 @@
-//! One host's closed loop — observation source + control policy — as the
-//! single function ([`run_host`]) every single-host CLI command and every
-//! fleet cell ([`run_cell`]) runs through.
+//! One host's closed loop — observation source + control policy + one
+//! [`Observability`] bundle — as the single function ([`run_host`]) every
+//! single-host CLI command and every fleet cell ([`run_cell`]) runs through.
 
 use crate::policy::PolicySpec;
 use crate::predictor;
@@ -8,16 +8,15 @@ use crate::seed::derive_cell_seed;
 use crate::source::SourceSpec;
 use crate::FleetError;
 use stayaway_core::{
-    ControlPolicy, ControllerConfig, ControllerStats, CoreError, Observability, PredictorKind,
+    ControlPolicy, ControllerConfig, ControllerStats, Observability, PredictorKind,
 };
 use stayaway_obs::{
     attr, EventKind, EventRecord, FlightRecorder, Layer, MetricsRegistry, MetricsSnapshot, Span,
-    StateCell,
 };
 use stayaway_sim::scenario::Scenario;
 use stayaway_sim::{HostSpec, RunOutcome};
 use stayaway_statespace::Template;
-use stayaway_telemetry::{drive, RecordingSource, RequestQos};
+use stayaway_telemetry::{drive, ObservationSource, RecordingSource, RequestQos};
 use std::io::Write;
 
 /// The immutable plan for one cell, fixed before any worker starts.
@@ -165,46 +164,50 @@ pub struct CellOutcome {
     pub events: Option<Vec<EventRecord>>,
 }
 
-/// The decision-inert instruments a host's closed loop records into: a
-/// metrics registry, a flight recorder and the `/state` cell. Each is
-/// optional; a default bundle records nothing.
-#[derive(Debug, Clone, Default)]
-pub struct Instruments {
-    /// Receives the policy's and the substrate's instruments.
-    pub registry: Option<MetricsRegistry>,
-    /// Receives typed decision events (the policy's only event path).
-    pub recorder: Option<FlightRecorder>,
-    /// Receives the live controller-state document after every period.
-    pub state: Option<StateCell>,
+/// One host opened for its closed loop: the observation source, the
+/// control policy built against the source's host spec, and the one
+/// instrument bundle both record into. [`open_host`] is its only
+/// constructor.
+pub(crate) struct OpenHost<S> {
+    pub(crate) source: S,
+    pub(crate) policy: Box<dyn ControlPolicy + Send>,
+    pub(crate) obs: Observability,
+    pub(crate) host: HostSpec,
+    pub(crate) imported_template: bool,
 }
 
-impl Instruments {
-    /// The controller-facing bundle — the crate's one [`Observability`]
-    /// assembly, shared by single-host runs, fleet cells and cluster hosts.
-    pub fn observability(&self) -> Observability {
-        let mut obs = match &self.registry {
-            Some(registry) => Observability::enabled(registry.clone()),
-            None => Observability::disabled(),
-        };
-        if let Some(recorder) = &self.recorder {
-            obs = obs.with_recorder(recorder.clone());
+impl<S> OpenHost<S> {
+    /// The policy's statistics. The host owns the recorder, so it — not
+    /// the policy — reports what the ring evicted: a baseline tracks
+    /// nothing, yet the workload source sharing its recorder does.
+    pub(crate) fn stats(&self) -> ControllerStats {
+        ControllerStats {
+            events_dropped: self.obs.recorder().map_or(0, FlightRecorder::dropped),
+            ..self.policy.stats()
         }
-        if let Some(state) = &self.state {
-            obs = obs.with_state(state.clone());
-        }
-        obs
     }
+}
 
-    /// Warm-starts `policy` from `template`, recording the import in the
-    /// flight recorder. Returns whether the policy took the template
-    /// (baselines ignore it).
-    pub(crate) fn import_template(
-        &self,
-        policy: &mut dyn ControlPolicy,
-        template: &Template,
-    ) -> Result<bool, CoreError> {
-        let imported = policy.import_template(template)?;
-        if let (true, Some(recorder)) = (imported, &self.recorder) {
+/// Opens one host — the one place a source meets a policy, for a fleet
+/// cell and a cluster host alike. Builds `policy` against the source's
+/// own host spec (a trace header's capacities, a workload scenario's
+/// host), else `fallback`, with its instruments in `obs`, then
+/// warm-starts it from `import`, recording a `TemplateImport` event when
+/// the policy took the template (baselines ignore it).
+pub(crate) fn open_host<S: ObservationSource>(
+    source: S,
+    fallback: &HostSpec,
+    policy: &PolicySpec,
+    controller: &ControllerConfig,
+    obs: &Observability,
+    import: Option<&Template>,
+) -> Result<OpenHost<S>, FleetError> {
+    let host = source.meta().host.unwrap_or(*fallback);
+    let mut policy = policy.build(controller, &host, obs.clone())?;
+    let mut imported_template = false;
+    if let Some(template) = import {
+        imported_template = policy.import_template(template)?;
+        if let (true, Some(recorder)) = (imported_template, obs.recorder()) {
             recorder.record(
                 0,
                 Layer::Fleet,
@@ -216,7 +219,37 @@ impl Instruments {
                 ],
             );
         }
-        Ok(imported)
+    }
+    Ok(OpenHost {
+        source,
+        policy,
+        obs: obs.clone(),
+        host,
+        imported_template,
+    })
+}
+
+/// The bundle of a fleet cell or cluster host: an exported registry when
+/// `metrics` is set, a flight recorder scoped to `idx` and named
+/// `<kind>:<idx>` when `events` is.
+pub(crate) fn host_observability(
+    kind: &str,
+    idx: usize,
+    metrics: bool,
+    events: bool,
+) -> Observability {
+    let obs = if metrics {
+        Observability::enabled(MetricsRegistry::new())
+    } else {
+        Observability::disabled()
+    };
+    if events {
+        obs.with_recorder(FlightRecorder::for_scope(
+            idx as u32,
+            format!("{kind}:{idx}"),
+        ))
+    } else {
+        obs
     }
 }
 
@@ -238,8 +271,8 @@ pub struct HostRun<'a> {
     pub controller: &'a ControllerConfig,
     /// Control periods to run; finite traces may end sooner.
     pub ticks: u64,
-    /// Where the run records to.
-    pub instruments: &'a Instruments,
+    /// Where the source and the policy record to; one bundle per run.
+    pub obs: &'a Observability,
     /// Template to warm-start the policy from.
     pub import: Option<&'a Template>,
     /// Sensitive-workload key to export the learned template under.
@@ -256,7 +289,8 @@ pub struct HostOutcome {
     /// Closed-loop run result.
     pub run: RunOutcome,
     /// Control-policy statistics at the end of the run (all-zero for
-    /// baselines that track nothing).
+    /// baselines that track nothing, but for `events_dropped`, which is
+    /// the recorder's eviction count under every policy).
     pub stats: ControllerStats,
     /// The host the policy was built against: the substrate's own spec
     /// (trace header, workload scenario), else the scenario prototype's.
@@ -274,55 +308,43 @@ pub struct HostOutcome {
 }
 
 /// Runs one host's closed loop to completion: build the observation
-/// source from its [`SourceSpec`], instantiate the control policy against
-/// the source's host spec, optionally import a template and tee a trace,
-/// drive, optionally export the learned template.
+/// source from its [`SourceSpec`], open the host (policy and template
+/// import, `open_host`), optionally tee a trace, drive, optionally
+/// export the learned template.
 ///
 /// # Errors
 ///
 /// Propagates source construction, policy construction, telemetry and
 /// template import/export failures.
 pub fn run_host(plan: HostRun<'_>) -> Result<HostOutcome, FleetError> {
-    let instruments = plan.instruments;
-    let mut source = plan.source.build(
-        plan.scenario,
-        plan.seed,
-        instruments.registry.as_ref(),
-        instruments.recorder.as_ref(),
+    let source = plan.source.build(plan.scenario, plan.seed, plan.obs)?;
+    let mut open = open_host(
+        source,
+        plan.scenario.host_spec(),
+        plan.policy,
+        plan.controller,
+        plan.obs,
+        plan.import,
     )?;
-    // Trace replays take the controller's host spec from the trace header
-    // (the capacities the recording was made against); substrates without
-    // one fall back to the scenario prototype's host.
-    let host = source
-        .meta()
-        .host
-        .unwrap_or_else(|| *plan.scenario.host_spec());
-    let mut policy =
-        plan.policy
-            .build_observed(plan.controller, &host, instruments.observability())?;
-    let imported_template = match plan.import {
-        Some(template) => instruments.import_template(policy.as_mut(), template)?,
-        None => false,
-    };
     if let Some(out) = plan.trace_out {
-        source = Box::new(RecordingSource::new(source, out)?);
+        open.source = Box::new(RecordingSource::new(open.source, out)?);
     }
     let run = {
         let _guard = plan.loop_span.map(|span| span.start(0));
-        drive(source.as_mut(), policy.as_mut(), plan.ticks)?
+        drive(open.source.as_mut(), open.policy.as_mut(), plan.ticks)?
     };
     let template = match plan.export_as {
-        Some(key) => policy.export_template(key)?,
+        Some(key) => open.policy.export_template(key)?,
         None => None,
     };
     Ok(HostOutcome {
         run,
-        stats: policy.stats(),
-        host,
-        imported_template,
+        stats: open.stats(),
+        host: open.host,
+        imported_template: open.imported_template,
         template,
-        first_throttle: policy.first_throttle(),
-        requests: source.request_qos(),
+        first_throttle: open.policy.first_throttle(),
+        requests: open.source.request_qos(),
     })
 }
 
@@ -341,14 +363,8 @@ pub fn run_cell(
     import: Option<&Template>,
     ticks: u64,
 ) -> Result<CellOutcome, FleetError> {
-    let instruments = Instruments {
-        registry: plan.collect_metrics.then(MetricsRegistry::new),
-        recorder: plan
-            .collect_events
-            .then(|| FlightRecorder::for_scope(plan.idx as u32, format!("cell:{}", plan.idx))),
-        state: None,
-    };
-    let cell_runtime = instruments.registry.as_ref().map(|r| {
+    let obs = host_observability("cell", plan.idx, plan.collect_metrics, plan.collect_events);
+    let cell_runtime = obs.exported_registry().map(|r| {
         Span::new("fleet.cell").with_histogram(r.latency_histogram(
             "stayaway_fleet_cell_runtime_nanos",
             "Wall time of one fleet cell's closed-loop run",
@@ -366,7 +382,7 @@ pub fn run_cell(
             ..controller.clone()
         },
         ticks,
-        instruments: &instruments,
+        obs: &obs,
         import,
         export_as: Some(&sensitive),
         trace_out: None,
@@ -388,8 +404,8 @@ pub fn run_cell(
         template: out.template,
         first_throttle_tick,
         first_throttle_proactive,
-        metrics: instruments.registry.map(|r| r.snapshot()),
-        events: instruments.recorder.map(|r| r.events()),
+        metrics: obs.exported_registry().map(MetricsRegistry::snapshot),
+        events: obs.recorder().map(FlightRecorder::events),
         run: out.run,
     })
 }
@@ -397,6 +413,7 @@ pub fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stayaway_obs::StateCell;
 
     fn stayaway_plan(idx: usize, seed: u64, scenario: Scenario) -> CellPlan {
         CellPlan::new(idx, seed, scenario, PolicySpec::StayAway)
@@ -423,7 +440,7 @@ mod tests {
         source: &'a SourceSpec,
         scenario: &'a Scenario,
         controller: &'a ControllerConfig,
-        instruments: &'a Instruments,
+        obs: &'a Observability,
     ) -> HostRun<'a> {
         HostRun {
             source,
@@ -432,7 +449,7 @@ mod tests {
             policy: &PolicySpec::StayAway,
             controller,
             ticks: 60,
-            instruments,
+            obs,
             import: None,
             export_as: None,
             trace_out: None,
@@ -446,16 +463,22 @@ mod tests {
         // then drive a fresh controller from that file.
         let path = std::env::temp_dir().join(format!("stayaway-tee-{}.jsonl", std::process::id()));
         let scenario = Scenario::vlc_with_cpubomb(3);
-        let (config, bare) = (ControllerConfig::default(), Instruments::default());
+        let config = ControllerConfig::default();
         let mut file = std::fs::File::create(&path).unwrap();
         let live = run_host(HostRun {
             trace_out: Some(Box::new(&mut file)),
-            ..host_run(&SourceSpec::Sim, &scenario, &config, &bare)
+            ..host_run(
+                &SourceSpec::Sim,
+                &scenario,
+                &config,
+                &Observability::disabled(),
+            )
         })
         .unwrap();
         let trace = SourceSpec::Trace {
             path: path.to_str().unwrap().to_string(),
         };
+        let bare = Observability::disabled();
         let replayed = run_host(host_run(&trace, &scenario, &config, &bare)).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(live.run.timeline.len(), 60);
@@ -479,7 +502,7 @@ mod tests {
             &source,
             &scenario,
             &config,
-            &Instruments::default(),
+            &Observability::disabled(),
         ))
         .unwrap();
         let qos = bare
@@ -493,17 +516,47 @@ mod tests {
             stayaway_workload::by_name("cpu-bomb").unwrap().host
         );
 
-        let observed = Instruments {
-            registry: Some(MetricsRegistry::new()),
-            recorder: Some(FlightRecorder::for_scope(0, "run")),
-            state: Some(StateCell::new()),
-        };
+        let observed = Observability::enabled(MetricsRegistry::new())
+            .with_recorder(FlightRecorder::for_scope(0, "run"))
+            .with_state(StateCell::new());
         let seen = run_host(host_run(&source, &scenario, &config, &observed)).unwrap();
         // Decision-inert, and every instrument saw the run.
         assert_eq!((&bare.run, &bare.stats), (&seen.run, &seen.stats));
-        assert!(!observed.registry.unwrap().snapshot().is_empty());
-        assert!(!observed.recorder.unwrap().events().is_empty());
-        assert!(observed.state.unwrap().get().get("tick").is_some());
+        assert!(!observed.exported_registry().unwrap().snapshot().is_empty());
+        assert!(!observed.recorder().unwrap().events().is_empty());
+        assert!(observed.state().unwrap().get().get("tick").is_some());
+    }
+
+    #[test]
+    fn a_baseline_host_reports_the_events_its_recorder_dropped() {
+        // A null policy records nothing, but the workload source it shares
+        // the recorder with records every SLO violation; a ring of 8 drops
+        // most of them, and the host must say so under any policy.
+        let scenario = Scenario::vlc_with_cpubomb(7);
+        let config = ControllerConfig::default();
+        let source = SourceSpec::Workload {
+            scenario: "cpu-bomb".into(),
+        };
+        for policy in [PolicySpec::Null, PolicySpec::StayAway] {
+            let recorder = FlightRecorder::bounded(0, "run", 8);
+            let obs = Observability::disabled().with_recorder(recorder.clone());
+            let out = run_host(HostRun {
+                policy: &policy,
+                ..host_run(&source, &scenario, &config, &obs)
+            })
+            .unwrap();
+            assert!(
+                recorder.dropped() > 0,
+                "{}: the ring overflowed",
+                policy.name()
+            );
+            assert_eq!(
+                out.stats.events_dropped,
+                recorder.dropped(),
+                "{}",
+                policy.name()
+            );
+        }
     }
 
     #[test]

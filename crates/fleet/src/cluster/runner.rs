@@ -7,9 +7,11 @@
 //! event engine advances alone, and only that embarrassingly parallel
 //! part runs on the worker pool. Combined with placement-independent job
 //! streams ([`crate::cluster::job`]), the run is bit-identical for any
-//! worker count, migrations included.
+//! worker count, migrations included. A host opens, records and folds into
+//! its rollup as a `workload:` fleet cell does ([`crate::cell`]).
 
-use crate::cell::Instruments;
+use crate::aggregate::Tally;
+use crate::cell::{host_observability, open_host, OpenHost};
 use crate::cluster::action::ClusterAction;
 use crate::cluster::job::JobState;
 use crate::cluster::outcome::{ClusterOutcome, HostRollup, JobRollup};
@@ -19,11 +21,12 @@ use crate::policy::PolicySpec;
 use crate::pool::map_indexed;
 use crate::registry::TemplateRegistry;
 use crate::seed::derive_cell_seed;
+use crate::source::workload_source;
 use crate::FleetError;
-use stayaway_core::{ControlPolicy, ControllerConfig};
-use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer, MetricsRegistry};
+use stayaway_core::ControllerConfig;
+use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer};
 use stayaway_telemetry::{step, QosSummary, TelemetryError};
-use stayaway_workload::WorkloadSource;
+use stayaway_workload::{WorkloadHost, WorkloadSource};
 use std::sync::Arc;
 
 /// Configuration of one cluster run.
@@ -103,18 +106,14 @@ impl ClusterConfig {
     }
 }
 
-/// One open host: the [`WorkloadSource`] + control policy pair a fleet cell
-/// over `workload:<scenario>` runs, kept open across epochs so the cluster
-/// plane can act on the engine between them. Tick records are folded into
-/// the epoch and run sums as they are produced, never retained.
+/// One open host — the [`WorkloadSource`] + policy a `workload:` fleet cell
+/// opens — kept open across epochs so the cluster plane can act on the
+/// engine between them. Tick records fold into the sums, never retained.
 struct HostCell {
     idx: usize,
-    source: WorkloadSource,
-    policy: Box<dyn ControlPolicy + Send>,
-    instruments: Instruments,
+    open: OpenHost<WorkloadSource>,
     sensitive_key: String,
     seed: u64,
-    imported_template: bool,
     qos: QosSummary,
     epoch_qos: QosSummary,
     epoch_cpu_sum: f64,
@@ -129,6 +128,11 @@ struct HostCell {
 }
 
 impl HostCell {
+    /// The host's request engine, for the cluster verbs.
+    fn engine(&mut self) -> &mut WorkloadHost {
+        self.open.source.host_mut()
+    }
+
     /// Advances the local closed loop by up to `ticks` periods of
     /// [`stayaway_telemetry::step`] — the loop every fleet cell runs —
     /// folding each record into the epoch and run sums.
@@ -137,7 +141,8 @@ impl HostCell {
         self.epoch_cpu_sum = 0.0;
         self.epoch_ticks = ticks;
         for _ in 0..ticks {
-            let Some((record, rejected)) = step(&mut self.source, self.policy.as_mut())? else {
+            let Some((record, rejected)) = step(&mut self.open.source, self.open.policy.as_mut())?
+            else {
                 break;
             };
             if record.sensitive_active {
@@ -155,7 +160,7 @@ impl HostCell {
 
     /// The host's epoch-boundary view for the cluster policy.
     fn snapshot(&self, placed_jobs: Vec<usize>, registry: &TemplateRegistry) -> HostSnapshot {
-        let host = self.source.host();
+        let host = self.open.source.host();
         HostSnapshot {
             idx: self.idx,
             name: host.scenario().name.clone(),
@@ -174,6 +179,18 @@ impl HostCell {
                 .map(|e| e.template.violation_count() as u64),
         }
     }
+}
+
+/// The cluster plane's own counters, kept at the epoch barrier.
+#[derive(Default)]
+struct Scheduling {
+    admissions: u64,
+    migrations: u64,
+    deferrals: u64,
+    queue_actions: u64,
+    invalid_actions: u64,
+    max_queue_depth: u64,
+    queue_depth_sum: u64,
 }
 
 /// A cluster of open hosts under one scheduling policy.
@@ -215,48 +232,38 @@ impl Cluster {
     }
 
     fn build_cell(&self, idx: usize) -> Result<HostCell, FleetError> {
-        let scenario = &self.config.scenario.hosts[idx];
-        let seed = derive_cell_seed(self.config.seed, idx as u64);
-        let instruments = Instruments {
-            registry: self.config.collect_metrics.then(MetricsRegistry::new),
-            recorder: self
-                .config
-                .collect_events
-                .then(|| FlightRecorder::for_scope(idx as u32, format!("host:{idx}"))),
-            state: None,
+        let config = &self.config;
+        let scenario = &config.scenario.hosts[idx];
+        let seed = derive_cell_seed(config.seed, idx as u64);
+        let Some(tenant) = scenario.sensitive_tenant() else {
+            return Err(FleetError::InvalidConfig {
+                reason: format!(
+                    "cluster host {idx} ({}) has no sensitive tenant",
+                    scenario.name
+                ),
+            });
         };
-        let mut source = WorkloadSource::new(scenario.clone(), seed)?;
-        if let Some(registry) = &instruments.registry {
-            source = source.with_metrics(registry);
-        }
-        if let Some(recorder) = &instruments.recorder {
-            source = source.with_recorder(recorder.clone());
-        }
+        let sensitive_key = tenant.name.clone();
+        let obs = host_observability("host", idx, config.collect_metrics, config.collect_events);
+        let source = workload_source(scenario.clone(), seed, &obs)?;
         let controller = ControllerConfig {
             seed,
-            ..self.config.controller.clone()
+            ..config.controller.clone()
         };
-        let mut policy = self.config.host_policy.build_observed(
-            &controller,
+        let import = self.registry.lookup(&sensitive_key).map(|e| e.template);
+        let open = open_host(
+            source,
             &scenario.host,
-            instruments.observability(),
+            &config.host_policy,
+            &controller,
+            &obs,
+            import.as_ref(),
         )?;
-        let sensitive_key = scenario
-            .sensitive_tenant()
-            .map(|t| t.name.clone())
-            .expect("validated: every host has a sensitive tenant");
-        let imported_template = match self.registry.lookup(&sensitive_key) {
-            Some(entry) => instruments.import_template(policy.as_mut(), &entry.template)?,
-            None => false,
-        };
         Ok(HostCell {
             idx,
-            source,
-            policy,
-            instruments,
+            open,
             sensitive_key,
             seed,
-            imported_template,
             qos: QosSummary::new(),
             epoch_qos: QosSummary::new(),
             epoch_cpu_sum: 0.0,
@@ -296,13 +303,7 @@ impl Cluster {
             .collect_events
             .then(|| FlightRecorder::for_scope(cells.len() as u32, "cluster"));
 
-        let mut admissions = 0u64;
-        let mut migrations = 0u64;
-        let mut deferrals = 0u64;
-        let mut queue_actions = 0u64;
-        let mut invalid_actions = 0u64;
-        let mut max_queue_depth = 0u64;
-        let mut queue_depth_sum = 0u64;
+        let mut sched = Scheduling::default();
 
         for epoch in 0..config.epochs {
             let start_ns = epoch * epoch_ns;
@@ -336,7 +337,7 @@ impl Cluster {
                     name: j.spec.name.clone(),
                     placement: j.placement,
                     pending: match (j.placement, j.tenant_idx) {
-                        (Some(h), Some(ti)) => cells[h].source.host().tenant_pending(ti),
+                        (Some(h), Some(ti)) => cells[h].open.source.host().tenant_pending(ti),
                         _ => j.carried.len() as u64,
                     },
                     queued_epochs: j.queued_epochs,
@@ -354,24 +355,23 @@ impl Cluster {
                 let job_id = action.job();
                 let live = jobs.get(job_id).is_some_and(|j| j.arrived && !j.departed);
                 if !live {
-                    invalid_actions += 1;
+                    sched.invalid_actions += 1;
                     continue;
                 }
                 match action {
                     ClusterAction::Admit { job, host } => {
                         if jobs[job].placement.is_some() || host >= cells.len() {
-                            invalid_actions += 1;
+                            sched.invalid_actions += 1;
                             continue;
                         }
                         let ti = cells[host]
-                            .source
-                            .host_mut()
+                            .engine()
                             .attach_tenant(jobs[job].spec.tenant.clone())?;
                         jobs[job].placement = Some(host);
                         jobs[job].tenant_idx = Some(ti);
                         jobs[job].placements.push(host);
                         jobs[job].last_move_epoch = epoch;
-                        admissions += 1;
+                        sched.admissions += 1;
                         if let Some(rec) = &cluster_recorder {
                             rec.record_for(
                                 start_tick,
@@ -385,9 +385,9 @@ impl Cluster {
                     }
                     ClusterAction::Queue { job } => {
                         if jobs[job].placement.is_some() {
-                            invalid_actions += 1;
+                            sched.invalid_actions += 1;
                         } else {
-                            queue_actions += 1;
+                            sched.queue_actions += 1;
                             if let Some(rec) = &cluster_recorder {
                                 rec.record_for(
                                     start_tick,
@@ -402,9 +402,9 @@ impl Cluster {
                     }
                     ClusterAction::Defer { job } => {
                         if jobs[job].placement.is_some() {
-                            invalid_actions += 1;
+                            sched.invalid_actions += 1;
                         } else {
-                            deferrals += 1;
+                            sched.deferrals += 1;
                             if let Some(rec) = &cluster_recorder {
                                 rec.record_for(
                                     start_tick,
@@ -418,36 +418,40 @@ impl Cluster {
                         }
                     }
                     ClusterAction::Migrate { job, from, to } => {
-                        let valid = config.migration
-                            && jobs[job].placement == Some(from)
-                            && to != from
-                            && to < cells.len();
-                        if !valid {
-                            invalid_actions += 1;
-                            continue;
-                        }
-                        let ti = jobs[job].tenant_idx.expect("placed job has a tenant");
-                        let carried = cells[from].source.host_mut().detach_tenant(ti)?;
+                        let ti = match (jobs[job].placement, jobs[job].tenant_idx) {
+                            (Some(h), Some(ti))
+                                if config.migration
+                                    && h == from
+                                    && to != from
+                                    && to < cells.len() =>
+                            {
+                                ti
+                            }
+                            _ => {
+                                sched.invalid_actions += 1;
+                                continue;
+                            }
+                        };
+                        let carried = cells[from].engine().detach_tenant(ti)?;
                         jobs[job].carry(carried);
                         let ti = cells[to]
-                            .source
-                            .host_mut()
+                            .engine()
                             .attach_tenant(jobs[job].spec.tenant.clone())?;
                         jobs[job].placement = Some(to);
                         jobs[job].tenant_idx = Some(ti);
                         jobs[job].placements.push(to);
                         jobs[job].last_move_epoch = epoch;
                         jobs[job].migrations += 1;
-                        migrations += 1;
+                        sched.migrations += 1;
                         if let Some(rec) = &cluster_recorder {
                             // Causal link across layers: the migration is
                             // the cluster's answer to interference on the
                             // source host, so point at its most recent
                             // workload-layer SLO violation.
                             let cause = cells[from]
-                                .instruments
-                                .recorder
-                                .as_ref()
+                                .open
+                                .obs
+                                .recorder()
                                 .and_then(|r| r.last_id_of_kind(EventKind::SloViolation));
                             rec.record_for(
                                 start_tick,
@@ -468,8 +472,8 @@ impl Cluster {
                 .filter(|j| j.arrived && !j.departed && j.placement.is_none())
                 .map(|j| j.queued_epochs += 1)
                 .count() as u64;
-            max_queue_depth = max_queue_depth.max(depth);
-            queue_depth_sum += depth;
+            sched.max_queue_depth = sched.max_queue_depth.max(depth);
+            sched.queue_depth_sum += depth;
 
             // 5. Route this epoch's arrivals in job-id order. Generation
             //    happens for every live job — placed or not — so the
@@ -484,7 +488,7 @@ impl Cluster {
                         for (t, nominal) in job.carried.drain(..).chain(due) {
                             // Past arrival times (carried backlog) are
                             // clamped to the host's current tick boundary.
-                            cells[h].source.host_mut().inject_arrival(ti, t, nominal)?;
+                            cells[h].engine().inject_arrival(ti, t, nominal)?;
                         }
                     }
                     _ => job.carry(due),
@@ -507,8 +511,8 @@ impl Cluster {
                 }
                 match (job.placement, job.tenant_idx) {
                     (Some(h), Some(ti)) => {
-                        if cells[h].source.host().tenant_pending(ti) == 0 {
-                            cells[h].source.host_mut().detach_tenant(ti)?;
+                        if cells[h].open.source.host().tenant_pending(ti) == 0 {
+                            cells[h].engine().detach_tenant(ti)?;
                             job.placement = None;
                             job.tenant_idx = None;
                             job.departed = true;
@@ -523,78 +527,47 @@ impl Cluster {
         // conflict resolution lives in the registry, but fixed order keeps
         // the walk deterministic anyway).
         for cell in &cells {
-            if cell.policy.supports_templates() {
-                if let Some(template) = cell.policy.export_template(&cell.sensitive_key)? {
-                    self.registry.publish(template, cell.idx);
-                }
+            if let Some(template) = cell.open.policy.export_template(&cell.sensitive_key)? {
+                self.registry.publish(template, cell.idx);
             }
         }
 
-        Ok(self.aggregate(
-            cells,
-            jobs,
-            cluster_recorder,
-            admissions,
-            migrations,
-            deferrals,
-            queue_actions,
-            invalid_actions,
-            max_queue_depth,
-            queue_depth_sum,
-        ))
+        Ok(self.aggregate(cells, jobs, cluster_recorder, sched))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn aggregate(
         &self,
         cells: Vec<HostCell>,
         jobs: Vec<JobState>,
         cluster_recorder: Option<FlightRecorder>,
-        admissions: u64,
-        migrations: u64,
-        deferrals: u64,
-        queue_actions: u64,
-        invalid_actions: u64,
-        max_queue_depth: u64,
-        queue_depth_sum: u64,
+        sched: Scheduling,
     ) -> ClusterOutcome {
         let config = &self.config;
-        let mut qos = QosSummary::new();
+        let mut cluster = Tally::new();
         let mut slo_met = 0u64;
         let mut slo_total = 0u64;
-        let mut total_batch_work = 0.0;
-        let mut mean_utilization = 0.0;
-        let mut mean_gained = 0.0;
-        let mut throttles = 0u64;
-        let mut resumes = 0u64;
-        let mut events_dropped = 0u64;
-        let mut prediction_checks = 0u64;
-        let mut prediction_hits = 0u64;
-        let mut samples_rejected = 0u64;
         let mut metrics: Option<stayaway_obs::MetricsSnapshot> = None;
         let mut metric_unit_mismatches = 0u64;
         let per_host: Vec<HostRollup> = cells
             .iter()
             .map(|cell| {
-                let host = cell.source.host();
+                let host = cell.open.source.host();
                 let totals = host.totals();
-                let stats = cell.policy.stats();
-                qos.absorb(&cell.qos);
                 slo_met += totals.sensitive_met;
                 slo_total += totals.sensitive_completed + totals.sensitive_dropped;
-                total_batch_work += host.batch_work();
                 let ticks = cell.ticks.max(1) as f64;
-                mean_utilization += cell.sum_utilization / ticks;
+                let mean_utilization = cell.sum_utilization / ticks;
                 let gained = cell.sum_batch_cpu
                     / (ticks * host.scenario().host.cpu_cores.max(f64::MIN_POSITIVE));
-                mean_gained += gained;
-                throttles += stats.throttles;
-                resumes += stats.resumes;
-                events_dropped += stats.events_dropped;
-                prediction_checks += stats.prediction_checks;
-                prediction_hits += stats.prediction_hits;
-                samples_rejected += stats.samples_rejected;
-                if let Some(r) = &cell.instruments.registry {
+                let stats = cell.open.stats();
+                cluster.add(
+                    &cell.qos,
+                    mean_utilization,
+                    gained,
+                    host.batch_work(),
+                    &stats,
+                );
+                if let Some(r) = cell.open.obs.exported_registry() {
                     metric_unit_mismatches += metrics
                         .get_or_insert_with(stayaway_obs::MetricsSnapshot::default)
                         .merge(&r.snapshot());
@@ -609,7 +582,7 @@ impl Cluster {
                     arrivals: totals.arrivals,
                     completed: totals.completed,
                     dropped: totals.dropped,
-                    mean_utilization: cell.sum_utilization / ticks,
+                    mean_utilization,
                     gained_utilization: gained,
                     batch_work: host.batch_work(),
                     throttles: stats.throttles,
@@ -619,7 +592,7 @@ impl Cluster {
                     prediction_hits: stats.prediction_hits,
                     samples_rejected: stats.samples_rejected,
                     rejected_actions: cell.rejected,
-                    imported_template: cell.imported_template,
+                    imported_template: cell.open.imported_template,
                     jobs_hosted: jobs
                         .iter()
                         .filter(|j| j.placements.contains(&cell.idx))
@@ -644,7 +617,6 @@ impl Cluster {
                 departed: j.departed,
             })
             .collect();
-        let hosts = cells.len().max(1) as f64;
         ClusterOutcome {
             scenario: config.scenario.name.clone(),
             cluster_policy: config.cluster_policy.name().to_string(),
@@ -653,28 +625,28 @@ impl Cluster {
             epochs: config.epochs,
             ticks_per_epoch: config.ticks_per_epoch,
             migration: config.migration,
-            qos,
+            qos: cluster.qos,
             slo_violation_rate: if slo_total == 0 {
                 0.0
             } else {
                 1.0 - slo_met as f64 / slo_total as f64
             },
-            total_batch_work,
-            mean_utilization: mean_utilization / hosts,
-            mean_gained_utilization: mean_gained / hosts,
-            throttles,
-            resumes,
-            events_dropped,
-            prediction_checks,
-            prediction_hits,
-            samples_rejected,
-            admissions,
-            migrations,
-            deferrals,
-            queue_actions,
-            invalid_actions,
-            max_queue_depth,
-            mean_queue_depth: queue_depth_sum as f64 / config.epochs.max(1) as f64,
+            total_batch_work: cluster.batch_work,
+            mean_utilization: cluster.mean_utilization(),
+            mean_gained_utilization: cluster.mean_gained_utilization(),
+            throttles: cluster.throttles,
+            resumes: cluster.resumes,
+            events_dropped: cluster.events_dropped,
+            prediction_checks: cluster.prediction_checks,
+            prediction_hits: cluster.prediction_hits,
+            samples_rejected: cluster.samples_rejected,
+            admissions: sched.admissions,
+            migrations: sched.migrations,
+            deferrals: sched.deferrals,
+            queue_actions: sched.queue_actions,
+            invalid_actions: sched.invalid_actions,
+            max_queue_depth: sched.max_queue_depth,
+            mean_queue_depth: sched.queue_depth_sum as f64 / config.epochs.max(1) as f64,
             jobs_unfinished: jobs.iter().filter(|j| !j.departed).count(),
             per_host,
             per_job,
@@ -683,7 +655,7 @@ impl Cluster {
             events: cluster_recorder.map(|cluster_rec| {
                 let streams = cells
                     .iter()
-                    .filter_map(|cell| cell.instruments.recorder.as_ref().map(|r| r.events()))
+                    .filter_map(|cell| cell.open.obs.recorder().map(FlightRecorder::events))
                     .chain(std::iter::once(cluster_rec.events()));
                 merge_streams(streams)
             }),

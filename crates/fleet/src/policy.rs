@@ -2,10 +2,10 @@
 //!
 //! A [`PolicySpec`] is the declarative, clonable description of a control
 //! plane; [`PolicySpec::build`] instantiates it against a concrete host as
-//! a boxed [`ControlPolicy`]. Fleets round-robin a list of specs across
-//! their cells, so one fleet can run mixed-policy populations (e.g. a
-//! Stay-Away cohort against a reactive control group) in a single
-//! deterministic run.
+//! a boxed [`ControlPolicy`] recording into an [`Observability`] bundle.
+//! Fleets round-robin a list of specs across their cells, so one fleet can
+//! run mixed-policy populations (e.g. a Stay-Away cohort against a
+//! reactive control group) in a single deterministic run.
 
 use crate::FleetError;
 use stayaway_baselines::{AlwaysThrottle, ReactivePolicy, StaticThresholdPolicy};
@@ -139,29 +139,16 @@ impl PolicySpec {
         }
     }
 
-    /// Instantiates the control plane for a host. `config` is only
-    /// consulted by [`PolicySpec::StayAway`]; baselines derive what they
-    /// need (e.g. CPU capacity) from the host spec.
+    /// Instantiates the control plane for a host, its instruments
+    /// registered into `obs`. `config` is only consulted by
+    /// [`PolicySpec::StayAway`]; baselines derive what they need (e.g. CPU
+    /// capacity) from the host spec and register nothing. Decisions are
+    /// identical whatever the bundle.
     ///
     /// # Errors
     ///
     /// Propagates controller construction failures.
     pub fn build(
-        &self,
-        config: &ControllerConfig,
-        spec: &HostSpec,
-    ) -> Result<Box<dyn ControlPolicy + Send>, CoreError> {
-        self.build_observed(config, spec, Observability::disabled())
-    }
-
-    /// Like [`PolicySpec::build`], with the control plane's instruments
-    /// registered into the given [`Observability`] bundle. Baselines
-    /// register nothing; decisions are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller construction failures.
-    pub fn build_observed(
         &self,
         config: &ControllerConfig,
         spec: &HostSpec,
@@ -261,7 +248,9 @@ mod tests {
             PolicySpec::AlwaysThrottle,
             PolicySpec::Null,
         ] {
-            let built = policy_spec.build(&config, &spec).unwrap();
+            let built = policy_spec
+                .build(&config, &spec, Observability::disabled())
+                .unwrap();
             assert_eq!(built.name(), policy_spec.name());
         }
     }
@@ -274,7 +263,11 @@ mod tests {
         for name in ["stayaway", "reactive", "null"] {
             let spec = PolicySpec::parse(name).unwrap();
             let mut policy = spec
-                .build(&ControllerConfig::default(), &scenario.host)
+                .build(
+                    &ControllerConfig::default(),
+                    &scenario.host,
+                    Observability::disabled(),
+                )
                 .unwrap();
             let row = stayaway_workload::bench_scenario(&scenario, policy.as_mut(), 7, 20).unwrap();
             assert_eq!(row.scenario, "cpu-bomb");

@@ -131,14 +131,9 @@ impl Fleet {
             let follower_jobs: Vec<(CellPlan, Option<Template>)> = follower_plans
                 .into_iter()
                 .map(|plan| {
-                    let import = if plan.policy.supports_templates() {
-                        self.registry
-                            .lookup(&plan.sensitive_key())
-                            .map(|entry| entry.template)
-                    } else {
-                        None
-                    };
-                    (plan, import)
+                    // A baseline ignores the template it is offered.
+                    let import = self.registry.lookup(&plan.sensitive_key());
+                    (plan, import.map(|entry| entry.template))
                 })
                 .collect();
             let followers = self.run_wave(follower_jobs)?;

@@ -9,17 +9,17 @@
 //! run.
 
 use crate::FleetError;
-use stayaway_obs::{FlightRecorder, MetricsRegistry};
+use stayaway_core::Observability;
 use stayaway_sim::scenario::Scenario;
-use stayaway_sim::SimSource;
 use stayaway_telemetry::{ObservationSource, ProcfsSource, TraceSource};
+use stayaway_workload::{WorkloadScenario, WorkloadSource};
 
 /// Declarative choice of observation substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceSpec {
-    /// The deterministic simulator ([`SimSource`] over the cell's
-    /// scenario) — the default, and the only substrate that actuates
-    /// pause/resume actions.
+    /// The deterministic simulator (the cell's scenario's
+    /// [`stayaway_sim::Harness`]) — the default, and the only substrate
+    /// that actuates pause/resume actions.
     Sim,
     /// Replay of a recorded JSONL trace ([`TraceSource`]); actions are
     /// accepted but have no effect, exactly as during recording.
@@ -31,7 +31,7 @@ pub enum SourceSpec {
     /// ([`ProcfsSource`]); only available on hosts that expose them.
     Procfs,
     /// The request-driven multi-tenant workload engine
-    /// ([`stayaway_workload::WorkloadSource`]) running a named scenario
+    /// ([`WorkloadSource`]) running a named scenario
     /// from the workload library; actuates pause/resume as tenant
     /// freezes.
     Workload {
@@ -142,10 +142,11 @@ impl SourceSpec {
     /// and `seed` are only consulted by [`SourceSpec::Sim`] (the harness
     /// is built from the scenario prototype and reseeded) and
     /// [`SourceSpec::Workload`] (seed); a trace replays exactly what was
-    /// recorded and procfs samples the live host. A `registry` receives
-    /// the substrate's instruments (trace decode errors, procfs probe
-    /// failures, workload engine metrics; the simulator has none), a
-    /// `recorder` the workload engine's SLO-violation events.
+    /// recorded and procfs samples the live host. The bundle's
+    /// [exported registry](Observability::exported_registry) receives the
+    /// substrate's instruments (trace decode errors, procfs probe
+    /// failures, workload engine metrics; the simulator has none), its
+    /// recorder the workload engine's SLO-violation events.
     ///
     /// # Errors
     ///
@@ -155,18 +156,17 @@ impl SourceSpec {
         &self,
         scenario: &Scenario,
         seed: u64,
-        registry: Option<&MetricsRegistry>,
-        recorder: Option<&FlightRecorder>,
+        obs: &Observability,
     ) -> Result<Box<dyn ObservationSource>, FleetError> {
         Ok(match self {
             SourceSpec::Sim => {
                 let mut harness = scenario.build_harness()?;
                 harness.reseed(seed);
-                Box::new(SimSource::new(harness))
+                Box::new(harness)
             }
             SourceSpec::Trace { path } => {
                 let source = TraceSource::open(path)?;
-                Box::new(match registry {
+                Box::new(match obs.exported_registry() {
                     Some(registry) => source.with_metrics(registry),
                     None => source,
                 })
@@ -175,7 +175,7 @@ impl SourceSpec {
                 let source = ProcfsSource::probe().ok_or_else(|| FleetError::InvalidConfig {
                     reason: "procfs source unavailable: this host exposes no /proc/stat".into(),
                 })?;
-                Box::new(match registry {
+                Box::new(match obs.exported_registry() {
                     Some(registry) => source.with_metrics(registry),
                     None => source,
                 })
@@ -186,22 +186,28 @@ impl SourceSpec {
                         reason: e.to_string(),
                     }
                 })?;
-                let mut source =
-                    stayaway_workload::WorkloadSource::new(spec, seed).map_err(|e| {
-                        FleetError::InvalidConfig {
-                            reason: e.to_string(),
-                        }
-                    })?;
-                if let Some(registry) = registry {
-                    source = source.with_metrics(registry);
-                }
-                if let Some(recorder) = recorder {
-                    source = source.with_recorder(recorder.clone());
-                }
-                Box::new(source)
+                Box::new(workload_source(spec, seed, obs)?)
             }
         })
     }
+}
+
+/// A workload engine over `scenario` under `seed`, recording into the
+/// bundle's exported registry and recorder — the host of a
+/// `workload:<scenario>` fleet cell and of every cluster host alike.
+pub(crate) fn workload_source(
+    scenario: WorkloadScenario,
+    seed: u64,
+    obs: &Observability,
+) -> Result<WorkloadSource, FleetError> {
+    let mut source = WorkloadSource::new(scenario, seed)?;
+    if let Some(registry) = obs.exported_registry() {
+        source = source.with_metrics(registry);
+    }
+    if let Some(recorder) = obs.recorder() {
+        source = source.with_recorder(recorder.clone());
+    }
+    Ok(source)
 }
 
 #[cfg(test)]
@@ -237,7 +243,9 @@ mod tests {
     #[test]
     fn build_sim_produces_a_driveable_source() {
         let scenario = Scenario::vlc_with_cpubomb(5);
-        let mut source = SourceSpec::Sim.build(&scenario, 5, None, None).unwrap();
+        let mut source = SourceSpec::Sim
+            .build(&scenario, 5, &Observability::disabled())
+            .unwrap();
         let meta = source.meta();
         assert_eq!(meta.kind, SourceKind::Sim);
         assert!(meta.host.is_some());
@@ -250,7 +258,9 @@ mod tests {
         let spec = SourceSpec::Trace {
             path: "/nonexistent/trace.jsonl".into(),
         };
-        assert!(spec.build(&scenario, 5, None, None).is_err());
+        assert!(spec
+            .build(&scenario, 5, &Observability::disabled())
+            .is_err());
     }
 
     #[test]
@@ -282,7 +292,9 @@ mod tests {
         let spec = SourceSpec::Workload {
             scenario: "memcached-like".into(),
         };
-        let mut source = spec.build(&scenario, 5, None, None).unwrap();
+        let mut source = spec
+            .build(&scenario, 5, &Observability::disabled())
+            .unwrap();
         let meta = source.meta();
         assert_eq!(meta.kind, SourceKind::Workload);
         assert!(meta.host.is_some());

@@ -444,7 +444,7 @@ fn calibrate_decide_latency(config: &TournamentConfig, predictor: PredictorKind)
     let mut controller = Controller::for_host_observed(
         controller_config,
         harness.host().spec(),
-        Observability::enabled(registry.clone()).with_deep(false),
+        Observability::enabled(registry.clone()),
     )
     .ok()?;
     harness.run(&mut controller, CALIBRATION_TICKS);

@@ -7,7 +7,11 @@
 //! the same derived seed — decision for decision, bit for bit, event for
 //! event. Both planes sit on `stayaway_telemetry::step`; this suite is the
 //! proof that folding the cluster's host advance onto it changed nothing,
-//! and it keeps the two planes from drifting apart again.
+//! and it keeps the two planes from drifting apart again. Both also open
+//! their host through one path (the source, the policy against its host
+//! spec, one instrument bundle) and fold it through one tally, so the
+//! host's instruments and its rollup's derived fields agree with the
+//! cell's too.
 
 use stayaway_core::ControllerConfig;
 use stayaway_fleet::cell::run_cell;
@@ -42,6 +46,7 @@ fn a_lone_cluster_host_matches_the_fleet_cell_over_the_same_workload() {
     config.epochs = EPOCHS;
     config.ticks_per_epoch = TICKS_PER_EPOCH;
     config.collect_events = true;
+    config.collect_metrics = true;
     let cluster = Cluster::new(config).unwrap().run().unwrap();
     assert_eq!(
         cluster.admissions + cluster.deferrals + cluster.queue_actions,
@@ -62,7 +67,8 @@ fn a_lone_cluster_host_matches_the_fleet_cell_over_the_same_workload() {
     .with_source(SourceSpec::Workload {
         scenario: "cpu-bomb".into(),
     })
-    .with_event_collection(true);
+    .with_event_collection(true)
+    .with_metrics_collection(true);
     let cell = run_cell(&plan, &ControllerConfig::default(), None, TICKS).unwrap();
 
     assert_eq!(host.seed, derive_cell_seed(SEED, 0));
@@ -94,4 +100,33 @@ fn a_lone_cluster_host_matches_the_fleet_cell_over_the_same_workload() {
         .iter()
         .any(|(_, kind)| *kind == EventKind::SloViolation));
     assert_eq!(host_events, cell_events);
+
+    // One open path: the same instruments registered into one bundle, so
+    // the host's rollup is the cell's registry but for the span only a
+    // fleet cell times.
+    let mut cell_metrics = cell
+        .metrics
+        .as_ref()
+        .expect("metrics requested")
+        .stable_view();
+    let runtime = "stayaway_fleet_cell_runtime_nanos";
+    assert!(cell_metrics.histograms.iter().any(|h| h.name == runtime));
+    cell_metrics.histograms.retain(|h| h.name != runtime);
+    assert_eq!(
+        cluster.metrics.as_ref().expect("metrics requested"),
+        &cell_metrics
+    );
+    assert!(!cell_metrics.counters.is_empty() && !cell_metrics.gauges.is_empty());
+
+    // One tally: the derived and counted fields of both rollups.
+    assert_eq!(
+        host.gained_utilization.to_bits(),
+        cell.run
+            .mean_gained_utilization(cell.cpu_capacity)
+            .to_bits()
+    );
+    assert_eq!(host.events_dropped, cell.stats.events_dropped);
+    assert_eq!(host.prediction_checks, cell.stats.prediction_checks);
+    assert_eq!(host.prediction_hits, cell.stats.prediction_hits);
+    assert_eq!(host.samples_rejected, cell.stats.samples_rejected);
 }

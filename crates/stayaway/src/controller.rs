@@ -57,8 +57,9 @@ impl Controller {
     }
 
     /// Creates a controller whose instruments register into the given
-    /// [`Observability`] bundle (registry, optional span sink, deep
-    /// derived metrics).
+    /// [`Observability`] bundle (registry, optional span sink, recorder
+    /// and `/state` cell; deep derived metrics when the registry is
+    /// exported).
     ///
     /// Observability is decision-inert: the controller's actions, β and
     /// state map are bit-for-bit identical whichever bundle is passed (and
@@ -75,7 +76,8 @@ impl Controller {
         obs: Observability,
     ) -> Result<Self, CoreError> {
         config.validate()?;
-        let mapping_metrics = MappingMetrics::register(obs.registry(), obs.is_deep());
+        let deep = obs.exported_registry().is_some();
+        let mapping_metrics = MappingMetrics::register(obs.registry(), deep);
         Ok(Controller {
             rng: StdRng::seed_from_u64(config.seed ^ 0x517cc1b727220a95),
             sense: SenseStage::new(&config.metrics, config.violation_detection),

@@ -3,9 +3,11 @@
 //! [`Observability`] is the option bundle threaded through
 //! [`Controller::for_host_observed`](crate::Controller::for_host_observed):
 //! which [`MetricsRegistry`] receives the controller's instruments,
-//! whether per-stage spans are mirrored to a [`SpanSink`], and whether
-//! *deep* (more expensive, still decision-inert) derived metrics such
-//! as the final embedding stress are computed.
+//! whether per-stage spans are mirrored to a [`SpanSink`], which
+//! [`FlightRecorder`] receives decision events and which [`StateCell`]
+//! receives `/state`. It is the one instrument bundle of a host's closed
+//! loop: the fleet's cells, the cluster's hosts and the CLI's single-host
+//! commands hand the same bundle to the observation source and the policy.
 //!
 //! Everything here obeys the plane's one invariant: recording reads
 //! the clock and writes atomics — it never consumes controller RNG and
@@ -23,15 +25,16 @@ use stayaway_obs::{
 /// per-stage latency histograms that back
 /// [`ControllerStats::stage_timing`](crate::ControllerStats) — they
 /// live in a private registry nobody exports. [`Observability::enabled`]
-/// points the instruments at a caller-owned registry and turns on the
-/// deep derived metrics.
+/// points the instruments at a caller-owned registry, which
+/// [`Observability::exported_registry`] then hands out, and turns on the
+/// deep derived metrics (e.g. the O(n²) final embedding stress).
 #[derive(Debug, Clone)]
 pub struct Observability {
     registry: MetricsRegistry,
     sink: Option<SpanSink>,
     recorder: Option<FlightRecorder>,
     state: Option<StateCell>,
-    deep: bool,
+    exported: bool,
 }
 
 impl Default for Observability {
@@ -49,7 +52,7 @@ impl Observability {
             sink: None,
             recorder: None,
             state: None,
-            deep: false,
+            exported: false,
         }
     }
 
@@ -61,7 +64,7 @@ impl Observability {
             sink: None,
             recorder: None,
             state: None,
-            deep: true,
+            exported: true,
         }
     }
 
@@ -89,14 +92,6 @@ impl Observability {
         self
     }
 
-    /// Enables or disables deep derived metrics (e.g. the O(n²) final
-    /// embedding stress). On by default; turn off for hot paths that
-    /// want counters and latencies only.
-    pub fn with_deep(mut self, deep: bool) -> Self {
-        self.deep = deep;
-        self
-    }
-
     /// The registry instruments are registered into.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
@@ -117,9 +112,13 @@ impl Observability {
         self.state.as_ref()
     }
 
-    /// Whether deep derived metrics are computed.
-    pub fn is_deep(&self) -> bool {
-        self.deep
+    /// The caller's registry when the bundle was built
+    /// [`enabled`](Observability::enabled) — the only registry worth
+    /// reporting, merging or handing to a substrate — and `None` for the
+    /// private one of a [`disabled`](Observability::disabled) bundle.
+    /// Deep derived metrics are computed exactly when it is `Some`.
+    pub fn exported_registry(&self) -> Option<&MetricsRegistry> {
+        self.exported.then_some(&self.registry)
     }
 }
 

@@ -4,8 +4,8 @@
 //! speaks — the staged Stay-Away [`Controller`] and all baselines alike. It
 //! is a strict superset of the simulator's [`Policy`] (observe → actions):
 //! on top of the decision loop it exposes the *introspection* surface the
-//! bench runner, fleet cells and CLI need — aggregate statistics, metrics,
-//! the first throttle, and state-map templates (§6) — all with default
+//! bench runner, fleet cells and CLI need — aggregate statistics, the first
+//! throttle, and state-map templates (§6) — all with default
 //! implementations, so a baseline adopts the trait with a single empty
 //! `impl` block.
 //!
@@ -15,7 +15,6 @@
 
 use crate::stats::ControllerStats;
 use crate::{Controller, CoreError};
-use stayaway_obs::MetricsSnapshot;
 use stayaway_statespace::Template;
 use stayaway_telemetry::{NullPolicy, Policy};
 
@@ -37,21 +36,9 @@ pub trait ControlPolicy: Policy {
         None
     }
 
-    /// A snapshot of the policy's registered metrics (DESIGN.md §11).
-    /// `None` for policies that register no instruments.
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        None
-    }
-
-    /// True when the policy can export/import state-map templates (§6).
-    /// Fleets only schedule template-sharing waves across cells whose
-    /// policy supports them.
-    fn supports_templates(&self) -> bool {
-        false
-    }
-
     /// Exports the learned states as a reusable template for `sensitive_app`.
-    /// `Ok(None)` when the policy has no template support.
+    /// `Ok(None)` when the policy has no template support — the one answer
+    /// to "does this policy learn templates?".
     ///
     /// # Errors
     ///
@@ -80,14 +67,6 @@ impl ControlPolicy for Controller {
 
     fn first_throttle(&self) -> Option<(u64, bool)> {
         Controller::first_throttle(self)
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(Controller::metrics(self))
-    }
-
-    fn supports_templates(&self) -> bool {
-        true
     }
 
     fn export_template(&self, sensitive_app: &str) -> Result<Option<Template>, CoreError> {
@@ -122,7 +101,6 @@ mod tests {
         let cp: &dyn ControlPolicy = &p;
         assert_eq!(cp.stats(), ControllerStats::default());
         assert!(cp.first_throttle().is_none());
-        assert!(!cp.supports_templates());
         assert!(cp.export_template("vlc").unwrap().is_none());
     }
 
@@ -134,7 +112,6 @@ mod tests {
         h.run(&mut ctl, 150);
 
         let cp: &dyn ControlPolicy = &ctl;
-        assert!(cp.supports_templates());
         assert!(cp.stats().periods == 150);
         assert!(cp.first_throttle().is_some());
         let template = cp.export_template("vlc-streaming").unwrap().unwrap();

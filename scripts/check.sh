@@ -46,8 +46,12 @@ cargo build --release --workspace
 # Cross-plane equivalence (`stayaway-fleet --test cross_plane_equivalence`):
 # a one-host cluster whose only job never arrives must equal the fleet
 # cell over the same workload scenario and derived seed — QoS, throttles,
-# batch-work and utilisation bits, rejected actions and the host-scope
-# event stream — because both planes run the one `telemetry::step` loop.
+# batch-work, utilisation and gained-utilisation bits, rejected actions,
+# the host-scope event stream, dropped events, prediction checks / hits,
+# rejected samples and the metrics rollup (the host's equals the cell's
+# stable view but for the cell-runtime span) — because both planes open
+# their host through one `open_host`, record into one `Observability`
+# bundle, fold through one tally and run the one `telemetry::step` loop.
 #
 # Flight-recorder determinism (`stayaway-fleet --test event_determinism`):
 # the canonical event stream must be byte-identical for any worker count

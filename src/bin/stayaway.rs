@@ -9,8 +9,8 @@
 //! web-cpu, web-mem, web-mix} and batch ∈ {cpu-bomb, memory-bomb, soplex,
 //! twitter-analysis, vlc-transcode}.
 
-use stay_away::core::{ControllerConfig, PredictorKind};
-use stay_away::fleet::cell::{run_host, HostOutcome, HostRun, Instruments};
+use stay_away::core::{ControllerConfig, Observability, PredictorKind};
+use stay_away::fleet::cell::{run_host, HostOutcome, HostRun};
 use stay_away::fleet::report::format_accuracy;
 use stay_away::fleet::{
     cluster_by_name, cluster_library, predictor, run_tournament, Cluster, ClusterConfig,
@@ -648,40 +648,41 @@ struct HostJob<'a> {
 /// predictor, seed and length come from the flags (a flag the subcommand
 /// does not read is absent, so its default applies), `job` adds the
 /// subcommand's own extras, and [`run_host`] does the rest. Instruments
-/// exist only when a flag asks for them: a registry for `--metrics-out` /
-/// `--http`, a flight recorder for `--events-out` / `--http`; under
-/// `--http` the server starts before the run and observes it live.
-/// Returns the outcome, the instruments and that server.
+/// exist only when a flag asks for them: an exported registry for
+/// `--metrics-out` / `--http`, a flight recorder for `--events-out` /
+/// `--http`; under `--http` the server starts before the run and observes
+/// it live. Returns the outcome, the instrument bundle and that server.
 fn single_host(
     args: &Args,
     out: &mut Out<'_>,
     job: HostJob<'_>,
-) -> Result<(HostOutcome, Instruments, Option<HttpServer>), CliError> {
+) -> Result<(HostOutcome, Observability, Option<HttpServer>), CliError> {
     let source = match job.source {
         Some(source) => source,
         None => args.source()?,
     };
     let policy = PolicySpec::parse(job.policy.unwrap_or(args.policy_or("stay-away")))?;
     let http = args.text("--http");
-    let mut instruments = Instruments {
-        registry: (job.registry || args.wants_metrics()).then(MetricsRegistry::new),
-        recorder: args
-            .wants_events()
-            .then(|| FlightRecorder::for_scope(0, "run")),
-        state: None,
+    let mut obs = if job.registry || args.wants_metrics() {
+        Observability::enabled(MetricsRegistry::new())
+    } else {
+        Observability::disabled()
     };
+    if args.wants_events() {
+        obs = obs.with_recorder(FlightRecorder::for_scope(0, "run"));
+    }
     let server = match http {
         Some(addr) => {
             let mut intro = Introspection::new();
-            if let Some(recorder) = &instruments.recorder {
+            if let Some(recorder) = obs.recorder() {
                 intro = intro.with_recorder(recorder.clone());
             }
-            if let Some(registry) = &instruments.registry {
+            if let Some(registry) = obs.exported_registry() {
                 intro = intro.with_registry(registry.clone());
             }
             // The server's own cell doubles as the controller's `/state`
             // sink — one handle, no copying.
-            instruments.state = Some(intro.state());
+            obs = obs.with_state(intro.state());
             Some(serve(out, addr, intro)?)
         }
         None => None,
@@ -693,13 +694,13 @@ fn single_host(
         policy: &policy,
         controller: &args.controller_config()?,
         ticks: args.ticks(),
-        instruments: &instruments,
+        obs: &obs,
         import: job.import,
         export_as: job.export_as,
         trace_out: job.trace_out,
         loop_span: None,
     })?;
-    Ok((outcome, instruments, server))
+    Ok((outcome, obs, server))
 }
 
 fn main() -> ExitCode {
@@ -818,7 +819,9 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             let mut table = BenchTable::default();
             for scenario in stay_away::workload::library() {
                 for spec in &policies {
-                    let mut policy = spec.build(&ControllerConfig::default(), &scenario.host)?;
+                    let config = ControllerConfig::default();
+                    let obs = Observability::disabled();
+                    let mut policy = spec.build(&config, &scenario.host, obs)?;
                     table.rows.push(bench_scenario(
                         &scenario,
                         policy.as_mut(),
@@ -845,10 +848,10 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 source: Some(source),
                 ..HostJob::default()
             };
-            let (outcome, instruments, server) = single_host(args, out, job)?;
+            let (outcome, obs, server) = single_host(args, out, job)?;
             summarize(out, json, &outcome.run.policy, &scenario, &outcome, true)?;
-            let metrics = instruments.registry.map(|r| r.snapshot());
-            let events = instruments.recorder.map(|r| r.events());
+            let metrics = obs.exported_registry().map(MetricsRegistry::snapshot);
+            let events = obs.recorder().map(FlightRecorder::events);
             let (metrics, events) = (metrics.as_ref(), events.as_deref());
             publish(args, out, "run", metrics, events, server, NO_STATE)?;
         }
@@ -857,8 +860,8 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 registry: true,
                 ..HostJob::default()
             };
-            let (_, instruments, _) = single_host(args, out, job)?;
-            let snapshot = instruments.registry.expect("asked for above").snapshot();
+            let (_, obs, _) = single_host(args, out, job)?;
+            let snapshot = obs.exported_registry().expect("asked for above").snapshot();
             match args.text("--metrics-out") {
                 Some(path) => write_metrics(out, &snapshot, path)?,
                 // Default exposition: JSON with --json, Prometheus text
@@ -1612,7 +1615,7 @@ mod tests {
                 "run --scenario vlc+soplex --policy {token} --seed 1 --ticks 30"
             )))
             .unwrap();
-            let (outcome, instruments, server) =
+            let (outcome, obs, server) =
                 single_host(&args, &mut Out(&mut Vec::new()), HostJob::default()).unwrap();
             assert_eq!(outcome.run.policy, name);
             assert_eq!(outcome.run.timeline.len(), 30);
@@ -1620,7 +1623,7 @@ mod tests {
             // Only the controller counts its periods.
             assert_eq!(outcome.stats.periods > 0, token == "stay-away");
             // No flag asked for instruments, so none exist.
-            assert!(instruments.registry.is_none() && instruments.recorder.is_none());
+            assert!(obs.exported_registry().is_none() && obs.recorder().is_none());
             assert!(server.is_none());
         }
         assert!(error_of("run --policy bogus --ticks 10").contains("unknown policy"));
