@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use stayaway_telemetry::{drive, NullPolicy};
-use stayaway_workload::{by_name, ArrivalProcess, WorkloadScenario, WorkloadSource};
+use stayaway_workload::{by_name, ArrivalProcess, WorkloadHost, WorkloadScenario};
 use std::time::Instant;
 
 /// Requests the engine must simulate per second of wall time.
@@ -29,9 +29,9 @@ fn firehose(rps: f64) -> WorkloadScenario {
 
 /// Drives `ticks` simulated seconds and returns the arrivals processed.
 fn simulate(rps: f64, ticks: u64) -> u64 {
-    let mut source = WorkloadSource::new(firehose(rps), 7).expect("valid scenario");
-    drive(&mut source, &mut NullPolicy::new(), ticks).expect("drive");
-    source.totals().arrivals
+    let mut host = WorkloadHost::new(firehose(rps), 7).expect("valid scenario");
+    drive(&mut host, &mut NullPolicy::new(), ticks).expect("drive");
+    host.totals().arrivals
 }
 
 fn bench_throughput(c: &mut Criterion) {

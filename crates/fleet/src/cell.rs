@@ -11,7 +11,8 @@ use stayaway_core::{
     ControlPolicy, ControllerConfig, ControllerStats, Observability, PredictorKind,
 };
 use stayaway_obs::{
-    attr, EventKind, EventRecord, FlightRecorder, Layer, MetricsRegistry, MetricsSnapshot, Span,
+    attr, EventKind, EventRecord, FlightRecorder, Histogram, Layer, MetricsRegistry,
+    MetricsSnapshot,
 };
 use stayaway_sim::scenario::Scenario;
 use stayaway_sim::{HostSpec, RunOutcome};
@@ -122,7 +123,7 @@ impl CellPlan {
 pub struct CellOutcome {
     /// Fleet-wide cell index.
     pub idx: usize,
-    /// Scenario name the cell ran.
+    /// Scenario the cell ran ([`SourceSpec::scenario_label`]).
     pub scenario: String,
     /// Sensitive-workload registry key.
     pub sensitive: String,
@@ -279,8 +280,8 @@ pub struct HostRun<'a> {
     pub export_as: Option<&'a str>,
     /// Sink teed every observation, as a replayable JSONL trace.
     pub trace_out: Option<Box<dyn Write + 'a>>,
-    /// Span timed around the closed loop alone (not setup or export).
-    pub loop_span: Option<&'a Span>,
+    /// Records the closed loop's wall time (not setup or export), once.
+    pub loop_nanos: Option<&'a Histogram>,
 }
 
 /// What one host's closed loop reports back.
@@ -329,10 +330,11 @@ pub fn run_host(plan: HostRun<'_>) -> Result<HostOutcome, FleetError> {
     if let Some(out) = plan.trace_out {
         open.source = Box::new(RecordingSource::new(open.source, out)?);
     }
-    let run = {
-        let _guard = plan.loop_span.map(|span| span.start(0));
-        drive(open.source.as_mut(), open.policy.as_mut(), plan.ticks)?
-    };
+    let started = std::time::Instant::now();
+    let run = drive(open.source.as_mut(), open.policy.as_mut(), plan.ticks)?;
+    if let Some(histogram) = plan.loop_nanos {
+        histogram.record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    }
     let template = match plan.export_as {
         Some(key) => open.policy.export_template(key)?,
         None => None,
@@ -365,10 +367,10 @@ pub fn run_cell(
 ) -> Result<CellOutcome, FleetError> {
     let obs = host_observability("cell", plan.idx, plan.collect_metrics, plan.collect_events);
     let cell_runtime = obs.exported_registry().map(|r| {
-        Span::new("fleet.cell").with_histogram(r.latency_histogram(
+        r.latency_histogram(
             "stayaway_fleet_cell_runtime_nanos",
             "Wall time of one fleet cell's closed-loop run",
-        ))
+        )
     });
     let sensitive = plan.sensitive_key();
     let out = run_host(HostRun {
@@ -386,13 +388,13 @@ pub fn run_cell(
         import,
         export_as: Some(&sensitive),
         trace_out: None,
-        loop_span: cell_runtime.as_ref(),
+        loop_nanos: cell_runtime.as_ref(),
     })?;
     let (first_throttle_tick, first_throttle_proactive) =
         out.first_throttle.unwrap_or((u64::MAX, false));
     Ok(CellOutcome {
         idx: plan.idx,
-        scenario: plan.scenario.name().to_string(),
+        scenario: plan.source.scenario_label(plan.scenario.name()),
         sensitive,
         policy: plan.policy.name().to_string(),
         predictor: plan.predictor_label().to_string(),
@@ -453,7 +455,7 @@ mod tests {
             import: None,
             export_as: None,
             trace_out: None,
-            loop_span: None,
+            loop_nanos: None,
         }
     }
 
@@ -573,6 +575,16 @@ mod tests {
         // CPUBomb forces throttles; the cold first throttle is reactive.
         assert!(out.first_throttle_tick < u64::MAX);
         assert!(!out.first_throttle_proactive);
+    }
+
+    #[test]
+    fn a_workload_cell_is_named_after_the_scenario_it_ran() {
+        let plan = CellPlan::new(0, 7, Scenario::vlc_with_cpubomb(7), PolicySpec::Null)
+            .with_source(SourceSpec::Workload {
+                scenario: "cpu-bomb".into(),
+            });
+        let out = run_cell(&plan, &ControllerConfig::default(), None, 5).unwrap();
+        assert_eq!(out.scenario, "workload:cpu-bomb");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::FleetError;
 use stayaway_core::ControllerConfig;
 use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer};
 use stayaway_telemetry::{step, QosSummary, TelemetryError};
-use stayaway_workload::{WorkloadHost, WorkloadSource};
+use stayaway_workload::WorkloadHost;
 use std::sync::Arc;
 
 /// Configuration of one cluster run.
@@ -106,12 +106,12 @@ impl ClusterConfig {
     }
 }
 
-/// One open host — the [`WorkloadSource`] + policy a `workload:` fleet cell
-/// opens — kept open across epochs so the cluster plane can act on the
-/// engine between them. Tick records fold into the sums, never retained.
+/// One open host — the [`WorkloadHost`] + policy a `workload:` fleet cell
+/// opens — kept open across epochs so the cluster verbs reach the engine,
+/// `open.source`, between them. Tick records fold into sums, not a list.
 struct HostCell {
     idx: usize,
-    open: OpenHost<WorkloadSource>,
+    open: OpenHost<WorkloadHost>,
     sensitive_key: String,
     seed: u64,
     qos: QosSummary,
@@ -128,11 +128,6 @@ struct HostCell {
 }
 
 impl HostCell {
-    /// The host's request engine, for the cluster verbs.
-    fn engine(&mut self) -> &mut WorkloadHost {
-        self.open.source.host_mut()
-    }
-
     /// Advances the local closed loop by up to `ticks` periods of
     /// [`stayaway_telemetry::step`] — the loop every fleet cell runs —
     /// folding each record into the epoch and run sums.
@@ -160,7 +155,7 @@ impl HostCell {
 
     /// The host's epoch-boundary view for the cluster policy.
     fn snapshot(&self, placed_jobs: Vec<usize>, registry: &TemplateRegistry) -> HostSnapshot {
-        let host = self.open.source.host();
+        let host = &self.open.source;
         HostSnapshot {
             idx: self.idx,
             name: host.scenario().name.clone(),
@@ -337,7 +332,7 @@ impl Cluster {
                     name: j.spec.name.clone(),
                     placement: j.placement,
                     pending: match (j.placement, j.tenant_idx) {
-                        (Some(h), Some(ti)) => cells[h].open.source.host().tenant_pending(ti),
+                        (Some(h), Some(ti)) => cells[h].open.source.tenant_pending(ti),
                         _ => j.carried.len() as u64,
                     },
                     queued_epochs: j.queued_epochs,
@@ -364,9 +359,8 @@ impl Cluster {
                             sched.invalid_actions += 1;
                             continue;
                         }
-                        let ti = cells[host]
-                            .engine()
-                            .attach_tenant(jobs[job].spec.tenant.clone())?;
+                        let tenant = jobs[job].spec.tenant.clone();
+                        let ti = cells[host].open.source.attach_tenant(tenant)?;
                         jobs[job].placement = Some(host);
                         jobs[job].tenant_idx = Some(ti);
                         jobs[job].placements.push(host);
@@ -432,11 +426,9 @@ impl Cluster {
                                 continue;
                             }
                         };
-                        let carried = cells[from].engine().detach_tenant(ti)?;
-                        jobs[job].carry(carried);
-                        let ti = cells[to]
-                            .engine()
-                            .attach_tenant(jobs[job].spec.tenant.clone())?;
+                        jobs[job].carry(cells[from].open.source.detach_tenant(ti)?);
+                        let tenant = jobs[job].spec.tenant.clone();
+                        let ti = cells[to].open.source.attach_tenant(tenant)?;
                         jobs[job].placement = Some(to);
                         jobs[job].tenant_idx = Some(ti);
                         jobs[job].placements.push(to);
@@ -488,7 +480,7 @@ impl Cluster {
                         for (t, nominal) in job.carried.drain(..).chain(due) {
                             // Past arrival times (carried backlog) are
                             // clamped to the host's current tick boundary.
-                            cells[h].engine().inject_arrival(ti, t, nominal)?;
+                            cells[h].open.source.inject_arrival(ti, t, nominal)?;
                         }
                     }
                     _ => job.carry(due),
@@ -511,8 +503,8 @@ impl Cluster {
                 }
                 match (job.placement, job.tenant_idx) {
                     (Some(h), Some(ti)) => {
-                        if cells[h].open.source.host().tenant_pending(ti) == 0 {
-                            cells[h].engine().detach_tenant(ti)?;
+                        if cells[h].open.source.tenant_pending(ti) == 0 {
+                            cells[h].open.source.detach_tenant(ti)?;
                             job.placement = None;
                             job.tenant_idx = None;
                             job.departed = true;
@@ -551,7 +543,7 @@ impl Cluster {
         let per_host: Vec<HostRollup> = cells
             .iter()
             .map(|cell| {
-                let host = cell.open.source.host();
+                let host = &cell.open.source;
                 let totals = host.totals();
                 slo_met += totals.sensitive_met;
                 slo_total += totals.sensitive_completed + totals.sensitive_dropped;

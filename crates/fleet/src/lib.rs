@@ -84,3 +84,23 @@ pub use source::SourceSpec;
 pub use tournament::{
     run_tournament, MeanCi, ScenarioScore, Standing, TournamentConfig, TournamentOutcome,
 };
+
+/// The `--policy` / `--source` / `--predictor` list grammar: comma-split,
+/// blanks skipped, each token `parse`d, an empty list rejected.
+fn parse_comma_list<T>(
+    tokens: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Result<T, FleetError>,
+) -> Result<Vec<T>, FleetError> {
+    let items: Vec<T> = tokens
+        .split(',')
+        .filter(|t| !t.trim().is_empty())
+        .map(parse)
+        .collect::<Result<_, _>>()?;
+    if items.is_empty() {
+        return Err(FleetError::InvalidConfig {
+            reason: format!("{what} list must not be empty"),
+        });
+    }
+    Ok(items)
+}

@@ -90,17 +90,7 @@ impl PolicySpec {
     /// Returns [`FleetError::InvalidConfig`] for an empty list or any
     /// unknown token.
     pub fn parse_list(tokens: &str) -> Result<Vec<Self>, FleetError> {
-        let specs: Vec<Self> = tokens
-            .split(',')
-            .filter(|t| !t.trim().is_empty())
-            .map(Self::parse)
-            .collect::<Result<_, _>>()?;
-        if specs.is_empty() {
-            return Err(FleetError::InvalidConfig {
-                reason: "policy list must not be empty".into(),
-            });
-        }
-        Ok(specs)
+        crate::parse_comma_list(tokens, "policy", Self::parse)
     }
 
     /// True when the policy can export/import state-map templates (§6);

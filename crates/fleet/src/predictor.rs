@@ -24,21 +24,11 @@ pub const NONE: &str = "-";
 /// Returns [`FleetError::InvalidConfig`] for an empty list or any unknown
 /// token.
 pub fn parse_list(tokens: &str) -> Result<Vec<PredictorKind>, FleetError> {
-    let kinds: Vec<PredictorKind> = tokens
-        .split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| {
-            PredictorKind::parse(t).map_err(|e| FleetError::InvalidConfig {
-                reason: e.to_string(),
-            })
+    crate::parse_comma_list(tokens, "predictor", |t| {
+        PredictorKind::parse(t).map_err(|e| FleetError::InvalidConfig {
+            reason: e.to_string(),
         })
-        .collect::<Result<_, _>>()?;
-    if kinds.is_empty() {
-        return Err(FleetError::InvalidConfig {
-            reason: "predictor list must not be empty".into(),
-        });
-    }
-    Ok(kinds)
+    })
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use crate::FleetError;
 use stayaway_core::Observability;
 use stayaway_sim::scenario::Scenario;
 use stayaway_telemetry::{ObservationSource, ProcfsSource, TraceSource};
-use stayaway_workload::{WorkloadScenario, WorkloadSource};
+use stayaway_workload::{WorkloadHost, WorkloadScenario};
 
 /// Declarative choice of observation substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub enum SourceSpec {
     /// ([`ProcfsSource`]); only available on hosts that expose them.
     Procfs,
     /// The request-driven multi-tenant workload engine
-    /// ([`WorkloadSource`]) running a named scenario
+    /// ([`WorkloadHost`]) running a named scenario
     /// from the workload library; actuates pause/resume as tenant
     /// freezes.
     Workload {
@@ -102,17 +102,17 @@ impl SourceSpec {
     /// Returns [`FleetError::InvalidConfig`] for an empty list or any
     /// unknown token.
     pub fn parse_list(tokens: &str) -> Result<Vec<Self>, FleetError> {
-        let specs: Vec<Self> = tokens
-            .split(',')
-            .filter(|t| !t.trim().is_empty())
-            .map(Self::parse)
-            .collect::<Result<_, _>>()?;
-        if specs.is_empty() {
-            return Err(FleetError::InvalidConfig {
-                reason: "source list must not be empty".into(),
-            });
+        crate::parse_comma_list(tokens, "source", Self::parse)
+    }
+
+    /// The scenario a run over this source reports: `workload:<scenario>`
+    /// for the engine's own library scenario, else the simulator's
+    /// `prototype` the run was configured with.
+    pub fn scenario_label(&self, prototype: &str) -> String {
+        match self {
+            SourceSpec::Workload { .. } => self.label(),
+            _ => prototype.to_string(),
         }
-        Ok(specs)
     }
 
     /// Validates the spec's parameters (so fleet configuration errors
@@ -199,15 +199,15 @@ pub(crate) fn workload_source(
     scenario: WorkloadScenario,
     seed: u64,
     obs: &Observability,
-) -> Result<WorkloadSource, FleetError> {
-    let mut source = WorkloadSource::new(scenario, seed)?;
+) -> Result<WorkloadHost, FleetError> {
+    let mut host = WorkloadHost::new(scenario, seed)?;
     if let Some(registry) = obs.exported_registry() {
-        source = source.with_metrics(registry);
+        host = host.with_metrics(registry);
     }
     if let Some(recorder) = obs.recorder() {
-        source = source.with_recorder(recorder.clone());
+        host = host.with_recorder(recorder.clone());
     }
-    Ok(source)
+    Ok(host)
 }
 
 #[cfg(test)]
@@ -281,6 +281,11 @@ mod tests {
         );
         assert_eq!(spec.name(), "workload");
         assert_eq!(spec.label(), "workload:cpu-bomb");
+        assert_eq!(spec.scenario_label("vlc+cpu-bomb"), "workload:cpu-bomb");
+        assert_eq!(
+            SourceSpec::Sim.scenario_label("vlc+cpu-bomb"),
+            "vlc+cpu-bomb"
+        );
         // Unknown scenarios are rejected at parse time, not at cell start.
         assert!(SourceSpec::parse("workload:warp-core").is_err());
         assert!(SourceSpec::parse("workload:").is_err());

@@ -10,7 +10,7 @@
 
 use stayaway_fleet::cluster::scenario::cluster_by_name;
 use stayaway_telemetry::{step, NullPolicy};
-use stayaway_workload::WorkloadSource;
+use stayaway_workload::WorkloadHost;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -55,7 +55,7 @@ fn a_recycled_storm_cluster_host_tick_allocates_next_to_nothing() {
     assert_eq!(cluster.hosts.len(), 4);
     for (i, scenario) in cluster.hosts.into_iter().enumerate() {
         let name = scenario.name.clone();
-        let mut source = WorkloadSource::new(scenario, 7 + i as u64).unwrap();
+        let mut source = WorkloadHost::new(scenario, 7 + i as u64).unwrap();
         let mut policy = NullPolicy::new();
         for _ in 0..WARM_UP {
             step(&mut source, &mut policy).unwrap();

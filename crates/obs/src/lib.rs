@@ -6,8 +6,7 @@
 //! - [`MetricsRegistry`] — named counters, gauges, and log-bucketed
 //!   histograms with p50/p95/p99 estimation, handed out as lock-free
 //!   atomic handles.
-//! - [`Span`] / [`SpanGuard`] / [`SpanSink`] — lightweight wall-time
-//!   tracing into latency histograms and a bounded JSONL record ring.
+//! - [`SpanSink`] — a bounded JSONL ring of wall-time span records.
 //! - [`FlightRecorder`] — a typed, causally-linked structured-event
 //!   ring (the flight recorder, DESIGN.md §16): throttles, predictor
 //!   verdicts, cluster verbs, and SLO violations in one logical-time
@@ -51,7 +50,7 @@ pub use http::{HttpServer, Introspection, StateCell, StateScalar};
 pub use recorder::{merge_streams, FlightRecorder, DEFAULT_EVENT_CAPACITY};
 pub use registry::{valid_metric_name, Counter, Gauge, MetricsRegistry};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
-pub use span::{Span, SpanGuard, SpanRecord, SpanSink};
+pub use span::{SpanRecord, SpanSink};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

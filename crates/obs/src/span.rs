@@ -1,20 +1,18 @@
-//! Lightweight span tracing: wall-time scopes recorded into latency
-//! histograms and mirrored as structured records in a bounded JSONL
-//! sink.
+//! Span records: wall-time measurements a caller took (the controller's
+//! four stage stretches per period) kept as structured records in a
+//! bounded JSONL sink.
 //!
-//! Spans are decision-inert by construction — they read the monotonic
-//! clock and write atomics/ring slots, never touching control state or
-//! RNG streams. The sink is a fixed-capacity ring of `Copy` slots: once
-//! full, the oldest records are dropped and counted, so a long run can
-//! never grow memory unboundedly, and emitting never allocates — names are
-//! `&'static str` until a reader asks for [`SpanRecord`]s.
+//! Emitting is decision-inert by construction — it writes ring slots,
+//! never touching control state or RNG streams. The sink is a
+//! fixed-capacity ring of `Copy` slots: once full, the oldest records are
+//! dropped and counted, so a long run can never grow memory unboundedly,
+//! and emitting never allocates — names are `&'static str` until a reader
+//! asks for [`SpanRecord`]s.
 
-use crate::hist::Histogram;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One completed span, as readers see it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,95 +127,9 @@ impl SpanSink {
     }
 }
 
-/// A named span: binds an optional latency histogram and an optional
-/// sink; [`Span::start`] produces a guard that records the elapsed
-/// wall time into both on drop.
-#[derive(Debug, Clone, Default)]
-pub struct Span {
-    name: &'static str,
-    histogram: Option<Histogram>,
-    sink: Option<SpanSink>,
-}
-
-impl Span {
-    /// Creates a span with no outputs (a no-op until wired).
-    pub fn new(name: &'static str) -> Self {
-        Span {
-            name,
-            histogram: None,
-            sink: None,
-        }
-    }
-
-    /// Records elapsed nanos into `histogram` on every finish.
-    pub fn with_histogram(mut self, histogram: Histogram) -> Self {
-        self.histogram = Some(histogram);
-        self
-    }
-
-    /// Emits a [`SpanRecord`] to `sink` on every finish.
-    pub fn with_sink(mut self, sink: SpanSink) -> Self {
-        self.sink = Some(sink);
-        self
-    }
-
-    /// Starts measuring; the returned guard records on drop.
-    pub fn start(&self, tick: u64) -> SpanGuard<'_> {
-        SpanGuard {
-            span: self,
-            tick,
-            started: Instant::now(),
-        }
-    }
-
-    /// Records an externally measured duration (for call sites that
-    /// accumulate several segments and record once per period).
-    pub fn record(&self, tick: u64, nanos: u64) {
-        if let Some(h) = &self.histogram {
-            h.record(nanos);
-        }
-        if let Some(s) = &self.sink {
-            s.emit(self.name, tick, nanos);
-        }
-    }
-}
-
-/// Measures a scope; records into the parent [`Span`] on drop.
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    span: &'a Span,
-    tick: u64,
-    started: Instant,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let nanos = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.span.record(self.tick, nanos);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Unit;
-
-    #[test]
-    fn guard_records_into_histogram_and_sink() {
-        let hist = Histogram::new(Unit::Nanos);
-        let sink = SpanSink::bounded(8);
-        let span = Span::new("test.scope")
-            .with_histogram(hist.clone())
-            .with_sink(sink.clone());
-        {
-            let _guard = span.start(42);
-        }
-        assert_eq!(hist.count(), 1);
-        let records = sink.records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].name, "test.scope");
-        assert_eq!(records[0].tick, 42);
-    }
 
     #[test]
     fn sink_is_bounded_and_counts_drops() {

@@ -9,6 +9,7 @@ use crate::resources::{ResourceKind, ResourceVector};
 use crate::SimError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use stayaway_telemetry::{ObservationSource, SourceKind, SourceMeta, TelemetryError};
 
 pub use stayaway_telemetry::{RunOutcome, TickRecord};
 
@@ -21,12 +22,11 @@ pub struct Harness {
     noise: Noise,
     /// Physics report of the most recent tick, kept so the accounting
     /// record can be built after the policy acted (see
-    /// [`Harness::record_for_last`]), and refilled by the next tick.
+    /// [`ObservationSource::record_for`]), and refilled by the next tick.
     last_report: Option<HostTick>,
-    /// The observation handed back through
-    /// [`stayaway_telemetry::ObservationSource::recycle`], refilled by the
-    /// next pull.
-    pub(crate) spare: Option<Observation>,
+    /// The observation handed back through [`ObservationSource::recycle`],
+    /// refilled by the next pull.
+    spare: Option<Observation>,
 }
 
 /// Multiplicative Gaussian monitoring noise and its seeded stream.
@@ -125,40 +125,13 @@ impl Harness {
     }
 
     /// Advances the host one tick and returns the (noisy) observation of
-    /// it — the "sense" half of a closed-loop step. The physics report is
-    /// retained for [`Harness::record_for_last`].
+    /// it — the "sense" half of a closed-loop step:
+    /// [`ObservationSource::next_observation`], which never runs dry.
     pub fn tick_observation(&mut self) -> Observation {
-        let mut observation = Observation::default();
-        self.tick_observation_into(&mut observation);
-        observation
-    }
-
-    /// [`Harness::tick_observation`] into `out`, overwriting every field
-    /// and reusing its container entries and their name strings.
-    pub fn tick_observation_into(&mut self, out: &mut Observation) {
-        let report = self.last_report.get_or_insert_with(HostTick::default);
-        self.host.step_into(report);
-        let (qos_value, violation, _active) = qos_of(self.qos, self.sensitive, report);
-        out.tick = report.tick;
-        out.qos_violation = violation;
-        out.qos_value = qos_value;
-        let slots = out.resize_containers(report.containers.len());
-        for (c, ct) in slots.iter_mut().zip(&report.containers) {
-            let container = self.host.container(ct.id).ok();
-            c.id = ct.id;
-            c.name.clear();
-            c.name.push_str(container.map_or("", |c| c.app_name()));
-            c.class = ct.class;
-            c.active = ct.active;
-            c.paused = ct.paused;
-            c.finished = ct.finished;
-            c.priority = container.map_or(0, |c| c.priority());
-            // Noise is drawn per container, usage then ipc. Hardware
-            // counters are a blurrier progress signal than the
-            // application's own QoS metric: triple the monitoring noise.
-            c.usage = self.noise.vector(ct.usage);
-            c.ipc = self.noise.scalar(ct.perf, 3.0 * self.noise.sd);
-        }
+        self.next_observation()
+            .ok()
+            .flatten()
+            .expect("the simulator source neither fails nor runs dry")
     }
 
     /// Applies policy actions to the host (they take effect from the next
@@ -176,34 +149,6 @@ impl Harness {
             }
         }
         rejected
-    }
-
-    /// Builds the ground-truth accounting record for the most recent
-    /// [`Harness::tick_observation`] tick (noiseless physics, unlike the
-    /// observation). `None` before the first tick.
-    pub fn record_for_last(&self, actions: usize) -> Option<TickRecord> {
-        let report = self.last_report.as_ref()?;
-        let (qos_value, violated, sensitive_active) = qos_of(self.qos, self.sensitive, report);
-        Some(TickRecord {
-            tick: report.tick,
-            qos_value,
-            violated,
-            sensitive_active,
-            batch_active: report
-                .containers
-                .iter()
-                .filter(|c| c.class == AppClass::Batch && c.active)
-                .count(),
-            batch_paused: report
-                .containers
-                .iter()
-                .filter(|c| c.class == AppClass::Batch && c.paused)
-                .count(),
-            sensitive_cpu: report.cpu_usage_of(AppClass::Sensitive),
-            batch_cpu: report.cpu_usage_of(AppClass::Batch),
-            utilization: report.cpu_utilization(self.host.spec()),
-            actions,
-        })
     }
 
     /// Total nominal batch work completed so far.
@@ -230,6 +175,101 @@ impl Harness {
     /// [`stayaway_telemetry::drive`] over the harness itself.
     pub fn run(&mut self, policy: &mut dyn Policy, ticks: u64) -> RunOutcome {
         stayaway_telemetry::drive(self, policy, ticks).expect("the simulator source never fails")
+    }
+}
+
+/// The simulator substrate is the [`Harness`] itself: one host step and
+/// its (noisy) observation per pull, actions applied to the host, and
+/// accounting records taken from the harness's noiseless physics rather
+/// than from the noisy observation. [`Harness::run`] and
+/// [`Harness::step_with`] are `stayaway_telemetry::drive`/`step` over this
+/// impl, so there is no second simulator loop for it to agree with.
+impl ObservationSource for Harness {
+    fn meta(&self) -> SourceMeta {
+        SourceMeta {
+            kind: SourceKind::Sim,
+            metrics: ResourceKind::ALL.to_vec(),
+            tick_period_secs: 1.0,
+            host: Some(*self.host.spec()),
+        }
+    }
+
+    /// Steps the host and fills the recycled observation (or a fresh one),
+    /// overwriting every field and reusing its container entries and their
+    /// name strings. The physics report is kept for
+    /// [`ObservationSource::record_for`].
+    fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
+        let mut out = self.spare.take().unwrap_or_default();
+        let report = self.last_report.get_or_insert_with(HostTick::default);
+        self.host.step_into(report);
+        let (qos_value, violation, _active) = qos_of(self.qos, self.sensitive, report);
+        out.tick = report.tick;
+        out.qos_violation = violation;
+        out.qos_value = qos_value;
+        let slots = out.resize_containers(report.containers.len());
+        for (c, ct) in slots.iter_mut().zip(&report.containers) {
+            let container = self.host.container(ct.id).ok();
+            c.id = ct.id;
+            c.name.clear();
+            c.name.push_str(container.map_or("", |c| c.app_name()));
+            c.class = ct.class;
+            c.active = ct.active;
+            c.paused = ct.paused;
+            c.finished = ct.finished;
+            c.priority = container.map_or(0, |c| c.priority());
+            // Noise is drawn per container, usage then ipc. Hardware
+            // counters are a blurrier progress signal than the
+            // application's own QoS metric: triple the monitoring noise.
+            c.usage = self.noise.vector(ct.usage);
+            c.ipc = self.noise.scalar(ct.perf, 3.0 * self.noise.sd);
+        }
+        Ok(Some(out))
+    }
+
+    fn recycle(&mut self, observation: Observation) {
+        self.spare = Some(observation);
+    }
+
+    fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {
+        Ok(Harness::apply(self, actions))
+    }
+
+    /// The ground-truth record of the most recent tick (noiseless physics,
+    /// unlike the observation); derived from the observation before the
+    /// first tick.
+    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+        let Some(report) = &self.last_report else {
+            return stayaway_telemetry::derive_record(
+                observation,
+                actions.len(),
+                Some(self.host.spec()),
+            );
+        };
+        let (qos_value, violated, sensitive_active) = qos_of(self.qos, self.sensitive, report);
+        TickRecord {
+            tick: report.tick,
+            qos_value,
+            violated,
+            sensitive_active,
+            batch_active: report
+                .containers
+                .iter()
+                .filter(|c| c.class == AppClass::Batch && c.active)
+                .count(),
+            batch_paused: report
+                .containers
+                .iter()
+                .filter(|c| c.class == AppClass::Batch && c.paused)
+                .count(),
+            sensitive_cpu: report.cpu_usage_of(AppClass::Sensitive),
+            batch_cpu: report.cpu_usage_of(AppClass::Batch),
+            utilization: report.cpu_utilization(self.host.spec()),
+            actions: actions.len(),
+        }
+    }
+
+    fn batch_work(&self) -> f64 {
+        Harness::batch_work(self)
     }
 }
 
@@ -260,11 +300,45 @@ mod tests {
         )
     }
 
-    fn harness_two_apps() -> Harness {
+    /// A 3-core service beside a 3-core batch job on 4 cores, observed
+    /// through `noise_sd` monitoring noise.
+    fn two_apps(noise_sd: f64, seed: u64) -> Harness {
         let mut host = Host::new(HostSpec::default()).unwrap();
         host.add_container(AppClass::Sensitive, cpu_app("svc", 3.0, 1e9), 0);
         host.add_container(AppClass::Batch, cpu_app("batch", 3.0, 1e9), 0);
-        Harness::new(host, QosSpec::new(0.95).unwrap(), 0.0, 1).unwrap()
+        Harness::new(host, QosSpec::new(0.95).unwrap(), noise_sd, seed).unwrap()
+    }
+
+    fn harness_two_apps() -> Harness {
+        two_apps(0.0, 1)
+    }
+
+    #[test]
+    fn records_come_from_noiseless_physics_through_the_source() {
+        let mut h = two_apps(0.02, 7);
+        let out = h.run(&mut NullPolicy::new(), 40);
+        // The simulator never runs dry: the tick budget is the run length.
+        assert_eq!(out.timeline.len(), 40);
+        // Two 3-core apps on 4 cores get 2 cores each, exactly — the 2 %
+        // monitoring noise perturbs observations, never the accounting.
+        for record in &out.timeline {
+            assert!(record.violated && record.sensitive_active);
+            assert!((record.qos_value - 2.0 / 3.0).abs() < 1e-12);
+            assert!((record.sensitive_cpu - 2.0).abs() < 1e-12);
+            assert!((record.utilization - 1.0).abs() < 1e-12);
+        }
+        assert_eq!(out.qos.violations, 40);
+        assert!(out.batch_work > 0.0);
+        assert_eq!(out.batch_work, h.batch_work());
+    }
+
+    #[test]
+    fn meta_reports_the_sim_substrate() {
+        let h = two_apps(0.02, 1);
+        let meta = h.meta();
+        assert_eq!(meta.kind, SourceKind::Sim);
+        assert_eq!(meta.metrics.len(), ResourceKind::ALL.len());
+        assert_eq!(meta.host, Some(*h.host().spec()));
     }
 
     #[test]
@@ -300,6 +374,8 @@ mod tests {
         assert_eq!(out.qos.violations, 1);
         assert!(out.timeline[1..].iter().all(|r| !r.violated));
         assert_eq!(out.timeline.last().unwrap().batch_paused, 1);
+        assert_eq!(out.timeline[0].actions, 1);
+        assert_eq!(out.rejected_actions, 0);
     }
 
     /// A policy that tries to pause the sensitive container (must be

@@ -4,7 +4,7 @@
 use crate::config::ControllerConfig;
 use crate::obs::{ControllerMetrics, MappingMetrics, Observability};
 use crate::stages::{ActStage, MapStage, PredictStage, ResumeDecision, SenseStage};
-use crate::stats::{ControllerStats, ResumeReason, StageClock, StageTiming};
+use crate::stats::{hit_ratio, ControllerStats, ResumeReason, StageClock, StageTiming};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +37,6 @@ pub struct Controller {
     predict: PredictStage,
     act: ActStage,
     rng: StdRng,
-    stats: ControllerStats,
     first_throttle: Option<(u64, bool)>,
     obs: ControllerMetrics,
 }
@@ -84,7 +83,6 @@ impl Controller {
             map: MapStage::new(&config, spec)?.with_metrics(mapping_metrics),
             predict: PredictStage::new(&config),
             act: ActStage::new(&config, spec.capacities()),
-            stats: ControllerStats::default(),
             first_throttle: None,
             obs: ControllerMetrics::register(&obs),
             config,
@@ -122,31 +120,37 @@ impl Controller {
         self.predict.current_state()
     }
 
-    /// Aggregate statistics so far.
-    ///
-    /// [`ControllerStats::stage_timing`] is a compatibility view derived
-    /// from the per-stage latency histograms (the primary store since
-    /// the observability plane): invocation counts and total nanos per
-    /// stage.
+    /// Aggregate statistics so far, read where each is kept: decisions in
+    /// their registry counters (the only count of them), states in the map
+    /// stage, and [`ControllerStats::stage_timing`] (invocations, nanos)
+    /// in the per-stage latency histograms.
     pub fn stats(&self) -> ControllerStats {
-        let mut s = self.stats;
-        // Features the prediction plane itself sanitised (zero for the
-        // KDE, which consumes already-clean mapped points only).
-        s.samples_rejected += self.predict.predictor_stats().rejected;
-        s.states = self.map.repr_count();
-        s.violation_states = self.map.state_map().violation_count();
-        s.events_dropped = self.events_dropped();
+        let o = &self.obs;
         let clock = |h: &stayaway_obs::Histogram| StageClock {
             invocations: h.count(),
             nanos: h.sum(),
         };
-        s.stage_timing = StageTiming {
-            sense: clock(&self.obs.sense_latency),
-            map: clock(&self.obs.map_latency),
-            predict: clock(&self.obs.predict_latency),
-            act: clock(&self.obs.act_latency),
-        };
-        s
+        ControllerStats {
+            periods: o.periods.get(),
+            violations_observed: o.violations_observed.get(),
+            violations_predicted: o.violations_predicted.get(),
+            throttles: o.throttles.get(),
+            resumes: o.resumes.get(),
+            prediction_checks: o.prediction_checks.get(),
+            prediction_hits: o.prediction_hits.get(),
+            states: self.map.repr_count(),
+            violation_states: self.map.state_map().violation_count(),
+            mapping_errors: o.mapping_errors.get(),
+            // Plus what the prediction plane sanitised itself (0 for the KDE).
+            samples_rejected: o.samples_rejected.get() + self.predict.predictor_stats().rejected,
+            events_dropped: self.events_dropped(),
+            stage_timing: StageTiming {
+                sense: clock(&o.sense_latency),
+                map: clock(&o.map_latency),
+                predict: clock(&o.predict_latency),
+                act: clock(&o.act_latency),
+            },
+        }
     }
 
     /// A point-in-time snapshot of every instrument this controller
@@ -213,7 +217,6 @@ impl Controller {
     /// next. Verify → track is one predict stretch unless a violation is
     /// learned in between, and its end is the forecast's start.
     fn period(&mut self, obs: &Observation) -> Result<Vec<Action>, CoreError> {
-        self.stats.periods += 1;
         self.obs.periods.inc();
         let tick = obs.tick;
         let mut spent = StageNanos::default();
@@ -222,7 +225,6 @@ impl Controller {
         // ---- Sense ------------------------------------------------------
         let sensed = self.sense.observe(obs);
         if sensed.rejected > 0 {
-            self.stats.samples_rejected += sensed.rejected;
             self.obs.samples_rejected.add(sensed.rejected);
         }
         spent.sense = clock.lap();
@@ -236,10 +238,8 @@ impl Controller {
         // the map as the forecast could have known it.)
         let verdict = self.predict.verify(&self.map, mapped.rep, mapped.point);
         if let Some(hit) = verdict {
-            self.stats.prediction_checks += 1;
             self.obs.prediction_checks.inc();
             if hit {
-                self.stats.prediction_hits += 1;
                 self.obs.prediction_hits.inc();
             }
         }
@@ -247,7 +247,6 @@ impl Controller {
         // ---- Learn violations --------------------------------------------
         if sensed.violated {
             spent.predict += clock.lap();
-            self.stats.violations_observed += 1;
             self.obs.violations_observed.inc();
             self.map.mark_violation(mapped.rep)?;
             spent.map += clock.lap();
@@ -320,7 +319,6 @@ impl Controller {
             } = decision
             {
                 actions = resumes;
-                self.stats.resumes += 1;
                 self.obs.resumes.inc();
                 if let Some(rec) = &self.obs.recorder {
                     let cause = rec.last_id_of_kind(EventKind::Throttle);
@@ -368,7 +366,6 @@ impl Controller {
                         ));
                     }
                     if forecast.predicted_violation {
-                        self.stats.violations_predicted += 1;
                         self.obs.violations_predicted.inc();
                     }
                 }
@@ -390,7 +387,6 @@ impl Controller {
                 let targets = self.act.throttle_targets(obs);
                 spent.act += clock.lap();
                 if !targets.is_empty() {
-                    self.stats.throttles += 1;
                     self.obs.throttles.inc();
                     let proactive = (predicted_violation || current_in_range) && !sensed.violated;
                     self.first_throttle.get_or_insert((tick, proactive));
@@ -454,7 +450,7 @@ impl Controller {
             self.obs.throttled_periods.inc();
         }
         let beta = self.act.beta();
-        let duty_cycle = self.obs.throttled_periods.get() as f64 / self.stats.periods as f64;
+        let duty_cycle = self.obs.throttled_periods.get() as f64 / self.obs.periods.get() as f64;
         let states = self.map.repr_count();
         let violation_states = self.map.state_map().violation_count();
         self.obs.beta.set(beta);
@@ -462,10 +458,12 @@ impl Controller {
         self.obs.events_dropped.set(self.events_dropped() as f64);
         self.obs.states.set(states as f64);
         self.obs.violation_states.set(violation_states as f64);
-        if self.stats.prediction_checks > 0 {
-            self.obs.set_hit_ratio(
-                self.stats.prediction_hits as f64 / self.stats.prediction_checks as f64,
-            );
+        let (hits, checks) = (
+            self.obs.prediction_hits.get(),
+            self.obs.prediction_checks.get(),
+        );
+        if let Some(ratio) = hit_ratio(hits, checks) {
+            self.obs.set_hit_ratio(ratio);
         }
         if let Some(state) = &self.obs.state {
             state.publish(&[
@@ -477,10 +475,13 @@ impl Controller {
                 ("point_y", F64(point.y)),
                 ("states", U64(states as u64)),
                 ("violation_states", U64(violation_states as u64)),
-                ("periods", U64(self.stats.periods)),
-                ("violations_observed", U64(self.stats.violations_observed)),
-                ("throttles", U64(self.stats.throttles)),
-                ("resumes", U64(self.stats.resumes)),
+                ("periods", U64(self.obs.periods.get())),
+                (
+                    "violations_observed",
+                    U64(self.obs.violations_observed.get()),
+                ),
+                ("throttles", U64(self.obs.throttles.get())),
+                ("resumes", U64(self.obs.resumes.get())),
             ]);
         }
     }
@@ -532,7 +533,6 @@ impl Policy for Controller {
         match self.period(observation) {
             Ok(actions) => actions,
             Err(_) => {
-                self.stats.mapping_errors += 1;
                 self.obs.mapping_errors.inc();
                 Vec::new()
             }
@@ -751,15 +751,15 @@ mod tests {
                 "beta": ctl.act.beta(),
                 "throttling": ctl.act.is_throttling(),
                 "duty_cycle": ctl.obs.throttled_periods.get() as f64
-                    / ctl.stats.periods as f64,
+                    / ctl.stats().periods as f64,
                 "point_x": point.x,
                 "point_y": point.y,
                 "states": ctl.map.repr_count() as u64,
                 "violation_states": ctl.map.state_map().violation_count() as u64,
-                "periods": ctl.stats.periods,
-                "violations_observed": ctl.stats.violations_observed,
-                "throttles": ctl.stats.throttles,
-                "resumes": ctl.stats.resumes,
+                "periods": ctl.stats().periods,
+                "violations_observed": ctl.stats().violations_observed,
+                "throttles": ctl.stats().throttles,
+                "resumes": ctl.stats().resumes,
             });
             let rendered = serde_json::to_string_pretty(&cell.get()).unwrap();
             assert_eq!(
@@ -770,7 +770,8 @@ mod tests {
             );
             whole_floats += rendered.matches(".0,").count();
         }
-        assert!(ctl.stats.throttles > 0 && ctl.stats.violations_observed > 0);
+        let stats = ctl.stats();
+        assert!(stats.throttles > 0 && stats.violations_observed > 0);
         assert!(whole_floats > 0, "no whole-valued float was ever rendered");
     }
 

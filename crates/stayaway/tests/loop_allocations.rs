@@ -1,5 +1,5 @@
 //! A fence on what a whole control period allocates, counted rather than
-//! clocked: `telemetry::step` over a `SimSource` — host physics, the noisy
+//! clocked: `telemetry::step` over the simulator `Harness` — host physics, the noisy
 //! observation, `decide`, actuation and the tick's record — allocates
 //! nothing once the map has formed. The only periods let off are those
 //! that found a new representative state, label a violation (the map's
@@ -12,7 +12,6 @@
 
 use stayaway_core::{Controller, ControllerConfig, ViolationDetection};
 use stayaway_sim::scenario::Scenario;
-use stayaway_sim::SimSource;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,9 +77,8 @@ fn fence(scenario: &Scenario, detection: ViolationDetection) {
     const WARM_UP: u64 = 3_000;
     const TICKS: u64 = 6_000;
 
-    let harness = scenario.build_harness().unwrap();
-    let spec = *harness.host().spec();
-    let mut source = SimSource::new(harness);
+    let mut source = scenario.build_harness().unwrap();
+    let spec = *source.host().spec();
     let config = ControllerConfig {
         violation_detection: detection,
         ..ControllerConfig::default()

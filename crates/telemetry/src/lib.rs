@@ -10,8 +10,9 @@
 //!   trait, [`HostSpec`] and the run-accounting records — live here, not
 //!   in the simulator;
 //! * an object-safe [`ObservationSource`] trait abstracts where
-//!   observations come from, with three backends: the deterministic
-//!   simulator (`stayaway_sim::SimSource`), recorded JSONL traces
+//!   observations come from, with four backends: the deterministic
+//!   simulator (`stayaway_sim::Harness`), the request-driven workload
+//!   engine (`stayaway_workload::WorkloadHost`), recorded JSONL traces
 //!   ([`TraceSource`], tee-recordable around any source via
 //!   [`RecordingSource`]) and best-effort live Linux procfs/cgroup
 //!   sampling ([`ProcfsSource`]);

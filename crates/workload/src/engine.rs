@@ -29,6 +29,13 @@
 //! and removes their rate demands from the contention signal while the
 //! frozen containers keep occupying RAM and cache, exactly the
 //! behaviour Stay-Away exploits.
+//!
+//! The engine is its own [`ObservationSource`]: `next_observation` runs it
+//! one control tick forward, `apply` actuates freezes and resumes at the
+//! tick boundary, and `record_for` returns its noiseless ground-truth
+//! accounting — so `stayaway_telemetry::drive` closes the loop over the
+//! request-driven host exactly as it does over the simulator, and every
+//! policy senses it unchanged.
 
 use crate::arrival::NANOS_PER_SEC;
 use crate::latency::LatencyHistogram;
@@ -38,8 +45,10 @@ use crate::spec::{TenantSpec, WorkloadScenario};
 use crate::WorkloadError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use stayaway_obs::{attr, FlightRecorder, Layer, MetricsRegistry};
 use stayaway_telemetry::{
-    Action, AppClass, ContainerId, Observation, ResourceKind, ResourceVector, TickRecord,
+    Action, AppClass, ContainerId, Observation, ObservationSource, RequestQos, ResourceKind,
+    ResourceVector, SourceKind, SourceMeta, TelemetryError, TickRecord,
 };
 use std::collections::VecDeque;
 
@@ -282,6 +291,10 @@ pub struct WorkloadHost {
     timeline_digest: u64,
     last_record: Option<TickRecord>,
     metrics: Option<WorkloadMetrics>,
+    recorder: Option<FlightRecorder>,
+    /// The observation handed back through [`ObservationSource::recycle`],
+    /// refilled by the next tick.
+    spare: Option<Observation>,
 }
 
 impl WorkloadHost {
@@ -313,6 +326,8 @@ impl WorkloadHost {
             timeline_digest: 0xcbf2_9ce4_8422_2325,
             last_record: None,
             metrics: None,
+            recorder: None,
+            spare: None,
             scenario,
         };
         for (i, t) in host.scenario.tenants.clone().iter().enumerate() {
@@ -330,11 +345,20 @@ impl WorkloadHost {
         Ok(host)
     }
 
-    /// Attaches decision-inert instrumentation. Recording only bumps
-    /// atomics — it never touches RNG or control state, so instrumented
-    /// and bare runs stay bit-identical.
-    pub fn with_metrics(mut self, metrics: WorkloadMetrics) -> Self {
-        self.metrics = Some(metrics);
+    /// Attaches decision-inert instrumentation registered into `registry`.
+    /// Recording only bumps atomics — it never touches RNG or control
+    /// state, so instrumented and bare runs stay bit-identical.
+    pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
+        self.metrics = Some(WorkloadMetrics::register(registry));
+        self
+    }
+
+    /// Records workload-layer SLO violations into the flight recorder
+    /// (one `SloViolation` event per violated tick with the sensitive
+    /// tenant active). Decision-inert: the engine never reads the
+    /// recorder back.
+    pub fn with_recorder(mut self, recorder: FlightRecorder) -> Self {
+        self.recorder = Some(recorder);
         self
     }
 
@@ -1038,19 +1062,34 @@ impl WorkloadHost {
     }
 
     /// Runs the engine up to the next tick boundary and emits the tick's
-    /// observation; the matching ground-truth [`TickRecord`] is stored
-    /// for [`Self::last_record`].
+    /// observation — [`ObservationSource::next_observation`], which never
+    /// runs dry.
     pub fn advance_tick(&mut self) -> Observation {
-        let mut observation = Observation::default();
-        self.advance_tick_into(&mut observation);
-        observation
+        self.next_observation()
+            .ok()
+            .flatten()
+            .expect("the workload engine neither fails nor runs dry")
+    }
+}
+
+impl ObservationSource for WorkloadHost {
+    fn meta(&self) -> SourceMeta {
+        SourceMeta {
+            kind: SourceKind::Workload,
+            metrics: ResourceKind::ALL.to_vec(),
+            tick_period_secs: self.scenario.tick_period_secs,
+            host: Some(self.scenario.host),
+        }
     }
 
-    /// [`Self::advance_tick`] into `out`, overwriting every field: one
-    /// entry per tenant slot (detached tombstones included, so indices stay
+    /// Runs the engine up to the next tick boundary and fills the recycled
+    /// observation (or a fresh one), overwriting every field: one entry
+    /// per tenant slot (detached tombstones included, so indices stay
     /// container ids), each reusing the entry — and its name string — that
-    /// `out` already held at that index.
-    pub fn advance_tick_into(&mut self, out: &mut Observation) {
+    /// it already held at that index. The tick's ground-truth
+    /// [`TickRecord`] is kept for [`ObservationSource::record_for`].
+    fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
+        let mut out = self.spare.take().unwrap_or_default();
         let tick_end = self.events.open_tick(self.tick);
         while let Some(event) = self.events.pop_due() {
             self.process(event);
@@ -1148,14 +1187,68 @@ impl WorkloadHost {
             t.stats = TickStats::default();
         }
         self.tick += 1;
+        Ok(Some(out))
     }
 
-    /// The ground-truth accounting record of the last emitted tick, with
-    /// the action count filled in.
-    pub fn last_record(&self, actions: usize) -> Option<TickRecord> {
-        self.last_record.clone().map(|mut r| {
-            r.actions = actions;
-            r
+    fn recycle(&mut self, observation: Observation) {
+        self.spare = Some(observation);
+    }
+
+    fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {
+        Ok(WorkloadHost::apply(self, actions))
+    }
+
+    /// The last tick's ground-truth record with the action count filled
+    /// in, and — when the sensitive tenant was active and violated — one
+    /// workload-layer `SloViolation` event, caused by the predictor verdict
+    /// in force.
+    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+        let record = match &self.last_record {
+            Some(last) => TickRecord {
+                actions: actions.len(),
+                ..last.clone()
+            },
+            None => stayaway_telemetry::derive_record(
+                observation,
+                actions.len(),
+                Some(&self.scenario.host),
+            ),
+        };
+        if record.violated && record.sensitive_active {
+            if let Some(rec) = &self.recorder {
+                let cause = rec.last_id_of_kind(stayaway_obs::EventKind::PredictorVerdict);
+                rec.record(
+                    record.tick,
+                    Layer::Workload,
+                    stayaway_obs::EventKind::SloViolation,
+                    cause,
+                    vec![
+                        attr("qos", record.qos_value),
+                        attr("batch_active", record.batch_active as u64),
+                    ],
+                );
+            }
+        }
+        record
+    }
+
+    fn batch_work(&self) -> f64 {
+        self.batch_work
+    }
+
+    fn request_qos(&self) -> Option<RequestQos> {
+        let (latency, totals) = (&self.latency, &self.totals);
+        Some(RequestQos {
+            p50_ms: latency.quantile_ms(0.50),
+            p95_ms: latency.quantile_ms(0.95),
+            p99_ms: latency.quantile_ms(0.99),
+            mean_ms: latency.mean_ms(),
+            slo_violation_rate: totals.slo_violation_rate(),
+            requests: totals.arrivals,
+            completed: totals.completed,
+            dropped: totals.dropped,
+            cold_starts: totals.cold_starts,
+            evictions: totals.evictions,
         })
     }
 }
@@ -1164,6 +1257,7 @@ impl WorkloadHost {
 mod tests {
     use super::*;
     use crate::spec::by_name;
+    use stayaway_telemetry::{drive, NullPolicy, Policy};
 
     fn host(name: &str, seed: u64) -> WorkloadHost {
         WorkloadHost::new(by_name(name).unwrap(), seed).unwrap()
@@ -1543,12 +1637,11 @@ mod tests {
 
     #[test]
     fn instrumentation_is_decision_inert() {
-        use stayaway_obs::MetricsRegistry;
         let mut bare = host("multi-tenant-storm", 21);
         let registry = MetricsRegistry::new();
         let mut instrumented = WorkloadHost::new(by_name("multi-tenant-storm").unwrap(), 21)
             .unwrap()
-            .with_metrics(WorkloadMetrics::register(&registry));
+            .with_metrics(&registry);
         for _ in 0..20 {
             let a = bare.advance_tick();
             let b = instrumented.advance_tick();
@@ -1559,5 +1652,72 @@ mod tests {
         let snap = registry.snapshot();
         let text = stayaway_obs::to_json(&snap).to_string();
         assert!(text.contains("workload_requests_total"));
+    }
+
+    #[test]
+    fn meta_reports_the_workload_substrate() {
+        let meta = host("memcached-like", 1).meta();
+        assert_eq!(meta.kind, SourceKind::Workload);
+        assert_eq!(meta.tick_period_secs, 1.0);
+        assert!(meta.host.is_some());
+    }
+
+    #[test]
+    fn drive_closes_the_loop_deterministically() {
+        let mut a = host("cpu-bomb", 17);
+        let mut b = host("cpu-bomb", 17);
+        let out_a = drive(&mut a, &mut NullPolicy::new(), 30).unwrap();
+        let out_b = drive(&mut b, &mut NullPolicy::new(), 30).unwrap();
+        assert_eq!(out_a, out_b);
+        assert_eq!(a.timeline_digest(), b.timeline_digest());
+        assert_eq!(out_a.timeline.len(), 30);
+        assert!(out_a.batch_work > 0.0);
+        // The per-request read-out mirrors the engine's own accounting.
+        let qos = a.request_qos().expect("the engine simulates requests");
+        assert_eq!(a.request_qos(), b.request_qos());
+        assert_eq!(qos.requests, a.totals().arrivals);
+        assert_eq!(qos.completed, a.totals().completed);
+        assert_eq!(qos.p95_ms, a.latency().quantile_ms(0.95));
+        assert_eq!(qos.slo_violation_rate, a.totals().slo_violation_rate());
+    }
+
+    /// Pauses every unpaused batch container it sees.
+    struct PauseAll;
+    impl Policy for PauseAll {
+        fn name(&self) -> &str {
+            "pause-all"
+        }
+        fn decide(&mut self, obs: &Observation) -> Vec<Action> {
+            obs.batch()
+                .filter(|c| !c.paused)
+                .map(|c| Action::Pause(c.id))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn pausing_batch_improves_latency_under_contention() {
+        let mut contended = host("cpu-bomb", 23);
+        drive(&mut contended, &mut NullPolicy::new(), 40).unwrap();
+        let mut protected = host("cpu-bomb", 23);
+        drive(&mut protected, &mut PauseAll, 40).unwrap();
+        let p95_contended = contended.latency().quantile_ms(0.95);
+        let p95_protected = protected.latency().quantile_ms(0.95);
+        assert!(
+            p95_protected < p95_contended,
+            "pause should help: {p95_protected} vs {p95_contended}"
+        );
+        assert!(protected.totals().slo_violation_rate() <= contended.totals().slo_violation_rate());
+    }
+
+    #[test]
+    fn arrival_timeline_is_policy_independent() {
+        // Open-loop property: the same requests arrive whatever the
+        // policy does to the batch tenants.
+        let mut idle = host("cpu-bomb", 29);
+        drive(&mut idle, &mut NullPolicy::new(), 30).unwrap();
+        let mut throttled = host("cpu-bomb", 29);
+        drive(&mut throttled, &mut PauseAll, 30).unwrap();
+        assert_eq!(idle.totals().arrivals, throttled.totals().arrivals);
     }
 }

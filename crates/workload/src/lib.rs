@@ -15,9 +15,9 @@
 //! - [`WorkloadHost`] — the discrete-event engine (its queue orders only
 //!   the control tick that is open, DESIGN.md §13): container
 //!   lifecycle, contention-stretched service times, SIGSTOP-style
-//!   freezes, integer-nanosecond determinism.
-//! - [`WorkloadSource`] — the [`ObservationSource`] adapter: existing
-//!   policies and the fleet sense the event-driven host unchanged.
+//!   freezes, integer-nanosecond determinism. It is its own
+//!   [`ObservationSource`], so existing policies and the fleet sense the
+//!   event-driven host unchanged.
 //! - [`bench_scenario`] / [`BenchTable`] — the per-scenario/per-policy
 //!   QoS grid behind `stayaway bench-scenarios`.
 //!
@@ -28,10 +28,9 @@ pub mod demand;
 pub mod engine;
 mod error;
 pub mod latency;
-pub mod metrics;
+mod metrics;
 mod queue;
 pub mod report;
-pub mod source;
 pub mod spec;
 
 pub use arrival::ArrivalProcess;
@@ -39,7 +38,8 @@ pub use demand::{DemandProfile, KeepalivePolicy};
 pub use engine::{RunTotals, WorkloadHost};
 pub use error::WorkloadError;
 pub use latency::LatencyHistogram;
-pub use metrics::WorkloadMetrics;
 pub use report::{bench_scenario, BenchTable, ScenarioQos};
-pub use source::WorkloadSource;
 pub use spec::{by_name, library, names, SloSpec, TenantSpec, WorkloadScenario};
+
+/// The engine under the name the perf ledger (`benchmarks/`) imports it by.
+pub type WorkloadSource = WorkloadHost;

@@ -9,7 +9,7 @@ use stayaway_obs::{Counter, Histogram, MetricsRegistry};
 
 /// Counter and histogram handles for one workload engine.
 #[derive(Debug, Clone)]
-pub struct WorkloadMetrics {
+pub(crate) struct WorkloadMetrics {
     /// Requests arrived, all tenants.
     pub requests: Counter,
     /// Invocations completed, all tenants.
@@ -32,7 +32,7 @@ pub struct WorkloadMetrics {
 
 impl WorkloadMetrics {
     /// Registers the workload instrument set (idempotent per registry).
-    pub fn register(registry: &MetricsRegistry) -> Self {
+    pub(crate) fn register(registry: &MetricsRegistry) -> Self {
         WorkloadMetrics {
             requests: registry.counter(
                 "workload_requests_total",

@@ -8,7 +8,7 @@
 //! bench-scenarios` prints — the substrate policy rankings are judged
 //! against.
 
-use crate::source::WorkloadSource;
+use crate::engine::WorkloadHost;
 use crate::spec::WorkloadScenario;
 use crate::WorkloadError;
 use serde::{Deserialize, Serialize};
@@ -63,12 +63,12 @@ pub fn bench_scenario(
     seed: u64,
     ticks: u64,
 ) -> Result<ScenarioQos, WorkloadError> {
-    let mut source = WorkloadSource::new(scenario.clone(), seed)?;
-    let outcome = drive(&mut source, policy, ticks).map_err(|e| WorkloadError::InvalidSpec {
+    let mut host = WorkloadHost::new(scenario.clone(), seed)?;
+    let outcome = drive(&mut host, policy, ticks).map_err(|e| WorkloadError::InvalidSpec {
         reason: format!("drive failed: {e}"),
     })?;
-    let totals = source.totals();
-    let latency = source.latency();
+    let totals = host.totals();
+    let latency = host.latency();
     Ok(ScenarioQos {
         scenario: scenario.name.clone(),
         policy: outcome.policy.clone(),

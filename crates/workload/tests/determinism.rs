@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stayaway_telemetry::{drive, Action, NullPolicy, Observation, ObservationSource, Policy};
 use stayaway_workload::{
-    bench_scenario, by_name, names, ArrivalProcess, WorkloadScenario, WorkloadSource,
+    bench_scenario, by_name, names, ArrivalProcess, WorkloadHost, WorkloadScenario,
 };
 
 /// Drives `ticks` control ticks by hand, capturing every observation as
@@ -18,13 +18,13 @@ fn drive_json(
     seed: u64,
     ticks: u64,
     policy: &mut dyn Policy,
-) -> (WorkloadSource, Vec<String>) {
-    let mut source = WorkloadSource::new(by_name(name).unwrap(), seed).unwrap();
+) -> (WorkloadHost, Vec<String>) {
+    let mut source = WorkloadHost::new(by_name(name).unwrap(), seed).unwrap();
     let mut stream = Vec::with_capacity(ticks as usize);
     for _ in 0..ticks {
         let obs: Observation = source.next_observation().unwrap().unwrap();
         let actions = policy.decide(&obs);
-        source.apply(&actions).unwrap();
+        source.apply(&actions);
         stream.push(serde_json::to_string(&obs).expect("observation encodes"));
     }
     (source, stream)
@@ -109,7 +109,7 @@ fn open_loop_arrivals_are_policy_independent() {
     let (throttled, _) = drive_json("multi-tenant-storm", 3, 30, &mut PauseAll);
     assert_eq!(idle.totals().arrivals, throttled.totals().arrivals);
     // Freezing the batch tenants can only reduce their completed work.
-    assert!(throttled.host().batch_work() <= idle.host().batch_work());
+    assert!(throttled.batch_work() <= idle.batch_work());
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn driving_through_the_telemetry_loop_matches_the_manual_loop() {
     // `drive` (the production loop) and the hand-rolled loop above must
     // see the same engine: the digest depends only on (scenario, seed,
     // policy decisions).
-    let mut driven = WorkloadSource::new(by_name("flash-crowd").unwrap(), 13).unwrap();
+    let mut driven = WorkloadHost::new(by_name("flash-crowd").unwrap(), 13).unwrap();
     drive(&mut driven, &mut NullPolicy::new(), 30).unwrap();
     let (manual, _) = drive_json("flash-crowd", 13, 30, &mut NullPolicy::new());
     assert_eq!(driven.timeline_digest(), manual.timeline_digest());

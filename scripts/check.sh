@@ -11,6 +11,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
+# One type per substrate: `Harness` and `WorkloadHost` are their own
+# observation sources. Two older names survive only because the frozen perf
+# ledger (`benchmarks/`) imports them — `sim::SimSource`, a forwarder on the
+# harness, and `workload::WorkloadSource`, an alias of the engine — so no
+# library code may name either outside the lines that define them.
+if grep -rnwE 'SimSource|WorkloadSource' crates/*/src src | grep -vE \
+    -e '^crates/sim/src/source\.rs:[0-9]+:(pub struct SimSource\(|impl (ObservationSource for )?SimSource \{)' \
+    -e '^crates/sim/src/lib\.rs:[0-9]+:pub use source::SimSource;$' \
+    -e '^crates/workload/src/lib\.rs:[0-9]+:pub type WorkloadSource = WorkloadHost;$'; then
+    echo "check.sh: SimSource / WorkloadSource named outside their definitions (above)" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace

@@ -698,7 +698,7 @@ fn single_host(
         import: job.import,
         export_as: job.export_as,
         trace_out: job.trace_out,
-        loop_span: None,
+        loop_nanos: None,
     })?;
     Ok((outcome, obs, server))
 }
@@ -838,12 +838,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
         }
         "run" => {
             let source = args.source()?;
-            // A workload run is named after its library scenario, which the
-            // source carries; `--scenario` names the simulator's.
-            let scenario = match &source {
-                SourceSpec::Workload { .. } => source.label(),
-                _ => args.scenario_name().to_string(),
-            };
+            let scenario = source.scenario_label(args.scenario_name());
             let job = HostJob {
                 source: Some(source),
                 ..HostJob::default()
@@ -872,10 +867,10 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
         }
         "compare" => {
             let (scenario, source) = (args.scenario()?, args.source()?);
+            let scenario = source.scenario_label(scenario.name());
             writeln!(
                 out,
-                "scenario: {} ({} ticks, seed {}, source {})\n",
-                scenario.name(),
+                "scenario: {scenario} ({} ticks, seed {}, source {})\n",
                 args.ticks(),
                 args.seed(),
                 source.name(),
@@ -887,7 +882,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 };
                 let (outcome, ..) = single_host(args, out, job)?;
                 let label = &outcome.run.policy;
-                summarize(out, json, label, scenario.name(), &outcome, false)?;
+                summarize(out, json, label, &scenario, &outcome, false)?;
             }
         }
         "capture" => {

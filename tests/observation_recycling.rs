@@ -8,12 +8,12 @@
 //! name byte or a stale container would be caught.
 
 use stay_away::sim::scenario::Scenario;
-use stay_away::sim::SimSource;
+use stay_away::sim::Harness;
 use stay_away::telemetry::{
     drive, Action, AppClass, ContainerId, ContainerObs, NullPolicy, Observation, ObservationSource,
     RecordingSource, ResourceVector, TraceSource,
 };
-use stay_away::workload::{by_name, WorkloadSource};
+use stay_away::workload::{by_name, WorkloadHost};
 
 /// An observation no source would produce, with `containers` entries.
 fn stranger(containers: usize) -> Observation {
@@ -88,8 +88,8 @@ fn throttle_now_and_then<S: ObservationSource>(tick: u64, source: &mut S) {
     }
 }
 
-fn sim(scenario: &Scenario) -> SimSource {
-    SimSource::new(scenario.build_harness().expect("scenario builds"))
+fn sim(scenario: &Scenario) -> Harness {
+    scenario.build_harness().expect("scenario builds")
 }
 
 #[test]
@@ -102,7 +102,7 @@ fn a_recycled_simulator_observes_what_a_fresh_one_does() {
 
 #[test]
 fn a_recycled_workload_host_follows_attach_and_detach() {
-    let build = || WorkloadSource::new(by_name("multi-tenant-storm").unwrap(), 11).unwrap();
+    let build = || WorkloadHost::new(by_name("multi-tenant-storm").unwrap(), 11).unwrap();
     let movable = by_name("cpu-bomb")
         .unwrap()
         .tenants
@@ -110,28 +110,28 @@ fn a_recycled_workload_host_follows_attach_and_detach() {
         .find(|t| t.class == AppClass::Batch)
         .expect("cpu-bomb has a batch tenant");
     let resident_batch = build()
-        .host()
         .scenario()
         .tenants
         .iter()
         .position(|t| t.class == AppClass::Batch)
         .expect("the storm has batch tenants");
     let mut attached = None;
-    let (fresh, recycled, compared) =
-        recycled_equals_fresh(build(), build(), 90, |tick, source: &mut WorkloadSource| {
-            let host = source.host_mut();
-            match tick {
-                10 => attached = Some(host.attach_tenant(movable.clone()).unwrap()),
-                30 => drop(host.detach_tenant(attached.unwrap()).unwrap()),
-                50 => drop(host.detach_tenant(resident_batch).unwrap()),
-                60 => drop(host.attach_tenant(movable.clone()).unwrap()),
-                _ => {}
-            }
-        });
+    let (fresh, recycled, compared) = recycled_equals_fresh(
+        build(),
+        build(),
+        90,
+        |tick, host: &mut WorkloadHost| match tick {
+            10 => attached = Some(host.attach_tenant(movable.clone()).unwrap()),
+            30 => drop(host.detach_tenant(attached.unwrap()).unwrap()),
+            50 => drop(host.detach_tenant(resident_batch).unwrap()),
+            60 => drop(host.attach_tenant(movable.clone()).unwrap()),
+            _ => {}
+        },
+    );
     assert_eq!(compared, 90);
     // Both tombstones stay in the observation, two tenants were added.
-    let tenants = build().host().tenant_count() + 2;
-    assert_eq!(recycled.host().tenant_count(), tenants);
+    let tenants = build().tenant_count() + 2;
+    assert_eq!(recycled.tenant_count(), tenants);
     assert_eq!(recycled.timeline_digest(), fresh.timeline_digest());
 }
 

@@ -12,7 +12,6 @@
 use stay_away::core::{Controller, ControllerConfig, Observability};
 use stay_away::obs::FlightRecorder;
 use stay_away::sim::scenario::Scenario;
-use stay_away::sim::SimSource;
 use stay_away::telemetry::{drive, RecordingSource, SourceKind, TraceSource};
 
 const TICKS: u64 = 300;
@@ -37,8 +36,7 @@ fn record_then_replay_is_bit_identical() {
 
     // Live run with a recording tee around the simulator source.
     let harness = scenario.build_harness().expect("scenario builds");
-    let mut recorder =
-        RecordingSource::new(SimSource::new(harness), Vec::new()).expect("header writes");
+    let mut recorder = RecordingSource::new(harness, Vec::new()).expect("header writes");
     let (mut live, live_events) = recorded_controller(&scenario);
     let live_out = drive(&mut recorder, &mut live, TICKS).expect("live run");
     let (_, trace) = recorder.finish().expect("trace flushes");
@@ -74,8 +72,7 @@ fn record_then_replay_is_bit_identical() {
 fn replay_stops_at_trace_end_and_stays_deterministic_across_readers() {
     let scenario = Scenario::vlc_with_cpubomb(21);
     let harness = scenario.build_harness().expect("scenario builds");
-    let mut recorder =
-        RecordingSource::new(SimSource::new(harness), Vec::new()).expect("header writes");
+    let mut recorder = RecordingSource::new(harness, Vec::new()).expect("header writes");
     drive(&mut recorder, &mut controller(&scenario), 64).expect("recorded run");
     let (_, trace) = recorder.finish().expect("trace flushes");
 
