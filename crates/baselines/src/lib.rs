@@ -11,19 +11,17 @@
 //!   while the sensitive application uses less than X% CPU"), representing
 //!   the static approaches (§1) that cannot adapt to unknown workloads.
 //!
-//! [`FaultInjector`] additionally wraps any policy with sensor-dropout and
-//! actuation-failure faults for robustness testing.
+//! Faults are injected at the substrate, not around a policy:
+//! `stayaway_telemetry::FaultySource` wraps any observation source.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod always;
-pub mod faults;
 pub mod reactive;
 pub mod static_threshold;
 
 pub use always::AlwaysThrottle;
-pub use faults::FaultInjector;
 pub use reactive::ReactivePolicy;
 pub use static_threshold::StaticThresholdPolicy;
 

@@ -8,7 +8,7 @@
 //! must produce identical [`RunOutcome`]s, and the default introspection
 //! hooks must report "nothing tracked" rather than fabricate data.
 
-use stayaway_baselines::{AlwaysThrottle, FaultInjector, ReactivePolicy, StaticThresholdPolicy};
+use stayaway_baselines::{AlwaysThrottle, ReactivePolicy, StaticThresholdPolicy};
 use stayaway_core::{ControlPolicy, ControllerStats};
 use stayaway_sim::scenario::Scenario;
 use stayaway_sim::{NullPolicy, Policy, RunOutcome};
@@ -52,18 +52,6 @@ fn always_throttle_outcome_is_identical_through_the_trait() {
 fn null_policy_outcome_is_identical_through_the_trait() {
     let direct = run_direct(NullPolicy::new());
     let boxed = run_boxed(Box::new(NullPolicy::new()));
-    assert_eq!(direct, boxed);
-}
-
-#[test]
-fn fault_injector_outcome_is_identical_through_the_trait() {
-    let direct = run_direct(FaultInjector::new(ReactivePolicy::new(10), 0.2, 0.2, 7));
-    let boxed = run_boxed(Box::new(FaultInjector::new(
-        ReactivePolicy::new(10),
-        0.2,
-        0.2,
-        7,
-    )));
     assert_eq!(direct, boxed);
 }
 

@@ -1,6 +1,7 @@
 //! The incrementally maintained mapping plane vs its naive references.
 //!
-//! Three timed groups over the mapping-bound hot path (ROADMAP item 1):
+//! Three timed groups over the mapping-bound hot path (ROADMAP `[ledger]` (e)
+//! decides whether it stays a timed target or becomes a counted metric):
 //!
 //! * `smacof_solve` — `SWEEPS` majorization sweeps on fixed 64 / 150 /
 //!   400-point dissimilarity matrices, warm-started from one precomputed

@@ -6,14 +6,7 @@
 //! `(fleet_seed, cell_idx)` so results are bit-identical no matter which
 //! worker runs which cell, or in what order.
 
-/// One round of the splitmix64 output mix (Steele, Lea & Flood 2014) —
-/// a bijective avalanche over `u64`.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use stayaway_telemetry::splitmix64;
 
 /// Derives the seed of cell `cell_idx` from the fleet seed.
 ///

@@ -1,4 +1,4 @@
-//! The cluster plane's scale curve (ROADMAP item 2(c)).
+//! The cluster plane's scale curve (ROADMAP `[scale]`).
 //!
 //! `storm-cluster` replicated to 4×10, 16×40, 32×160, 64×400 and 100×1000
 //! hosts × jobs, 450 epochs × 2 ticks each — the `cluster-scale` ledger

@@ -1,5 +1,5 @@
 //! A dependency-free HTTP/1.1 introspection server (DESIGN.md §16) —
-//! the observability slice of ROADMAP item 4's `stayaway serve`.
+//! the observability slice of the `stayaway serve` daemon ROADMAP parks.
 //!
 //! Std-only by design: a blocking [`TcpListener`] accept loop on one
 //! background thread, a tiny request-line parser, and four read-only

@@ -280,6 +280,12 @@ impl StateMap {
         })
     }
 
+    /// Derives stale violation-ranges now, so the caller that changed the
+    /// map pays for them rather than the next query.
+    pub fn derive_ranges(&self) {
+        self.ranges();
+    }
+
     /// The violation-range around violation-state `index`, using the
     /// Rayleigh radius against the nearest safe-state. When no safe-state
     /// exists the radius collapses to zero (exact-overlap matching).

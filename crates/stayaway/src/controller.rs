@@ -289,6 +289,7 @@ impl Controller {
 
         // ---- Act ---------------------------------------------------------
         let mut actions = Vec::new();
+        let mut reissued = 0;
 
         if self.act.is_throttling() {
             // §3.3: watch the sensitive application's isolated trajectory
@@ -300,6 +301,11 @@ impl Controller {
                 self.sense.last_batch_usage(),
                 &mut self.rng,
             );
+            // A pause the substrate lost shows as a target still running;
+            // a committed resume releases every target anyway.
+            if !matches!(decision, ResumeDecision::Resumed { .. }) {
+                reissued = self.act.reconcile(obs, &mut actions);
+            }
             spent.act += clock.lap();
             if let Some(anchor) = self.act.take_anchor_established() {
                 if let Some(rec) = &self.obs.recorder {
@@ -371,6 +377,10 @@ impl Controller {
                 }
             }
 
+            // A resume the substrate lost shows as a container still
+            // paused. Settled before the throttle below picks its targets.
+            reissued = self.act.reconcile(obs, &mut actions);
+
             // Re-visiting a known violation-state is a predicted violation
             // with certainty 1 — this is what lets an imported template (§6)
             // act before any violation is re-observed. (Merely entering the
@@ -414,12 +424,19 @@ impl Controller {
                         // A prediction consumed now will not see its next
                         // state under co-location; drop the pending verdict.
                         self.predict.cancel_verdict();
-                        actions = pauses;
+                        actions.extend(pauses);
                     }
                 }
             }
         }
 
+        if reissued > 0 {
+            // Registered at the first re-issue: a run whose every action
+            // arrived exports the series it always did.
+            let help = "Pauses and resumes re-issued because the observation showed them lost";
+            let name = "stayaway_controller_reissued_actions_total";
+            self.obs.registry.counter(name, help).add(reissued);
+        }
         self.finish_period(tick, mapped.point, spent);
         self.sense.recycle(sensed);
         Ok(actions)

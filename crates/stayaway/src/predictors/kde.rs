@@ -18,7 +18,7 @@ use stayaway_trajectory::{ModePredictor, Step};
 /// against the map's violation-ranges. A candidate is drawn by inverting
 /// the CDF of the windowed step-length and angle *histograms* with linear
 /// interpolation inside a bin — the name `kde` is the paper's; no kernel
-/// density estimate smooths the histograms on this path (ROADMAP item 6
+/// density estimate smooths the histograms on this path (ROADMAP `[judge]`
 /// records the gap). Pinned bit-for-bit to the golden fixture.
 #[derive(Debug)]
 pub struct KdePredictor {

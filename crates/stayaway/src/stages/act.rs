@@ -15,7 +15,9 @@
 //! A phase-change resume is checked against the map stage's learned
 //! violation geography before it is committed ("the system does not resume
 //! the batch application until the system believes that resuming … will
-//! not cause a performance degradation"); an optimistic one is not.
+//! not cause a performance degradation"); an optimistic one is not. A
+//! SIGSTOP or SIGCONT the substrate lost is re-issued
+//! ([`ActStage::reconcile`]).
 
 use super::map::MapStage;
 use super::sense::Sensed;
@@ -76,6 +78,8 @@ pub struct ActStage {
     /// bookkeeping — never read by the stage's own decisions.
     anchor_established: Option<Point2>,
     paused_by_us: Vec<ContainerId>,
+    /// Resumed, but not yet observed running.
+    resumed_by_us: Vec<ContainerId>,
     /// The estimated measurement vector after a resume, and its
     /// normalised form, kept across periods so a vetoed resume allocates
     /// nothing.
@@ -111,6 +115,7 @@ impl ActStage {
             throttle_anchor: None,
             anchor_established: None,
             paused_by_us: Vec::new(),
+            resumed_by_us: Vec::new(),
             estimate: Vec::new(),
             normalized: Vec::new(),
         }
@@ -200,12 +205,36 @@ impl ActStage {
         self.stable_ticks = 0;
         self.last_resume = Some((sensed.tick, reason));
         self.throttle_anchor = None;
-        let actions = if self.actions_enabled {
-            self.paused_by_us.drain(..).map(Action::Resume).collect()
-        } else {
-            Vec::new()
-        };
+        self.resumed_by_us.extend_from_slice(&self.paused_by_us);
+        let actions = self.paused_by_us.drain(..).map(Action::Resume).collect();
         ResumeDecision::Resumed { reason, actions }
+    }
+
+    /// Appends to `actions` what `observation` shows the substrate lost and
+    /// returns how many: while throttling, a Pause for each target shown
+    /// active, unfinished and not paused; otherwise a Resume for each
+    /// resumed container still shown paused (one shown running is settled).
+    /// Containers not shown, or shown finished, are left alone.
+    pub fn reconcile(&mut self, observation: &Observation, actions: &mut Vec<Action>) -> u64 {
+        let shown = |id: ContainerId| {
+            observation
+                .containers
+                .iter()
+                .find(|c| c.id == id && !c.finished)
+        };
+        let before = actions.len();
+        if self.throttled {
+            for &id in &self.paused_by_us {
+                if shown(id).is_some_and(|c| c.active && !c.paused) {
+                    actions.push(Action::Pause(id));
+                }
+            }
+        } else {
+            self.resumed_by_us
+                .retain(|&id| shown(id).is_some_and(|c| c.paused));
+            actions.extend(self.resumed_by_us.iter().copied().map(Action::Resume));
+        }
+        (actions.len() - before) as u64
     }
 
     /// While throttled: whether the §3.3 resume conditions hold, given the
@@ -315,7 +344,7 @@ impl ActStage {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use stayaway_telemetry::HostSpec;
+    use stayaway_telemetry::{AppClass, ContainerObs, HostSpec};
 
     /// One act stage beside a one-metric map that knows a single
     /// violation-state, `⟨1, 4⟩` (sensitive CPU 1, total 4).
@@ -378,6 +407,24 @@ mod tests {
 
         fn period(&mut self, tick: u64, x: f64) -> ResumeDecision {
             self.period_with(tick, x, None)
+        }
+    }
+
+    /// An observation showing one batch container `id` in the given state.
+    fn shown(id: usize, active: bool, paused: bool, finished: bool) -> Observation {
+        Observation {
+            containers: vec![ContainerObs {
+                id: ContainerId::from_raw(id),
+                name: "batch".into(),
+                class: AppClass::Batch,
+                active,
+                paused,
+                finished,
+                usage: ResourceVector::zero(),
+                ipc: 1.0,
+                priority: 0,
+            }],
+            ..Observation::default()
         }
     }
 
@@ -542,5 +589,65 @@ mod tests {
         );
         assert!(!r.act.is_throttling());
         assert!(matches!(r.period(1, 0.0), ResumeDecision::Hold));
+    }
+
+    #[test]
+    fn a_lost_pause_is_reissued_while_throttling() {
+        let mut r = rig(5, 1.0);
+        r.throttle(0, 7);
+        let mut actions = Vec::new();
+        assert_eq!(
+            r.act.reconcile(&shown(7, false, true, false), &mut actions),
+            0
+        );
+        assert_eq!(
+            r.act.reconcile(&shown(7, true, false, false), &mut actions),
+            1
+        );
+        assert_eq!(actions, [Action::Pause(ContainerId::from_raw(7))]);
+        // Idle, finished or absent: left alone.
+        for other in [
+            shown(7, false, false, false),
+            shown(7, true, false, true),
+            shown(8, true, false, false),
+        ] {
+            assert_eq!(r.act.reconcile(&other, &mut actions), 0);
+        }
+        assert_eq!(actions.len(), 1);
+    }
+
+    #[test]
+    fn a_lost_resume_is_reissued_until_the_container_runs() {
+        let mut r = rig(5, 1.0);
+        r.throttle(0, 7);
+        r.period(1, 0.0);
+        assert!(resumed(&r.period(2, 0.05)).is_some());
+        let (mut actions, still_paused) = (Vec::new(), shown(7, false, true, false));
+        assert_eq!(r.act.reconcile(&still_paused, &mut actions), 1);
+        assert_eq!(r.act.reconcile(&still_paused, &mut actions), 1);
+        assert_eq!(actions, [Action::Resume(ContainerId::from_raw(7)); 2]);
+        // Seen running once, it is settled for good.
+        assert_eq!(
+            r.act.reconcile(&shown(7, true, false, false), &mut actions),
+            0
+        );
+        assert_eq!(r.act.reconcile(&still_paused, &mut actions), 0);
+    }
+
+    #[test]
+    fn a_resumed_container_gone_or_finished_is_left_alone() {
+        for gone in [shown(8, false, true, false), shown(7, false, true, true)] {
+            let mut r = rig(5, 1.0);
+            r.throttle(0, 7);
+            r.period(1, 0.0);
+            assert!(resumed(&r.period(2, 0.05)).is_some());
+            let mut actions = Vec::new();
+            assert_eq!(r.act.reconcile(&gone, &mut actions), 0);
+            assert_eq!(
+                r.act.reconcile(&shown(7, false, true, false), &mut actions),
+                0
+            );
+            assert!(actions.is_empty());
+        }
     }
 }

@@ -144,7 +144,8 @@ impl MapStage {
     /// representative) and records the visit at the representative's
     /// position. A new representative that re-laid the embedding refreshes
     /// every position; one that was placed into the map as it stands
-    /// changes only the coordinate scale.
+    /// changes only the coordinate scale; either way the violation-ranges
+    /// are derived again here.
     ///
     /// # Errors
     ///
@@ -172,6 +173,7 @@ impl MapStage {
             Insert::Placed(_) => self.refresh_scale()?,
             Insert::Merged(_) => {}
         }
+        self.map.derive_ranges();
         Ok(MappedState {
             rep,
             point,
@@ -233,13 +235,15 @@ impl MapStage {
         Ok(t)
     }
 
-    /// Labels representative `rep` a violation-state.
+    /// Labels representative `rep` a violation-state (and derives the
+    /// violation-ranges again).
     ///
     /// # Errors
     ///
     /// Propagates out-of-range indices.
     pub fn mark_violation(&mut self, rep: usize) -> Result<(), CoreError> {
         self.map.mark_violation(rep)?;
+        self.map.derive_ranges();
         Ok(())
     }
 

@@ -12,7 +12,9 @@
 //! - with `optimistic_probability = 1` and zero drift, a throttle resumes
 //!   within `optimistic_after × 6` sensitive-only periods (6 is the
 //!   backoff cap);
-//! - in observe-only mode no action is issued.
+//! - in observe-only mode no action is issued;
+//! - when every action reached the containers, `reconcile` re-issues
+//!   nothing.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,7 +22,10 @@ use rand::SeedableRng;
 use stayaway_core::stages::{ActStage, MapStage, ResumeDecision, Sensed};
 use stayaway_core::{ControllerConfig, ResumeReason};
 use stayaway_statespace::{ExecutionMode, Point2};
-use stayaway_telemetry::{Action, ContainerId, HostSpec, ResourceKind};
+use stayaway_telemetry::{
+    Action, AppClass, ContainerId, ContainerObs, HostSpec, Observation, ResourceKind,
+    ResourceVector,
+};
 use std::collections::HashSet;
 
 /// What the stage would add back on a resume, relative to the map's one
@@ -269,6 +274,28 @@ impl Machine {
         }
     }
 
+    /// What the stage observes when every action it issued arrived: the
+    /// current throttle's targets paused, every other container running.
+    fn faithful(&self) -> Observation {
+        let containers = (0..self.next_id)
+            .map(ContainerId::from_raw)
+            .map(|id| ContainerObs {
+                id,
+                name: "batch".into(),
+                class: AppClass::Batch,
+                active: !self.paused.contains(&id),
+                paused: self.paused.contains(&id),
+                finished: false,
+                usage: ResourceVector::zero(),
+                ipc: 1.0,
+                priority: 0,
+            });
+        Observation {
+            containers: containers.collect(),
+            ..Observation::default()
+        }
+    }
+
     fn violation(&mut self) -> Result<(), TestCaseError> {
         let before = self.act.beta();
         let blamed = match self.last_resume {
@@ -312,6 +339,9 @@ proptest! {
         let mut machine = Machine::new(knobs);
         for op in &ops {
             machine.apply(op)?;
+            let (observed, mut reissued) = (machine.faithful(), Vec::new());
+            prop_assert_eq!(machine.act.reconcile(&observed, &mut reissued), 0);
+            prop_assert!(reissued.is_empty());
         }
     }
 

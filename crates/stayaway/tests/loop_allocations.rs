@@ -5,13 +5,17 @@
 //! that found a new representative state, label a violation (the map's
 //! violation bookkeeping) or issue actions (the returned `Vec<Action>`).
 //! Both violation sources are fenced: application-reported, and inferred
-//! from the sensitive VM's IPC, whose detector runs every period.
+//! from the sensitive VM's IPC, whose detector runs every period. So is
+//! the same loop through `FaultySource`, transparent at rate 0 and with
+//! 10 % sensor dropout and 30 % actuation failure, where a period whose
+//! batch the wrapper swallowed is let off like one that acted.
 //!
 //! One `#[test]` only: the counting allocator is process-wide, and a
 //! second test running beside this one would be counted too.
 
 use stayaway_core::{Controller, ControllerConfig, ViolationDetection};
 use stayaway_sim::scenario::Scenario;
+use stayaway_telemetry::{FaultySource, HostSpec, ObservationSource};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -66,29 +70,43 @@ fn a_steady_closed_loop_period_allocates_nothing() {
             Scenario::vlc_with_soplex(7),
             Scenario::vlc_with_twitter(7),
         ] {
-            fence(&scenario, detection);
+            let harness = || scenario.build_harness().unwrap();
+            let spec = *harness().host().spec();
+            let name = format!("{} ({detection:?})", scenario.name());
+            fence(&name, harness(), &spec, detection, |_| 0);
+            for (dropout, failure) in [(0.0, 0.0), (0.1, 0.3)] {
+                let faulty = FaultySource::new(harness(), dropout, failure, 17).unwrap();
+                let name = format!("{name}, faults {dropout} / {failure}");
+                fence(&name, faulty, &spec, detection, |s| s.dropped_actions());
+            }
         }
     }
 }
 
-fn fence(scenario: &Scenario, detection: ViolationDetection) {
+/// Fences `TICKS` periods of the default controller over `source`;
+/// `swallowed` reads how many action batches the source has lost so far.
+fn fence<S: ObservationSource>(
+    name: &str,
+    mut source: S,
+    spec: &HostSpec,
+    detection: ViolationDetection,
+    swallowed: impl Fn(&S) -> u64,
+) {
     /// Periods before the fence applies: the map has formed and every
     /// buffer of the loop has reached its working size.
     const WARM_UP: u64 = 3_000;
     const TICKS: u64 = 6_000;
 
-    let mut source = scenario.build_harness().unwrap();
-    let spec = *source.host().spec();
     let config = ControllerConfig {
         violation_detection: detection,
         ..ControllerConfig::default()
     };
-    let mut ctl = Controller::for_host(config, &spec).unwrap();
-    let name = format!("{} ({detection:?})", scenario.name());
+    let mut ctl = Controller::for_host(config, spec).unwrap();
 
     let (mut fenced, mut excused) = (0u64, Excused::default());
     for tick in 0..TICKS {
         let (states, violations) = (ctl.repr_count(), ctl.stats().violations_observed);
+        let lost = swallowed(&source);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let (record, _) = stayaway_telemetry::step(&mut source, &mut ctl)
             .unwrap()
@@ -101,7 +119,7 @@ fn fence(scenario: &Scenario, detection: ViolationDetection) {
             excused.new_state += 1;
         } else if ctl.stats().violations_observed > violations {
             excused.violation += 1;
-        } else if record.actions > 0 {
+        } else if record.actions > 0 || swallowed(&source) > lost {
             excused.actions += 1;
         } else {
             fenced += 1;

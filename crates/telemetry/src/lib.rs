@@ -15,7 +15,8 @@
 //!   engine (`stayaway_workload::WorkloadHost`), recorded JSONL traces
 //!   ([`TraceSource`], tee-recordable around any source via
 //!   [`RecordingSource`]) and best-effort live Linux procfs/cgroup
-//!   sampling ([`ProcfsSource`]);
+//!   sampling ([`ProcfsSource`]); [`FaultySource`] injects sensor dropout
+//!   and actuation failure around any of them;
 //! * [`step`] is the one control period — sample, decide, actuate,
 //!   account — and [`drive`] the run loop over it that the bench runner,
 //!   fleet cells, the simulator harness, cluster hosts and the CLI share.
@@ -49,7 +50,20 @@ pub use observation::{
 pub use procfs::ProcfsSource;
 pub use resources::{ResourceKind, ResourceVector};
 pub use run::{derive_record, drive, step, QosSummary, RequestQos, RunOutcome, TickRecord};
-pub use source::{ObservationSource, SourceKind, SourceMeta};
+pub use source::{FaultySource, ObservationSource, SourceKind, SourceMeta};
 pub use trace::{
     RecordingSource, TraceHeader, TraceSource, TraceWriter, TRACE_FORMAT, TRACE_VERSION,
 };
+
+/// The SplitMix64 golden gamma.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One round of the SplitMix64 output mix (Steele, Lea & Flood 2014), a
+/// bijective avalanche over `u64`: the workspace's one seed mixer — fleet
+/// cell seeds, workload tenant streams and [`FaultySource`]'s draws.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

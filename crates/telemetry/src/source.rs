@@ -7,7 +7,7 @@
 //! is behind it — and deliberately small: one pull method plus metadata,
 //! with optional hooks for substrates that can actuate ([`apply`]) or
 //! report ground-truth accounting ([`record_for`], [`batch_work`],
-//! [`request_qos`]).
+//! [`request_qos`]). [`FaultySource`] wraps any source with faults.
 //!
 //! [`apply`]: ObservationSource::apply
 //! [`record_for`]: ObservationSource::record_for
@@ -16,7 +16,7 @@
 
 use crate::observation::{Action, Observation};
 use crate::run::{derive_record, RequestQos, TickRecord};
-use crate::{HostSpec, ResourceKind, TelemetryError};
+use crate::{splitmix64, HostSpec, ResourceKind, ResourceVector, TelemetryError, GAMMA};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -151,6 +151,121 @@ impl<S: ObservationSource + ?Sized> ObservationSource for Box<S> {
 
     fn request_qos(&self) -> Option<RequestQos> {
         (**self).request_qos()
+    }
+}
+
+/// Wraps any source with the two faults a SIGSTOP/SIGCONT controller meets
+/// first (§3.1, §3.3). Per period, with seeded probabilities, a **sensor
+/// dropout** blanks every container's usage and IPC in place, and an
+/// **actuation failure** swallows a non-empty action batch, so the
+/// period's record counts no actions. Everything else forwards.
+#[derive(Debug)]
+pub struct FaultySource<S> {
+    inner: S,
+    sensor_dropout: f64,
+    action_failure: f64,
+    /// SplitMix64 state.
+    state: u64,
+    dropped_observations: u64,
+    dropped_actions: u64,
+    /// The last `apply` swallowed its batch.
+    swallowed: bool,
+}
+
+impl<S: ObservationSource> FaultySource<S> {
+    /// Wraps `inner` with per-period fault probabilities; at 0 and 0 it is
+    /// transparent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TelemetryError::InvalidConfig`] when a rate lies outside
+    /// `[0, 1]`.
+    pub fn new(
+        inner: S,
+        sensor_dropout: f64,
+        action_failure: f64,
+        seed: u64,
+    ) -> Result<Self, TelemetryError> {
+        if ![sensor_dropout, action_failure]
+            .iter()
+            .all(|p| (0.0..=1.0).contains(p))
+        {
+            return Err(TelemetryError::InvalidConfig {
+                reason: format!("fault rates {sensor_dropout} / {action_failure} outside [0, 1]"),
+            });
+        }
+        Ok(FaultySource {
+            inner,
+            sensor_dropout,
+            action_failure,
+            state: seed,
+            dropped_observations: 0,
+            dropped_actions: 0,
+            swallowed: false,
+        })
+    }
+
+    /// Observations blanked so far.
+    pub fn dropped_observations(&self) -> u64 {
+        self.dropped_observations
+    }
+
+    /// Action batches swallowed so far.
+    pub fn dropped_actions(&self) -> u64 {
+        self.dropped_actions
+    }
+
+    /// One Bernoulli draw with success probability `p`.
+    fn strikes(&mut self, p: f64) -> bool {
+        let bits = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        ((bits >> 11) as f64 / (1u64 << 53) as f64) < p
+    }
+}
+
+impl<S: ObservationSource> ObservationSource for FaultySource<S> {
+    fn meta(&self) -> SourceMeta {
+        self.inner.meta()
+    }
+
+    fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
+        let mut next = self.inner.next_observation()?;
+        if let Some(observation) = &mut next {
+            if self.strikes(self.sensor_dropout) {
+                self.dropped_observations += 1;
+                for c in &mut observation.containers {
+                    c.usage = ResourceVector::zero();
+                    c.ipc = 0.0;
+                }
+            }
+        }
+        Ok(next)
+    }
+
+    fn recycle(&mut self, observation: Observation) {
+        self.inner.recycle(observation);
+    }
+
+    fn apply(&mut self, actions: &[Action]) -> Result<u64, TelemetryError> {
+        self.swallowed = !actions.is_empty() && self.strikes(self.action_failure);
+        if self.swallowed {
+            self.dropped_actions += 1;
+            return Ok(0);
+        }
+        self.inner.apply(actions)
+    }
+
+    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+        let reached = if self.swallowed { &[] } else { actions };
+        self.inner.record_for(observation, reached)
+    }
+
+    fn batch_work(&self) -> f64 {
+        self.inner.batch_work()
+    }
+
+    fn request_qos(&self) -> Option<RequestQos> {
+        self.inner.request_qos()
     }
 }
 

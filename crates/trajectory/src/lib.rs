@@ -18,7 +18,7 @@
 //! estimate before sampling; this crate does not. [`Kde`] exists and is
 //! tested, but it is reached only through the
 //! [`EmpiricalDistribution::kde`] inspection accessor and the `kernels`
-//! bench — never on the forecast path (ROADMAP item 6 records the gap).
+//! bench — never on the forecast path (ROADMAP `[judge]` records the gap).
 //!
 //! Modules:
 //!

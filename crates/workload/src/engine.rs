@@ -47,8 +47,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stayaway_obs::{attr, FlightRecorder, Layer, MetricsRegistry};
 use stayaway_telemetry::{
-    Action, AppClass, ContainerId, Observation, ObservationSource, RequestQos, ResourceKind,
-    ResourceVector, SourceKind, SourceMeta, TelemetryError, TickRecord,
+    splitmix64, Action, AppClass, ContainerId, Observation, ObservationSource, RequestQos,
+    ResourceKind, ResourceVector, SourceKind, SourceMeta, TelemetryError, TickRecord,
 };
 use std::collections::VecDeque;
 
@@ -69,16 +69,6 @@ fn sub_kinds(v: &mut ResourceVector, by: &ResourceVector, kinds: &[ResourceKind]
     for &k in kinds {
         v[k] = (v[k] - by[k]).max(0.0);
     }
-}
-
-/// SplitMix64 — the same mixer the rest of the workspace uses for seed
-/// derivation, reproduced here so tenant streams are stable even if the
-/// RNG crate changes its expansion.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -26,6 +26,17 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace
+# The perf ledger's lock file is frozen with the rest of `benchmarks/`, yet
+# a normal-dependency change in any workspace crate rewrites it. Resolve it
+# as `benchmarks/run.sh` would and fail if it moved.
+cargo metadata --offline --quiet --format-version 1 \
+    --manifest-path benchmarks/Cargo.toml > /dev/null
+if ! git diff --exit-code -- benchmarks/Cargo.lock; then
+    echo "check.sh: benchmarks/Cargo.lock moved (above): a workspace crate changed" \
+        "its normal dependencies, and only a change to the perf ledger may" \
+        "rewrite its lock file" >&2
+    exit 1
+fi
 # One workspace invocation runs every suite below; the comments say what
 # each pins.
 #

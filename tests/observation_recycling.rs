@@ -1,7 +1,7 @@
 //! Observation recycling is invisible: every source that refills a
 //! recycled observation in place — the simulator, the workload engine
-//! (tenants attached and detached mid-run), the trace tee and trace
-//! replay — yields, tick for tick, observations equal to a fresh run's,
+//! (tenants attached and detached mid-run), the trace tee, trace replay
+//! and the fault wrapper blanking observations in place — yields, tick for tick, observations equal to a fresh run's,
 //! whatever the recycled buffer held. Each recycled run hands back its own
 //! observation on most ticks and, on others, a stranger with more or fewer
 //! containers and long names, so a source that kept a stale value, a stale
@@ -10,8 +10,8 @@
 use stay_away::sim::scenario::Scenario;
 use stay_away::sim::Harness;
 use stay_away::telemetry::{
-    drive, Action, AppClass, ContainerId, ContainerObs, NullPolicy, Observation, ObservationSource,
-    RecordingSource, ResourceVector, TraceSource,
+    drive, Action, AppClass, ContainerId, ContainerObs, FaultySource, NullPolicy, Observation,
+    ObservationSource, RecordingSource, ResourceVector, TraceSource,
 };
 use stay_away::workload::{by_name, WorkloadHost};
 
@@ -98,6 +98,19 @@ fn a_recycled_simulator_observes_what_a_fresh_one_does() {
     let (_, _, compared) =
         recycled_equals_fresh(sim(&scenario), sim(&scenario), 300, throttle_now_and_then);
     assert_eq!(compared, 300);
+}
+
+#[test]
+fn a_recycled_faulty_simulator_observes_what_a_fresh_one_does() {
+    let scenario = Scenario::vlc_with_cpubomb(9);
+    let faulty = || FaultySource::new(sim(&scenario), 0.2, 0.5, 13).unwrap();
+    let (fresh, recycled, compared) =
+        recycled_equals_fresh(faulty(), faulty(), 300, throttle_now_and_then);
+    assert_eq!(compared, 300);
+    let faults = |s: &FaultySource<Harness>| (s.dropped_observations(), s.dropped_actions());
+    assert_eq!(faults(&recycled), faults(&fresh));
+    let (dropped, swallowed) = faults(&recycled);
+    assert!(dropped > 0 && swallowed > 0, "{dropped} / {swallowed}");
 }
 
 #[test]
