@@ -27,7 +27,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stayaway_core::stages::map::{COLUMN_STRESS_BUDGET, MIN_GATED_POINTS};
+use stayaway_core::stages::map::{
+    COLUMN_STRESS_BUDGET, MAX_SKIPPED_SOLVES, MIN_GATED_POINTS, MIN_SOLVE_GAIN,
+};
 use stayaway_core::stages::{MapStage, Sensed};
 use stayaway_core::ControllerConfig;
 use stayaway_mds::dedup::ReprSet;
@@ -56,15 +58,20 @@ const REPS: usize = 500;
 const REVISITS: usize = 2000;
 
 /// Naive-plumbing replica of the observe loop: identical normalise → dedup
-/// → place → gate → (warm-start SMACOF → Procrustes) pipeline, but every
-/// new representative rebuilds the distance matrix from scratch and every
-/// dedup/nearest query is a linear scan over all representatives.
+/// → place → gate → (warm-start SMACOF → Procrustes, outcome backoff)
+/// pipeline, but every new representative rebuilds the distance matrix
+/// from scratch and every dedup/nearest query is a linear scan over all
+/// representatives.
 struct FullRebuildBaseline {
     normalizer: Normalizer,
     repr: ReprSet,
     smacof: Smacof,
     embedding: Option<Embedding>,
     max_states: usize,
+    /// The map stage's outcome backoff: the current run of misfits
+    /// excused by futile solves, and how many of it are left.
+    backoff_run: usize,
+    backoff_left: usize,
 }
 
 impl FullRebuildBaseline {
@@ -81,6 +88,8 @@ impl FullRebuildBaseline {
             smacof: Smacof::new(2).max_iterations(SMACOF_SWEEPS),
             embedding: None,
             max_states,
+            backoff_run: 0,
+            backoff_left: 0,
         }
     }
 
@@ -101,8 +110,24 @@ impl FullRebuildBaseline {
         let prev = self.embedding.get_or_insert_with(|| Embedding::zeros(0, 2));
         let mut grown = warm_start_with_new_points(prev, &dissim).expect("warm start");
         let column_stress = self.smacof.place_last(&dissim, &mut grown).expect("place");
-        if grown.len() < MIN_GATED_POINTS || column_stress > COLUMN_STRESS_BUDGET {
-            let refined = self.smacof.embed_warm(&dissim, grown).expect("embed warm");
+        let gated = grown.len() >= MIN_GATED_POINTS;
+        let fits = gated && column_stress <= COLUMN_STRESS_BUDGET;
+        if gated && !fits && self.backoff_left > 0 {
+            self.backoff_left -= 1;
+        } else if !fits {
+            let (refined, trace) = self
+                .smacof
+                .embed_warm_traced(&dissim, grown)
+                .expect("embed warm");
+            if gated {
+                let futile = trace.relative_gain() < MIN_SOLVE_GAIN;
+                self.backoff_run = if futile {
+                    (2 * self.backoff_run).clamp(1, MAX_SKIPPED_SOLVES)
+                } else {
+                    0
+                };
+                self.backoff_left = self.backoff_run;
+            }
             grown = align_to_previous(refined, prev).expect("align");
         }
         *prev = grown;

@@ -217,7 +217,7 @@ mod tests {
     use crate::cluster::scenario::cluster_library;
 
     fn job_spec() -> JobSpec {
-        cluster_library()[0].jobs[0].clone()
+        cluster_library().unwrap()[0].jobs[0].clone()
     }
 
     #[test]

@@ -38,4 +38,4 @@ pub use job::{derive_job_seed, JobSpec};
 pub use outcome::{ClusterOutcome, HostRollup, JobRollup};
 pub use policy::{ClusterPolicy, ClusterPolicySpec, HostSnapshot, JobView};
 pub use runner::{Cluster, ClusterConfig};
-pub use scenario::{cluster_by_name, cluster_library, cluster_names, ClusterScenario};
+pub use scenario::{cluster_by_name, cluster_library, ClusterScenario};

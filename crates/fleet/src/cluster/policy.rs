@@ -703,7 +703,7 @@ mod tests {
             let extra = scaled(&spec, &extra);
             let pending = [ResourceVector::zero(), extra];
 
-            let library = cluster_library().into_iter().flat_map(|c| c.jobs);
+            let library = cluster_library().unwrap().into_iter().flat_map(|c| c.jobs);
             for job in library.chain([random.clone()]) {
                 let est = JobView::estimate(&job);
                 let old_est = reference::estimate(&job);

@@ -87,45 +87,54 @@ impl ClusterScenario {
 
 /// Strips the batch tenants out of a library workload scenario, leaving
 /// the sensitive residents, and renames the host.
-fn sensitive_only(library_name: &str, host_name: &str) -> WorkloadScenario {
-    let mut s = by_name(library_name).expect("library scenario");
+fn sensitive_only(library_name: &str, host_name: &str) -> Result<WorkloadScenario, FleetError> {
+    let mut s = full_host(library_name, host_name)?;
     s.tenants.retain(|t| t.class == AppClass::Sensitive);
-    s.name = host_name.into();
-    s
+    Ok(s)
 }
 
 /// A full library scenario (resident batch included), renamed.
-fn full_host(library_name: &str, host_name: &str) -> WorkloadScenario {
-    let mut s = by_name(library_name).expect("library scenario");
+fn full_host(library_name: &str, host_name: &str) -> Result<WorkloadScenario, FleetError> {
+    let mut s = by_name(library_name)?;
     s.name = host_name.into();
-    s
+    Ok(s)
 }
 
 /// A lightly loaded spare host: one loose-SLO key-value sensitive tenant,
 /// so the host is never empty but batch placed here runs nearly free.
-fn spare_host(host_name: &str, tenant: &str, rps: f64) -> WorkloadScenario {
-    let mut s = by_name("memcached-like").expect("library scenario");
-    s.tenants.retain(|t| t.class == AppClass::Sensitive);
-    s.name = host_name.into();
+fn spare_host(host_name: &str, tenant: &str, rps: f64) -> Result<WorkloadScenario, FleetError> {
+    let mut s = sensitive_only("memcached-like", host_name)?;
     s.description = "lightly loaded spare capacity".into();
     s.slo = SloSpec {
         deadline_ms: 25.0,
         target_satisfaction: 0.95,
     };
-    s.tenants[0].name = tenant.into();
-    s.tenants[0].arrival = ArrivalProcess::Poisson { rps };
-    s
+    let Some(first) = s.tenants.first_mut() else {
+        return Err(FleetError::InvalidConfig {
+            reason: "library scenario 'memcached-like' has no sensitive tenant".into(),
+        });
+    };
+    first.name = tenant.into();
+    first.arrival = ArrivalProcess::Poisson { rps };
+    Ok(s)
 }
 
 /// The movable version of a library scenario's batch tenant.
-fn job_from(library_name: &str, tenant: &str, job: &str, submit: u64, duration: u64) -> JobSpec {
-    let s = by_name(library_name).expect("library scenario");
-    let spec = s
+fn job_from(
+    library_name: &str,
+    tenant: &str,
+    job: &str,
+    submit: u64,
+    duration: u64,
+) -> Result<JobSpec, FleetError> {
+    let spec = by_name(library_name)?
         .tenants
         .into_iter()
         .find(|t| t.name == tenant && t.class == AppClass::Batch)
-        .expect("library batch tenant");
-    JobSpec {
+        .ok_or_else(|| FleetError::InvalidConfig {
+            reason: format!("library scenario '{library_name}' has no batch tenant '{tenant}'"),
+        })?;
+    Ok(JobSpec {
         name: job.into(),
         tenant: TenantSpec {
             name: job.into(),
@@ -133,7 +142,7 @@ fn job_from(library_name: &str, tenant: &str, job: &str, submit: u64, duration: 
         },
         submit_tick: submit,
         duration_ticks: duration,
-    }
+    })
 }
 
 /// A CPU-bound movable job built from scratch.
@@ -166,25 +175,32 @@ fn cpu_job(job: &str, rps: f64, service_ms: f64, submit: u64, duration: u64) -> 
 }
 
 /// The built-in cluster scenarios, in listing order.
-pub fn cluster_library() -> Vec<ClusterScenario> {
-    vec![
+///
+/// # Errors
+///
+/// Returns [`FleetError::Workload`] when a workload library scenario a
+/// cluster host or job is built from is missing, and
+/// [`FleetError::InvalidConfig`] when one lacks the tenant it is built
+/// from.
+pub fn cluster_library() -> Result<Vec<ClusterScenario>, FleetError> {
+    Ok(vec![
         ClusterScenario {
             name: "hotspot".into(),
             description: "a throttle-contested host, a steady host and spare capacity; \
                           four jobs arrive over time"
                 .into(),
             hosts: vec![
-                full_host("memcached-like", "steady"),
-                full_host("cpu-bomb", "contested"),
-                spare_host("spare", "edge-cache", 120.0),
+                full_host("memcached-like", "steady")?,
+                full_host("cpu-bomb", "contested")?,
+                spare_host("spare", "edge-cache", 120.0)?,
             ],
             jobs: vec![
-                job_from("video-transcode-like", "transcode", "transcode-run", 0, 120),
+                job_from("video-transcode-like", "transcode", "transcode-run", 0, 120)?,
                 // The library memory bomb fills a whole host's RAM; the
                 // movable version gets half the container pool so *some*
                 // host can always take it.
                 {
-                    let mut j = job_from("memory-bomb", "mem-bomb", "mem-sweep", 8, 112);
+                    let mut j = job_from("memory-bomb", "mem-bomb", "mem-sweep", 8, 112)?;
                     j.tenant.demand.max_containers = 2;
                     j
                 },
@@ -198,31 +214,26 @@ pub fn cluster_library() -> Vec<ClusterScenario> {
                           host and spare capacity; five jobs arrive over time"
                 .into(),
             hosts: vec![
-                full_host("multi-tenant-storm", "storm"),
-                full_host("phase-shift-batch", "phased"),
-                sensitive_only("flash-crowd", "bursty"),
-                spare_host("overflow", "logger", 80.0),
+                full_host("multi-tenant-storm", "storm")?,
+                full_host("phase-shift-batch", "phased")?,
+                sensitive_only("flash-crowd", "bursty")?,
+                spare_host("overflow", "logger", 80.0)?,
             ],
             jobs: vec![
-                job_from("cpu-bomb", "cpu-bomb", "bomb-run", 0, 128),
-                job_from("multi-tenant-storm", "mem-churn", "churn-run", 8, 112),
-                job_from("multi-tenant-storm", "log-ship", "ship-run", 16, 104),
+                job_from("cpu-bomb", "cpu-bomb", "bomb-run", 0, 128)?,
+                job_from("multi-tenant-storm", "mem-churn", "churn-run", 8, 112)?,
+                job_from("multi-tenant-storm", "log-ship", "ship-run", 16, 104)?,
                 job_from(
                     "video-transcode-like",
                     "transcode",
                     "transcode-batch",
                     24,
                     96,
-                ),
+                )?,
                 cpu_job("spill-crunch", 5.0, 500.0, 40, 80),
             ],
         },
-    ]
-}
-
-/// Names of the cluster library scenarios, in listing order.
-pub fn cluster_names() -> Vec<String> {
-    cluster_library().into_iter().map(|s| s.name).collect()
+    ])
 }
 
 /// Resolves a cluster scenario by name.
@@ -230,17 +241,17 @@ pub fn cluster_names() -> Vec<String> {
 /// # Errors
 ///
 /// Returns [`FleetError::InvalidConfig`] when no scenario of that name
-/// exists.
+/// exists, and propagates [`cluster_library`]'s errors.
 pub fn cluster_by_name(name: &str) -> Result<ClusterScenario, FleetError> {
-    cluster_library()
-        .into_iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| FleetError::InvalidConfig {
-            reason: format!(
-                "unknown cluster scenario '{name}' (expected one of: {})",
-                cluster_names().join(", ")
-            ),
-        })
+    let library = cluster_library()?;
+    let names: Vec<&str> = library.iter().map(|s| s.name.as_str()).collect();
+    let unknown = FleetError::InvalidConfig {
+        reason: format!(
+            "unknown cluster scenario '{name}' (expected one of: {})",
+            names.join(", ")
+        ),
+    };
+    library.into_iter().find(|s| s.name == name).ok_or(unknown)
 }
 
 #[cfg(test)]
@@ -249,8 +260,10 @@ mod tests {
 
     #[test]
     fn library_scenarios_validate() {
-        assert_eq!(cluster_names(), vec!["hotspot", "storm-cluster"]);
-        for s in cluster_library() {
+        let library = cluster_library().unwrap();
+        let names: Vec<&str> = library.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["hotspot", "storm-cluster"]);
+        for s in library {
             s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
             assert!(s.hosts.len() >= 3);
             assert!(s.jobs.len() >= 4);
@@ -264,8 +277,28 @@ mod tests {
     }
 
     #[test]
+    fn a_missing_library_piece_is_a_typed_error_not_a_panic() {
+        assert!(matches!(
+            full_host("no-such-scenario", "h"),
+            Err(FleetError::Workload(_))
+        ));
+        assert!(matches!(
+            sensitive_only("no-such-scenario", "h"),
+            Err(FleetError::Workload(_))
+        ));
+        let err = job_from("cpu-bomb", "no-such-tenant", "j", 0, 1).unwrap_err();
+        assert!(
+            matches!(&err, FleetError::InvalidConfig { reason } if reason.contains("no-such-tenant")),
+            "{err}"
+        );
+        // A sensitive tenant of that name is no batch tenant either.
+        assert!(job_from("memcached-like", "kv-front", "j", 0, 1).is_err());
+        assert!(spare_host("s", "t", 1.0).is_ok());
+    }
+
+    #[test]
     fn scenarios_round_trip_through_serde() {
-        for s in cluster_library() {
+        for s in cluster_library().unwrap() {
             let text = serde_json::to_string(&s).unwrap();
             let back: ClusterScenario = serde_json::from_str(&text).unwrap();
             assert_eq!(back, s);

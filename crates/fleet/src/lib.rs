@@ -70,9 +70,9 @@ mod pool;
 pub use aggregate::{CellSummary, FleetOutcome, PolicyRollup, PredictorRollup};
 pub use cell::{CellOutcome, CellPlan};
 pub use cluster::{
-    cluster_by_name, cluster_library, cluster_names, derive_job_seed, Cluster, ClusterAction,
-    ClusterConfig, ClusterOutcome, ClusterPolicy, ClusterPolicySpec, ClusterScenario, HostRollup,
-    HostSnapshot, JobRollup, JobSpec, JobView,
+    cluster_by_name, cluster_library, derive_job_seed, Cluster, ClusterAction, ClusterConfig,
+    ClusterOutcome, ClusterPolicy, ClusterPolicySpec, ClusterScenario, HostRollup, HostSnapshot,
+    JobRollup, JobSpec, JobView,
 };
 pub use config::FleetConfig;
 pub use error::FleetError;

@@ -27,11 +27,15 @@ const SEED: u64 = 3;
 
 /// (replicas of the 4-host set, replicas of the 5-job set, FNV-1a fold of
 /// the per-host `timeline_digest`s recorded at PR 22's parent `1d814af`).
+/// The 64×400 point was recorded again when the map stage gained its
+/// outcome gate on global solves (DESIGN.md §6, rule 4): the gate moves a
+/// host's map there, and with it that host's throttling. With the gate
+/// disabled the old digest, `0xc21d_88e8_1015_dc26`, comes back.
 const CURVE: [(usize, u64, u64); 5] = [
     (1, 2, 0x92a0_5cd5_3fbd_dc6c),
     (4, 8, 0x7d4d_4a33_5e89_f172),
     (8, 32, 0xac22_95dc_44e0_9dd0),
-    (16, 80, 0xc21d_88e8_1015_dc26),
+    (16, 80, 0x46f5_34b2_577c_5b17),
     (25, 200, 0xa6fa_836d_7439_26c8),
 ];
 

@@ -11,9 +11,42 @@
 //! traced through the deduplicated embedding.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::distance::Metric;
 use crate::MdsError;
+
+/// Multiply-rotate hash of the grid's integer cell keys (the FxHash
+/// round). The keys are small cell coordinates the map itself derives,
+/// not input an adversary picks to collide, so SipHash's resistance to
+/// hash flooding buys nothing here, and its cost showed on every insert's
+/// nine cell lookups.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellHasher(u64);
+
+impl CellHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_i64(&mut self, word: i64) {
+        self.add(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Uniform-grid bucket index over the first two coordinates of the
 /// (normalized, `[0, 1]`-ish) measurement space.
@@ -31,7 +64,7 @@ use crate::MdsError;
 #[derive(Debug, Clone)]
 struct GridIndex {
     side: f64,
-    buckets: HashMap<(i64, i64), Vec<usize>>,
+    buckets: HashMap<(i64, i64), Vec<usize>, BuildHasherDefault<CellHasher>>,
     /// Occupied-cell bounding box, `None` while empty.
     bounds: Option<((i64, i64), (i64, i64))>,
 }
@@ -43,7 +76,7 @@ impl GridIndex {
             // neighbourhood to be sound; for tiny/zero epsilon a coarser
             // side keeps the bucket count bounded instead.
             side: epsilon.max(0.05),
-            buckets: HashMap::new(),
+            buckets: HashMap::default(),
             bounds: None,
         }
     }

@@ -15,7 +15,9 @@
 //!
 //! * [`Smacof::embed`] — cold-start embedding seeded by classical MDS;
 //! * [`Smacof::embed_warm`] — warm-start from a previous configuration (new
-//!   points are appended via [`warm_start_with_new_points`]);
+//!   points are appended via [`warm_start_with_new_points`]); its traced
+//!   twin reports the solve's [`SolveTrace`], whose stress drop tells the
+//!   controller whether solving still pays;
 //! * [`Smacof::place_last`] — the same majorization restricted to one point,
 //!   every other point fixed: O(n) per round instead of O(n²) per sweep.
 //!   The Stay-Away controller fits each new state this way and falls back
@@ -103,14 +105,17 @@ impl Smacof {
         self.embed_warm(dissim, init)
     }
 
-    /// Like [`Smacof::embed`], but also reports how many majorization
-    /// sweeps ran — the same computation, traced for observability.
+    /// Like [`Smacof::embed`], but also reports what the solve did
+    /// ([`SolveTrace`]) — the same computation, traced.
     ///
     /// # Errors
     ///
     /// Propagates seed/solver failures; returns [`MdsError::Empty`] for an
     /// empty matrix.
-    pub fn embed_traced(&self, dissim: &DistanceMatrix) -> Result<(Embedding, u64), MdsError> {
+    pub fn embed_traced(
+        &self,
+        dissim: &DistanceMatrix,
+    ) -> Result<(Embedding, SolveTrace), MdsError> {
         let init = classical_mds(dissim, self.dim)?;
         self.embed_warm_traced(dissim, init)
     }
@@ -132,10 +137,10 @@ impl Smacof {
         self.embed_warm_traced(dissim, init).map(|(e, _)| e)
     }
 
-    /// Like [`Smacof::embed_warm`], but also reports how many
-    /// majorization sweeps ran before convergence (or the iteration
-    /// budget was exhausted) — the same computation, traced for
-    /// observability.
+    /// Like [`Smacof::embed_warm`], but also reports what the solve did
+    /// ([`SolveTrace`]): its sweeps and the raw stress at either end —
+    /// the same computation, traced. The stresses are the ones the sweeps
+    /// compute anyway, so tracing adds no pass.
     ///
     /// # Errors
     ///
@@ -145,7 +150,7 @@ impl Smacof {
         &self,
         dissim: &DistanceMatrix,
         init: Embedding,
-    ) -> Result<(Embedding, u64), MdsError> {
+    ) -> Result<(Embedding, SolveTrace), MdsError> {
         let n = dissim.len();
         if init.len() != n {
             return Err(MdsError::DimensionMismatch {
@@ -159,8 +164,9 @@ impl Smacof {
                 found: init.dim(),
             });
         }
+        let mut trace = SolveTrace::default();
         if n <= 1 {
-            return Ok((init, 0));
+            return Ok((init, trace));
         }
 
         // Two coordinate buffers ping-pong: a pass over X_k (`x`) leaves
@@ -172,17 +178,19 @@ impl Smacof {
         let dim = self.dim;
         let delta = dissim.condensed();
         let mut x = init.into_coords();
-        let mut sweeps = 0;
         if self.max_iterations > 0 {
             let mut next = vec![0.0; x.len()];
             let mut prev_stress = fused_pass(dim, &x, delta, &mut next);
+            trace.start_stress = prev_stress;
+            trace.last_stress = prev_stress;
             loop {
                 std::mem::swap(&mut x, &mut next);
-                sweeps += 1;
-                if sweeps == self.max_iterations {
+                trace.sweeps += 1;
+                if trace.sweeps == self.max_iterations as u64 {
                     break;
                 }
                 let stress = fused_pass(dim, &x, delta, &mut next);
+                trace.last_stress = stress;
                 // Relative improvement check (stress is monotonically
                 // non-increasing under the Guttman transform).
                 let denom = prev_stress.max(f64::MIN_POSITIVE);
@@ -192,7 +200,37 @@ impl Smacof {
                 prev_stress = stress;
             }
         }
-        Ok((Embedding::from_coords(dim, x)?, sweeps as u64))
+        Ok((Embedding::from_coords(dim, x)?, trace))
+    }
+}
+
+/// What one global solve did, beside the configuration it returned.
+///
+/// The stresses are raw (`Σ_{i<j} (d_ij − δ_ij)²`) and both 0.0 when no
+/// pass ran (fewer than two points, or a zero iteration budget). When the
+/// tolerance stops the solve, `last_stress` is that of the returned
+/// configuration; when the budget does, it is that of the iterate before
+/// it, which the Guttman transform guarantees is no lower — so
+/// [`SolveTrace::relative_gain`] never overstates what the solve did.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SolveTrace {
+    /// Majorization sweeps run before convergence or the budget's end.
+    pub sweeps: u64,
+    /// Raw stress of the start configuration.
+    pub start_stress: f64,
+    /// The last raw stress the solve computed.
+    pub last_stress: f64,
+}
+
+impl SolveTrace {
+    /// The share of the start's raw stress the solve removed,
+    /// `(start − last) / start`; 0.0 for a start without stress.
+    pub fn relative_gain(&self) -> f64 {
+        if self.start_stress > 0.0 {
+            (self.start_stress - self.last_stress) / self.start_stress
+        } else {
+            0.0
+        }
     }
 }
 
@@ -514,11 +552,11 @@ mod tests {
     fn zero_iteration_budget_returns_the_start_untouched() {
         let d = simplex(5);
         let init = classical_mds(&d, 2).unwrap();
-        let (e, sweeps) = Smacof::new(2)
+        let (e, trace) = Smacof::new(2)
             .max_iterations(0)
             .embed_warm_traced(&d, init.clone())
             .unwrap();
-        assert_eq!((e, sweeps), (init, 0));
+        assert_eq!((e, trace), (init, SolveTrace::default()));
     }
 
     #[test]
@@ -652,14 +690,18 @@ mod tests {
             .collect();
         let d = DistanceMatrix::from_vectors(&pts).unwrap();
         let plain = Smacof::new(2).embed(&d).unwrap();
-        let (traced, sweeps) = Smacof::new(2).embed_traced(&d).unwrap();
+        let (traced, trace) = Smacof::new(2).embed_traced(&d).unwrap();
         assert_eq!(plain, traced, "tracing must not change the embedding");
-        assert!(sweeps >= 1);
-        assert!(sweeps <= 300);
+        assert!(trace.sweeps >= 1);
+        assert!(trace.sweeps <= 300);
+        // The majorization never raises the stress.
+        assert!(trace.last_stress <= trace.start_stress);
+        assert!((0.0..=1.0).contains(&trace.relative_gain()));
         // A single point converges in zero sweeps.
         let d1 = DistanceMatrix::from_vectors(&[vec![1.0]]).unwrap();
-        let (_, sweeps) = Smacof::new(2).embed_traced(&d1).unwrap();
-        assert_eq!(sweeps, 0);
+        let (_, trace) = Smacof::new(2).embed_traced(&d1).unwrap();
+        assert_eq!(trace, SolveTrace::default());
+        assert_eq!(trace.relative_gain(), 0.0);
     }
 
     #[test]

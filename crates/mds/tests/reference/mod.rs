@@ -77,30 +77,43 @@ pub fn guttman_transform(x: &Embedding, dissim: &DistanceMatrix) -> Embedding {
     Embedding::from_coords(dim, out).expect("guttman transform preserves shape")
 }
 
+/// What the reference solve did: its sweeps, and the raw stress of every
+/// configuration it passed through, the start's first (empty for fewer
+/// than two points).
+pub struct Solve {
+    pub sweeps: u64,
+    pub stresses: Vec<f64>,
+}
+
 /// The warm-started solve: sweep, re-evaluate the stress, stop on a
 /// relative improvement below `tolerance` or after `max_iterations`
-/// sweeps. Returns the configuration and the number of sweeps run.
+/// sweeps. Returns the configuration and what the solve did.
 pub fn embed_warm_traced(
     dissim: &DistanceMatrix,
     init: Embedding,
     max_iterations: usize,
     tolerance: f64,
-) -> (Embedding, u64) {
+) -> (Embedding, Solve) {
+    let mut solve = Solve {
+        sweeps: 0,
+        stresses: Vec::new(),
+    };
     if dissim.len() <= 1 {
-        return (init, 0);
+        return (init, solve);
     }
     let mut x = init;
     let mut prev_stress = raw_stress(&x, dissim);
-    let mut sweeps = 0u64;
+    solve.stresses.push(prev_stress);
     for _ in 0..max_iterations {
         x = guttman_transform(&x, dissim);
-        sweeps += 1;
+        solve.sweeps += 1;
         let stress = raw_stress(&x, dissim);
+        solve.stresses.push(stress);
         let denom = prev_stress.max(f64::MIN_POSITIVE);
         if (prev_stress - stress) / denom < tolerance {
             break;
         }
         prev_stress = stress;
     }
-    (x, sweeps)
+    (x, solve)
 }

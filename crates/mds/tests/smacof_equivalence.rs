@@ -1,7 +1,8 @@
 //! The SMACOF solver against the test-only reference formulation
-//! (`reference/mod.rs`): same `Embedding` **bits** and same sweep count,
-//! for cold and warm starts, degenerate inputs and every way the loop can
-//! stop. Golden fixtures and ledger digests downstream rest on this.
+//! (`reference/mod.rs`): same `Embedding` **bits**, same sweep count and
+//! the same reported stresses, for cold and warm starts, degenerate inputs
+//! and every way the loop can stop. Golden fixtures and ledger digests
+//! downstream rest on this.
 
 mod reference;
 
@@ -9,7 +10,7 @@ use proptest::prelude::*;
 use reference::bits;
 use stayaway_mds::classical::classical_mds;
 use stayaway_mds::distance::DistanceMatrix;
-use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
+use stayaway_mds::smacof::{warm_start_with_new_points, Smacof, SolveTrace};
 use stayaway_mds::Embedding;
 
 /// Deterministic uniform `[0, 1)` stream (splitmix64) so a failing case is
@@ -58,7 +59,8 @@ fn configuration(n: usize, dim: usize, seed: u64) -> Embedding {
     Embedding::from_coords(dim, coords).unwrap()
 }
 
-/// Runs solver and reference from `init` and compares bits + sweep count.
+/// Runs solver and reference from `init` and compares bits, sweep count
+/// and reported stresses.
 fn assert_same_solve(
     d: &DistanceMatrix,
     init: Embedding,
@@ -68,10 +70,31 @@ fn assert_same_solve(
     let solver = Smacof::new(init.dim())
         .max_iterations(budget)
         .tolerance(tolerance);
-    let (got, got_sweeps) = solver.embed_warm_traced(d, init.clone()).unwrap();
-    let (want, want_sweeps) = reference::embed_warm_traced(d, init, budget, tolerance);
-    prop_assert_eq!(got_sweeps, want_sweeps);
+    let (got, trace) = solver.embed_warm_traced(d, init.clone()).unwrap();
+    let (want, solve) = reference::embed_warm_traced(d, init, budget, tolerance);
     prop_assert_eq!(bits(&got), bits(&want));
+    assert_same_trace(&trace, &solve, budget)
+}
+
+/// The solver's [`SolveTrace`] against the stresses the reference
+/// evaluated: the start's, and the last one the solver itself computes —
+/// of the returned configuration when the tolerance stopped it, of the
+/// iterate before when the budget did (it skips that trailing pass).
+fn assert_same_trace(
+    trace: &SolveTrace,
+    solve: &reference::Solve,
+    budget: usize,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(trace.sweeps, solve.sweeps);
+    if budget == 0 || solve.stresses.is_empty() {
+        // No pass ran.
+        prop_assert_eq!(*trace, SolveTrace::default());
+        return Ok(());
+    }
+    let sweeps = solve.sweeps as usize;
+    let last = if sweeps == budget { sweeps - 1 } else { sweeps };
+    prop_assert_eq!(trace.start_stress.to_bits(), solve.stresses[0].to_bits());
+    prop_assert_eq!(trace.last_stress.to_bits(), solve.stresses[last].to_bits());
     Ok(())
 }
 
@@ -124,11 +147,10 @@ proptest! {
     ) {
         let d = dissimilarities(n, seed);
         let solver = Smacof::new(dim).max_iterations(budget).tolerance(tolerance);
-        let (got, got_sweeps) = solver.embed_traced(&d).unwrap();
+        let (got, trace) = solver.embed_traced(&d).unwrap();
         let seed_config = classical_mds(&d, dim).unwrap();
-        let (want, want_sweeps) =
-            reference::embed_warm_traced(&d, seed_config, budget, tolerance);
-        prop_assert_eq!(got_sweeps, want_sweeps);
+        let (want, solve) = reference::embed_warm_traced(&d, seed_config, budget, tolerance);
+        assert_same_trace(&trace, &solve, budget)?;
         prop_assert_eq!(bits(&got), bits(&want));
         prop_assert_eq!(bits(&solver.embed(&d).unwrap()), bits(&want));
     }
@@ -143,13 +165,13 @@ fn non_finite_stress_terminates_at_the_iteration_budget() {
     for poison in [f64::NAN, f64::INFINITY] {
         let mut init = configuration(12, 2, 1);
         init.point_mut(3)[1] = poison;
-        let (e, sweeps) = Smacof::new(2)
+        let (e, trace) = Smacof::new(2)
             .max_iterations(9)
             .embed_warm_traced(&d, init.clone())
             .unwrap();
-        assert_eq!(sweeps, 9);
+        assert_eq!(trace.sweeps, 9);
         assert_eq!(e.len(), 12);
-        let (_, want_sweeps) = reference::embed_warm_traced(&d, init, 9, 1e-8);
-        assert_eq!(want_sweeps, 9);
+        let (_, solve) = reference::embed_warm_traced(&d, init, 9, 1e-8);
+        assert_eq!(solve.sweeps, 9);
     }
 }

@@ -284,6 +284,7 @@ pub struct MappingMetrics {
     smacof_runs: Counter,
     smacof_iterations: Histogram,
     placements: Counter,
+    solves_skipped: Counter,
     final_stress: Gauge,
     column_stress: Gauge,
     dedup_ratio: Gauge,
@@ -315,7 +316,11 @@ impl MappingMetrics {
             ),
             placements: registry.counter(
                 "stayaway_mapping_placements_total",
-                "New states kept where single-point placement put them, no other state moved",
+                "New states that fit the map where single-point placement put them, no other state moved",
+            ),
+            solves_skipped: registry.counter(
+                "stayaway_mapping_solves_skipped_total",
+                "Misfit new states placed without a global solve because the solves before them were futile",
             ),
             final_stress: registry.gauge(
                 "stayaway_mapping_final_stress",
@@ -366,17 +371,23 @@ impl MappingMetrics {
         self.soft_capped.inc();
     }
 
-    /// One new state fitted by single-point placement, and whether the
-    /// map was `kept` as it stood or went on to a global solve; the column
-    /// stress that decided it is published in deep mode, beside the final
-    /// stress.
-    pub fn on_placement(&self, column_stress: f64, kept: bool) {
-        if kept {
+    /// One new state fitted by single-point placement, and whether it
+    /// `fits` the map as it stood (a misfit goes on to a global solve, or
+    /// to [`MappingMetrics::on_solve_skipped`]); the column stress that
+    /// decided it is published in deep mode, beside the final stress.
+    pub fn on_placement(&self, column_stress: f64, fits: bool) {
+        if fits {
             self.placements.inc();
         }
         if self.deep {
             self.column_stress.set(column_stress);
         }
+    }
+
+    /// One misfit state kept where placement put it, its global solve
+    /// skipped because the solves before it were futile.
+    pub fn on_solve_skipped(&self) {
+        self.solves_skipped.inc();
     }
 
     /// One global SMACOF solve completed with `sweeps` majorization

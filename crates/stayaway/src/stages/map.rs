@@ -3,10 +3,10 @@
 //! The stage normalises each measurement vector into `[0, 1]` per metric,
 //! deduplicates it into a representative sample set, places a new
 //! representative into the 2-D map (re-solving the whole map only when it
-//! does not fit) and keeps the labelled [`StateMap`] in step with that
-//! embedding. Later stages consult it read-only: prediction tests
-//! candidate points against violation-ranges, action estimates whether a
-//! resume would land in one.
+//! does not fit and recent solves have paid) and keeps the labelled
+//! [`StateMap`] in step with that embedding. Later stages consult it
+//! read-only: prediction tests candidate points against violation-ranges,
+//! action estimates whether a resume would land in one.
 
 use super::sense::Sensed;
 use crate::config::ControllerConfig;
@@ -36,6 +36,19 @@ pub const COLUMN_STRESS_BUDGET: f64 = 0.05;
 /// about the map.
 pub const MIN_GATED_POINTS: usize = 4;
 
+/// Smallest share of its start's raw stress a global solve must remove to
+/// count as useful (`stayaway_mds::smacof::SolveTrace::relative_gain`).
+/// A solve that removes less was futile: the map already sat at the floor
+/// no planar layout of these states gets below, and the misfit that asked
+/// for it says only that the states are not planar. Not a setting, for the
+/// reason [`COLUMN_STRESS_BUDGET`] is not (DESIGN.md §6).
+pub const MIN_SOLVE_GAIN: f64 = 0.01;
+
+/// Most misfits placed without a solve after one futile solve: the first
+/// futile solve excuses the next misfit, each consecutive one doubles the
+/// run (1, 2, 4 … this cap), and the first useful solve ends it.
+pub const MAX_SKIPPED_SOLVES: usize = 64;
+
 /// Where one observation landed in the state map.
 #[derive(Debug, Clone, Copy)]
 pub struct MappedState {
@@ -53,8 +66,9 @@ enum Insert {
     /// Merged into an existing representative (past `max_states`, absorbed
     /// by the nearest one).
     Merged(usize),
-    /// A new representative, placed into the map as it stands: every other
-    /// position kept its bits.
+    /// A new representative, placed into the map as it stands — it fit, or
+    /// the outcome gate excused its misfit: every other position kept its
+    /// bits.
     Placed(usize),
     /// A new representative that did not fit, so the whole map was
     /// re-solved and every position may have moved.
@@ -66,6 +80,40 @@ impl Insert {
         match self {
             Insert::Merged(rep) | Insert::Placed(rep) | Insert::Relaid(rep) => rep,
         }
+    }
+}
+
+/// The outcome gate on global solves: after a futile solve (one that
+/// removed less than [`MIN_SOLVE_GAIN`] of the stress) the next misfits are
+/// placed instead of solved, a run that doubles with every consecutive
+/// futile solve up to [`MAX_SKIPPED_SOLVES`]; a useful solve resets it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SolveBackoff {
+    /// Length of the current run of excused misfits; 0 after a useful
+    /// solve (or none yet).
+    run: usize,
+    /// Misfits of the current run still to be placed without a solve.
+    left: usize,
+}
+
+impl SolveBackoff {
+    /// True (and one excuse spent) when this misfit is to be placed
+    /// instead of solved.
+    fn skip(&mut self) -> bool {
+        let skip = self.left > 0;
+        self.left -= usize::from(skip);
+        skip
+    }
+
+    /// Folds in the outcome of a global solve that removed `gain` of its
+    /// start's stress.
+    fn record(&mut self, gain: f64) {
+        *self = if gain < MIN_SOLVE_GAIN {
+            let run = (2 * self.run).clamp(1, MAX_SKIPPED_SOLVES);
+            SolveBackoff { run, left: run }
+        } else {
+            SolveBackoff::default()
+        };
     }
 }
 
@@ -83,6 +131,7 @@ pub struct MapStage {
     /// bump hit counts — so cached entries can never go stale.
     dissim: Option<DistanceMatrix>,
     smacof: Smacof,
+    backoff: SolveBackoff,
     embedding: Option<Embedding>,
     map: StateMap,
     max_states: usize,
@@ -122,6 +171,7 @@ impl MapStage {
             repr: ReprSet::new(config.dedup_epsilon)?.grid_indexed(),
             dissim: None,
             smacof: Smacof::new(2).max_iterations(config.smacof_iterations),
+            backoff: SolveBackoff::default(),
             embedding: None,
             map: StateMap::new(),
             max_states: config.max_states,
@@ -437,8 +487,10 @@ impl MapStage {
     /// [`COLUMN_STRESS_BUDGET`] the map is kept: no old coordinate moves and
     /// there is nothing to align. Otherwise the point says the map is wrong
     /// around it, and the whole configuration is re-solved from that start
-    /// and Procrustes-aligned back to the previous frame. True when the map
-    /// was re-laid rather than the one point placed.
+    /// and Procrustes-aligned back to the previous frame — unless the
+    /// solves before it were futile ([`SolveBackoff`]), in which case the
+    /// misfit is kept where it was placed, as a fitting point is. True
+    /// when the map was re-laid rather than the one point placed.
     fn re_embed(&mut self) -> Result<bool, CoreError> {
         let dissim = Self::refresh_dissim(
             &mut self.dissim,
@@ -448,20 +500,29 @@ impl MapStage {
         let prev = self.embedding.get_or_insert_with(|| Embedding::zeros(0, 2));
         let mut grown = warm_start_with_new_points(prev, dissim)?;
         let column_stress = self.smacof.place_last(dissim, &mut grown)?;
-        let fits = grown.len() >= MIN_GATED_POINTS && column_stress <= COLUMN_STRESS_BUDGET;
+        let gated = grown.len() >= MIN_GATED_POINTS;
+        let fits = gated && column_stress <= COLUMN_STRESS_BUDGET;
+        let skipped = gated && !fits && self.backoff.skip();
         if let Some(m) = &self.metrics {
             m.on_placement(column_stress, fits);
+            if skipped {
+                m.on_solve_skipped();
+            }
         }
-        if fits {
+        if fits || skipped {
             *prev = grown;
             return Ok(false);
         }
         let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
-        let (refined, sweeps) = self.smacof.embed_warm_traced(dissim, grown)?;
+        let (refined, trace) = self.smacof.embed_warm_traced(dissim, grown)?;
+        if gated {
+            // A forced solve of a small map says nothing about its floor.
+            self.backoff.record(trace.relative_gain());
+        }
         let aligned = align_to_previous(refined, prev)?;
         if let (Some(m), Some(t0)) = (&self.metrics, start) {
             m.on_embed_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            m.on_smacof(sweeps);
+            m.on_smacof(trace.sweeps);
             m.on_stress(|| aligned.stress(dissim).ok());
         }
         *prev = aligned;
@@ -669,18 +730,52 @@ mod tests {
         raw(2.0, 4000.0, 3.6, 7400.0)
     }
 
+    /// Eight vectors off the plane of [`planar_stream`], each farther out
+    /// along one tilted line than the last: every one is a misfit, and
+    /// each solve finds a map that fits the new tilt markedly better than
+    /// the placement did.
+    fn tilt_stream() -> Vec<Vec<f64>> {
+        (1..=8)
+            .map(|k| {
+                let t = f64::from(k) / 8.0;
+                raw(
+                    0.4 + 3.2 * t,
+                    800.0 + 6400.0 * (1.0 - t),
+                    3.9 * t,
+                    7900.0 * t,
+                )
+            })
+            .collect()
+    }
+
+    /// A sweep back across the tilt from the far corner: misfits whose
+    /// solves cannot lower the stress of the map the tilt left.
+    fn sweep_back() -> Vec<Vec<f64>> {
+        (0..8)
+            .map(|k| {
+                let t = f64::from(k) / 8.0;
+                raw(3.9 * t, 8000.0 * t, 3.9 * (1.0 - t), 7900.0 * (1.0 - t))
+            })
+            .collect()
+    }
+
+    /// Inserts `r` (a new state, not a merge) and reports what it did.
+    fn insert_new(s: &mut MapStage, r: &[f64]) -> Insert {
+        let inserted = s.insert(&s.normalize(r).unwrap()).unwrap();
+        assert!(
+            !matches!(inserted, Insert::Merged(_)),
+            "the stream repeats no state"
+        );
+        inserted
+    }
+
     #[test]
     fn states_that_fit_are_placed_and_a_misfit_re_solves_once() {
         let mut s = stage();
         let mut relaid = Vec::new();
         for r in planar_stream(24).iter().chain([&misfit()]) {
             let before = s.embedding().cloned();
-            let inserted = s.insert(&s.normalize(r).unwrap()).unwrap();
-            assert!(
-                !matches!(inserted, Insert::Merged(_)),
-                "the stream repeats no state"
-            );
-            let is_relaid = matches!(inserted, Insert::Relaid(_));
+            let is_relaid = matches!(insert_new(&mut s, r), Insert::Relaid(_));
             if let (Some(before), false) = (before, is_relaid) {
                 // A placed state moves nothing but itself, to the bit.
                 let after = s.embedding().unwrap();
@@ -692,9 +787,84 @@ mod tests {
             relaid.push(is_relaid);
         }
         // Below MIN_GATED_POINTS every insert solves; from there on no
-        // planar state does, and the one misfit does exactly once.
+        // planar state does, and the one misfit does exactly once — a
+        // useful solve, so the outcome gate stays open.
         let solves: Vec<usize> = (0..relaid.len()).filter(|&i| relaid[i]).collect();
         assert_eq!(solves, [0, 1, 2, 24]);
+        assert_eq!(s.backoff, SolveBackoff::default());
+    }
+
+    #[test]
+    fn solve_backoff_doubles_per_futile_solve_up_to_its_cap() {
+        let mut b = SolveBackoff::default();
+        assert!(!b.skip(), "no solve yet, nothing to excuse");
+        let mut runs = Vec::new();
+        for _ in 0..9 {
+            b.record(MIN_SOLVE_GAIN / 2.0);
+            let mut run = 0;
+            while b.skip() {
+                run += 1;
+            }
+            runs.push(run);
+        }
+        assert_eq!(runs, [1, 2, 4, 8, 16, 32, 64, 64, 64]);
+        // A gain of exactly the threshold is useful: the run ends.
+        b.record(MIN_SOLVE_GAIN);
+        assert_eq!(b, SolveBackoff::default());
+        b.record(0.0);
+        assert_eq!(b, SolveBackoff { run: 1, left: 1 });
+    }
+
+    #[test]
+    fn a_futile_solve_arms_the_backoff() {
+        let mut s = stage();
+        for r in planar_stream(25).iter().chain(&tilt_stream()) {
+            insert_new(&mut s, r);
+        }
+        assert_eq!(s.backoff, SolveBackoff::default());
+        // The sweep's first three misfits solve, the third to no effect;
+        // the next misfit is placed where it landed, every old coordinate
+        // kept.
+        let back = sweep_back();
+        for r in &back[..3] {
+            assert!(matches!(insert_new(&mut s, r), Insert::Relaid(_)));
+        }
+        assert_eq!(s.backoff, SolveBackoff { run: 1, left: 1 });
+        let before = s.embedding().unwrap().clone();
+        assert!(matches!(insert_new(&mut s, &back[3]), Insert::Placed(_)));
+        assert_eq!(s.backoff, SolveBackoff { run: 1, left: 0 });
+        for i in 0..before.len() {
+            assert_eq!(s.embedding().unwrap().point(i), before.point(i));
+        }
+    }
+
+    #[test]
+    fn a_useful_solve_resets_the_backoff() {
+        let mut s = stage();
+        for r in &planar_stream(24) {
+            insert_new(&mut s, r);
+        }
+        // As after a run of futile solves whose excuses are spent.
+        s.backoff = SolveBackoff { run: 16, left: 0 };
+        assert!(matches!(insert_new(&mut s, &misfit()), Insert::Relaid(_)));
+        assert_eq!(s.backoff, SolveBackoff::default());
+    }
+
+    #[test]
+    fn a_map_whose_solves_keep_lowering_stress_never_skips() {
+        let registry = MetricsRegistry::new();
+        let mut s = stage().with_metrics(MappingMetrics::register(&registry, false));
+        for r in &planar_stream(25) {
+            ingest(&mut s, r);
+        }
+        for r in &tilt_stream() {
+            assert!(matches!(insert_new(&mut s, r), Insert::Relaid(_)));
+            assert_eq!(s.backoff, SolveBackoff::default());
+        }
+        assert_eq!(
+            counter(&registry, "stayaway_mapping_solves_skipped_total"),
+            0
+        );
     }
 
     #[test]
@@ -702,7 +872,9 @@ mod tests {
         let stream: Vec<Vec<f64>> = planar_stream(16)
             .into_iter()
             .chain([misfit()])
-            .chain(planar_stream(20).split_off(16))
+            .chain(planar_stream(25).split_off(16))
+            .chain(tilt_stream())
+            .chain(sweep_back())
             .collect();
         let run = |registry: Option<&MetricsRegistry>| {
             let mut s = stage();
@@ -717,12 +889,18 @@ mod tests {
         let registry = MetricsRegistry::new();
         let bare = run(None);
         assert_eq!(bare, run(Some(&registry)), "instruments changed the map");
-        // The instrumented run went down both arms of the gate, and every
-        // state is accounted for by exactly one of them.
+        // The instrumented run went down all three ways a new state
+        // takes — fits and placed, misfit and solved, misfit excused by a
+        // futile solve and placed — and every state is accounted for by
+        // exactly one of them.
         let placed = counter(&registry, "stayaway_mapping_placements_total");
         let solved = counter(&registry, "stayaway_mapping_smacof_runs_total");
-        assert!(placed > 0 && solved > 3, "placed {placed}, solved {solved}");
-        assert_eq!(placed + solved, bare.len() as u64);
+        let skipped = counter(&registry, "stayaway_mapping_solves_skipped_total");
+        assert!(
+            placed > 0 && solved > 3 && skipped > 0,
+            "placed {placed}, solved {solved}, skipped {skipped}"
+        );
+        assert_eq!(placed + solved + skipped, bare.len() as u64);
     }
 
     #[test]

@@ -770,7 +770,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             )?;
             writeln!(out, "predictors:             {predictors}")?;
             writeln!(out, "workload scenarios:     see `stayaway scenarios`")?;
-            for c in cluster_library() {
+            for c in cluster_library()? {
                 let (name, about) = (c.name, c.description);
                 writeln!(out, "cluster scenario:       {name:<14} {about}")?;
             }
