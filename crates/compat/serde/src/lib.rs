@@ -16,6 +16,7 @@
 //! transparently, unit enum variants as strings and data-carrying variants
 //! as single-key objects.
 
+mod ryu;
 pub mod value;
 
 pub use value::{Number, Value};

@@ -8,7 +8,7 @@
 //! tree.
 
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// A JSON number. The three variants preserve the distinction between
 /// unsigned, signed and floating-point sources so integer round-trips are
@@ -206,7 +206,10 @@ pub fn write_json_string(out: &mut String, s: &str) {
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
             _ => {
-                let _ = write!(out, "\\u{b:04x}");
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
         }
     }
@@ -214,23 +217,49 @@ pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends a float in Rust's shortest round-trip formatting. Integral
-/// floats keep a ".0" so they re-parse as [`Number::F64`]; Rust never emits
-/// exponent notation, so huge integral floats (|n| ≥ 1e15, fract 0) would
-/// otherwise print as bare digit runs and re-parse down the integer path.
-/// JSON has no non-finite numbers: those render as `null`, as
-/// `Serialize for f64` maps them.
+/// Appends a float as Rust's `{}` prints it, and so as it parses back: the
+/// shortest decimal that round-trips, never in exponent notation. Integral
+/// floats keep a ".0" so they re-parse as [`Number::F64`]; huge integral
+/// floats (|n| ≥ 1e15) would otherwise print as bare digit runs and
+/// re-parse down the integer path. JSON has no non-finite numbers: those
+/// render as `null`, as `Serialize for f64` maps them.
+///
+/// The digits come from Ryu's shortest round-trip core with an exact tie
+/// rounded up, as core's formatter rounds it, so the bytes are those of
+/// `format!("{n}")` (with the ".0" rule above) without going through
+/// `core::fmt`. Integral values below 1e15 are written as integers.
 pub fn write_json_f64(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{n:.1}");
+        return;
+    }
+    if n.is_sign_negative() {
+        out.push('-');
+    }
+    let n = n.abs();
+    if n < 1e15 && (n as u64) as f64 == n {
+        write_json_u64(out, n as u64);
+        out.push_str(".0");
+        return;
+    }
+    let (mantissa, exponent) = crate::ryu::d2d(n);
+    let mut buf = [0; 20];
+    let digits = decimal_digits(mantissa, &mut buf);
+    // Digits before the decimal point; none or all are possible.
+    let point = exponent + digits.len() as i32;
+    if point <= 0 {
+        out.push_str("0.");
+        push_zeros(out, point.unsigned_abs() as usize);
+        push_ascii(out, digits);
+    } else if (point as usize) < digits.len() {
+        let (whole, fraction) = digits.split_at(point as usize);
+        push_ascii(out, whole);
+        out.push('.');
+        push_ascii(out, fraction);
     } else {
-        let start = out.len();
-        let _ = write!(out, "{n}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
-        }
+        push_ascii(out, digits);
+        push_zeros(out, point as usize - digits.len());
+        out.push_str(".0");
     }
 }
 
@@ -241,12 +270,62 @@ pub fn write_json_bool(out: &mut String, b: bool) {
 
 /// Appends an unsigned integer.
 pub fn write_json_u64(out: &mut String, n: u64) {
-    let _ = write!(out, "{n}");
+    let mut buf = [0; 20];
+    push_ascii(out, decimal_digits(n, &mut buf));
 }
 
 /// Appends a signed integer.
 pub fn write_json_i64(out: &mut String, n: i64) {
-    let _ = write!(out, "{n}");
+    if n < 0 {
+        out.push('-');
+    }
+    write_json_u64(out, n.unsigned_abs());
+}
+
+/// The decimal digits of `n`, written two at a time from the end of `buf`.
+fn decimal_digits(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    const PAIRS: &[u8; 200] = b"\
+        0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    &buf[at..]
+}
+
+/// Appends ASCII bytes one `char` at a time: masking to seven bits
+/// tells the compiler each is one UTF-8 byte, which makes a push cheaper
+/// than checking the run with `str::from_utf8`.
+fn push_ascii(out: &mut String, ascii: &[u8]) {
+    for &b in ascii {
+        out.push(char::from(b & 0x7f));
+    }
+}
+
+/// Appends `count` zeros in slices of one constant, which measured faster
+/// than extending by a `char` iterator on the usual count of none.
+fn push_zeros(out: &mut String, mut count: usize) {
+    const ZEROS: &str = "0000000000000000000000000000000000000000000000000000000000000000";
+    while count > ZEROS.len() {
+        out.push_str(ZEROS);
+        count -= ZEROS.len();
+    }
+    out.push_str(&ZEROS[..count]);
 }
 
 impl fmt::Display for Value {
@@ -271,6 +350,11 @@ pub fn parse_json(input: &str) -> Result<Value, String> {
     Ok(value)
 }
 
+/// How deep [`Cursor::value`] and [`Cursor::skip_value`] nest arrays and
+/// objects, as `serde_json`'s default recursion limit: each level is a
+/// stack frame, and text nested a million deep would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 /// A pull cursor over JSON text: the tokenizer [`parse_json`] is built on,
 /// public so a reader that knows its schema can decode straight into its
 /// own types. Every reader skips leading JSON whitespace, consumes exactly
@@ -287,16 +371,19 @@ impl<'a> Cursor<'a> {
         Cursor { text, pos: 0 }
     }
 
+    #[inline]
     fn bytes(&self) -> &'a [u8] {
         self.text.as_bytes()
     }
 
     /// The byte at the cursor, whitespace included.
+    #[inline]
     fn at(&self) -> Option<u8> {
         self.bytes().get(self.pos).copied()
     }
 
     /// Skips JSON whitespace (space, tab, line feed, carriage return).
+    #[inline]
     pub fn skip_ws(&mut self) {
         while matches!(self.at(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -304,6 +391,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The first byte of the next token, without consuming it.
+    #[inline]
     pub fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
         self.at()
@@ -314,6 +402,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// When the next token does not start with `b`.
+    #[inline]
     pub fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -345,6 +434,7 @@ impl<'a> Cursor<'a> {
     ///
     /// When the next token is not a string, the string is unterminated or
     /// an escape is malformed.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
         let mut owned: Option<String> = None;
@@ -428,6 +518,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// When the next token is not a number or does not fit its type.
+    #[inline]
     pub fn number(&mut self) -> Result<Number, String> {
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return Err(format!("expected number at byte {}", self.pos));
@@ -462,6 +553,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    #[inline]
     fn skip_digits(&mut self) {
         while self.at().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
@@ -473,6 +565,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// Those of [`Cursor::number`].
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, String> {
         self.number().map(|n| n.as_f64())
     }
@@ -483,6 +576,7 @@ impl<'a> Cursor<'a> {
     ///
     /// Those of [`Cursor::number`], or when the number is negative or has
     /// a fraction or exponent.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, String> {
         self.skip_ws();
         let start = self.pos;
@@ -498,6 +592,7 @@ impl<'a> Cursor<'a> {
     /// # Errors
     ///
     /// When the next token is neither.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, String> {
         match self.peek() {
             Some(b't') => self.keyword("true").map(|()| true),
@@ -506,6 +601,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    #[inline]
     fn keyword(&mut self, kw: &str) -> Result<(), String> {
         if self.bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
@@ -579,16 +675,22 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     ///
-    /// On the first syntax error.
+    /// On the first syntax error, or when arrays and objects nest more
+    /// than 128 deep.
     pub fn value(&mut self) -> Result<Value, String> {
+        self.value_within(MAX_DEPTH)
+    }
+
+    fn value_within(&mut self, depth: usize) -> Result<Value, String> {
         match self.peek() {
             Some(b'n') => self.keyword("null").map(|()| Value::Null),
             Some(b't' | b'f') => self.bool().map(Value::Bool),
             Some(b'"') => self.string().map(|s| Value::String(s.into_owned())),
+            Some(b'[' | b'{') if depth == 0 => Err(self.too_deep()),
             Some(b'[') => {
                 let mut items = Vec::new();
                 self.array(|cursor| {
-                    items.push(cursor.value()?);
+                    items.push(cursor.value_within(depth - 1)?);
                     Ok(())
                 })?;
                 Ok(Value::Array(items))
@@ -596,7 +698,7 @@ impl<'a> Cursor<'a> {
             Some(b'{') => {
                 let mut entries = Vec::new();
                 self.object(|cursor, key| {
-                    entries.push((key.into_owned(), cursor.value()?));
+                    entries.push((key.into_owned(), cursor.value_within(depth - 1)?));
                     Ok(())
                 })?;
                 Ok(Value::Object(entries))
@@ -611,17 +713,27 @@ impl<'a> Cursor<'a> {
     ///
     /// # Errors
     ///
-    /// On the first syntax error.
+    /// On the first syntax error, or when arrays and objects nest more
+    /// than 128 deep.
     pub fn skip_value(&mut self) -> Result<(), String> {
+        self.skip_within(MAX_DEPTH)
+    }
+
+    fn skip_within(&mut self, depth: usize) -> Result<(), String> {
         match self.peek() {
             Some(b'n') => self.keyword("null"),
             Some(b't' | b'f') => self.bool().map(drop),
             Some(b'"') => self.string().map(drop),
-            Some(b'[') => self.array(Self::skip_value),
-            Some(b'{') => self.object(|cursor, _| cursor.skip_value()),
+            Some(b'[' | b'{') if depth == 0 => Err(self.too_deep()),
+            Some(b'[') => self.array(|cursor| cursor.skip_within(depth - 1)),
+            Some(b'{') => self.object(|cursor, _| cursor.skip_within(depth - 1)),
             Some(b'-' | b'0'..=b'9') => self.number().map(drop),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    fn too_deep(&self) -> String {
+        format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos)
     }
 }
 
@@ -666,6 +778,15 @@ mod tests {
             Some(2)
         );
         assert!(v.get("z").is_none());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_err_and(|e| e.contains("nesting deeper")));
+        assert!(Cursor::new(&nested(MAX_DEPTH)).skip_value().is_ok());
+        assert!(Cursor::new(&nested(MAX_DEPTH + 1)).skip_value().is_err());
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! The JSON text layer from outside: rendering is pinned byte for byte,
-//! the string scan is linear and escape-correct.
+//! the scalar writers print what `core::fmt` prints, the string scan is
+//! linear and escape-correct.
 
-use serde::value::{parse_json, write_json_string, Number, Value};
+use std::fmt::Write as _;
+
+use serde::value::{
+    parse_json, write_json_f64, write_json_i64, write_json_string, write_json_u64, Number, Value,
+};
 
 /// SplitMix64: a fixed stream, so the corpus is the same on every build.
 struct Rng(u64);
@@ -182,5 +187,179 @@ fn every_control_character_round_trips() {
             "{code:#x} left raw: {text:?}"
         );
         assert_eq!(parsed_string(&text), original, "{code:#x} via {text}");
+    }
+}
+
+/// The float rule `write_json_f64` followed while it formatted through
+/// `core::fmt`, kept verbatim as the oracle of the writer that replaced it.
+fn oracle_f64(n: f64) -> String {
+    let mut out = String::new();
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 1e15 {
+        let _ = write!(out, "{n:.1}");
+    } else {
+        let start = out.len();
+        let _ = write!(out, "{n}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    }
+    out
+}
+
+/// Checks `write_json_f64` against the oracle on every value, reusing one
+/// buffer; returns how many it checked.
+fn check_f64s(values: impl Iterator<Item = f64>) -> u64 {
+    let mut out = String::new();
+    let mut checked = 0;
+    for n in values {
+        out.clear();
+        write_json_f64(&mut out, n);
+        if out != oracle_f64(n) {
+            panic!(
+                "bits {:#018x}: wrote {out}, core::fmt prints {}",
+                n.to_bits(),
+                oracle_f64(n)
+            );
+        }
+        checked += 1;
+    }
+    checked
+}
+
+/// The values where a shortest-digits writer goes wrong if it goes wrong
+/// anywhere: every binary exponent with the smallest, largest and two
+/// middle mantissas, both ends of the bit-pattern range (zero,
+/// subnormals from 5e-324 up, and the largest finite values up to
+/// `f64::MAX`), the integers on either side of the 1e15 and 2^53 cuts,
+/// short decimals d·10^e across the whole exponent range, and the exact
+/// decimal ties core rounds up.
+fn edge_floats() -> impl Iterator<Item = f64> {
+    let exponents = (0..0x7ffu64)
+        .flat_map(|e| [0, 1, 1 << 51, (1 << 52) - 1].map(|m| f64::from_bits(e << 52 | m)));
+    let low_end = (0..100_000u64).map(f64::from_bits);
+    let max = f64::MAX.to_bits();
+    let high_end = (max - 100_000..=max).map(f64::from_bits);
+    let cuts = [1e15, 9_007_199_254_740_992.0].into_iter().flat_map(|cut| {
+        (-2_000..2_000).flat_map(move |k| {
+            let n = cut + f64::from(k) * 0.125;
+            [n, -n]
+        })
+    });
+    const MANTISSAS: [u64; 12] = [
+        1,
+        2,
+        5,
+        9,
+        25,
+        123,
+        4_567,
+        99_999,
+        1_234_567,
+        314_159_265_358_979,
+        17_976_931_348_623_157,
+        49_406_564_584_124_654,
+    ];
+    let decimals = (-330..310).flat_map(|e| {
+        MANTISSAS
+            .into_iter()
+            .map(move |d| format!("{d}e{e}").parse::<f64>().expect("a float"))
+    });
+    exponents
+        .chain(low_end)
+        .chain(high_end)
+        .chain(cuts)
+        .chain(decimals)
+        .chain(NAMED_TIES.map(|(bits, _)| f64::from_bits(bits)))
+        .chain([
+            -0.0,
+            0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ])
+}
+
+/// Values whose shortest digits end in an exact decimal tie, with what
+/// core prints for them: core rounds a tie up, Ryu's reference rounds it
+/// to even (…695312, …06).
+const NAMED_TIES: [(u64, &str); 2] = [
+    (0x420a_70ef_1f0d_9000, "14195483617.695313"),
+    (0x42a6_c198_b02a_0820, "12510373090564.063"),
+];
+
+/// `count` random finite bit patterns and as many uniform draws in
+/// [0, 1e4), from the stream `seed` picks.
+fn random_floats(seed: u64, count: u64) -> impl Iterator<Item = f64> {
+    let mut rng = Rng(seed);
+    (0..count).flat_map(move |_| {
+        let bits = f64::from_bits(rng.next());
+        let uniform = (rng.next() >> 11) as f64 / (1u64 << 53) as f64 * 1e4;
+        [bits, uniform]
+    })
+}
+
+#[test]
+fn the_float_writer_prints_what_core_fmt_prints() {
+    for (bits, text) in NAMED_TIES {
+        let mut out = String::new();
+        write_json_f64(&mut out, f64::from_bits(bits));
+        assert_eq!(
+            (out.as_str(), oracle_f64(f64::from_bits(bits)).as_str()),
+            (text, text)
+        );
+    }
+    assert!(check_f64s(edge_floats()) > 190_000);
+    assert_eq!(check_f64s(random_floats(0xf10a7, 100_000)), 200_000);
+}
+
+/// The long sweep: 64 M random bit patterns and as many uniform draws on
+/// two threads, with the edge sets. About a minute in release; run it with
+/// `cargo test --release -p serde --test text_layer -- --ignored`.
+#[test]
+#[ignore = "a minute in release; scripts/check.sh runs it"]
+fn the_float_writer_prints_what_core_fmt_prints_on_a_long_sweep() {
+    assert!(check_f64s(edge_floats()) > 190_000);
+    let checked: u64 = std::thread::scope(|scope| {
+        let halves = [0x5eed_0001, 0x5eed_0002]
+            .map(|seed| scope.spawn(move || check_f64s(random_floats(seed, 32_000_000))));
+        halves
+            .into_iter()
+            .map(|half| half.join().expect("a sweep thread panicked"))
+            .sum()
+    });
+    assert_eq!(checked, 128_000_000);
+}
+
+#[test]
+fn the_integer_writers_print_what_to_string_prints() {
+    let mut unsigned = vec![0, u64::MAX, u64::MAX - 1];
+    let mut signed = vec![0, i64::MIN, i64::MIN + 1, i64::MAX];
+    for k in 0..20 {
+        let p = 10u64.pow(k);
+        unsigned.extend([p - 1, p, p + 1]);
+        if let Ok(p) = i64::try_from(p) {
+            signed.extend([p - 1, p, p + 1, 1 - p, -p, -p - 1]);
+        }
+    }
+    let mut rng = Rng(0x1d);
+    for _ in 0..10_000 {
+        let n = rng.next() >> rng.below(64);
+        unsigned.push(n);
+        signed.push(n as i64);
+    }
+    let mut out = String::new();
+    for n in unsigned {
+        out.clear();
+        write_json_u64(&mut out, n);
+        assert_eq!(out, n.to_string());
+    }
+    for n in signed {
+        out.clear();
+        write_json_i64(&mut out, n);
+        assert_eq!(out, n.to_string());
     }
 }

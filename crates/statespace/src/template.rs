@@ -84,13 +84,13 @@ impl Template {
     ///
     /// # Errors
     ///
-    /// Returns [`StateSpaceError::InvalidParameter`] for wrong-length or
-    /// non-finite vectors.
+    /// Returns [`StateSpaceError::InvalidParameter`] for wrong-length
+    /// vectors and for entries outside `[0, 1]` (non-finite ones included).
     pub fn push(&mut self, vector: Vec<f64>, violation: bool) -> Result<(), StateSpaceError> {
         if vector.len() != self.dim {
             return Err(StateSpaceError::InvalidParameter { name: "vector.len" });
         }
-        if vector.iter().any(|v| !v.is_finite()) {
+        if !is_normalised(&vector) {
             return Err(StateSpaceError::InvalidParameter { name: "vector" });
         }
         self.states.push(TemplateState { vector, violation });
@@ -151,8 +151,10 @@ impl Template {
                     t.dim
                 )));
             }
-            if s.vector.iter().any(|v| !v.is_finite()) {
-                return Err(StateSpaceError::Template("non-finite coordinate".into()));
+            if !is_normalised(&s.vector) {
+                return Err(StateSpaceError::Template(
+                    "coordinate outside [0, 1]".into(),
+                ));
             }
         }
         Ok(t)
@@ -177,6 +179,13 @@ impl Template {
         let file = std::fs::File::open(path)?;
         Template::load(file)
     }
+}
+
+/// Every entry in `[0, 1]`, where a normaliser puts it. A template read
+/// from a file may hold anything; a far-out coordinate would overflow the
+/// grid the map indexes its states by.
+fn is_normalised(vector: &[f64]) -> bool {
+    vector.iter().all(|v| (0.0..=1.0).contains(v))
 }
 
 #[cfg(test)]
@@ -205,6 +214,9 @@ mod tests {
         let mut t = Template::new("x", 2).unwrap();
         assert!(t.push(vec![0.1], false).is_err());
         assert!(t.push(vec![f64::NAN, 0.0], false).is_err());
+        assert!(t.push(vec![0.5, 1.5], false).is_err());
+        assert!(t.push(vec![-0.1, 0.5], false).is_err());
+        assert!(t.push(vec![0.0, 1.0], false).is_ok());
         assert!(Template::new("x", 0).is_err());
     }
 
@@ -223,6 +235,9 @@ mod tests {
         // Right shape, wrong invariant: vector length mismatch.
         let bad = r#"{"sensitive_app":"x","dim":2,"states":[{"vector":[0.1],"violation":false}]}"#;
         assert!(Template::load(bad.as_bytes()).is_err());
+        let far =
+            r#"{"sensitive_app":"x","dim":1,"states":[{"vector":[1e300],"violation":false}]}"#;
+        assert!(Template::load(far.as_bytes()).is_err());
         let bad_dim = r#"{"sensitive_app":"x","dim":0,"states":[]}"#;
         assert!(Template::load(bad_dim.as_bytes()).is_err());
     }

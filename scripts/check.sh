@@ -114,7 +114,12 @@ fi
 # `serde_json::from_str` on accept / reject and value over rewritten,
 # truncated and arbitrary lines, the committed fixture re-encoding to
 # itself; and the JSON text layer under both renders a pinned corpus to
-# the same bytes and scans strings in linear time.
+# the same bytes, scans strings in linear time and writes every float and
+# integer byte for byte as `core::fmt` does (the old `write!` rule is the
+# test's oracle). The decoders a user points at a file (`--events-in`,
+# `reuse --template`) are fuzzed in facade `--test json_decoder_fuzz`:
+# arbitrary bytes, every truncation, edited documents and million-deep
+# nesting decode or fail as values, never a panic or a stack overflow.
 #
 # Engine timelines (`stayaway-workload --test pinned_timelines`, the
 # `queue::tests` property tests): the seven library scenarios, bare and
@@ -183,6 +188,11 @@ cargo test -q --workspace
 # digests, and the largest must not depend on the worker count; the table
 # it prints is the one EXPERIMENTS.md quotes.
 cargo test -q --release -p stayaway-fleet --test cluster_scale_curve -- --ignored --nocapture
+# The float writer's long differential sweep (`#[ignore]`d in the run
+# above): 64 M random bit patterns and as many uniform draws in [0, 1e4),
+# plus the edge sets, each written byte for byte as `core::fmt` prints it
+# (~40 s in release on two threads).
+cargo test -q --release -p serde --test text_layer -- --ignored
 # The perf-ledger package is its own workspace, so the line above does not
 # reach it; it compiles against the public API of every crate, so an API
 # removal must pass through here (fmt --check, clippy, its tests).
