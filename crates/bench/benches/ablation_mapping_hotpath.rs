@@ -31,7 +31,7 @@ use stayaway_core::stages::map::{
     COLUMN_STRESS_BUDGET, MAX_SKIPPED_SOLVES, MIN_GATED_POINTS, MIN_SOLVE_GAIN,
 };
 use stayaway_core::stages::{MapStage, Sensed};
-use stayaway_core::ControllerConfig;
+use stayaway_core::{ControllerConfig, MappingMetrics};
 use stayaway_mds::dedup::ReprSet;
 use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
@@ -143,7 +143,7 @@ fn map_stage(spec: &HostSpec, max_states: usize) -> MapStage {
         max_states,
         ..ControllerConfig::default()
     };
-    MapStage::new(&config, spec).expect("map stage")
+    MapStage::new(&config, spec, MappingMetrics::default()).expect("map stage")
 }
 
 /// One co-located period carrying `raw`.

@@ -7,7 +7,7 @@ use crate::report::{ascii_chart, sparkline, Table};
 use crate::runner::{run, stayaway, ExperimentSink, PolicyRun};
 use stayaway_core::aggregate::measurement_vector;
 use stayaway_core::stages::{MapStage, Sensed};
-use stayaway_core::{Controller, ControllerConfig, Observability};
+use stayaway_core::{Controller, ControllerConfig, MappingMetrics, Observability};
 use stayaway_obs::{AttrValue, EventKind, FlightRecorder};
 use stayaway_sim::apps::{soplex::soplex_with_work, vlc::vlc_transcode};
 use stayaway_sim::scenario::Scenario;
@@ -200,7 +200,7 @@ pub fn fig05_execution_modes() -> ExecutionModes {
         ..ControllerConfig::default()
     };
     let mut recorder = Recorder {
-        map: MapStage::new(&config, &spec).expect("valid map stage"),
+        map: MapStage::new(&config, &spec, MappingMetrics::default()).expect("valid map stage"),
         metrics: config.metrics,
         trail: Vec::new(),
     };

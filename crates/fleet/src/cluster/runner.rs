@@ -24,7 +24,7 @@ use crate::seed::derive_cell_seed;
 use crate::source::workload_source;
 use crate::FleetError;
 use stayaway_core::ControllerConfig;
-use stayaway_obs::{attr, merge_streams, EventKind, FlightRecorder, Layer};
+use stayaway_obs::{attr, merge_streams, AttrValue, EventId, EventKind, FlightRecorder, Layer};
 use stayaway_telemetry::{step, QosSummary, TelemetryError};
 use stayaway_workload::WorkloadHost;
 use std::sync::Arc;
@@ -176,9 +176,11 @@ impl HostCell {
     }
 }
 
-/// The cluster plane's own counters, kept at the epoch barrier.
+/// The cluster plane's own counters, kept at the epoch barrier, and the
+/// recorder its verbs write to when the run collects events.
 #[derive(Default)]
 struct Scheduling {
+    recorder: Option<FlightRecorder>,
     admissions: u64,
     migrations: u64,
     deferrals: u64,
@@ -186,6 +188,31 @@ struct Scheduling {
     invalid_actions: u64,
     max_queue_depth: u64,
     queue_depth_sum: u64,
+}
+
+impl Scheduling {
+    /// One verb applied at `tick`: its counter and, only when the run
+    /// collects events, its event for the job it moved — `attrs` is built
+    /// then and only then.
+    fn applied(
+        &mut self,
+        action: ClusterAction,
+        tick: u64,
+        cause: Option<EventId>,
+        attrs: impl FnOnce() -> Vec<(String, AttrValue)>,
+    ) {
+        let (kind, count) = match action {
+            ClusterAction::Admit { .. } => (EventKind::Admit, &mut self.admissions),
+            ClusterAction::Queue { .. } => (EventKind::Queue, &mut self.queue_actions),
+            ClusterAction::Defer { .. } => (EventKind::Defer, &mut self.deferrals),
+            ClusterAction::Migrate { .. } => (EventKind::Migrate, &mut self.migrations),
+        };
+        *count += 1;
+        if let Some(rec) = &self.recorder {
+            let subject = format!("job:{}", action.job());
+            rec.record_for(tick, Layer::Cluster, kind, subject, cause, attrs());
+        }
+    }
 }
 
 /// A cluster of open hosts under one scheduling policy.
@@ -294,11 +321,12 @@ impl Cluster {
         // The cluster plane records under its own scope, one past the
         // host indices; verbs are recorded only in the serial barrier,
         // so the stream is worker-count independent by construction.
-        let cluster_recorder = config
-            .collect_events
-            .then(|| FlightRecorder::for_scope(cells.len() as u32, "cluster"));
-
-        let mut sched = Scheduling::default();
+        let mut sched = Scheduling {
+            recorder: config
+                .collect_events
+                .then(|| FlightRecorder::for_scope(cells.len() as u32, "cluster")),
+            ..Scheduling::default()
+        };
 
         for epoch in 0..config.epochs {
             let start_ns = epoch * epoch_ns;
@@ -365,50 +393,24 @@ impl Cluster {
                         jobs[job].tenant_idx = Some(ti);
                         jobs[job].placements.push(host);
                         jobs[job].last_move_epoch = epoch;
-                        sched.admissions += 1;
-                        if let Some(rec) = &cluster_recorder {
-                            rec.record_for(
-                                start_tick,
-                                Layer::Cluster,
-                                EventKind::Admit,
-                                format!("job:{job}"),
-                                None,
-                                vec![attr("host", host as u64), attr("epoch", epoch)],
-                            );
-                        }
+                        sched.applied(action, start_tick, None, || {
+                            vec![attr("host", host as u64), attr("epoch", epoch)]
+                        });
                     }
                     ClusterAction::Queue { job } => {
                         if jobs[job].placement.is_some() {
                             sched.invalid_actions += 1;
                         } else {
-                            sched.queue_actions += 1;
-                            if let Some(rec) = &cluster_recorder {
-                                rec.record_for(
-                                    start_tick,
-                                    Layer::Cluster,
-                                    EventKind::Queue,
-                                    format!("job:{job}"),
-                                    None,
-                                    vec![attr("queued_epochs", jobs[job].queued_epochs)],
-                                );
-                            }
+                            sched.applied(action, start_tick, None, || {
+                                vec![attr("queued_epochs", jobs[job].queued_epochs)]
+                            });
                         }
                     }
                     ClusterAction::Defer { job } => {
                         if jobs[job].placement.is_some() {
                             sched.invalid_actions += 1;
                         } else {
-                            sched.deferrals += 1;
-                            if let Some(rec) = &cluster_recorder {
-                                rec.record_for(
-                                    start_tick,
-                                    Layer::Cluster,
-                                    EventKind::Defer,
-                                    format!("job:{job}"),
-                                    None,
-                                    vec![attr("epoch", epoch)],
-                                );
-                            }
+                            sched.applied(action, start_tick, None, || vec![attr("epoch", epoch)]);
                         }
                     }
                     ClusterAction::Migrate { job, from, to } => {
@@ -434,26 +436,19 @@ impl Cluster {
                         jobs[job].placements.push(to);
                         jobs[job].last_move_epoch = epoch;
                         jobs[job].migrations += 1;
-                        sched.migrations += 1;
-                        if let Some(rec) = &cluster_recorder {
-                            // Causal link across layers: the migration is
-                            // the cluster's answer to interference on the
-                            // source host, so point at its most recent
-                            // workload-layer SLO violation.
-                            let cause = cells[from]
-                                .open
-                                .obs
-                                .recorder()
-                                .and_then(|r| r.last_id_of_kind(EventKind::SloViolation));
-                            rec.record_for(
-                                start_tick,
-                                Layer::Cluster,
-                                EventKind::Migrate,
-                                format!("job:{job}"),
-                                cause,
-                                vec![attr("from", from as u64), attr("to", to as u64)],
-                            );
-                        }
+                        // Causal link across layers: the migration is the
+                        // cluster's answer to interference on the source
+                        // host, so it names that host's most recent
+                        // workload-layer SLO violation (none without
+                        // recorders).
+                        let cause = cells[from]
+                            .open
+                            .obs
+                            .recorder()
+                            .and_then(|r| r.last_id_of_kind(EventKind::SloViolation));
+                        sched.applied(action, start_tick, cause, || {
+                            vec![attr("from", from as u64), attr("to", to as u64)]
+                        });
                     }
                 }
             }
@@ -524,14 +519,13 @@ impl Cluster {
             }
         }
 
-        Ok(self.aggregate(cells, jobs, cluster_recorder, sched))
+        Ok(self.aggregate(cells, jobs, sched))
     }
 
     fn aggregate(
         &self,
         cells: Vec<HostCell>,
         jobs: Vec<JobState>,
-        cluster_recorder: Option<FlightRecorder>,
         sched: Scheduling,
     ) -> ClusterOutcome {
         let config = &self.config;
@@ -644,7 +638,7 @@ impl Cluster {
             per_job,
             metrics: metrics.map(|m| m.stable_view()),
             metric_unit_mismatches,
-            events: cluster_recorder.map(|cluster_rec| {
+            events: sched.recorder.map(|cluster_rec| {
                 let streams = cells
                     .iter()
                     .filter_map(|cell| cell.open.obs.recorder().map(FlightRecorder::events))

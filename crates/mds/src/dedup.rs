@@ -81,13 +81,16 @@ impl GridIndex {
         }
     }
 
+    /// The cell of `vector`'s first two coordinates, each index clamped to
+    /// ±2^40 so `center ± r` cannot overflow. The clamp is monotone and
+    /// brings no two indices further apart, so the 3×3 insert
+    /// neighbourhood and the ring pruning stay sound.
     fn cell_of(&self, vector: &[f64]) -> (i64, i64) {
+        const MAX: f64 = (1u64 << 40) as f64;
+        let index = |v: f64| (v / self.side).floor().clamp(-MAX, MAX) as i64;
         let x = vector.first().copied().unwrap_or(0.0);
         let y = vector.get(1).copied().unwrap_or(0.0);
-        (
-            (x / self.side).floor() as i64,
-            (y / self.side).floor() as i64,
-        )
+        (index(x), index(y))
     }
 
     fn add(&mut self, index: usize, vector: &[f64]) {
@@ -358,43 +361,38 @@ impl ReprSet {
     ///
     /// Ties go to the lowest index. With the grid index enabled the search
     /// expands cell rings outward until no unvisited cell can hold a closer
-    /// representative; the result is identical to the linear scan.
+    /// representative, or until scanning every one is cheaper; the result
+    /// is identical to the linear scan.
     pub fn nearest(&self, vector: &[f64]) -> Option<(usize, f64)> {
-        match &self.grid {
-            Some(grid) if !self.representatives.is_empty() => {
-                let mut best: Option<(usize, f64)> = None;
-                let center = grid.cell_of(vector);
-                let mut r = 0i64;
-                loop {
-                    grid.visit_ring(center, r, |bucket| {
-                        for &i in bucket {
-                            self.consider_nearest(i, vector, &mut best);
-                        }
-                    });
-                    if grid.ring_exhausts(center, r) {
-                        break;
+        let mut best: Option<(usize, f64)> = None;
+        if let Some(grid) = &self.grid {
+            let center = grid.cell_of(vector);
+            // Ring by ring, until the box out to ring r holds more cells
+            // than there are representatives: the scan below is then the
+            // cheaper way to the same answer, so no query walks the rings
+            // between far-flung points.
+            let mut r = 0i64;
+            while (2 * r + 1).pow(2) as usize <= self.representatives.len() {
+                grid.visit_ring(center, r, |bucket| {
+                    for &i in bucket {
+                        self.consider_nearest(i, vector, &mut best);
                     }
-                    if let Some((_, bd)) = best {
-                        // A representative in ring r+1 or beyond is farther
-                        // than r·side, which already exceeds the best: no
-                        // closer candidate (nor an equal-distance one with a
-                        // lower index) can remain.
-                        if r as f64 * grid.side > bd {
-                            break;
-                        }
-                    }
-                    r += 1;
+                });
+                // A representative in ring r+1 or beyond is farther than
+                // r·side: past the best, no closer candidate (nor an
+                // equal-distance one with a lower index) can remain.
+                if grid.ring_exhausts(center, r)
+                    || best.is_some_and(|(_, bd)| r as f64 * grid.side > bd)
+                {
+                    return best;
                 }
-                best
-            }
-            _ => {
-                let mut best: Option<(usize, f64)> = None;
-                for i in 0..self.representatives.len() {
-                    self.consider_nearest(i, vector, &mut best);
-                }
-                best
+                r += 1;
             }
         }
+        for i in 0..self.representatives.len() {
+            self.consider_nearest(i, vector, &mut best);
+        }
+        best
     }
 
     fn consider_nearest(&self, i: usize, vector: &[f64], best: &mut Option<(usize, f64)>) {
@@ -570,6 +568,41 @@ mod tests {
             vec![0.5, -4.0, 1.0, 1.0],
         ] {
             assert_eq!(plain.nearest(&probe), indexed.nearest(&probe));
+        }
+    }
+
+    #[test]
+    fn grid_index_matches_linear_scan_at_extreme_coordinates() {
+        // Cells past ±2^40 clamp: no ring arithmetic overflows (a panic in
+        // debug, a wrap in release), and a query never walks the rings
+        // between points ~1e300 apart.
+        let far = [1e300, -1e300, f64::MAX, -f64::MAX, f64::MIN_POSITIVE];
+        let mut stream: Vec<Vec<f64>> = Vec::new();
+        for &x in &far {
+            for &y in &far {
+                stream.push(vec![x, y, 0.5]);
+            }
+            stream.push(vec![x, 0.3, 0.1]);
+            stream.push(vec![0.3, x, 0.1]);
+        }
+        stream.extend((0..20).map(|i| vec![0.05 * f64::from(i), 0.4, 0.2]));
+        let mut plain = ReprSet::new(0.07).unwrap();
+        let mut indexed = ReprSet::new(0.07).unwrap().grid_indexed();
+        for v in &stream {
+            assert_eq!(
+                plain.insert(v).unwrap(),
+                indexed.insert(v).unwrap(),
+                "{v:?}"
+            );
+        }
+        assert_eq!(plain.len(), indexed.len());
+        let probes = stream.iter().cloned().chain([
+            vec![0.0, 0.0, 0.0],
+            vec![5e299, -5e299, 1.0],
+            vec![f64::MAX, 0.0, -f64::MAX],
+        ]);
+        for probe in probes {
+            assert_eq!(plain.nearest(&probe), indexed.nearest(&probe), "{probe:?}");
         }
     }
 

@@ -2,16 +2,15 @@
 //! (sense → map → predict → act), every period.
 
 use crate::config::ControllerConfig;
-use crate::obs::{ControllerMetrics, MappingMetrics, Observability};
+use crate::obs::{ControllerMetrics, Laps, MappingMetrics, Observability};
 use crate::stages::{ActStage, MapStage, PredictStage, ResumeDecision, SenseStage};
-use crate::stats::{hit_ratio, ControllerStats, ResumeReason, StageClock, StageTiming};
+use crate::stats::{hit_ratio, ControllerStats, StageClock, StageTiming};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use stayaway_obs::{attr, EventId, EventKind, Layer, MetricsSnapshot};
+use stayaway_obs::MetricsSnapshot;
 use stayaway_statespace::{ExecutionMode, Point2, StateMap, Template};
 use stayaway_telemetry::{Action, HostSpec, Observation, Policy};
-use std::time::Instant;
 
 /// The Stay-Away middleware for one host.
 ///
@@ -80,11 +79,11 @@ impl Controller {
         Ok(Controller {
             rng: StdRng::seed_from_u64(config.seed ^ 0x517cc1b727220a95),
             sense: SenseStage::new(&config.metrics, config.violation_detection),
-            map: MapStage::new(&config, spec)?.with_metrics(mapping_metrics),
+            map: MapStage::new(&config, spec, mapping_metrics)?,
             predict: PredictStage::new(&config),
             act: ActStage::new(&config, spec.capacities()),
             first_throttle: None,
-            obs: ControllerMetrics::register(&obs),
+            obs: ControllerMetrics::register(obs),
             config,
         })
     }
@@ -157,7 +156,7 @@ impl Controller {
     /// registered (per-stage latency histograms, decision counters, β
     /// and duty-cycle gauges, map-stage metrics).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.obs.registry.snapshot()
+        self.obs.bundle.registry().snapshot()
     }
 
     /// Tick of the first throttle and whether it was proactive
@@ -170,7 +169,7 @@ impl Controller {
 
     /// Records the flight recorder evicted or refused; 0 without one.
     fn events_dropped(&self) -> u64 {
-        self.obs.recorder.as_ref().map_or(0, |rec| rec.dropped())
+        self.obs.bundle.recorder().map_or(0, |rec| rec.dropped())
     }
 
     /// The current β (§3.3).
@@ -215,7 +214,10 @@ impl Controller {
     /// and recorded once at the end. The clock is read once per stage
     /// boundary ([`Laps`]): the read that ends one stretch starts the
     /// next. Verify → track is one predict stretch unless a violation is
-    /// learned in between, and its end is the forecast's start.
+    /// learned in between, and its end is the forecast's start. Each
+    /// decision is one [`ControllerMetrics`] call made right after the
+    /// lap of the stage that took it, so its event write is charged to
+    /// no stage.
     fn period(&mut self, obs: &Observation) -> Result<Vec<Action>, CoreError> {
         self.obs.periods.inc();
         let tick = obs.tick;
@@ -247,38 +249,13 @@ impl Controller {
         // ---- Learn violations --------------------------------------------
         if sensed.violated {
             spent.predict += clock.lap();
-            self.obs.violations_observed.inc();
             self.map.mark_violation(mapped.rep)?;
             spent.map += clock.lap();
-            if let Some(rec) = &self.obs.recorder {
-                // The causal link points at the verdict that was in force
-                // when the violation slipped through (the forecast that
-                // should have caught it — last period's, since this
-                // period's forecast has not run yet).
-                let cause = rec.last_id_of_kind(EventKind::PredictorVerdict);
-                rec.record(
-                    tick,
-                    Layer::Controller,
-                    EventKind::SloViolation,
-                    cause,
-                    vec![attr("state", mapped.rep as u64)],
-                );
-                clock.skip();
-            }
-            let beta_increased = self.act.note_violation(tick);
+            self.obs.violation_learned(&mut clock, tick, mapped.rep);
+            let beta_raised = self.act.note_violation(tick);
             spent.act += clock.lap();
-            if beta_increased {
-                if let Some(rec) = &self.obs.recorder {
-                    let cause = rec.last_id_of_kind(EventKind::SloViolation);
-                    rec.record(
-                        tick,
-                        Layer::Controller,
-                        EventKind::BetaChange,
-                        cause,
-                        vec![attr("beta", self.act.beta())],
-                    );
-                    clock.skip();
-                }
+            if beta_raised {
+                self.obs.beta_raised(&mut clock, tick, self.act.beta());
             }
         }
 
@@ -308,16 +285,7 @@ impl Controller {
             }
             spent.act += clock.lap();
             if let Some(anchor) = self.act.take_anchor_established() {
-                if let Some(rec) = &self.obs.recorder {
-                    let cause = rec.last_id_of_kind(EventKind::Throttle);
-                    rec.record(
-                        tick,
-                        Layer::Controller,
-                        EventKind::DriftAnchor,
-                        cause,
-                        vec![attr("x", anchor.x), attr("y", anchor.y)],
-                    );
-                }
+                self.obs.anchored(&mut clock, tick, anchor);
             }
             if let ResumeDecision::Resumed {
                 reason,
@@ -325,26 +293,12 @@ impl Controller {
             } = decision
             {
                 actions = resumes;
-                self.obs.resumes.inc();
-                if let Some(rec) = &self.obs.recorder {
-                    let cause = rec.last_id_of_kind(EventKind::Throttle);
-                    let why = match reason {
-                        ResumeReason::PhaseChange => "phase-change",
-                        ResumeReason::Optimistic => "optimistic",
-                    };
-                    rec.record(
-                        tick,
-                        Layer::Controller,
-                        EventKind::Resume,
-                        cause,
-                        vec![attr("reason", why)],
-                    );
-                }
+                self.obs.resumed(&mut clock, tick, reason);
             }
         } else {
             // Not throttled: predict the next state while co-located.
             let mut predicted_violation = false;
-            let mut verdict_event: Option<EventId> = None;
+            let mut verdict = None;
             if sensed.mode == ExecutionMode::CoLocated {
                 let forecast =
                     self.predict
@@ -353,27 +307,8 @@ impl Controller {
                 spent.predict += forecast_nanos;
                 self.obs.forecast_latency.record(forecast_nanos);
                 if let Some(forecast) = forecast {
-                    self.obs.verdicts.inc();
-                    if forecast.predicted_violation {
-                        self.obs.violation_verdicts.inc();
-                    }
                     predicted_violation = forecast.predicted_violation;
-                    if let Some(rec) = &self.obs.recorder {
-                        verdict_event = Some(rec.record(
-                            tick,
-                            Layer::Predictor,
-                            EventKind::PredictorVerdict,
-                            None,
-                            vec![
-                                attr("predicted", forecast.predicted_violation),
-                                attr("votes", forecast.votes as u64),
-                                attr("samples", forecast.samples as u64),
-                            ],
-                        ));
-                    }
-                    if forecast.predicted_violation {
-                        self.obs.violations_predicted.inc();
-                    }
+                    verdict = self.obs.verdict(&mut clock, tick, &forecast);
                 }
             }
 
@@ -390,42 +325,24 @@ impl Controller {
                 sensed.mode == ExecutionMode::CoLocated && self.map.is_violation_state(mapped.rep);
             let should_throttle = sensed.mode == ExecutionMode::CoLocated
                 && (predicted_violation || current_in_range || sensed.violated);
-            if should_throttle {
-                if verdict_event.is_some() {
-                    clock.skip();
-                }
-                let targets = self.act.throttle_targets(obs);
+            let targets = if should_throttle {
+                self.act.throttle_targets(obs)
+            } else {
+                Vec::new()
+            };
+            spent.act += clock.lap();
+            if !targets.is_empty() {
+                let proactive = (predicted_violation || current_in_range) && !sensed.violated;
+                self.first_throttle.get_or_insert((tick, proactive));
+                self.obs
+                    .throttled(&mut clock, tick, targets.len(), proactive, verdict);
+                let (engaged, pauses) = self.act.engage(tick, targets);
                 spent.act += clock.lap();
-                if !targets.is_empty() {
-                    self.obs.throttles.inc();
-                    let proactive = (predicted_violation || current_in_range) && !sensed.violated;
-                    self.first_throttle.get_or_insert((tick, proactive));
-                    if let Some(rec) = &self.obs.recorder {
-                        // Cause: the forecast verdict in force this period
-                        // when one exists (proactive path); a reactive
-                        // throttle links back to the violation it answers.
-                        let cause =
-                            verdict_event.or_else(|| rec.last_id_of_kind(EventKind::SloViolation));
-                        rec.record(
-                            tick,
-                            Layer::Controller,
-                            EventKind::Throttle,
-                            cause,
-                            vec![
-                                attr("count", targets.len() as u64),
-                                attr("proactive", proactive),
-                            ],
-                        );
-                        clock.skip();
-                    }
-                    let (engaged, pauses) = self.act.engage(tick, targets);
-                    spent.act += clock.lap();
-                    if engaged {
-                        // A prediction consumed now will not see its next
-                        // state under co-location; drop the pending verdict.
-                        self.predict.cancel_verdict();
-                        actions.extend(pauses);
-                    }
+                if engaged {
+                    // A prediction consumed now will not see its next
+                    // state under co-location; drop the pending verdict.
+                    self.predict.cancel_verdict();
+                    actions.extend(pauses);
                 }
             }
         }
@@ -435,7 +352,7 @@ impl Controller {
             // arrived exports the series it always did.
             let help = "Pauses and resumes re-issued because the observation showed them lost";
             let name = "stayaway_controller_reissued_actions_total";
-            self.obs.registry.counter(name, help).add(reissued);
+            self.obs.bundle.registry().counter(name, help).add(reissued);
         }
         self.finish_period(tick, mapped.point, spent);
         self.sense.recycle(sensed);
@@ -451,7 +368,7 @@ impl Controller {
         self.obs.map_latency.record(spent.map);
         self.obs.predict_latency.record(spent.predict);
         self.obs.act_latency.record(spent.act);
-        if let Some(sink) = &self.obs.sink {
+        if let Some(sink) = self.obs.bundle.sink() {
             sink.emit_all(
                 tick,
                 &[
@@ -482,7 +399,7 @@ impl Controller {
         if let Some(ratio) = hit_ratio(hits, checks) {
             self.obs.set_hit_ratio(ratio);
         }
-        if let Some(state) = &self.obs.state {
+        if let Some(state) = self.obs.bundle.state() {
             state.publish(&[
                 ("tick", U64(tick)),
                 ("beta", F64(beta)),
@@ -513,34 +430,6 @@ struct StageNanos {
     act: u64,
 }
 
-/// The period's stopwatch: one clock read per boundary, shared by the
-/// stretch that ends there and the one that starts.
-struct Laps {
-    boundary: Instant,
-}
-
-impl Laps {
-    fn start() -> Self {
-        Laps {
-            boundary: Instant::now(),
-        }
-    }
-
-    /// Nanoseconds since the previous boundary; now is the new boundary.
-    fn lap(&mut self) -> u64 {
-        let now = Instant::now();
-        let nanos = now.duration_since(self.boundary).as_nanos() as u64;
-        self.boundary = now;
-        nanos
-    }
-
-    /// Moves the boundary to now, charging the stretch behind it (a
-    /// flight-recorder write) to no stage.
-    fn skip(&mut self) {
-        self.boundary = Instant::now();
-    }
-}
-
 impl Policy for Controller {
     fn name(&self) -> &str {
         "stay-away"
@@ -560,7 +449,7 @@ impl Policy for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stayaway_obs::FlightRecorder;
+    use stayaway_obs::{EventKind, FlightRecorder};
     use stayaway_sim::scenario::Scenario;
     use stayaway_sim::NullPolicy;
 

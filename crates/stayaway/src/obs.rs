@@ -15,9 +15,14 @@
 //! and state map are bit-for-bit those of a bare run, and the recorded
 //! event stream is the same whichever other instruments are on.
 
+use crate::predictors::Forecast;
+use crate::stats::ResumeReason;
 use stayaway_obs::{
-    Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, SpanSink, StateCell,
+    attr, AttrValue, Counter, EventId, EventKind, FlightRecorder, Gauge, Histogram, Layer,
+    MetricsRegistry, SpanSink, StateCell,
 };
+use stayaway_statespace::Point2;
+use std::time::Instant;
 
 /// Observability options for a controller instance.
 ///
@@ -122,14 +127,16 @@ impl Observability {
     }
 }
 
-/// The controller's registered instrument handles. Created once at
-/// construction; recording is lock-free from then on.
+/// The controller's registered instrument handles, beside the bundle they
+/// were registered from. Created once at construction; recording is
+/// lock-free from then on.
+///
+/// Each decision of a period is one call here (DESIGN.md §8): it bumps
+/// the decision's counters and, only when the bundle carries a recorder,
+/// builds the event's attributes and records it — charged to no stage.
 #[derive(Debug)]
 pub(crate) struct ControllerMetrics {
-    pub registry: MetricsRegistry,
-    pub sink: Option<SpanSink>,
-    pub recorder: Option<FlightRecorder>,
-    pub state: Option<StateCell>,
+    pub bundle: Observability,
     // Per-stage wall-time, one record per control period per stage —
     // the primary store behind the `ControllerStats::stage_timing`
     // compatibility view.
@@ -167,8 +174,8 @@ pub(crate) struct ControllerMetrics {
 }
 
 impl ControllerMetrics {
-    pub fn register(obs: &Observability) -> Self {
-        let r = &obs.registry;
+    pub fn register(bundle: Observability) -> Self {
+        let r = &bundle.registry;
         ControllerMetrics {
             sense_latency: r.latency_histogram(
                 "stayaway_controller_sense_latency_nanos",
@@ -256,23 +263,145 @@ impl ControllerMetrics {
                 "Violation-labelled states currently held",
             ),
             hit_ratio: None,
-            registry: obs.registry.clone(),
-            sink: obs.sink.clone(),
-            recorder: obs.recorder.clone(),
-            state: obs.state.clone(),
+            bundle,
         }
+    }
+
+    /// A QoS violation observed and its state `rep` labelled (§3.2.1).
+    /// The event names the verdict that was in force when the violation
+    /// slipped through: last period's, since this period's forecast has
+    /// not run yet.
+    pub fn violation_learned(&self, clock: &mut Laps, tick: u64, rep: usize) {
+        self.violations_observed.inc();
+        let cause = |rec: &FlightRecorder| rec.last_id_of_kind(EventKind::PredictorVerdict);
+        let attrs = || vec![attr("state", rep as u64)];
+        self.decision(clock, tick, EventKind::SloViolation, cause, attrs);
+    }
+
+    /// β raised to `beta` by a violation that followed a phase-change
+    /// resume (§3.3).
+    pub fn beta_raised(&self, clock: &mut Laps, tick: u64, beta: f64) {
+        let cause = |rec: &FlightRecorder| rec.last_id_of_kind(EventKind::SloViolation);
+        let attrs = || vec![attr("beta", beta)];
+        self.decision(clock, tick, EventKind::BetaChange, cause, attrs);
+    }
+
+    /// A forecast that produced a verdict. Returns its event, the cause a
+    /// throttle later in the period names.
+    pub fn verdict(&self, clock: &mut Laps, tick: u64, forecast: &Forecast) -> Option<EventId> {
+        self.verdicts.inc();
+        if forecast.predicted_violation {
+            self.violation_verdicts.inc();
+            self.violations_predicted.inc();
+        }
+        let attrs = || {
+            vec![
+                attr("predicted", forecast.predicted_violation),
+                attr("votes", forecast.votes as u64),
+                attr("samples", forecast.samples as u64),
+            ]
+        };
+        self.decision(clock, tick, EventKind::PredictorVerdict, |_| None, attrs)
+    }
+
+    /// A throttle of `count` containers. Its cause is this period's
+    /// `verdict` when one exists (the proactive path); a reactive throttle
+    /// names the violation it answers.
+    pub fn throttled(
+        &self,
+        clock: &mut Laps,
+        tick: u64,
+        count: usize,
+        proactive: bool,
+        verdict: Option<EventId>,
+    ) {
+        self.throttles.inc();
+        let cause =
+            |rec: &FlightRecorder| verdict.or_else(|| rec.last_id_of_kind(EventKind::SloViolation));
+        let attrs = || vec![attr("count", count as u64), attr("proactive", proactive)];
+        self.decision(clock, tick, EventKind::Throttle, cause, attrs);
+    }
+
+    /// The drift reference of the current throttle anchored at `anchor`.
+    pub fn anchored(&self, clock: &mut Laps, tick: u64, anchor: Point2) {
+        let cause = |rec: &FlightRecorder| rec.last_id_of_kind(EventKind::Throttle);
+        let attrs = || vec![attr("x", anchor.x), attr("y", anchor.y)];
+        self.decision(clock, tick, EventKind::DriftAnchor, cause, attrs);
+    }
+
+    /// The current throttle ended for `reason`.
+    pub fn resumed(&self, clock: &mut Laps, tick: u64, reason: ResumeReason) {
+        self.resumes.inc();
+        let why = match reason {
+            ResumeReason::PhaseChange => "phase-change",
+            ResumeReason::Optimistic => "optimistic",
+        };
+        let cause = |rec: &FlightRecorder| rec.last_id_of_kind(EventKind::Throttle);
+        let attrs = || vec![attr("reason", why)];
+        self.decision(clock, tick, EventKind::Resume, cause, attrs);
+    }
+
+    /// The one event write of every decision above, on the predictor's
+    /// layer for a verdict and the controller's otherwise. Without a
+    /// recorder it builds nothing and returns `None`; with one it records,
+    /// then moves the period's stage boundary past the write, so the write
+    /// is charged to no stage (callers lap the stage they ran first).
+    fn decision(
+        &self,
+        clock: &mut Laps,
+        tick: u64,
+        kind: EventKind,
+        cause: impl FnOnce(&FlightRecorder) -> Option<EventId>,
+        attrs: impl FnOnce() -> Vec<(String, AttrValue)>,
+    ) -> Option<EventId> {
+        let rec = self.bundle.recorder()?;
+        let layer = match kind {
+            EventKind::PredictorVerdict => Layer::Predictor,
+            _ => Layer::Controller,
+        };
+        let id = rec.record(tick, layer, kind, cause(rec), attrs());
+        clock.skip();
+        Some(id)
     }
 
     /// Publishes the prediction hit ratio, registering the gauge on
     /// first use (`checks > 0` guaranteed by the caller).
     pub fn set_hit_ratio(&mut self, ratio: f64) {
         let gauge = self.hit_ratio.get_or_insert_with(|| {
-            self.registry.gauge(
+            self.bundle.registry.gauge(
                 "stayaway_controller_prediction_hit_ratio",
                 "Fraction of checked predictions whose verdict matched reality",
             )
         });
         gauge.set(ratio);
+    }
+}
+
+/// The period's stopwatch: one clock read per boundary, shared by the
+/// stretch that ends there and the one that starts.
+pub(crate) struct Laps {
+    boundary: Instant,
+}
+
+impl Laps {
+    pub fn start() -> Self {
+        Laps {
+            boundary: Instant::now(),
+        }
+    }
+
+    /// Nanoseconds since the previous boundary; now is the new boundary.
+    pub fn lap(&mut self) -> u64 {
+        let now = Instant::now();
+        let nanos = now.duration_since(self.boundary).as_nanos() as u64;
+        self.boundary = now;
+        nanos
+    }
+
+    /// Moves the boundary to now, charging the stretch behind it (a
+    /// flight-recorder write) to no stage.
+    fn skip(&mut self) {
+        self.boundary = Instant::now();
     }
 }
 
@@ -293,6 +422,14 @@ pub struct MappingMetrics {
     sweep_latency: Histogram,
     append_latency: Histogram,
     deep: bool,
+}
+
+impl Default for MappingMetrics {
+    /// Shallow instruments in a private registry nobody exports, as a
+    /// [`Observability::disabled`] controller registers them.
+    fn default() -> Self {
+        MappingMetrics::register(&MetricsRegistry::new(), false)
+    }
 }
 
 impl MappingMetrics {
@@ -371,50 +508,37 @@ impl MappingMetrics {
         self.soft_capped.inc();
     }
 
-    /// One new state fitted by single-point placement, and whether it
-    /// `fits` the map as it stood (a misfit goes on to a global solve, or
-    /// to [`MappingMetrics::on_solve_skipped`]); the column stress that
-    /// decided it is published in deep mode, beside the final stress.
-    pub fn on_placement(&self, column_stress: f64, fits: bool) {
+    /// One new state fitted by single-point placement: whether it `fits`
+    /// the map as it stood and, a misfit, whether its global solve was
+    /// `skipped` because the solves before it were futile. The column
+    /// stress that decided it is published in deep mode.
+    pub fn on_placement(&self, column_stress: f64, fits: bool, skipped: bool) {
         if fits {
             self.placements.inc();
+        }
+        if skipped {
+            self.solves_skipped.inc();
         }
         if self.deep {
             self.column_stress.set(column_stress);
         }
     }
 
-    /// One misfit state kept where placement put it, its global solve
-    /// skipped because the solves before it were futile.
-    pub fn on_solve_skipped(&self) {
-        self.solves_skipped.inc();
-    }
-
-    /// One global SMACOF solve completed with `sweeps` majorization
-    /// sweeps.
-    pub fn on_smacof(&self, sweeps: u64) {
+    /// One global SMACOF solve: its wall time, its majorization sweeps
+    /// and, in deep mode only (`stress` is a closure so shallow mode pays
+    /// nothing), the map's stress after it.
+    pub fn on_solve(&self, nanos: u64, sweeps: u64, stress: impl FnOnce() -> Option<f64>) {
+        self.sweep_latency.record(nanos);
         self.smacof_runs.inc();
         self.smacof_iterations.record(sweeps);
-    }
-
-    /// One global SMACOF solve finished in `nanos` wall-nanoseconds.
-    pub fn on_embed_timed(&self, nanos: u64) {
-        self.sweep_latency.record(nanos);
+        if let Some(s) = self.deep.then(stress).flatten() {
+            self.final_stress.set(s);
+        }
     }
 
     /// One distance-matrix append batch finished in `nanos`
     /// wall-nanoseconds.
     pub fn on_append_timed(&self, nanos: u64) {
         self.append_latency.record(nanos);
-    }
-
-    /// Publishes the map's stress after a global solve, computing it only
-    /// in deep mode (`stress` is a closure so shallow mode pays nothing).
-    pub fn on_stress(&self, stress: impl FnOnce() -> Option<f64>) {
-        if self.deep {
-            if let Some(s) = stress() {
-                self.final_stress.set(s);
-            }
-        }
     }
 }

@@ -21,7 +21,7 @@
 
 use super::map::MapStage;
 use super::sense::Sensed;
-use crate::aggregate::majority_share_batch;
+use crate::aggregate::{is_protected, majority_share_batch};
 use crate::config::ControllerConfig;
 use crate::stats::ResumeReason;
 use rand::rngs::StdRng;
@@ -212,9 +212,11 @@ impl ActStage {
 
     /// Appends to `actions` what `observation` shows the substrate lost and
     /// returns how many: while throttling, a Pause for each target shown
-    /// active, unfinished and not paused; otherwise a Resume for each
-    /// resumed container still shown paused (one shown running is settled).
-    /// Containers not shown, or shown finished, are left alone.
+    /// active, unfinished and not paused — unless it has since become a
+    /// top-priority sensitive container (§2.1), which is never paused;
+    /// otherwise a Resume for each resumed container still shown paused
+    /// (one shown running is settled). Containers not shown, or shown
+    /// finished, are left alone.
     pub fn reconcile(&mut self, observation: &Observation, actions: &mut Vec<Action>) -> u64 {
         let shown = |id: ContainerId| {
             observation
@@ -225,7 +227,8 @@ impl ActStage {
         let before = actions.len();
         if self.throttled {
             for &id in &self.paused_by_us {
-                if shown(id).is_some_and(|c| c.active && !c.paused) {
+                if shown(id).is_some_and(|c| c.active && !c.paused && !is_protected(observation, c))
+                {
                     actions.push(Action::Pause(id));
                 }
             }
@@ -343,6 +346,7 @@ impl ActStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::MappingMetrics;
     use rand::SeedableRng;
     use stayaway_telemetry::{AppClass, ContainerObs, HostSpec};
 
@@ -366,7 +370,7 @@ mod tests {
             ..ControllerConfig::default()
         };
         let spec = HostSpec::default();
-        let mut map = MapStage::new(&config, &spec).unwrap();
+        let mut map = MapStage::new(&config, &spec, MappingMetrics::default()).unwrap();
         let contended = sensed(0, ExecutionMode::CoLocated, vec![1.0, 4.0]);
         let rep = map.ingest(&contended).unwrap().rep;
         map.mark_violation(rep).unwrap();

@@ -20,6 +20,7 @@ use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
 use stayaway_mds::Embedding;
 use stayaway_statespace::{ExecutionMode, Point2, StateKind, StateMap, Template};
 use stayaway_telemetry::HostSpec;
+use std::time::Instant;
 
 /// Largest normalised column stress (`stayaway_mds::smacof::Smacof::place_last`) at
 /// which a newly placed point is accepted into the map as it stands; above
@@ -138,20 +139,26 @@ pub struct MapStage {
     violation_range_enabled: bool,
     /// Total samples mapped (the dedup-ratio denominator).
     samples_seen: u64,
-    metrics: Option<MappingMetrics>,
+    metrics: MappingMetrics,
 }
 
 impl MapStage {
     /// Creates the stage for measurement vectors of layout
     /// `⟨sensitive[metrics..], batch[metrics..]⟩` against the host's
     /// capacities. Reads `metrics`, `dedup_epsilon`, `smacof_iterations`,
-    /// `max_states` and `violation_range_enabled` from `config`.
+    /// `max_states` and `violation_range_enabled` from `config`, and
+    /// records into `metrics` (decision-inert: the same mapping decisions
+    /// whichever instruments are passed).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty metric set and
     /// propagates invalid capacities or dedup radii.
-    pub fn new(config: &ControllerConfig, spec: &HostSpec) -> Result<Self, CoreError> {
+    pub fn new(
+        config: &ControllerConfig,
+        spec: &HostSpec,
+        metrics: MappingMetrics,
+    ) -> Result<Self, CoreError> {
         if config.metrics.is_empty() {
             return Err(CoreError::InvalidConfig {
                 reason: "metrics must not be empty".into(),
@@ -177,16 +184,8 @@ impl MapStage {
             max_states: config.max_states,
             violation_range_enabled: config.violation_range_enabled,
             samples_seen: 0,
-            metrics: None,
+            metrics,
         })
-    }
-
-    /// Attaches observability instruments (builder-style; default none).
-    /// Recording is decision-inert: identical mapping decisions with or
-    /// without instruments.
-    pub fn with_metrics(mut self, metrics: MappingMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// Maps one sensed period: normalises the raw measurement vector,
@@ -214,9 +213,7 @@ impl MapStage {
         let inserted = inserted?;
         let rep = inserted.rep();
         let point = self.point_of(rep)?;
-        if let Some(m) = &self.metrics {
-            m.on_sample(self.repr.len(), self.samples_seen);
-        }
+        self.metrics.on_sample(self.repr.len(), self.samples_seen);
         self.map.visit(rep, point, sensed.mode, sensed.tick)?;
         match inserted {
             Insert::Relaid(_) => self.refresh_positions()?,
@@ -432,9 +429,7 @@ impl MapStage {
         // representative instead of growing the observation matrix.
         if self.repr.len() >= self.max_states {
             if let Some((rep, _)) = self.repr.nearest(normalized) {
-                if let Some(m) = &self.metrics {
-                    m.on_soft_capped();
-                }
+                self.metrics.on_soft_capped();
                 return Ok(Insert::Merged(rep));
             }
         }
@@ -461,7 +456,7 @@ impl MapStage {
     fn refresh_dissim<'a>(
         cache: &'a mut Option<DistanceMatrix>,
         reps: &[Vec<f64>],
-        metrics: Option<&MappingMetrics>,
+        metrics: &MappingMetrics,
     ) -> Result<&'a DistanceMatrix, CoreError> {
         let n = reps.len();
         // `len() > n` cannot happen (the set never shrinks), but a rebuild
@@ -470,13 +465,11 @@ impl MapStage {
             return Ok(cache.insert(DistanceMatrix::from_vectors(reps)?));
         };
         if d.len() < n {
-            let start = metrics.map(|_| std::time::Instant::now());
+            let start = Instant::now();
             for m in d.len()..n {
                 d.append_point(&reps[..m], &reps[m])?;
             }
-            if let (Some(metrics), Some(t0)) = (metrics, start) {
-                metrics.on_append_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
+            metrics.on_append_timed(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         Ok(cache.insert(d))
     }
@@ -492,39 +485,29 @@ impl MapStage {
     /// misfit is kept where it was placed, as a fitting point is. True
     /// when the map was re-laid rather than the one point placed.
     fn re_embed(&mut self) -> Result<bool, CoreError> {
-        let dissim = Self::refresh_dissim(
-            &mut self.dissim,
-            self.repr.representatives(),
-            self.metrics.as_ref(),
-        )?;
+        let dissim =
+            Self::refresh_dissim(&mut self.dissim, self.repr.representatives(), &self.metrics)?;
         let prev = self.embedding.get_or_insert_with(|| Embedding::zeros(0, 2));
         let mut grown = warm_start_with_new_points(prev, dissim)?;
         let column_stress = self.smacof.place_last(dissim, &mut grown)?;
         let gated = grown.len() >= MIN_GATED_POINTS;
         let fits = gated && column_stress <= COLUMN_STRESS_BUDGET;
         let skipped = gated && !fits && self.backoff.skip();
-        if let Some(m) = &self.metrics {
-            m.on_placement(column_stress, fits);
-            if skipped {
-                m.on_solve_skipped();
-            }
-        }
+        self.metrics.on_placement(column_stress, fits, skipped);
         if fits || skipped {
             *prev = grown;
             return Ok(false);
         }
-        let start = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        let start = Instant::now();
         let (refined, trace) = self.smacof.embed_warm_traced(dissim, grown)?;
         if gated {
             // A forced solve of a small map says nothing about its floor.
             self.backoff.record(trace.relative_gain());
         }
         let aligned = align_to_previous(refined, prev)?;
-        if let (Some(m), Some(t0)) = (&self.metrics, start) {
-            m.on_embed_timed(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            m.on_smacof(trace.sweeps);
-            m.on_stress(|| aligned.stress(dissim).ok());
-        }
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.metrics
+            .on_solve(nanos, trace.sweeps, || aligned.stress(dissim).ok());
         *prev = aligned;
         Ok(true)
     }
@@ -569,7 +552,13 @@ mod tests {
     }
 
     fn stage() -> MapStage {
-        MapStage::new(&config(), &HostSpec::default()).unwrap()
+        MapStage::new(&config(), &HostSpec::default(), MappingMetrics::default()).unwrap()
+    }
+
+    /// A map stage built from `config` recording into `registry`.
+    fn stage_into(config: &ControllerConfig, registry: &MetricsRegistry, deep: bool) -> MapStage {
+        let metrics = MappingMetrics::register(registry, deep);
+        MapStage::new(config, &HostSpec::default(), metrics).unwrap()
     }
 
     /// Raw vector: (sens_cpu, sens_mem, batch_cpu, batch_mem).
@@ -853,7 +842,7 @@ mod tests {
     #[test]
     fn a_map_whose_solves_keep_lowering_stress_never_skips() {
         let registry = MetricsRegistry::new();
-        let mut s = stage().with_metrics(MappingMetrics::register(&registry, false));
+        let mut s = stage_into(&config(), &registry, false);
         for r in &planar_stream(25) {
             ingest(&mut s, r);
         }
@@ -876,20 +865,21 @@ mod tests {
             .chain(tilt_stream())
             .chain(sweep_back())
             .collect();
-        let run = |registry: Option<&MetricsRegistry>| {
-            let mut s = stage();
-            if let Some(r) = registry {
-                s = s.with_metrics(MappingMetrics::register(r, true));
-            }
+        let run = |registry: &MetricsRegistry, deep: bool| {
+            let mut s = stage_into(&config(), registry, deep);
             for r in &stream {
                 ingest(&mut s, r);
             }
             s.embedding().unwrap().clone()
         };
         let registry = MetricsRegistry::new();
-        let bare = run(None);
-        assert_eq!(bare, run(Some(&registry)), "instruments changed the map");
-        // The instrumented run went down all three ways a new state
+        let shallow = run(&MetricsRegistry::new(), false);
+        assert_eq!(
+            shallow,
+            run(&registry, true),
+            "deep instruments changed the map"
+        );
+        // The deep run went down all three ways a new state
         // takes — fits and placed, misfit and solved, misfit excused by a
         // futile solve and placed — and every state is accounted for by
         // exactly one of them.
@@ -900,7 +890,7 @@ mod tests {
             placed > 0 && solved > 3 && skipped > 0,
             "placed {placed}, solved {solved}, skipped {skipped}"
         );
-        assert_eq!(placed + solved + skipped, bare.len() as u64);
+        assert_eq!(placed + solved + skipped, shallow.len() as u64);
     }
 
     #[test]
@@ -913,9 +903,7 @@ mod tests {
             ..ControllerConfig::default()
         };
         let registry = MetricsRegistry::new();
-        let mut s = MapStage::new(&config, &HostSpec::default())
-            .unwrap()
-            .with_metrics(MappingMetrics::register(&registry, false));
+        let mut s = stage_into(&config, &registry, false);
         for i in 0..20 {
             ingest(&mut s, &[0.2 * i as f64, 0.1 * i as f64]);
         }
@@ -933,9 +921,7 @@ mod tests {
             ..ControllerConfig::default()
         };
         let registry = MetricsRegistry::new();
-        let mut s = MapStage::new(&config, &HostSpec::default())
-            .unwrap()
-            .with_metrics(MappingMetrics::register(&registry, false));
+        let mut s = stage_into(&config, &registry, false);
         // 30 distinct states; only the last — past the cap — violated.
         let mut template = Template::new("svc", 2).unwrap();
         for i in 0..30 {
@@ -990,7 +976,7 @@ mod tests {
             metrics: vec![],
             ..config()
         };
-        assert!(MapStage::new(&config, &HostSpec::default()).is_err());
+        assert!(MapStage::new(&config, &HostSpec::default(), MappingMetrics::default()).is_err());
     }
 
     #[test]

@@ -138,6 +138,7 @@ impl PredictStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::MappingMetrics;
     use rand::SeedableRng;
     use stayaway_telemetry::{HostSpec, ResourceKind};
 
@@ -151,7 +152,8 @@ mod tests {
             predictor: kind,
             ..ControllerConfig::default()
         };
-        let mut map = MapStage::new(&config, &HostSpec::default()).unwrap();
+        let mut map =
+            MapStage::new(&config, &HostSpec::default(), MappingMetrics::default()).unwrap();
         let sensed = Sensed {
             tick: 0,
             mode: ExecutionMode::CoLocated,

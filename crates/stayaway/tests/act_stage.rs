@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stayaway_core::stages::{ActStage, MapStage, ResumeDecision, Sensed};
-use stayaway_core::{ControllerConfig, ResumeReason};
+use stayaway_core::{ControllerConfig, MappingMetrics, ResumeReason};
 use stayaway_statespace::{ExecutionMode, Point2};
 use stayaway_telemetry::{
     Action, AppClass, ContainerId, ContainerObs, HostSpec, Observation, ResourceKind,
@@ -153,7 +153,7 @@ impl Machine {
             ..ControllerConfig::default()
         };
         let spec = HostSpec::default();
-        let mut map = MapStage::new(&config, &spec).expect("map stage");
+        let mut map = MapStage::new(&config, &spec, MappingMetrics::default()).expect("map stage");
         let contended = sensed(0, ExecutionMode::CoLocated, 4.0);
         let rep = map.ingest(&contended).expect("ingest").rep;
         map.mark_violation(rep).expect("rep exists");

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::Value;
 use stayaway_core::stages::{MapStage, PredictStage, Sensed};
-use stayaway_core::{ControllerConfig, Observability, PredictorKind};
+use stayaway_core::{ControllerConfig, MappingMetrics, Observability, PredictorKind};
 use stayaway_sim::scenario::Scenario;
 use stayaway_statespace::ExecutionMode;
 use stayaway_telemetry::{HostSpec, ResourceKind};
@@ -320,7 +320,8 @@ fn drive_predictor(kind: PredictorKind, ticks: &[FuzzTick]) -> usize {
         predictor: kind,
         ..ControllerConfig::default()
     };
-    let mut map = MapStage::new(&config, &HostSpec::default()).expect("map builds");
+    let mut map = MapStage::new(&config, &HostSpec::default(), MappingMetrics::default())
+        .expect("map builds");
     let mut predictor = PredictStage::new(&config);
     let mut rng = StdRng::seed_from_u64(7);
     let mut forecasts = 0usize;

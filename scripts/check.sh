@@ -23,6 +23,21 @@ if grep -rnwE 'SimSource|WorkloadSource' crates/*/src src | grep -vE \
     echo "check.sh: SimSource / WorkloadSource named outside their definitions (above)" >&2
     exit 1
 fi
+# One call per decision: the controller's decisions and the cluster
+# barrier's verbs reach their flight recorder through one helper each
+# (`ControllerMetrics::decision` in `crates/stayaway/src/obs.rs`,
+# `Scheduling::applied` in the runner), the call that also bumps the
+# decision's counter. An event written anywhere else in these two files
+# forks that path. (`*_latency.record(` are histograms, `*qos.record(`
+# QoS tallies.)
+if awk '/fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+        /\.record(_for)?\(/ && !/(_latency|qos)\.record\(/ && f != "applied" {
+            print FILENAME ":" FNR ":" $0; bad = 1
+        }
+        END { exit !bad }' crates/stayaway/src/controller.rs crates/fleet/src/cluster/runner.rs; then
+    echo "check.sh: a flight-recorder write outside the one decision helper (above)" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace
@@ -179,6 +194,10 @@ fi
 # returns exactly the pauses of the throttle it ends, optimistic resumes
 # are never vetoed, a zero-drift throttle with probability 1 resumes
 # within `optimistic_after × 6` periods, observe-only mode issues nothing.
+# Whole periods (`stayaway-core --test controller_decisions`): every
+# `throttle` event names a `predictor-verdict` or `slo-violation` in the
+# stream, and random observations with several prioritised sensitive
+# containers never draw a `Pause` for the top priority.
 #
 # Also here: the other `stayaway-obs` suites and `--test observability`.
 cargo test -q --workspace

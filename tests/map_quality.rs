@@ -4,7 +4,7 @@
 
 use stay_away::core::aggregate::measurement_vector;
 use stay_away::core::stages::{MapStage, Sensed};
-use stay_away::core::{Controller, ControllerConfig, Observability};
+use stay_away::core::{Controller, ControllerConfig, MappingMetrics, Observability};
 use stay_away::fleet::derive_cell_seed;
 use stay_away::mds::distance::DistanceMatrix;
 use stay_away::mds::smacof::Smacof;
@@ -51,7 +51,8 @@ fn record(scenario: &Scenario, ticks: u64) -> Recorder {
         ..ControllerConfig::default()
     };
     let mut rec = Recorder {
-        map: MapStage::new(&config, harness.host().spec()).expect("map stage"),
+        map: MapStage::new(&config, harness.host().spec(), MappingMetrics::default())
+            .expect("map stage"),
         metrics: config.metrics,
         trail: Vec::new(),
     };
