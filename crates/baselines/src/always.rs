@@ -66,7 +66,7 @@ mod tests {
             .find(|c| c.class() == stayaway_sim::AppClass::Batch)
             .unwrap()
             .id();
-        h.host_mut().resume(batch_id).unwrap();
+        assert_eq!(h.apply(&[Action::Resume(batch_id)]), 0);
         let out = h.run(&mut p, 5);
         assert!(out.timeline.last().unwrap().batch_paused > 0);
     }

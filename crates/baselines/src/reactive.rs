@@ -36,11 +36,6 @@ impl ReactivePolicy {
     pub fn cooldown(&self) -> u64 {
         self.cooldown
     }
-
-    /// True while the policy holds batch containers paused.
-    pub fn is_throttling(&self) -> bool {
-        !self.paused.is_empty()
-    }
 }
 
 impl Policy for ReactivePolicy {

@@ -232,12 +232,6 @@ impl PolicyRollup {
     pub fn satisfaction(&self) -> f64 {
         self.qos.satisfaction()
     }
-
-    /// Prediction accuracy over this policy's pooled checks; `None` when
-    /// no prediction was ever checked (non-predictive policies).
-    pub fn prediction_accuracy(&self) -> Option<f64> {
-        hit_ratio(self.prediction_hits, self.prediction_checks)
-    }
 }
 
 /// Per-predictor rollup of the Stay-Away cells that ran one prediction
@@ -448,11 +442,6 @@ impl FleetOutcome {
     /// Fleet-wide QoS satisfaction (pooled active ticks).
     pub fn satisfaction(&self) -> f64 {
         self.qos.satisfaction()
-    }
-
-    /// Fleet-wide mean QoS value (pooled active ticks).
-    pub fn mean_qos(&self) -> f64 {
-        self.qos.mean_qos()
     }
 
     /// Fleet-wide prediction accuracy (pooled checks); `None` when no

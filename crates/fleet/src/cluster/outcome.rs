@@ -165,14 +165,6 @@ pub struct ClusterOutcome {
     pub events: Option<Vec<EventRecord>>,
 }
 
-impl HostRollup {
-    /// Fraction of checked verdicts this host's controller got right;
-    /// `None` when no verdict was checked.
-    pub fn prediction_accuracy(&self) -> Option<f64> {
-        hit_ratio(self.prediction_hits, self.prediction_checks)
-    }
-}
-
 impl ClusterOutcome {
     /// Pooled QoS satisfaction across hosts.
     pub fn satisfaction(&self) -> f64 {

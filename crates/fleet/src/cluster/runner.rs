@@ -248,11 +248,6 @@ impl Cluster {
         Ok(Cluster { config, registry })
     }
 
-    /// The shared template registry.
-    pub fn registry(&self) -> &Arc<TemplateRegistry> {
-        &self.registry
-    }
-
     fn build_cell(&self, idx: usize) -> Result<HostCell, FleetError> {
         let config = &self.config;
         let scenario = &config.scenario.hosts[idx];
@@ -742,7 +737,7 @@ mod tests {
     #[test]
     fn learned_templates_are_published_for_warm_starts() {
         let cluster = Cluster::new(config("hotspot", 11)).unwrap();
-        let registry = Arc::clone(cluster.registry());
+        let registry = Arc::clone(&cluster.registry);
         cluster.run().unwrap();
         assert!(!registry.is_empty(), "stay-away hosts publish templates");
     }

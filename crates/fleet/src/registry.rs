@@ -17,14 +17,12 @@
 //! panic — each publish is one `insert` or one assignment — so the guard a
 //! poisoned lock hands back holds a consistent map.
 
-use crate::FleetError;
-use serde::{Deserialize, Serialize};
 use stayaway_statespace::Template;
 use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One registered template plus its provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegistryEntry {
     /// Sensitive-workload key (equals `template.sensitive_app()`).
     pub sensitive: String,
@@ -120,39 +118,6 @@ impl TemplateRegistry {
     pub fn snapshot(&self) -> Vec<RegistryEntry> {
         self.read().values().cloned().collect()
     }
-
-    /// Serialises the registry (its ordered snapshot) as JSON — the wire
-    /// format a real multi-host deployment would gossip between hosts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Registry`] on serialisation failure.
-    pub fn to_json(&self) -> Result<String, FleetError> {
-        serde_json::to_string_pretty(&self.snapshot())
-            .map_err(|e| FleetError::Registry(e.to_string()))
-    }
-
-    /// Rebuilds a registry from [`TemplateRegistry::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Registry`] on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, FleetError> {
-        let entries: Vec<RegistryEntry> =
-            serde_json::from_str(json).map_err(|e| FleetError::Registry(e.to_string()))?;
-        let registry = TemplateRegistry::new();
-        for entry in entries {
-            if entry.sensitive != entry.template.sensitive_app() {
-                return Err(FleetError::Registry(format!(
-                    "entry key `{}` does not match template app `{}`",
-                    entry.sensitive,
-                    entry.template.sensitive_app()
-                )));
-            }
-            registry.publish(entry.template, entry.source_cell);
-        }
-        Ok(registry)
-    }
 }
 
 #[cfg(test)]
@@ -244,30 +209,5 @@ mod tests {
         assert!(r.publish(template("webservice-mix", 2, 1), 1));
         assert_eq!(r.len(), 2);
         assert_eq!(r.snapshot().len(), 2);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_contents() {
-        let r = TemplateRegistry::new();
-        r.publish(template("vlc", 2, 4), 5);
-        r.publish(template("webservice-mix", 1, 7), 2);
-        let json = r.to_json().unwrap();
-        let back = TemplateRegistry::from_json(&json).unwrap();
-        assert_eq!(r.snapshot(), back.snapshot());
-        // And the re-serialisation is byte-identical.
-        assert_eq!(json, back.to_json().unwrap());
-    }
-
-    #[test]
-    fn from_json_rejects_garbage_and_mismatched_keys() {
-        assert!(TemplateRegistry::from_json("not json").is_err());
-        let r = TemplateRegistry::new();
-        r.publish(template("vlc", 1, 1), 0);
-        let tampered = r
-            .to_json()
-            .unwrap()
-            .replace("\"sensitive\": \"vlc\"", "\"sensitive\": \"vlc2\"");
-        assert!(tampered.contains("vlc2"), "replacement must have matched");
-        assert!(TemplateRegistry::from_json(&tampered).is_err());
     }
 }

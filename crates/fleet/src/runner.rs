@@ -48,8 +48,7 @@ impl Fleet {
     }
 
     /// Like [`Fleet::new`] but starting from an existing registry — e.g.
-    /// one deserialised from a previous fleet's
-    /// [`TemplateRegistry::to_json`] snapshot.
+    /// one a previous fleet filled: every cell can then import.
     ///
     /// # Errors
     ///
@@ -61,11 +60,6 @@ impl Fleet {
     ) -> Result<Self, FleetError> {
         config.validate()?;
         Ok(Fleet { config, registry })
-    }
-
-    /// The shared template registry.
-    pub fn registry(&self) -> &Arc<TemplateRegistry> {
-        &self.registry
     }
 
     /// The configuration.
@@ -208,7 +202,7 @@ mod tests {
         let outcome = fleet.run().unwrap();
         // 4 distinct sensitive keys... vlc appears 3×, webservice-mix 1×:
         // 2 pioneers (vlc, webservice-mix), so 4 of 6 cells import.
-        assert_eq!(fleet.registry().len(), 2);
+        assert_eq!(fleet.registry.len(), 2);
         assert_eq!(outcome.cells_imported, 4);
         let imported = outcome
             .per_cell
@@ -244,7 +238,7 @@ mod tests {
         // One pioneer per tenant; each follower imports from the pioneer
         // that sensed the same workload.
         assert_eq!(outcome.cells_imported, 2);
-        assert_eq!(fleet.registry().len(), 2);
+        assert_eq!(fleet.registry.len(), 2);
         for cell in outcome.per_cell.iter().filter(|c| c.imported_template) {
             let pioneer = outcome
                 .per_cell
@@ -258,13 +252,12 @@ mod tests {
 
     #[test]
     fn pre_seeded_registry_means_no_pioneers() {
-        // Run one sharing fleet, snapshot its registry, and feed it to a
-        // second fleet: now every cell can import.
+        // Run one sharing fleet and hand its registry to a second fleet:
+        // now every cell can import.
         let first = Fleet::new(small_config(2, true)).unwrap();
         first.run().unwrap();
-        let json = first.registry().to_json().unwrap();
-        let registry = Arc::new(TemplateRegistry::from_json(&json).unwrap());
-        let second = Fleet::with_registry(small_config(2, true), registry).unwrap();
+        let second =
+            Fleet::with_registry(small_config(2, true), Arc::clone(&first.registry)).unwrap();
         let outcome = second.run().unwrap();
         assert_eq!(outcome.cells_imported, 6);
     }
@@ -300,7 +293,6 @@ mod tests {
             .find(|r| r.policy == "reactive")
             .unwrap();
         assert_eq!(reactive.prediction_checks, 0);
-        assert_eq!(reactive.prediction_accuracy(), None);
     }
 
     #[test]
@@ -357,7 +349,7 @@ mod tests {
         config.policies = vec![PolicySpec::Reactive { cooldown: 10 }];
         let fleet = Fleet::new(config).unwrap();
         let outcome = fleet.run().unwrap();
-        assert_eq!(fleet.registry().len(), 0);
+        assert_eq!(fleet.registry.len(), 0);
         assert_eq!(outcome.cells_imported, 0);
     }
 }

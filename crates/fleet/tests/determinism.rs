@@ -82,20 +82,22 @@ fn repeated_runs_of_one_fleet_object_are_identical() {
 }
 
 #[test]
-fn registry_survives_a_serde_round_trip_unchanged() {
-    // Fill a registry from real learned templates, snapshot to JSON, and
-    // rebuild: publish/import must round-trip bit-for-bit.
-    let fleet = Fleet::new(config(8, 4, 13, true)).unwrap();
+fn a_registry_rebuilt_from_its_snapshot_drives_fleets_unchanged() {
+    // Fill a registry from real learned templates and republish its
+    // snapshot into a fresh one: publish/import must round-trip.
+    let registry = Arc::new(TemplateRegistry::new());
+    let fleet = Fleet::with_registry(config(8, 4, 13, true), Arc::clone(&registry)).unwrap();
     fleet.run().unwrap();
-    let registry = fleet.registry();
     assert!(!registry.is_empty());
-    let json = registry.to_json().unwrap();
-    let rebuilt = TemplateRegistry::from_json(&json).unwrap();
+    let rebuilt = TemplateRegistry::new();
+    for entry in registry.snapshot() {
+        assert!(rebuilt.publish(entry.template, entry.source_cell));
+    }
     assert_eq!(registry.snapshot(), rebuilt.snapshot());
-    assert_eq!(json, rebuilt.to_json().unwrap());
     // Imported entries drive a fresh fleet exactly like the original
     // in-memory registry does.
-    let from_original = Fleet::with_registry(config(4, 2, 17, true), Arc::clone(registry)).unwrap();
+    let from_original =
+        Fleet::with_registry(config(4, 2, 17, true), Arc::clone(&registry)).unwrap();
     let from_rebuilt = Fleet::with_registry(config(4, 2, 17, true), Arc::new(rebuilt)).unwrap();
     assert_eq!(from_original.run().unwrap(), from_rebuilt.run().unwrap());
 }

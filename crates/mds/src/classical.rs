@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn explained_fraction_decreases_with_fewer_dims() {
         // A 3-simplex (regular tetrahedron) needs 3 dimensions.
-        let d = DistanceMatrix::from_fn(4, |_, _| 1.0).unwrap();
+        let d = crate::distance::tests::matrix(4, |_, _| 1.0);
         let f2 = explained_fraction(&d, 2).unwrap();
         let f3 = explained_fraction(&d, 3).unwrap();
         assert!(f2 < f3);

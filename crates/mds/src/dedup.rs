@@ -176,7 +176,6 @@ pub struct ReprSet {
     epsilon: f64,
     dim: Option<usize>,
     representatives: Vec<Vec<f64>>,
-    hits: Vec<u64>,
     grid: Option<GridIndex>,
 }
 
@@ -205,7 +204,6 @@ impl ReprSet {
             epsilon,
             dim: None,
             representatives: Vec::new(),
-            hits: Vec::new(),
             grid: None,
         })
     }
@@ -221,11 +219,6 @@ impl ReprSet {
         }
         self.grid = Some(grid);
         self
-    }
-
-    /// True when the grid bucket index is enabled.
-    pub fn is_grid_indexed(&self) -> bool {
-        self.grid.is_some()
     }
 
     /// The merge radius.
@@ -258,11 +251,6 @@ impl ReprSet {
         self.representatives.is_empty()
     }
 
-    /// Total number of vectors inserted (representatives + merged).
-    pub fn total_inserted(&self) -> u64 {
-        self.hits.iter().sum()
-    }
-
     /// Borrow the representative vectors.
     pub fn representatives(&self) -> &[Vec<f64>] {
         &self.representatives
@@ -275,15 +263,6 @@ impl ReprSet {
     /// Panics if `i` is out of bounds.
     pub fn representative(&self, i: usize) -> &[f64] {
         &self.representatives[i]
-    }
-
-    /// Number of vectors merged into representative `i` (including itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn hit_count(&self, i: usize) -> u64 {
-        self.hits[i]
     }
 
     /// Inserts a vector, merging it into the nearest representative when one
@@ -340,13 +319,9 @@ impl ReprSet {
             }
         }
         match best {
-            Some((i, _)) => {
-                self.hits[i] += 1;
-                Ok(DedupOutcome::Merged(i))
-            }
+            Some((i, _)) => Ok(DedupOutcome::Merged(i)),
             None => {
                 self.representatives.push(vector.to_vec());
-                self.hits.push(1);
                 let index = self.representatives.len() - 1;
                 if let Some(grid) = &mut self.grid {
                     grid.add(index, &self.representatives[index]);
@@ -425,8 +400,6 @@ mod tests {
         let out = set.insert(&[0.55, 0.5]).unwrap();
         assert_eq!(out, DedupOutcome::Merged(0));
         assert_eq!(set.len(), 1);
-        assert_eq!(set.hit_count(0), 2);
-        assert_eq!(set.total_inserted(), 2);
     }
 
     #[test]
@@ -542,7 +515,6 @@ mod tests {
     fn grid_index_matches_linear_scan_on_deterministic_stream() {
         let mut plain = ReprSet::new(0.07).unwrap();
         let mut indexed = ReprSet::new(0.07).unwrap().grid_indexed();
-        assert!(indexed.is_grid_indexed());
         let stream: Vec<Vec<f64>> = (0..200)
             .map(|i| {
                 let t = i as f64;

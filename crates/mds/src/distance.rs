@@ -142,36 +142,6 @@ impl DistanceMatrix {
         Ok(())
     }
 
-    /// Builds a distance matrix directly from precomputed pairwise values.
-    ///
-    /// `get(i, j)` is only called for `i < j`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdsError::NonFinite`] if any produced distance is negative,
-    /// NaN or infinite, and [`MdsError::Empty`] when `n == 0`.
-    pub fn from_fn<F>(n: usize, mut get: F) -> Result<Self, MdsError>
-    where
-        F: FnMut(usize, usize) -> f64,
-    {
-        if n == 0 {
-            return Err(MdsError::Empty);
-        }
-        let mut upper = Vec::with_capacity(n * (n - 1) / 2);
-        for j in 1..n {
-            for i in 0..j {
-                let d = get(i, j);
-                if !d.is_finite() || d < 0.0 {
-                    return Err(MdsError::NonFinite {
-                        context: "distance matrix entry",
-                    });
-                }
-                upper.push(d);
-            }
-        }
-        Ok(DistanceMatrix { n, upper })
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.n
@@ -209,20 +179,6 @@ impl DistanceMatrix {
         &self.upper[j * j.saturating_sub(1) / 2..][..j]
     }
 
-    /// Largest pairwise dissimilarity (0.0 for a single point).
-    pub fn max(&self) -> f64 {
-        self.upper.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean pairwise dissimilarity (0.0 for a single point).
-    pub fn mean(&self) -> f64 {
-        if self.upper.is_empty() {
-            0.0
-        } else {
-            self.upper.iter().sum::<f64>() / self.upper.len() as f64
-        }
-    }
-
     /// Sum of squared dissimilarities over the strict upper triangle.
     pub fn sum_squares(&self) -> f64 {
         self.upper.iter().map(|d| d * d).sum()
@@ -230,8 +186,18 @@ impl DistanceMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A matrix of the pairwise values `get(i, j)`, `i < j`, unchecked —
+    /// for tests anywhere in the crate.
+    pub(crate) fn matrix(n: usize, get: impl Fn(usize, usize) -> f64) -> DistanceMatrix {
+        let upper = (1..n).flat_map(|j| (0..j).map(move |i| (i, j)));
+        DistanceMatrix {
+            n,
+            upper: upper.map(|(i, j)| get(i, j)).collect(),
+        }
+    }
 
     #[test]
     fn euclidean_distance_matches_hand_computation() {
@@ -290,19 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_rejects_negative_distances() {
-        assert!(matches!(
-            DistanceMatrix::from_fn(3, |_, _| -1.0),
-            Err(MdsError::NonFinite { .. })
-        ));
-    }
-
-    #[test]
     fn single_point_matrix() {
         let d = DistanceMatrix::from_vectors(&[vec![1.0, 2.0]]).unwrap();
         assert_eq!(d.len(), 1);
-        assert_eq!(d.max(), 0.0);
-        assert_eq!(d.mean(), 0.0);
     }
 
     #[test]
@@ -356,8 +312,6 @@ mod tests {
     fn summary_statistics() {
         let vectors = vec![vec![0.0], vec![1.0], vec![3.0]];
         let d = DistanceMatrix::from_vectors(&vectors).unwrap();
-        assert_eq!(d.max(), 3.0);
-        assert!((d.mean() - 2.0).abs() < 1e-12); // (1 + 3 + 2) / 3
         assert_eq!(d.sum_squares(), 1.0 + 9.0 + 4.0);
     }
 }

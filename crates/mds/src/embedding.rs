@@ -127,29 +127,6 @@ impl Embedding {
         self.coords.chunks_exact(self.dim)
     }
 
-    /// Translates the configuration so its centroid is at the origin.
-    pub fn center(&mut self) {
-        let n = self.len();
-        if n == 0 {
-            return;
-        }
-        let mut centroid = vec![0.0; self.dim];
-        for p in self.iter() {
-            for (c, v) in centroid.iter_mut().zip(p) {
-                *c += v;
-            }
-        }
-        for c in &mut centroid {
-            *c /= n as f64;
-        }
-        for i in 0..n {
-            let p = self.point_mut(i);
-            for (v, c) in p.iter_mut().zip(&centroid) {
-                *v -= c;
-            }
-        }
-    }
-
     /// The centroid of the configuration.
     pub fn centroid(&self) -> Vec<f64> {
         let n = self.len();
@@ -276,17 +253,9 @@ mod tests {
     }
 
     #[test]
-    fn centering_moves_centroid_to_origin() {
-        let mut e = square();
-        e.center();
-        let c = e.centroid();
-        assert!(c.iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
     fn stress_zero_for_perfect_embedding() {
         let e = square();
-        let d = DistanceMatrix::from_fn(4, |i, j| e.distance(i, j)).unwrap();
+        let d = crate::distance::tests::matrix(4, |i, j| e.distance(i, j));
         assert!(e.stress(&d).unwrap() < 1e-12);
         assert!(e.raw_stress(&d).unwrap() < 1e-12);
     }
@@ -294,14 +263,14 @@ mod tests {
     #[test]
     fn stress_positive_for_distorted_embedding() {
         let e = square();
-        let d = DistanceMatrix::from_fn(4, |i, j| 2.0 * e.distance(i, j)).unwrap();
+        let d = crate::distance::tests::matrix(4, |i, j| 2.0 * e.distance(i, j));
         assert!(e.stress(&d).unwrap() > 0.1);
     }
 
     #[test]
     fn stress_checks_size() {
         let e = square();
-        let d = DistanceMatrix::from_fn(3, |_, _| 1.0).unwrap();
+        let d = crate::distance::tests::matrix(3, |_, _| 1.0);
         assert!(e.stress(&d).is_err());
     }
 

@@ -40,35 +40,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a matrix from nested rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdsError::Empty`] when `rows` is empty and
-    /// [`MdsError::DimensionMismatch`] when rows have differing lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Result<Self, MdsError> {
-        let first = rows.first().ok_or(MdsError::Empty)?;
-        let cols = first.len();
-        if cols == 0 {
-            return Err(MdsError::Empty);
-        }
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for row in rows {
-            if row.len() != cols {
-                return Err(MdsError::DimensionMismatch {
-                    expected: cols,
-                    found: row.len(),
-                });
-            }
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: rows.len(),
-            cols,
-            data,
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -77,11 +48,6 @@ impl Matrix {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Borrow a row as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Matrix product `self · other`.
@@ -380,6 +346,15 @@ pub fn determinant(a: &Matrix) -> f64 {
 mod tests {
     use super::*;
 
+    /// A matrix from equal-length rows.
+    fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+        Matrix {
+            rows: rows.len(),
+            cols: rows[0].len(),
+            data: rows.concat(),
+        }
+    }
+
     fn approx(a: f64, b: f64, eps: f64) -> bool {
         (a - b).abs() <= eps
     }
@@ -395,7 +370,7 @@ mod tests {
     #[test]
     fn known_2x2_eigenvalues() {
         // [[2, 1], [1, 2]] has eigenvalues 3 and 1.
-        let m = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap();
+        let m = from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
         let eig = symmetric_eigen(&m).unwrap();
         assert!(approx(eig.eigenvalues[0], 3.0, 1e-12));
         assert!(approx(eig.eigenvalues[1], 1.0, 1e-12));
@@ -403,12 +378,11 @@ mod tests {
 
     #[test]
     fn eigenvectors_reconstruct_matrix() {
-        let m = Matrix::from_rows(&[
+        let m = from_rows(&[
             vec![4.0, 1.0, 0.5],
             vec![1.0, 3.0, 0.2],
             vec![0.5, 0.2, 1.0],
-        ])
-        .unwrap();
+        ]);
         let eig = symmetric_eigen(&m).unwrap();
         // Reconstruct V · diag(λ) · Vᵀ.
         let n = 3;
@@ -454,11 +428,10 @@ mod tests {
     #[test]
     fn svd_of_rotation_has_unit_singular_values() {
         let theta: f64 = 0.7;
-        let r = Matrix::from_rows(&[
+        let r = from_rows(&[
             vec![theta.cos(), -theta.sin()],
             vec![theta.sin(), theta.cos()],
-        ])
-        .unwrap();
+        ]);
         let svd = svd_small(&r).unwrap();
         for s in svd.singular_values {
             assert!(approx(s, 1.0, 1e-10));
@@ -467,7 +440,7 @@ mod tests {
 
     #[test]
     fn svd_reconstructs_input() {
-        let a = Matrix::from_rows(&[vec![3.0, 1.0], vec![1.0, 2.0], vec![0.0, 1.0]]).unwrap();
+        let a = from_rows(&[vec![3.0, 1.0], vec![1.0, 2.0], vec![0.0, 1.0]]);
         let svd = svd_small(&a).unwrap();
         let k = 2;
         let mut sig = Matrix::zeros(k, k);
@@ -485,29 +458,20 @@ mod tests {
     #[test]
     fn determinant_of_known_matrices() {
         assert!(approx(determinant(&Matrix::identity(3)), 1.0, 1e-12));
-        let m = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
+        let m = from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         assert!(approx(determinant(&m), -1.0, 1e-12));
-        let m = Matrix::from_rows(&[vec![2.0, 0.0], vec![0.0, 5.0]]).unwrap();
+        let m = from_rows(&[vec![2.0, 0.0], vec![0.0, 5.0]]);
         assert!(approx(determinant(&m), 10.0, 1e-12));
     }
 
     #[test]
     fn matmul_against_hand_computed() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]).unwrap();
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let b = from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c[(0, 0)], 19.0);
         assert_eq!(c[(0, 1)], 22.0);
         assert_eq!(c[(1, 0)], 43.0);
         assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn from_rows_validates_shape() {
-        assert!(matches!(Matrix::from_rows(&[]), Err(MdsError::Empty)));
-        assert!(matches!(
-            Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]),
-            Err(MdsError::DimensionMismatch { .. })
-        ));
     }
 }

@@ -44,27 +44,12 @@ impl MetricBounds {
         MetricBounds::new(0.0, max)
     }
 
-    /// Lower bound.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Upper bound.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// Maps `value` into `[0, 1]`, clamping values outside the bounds.
     pub fn normalize(&self, value: f64) -> f64 {
         if value.is_nan() {
             return 0.0;
         }
         ((value - self.min) / (self.max - self.min)).clamp(0.0, 1.0)
-    }
-
-    /// Inverse of [`MetricBounds::normalize`] for in-range inputs.
-    pub fn denormalize(&self, unit: f64) -> f64 {
-        self.min + unit.clamp(0.0, 1.0) * (self.max - self.min)
     }
 }
 
@@ -86,19 +71,6 @@ impl Normalizer {
             return Err(MdsError::Empty);
         }
         Ok(Normalizer { bounds })
-    }
-
-    /// Creates a normaliser that maps every entry through `[0, 1]` bounds —
-    /// an identity-with-clamping for already-normalised inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
-    pub fn unit(dim: usize) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        Normalizer {
-            bounds: vec![MetricBounds { min: 0.0, max: 1.0 }; dim],
-        }
     }
 
     /// Expected vector dimensionality.
@@ -161,14 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn denormalize_round_trips() {
-        let b = MetricBounds::new(10.0, 30.0).unwrap();
-        for v in [10.0, 17.5, 30.0] {
-            assert!((b.denormalize(b.normalize(v)) - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn invalid_bounds_are_rejected() {
         assert!(MetricBounds::new(1.0, 1.0).is_err());
         assert!(MetricBounds::new(2.0, 1.0).is_err());
@@ -189,7 +153,7 @@ mod tests {
 
     #[test]
     fn normalizer_rejects_wrong_length() {
-        let n = Normalizer::unit(3);
+        let n = Normalizer::new(vec![MetricBounds::zero_to(1.0).unwrap(); 3]).unwrap();
         assert!(n.normalize(&[0.1, 0.2]).is_err());
     }
 
@@ -201,7 +165,7 @@ mod tests {
 
     #[test]
     fn unit_normalizer_clamps_only() {
-        let n = Normalizer::unit(2);
+        let n = Normalizer::new(vec![MetricBounds::zero_to(1.0).unwrap(); 2]).unwrap();
         let out = n.normalize(&[0.5, 1.5]).unwrap();
         assert_eq!(out, vec![0.5, 1.0]);
     }

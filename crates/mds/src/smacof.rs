@@ -89,11 +89,6 @@ impl Smacof {
         self
     }
 
-    /// Target dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Embeds `dissim` starting from a classical-MDS seed.
     ///
     /// # Errors
@@ -103,21 +98,6 @@ impl Smacof {
     pub fn embed(&self, dissim: &DistanceMatrix) -> Result<Embedding, MdsError> {
         let init = classical_mds(dissim, self.dim)?;
         self.embed_warm(dissim, init)
-    }
-
-    /// Like [`Smacof::embed`], but also reports what the solve did
-    /// ([`SolveTrace`]) — the same computation, traced.
-    ///
-    /// # Errors
-    ///
-    /// Propagates seed/solver failures; returns [`MdsError::Empty`] for an
-    /// empty matrix.
-    pub fn embed_traced(
-        &self,
-        dissim: &DistanceMatrix,
-    ) -> Result<(Embedding, SolveTrace), MdsError> {
-        let init = classical_mds(dissim, self.dim)?;
-        self.embed_warm_traced(dissim, init)
     }
 
     /// Embeds `dissim` starting from the supplied configuration.
@@ -498,7 +478,7 @@ mod tests {
     use super::*;
 
     fn simplex(n: usize) -> DistanceMatrix {
-        DistanceMatrix::from_fn(n, |_, _| 1.0).unwrap()
+        crate::distance::tests::matrix(n, |_, _| 1.0)
     }
 
     #[test]
@@ -562,11 +542,10 @@ mod tests {
     #[test]
     fn new_point_starts_at_its_first_nearest_neighbour() {
         // Point 3 is equidistant from points 1 and 2: the lower index wins.
-        let d = DistanceMatrix::from_fn(4, |i, j| match (i, j) {
+        let d = crate::distance::tests::matrix(4, |i, j| match (i, j) {
             (1, 3) | (2, 3) => 1.0,
             _ => 5.0,
-        })
-        .unwrap();
+        });
         let prev = Embedding::from_coords(2, vec![0.0, 0.0, 4.0, 0.0, 0.0, 4.0]).unwrap();
         let init = warm_start_with_new_points(&prev, &d).unwrap();
         let (x, y) = init.xy(3);
@@ -672,7 +651,6 @@ mod tests {
     #[test]
     fn builder_configuration() {
         let s = Smacof::new(3).max_iterations(10).tolerance(1e-4);
-        assert_eq!(s.dim(), 3);
         let d = simplex(4);
         assert!(s.embed(&d).is_ok());
     }
@@ -690,7 +668,8 @@ mod tests {
             .collect();
         let d = DistanceMatrix::from_vectors(&pts).unwrap();
         let plain = Smacof::new(2).embed(&d).unwrap();
-        let (traced, trace) = Smacof::new(2).embed_traced(&d).unwrap();
+        let seed = classical_mds(&d, 2).unwrap();
+        let (traced, trace) = Smacof::new(2).embed_warm_traced(&d, seed).unwrap();
         assert_eq!(plain, traced, "tracing must not change the embedding");
         assert!(trace.sweeps >= 1);
         assert!(trace.sweeps <= 300);
@@ -699,7 +678,8 @@ mod tests {
         assert!((0.0..=1.0).contains(&trace.relative_gain()));
         // A single point converges in zero sweeps.
         let d1 = DistanceMatrix::from_vectors(&[vec![1.0]]).unwrap();
-        let (_, trace) = Smacof::new(2).embed_traced(&d1).unwrap();
+        let seed = classical_mds(&d1, 2).unwrap();
+        let (_, trace) = Smacof::new(2).embed_warm_traced(&d1, seed).unwrap();
         assert_eq!(trace, SolveTrace::default());
         assert_eq!(trace.relative_gain(), 0.0);
     }

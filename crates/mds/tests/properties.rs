@@ -109,7 +109,6 @@ proptest! {
             let d = Metric::Euclidean.distance(set.representative(out.index()), v);
             prop_assert!(d <= epsilon + 1e-12);
         }
-        prop_assert_eq!(set.total_inserted(), vectors.len() as u64);
     }
 
     /// Representatives are mutually separated by more than epsilon... not in

@@ -147,8 +147,8 @@ proptest! {
     ) {
         let d = dissimilarities(n, seed);
         let solver = Smacof::new(dim).max_iterations(budget).tolerance(tolerance);
-        let (got, trace) = solver.embed_traced(&d).unwrap();
         let seed_config = classical_mds(&d, dim).unwrap();
+        let (got, trace) = solver.embed_warm_traced(&d, seed_config.clone()).unwrap();
         let (want, solve) = reference::embed_warm_traced(&d, seed_config, budget, tolerance);
         assert_same_trace(&trace, &solve, budget)?;
         prop_assert_eq!(bits(&got), bits(&want));

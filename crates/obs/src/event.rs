@@ -209,15 +209,6 @@ impl AttrValue {
         AttrValue::F64(if value.is_finite() { value } else { 0.0 })
     }
 
-    /// True when the value is a non-finite float (never, for values
-    /// built through the typed constructors; checked by proptests).
-    pub fn is_nan_free(&self) -> bool {
-        match self {
-            AttrValue::F64(f) => f.is_finite(),
-            _ => true,
-        }
-    }
-
     /// Renders the value for human-facing CLI output.
     pub fn render(&self) -> String {
         match self {
@@ -457,7 +448,7 @@ mod tests {
     fn float_attrs_are_sanitised() {
         assert_eq!(AttrValue::float(f64::NAN), AttrValue::F64(0.0));
         assert_eq!(AttrValue::float(f64::INFINITY), AttrValue::F64(0.0));
-        assert!(AttrValue::float(1.5).is_nan_free());
+        assert_eq!(AttrValue::float(1.5), AttrValue::F64(1.5));
     }
 
     #[test]

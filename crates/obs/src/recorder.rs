@@ -185,11 +185,6 @@ impl FlightRecorder {
         let inner = crate::lock(&self.inner);
         inner.events.iter().cloned().collect()
     }
-
-    /// Renders the retained records as JSON Lines.
-    pub fn to_jsonl(&self) -> String {
-        crate::event::events_to_jsonl(&self.events())
-    }
 }
 
 /// Merges per-recorder streams into the canonical total order. The
@@ -305,7 +300,8 @@ mod tests {
             None,
             vec![attr("votes", 3u64)],
         );
-        let back = crate::event::events_from_jsonl(&rec.to_jsonl()).unwrap();
+        let back =
+            crate::event::events_from_jsonl(&crate::event::events_to_jsonl(&rec.events())).unwrap();
         assert_eq!(back, rec.events());
     }
 }

@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// One completed span, as readers see it.
@@ -114,17 +113,6 @@ impl SpanSink {
             .map(Slot::record)
             .collect()
     }
-
-    /// Renders the retained records as JSON Lines, one record per
-    /// line, oldest first.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for record in self.records() {
-            let line = serde_json::to_string(&record).expect("span record serializes");
-            let _ = writeln!(out, "{line}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +149,6 @@ mod tests {
         }
         assert_eq!(batched.records(), one_by_one.records());
         assert_eq!(batched.dropped(), 3);
-        assert_eq!(batched.to_jsonl(), one_by_one.to_jsonl());
     }
 
     #[test]
@@ -173,18 +160,5 @@ mod tests {
         sink.emit_all(2, &[("s", 1)]);
         assert_eq!((sink.len(), sink.dropped()), (2, 1));
         assert_eq!(sink.records()[1].tick, 2);
-    }
-
-    #[test]
-    fn jsonl_renders_one_record_per_line() {
-        let sink = SpanSink::bounded(4);
-        sink.emit("a", 1, 10);
-        sink.emit("b", 2, 20);
-        let jsonl = sink.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let first: SpanRecord = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(first.name, "a");
-        assert_eq!(first.nanos, 10);
     }
 }

@@ -84,11 +84,6 @@ fn check_sink_against_model(
     prop_assert_eq!(sink.len(), expected.len());
     prop_assert_eq!(sink.is_empty(), expected.is_empty());
     prop_assert_eq!(sink.dropped(), dropped);
-    let jsonl: String = expected
-        .iter()
-        .map(|r| serde_json::to_string(r).unwrap() + "\n")
-        .collect();
-    prop_assert_eq!(sink.to_jsonl(), jsonl);
     prop_assert_eq!(sink.records(), expected);
     Ok(())
 }

@@ -108,16 +108,6 @@ impl PhasedApp {
             workload: None,
         }
     }
-
-    /// Index of the currently executing phase.
-    pub fn current_phase(&self) -> usize {
-        self.phase_idx
-    }
-
-    /// True when the script loops forever (absent a `total_work` bound).
-    pub fn is_looping(&self) -> bool {
-        self.looping
-    }
 }
 
 impl Application for PhasedApp {
@@ -271,11 +261,11 @@ mod tests {
             .phase(Phase::steady(cpu(1.0), 5.0))
             .phase(Phase::steady(cpu(2.0), 5.0))
             .build();
-        assert_eq!(app.current_phase(), 0);
+        assert_eq!(app.phase_idx, 0);
         for _ in 0..5 {
             app.deliver(1.0);
         }
-        assert_eq!(app.current_phase(), 1);
+        assert_eq!(app.phase_idx, 1);
         assert_eq!(app.demand(0).get(ResourceKind::Cpu), 2.0);
     }
 
@@ -288,7 +278,7 @@ mod tests {
         for _ in 0..100 {
             app.deliver(0.0);
         }
-        assert_eq!(app.current_phase(), 0);
+        assert_eq!(app.phase_idx, 0);
         assert_eq!(app.work_done(), 0.0);
     }
 
@@ -301,9 +291,9 @@ mod tests {
         for _ in 0..9 {
             app.deliver(0.5); // 4.5 work
         }
-        assert_eq!(app.current_phase(), 0);
+        assert_eq!(app.phase_idx, 0);
         app.deliver(1.0); // 5.5 → phase 1
-        assert_eq!(app.current_phase(), 1);
+        assert_eq!(app.phase_idx, 1);
     }
 
     #[test]
@@ -316,7 +306,7 @@ mod tests {
             app.deliver(1.0);
         }
         assert!(app.is_finished());
-        assert!(app.demand(0).is_zero());
+        assert_eq!(app.demand(0), ResourceVector::zero());
         // Further delivery is a no-op.
         app.deliver(1.0);
         assert_eq!(app.work_done(), 3.0);
@@ -346,7 +336,7 @@ mod tests {
             app.deliver(1.0);
         }
         assert!(!app.is_finished());
-        assert_eq!(app.current_phase(), 0);
+        assert_eq!(app.phase_idx, 0);
     }
 
     #[test]

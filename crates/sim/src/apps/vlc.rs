@@ -72,7 +72,7 @@ mod tests {
             app.deliver(1.0);
         }
         assert!(app.is_finished());
-        assert!(app.demand(10).is_zero());
+        assert_eq!(app.demand(10), ResourceVector::zero());
     }
 
     #[test]

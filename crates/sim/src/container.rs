@@ -17,17 +17,6 @@ pub struct Container {
 }
 
 impl Container {
-    /// Creates a container. `start_tick` delays scheduling (the batch
-    /// application of Figure 13 starts at tick 10, for example).
-    pub fn new(
-        id: ContainerId,
-        class: AppClass,
-        app: Box<dyn Application>,
-        start_tick: u64,
-    ) -> Self {
-        Container::with_priority(id, class, app, start_tick, 0)
-    }
-
     /// Creates a container with an explicit priority (lower number = more
     /// important; only meaningful for sensitive containers, §2.1's
     /// "multiple sensitive applications … with the notion of priorities").
@@ -95,11 +84,6 @@ impl Container {
         tick >= self.start_tick && !self.paused && !self.app.is_finished()
     }
 
-    /// True when the container is scheduled and unfinished (paused or not).
-    pub fn is_scheduled(&self, tick: u64) -> bool {
-        tick >= self.start_tick && !self.app.is_finished()
-    }
-
     /// Pauses the container (SIGSTOP analogue). Idempotent.
     pub fn pause(&mut self) {
         if !self.paused {
@@ -137,11 +121,12 @@ mod tests {
                 5.0,
             ))
             .build();
-        Container::new(
+        Container::with_priority(
             ContainerId::from_raw(0),
             AppClass::Batch,
             Box::new(app),
             start,
+            0,
         )
     }
 
@@ -150,8 +135,6 @@ mod tests {
         let c = container(10);
         assert!(!c.is_active(9));
         assert!(c.is_active(10));
-        assert!(!c.is_scheduled(9));
-        assert!(c.is_scheduled(10));
     }
 
     #[test]
@@ -161,7 +144,6 @@ mod tests {
         c.pause();
         assert!(c.is_paused());
         assert!(!c.is_active(0));
-        assert!(c.is_scheduled(0));
         c.pause(); // idempotent
         assert_eq!(c.pause_count(), 1);
         c.resume();
@@ -178,7 +160,6 @@ mod tests {
         }
         assert!(c.is_finished());
         assert!(!c.is_active(100));
-        assert!(!c.is_scheduled(100));
     }
 
     #[test]

@@ -407,7 +407,7 @@ mod tests {
         ];
         let allocs = allocate(&demands, &spec(), &ContentionParams::default());
         assert_eq!(allocs[0].perf, 0.0);
-        assert!(allocs[0].granted.is_zero());
+        assert_eq!(allocs[0].granted, ResourceVector::zero());
         assert!((allocs[1].perf - 1.0).abs() < 1e-9);
     }
 

@@ -22,10 +22,8 @@ pub enum SimError {
     /// A scenario name that [`crate::scenario::Scenario::parse`] cannot
     /// resolve; the message names the malformed or unknown part.
     UnknownScenario(String),
-    /// Failure while loading an external workload trace.
+    /// An empty or non-finite workload trace.
     Trace(String),
-    /// Underlying I/O failure.
-    Io(std::io::Error),
     /// A telemetry-plane failure (invalid host spec etc.).
     Telemetry(stayaway_telemetry::TelemetryError),
 }
@@ -38,7 +36,6 @@ impl fmt::Display for SimError {
             SimError::ActionRejected { reason } => write!(f, "action rejected: {reason}"),
             SimError::UnknownScenario(msg) => f.write_str(msg),
             SimError::Trace(msg) => write!(f, "trace error: {msg}"),
-            SimError::Io(e) => write!(f, "i/o error: {e}"),
             SimError::Telemetry(e) => write!(f, "telemetry error: {e}"),
         }
     }
@@ -47,16 +44,9 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SimError::Io(e) => Some(e),
             SimError::Telemetry(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<std::io::Error> for SimError {
-    fn from(e: std::io::Error) -> Self {
-        SimError::Io(e)
     }
 }
 

@@ -104,11 +104,6 @@ impl Harness {
         self.noise.rng = StdRng::seed_from_u64(seed ^ 0x5f3759df);
     }
 
-    /// The tracked sensitive container, if any.
-    pub fn sensitive_id(&self) -> Option<ContainerId> {
-        self.sensitive
-    }
-
     /// The QoS requirement in force.
     pub fn qos_spec(&self) -> QosSpec {
         self.qos
@@ -117,21 +112,6 @@ impl Harness {
     /// Shared access to the host.
     pub fn host(&self) -> &Host {
         &self.host
-    }
-
-    /// Mutable access to the host (scenario setup, manual throttling).
-    pub fn host_mut(&mut self) -> &mut Host {
-        &mut self.host
-    }
-
-    /// Advances the host one tick and returns the (noisy) observation of
-    /// it — the "sense" half of a closed-loop step:
-    /// [`ObservationSource::next_observation`], which never runs dry.
-    pub fn tick_observation(&mut self) -> Observation {
-        self.next_observation()
-            .ok()
-            .flatten()
-            .expect("the simulator source neither fails nor runs dry")
     }
 
     /// Applies policy actions to the host (they take effect from the next
@@ -451,7 +431,7 @@ mod tests {
         let mut host = Host::new(HostSpec::default()).unwrap();
         host.add_container(AppClass::Batch, cpu_app("b", 1.0, 1e9), 0);
         let mut h = Harness::new(host, QosSpec::default(), 0.0, 1).unwrap();
-        assert!(h.sensitive_id().is_none());
+        assert!(h.sensitive.is_none());
         let out = h.run(&mut NullPolicy::new(), 5);
         assert_eq!(out.qos.active_ticks, 0);
         assert_eq!(out.qos.satisfaction(), 1.0);

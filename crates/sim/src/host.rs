@@ -156,11 +156,6 @@ impl Host {
         self.containers.iter()
     }
 
-    /// Number of containers.
-    pub fn container_count(&self) -> usize {
-        self.containers.len()
-    }
-
     /// Pauses a container (SIGSTOP). Top-priority sensitive containers
     /// cannot be paused — the paper's constraint that only best-effort
     /// batch applications (or, with §2.1's priorities, *lower-priority*
@@ -208,15 +203,8 @@ impl Host {
 
     /// Advances the simulation by one tick: gathers demands from active
     /// containers, runs the contention model, delivers progress, and
-    /// reports what happened.
-    pub fn step(&mut self) -> HostTick {
-        let mut report = HostTick::default();
-        self.step_into(&mut report);
-        report
-    }
-
-    /// [`Host::step`] into `report` (overwritten), the physics working in
-    /// buffers the host keeps.
+    /// reports what happened into `report` (overwritten), the physics
+    /// working in buffers the host keeps.
     pub fn step_into(&mut self, report: &mut HostTick) {
         let t = self.tick;
         let TickBuffers {
@@ -266,6 +254,13 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One tick of `host`, reported into a fresh [`HostTick`].
+    fn step(host: &mut Host) -> HostTick {
+        let mut report = HostTick::default();
+        host.step_into(&mut report);
+        report
+    }
     use crate::app::{Phase, PhasedApp};
 
     fn cpu_app(name: &str, cores: f64, work: f64) -> Box<dyn Application> {
@@ -294,7 +289,7 @@ mod tests {
     fn single_app_runs_at_full_speed() {
         let mut host = Host::new(HostSpec::default()).unwrap();
         let id = host.add_container(AppClass::Batch, cpu_app("a", 2.0, 10.0), 0);
-        let r = host.step();
+        let r = step(&mut host);
         assert_eq!(r.tick, 0);
         let ct = r.container(id).unwrap();
         assert!((ct.perf - 1.0).abs() < 1e-9);
@@ -307,7 +302,7 @@ mod tests {
         let mut host = Host::new(HostSpec::default()).unwrap();
         let a = host.add_container(AppClass::Sensitive, cpu_app("a", 3.0, 100.0), 0);
         let b = host.add_container(AppClass::Batch, cpu_app("b", 3.0, 100.0), 0);
-        let r = host.step();
+        let r = step(&mut host);
         assert!((r.container(a).unwrap().perf - 2.0 / 3.0).abs() < 1e-9);
         assert!((r.container(b).unwrap().perf - 2.0 / 3.0).abs() < 1e-9);
         assert!((r.cpu_utilization(host.spec()) - 1.0).abs() < 1e-9);
@@ -319,11 +314,11 @@ mod tests {
         let a = host.add_container(AppClass::Sensitive, cpu_app("a", 3.0, 100.0), 0);
         let b = host.add_container(AppClass::Batch, cpu_app("b", 3.0, 100.0), 0);
         host.pause(b).unwrap();
-        let r = host.step();
+        let r = step(&mut host);
         assert!((r.container(a).unwrap().perf - 1.0).abs() < 1e-9);
         let bt = r.container(b).unwrap();
         assert_eq!(bt.perf, 0.0);
-        assert!(bt.usage.is_zero());
+        assert_eq!(bt.usage, ResourceVector::zero());
         assert!(bt.paused);
         assert!(!bt.active);
     }
@@ -352,10 +347,10 @@ mod tests {
         let mut host = Host::new(HostSpec::default()).unwrap();
         let id = host.add_container(AppClass::Batch, cpu_app("late", 1.0, 10.0), 3);
         for t in 0..3 {
-            let r = host.step();
+            let r = step(&mut host);
             assert!(!r.container(id).unwrap().active, "tick {t}");
         }
-        let r = host.step();
+        let r = step(&mut host);
         assert!(r.container(id).unwrap().active);
     }
 
@@ -364,28 +359,28 @@ mod tests {
         let mut host = Host::new(HostSpec::default()).unwrap();
         let id = host.add_container(AppClass::Batch, cpu_app("short", 1.0, 3.0), 0);
         for _ in 0..3 {
-            host.step();
+            step(&mut host);
         }
-        let r = host.step();
+        let r = step(&mut host);
         let ct = r.container(id).unwrap();
         assert!(ct.finished);
         assert!(!ct.active);
-        assert!(ct.usage.is_zero());
+        assert_eq!(ct.usage, ResourceVector::zero());
     }
 
     #[test]
     fn pause_resume_restores_progress_flow() {
         let mut host = Host::new(HostSpec::default()).unwrap();
         let id = host.add_container(AppClass::Batch, cpu_app("x", 1.0, 5.0), 0);
-        host.step(); // 1 work done
+        step(&mut host); // 1 work done
         host.pause(id).unwrap();
         for _ in 0..10 {
-            host.step();
+            step(&mut host);
         }
         assert!(!host.container(id).unwrap().is_finished());
         host.resume(id).unwrap();
         for _ in 0..4 {
-            host.step();
+            step(&mut host);
         }
         assert!(host.container(id).unwrap().is_finished());
     }
@@ -422,7 +417,7 @@ mod tests {
         let mut host = Host::new(HostSpec::default()).unwrap();
         host.add_container(AppClass::Sensitive, cpu_app("s", 1.0, 100.0), 0);
         host.add_container(AppClass::Batch, cpu_app("b", 2.0, 100.0), 0);
-        let r = host.step();
+        let r = step(&mut host);
         assert!((r.cpu_usage_of(AppClass::Sensitive) - 1.0).abs() < 1e-9);
         assert!((r.cpu_usage_of(AppClass::Batch) - 2.0).abs() < 1e-9);
     }

@@ -347,12 +347,6 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Sets the host capacities.
-    pub fn host(mut self, spec: HostSpec) -> Self {
-        self.scenario.host = spec;
-        self
-    }
-
     /// Sets the QoS violation threshold (default 0.95).
     pub fn qos_threshold(mut self, threshold: f64) -> Self {
         self.scenario.qos_threshold = threshold;
@@ -494,7 +488,7 @@ mod tests {
         let s = Scenario::webservice_with_combo(WebWorkload::Mix, &BatchKind::BATCH_1, 2);
         assert_eq!(s.batches().len(), 2);
         let h = s.build_harness().unwrap();
-        assert_eq!(h.host().container_count(), 3);
+        assert_eq!(h.host().containers().count(), 3);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! of Wikipedia (periods of low intensity are co-location opportunities).
 //! The original AWS-hosted trace is no longer published, so
 //! [`Trace::diurnal`] synthesises a trace with the same qualitative shape:
-//! a day/night sinusoid, a weekly modulation and multiplicative noise. A
-//! CSV loader is provided for replaying real traces.
+//! a day/night sinusoid, a weekly modulation and multiplicative noise.
 
 use crate::SimError;
 use rand::rngs::StdRng;
@@ -81,19 +80,6 @@ impl Trace {
         }
     }
 
-    /// A step trace: `low` for `low_len` ticks then `high` for `high_len`,
-    /// repeating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both lengths are zero.
-    pub fn square_wave(low: f64, low_len: usize, high: f64, high_len: usize) -> Self {
-        assert!(low_len + high_len > 0, "wave period must be positive");
-        let mut samples = vec![low.clamp(0.0, 1.0); low_len];
-        samples.extend(vec![high.clamp(0.0, 1.0); high_len]);
-        Trace { samples }
-    }
-
     /// A piecewise-constant trace from `(intensity, duration)` segments —
     /// used to script the workload-variation timelines of Figure 13.
     ///
@@ -133,45 +119,6 @@ impl Trace {
         Trace { samples }
     }
 
-    /// Loads a single-column (or `time,value` two-column) CSV of
-    /// intensities; values are rescaled to `[0, 1]` by the column maximum.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Trace`] for malformed rows and
-    /// [`SimError::Io`] for filesystem failures.
-    pub fn from_csv(reader: impl std::io::BufRead) -> Result<Self, SimError> {
-        let mut raw = Vec::new();
-        for (lineno, line) in reader.lines().enumerate() {
-            let line = line?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let field = line.split(',').next_back().unwrap_or(line).trim();
-            let v: f64 = field.parse().map_err(|_| {
-                SimError::Trace(format!("line {}: cannot parse `{field}`", lineno + 1))
-            })?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(SimError::Trace(format!(
-                    "line {}: invalid intensity {v}",
-                    lineno + 1
-                )));
-            }
-            raw.push(v);
-        }
-        if raw.is_empty() {
-            return Err(SimError::Trace("no samples in csv".into()));
-        }
-        let max = raw.iter().copied().fold(0.0, f64::max);
-        let samples = if max > 0.0 {
-            raw.into_iter().map(|v| v / max).collect()
-        } else {
-            raw
-        };
-        Trace::from_samples(samples)
-    }
-
     /// Intensity at tick `t` (wrapping past the end).
     pub fn intensity(&self, t: u64) -> f64 {
         self.samples[(t as usize) % self.samples.len()]
@@ -190,11 +137,6 @@ impl Trace {
     /// Borrow the raw samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// Mean intensity.
-    pub fn mean(&self) -> f64 {
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 }
 
@@ -220,16 +162,6 @@ mod tests {
     fn rejects_bad_samples() {
         assert!(Trace::from_samples(vec![]).is_err());
         assert!(Trace::from_samples(vec![f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn square_wave_alternates() {
-        let t = Trace::square_wave(0.1, 2, 0.9, 3);
-        assert_eq!(t.intensity(0), 0.1);
-        assert_eq!(t.intensity(1), 0.1);
-        assert_eq!(t.intensity(2), 0.9);
-        assert_eq!(t.intensity(4), 0.9);
-        assert_eq!(t.intensity(5), 0.1); // wraps
     }
 
     #[test]
@@ -266,29 +198,5 @@ mod tests {
         let afternoon = t.intensity((p.ticks_per_day as f64 * 0.6) as u64);
         let predawn = t.intensity((p.ticks_per_day as f64 * 0.1) as u64);
         assert!(afternoon > predawn + 0.3);
-    }
-
-    #[test]
-    fn csv_loader_parses_and_normalises() {
-        let csv = "# comment\n100\n200\n400\n";
-        let t = Trace::from_csv(csv.as_bytes()).unwrap();
-        assert_eq!(t.samples(), &[0.25, 0.5, 1.0]);
-
-        let csv2 = "t0,10\nt1,20\n";
-        let t2 = Trace::from_csv(csv2.as_bytes()).unwrap();
-        assert_eq!(t2.samples(), &[0.5, 1.0]);
-    }
-
-    #[test]
-    fn csv_loader_rejects_garbage() {
-        assert!(Trace::from_csv("abc\n".as_bytes()).is_err());
-        assert!(Trace::from_csv("".as_bytes()).is_err());
-        assert!(Trace::from_csv("-5\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn mean_intensity() {
-        let t = Trace::from_samples(vec![0.0, 1.0]).unwrap();
-        assert_eq!(t.mean(), 0.5);
     }
 }

@@ -233,25 +233,11 @@ impl StateMap {
             .count()
     }
 
-    /// Number of safe-states.
-    pub fn safe_count(&self) -> usize {
-        self.entries.len() - self.violation_count()
-    }
-
     /// Nearest safe-state to `point`: `(index, distance)`.
     pub fn nearest_safe(&self, point: Point2) -> Option<(usize, f64)> {
-        self.nearest_of_kind(point, StateKind::Safe)
-    }
-
-    /// Nearest violation-state to `point`: `(index, distance)`.
-    pub fn nearest_violation(&self, point: Point2) -> Option<(usize, f64)> {
-        self.nearest_of_kind(point, StateKind::Violation)
-    }
-
-    fn nearest_of_kind(&self, point: Point2, kind: StateKind) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, e) in self.entries.iter().enumerate() {
-            if e.kind != kind {
+            if e.kind != StateKind::Safe {
                 continue;
             }
             let d = e.point.distance(point);
@@ -378,7 +364,6 @@ mod tests {
         m.mark_violation(1).unwrap();
         assert_eq!(m.entry(1).unwrap().kind(), StateKind::Violation);
         assert_eq!(m.violation_count(), 1);
-        assert_eq!(m.safe_count(), 2);
     }
 
     #[test]
@@ -386,9 +371,6 @@ mod tests {
         let mut m = mk_map();
         m.mark_violation(1).unwrap();
         let p = Point2::new(0.9, 0.0);
-        let (vi, vd) = m.nearest_violation(p).unwrap();
-        assert_eq!(vi, 1);
-        assert!((vd - 0.1).abs() < 1e-12);
         let (si, _) = m.nearest_safe(p).unwrap();
         assert_eq!(si, 0);
     }

@@ -54,12 +54,6 @@ impl ExecutionMode {
             (true, true) => ExecutionMode::CoLocated,
         }
     }
-
-    /// True when interference with the sensitive application is possible.
-    /// Violations cannot occur outside co-located execution (§3.3).
-    pub fn interference_possible(&self) -> bool {
-        matches!(self, ExecutionMode::CoLocated)
-    }
 }
 
 impl fmt::Display for ExecutionMode {
@@ -106,13 +100,6 @@ mod tests {
             seen[m.index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn only_colocated_can_interfere() {
-        for m in ExecutionMode::ALL {
-            assert_eq!(m.interference_possible(), m == ExecutionMode::CoLocated);
-        }
     }
 
     #[test]

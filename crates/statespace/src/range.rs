@@ -70,11 +70,6 @@ impl ViolationRange {
     pub fn contains(&self, point: Point2) -> bool {
         self.center.distance(point) <= self.radius
     }
-
-    /// Distance from `point` to the boundary (negative inside).
-    pub fn signed_distance(&self, point: Point2) -> f64 {
-        self.center.distance(point) - self.radius
-    }
 }
 
 #[cfg(test)]
@@ -147,13 +142,5 @@ mod tests {
         assert_eq!(r.radius(), 0.0);
         let r = ViolationRange::new(Point2::origin(), f64::NAN);
         assert_eq!(r.radius(), 0.0);
-    }
-
-    #[test]
-    fn signed_distance_sign_convention() {
-        let r = ViolationRange::new(Point2::origin(), 1.0);
-        assert!(r.signed_distance(Point2::new(0.5, 0.0)) < 0.0);
-        assert!(r.signed_distance(Point2::new(2.0, 0.0)) > 0.0);
-        assert!(r.signed_distance(Point2::new(1.0, 0.0)).abs() < 1e-12);
     }
 }

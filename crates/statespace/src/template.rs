@@ -55,11 +55,6 @@ impl Template {
         &self.sensitive_app
     }
 
-    /// Vector dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of stored states.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -205,7 +200,7 @@ mod tests {
         let t = sample();
         assert_eq!(t.len(), 3);
         assert_eq!(t.violation_count(), 1);
-        assert_eq!(t.dim(), 3);
+        assert_eq!(t.dim, 3);
         assert_eq!(t.sensitive_app(), "vlc-streaming");
     }
 

@@ -30,7 +30,6 @@ use stayaway_telemetry::{Action, HostSpec, Observation, Policy};
 /// same seed are bit-identical.
 #[derive(Debug)]
 pub struct Controller {
-    config: ControllerConfig,
     sense: SenseStage,
     map: MapStage,
     predict: PredictStage,
@@ -84,13 +83,7 @@ impl Controller {
             act: ActStage::new(&config, spec.capacities()),
             first_throttle: None,
             obs: ControllerMetrics::register(obs),
-            config,
         })
-    }
-
-    /// The (validated) configuration this controller runs with.
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
     }
 
     /// The learned state map.
@@ -175,11 +168,6 @@ impl Controller {
     /// The current β (§3.3).
     pub fn beta(&self) -> f64 {
         self.act.beta()
-    }
-
-    /// True while the controller holds batch applications paused.
-    pub fn is_throttling(&self) -> bool {
-        self.act.is_throttling()
     }
 
     /// Exports the learned states as a template for future executions of
@@ -350,7 +338,8 @@ impl Controller {
         if reissued > 0 {
             // Registered at the first re-issue: a run whose every action
             // arrived exports the series it always did.
-            let help = "Pauses and resumes re-issued because the observation showed them lost";
+            let help = "Pauses and resumes re-issued because the observation showed them lost, \
+                        and resumes of pauses this controller did not issue";
             let name = "stayaway_controller_reissued_actions_total";
             self.obs.bundle.registry().counter(name, help).add(reissued);
         }
@@ -452,6 +441,7 @@ mod tests {
     use stayaway_obs::{EventKind, FlightRecorder};
     use stayaway_sim::scenario::Scenario;
     use stayaway_sim::NullPolicy;
+    use stayaway_telemetry::ObservationSource;
 
     fn default_controller(h: &stayaway_sim::Harness) -> Controller {
         Controller::for_host(ControllerConfig::default(), h.host().spec()).unwrap()
@@ -648,7 +638,7 @@ mod tests {
                 .unwrap();
         let mut whole_floats = 0;
         for _ in 0..400 {
-            let observation = h.tick_observation();
+            let observation = h.next_observation().unwrap().unwrap();
             let actions = ctl.decide(&observation);
             h.apply(&actions);
             let point = ctl.state_point(ctl.current_state().unwrap()).unwrap();

@@ -215,9 +215,15 @@ impl ActStage {
     /// active, unfinished and not paused — unless it has since become a
     /// top-priority sensitive container (§2.1), which is never paused;
     /// otherwise a Resume for each resumed container still shown paused
-    /// (one shown running is settled). Containers not shown, or shown
-    /// finished, are left alone.
+    /// (one shown running is settled). Either way, a container shown paused
+    /// and unfinished that this stage neither paused nor resumed — a pause
+    /// inherited from a controller that restarted — is resumed. Containers
+    /// not shown, or shown finished, are left alone; in observe-only mode
+    /// nothing is issued.
     pub fn reconcile(&mut self, observation: &Observation, actions: &mut Vec<Action>) -> u64 {
+        if !self.actions_enabled {
+            return 0;
+        }
         let shown = |id: ContainerId| {
             observation
                 .containers
@@ -236,6 +242,15 @@ impl ActStage {
             self.resumed_by_us
                 .retain(|&id| shown(id).is_some_and(|c| c.paused));
             actions.extend(self.resumed_by_us.iter().copied().map(Action::Resume));
+        }
+        for c in &observation.containers {
+            if c.paused
+                && !c.finished
+                && !self.paused_by_us.contains(&c.id)
+                && !self.resumed_by_us.contains(&c.id)
+            {
+                actions.push(Action::Resume(c.id));
+            }
         }
         (actions.len() - before) as u64
     }
@@ -630,28 +645,45 @@ mod tests {
         assert_eq!(r.act.reconcile(&still_paused, &mut actions), 1);
         assert_eq!(r.act.reconcile(&still_paused, &mut actions), 1);
         assert_eq!(actions, [Action::Resume(ContainerId::from_raw(7)); 2]);
-        // Seen running once, it is settled for good.
+        // Seen running once, it is settled: the resume is no longer ours.
         assert_eq!(
             r.act.reconcile(&shown(7, true, false, false), &mut actions),
             0
         );
-        assert_eq!(r.act.reconcile(&still_paused, &mut actions), 0);
+        assert_eq!(r.act.resumed_by_us, []);
     }
 
     #[test]
     fn a_resumed_container_gone_or_finished_is_left_alone() {
-        for gone in [shown(8, false, true, false), shown(7, false, true, true)] {
+        for gone in [shown(8, true, false, false), shown(7, false, true, true)] {
             let mut r = rig(5, 1.0);
             r.throttle(0, 7);
             r.period(1, 0.0);
             assert!(resumed(&r.period(2, 0.05)).is_some());
             let mut actions = Vec::new();
             assert_eq!(r.act.reconcile(&gone, &mut actions), 0);
-            assert_eq!(
-                r.act.reconcile(&shown(7, false, true, false), &mut actions),
-                0
-            );
             assert!(actions.is_empty());
+            assert_eq!(r.act.resumed_by_us, []);
         }
+    }
+
+    #[test]
+    fn an_inherited_pause_is_resumed_in_either_branch() {
+        let foreign = shown(9, false, true, false);
+        let mut r = rig(5, 1.0);
+        let mut actions = Vec::new();
+        assert_eq!(r.act.reconcile(&foreign, &mut actions), 1);
+        r.throttle(0, 7);
+        assert_eq!(r.act.reconcile(&foreign, &mut actions), 1);
+        assert_eq!(actions, [Action::Resume(ContainerId::from_raw(9)); 2]);
+        // Finished, or observe-only: left alone.
+        assert_eq!(
+            r.act.reconcile(&shown(9, false, true, true), &mut actions),
+            0
+        );
+        let mut observer = rig(5, 1.0);
+        observer.act.actions_enabled = false;
+        assert_eq!(observer.act.reconcile(&foreign, &mut actions), 0);
+        assert_eq!(actions.len(), 2);
     }
 }

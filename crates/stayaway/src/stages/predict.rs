@@ -21,7 +21,7 @@
 use super::map::MapStage;
 use super::sense::Sensed;
 use crate::config::ControllerConfig;
-use crate::predictors::{Predictor, PredictorKind, PredictorStats};
+use crate::predictors::{Predictor, PredictorStats};
 use crate::CoreError;
 use rand::rngs::StdRng;
 use stayaway_statespace::{ExecutionMode, Point2};
@@ -60,11 +60,6 @@ impl PredictStage {
             predictor: config.predictor.build(config),
             ledger: VerdictLedger::default(),
         }
-    }
-
-    /// Which prediction plane this stage runs.
-    pub fn kind(&self) -> PredictorKind {
-        self.predictor.kind()
     }
 
     /// Checks the previous period's forecast against the state actually
@@ -139,6 +134,7 @@ impl PredictStage {
 mod tests {
     use super::*;
     use crate::obs::MappingMetrics;
+    use crate::predictors::PredictorKind;
     use rand::SeedableRng;
     use stayaway_telemetry::{HostSpec, ResourceKind};
 

@@ -11,7 +11,7 @@
 use stayaway_core::{Controller, ControllerConfig, Observability};
 use stayaway_obs::{FlightRecorder, MetricsRegistry, SpanSink, StateCell};
 use stayaway_sim::scenario::Scenario;
-use stayaway_telemetry::{Action, Observation, Policy};
+use stayaway_telemetry::{Action, Observation, ObservationSource, Policy};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,8 +86,8 @@ fn compare_periods(scenario: &Scenario) {
 
     let (mut compared, mut excused) = (0u64, 0u64);
     for tick in 0..TICKS {
-        let bare_obs = bare_host.tick_observation();
-        let watched_obs = watched_host.tick_observation();
+        let bare_obs = bare_host.next_observation().unwrap().unwrap();
+        let watched_obs = watched_host.next_observation().unwrap().unwrap();
         assert_eq!(
             bare_obs, watched_obs,
             "the two hosts diverged at tick {tick}"

@@ -3,8 +3,7 @@
 //! [`ProcfsSource`] turns the kernel's textual accounting into per-tick
 //! [`Observation`]s: host CPU occupancy from `/proc/stat`, the watched
 //! cgroup's CPU time and resident memory from cgroup-v2 `cpu.stat` /
-//! `memory.current`, and a watched process's disk traffic from
-//! `/proc/<pid>/io`. Everything is *capability probed*: the module
+//! `memory.current`. Everything is *capability probed*: the module
 //! compiles on every platform, [`ProcfsSource::probe`] returns `None`
 //! where `/proc/stat` does not exist, and each optional file simply drops
 //! its metric from the advertised set when absent.
@@ -71,56 +70,6 @@ pub fn parse_proc_stat(text: &str) -> Result<CpuTimes, TelemetryError> {
     })
 }
 
-/// I/O accounting from `/proc/<pid>/io`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PidIo {
-    /// Bytes fetched from the storage layer.
-    pub read_bytes: u64,
-    /// Bytes sent to the storage layer.
-    pub write_bytes: u64,
-}
-
-/// Parses `/proc/<pid>/io` text.
-///
-/// # Errors
-///
-/// Returns [`TelemetryError::Codec`] with the offending 1-based line
-/// number for malformed counters, or with the line count when the
-/// `read_bytes`/`write_bytes` fields are missing entirely.
-pub fn parse_pid_io(text: &str) -> Result<PidIo, TelemetryError> {
-    let mut io = PidIo::default();
-    let mut seen = (false, false);
-    let mut lines = 0u64;
-    for (idx, line) in text.lines().enumerate() {
-        lines = idx as u64 + 1;
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let slot = match key.trim() {
-            "read_bytes" => {
-                seen.0 = true;
-                &mut io.read_bytes
-            }
-            "write_bytes" => {
-                seen.1 = true;
-                &mut io.write_bytes
-            }
-            _ => continue,
-        };
-        *slot = value.trim().parse().map_err(|_| TelemetryError::Codec {
-            line: idx as u64 + 1,
-            reason: format!("non-numeric byte count {:?}", value.trim()),
-        })?;
-    }
-    if !(seen.0 && seen.1) {
-        return Err(TelemetryError::Codec {
-            line: lines,
-            reason: "missing read_bytes/write_bytes fields".into(),
-        });
-    }
-    Ok(io)
-}
-
 /// Parses cgroup-v2 `cpu.stat` text into the `usage_usec` counter.
 ///
 /// # Errors
@@ -164,14 +113,13 @@ struct Snapshot {
     cpu: CpuTimes,
     cgroup_cpu_usec: Option<u64>,
     memory_bytes: Option<u64>,
-    io: Option<PidIo>,
 }
 
 /// Live best-effort sampler over `/proc` and cgroup-v2 files.
 ///
 /// The source is open loop — it observes, it cannot pause anything — and
 /// reports a single synthetic container representing the watched scope
-/// (the whole host, or the configured cgroup/pid). Rates are derived from
+/// (the whole host, or the configured cgroup). Rates are derived from
 /// deltas between consecutive samples; the first tick reports occupancy
 /// only. The caller paces the sampling loop at
 /// [`SourceMeta::tick_period_secs`].
@@ -179,7 +127,6 @@ struct Snapshot {
 pub struct ProcfsSource {
     proc_root: PathBuf,
     cgroup_root: Option<PathBuf>,
-    pid: Option<u32>,
     tick_period_secs: f64,
     tick: u64,
     prev: Option<Snapshot>,
@@ -229,18 +176,11 @@ impl ProcfsSource {
         Ok(ProcfsSource {
             proc_root,
             cgroup_root,
-            pid: None,
             tick_period_secs,
             tick: 0,
             prev: None,
             probe_failures: None,
         })
-    }
-
-    /// Additionally watches `/proc/<pid>/io` for disk-traffic rates.
-    pub fn watch_pid(mut self, pid: u32) -> Self {
-        self.pid = Some(pid);
-        self
     }
 
     /// Registers this source's instruments into `registry`
@@ -279,18 +219,11 @@ impl ProcfsSource {
                 .transpose()?,
             None => None,
         };
-        let io = match self.pid {
-            Some(pid) => read_opt(self.proc_root.join(pid.to_string()).join("io"))?
-                .map(|text| parse_pid_io(&text))
-                .transpose()?,
-            None => None,
-        };
         Ok(Snapshot {
             at: Instant::now(),
             cpu,
             cgroup_cpu_usec,
             memory_bytes,
-            io,
         })
     }
 
@@ -315,14 +248,6 @@ impl ProcfsSource {
         usage.set(ResourceKind::Cpu, cores.max(0.0));
         if let Some(bytes) = now.memory_bytes {
             usage.set(ResourceKind::Memory, bytes as f64 / (1024.0 * 1024.0));
-        }
-        if let (Some(a), Some(b)) = (prev.io, now.io) {
-            let bytes = b.read_bytes.saturating_sub(a.read_bytes)
-                + b.write_bytes.saturating_sub(a.write_bytes);
-            usage.set(
-                ResourceKind::DiskIo,
-                bytes as f64 / (1024.0 * 1024.0) / elapsed,
-            );
         }
         usage
     }
@@ -361,9 +286,6 @@ impl ObservationSource for ProcfsSource {
         let mut metrics = vec![ResourceKind::Cpu];
         if self.cgroup_root.is_some() {
             metrics.push(ResourceKind::Memory);
-        }
-        if self.pid.is_some() {
-            metrics.push(ResourceKind::DiskIo);
         }
         SourceMeta {
             kind: SourceKind::Procfs,
@@ -422,18 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn pid_io_parses_and_reports_missing_fields() {
-        let io = parse_pid_io("rchar: 10\nread_bytes: 4096\nwrite_bytes: 512\n").unwrap();
-        assert_eq!(io.read_bytes, 4096);
-        assert_eq!(io.write_bytes, 512);
-        match parse_pid_io("read_bytes: x\n") {
-            Err(TelemetryError::Codec { line: 1, .. }) => {}
-            other => panic!("expected Codec at line 1, got {other:?}"),
-        }
-        assert!(parse_pid_io("rchar: 10\n").is_err());
-    }
-
-    #[test]
     fn cpu_stat_and_memory_current_parse() {
         assert_eq!(
             parse_cpu_stat("usage_usec 123456\nuser_usec 100\n").unwrap(),
@@ -461,24 +371,17 @@ mod tests {
         let root = fixture_root("tree");
         let proc_root = root.join("proc");
         let cgroup_root = root.join("cgroup");
-        std::fs::create_dir_all(proc_root.join("42")).unwrap();
+        std::fs::create_dir_all(&proc_root).unwrap();
         std::fs::create_dir_all(&cgroup_root).unwrap();
         std::fs::write(proc_root.join("stat"), PROC_STAT).unwrap();
         std::fs::write(cgroup_root.join("cpu.stat"), "usage_usec 1000000\n").unwrap();
         std::fs::write(cgroup_root.join("memory.current"), "2097152\n").unwrap();
-        std::fs::write(
-            proc_root.join("42").join("io"),
-            "read_bytes: 0\nwrite_bytes: 0\n",
-        )
-        .unwrap();
 
-        let mut source = ProcfsSource::with_roots(&proc_root, Some(cgroup_root.clone()), 1.0)
-            .unwrap()
-            .watch_pid(42);
+        let mut source =
+            ProcfsSource::with_roots(&proc_root, Some(cgroup_root.clone()), 1.0).unwrap();
         let meta = source.meta();
         assert_eq!(meta.kind, SourceKind::Procfs);
         assert!(meta.metrics.contains(&ResourceKind::Memory));
-        assert!(meta.metrics.contains(&ResourceKind::DiskIo));
 
         // First tick: occupancy only (no deltas yet).
         let first = source.next_observation().unwrap().unwrap();
@@ -494,15 +397,9 @@ mod tests {
         )
         .unwrap();
         std::fs::write(cgroup_root.join("cpu.stat"), "usage_usec 1500000\n").unwrap();
-        std::fs::write(
-            proc_root.join("42").join("io"),
-            "read_bytes: 1048576\nwrite_bytes: 1048576\n",
-        )
-        .unwrap();
         let second = source.next_observation().unwrap().unwrap();
         assert_eq!(second.tick, 1);
         assert!(second.containers[0].usage.get(ResourceKind::Cpu) > 0.0);
-        assert!(second.containers[0].usage.get(ResourceKind::DiskIo) > 0.0);
         assert!(second.containers[0].usage.is_valid());
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -142,11 +142,6 @@ impl ResourceVector {
     pub fn is_valid(&self) -> bool {
         self.values.iter().all(|v| v.is_finite() && *v >= 0.0)
     }
-
-    /// True when every entry is (near) zero.
-    pub fn is_zero(&self) -> bool {
-        self.values.iter().all(|v| v.abs() < 1e-12)
-    }
 }
 
 impl Add for ResourceVector {
@@ -250,7 +245,6 @@ mod tests {
         assert!(ResourceVector::new(1.0, 2.0, 3.0, 4.0, 5.0, 6.0).is_valid());
         assert!(!ResourceVector::new(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0).is_valid());
         assert!(!ResourceVector::new(f64::NAN, 0.0, 0.0, 0.0, 0.0, 0.0).is_valid());
-        assert!(ResourceVector::zero().is_zero());
         let clamped = ResourceVector::new(-1.0, 2.0, 0.0, 0.0, 0.0, 0.0).clamp_non_negative();
         assert!(clamped.is_valid());
         assert_eq!(clamped.get(ResourceKind::Memory), 2.0);

@@ -152,11 +152,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Number of observation lines written so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
     /// Flushes and returns the underlying sink.
     ///
     /// # Errors
@@ -424,7 +419,7 @@ mod tests {
         let mut writer = TraceWriter::new(Vec::new(), &meta()).unwrap();
         writer.record(&observation(0)).unwrap();
         writer.record(&observation(1)).unwrap();
-        assert_eq!(writer.observations(), 2);
+        assert_eq!(writer.observations, 2);
         writer.finish().unwrap()
     }
 
@@ -575,7 +570,7 @@ mod tests {
         let mut bad = observation(0);
         bad.containers[0].usage.set(ResourceKind::Memory, f64::NAN);
         assert!(writer.record(&bad).is_err());
-        assert_eq!(writer.observations(), 0);
+        assert_eq!(writer.observations, 0);
     }
 
     /// A canned source for tee tests.

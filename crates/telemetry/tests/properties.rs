@@ -18,9 +18,7 @@
 
 use proptest::prelude::*;
 use serde_json::{Number, Value};
-use stayaway_telemetry::procfs::{
-    parse_cpu_stat, parse_memory_current, parse_pid_io, parse_proc_stat,
-};
+use stayaway_telemetry::procfs::{parse_cpu_stat, parse_memory_current, parse_proc_stat};
 use stayaway_telemetry::{
     decode_observation, decode_observation_into, encode_observation, AppClass, ContainerId,
     ContainerObs, HostSpec, Observation, ObservationSource, ResourceKind, ResourceVector,
@@ -602,7 +600,6 @@ proptest! {
         let lines = text.lines().count() as u64;
         for result in [
             parse_proc_stat(&text).map(|_| ()),
-            parse_pid_io(&text).map(|_| ()),
             parse_cpu_stat(&text).map(|_| ()),
             parse_memory_current(&text).map(|_| ()),
         ] {

@@ -17,9 +17,6 @@ use crate::TrajectoryError;
 use rand::Rng;
 use stayaway_statespace::{ExecutionMode, Point2};
 
-/// Default number of candidate future states (the paper's "5 samples").
-pub const DEFAULT_SAMPLES: usize = 5;
-
 /// Minimum observations before a model is considered usable.
 pub const DEFAULT_MIN_OBSERVATIONS: usize = 4;
 
@@ -140,11 +137,6 @@ pub struct Prediction {
 }
 
 impl Prediction {
-    /// Creates a prediction from explicit candidates (mainly for tests).
-    pub fn from_candidates(candidates: Vec<Point2>) -> Self {
-        Prediction { candidates }
-    }
-
     /// The candidate future states.
     pub fn candidates(&self) -> &[Point2] {
         &self.candidates
@@ -158,20 +150,6 @@ impl Prediction {
     /// True when no candidates were produced.
     pub fn is_empty(&self) -> bool {
         self.candidates.is_empty()
-    }
-
-    /// Counts candidates satisfying `inside`.
-    pub fn count_where<F: FnMut(Point2) -> bool>(&self, mut inside: F) -> usize {
-        self.candidates.iter().filter(|c| inside(**c)).count()
-    }
-
-    /// True when a strict majority of candidates satisfies `inside` — the
-    /// paper's trigger condition for preventive throttling.
-    pub fn majority_where<F: FnMut(Point2) -> bool>(&self, inside: F) -> bool {
-        if self.candidates.is_empty() {
-            return false;
-        }
-        2 * self.count_where(inside) > self.candidates.len()
     }
 }
 
@@ -324,26 +302,6 @@ mod tests {
         for _ in 0..200 {
             assert!(m.sample_step(&mut rng).unwrap().length >= 0.0);
         }
-    }
-
-    #[test]
-    fn majority_logic() {
-        let p = Prediction::from_candidates(vec![
-            Point2::new(1.0, 0.0),
-            Point2::new(1.0, 0.1),
-            Point2::new(-1.0, 0.0),
-        ]);
-        assert!(p.majority_where(|c| c.x > 0.0));
-        assert!(!p.majority_where(|c| c.x < 0.0));
-        assert_eq!(p.count_where(|c| c.x > 0.0), 2);
-        let empty = Prediction::from_candidates(vec![]);
-        assert!(!empty.majority_where(|_| true));
-    }
-
-    #[test]
-    fn exact_half_is_not_a_majority() {
-        let p = Prediction::from_candidates(vec![Point2::new(1.0, 0.0), Point2::new(-1.0, 0.0)]);
-        assert!(!p.majority_where(|c| c.x > 0.0));
     }
 
     #[test]

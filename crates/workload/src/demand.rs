@@ -47,26 +47,6 @@ pub struct DemandProfile {
 }
 
 impl DemandProfile {
-    /// A small request-serving profile: fast invocations, modest
-    /// footprint. Useful as a test/bench baseline; the scenario library
-    /// tunes each field explicitly.
-    pub fn web_default() -> Self {
-        DemandProfile {
-            service_ms: 2.0,
-            service_jitter: 0.1,
-            cpu_per_invocation: 0.05,
-            membw_per_invocation: 20.0,
-            disk_per_invocation: 0.0,
-            net_per_invocation: 2.0,
-            container_mb: 128.0,
-            cache_mb: 0.25,
-            concurrency: 8,
-            max_containers: 4,
-            cold_start_ms: 250.0,
-            queue_cap: 512,
-        }
-    }
-
     /// Validates the profile.
     ///
     /// # Errors
@@ -191,33 +171,35 @@ impl KeepalivePolicy {
 mod tests {
     use super::*;
 
-    #[test]
-    fn web_default_is_valid() {
-        assert!(DemandProfile::web_default().validate().is_ok());
+    /// The kv-front profile of the memcached-like library scenario.
+    fn kv_front() -> DemandProfile {
+        crate::spec::by_name("memcached-like").unwrap().tenants[0]
+            .demand
+            .clone()
     }
 
     #[test]
     fn validation_rejects_degenerate_profiles() {
-        let mut p = DemandProfile::web_default();
+        let mut p = kv_front();
         p.service_ms = 0.0;
         assert!(p.validate().is_err());
-        let mut p = DemandProfile::web_default();
+        let mut p = kv_front();
         p.service_jitter = 1.0;
         assert!(p.validate().is_err());
-        let mut p = DemandProfile::web_default();
+        let mut p = kv_front();
         p.concurrency = 0;
         assert!(p.validate().is_err());
-        let mut p = DemandProfile::web_default();
+        let mut p = kv_front();
         p.max_containers = 0;
         assert!(p.validate().is_err());
-        let mut p = DemandProfile::web_default();
+        let mut p = kv_front();
         p.cpu_per_invocation = f64::NAN;
         assert!(p.validate().is_err());
     }
 
     #[test]
     fn vectors_split_rates_from_occupancy() {
-        let p = DemandProfile::web_default();
+        let p = kv_front();
         let rates = p.invocation_rates();
         assert_eq!(rates.get(ResourceKind::Cpu), p.cpu_per_invocation);
         assert_eq!(rates.get(ResourceKind::Memory), 0.0);
@@ -231,7 +213,7 @@ mod tests {
         let p = DemandProfile {
             service_ms: 2.5,
             cold_start_ms: 100.0,
-            ..DemandProfile::web_default()
+            ..kv_front()
         };
         assert_eq!(p.service_ns(), 2_500_000);
         assert_eq!(p.cold_start_ns(), 100_000_000);
@@ -253,7 +235,7 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let p = DemandProfile::web_default();
+        let p = kv_front();
         let text = serde_json::to_string(&p).unwrap();
         let back: DemandProfile = serde_json::from_str(&text).unwrap();
         assert_eq!(back, p);

@@ -393,23 +393,12 @@ impl WorkloadHost {
         self.load
     }
 
-    /// Number of tenants hosted (attached tenants included, detached
-    /// tombstones included — indices are stable for the whole run).
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Requests of tenant `ti` still pending: queued plus in flight
     /// (frozen invocations count — they finish after a resume).
     pub fn tenant_pending(&self, ti: usize) -> u64 {
         self.tenants
             .get(ti)
             .map_or(0, |t| t.queue.len() as u64 + u64::from(t.running_count))
-    }
-
-    /// True when tenant `ti` has been detached.
-    pub fn tenant_detached(&self, ti: usize) -> bool {
-        self.tenants.get(ti).is_some_and(|t| t.detached)
     }
 
     /// Batch tenants currently frozen (and not detached).
@@ -1050,16 +1039,6 @@ impl WorkloadHost {
                 || t.running.iter().flatten().any(|r| overdue(r.arrival_ns))
         })
     }
-
-    /// Runs the engine up to the next tick boundary and emits the tick's
-    /// observation — [`ObservationSource::next_observation`], which never
-    /// runs dry.
-    pub fn advance_tick(&mut self) -> Observation {
-        self.next_observation()
-            .ok()
-            .flatten()
-            .expect("the workload engine neither fails nor runs dry")
-    }
 }
 
 impl ObservationSource for WorkloadHost {
@@ -1258,8 +1237,8 @@ mod tests {
         let mut a = host("memcached-like", 42);
         let mut b = host("memcached-like", 42);
         for _ in 0..30 {
-            let oa = a.advance_tick();
-            let ob = b.advance_tick();
+            let oa = a.next_observation().unwrap().unwrap();
+            let ob = b.next_observation().unwrap().unwrap();
             assert_eq!(oa, ob);
         }
         assert_eq!(a.timeline_digest(), b.timeline_digest());
@@ -1272,8 +1251,8 @@ mod tests {
         let mut a = host("memcached-like", 1);
         let mut b = host("memcached-like", 2);
         for _ in 0..10 {
-            a.advance_tick();
-            b.advance_tick();
+            a.next_observation().unwrap().unwrap();
+            b.next_observation().unwrap().unwrap();
         }
         assert_ne!(a.timeline_digest(), b.timeline_digest());
     }
@@ -1282,7 +1261,7 @@ mod tests {
     fn requests_flow_and_latency_is_recorded() {
         let mut h = host("memcached-like", 7);
         for _ in 0..20 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         let t = h.totals();
         // ~800 rps for 20 s.
@@ -1298,14 +1277,14 @@ mod tests {
     fn pausing_batch_removes_its_cpu() {
         let mut h = host("cpu-bomb", 11);
         for _ in 0..10 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         // Find the batch tenant id.
         let bomb = ContainerId::from_raw(1);
         assert_eq!(h.apply(&[Action::Pause(bomb)]), 0);
         let mut batch_cpu_after = 0.0;
         for _ in 0..5 {
-            let obs = h.advance_tick();
+            let obs = h.next_observation().unwrap().unwrap();
             batch_cpu_after = obs.containers[1].usage.get(ResourceKind::Cpu);
             assert!(obs.containers[1].paused);
         }
@@ -1314,7 +1293,7 @@ mod tests {
         assert_eq!(h.apply(&[Action::Resume(bomb)]), 0);
         let before = h.totals().completed;
         for _ in 0..5 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         assert!(h.totals().completed > before);
     }
@@ -1322,7 +1301,7 @@ mod tests {
     #[test]
     fn sensitive_tenants_cannot_be_paused() {
         let mut h = host("memcached-like", 3);
-        h.advance_tick();
+        h.next_observation().unwrap().unwrap();
         assert_eq!(h.apply(&[Action::Pause(ContainerId::from_raw(0))]), 1);
         assert_eq!(h.apply(&[Action::Pause(ContainerId::from_raw(99))]), 1);
     }
@@ -1333,7 +1312,7 @@ mod tests {
         // uncontended service time.
         let mut h = host("cpu-bomb", 5);
         for _ in 0..40 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         let p95 = h.latency().quantile_ms(0.95);
         assert!(p95 > 1.5, "expected contention, p95 {p95}ms");
@@ -1345,21 +1324,21 @@ mod tests {
     fn freeze_halts_inflight_and_resume_completes_them() {
         let mut h = host("cpu-bomb", 9);
         for _ in 0..5 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         let bomb = ContainerId::from_raw(1);
         h.apply(&[Action::Pause(bomb)]);
         let completed_frozen = h.totals().completed;
         let batch_work_frozen = h.batch_work();
         for _ in 0..10 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         // No batch completions while frozen.
         assert_eq!(h.batch_work(), batch_work_frozen);
         assert!(h.totals().completed > completed_frozen); // kv still completes
         h.apply(&[Action::Resume(bomb)]);
         for _ in 0..10 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         assert!(h.batch_work() > batch_work_frozen);
     }
@@ -1368,7 +1347,7 @@ mod tests {
     fn cold_starts_and_evictions_happen() {
         let mut h = host("flash-crowd", 13);
         for _ in 0..70 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         assert!(h.totals().cold_starts > 0);
         assert!(h.totals().evictions > 0, "fixed keepalive should evict");
@@ -1377,13 +1356,13 @@ mod tests {
     #[test]
     fn rated_set_lists_exactly_the_tenants_with_a_nonzero_rate() {
         let mut h = host("multi-tenant-storm", 17);
-        let batch: Vec<ContainerId> = (0..h.tenant_count())
+        let batch: Vec<ContainerId> = (0..h.tenants.len())
             .filter(|&ti| h.tenants[ti].class == AppClass::Batch)
             .map(ContainerId::from_raw)
             .collect();
         let mut seen_idle = false;
         for tick in 0..40 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
             match tick % 8 {
                 2 => h.apply(
                     &batch
@@ -1401,14 +1380,14 @@ mod tests {
             };
             let mut listed = h.rated.clone();
             listed.sort_unstable();
-            let expected: Vec<usize> = (0..h.tenant_count())
+            let expected: Vec<usize> = (0..h.tenants.len())
                 .filter(|&ti| h.tenants[ti].has_rates())
                 .collect();
             assert_eq!(listed, expected, "tick {tick}");
             for (ti, t) in h.tenants.iter().enumerate() {
                 assert_eq!(t.rated, expected.contains(&ti));
             }
-            seen_idle |= expected.len() < h.tenant_count();
+            seen_idle |= expected.len() < h.tenants.len();
         }
         assert!(seen_idle, "frozen tenants must leave the set");
     }
@@ -1421,7 +1400,7 @@ mod tests {
         scenario.tick_period_secs = 1e-9;
         let mut h = WorkloadHost::new(scenario, 3).unwrap();
         for _ in 0..1_000 {
-            let obs = h.advance_tick();
+            let obs = h.next_observation().unwrap().unwrap();
             for c in &obs.containers {
                 assert!(ResourceKind::ALL
                     .iter()
@@ -1465,8 +1444,8 @@ mod tests {
     #[test]
     fn attach_inject_detach_round_trips_work() {
         let mut h = host("memcached-like", 31);
-        h.advance_tick();
-        let resident = h.tenant_count();
+        h.next_observation().unwrap().unwrap();
+        let resident = h.tenants.len();
         let ti = h.attach_tenant(movable_job_spec("mover")).unwrap();
         assert_eq!(ti, resident);
         // Route a burst in; the job runs and completes work.
@@ -1477,7 +1456,7 @@ mod tests {
         }
         let before = h.batch_work();
         for _ in 0..5 {
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
         }
         assert!(h.batch_work() > before, "injected work should complete");
         // Inject more than completes, then detach: leftovers are carried.
@@ -1485,13 +1464,13 @@ mod tests {
             h.inject_arrival(ti, h.tick() * period + k * period / 32, 400_000_000)
                 .unwrap();
         }
-        h.advance_tick();
+        h.next_observation().unwrap().unwrap();
         let pending = h.tenant_pending(ti);
         assert!(pending > 0);
         let mem_before = h.load()[ResourceKind::Memory];
         let carried = h.detach_tenant(ti).unwrap();
         assert_eq!(carried.len() as u64, pending);
-        assert!(h.tenant_detached(ti));
+        assert!(h.tenants[ti].detached);
         assert_eq!(h.tenant_pending(ti), 0);
         assert!(
             h.load()[ResourceKind::Memory] < mem_before,
@@ -1503,10 +1482,28 @@ mod tests {
         assert_eq!(h.apply(&[Action::Pause(ContainerId::from_raw(ti))]), 1);
         // The host keeps running cleanly past the tombstone.
         for _ in 0..5 {
-            let obs = h.advance_tick();
+            let obs = h.next_observation().unwrap().unwrap();
             assert!(obs.containers[ti].finished);
             assert!(!obs.containers[ti].active);
         }
+    }
+
+    /// A migration cannot carry a pause: detaching clears `frozen`, and the
+    /// re-attached job is a fresh tenant, so the host it lands on shows it
+    /// running though its controller never resumed it.
+    #[test]
+    fn a_migrated_tenant_arrives_unpaused() {
+        let mut h = host("memcached-like", 37);
+        let ti = h.attach_tenant(movable_job_spec("mover")).unwrap();
+        assert_eq!(h.apply(&[Action::Pause(ContainerId::from_raw(ti))]), 0);
+        let obs = h.next_observation().unwrap().unwrap();
+        assert!(obs.containers[ti].paused);
+        h.detach_tenant(ti).unwrap();
+        let back = h.attach_tenant(movable_job_spec("mover")).unwrap();
+        let obs = h.next_observation().unwrap().unwrap();
+        assert!(!obs.containers[back].paused);
+        assert!(!obs.containers[ti].paused && obs.containers[ti].finished);
+        assert_eq!(h.frozen_batch(), 0);
     }
 
     /// Asserts the host load equals what its tenants hold right now:
@@ -1549,7 +1546,7 @@ mod tests {
     #[test]
     fn load_conserves_occupancy_and_running_rates() {
         let mut h = host("multi-tenant-storm", 19);
-        let batch: Vec<ContainerId> = (0..h.tenant_count())
+        let batch: Vec<ContainerId> = (0..h.tenants.len())
             .filter(|&ti| h.tenants[ti].class == AppClass::Batch)
             .map(ContainerId::from_raw)
             .collect();
@@ -1582,16 +1579,16 @@ mod tests {
                 assert!(!h.detach_tenant(guest.unwrap()).unwrap().is_empty());
             }
             assert_load_conserved(&h, &format!("before tick {tick}"));
-            h.advance_tick();
+            h.next_observation().unwrap().unwrap();
             assert_load_conserved(&h, &format!("after tick {tick}"));
         }
-        assert!(h.totals().evictions > 0 && h.tenant_detached(guest.unwrap()));
+        assert!(h.totals().evictions > 0 && h.tenants[guest.unwrap()].detached);
     }
 
     #[test]
     fn detach_rejects_sensitive_tenants() {
         let mut h = host("memcached-like", 33);
-        h.advance_tick();
+        h.next_observation().unwrap().unwrap();
         assert!(h.detach_tenant(0).is_err()); // kv-front is sensitive
         assert!(h.detach_tenant(99).is_err());
     }
@@ -1609,8 +1606,8 @@ mod tests {
             fed.inject_arrival(ti, k * period / 4, 300_000_000).unwrap();
         }
         for _ in 0..20 {
-            bare.advance_tick();
-            fed.advance_tick();
+            bare.next_observation().unwrap().unwrap();
+            fed.next_observation().unwrap().unwrap();
         }
         assert_eq!(bare.totals().arrivals + 40, fed.totals().arrivals);
         // Sensitive latency differs (the guest contends), but the
@@ -1633,8 +1630,8 @@ mod tests {
             .unwrap()
             .with_metrics(&registry);
         for _ in 0..20 {
-            let a = bare.advance_tick();
-            let b = instrumented.advance_tick();
+            let a = bare.next_observation().unwrap().unwrap();
+            let b = instrumented.next_observation().unwrap().unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(bare.timeline_digest(), instrumented.timeline_digest());

@@ -63,11 +63,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Largest recorded sample in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.max_ns as f64 / 1e6
-    }
-
     /// The `q`-quantile (`q ∈ [0, 1]`) in integer nanoseconds: the floor
     /// of the first bucket whose cumulative count reaches `⌈q·total⌉`.
     /// Returns 0 when empty. Pure integer arithmetic — deterministic.
@@ -195,7 +190,6 @@ mod tests {
         assert!((96.0..=99.0).contains(&p99), "p99 {p99}");
         assert!(p50 <= p95 && p95 <= p99);
         assert!((h.mean_ms() - 50.5).abs() < 0.01);
-        assert_eq!(h.max_ms(), 100.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! After an *intended* timeline change, run with `-- --nocapture`, review
 //! the printed table and paste it over `PINNED`.
 
-use stayaway_telemetry::{Action, AppClass, ContainerId};
+use stayaway_telemetry::{Action, AppClass, ContainerId, ObservationSource};
 use stayaway_workload::{
     by_name, names, ArrivalProcess, DemandProfile, KeepalivePolicy, TenantSpec, WorkloadHost,
 };
@@ -31,7 +31,7 @@ impl ObsFold {
     }
 
     fn tick(&mut self, host: &mut WorkloadHost) {
-        let obs = host.advance_tick();
+        let obs = host.next_observation().unwrap().unwrap();
         let json = serde_json::to_string(&obs).expect("observation encodes");
         for byte in json.bytes() {
             self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);

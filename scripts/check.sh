@@ -38,6 +38,49 @@ if awk '/fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENG
     echo "check.sh: a flight-recorder write outside the one decision helper (above)" >&2
     exit 1
 fi
+# Every public function has a caller. A `pub fn` whose name is defined once
+# is dead when that name occurs nowhere else in non-test code:
+# `crates/*/src` (not `crates/compat`), `src/`, `crates/bench`,
+# `benchmarks/src` and `examples`, each file cut at its first
+# `#[cfg(test)]`. The allowlist names the test oracles — functions public
+# only so a test can hold the library to them — one `name  # reason` a
+# line. The check fails when a dead name is not on the list, when a listed
+# name gains a caller and when a listed name disappears, so the list can
+# only shrink. Limits: it sees uniquely named `pub fn`s only; a name
+# defined more than once (`len`, `get`, `new`) escapes it and needs a
+# reader.
+dead_fn_allowlist='
+prefix_rmsd  # oracle: crates/mds/tests/properties.rs measures Procrustes alignment with it
+'
+mapfile -t files < <(find crates/*/src src crates/bench benchmarks/src examples \
+    -name '*.rs' -not -path 'crates/compat/*' | sort -u)
+dead_fns="$(awk '
+    FNR == 1 { test = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+    test { next }
+    {
+        line = $0
+        while (match(line, /pub fn [a-z_][a-z0-9_]*/)) {
+            name = substr(line, RSTART + 7, RLENGTH - 7)
+            defs[name]++
+            at[name] = FILENAME ":" FNR
+            line = substr(line, RSTART + RLENGTH)
+        }
+        n = split($0, words, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) seen[words[i]]++
+    }
+    END { for (name in defs) if (defs[name] == 1 && seen[name] == 1) print name, at[name] }
+' "${files[@]}" | sort)"
+listed="$(sed -n 's/^\([a-z_0-9]*\)  #.*/\1/p' <<< "$dead_fn_allowlist" | sort)"
+unlisted="$(join -v1 <(echo "$dead_fns") <(echo "$listed"))"
+stale="$(join -v2 <(echo "$dead_fns") <(echo "$listed"))"
+if [ -n "$unlisted" ] || [ -n "$stale" ]; then
+    [ -z "$unlisted" ] || echo "check.sh: public functions no non-test code calls:" \
+        "delete them or call them"$'\n'"$unlisted" >&2
+    [ -z "$stale" ] || echo "check.sh: allowlisted functions that gained a caller or" \
+        "disappeared: drop them from the allowlist"$'\n'"$stale" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace

@@ -241,33 +241,54 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--json", Switch, "run metrics compare capture reuse record replay fleet tournament cluster events scenarios bench-scenarios"),
 ];
 
+/// One flag as given: its name, its text (a switch's is empty) and the
+/// number its shape parsed out of the text — an `Int` flag's integer, a
+/// `Float` flag's number, a `Pair` flag's tolerance.
+#[derive(Debug, Clone)]
+struct Given {
+    flag: &'static str,
+    text: String,
+    int: Option<u64>,
+    float: Option<f64>,
+}
+
 impl Shape {
-    /// The one value check: why `token` is not a value of this shape for
-    /// flag `name`, or `None` when it is.
-    fn reject(self, name: &str, token: &str) -> Option<String> {
-        let number = |text: &str| text.parse::<f64>().is_ok();
-        match self {
-            Int if token.parse::<u64>().is_err() => Some(format!("{name} expects an integer")),
-            Float if !number(token) => Some(format!("{name} expects a number")),
-            Pair if !token
-                .split_once('=')
-                .is_some_and(|(_, tolerance)| number(tolerance)) =>
-            {
-                Some(format!("{name} `{token}` is not <metric>=<tolerance>"))
-            }
-            _ => None,
-        }
+    /// The one value check: `token` as the value of flag `name`, its
+    /// number parsed once, or why it is no value of this shape.
+    fn parse(self, name: &'static str, token: String) -> Result<Given, String> {
+        let number = |text: &str| text.parse::<f64>().ok();
+        let (int, float) = match self {
+            Switch | Text => (None, None),
+            Int => match token.parse::<u64>() {
+                Ok(int) => (Some(int), None),
+                Err(_) => return Err(format!("{name} expects an integer")),
+            },
+            Float => match number(&token) {
+                Some(float) => (None, Some(float)),
+                None => return Err(format!("{name} expects a number")),
+            },
+            Pair => match token.split_once('=').and_then(|(_, t)| number(t)) {
+                Some(tolerance) => (None, Some(tolerance)),
+                None => return Err(format!("{name} `{token}` is not <metric>=<tolerance>")),
+            },
+        };
+        Ok(Given {
+            flag: name,
+            text: token,
+            int,
+            float,
+        })
     }
 }
 
 /// A parsed command line: the subcommand, the flags it reads with their
-/// shape-checked values (in the order given; a switch's value is empty)
-/// and its operands. Parsing has already rejected every flag the
-/// subcommand does not read, so an absent flag is simply `None`.
+/// shape-checked values (in the order given) and its operands. Parsing
+/// has already rejected every flag the subcommand does not read, so an
+/// absent flag is simply `None`.
 #[derive(Debug, Clone)]
 struct Args {
     command: String,
-    values: Vec<(&'static str, String)>,
+    values: Vec<Given>,
     operands: Vec<String>,
 }
 
@@ -276,19 +297,21 @@ const DEFAULT_SCENARIO: &str = "vlc+cpu-bomb";
 
 impl Args {
     /// The last value given for `flag` (later occurrences win).
-    fn text(&self, flag: &str) -> Option<&str> {
+    fn given(&self, flag: &str) -> Option<&Given> {
         debug_assert!(FLAGS.iter().any(|f| f.0 == flag), "{flag} not in FLAGS");
-        let given = self.values.iter().rev().find(|(name, _)| *name == flag);
-        given.map(|(_, value)| value.as_str())
+        self.values.iter().rev().find(|given| given.flag == flag)
+    }
+
+    fn text(&self, flag: &str) -> Option<&str> {
+        self.given(flag).map(|given| given.text.as_str())
     }
 
     fn switch(&self, flag: &str) -> bool {
-        self.text(flag).is_some()
+        self.given(flag).is_some()
     }
 
     fn int(&self, flag: &str) -> Option<u64> {
-        self.text(flag)
-            .map(|value| value.parse().expect("parse_args checked the shape"))
+        self.given(flag).and_then(|given| given.int)
     }
 
     /// `--ticks`, default 384.
@@ -389,10 +412,8 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 None => return fail(format!("{name} expects a value")),
             },
         };
-        if let Some(reason) = shape.reject(name, &value) {
-            return fail(reason);
-        }
-        args.values.push((name, value));
+        args.values
+            .push(shape.parse(name, value).map_err(CliError::Message)?);
     }
     let given = args.operands.len();
     let (_, min, max) = *OPERANDS
@@ -638,9 +659,9 @@ struct HostJob<'a> {
     export_as: Option<&'a str>,
     /// Trace tee (`record`).
     trace_out: Option<Box<dyn Write + 'a>>,
-    /// Record into a metrics registry even without `--metrics-out` /
-    /// `--http` (`metrics`).
-    registry: bool,
+    /// Record into this registry even without `--metrics-out` / `--http`
+    /// (`metrics`).
+    registry: Option<MetricsRegistry>,
 }
 
 /// The single-host run path of `run`, `metrics`, `compare`, `capture`,
@@ -663,10 +684,10 @@ fn single_host(
     };
     let policy = PolicySpec::parse(job.policy.unwrap_or(args.policy_or("stay-away")))?;
     let http = args.text("--http");
-    let mut obs = if job.registry || args.wants_metrics() {
-        Observability::enabled(MetricsRegistry::new())
-    } else {
-        Observability::disabled()
+    let mut obs = match job.registry {
+        Some(registry) => Observability::enabled(registry),
+        None if args.wants_metrics() => Observability::enabled(MetricsRegistry::new()),
+        None => Observability::disabled(),
     };
     if args.wants_events() {
         obs = obs.with_recorder(FlightRecorder::for_scope(0, "run"));
@@ -711,6 +732,12 @@ fn main() -> ExitCode {
         None | Some("--help" | "-h" | "help") => write!(out, "{USAGE}").map(|()| ExitCode::SUCCESS),
         Some(_) => run(&argv, &mut out),
     };
+    exit_code(result)
+}
+
+/// The process exit code of a command's result: an error prints its
+/// reason and the usage to stderr and exits 2.
+fn exit_code(result: Result<ExitCode, CliError>) -> ExitCode {
     match result {
         Ok(code) => code,
         Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
@@ -851,12 +878,13 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             publish(args, out, "run", metrics, events, server, NO_STATE)?;
         }
         "metrics" => {
+            let registry = MetricsRegistry::new();
             let job = HostJob {
-                registry: true,
+                registry: Some(registry.clone()),
                 ..HostJob::default()
             };
-            let (_, obs, _) = single_host(args, out, job)?;
-            let snapshot = obs.exported_registry().expect("asked for above").snapshot();
+            single_host(args, out, job)?;
+            let snapshot = registry.snapshot();
             match args.text("--metrics-out") {
                 Some(path) => write_metrics(out, &snapshot, path)?,
                 // Default exposition: JSON with --json, Prometheus text
@@ -1101,7 +1129,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 },
                 None => run_cluster_policy(args, cluster_policy(args)?, "storm-cluster")?
                     .events
-                    .expect("the events command always collects the stream"),
+                    .ok_or_else(|| CliError::Message("the cluster run kept no events".into()))?,
             };
             if let Some(token) = args.text("--cause") {
                 let id = EventId::parse(token).map_err(CliError::Message)?;
@@ -1153,19 +1181,21 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 Err(e) => fail(format!("{path}: {e}")),
             };
             let rows = diff_series(&load(&args.operands[0])?, &load(&args.operands[1])?);
-            let number = |text: &str| text.parse::<f64>().expect("parse_args checked the shape");
-            let threshold = args.text("--threshold").map_or(0.0, number);
-            // `<metric>=<tolerance>` values can only be `--threshold-for`'s.
-            let overrides: Vec<(&str, &str)> = args
+            let threshold = args
+                .given("--threshold")
+                .and_then(|g| g.float)
+                .unwrap_or(0.0);
+            let overrides: Vec<(&str, f64)> = args
                 .values
                 .iter()
-                .filter_map(|(_, value)| value.split_once('='))
+                .filter(|given| given.flag == "--threshold-for")
+                .filter_map(|given| Some((given.text.split_once('=')?.0, given.float?)))
                 .collect();
             let mut failures = 0usize;
             for row in &rows {
                 // The first override naming the metric beats `--threshold`.
                 let named = overrides.iter().find(|(metric, _)| *metric == row.metric);
-                let tolerance = named.map_or(threshold, |(_, tolerance)| number(tolerance));
+                let tolerance = named.map_or(threshold, |&(_, tolerance)| tolerance);
                 if row.rel > tolerance {
                     failures += 1;
                     writeln!(
@@ -1196,7 +1226,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             }
             writeln!(out, "{path}: exposition lints clean")?;
         }
-        other => unreachable!("`{other}` is in COMMANDS but has no arm"),
+        other => return fail(format!("unknown command `{other}`")),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1204,9 +1234,54 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// A command-line token: a subcommand or flag name, a value of some
+    /// shape or none, or printable junk.
+    fn token() -> impl Strategy<Value = String> {
+        let mut words: Vec<String> = COMMANDS.iter().map(|c| c.to_string()).collect();
+        words.extend(FLAGS.iter().map(|f| f.0.to_string()));
+        #[rustfmt::skip]
+        words.extend([
+            "-", "--", "--bogus", "", "7", "0", "-1", "0.05", "1e9", "NaN", "inf",
+            "18446744073709551616", "kv=0.5", "kv=x", "=", "vlc+cpu-bomb", "trace:t.jsonl",
+        ].map(String::from));
+        let junk = prop::collection::vec(32u8..127, 0..8)
+            .prop_map(|bytes| String::from_utf8(bytes).expect("printable ascii"));
+        (0u8..4, prop::sample::select(words), junk)
+            .prop_map(|(pick, word, junk)| if pick < 3 { word } else { junk })
+    }
+
+    proptest! {
+        /// Random command lines drawn from the flag table's vocabulary and
+        /// junk: `parse_args` never panics, an accepted line holds only
+        /// flags its subcommand reads, each with its number parsed, and
+        /// every rejection is a message that exits with code 2.
+        #[test]
+        fn parse_args_accepts_a_valid_line_and_rejects_the_rest_with_exit_2(
+            line in prop::collection::vec(token(), 0..10),
+        ) {
+            match parse_args(&line) {
+                Ok(args) => {
+                    prop_assert!(COMMANDS.contains(&args.command.as_str()));
+                    for given in &args.values {
+                        let (_, shape, read_by) =
+                            *FLAGS.iter().find(|f| f.0 == given.flag).expect("a known flag");
+                        prop_assert!(read_by.split(' ').any(|c| c == args.command));
+                        prop_assert_eq!(given.int.is_some(), shape == Int);
+                        prop_assert_eq!(given.float.is_some(), matches!(shape, Float | Pair));
+                    }
+                }
+                Err(error) => {
+                    prop_assert!(matches!(error, CliError::Message(_)));
+                    prop_assert_eq!(exit_code(Err(error)), ExitCode::from(2));
+                }
+            }
+        }
     }
 
     /// Runs one command line in-process; returns the exit code (or the

@@ -143,8 +143,8 @@ fn a_recycled_workload_host_follows_attach_and_detach() {
     );
     assert_eq!(compared, 90);
     // Both tombstones stay in the observation, two tenants were added.
-    let tenants = build().tenant_count() + 2;
-    assert_eq!(recycled.tenant_count(), tenants);
+    let tenants = build().scenario().tenants.len() + 2;
+    assert_eq!(recycled.scenario().tenants.len(), tenants);
     assert_eq!(recycled.timeline_digest(), fresh.timeline_digest());
 }
 

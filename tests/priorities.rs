@@ -7,7 +7,7 @@ use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::apps::WebWorkload;
 use stay_away::sim::scenario::{Scenario, SensitiveKind};
 use stay_away::sim::workload::{DiurnalParams, Trace};
-use stay_away::sim::AppClass;
+use stay_away::sim::{Action, AppClass};
 
 fn scenario(seed: u64) -> Scenario {
     Scenario::builder("vlc(0)+web-cpu(1)")
@@ -82,12 +82,12 @@ fn host_protects_only_the_top_priority() {
         .map(|c| (c.id(), c.priority()))
         .collect();
     for (id, priority) in ids {
-        let result = h.host_mut().pause(id);
+        let rejected = h.apply(&[Action::Pause(id)]);
         if priority == 0 {
-            assert!(result.is_err(), "top priority must be protected");
+            assert_eq!(rejected, 1, "top priority must be protected");
         } else {
-            assert!(result.is_ok(), "lower priority must be throttleable");
-            h.host_mut().resume(id).expect("resume");
+            assert_eq!(rejected, 0, "lower priority must be throttleable");
+            assert_eq!(h.apply(&[Action::Resume(id)]), 0, "resume");
         }
     }
 }
