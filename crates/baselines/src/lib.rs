@@ -1,7 +1,5 @@
 //! Baseline throttling policies to compare Stay-Away against.
 //!
-//! * [`NoPrevention`] — co-location with no mitigation at all: the paper's
-//!   "without Stay-Away" curves (upper utilisation band, worst QoS).
 //! * [`AlwaysThrottle`] — batch applications never run: the isolated-run
 //!   QoS bound (lower utilisation band, perfect QoS).
 //! * [`ReactivePolicy`] — throttle *after* observing a violation, resume
@@ -11,7 +9,9 @@
 //!   while the sensitive application uses less than X% CPU"), representing
 //!   the static approaches (§1) that cannot adapt to unknown workloads.
 //!
-//! Faults are injected at the substrate, not around a policy:
+//! Co-location with no mitigation at all — the paper's "without
+//! Stay-Away" curves — is `stayaway_telemetry::NullPolicy`. Faults are
+//! injected at the substrate, not around a policy:
 //! `stayaway_telemetry::FaultySource` wraps any observation source.
 
 #![forbid(unsafe_code)]
@@ -24,7 +24,3 @@ pub mod static_threshold;
 pub use always::AlwaysThrottle;
 pub use reactive::ReactivePolicy;
 pub use static_threshold::StaticThresholdPolicy;
-
-/// Co-location without any prevention (re-export of the simulator's
-/// [`stayaway_sim::NullPolicy`]).
-pub type NoPrevention = stayaway_sim::NullPolicy;

@@ -31,11 +31,6 @@ impl ReactivePolicy {
             paused: Vec::new(),
         }
     }
-
-    /// The configured cooldown.
-    pub fn cooldown(&self) -> u64 {
-        self.cooldown
-    }
 }
 
 impl Policy for ReactivePolicy {

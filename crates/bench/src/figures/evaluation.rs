@@ -7,6 +7,7 @@ use crate::report::{ascii_chart, percent, sparkline, Table};
 use crate::runner::{outcome_json, run, stayaway, ExperimentSink};
 use stayaway_core::ControllerConfig;
 use stayaway_sim::apps::WebWorkload;
+use stayaway_sim::qos::QOS_THRESHOLD;
 use stayaway_sim::scenario::{BatchKind, Scenario};
 use stayaway_sim::{QosSummary, RunOutcome};
 
@@ -34,11 +35,10 @@ pub struct QosTimeline {
 
 impl QosTimeline {
     fn measure(id: &str, title: &str, scenario: &Scenario, ticks: u64) -> Self {
-        let harness = scenario.build_harness().expect("scenario builds");
         QosTimeline {
             id: id.to_string(),
             title: title.to_string(),
-            threshold: harness.qos_spec().threshold(),
+            threshold: QOS_THRESHOLD,
             runs: paired_runs(scenario, ticks),
         }
     }

@@ -12,7 +12,7 @@ use stayaway_obs::{AttrValue, EventKind, FlightRecorder};
 use stayaway_sim::apps::{soplex::soplex_with_work, vlc::vlc_transcode};
 use stayaway_sim::scenario::Scenario;
 use stayaway_sim::workload::{DiurnalParams, Trace};
-use stayaway_sim::{Action, AppClass, Harness, Host, HostSpec, Observation, Policy, QosSpec};
+use stayaway_sim::{Action, AppClass, Harness, Host, HostSpec, Observation, Policy};
 use stayaway_statespace::viz::MapRenderer;
 use stayaway_statespace::{rayleigh_peak, rayleigh_radius, ExecutionMode, Point2, StateKind};
 use stayaway_trajectory::step::steps_between;
@@ -192,7 +192,7 @@ pub fn fig05_execution_modes() -> ExecutionModes {
     host.add_container(AppClass::Batch, Box::new(soplex_with_work(160.0)), 20);
     // Higher monitoring noise + finer dedup make the within-mode
     // micro-structure visible (the paper's real metrics fluctuate).
-    let mut harness = Harness::new(host, QosSpec::default(), 0.03, 9).expect("valid harness");
+    let mut harness = Harness::new(host, 0.03, 9).expect("valid harness");
     let config = ControllerConfig {
         dedup_epsilon: 0.01,
         smacof_iterations: 20,

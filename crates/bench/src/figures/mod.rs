@@ -31,9 +31,9 @@ use stayaway_statespace::viz::MapRenderer;
 use stayaway_statespace::StateKind;
 
 /// `[(id, print)]` with each id the name of the function it calls, so the
-/// two cannot drift apart.
+/// two cannot drift apart. Entries are written as the calls they make.
 macro_rules! results {
-    ($($id:ident),+ $(,)?) => {
+    ($($id:ident()),+ $(,)?) => {
         [$((stringify!($id), (|| $id().print()) as fn())),+]
     };
 }
@@ -41,35 +41,35 @@ macro_rules! results {
 /// Every result by id — the ids `cargo bench -p stayaway-bench --bench
 /// paper -- <id>…` selects — with the function that measures and prints it.
 pub const ALL: [(&str, fn()); 29] = results![
-    fig01_wikipedia_trace,
-    fig04_violation_radius,
-    fig05_execution_modes,
-    fig06_instantaneous_transitions,
-    fig07_gradual_transitions,
-    fig08_vlc_cpubomb_qos,
-    fig09_vlc_twitter_qos,
-    fig10_util_cpubomb,
-    fig11_util_twitter,
-    fig12_util_webservice,
-    fig13_timeline_webservice,
-    fig14_qos_web_mix,
-    fig15_qos_web_cpu,
-    fig16_qos_web_mem,
-    fig17_template_capture,
-    fig18_template_validation,
-    table1_batch_combinations,
-    claim_prediction_accuracy,
-    claim_utilization_range,
-    claim_2d_stress,
-    ablation_modes,
-    ablation_range,
-    ablation_samples,
-    ablation_pca,
-    ablation_var,
-    ablation_ipc,
-    ablation_dedup,
-    ext_priorities,
-    ext_template_sharing,
+    fig01_wikipedia_trace(),
+    fig04_violation_radius(),
+    fig05_execution_modes(),
+    fig06_instantaneous_transitions(),
+    fig07_gradual_transitions(),
+    fig08_vlc_cpubomb_qos(),
+    fig09_vlc_twitter_qos(),
+    fig10_util_cpubomb(),
+    fig11_util_twitter(),
+    fig12_util_webservice(),
+    fig13_timeline_webservice(),
+    fig14_qos_web_mix(),
+    fig15_qos_web_cpu(),
+    fig16_qos_web_mem(),
+    fig17_template_capture(),
+    fig18_template_validation(),
+    table1_batch_combinations(),
+    claim_prediction_accuracy(),
+    claim_utilization_range(),
+    claim_2d_stress(),
+    ablation_modes(),
+    ablation_range(),
+    ablation_samples(),
+    ablation_pca(),
+    ablation_var(),
+    ablation_ipc(),
+    ablation_dedup(),
+    ext_priorities(),
+    ext_template_sharing(),
 ];
 
 /// The result of a paired (no-prevention vs Stay-Away) run.

@@ -491,7 +491,7 @@ impl<'a> Cursor<'a> {
                 }
                 return Ok(char::from_u32(code).unwrap_or('\u{fffd}'));
             }
-            other => return Err(format!("bad escape {other:?}")),
+            _ => return Err(format!("bad escape {}", self.found())),
         };
         self.pos += 1;
         Ok(c)
@@ -637,7 +637,7 @@ impl<'a> Cursor<'a> {
                     self.pos += 1;
                     return Ok(());
                 }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
+                _ => return Err(format!("expected ',' or '}}', got {}", self.found())),
             }
         }
     }
@@ -666,7 +666,7 @@ impl<'a> Cursor<'a> {
                     self.pos += 1;
                     return Ok(());
                 }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
+                _ => return Err(format!("expected ',' or ']', got {}", self.found())),
             }
         }
     }
@@ -704,7 +704,7 @@ impl<'a> Cursor<'a> {
                 Ok(Value::Object(entries))
             }
             Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            _ => Err(self.unexpected()),
         }
     }
 
@@ -728,7 +728,25 @@ impl<'a> Cursor<'a> {
             Some(b'[') => self.array(|cursor| cursor.skip_within(depth - 1)),
             Some(b'{') => self.object(|cursor, _| cursor.skip_within(depth - 1)),
             Some(b'-' | b'0'..=b'9') => self.number().map(drop),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+            _ => Err(self.unexpected()),
+        }
+    }
+
+    /// The error for a token that cannot start a value.
+    fn unexpected(&self) -> String {
+        format!("unexpected {}", self.found())
+    }
+
+    /// What an error found at the cursor, in words: the character there
+    /// (a lone byte when the cursor is inside one), or the end of the
+    /// input, and where.
+    fn found(&self) -> String {
+        let at = self.pos;
+        let next = self.text.get(at..).and_then(|rest| rest.chars().next());
+        match (next, self.at()) {
+            (Some(c), _) => format!("{c:?} at byte {at}"),
+            (None, Some(b)) => format!("byte 0x{b:02x} at byte {at}"),
+            (None, None) => format!("end of input at byte {at}"),
         }
     }
 

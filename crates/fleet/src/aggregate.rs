@@ -20,7 +20,7 @@ use crate::FleetError;
 use serde::{Deserialize, Serialize};
 use stayaway_core::{hit_ratio, ControllerStats};
 use stayaway_obs::{merge_streams, EventRecord, MetricsSnapshot};
-use stayaway_sim::QosSummary;
+use stayaway_telemetry::QosSummary;
 
 /// The one fold over finished cells and cluster hosts behind every rollup:
 /// pooled QoS, utilisation sums, batch work and controller counters, added

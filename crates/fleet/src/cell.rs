@@ -15,9 +15,10 @@ use stayaway_obs::{
     MetricsSnapshot,
 };
 use stayaway_sim::scenario::Scenario;
-use stayaway_sim::{HostSpec, RunOutcome};
 use stayaway_statespace::Template;
-use stayaway_telemetry::{drive, ObservationSource, RecordingSource, RequestQos};
+use stayaway_telemetry::{
+    drive, HostSpec, ObservationSource, RecordingSource, RequestQos, RunOutcome,
+};
 use std::io::Write;
 
 /// The immutable plan for one cell, fixed before any worker starts.
@@ -436,9 +437,10 @@ mod tests {
         assert_eq!(trace.sensitive_key(), "trace:t.jsonl");
     }
 
-    /// The plan of a bare stay-away run over `source`; tests override the
-    /// extras with struct-update syntax.
+    /// The plan of a bare stay-away run over `source` at `seed`; tests
+    /// override the extras with struct-update syntax.
     fn host_run<'a>(
+        seed: u64,
         source: &'a SourceSpec,
         scenario: &'a Scenario,
         controller: &'a ControllerConfig,
@@ -447,7 +449,7 @@ mod tests {
         HostRun {
             source,
             scenario,
-            seed: scenario.seed(),
+            seed,
             policy: &PolicySpec::StayAway,
             controller,
             ticks: 60,
@@ -470,6 +472,7 @@ mod tests {
         let live = run_host(HostRun {
             trace_out: Some(Box::new(&mut file)),
             ..host_run(
+                3,
                 &SourceSpec::Sim,
                 &scenario,
                 &config,
@@ -481,7 +484,7 @@ mod tests {
             path: path.to_str().unwrap().to_string(),
         };
         let bare = Observability::disabled();
-        let replayed = run_host(host_run(&trace, &scenario, &config, &bare)).unwrap();
+        let replayed = run_host(host_run(3, &trace, &scenario, &config, &bare)).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(live.run.timeline.len(), 60);
         assert_eq!(live.run.qos, replayed.run.qos);
@@ -501,6 +504,7 @@ mod tests {
             scenario: "cpu-bomb".into(),
         };
         let bare = run_host(host_run(
+            7,
             &source,
             &scenario,
             &config,
@@ -521,7 +525,7 @@ mod tests {
         let observed = Observability::enabled(MetricsRegistry::new())
             .with_recorder(FlightRecorder::for_scope(0, "run"))
             .with_state(StateCell::new());
-        let seen = run_host(host_run(&source, &scenario, &config, &observed)).unwrap();
+        let seen = run_host(host_run(7, &source, &scenario, &config, &observed)).unwrap();
         // Decision-inert, and every instrument saw the run.
         assert_eq!((&bare.run, &bare.stats), (&seen.run, &seen.stats));
         assert!(!observed.exported_registry().unwrap().snapshot().is_empty());
@@ -544,7 +548,7 @@ mod tests {
             let obs = Observability::disabled().with_recorder(recorder.clone());
             let out = run_host(HostRun {
                 policy: &policy,
-                ..host_run(&source, &scenario, &config, &obs)
+                ..host_run(7, &source, &scenario, &config, &obs)
             })
             .unwrap();
             assert!(
@@ -659,12 +663,7 @@ mod tests {
 
     #[test]
     fn baseline_cell_runs_without_templates_or_stats() {
-        let plan = CellPlan::new(
-            0,
-            13,
-            Scenario::vlc_with_cpubomb(13),
-            PolicySpec::Reactive { cooldown: 10 },
-        );
+        let plan = CellPlan::new(0, 13, Scenario::vlc_with_cpubomb(13), PolicySpec::Reactive);
         let out = run_cell(&plan, &ControllerConfig::default(), None, 150).unwrap();
         assert_eq!(out.policy, "reactive");
         assert!(out.template.is_none());

@@ -101,8 +101,7 @@ impl ClusterConfig {
         if self.workers == 0 {
             return Err(invalid("cluster workers must be positive"));
         }
-        self.scenario.validate()?;
-        self.host_policy.validate()
+        self.scenario.validate()
     }
 }
 

@@ -132,9 +132,6 @@ impl FleetConfig {
                 reason: "policy mix must not be empty".into(),
             });
         }
-        for policy in &self.policies {
-            policy.validate()?;
-        }
         if self.predictors.is_empty() {
             return Err(FleetError::InvalidConfig {
                 reason: "predictor mix must not be empty".into(),
@@ -201,10 +198,6 @@ mod tests {
                 sources: vec![SourceSpec::Trace {
                     path: String::new(),
                 }],
-                ..base.clone()
-            },
-            FleetConfig {
-                policies: vec![PolicySpec::Reactive { cooldown: 0 }],
                 ..base.clone()
             },
             FleetConfig {

@@ -10,14 +10,14 @@
 use crate::FleetError;
 use stayaway_baselines::{AlwaysThrottle, ReactivePolicy, StaticThresholdPolicy};
 use stayaway_core::{ControlPolicy, Controller, ControllerConfig, CoreError, Observability};
-use stayaway_sim::{HostSpec, NullPolicy};
+use stayaway_telemetry::{HostSpec, NullPolicy};
 
-/// Default reactive cooldown (violation-free ticks before resume) used by
-/// [`PolicySpec::parse`] and [`PolicySpec::Reactive`]'s shorthand.
-pub const DEFAULT_REACTIVE_COOLDOWN: u64 = 10;
+/// The reactive baseline's cooldown: violation-free ticks before a resume.
+const REACTIVE_COOLDOWN: u64 = 10;
 
-/// Default static CPU-threshold fraction used by [`PolicySpec::parse`].
-pub const DEFAULT_STATIC_FRACTION: f64 = 0.5;
+/// The static baseline's sensitive-CPU threshold, as a fraction of the
+/// machine.
+const STATIC_FRACTION: f64 = 0.5;
 
 /// Declarative choice of control plane.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,17 +25,11 @@ pub enum PolicySpec {
     /// The staged Stay-Away controller (mapping + prediction + action).
     StayAway,
     /// Reactive phase-in/phase-out baseline: throttle after an observed
-    /// violation, resume after `cooldown` violation-free ticks.
-    Reactive {
-        /// Violation-free ticks before a resume (must be ≥ 1).
-        cooldown: u64,
-    },
-    /// Static profiling rule: throttle while sensitive CPU exceeds
-    /// `fraction` of the machine.
-    StaticThreshold {
-        /// CPU-usage fraction in `(0, 1]`.
-        fraction: f64,
-    },
+    /// violation, resume after 10 violation-free ticks.
+    Reactive,
+    /// Static profiling rule: throttle while sensitive CPU exceeds half
+    /// the machine.
+    StaticThreshold,
     /// Batch applications never run (isolated-run QoS bound).
     AlwaysThrottle,
     /// No prevention at all (co-location without mitigation).
@@ -44,12 +38,12 @@ pub enum PolicySpec {
 
 impl PolicySpec {
     /// The canonical policy name, matching what the built policy reports
-    /// via [`stayaway_sim::Policy::name`].
+    /// via [`stayaway_telemetry::Policy::name`].
     pub fn name(&self) -> &'static str {
         match self {
             PolicySpec::StayAway => "stay-away",
-            PolicySpec::Reactive { .. } => "reactive",
-            PolicySpec::StaticThreshold { .. } => "static-threshold",
+            PolicySpec::Reactive => "reactive",
+            PolicySpec::StaticThreshold => "static-threshold",
             PolicySpec::AlwaysThrottle => "always-throttle",
             PolicySpec::Null => "no-prevention",
         }
@@ -58,8 +52,6 @@ impl PolicySpec {
     /// Parses a CLI policy token. Accepted (with aliases):
     /// `stayaway`/`stay-away`, `reactive`, `static`/`static-threshold`,
     /// `always`/`always-throttle`, `null`/`none`/`no-prevention`.
-    /// Baseline parameters take their defaults
-    /// ([`DEFAULT_REACTIVE_COOLDOWN`], [`DEFAULT_STATIC_FRACTION`]).
     ///
     /// # Errors
     ///
@@ -67,12 +59,8 @@ impl PolicySpec {
     pub fn parse(token: &str) -> Result<Self, FleetError> {
         match token.trim().to_ascii_lowercase().as_str() {
             "stayaway" | "stay-away" => Ok(PolicySpec::StayAway),
-            "reactive" => Ok(PolicySpec::Reactive {
-                cooldown: DEFAULT_REACTIVE_COOLDOWN,
-            }),
-            "static" | "static-threshold" => Ok(PolicySpec::StaticThreshold {
-                fraction: DEFAULT_STATIC_FRACTION,
-            }),
+            "reactive" => Ok(PolicySpec::Reactive),
+            "static" | "static-threshold" => Ok(PolicySpec::StaticThreshold),
             "always" | "always-throttle" => Ok(PolicySpec::AlwaysThrottle),
             "null" | "none" | "no-prevention" => Ok(PolicySpec::Null),
             other => Err(FleetError::InvalidConfig {
@@ -107,28 +95,6 @@ impl PolicySpec {
         matches!(self, PolicySpec::StayAway)
     }
 
-    /// Validates the spec's parameters (so fleet configuration errors
-    /// surface as errors, not as baseline constructor panics mid-run).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::InvalidConfig`] describing the problem.
-    pub fn validate(&self) -> Result<(), FleetError> {
-        match self {
-            PolicySpec::Reactive { cooldown } if *cooldown == 0 => Err(FleetError::InvalidConfig {
-                reason: "reactive cooldown must be positive".into(),
-            }),
-            PolicySpec::StaticThreshold { fraction }
-                if !(fraction.is_finite() && *fraction > 0.0 && *fraction <= 1.0) =>
-            {
-                Err(FleetError::InvalidConfig {
-                    reason: format!("static threshold fraction must be in (0, 1], got {fraction}"),
-                })
-            }
-            _ => Ok(()),
-        }
-    }
-
     /// Instantiates the control plane for a host, its instruments
     /// registered into `obs`. `config` is only consulted by
     /// [`PolicySpec::StayAway`]; baselines derive what they need (e.g. CPU
@@ -148,9 +114,9 @@ impl PolicySpec {
             PolicySpec::StayAway => {
                 Box::new(Controller::for_host_observed(config.clone(), spec, obs)?)
             }
-            PolicySpec::Reactive { cooldown } => Box::new(ReactivePolicy::new(*cooldown)),
-            PolicySpec::StaticThreshold { fraction } => {
-                Box::new(StaticThresholdPolicy::new(*fraction, spec.cpu_cores))
+            PolicySpec::Reactive => Box::new(ReactivePolicy::new(REACTIVE_COOLDOWN)),
+            PolicySpec::StaticThreshold => {
+                Box::new(StaticThresholdPolicy::new(STATIC_FRACTION, spec.cpu_cores))
             }
             PolicySpec::AlwaysThrottle => Box::new(AlwaysThrottle::new()),
             PolicySpec::Null => Box::new(NullPolicy::new()),
@@ -169,17 +135,10 @@ mod tests {
             PolicySpec::StayAway
         );
         assert_eq!(PolicySpec::parse("STAYAWAY").unwrap(), PolicySpec::StayAway);
-        assert_eq!(
-            PolicySpec::parse("reactive").unwrap(),
-            PolicySpec::Reactive {
-                cooldown: DEFAULT_REACTIVE_COOLDOWN
-            }
-        );
+        assert_eq!(PolicySpec::parse("reactive").unwrap(), PolicySpec::Reactive);
         assert_eq!(
             PolicySpec::parse("static").unwrap(),
-            PolicySpec::StaticThreshold {
-                fraction: DEFAULT_STATIC_FRACTION
-            }
+            PolicySpec::StaticThreshold
         );
         assert_eq!(
             PolicySpec::parse("always").unwrap(),
@@ -203,8 +162,8 @@ mod tests {
     fn only_stay_away_supports_templates() {
         assert!(PolicySpec::StayAway.supports_templates());
         for spec in [
-            PolicySpec::Reactive { cooldown: 5 },
-            PolicySpec::StaticThreshold { fraction: 0.5 },
+            PolicySpec::Reactive,
+            PolicySpec::StaticThreshold,
             PolicySpec::AlwaysThrottle,
             PolicySpec::Null,
         ] {
@@ -213,28 +172,13 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_parameters_are_rejected() {
-        assert!(PolicySpec::Reactive { cooldown: 0 }.validate().is_err());
-        assert!(PolicySpec::StaticThreshold { fraction: 0.0 }
-            .validate()
-            .is_err());
-        assert!(PolicySpec::StaticThreshold { fraction: 1.5 }
-            .validate()
-            .is_err());
-        assert!(PolicySpec::StaticThreshold { fraction: f64::NAN }
-            .validate()
-            .is_err());
-        assert!(PolicySpec::Reactive { cooldown: 1 }.validate().is_ok());
-    }
-
-    #[test]
     fn build_produces_the_named_policy() {
         let spec = HostSpec::default();
         let config = ControllerConfig::default();
         for policy_spec in [
             PolicySpec::StayAway,
-            PolicySpec::Reactive { cooldown: 10 },
-            PolicySpec::StaticThreshold { fraction: 0.5 },
+            PolicySpec::Reactive,
+            PolicySpec::StaticThreshold,
             PolicySpec::AlwaysThrottle,
             PolicySpec::Null,
         ] {

@@ -273,7 +273,7 @@ mod tests {
     fn mixed_policy_fleet_is_deterministic_and_rolls_up_per_policy() {
         let run = |workers| {
             let mut config = small_config(workers, true);
-            config.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive { cooldown: 10 }];
+            config.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive];
             Fleet::new(config).unwrap().run().unwrap()
         };
         let a = run(1);
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn baseline_cells_never_pioneer_or_import() {
         let mut config = small_config(2, true);
-        config.policies = vec![PolicySpec::Reactive { cooldown: 10 }];
+        config.policies = vec![PolicySpec::Reactive];
         let fleet = Fleet::new(config).unwrap();
         let outcome = fleet.run().unwrap();
         assert_eq!(fleet.registry.len(), 0);

@@ -70,7 +70,7 @@ fn mixed_predictor_fleets_agree_across_worker_counts() {
 fn baseline_cells_carry_no_predictor_and_stay_out_of_the_rollup() {
     let mut c = FleetConfig::new(6, 2, 9);
     c.ticks = 80;
-    c.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive { cooldown: 10 }];
+    c.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive];
     c.predictors = predictor::parse_list("xapp").unwrap();
     let outcome = Fleet::new(c).unwrap().run().unwrap();
     for cell in &outcome.per_cell {

@@ -44,35 +44,7 @@ pub fn classical_mds(dissim: &DistanceMatrix, dim: usize) -> Result<Embedding, M
         return Ok(Embedding::zeros(1, dim));
     }
 
-    // B = -1/2 * J * D^2 * J with J = I - 11ᵀ/n, computed directly:
-    // b_ij = -1/2 (d_ij² - row_i² - col_j² + grand²).
-    let mut sq = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            let d = dissim.get(i, j);
-            sq[(i, j)] = d * d;
-        }
-    }
-    let mut row_means = vec![0.0; n];
-    let mut grand = 0.0;
-    for i in 0..n {
-        let mut s = 0.0;
-        for j in 0..n {
-            s += sq[(i, j)];
-        }
-        row_means[i] = s / n as f64;
-        grand += s;
-    }
-    grand /= (n * n) as f64;
-
-    let mut b = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            b[(i, j)] = -0.5 * (sq[(i, j)] - row_means[i] - row_means[j] + grand);
-        }
-    }
-
-    let eig = symmetric_eigen(&b)?;
+    let eig = symmetric_eigen(&double_centred(dissim))?;
     let mut coords = vec![0.0; n * dim];
     for k in 0..dim.min(n) {
         let lambda = eig.eigenvalues[k];
@@ -102,6 +74,19 @@ pub fn explained_fraction(dissim: &DistanceMatrix, dim: usize) -> Result<f64, Md
     if n <= 1 {
         return Ok(1.0);
     }
+    let eig = symmetric_eigen(&double_centred(dissim))?;
+    let positive: f64 = eig.eigenvalues.iter().filter(|&&v| v > 0.0).sum();
+    if positive == 0.0 {
+        return Ok(1.0);
+    }
+    let captured: f64 = eig.eigenvalues.iter().take(dim).filter(|&&v| v > 0.0).sum();
+    Ok(captured / positive)
+}
+
+/// The Gram matrix `B = −½ J D² J` with `J = I − 11ᵀ/n`, computed
+/// directly: `b_ij = −½ (d_ij² − row_i² − col_j² + grand²)`.
+fn double_centred(dissim: &DistanceMatrix) -> Matrix {
+    let n = dissim.len();
     let mut sq = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
@@ -120,19 +105,14 @@ pub fn explained_fraction(dissim: &DistanceMatrix, dim: usize) -> Result<f64, Md
         grand += s;
     }
     grand /= (n * n) as f64;
+
     let mut b = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
             b[(i, j)] = -0.5 * (sq[(i, j)] - row_means[i] - row_means[j] + grand);
         }
     }
-    let eig = symmetric_eigen(&b)?;
-    let positive: f64 = eig.eigenvalues.iter().filter(|&&v| v > 0.0).sum();
-    if positive == 0.0 {
-        return Ok(1.0);
-    }
-    let captured: f64 = eig.eigenvalues.iter().take(dim).filter(|&&v| v > 0.0).sum();
-    Ok(captured / positive)
+    b
 }
 
 #[cfg(test)]

@@ -221,11 +221,6 @@ impl ReprSet {
         self
     }
 
-    /// The merge radius.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// The merge predicate: a vector at `distance` from a representative
     /// merges into it exactly when `distance <= epsilon` (**closed**
     /// threshold, both ends). Consequences, enforced by regression tests:

@@ -78,11 +78,6 @@ impl Normalizer {
         self.bounds.len()
     }
 
-    /// Borrow the per-metric bounds.
-    pub fn bounds(&self) -> &[MetricBounds] {
-        &self.bounds
-    }
-
     /// Normalises a measurement vector into `[0, 1]^dim`.
     ///
     /// # Errors

@@ -21,14 +21,6 @@ pub struct RigidTransform {
 }
 
 impl RigidTransform {
-    /// The identity transform in `dim` dimensions.
-    pub fn identity(dim: usize) -> Self {
-        RigidTransform {
-            rotation: Matrix::identity(dim),
-            translation: vec![0.0; dim],
-        }
-    }
-
     /// Dimensionality this transform operates in.
     pub fn dim(&self) -> usize {
         self.translation.len()
@@ -287,12 +279,5 @@ mod tests {
     fn rejects_zero_shared_points() {
         let a = sample_embedding();
         assert!(matches!(align_prefix(&a, &a, 0), Err(MdsError::Empty)));
-    }
-
-    #[test]
-    fn identity_transform_is_a_noop() {
-        let mut e = Embedding::from_coords(2, vec![3.0, -4.0]).unwrap();
-        RigidTransform::identity(2).apply(&mut e);
-        assert_eq!(e.xy(0), (3.0, -4.0));
     }
 }

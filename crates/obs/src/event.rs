@@ -405,9 +405,7 @@ pub fn events_from_jsonl(text: &str) -> Result<Vec<EventRecord>, String> {
     text.lines()
         .enumerate()
         .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(idx, line)| {
-            serde_json::from_str(line).map_err(|e| format!("line {}: {e:?}", idx + 1))
-        })
+        .map(|(idx, line)| serde_json::from_str(line).map_err(|e| format!("line {}: {e}", idx + 1)))
         .collect()
 }
 

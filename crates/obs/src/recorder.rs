@@ -76,11 +76,6 @@ impl FlightRecorder {
         crate::lock(&self.inner).scope
     }
 
-    /// This recorder's default subject label.
-    pub fn subject(&self) -> String {
-        crate::lock(&self.inner).subject.clone()
-    }
-
     /// Records one event against the recorder's default subject.
     pub fn record(
         &self,

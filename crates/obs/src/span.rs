@@ -68,13 +68,9 @@ impl SpanSink {
         }
     }
 
-    /// Appends one record, evicting the oldest when full.
-    pub fn emit(&self, name: &'static str, tick: u64, nanos: u64) {
-        self.emit_all(tick, &[(name, nanos)]);
-    }
-
     /// Appends the `(name, nanos)` spans of one tick, in order, under one
-    /// lock — what a control period does with its four stage spans.
+    /// lock — what a control period does with its four stage spans —
+    /// evicting the oldest records when full.
     pub fn emit_all(&self, tick: u64, spans: &[(&'static str, u64)]) {
         let mut inner = crate::lock(&self.inner);
         if inner.capacity == 0 {
@@ -123,7 +119,7 @@ mod tests {
     fn sink_is_bounded_and_counts_drops() {
         let sink = SpanSink::bounded(2);
         for tick in 0..5 {
-            sink.emit("s", tick, 1);
+            sink.emit_all(tick, &[("s", 1)]);
         }
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.dropped(), 3);
@@ -134,17 +130,17 @@ mod tests {
     #[test]
     fn zero_capacity_sink_drops_everything() {
         let sink = SpanSink::bounded(0);
-        sink.emit("s", 0, 1);
+        sink.emit_all(0, &[("s", 1)]);
         assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 1);
     }
 
     #[test]
-    fn a_batch_is_the_same_as_its_emits_in_order() {
+    fn a_batch_is_the_same_as_its_spans_one_at_a_time() {
         let (one_by_one, batched) = (SpanSink::bounded(3), SpanSink::bounded(3));
         for tick in 0..3 {
-            one_by_one.emit("a", tick, 1);
-            one_by_one.emit("b", tick, 2);
+            one_by_one.emit_all(tick, &[("a", 1)]);
+            one_by_one.emit_all(tick, &[("b", 2)]);
             batched.emit_all(tick, &[("a", 1), ("b", 2)]);
         }
         assert_eq!(batched.records(), one_by_one.records());
@@ -154,9 +150,9 @@ mod tests {
     #[test]
     fn a_reader_that_panics_holding_the_sink_does_not_stop_the_emitter() {
         let sink = SpanSink::bounded(2);
-        sink.emit("s", 0, 1);
+        sink.emit_all(0, &[("s", 1)]);
         crate::poison(&sink.inner);
-        sink.emit("s", 1, 1);
+        sink.emit_all(1, &[("s", 1)]);
         sink.emit_all(2, &[("s", 1)]);
         assert_eq!((sink.len(), sink.dropped()), (2, 1));
         assert_eq!(sink.records()[1].tick, 2);

@@ -40,7 +40,7 @@ const SPAN_NAMES: [&str; 4] = [
 ];
 
 /// Ticks of one to four `(name index, nanos)` spans each — the shape of
-/// what a controller emits, with single-span ticks taking `emit`.
+/// what a controller emits.
 fn span_ticks_strategy(max_ticks: usize) -> impl Strategy<Value = Vec<Vec<(usize, u64)>>> {
     prop::collection::vec(
         prop::collection::vec((0usize..SPAN_NAMES.len(), any::<u64>()), 1..5),
@@ -64,10 +64,7 @@ fn check_sink_against_model(
             .iter()
             .map(|&(name, nanos)| (SPAN_NAMES[name], nanos))
             .collect();
-        match named[..] {
-            [(name, nanos)] => sink.emit(name, tick, nanos),
-            _ => sink.emit_all(tick, &named),
-        }
+        sink.emit_all(tick, &named);
         for (name, nanos) in named {
             model.push_back(SpanRecord {
                 name: name.to_string(),

@@ -8,10 +8,8 @@
 //! script — throttled or contended applications take correspondingly
 //! longer, exactly like a real batch job under SIGSTOP or CPU starvation.
 
-use crate::resources::ResourceVector;
 use crate::workload::Trace;
-
-pub use stayaway_telemetry::AppClass;
+use stayaway_telemetry::ResourceVector;
 
 /// An application that can run inside a simulated container.
 pub trait Application: std::fmt::Debug + Send {
@@ -229,7 +227,7 @@ impl PhasedAppBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::ResourceKind;
+    use stayaway_telemetry::ResourceKind;
 
     fn cpu(v: f64) -> ResourceVector {
         ResourceVector::zero().with(ResourceKind::Cpu, v)
@@ -341,7 +339,7 @@ mod tests {
 
     #[test]
     fn workload_modulates_demand() {
-        let trace = Trace::constant(0.5, 10);
+        let trace = Trace::piecewise(&[(0.5, 10)]).unwrap();
         let mut app = PhasedApp::builder("svc")
             .phase(Phase::steady(cpu(1.0), 1.0))
             .looping(true)

@@ -2,7 +2,7 @@
 //! custom MemoryBomb of §7.1.
 
 use crate::app::{Phase, PhasedApp};
-use crate::resources::ResourceVector;
+use stayaway_telemetry::ResourceVector;
 
 /// CPUBomb: saturates every core, never changes phase, never finishes.
 /// The paper's worst-case co-runner — "it is impossible to execute both VLC
@@ -39,7 +39,7 @@ pub fn memory_bomb(peak_mb: f64) -> PhasedApp {
 mod tests {
     use super::*;
     use crate::app::Application;
-    use crate::resources::ResourceKind;
+    use stayaway_telemetry::ResourceKind;
 
     #[test]
     fn cpu_bomb_demands_all_cores_forever() {

@@ -4,7 +4,7 @@
 //! slightly varying step length", which the slow memory ramp reproduces.
 
 use crate::app::{Phase, PhasedApp};
-use crate::resources::{ResourceKind, ResourceVector};
+use stayaway_telemetry::{ResourceKind, ResourceVector};
 
 /// Default nominal runtime in ticks.
 pub const DEFAULT_WORK: f64 = 600.0;

@@ -8,7 +8,7 @@
 //! gradually (the paper's "gradual transitions", Figure 7).
 
 use crate::app::{Phase, PhasedApp};
-use crate::resources::ResourceVector;
+use stayaway_telemetry::ResourceVector;
 
 /// Length of the CPU-intensive phase in nominal ticks.
 pub const CPU_PHASE_TICKS: f64 = 25.0;
@@ -34,7 +34,7 @@ pub fn twitter_analysis() -> PhasedApp {
 mod tests {
     use super::*;
     use crate::app::Application;
-    use crate::resources::ResourceKind;
+    use stayaway_telemetry::ResourceKind;
 
     #[test]
     fn alternates_cpu_and_memory_phases() {

@@ -2,8 +2,8 @@
 //! transcoder.
 
 use crate::app::{Phase, PhasedApp};
-use crate::resources::ResourceVector;
 use crate::workload::Trace;
+use stayaway_telemetry::ResourceVector;
 
 /// The VLC streaming server (latency-sensitive).
 ///
@@ -41,7 +41,7 @@ pub fn vlc_transcode(work_ticks: f64) -> PhasedApp {
 mod tests {
     use super::*;
     use crate::app::Application;
-    use crate::resources::ResourceKind;
+    use stayaway_telemetry::ResourceKind;
 
     #[test]
     fn streaming_demand_tracks_workload() {
@@ -57,7 +57,7 @@ mod tests {
 
     #[test]
     fn streaming_never_finishes() {
-        let mut app = vlc_streaming(Trace::constant(0.5, 4));
+        let mut app = vlc_streaming(Trace::piecewise(&[(0.5, 4)]).unwrap());
         for _ in 0..1000 {
             app.deliver(1.0);
         }

@@ -7,8 +7,8 @@
 //! demand (the simulator's `perf`).
 
 use crate::app::{Phase, PhasedApp};
-use crate::resources::ResourceVector;
 use crate::workload::Trace;
+use stayaway_telemetry::ResourceVector;
 
 /// The workload mix offered to the webservice (§7.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -93,11 +93,14 @@ pub fn webservice(workload: WebWorkload, trace: Trace) -> PhasedApp {
 mod tests {
     use super::*;
     use crate::app::Application;
-    use crate::resources::ResourceKind;
+    use stayaway_telemetry::ResourceKind;
 
     #[test]
     fn cpu_workload_is_cpu_dominated() {
-        let mut app = webservice(WebWorkload::CpuIntensive, Trace::constant(1.0, 2));
+        let mut app = webservice(
+            WebWorkload::CpuIntensive,
+            Trace::piecewise(&[(1.0, 2)]).unwrap(),
+        );
         let d = app.demand(0);
         assert!(d.get(ResourceKind::Cpu) > 3.0);
         assert!(d.get(ResourceKind::Memory) < 2000.0);
@@ -116,7 +119,7 @@ mod tests {
 
     #[test]
     fn mix_workload_alternates_phases() {
-        let mut app = webservice(WebWorkload::Mix, Trace::constant(0.0, 2));
+        let mut app = webservice(WebWorkload::Mix, Trace::piecewise(&[(0.0, 2)]).unwrap());
         let start_mem = app.demand(0).get(ResourceKind::Memory);
         // Advance through the CPU phase and its ramp into the memory phase.
         for _ in 0..((MIX_PHASE_TICKS + 4.0) as usize) {
@@ -142,7 +145,10 @@ mod tests {
             (WebWorkload::MemIntensive, "webservice-mem"),
             (WebWorkload::Mix, "webservice-mix"),
         ] {
-            assert_eq!(webservice(w, Trace::constant(0.5, 2)).name(), n);
+            assert_eq!(
+                webservice(w, Trace::piecewise(&[(0.5, 2)]).unwrap()).name(),
+                n
+            );
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Simulated containers (the LXC analogue).
 
-use crate::app::{AppClass, Application};
-
-pub use stayaway_telemetry::ContainerId;
+use crate::app::Application;
+use stayaway_telemetry::{AppClass, ContainerId};
 
 /// A container: one application plus its scheduling state.
 #[derive(Debug)]
@@ -13,7 +12,6 @@ pub struct Container {
     start_tick: u64,
     priority: u8,
     paused: bool,
-    pause_count: u64,
 }
 
 impl Container {
@@ -34,7 +32,6 @@ impl Container {
             start_tick,
             priority,
             paused: false,
-            pause_count: 0,
         }
     }
 
@@ -58,19 +55,9 @@ impl Container {
         self.app.name()
     }
 
-    /// Tick at which the container is first scheduled.
-    pub fn start_tick(&self) -> u64 {
-        self.start_tick
-    }
-
     /// True while the container is SIGSTOP-ed.
     pub fn is_paused(&self) -> bool {
         self.paused
-    }
-
-    /// Number of pause transitions so far.
-    pub fn pause_count(&self) -> u64 {
-        self.pause_count
     }
 
     /// True when the application completed all its work.
@@ -86,10 +73,7 @@ impl Container {
 
     /// Pauses the container (SIGSTOP analogue). Idempotent.
     pub fn pause(&mut self) {
-        if !self.paused {
-            self.paused = true;
-            self.pause_count += 1;
-        }
+        self.paused = true;
     }
 
     /// Resumes the container (SIGCONT analogue). Idempotent.
@@ -112,7 +96,7 @@ impl Container {
 mod tests {
     use super::*;
     use crate::app::{Phase, PhasedApp};
-    use crate::resources::{ResourceKind, ResourceVector};
+    use stayaway_telemetry::{ResourceKind, ResourceVector};
 
     fn container(start: u64) -> Container {
         let app = PhasedApp::builder("t")
@@ -144,12 +128,9 @@ mod tests {
         c.pause();
         assert!(c.is_paused());
         assert!(!c.is_active(0));
-        c.pause(); // idempotent
-        assert_eq!(c.pause_count(), 1);
+        c.pause(); // idempotent: one resume undoes both
         c.resume();
         assert!(c.is_active(0));
-        c.pause();
-        assert_eq!(c.pause_count(), 2);
     }
 
     #[test]

@@ -21,31 +21,16 @@
 //! the minimum grant/demand ratio over the rate resources, multiplied by
 //! the swap and cache efficiency factors.
 
-use crate::host::HostSpec;
-use crate::resources::{ResourceKind, ResourceVector};
+use stayaway_telemetry::{HostSpec, ResourceKind, ResourceVector};
 
-/// Tunable constants of the contention model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContentionParams {
-    /// Slowdown per unit of RAM over-commit for a full-intensity memory
-    /// toucher (`perf /= 1 + swap_slowdown · overcommit · touch`).
-    pub swap_slowdown: f64,
-    /// Disk traffic (MB/s) induced per MB of over-committed working set
-    /// per tick, charged to memory touchers.
-    pub swap_disk_per_mb: f64,
-    /// Maximum CPU-efficiency loss from LLC overflow.
-    pub cache_penalty_max: f64,
-}
-
-impl Default for ContentionParams {
-    fn default() -> Self {
-        ContentionParams {
-            swap_slowdown: 12.0,
-            swap_disk_per_mb: 0.02,
-            cache_penalty_max: 0.2,
-        }
-    }
-}
+/// Slowdown per unit of RAM over-commit for a full-intensity memory
+/// toucher (`perf /= 1 + SWAP_SLOWDOWN · overcommit · touch`).
+const SWAP_SLOWDOWN: f64 = 12.0;
+/// Disk traffic (MB/s) induced per MB of over-committed working set per
+/// tick, charged to memory touchers.
+const SWAP_DISK_PER_MB: f64 = 0.02;
+/// Maximum CPU-efficiency loss from LLC overflow.
+const CACHE_PENALTY_MAX: f64 = 0.2;
 
 /// The outcome of one tick's allocation for one application.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,20 +58,13 @@ pub struct ContentionScratch {
     unsatisfied: Vec<usize>,
 }
 
-/// Max-min fair allocation (progressive filling) of one scalar resource.
+/// Max-min fair allocation (progressive filling) of one scalar resource
+/// into `grants` (overwritten), with `unsatisfied` as the caller's
+/// reusable working list.
 ///
-/// Returns per-consumer grants: consumers demanding less than the fair
-/// share receive their demand; the remainder is split recursively among the
-/// rest. Total grants never exceed `capacity`, and no consumer receives
-/// more than it demanded.
-pub fn max_min_fair(demands: &[f64], capacity: f64) -> Vec<f64> {
-    let mut grants = Vec::with_capacity(demands.len());
-    max_min_fair_into(demands, capacity, &mut grants, &mut Vec::new());
-    grants
-}
-
-/// [`max_min_fair`] into `grants` (overwritten), with `unsatisfied` as
-/// the caller's reusable working list.
+/// Consumers demanding less than the fair share receive their demand; the
+/// remainder is split recursively among the rest. Total grants never
+/// exceed `capacity`, and no consumer receives more than it demanded.
 pub fn max_min_fair_into(
     demands: &[f64],
     capacity: f64,
@@ -129,33 +107,15 @@ pub fn max_min_fair_into(
     }
 }
 
-/// Allocates one tick for a set of co-located demand vectors.
+/// Allocates one tick for a set of co-located demand vectors into `out`
+/// (overwritten), with the working vectors in `scratch`.
 ///
-/// `demands[i]` is application `i`'s nominal demand; the returned
-/// `Allocation` mirrors the same index. Applications with an all-zero
-/// demand (paused/idle) receive a zero grant and `perf = 0.0`.
-pub fn allocate(
-    demands: &[ResourceVector],
-    spec: &HostSpec,
-    params: &ContentionParams,
-) -> Vec<Allocation> {
-    let mut out = Vec::with_capacity(demands.len());
-    allocate_into(
-        demands,
-        spec,
-        params,
-        &mut ContentionScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`allocate`] into `out` (overwritten), with the working vectors in
-/// `scratch`.
+/// `demands[i]` is application `i`'s nominal demand; the allocation in
+/// `out` mirrors the same index. Applications with an all-zero demand
+/// (paused/idle) receive a zero grant and `perf = 0.0`.
 pub fn allocate_into(
     demands: &[ResourceVector],
     spec: &HostSpec,
-    params: &ContentionParams,
     scratch: &mut ContentionScratch,
     out: &mut Vec<Allocation>,
 ) {
@@ -204,9 +164,9 @@ pub fn allocate_into(
         a.granted.set(ResourceKind::Memory, resident);
         if overcommit > 0.0 && mem > 0.0 {
             let touch = (demand.get(ResourceKind::MemBandwidth) / membw_cap).clamp(0.0, 1.0);
-            a.swap_factor = 1.0 / (1.0 + params.swap_slowdown * overcommit * touch);
+            a.swap_factor = 1.0 / (1.0 + SWAP_SLOWDOWN * overcommit * touch);
             // Swapping shows up as disk traffic on the victim.
-            let induced = (mem - resident) * params.swap_disk_per_mb;
+            let induced = (mem - resident) * SWAP_DISK_PER_MB;
             let disk = a.granted.get(ResourceKind::DiskIo) + induced;
             a.granted.set(ResourceKind::DiskIo, disk);
         }
@@ -241,7 +201,7 @@ pub fn allocate_into(
         a.granted.set(ResourceKind::Cache, occupied);
         if cache_overflow > 0.0 && footprint > 0.0 {
             let sensitivity = (footprint / llc).clamp(0.0, 1.0);
-            a.cache_factor = 1.0 - params.cache_penalty_max * cache_overflow * sensitivity;
+            a.cache_factor = 1.0 - CACHE_PENALTY_MAX * cache_overflow * sensitivity;
         }
     }
 
@@ -271,6 +231,18 @@ mod tests {
 
     fn spec() -> HostSpec {
         HostSpec::default()
+    }
+
+    fn max_min_fair(demands: &[f64], capacity: f64) -> Vec<f64> {
+        let mut grants = Vec::new();
+        max_min_fair_into(demands, capacity, &mut grants, &mut Vec::new());
+        grants
+    }
+
+    fn allocate(demands: &[ResourceVector], spec: &HostSpec) -> Vec<Allocation> {
+        let mut out = Vec::new();
+        allocate_into(demands, spec, &mut ContentionScratch::default(), &mut out);
+        out
     }
 
     #[test]
@@ -329,7 +301,7 @@ mod tests {
             ResourceVector::new(1.0, 1000.0, 1000.0, 10.0, 50.0, 1.0),
             ResourceVector::new(1.0, 1000.0, 1000.0, 10.0, 50.0, 1.0),
         ];
-        let allocs = allocate(&demands, &spec(), &ContentionParams::default());
+        let allocs = allocate(&demands, &spec());
         for a in &allocs {
             assert!((a.perf - 1.0).abs() < 1e-9, "perf = {}", a.perf);
             assert_eq!(a.swap_factor, 1.0);
@@ -344,7 +316,7 @@ mod tests {
             ResourceVector::zero().with(ResourceKind::Cpu, 3.0),
             ResourceVector::zero().with(ResourceKind::Cpu, 3.0),
         ];
-        let allocs = allocate(&demands, &spec(), &ContentionParams::default());
+        let allocs = allocate(&demands, &spec());
         for a in &allocs {
             assert!((a.perf - 2.0 / 3.0).abs() < 1e-9);
         }
@@ -366,7 +338,7 @@ mod tests {
                 .with(ResourceKind::MemBandwidth, 100.0)
                 .with(ResourceKind::Cpu, 0.5),
         ];
-        let allocs = allocate(&demands, &s, &ContentionParams::default());
+        let allocs = allocate(&demands, &s);
         assert!(allocs[0].swap_factor < 0.5, "hard toucher barely slowed");
         assert!(allocs[1].swap_factor > allocs[0].swap_factor);
         assert!(allocs[0].perf < allocs[1].perf);
@@ -392,7 +364,7 @@ mod tests {
                 .with(ResourceKind::Cpu, 1.0)
                 .with(ResourceKind::Cache, llc * 0.9),
         ];
-        let allocs = allocate(&demands, &s, &ContentionParams::default());
+        let allocs = allocate(&demands, &s);
         for a in &allocs {
             assert!(a.cache_factor < 1.0);
             assert!(a.perf < 1.0);
@@ -405,7 +377,7 @@ mod tests {
             ResourceVector::zero(),
             ResourceVector::zero().with(ResourceKind::Cpu, 1.0),
         ];
-        let allocs = allocate(&demands, &spec(), &ContentionParams::default());
+        let allocs = allocate(&demands, &spec());
         assert_eq!(allocs[0].perf, 0.0);
         assert_eq!(allocs[0].granted, ResourceVector::zero());
         assert!((allocs[1].perf - 1.0).abs() < 1e-9);
@@ -419,7 +391,7 @@ mod tests {
             ResourceVector::new(4.0, 6000.0, 9000.0, 300.0, 900.0, 3.0),
             ResourceVector::new(2.0, 3000.0, 5000.0, 100.0, 400.0, 2.0),
         ];
-        let allocs = allocate(&demands, &s, &ContentionParams::default());
+        let allocs = allocate(&demands, &s);
         for kind in ResourceKind::ALL {
             let total: f64 = allocs.iter().map(|a| a.granted.get(kind)).sum();
             assert!(

@@ -1,23 +1,19 @@
 //! The experiment harness: closed loop of host, QoS accounting and policy.
 
-use crate::app::AppClass;
-use crate::container::ContainerId;
 use crate::host::{Host, HostTick};
-use crate::policy::{Action, Observation, Policy};
-use crate::qos::QosSpec;
-use crate::resources::{ResourceKind, ResourceVector};
+use crate::qos::QOS_THRESHOLD;
 use crate::SimError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stayaway_telemetry::{ObservationSource, SourceKind, SourceMeta, TelemetryError};
-
-pub use stayaway_telemetry::{RunOutcome, TickRecord};
+use stayaway_telemetry::{
+    Action, AppClass, ContainerId, Observation, ObservationSource, Policy, ResourceKind,
+    ResourceVector, RunOutcome, SourceKind, SourceMeta, TelemetryError, TickRecord,
+};
 
 /// Closed-loop experiment driver.
 #[derive(Debug)]
 pub struct Harness {
     host: Host,
-    qos: QosSpec,
     sensitive: Option<ContainerId>,
     noise: Noise,
     /// Physics report of the most recent tick, kept so the accounting
@@ -63,15 +59,15 @@ impl Noise {
 }
 
 impl Harness {
-    /// Wraps a host. The QoS of the *first sensitive container* is tracked;
-    /// monitoring noise is multiplicative Gaussian with standard deviation
-    /// `noise_sd` (0.0 disables it).
+    /// Wraps a host. The QoS of the *first sensitive container* is tracked
+    /// against [`QOS_THRESHOLD`]; monitoring noise is multiplicative
+    /// Gaussian with standard deviation `noise_sd` (0.0 disables it).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a negative or non-finite
     /// `noise_sd`.
-    pub fn new(host: Host, qos: QosSpec, noise_sd: f64, seed: u64) -> Result<Self, SimError> {
+    pub fn new(host: Host, noise_sd: f64, seed: u64) -> Result<Self, SimError> {
         if !noise_sd.is_finite() || noise_sd < 0.0 {
             return Err(SimError::InvalidConfig {
                 reason: format!("noise_sd must be non-negative, got {noise_sd}"),
@@ -83,7 +79,6 @@ impl Harness {
             .map(|c| c.id());
         Ok(Harness {
             host,
-            qos,
             sensitive,
             noise: Noise {
                 sd: noise_sd,
@@ -102,11 +97,6 @@ impl Harness {
     /// only the observation noise stream changes.
     pub fn reseed(&mut self, seed: u64) {
         self.noise.rng = StdRng::seed_from_u64(seed ^ 0x5f3759df);
-    }
-
-    /// The QoS requirement in force.
-    pub fn qos_spec(&self) -> QosSpec {
-        self.qos
     }
 
     /// Shared access to the host.
@@ -140,17 +130,6 @@ impl Harness {
             .sum()
     }
 
-    /// Runs one closed-loop tick: advance the host, observe, let the policy
-    /// act, and apply the actions (they take effect from the next tick).
-    /// This is [`stayaway_telemetry::step`] over the harness as its own
-    /// [`stayaway_telemetry::ObservationSource`].
-    pub fn step_with(&mut self, policy: &mut dyn Policy) -> (TickRecord, u64) {
-        stayaway_telemetry::step(self, policy)
-            .ok()
-            .flatten()
-            .expect("the simulator source neither fails nor runs dry")
-    }
-
     /// Runs `ticks` closed-loop ticks under `policy`:
     /// [`stayaway_telemetry::drive`] over the harness itself.
     pub fn run(&mut self, policy: &mut dyn Policy, ticks: u64) -> RunOutcome {
@@ -161,9 +140,9 @@ impl Harness {
 /// The simulator substrate is the [`Harness`] itself: one host step and
 /// its (noisy) observation per pull, actions applied to the host, and
 /// accounting records taken from the harness's noiseless physics rather
-/// than from the noisy observation. [`Harness::run`] and
-/// [`Harness::step_with`] are `stayaway_telemetry::drive`/`step` over this
-/// impl, so there is no second simulator loop for it to agree with.
+/// than from the noisy observation. [`Harness::run`] is
+/// `stayaway_telemetry::drive` over this impl, so there is no second
+/// simulator loop for it to agree with.
 impl ObservationSource for Harness {
     fn meta(&self) -> SourceMeta {
         SourceMeta {
@@ -182,7 +161,7 @@ impl ObservationSource for Harness {
         let mut out = self.spare.take().unwrap_or_default();
         let report = self.last_report.get_or_insert_with(HostTick::default);
         self.host.step_into(report);
-        let (qos_value, violation, _active) = qos_of(self.qos, self.sensitive, report);
+        let (qos_value, violation, _active) = qos_of(self.sensitive, report);
         out.tick = report.tick;
         out.qos_violation = violation;
         out.qos_value = qos_value;
@@ -225,7 +204,7 @@ impl ObservationSource for Harness {
                 Some(self.host.spec()),
             );
         };
-        let (qos_value, violated, sensitive_active) = qos_of(self.qos, self.sensitive, report);
+        let (qos_value, violated, sensitive_active) = qos_of(self.sensitive, report);
         TickRecord {
             tick: report.tick,
             qos_value,
@@ -255,9 +234,9 @@ impl ObservationSource for Harness {
 
 /// QoS value, violation flag and activity of the tracked sensitive
 /// container for a tick report.
-fn qos_of(qos: QosSpec, sensitive: Option<ContainerId>, report: &HostTick) -> (f64, bool, bool) {
+fn qos_of(sensitive: Option<ContainerId>, report: &HostTick) -> (f64, bool, bool) {
     match sensitive.and_then(|id| report.container(id)) {
-        Some(ct) if ct.active => (ct.perf, qos.is_violation(ct.perf), true),
+        Some(ct) if ct.active => (ct.perf, ct.perf < QOS_THRESHOLD, true),
         _ => (1.0, false, false),
     }
 }
@@ -266,8 +245,8 @@ fn qos_of(qos: QosSpec, sensitive: Option<ContainerId>, report: &HostTick) -> (f
 mod tests {
     use super::*;
     use crate::app::{Application, Phase, PhasedApp};
-    use crate::host::HostSpec;
-    use crate::policy::NullPolicy;
+    use stayaway_telemetry::HostSpec;
+    use stayaway_telemetry::NullPolicy;
 
     fn cpu_app(name: &str, cores: f64, work: f64) -> Box<dyn Application> {
         Box::new(
@@ -286,7 +265,7 @@ mod tests {
         let mut host = Host::new(HostSpec::default()).unwrap();
         host.add_container(AppClass::Sensitive, cpu_app("svc", 3.0, 1e9), 0);
         host.add_container(AppClass::Batch, cpu_app("batch", 3.0, 1e9), 0);
-        Harness::new(host, QosSpec::new(0.95).unwrap(), noise_sd, seed).unwrap()
+        Harness::new(host, noise_sd, seed).unwrap()
     }
 
     fn harness_two_apps() -> Harness {
@@ -383,7 +362,7 @@ mod tests {
     fn qos_is_perfect_without_interference() {
         let mut host = Host::new(HostSpec::default()).unwrap();
         host.add_container(AppClass::Sensitive, cpu_app("svc", 2.0, 1e9), 0);
-        let mut h = Harness::new(host, QosSpec::default(), 0.0, 1).unwrap();
+        let mut h = Harness::new(host, 0.0, 1).unwrap();
         let out = h.run(&mut NullPolicy::new(), 10);
         assert_eq!(out.qos.violations, 0);
         assert_eq!(out.qos.satisfaction(), 1.0);
@@ -404,7 +383,7 @@ mod tests {
     fn noise_perturbs_observations_but_not_physics() {
         let mut host = Host::new(HostSpec::default()).unwrap();
         host.add_container(AppClass::Sensitive, cpu_app("svc", 2.0, 1e9), 0);
-        let mut h = Harness::new(host, QosSpec::default(), 0.05, 7).unwrap();
+        let mut h = Harness::new(host, 0.05, 7).unwrap();
 
         struct Capture(Vec<f64>);
         impl Policy for Capture {
@@ -430,7 +409,7 @@ mod tests {
     fn harness_without_sensitive_container() {
         let mut host = Host::new(HostSpec::default()).unwrap();
         host.add_container(AppClass::Batch, cpu_app("b", 1.0, 1e9), 0);
-        let mut h = Harness::new(host, QosSpec::default(), 0.0, 1).unwrap();
+        let mut h = Harness::new(host, 0.0, 1).unwrap();
         assert!(h.sensitive.is_none());
         let out = h.run(&mut NullPolicy::new(), 5);
         assert_eq!(out.qos.active_ticks, 0);
@@ -440,7 +419,7 @@ mod tests {
     #[test]
     fn invalid_noise_rejected() {
         let host = Host::new(HostSpec::default()).unwrap();
-        assert!(Harness::new(host, QosSpec::default(), -0.1, 1).is_err());
+        assert!(Harness::new(host, -0.1, 1).is_err());
     }
 
     /// Records the noisy CPU observation of the first container each tick.
@@ -465,7 +444,7 @@ mod tests {
             host
         };
         let observe = |seed_at_new: u64, reseed_to: Option<u64>| {
-            let mut h = Harness::new(build(), QosSpec::default(), 0.02, seed_at_new).unwrap();
+            let mut h = Harness::new(build(), 0.02, seed_at_new).unwrap();
             if let Some(seed) = reseed_to {
                 h.reseed(seed);
             }
@@ -486,7 +465,7 @@ mod tests {
             let mut host = Host::new(HostSpec::default()).unwrap();
             host.add_container(AppClass::Sensitive, cpu_app("svc", 3.0, 1e9), 0);
             host.add_container(AppClass::Batch, cpu_app("b", 3.0, 1e9), 0);
-            let mut h = Harness::new(host, QosSpec::default(), 0.02, seed).unwrap();
+            let mut h = Harness::new(host, 0.02, seed).unwrap();
             h.run(&mut NullPolicy::new(), 30)
         };
         let a = run(5);

@@ -1,12 +1,10 @@
 //! The simulated physical host.
 
-use crate::app::{AppClass, Application};
-use crate::container::{Container, ContainerId};
-use crate::contention::{allocate_into, Allocation, ContentionParams, ContentionScratch};
-use crate::resources::{ResourceKind, ResourceVector};
+use crate::app::Application;
+use crate::container::Container;
+use crate::contention::{allocate_into, Allocation, ContentionScratch};
 use crate::SimError;
-
-pub use stayaway_telemetry::HostSpec;
+use stayaway_telemetry::{AppClass, ContainerId, HostSpec, ResourceKind, ResourceVector};
 
 /// Per-container outcome of one tick.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +64,6 @@ impl HostTick {
 #[derive(Debug)]
 pub struct Host {
     spec: HostSpec,
-    params: ContentionParams,
     containers: Vec<Container>,
     tick: u64,
     physics: TickBuffers,
@@ -85,8 +82,7 @@ struct TickBuffers {
 }
 
 impl Host {
-    /// Creates a host with the given capacities and default contention
-    /// parameters.
+    /// Creates a host with the given capacities.
     ///
     /// # Errors
     ///
@@ -95,7 +91,6 @@ impl Host {
         spec.validate()?;
         Ok(Host {
             spec,
-            params: ContentionParams::default(),
             containers: Vec::new(),
             tick: 0,
             physics: TickBuffers::default(),
@@ -225,7 +220,7 @@ impl Host {
             }
         }
 
-        allocate_into(demands, &self.spec, &self.params, scratch, allocations);
+        allocate_into(demands, &self.spec, scratch, allocations);
 
         report.tick = t;
         report.containers.clear();

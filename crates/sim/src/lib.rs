@@ -16,7 +16,7 @@
 //!   CPU efficiency of cache-hungry applications.
 //!
 //! Each simulated tick is one Stay-Away control period. Controllers interact
-//! with the simulator exclusively through the [`policy::Policy`] trait —
+//! with the simulator exclusively through the [`Policy`] trait —
 //! per-container resource-usage observations in, pause/resume signals out —
 //! which is the same interface the paper's middleware has against LXC
 //! (resource monitoring + SIGSTOP/SIGCONT).
@@ -33,23 +33,24 @@ pub mod container;
 pub mod contention;
 pub mod harness;
 pub mod host;
-pub mod policy;
 pub mod qos;
-pub mod resources;
 pub mod scenario;
 pub mod source;
 pub mod workload;
 
 mod error;
 
-pub use app::{AppClass, Application, Phase, PhasedApp};
-pub use container::{Container, ContainerId};
+pub use app::{Application, Phase, PhasedApp};
+pub use container::Container;
 pub use error::SimError;
-pub use harness::{Harness, RunOutcome, TickRecord};
-pub use host::{Host, HostSpec};
-pub use policy::{Action, ContainerObs, NullPolicy, Observation, Policy};
-pub use qos::{QosSpec, QosSummary};
-pub use resources::{ResourceKind, ResourceVector};
+pub use harness::Harness;
+pub use host::Host;
 pub use scenario::Scenario;
 pub use source::SimSource;
 pub use workload::Trace;
+// The telemetry plane's types, for the crates that have no normal
+// dependency on `stayaway-telemetry` of their own (`baselines`, `bench`).
+pub use stayaway_telemetry::{
+    Action, AppClass, ContainerId, HostSpec, NullPolicy, Observation, Policy, QosSummary,
+    ResourceKind, RunOutcome,
+};

@@ -1,77 +1,12 @@
-//! QoS specification and accounting.
+//! QoS threshold.
 //!
 //! The sensitive application's QoS is its delivered service fraction: for
 //! VLC streaming this is the achieved transcoding rate relative to the rate
 //! required for uninterrupted delivery; for the webservice it is the
 //! completed-transactions rate relative to demand. A tick is a *violation*
-//! when the value falls below the configured threshold — the paper's
-//! "QoS threshold" line in Figures 8, 9 and 14–16.
+//! when the value falls below [`QOS_THRESHOLD`] — the paper's "QoS
+//! threshold" line in Figures 8, 9 and 14–16.
 
-use crate::SimError;
-use serde::{Deserialize, Serialize};
-
-pub use stayaway_telemetry::QosSummary;
-
-/// QoS requirement of a sensitive application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct QosSpec {
-    threshold: f64,
-}
-
-impl QosSpec {
-    /// Creates a spec that flags a violation when the normalised QoS value
-    /// drops below `threshold ∈ (0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for thresholds outside `(0, 1]`.
-    pub fn new(threshold: f64) -> Result<Self, SimError> {
-        if !threshold.is_finite() || threshold <= 0.0 || threshold > 1.0 {
-            return Err(SimError::InvalidConfig {
-                reason: format!("qos threshold must be in (0, 1], got {threshold}"),
-            });
-        }
-        Ok(QosSpec { threshold })
-    }
-
-    /// The violation threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// True when `value` violates the requirement.
-    pub fn is_violation(&self, value: f64) -> bool {
-        value < self.threshold
-    }
-}
-
-impl Default for QosSpec {
-    /// The default threshold (0.95) models the paper's "minimum transcoding
-    /// rate required to provide real time viewing without any loss of
-    /// frames".
-    fn default() -> Self {
-        QosSpec { threshold: 0.95 }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spec_validation() {
-        assert!(QosSpec::new(0.9).is_ok());
-        assert!(QosSpec::new(1.0).is_ok());
-        assert!(QosSpec::new(0.0).is_err());
-        assert!(QosSpec::new(1.1).is_err());
-        assert!(QosSpec::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn violation_detection() {
-        let q = QosSpec::new(0.9).unwrap();
-        assert!(q.is_violation(0.89));
-        assert!(!q.is_violation(0.9));
-        assert!(!q.is_violation(1.0));
-    }
-}
+/// The violation threshold (0.95): the paper's "minimum transcoding rate
+/// required to provide real time viewing without any loss of frames".
+pub const QOS_THRESHOLD: f64 = 0.95;

@@ -1,18 +1,20 @@
 //! Pre-built experiment scenarios mirroring the paper's setups (§7.1).
 
-use crate::app::AppClass;
 use crate::apps;
 use crate::apps::WebWorkload;
 use crate::harness::Harness;
-use crate::host::{Host, HostSpec};
-use crate::qos::QosSpec;
+use crate::host::Host;
 use crate::workload::{DiurnalParams, Trace};
 use crate::SimError;
+use stayaway_telemetry::{AppClass, HostSpec};
 
 /// Default tick at which batch applications are scheduled, giving the
 /// controller a window of isolated sensitive execution first (as in the
 /// Figure 5/13 lifecycles).
 pub const DEFAULT_BATCH_START: u64 = 20;
+
+/// Standard deviation of every scenario's multiplicative monitoring noise.
+const MONITORING_NOISE_SD: f64 = 0.01;
 
 /// The latency-sensitive application of a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,8 +109,6 @@ impl std::fmt::Display for BatchKind {
 pub struct Scenario {
     name: String,
     host: HostSpec,
-    qos_threshold: f64,
-    noise_sd: f64,
     seed: u64,
     sensitive: SensitiveKind,
     /// Additional sensitive applications with §2.1 priorities (lower =
@@ -124,8 +124,6 @@ impl Scenario {
             scenario: Scenario {
                 name: name.into(),
                 host: HostSpec::default(),
-                qos_threshold: 0.95,
-                noise_sd: 0.01,
                 seed: 0,
                 sensitive: SensitiveKind::None,
                 secondary_sensitive: Vec::new(),
@@ -276,26 +274,16 @@ impl Scenario {
         &self.name
     }
 
-    /// Deterministic seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Host capacities.
     pub fn host_spec(&self) -> &HostSpec {
         &self.host
-    }
-
-    /// The configured batch co-runners and their start ticks.
-    pub fn batches(&self) -> &[(BatchKind, u64)] {
-        &self.batches
     }
 
     /// Builds a fresh harness for this scenario.
     ///
     /// # Errors
     ///
-    /// Propagates host/QoS configuration failures.
+    /// Propagates host configuration failures.
     pub fn build_harness(&self) -> Result<Harness, SimError> {
         let mut host = Host::new(self.host)?;
         if let Some(app) = Self::build_sensitive(&self.sensitive) {
@@ -309,12 +297,7 @@ impl Scenario {
         for (kind, start) in &self.batches {
             host.add_container(AppClass::Batch, kind.build(&self.host), *start);
         }
-        Harness::new(
-            host,
-            QosSpec::new(self.qos_threshold)?,
-            self.noise_sd,
-            self.seed,
-        )
+        Harness::new(host, MONITORING_NOISE_SD, self.seed)
     }
 
     fn build_sensitive(kind: &SensitiveKind) -> Option<Box<dyn crate::app::Application>> {
@@ -347,18 +330,6 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Sets the QoS violation threshold (default 0.95).
-    pub fn qos_threshold(mut self, threshold: f64) -> Self {
-        self.scenario.qos_threshold = threshold;
-        self
-    }
-
-    /// Sets the monitoring-noise standard deviation (default 0.01).
-    pub fn noise(mut self, sd: f64) -> Self {
-        self.scenario.noise_sd = sd;
-        self
-    }
-
     /// Sets the deterministic seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.scenario.seed = seed;
@@ -402,7 +373,7 @@ impl ScenarioBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::NullPolicy;
+    use stayaway_telemetry::NullPolicy;
 
     #[test]
     fn presets_build_and_run() {
@@ -426,7 +397,7 @@ mod tests {
                 let name = format!("{sens}+{batch}");
                 let s = Scenario::parse(&name, 1).unwrap();
                 assert_eq!(s.name(), name);
-                assert_eq!(s.batches(), [(batch, DEFAULT_BATCH_START)]);
+                assert_eq!(s.batches, [(batch, DEFAULT_BATCH_START)]);
             }
         }
         // The named presets are the same scenarios.
@@ -486,7 +457,7 @@ mod tests {
     #[test]
     fn combo_scenarios_schedule_all_batches() {
         let s = Scenario::webservice_with_combo(WebWorkload::Mix, &BatchKind::BATCH_1, 2);
-        assert_eq!(s.batches().len(), 2);
+        assert_eq!(s.batches.len(), 2);
         let h = s.build_harness().unwrap();
         assert_eq!(h.host().containers().count(), 3);
     }
@@ -494,7 +465,7 @@ mod tests {
     #[test]
     fn timeline_scenario_starts_twitter_at_ten() {
         let s = Scenario::webservice_timeline(WebWorkload::CpuIntensive, 1).unwrap();
-        assert_eq!(s.batches()[0].1, 10);
+        assert_eq!(s.batches[0].1, 10);
         let mut h = s.build_harness().unwrap();
         let out = h.run(&mut NullPolicy::new(), 60);
         assert_eq!(out.timeline.len(), 60);

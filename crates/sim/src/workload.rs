@@ -68,18 +68,6 @@ impl Trace {
         })
     }
 
-    /// A constant-intensity trace of `len` ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn constant(intensity: f64, len: usize) -> Self {
-        assert!(len > 0, "trace length must be positive");
-        Trace {
-            samples: vec![intensity.clamp(0.0, 1.0); len],
-        }
-    }
-
     /// A piecewise-constant trace from `(intensity, duration)` segments —
     /// used to script the workload-variation timelines of Figure 13.
     ///
@@ -146,7 +134,7 @@ mod tests {
 
     #[test]
     fn constant_trace() {
-        let t = Trace::constant(0.4, 5);
+        let t = Trace::piecewise(&[(0.4, 5)]).unwrap();
         assert_eq!(t.len(), 5);
         assert_eq!(t.intensity(3), 0.4);
         assert_eq!(t.intensity(7), 0.4); // wraps

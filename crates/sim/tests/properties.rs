@@ -2,12 +2,9 @@
 
 use proptest::prelude::*;
 use stayaway_sim::app::{Application, Phase, PhasedApp};
-use stayaway_sim::contention::{
-    allocate, allocate_into, max_min_fair, max_min_fair_into, Allocation, ContentionParams,
-    ContentionScratch,
-};
+use stayaway_sim::contention::{allocate_into, max_min_fair_into, Allocation, ContentionScratch};
 use stayaway_sim::workload::Trace;
-use stayaway_sim::{HostSpec, ResourceKind, ResourceVector};
+use stayaway_telemetry::{HostSpec, ResourceKind, ResourceVector};
 
 #[path = "reference/mod.rs"]
 mod reference;
@@ -38,6 +35,20 @@ fn regime_demand() -> impl Strategy<Value = ResourceVector> {
         })
 }
 
+/// One allocation into fresh buffers.
+fn allocate(demands: &[ResourceVector], spec: &HostSpec) -> Vec<Allocation> {
+    let mut out = Vec::new();
+    allocate_into(demands, spec, &mut ContentionScratch::default(), &mut out);
+    out
+}
+
+/// One max-min fair split into fresh buffers.
+fn max_min_fair(demands: &[f64], capacity: f64) -> Vec<f64> {
+    let mut grants = Vec::new();
+    max_min_fair_into(demands, capacity, &mut grants, &mut Vec::new());
+    grants
+}
+
 /// Every field of an allocation, as bits.
 fn bits(a: &Allocation) -> Vec<u64> {
     let mut out: Vec<u64> = ResourceKind::ALL
@@ -52,22 +63,17 @@ fn bits(a: &Allocation) -> Vec<u64> {
 /// across `sets` equals the pre-buffer `allocate` on each, bit for bit.
 fn buffered_matches_reference(sets: &[Vec<ResourceVector>]) -> Result<(), String> {
     let spec = HostSpec::default();
-    let params = ContentionParams::default();
     let mut scratch = ContentionScratch::default();
     let mut out = Vec::new();
     for demands in sets {
-        allocate_into(demands, &spec, &params, &mut scratch, &mut out);
-        let want = reference::allocate(demands, &spec, &params);
+        allocate_into(demands, &spec, &mut scratch, &mut out);
+        let want = reference::allocate(demands, &spec);
         let got: Vec<Vec<u64>> = out.iter().map(bits).collect();
         let want: Vec<Vec<u64>> = want.iter().map(bits).collect();
         if got != want {
             return Err(format!(
                 "{demands:?}: buffered {got:?} != reference {want:?}"
             ));
-        }
-        // The wrapper is the same function.
-        if allocate(demands, &spec, &params) != out {
-            return Err(format!("{demands:?}: allocate differs from allocate_into"));
         }
     }
     Ok(())
@@ -98,13 +104,10 @@ fn buffered_allocation_matches_the_reference_in_every_regime() {
         app(3.0, 100.0, 500.0, 0.3 * disk, 0.2),
     ];
     // Each set exercises the regime it is named after.
-    let params = ContentionParams::default();
-    assert!(allocate(&zeros, &spec, &params)
-        .iter()
-        .all(|a| a.perf == 0.0));
-    assert!(allocate(&overcommit, &spec, &params)[0].swap_factor < 1.0);
-    assert!(allocate(&llc_overflow, &spec, &params)[0].cache_factor < 1.0);
-    let rescaled: f64 = allocate(&disk_rescale, &spec, &params)
+    assert!(allocate(&zeros, &spec).iter().all(|a| a.perf == 0.0));
+    assert!(allocate(&overcommit, &spec)[0].swap_factor < 1.0);
+    assert!(allocate(&llc_overflow, &spec)[0].cache_factor < 1.0);
+    let rescaled: f64 = allocate(&disk_rescale, &spec)
         .iter()
         .map(|a| a.granted.get(ResourceKind::DiskIo))
         .sum();
@@ -217,7 +220,7 @@ proptest! {
         demands in prop::collection::vec(demand_strategy(), 1..5),
     ) {
         let spec = HostSpec::default();
-        let allocs = allocate(&demands, &spec, &ContentionParams::default());
+        let allocs = allocate(&demands, &spec);
         for kind in ResourceKind::ALL {
             let total: f64 = allocs.iter().map(|a| a.granted.get(kind)).sum();
             prop_assert!(total <= spec.capacity(kind) + 1e-6,
@@ -238,9 +241,8 @@ proptest! {
         b in demand_strategy(),
     ) {
         let spec = HostSpec::default();
-        let params = ContentionParams::default();
-        let alone = allocate(&[a], &spec, &params)[0].perf;
-        let together = allocate(&[a, b], &spec, &params)[0].perf;
+        let alone = allocate(&[a], &spec)[0].perf;
+        let together = allocate(&[a, b], &spec)[0].perf;
         prop_assert!(together <= alone + 1e-9,
             "competitor improved perf: {alone} -> {together}");
     }

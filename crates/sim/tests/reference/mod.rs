@@ -4,8 +4,14 @@
 //! by `#[path]` from `properties.rs`; test-only, never linked into the
 //! library.
 
-use stayaway_sim::contention::{Allocation, ContentionParams};
-use stayaway_sim::{HostSpec, ResourceKind, ResourceVector};
+use stayaway_sim::contention::Allocation;
+use stayaway_telemetry::{HostSpec, ResourceKind, ResourceVector};
+
+/// The contention model's three constants, at the values the physics
+/// above was written against.
+const SWAP_SLOWDOWN: f64 = 12.0;
+const SWAP_DISK_PER_MB: f64 = 0.02;
+const CACHE_PENALTY_MAX: f64 = 0.2;
 
 /// Max-min fair allocation (progressive filling) of one scalar resource.
 ///
@@ -53,11 +59,7 @@ pub fn max_min_fair(demands: &[f64], capacity: f64) -> Vec<f64> {
 /// `demands[i]` is application `i`'s nominal demand; the returned
 /// `Allocation` mirrors the same index. Applications with an all-zero
 /// demand (paused/idle) receive a zero grant and `perf = 0.0`.
-pub fn allocate(
-    demands: &[ResourceVector],
-    spec: &HostSpec,
-    params: &ContentionParams,
-) -> Vec<Allocation> {
+pub fn allocate(demands: &[ResourceVector], spec: &HostSpec) -> Vec<Allocation> {
     let n = demands.len();
     let mut grants = vec![ResourceVector::zero(); n];
 
@@ -89,9 +91,9 @@ pub fn allocate(
         grants[i].set(ResourceKind::Memory, resident);
         if overcommit > 0.0 && mem > 0.0 {
             let touch = (demands[i].get(ResourceKind::MemBandwidth) / membw_cap).clamp(0.0, 1.0);
-            swap_factors[i] = 1.0 / (1.0 + params.swap_slowdown * overcommit * touch);
+            swap_factors[i] = 1.0 / (1.0 + SWAP_SLOWDOWN * overcommit * touch);
             // Swapping shows up as disk traffic on the victim.
-            let induced = (mem - resident) * params.swap_disk_per_mb;
+            let induced = (mem - resident) * SWAP_DISK_PER_MB;
             let disk = grants[i].get(ResourceKind::DiskIo) + induced;
             grants[i].set(ResourceKind::DiskIo, disk);
         }
@@ -124,7 +126,7 @@ pub fn allocate(
         grants[i].set(ResourceKind::Cache, occupied);
         if cache_overflow > 0.0 && footprint > 0.0 {
             let sensitivity = (footprint / llc).clamp(0.0, 1.0);
-            cache_factors[i] = 1.0 - params.cache_penalty_max * cache_overflow * sensitivity;
+            cache_factors[i] = 1.0 - CACHE_PENALTY_MAX * cache_overflow * sensitivity;
         }
     }
 

@@ -60,11 +60,6 @@ impl StateEntry {
         self.visits
     }
 
-    /// Tick of the most recent visit.
-    pub fn last_tick(&self) -> u64 {
-        self.last_tick
-    }
-
     /// Execution mode at first observation.
     pub fn first_mode(&self) -> ExecutionMode {
         self.first_mode
@@ -119,12 +114,8 @@ impl StateMap {
             })
     }
 
-    /// The `c` constant used in the Rayleigh radius.
-    pub fn coordinate_scale(&self) -> f64 {
-        self.coordinate_scale
-    }
-
-    /// Updates `c` (the median coordinate range of the current embedding).
+    /// Updates `c`, the Rayleigh radius's constant (the median coordinate
+    /// range of the current embedding).
     ///
     /// # Errors
     ///
@@ -344,7 +335,7 @@ mod tests {
         assert_eq!(m.len(), 3);
         let e = m.entry(1).unwrap();
         assert_eq!(e.visits(), 2);
-        assert_eq!(e.last_tick(), 9);
+        assert_eq!(e.last_tick, 9);
         assert_eq!(e.point(), Point2::new(1.1, 0.1));
         assert_eq!(e.first_mode(), ExecutionMode::CoLocated);
     }
@@ -440,7 +431,7 @@ mod tests {
         assert!(m.set_coordinate_scale(-1.0).is_err());
         assert!(m.set_coordinate_scale(f64::NAN).is_err());
         assert!(m.set_coordinate_scale(0.5).is_ok());
-        assert_eq!(m.coordinate_scale(), 0.5);
+        assert_eq!(m.coordinate_scale, 0.5);
     }
 
     #[test]
@@ -459,7 +450,7 @@ mod tests {
         let m2: StateMap = serde_json::from_str(&json).unwrap();
         assert_eq!(m2.len(), 3);
         assert_eq!(m2.violation_count(), 1);
-        assert_eq!(m2.coordinate_scale(), 1.0);
+        assert_eq!(m2.coordinate_scale, 1.0);
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl Point2 {
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
-
-    /// Midpoint between two points.
-    pub fn midpoint(&self, other: Point2) -> Point2 {
-        Point2 {
-            x: 0.5 * (self.x + other.x),
-            y: 0.5 * (self.y + other.y),
-        }
-    }
 }
 
 impl fmt::Display for Point2 {
@@ -128,12 +120,6 @@ mod tests {
         let t: (f64, f64) = p.into();
         assert_eq!(t, (1.0, 2.0));
         assert_eq!(format!("{p}"), "(1.0000, 2.0000)");
-    }
-
-    #[test]
-    fn midpoint_is_halfway() {
-        let m = Point2::new(0.0, 0.0).midpoint(Point2::new(2.0, 4.0));
-        assert_eq!(m, Point2::new(1.0, 2.0));
     }
 
     #[test]

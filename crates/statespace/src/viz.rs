@@ -11,37 +11,16 @@ use crate::map::{StateKind, StateMap};
 use crate::point::Point2;
 use std::fmt::Write as _;
 
-/// Colours per element (any SVG colour string).
-#[derive(Debug, Clone)]
-pub struct Palette {
-    /// Fill of safe states.
-    pub safe: String,
-    /// Fill of violation states.
-    pub violation: String,
-    /// Stroke of violation-range circles.
-    pub range: String,
-    /// Stroke of trajectory polylines (cycled per trajectory).
-    pub trails: Vec<String>,
-    /// Background colour.
-    pub background: String,
-}
-
-impl Default for Palette {
-    fn default() -> Self {
-        Palette {
-            safe: "#4c78a8".into(),
-            violation: "#e45756".into(),
-            range: "#e45756".into(),
-            trails: vec![
-                "#72b7b2".into(),
-                "#eeca3b".into(),
-                "#b279a2".into(),
-                "#ff9da6".into(),
-            ],
-            background: "#ffffff".into(),
-        }
-    }
-}
+/// Fill of safe states.
+const SAFE_FILL: &str = "#4c78a8";
+/// Fill of violation states.
+const VIOLATION_FILL: &str = "#e45756";
+/// Stroke of violation-range circles.
+const RANGE_STROKE: &str = "#e45756";
+/// Strokes of trajectory polylines, cycled per trajectory.
+const TRAIL_STROKES: [&str; 4] = ["#72b7b2", "#eeca3b", "#b279a2", "#ff9da6"];
+/// Background colour.
+const BACKGROUND: &str = "#ffffff";
 
 /// Builder for a state-space SVG.
 #[derive(Debug)]
@@ -49,7 +28,6 @@ pub struct MapRenderer<'a> {
     map: &'a StateMap,
     width: u32,
     height: u32,
-    palette: Palette,
     trails: Vec<(String, Vec<Point2>)>,
     draw_ranges: bool,
     title: Option<String>,
@@ -67,17 +45,10 @@ impl<'a> MapRenderer<'a> {
             map,
             width,
             height,
-            palette: Palette::default(),
             trails: Vec::new(),
             draw_ranges: true,
             title: None,
         }
-    }
-
-    /// Overrides the palette.
-    pub fn palette(mut self, palette: Palette) -> Self {
-        self.palette = palette;
-        self
     }
 
     /// Adds a labelled execution trajectory.
@@ -154,7 +125,7 @@ impl<'a> MapRenderer<'a> {
         let _ = writeln!(
             svg,
             r#"<rect width="100%" height="100%" fill="{}"/>"#,
-            self.palette.background
+            BACKGROUND
         );
         if let Some(title) = &self.title {
             let _ = writeln!(
@@ -178,7 +149,7 @@ impl<'a> MapRenderer<'a> {
                             svg,
                             r#"<circle cx="{cx:.1}" cy="{cy:.1}" r="{:.1}" fill="{color}" fill-opacity="0.08" stroke="{color}" stroke-opacity="0.4" stroke-dasharray="4 3"/>"#,
                             range.radius() * scale,
-                            color = self.palette.range
+                            color = RANGE_STROKE
                         );
                     }
                 }
@@ -190,7 +161,7 @@ impl<'a> MapRenderer<'a> {
             if trail.len() < 2 {
                 continue;
             }
-            let color = &self.palette.trails[t % self.palette.trails.len()];
+            let color = TRAIL_STROKES[t % TRAIL_STROKES.len()];
             let mut path = String::new();
             for &p in trail {
                 let (x, y) = to_px(p);
@@ -209,8 +180,8 @@ impl<'a> MapRenderer<'a> {
             let (cx, cy) = to_px(e.point());
             let r = 3.0 + (e.visits() as f64).ln_1p();
             let color = match e.kind() {
-                StateKind::Violation => &self.palette.violation,
-                StateKind::Safe => &self.palette.safe,
+                StateKind::Violation => VIOLATION_FILL,
+                StateKind::Safe => SAFE_FILL,
             };
             let _ = writeln!(
                 svg,

@@ -22,9 +22,10 @@ fn grid_point_strategy() -> impl Strategy<Value = Point2> {
     })
 }
 
-/// Every violation-range of `map`, recomputed from its entries alone: the
-/// Rayleigh radius against the nearest safe-state, zero without one.
-fn reference_ranges(map: &StateMap) -> Vec<(usize, ViolationRange)> {
+/// Every violation-range of `map` at coordinate scale `c`, recomputed from
+/// its entries alone: the Rayleigh radius against the nearest safe-state,
+/// zero without one.
+fn reference_ranges(map: &StateMap, c: f64) -> Vec<(usize, ViolationRange)> {
     let safe: Vec<Point2> = map
         .iter()
         .filter(|e| e.kind() == StateKind::Safe)
@@ -39,7 +40,7 @@ fn reference_ranges(map: &StateMap) -> Vec<(usize, ViolationRange)> {
                 .map(|s| e.point().distance(*s))
                 .min_by(f64::total_cmp)
                 .unwrap_or(0.0);
-            let radius = rayleigh_radius(d, map.coordinate_scale());
+            let radius = rayleigh_radius(d, c);
             (i, ViolationRange::new(e.point(), radius))
         })
         .collect()
@@ -143,6 +144,8 @@ proptest! {
         probes in prop::collection::vec(grid_point_strategy(), 1..6),
     ) {
         let mut map = StateMap::new();
+        // The scale last set; a new map's is zero.
+        let mut c = 0.0;
         for (step, &(kind, index, point, scale)) in ops.iter().enumerate() {
             let len = map.len();
             match kind {
@@ -157,10 +160,13 @@ proptest! {
                 }
                 2 => map.set_position(index % len, point).unwrap(),
                 3 | 4 => map.mark_violation(index % len).unwrap(),
-                _ => map.set_coordinate_scale(scale).unwrap(),
+                _ => {
+                    map.set_coordinate_scale(scale).unwrap();
+                    c = scale;
+                }
             }
 
-            let reference = reference_ranges(&map);
+            let reference = reference_ranges(&map, c);
             let listed = map.violation_ranges();
             prop_assert_eq!(listed.len(), reference.len());
             for (&(i, range), &got) in reference.iter().zip(&listed) {

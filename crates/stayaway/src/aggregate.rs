@@ -104,16 +104,9 @@ pub fn measurement_vector_into(
     out.extend(metrics.iter().map(|&m| total.get(m)));
 }
 
-/// The logical throttleable VM's usage on the selected metrics (used by
-/// the controller to estimate what resuming the batch applications would
-/// add to the current load).
-pub fn batch_usage_vector(observation: &Observation, metrics: &[ResourceKind]) -> Vec<f64> {
-    let mut v = Vec::with_capacity(metrics.len());
-    batch_usage_vector_into(observation, metrics, &mut v);
-    v
-}
-
-/// [`batch_usage_vector`] into `out` (overwritten).
+/// The logical throttleable VM's usage on the selected metrics into `out`
+/// (overwritten) — used by the controller to estimate what resuming the
+/// batch applications would add to the current load.
 pub fn batch_usage_vector_into(
     observation: &Observation,
     metrics: &[ResourceKind],
@@ -172,7 +165,7 @@ pub fn majority_share_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stayaway_sim::{ContainerId, ContainerObs};
+    use stayaway_telemetry::{ContainerId, ContainerObs};
 
     fn obs(containers: Vec<ContainerObs>) -> Observation {
         Observation {
@@ -202,7 +195,8 @@ mod tests {
     /// throwaway host.
     fn container_id(raw: usize) -> ContainerId {
         use stayaway_sim::app::{Phase, PhasedApp};
-        use stayaway_sim::{Host, HostSpec};
+        use stayaway_sim::Host;
+        use stayaway_telemetry::HostSpec;
         let mut host = Host::new(HostSpec::default()).unwrap();
         let mut id = None;
         for _ in 0..=raw {
@@ -268,7 +262,8 @@ mod tests {
         let v = measurement_vector(&o, &[ResourceKind::Cpu, ResourceKind::Memory]);
         // ⟨sensitive, total⟩: total cpu = 1 + 2.
         assert_eq!(v, vec![1.0, 0.0, 3.0, 0.0]);
-        let b = batch_usage_vector(&o, &[ResourceKind::Cpu, ResourceKind::Memory]);
+        let mut b = vec![9.0];
+        batch_usage_vector_into(&o, &[ResourceKind::Cpu, ResourceKind::Memory], &mut b);
         assert_eq!(b, vec![2.0, 0.0]);
     }
 

@@ -440,7 +440,7 @@ mod tests {
     use super::*;
     use stayaway_obs::{EventKind, FlightRecorder};
     use stayaway_sim::scenario::Scenario;
-    use stayaway_sim::NullPolicy;
+    use stayaway_telemetry::NullPolicy;
     use stayaway_telemetry::ObservationSource;
 
     fn default_controller(h: &stayaway_sim::Harness) -> Controller {

@@ -633,7 +633,9 @@ mod tests {
         }
         let after = s.point_of(0).unwrap();
         let drift = before.distance(after);
-        let spread = s.state_map().coordinate_scale();
+        let last = s.repr_count() - 1;
+        s.mark_violation(last).unwrap();
+        let spread = map_scale(&s, last);
         assert!(
             drift < 0.5 * spread.max(0.1),
             "old state drifted {drift} (spread {spread})"
@@ -979,12 +981,39 @@ mod tests {
         assert!(MapStage::new(&config, &HostSpec::default(), MappingMetrics::default()).is_err());
     }
 
+    /// The Rayleigh `c` the state map sizes its violation-ranges with, read
+    /// back through the range around violation-state `v`: its radius must
+    /// be `rayleigh_radius(d, c)` for `d` the distance to the nearest
+    /// safe-state and `c` the embedding's median coordinate range.
+    fn map_scale(s: &MapStage, v: usize) -> f64 {
+        let c = s.embedding().unwrap().median_coordinate_range();
+        let map = s.state_map();
+        let (_, d) = map.nearest_safe(map.entry(v).unwrap().point()).unwrap();
+        assert!(d > 0.0, "violation-state {v} sits on a safe-state");
+        let radius = map.violation_range(v).unwrap().radius();
+        assert_eq!(radius, stayaway_statespace::rayleigh_radius(d, c));
+        c
+    }
+
     #[test]
     fn coordinate_scale_grows_with_spread() {
         let mut s = stage();
-        ingest(&mut s, &raw(0.1, 100.0, 0.0, 0.0));
-        assert!(s.state_map().coordinate_scale() < 0.01);
-        ingest(&mut s, &raw(3.9, 8000.0, 3.9, 8000.0));
-        assert!(s.state_map().coordinate_scale() > 0.3);
+        let grid = planar_stream(8);
+        ingest(&mut s, &grid[0]);
+        ingest(&mut s, &grid[1]);
+        s.mark_violation(0).unwrap();
+        let mut scales = vec![map_scale(&s, 0)];
+        // From the fourth state on, each fits the map and is placed rather
+        // than re-solved; the map's scale follows the embedding all the same.
+        for r in &grid[2..] {
+            ingest(&mut s, r);
+            scales.push(map_scale(&s, 0));
+        }
+        assert!(
+            scales[2..].windows(2).any(|w| w[1] > w[0]),
+            "no placed state widened the map: {scales:?}"
+        );
+        ingest(&mut s, &raw(7.8, 16000.0, 3.9, 8000.0));
+        assert!(map_scale(&s, 0) > 2.0 * scales[0], "{scales:?}");
     }
 }

@@ -101,12 +101,6 @@ impl SenseStage {
     pub fn last_batch_usage(&self) -> Option<&[f64]> {
         self.last_batch_usage.as_deref()
     }
-
-    /// Number of configured metrics (the sensitive half of
-    /// [`Sensed::raw`] spans indices `0..metrics_len`).
-    pub fn metrics_len(&self) -> usize {
-        self.metrics.len()
-    }
 }
 
 /// Replaces non-finite or negative values with zero; returns how many

@@ -54,11 +54,6 @@ impl ViolationDetector {
         self.mode
     }
 
-    /// The learned isolated-IPC baseline, if any.
-    pub fn baseline(&self) -> Option<f64> {
-        self.baseline
-    }
-
     /// Observes one tick and decides whether it is a violation.
     ///
     /// For [`ViolationDetection::AppReported`] this simply forwards the
@@ -100,18 +95,19 @@ impl ViolationDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stayaway_sim::{AppClass, ContainerObs, ResourceVector};
+    use stayaway_telemetry::{AppClass, ContainerObs, ResourceVector};
 
     fn obs(sens_active: bool, batch_active: bool, ipc: f64, reported: bool) -> Observation {
         // ContainerIds are opaque; fabricate through a throwaway host.
         use stayaway_sim::app::{Phase, PhasedApp};
-        use stayaway_sim::{Host, HostSpec};
+        use stayaway_sim::Host;
+        use stayaway_telemetry::HostSpec;
         let mut host = Host::new(HostSpec::default()).unwrap();
         let mk = || {
             Box::new(
                 PhasedApp::builder("x")
                     .phase(Phase::steady(
-                        ResourceVector::zero().with(stayaway_sim::ResourceKind::Cpu, 0.1),
+                        ResourceVector::zero().with(stayaway_telemetry::ResourceKind::Cpu, 0.1),
                         1.0,
                     ))
                     .looping(true)
@@ -165,7 +161,7 @@ mod tests {
         for _ in 0..10 {
             assert!(!d.assess(&obs(true, false, 1.0, false)));
         }
-        assert!(d.baseline().unwrap() > 0.99);
+        assert!(d.baseline.unwrap() > 0.99);
         // Co-located at full speed: no violation.
         assert!(!d.assess(&obs(true, true, 0.98, false)));
         // Co-located with a 30% IPC drop: violation inferred, even though

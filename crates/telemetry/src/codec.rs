@@ -5,8 +5,8 @@
 //! written against the fixed schema instead of through the derives'
 //! `Value` tree: [`encode_observation`] appends the line with the scalar
 //! writers `Value::to_json` itself uses, in the derives' field order, and
-//! [`decode_observation`] drives the [`Cursor`] `serde_json::from_str` is
-//! built on straight into the types. The `Serialize` / `Deserialize`
+//! [`decode_observation_into`] drives the [`Cursor`] `serde_json::from_str`
+//! is built on straight into the types. The `Serialize` / `Deserialize`
 //! derives stay the public representation and the oracle:
 //! `tests/properties.rs` holds the two byte-equal on output and equal on
 //! accept / reject and value for any input text.
@@ -62,29 +62,17 @@ fn encode_container(out: &mut String, c: &ContainerObs) {
     out.push('}');
 }
 
-/// Decodes one observation line. Like the derives it accepts members in
-/// any order, any JSON whitespace, string escapes, an integer where a
-/// float is expected, unknown members (skipped) and repeated members (the
-/// first counts).
+/// Decodes one observation line into `out`, reusing its `containers`
+/// vector and their name strings: on success `out` holds the decoded
+/// observation, whatever it held before; on failure its contents are
+/// unspecified. Like the derives it accepts members in any order, any JSON
+/// whitespace, string escapes, an integer where a float is expected,
+/// unknown members (skipped) and repeated members (the first counts).
 ///
 /// # Errors
 ///
 /// A message naming the byte offset of a syntax error, the member that has
 /// the wrong type or is out of range, or the member that is missing.
-pub fn decode_observation(line: &str) -> Result<Observation, String> {
-    let mut observation = Observation::default();
-    decode_observation_into(line, &mut observation)?;
-    Ok(observation)
-}
-
-/// [`decode_observation`] into `out`, reusing its `containers` vector and
-/// their name strings: on success `out` equals what
-/// [`decode_observation`] returns, whatever it held before. On failure
-/// its contents are unspecified.
-///
-/// # Errors
-///
-/// Those of [`decode_observation`], with the same messages.
 pub fn decode_observation_into(line: &str, out: &mut Observation) -> Result<(), String> {
     let mut cursor = Cursor::new(line);
     observation(&mut cursor, out)?;

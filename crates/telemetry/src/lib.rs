@@ -41,7 +41,7 @@ pub mod trace;
 
 mod error;
 
-pub use codec::{decode_observation, decode_observation_into, encode_observation};
+pub use codec::{decode_observation_into, encode_observation};
 pub use error::TelemetryError;
 pub use host::HostSpec;
 pub use observation::{

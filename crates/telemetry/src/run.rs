@@ -3,8 +3,8 @@
 //! [`step`] is the one control period of the system — sample, decide,
 //! actuate, account — over any [`ObservationSource`] and any [`Policy`],
 //! and the only closed-loop body in the workspace: [`drive`] loops it into
-//! a [`RunOutcome`], the simulator harness's `run`/`step_with` call it on
-//! the harness itself, and cluster hosts advance their epochs with it — so
+//! a [`RunOutcome`], the simulator harness's `run` drives the harness
+//! itself, and cluster hosts advance their epochs with it — so
 //! every consumer (bench runner, fleet cells, cluster hosts, CLI) closes
 //! the loop identically over sim, trace, workload and procfs substrates.
 

@@ -20,9 +20,9 @@ use proptest::prelude::*;
 use serde_json::{Number, Value};
 use stayaway_telemetry::procfs::{parse_cpu_stat, parse_memory_current, parse_proc_stat};
 use stayaway_telemetry::{
-    decode_observation, decode_observation_into, encode_observation, AppClass, ContainerId,
-    ContainerObs, HostSpec, Observation, ObservationSource, ResourceKind, ResourceVector,
-    SourceKind, SourceMeta, TelemetryError, TraceHeader, TraceSource, TraceWriter, TRACE_VERSION,
+    decode_observation_into, encode_observation, AppClass, ContainerId, ContainerObs, HostSpec,
+    Observation, ObservationSource, ResourceKind, ResourceVector, SourceKind, SourceMeta,
+    TelemetryError, TraceHeader, TraceSource, TraceWriter, TRACE_VERSION,
 };
 
 fn meta() -> SourceMeta {
@@ -307,6 +307,12 @@ impl Gen {
     }
 }
 
+/// One line decoded into a fresh observation.
+fn decode_observation(line: &str) -> Result<Observation, String> {
+    let mut observation = Observation::default();
+    decode_observation_into(line, &mut observation).map(|()| observation)
+}
+
 thread_local! {
     /// The buffer every `decode_observation_into` below decodes into: never
     /// reset, so each decode starts from whatever the last one — accepted
@@ -317,8 +323,8 @@ thread_local! {
 
 /// Both readers on one text: they must agree on accept / reject and, when
 /// they accept, on every bit of the value (`Debug` tells `-0.0` from `0.0`).
-/// The in-place decoder must return exactly what the allocating one does —
-/// the same value or the same error message.
+/// Decoding into the reused buffer must return exactly what decoding into
+/// a fresh one does — the same value or the same error message.
 fn readers_agree(text: &str) -> Result<Option<Observation>, TestCaseError> {
     let cursor = decode_observation(text);
     let reused = REUSED.with(|buf| {

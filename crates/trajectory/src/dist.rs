@@ -82,11 +82,6 @@ impl EmpiricalDistribution {
         self.window.is_empty()
     }
 
-    /// Window capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Records an observation (non-finite values are silently dropped — a
     /// single bad sample must not poison the model).
     pub fn observe(&mut self, value: f64) {
@@ -134,23 +129,6 @@ impl EmpiricalDistribution {
         }
     }
 
-    /// Mean of the windowed observations (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.window.is_empty() {
-            return 0.0;
-        }
-        self.window.iter().sum::<f64>() / self.window.len() as f64
-    }
-
-    /// A copy of the histogram of the current window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrajectoryError::InsufficientData`] when empty.
-    pub fn histogram(&self) -> Result<Histogram, TrajectoryError> {
-        self.histogram.clone()
-    }
-
     /// Fits a KDE to the current window.
     ///
     /// # Errors
@@ -194,16 +172,80 @@ impl Extend<f64> for EmpiricalDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The sampler as it was before the histogram became maintained state, kept
+    /// as the reference: copy the window out, rebuild the whole histogram,
+    /// invert its CDF at one uniform draw.
+    fn collect_and_rebuild_sample<R: Rng>(
+        d: &EmpiricalDistribution,
+        bins: usize,
+        rng: &mut R,
+    ) -> f64 {
+        let h = Histogram::auto_range(&d.to_vec(), bins).unwrap();
+        h.inverse_cdf(rng.gen_range(0.0..=1.0))
+    }
+
+    /// Observations that exercise every maintenance case: non-finite values
+    /// (dropped), a coarse grid (duplicates, repeated minima and maxima) and
+    /// free values (fresh extremes).
+    fn observation_strategy() -> impl Strategy<Value = f64> {
+        (0u8..10, -3.0f64..3.0).prop_map(|(kind, x)| match kind {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2..=5 => (x * 2.0).round() / 2.0,
+            _ => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// After every `observe` — window smaller than the sequence, so minima
+        /// and maxima get evicted — the distribution's histogram equals a
+        /// from-scratch `auto_range` over the window, and `sample` returns the
+        /// bits the collect-and-rebuild sampler returns from the same RNG state.
+        #[test]
+        fn maintained_histogram_equals_rebuild(
+            values in prop::collection::vec(observation_strategy(), 1..80),
+            constant in any::<bool>(),
+            capacity in 1usize..12,
+            bins in 1usize..30,
+            seed in 0u64..1000,
+        ) {
+            let mut d = EmpiricalDistribution::with_capacity(capacity, bins);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for &v in &values {
+                // Constant data: every finite observation is the same value.
+                d.observe(if constant && v.is_finite() { 0.75 } else { v });
+                let window = d.to_vec();
+                prop_assert!(window.len() <= capacity);
+                if window.is_empty() {
+                    prop_assert!(d.histogram.is_err());
+                    prop_assert!(d.sample(&mut rng).is_err());
+                    continue;
+                }
+                prop_assert_eq!(
+                    d.histogram.clone().unwrap(),
+                    Histogram::auto_range(&window, bins).unwrap()
+                );
+                let mut reference_rng = rng.clone();
+                let got = d.sample(&mut rng).unwrap();
+                let want = collect_and_rebuild_sample(&d, bins, &mut reference_rng);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+    }
+
     #[test]
-    fn observe_and_mean() {
+    fn observe_records_in_order() {
         let mut d = EmpiricalDistribution::new();
         d.observe(1.0);
         d.observe(3.0);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.mean(), 2.0);
+        assert_eq!(d.to_vec(), vec![1.0, 3.0]);
     }
 
     #[test]
@@ -251,7 +293,7 @@ mod tests {
     fn empty_distribution_errors() {
         let d = EmpiricalDistribution::new();
         let mut rng = StdRng::seed_from_u64(0);
-        assert!(d.histogram().is_err());
+        assert!(d.histogram.is_err());
         assert!(d.kde().is_err());
         assert!(d.sample(&mut rng).is_err());
     }

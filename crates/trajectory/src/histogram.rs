@@ -118,33 +118,9 @@ impl Histogram {
         self.counts.len()
     }
 
-    /// Total number of samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Lower bound of the range.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Upper bound of the range.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// Width of one bin.
     pub fn bin_width(&self) -> f64 {
         (self.max - self.min) / self.bins() as f64
-    }
-
-    /// Raw count of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
     }
 
     /// Probability mass of bin `i` (0.0 when the histogram is empty).
@@ -154,15 +130,6 @@ impl Histogram {
         } else {
             self.counts[i] as f64 / self.total as f64
         }
-    }
-
-    /// Probability density at `x` (piecewise constant; 0.0 outside the
-    /// range or when empty).
-    pub fn density(&self, x: f64) -> f64 {
-        if self.total == 0 || x < self.min || x > self.max {
-            return 0.0;
-        }
-        self.mass(self.bin_of(x)) / self.bin_width()
     }
 
     /// Centre of bin `i`.
@@ -261,27 +228,48 @@ pub(crate) fn extremes(samples: impl Iterator<Item = f64>) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The inverse CDF is monotone and stays within the range.
+        #[test]
+        fn inverse_cdf_is_monotone_and_bounded(
+            samples in prop::collection::vec(-50.0f64..50.0, 1..200),
+            bins in 1usize..40,
+        ) {
+            let h = Histogram::auto_range(&samples, bins).unwrap();
+            let mut prev = f64::NEG_INFINITY;
+            for k in 0..=50 {
+                let v = h.inverse_cdf(k as f64 / 50.0);
+                prop_assert!(v >= prev - 1e-9);
+                prop_assert!(v >= h.min - 1e-9 && v <= h.max + 1e-9);
+                prev = v;
+            }
+        }
+    }
 
     #[test]
     fn counts_land_in_correct_bins() {
         let h = Histogram::from_samples(&[0.05, 0.15, 0.95, 0.95], 10, 0.0, 1.0).unwrap();
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.count(9), 2);
-        assert_eq!(h.total(), 4);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[1], 1);
+        assert_eq!(h.counts[9], 2);
+        assert_eq!(h.total, 4);
     }
 
     #[test]
     fn boundary_sample_goes_to_last_bin() {
         let h = Histogram::from_samples(&[1.0], 4, 0.0, 1.0).unwrap();
-        assert_eq!(h.count(3), 1);
+        assert_eq!(h.counts[3], 1);
     }
 
     #[test]
     fn out_of_range_samples_clamp() {
         let h = Histogram::from_samples(&[-5.0, 5.0], 2, 0.0, 1.0).unwrap();
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(1), 1);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[1], 1);
     }
 
     #[test]
@@ -290,18 +278,6 @@ mod tests {
         let h = Histogram::from_samples(&samples, 7, 0.0, 1.0).unwrap();
         let sum: f64 = (0..7).map(|i| h.mass(i)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn density_integrates_to_one() {
-        let samples: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.017).sin().abs()).collect();
-        let h = Histogram::auto_range(&samples, 20).unwrap();
-        let mut integral = 0.0;
-        let dx = (h.max() - h.min()) / 2000.0;
-        for k in 0..2000 {
-            integral += h.density(h.min() + (k as f64 + 0.5) * dx) * dx;
-        }
-        assert!((integral - 1.0).abs() < 1e-6, "integral = {integral}");
     }
 
     #[test]
@@ -338,16 +314,15 @@ mod tests {
     #[test]
     fn auto_range_handles_identical_samples() {
         let h = Histogram::auto_range(&[3.0, 3.0, 3.0], 5).unwrap();
-        assert!(h.min() < 3.0 && h.max() > 3.0);
-        assert_eq!(h.total(), 3);
+        assert!(h.min < 3.0 && h.max > 3.0);
+        assert_eq!(h.total, 3);
     }
 
     #[test]
     fn empty_histogram_behaviour() {
         let h = Histogram::from_samples(&[], 4, 0.0, 1.0).unwrap();
-        assert_eq!(h.total(), 0);
+        assert_eq!(h.total, 0);
         assert_eq!(h.mass(0), 0.0);
-        assert_eq!(h.density(0.5), 0.0);
         assert_eq!(h.inverse_cdf(0.5), 0.0);
     }
 

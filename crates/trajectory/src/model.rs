@@ -25,15 +25,9 @@ pub const DEFAULT_MIN_OBSERVATIONS: usize = 4;
 pub struct TrajectoryModel {
     lengths: EmpiricalDistribution,
     angles: EmpiricalDistribution,
-    observations: u64,
 }
 
 impl TrajectoryModel {
-    /// Creates an empty model.
-    pub fn new() -> Self {
-        TrajectoryModel::default()
-    }
-
     /// Records one observed step.
     pub fn observe(&mut self, step: Step) {
         if !step.is_finite() {
@@ -41,27 +35,11 @@ impl TrajectoryModel {
         }
         self.lengths.observe(step.length);
         self.angles.observe(wrap_angle(step.angle));
-        self.observations += 1;
-    }
-
-    /// Total steps observed (including those evicted from the windows).
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 
     /// True when enough steps have been seen to predict from.
     pub fn is_ready(&self) -> bool {
         self.lengths.len() >= DEFAULT_MIN_OBSERVATIONS
-    }
-
-    /// Borrow the step-length distribution.
-    pub fn lengths(&self) -> &EmpiricalDistribution {
-        &self.lengths
-    }
-
-    /// Borrow the angle distribution.
-    pub fn angles(&self) -> &EmpiricalDistribution {
-        &self.angles
     }
 
     /// Draws one candidate step.
@@ -140,11 +118,6 @@ impl Prediction {
     /// The candidate future states.
     pub fn candidates(&self) -> &[Point2] {
         &self.candidates
-    }
-
-    /// Number of candidates.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
     }
 
     /// True when no candidates were produced.
@@ -249,29 +222,31 @@ mod tests {
 
     #[test]
     fn model_warms_up() {
-        let mut m = TrajectoryModel::new();
+        let mut m = TrajectoryModel::default();
         assert!(!m.is_ready());
         feed_eastward(&mut m, DEFAULT_MIN_OBSERVATIONS);
         assert!(m.is_ready());
-        assert_eq!(m.observations(), DEFAULT_MIN_OBSERVATIONS as u64);
+        assert_eq!(m.lengths.len(), DEFAULT_MIN_OBSERVATIONS);
     }
 
     #[test]
     fn prediction_moves_in_learned_direction() {
-        let mut m = TrajectoryModel::new();
+        let mut m = TrajectoryModel::default();
         feed_eastward(&mut m, 100);
         let mut rng = StdRng::seed_from_u64(5);
         let p = m.predict_from(Point2::origin(), 50, &mut rng).unwrap();
         // Eastward steps: mean predicted x must be positive, |y| small.
-        let mean_x: f64 = p.candidates().iter().map(|c| c.x).sum::<f64>() / p.len() as f64;
-        let mean_y: f64 = p.candidates().iter().map(|c| c.y).sum::<f64>() / p.len() as f64;
+        let mean_x: f64 =
+            p.candidates().iter().map(|c| c.x).sum::<f64>() / p.candidates().len() as f64;
+        let mean_y: f64 =
+            p.candidates().iter().map(|c| c.y).sum::<f64>() / p.candidates().len() as f64;
         assert!(mean_x > 0.05, "mean_x = {mean_x}");
         assert!(mean_y.abs() < 0.05, "mean_y = {mean_y}");
     }
 
     #[test]
     fn unready_model_refuses_to_predict() {
-        let m = TrajectoryModel::new();
+        let m = TrajectoryModel::default();
         let mut rng = StdRng::seed_from_u64(0);
         assert!(matches!(
             m.predict_from(Point2::origin(), 5, &mut rng),
@@ -281,17 +256,17 @@ mod tests {
 
     #[test]
     fn non_finite_steps_are_ignored() {
-        let mut m = TrajectoryModel::new();
+        let mut m = TrajectoryModel::default();
         m.observe(Step {
             length: f64::NAN,
             angle: 0.0,
         });
-        assert_eq!(m.observations(), 0);
+        assert_eq!(m.lengths.len(), 0);
     }
 
     #[test]
     fn sampled_lengths_are_non_negative() {
-        let mut m = TrajectoryModel::new();
+        let mut m = TrajectoryModel::default();
         for _ in 0..20 {
             m.observe(Step {
                 length: 0.001,
@@ -358,6 +333,6 @@ mod tests {
         assert!(p
             .predict(ExecutionMode::Idle, Point2::origin(), 5, &mut rng)
             .is_some());
-        assert_eq!(p.model(ExecutionMode::Idle).observations(), 10);
+        assert_eq!(p.model(ExecutionMode::Idle).lengths.len(), 10);
     }
 }

@@ -71,11 +71,6 @@ impl VarModel {
         }
     }
 
-    /// Number of retained transitions.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
     /// True when no transition has been observed.
     pub fn is_empty(&self) -> bool {
         self.window.is_empty()
@@ -291,7 +286,7 @@ mod tests {
             m.observe(p, next);
             p = next;
         }
-        assert_eq!(m.len(), 20);
+        assert_eq!(m.window.len(), 20);
         let pred = m.forecast(p).unwrap();
         assert!(pred.y > p.y + 0.05, "old regime still dominates: {pred}");
     }

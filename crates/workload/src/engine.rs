@@ -357,11 +357,6 @@ impl WorkloadHost {
         &self.scenario
     }
 
-    /// Ticks completed so far.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
     /// Whole-run latency histogram of sensitive requests.
     pub fn latency(&self) -> &LatencyHistogram {
         &self.latency
@@ -1408,7 +1403,7 @@ mod tests {
             }
             assert!(obs.qos_value.is_finite());
         }
-        assert_eq!(h.tick(), 1_000);
+        assert_eq!(h.tick, 1_000);
     }
 
     #[test]
@@ -1451,7 +1446,7 @@ mod tests {
         // Route a burst in; the job runs and completes work.
         let period = h.scenario().tick_period_ns();
         for k in 0..8u64 {
-            h.inject_arrival(ti, h.tick() * period + k * period / 8, 200_000_000)
+            h.inject_arrival(ti, h.tick * period + k * period / 8, 200_000_000)
                 .unwrap();
         }
         let before = h.batch_work();
@@ -1461,7 +1456,7 @@ mod tests {
         assert!(h.batch_work() > before, "injected work should complete");
         // Inject more than completes, then detach: leftovers are carried.
         for k in 0..32u64 {
-            h.inject_arrival(ti, h.tick() * period + k * period / 32, 400_000_000)
+            h.inject_arrival(ti, h.tick * period + k * period / 32, 400_000_000)
                 .unwrap();
         }
         h.next_observation().unwrap().unwrap();

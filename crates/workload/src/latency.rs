@@ -85,16 +85,6 @@ impl LatencyHistogram {
     pub fn quantile_ms(&self, q: f64) -> f64 {
         self.quantile_ns(q) as f64 / 1e6
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
 }
 
 #[cfg(test)]
@@ -198,24 +188,6 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile_ns(0.99), 0);
         assert_eq!(h.mean_ms(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
-        for i in 0..500u64 {
-            let v = (i * 7919) % 1_000_000 + 1;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, both);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use engine::{RunTotals, WorkloadHost};
 pub use error::WorkloadError;
 pub use latency::LatencyHistogram;
 pub use report::{bench_scenario, BenchTable, ScenarioQos};
-pub use spec::{by_name, library, names, SloSpec, TenantSpec, WorkloadScenario};
+pub use spec::{by_name, library, SloSpec, TenantSpec, WorkloadScenario};
 
 /// The engine under the name the perf ledger (`benchmarks/`) imports it by.
 pub type WorkloadSource = WorkloadHost;

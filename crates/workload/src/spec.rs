@@ -530,11 +530,6 @@ pub fn library() -> Vec<WorkloadScenario> {
     ]
 }
 
-/// Names of the library scenarios, in listing order.
-pub fn names() -> Vec<String> {
-    library().into_iter().map(|s| s.name).collect()
-}
-
 /// Resolves a library scenario by name.
 ///
 /// # Errors
@@ -555,7 +550,7 @@ mod tests {
     #[test]
     fn library_has_the_seven_documented_scenarios() {
         assert_eq!(
-            names(),
+            library().into_iter().map(|s| s.name).collect::<Vec<_>>(),
             vec![
                 "memcached-like",
                 "video-transcode-like",

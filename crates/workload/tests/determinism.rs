@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stayaway_telemetry::{drive, Action, NullPolicy, Observation, ObservationSource, Policy};
 use stayaway_workload::{
-    bench_scenario, by_name, names, ArrivalProcess, WorkloadHost, WorkloadScenario,
+    bench_scenario, by_name, library, ArrivalProcess, WorkloadHost, WorkloadScenario,
 };
 
 /// Drives `ticks` control ticks by hand, capturing every observation as
@@ -84,7 +84,7 @@ fn different_seeds_diverge() {
 
 #[test]
 fn every_library_scenario_is_reproducible() {
-    for name in names() {
+    for name in library().into_iter().map(|s| s.name) {
         let row_a =
             bench_scenario(&by_name(&name).unwrap(), &mut NullPolicy::new(), 5, 25).unwrap();
         let row_b =
@@ -181,8 +181,7 @@ proptest! {
         deadline in 1.0f64..100.0,
         rate_scale in 0.25f64..4.0,
     ) {
-        let name = &names()[which];
-        let mut scenario = by_name(name).unwrap();
+        let mut scenario = library().swap_remove(which);
         scenario.slo.deadline_ms = deadline;
         if let ArrivalProcess::Poisson { rps } = &mut scenario.tenants[0].arrival {
             *rps *= rate_scale;

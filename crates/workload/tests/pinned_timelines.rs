@@ -16,7 +16,7 @@
 
 use stayaway_telemetry::{Action, AppClass, ContainerId, ObservationSource};
 use stayaway_workload::{
-    by_name, names, ArrivalProcess, DemandProfile, KeepalivePolicy, TenantSpec, WorkloadHost,
+    by_name, library, ArrivalProcess, DemandProfile, KeepalivePolicy, TenantSpec, WorkloadHost,
 };
 
 const SEED: u64 = 7;
@@ -119,24 +119,28 @@ fn attach_cycle() -> String {
     let mut host = WorkloadHost::new(by_name("multi-tenant-storm").unwrap(), 31).unwrap();
     let mut obs = ObsFold::new();
     let period = host.scenario().tick_period_ns();
+    // Ticks completed so far.
+    let mut ticks = 0u64;
     for _ in 0..3 {
         obs.tick(&mut host);
+        ticks += 1;
     }
     let first = host.attach_tenant(movable_job("mover")).unwrap();
     for k in 0..8u64 {
-        host.inject_arrival(first, host.tick() * period + k * period / 8, 200_000_000)
+        host.inject_arrival(first, ticks * period + k * period / 8, 200_000_000)
             .unwrap();
     }
     for _ in 0..5 {
         obs.tick(&mut host);
+        ticks += 1;
     }
     for k in 0..32u64 {
-        host.inject_arrival(first, host.tick() * period + k * period / 32, 400_000_000)
+        host.inject_arrival(first, ticks * period + k * period / 32, 400_000_000)
             .unwrap();
     }
     // One request due well past the detach: it is processed against the
     // tombstone and counted as dropped.
-    host.inject_arrival(first, (host.tick() + 4) * period, 100_000_000)
+    host.inject_arrival(first, (ticks + 4) * period, 100_000_000)
         .unwrap();
     obs.tick(&mut host);
     let carried = host.detach_tenant(first).unwrap();
@@ -188,7 +192,7 @@ const PINNED: &str = "\
 #[test]
 fn timelines_match_the_literals_recorded_at_the_parent_commit() {
     let mut lines = Vec::new();
-    for name in names() {
+    for name in library().into_iter().map(|s| s.name) {
         lines.push(library_run(&name, false));
         lines.push(library_run(&name, true));
     }

@@ -5,9 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use stay_away::baselines::NoPrevention;
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::scenario::Scenario;
+use stay_away::telemetry::NullPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A reproducible experiment: VLC streaming (diurnal client workload)
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // First, co-location without any protection.
     let mut unprotected = scenario.build_harness()?;
-    let baseline = unprotected.run(&mut NoPrevention::new(), ticks);
+    let baseline = unprotected.run(&mut NullPolicy::new(), ticks);
 
     // Now the same workload under Stay-Away.
     let mut protected = scenario.build_harness()?;

@@ -7,11 +7,12 @@
 //! cargo run --example vlc_streaming
 //! ```
 
-use stay_away::baselines::{AlwaysThrottle, NoPrevention, ReactivePolicy};
+use stay_away::baselines::{AlwaysThrottle, ReactivePolicy};
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::scenario::{BatchKind, Scenario, SensitiveKind};
 use stay_away::sim::workload::{DiurnalParams, Trace};
 use stay_away::sim::Policy;
+use stay_away::telemetry::NullPolicy;
 
 fn scenario_for(batch: BatchKind, seed: u64) -> Scenario {
     Scenario::builder(format!("vlc+{batch}"))
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Policy line-up. Stay-Away is run separately because it needs the
         // host spec at construction time.
         let mut policies: Vec<Box<dyn Policy>> = vec![
-            Box::new(NoPrevention::new()),
+            Box::new(NullPolicy::new()),
             Box::new(AlwaysThrottle::new()),
             Box::new(ReactivePolicy::new(10)),
         ];

@@ -8,10 +8,10 @@
 //! cargo run --example webservice_colocation
 //! ```
 
-use stay_away::baselines::NoPrevention;
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::apps::WebWorkload;
 use stay_away::sim::scenario::{BatchKind, Scenario};
+use stay_away::telemetry::NullPolicy;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ticks = 300;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let scenario = Scenario::webservice_with(workload, BatchKind::TwitterAnalysis, 11);
 
         let mut h0 = scenario.build_harness()?;
-        let baseline = h0.run(&mut NoPrevention::new(), ticks);
+        let baseline = h0.run(&mut NullPolicy::new(), ticks);
 
         let mut h1 = scenario.build_harness()?;
         let mut controller = Controller::for_host(ControllerConfig::default(), h1.host().spec())?;

@@ -23,6 +23,50 @@ if grep -rnwE 'SimSource|WorkloadSource' crates/*/src src | grep -vE \
     echo "check.sh: SimSource / WorkloadSource named outside their definitions (above)" >&2
     exit 1
 fi
+# One path per telemetry type: the simulator re-exports the telemetry
+# plane's types at its root, in one `pub use stayaway_telemetry::{…};`
+# statement, only for `baselines` and `bench`, which have no normal
+# dependency on `stayaway-telemetry`. Any other library code names those
+# types through `stayaway_telemetry` (a `use stayaway_sim::{…}` nested more
+# than one brace deep is not parsed). The type list is read from that
+# statement, so it is kept in one place.
+sim_reexports="$(awk '/^pub use stayaway_telemetry::/ { on = 1 } on { printf "%s ", $0 }
+    on && /;/ { exit }' crates/sim/src/lib.rs | sed 's/.*{\(.*\)}.*/\1/; s/,/ /g')"
+if [ -z "${sim_reexports// /}" ]; then
+    echo "check.sh: no 'pub use stayaway_telemetry::{…};' in crates/sim/src/lib.rs" >&2
+    exit 1
+fi
+mapfile -t lib_files < <(find crates/*/src src -name '*.rs' -not -path 'crates/compat/*' \
+    -not -path 'crates/baselines/*' -not -path 'crates/bench/*' | sort)
+if awk -v types="$sim_reexports" '
+    BEGIN {
+        n = split(types, t, /[[:space:]]+/)
+        for (i = 1; i <= n; i++) if (t[i] != "") telemetry[t[i]] = 1
+    }
+    FNR == 1 { pending = "" }
+    {
+        text = $0
+        sub(/\/\/.*/, "", text)
+        text = pending text
+        if (text ~ /stayaway_sim::\{[^}]*$/) { pending = text " "; next }
+        pending = ""
+        while (match(text, /stayaway_sim::(\{[^}]*\}|[A-Za-z_][A-Za-z0-9_]*)/)) {
+            path = substr(text, RSTART + 14, RLENGTH - 14)
+            text = substr(text, RSTART + RLENGTH)
+            gsub(/[{}[:space:]]/, "", path)
+            k = split(path, items, ",")
+            for (i = 1; i <= k; i++) {
+                root = items[i]
+                sub(/::.*/, "", root)
+                if (root in telemetry) { print FILENAME ":" FNR ": stayaway_sim::" root; bad = 1 }
+            }
+        }
+    }
+    END { exit !bad }' "${lib_files[@]}"; then
+    echo "check.sh: telemetry types named through stayaway_sim (above): import them" \
+        "from stayaway_telemetry" >&2
+    exit 1
+fi
 # One call per decision: the controller's decisions and the cluster
 # barrier's verbs reach their flight recorder through one helper each
 # (`ControllerMetrics::decision` in `crates/stayaway/src/obs.rs`,
@@ -38,38 +82,52 @@ if awk '/fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENG
     echo "check.sh: a flight-recorder write outside the one decision helper (above)" >&2
     exit 1
 fi
-# Every public function has a caller. A `pub fn` whose name is defined once
-# is dead when that name occurs nowhere else in non-test code:
-# `crates/*/src` (not `crates/compat`), `src/`, `crates/bench`,
-# `benchmarks/src` and `examples`, each file cut at its first
-# `#[cfg(test)]`. The allowlist names the test oracles — functions public
-# only so a test can hold the library to them — one `name  # reason` a
-# line. The check fails when a dead name is not on the list, when a listed
-# name gains a caller and when a listed name disappears, so the list can
-# only shrink. Limits: it sees uniquely named `pub fn`s only; a name
-# defined more than once (`len`, `get`, `new`) escapes it and needs a
-# reader.
+# Every public function has a caller. A `pub fn` defined in `crates/*/src`
+# (not `crates/compat`), `src/` or `crates/bench/benches` is dead when no
+# non-test code calls it: no `name(`, `name::<` or `::name` outside a
+# definition (`fn name`), a comment or a `pub use` statement, in those
+# trees or in `benchmarks/src` and `examples`, each file cut at its first
+# `#[cfg(test)]`. Integration tests (`tests/` directories) are neither
+# scanned nor counted. The frozen perf ledger calls but defines nothing here.
+# A name defined more than once is dead when none of its definitions is
+# called; one called definition hides the others, so those need a reader.
+# The allowlist names what stays on purpose — a test oracle, or an item
+# ROADMAP keeps for a named item — one `name  # reason` a line. The check
+# fails when a dead name is not on the list, when a listed name gains a
+# caller and when a listed name disappears, so the list can only shrink.
 dead_fn_allowlist='
+bandwidth  # kept: trajectory::Kde stays until ROADMAP [judge](b) decides
+density  # kept: trajectory::Kde stays until ROADMAP [judge](b) decides
+dropped_actions  # kept: FaultySource counters, read by tests until ROADMAP [faults] calls them
+dropped_observations  # kept: FaultySource counters, read by tests until ROADMAP [faults] calls them
 prefix_rmsd  # oracle: crates/mds/tests/properties.rs measures Procrustes alignment with it
+records  # kept: SpanSink ring reader, goes with the ring in ROADMAP [budget](a)
 '
-mapfile -t files < <(find crates/*/src src crates/bench benchmarks/src examples \
+mapfile -t files < <(find crates/*/src src crates/bench/benches benchmarks/src examples \
     -name '*.rs' -not -path 'crates/compat/*' | sort -u)
 dead_fns="$(awk '
-    FNR == 1 { test = 0 }
+    FNR == 1 { test = 0; in_use = 0; defines = FILENAME !~ /^(benchmarks\/src|examples)\// }
     /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
     test { next }
     {
         line = $0
-        while (match(line, /pub fn [a-z_][a-z0-9_]*/)) {
-            name = substr(line, RSTART + 7, RLENGTH - 7)
-            defs[name]++
-            at[name] = FILENAME ":" FNR
-            line = substr(line, RSTART + RLENGTH)
+        sub(/\/\/.*/, "", line)
+        if (in_use || line ~ /^[[:space:]]*pub use /) { in_use = line !~ /;/; next }
+        rest = line
+        while (defines && match(rest, /pub fn [a-z_][a-z0-9_]*/)) {
+            name = substr(rest, RSTART + 7, RLENGTH - 7)
+            at[name] = (name in at ? at[name] " " : "") FILENAME ":" FNR
+            rest = substr(rest, RSTART + RLENGTH)
         }
-        n = split($0, words, /[^A-Za-z0-9_]+/)
-        for (i = 1; i <= n; i++) seen[words[i]]++
+        gsub(/fn [A-Za-z_][A-Za-z0-9_]*/, "fn", line)
+        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART, RLENGTH)
+            before = substr(line, 1, RSTART - 1)
+            line = substr(line, RSTART + RLENGTH)
+            if (line ~ /^(\(|::<)/ || before ~ /::$/) called[name] = 1
+        }
     }
-    END { for (name in defs) if (defs[name] == 1 && seen[name] == 1) print name, at[name] }
+    END { for (name in at) if (!(name in called)) print name, at[name] }
 ' "${files[@]}" | sort)"
 listed="$(sed -n 's/^\([a-z_0-9]*\)  #.*/\1/p' <<< "$dead_fn_allowlist" | sort)"
 unlisted="$(join -v1 <(echo "$dead_fns") <(echo "$listed"))"
@@ -175,9 +233,10 @@ fi
 # the same bytes, scans strings in linear time and writes every float and
 # integer byte for byte as `core::fmt` does (the old `write!` rule is the
 # test's oracle). The decoders a user points at a file (`--events-in`,
-# `reuse --template`) are fuzzed in facade `--test json_decoder_fuzz`:
-# arbitrary bytes, every truncation, edited documents and million-deep
-# nesting decode or fail as values, never a panic or a stack overflow.
+# `reuse --template`, `metrics-diff`) are fuzzed in facade `--test
+# json_decoder_fuzz`: arbitrary bytes, every truncation, edited documents
+# and million-deep nesting decode or fail as values, never a panic or a
+# stack overflow, and no error names a byte as `Some(120)` or `None`.
 #
 # Engine timelines (`stayaway-workload --test pinned_timelines`, the
 # `queue::tests` property tests): the seven library scenarios, bare and
@@ -227,8 +286,8 @@ fi
 # facade `--test observation_recycling` holds the four recycling sources
 # (sim, workload with attach / detach, tee, trace replay) to fresh runs
 # tick for tick, and the telemetry `properties` decoders check
-# `decode_observation_into` against `decode_observation` on every fuzz
-# input, error messages included.
+# `decode_observation_into` into a reused buffer against a fresh one on
+# every fuzz input, error messages included.
 #
 # Act stage (`stayaway-core --test act_stage`, `--lib stages::act`): one
 # `ActStage` driven through random engage / resume / violation sequences

@@ -1,17 +1,18 @@
 //! End-to-end closed-loop tests across all crates: the headline behaviours
 //! of the paper must hold on every co-location scenario.
 
-use stay_away::baselines::{AlwaysThrottle, NoPrevention};
+use stay_away::baselines::AlwaysThrottle;
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::apps::WebWorkload;
 use stay_away::sim::scenario::{BatchKind, Scenario};
 use stay_away::sim::RunOutcome;
+use stay_away::telemetry::NullPolicy;
 
 const TICKS: u64 = 300;
 
 fn run_baseline(scenario: &Scenario) -> RunOutcome {
     let mut h = scenario.build_harness().expect("harness builds");
-    h.run(&mut NoPrevention::new(), TICKS)
+    h.run(&mut NullPolicy::new(), TICKS)
 }
 
 fn run_stayaway(scenario: &Scenario) -> RunOutcome {
@@ -136,10 +137,16 @@ fn seeds_change_the_runs() {
 fn no_violations_before_colocation() {
     let scenario = Scenario::vlc_with_twitter(110);
     let guard = run_stayaway(&scenario);
-    let first_batch_tick = scenario.batches()[0].1;
+    // The first co-located tick, as the run itself recorded it.
+    let first_batch_tick = guard
+        .timeline
+        .iter()
+        .position(|r| r.batch_active > 0)
+        .expect("the batch job starts within the run");
+    assert!(first_batch_tick > 0, "the run starts co-located");
     assert!(guard
         .timeline
         .iter()
-        .take(first_batch_tick as usize)
+        .take(first_batch_tick)
         .all(|r| !r.violated));
 }

@@ -1,18 +1,23 @@
 //! The JSON decoders a user points at a file, fed what a file can hold:
 //! arbitrary bytes, every truncation of a valid document, valid documents
 //! with random edits and nesting deep enough to exhaust a stack. Each input
-//! must decode or fail with an error value, never panic or crash. Both
-//! decoders stand on the one `serde::value::Cursor`:
-//! `obs::events_from_jsonl` (`events --events-in`) and `Template::load`
-//! followed by `Controller::import_template` (`reuse --template`).
+//! must decode or fail with an error value, never panic or crash, and an
+//! error names what it found in words a user reads — a character or "end
+//! of input", never a Rust `Some(120)` / `None`. The decoders stand on the
+//! one `serde::value::Cursor`: `obs::events_from_jsonl` (`events
+//! --events-in`), `Template::load` followed by
+//! `Controller::import_template` (`reuse --template`) and
+//! `obs::diff::parse_snapshot` followed by `diff_series` (`metrics-diff`).
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use serde_json::{Number, Value};
-use stay_away::core::{Controller, ControllerConfig};
+use stay_away::core::{Controller, ControllerConfig, Observability};
+use stay_away::obs::diff::{diff_series, parse_snapshot, MetricSeries};
 use stay_away::obs::{
-    attr, events_from_jsonl, events_to_jsonl, EventId, EventKind, EventRecord, Layer,
+    attr, events_from_jsonl, events_to_jsonl, to_json, EventId, EventKind, EventRecord, Layer,
+    MetricsRegistry,
 };
 use stay_away::sim::scenario::Scenario;
 use stay_away::statespace::Template;
@@ -92,6 +97,17 @@ fn deep_nesting() -> [String; 2] {
     ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)]
 }
 
+/// `result`, after checking that its error, if any, names no `Option`.
+fn readable<T>(result: Result<T, String>) -> Result<T, String> {
+    if let Err(message) = &result {
+        assert!(
+            !message.contains("Some(") && !message.contains("None"),
+            "error names an Option: {message}"
+        );
+    }
+    result
+}
+
 fn events() -> Vec<EventRecord> {
     (0..4u64)
         .map(|seq| EventRecord {
@@ -118,7 +134,7 @@ fn events_decode_every_truncation() {
     let events = events();
     let text = events_to_jsonl(&events);
     for cut in (0..=text.len()).filter(|&cut| text.is_char_boundary(cut)) {
-        let decoded = events_from_jsonl(&text[..cut]);
+        let decoded = readable(events_from_jsonl(&text[..cut]));
         // Cut at a line end, the stream is a prefix of the events.
         if cut == 0 || text.as_bytes()[cut - 1] == b'\n' {
             let lines = text[..cut].lines().count();
@@ -130,7 +146,7 @@ fn events_decode_every_truncation() {
 #[test]
 fn events_decode_deep_nesting_to_an_error() {
     for text in deep_nesting() {
-        assert!(events_from_jsonl(&text).is_err());
+        assert!(readable(events_from_jsonl(&text)).is_err());
     }
 }
 
@@ -160,11 +176,44 @@ fn template_text() -> String {
 /// controller: `reuse --template` up to its first period. Returns the
 /// number of states imported.
 fn load_and_import(text: &[u8]) -> Result<usize, String> {
-    let template = Template::load(text).map_err(|e| e.to_string())?;
+    let template = readable(Template::load(text).map_err(|e| e.to_string()))?;
     let mut ctl =
         Controller::for_host(ControllerConfig::default(), &learned().1).expect("controller");
-    ctl.import_template(&template).map_err(|e| e.to_string())?;
+    readable(ctl.import_template(&template).map_err(|e| e.to_string()))?;
     Ok(template.len())
+}
+
+/// The series of a `--metrics-out x.json` snapshot taken after a short
+/// run: the pretty JSON the CLI writes, and what `parse_snapshot` reads
+/// back from it.
+fn snapshot() -> &'static (String, Vec<MetricSeries>) {
+    static SNAPSHOT: OnceLock<(String, Vec<MetricSeries>)> = OnceLock::new();
+    SNAPSHOT.get_or_init(|| {
+        let mut harness = Scenario::vlc_with_cpubomb(31)
+            .build_harness()
+            .expect("harness");
+        let obs = Observability::enabled(MetricsRegistry::new());
+        let mut ctl = Controller::for_host_observed(
+            ControllerConfig::default(),
+            harness.host().spec(),
+            obs.clone(),
+        )
+        .expect("controller");
+        harness.run(&mut ctl, 64);
+        let registry = obs.exported_registry().expect("an exported registry");
+        let text = serde_json::to_string_pretty(&to_json(&registry.snapshot())).expect("renders");
+        let series = parse_snapshot(&text).expect("own snapshot parses");
+        assert!(series.len() > 10);
+        (text, series)
+    })
+}
+
+/// `metrics-diff` of `text` against the real snapshot: parse it, then
+/// diff the two series sets. Returns how many rows differ.
+fn diff_against_snapshot(text: &str) -> Result<usize, String> {
+    let series = readable(parse_snapshot(text).map_err(|e| e.to_string()))?;
+    let rows = diff_series(&snapshot().1, &series);
+    Ok(rows.iter().filter(|row| row.rel != 0.0).count())
 }
 
 #[test]
@@ -241,9 +290,9 @@ fn templates_with_extreme_coordinates_import_or_fail_to_load() {
 }
 
 /// Decodes 256 mutated copies of `text`; returns how many decoded.
-fn decode_mutations<T, E>(text: &str, decode: impl Fn(&str) -> Result<T, E>) -> usize {
+fn decode_mutations<T>(text: &str, decode: impl Fn(&str) -> Result<T, String>) -> usize {
     (0..256)
-        .filter(|&seed| decode(&mutate(text, &mut Rng(seed))).is_ok())
+        .filter(|&seed| readable(decode(&mutate(text, &mut Rng(seed)))).is_ok())
         .count()
 }
 
@@ -258,16 +307,63 @@ fn mutated_documents_decode_or_fail() {
     assert!((16..240).contains(&templates), "{templates}");
 }
 
+#[test]
+fn snapshots_decode_every_truncation() {
+    let text = &snapshot().0;
+    assert_eq!(diff_against_snapshot(text), Ok(0));
+    for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+        assert!(diff_against_snapshot(&text[..cut]).is_err(), "cut at {cut}");
+    }
+}
+
+#[test]
+fn snapshots_decode_deep_nesting_to_an_error() {
+    for text in deep_nesting() {
+        assert!(diff_against_snapshot(&text).is_err());
+    }
+}
+
+/// Edits decode or fail as values; both happen.
+#[test]
+fn mutated_snapshots_decode_or_fail() {
+    let snapshots = decode_mutations(&snapshot().0, diff_against_snapshot);
+    eprintln!("decoded {snapshots} snapshots of 256");
+    assert!((16..240).contains(&snapshots), "{snapshots}");
+}
+
+/// A file holding `x`, or nothing: the error names the character or the
+/// end of the input, at byte 0.
+#[test]
+fn malformed_input_files_name_what_they_hold() {
+    let x = "unexpected 'x' at byte 0";
+    let empty = "unexpected end of input at byte 0";
+    for (got, want) in [
+        (events_from_jsonl("x").map(drop), x),
+        (load_and_import(b"x").map(drop), x),
+        (load_and_import(b"").map(drop), empty),
+        (diff_against_snapshot("x").map(drop), x),
+        (diff_against_snapshot("").map(drop), empty),
+    ] {
+        let message = readable(got).unwrap_err();
+        assert!(message.contains(want), "{message:?} lacks {want:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn events_decode_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = events_from_jsonl(&String::from_utf8_lossy(&raw));
+        let _ = readable(events_from_jsonl(&String::from_utf8_lossy(&raw)));
     }
 
     #[test]
     fn templates_decode_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = load_and_import(&raw);
+    }
+
+    #[test]
+    fn snapshots_decode_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = diff_against_snapshot(&String::from_utf8_lossy(&raw));
     }
 }

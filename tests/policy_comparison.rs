@@ -1,11 +1,12 @@
 //! Comparative behaviour of the baseline policies against Stay-Away —
 //! the qualitative claims of §8 (related work) that motivate the design.
 
-use stay_away::baselines::{AlwaysThrottle, NoPrevention, ReactivePolicy, StaticThresholdPolicy};
+use stay_away::baselines::{AlwaysThrottle, ReactivePolicy, StaticThresholdPolicy};
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::apps::WebWorkload;
 use stay_away::sim::scenario::{BatchKind, Scenario};
 use stay_away::sim::{Policy, RunOutcome};
+use stay_away::telemetry::NullPolicy;
 
 const TICKS: u64 = 300;
 
@@ -29,7 +30,7 @@ fn stayaway_beats_reactive_on_persistent_contention() {
     let scenario = Scenario::vlc_with_cpubomb(31);
     let reactive = run(&scenario, &mut ReactivePolicy::new(10));
     let stayaway = run_stayaway(&scenario);
-    let none = run(&scenario, &mut NoPrevention::new());
+    let none = run(&scenario, &mut NullPolicy::new());
 
     assert!(reactive.qos.violations < none.qos.violations);
     assert!(
@@ -46,7 +47,7 @@ fn stayaway_beats_reactive_on_persistent_contention() {
 fn static_threshold_misses_memory_contention_stayaway_does_not() {
     let scenario = Scenario::webservice_with(WebWorkload::MemIntensive, BatchKind::MemoryBomb, 32);
     let cap = scenario.host_spec().cpu_cores;
-    let none = run(&scenario, &mut NoPrevention::new());
+    let none = run(&scenario, &mut NullPolicy::new());
     let static_t = run(&scenario, &mut StaticThresholdPolicy::new(0.8, cap));
     let stayaway = run_stayaway(&scenario);
 
@@ -91,7 +92,7 @@ fn stayaway_recovers_utilization_over_overprovisioning() {
 fn no_policy_can_pause_the_sensitive_container() {
     let scenario = Scenario::vlc_with_cpubomb(34);
     for policy_run in [
-        run(&scenario, &mut NoPrevention::new()),
+        run(&scenario, &mut NullPolicy::new()),
         run(&scenario, &mut AlwaysThrottle::new()),
         run(&scenario, &mut ReactivePolicy::new(5)),
         run_stayaway(&scenario),

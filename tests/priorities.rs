@@ -2,12 +2,12 @@
 //! applications co-scheduled, the controller protecting the top-priority
 //! one by throttling the lower-priority one.
 
-use stay_away::baselines::NoPrevention;
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::apps::WebWorkload;
 use stay_away::sim::scenario::{Scenario, SensitiveKind};
 use stay_away::sim::workload::{DiurnalParams, Trace};
 use stay_away::sim::{Action, AppClass};
+use stay_away::telemetry::NullPolicy;
 
 fn scenario(seed: u64) -> Scenario {
     Scenario::builder("vlc(0)+web-cpu(1)")
@@ -32,7 +32,7 @@ fn top_priority_sensitive_is_protected_from_a_lower_priority_one() {
     let ticks = 300;
 
     let mut h0 = s.build_harness().expect("harness");
-    let base = h0.run(&mut NoPrevention::new(), ticks);
+    let base = h0.run(&mut NullPolicy::new(), ticks);
     assert!(
         base.qos.violations > 50,
         "the two sensitives should contend: {} violations",

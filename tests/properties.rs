@@ -2,11 +2,12 @@
 //! seeds and run lengths.
 
 use proptest::prelude::*;
-use stay_away::baselines::NoPrevention;
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::apps::WebWorkload;
+use stay_away::sim::qos::QOS_THRESHOLD;
 use stay_away::sim::scenario::{BatchKind, Scenario};
 use stay_away::sim::ResourceKind;
+use stay_away::telemetry::NullPolicy;
 
 fn any_scenario(seed: u64, which: u8) -> Scenario {
     match which % 5 {
@@ -28,9 +29,8 @@ proptest! {
         let scenario = any_scenario(seed, which);
         let mut h = scenario.build_harness().expect("harness");
         let spec = *h.host().spec();
-        let mut policy = NoPrevention::new();
-        for _ in 0..ticks {
-            let (record, _) = h.step_with(&mut policy);
+        let out = h.run(&mut NullPolicy::new(), ticks);
+        for record in &out.timeline {
             prop_assert!(record.utilization <= 1.0 + 1e-9);
             prop_assert!(record.sensitive_cpu + record.batch_cpu <= spec.cpu_cores + 1e-6);
         }
@@ -42,11 +42,10 @@ proptest! {
     fn qos_values_are_normalized(seed in 0u64..1000, which in 0u8..5) {
         let scenario = any_scenario(seed, which);
         let mut h = scenario.build_harness().expect("harness");
-        let threshold = h.qos_spec().threshold();
-        let out = h.run(&mut NoPrevention::new(), 80);
+        let out = h.run(&mut NullPolicy::new(), 80);
         for r in &out.timeline {
             prop_assert!((0.0..=1.0).contains(&r.qos_value));
-            prop_assert_eq!(r.violated, r.sensitive_active && r.qos_value < threshold);
+            prop_assert_eq!(r.violated, r.sensitive_active && r.qos_value < QOS_THRESHOLD);
         }
     }
 

@@ -5,7 +5,7 @@
 //! engine. Also the wrapper's own contract: transparent at rate 0, seeded
 //! and counted otherwise, a typed error for a rate that is no probability.
 
-use stay_away::baselines::{AlwaysThrottle, NoPrevention};
+use stay_away::baselines::AlwaysThrottle;
 use stay_away::core::{Controller, ControllerConfig};
 use stay_away::sim::scenario::Scenario;
 use stay_away::sim::Harness;
@@ -50,7 +50,7 @@ fn reissued(ctl: &Controller) -> u64 {
 #[test]
 fn survives_sensor_dropout() {
     let scenario = Scenario::vlc_with_cpubomb(61);
-    let baseline = sim(&scenario).run(&mut NoPrevention::new(), TICKS);
+    let baseline = sim(&scenario).run(&mut NullPolicy::new(), TICKS);
 
     // 10% of ticks the stats read fails and the controller sees zeros.
     let (out, ctl, faulty) = faulty_run(sim(&scenario), 0.10, 0.0, 99);
@@ -74,7 +74,7 @@ fn survives_sensor_dropout() {
 #[test]
 fn survives_actuation_failures() {
     let scenario = Scenario::vlc_with_cpubomb(62);
-    let baseline = sim(&scenario).run(&mut NoPrevention::new(), TICKS);
+    let baseline = sim(&scenario).run(&mut NullPolicy::new(), TICKS);
 
     let (out, ctl, faulty) = faulty_run(sim(&scenario), 0.0, 0.33, 100);
 
@@ -91,7 +91,7 @@ fn survives_actuation_failures() {
 #[test]
 fn combined_faults_still_beat_no_prevention() {
     let scenario = Scenario::vlc_with_twitter(63);
-    let baseline = sim(&scenario).run(&mut NoPrevention::new(), TICKS);
+    let baseline = sim(&scenario).run(&mut NullPolicy::new(), TICKS);
 
     let (out, _, _) = faulty_run(sim(&scenario), 0.05, 0.15, 101);
     assert!(
@@ -298,7 +298,7 @@ fn zero_rates_are_transparent_on_every_substrate() {
         200,
     );
     let mut tee = RecordingSource::new(sim(&scenario), Vec::new()).unwrap();
-    drive(&mut tee, &mut NoPrevention::new(), 200).unwrap();
+    drive(&mut tee, &mut NullPolicy::new(), 200).unwrap();
     let (_, trace) = tee.finish().unwrap();
     assert_transparent(|| TraceSource::new(trace.as_slice()).unwrap(), 1_000);
 }
