@@ -97,10 +97,8 @@ pub(crate) struct JobState {
     pub carried: VecDeque<(u64, u64)>,
     /// Requests dropped because the unplaced backlog overflowed.
     pub dropped_unplaced: u64,
-    /// Current host, when placed.
-    pub placement: Option<usize>,
-    /// Tenant index on the current host, when placed.
-    pub tenant_idx: Option<usize>,
+    /// Current host and tenant index on it, when placed.
+    pub placement: Option<(usize, usize)>,
     /// Every host the job has run on, in placement order.
     pub placements: Vec<usize>,
     /// Completed migrations.
@@ -136,7 +134,6 @@ impl JobState {
             carried: VecDeque::new(),
             dropped_unplaced: 0,
             placement: None,
-            tenant_idx: None,
             placements: Vec::new(),
             migrations: 0,
             queued_epochs: 0,

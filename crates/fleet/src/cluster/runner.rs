@@ -86,8 +86,9 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] for zero epochs/ticks/workers
-    /// or an invalid scenario or host policy.
+    /// Returns [`FleetError::InvalidConfig`] for zero epochs/ticks/workers,
+    /// an invalid scenario or host policy, or a run too long for the
+    /// nanosecond clock.
     pub fn validate(&self) -> Result<(), FleetError> {
         let invalid = |reason: &str| FleetError::InvalidConfig {
             reason: reason.into(),
@@ -101,7 +102,12 @@ impl ClusterConfig {
         if self.workers == 0 {
             return Err(invalid("cluster workers must be positive"));
         }
-        self.scenario.validate()
+        self.scenario.validate()?;
+        self.epochs
+            .checked_mul(self.ticks_per_epoch)
+            .and_then(|ticks| ticks.checked_mul(self.scenario.tick_period_ns()))
+            .map(drop)
+            .ok_or_else(|| invalid("cluster run length overflows the nanosecond clock"))
     }
 }
 
@@ -340,7 +346,7 @@ impl Cluster {
                 .map(|cell| {
                     let placed = jobs
                         .iter()
-                        .filter(|j| j.placement == Some(cell.idx) && !j.departed)
+                        .filter(|j| j.placement.is_some_and(|(h, _)| h == cell.idx) && !j.departed)
                         .map(|j| j.id)
                         .collect();
                     cell.snapshot(placed, &self.registry)
@@ -352,10 +358,10 @@ impl Cluster {
                 .map(|j| JobView {
                     id: j.id,
                     name: j.spec.name.clone(),
-                    placement: j.placement,
-                    pending: match (j.placement, j.tenant_idx) {
-                        (Some(h), Some(ti)) => cells[h].open.source.tenant_pending(ti),
-                        _ => j.carried.len() as u64,
+                    placement: j.placement.map(|(h, _)| h),
+                    pending: match j.placement {
+                        Some((h, ti)) => cells[h].open.source.tenant_pending(ti),
+                        None => j.carried.len() as u64,
                     },
                     queued_epochs: j.queued_epochs,
                     last_move_epoch: j.last_move_epoch,
@@ -383,8 +389,7 @@ impl Cluster {
                         }
                         let tenant = jobs[job].spec.tenant.clone();
                         let ti = cells[host].open.source.attach_tenant(tenant)?;
-                        jobs[job].placement = Some(host);
-                        jobs[job].tenant_idx = Some(ti);
+                        jobs[job].placement = Some((host, ti));
                         jobs[job].placements.push(host);
                         jobs[job].last_move_epoch = epoch;
                         sched.applied(action, start_tick, None, || {
@@ -408,8 +413,8 @@ impl Cluster {
                         }
                     }
                     ClusterAction::Migrate { job, from, to } => {
-                        let ti = match (jobs[job].placement, jobs[job].tenant_idx) {
-                            (Some(h), Some(ti))
+                        let ti = match jobs[job].placement {
+                            Some((h, ti))
                                 if config.migration
                                     && h == from
                                     && to != from
@@ -425,8 +430,7 @@ impl Cluster {
                         jobs[job].carry(cells[from].open.source.detach_tenant(ti)?);
                         let tenant = jobs[job].spec.tenant.clone();
                         let ti = cells[to].open.source.attach_tenant(tenant)?;
-                        jobs[job].placement = Some(to);
-                        jobs[job].tenant_idx = Some(ti);
+                        jobs[job].placement = Some((to, ti));
                         jobs[job].placements.push(to);
                         jobs[job].last_move_epoch = epoch;
                         jobs[job].migrations += 1;
@@ -464,15 +468,15 @@ impl Cluster {
                     continue;
                 }
                 let due = job.arrivals_before(start_ns + epoch_ns);
-                match (job.placement, job.tenant_idx) {
-                    (Some(h), Some(ti)) => {
+                match job.placement {
+                    Some((h, ti)) => {
                         for (t, nominal) in job.carried.drain(..).chain(due) {
                             // Past arrival times (carried backlog) are
                             // clamped to the host's current tick boundary.
                             cells[h].open.source.inject_arrival(ti, t, nominal)?;
                         }
                     }
-                    _ => job.carry(due),
+                    None => job.carry(due),
                 }
             }
 
@@ -490,16 +494,15 @@ impl Cluster {
                 if !job.arrived || job.departed || !job.stream_done() || !job.carried.is_empty() {
                     continue;
                 }
-                match (job.placement, job.tenant_idx) {
-                    (Some(h), Some(ti)) => {
+                match job.placement {
+                    Some((h, ti)) => {
                         if cells[h].open.source.tenant_pending(ti) == 0 {
                             cells[h].open.source.detach_tenant(ti)?;
                             job.placement = None;
-                            job.tenant_idx = None;
                             job.departed = true;
                         }
                     }
-                    _ => job.departed = true,
+                    None => job.departed = true,
                 }
             }
         }

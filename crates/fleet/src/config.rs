@@ -9,12 +9,16 @@ use stayaway_sim::scenario::{BatchKind, Scenario};
 
 /// Configuration of one fleet run.
 ///
-/// The fleet round-robins the `scenarios` prototypes across its cells:
-/// cell `i` runs `scenarios[i % scenarios.len()]` reseeded with
+/// The fleet crosses its `sources`, `predictors`, `policies` and
+/// `scenarios` lists into one cell matrix: cell `i` reads its entry on
+/// each list off `i` as mixed-radix digits, sources fastest and scenarios
+/// slowest. With single-entry lists cell `i` runs scenario
+/// `i % scenarios.len()`; a `cells` that is a multiple of the matrix size
+/// runs every combination equally often. Cell `i` is reseeded with
 /// [`crate::derive_cell_seed`]`(fleet_seed, i)`. A prototype's physics
-/// (workload trace, batch start ticks) are shared by every cell built from
-/// it — modelling a fleet of hosts serving the same service tier — while
-/// the monitoring-noise and controller randomness diverge per cell.
+/// (workload trace, batch start ticks) are shared by every cell built
+/// from it — modelling a fleet of hosts serving the same service tier —
+/// while the monitoring-noise and controller randomness diverge per cell.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Number of co-location cells to run.
@@ -40,25 +44,15 @@ pub struct FleetConfig {
     /// (DESIGN.md §16) and the fleet outcome carries their canonical
     /// merged stream. Decision-inert and worker-count independent.
     pub collect_events: bool,
-    /// Scenario prototypes round-robined across cells; must be non-empty.
+    /// Scenario prototypes, the matrix's slowest axis; must be non-empty.
     pub scenarios: Vec<Scenario>,
-    /// Control planes round-robined across cells (cell `i` runs
-    /// `policies[i % policies.len()]`); must be non-empty. A single-entry
-    /// list gives a homogeneous fleet; several entries run a mixed-policy
-    /// population in one deterministic experiment.
+    /// Control planes; must be non-empty.
     pub policies: Vec<PolicySpec>,
-    /// Prediction planes round-robined across Stay-Away cells (cell `i`
-    /// runs `predictors[i % predictors.len()]`); must be non-empty.
-    /// Baseline policies ignore the assignment. The default single-entry
-    /// KDE list keeps every cell on the paper's design; several entries
-    /// run a mixed-predictor population — the substrate of the predictor
-    /// tournament ([`crate::tournament`]).
+    /// Prediction planes of Stay-Away cells (baselines ignore theirs);
+    /// must be non-empty.
     pub predictors: Vec<PredictorKind>,
-    /// Observation substrates round-robined across cells (cell `i` senses
-    /// through `sources[i % sources.len()]`); must be non-empty. The
-    /// default single-entry `[SourceSpec::Sim]` list keeps every cell on
-    /// the simulator; mixing in trace-replay cells lets one fleet compare
-    /// live and recorded telemetry deterministically.
+    /// Observation substrates, the matrix's fastest axis; must be
+    /// non-empty.
     pub sources: Vec<SourceSpec>,
     /// Controller tunables shared by every Stay-Away cell (the per-cell
     /// seed overrides [`ControllerConfig::seed`]); ignored by baseline

@@ -7,13 +7,12 @@
 //! [`stayaway_core::ControlPolicy`] (the staged Stay-Away controller or
 //! any baseline, selected per cell via [`PolicySpec`]) — and the fleet
 //! runtime executes N cells concurrently over a fixed worker pool. A fleet
-//! can be homogeneous or round-robin several policies across its cells,
-//! running a Stay-Away cohort against a control group in one experiment;
-//! the rollup reports per-policy aggregates alongside the fleet totals.
-//! Stay-Away cells round-robin a list of prediction planes the same way —
-//! plain [`stayaway_core::PredictorKind`]s, parsed from the CLI's comma
-//! list by [`predictor::parse_list`] — and the rollup reports
-//! per-predictor aggregates too.
+//! crosses its source, predictor, policy and scenario lists into one cell
+//! matrix ([`FleetConfig`]), so a Stay-Away cohort and its control group
+//! run the same co-locations in one experiment; the rollup reports
+//! per-policy and per-predictor aggregates alongside the fleet totals.
+//! Predictors are plain [`stayaway_core::PredictorKind`]s, parsed from the
+//! CLI's comma list by [`predictor::parse_list`].
 //!
 //! Three properties define the design:
 //!

@@ -3,7 +3,7 @@
 //! A [`PolicySpec`] is the declarative, clonable description of a control
 //! plane; [`PolicySpec::build`] instantiates it against a concrete host as
 //! a boxed [`ControlPolicy`] recording into an [`Observability`] bundle.
-//! Fleets round-robin a list of specs across their cells, so one fleet can
+//! A fleet's list of specs is one axis of its cell matrix, so one fleet can
 //! run mixed-policy populations (e.g. a Stay-Away cohort against a
 //! reactive control group) in a single deterministic run.
 

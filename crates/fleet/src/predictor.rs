@@ -1,9 +1,9 @@
 //! Predictor selection: which prediction plane a Stay-Away cell runs.
 //!
 //! Fleets, cell plans and tournaments hold
-//! [`stayaway_core::PredictorKind`] directly (DESIGN.md §15) and
-//! round-robin a list of them across cells exactly like
-//! [`crate::PolicySpec`], so one fleet can run a mixed-predictor
+//! [`stayaway_core::PredictorKind`] directly (DESIGN.md §15); a fleet's
+//! list of them is one axis of its cell matrix, like its
+//! [`crate::PolicySpec`]s, so one fleet can run a mixed-predictor
 //! population — the substrate of the predictor tournament
 //! ([`crate::tournament`]). What the fleet adds is here: the label of a
 //! cell that runs no predictor, and the CLI list parser with the fleet's

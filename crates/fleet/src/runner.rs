@@ -4,7 +4,7 @@
 //! which hands each cell to exactly one thread and returns outcomes in
 //! cell order. Determinism is preserved by construction:
 //!
-//! * cell plans (scenario, seed) are fixed before any worker starts;
+//! * cell plans (matrix cell, seed) are fixed before any worker starts;
 //! * cells share nothing mutable while running;
 //! * template sharing is **phased**: pioneer cells (the first cell of each
 //!   distinct sensitive workload) run first, a barrier publishes their
@@ -67,33 +67,48 @@ impl Fleet {
         &self.config
     }
 
-    /// Builds the per-cell plans: scenario `i % mix`, policy
-    /// `i % policies`, predictor `i % predictors` and source
-    /// `i % sources`, reseeded with the derived cell seed.
-    fn plans(&self) -> Vec<CellPlan> {
-        (0..self.config.cells)
-            .map(|idx| {
-                let scenario = self.config.scenarios[idx % self.config.scenarios.len()].clone();
-                let policy = self.config.policies[idx % self.config.policies.len()].clone();
-                let predictor = self.config.predictors[idx % self.config.predictors.len()];
-                let source = self.config.sources[idx % self.config.sources.len()].clone();
-                CellPlan::new(idx, self.config.fleet_seed, scenario, policy)
+    /// Builds the per-cell plans off the cell matrix of [`FleetConfig`],
+    /// reseeded with the derived cell seed.
+    fn plans(&self) -> Result<Vec<CellPlan>, FleetError> {
+        let config = &self.config;
+        let mut plans = Vec::new();
+        plans
+            .try_reserve_exact(config.cells)
+            .map_err(|e| FleetError::InvalidConfig {
+                reason: format!("cannot plan {} cells: {e}", config.cells),
+            })?;
+        for idx in 0..config.cells {
+            // Mixed-radix digits of the cell index, sources fastest.
+            let mut rest = idx;
+            let mut digit = |len: usize| {
+                let d = rest % len;
+                rest /= len;
+                d
+            };
+            let source = config.sources[digit(config.sources.len())].clone();
+            let predictor = config.predictors[digit(config.predictors.len())];
+            let policy = config.policies[digit(config.policies.len())].clone();
+            let scenario = config.scenarios[digit(config.scenarios.len())].clone();
+            plans.push(
+                CellPlan::new(idx, config.fleet_seed, scenario, policy)
                     .with_predictor(predictor)
                     .with_source(source)
-                    .with_metrics_collection(self.config.collect_metrics)
-                    .with_event_collection(self.config.collect_events)
-            })
-            .collect()
+                    .with_metrics_collection(config.collect_metrics)
+                    .with_event_collection(config.collect_events),
+            );
+        }
+        Ok(plans)
     }
 
     /// Runs every cell and aggregates the fleet outcome.
     ///
     /// # Errors
     ///
-    /// Propagates the failure of the lowest-indexed failing cell of the
-    /// first failing wave (a deterministic choice).
+    /// Returns [`FleetError::InvalidConfig`] when the plan list cannot be
+    /// allocated, and propagates the failure of the lowest-indexed failing
+    /// cell of the first failing wave (a deterministic choice).
     pub fn run(&self) -> Result<FleetOutcome, FleetError> {
-        let plans = self.plans();
+        let plans = self.plans()?;
         let mut outcomes: Vec<CellOutcome>;
         if self.config.share_templates {
             // Pioneers: the first *template-supporting* cell of each
@@ -167,6 +182,7 @@ mod tests {
     use super::*;
     use crate::policy::PolicySpec;
     use crate::source::SourceSpec;
+    use stayaway_core::PredictorKind;
     use stayaway_sim::scenario::Scenario;
 
     fn small_config(workers: usize, share: bool) -> FleetConfig {
@@ -179,11 +195,66 @@ mod tests {
     #[test]
     fn plans_round_robin_scenarios_and_derive_seeds() {
         let fleet = Fleet::new(small_config(2, false)).unwrap();
-        let plans = fleet.plans();
+        let plans = fleet.plans().unwrap();
         assert_eq!(plans.len(), 6);
         assert_eq!(plans[0].scenario.name(), plans[4].scenario.name());
         assert_ne!(plans[0].seed, plans[4].seed);
         assert_eq!(plans[1].idx, 1);
+    }
+
+    /// The `(scenario, policy, predictor)` labels of every cell, in cell
+    /// order.
+    fn matrix(outcome: &FleetOutcome) -> Vec<(&str, &str, &str)> {
+        outcome
+            .per_cell
+            .iter()
+            .map(|c| (c.scenario.as_str(), c.policy.as_str(), c.predictor.as_str()))
+            .collect()
+    }
+
+    #[test]
+    fn a_mixed_policy_fleet_runs_each_policy_on_every_scenario() {
+        let mut config = FleetConfig::new(8, 2, 7);
+        config.ticks = 16;
+        config.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive];
+        let outcome = Fleet::new(config.clone()).unwrap().run().unwrap();
+        let cells = matrix(&outcome);
+        for scenario in &config.scenarios {
+            for policy in ["stay-away", "reactive"] {
+                let runs = cells
+                    .iter()
+                    .filter(|(s, p, _)| *s == scenario.name() && *p == policy)
+                    .count();
+                assert_eq!(runs, 1, "{} under {policy}", scenario.name());
+            }
+        }
+    }
+
+    #[test]
+    fn a_policy_list_does_not_hide_the_predictor_list() {
+        let mut config = FleetConfig::new(16, 2, 7);
+        config.ticks = 16;
+        config.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive];
+        config.predictors = vec![PredictorKind::Kde, PredictorKind::XApp];
+        let outcome = Fleet::new(config.clone()).unwrap().run().unwrap();
+        let planes: Vec<&str> = outcome
+            .per_predictor
+            .iter()
+            .map(|r| r.predictor.as_str())
+            .collect();
+        assert_eq!(planes, ["kde", "xapp"]);
+        let cells = matrix(&outcome);
+        for scenario in &config.scenarios {
+            for predictor in ["kde", "xapp"] {
+                let runs = cells
+                    .iter()
+                    .filter(|&&(s, p, k)| {
+                        s == scenario.name() && p == "stay-away" && k == predictor
+                    })
+                    .count();
+                assert_eq!(runs, 1, "{} under stay-away/{predictor}", scenario.name());
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! A [`SourceSpec`] is the declarative, clonable description of an
 //! observation substrate; [`SourceSpec::build`] instantiates it as a boxed
-//! [`ObservationSource`]. It mirrors [`crate::PolicySpec`]: fleets
-//! round-robin a list of specs across their cells, so one fleet can mix
+//! [`ObservationSource`]. It mirrors [`crate::PolicySpec`]: a fleet's list
+//! of specs is one axis of its cell matrix, so one fleet can mix
 //! live simulation cells with trace-replay cells in a single deterministic
 //! run.
 

@@ -96,64 +96,28 @@ impl TournamentConfig {
         }
     }
 
-    /// Total cells the tournament runs.
-    pub fn cells(&self) -> usize {
-        self.predictors.len() * self.scenarios.len() * self.cells_per_combo
-    }
-
-    /// Validates the configuration.
+    /// Validates the configuration: the fleet it lowers onto must be
+    /// valid.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidConfig`] describing the first problem
     /// found.
     pub fn validate(&self) -> Result<(), FleetError> {
-        if self.predictors.is_empty() {
-            return Err(FleetError::InvalidConfig {
-                reason: "tournament needs at least one predictor".into(),
-            });
-        }
+        self.fleet_config()?.validate()
+    }
+
+    /// Lowers the tournament onto a fleet whose sources are the workload
+    /// scenarios: the fleet's cell matrix runs source `i % S` and
+    /// predictor `(i / S) % P`, so every predictor × scenario combination
+    /// receives exactly `cells_per_combo` cells, each with its own derived
+    /// seed.
+    fn fleet_config(&self) -> Result<FleetConfig, FleetError> {
         if self.scenarios.is_empty() {
             return Err(FleetError::InvalidConfig {
                 reason: "tournament needs at least one workload scenario".into(),
             });
         }
-        for scenario in &self.scenarios {
-            SourceSpec::Workload {
-                scenario: scenario.clone(),
-            }
-            .validate()?;
-        }
-        if self.cells_per_combo == 0 {
-            return Err(FleetError::InvalidConfig {
-                reason: "cells_per_combo must be positive".into(),
-            });
-        }
-        if self.ticks == 0 {
-            return Err(FleetError::InvalidConfig {
-                reason: "ticks must be positive".into(),
-            });
-        }
-        if self.workers == 0 {
-            return Err(FleetError::InvalidConfig {
-                reason: "workers must be positive".into(),
-            });
-        }
-        self.controller.validate().map_err(FleetError::Core)
-    }
-
-    /// Lowers the tournament onto a fleet configuration realising the
-    /// full predictor × scenario cross-product under the fleet's
-    /// unchanged round-robin: with `S` scenario sources, the predictor
-    /// list is expanded to length `P·S` where entry `i` is
-    /// `predictors[(i / S) % P]` — so over `P·S·R` cells every
-    /// combination receives exactly `R` cells, each with its own derived
-    /// seed.
-    fn fleet_config(&self) -> FleetConfig {
-        let s = self.scenarios.len();
-        let p = self.predictors.len();
-        let expanded: Vec<PredictorKind> =
-            (0..p * s).map(|i| self.predictors[(i / s) % p]).collect();
         let sources: Vec<SourceSpec> = self
             .scenarios
             .iter()
@@ -161,16 +125,24 @@ impl TournamentConfig {
                 scenario: scenario.clone(),
             })
             .collect();
-        let mut config = FleetConfig::new(self.cells(), self.workers, self.seed);
+        let cells = self
+            .predictors
+            .len()
+            .checked_mul(self.scenarios.len())
+            .and_then(|combos| combos.checked_mul(self.cells_per_combo))
+            .ok_or_else(|| FleetError::InvalidConfig {
+                reason: "predictors x scenarios x cells per combination overflows".into(),
+            })?;
+        let mut config = FleetConfig::new(cells, self.workers, self.seed);
         config.ticks = self.ticks;
         // The workload sources carry the physics; the scenario prototype
         // only labels cells and is never built.
         config.scenarios = vec![Scenario::vlc_with_cpubomb(self.seed)];
-        config.predictors = expanded;
+        config.predictors = self.predictors.clone();
         config.sources = sources;
         config.controller = self.controller.clone();
         config.collect_metrics = self.collect_metrics;
-        config
+        Ok(config)
     }
 }
 
@@ -189,24 +161,38 @@ impl MeanCi {
     /// Bootstraps the mean of `values` with `resamples` draws from the
     /// given seeded RNG. Degenerate inputs (fewer than two values, zero
     /// resamples) collapse the interval onto the mean.
-    pub fn bootstrap(values: &[f64], resamples: usize, rng: &mut StdRng) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::InvalidConfig`] when the resample buffer
+    /// cannot be allocated.
+    pub fn bootstrap(
+        values: &[f64],
+        resamples: usize,
+        rng: &mut StdRng,
+    ) -> Result<Self, FleetError> {
         if values.is_empty() {
-            return MeanCi {
+            return Ok(MeanCi {
                 mean: 0.0,
                 lo: 0.0,
                 hi: 0.0,
-            };
+            });
         }
         let n = values.len();
         let mean = values.iter().sum::<f64>() / n as f64;
         if n < 2 || resamples == 0 {
-            return MeanCi {
+            return Ok(MeanCi {
                 mean,
                 lo: mean,
                 hi: mean,
-            };
+            });
         }
-        let mut means = Vec::with_capacity(resamples);
+        let mut means = Vec::new();
+        means
+            .try_reserve_exact(resamples)
+            .map_err(|e| FleetError::InvalidConfig {
+                reason: format!("cannot hold {resamples} bootstrap resamples: {e}"),
+            })?;
         for _ in 0..resamples {
             let mut sum = 0.0;
             for _ in 0..n {
@@ -216,11 +202,11 @@ impl MeanCi {
         }
         means.sort_by(f64::total_cmp);
         let pick = |q: f64| means[((means.len() - 1) as f64 * q).round() as usize];
-        MeanCi {
+        Ok(MeanCi {
             mean,
             lo: pick(0.025),
             hi: pick(0.975),
-        }
+        })
     }
 }
 
@@ -324,9 +310,9 @@ impl TournamentOutcome {
 /// Returns [`FleetError::InvalidConfig`] for inconsistent configurations
 /// and propagates fleet execution failures.
 pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, FleetError> {
-    config.validate()?;
-    let fleet_outcome = Fleet::new(config.fleet_config())?.run()?;
-    let mut standings: Vec<Standing> = config
+    let fleet = Fleet::new(config.fleet_config()?)?;
+    let fleet_outcome = fleet.run()?;
+    let mut standings = config
         .predictors
         .iter()
         .enumerate()
@@ -373,17 +359,14 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
                     }
                 })
                 .collect();
-            Standing {
+            let resamples = config.bootstrap_resamples;
+            Ok(Standing {
                 rank: 0, // assigned after sorting
                 predictor: name.to_string(),
                 cells: cells.len(),
-                satisfaction: MeanCi::bootstrap(
-                    &satisfaction,
-                    config.bootstrap_resamples,
-                    &mut rng,
-                ),
-                slo_violation_rate: MeanCi::bootstrap(&slo, config.bootstrap_resamples, &mut rng),
-                batch_work: MeanCi::bootstrap(&batch, config.bootstrap_resamples, &mut rng),
+                satisfaction: MeanCi::bootstrap(&satisfaction, resamples, &mut rng)?,
+                slo_violation_rate: MeanCi::bootstrap(&slo, resamples, &mut rng)?,
+                batch_work: MeanCi::bootstrap(&batch, resamples, &mut rng)?,
                 prediction_accuracy: rollup.and_then(PredictorRollup::prediction_accuracy),
                 samples_rejected: rollup.map_or(0, |r| r.samples_rejected),
                 per_scenario,
@@ -391,9 +374,9 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
                     .calibrate_latency
                     .then(|| calibrate_decide_latency(config, predictor))
                     .flatten(),
-            }
+            })
         })
-        .collect();
+        .collect::<Result<Vec<Standing>, FleetError>>()?;
     standings.sort_by(|a, b| {
         b.satisfaction
             .mean
@@ -417,7 +400,7 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
             .collect(),
         scenarios: config.scenarios.clone(),
         cells_per_combo: config.cells_per_combo,
-        cells: config.cells(),
+        cells: fleet.config().cells,
         ticks: config.ticks,
         seed: config.seed,
         bootstrap_resamples: config.bootstrap_resamples,
@@ -476,7 +459,7 @@ mod tests {
     fn default_config_is_valid_and_covers_the_cross_product() {
         let config = TournamentConfig::new(7);
         config.validate().unwrap();
-        assert_eq!(config.cells(), 4 * 3 * 3);
+        assert_eq!(config.fleet_config().unwrap().cells, 4 * 3 * 3);
     }
 
     #[test]
@@ -526,6 +509,28 @@ mod tests {
     }
 
     #[test]
+    fn cells_run_source_fastest_then_predictor() {
+        let mut config = tiny_config();
+        config.predictors = vec![PredictorKind::Kde, PredictorKind::LastTick];
+        config.cells_per_combo = 2;
+        config.ticks = 8;
+        let outcome = Fleet::new(config.fleet_config().unwrap())
+            .unwrap()
+            .run()
+            .unwrap();
+        let (s, p) = (config.scenarios.len(), config.predictors.len());
+        assert_eq!(outcome.per_cell.len(), s * p * 2);
+        for (i, cell) in outcome.per_cell.iter().enumerate() {
+            let source = format!("workload:{}", config.scenarios[i % s]);
+            let predictor = config.predictors[(i / s) % p].name();
+            assert_eq!(
+                (cell.source.as_str(), cell.predictor.as_str()),
+                (source.as_str(), predictor)
+            );
+        }
+    }
+
+    #[test]
     fn ranks_are_dense_and_ordered_by_the_ranking_key() {
         let outcome = run_tournament(&tiny_config()).unwrap();
         for (i, s) in outcome.standings.iter().enumerate() {
@@ -547,15 +552,15 @@ mod tests {
         let values = [0.9, 0.8, 0.95, 0.7, 0.85];
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
-        let ci_a = MeanCi::bootstrap(&values, 500, &mut a);
-        let ci_b = MeanCi::bootstrap(&values, 500, &mut b);
+        let ci_a = MeanCi::bootstrap(&values, 500, &mut a).unwrap();
+        let ci_b = MeanCi::bootstrap(&values, 500, &mut b).unwrap();
         assert_eq!(ci_a, ci_b);
         assert!(ci_a.lo <= ci_a.mean && ci_a.mean <= ci_a.hi);
         // Degenerate inputs collapse onto the mean.
         let mut rng = StdRng::seed_from_u64(1);
-        let single = MeanCi::bootstrap(&[0.5], 100, &mut rng);
+        let single = MeanCi::bootstrap(&[0.5], 100, &mut rng).unwrap();
         assert_eq!((single.lo, single.hi), (single.mean, single.mean));
-        let empty = MeanCi::bootstrap(&[], 100, &mut rng);
+        let empty = MeanCi::bootstrap(&[], 100, &mut rng).unwrap();
         assert_eq!(empty.mean, 0.0);
     }
 

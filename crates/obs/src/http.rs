@@ -16,9 +16,9 @@
 //! shared registry/recorder/state and never write back, so an
 //! introspected run is bit-for-bit identical to an unobserved one.
 
-use crate::event::EventRecord;
+use crate::event::{sort_events, EventRecord};
 use crate::export::to_prometheus;
-use crate::recorder::{merge_streams, FlightRecorder};
+use crate::recorder::FlightRecorder;
 use crate::registry::MetricsRegistry;
 use crate::snapshot::MetricsSnapshot;
 use serde::{Serialize, Value};
@@ -124,10 +124,8 @@ impl StateCell {
 enum EventsSource {
     /// No recorder attached; `/events` serves an empty stream.
     None,
-    /// Live recorders — the tail reflects events as they are recorded.
-    /// Multiple recorders (fleet cells) are merged into canonical order
-    /// per request.
-    Recorders(Vec<FlightRecorder>),
+    /// A live recorder — the tail reflects events as they are recorded.
+    Recorder(FlightRecorder),
     /// A frozen, already-merged stream (post-run publication).
     Frozen(Arc<Vec<EventRecord>>),
 }
@@ -169,7 +167,7 @@ impl Introspection {
 
     /// Attaches one live flight recorder behind `/events`.
     pub fn with_recorder(self, recorder: FlightRecorder) -> Self {
-        self.set_recorders(vec![recorder]);
+        *crate::lock(&self.events) = EventsSource::Recorder(recorder);
         self
     }
 
@@ -177,11 +175,6 @@ impl Introspection {
     /// into it through this handle.
     pub fn state(&self) -> StateCell {
         self.state.clone()
-    }
-
-    /// Points `/events` at a set of live recorders (merged per request).
-    pub fn set_recorders(&self, recorders: Vec<FlightRecorder>) {
-        *crate::lock(&self.events) = EventsSource::Recorders(recorders);
     }
 
     /// Freezes `/metrics` onto an already-aggregated rollup snapshot
@@ -202,8 +195,10 @@ impl Introspection {
         let source = crate::lock(&self.events).clone();
         match source {
             EventsSource::None => Vec::new(),
-            EventsSource::Recorders(recorders) => {
-                merge_streams(recorders.iter().map(FlightRecorder::events))
+            EventsSource::Recorder(recorder) => {
+                let mut events = recorder.events();
+                sort_events(&mut events);
+                events
             }
             EventsSource::Frozen(events) => events.as_ref().clone(),
         }

@@ -82,6 +82,23 @@ if awk '/fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENG
     echo "check.sh: a flight-recorder write outside the one decision helper (above)" >&2
     exit 1
 fi
+# One cell matrix: a fleet cell's source, predictor, policy and scenario
+# are the mixed-radix digits of its index, read in one place
+# (`Fleet::plans` in `crates/fleet/src/runner.rs`). An index into one of
+# those lists that takes a `%` anywhere else in non-test code (comments
+# aside) is a second cell-assignment rule.
+mapfile -t plan_files < <(find crates/*/src src -name '*.rs' \
+    -not -path crates/fleet/src/runner.rs | sort)
+if awk 'FNR == 1 { test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+        { code = $0; sub(/\/\/.*/, "", code) }
+        !test && code ~ /(scenarios|policies|predictors|sources)\[[^]]*%/ {
+            print FILENAME ":" FNR ":" $0; bad = 1
+        }
+        END { exit !bad }' "${plan_files[@]}"; then
+    echo "check.sh: a cell axis indexed with % outside Fleet::plans (above)" >&2
+    exit 1
+fi
 # Every public function has a caller. A `pub fn` defined in `crates/*/src`
 # (not `crates/compat`), `src/` or `crates/bench/benches` is dead when no
 # non-test code calls it: no `name(`, `name::<` or `::name` outside a

@@ -82,15 +82,15 @@ options:
   --predictor <name>         prediction plane for the stay-away controller:
                              kde | xapp | denoise | last-tick (default kde;
                              fleet/tournament: comma-separated list — the
-                             fleet round-robins it across cells, the
+                             fleet crosses it with its other lists, the
                              tournament enters every listed plane)
   --resamples <n>            tournament: bootstrap resamples behind each
                              confidence interval (default 1000)
   --source <spec>            run/metrics/compare/fleet: the observation
                              substrate, sim | trace:<path> | procfs |
                              workload:<scenario> (default sim; fleet:
-                             comma-separated list round-robined across
-                             cells)
+                             comma-separated list crossed with its other
+                             lists)
   --trace <path>             recorded trace file for replay
   --ticks <n>                simulation length (default 384)
   --seed <n>                 deterministic seed (default 7)

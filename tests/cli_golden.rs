@@ -412,6 +412,10 @@ fn error_paths_exit_two_with_a_one_line_reason() {
             "cluster --cluster-policy bogus",
             "metrics-diff a.json b.json --threshold-for nope",
             "events --cause nonsense",
+            "fleet --cells 18446744073709551615 --ticks 1",
+            "tournament --cells 9223372036854775807 --ticks 1 --json",
+            "tournament --resamples 4611686018427387904 --cells 2 --ticks 8 --scenario cpu-bomb --predictor kde --json",
+            "cluster --epoch-ticks 1099511627776 --epochs 1",
         ],
     );
 }
