@@ -7,8 +7,8 @@
 //! them: the series and rows the paper plots, plus JSON (and, for the
 //! state-map snapshots, SVG) artifacts under `target/experiments/`.
 //! `tests/figure_shapes.rs` asserts each result's shape through the same
-//! functions, and `EXPERIMENTS.md` records paper-vs-measured. The other
-//! bench targets of this package time the mapping and workload kernels.
+//! functions, and `EXPERIMENTS.md` records paper-vs-measured. Timing is
+//! not here but in the perf ledger under `benchmarks/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,9 +8,6 @@
 //! distance goes through [`Embedding::distance`] and every dissimilarity
 //! through [`DistanceMatrix::get`]. Nothing here is shared with the
 //! production kernel except the public accessors.
-//!
-//! `crates/bench/benches/incremental_mapping.rs` includes this file by path to
-//! time the kernel against it.
 
 use stayaway_mds::distance::DistanceMatrix;
 use stayaway_mds::Embedding;

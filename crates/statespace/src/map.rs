@@ -283,14 +283,6 @@ impl StateMap {
         Ok(ViolationRange::new(e.point, ranges[at].1))
     }
 
-    /// All violation-ranges.
-    pub fn violation_ranges(&self) -> Vec<ViolationRange> {
-        self.ranges()
-            .iter()
-            .map(|&(i, r)| ViolationRange::new(self.entries[i].point, r))
-            .collect()
-    }
-
     /// True when `point` falls inside any violation-range.
     pub fn in_violation_range(&self, point: Point2) -> bool {
         self.violation_range_containing(point).is_some()
@@ -439,7 +431,7 @@ mod tests {
         let mut m = mk_map();
         m.mark_violation(1).unwrap();
         m.mark_violation(2).unwrap();
-        assert_eq!(m.violation_ranges().len(), 2);
+        assert_eq!(m.ranges().len(), 2);
     }
 
     #[test]
@@ -468,7 +460,7 @@ mod tests {
         assert!(!json.contains("ranges"));
 
         let back: StateMap = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.violation_ranges(), m.violation_ranges());
+        assert_eq!(back.ranges(), m.ranges());
         for rep in 0..m.len() {
             assert_eq!(back.violation_range(rep).ok(), m.violation_range(rep).ok());
         }

@@ -30,12 +30,12 @@ use std::time::Instant;
 /// after 3 000 periods, while 0.10 let the soplex map drift to 0.07 against
 /// 0.02 (DESIGN.md §6 has the measurements and the gates that did not
 /// work).
-pub const COLUMN_STRESS_BUDGET: f64 = 0.05;
+const COLUMN_STRESS_BUDGET: f64 = 0.05;
 
 /// Below this many points every insert re-solves the map: a column of one
 /// or two dissimilarities can always be met exactly, so it says nothing
 /// about the map.
-pub const MIN_GATED_POINTS: usize = 4;
+const MIN_GATED_POINTS: usize = 4;
 
 /// Smallest share of its start's raw stress a global solve must remove to
 /// count as useful (`stayaway_mds::smacof::SolveTrace::relative_gain`).
@@ -43,12 +43,12 @@ pub const MIN_GATED_POINTS: usize = 4;
 /// no planar layout of these states gets below, and the misfit that asked
 /// for it says only that the states are not planar. Not a setting, for the
 /// reason [`COLUMN_STRESS_BUDGET`] is not (DESIGN.md §6).
-pub const MIN_SOLVE_GAIN: f64 = 0.01;
+const MIN_SOLVE_GAIN: f64 = 0.01;
 
 /// Most misfits placed without a solve after one futile solve: the first
 /// futile solve excuses the next misfit, each consecutive one doubles the
 /// run (1, 2, 4 … this cap), and the first useful solve ends it.
-pub const MAX_SKIPPED_SOLVES: usize = 64;
+const MAX_SKIPPED_SOLVES: usize = 64;
 
 /// Where one observation landed in the state map.
 #[derive(Debug, Clone, Copy)]

@@ -17,8 +17,8 @@
 //! The paper smooths the histograms with a Gaussian kernel density
 //! estimate before sampling; this crate does not. [`Kde`] exists and is
 //! tested, but it is reached only through the
-//! [`EmpiricalDistribution::kde`] inspection accessor and the `kernels`
-//! bench — never on the forecast path (ROADMAP `[judge]` records the gap).
+//! [`EmpiricalDistribution::kde`] inspection accessor — never on the
+//! forecast path (ROADMAP `[judge]` records the gap).
 //!
 //! Modules:
 //!

@@ -5,8 +5,8 @@
 # transcripts of `tests/cli_golden.rs`), the perf-ledger package's own
 # gate (`benchmarks/run.sh --check`), a live `--http` introspection scrape
 # (the one CLI check that needs a running server), the cluster scale curve
-# in release and a compile check of the bench targets (`paper` and the five
-# timing targets). Run from anywhere inside the repository.
+# in release and a compile check of the `paper` bench target, the package's
+# only one. Run from anywhere inside the repository.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,6 +119,7 @@ dropped_actions  # kept: FaultySource counters, read by tests until ROADMAP [fau
 dropped_observations  # kept: FaultySource counters, read by tests until ROADMAP [faults] calls them
 prefix_rmsd  # oracle: crates/mds/tests/properties.rs measures Procrustes alignment with it
 records  # kept: SpanSink ring reader, goes with the ring in ROADMAP [budget](a)
+tolerance  # oracle: crates/mds/tests run solver and reference at tolerances 0, 1e-8, 1e-14, -inf
 '
 mapfile -t files < <(find crates/*/src src crates/bench/benches benchmarks/src examples \
     -name '*.rs' -not -path 'crates/compat/*' | sort -u)

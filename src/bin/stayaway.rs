@@ -136,8 +136,9 @@ options:
   --tick-to <n>              events: drop events after this tick
   --cause <scope:seq>        events: render the causal chain ending at
                              this event id
-  --threshold <f>            metrics-diff: relative tolerance applied to
-                             every metric (default 0, exact match)
+  --threshold <f>            metrics-diff: relative tolerance (finite,
+                             >= 0) applied to every metric (default 0,
+                             exact match)
   --threshold-for <m=f>      metrics-diff: per-metric override, repeatable
   --json                     print a JSON summary instead of text
 ";
@@ -190,7 +191,9 @@ const COMMANDS: [&str; 16] = [
 const OPERANDS: &[(&str, usize, usize)] = &[("metrics-diff", 2, 2), ("promlint", 0, 1)];
 
 /// The shape of a flag's value: none, any string, an unsigned integer, a
-/// number, or a repeatable `<metric>=<number>`.
+/// tolerance, or a repeatable `<metric>=<tolerance>`. A tolerance is a
+/// finite number `>= 0`: `rel > NaN` never holds, so a NaN tolerance would
+/// pass every series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
     Switch,
@@ -256,18 +259,22 @@ impl Shape {
     /// The one value check: `token` as the value of flag `name`, its
     /// number parsed once, or why it is no value of this shape.
     fn parse(self, name: &'static str, token: String) -> Result<Given, String> {
-        let number = |text: &str| text.parse::<f64>().ok();
+        let tolerance_of = |text: &str| {
+            text.parse::<f64>()
+                .ok()
+                .filter(|t| t.is_finite() && *t >= 0.0)
+        };
         let (int, float) = match self {
             Switch | Text => (None, None),
             Int => match token.parse::<u64>() {
                 Ok(int) => (Some(int), None),
                 Err(_) => return Err(format!("{name} expects an integer")),
             },
-            Float => match number(&token) {
+            Float => match tolerance_of(&token) {
                 Some(float) => (None, Some(float)),
-                None => return Err(format!("{name} expects a number")),
+                None => return Err(format!("{name} expects a finite number >= 0")),
             },
-            Pair => match token.split_once('=').and_then(|(_, t)| number(t)) {
+            Pair => match token.split_once('=').and_then(|(_, t)| tolerance_of(t)) {
                 Some(tolerance) => (None, Some(tolerance)),
                 None => return Err(format!("{name} `{token}` is not <metric>=<tolerance>")),
             },
@@ -1575,6 +1582,13 @@ mod tests {
         assert!(parse_args(&argv("fleet --workers")).is_err());
         assert!(parse_args(&argv("replay --trace")).is_err());
         assert!(parse_args(&argv("metrics-diff a b --threshold lots")).is_err());
+        for tolerance in ["nan", "NaN", "inf", "-inf", "-1", "-1e-9"] {
+            for flag in ["--threshold ", "--threshold-for x_total="] {
+                let line = format!("metrics-diff a b {flag}{tolerance}");
+                assert!(parse_args(&argv(&line)).is_err(), "{line}");
+            }
+        }
+        assert!(parse_args(&argv("metrics-diff a b --threshold 0 --threshold-for m=0")).is_ok());
         assert!(parse_args(&argv("warp-core")).is_err());
         assert!(parse_args(&[]).is_err());
     }

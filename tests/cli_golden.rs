@@ -411,6 +411,8 @@ fn error_paths_exit_two_with_a_one_line_reason() {
             "cluster --cluster-scenario warp-core",
             "cluster --cluster-policy bogus",
             "metrics-diff a.json b.json --threshold-for nope",
+            "metrics-diff a.json b.json --threshold nan",
+            "metrics-diff a.json b.json --threshold-for x_total=-1",
             "events --cause nonsense",
             "fleet --cells 18446744073709551615 --ticks 1",
             "tournament --cells 9223372036854775807 --ticks 1 --json",
