@@ -17,9 +17,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod always;
-pub mod reactive;
-pub mod static_threshold;
+mod always;
+mod reactive;
+mod static_threshold;
 
 pub use always::AlwaysThrottle;
 pub use reactive::ReactivePolicy;

@@ -39,7 +39,7 @@ impl StaticThresholdPolicy {
     }
 
     /// The CPU-usage threshold in cores.
-    pub fn threshold_cores(&self) -> f64 {
+    pub(crate) fn threshold_cores(&self) -> f64 {
         self.threshold_fraction * self.cpu_capacity
     }
 }

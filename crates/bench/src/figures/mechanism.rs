@@ -212,7 +212,7 @@ pub fn fig05_execution_modes() -> ExecutionModes {
 
 impl ExecutionModes {
     /// The mapped points of one mode, in tick order.
-    pub fn points(&self, mode: ExecutionMode) -> Vec<Point2> {
+    pub(crate) fn points(&self, mode: ExecutionMode) -> Vec<Point2> {
         let of_mode = self.trail.iter().filter(|(_, m, _)| *m == mode);
         of_mode.map(|(_, _, p)| *p).collect()
     }

@@ -86,7 +86,7 @@ pub struct PairedRuns {
 impl PairedRuns {
     /// Mean gained utilisation `(without, with)` Stay-Away, as a fraction
     /// of the machine.
-    pub fn gains(&self) -> (f64, f64) {
+    pub(crate) fn gains(&self) -> (f64, f64) {
         (
             self.baseline.mean_gained_utilization(self.cpu_cores),
             self.stayaway

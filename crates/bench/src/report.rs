@@ -5,7 +5,7 @@
 /// Values are min-max scaled into `height` rows; `width` columns are
 /// produced by averaging buckets of the input. Returns the chart plus an
 /// axis line with the value range.
-pub fn ascii_chart(values: &[f64], width: usize, height: usize) -> String {
+pub(crate) fn ascii_chart(values: &[f64], width: usize, height: usize) -> String {
     if values.is_empty() || width == 0 || height == 0 {
         return String::from("(no data)\n");
     }
@@ -54,7 +54,7 @@ pub fn ascii_chart(values: &[f64], width: usize, height: usize) -> String {
 }
 
 /// Renders a series as a one-line unicode sparkline.
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     if values.is_empty() {
         return String::new();
@@ -81,7 +81,7 @@ pub fn sparkline(values: &[f64]) -> String {
 }
 
 /// A fraction as a percentage with one decimal, the tables' cell format.
-pub fn percent(fraction: f64) -> String {
+pub(crate) fn percent(fraction: f64) -> String {
     format!("{:.1}%", 100.0 * fraction)
 }
 
@@ -102,7 +102,7 @@ impl Table {
     }
 
     /// Appends a row (extra cells are dropped, missing cells padded).
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         let mut r: Vec<String> = cells.iter().take(self.header.len()).cloned().collect();
         while r.len() < self.header.len() {
             r.push(String::new());

@@ -55,14 +55,14 @@ pub fn run<P: Policy>(scenario: &Scenario, mut policy: P, ticks: u64) -> PolicyR
 ///
 /// Panics on an invalid controller configuration (a programming error in
 /// the experiment definition).
-pub fn stayaway(scenario: &Scenario, config: ControllerConfig) -> Controller {
+pub(crate) fn stayaway(scenario: &Scenario, config: ControllerConfig) -> Controller {
     Controller::for_host(config, scenario.host_spec()).expect("valid controller config")
 }
 
 /// The workspace-level `target/experiments/` directory, resolved from this
 /// crate's manifest location so artifacts land in one place regardless of
 /// the working directory cargo launches the bench with.
-pub fn experiments_dir() -> std::path::PathBuf {
+pub(crate) fn experiments_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("target")
@@ -112,7 +112,7 @@ impl ExperimentSink {
 
 /// Summarises a [`RunOutcome`] into a JSON object (shared shape across
 /// experiments).
-pub fn outcome_json(outcome: &RunOutcome, cpu_capacity: f64) -> Value {
+pub(crate) fn outcome_json(outcome: &RunOutcome, cpu_capacity: f64) -> Value {
     serde_json::json!({
         "policy": outcome.policy,
         "active_ticks": outcome.qos.active_ticks,

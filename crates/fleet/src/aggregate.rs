@@ -102,11 +102,11 @@ fn group<'g, 'a>(groups: &'g mut Vec<(&'a str, Tally)>, key: &'a str) -> &'g mut
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellSummary {
     /// Fleet-wide cell index.
-    pub cell: usize,
+    pub(crate) cell: usize,
     /// Scenario the cell ran.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Sensitive-workload registry key.
-    pub sensitive: String,
+    pub(crate) sensitive: String,
     /// Canonical name of the policy the cell ran.
     pub policy: String,
     /// Predictor token the cell's controller ran, or `"-"` for baseline
@@ -122,11 +122,11 @@ pub struct CellSummary {
     /// QoS violation ticks.
     pub violations: u64,
     /// Fraction of active ticks meeting the QoS requirement.
-    pub satisfaction: f64,
+    pub(crate) satisfaction: f64,
     /// Mean machine utilisation over the run.
-    pub mean_utilization: f64,
+    pub(crate) mean_utilization: f64,
     /// Mean utilisation gained from batch co-location.
-    pub gained_utilization: f64,
+    pub(crate) gained_utilization: f64,
     /// Nominal batch work completed.
     pub batch_work: f64,
     /// Throttle actions issued by the controller.
@@ -137,17 +137,17 @@ pub struct CellSummary {
     pub states: usize,
     /// Events evicted from the cell's flight-recorder ring (0 when the cell
     /// collects no events).
-    pub events_dropped: u64,
+    pub(crate) events_dropped: u64,
     /// True when the cell warm-started from a registry template.
-    pub imported_template: bool,
+    pub(crate) imported_template: bool,
     /// True when the cell's first throttle was proactive.
-    pub first_throttle_proactive: bool,
+    pub(crate) first_throttle_proactive: bool,
 }
 
 impl CellSummary {
     /// Tick-level SLO-violation rate: violation ticks over active ticks
     /// (0 when the sensitive application never ran).
-    pub fn slo_violation_rate(&self) -> f64 {
+    pub(crate) fn slo_violation_rate(&self) -> f64 {
         if self.active_ticks == 0 {
             0.0
         } else {
@@ -183,32 +183,32 @@ impl CellSummary {
 /// Per-policy rollup of the cells that ran one control plane, for
 /// mixed-policy fleets (cohort vs control-group comparisons in one run).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PolicyRollup {
+pub(crate) struct PolicyRollup {
     /// Canonical policy name.
-    pub policy: String,
+    pub(crate) policy: String,
     /// Cells that ran this policy.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Pooled QoS accounting over those cells.
-    pub qos: QosSummary,
+    pub(crate) qos: QosSummary,
     /// Mean of those cells' gained (batch) utilisations.
-    pub mean_gained_utilization: f64,
+    pub(crate) mean_gained_utilization: f64,
     /// Total nominal batch work completed by those cells.
-    pub total_batch_work: f64,
+    pub(crate) total_batch_work: f64,
     /// Total throttle actions.
-    pub throttles: u64,
+    pub(crate) throttles: u64,
     /// Total resume actions.
-    pub resumes: u64,
+    pub(crate) resumes: u64,
     /// Total events evicted from this cohort's flight-recorder rings —
     /// surfaces which control plane is churning hardest under memory
     /// pressure.
-    pub events_dropped: u64,
+    pub(crate) events_dropped: u64,
     /// Total checked predictions (zero for non-predictive policies).
-    pub prediction_checks: u64,
+    pub(crate) prediction_checks: u64,
     /// Total checked predictions that matched reality.
-    pub prediction_hits: u64,
+    pub(crate) prediction_hits: u64,
     /// Total observation samples sanitised before they could poison a
     /// model (sense-stage rejections plus predictor-reported ones).
-    pub samples_rejected: u64,
+    pub(crate) samples_rejected: u64,
 }
 
 impl PolicyRollup {
@@ -229,7 +229,7 @@ impl PolicyRollup {
     }
 
     /// QoS satisfaction over this policy's pooled active ticks.
-    pub fn satisfaction(&self) -> f64 {
+    pub(crate) fn satisfaction(&self) -> f64 {
         self.qos.satisfaction()
     }
 }
@@ -244,24 +244,24 @@ pub struct PredictorRollup {
     /// Cells that ran this predictor.
     pub cells: usize,
     /// Pooled QoS accounting over those cells.
-    pub qos: QosSummary,
+    pub(crate) qos: QosSummary,
     /// Mean of those cells' gained (batch) utilisations.
-    pub mean_gained_utilization: f64,
+    pub(crate) mean_gained_utilization: f64,
     /// Total nominal batch work completed by those cells.
-    pub total_batch_work: f64,
+    pub(crate) total_batch_work: f64,
     /// Total throttle actions.
-    pub throttles: u64,
+    pub(crate) throttles: u64,
     /// Total resume actions.
-    pub resumes: u64,
+    pub(crate) resumes: u64,
     /// Total predicted violations.
-    pub violations_predicted: u64,
+    pub(crate) violations_predicted: u64,
     /// Total checked predictions.
-    pub prediction_checks: u64,
+    pub(crate) prediction_checks: u64,
     /// Total checked predictions that matched reality.
-    pub prediction_hits: u64,
+    pub(crate) prediction_hits: u64,
     /// Total observation samples sanitised before they could poison a
     /// model (sense-stage rejections plus predictor-reported ones).
-    pub samples_rejected: u64,
+    pub(crate) samples_rejected: u64,
 }
 
 impl PredictorRollup {
@@ -282,13 +282,13 @@ impl PredictorRollup {
     }
 
     /// QoS satisfaction over this predictor's pooled active ticks.
-    pub fn satisfaction(&self) -> f64 {
+    pub(crate) fn satisfaction(&self) -> f64 {
         self.qos.satisfaction()
     }
 
     /// Tick-level SLO-violation rate over this predictor's pooled active
     /// ticks (0 when the cohort never ran).
-    pub fn slo_violation_rate(&self) -> f64 {
+    pub(crate) fn slo_violation_rate(&self) -> f64 {
         if self.qos.active_ticks == 0 {
             0.0
         } else {
@@ -298,7 +298,7 @@ impl PredictorRollup {
 
     /// Prediction accuracy over this predictor's pooled checks; `None`
     /// when no verdict was ever checked.
-    pub fn prediction_accuracy(&self) -> Option<f64> {
+    pub(crate) fn prediction_accuracy(&self) -> Option<f64> {
         hit_ratio(self.prediction_hits, self.prediction_checks)
     }
 }
@@ -307,13 +307,13 @@ impl PredictorRollup {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetOutcome {
     /// Number of cells run.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Ticks each cell ran for.
     pub ticks_per_cell: u64,
     /// The fleet seed everything derived from.
-    pub fleet_seed: u64,
+    pub(crate) fleet_seed: u64,
     /// Whether template sharing was enabled.
-    pub share_templates: bool,
+    pub(crate) share_templates: bool,
     /// Fleet-wide QoS accounting (all cells' active ticks pooled).
     pub qos: QosSummary,
     /// Mean of the cells' mean machine utilisations.
@@ -344,7 +344,7 @@ pub struct FleetOutcome {
     pub proactive_first_throttles: usize,
     /// Per-policy rollups, in order of first appearance across cells
     /// (deterministic: cell plans are a pure function of the config).
-    pub per_policy: Vec<PolicyRollup>,
+    pub(crate) per_policy: Vec<PolicyRollup>,
     /// Per-predictor rollups over the predictive (Stay-Away) cells, in
     /// order of first appearance; empty when no cell ran a predictor.
     pub per_predictor: Vec<PredictorRollup>,
@@ -361,7 +361,7 @@ pub struct FleetOutcome {
     /// [`stayaway_obs::hist::MergeOutcome`]); zero for
     /// identically-registered cells. Always zero when metrics
     /// collection is off.
-    pub metric_unit_mismatches: u64,
+    pub(crate) metric_unit_mismatches: u64,
     /// The canonical fleet-wide event stream: per-cell flight-recorder
     /// streams merged into `(tick, layer, seq, scope)` order —
     /// byte-identical for any worker count; `None` unless
@@ -446,7 +446,7 @@ impl FleetOutcome {
 
     /// Fleet-wide prediction accuracy (pooled checks); `None` when no
     /// prediction was ever checked.
-    pub fn prediction_accuracy(&self) -> Option<f64> {
+    pub(crate) fn prediction_accuracy(&self) -> Option<f64> {
         hit_ratio(self.prediction_hits, self.prediction_checks)
     }
 

@@ -25,25 +25,25 @@ use std::io::Write;
 #[derive(Debug, Clone)]
 pub struct CellPlan {
     /// Fleet-wide cell index.
-    pub idx: usize,
+    pub(crate) idx: usize,
     /// Seed derived from `(fleet_seed, idx)`.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Scenario prototype this cell runs.
-    pub scenario: Scenario,
+    pub(crate) scenario: Scenario,
     /// The control plane this cell runs.
-    pub policy: PolicySpec,
+    pub(crate) policy: PolicySpec,
     /// The prediction plane this cell's controller runs (ignored by
     /// baseline policies, which carry no predictor).
-    pub predictor: PredictorKind,
+    pub(crate) predictor: PredictorKind,
     /// The observation substrate this cell senses through.
-    pub source: SourceSpec,
+    pub(crate) source: SourceSpec,
     /// When true, the cell records into its own [`MetricsRegistry`] and
     /// reports the snapshot in [`CellOutcome::metrics`]. Decision-inert.
-    pub collect_metrics: bool,
+    pub(crate) collect_metrics: bool,
     /// When true, the cell records typed flight-recorder events (scope =
     /// cell index) and reports them in [`CellOutcome::events`].
     /// Decision-inert.
-    pub collect_events: bool,
+    pub(crate) collect_events: bool,
 }
 
 impl CellPlan {
@@ -69,14 +69,14 @@ impl CellPlan {
     }
 
     /// Replaces the prediction plane (builder style).
-    pub fn with_predictor(mut self, predictor: PredictorKind) -> Self {
+    pub(crate) fn with_predictor(mut self, predictor: PredictorKind) -> Self {
         self.predictor = predictor;
         self
     }
 
     /// The predictor name this cell reports: the canonical token for
     /// predictive policies, [`predictor::NONE`] for baselines.
-    pub fn predictor_label(&self) -> &'static str {
+    pub(crate) fn predictor_label(&self) -> &'static str {
         if self.policy.uses_predictor() {
             self.predictor.name()
         } else {
@@ -104,7 +104,7 @@ impl CellPlan {
     /// scenario's sensitive tenant on the workload engine (the key
     /// [`crate::Cluster`] hosts use, so the two planes serve each other),
     /// the source label for a trace or the live host.
-    pub fn sensitive_key(&self) -> String {
+    pub(crate) fn sensitive_key(&self) -> String {
         match &self.source {
             SourceSpec::Sim => {
                 let name = self.scenario.name();
@@ -123,19 +123,19 @@ impl CellPlan {
 #[derive(Debug, Clone)]
 pub struct CellOutcome {
     /// Fleet-wide cell index.
-    pub idx: usize,
+    pub(crate) idx: usize,
     /// Scenario the cell ran ([`SourceSpec::scenario_label`]).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Sensitive-workload registry key.
-    pub sensitive: String,
+    pub(crate) sensitive: String,
     /// Canonical name of the policy the cell ran.
-    pub policy: String,
+    pub(crate) policy: String,
     /// Predictor token the cell's controller ran (`kde`, `xapp`,
     /// `denoise`, `last-tick`), or `"-"` for baseline policies.
-    pub predictor: String,
+    pub(crate) predictor: String,
     /// Full source token the cell sensed through (`sim`, `trace:<path>`,
     /// `procfs` or `workload:<scenario>`).
-    pub source: String,
+    pub(crate) source: String,
     /// The cell's derived seed.
     pub seed: u64,
     /// Closed-loop run result.
@@ -146,23 +146,20 @@ pub struct CellOutcome {
     /// CPU capacity of the cell's host, for utilisation rollups.
     pub cpu_capacity: f64,
     /// True when the cell warm-started from a registry template.
-    pub imported_template: bool,
+    pub(crate) imported_template: bool,
     /// The template the cell learned (exported at end of run); `None` when
     /// the cell's policy has no template support.
-    pub template: Option<Template>,
-    /// Tick of the policy's first throttle, or `u64::MAX` if it never
-    /// throttled (or does not track it).
-    pub first_throttle_tick: u64,
+    pub(crate) template: Option<Template>,
     /// True when the first throttle was proactive (prediction- or
     /// template-driven, not a reaction to an observed violation).
-    pub first_throttle_proactive: bool,
+    pub(crate) first_throttle_proactive: bool,
     /// Snapshot of the cell's metrics registry (controller, mapping and
     /// substrate instruments plus the cell runtime span); `None` unless
-    /// [`CellPlan::collect_metrics`] was set.
+    /// `CellPlan::collect_metrics` was set.
     pub metrics: Option<MetricsSnapshot>,
     /// The cell's flight-recorder event stream (scope = cell index,
     /// already in canonical order); `None` unless
-    /// [`CellPlan::collect_events`] was set.
+    /// `CellPlan::collect_events` was set.
     pub events: Option<Vec<EventRecord>>,
 }
 
@@ -298,13 +295,13 @@ pub struct HostOutcome {
     /// (trace header, workload scenario), else the scenario prototype's.
     pub host: HostSpec,
     /// True when the policy warm-started from [`HostRun::import`].
-    pub imported_template: bool,
+    pub(crate) imported_template: bool,
     /// The learned template; `None` unless [`HostRun::export_as`] was set
     /// and the policy supports templates.
     pub template: Option<Template>,
     /// Tick and proactivity of the policy's first throttle, when it
     /// throttled and tracks it.
-    pub first_throttle: Option<(u64, bool)>,
+    pub(crate) first_throttle: Option<(u64, bool)>,
     /// Per-request QoS, when the substrate simulates requests.
     pub requests: Option<RequestQos>,
 }
@@ -391,8 +388,6 @@ pub fn run_cell(
         trace_out: None,
         loop_nanos: cell_runtime.as_ref(),
     })?;
-    let (first_throttle_tick, first_throttle_proactive) =
-        out.first_throttle.unwrap_or((u64::MAX, false));
     Ok(CellOutcome {
         idx: plan.idx,
         scenario: plan.source.scenario_label(plan.scenario.name()),
@@ -405,8 +400,7 @@ pub fn run_cell(
         cpu_capacity: out.host.cpu_cores,
         imported_template: out.imported_template,
         template: out.template,
-        first_throttle_tick,
-        first_throttle_proactive,
+        first_throttle_proactive: out.first_throttle.is_some_and(|(_, proactive)| proactive),
         metrics: obs.exported_registry().map(MetricsRegistry::snapshot),
         events: obs.recorder().map(FlightRecorder::events),
         run: out.run,
@@ -577,7 +571,7 @@ mod tests {
         assert!(!out.template.as_ref().unwrap().is_empty());
         assert!(!out.imported_template);
         // CPUBomb forces throttles; the cold first throttle is reactive.
-        assert!(out.first_throttle_tick < u64::MAX);
+        assert!(out.stats.throttles > 0);
         assert!(!out.first_throttle_proactive);
     }
 
@@ -597,11 +591,21 @@ mod tests {
         // more decisions (> 4096) than a bounded ring of them would retain.
         // The reported first throttle must be the run's first actuation,
         // not the oldest throttle some ring still holds at the end.
-        let plan =
-            stayaway_plan(0, 7, Scenario::vlc_with_cpubomb(7)).with_source(SourceSpec::Workload {
-                scenario: "multi-tenant-storm".into(),
-            });
-        let out = run_cell(&plan, &ControllerConfig::default(), None, 4_500).unwrap();
+        let seed = derive_cell_seed(7, 0);
+        let scenario = Scenario::vlc_with_cpubomb(7);
+        let config = ControllerConfig {
+            seed,
+            ..ControllerConfig::default()
+        };
+        let source = SourceSpec::Workload {
+            scenario: "multi-tenant-storm".into(),
+        };
+        let bare = Observability::disabled();
+        let out = run_host(HostRun {
+            ticks: 4_500,
+            ..host_run(seed, &source, &scenario, &config, &bare)
+        })
+        .unwrap();
         let s = &out.stats;
         let decisions = s.throttles + s.resumes + s.violations_observed + s.violations_predicted;
         assert!(decisions > 4096, "only {decisions} decisions");
@@ -612,7 +616,10 @@ mod tests {
             .iter()
             .find(|r| r.actions > 0)
             .expect("the cell throttled");
-        assert_eq!(out.first_throttle_tick, first_pause.tick);
+        assert_eq!(
+            out.first_throttle.map(|(tick, _)| tick),
+            Some(first_pause.tick)
+        );
     }
 
     #[test]
@@ -668,8 +675,6 @@ mod tests {
         assert_eq!(out.policy, "reactive");
         assert!(out.template.is_none());
         assert_eq!(out.stats, ControllerStats::default());
-        // Baselines do not track their first throttle.
-        assert_eq!(out.first_throttle_tick, u64::MAX);
         // A template offered to a non-supporting policy is ignored.
         let teacher = stayaway_plan(1, 13, Scenario::vlc_with_cpubomb(13));
         let learned = run_cell(&teacher, &ControllerConfig::default(), None, 150).unwrap();

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// One cluster-scheduler decision, applied at an epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ClusterAction {
+pub(crate) enum ClusterAction {
     /// Place queued job `job` on host `host` (cold attach; its carried
     /// backlog is re-routed there).
     Admit {
@@ -46,7 +46,7 @@ pub enum ClusterAction {
 
 impl ClusterAction {
     /// The job this action concerns.
-    pub fn job(&self) -> usize {
+    pub(crate) fn job(&self) -> usize {
         match self {
             ClusterAction::Admit { job, .. }
             | ClusterAction::Queue { job }

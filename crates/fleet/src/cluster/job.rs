@@ -39,7 +39,7 @@ pub struct JobSpec {
     pub submit_tick: u64,
     /// Ticks the job's arrival stream stays active after submission; the
     /// job departs once the stream ends and its pending work drains.
-    pub duration_ticks: u64,
+    pub(crate) duration_ticks: u64,
 }
 
 impl JobSpec {
@@ -49,7 +49,7 @@ impl JobSpec {
     ///
     /// Returns [`WorkloadError::InvalidSpec`] for an empty name, a
     /// non-batch tenant, a zero duration, or an invalid tenant spec.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         let invalid = |reason: String| WorkloadError::InvalidSpec { reason };
         if self.name.is_empty() {
             return Err(invalid("job name must not be empty".into()));
@@ -75,9 +75,9 @@ impl JobSpec {
 #[derive(Debug)]
 pub(crate) struct JobState {
     /// Index into the scenario's job list.
-    pub id: usize,
+    pub(crate) id: usize,
     /// The declarative spec.
-    pub spec: JobSpec,
+    pub(crate) spec: JobSpec,
     arrival_rng: StdRng,
     service_rng: StdRng,
     /// Time of the last generated arrival (generation cursor), ns.
@@ -89,34 +89,34 @@ pub(crate) struct JobState {
     /// True once the stream sampled past `end_ns`.
     stream_done: bool,
     /// FNV-1a fold of every generated `(arrival, nominal)` pair.
-    pub digest: u64,
+    pub(crate) digest: u64,
     /// Arrivals generated so far.
-    pub generated: u64,
+    pub(crate) generated: u64,
     /// Backlog accumulated while unplaced, bounded by the tenant's
     /// `queue_cap` (overflow counted in `dropped_unplaced`).
-    pub carried: VecDeque<(u64, u64)>,
+    pub(crate) carried: VecDeque<(u64, u64)>,
     /// Requests dropped because the unplaced backlog overflowed.
-    pub dropped_unplaced: u64,
+    pub(crate) dropped_unplaced: u64,
     /// Current host and tenant index on it, when placed.
-    pub placement: Option<(usize, usize)>,
+    pub(crate) placement: Option<(usize, usize)>,
     /// Every host the job has run on, in placement order.
-    pub placements: Vec<usize>,
+    pub(crate) placements: Vec<usize>,
     /// Completed migrations.
-    pub migrations: u64,
+    pub(crate) migrations: u64,
     /// Epochs spent in the admission queue after arriving.
-    pub queued_epochs: u64,
+    pub(crate) queued_epochs: u64,
     /// Epoch of the last placement change (admission or migration).
-    pub last_move_epoch: u64,
+    pub(crate) last_move_epoch: u64,
     /// True once `submit_tick` has passed.
-    pub arrived: bool,
+    pub(crate) arrived: bool,
     /// True once the stream ended and all pending work drained.
-    pub departed: bool,
+    pub(crate) departed: bool,
 }
 
 impl JobState {
     /// Builds the runtime state of job `id` under `cluster_seed`, with
     /// the clock geometry needed to anchor the stream window.
-    pub fn new(id: usize, spec: JobSpec, cluster_seed: u64, tick_period_ns: u64) -> Self {
+    pub(crate) fn new(id: usize, spec: JobSpec, cluster_seed: u64, tick_period_ns: u64) -> Self {
         // Spec ticks are outside input: a submit tick or duration near
         // `u64::MAX` means "never" / "forever" and must pin the clock at
         // its end instead of wrapping round to an early arrival.
@@ -146,7 +146,7 @@ impl JobState {
     }
 
     /// True once the arrival stream has ended.
-    pub fn stream_done(&self) -> bool {
+    pub(crate) fn stream_done(&self) -> bool {
         self.stream_done
     }
 
@@ -155,7 +155,7 @@ impl JobState {
     /// calling this each epoch — which the runner does for every live job
     /// whether placed or not — makes the sequence a pure function of the
     /// epoch grid, never of placement.
-    pub fn arrivals_before(&mut self, until_ns: u64) -> Vec<(u64, u64)> {
+    pub(crate) fn arrivals_before(&mut self, until_ns: u64) -> Vec<(u64, u64)> {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut out = Vec::new();
         loop {
@@ -196,7 +196,7 @@ impl JobState {
     }
 
     /// Pushes work into the unplaced backlog, dropping on overflow.
-    pub fn carry(&mut self, requests: impl IntoIterator<Item = (u64, u64)>) {
+    pub(crate) fn carry(&mut self, requests: impl IntoIterator<Item = (u64, u64)>) {
         let cap = self.spec.tenant.demand.queue_cap as usize;
         for req in requests {
             if self.carried.len() < cap {

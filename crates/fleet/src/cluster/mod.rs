@@ -2,10 +2,10 @@
 //!
 //! The fleet runs N *sealed* cells; the cluster runs N *open* hosts under
 //! one orchestrator. Batch work arrives as movable [`JobSpec`]s at a
-//! cluster admission queue, and an object-safe [`ClusterPolicy`] decides —
+//! cluster admission queue, and an object-safe `ClusterPolicy` decides —
 //! at every epoch boundary — where each job runs: admit it to a host,
 //! keep it queued, defer it, or migrate it between hosts
-//! ([`ClusterAction::Migrate`]). Placement is scored from live per-host
+//! (`ClusterAction::Migrate`). Placement is scored from live per-host
 //! state ([`HostSnapshot`]: load, recent QoS, frozen jobs, registry
 //! template verdicts), in the spirit of scoring-based cluster schedulers
 //! layered above per-host interference control.
@@ -26,16 +26,15 @@
 //!   advances alone on the worker pool. `workers = 1` and `workers = 8`
 //!   produce byte-identical [`ClusterOutcome`] JSON.
 
-pub mod action;
-pub mod job;
-pub mod outcome;
-pub mod policy;
-pub mod runner;
+mod action;
+mod job;
+mod outcome;
+mod policy;
+mod runner;
 pub mod scenario;
 
-pub use action::ClusterAction;
 pub use job::{derive_job_seed, JobSpec};
 pub use outcome::{ClusterOutcome, HostRollup, JobRollup};
-pub use policy::{ClusterPolicy, ClusterPolicySpec, HostSnapshot, JobView};
+pub use policy::{ClusterPolicySpec, HostSnapshot, JobView};
 pub use runner::{Cluster, ClusterConfig};
 pub use scenario::{cluster_by_name, cluster_library, ClusterScenario};

@@ -16,23 +16,23 @@ use stayaway_telemetry::QosSummary;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostRollup {
     /// Host index.
-    pub host: usize,
+    pub(crate) host: usize,
     /// Host name (from the scenario).
-    pub name: String,
+    pub(crate) name: String,
     /// Sensitive-workload registry key (first sensitive resident).
-    pub sensitive: String,
+    pub(crate) sensitive: String,
     /// Derived host seed.
     pub seed: u64,
     /// Whole-run sensitive QoS accounting on this host.
     pub qos: QosSummary,
     /// Per-request SLO violation rate of this host's sensitive tenants.
-    pub slo_violation_rate: f64,
+    pub(crate) slo_violation_rate: f64,
     /// Requests that arrived on this host (residents + injected jobs).
     pub arrivals: u64,
     /// Invocations completed on this host.
     pub completed: u64,
     /// Requests dropped on queue overflow.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Mean machine utilisation over the run.
     pub mean_utilization: f64,
     /// Mean utilisation gained from batch work (cores / capacity).
@@ -58,9 +58,9 @@ pub struct HostRollup {
     pub rejected_actions: u64,
     /// True when the host controller warm-started from a registry
     /// template.
-    pub imported_template: bool,
+    pub(crate) imported_template: bool,
     /// Every job that ran here at some point, in job-id order.
-    pub jobs_hosted: Vec<usize>,
+    pub(crate) jobs_hosted: Vec<usize>,
     /// The host engine's event-timeline fingerprint.
     pub timeline_digest: u64,
 }
@@ -69,7 +69,7 @@ pub struct HostRollup {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRollup {
     /// Job id.
-    pub job: usize,
+    pub(crate) job: usize,
     /// Job name.
     pub name: String,
     /// Requests the job's stream generated.
@@ -78,17 +78,17 @@ pub struct JobRollup {
     /// identical across cluster policies by construction.
     pub arrival_digest: u64,
     /// Requests dropped because the job waited unplaced too long.
-    pub dropped_unplaced: u64,
+    pub(crate) dropped_unplaced: u64,
     /// Every host the job ran on, in placement order.
-    pub placements: Vec<usize>,
+    pub(crate) placements: Vec<usize>,
     /// Completed migrations.
     pub migrations: u64,
     /// Epochs spent waiting in the admission queue.
-    pub queued_epochs: u64,
+    pub(crate) queued_epochs: u64,
     /// True once the job was submitted during the run.
     pub arrived: bool,
     /// True once the job's stream ended and its work drained.
-    pub departed: bool,
+    pub(crate) departed: bool,
 }
 
 /// The aggregated result of one cluster run.
@@ -115,9 +115,9 @@ pub struct ClusterOutcome {
     /// Total nominal batch work completed across the cluster.
     pub total_batch_work: f64,
     /// Mean of the hosts' mean utilisations.
-    pub mean_utilization: f64,
+    pub(crate) mean_utilization: f64,
     /// Mean of the hosts' gained (batch) utilisations.
-    pub mean_gained_utilization: f64,
+    pub(crate) mean_gained_utilization: f64,
     /// Total throttles across host controllers.
     pub throttles: u64,
     /// Total resumes across host controllers.
@@ -144,7 +144,7 @@ pub struct ClusterOutcome {
     /// Highest admission-queue depth observed at any epoch boundary.
     pub max_queue_depth: u64,
     /// Mean admission-queue depth over epoch boundaries.
-    pub mean_queue_depth: f64,
+    pub(crate) mean_queue_depth: f64,
     /// Jobs still waiting or running when the run ended.
     pub jobs_unfinished: usize,
     /// Per-host rollups, in host-index order.
@@ -157,7 +157,7 @@ pub struct ClusterOutcome {
     pub metrics: Option<MetricsSnapshot>,
     /// Same-name histograms skipped during the metrics rollup because
     /// their units disagreed; zero for identically-registered hosts.
-    pub metric_unit_mismatches: u64,
+    pub(crate) metric_unit_mismatches: u64,
     /// The canonical cluster-wide event stream: per-host recorders plus
     /// the cluster plane's own recorder (scope = host count), merged
     /// into `(tick, layer, seq, scope)` order — byte-identical for any
@@ -173,7 +173,7 @@ impl ClusterOutcome {
 
     /// Pooled fraction of checked verdicts the host controllers got
     /// right; `None` when no verdict was checked anywhere.
-    pub fn prediction_accuracy(&self) -> Option<f64> {
+    pub(crate) fn prediction_accuracy(&self) -> Option<f64> {
         hit_ratio(self.prediction_hits, self.prediction_checks)
     }
 

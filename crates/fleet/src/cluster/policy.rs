@@ -55,32 +55,32 @@ const SCORE_ORDER: [ResourceKind; 6] = [
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostSnapshot {
     /// Host index.
-    pub idx: usize,
+    pub(crate) idx: usize,
     /// Host name (from the scenario).
-    pub name: String,
+    pub(crate) name: String,
     /// Host capacities.
-    pub spec: HostSpec,
+    pub(crate) spec: HostSpec,
     /// Instantaneous resource rates and occupancy at the boundary
     /// ([`stayaway_workload::WorkloadHost::load`]).
-    pub load: ResourceVector,
+    pub(crate) load: ResourceVector,
     /// Mean total CPU rate (cores) over the last epoch.
-    pub mean_cpu: f64,
+    pub(crate) mean_cpu: f64,
     /// Sensitive QoS accounting over the last epoch only.
-    pub epoch_qos: QosSummary,
+    pub(crate) epoch_qos: QosSummary,
     /// Batch tenants (resident or movable) currently frozen here by the
     /// host controller — it is already fighting interference.
-    pub frozen_jobs: usize,
+    pub(crate) frozen_jobs: usize,
     /// Ids of the movable jobs currently placed here.
-    pub placed_jobs: Vec<usize>,
+    pub(crate) placed_jobs: Vec<usize>,
     /// Violation count of the registry template for this host's
     /// sensitive app, when one is published — a prior on how
     /// interference-prone the resident is.
-    pub template_violations: Option<u64>,
+    pub(crate) template_violations: Option<u64>,
 }
 
 impl HostSnapshot {
     /// Fraction of the last epoch's active ticks that violated QoS.
-    pub fn epoch_violation_fraction(&self) -> f64 {
+    pub(crate) fn epoch_violation_fraction(&self) -> f64 {
         1.0 - self.epoch_qos.satisfaction()
     }
 }
@@ -89,26 +89,26 @@ impl HostSnapshot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobView {
     /// Job id (index into the scenario's job list).
-    pub id: usize,
+    pub(crate) id: usize,
     /// Job name.
-    pub name: String,
+    pub(crate) name: String,
     /// Current host, when placed.
-    pub placement: Option<usize>,
+    pub(crate) placement: Option<usize>,
     /// Requests pending for this job (host queue + in flight when placed,
     /// carried backlog when not).
-    pub pending: u64,
+    pub(crate) pending: u64,
     /// Epochs spent waiting in the admission queue so far.
-    pub queued_epochs: u64,
+    pub(crate) queued_epochs: u64,
     /// Epoch of the last placement change.
-    pub last_move_epoch: u64,
+    pub(crate) last_move_epoch: u64,
     /// Completed migrations.
-    pub migrations: u64,
+    pub(crate) migrations: u64,
     /// True once the job's arrival stream has ended (it only drains now).
-    pub stream_done: bool,
+    pub(crate) stream_done: bool,
     /// Estimated steady-state demand if placed: rates via Little's law
     /// (`mean_rps × service_time`, capped by the container pool),
     /// occupancy from the estimated container count.
-    pub est: ResourceVector,
+    pub(crate) est: ResourceVector,
 }
 
 impl JobView {
@@ -131,10 +131,7 @@ impl JobView {
 /// waiting, in job-id order) and every host (in host-index order). Jobs
 /// the policy does not mention keep their current state; invalid actions
 /// are counted and dropped by the runner, never applied.
-pub trait ClusterPolicy: Send {
-    /// Canonical policy name (CLI token).
-    fn name(&self) -> &'static str;
-
+pub(crate) trait ClusterPolicy: Send {
     /// Decides this epoch's placement actions.
     fn decide(
         &mut self,
@@ -158,7 +155,7 @@ pub enum ClusterPolicySpec {
 }
 
 impl ClusterPolicySpec {
-    /// The canonical policy name, matching [`ClusterPolicy::name`].
+    /// The canonical policy name (CLI token).
     pub fn name(&self) -> &'static str {
         match self {
             ClusterPolicySpec::Score => "score",
@@ -200,7 +197,7 @@ impl ClusterPolicySpec {
 
     /// Instantiates the policy. `seed` feeds the random baseline;
     /// `migration` gates the score policy's migration verb.
-    pub fn build(&self, seed: u64, migration: bool) -> Box<dyn ClusterPolicy> {
+    pub(crate) fn build(&self, seed: u64, migration: bool) -> Box<dyn ClusterPolicy> {
         match self {
             ClusterPolicySpec::Score => Box::new(ScorePolicy { migration }),
             ClusterPolicySpec::Random => Box::new(RandomPolicy { seed, draws: 0 }),
@@ -214,10 +211,6 @@ impl ClusterPolicySpec {
 struct NoPlacement;
 
 impl ClusterPolicy for NoPlacement {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
     fn decide(&mut self, _: u64, jobs: &[JobView], hosts: &[HostSnapshot]) -> Vec<ClusterAction> {
         jobs.iter()
             .filter(|j| j.placement.is_none())
@@ -236,10 +229,6 @@ struct RandomPolicy {
 }
 
 impl ClusterPolicy for RandomPolicy {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
     fn decide(&mut self, _: u64, jobs: &[JobView], hosts: &[HostSnapshot]) -> Vec<ClusterAction> {
         jobs.iter()
             .filter(|j| j.placement.is_none())
@@ -259,10 +248,6 @@ impl ClusterPolicy for RandomPolicy {
 struct LeastLoaded;
 
 impl ClusterPolicy for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
     fn decide(&mut self, _: u64, jobs: &[JobView], hosts: &[HostSnapshot]) -> Vec<ClusterAction> {
         // Placements made this epoch must be visible to the next pick, or
         // every waiting job piles onto the same idle host.
@@ -352,10 +337,6 @@ impl ScorePolicy {
 }
 
 impl ClusterPolicy for ScorePolicy {
-    fn name(&self) -> &'static str {
-        "score"
-    }
-
     fn decide(
         &mut self,
         epoch: u64,
@@ -505,7 +486,6 @@ mod tests {
         assert!(ClusterPolicySpec::parse("bogus").is_err());
         for spec in ClusterPolicySpec::all() {
             assert_eq!(ClusterPolicySpec::parse(spec.name()).unwrap(), spec);
-            assert_eq!(spec.build(1, true).name(), spec.name());
         }
     }
 

@@ -42,13 +42,13 @@ pub struct ClusterConfig {
     /// affects results.
     pub workers: usize,
     /// The cluster seed; host and job seeds derive from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// The cluster scheduling plane.
     pub cluster_policy: ClusterPolicySpec,
     /// The per-host control plane.
     pub host_policy: PolicySpec,
     /// Whether the migration verb is enabled (the runner drops
-    /// [`ClusterAction::Migrate`] as invalid when off).
+    /// `ClusterAction::Migrate` as invalid when off).
     pub migration: bool,
     /// When true, every host records into its own registry and the
     /// outcome carries the merged stable view. Decision-inert.
@@ -89,7 +89,7 @@ impl ClusterConfig {
     /// Returns [`FleetError::InvalidConfig`] for zero epochs/ticks/workers,
     /// an invalid scenario or host policy, or a run too long for the
     /// nanosecond clock.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
         let invalid = |reason: &str| FleetError::InvalidConfig {
             reason: reason.into(),
         };
@@ -245,7 +245,7 @@ impl Cluster {
     ///
     /// Returns [`FleetError::InvalidConfig`] when the configuration is
     /// inconsistent.
-    pub fn with_registry(
+    pub(crate) fn with_registry(
         config: ClusterConfig,
         registry: Arc<TemplateRegistry>,
     ) -> Result<Self, FleetError> {

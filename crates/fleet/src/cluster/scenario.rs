@@ -39,7 +39,7 @@ impl ClusterScenario {
     /// Returns [`FleetError::InvalidConfig`] for empty host/job lists,
     /// invalid host scenarios or jobs, mismatched tick periods, a host
     /// without a sensitive tenant, or duplicate job names.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
         let invalid = |reason: String| FleetError::InvalidConfig { reason };
         if self.name.is_empty() {
             return Err(invalid("cluster scenario name must not be empty".into()));
@@ -80,7 +80,7 @@ impl ClusterScenario {
     }
 
     /// The shared control-tick period, nanoseconds.
-    pub fn tick_period_ns(&self) -> u64 {
+    pub(crate) fn tick_period_ns(&self) -> u64 {
         self.hosts[0].tick_period_ns()
     }
 }

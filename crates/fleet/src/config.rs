@@ -100,7 +100,7 @@ impl FleetConfig {
     /// Returns [`FleetError::InvalidConfig`] describing the first problem
     /// found (zero cells/workers/ticks, an empty scenario list, or an
     /// invalid controller configuration).
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
         if self.cells == 0 {
             return Err(FleetError::InvalidConfig {
                 reason: "cells must be positive".into(),

@@ -17,10 +17,11 @@
 //! Three properties define the design:
 //!
 //! * **Determinism regardless of worker count.** Every cell derives its
-//!   seed from `(fleet_seed, cell_idx)` via a splitmix64 mix ([`seed`]),
-//!   cells never share mutable state while running, and aggregation folds
-//!   cell results in cell-index order — so `workers = 1` and `workers = 8`
-//!   produce bit-identical [`FleetOutcome`]s.
+//!   seed from `(fleet_seed, cell_idx)` via a splitmix64 mix
+//!   ([`derive_cell_seed`]), cells never share mutable state while running,
+//!   and aggregation folds cell results in cell-index order — so
+//!   `workers = 1` and `workers = 8` produce bit-identical
+//!   [`FleetOutcome`]s.
 //! * **Cross-host template transfer.** The paper's §6 observation —
 //!   specialized knowledge captured on one deployment warm-starts a fresh
 //!   one — pays off at fleet scale: pioneer cells publish their learned
@@ -50,28 +51,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aggregate;
+mod aggregate;
 pub mod cell;
 pub mod cluster;
-pub mod config;
-pub mod policy;
+mod config;
+mod policy;
 pub mod predictor;
-pub mod registry;
+mod registry;
 pub mod report;
-pub mod runner;
-pub mod seed;
-pub mod source;
-pub mod tournament;
+mod runner;
+mod seed;
+mod source;
+mod tournament;
 
 mod error;
 mod pool;
 
-pub use aggregate::{CellSummary, FleetOutcome, PolicyRollup, PredictorRollup};
+pub use aggregate::{CellSummary, FleetOutcome, PredictorRollup};
 pub use cell::{CellOutcome, CellPlan};
 pub use cluster::{
-    cluster_by_name, cluster_library, derive_job_seed, Cluster, ClusterAction, ClusterConfig,
-    ClusterOutcome, ClusterPolicy, ClusterPolicySpec, ClusterScenario, HostRollup, HostSnapshot,
-    JobRollup, JobSpec, JobView,
+    cluster_by_name, cluster_library, derive_job_seed, Cluster, ClusterConfig, ClusterOutcome,
+    ClusterPolicySpec, ClusterScenario, HostRollup, HostSnapshot, JobRollup, JobSpec, JobView,
 };
 pub use config::FleetConfig;
 pub use error::FleetError;

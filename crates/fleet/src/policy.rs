@@ -39,7 +39,7 @@ pub enum PolicySpec {
 impl PolicySpec {
     /// The canonical policy name, matching what the built policy reports
     /// via [`stayaway_telemetry::Policy::name`].
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             PolicySpec::StayAway => "stay-away",
             PolicySpec::Reactive => "reactive",
@@ -83,7 +83,7 @@ impl PolicySpec {
 
     /// True when the policy can export/import state-map templates (§6);
     /// fleets only schedule template-sharing waves across such cells.
-    pub fn supports_templates(&self) -> bool {
+    pub(crate) fn supports_templates(&self) -> bool {
         matches!(self, PolicySpec::StayAway)
     }
 
@@ -91,7 +91,7 @@ impl PolicySpec {
     /// (DESIGN.md §15) — i.e. consults
     /// [`stayaway_core::ControllerConfig::predictor`]. Baselines do not;
     /// their cells report no predictor and join no predictor rollup.
-    pub fn uses_predictor(&self) -> bool {
+    pub(crate) fn uses_predictor(&self) -> bool {
         matches!(self, PolicySpec::StayAway)
     }
 

@@ -5,7 +5,7 @@
 //! list of them is one axis of its cell matrix, like its
 //! [`crate::PolicySpec`]s, so one fleet can run a mixed-predictor
 //! population — the substrate of the predictor tournament
-//! ([`crate::tournament`]). What the fleet adds is here: the label of a
+//! ([`crate::run_tournament`]). What the fleet adds is here: the label of a
 //! cell that runs no predictor, and the CLI list parser with the fleet's
 //! error wording.
 

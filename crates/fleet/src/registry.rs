@@ -25,7 +25,7 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegistryEntry {
     /// Sensitive-workload key (equals `template.sensitive_app()`).
-    pub sensitive: String,
+    pub(crate) sensitive: String,
     /// The learned template.
     pub template: Template,
     /// Index of the cell that captured it.
@@ -68,7 +68,7 @@ impl TemplateRegistry {
     }
 
     /// Number of registered sensitive workloads.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.read().len()
     }
 
@@ -105,12 +105,12 @@ impl TemplateRegistry {
     }
 
     /// True when a template is registered for this sensitive workload.
-    pub fn contains(&self, sensitive: &str) -> bool {
+    pub(crate) fn contains(&self, sensitive: &str) -> bool {
         self.read().contains_key(sensitive)
     }
 
     /// The best registered template for a sensitive workload, if any.
-    pub fn lookup(&self, sensitive: &str) -> Option<RegistryEntry> {
+    pub(crate) fn lookup(&self, sensitive: &str) -> Option<RegistryEntry> {
         self.read().get(sensitive).cloned()
     }
 

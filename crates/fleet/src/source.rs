@@ -54,7 +54,7 @@ impl SourceSpec {
 
     /// The full CLI token, including any argument — `sim`,
     /// `trace:<path>`, `procfs` or `workload:<scenario>`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             SourceSpec::Trace { path } => format!("trace:{path}"),
             SourceSpec::Workload { scenario } => format!("workload:{scenario}"),
@@ -121,7 +121,7 @@ impl SourceSpec {
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidConfig`] describing the problem.
-    pub fn validate(&self) -> Result<(), FleetError> {
+    pub(crate) fn validate(&self) -> Result<(), FleetError> {
         match self {
             SourceSpec::Trace { path } if path.trim().is_empty() => {
                 Err(FleetError::InvalidConfig {
@@ -152,7 +152,7 @@ impl SourceSpec {
     ///
     /// Propagates harness construction, trace-open and procfs-probe
     /// failures.
-    pub fn build(
+    pub(crate) fn build(
         &self,
         scenario: &Scenario,
         seed: u64,

@@ -53,7 +53,7 @@ pub struct TournamentConfig {
     pub ticks: u64,
     /// Root seed of the tournament (cell seeds and bootstrap resampling
     /// streams all derive from it).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Worker threads executing cells. Results are independent of this
     /// value; it only bounds parallelism.
     pub workers: usize,
@@ -70,7 +70,7 @@ pub struct TournamentConfig {
     pub collect_metrics: bool,
     /// Controller tunables shared by every cell (per-cell seed and
     /// predictor are overridden by the plan).
-    pub controller: ControllerConfig,
+    pub(crate) controller: ControllerConfig,
 }
 
 impl TournamentConfig {
@@ -94,17 +94,6 @@ impl TournamentConfig {
             collect_metrics: false,
             controller: ControllerConfig::default(),
         }
-    }
-
-    /// Validates the configuration: the fleet it lowers onto must be
-    /// valid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::InvalidConfig`] describing the first problem
-    /// found.
-    pub fn validate(&self) -> Result<(), FleetError> {
-        self.fleet_config()?.validate()
     }
 
     /// Lowers the tournament onto a fleet whose sources are the workload
@@ -150,11 +139,11 @@ impl TournamentConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeanCi {
     /// Fixed-order sample mean.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// 2.5th percentile of the bootstrap resample means.
-    pub lo: f64,
+    pub(crate) lo: f64,
     /// 97.5th percentile of the bootstrap resample means.
-    pub hi: f64,
+    pub(crate) hi: f64,
 }
 
 impl MeanCi {
@@ -166,7 +155,7 @@ impl MeanCi {
     ///
     /// Returns [`FleetError::InvalidConfig`] when the resample buffer
     /// cannot be allocated.
-    pub fn bootstrap(
+    pub(crate) fn bootstrap(
         values: &[f64],
         resamples: usize,
         rng: &mut StdRng,
@@ -214,24 +203,24 @@ impl MeanCi {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioScore {
     /// Workload scenario name.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Cells of this predictor × scenario combination.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Mean per-cell QoS satisfaction.
-    pub satisfaction: f64,
+    pub(crate) satisfaction: f64,
     /// Mean per-cell tick-level SLO-violation rate.
-    pub slo_violation_rate: f64,
+    pub(crate) slo_violation_rate: f64,
     /// Mean per-cell nominal batch work.
-    pub batch_work: f64,
+    pub(crate) batch_work: f64,
 }
 
 /// One predictor's final tournament standing.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Standing {
     /// 1-based rank (1 = winner).
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Canonical predictor token.
-    pub predictor: String,
+    pub(crate) predictor: String,
     /// Cells this predictor ran across all scenarios.
     pub cells: usize,
     /// Per-cell QoS satisfaction, bootstrapped.
@@ -241,41 +230,41 @@ pub struct Standing {
     /// Per-cell nominal batch work, bootstrapped.
     pub batch_work: MeanCi,
     /// Pooled prediction accuracy; `None` when no verdict was checked.
-    pub prediction_accuracy: Option<f64>,
+    pub(crate) prediction_accuracy: Option<f64>,
     /// Observation samples sanitised across this predictor's cells.
-    pub samples_rejected: u64,
+    pub(crate) samples_rejected: u64,
     /// Per-scenario breakdown, in configured scenario order.
-    pub per_scenario: Vec<ScenarioScore>,
+    pub(crate) per_scenario: Vec<ScenarioScore>,
     /// Mean forecast wall-latency in nanoseconds from the calibration
     /// micro-run; `None` unless calibration ran and forecasts happened.
     /// Informational only: wall-clock time is non-deterministic, so this
     /// never enters [`TournamentOutcome::to_json`] and never ranks.
     #[serde(skip)]
-    pub decide_nanos: Option<f64>,
+    pub(crate) decide_nanos: Option<f64>,
 }
 
 /// The ranked result of one predictor tournament.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TournamentOutcome {
     /// Predictor tokens entered, in configured order.
-    pub predictors: Vec<String>,
+    pub(crate) predictors: Vec<String>,
     /// Workload scenarios swept, in configured order.
     pub scenarios: Vec<String>,
     /// Cells per predictor × scenario combination.
-    pub cells_per_combo: usize,
+    pub(crate) cells_per_combo: usize,
     /// Total cells run.
-    pub cells: usize,
+    pub(crate) cells: usize,
     /// Ticks per cell.
-    pub ticks: u64,
+    pub(crate) ticks: u64,
     /// The tournament seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Bootstrap resamples behind each confidence interval.
-    pub bootstrap_resamples: usize,
+    pub(crate) bootstrap_resamples: usize,
     /// Standings, best first.
     pub standings: Vec<Standing>,
     /// The underlying fleet's per-predictor rollups, in order of first
     /// appearance across cells.
-    pub per_predictor: Vec<PredictorRollup>,
+    pub(crate) per_predictor: Vec<PredictorRollup>,
     /// Tournament-wide metrics rollup: the per-cell registries merged in
     /// cell-index order and reduced to the stable view (latency
     /// histograms — the only wall-clock content — stripped); `None`
@@ -284,7 +273,7 @@ pub struct TournamentOutcome {
     /// Same-name histograms skipped during the metrics rollup because
     /// their units disagreed; always zero for identically-registered
     /// cells.
-    pub metric_unit_mismatches: u64,
+    pub(crate) metric_unit_mismatches: u64,
 }
 
 impl TournamentOutcome {
@@ -458,8 +447,9 @@ mod tests {
     #[test]
     fn default_config_is_valid_and_covers_the_cross_product() {
         let config = TournamentConfig::new(7);
-        config.validate().unwrap();
-        assert_eq!(config.fleet_config().unwrap().cells, 4 * 3 * 3);
+        let fleet_config = config.fleet_config().unwrap();
+        assert_eq!(fleet_config.cells, 4 * 3 * 3);
+        Fleet::new(fleet_config).unwrap();
     }
 
     #[test]
@@ -490,7 +480,8 @@ mod tests {
                 ..TournamentConfig::new(1)
             },
         ] {
-            assert!(broken.validate().is_err());
+            // The first two steps of `run_tournament`.
+            assert!(broken.fleet_config().and_then(Fleet::new).is_err());
         }
     }
 

@@ -183,7 +183,7 @@ impl ReprSet {
     /// Creates an empty set that merges vectors within `epsilon` of an
     /// existing representative.
     ///
-    /// The threshold is **closed** — see [`ReprSet::merges`]. In
+    /// The threshold is **closed** — see `ReprSet::merges`. In
     /// particular `ReprSet::new(0.0)` is a valid exact-duplicate
     /// deduplicator: bit-equal vectors (distance 0) merge, any
     /// perturbation however small (e.g. 1e-7 in one coordinate) starts a
@@ -232,7 +232,7 @@ impl ReprSet {
     ///   is zero;
     /// * any `distance > epsilon`, however slightly, starts a new
     ///   representative.
-    pub fn merges(&self, distance: f64) -> bool {
+    pub(crate) fn merges(&self, distance: f64) -> bool {
         distance <= self.epsilon
     }
 

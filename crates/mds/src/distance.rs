@@ -180,7 +180,7 @@ impl DistanceMatrix {
     }
 
     /// Sum of squared dissimilarities over the strict upper triangle.
-    pub fn sum_squares(&self) -> f64 {
+    pub(crate) fn sum_squares(&self) -> f64 {
         self.upper.iter().map(|d| d * d).sum()
     }
 }

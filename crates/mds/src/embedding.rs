@@ -103,7 +103,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if `point.len() != self.dim()`.
-    pub fn push(&mut self, point: &[f64]) {
+    pub(crate) fn push(&mut self, point: &[f64]) {
         assert_eq!(point.len(), self.dim, "point dimension mismatch");
         self.coords.extend_from_slice(point);
     }
@@ -189,7 +189,7 @@ impl Embedding {
     }
 
     /// The per-axis coordinate ranges `(min, max)`.
-    pub fn axis_ranges(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn axis_ranges(&self) -> Vec<(f64, f64)> {
         let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); self.dim];
         for p in self.iter() {
             for (r, v) in ranges.iter_mut().zip(p) {

@@ -11,7 +11,7 @@
 //!   observation matrix small (§4's optimisation);
 //! * [`distance`] — dissimilarity matrices over measurement vectors;
 //! * [`classical`] — classical (Torgerson) MDS used to seed the iterative
-//!   solver, built on a from-scratch Jacobi eigensolver ([`linalg`]);
+//!   solver, built on a from-scratch Jacobi eigensolver (`linalg`);
 //! * [`smacof`] — the SMACOF stress-majorization solver referenced by the
 //!   paper, with warm-start support for incremental embedding;
 //! * [`procrustes`] — orthogonal Procrustes alignment that keeps successive
@@ -50,8 +50,8 @@
 pub mod classical;
 pub mod dedup;
 pub mod distance;
-pub mod embedding;
-pub mod linalg;
+mod embedding;
+mod linalg;
 pub mod normalize;
 pub mod pca;
 pub mod procrustes;

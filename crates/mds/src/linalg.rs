@@ -10,7 +10,7 @@ use crate::MdsError;
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -22,7 +22,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `rows` or `cols` is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         Matrix {
             rows,
@@ -32,7 +32,7 @@ impl Matrix {
     }
 
     /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -41,12 +41,12 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -55,7 +55,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "inner dimensions must agree for matmul"
@@ -76,7 +76,7 @@ impl Matrix {
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -87,12 +87,12 @@ impl Matrix {
     }
 
     /// Returns true when every entry is finite.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.data.iter().all(|v| v.is_finite())
     }
 
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
@@ -115,11 +115,11 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 ///
 /// Eigenpairs are sorted by descending eigenvalue.
 #[derive(Debug, Clone)]
-pub struct SymmetricEigen {
+pub(crate) struct SymmetricEigen {
     /// Eigenvalues in descending order.
-    pub eigenvalues: Vec<f64>,
+    pub(crate) eigenvalues: Vec<f64>,
     /// Eigenvectors as columns, in the same order as [`Self::eigenvalues`].
-    pub eigenvectors: Matrix,
+    pub(crate) eigenvectors: Matrix,
 }
 
 /// Computes the eigendecomposition of a symmetric matrix with the cyclic
@@ -131,7 +131,7 @@ pub struct SymmetricEigen {
 /// [`MdsError::NonFinite`] when the matrix contains NaN/inf, and
 /// [`MdsError::NoConvergence`] if the off-diagonal mass does not vanish
 /// within the sweep budget (does not happen for well-posed symmetric input).
-pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen, MdsError> {
+pub(crate) fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen, MdsError> {
     if a.rows != a.cols {
         return Err(MdsError::DimensionMismatch {
             expected: a.rows,
@@ -227,13 +227,20 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen, MdsError> {
 /// computed via the eigendecomposition of `aᵀa` (adequate for the tiny k×k
 /// cross-covariance matrices used in Procrustes alignment).
 #[derive(Debug, Clone)]
-pub struct Svd {
+pub(crate) struct Svd {
     /// Left singular vectors (columns).
-    pub u: Matrix,
+    pub(crate) u: Matrix,
     /// Singular values, descending.
-    pub singular_values: Vec<f64>,
+    #[cfg_attr(
+        not(test),
+        expect(
+            dead_code,
+            reason = "the oracle the SVD unit tests check U and V against"
+        )
+    )]
+    pub(crate) singular_values: Vec<f64>,
     /// Right singular vectors (columns).
-    pub v: Matrix,
+    pub(crate) v: Matrix,
 }
 
 /// Computes the SVD of `a` (any shape, intended for small matrices).
@@ -241,7 +248,7 @@ pub struct Svd {
 /// # Errors
 ///
 /// Propagates errors from [`symmetric_eigen`].
-pub fn svd_small(a: &Matrix) -> Result<Svd, MdsError> {
+pub(crate) fn svd_small(a: &Matrix) -> Result<Svd, MdsError> {
     let ata = a.transpose().matmul(a);
     let eig = symmetric_eigen(&ata)?;
     let k = ata.rows();
@@ -307,7 +314,7 @@ pub fn svd_small(a: &Matrix) -> Result<Svd, MdsError> {
 /// # Panics
 ///
 /// Panics if the matrix is not square.
-pub fn determinant(a: &Matrix) -> f64 {
+pub(crate) fn determinant(a: &Matrix) -> f64 {
     assert_eq!(a.rows, a.cols, "determinant requires a square matrix");
     let n = a.rows;
     let mut m = a.clone();

@@ -45,7 +45,7 @@ impl MetricBounds {
     }
 
     /// Maps `value` into `[0, 1]`, clamping values outside the bounds.
-    pub fn normalize(&self, value: f64) -> f64 {
+    pub(crate) fn normalize(&self, value: f64) -> f64 {
         if value.is_nan() {
             return 0.0;
         }

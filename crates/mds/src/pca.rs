@@ -93,12 +93,12 @@ impl Pca {
     }
 
     /// Output dimensionality.
-    pub fn dim_out(&self) -> usize {
+    pub(crate) fn dim_out(&self) -> usize {
         self.components.rows()
     }
 
     /// Input dimensionality.
-    pub fn dim_in(&self) -> usize {
+    pub(crate) fn dim_in(&self) -> usize {
         self.components.cols()
     }
 
@@ -112,7 +112,7 @@ impl Pca {
     /// # Errors
     ///
     /// Returns [`MdsError::DimensionMismatch`] for wrong-length input.
-    pub fn project(&self, vector: &[f64]) -> Result<Vec<f64>, MdsError> {
+    pub(crate) fn project(&self, vector: &[f64]) -> Result<Vec<f64>, MdsError> {
         if vector.len() != self.dim_in() {
             return Err(MdsError::DimensionMismatch {
                 expected: self.dim_in(),
@@ -132,7 +132,7 @@ impl Pca {
     ///
     /// # Errors
     ///
-    /// Propagates [`Pca::project`] failures.
+    /// Propagates `Pca::project` failures.
     pub fn project_all(&self, vectors: &[Vec<f64>]) -> Result<Embedding, MdsError> {
         let mut e = Embedding::zeros(0, self.dim_out());
         for v in vectors {

@@ -15,14 +15,14 @@ use crate::MdsError;
 
 /// A rigid transform `y ≈ R·x + t` in `dim` dimensions, with `R` orthogonal.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RigidTransform {
+pub(crate) struct RigidTransform {
     rotation: Matrix,
     translation: Vec<f64>,
 }
 
 impl RigidTransform {
     /// Dimensionality this transform operates in.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.translation.len()
     }
 
@@ -31,7 +31,7 @@ impl RigidTransform {
     /// # Panics
     ///
     /// Panics if the embedding's dimensionality differs from the transform's.
-    pub fn apply(&self, embedding: &mut Embedding) {
+    pub(crate) fn apply(&self, embedding: &mut Embedding) {
         assert_eq!(embedding.dim(), self.dim(), "dimension mismatch");
         let mut source = vec![0.0; self.dim()];
         for i in 0..embedding.len() {
@@ -56,7 +56,7 @@ impl RigidTransform {
 /// Returns [`MdsError::DimensionMismatch`] when the embeddings differ in
 /// dimensionality or either has fewer than `shared` points, and
 /// [`MdsError::Empty`] when `shared == 0`.
-pub fn align_prefix(
+pub(crate) fn align_prefix(
     source: &Embedding,
     target: &Embedding,
     shared: usize,
@@ -154,7 +154,7 @@ pub fn align_prefix(
 ///
 /// # Errors
 ///
-/// Propagates [`align_prefix`] failures.
+/// Propagates `align_prefix` failures.
 pub fn align_to_previous(mut new: Embedding, previous: &Embedding) -> Result<Embedding, MdsError> {
     let shared = previous.len().min(new.len());
     if shared > 0 {

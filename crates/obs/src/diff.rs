@@ -17,17 +17,17 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSeries {
     /// Unique series key: the metric name, or `<metric>/<statistic>`.
-    pub key: String,
+    pub(crate) key: String,
     /// Name of the metric the series belongs to.
-    pub metric: String,
+    pub(crate) metric: String,
     /// The exported value.
-    pub value: f64,
+    pub(crate) value: f64,
 }
 
 /// One row of a snapshot comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
-    /// Series key (see [`MetricSeries::key`]).
+    /// Series key (see `MetricSeries::key`).
     pub key: String,
     /// Owning metric name.
     pub metric: String,
@@ -41,7 +41,7 @@ pub struct DiffRow {
 
 /// True for series that carry wall-clock readings, which the regression
 /// gate excludes.
-pub fn is_wall_clock(name: &str, unit: Option<&str>) -> bool {
+pub(crate) fn is_wall_clock(name: &str, unit: Option<&str>) -> bool {
     name.ends_with("_nanos") || name.contains("_nanos_") || unit == Some("nanos")
 }
 
@@ -99,7 +99,7 @@ fn number(value: &Value) -> Option<f64> {
 }
 
 /// Symmetric relative difference: `|a-b| / max(|a|,|b|)`; 0 when equal.
-pub fn relative_difference(a: f64, b: f64) -> f64 {
+pub(crate) fn relative_difference(a: f64, b: f64) -> f64 {
     let scale = a.abs().max(b.abs());
     if a == b || scale == 0.0 {
         0.0

@@ -37,7 +37,7 @@ pub enum Layer {
 
 impl Layer {
     /// The lower-case name used in JSONL output and CLI filters.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Layer::Controller => "controller",
             Layer::Predictor => "predictor",
@@ -101,7 +101,7 @@ impl EventKind {
     ];
 
     /// The kebab-case name used in JSONL output and CLI filters.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::Throttle => "throttle",
             EventKind::Resume => "resume",
@@ -117,7 +117,7 @@ impl EventKind {
         }
     }
 
-    /// Parses a kebab-case kind name (as printed by [`EventKind::name`]).
+    /// Parses a kebab-case kind name (as printed by `EventKind::name`).
     ///
     /// # Errors
     ///
@@ -210,7 +210,7 @@ impl AttrValue {
     }
 
     /// Renders the value for human-facing CLI output.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             AttrValue::U64(v) => v.to_string(),
             AttrValue::I64(v) => v.to_string(),
@@ -304,7 +304,7 @@ impl EventRecord {
 
     /// The total sort key: `(tick, layer, seq, scope)`. Unique per
     /// event in any merged stream, since `(scope, seq)` is unique.
-    pub fn sort_key(&self) -> (u64, Layer, u64, u32) {
+    pub(crate) fn sort_key(&self) -> (u64, Layer, u64, u32) {
         (self.tick, self.layer, self.seq, self.scope)
     }
 

@@ -112,7 +112,7 @@ impl Histogram {
     }
 
     /// The unit this histogram records.
-    pub fn unit(&self) -> Unit {
+    pub(crate) fn unit(&self) -> Unit {
         self.core.unit
     }
 
@@ -212,7 +212,7 @@ pub struct BucketCount {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Unit of the recorded values.
-    pub unit: Unit,
+    pub(crate) unit: Unit,
     /// Number of recorded values.
     pub count: u64,
     /// Sum of recorded values.
@@ -321,7 +321,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean of recorded values; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         if self.count == 0 {
             None
         } else {
@@ -334,7 +334,7 @@ impl HistogramSnapshot {
     /// buckets cleared); dimensionless snapshots pass through. Fleet
     /// rollups publish this view so the merged JSON is byte-identical
     /// regardless of worker count or machine speed.
-    pub fn stable_view(&self) -> HistogramSnapshot {
+    pub(crate) fn stable_view(&self) -> HistogramSnapshot {
         match self.unit {
             Unit::None => self.clone(),
             Unit::Nanos => HistogramSnapshot {

@@ -13,9 +13,10 @@
 //!   stream, byte-identical across worker counts.
 //! - [`HttpServer`] / [`Introspection`] — a std-only live HTTP view
 //!   (`/metrics`, `/state`, `/events`, `/health`).
-//! - [`export`] — Prometheus text exposition and pretty JSON
-//!   snapshots; [`promlint`] validates the former in CI and [`diff`]
-//!   compares two of the latter (the `metrics-diff` regression gate).
+//! - [`to_prometheus`] / [`to_json`] — Prometheus text exposition and
+//!   pretty JSON snapshots; [`promlint`] validates the former in CI and
+//!   [`diff`] compares two of the latter (the `metrics-diff` regression
+//!   gate).
 //!
 //! The plane's one hard invariant is **decision-inertness**: recording
 //! reads the monotonic clock and writes atomics, never consuming
@@ -27,15 +28,15 @@
 //! across worker counts.
 
 pub mod diff;
-pub mod event;
-pub mod export;
-pub mod hist;
-pub mod http;
+mod event;
+mod export;
+mod hist;
+mod http;
 pub mod promlint;
-pub mod recorder;
-pub mod registry;
-pub mod snapshot;
-pub mod span;
+mod recorder;
+mod registry;
+mod snapshot;
+mod span;
 
 pub use event::{
     attr, causal_chain, events_from_jsonl, events_to_jsonl, sort_events, AttrValue, ChainError,
@@ -43,12 +44,12 @@ pub use event::{
 };
 pub use export::{to_json, to_prometheus};
 pub use hist::{
-    bucket_bounds, bucket_index, num_buckets, Histogram, HistogramSnapshot, MergeOutcome, Unit,
-    NUM_BUCKETS, SUB_BITS,
+    bucket_bounds, bucket_index, num_buckets, BucketCount, Histogram, HistogramSnapshot,
+    MergeOutcome, Unit, NUM_BUCKETS, SUB_BITS,
 };
 pub use http::{HttpServer, Introspection, StateCell, StateScalar};
-pub use recorder::{merge_streams, FlightRecorder, DEFAULT_EVENT_CAPACITY};
-pub use registry::{valid_metric_name, Counter, Gauge, MetricsRegistry};
+pub use recorder::{merge_streams, FlightRecorder};
+pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use snapshot::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 pub use span::{SpanRecord, SpanSink};
 

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default ring capacity used by the runtime planes.
-pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 #[derive(Debug)]
 struct RecorderInner {
@@ -69,11 +69,6 @@ impl FlightRecorder {
     /// A recorder with the default runtime capacity.
     pub fn for_scope(scope: u32, subject: impl Into<String>) -> Self {
         Self::bounded(scope, subject, DEFAULT_EVENT_CAPACITY)
-    }
-
-    /// This recorder's scope index.
-    pub fn scope(&self) -> u32 {
-        crate::lock(&self.inner).scope
     }
 
     /// Records one event against the recorder's default subject.

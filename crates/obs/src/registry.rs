@@ -56,7 +56,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -93,7 +93,7 @@ pub struct MetricsRegistry {
 }
 
 /// True when `name` is a valid Prometheus metric name.
-pub fn valid_metric_name(name: &str) -> bool {
+pub(crate) fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}

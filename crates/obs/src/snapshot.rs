@@ -14,7 +14,7 @@ pub struct CounterSample {
     /// Metric name.
     pub name: String,
     /// Help text.
-    pub help: String,
+    pub(crate) help: String,
     /// Counter value.
     pub value: u64,
 }
@@ -25,7 +25,7 @@ pub struct GaugeSample {
     /// Metric name.
     pub name: String,
     /// Help text.
-    pub help: String,
+    pub(crate) help: String,
     /// Gauge value.
     pub value: f64,
 }
@@ -36,7 +36,7 @@ pub struct HistogramSample {
     /// Metric name.
     pub name: String,
     /// Help text.
-    pub help: String,
+    pub(crate) help: String,
     /// The sparse histogram snapshot.
     pub hist: HistogramSnapshot,
 }
@@ -145,7 +145,7 @@ impl MetricsSnapshot {
 
     /// The deterministic projection of this snapshot: every timing
     /// histogram is reduced to its invocation count (see
-    /// [`HistogramSnapshot::stable_view`]); counters, gauges, and
+    /// `HistogramSnapshot::stable_view`); counters, gauges, and
     /// dimensionless histograms pass through unchanged.
     pub fn stable_view(&self) -> MetricsSnapshot {
         MetricsSnapshot {

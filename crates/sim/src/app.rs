@@ -55,7 +55,7 @@ impl Phase {
     /// # Panics
     ///
     /// Panics if `duration <= 0` or either demand vector is invalid.
-    pub fn ramp(start: ResourceVector, end: ResourceVector, duration: f64) -> Self {
+    pub(crate) fn ramp(start: ResourceVector, end: ResourceVector, duration: f64) -> Self {
         assert!(
             duration > 0.0 && duration.is_finite(),
             "phase duration must be positive"
@@ -69,12 +69,12 @@ impl Phase {
     }
 
     /// Demand at `progress ∈ [0, duration]` nominal ticks into the phase.
-    pub fn demand_at(&self, progress: f64) -> ResourceVector {
+    pub(crate) fn demand_at(&self, progress: f64) -> ResourceVector {
         self.start.lerp(&self.end, progress / self.duration)
     }
 
     /// Nominal length of the phase.
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.duration
     }
 }
@@ -192,14 +192,14 @@ impl PhasedAppBuilder {
     }
 
     /// Bounds the total nominal work; the application finishes once done.
-    pub fn total_work(mut self, ticks: f64) -> Self {
+    pub(crate) fn total_work(mut self, ticks: f64) -> Self {
         self.total_work = Some(ticks);
         self
     }
 
     /// Adds workload modulation: the effective demand is the phase demand
     /// plus `span` scaled by the trace intensity at the current tick.
-    pub fn workload(mut self, trace: Trace, span: ResourceVector) -> Self {
+    pub(crate) fn workload(mut self, trace: Trace, span: ResourceVector) -> Self {
         self.workload = Some((trace, span));
         self
     }

@@ -7,7 +7,7 @@ use stayaway_telemetry::ResourceVector;
 /// CPUBomb: saturates every core, never changes phase, never finishes.
 /// The paper's worst-case co-runner — "it is impossible to execute both VLC
 /// streaming and CPUBomb without violating the QoS".
-pub fn cpu_bomb(cores: f64) -> PhasedApp {
+pub(crate) fn cpu_bomb(cores: f64) -> PhasedApp {
     let demand = ResourceVector::new(cores.max(0.1), 100.0, 200.0, 0.0, 0.0, 0.5);
     PhasedApp::builder("cpu-bomb")
         .phase(Phase::steady(demand, 1.0))
@@ -21,7 +21,7 @@ pub fn cpu_bomb(cores: f64) -> PhasedApp {
 /// The model ramps its working set up to `peak_mb`, then alternates scan
 /// phases (high memory bandwidth) with quiescent phases, releasing and
 /// re-allocating on every cycle.
-pub fn memory_bomb(peak_mb: f64) -> PhasedApp {
+pub(crate) fn memory_bomb(peak_mb: f64) -> PhasedApp {
     let peak = peak_mb.max(100.0);
     let idle = ResourceVector::new(0.3, 500.0, 500.0, 0.0, 0.0, 1.0);
     let held = ResourceVector::new(0.3, peak, 1000.0, 0.0, 0.0, 1.0);

@@ -7,10 +7,10 @@ use crate::app::{Phase, PhasedApp};
 use stayaway_telemetry::{ResourceKind, ResourceVector};
 
 /// Default nominal runtime in ticks.
-pub const DEFAULT_WORK: f64 = 600.0;
+pub(crate) const DEFAULT_WORK: f64 = 600.0;
 
 /// Builds soplex with the default amount of work.
-pub fn soplex() -> PhasedApp {
+pub(crate) fn soplex() -> PhasedApp {
     soplex_with_work(DEFAULT_WORK)
 }
 

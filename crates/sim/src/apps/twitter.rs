@@ -11,14 +11,14 @@ use crate::app::{Phase, PhasedApp};
 use stayaway_telemetry::ResourceVector;
 
 /// Length of the CPU-intensive phase in nominal ticks.
-pub const CPU_PHASE_TICKS: f64 = 25.0;
+pub(crate) const CPU_PHASE_TICKS: f64 = 25.0;
 
 /// Length of the memory-intensive phase in nominal ticks.
-pub const MEM_PHASE_TICKS: f64 = 20.0;
+pub(crate) const MEM_PHASE_TICKS: f64 = 20.0;
 
 /// Builds the Twitter-Analysis batch application (long-running, loops
 /// through its phase cycle until the scenario ends).
-pub fn twitter_analysis() -> PhasedApp {
+pub(crate) fn twitter_analysis() -> PhasedApp {
     let cpu_phase = ResourceVector::new(1.2, 1200.0, 1500.0, 10.0, 0.0, 1.0);
     let mem_lo = ResourceVector::new(0.6, 1500.0, 4000.0, 30.0, 0.0, 2.5);
     let mem_hi = ResourceVector::new(0.6, 4500.0, 7000.0, 30.0, 0.0, 2.5);

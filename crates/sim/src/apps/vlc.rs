@@ -10,7 +10,7 @@ use stayaway_telemetry::ResourceVector;
 /// Real-time transcoding-and-streaming: CPU, memory bandwidth and network
 /// demand scale with the client workload `trace`; the QoS metric is the
 /// achieved transcoding rate relative to real time (the simulator's `perf`).
-pub fn vlc_streaming(trace: Trace) -> PhasedApp {
+pub(crate) fn vlc_streaming(trace: Trace) -> PhasedApp {
     // Demand floor: transcoding the base stream even with few clients.
     // Streaming is a sequential-access workload: its LLC footprint is small
     // (frames stream through), so cache pollution by co-runners hurts far

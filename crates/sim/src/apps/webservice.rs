@@ -51,7 +51,7 @@ fn mem_profile() -> (ResourceVector, ResourceVector) {
 }
 
 /// Builds the webservice under the given workload type, driven by `trace`.
-pub fn webservice(workload: WebWorkload, trace: Trace) -> PhasedApp {
+pub(crate) fn webservice(workload: WebWorkload, trace: Trace) -> PhasedApp {
     let name = format!("webservice-{workload}");
     match workload {
         WebWorkload::CpuIntensive => {

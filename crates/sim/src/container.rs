@@ -18,7 +18,7 @@ impl Container {
     /// Creates a container with an explicit priority (lower number = more
     /// important; only meaningful for sensitive containers, §2.1's
     /// "multiple sensitive applications … with the notion of priorities").
-    pub fn with_priority(
+    pub(crate) fn with_priority(
         id: ContainerId,
         class: AppClass,
         app: Box<dyn Application>,
@@ -51,33 +51,33 @@ impl Container {
     }
 
     /// The application's name.
-    pub fn app_name(&self) -> &str {
+    pub(crate) fn app_name(&self) -> &str {
         self.app.name()
     }
 
     /// True while the container is SIGSTOP-ed.
-    pub fn is_paused(&self) -> bool {
+    pub(crate) fn is_paused(&self) -> bool {
         self.paused
     }
 
     /// True when the application completed all its work.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         self.app.is_finished()
     }
 
     /// True when the container is scheduled, unfinished and not paused at
     /// `tick` — i.e. it will demand resources.
-    pub fn is_active(&self, tick: u64) -> bool {
+    pub(crate) fn is_active(&self, tick: u64) -> bool {
         tick >= self.start_tick && !self.paused && !self.app.is_finished()
     }
 
     /// Pauses the container (SIGSTOP analogue). Idempotent.
-    pub fn pause(&mut self) {
+    pub(crate) fn pause(&mut self) {
         self.paused = true;
     }
 
     /// Resumes the container (SIGCONT analogue). Idempotent.
-    pub fn resume(&mut self) {
+    pub(crate) fn resume(&mut self) {
         self.paused = false;
     }
 

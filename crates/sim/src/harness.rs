@@ -121,15 +121,6 @@ impl Harness {
         rejected
     }
 
-    /// Total nominal batch work completed so far.
-    pub fn batch_work(&self) -> f64 {
-        self.host
-            .containers()
-            .filter(|c| c.class() == AppClass::Batch)
-            .map(|c| c.app().work_done())
-            .sum()
-    }
-
     /// Runs `ticks` closed-loop ticks under `policy`:
     /// [`stayaway_telemetry::drive`] over the harness itself.
     pub fn run(&mut self, policy: &mut dyn Policy, ticks: u64) -> RunOutcome {
@@ -228,7 +219,11 @@ impl ObservationSource for Harness {
     }
 
     fn batch_work(&self) -> f64 {
-        Harness::batch_work(self)
+        self.host
+            .containers()
+            .filter(|c| c.class() == AppClass::Batch)
+            .map(|c| c.app().work_done())
+            .sum()
     }
 }
 

@@ -8,35 +8,35 @@ use stayaway_telemetry::{AppClass, ContainerId, HostSpec, ResourceKind, Resource
 
 /// Per-container outcome of one tick.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ContainerTick {
+pub(crate) struct ContainerTick {
     /// The container.
-    pub id: ContainerId,
+    pub(crate) id: ContainerId,
     /// Sensitive or batch.
-    pub class: AppClass,
+    pub(crate) class: AppClass,
     /// Resources granted/occupied this tick.
-    pub usage: ResourceVector,
+    pub(crate) usage: ResourceVector,
     /// Progress fraction achieved this tick (0.0 when inactive).
-    pub perf: f64,
+    pub(crate) perf: f64,
     /// Whether the container demanded resources this tick.
-    pub active: bool,
+    pub(crate) active: bool,
     /// Whether the container is currently paused.
-    pub paused: bool,
+    pub(crate) paused: bool,
     /// Whether the application has finished.
-    pub finished: bool,
+    pub(crate) finished: bool,
 }
 
 /// Host-wide outcome of one tick.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct HostTick {
+pub(crate) struct HostTick {
     /// The tick index this report describes.
-    pub tick: u64,
+    pub(crate) tick: u64,
     /// Per-container outcomes, in container order.
-    pub containers: Vec<ContainerTick>,
+    pub(crate) containers: Vec<ContainerTick>,
 }
 
 impl HostTick {
     /// Sum of granted CPU over containers of `class`, in cores.
-    pub fn cpu_usage_of(&self, class: AppClass) -> f64 {
+    pub(crate) fn cpu_usage_of(&self, class: AppClass) -> f64 {
         self.containers
             .iter()
             .filter(|c| c.class == class)
@@ -45,7 +45,7 @@ impl HostTick {
     }
 
     /// Machine CPU utilisation in `[0, 1]` for the given capacity.
-    pub fn cpu_utilization(&self, spec: &HostSpec) -> f64 {
+    pub(crate) fn cpu_utilization(&self, spec: &HostSpec) -> f64 {
         let used: f64 = self
             .containers
             .iter()
@@ -55,7 +55,7 @@ impl HostTick {
     }
 
     /// The tick outcome of one container.
-    pub fn container(&self, id: ContainerId) -> Option<&ContainerTick> {
+    pub(crate) fn container(&self, id: ContainerId) -> Option<&ContainerTick> {
         self.containers.iter().find(|c| c.id == id)
     }
 }
@@ -102,11 +102,6 @@ impl Host {
         &self.spec
     }
 
-    /// Current tick (number of completed ticks).
-    pub fn now(&self) -> u64 {
-        self.tick
-    }
-
     /// Adds a container running `app`; returns its id.
     pub fn add_container(
         &mut self,
@@ -121,7 +116,7 @@ impl Host {
     /// important). Sensitive containers that are not of top priority may
     /// be throttled in favour of higher-priority sensitive applications
     /// (§2.1).
-    pub fn add_container_with_priority(
+    pub(crate) fn add_container_with_priority(
         &mut self,
         class: AppClass,
         app: Box<dyn Application>,
@@ -140,7 +135,7 @@ impl Host {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownContainer`] for an unknown id.
-    pub fn container(&self, id: ContainerId) -> Result<&Container, SimError> {
+    pub(crate) fn container(&self, id: ContainerId) -> Result<&Container, SimError> {
         self.containers
             .get(id.raw())
             .ok_or(SimError::UnknownContainer { id: id.raw() })
@@ -160,7 +155,7 @@ impl Host {
     ///
     /// Returns [`SimError::UnknownContainer`] for an unknown id and
     /// [`SimError::ActionRejected`] for a protected sensitive container.
-    pub fn pause(&mut self, id: ContainerId) -> Result<(), SimError> {
+    pub(crate) fn pause(&mut self, id: ContainerId) -> Result<(), SimError> {
         let top_priority = self
             .containers
             .iter()
@@ -187,7 +182,7 @@ impl Host {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownContainer`] for an unknown id.
-    pub fn resume(&mut self, id: ContainerId) -> Result<(), SimError> {
+    pub(crate) fn resume(&mut self, id: ContainerId) -> Result<(), SimError> {
         let c = self
             .containers
             .get_mut(id.raw())
@@ -200,7 +195,7 @@ impl Host {
     /// containers, runs the contention model, delivers progress, and
     /// reports what happened into `report` (overwritten), the physics
     /// working in buffers the host keeps.
-    pub fn step_into(&mut self, report: &mut HostTick) {
+    pub(crate) fn step_into(&mut self, report: &mut HostTick) {
         let t = self.tick;
         let TickBuffers {
             demands,
@@ -289,7 +284,8 @@ mod tests {
         let ct = r.container(id).unwrap();
         assert!((ct.perf - 1.0).abs() < 1e-9);
         assert!((ct.usage.get(ResourceKind::Cpu) - 2.0).abs() < 1e-9);
-        assert_eq!(host.now(), 1);
+        // The clock advanced: the next tick is tick 1.
+        assert_eq!(step(&mut host).tick, 1);
     }
 
     #[test]

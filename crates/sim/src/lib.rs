@@ -31,23 +31,19 @@ pub mod app;
 pub mod apps;
 pub mod container;
 pub mod contention;
-pub mod harness;
-pub mod host;
+mod harness;
+mod host;
 pub mod qos;
 pub mod scenario;
-pub mod source;
+mod source;
 pub mod workload;
 
 mod error;
 
-pub use app::{Application, Phase, PhasedApp};
-pub use container::Container;
 pub use error::SimError;
 pub use harness::Harness;
 pub use host::Host;
-pub use scenario::Scenario;
 pub use source::SimSource;
-pub use workload::Trace;
 // The telemetry plane's types, for the crates that have no normal
 // dependency on `stayaway-telemetry` of their own (`baselines`, `bench`).
 pub use stayaway_telemetry::{

@@ -11,7 +11,7 @@ use stayaway_telemetry::{AppClass, HostSpec};
 /// Default tick at which batch applications are scheduled, giving the
 /// controller a window of isolated sensitive execution first (as in the
 /// Figure 5/13 lifecycles).
-pub const DEFAULT_BATCH_START: u64 = 20;
+pub(crate) const DEFAULT_BATCH_START: u64 = 20;
 
 /// Standard deviation of every scenario's multiplicative monitoring noise.
 const MONITORING_NOISE_SD: f64 = 0.01;
@@ -225,7 +225,7 @@ impl Scenario {
     /// Builds the scenario a `<sensitive>+<batch>` name describes — the
     /// vocabulary of `--scenario`: sensitive ∈ {`vlc`, `web-cpu`, `web-mem`,
     /// `web-mix`} under a diurnal workload, batch ∈ [`BatchKind::ALL`] by
-    /// [`BatchKind::name`], scheduled at [`DEFAULT_BATCH_START`].
+    /// [`BatchKind::name`], scheduled at `DEFAULT_BATCH_START`.
     ///
     /// # Errors
     ///

@@ -28,13 +28,13 @@ pub struct DiurnalParams {
     /// Number of days to generate.
     pub days: usize,
     /// Lowest night-time intensity.
-    pub base: f64,
+    pub(crate) base: f64,
     /// Day/night swing added on top of `base`.
-    pub amplitude: f64,
+    pub(crate) amplitude: f64,
     /// Relative weekly modulation (weekends dip by this fraction).
-    pub weekly_dip: f64,
+    pub(crate) weekly_dip: f64,
     /// Multiplicative noise amplitude.
-    pub noise: f64,
+    pub(crate) noise: f64,
 }
 
 impl Default for DiurnalParams {
@@ -74,7 +74,7 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`SimError::Trace`] when no segment has positive duration.
-    pub fn piecewise(segments: &[(f64, usize)]) -> Result<Self, SimError> {
+    pub(crate) fn piecewise(segments: &[(f64, usize)]) -> Result<Self, SimError> {
         let mut samples = Vec::new();
         for &(intensity, len) in segments {
             samples.extend(vec![intensity.clamp(0.0, 1.0); len]);

@@ -16,22 +16,22 @@
 //!
 //! This crate provides:
 //!
-//! * [`point`] — the 2-D point type with distances and angles;
-//! * [`mode`] — the four execution modes of §3.2.3;
-//! * [`range`] — the Rayleigh violation-range radius;
-//! * [`map`] — the mutable state map maintained by the controller;
-//! * [`template`] — persistable violation templates (§6);
+//! * [`Point2`] — the 2-D point type with distances and angles;
+//! * [`ExecutionMode`] — the four execution modes of §3.2.3;
+//! * [`rayleigh_radius`] — the Rayleigh violation-range radius;
+//! * [`StateMap`] — the mutable state map maintained by the controller;
+//! * [`Template`] — persistable violation templates (§6);
 //! * [`viz`] — SVG rendering of the map, the paper's "visualise co-located
 //!   execution" contribution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod map;
-pub mod mode;
-pub mod point;
-pub mod range;
-pub mod template;
+mod map;
+mod mode;
+mod point;
+mod range;
+mod template;
 pub mod viz;
 
 mod error;
@@ -41,4 +41,4 @@ pub use map::{StateEntry, StateKind, StateMap};
 pub use mode::ExecutionMode;
 pub use point::Point2;
 pub use range::{rayleigh_peak, rayleigh_radius, ViolationRange};
-pub use template::Template;
+pub use template::{Template, TemplateState};

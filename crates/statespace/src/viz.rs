@@ -29,7 +29,6 @@ pub struct MapRenderer<'a> {
     width: u32,
     height: u32,
     trails: Vec<(String, Vec<Point2>)>,
-    draw_ranges: bool,
     title: Option<String>,
 }
 
@@ -46,7 +45,6 @@ impl<'a> MapRenderer<'a> {
             width,
             height,
             trails: Vec::new(),
-            draw_ranges: true,
             title: None,
         }
     }
@@ -54,12 +52,6 @@ impl<'a> MapRenderer<'a> {
     /// Adds a labelled execution trajectory.
     pub fn trail(mut self, label: impl Into<String>, points: Vec<Point2>) -> Self {
         self.trails.push((label.into(), points));
-        self
-    }
-
-    /// Enables/disables violation-range circles (default on).
-    pub fn ranges(mut self, draw: bool) -> Self {
-        self.draw_ranges = draw;
         self
     }
 
@@ -81,7 +73,7 @@ impl<'a> MapRenderer<'a> {
             max.1 = max.1.max(p.y + pad);
         };
         for (i, e) in self.map.iter().enumerate() {
-            let pad = if self.draw_ranges && e.kind() == StateKind::Violation {
+            let pad = if e.kind() == StateKind::Violation {
                 self.map
                     .violation_range(i)
                     .map(|r| r.radius())
@@ -137,21 +129,19 @@ impl<'a> MapRenderer<'a> {
         }
 
         // Violation ranges first (underneath everything).
-        if self.draw_ranges {
-            for (i, e) in self.map.iter().enumerate() {
-                if e.kind() != StateKind::Violation {
-                    continue;
-                }
-                if let Ok(range) = self.map.violation_range(i) {
-                    if range.radius() > 0.0 {
-                        let (cx, cy) = to_px(range.center());
-                        let _ = writeln!(
-                            svg,
-                            r#"<circle cx="{cx:.1}" cy="{cy:.1}" r="{:.1}" fill="{color}" fill-opacity="0.08" stroke="{color}" stroke-opacity="0.4" stroke-dasharray="4 3"/>"#,
-                            range.radius() * scale,
-                            color = RANGE_STROKE
-                        );
-                    }
+        for (i, e) in self.map.iter().enumerate() {
+            if e.kind() != StateKind::Violation {
+                continue;
+            }
+            if let Ok(range) = self.map.violation_range(i) {
+                if range.radius() > 0.0 {
+                    let (cx, cy) = to_px(range.center());
+                    let _ = writeln!(
+                        svg,
+                        r#"<circle cx="{cx:.1}" cy="{cy:.1}" r="{:.1}" fill="{color}" fill-opacity="0.08" stroke="{color}" stroke-opacity="0.4" stroke-dasharray="4 3"/>"#,
+                        range.radius() * scale,
+                        color = RANGE_STROKE
+                    );
                 }
             }
         }
@@ -246,14 +236,6 @@ mod tests {
         assert!(svg.contains("test map"));
         // Balanced tags.
         assert_eq!(svg.matches("<svg").count(), svg.matches("</svg>").count());
-    }
-
-    #[test]
-    fn ranges_can_be_disabled() {
-        let map = sample_map();
-        let svg = MapRenderer::new(&map, 400, 300).ranges(false).render();
-        assert_eq!(svg.matches("<circle").count(), 3); // states only
-        assert!(!svg.contains("stroke-dasharray"));
     }
 
     #[test]

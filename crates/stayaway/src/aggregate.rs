@@ -38,7 +38,7 @@ pub fn is_protected(observation: &Observation, container: &ContainerObs) -> bool
 
 /// Iterator over the throttleable containers: batch applications plus any
 /// demoted (lower-priority) sensitive applications.
-pub fn throttleable<'a>(
+pub(crate) fn throttleable<'a>(
     observation: &'a Observation,
 ) -> impl Iterator<Item = &'a ContainerObs> + 'a {
     observation
@@ -48,7 +48,7 @@ pub fn throttleable<'a>(
 }
 
 /// True when any protected container is active.
-pub fn protected_active(observation: &Observation) -> bool {
+pub(crate) fn protected_active(observation: &Observation) -> bool {
     observation
         .containers
         .iter()
@@ -56,12 +56,12 @@ pub fn protected_active(observation: &Observation) -> bool {
 }
 
 /// True when any throttleable container is active.
-pub fn throttleable_active(observation: &Observation) -> bool {
+pub(crate) fn throttleable_active(observation: &Observation) -> bool {
     throttleable(observation).any(|c| c.active)
 }
 
 /// Builds aggregated usage: `(protected, logical throttleable VM)`.
-pub fn aggregate_usage(observation: &Observation) -> (ResourceVector, ResourceVector) {
+pub(crate) fn aggregate_usage(observation: &Observation) -> (ResourceVector, ResourceVector) {
     let mut protected = ResourceVector::zero();
     let mut rest = ResourceVector::zero();
     for c in &observation.containers {
@@ -92,7 +92,7 @@ pub fn measurement_vector(observation: &Observation, metrics: &[ResourceKind]) -
 }
 
 /// [`measurement_vector`] into `out` (overwritten).
-pub fn measurement_vector_into(
+pub(crate) fn measurement_vector_into(
     observation: &Observation,
     metrics: &[ResourceKind],
     out: &mut Vec<f64>,
@@ -107,7 +107,7 @@ pub fn measurement_vector_into(
 /// The logical throttleable VM's usage on the selected metrics into `out`
 /// (overwritten) — used by the controller to estimate what resuming the
 /// batch applications would add to the current load.
-pub fn batch_usage_vector_into(
+pub(crate) fn batch_usage_vector_into(
     observation: &Observation,
     metrics: &[ResourceKind],
     out: &mut Vec<f64>,
@@ -123,7 +123,7 @@ pub fn batch_usage_vector_into(
 /// "batch applications consuming a majority share of resources are
 /// collectively throttled" (§5). With a single batch container this is just
 /// that container.
-pub fn majority_share_batch(
+pub(crate) fn majority_share_batch(
     observation: &Observation,
     metrics: &[ResourceKind],
     capacities: &ResourceVector,

@@ -3,6 +3,7 @@
 
 use crate::config::ControllerConfig;
 use crate::obs::{ControllerMetrics, Laps, MappingMetrics, Observability};
+use crate::policy::ControlPolicy;
 use crate::stages::{ActStage, MapStage, PredictStage, ResumeDecision, SenseStage};
 use crate::stats::{hit_ratio, ControllerStats, StageClock, StageTiming};
 use crate::CoreError;
@@ -35,6 +36,10 @@ pub struct Controller {
     predict: PredictStage,
     act: ActStage,
     rng: StdRng,
+    /// Tick of the first throttle and whether it was proactive
+    /// (prediction- or template-driven rather than a reaction to an
+    /// observed violation); `None` until the controller throttles. Kept
+    /// outside the bounded recorder ring so eviction cannot lose it.
     first_throttle: Option<(u64, bool)>,
     obs: ControllerMetrics,
 }
@@ -150,14 +155,6 @@ impl Controller {
     /// and duty-cycle gauges, map-stage metrics).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.bundle.registry().snapshot()
-    }
-
-    /// Tick of the first throttle and whether it was proactive
-    /// (prediction- or template-driven rather than a reaction to an
-    /// observed violation); `None` until the controller throttles. Kept
-    /// outside the bounded recorder ring so eviction cannot lose it.
-    pub fn first_throttle(&self) -> Option<(u64, bool)> {
-        self.first_throttle
     }
 
     /// Records the flight recorder evicted or refused; 0 without one.
@@ -432,6 +429,25 @@ impl Policy for Controller {
                 Vec::new()
             }
         }
+    }
+}
+
+impl ControlPolicy for Controller {
+    fn stats(&self) -> ControllerStats {
+        Controller::stats(self)
+    }
+
+    fn first_throttle(&self) -> Option<(u64, bool)> {
+        self.first_throttle
+    }
+
+    fn export_template(&self, sensitive_app: &str) -> Result<Option<Template>, CoreError> {
+        Controller::export_template(self, sensitive_app).map(Some)
+    }
+
+    fn import_template(&mut self, template: &Template) -> Result<bool, CoreError> {
+        Controller::import_template(self, template)?;
+        Ok(true)
     }
 }
 

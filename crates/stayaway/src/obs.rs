@@ -98,12 +98,12 @@ impl Observability {
     }
 
     /// The registry instruments are registered into.
-    pub fn registry(&self) -> &MetricsRegistry {
+    pub(crate) fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
     /// The span sink, when configured.
-    pub fn sink(&self) -> Option<&SpanSink> {
+    pub(crate) fn sink(&self) -> Option<&SpanSink> {
         self.sink.as_ref()
     }
 
@@ -136,45 +136,45 @@ impl Observability {
 /// builds the event's attributes and records it — charged to no stage.
 #[derive(Debug)]
 pub(crate) struct ControllerMetrics {
-    pub bundle: Observability,
+    pub(crate) bundle: Observability,
     // Per-stage wall-time, one record per control period per stage —
     // the primary store behind the `ControllerStats::stage_timing`
     // compatibility view.
-    pub sense_latency: Histogram,
-    pub map_latency: Histogram,
-    pub predict_latency: Histogram,
-    pub act_latency: Histogram,
+    pub(crate) sense_latency: Histogram,
+    pub(crate) map_latency: Histogram,
+    pub(crate) predict_latency: Histogram,
+    pub(crate) act_latency: Histogram,
     // Prediction-plane instruments (DESIGN.md §15): one record per
     // forecast invocation of the configured predictor. Since a controller
     // runs exactly one predictor, this histogram *is* per-predictor at
     // cell granularity; fleet rollups attribute it via the per-predictor
     // cohorts.
-    pub forecast_latency: Histogram,
-    pub verdicts: Counter,
-    pub violation_verdicts: Counter,
-    pub periods: Counter,
-    pub samples_rejected: Counter,
-    pub violations_observed: Counter,
-    pub violations_predicted: Counter,
-    pub throttles: Counter,
-    pub resumes: Counter,
-    pub prediction_checks: Counter,
-    pub prediction_hits: Counter,
-    pub mapping_errors: Counter,
-    pub throttled_periods: Counter,
-    pub beta: Gauge,
-    pub duty_cycle: Gauge,
-    pub events_dropped: Gauge,
-    pub states: Gauge,
-    pub violation_states: Gauge,
+    pub(crate) forecast_latency: Histogram,
+    pub(crate) verdicts: Counter,
+    pub(crate) violation_verdicts: Counter,
+    pub(crate) periods: Counter,
+    pub(crate) samples_rejected: Counter,
+    pub(crate) violations_observed: Counter,
+    pub(crate) violations_predicted: Counter,
+    pub(crate) throttles: Counter,
+    pub(crate) resumes: Counter,
+    pub(crate) prediction_checks: Counter,
+    pub(crate) prediction_hits: Counter,
+    pub(crate) mapping_errors: Counter,
+    pub(crate) throttled_periods: Counter,
+    pub(crate) beta: Gauge,
+    pub(crate) duty_cycle: Gauge,
+    pub(crate) events_dropped: Gauge,
+    pub(crate) states: Gauge,
+    pub(crate) violation_states: Gauge,
     /// Registered lazily at the first verified prediction so the
     /// accuracy series is *omitted* — not reported as 1.0 — before any
     /// check has run (the `hit_ratio(0, 0)` fix, exporter-side).
-    pub hit_ratio: Option<Gauge>,
+    pub(crate) hit_ratio: Option<Gauge>,
 }
 
 impl ControllerMetrics {
-    pub fn register(bundle: Observability) -> Self {
+    pub(crate) fn register(bundle: Observability) -> Self {
         let r = &bundle.registry;
         ControllerMetrics {
             sense_latency: r.latency_histogram(
@@ -271,7 +271,7 @@ impl ControllerMetrics {
     /// The event names the verdict that was in force when the violation
     /// slipped through: last period's, since this period's forecast has
     /// not run yet.
-    pub fn violation_learned(&self, clock: &mut Laps, tick: u64, rep: usize) {
+    pub(crate) fn violation_learned(&self, clock: &mut Laps, tick: u64, rep: usize) {
         self.violations_observed.inc();
         let cause = |rec: &FlightRecorder| rec.last_id_of_kind(EventKind::PredictorVerdict);
         let attrs = || vec![attr("state", rep as u64)];
@@ -280,7 +280,7 @@ impl ControllerMetrics {
 
     /// β raised to `beta` by a violation that followed a phase-change
     /// resume (§3.3).
-    pub fn beta_raised(&self, clock: &mut Laps, tick: u64, beta: f64) {
+    pub(crate) fn beta_raised(&self, clock: &mut Laps, tick: u64, beta: f64) {
         let cause = |rec: &FlightRecorder| rec.last_id_of_kind(EventKind::SloViolation);
         let attrs = || vec![attr("beta", beta)];
         self.decision(clock, tick, EventKind::BetaChange, cause, attrs);
@@ -288,7 +288,12 @@ impl ControllerMetrics {
 
     /// A forecast that produced a verdict. Returns its event, the cause a
     /// throttle later in the period names.
-    pub fn verdict(&self, clock: &mut Laps, tick: u64, forecast: &Forecast) -> Option<EventId> {
+    pub(crate) fn verdict(
+        &self,
+        clock: &mut Laps,
+        tick: u64,
+        forecast: &Forecast,
+    ) -> Option<EventId> {
         self.verdicts.inc();
         if forecast.predicted_violation {
             self.violation_verdicts.inc();
@@ -307,7 +312,7 @@ impl ControllerMetrics {
     /// A throttle of `count` containers. Its cause is this period's
     /// `verdict` when one exists (the proactive path); a reactive throttle
     /// names the violation it answers.
-    pub fn throttled(
+    pub(crate) fn throttled(
         &self,
         clock: &mut Laps,
         tick: u64,
@@ -323,14 +328,14 @@ impl ControllerMetrics {
     }
 
     /// The drift reference of the current throttle anchored at `anchor`.
-    pub fn anchored(&self, clock: &mut Laps, tick: u64, anchor: Point2) {
+    pub(crate) fn anchored(&self, clock: &mut Laps, tick: u64, anchor: Point2) {
         let cause = |rec: &FlightRecorder| rec.last_id_of_kind(EventKind::Throttle);
         let attrs = || vec![attr("x", anchor.x), attr("y", anchor.y)];
         self.decision(clock, tick, EventKind::DriftAnchor, cause, attrs);
     }
 
     /// The current throttle ended for `reason`.
-    pub fn resumed(&self, clock: &mut Laps, tick: u64, reason: ResumeReason) {
+    pub(crate) fn resumed(&self, clock: &mut Laps, tick: u64, reason: ResumeReason) {
         self.resumes.inc();
         let why = match reason {
             ResumeReason::PhaseChange => "phase-change",
@@ -366,7 +371,7 @@ impl ControllerMetrics {
 
     /// Publishes the prediction hit ratio, registering the gauge on
     /// first use (`checks > 0` guaranteed by the caller).
-    pub fn set_hit_ratio(&mut self, ratio: f64) {
+    pub(crate) fn set_hit_ratio(&mut self, ratio: f64) {
         let gauge = self.hit_ratio.get_or_insert_with(|| {
             self.bundle.registry.gauge(
                 "stayaway_controller_prediction_hit_ratio",
@@ -384,14 +389,14 @@ pub(crate) struct Laps {
 }
 
 impl Laps {
-    pub fn start() -> Self {
+    pub(crate) fn start() -> Self {
         Laps {
             boundary: Instant::now(),
         }
     }
 
     /// Nanoseconds since the previous boundary; now is the new boundary.
-    pub fn lap(&mut self) -> u64 {
+    pub(crate) fn lap(&mut self) -> u64 {
         let now = Instant::now();
         let nanos = now.duration_since(self.boundary).as_nanos() as u64;
         self.boundary = now;
@@ -437,7 +442,7 @@ impl MappingMetrics {
     /// additionally computes the map's stress after each global solve
     /// (O(n²), decision-inert) and publishes each placed state's column
     /// stress.
-    pub fn register(registry: &MetricsRegistry, deep: bool) -> Self {
+    pub(crate) fn register(registry: &MetricsRegistry, deep: bool) -> Self {
         MappingMetrics {
             samples: registry.counter(
                 "stayaway_mapping_samples_total",
@@ -494,7 +499,7 @@ impl MappingMetrics {
     }
 
     /// One sample mapped; refreshes the dedup ratio and repr-set size.
-    pub fn on_sample(&self, repr_states: usize, samples_seen: u64) {
+    pub(crate) fn on_sample(&self, repr_states: usize, samples_seen: u64) {
         self.samples.inc();
         self.repr_states.set(repr_states as f64);
         if samples_seen > 0 {
@@ -504,7 +509,7 @@ impl MappingMetrics {
     }
 
     /// One sample absorbed by the soft state cap.
-    pub fn on_soft_capped(&self) {
+    pub(crate) fn on_soft_capped(&self) {
         self.soft_capped.inc();
     }
 
@@ -512,7 +517,7 @@ impl MappingMetrics {
     /// the map as it stood and, a misfit, whether its global solve was
     /// `skipped` because the solves before it were futile. The column
     /// stress that decided it is published in deep mode.
-    pub fn on_placement(&self, column_stress: f64, fits: bool, skipped: bool) {
+    pub(crate) fn on_placement(&self, column_stress: f64, fits: bool, skipped: bool) {
         if fits {
             self.placements.inc();
         }
@@ -527,7 +532,7 @@ impl MappingMetrics {
     /// One global SMACOF solve: its wall time, its majorization sweeps
     /// and, in deep mode only (`stress` is a closure so shallow mode pays
     /// nothing), the map's stress after it.
-    pub fn on_solve(&self, nanos: u64, sweeps: u64, stress: impl FnOnce() -> Option<f64>) {
+    pub(crate) fn on_solve(&self, nanos: u64, sweeps: u64, stress: impl FnOnce() -> Option<f64>) {
         self.sweep_latency.record(nanos);
         self.smacof_runs.inc();
         self.smacof_iterations.record(sweeps);
@@ -538,7 +543,7 @@ impl MappingMetrics {
 
     /// One distance-matrix append batch finished in `nanos`
     /// wall-nanoseconds.
-    pub fn on_append_timed(&self, nanos: u64) {
+    pub(crate) fn on_append_timed(&self, nanos: u64) {
         self.append_latency.record(nanos);
     }
 }

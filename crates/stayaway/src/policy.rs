@@ -1,20 +1,20 @@
 //! The unified control-plane interface.
 //!
 //! [`ControlPolicy`] is the one trait every control plane in this workspace
-//! speaks — the staged Stay-Away [`Controller`] and all baselines alike. It
-//! is a strict superset of the simulator's [`Policy`] (observe → actions):
-//! on top of the decision loop it exposes the *introspection* surface the
-//! bench runner, fleet cells and CLI need — aggregate statistics, the first
-//! throttle, and state-map templates (§6) — all with default
-//! implementations, so a baseline adopts the trait with a single empty
-//! `impl` block.
+//! speaks — the staged Stay-Away [`Controller`](crate::Controller) and all
+//! baselines alike. It is a strict superset of the simulator's [`Policy`]
+//! (observe → actions): on top of the decision loop it exposes the
+//! *introspection* surface the bench runner, fleet cells and CLI need —
+//! aggregate statistics, the first throttle, and state-map templates (§6)
+//! — all with default implementations, so a baseline adopts the trait
+//! with a single empty `impl` block.
 //!
 //! The trait is object-safe: fleets hold `Box<dyn ControlPolicy>` cells and
 //! upcast to `&mut dyn Policy` when handing the policy to the simulator
 //! harness.
 
 use crate::stats::ControllerStats;
-use crate::{Controller, CoreError};
+use crate::CoreError;
 use stayaway_statespace::Template;
 use stayaway_telemetry::{NullPolicy, Policy};
 
@@ -22,7 +22,8 @@ use stayaway_telemetry::{NullPolicy, Policy};
 ///
 /// Every hook has a default implementation describing a policy that tracks
 /// nothing — the correct behaviour for simple baselines. Rich policies
-/// (the Stay-Away [`Controller`]) override what they actually support.
+/// (the Stay-Away [`Controller`](crate::Controller)) override what they
+/// actually support.
 pub trait ControlPolicy: Policy {
     /// Aggregate statistics so far. Policies that track nothing report
     /// all-zero stats.
@@ -60,32 +61,13 @@ pub trait ControlPolicy: Policy {
     }
 }
 
-impl ControlPolicy for Controller {
-    fn stats(&self) -> ControllerStats {
-        Controller::stats(self)
-    }
-
-    fn first_throttle(&self) -> Option<(u64, bool)> {
-        Controller::first_throttle(self)
-    }
-
-    fn export_template(&self, sensitive_app: &str) -> Result<Option<Template>, CoreError> {
-        Controller::export_template(self, sensitive_app).map(Some)
-    }
-
-    fn import_template(&mut self, template: &Template) -> Result<bool, CoreError> {
-        Controller::import_template(self, template)?;
-        Ok(true)
-    }
-}
-
 /// The no-prevention baseline is the minimal control plane: pure defaults.
 impl ControlPolicy for NullPolicy {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ControllerConfig;
+    use crate::{Controller, ControllerConfig};
     use stayaway_sim::scenario::Scenario;
 
     #[test]

@@ -33,7 +33,7 @@ const MIN_OBSERVATIONS: u64 = 4;
 /// violation-range of the map **or** the filtered pressure crosses the
 /// learned threshold. Fully deterministic; never draws from the RNG.
 #[derive(Debug)]
-pub struct DenoisePredictor {
+pub(crate) struct DenoisePredictor {
     /// Last `MEDIAN_WINDOW` normalised observation vectors.
     window: Vec<Vec<f64>>,
     /// EMA of the median-filtered vector.
@@ -54,7 +54,7 @@ impl Default for DenoisePredictor {
 
 impl DenoisePredictor {
     /// Creates an untrained monitor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DenoisePredictor {
             window: Vec::new(),
             ema: None,

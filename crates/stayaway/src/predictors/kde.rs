@@ -21,7 +21,7 @@ use stayaway_trajectory::{ModePredictor, Step};
 /// density estimate smooths the histograms on this path (ROADMAP `[judge]`
 /// records the gap). Pinned bit-for-bit to the golden fixture.
 #[derive(Debug)]
-pub struct KdePredictor {
+pub(crate) struct KdePredictor {
     model: ModePredictor,
     samples: usize,
 }
@@ -30,7 +30,7 @@ impl KdePredictor {
     /// Creates the predictor: one model per execution mode (the paper's
     /// design) or a single pooled model (ablation), drawing `samples`
     /// candidates per forecast.
-    pub fn new(per_mode_models: bool, samples: usize) -> Self {
+    pub(crate) fn new(per_mode_models: bool, samples: usize) -> Self {
         let model = if per_mode_models {
             ModePredictor::new()
         } else {

@@ -13,11 +13,11 @@ use stayaway_statespace::{ExecutionMode, Point2};
 /// representative, or a position inside a violation-range. No model, no
 /// learning, no RNG; purely the persistence forecast.
 #[derive(Debug, Default)]
-pub struct LastTickPredictor;
+pub(crate) struct LastTickPredictor;
 
 impl LastTickPredictor {
     /// Creates the baseline.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LastTickPredictor
     }
 }

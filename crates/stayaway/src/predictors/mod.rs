@@ -51,16 +51,16 @@ mod kde;
 mod last_tick;
 mod xapp;
 
-pub use denoise::DenoisePredictor;
-pub use kde::KdePredictor;
-pub use last_tick::LastTickPredictor;
-pub use xapp::XAppPredictor;
+pub(crate) use denoise::DenoisePredictor;
+pub(crate) use kde::KdePredictor;
+pub(crate) use last_tick::LastTickPredictor;
+pub(crate) use xapp::XAppPredictor;
 
 /// One period's violation forecast — the verdict every predictor returns.
 #[derive(Debug, Clone, Copy)]
 pub struct Forecast {
     /// The predictor's verdict: the next co-located state violates.
-    pub predicted_violation: bool,
+    pub(crate) predicted_violation: bool,
     /// Evidence in favour (sampled candidates in a violation-range for
     /// the KDE; satisfied criteria for the analytic predictors).
     pub votes: usize,
@@ -124,7 +124,7 @@ impl PredictorKind {
     }
 
     /// Builds the predictor this kind names, tuned from `config`.
-    pub fn build(self, config: &ControllerConfig) -> Box<dyn Predictor> {
+    pub(crate) fn build(self, config: &ControllerConfig) -> Box<dyn Predictor> {
         match self {
             PredictorKind::Kde => Box::new(KdePredictor::new(
                 config.per_mode_models,
@@ -155,7 +155,9 @@ pub struct PredictorStats {
 /// verdict, checking it next period, dropping it on a throttle); a plane
 /// keeps only its model.
 ///
-/// See the [module docs](self) for the determinism contract; the trait is
+/// Implementations must be deterministic functions of their observation
+/// history and the borrowed RNG, and must sanitise non-finite inputs
+/// (DESIGN.md §15); the trait is
 /// `Send` (never `Sync`) because fleet cells move their controllers onto
 /// worker threads but each predictor is owned by exactly one controller.
 pub trait Predictor: Send {

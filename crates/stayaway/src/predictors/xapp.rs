@@ -30,7 +30,7 @@ const MIN_OBSERVATIONS: u64 = 4;
 /// the next co-located state violates. Fully deterministic — the model
 /// never draws from the controller RNG.
 #[derive(Debug)]
-pub struct XAppPredictor {
+pub(crate) struct XAppPredictor {
     /// One weight per feature (`2` per resource: sensitive level and
     /// contention), sized lazily from the first observation.
     weights: Vec<f64>,
@@ -47,7 +47,7 @@ impl Default for XAppPredictor {
 
 impl XAppPredictor {
     /// Creates an untrained scorer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         XAppPredictor {
             weights: Vec::new(),
             bias: 0.0,

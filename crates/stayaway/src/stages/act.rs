@@ -157,7 +157,7 @@ impl ActStage {
     /// Drains the drift anchor established by the last
     /// [`ActStage::maybe_resume`] call, if any. Observability-only: the
     /// flag never feeds back into stage decisions.
-    pub fn take_anchor_established(&mut self) -> Option<Point2> {
+    pub(crate) fn take_anchor_established(&mut self) -> Option<Point2> {
         self.anchor_established.take()
     }
 
@@ -329,7 +329,7 @@ impl ActStage {
 
     /// Picks the throttleable containers holding the majority resource
     /// share (§5).
-    pub fn throttle_targets(&self, observation: &Observation) -> Vec<ContainerId> {
+    pub(crate) fn throttle_targets(&self, observation: &Observation) -> Vec<ContainerId> {
         majority_share_batch(observation, &self.metrics, &self.capacities)
     }
 

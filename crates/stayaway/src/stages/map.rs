@@ -57,8 +57,6 @@ pub struct MappedState {
     pub rep: usize,
     /// The representative's (post-refresh) 2-D position.
     pub point: Point2,
-    /// True when this observation created a new representative.
-    pub is_new: bool,
 }
 
 /// What inserting one normalised vector did to the representative set.
@@ -221,11 +219,7 @@ impl MapStage {
             Insert::Merged(_) => {}
         }
         self.map.derive_ranges();
-        Ok(MappedState {
-            rep,
-            point,
-            is_new: !matches!(inserted, Insert::Merged(_)),
-        })
+        Ok(MappedState { rep, point })
     }
 
     /// Seeds the stage with a template captured in a previous run (§6).
@@ -240,7 +234,7 @@ impl MapStage {
     ///
     /// Returns [`CoreError::Template`] on dimension mismatch and propagates
     /// embedding failures.
-    pub fn import_template(&mut self, template: &Template) -> Result<(), CoreError> {
+    pub(crate) fn import_template(&mut self, template: &Template) -> Result<(), CoreError> {
         let dim = self.normalizer.dim();
         for state in template.iter() {
             if state.vector.len() != dim {
@@ -271,7 +265,7 @@ impl MapStage {
     /// # Errors
     ///
     /// Propagates template-construction failures.
-    pub fn export_template(&self, sensitive_app: &str) -> Result<Template, CoreError> {
+    pub(crate) fn export_template(&self, sensitive_app: &str) -> Result<Template, CoreError> {
         let mut t = Template::new(sensitive_app, self.normalizer.dim())?;
         for rep in 0..self.repr.len() {
             t.push(
@@ -295,7 +289,7 @@ impl MapStage {
     }
 
     /// True when representative `rep` is a known violation-state.
-    pub fn is_violation_state(&self, rep: usize) -> bool {
+    pub(crate) fn is_violation_state(&self, rep: usize) -> bool {
         self.map
             .entry(rep)
             .map(|e| e.kind() == StateKind::Violation)
@@ -303,7 +297,7 @@ impl MapStage {
     }
 
     /// The learned state map.
-    pub fn state_map(&self) -> &StateMap {
+    pub(crate) fn state_map(&self) -> &StateMap {
         &self.map
     }
 
@@ -333,7 +327,7 @@ impl MapStage {
     /// Returns [`CoreError::NoEmbedding`] when no embedding has been built
     /// yet or `rep` lies outside it — the controller's decide loop counts
     /// this instead of crashing.
-    pub fn point_of(&self, rep: usize) -> Result<Point2, CoreError> {
+    pub(crate) fn point_of(&self, rep: usize) -> Result<Point2, CoreError> {
         let e = self
             .embedding
             .as_ref()
@@ -349,7 +343,7 @@ impl MapStage {
     /// # Errors
     ///
     /// Returns a dimension-mismatch error for wrong-length input.
-    pub fn normalize(&self, raw: &[f64]) -> Result<Vec<f64>, CoreError> {
+    pub(crate) fn normalize(&self, raw: &[f64]) -> Result<Vec<f64>, CoreError> {
         let mut out = Vec::with_capacity(raw.len());
         self.normalize_into(raw, &mut out)?;
         Ok(out)
@@ -360,12 +354,12 @@ impl MapStage {
     /// # Errors
     ///
     /// Returns a dimension-mismatch error for wrong-length input.
-    pub fn normalize_into(&self, raw: &[f64], out: &mut Vec<f64>) -> Result<(), CoreError> {
+    pub(crate) fn normalize_into(&self, raw: &[f64], out: &mut Vec<f64>) -> Result<(), CoreError> {
         Ok(self.normalizer.normalize_into(raw, out)?)
     }
 
     /// Nearest representative to a normalised vector: `(rep, distance)`.
-    pub fn nearest(&self, normalized: &[f64]) -> Option<(usize, f64)> {
+    pub(crate) fn nearest(&self, normalized: &[f64]) -> Option<(usize, f64)> {
         self.repr.nearest(normalized)
     }
 
@@ -374,7 +368,7 @@ impl MapStage {
     /// average of its three nearest representatives' positions. Returns the
     /// approximate point and the distance to the nearest representative
     /// (a confidence measure — large distances mean unexplored territory).
-    pub fn approximate_point(&self, normalized: &[f64]) -> Option<(Point2, f64)> {
+    pub(crate) fn approximate_point(&self, normalized: &[f64]) -> Option<(Point2, f64)> {
         let embedding = self.embedding.as_ref()?;
         if self.repr.is_empty() {
             return None;
@@ -589,7 +583,6 @@ mod tests {
         let mut s = stage();
         let m = ingest(&mut s, &raw(1.0, 1000.0, 0.0, 0.0));
         assert_eq!(m.rep, 0);
-        assert!(m.is_new);
         assert!(m.point.is_finite());
         assert_eq!(s.repr_count(), 1);
         assert_eq!(s.state_map().len(), 1);
@@ -601,7 +594,6 @@ mod tests {
         ingest(&mut s, &raw(1.0, 1000.0, 0.0, 0.0));
         let m = ingest(&mut s, &raw(1.02, 1010.0, 0.0, 0.0));
         assert_eq!(m.rep, 0);
-        assert!(!m.is_new);
         assert_eq!(s.repr_count(), 1);
     }
 

@@ -21,10 +21,10 @@
 //! other; later stages receive an explicit `&MapStage` argument where they
 //! must consult learned state, which keeps the data flow auditable.
 
-pub mod act;
-pub mod map;
-pub mod predict;
-pub mod sense;
+mod act;
+pub(crate) mod map;
+mod predict;
+pub(crate) mod sense;
 
 pub use act::{ActStage, ResumeDecision};
 pub use map::{MapStage, MappedState};

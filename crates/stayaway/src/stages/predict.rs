@@ -110,7 +110,7 @@ impl PredictStage {
 
     /// Drops the pending verdict: a throttle consumed the prediction, so
     /// its next state will not be observed under co-location.
-    pub fn cancel_verdict(&mut self) {
+    pub(crate) fn cancel_verdict(&mut self) {
         self.ledger.pending = None;
     }
 
@@ -125,7 +125,7 @@ impl PredictStage {
     }
 
     /// Notifies the predictor that the map warm-started from a template.
-    pub fn on_template_imported(&mut self, map: &MapStage) {
+    pub(crate) fn on_template_imported(&mut self, map: &MapStage) {
         self.predictor.on_template_imported(map);
     }
 }

@@ -48,7 +48,7 @@ pub struct SenseStage {
 
 impl SenseStage {
     /// Creates the stage for the configured metrics and violation source.
-    pub fn new(metrics: &[ResourceKind], detection: ViolationDetection) -> Self {
+    pub(crate) fn new(metrics: &[ResourceKind], detection: ViolationDetection) -> Self {
         SenseStage {
             metrics: metrics.to_vec(),
             detector: ViolationDetector::new(detection),
@@ -67,7 +67,7 @@ impl SenseStage {
     /// in recorded traces, or hand-edited trace files) are replaced with
     /// zero and counted in [`Sensed::rejected`] rather than silently
     /// poisoning the embedding downstream.
-    pub fn observe(&mut self, observation: &Observation) -> Sensed {
+    pub(crate) fn observe(&mut self, observation: &Observation) -> Sensed {
         let mode = ExecutionMode::from_activity(
             protected_active(observation),
             throttleable_active(observation),
@@ -93,12 +93,12 @@ impl SenseStage {
     /// Takes back a period's [`Sensed`] once every stage is done with it,
     /// so the next [`SenseStage::observe`] refills its raw vector instead
     /// of allocating one.
-    pub fn recycle(&mut self, sensed: Sensed) {
+    pub(crate) fn recycle(&mut self, sensed: Sensed) {
         self.spare_raw = sensed.raw;
     }
 
     /// The logical batch VM's usage when it last ran, if ever.
-    pub fn last_batch_usage(&self) -> Option<&[f64]> {
+    pub(crate) fn last_batch_usage(&self) -> Option<&[f64]> {
         self.last_batch_usage.as_deref()
     }
 }

@@ -32,7 +32,7 @@ pub enum ViolationDetection {
 
 /// Stateful violation detector used by the controller each period.
 #[derive(Debug, Clone)]
-pub struct ViolationDetector {
+pub(crate) struct ViolationDetector {
     mode: ViolationDetection,
     /// EWMA of the sensitive VM's IPC during isolated execution.
     baseline: Option<f64>,
@@ -41,17 +41,12 @@ pub struct ViolationDetector {
 
 impl ViolationDetector {
     /// Creates a detector for the given mode.
-    pub fn new(mode: ViolationDetection) -> Self {
+    pub(crate) fn new(mode: ViolationDetection) -> Self {
         ViolationDetector {
             mode,
             baseline: None,
             alpha: 0.2,
         }
-    }
-
-    /// The configured detection mode.
-    pub fn mode(&self) -> ViolationDetection {
-        self.mode
     }
 
     /// Observes one tick and decides whether it is a violation.
@@ -63,7 +58,7 @@ impl ViolationDetector {
     /// threshold fraction of that baseline. Without a baseline yet, no
     /// violation is inferred (the controller cannot distinguish slow from
     /// normal).
-    pub fn assess(&mut self, observation: &Observation) -> bool {
+    pub(crate) fn assess(&mut self, observation: &Observation) -> bool {
         match self.mode {
             ViolationDetection::AppReported => observation.qos_violation,
             ViolationDetection::IpcInferred { threshold } => {

@@ -30,14 +30,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
-pub mod host;
-pub mod observation;
+mod codec;
+mod host;
+mod observation;
 pub mod procfs;
-pub mod resources;
-pub mod run;
-pub mod source;
-pub mod trace;
+mod resources;
+mod run;
+mod source;
+mod trace;
 
 mod error;
 
@@ -51,9 +51,7 @@ pub use procfs::ProcfsSource;
 pub use resources::{ResourceKind, ResourceVector};
 pub use run::{derive_record, drive, step, QosSummary, RequestQos, RunOutcome, TickRecord};
 pub use source::{FaultySource, ObservationSource, SourceKind, SourceMeta};
-pub use trace::{
-    RecordingSource, TraceHeader, TraceSource, TraceWriter, TRACE_FORMAT, TRACE_VERSION,
-};
+pub use trace::{RecordingSource, TraceHeader, TraceSource, TraceWriter, TRACE_VERSION};
 
 /// The SplitMix64 golden gamma.
 const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;

@@ -157,7 +157,7 @@ impl ProcfsSource {
     /// Returns [`TelemetryError::Unsupported`] when `<proc_root>/stat`
     /// does not exist, [`TelemetryError::InvalidConfig`] for a
     /// non-positive tick period.
-    pub fn with_roots(
+    pub(crate) fn with_roots(
         proc_root: impl Into<PathBuf>,
         cgroup_root: Option<PathBuf>,
         tick_period_secs: f64,

@@ -48,7 +48,7 @@ impl ResourceKind {
     ];
 
     /// Dense index for array-backed storage.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             ResourceKind::Cpu => 0,
             ResourceKind::Memory => 1,

@@ -31,7 +31,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
 /// Magic format tag of the header line.
-pub const TRACE_FORMAT: &str = "stayaway-trace";
+pub(crate) const TRACE_FORMAT: &str = "stayaway-trace";
 
 /// Newest trace version this build reads and the version it writes.
 pub const TRACE_VERSION: u32 = 1;
@@ -40,17 +40,17 @@ pub const TRACE_VERSION: u32 = 1;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceHeader {
     /// Format magic; always [`TRACE_FORMAT`].
-    pub format: String,
+    pub(crate) format: String,
     /// Trace format version; see the module docs for the versioning rules.
     pub version: u32,
     /// The substrate the trace was recorded from.
     pub recorded_from: SourceKind,
     /// The metric set the recording source reported.
-    pub metrics: Vec<ResourceKind>,
+    pub(crate) metrics: Vec<ResourceKind>,
     /// Declared control-period length of the recording source, in seconds.
-    pub tick_period_secs: f64,
+    pub(crate) tick_period_secs: f64,
     /// Host capacities of the recorded host, when known.
-    pub host: Option<HostSpec>,
+    pub(crate) host: Option<HostSpec>,
 }
 
 impl TraceHeader {
@@ -66,14 +66,16 @@ impl TraceHeader {
         }
     }
 
-    /// Checks the format tag and version.
+    /// Checks the format tag, the version and the host spec, when there
+    /// is one.
     ///
     /// # Errors
     ///
     /// [`TelemetryError::MissingHeader`] for a foreign format tag,
     /// [`TelemetryError::UnsupportedVersion`] for a version this build
-    /// cannot read.
-    pub fn validate(&self) -> Result<(), TelemetryError> {
+    /// cannot read, [`TelemetryError::Codec`] at line 1 for a host
+    /// capacity that is not positive and finite.
+    pub(crate) fn validate(&self) -> Result<(), TelemetryError> {
         if self.format != TRACE_FORMAT {
             return Err(TelemetryError::MissingHeader {
                 reason: format!("format tag {:?} is not {TRACE_FORMAT:?}", self.format),
@@ -85,11 +87,17 @@ impl TraceHeader {
                 supported: TRACE_VERSION,
             });
         }
+        if let Some(host) = &self.host {
+            host.validate().map_err(|e| TelemetryError::Codec {
+                line: 1,
+                reason: format!("header host: {e}"),
+            })?;
+        }
         Ok(())
     }
 
     /// The source metadata a replay of this trace advertises.
-    pub fn replay_meta(&self) -> SourceMeta {
+    pub(crate) fn replay_meta(&self) -> SourceMeta {
         SourceMeta {
             kind: SourceKind::Trace,
             metrics: self.metrics.clone(),
@@ -291,8 +299,9 @@ impl<R: BufRead> TraceSource<R> {
     ///
     /// Returns [`TelemetryError::MissingHeader`] for an empty stream or an
     /// undecodable first line, [`TelemetryError::UnsupportedVersion`] for
-    /// a version this build cannot read, [`TelemetryError::Io`] on read
-    /// failures.
+    /// a version this build cannot read, [`TelemetryError::Codec`] at line
+    /// 1 for a header whose host spec is invalid, [`TelemetryError::Io`] on
+    /// read failures.
     pub fn new(mut reader: R) -> Result<Self, TelemetryError> {
         let mut buf = Vec::new();
         if reader.read_until(b'\n', &mut buf)? == 0 {
@@ -464,6 +473,25 @@ mod tests {
                 assert_eq!(supported, TRACE_VERSION);
             }
             other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_non_positive_host_capacity_is_rejected_at_line_one() {
+        for cores in [0.0, -4.0] {
+            let mut header = TraceHeader::for_meta(&meta());
+            header.host = Some(HostSpec {
+                cpu_cores: cores,
+                ..HostSpec::default()
+            });
+            let line = serde_json::to_string(&header).unwrap();
+            match TraceSource::new(format!("{line}\n").as_bytes()) {
+                Err(TelemetryError::Codec { line, reason }) => {
+                    assert_eq!(line, 1);
+                    assert!(reason.contains("cpu"), "{reason}");
+                }
+                other => panic!("expected a line-1 Codec error, got {other:?}"),
+            }
         }
     }
 

@@ -26,7 +26,7 @@ impl Histogram {
     /// Returns [`TrajectoryError::InvalidParameter`] when `bins == 0` or
     /// `max <= min`, and [`TrajectoryError::NonFinite`] for non-finite
     /// samples or bounds.
-    pub fn from_samples(
+    pub(crate) fn from_samples(
         samples: &[f64],
         bins: usize,
         min: f64,
@@ -75,7 +75,7 @@ impl Histogram {
     /// # Errors
     ///
     /// Returns [`TrajectoryError::InsufficientData`] for an empty sample
-    /// set and propagates [`Histogram::from_samples`] failures.
+    /// set and propagates `Histogram::from_samples` failures.
     pub fn auto_range(samples: &[f64], bins: usize) -> Result<Self, TrajectoryError> {
         let (lo, hi) = auto_bounds(samples)?;
         Histogram::from_samples(samples, bins, lo, hi)
@@ -119,7 +119,7 @@ impl Histogram {
     }
 
     /// Width of one bin.
-    pub fn bin_width(&self) -> f64 {
+    pub(crate) fn bin_width(&self) -> f64 {
         (self.max - self.min) / self.bins() as f64
     }
 
@@ -133,7 +133,7 @@ impl Histogram {
     }
 
     /// Centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         self.min + (i as f64 + 0.5) * self.bin_width()
     }
 
@@ -142,7 +142,7 @@ impl Histogram {
     /// of the predictor.
     ///
     /// Returns the range minimum for an empty histogram.
-    pub fn inverse_cdf(&self, u: f64) -> f64 {
+    pub(crate) fn inverse_cdf(&self, u: f64) -> f64 {
         if self.total == 0 {
             return self.min;
         }

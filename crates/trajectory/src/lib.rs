@@ -16,36 +16,37 @@
 //!
 //! The paper smooths the histograms with a Gaussian kernel density
 //! estimate before sampling; this crate does not. [`Kde`] exists and is
-//! tested, but it is reached only through the
-//! [`EmpiricalDistribution::kde`] inspection accessor — never on the
-//! forecast path (ROADMAP `[judge]` records the gap).
+//! tested, but it is reached only through the crate-private
+//! `EmpiricalDistribution::kde` accessor — never on the forecast path
+//! (ROADMAP `[judge]` records the gap).
 //!
-//! Modules:
+//! This crate provides:
 //!
 //! * [`step`] — step extraction from point sequences;
-//! * [`histogram`] — fixed-bin empirical histograms with CDF inversion;
-//! * [`kde`] — Gaussian kernel density estimation (Silverman bandwidth),
+//! * [`Histogram`] — fixed-bin empirical histograms with CDF inversion;
+//! * [`Kde`] — Gaussian kernel density estimation (Silverman bandwidth),
 //!   for inspection;
-//! * [`dist`] — windowed empirical distributions: the maintained histogram
-//!   the sampler inverts, and the window a [`Kde`] can be fitted to;
-//! * [`model`] — the per-mode trajectory model and [`ModePredictor`], which
-//!   routes a mode to its model (or, pooled, every mode to one — the
-//!   ablation study's baseline);
+//! * [`EmpiricalDistribution`] — windowed empirical distributions: the
+//!   maintained histogram the sampler inverts, and the window a [`Kde`]
+//!   can be fitted to;
+//! * [`TrajectoryModel`] — the per-mode trajectory model, and
+//!   [`ModePredictor`], which routes a mode to its model (or, pooled,
+//!   every mode to one — the ablation study's baseline);
 //! * [`generators`] — reference synthetic trajectories (biased random walk,
 //!   Lévy flight, correlated bursts) used for validation;
-//! * [`var`] — a VAR(1) forecaster, the §3.1 alternative the paper
+//! * [`VarModel`] — a VAR(1) forecaster, the §3.1 alternative the paper
 //!   discusses, kept for the `ablation_var` comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dist;
+mod dist;
 pub mod generators;
-pub mod histogram;
-pub mod kde;
-pub mod model;
+mod histogram;
+mod kde;
+mod model;
 pub mod step;
-pub mod var;
+mod var;
 
 mod error;
 
@@ -55,4 +56,4 @@ pub use histogram::Histogram;
 pub use kde::Kde;
 pub use model::{ModePredictor, Prediction, TrajectoryModel};
 pub use step::Step;
-pub use var::{VarFit, VarModel};
+pub use var::VarModel;

@@ -18,7 +18,7 @@ use rand::Rng;
 use stayaway_statespace::{ExecutionMode, Point2};
 
 /// Minimum observations before a model is considered usable.
-pub const DEFAULT_MIN_OBSERVATIONS: usize = 4;
+pub(crate) const DEFAULT_MIN_OBSERVATIONS: usize = 4;
 
 /// Empirical model of one execution mode's trajectory.
 #[derive(Debug, Clone, Default)]
@@ -38,7 +38,7 @@ impl TrajectoryModel {
     }
 
     /// True when enough steps have been seen to predict from.
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.lengths.len() >= DEFAULT_MIN_OBSERVATIONS
     }
 
@@ -48,7 +48,10 @@ impl TrajectoryModel {
     ///
     /// Returns [`TrajectoryError::InsufficientData`] when no step has been
     /// observed yet.
-    pub fn sample_step<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Step, TrajectoryError> {
+    pub(crate) fn sample_step<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+    ) -> Result<Step, TrajectoryError> {
         let length = self.lengths.sample(rng)?.max(0.0);
         let angle = wrap_angle(self.angles.sample(rng)?);
         Ok(Step { length, angle })
@@ -80,7 +83,7 @@ impl TrajectoryModel {
     /// # Errors
     ///
     /// Returns [`TrajectoryError::InsufficientData`] when the model is not
-    /// [ready](TrajectoryModel::is_ready).
+    /// ready.
     pub fn predict_from<R: Rng + ?Sized>(
         &self,
         current: Point2,
@@ -118,11 +121,6 @@ impl Prediction {
     /// The candidate future states.
     pub fn candidates(&self) -> &[Point2] {
         &self.candidates
-    }
-
-    /// True when no candidates were produced.
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
     }
 }
 
@@ -169,7 +167,7 @@ impl ModePredictor {
     }
 
     /// Borrow the model of `mode` (the shared one when pooled).
-    pub fn model(&self, mode: ExecutionMode) -> &TrajectoryModel {
+    pub(crate) fn model(&self, mode: ExecutionMode) -> &TrajectoryModel {
         &self.models[self.slot(mode)]
     }
 

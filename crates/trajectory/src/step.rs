@@ -29,7 +29,7 @@ impl Step {
     }
 
     /// True when both parameters are finite.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.length.is_finite() && self.angle.is_finite()
     }
 }

@@ -19,10 +19,10 @@ use stayaway_statespace::Point2;
 use std::collections::VecDeque;
 
 /// Default sliding-window capacity (transitions retained for fitting).
-pub const DEFAULT_WINDOW: usize = 256;
+pub(crate) const DEFAULT_WINDOW: usize = 256;
 
 /// Minimum transitions before the model can be fitted.
-pub const MIN_OBSERVATIONS: usize = 6;
+pub(crate) const MIN_OBSERVATIONS: usize = 6;
 
 /// A first-order vector-autoregressive model of the 2-D mapped state.
 #[derive(Debug, Clone)]
@@ -33,18 +33,18 @@ pub struct VarModel {
 
 /// A fitted VAR(1): `next ≈ A·current + b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VarFit {
+pub(crate) struct VarFit {
     /// Row-major 2×2 transition matrix.
-    pub a: [[f64; 2]; 2],
+    pub(crate) a: [[f64; 2]; 2],
     /// Intercept.
-    pub b: [f64; 2],
+    pub(crate) b: [f64; 2],
     /// Residual standard deviation per axis (for sampling spread).
-    pub residual_sd: [f64; 2],
+    pub(crate) residual_sd: [f64; 2],
 }
 
 impl VarFit {
     /// One-step forecast from `current`.
-    pub fn forecast(&self, current: Point2) -> Point2 {
+    pub(crate) fn forecast(&self, current: Point2) -> Point2 {
         Point2::new(
             self.a[0][0] * current.x + self.a[0][1] * current.y + self.b[0],
             self.a[1][0] * current.x + self.a[1][1] * current.y + self.b[1],
@@ -63,17 +63,12 @@ impl VarModel {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         VarModel {
             window: VecDeque::with_capacity(capacity),
             capacity,
         }
-    }
-
-    /// True when no transition has been observed.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
     }
 
     /// Records one transition `from → to` (non-finite points are dropped).
@@ -98,7 +93,7 @@ impl VarModel {
     ///
     /// Returns [`TrajectoryError::InsufficientData`] with fewer than
     /// [`MIN_OBSERVATIONS`] transitions.
-    pub fn fit(&self) -> Result<VarFit, TrajectoryError> {
+    pub(crate) fn fit(&self) -> Result<VarFit, TrajectoryError> {
         let n = self.window.len();
         if n < MIN_OBSERVATIONS {
             return Err(TrajectoryError::InsufficientData {
@@ -155,7 +150,7 @@ impl VarModel {
     ///
     /// # Errors
     ///
-    /// Propagates [`VarModel::fit`] failures.
+    /// Propagates `VarModel::fit` failures.
     pub fn forecast(&self, current: Point2) -> Result<Point2, TrajectoryError> {
         Ok(self.fit()?.forecast(current))
     }
@@ -296,7 +291,10 @@ mod tests {
         let mut m = VarModel::new();
         m.observe(Point2::new(f64::NAN, 0.0), Point2::origin());
         m.observe(Point2::origin(), Point2::new(f64::INFINITY, 0.0));
-        assert!(m.is_empty());
+        assert!(matches!(
+            m.fit(),
+            Err(TrajectoryError::InsufficientData { available: 0, .. })
+        ));
     }
 
     #[test]

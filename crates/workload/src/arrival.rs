@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Nanoseconds per second, the engine's time unit.
-pub const NANOS_PER_SEC: f64 = 1e9;
+pub(crate) const NANOS_PER_SEC: f64 = 1e9;
 
 /// One simulated day: the longest inter-arrival gap a draw can produce
 /// and the longest control tick a scenario may declare, so neither can
@@ -136,7 +136,8 @@ impl ArrivalProcess {
 
     /// Instantaneous arrival rate at simulated time `t_secs`, requests
     /// per second.
-    pub fn rate_at(&self, t_secs: f64) -> f64 {
+    #[inline]
+    pub(crate) fn rate_at(&self, t_secs: f64) -> f64 {
         match self {
             ArrivalProcess::Poisson { rps } => *rps,
             ArrivalProcess::Diurnal {

@@ -53,7 +53,7 @@ impl DemandProfile {
     ///
     /// Returns [`WorkloadError::InvalidSpec`] describing the first
     /// problem found.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         let finite_nonneg = [
             ("service_jitter", self.service_jitter),
             ("cpu_per_invocation", self.cpu_per_invocation),
@@ -117,7 +117,8 @@ impl DemandProfile {
     }
 
     /// Cold-start delay in integer nanoseconds.
-    pub fn cold_start_ns(&self) -> u64 {
+    #[inline]
+    pub(crate) fn cold_start_ns(&self) -> u64 {
         (self.cold_start_ms * 1e6) as u64
     }
 }
@@ -145,7 +146,7 @@ impl KeepalivePolicy {
     ///
     /// Returns [`WorkloadError::InvalidSpec`] on a non-finite or negative
     /// idle window.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         if let KeepalivePolicy::Fixed { idle_secs } = self {
             if !idle_secs.is_finite() || *idle_secs < 0.0 {
                 return Err(WorkloadError::InvalidSpec {
@@ -158,7 +159,8 @@ impl KeepalivePolicy {
 
     /// Idle window in integer nanoseconds, or `None` for [`Self::Eager`]
     /// (no expiry event is ever scheduled). [`Self::Never`] is zero.
-    pub fn idle_window_ns(&self) -> Option<u64> {
+    #[inline]
+    pub(crate) fn idle_window_ns(&self) -> Option<u64> {
         match self {
             KeepalivePolicy::Fixed { idle_secs } => Some((idle_secs * 1e9) as u64),
             KeepalivePolicy::Eager => None,

@@ -32,7 +32,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram {
             counts: vec![0; num_buckets(SUB_BITS)],
             total: 0,
@@ -42,7 +42,8 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample.
-    pub fn record(&mut self, latency_ns: u64) {
+    #[inline]
+    pub(crate) fn record(&mut self, latency_ns: u64) {
         self.counts[bucket_index::<SUB_BITS>(latency_ns)] += 1;
         self.total += 1;
         self.sum_ns = self.sum_ns.saturating_add(latency_ns);
@@ -55,7 +56,7 @@ impl LatencyHistogram {
     }
 
     /// Mean latency in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
+    pub(crate) fn mean_ms(&self) -> f64 {
         if self.total == 0 {
             0.0
         } else {
@@ -66,7 +67,7 @@ impl LatencyHistogram {
     /// The `q`-quantile (`q ∈ [0, 1]`) in integer nanoseconds: the floor
     /// of the first bucket whose cumulative count reaches `⌈q·total⌉`.
     /// Returns 0 when empty. Pure integer arithmetic — deterministic.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_ns(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;
         }

@@ -23,15 +23,15 @@
 //!
 //! [`ObservationSource`]: stayaway_telemetry::ObservationSource
 
-pub mod arrival;
-pub mod demand;
-pub mod engine;
+mod arrival;
+mod demand;
+mod engine;
 mod error;
-pub mod latency;
+mod latency;
 mod metrics;
 mod queue;
-pub mod report;
-pub mod spec;
+mod report;
+mod spec;
 
 pub use arrival::ArrivalProcess;
 pub use demand::{DemandProfile, KeepalivePolicy};

@@ -11,23 +11,23 @@ use stayaway_obs::{Counter, Histogram, MetricsRegistry};
 #[derive(Debug, Clone)]
 pub(crate) struct WorkloadMetrics {
     /// Requests arrived, all tenants.
-    pub requests: Counter,
+    pub(crate) requests: Counter,
     /// Invocations completed, all tenants.
-    pub completed: Counter,
+    pub(crate) completed: Counter,
     /// Requests dropped on queue overflow.
-    pub dropped: Counter,
+    pub(crate) dropped: Counter,
     /// Sensitive completions that missed the latency deadline.
-    pub slo_misses: Counter,
+    pub(crate) slo_misses: Counter,
     /// Containers cold-started.
-    pub cold_starts: Counter,
+    pub(crate) cold_starts: Counter,
     /// Idle containers evicted.
-    pub evictions: Counter,
+    pub(crate) evictions: Counter,
     /// Tenant freezes actuated.
-    pub freezes: Counter,
+    pub(crate) freezes: Counter,
     /// Tenant resumes actuated.
-    pub resumes: Counter,
+    pub(crate) resumes: Counter,
     /// End-to-end latency of sensitive requests, nanoseconds.
-    pub latency: Histogram,
+    pub(crate) latency: Histogram,
 }
 
 impl WorkloadMetrics {

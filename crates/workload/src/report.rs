@@ -26,9 +26,9 @@ pub struct ScenarioQos {
     /// Requests that arrived.
     pub requests: u64,
     /// Sensitive requests completed.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Sensitive requests dropped on queue overflow.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Median sensitive latency, milliseconds.
     pub p50_ms: f64,
     /// 95th-percentile sensitive latency, milliseconds.
@@ -36,18 +36,18 @@ pub struct ScenarioQos {
     /// 99th-percentile sensitive latency, milliseconds.
     pub p99_ms: f64,
     /// Mean sensitive latency, milliseconds.
-    pub mean_ms: f64,
+    pub(crate) mean_ms: f64,
     /// Fraction of sensitive requests that missed the SLO (overruns plus
     /// drops).
-    pub slo_violation_rate: f64,
+    pub(crate) slo_violation_rate: f64,
     /// Fraction of active ticks meeting the tick-level QoS target.
-    pub tick_satisfaction: f64,
+    pub(crate) tick_satisfaction: f64,
     /// Nominal batch work completed, core-seconds.
-    pub batch_work: f64,
+    pub(crate) batch_work: f64,
     /// Containers cold-started.
-    pub cold_starts: u64,
+    pub(crate) cold_starts: u64,
     /// Idle containers evicted.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
 }
 
 /// Runs `scenario` under `policy` for `ticks` control ticks and reports

@@ -34,7 +34,7 @@ impl SloSpec {
     /// # Errors
     ///
     /// Returns [`WorkloadError::InvalidSpec`] on out-of-range values.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub(crate) fn validate(&self) -> Result<(), WorkloadError> {
         if !self.deadline_ms.is_finite() || self.deadline_ms <= 0.0 {
             return Err(WorkloadError::InvalidSpec {
                 reason: format!("slo deadline_ms must be positive, got {}", self.deadline_ms),
@@ -55,7 +55,7 @@ impl SloSpec {
     }
 
     /// Deadline in integer nanoseconds.
-    pub fn deadline_ns(&self) -> u64 {
+    pub(crate) fn deadline_ns(&self) -> u64 {
         (self.deadline_ms * 1e6) as u64
     }
 }

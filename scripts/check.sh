@@ -99,21 +99,29 @@ if awk 'FNR == 1 { test = 0 }
     echo "check.sh: a cell axis indexed with % outside Fleet::plans (above)" >&2
     exit 1
 fi
-# Every public function has a caller. A `pub fn` defined in `crates/*/src`
-# (not `crates/compat`), `src/` or `crates/bench/benches` is dead when no
-# non-test code calls it: no `name(`, `name::<` or `::name` outside a
-# definition (`fn name`), a comment or a `pub use` statement, in those
-# trees or in `benchmarks/src` and `examples`, each file cut at its first
-# `#[cfg(test)]`. Integration tests (`tests/` directories) are neither
-# scanned nor counted. The frozen perf ledger calls but defines nothing here.
-# A name defined more than once is dead when none of its definitions is
-# called; one called definition hides the others, so those need a reader.
-# The allowlist names what stays on purpose — a test oracle, or an item
-# ROADMAP keeps for a named item — one `name  # reason` a line. The check
-# fails when a dead name is not on the list, when a listed name gains a
-# caller and when a listed name disappears, so the list can only shrink.
+# Every public function has a caller, and one outside its crate. rustc
+# checks crate-private items for dead code; it never fires on a `pub` item
+# of a library, so this block covers what crosses a crate boundary. A
+# `pub fn` is one defined in `crates/*/src` (not `crates/compat`), `src/` or
+# `crates/bench/benches`. A call is `name(`, `name::<` or `::name` outside a
+# definition (`fn name`), a comment or a `pub` / `pub(crate)` `use`
+# statement. Two rules, by name:
+# * dead: no non-test code calls it — those trees, `benchmarks/src` and
+#   `examples`, each file cut at its first `#[cfg(test)]`;
+# * crate-local: nothing outside its crate calls it — another crate's
+#   `src`, the facade and its binary, `examples`, `crates/bench`, the
+#   frozen perf ledger or any `tests/` directory (a crate's own integration
+#   tests are outside it). Make it `pub(crate)`; rustc takes it from there.
+# `tests/` directories count only for the second rule. A name defined more
+# than once is judged per definition's crate for the second rule, and dead
+# when none of its definitions is called; one called definition hides the
+# others, so those need a reader. The allowlist names the dead functions
+# that stay on purpose — a test oracle, or an item ROADMAP keeps for a
+# named item — one `name  # reason` a line. The check fails when a dead
+# name is not on the list, when a listed name gains a caller, when a
+# listed name disappears (so the list can only shrink) and on any
+# crate-local `pub fn`.
 dead_fn_allowlist='
-bandwidth  # kept: trajectory::Kde stays until ROADMAP [judge](b) decides
 density  # kept: trajectory::Kde stays until ROADMAP [judge](b) decides
 dropped_actions  # kept: FaultySource counters, read by tests until ROADMAP [faults] calls them
 dropped_observations  # kept: FaultySource counters, read by tests until ROADMAP [faults] calls them
@@ -122,39 +130,70 @@ records  # kept: SpanSink ring reader, goes with the ring in ROADMAP [budget](a)
 tolerance  # oracle: crates/mds/tests run solver and reference at tolerances 0, 1e-8, 1e-14, -inf
 '
 mapfile -t files < <(find crates/*/src src crates/bench/benches benchmarks/src examples \
-    -name '*.rs' -not -path 'crates/compat/*' | sort -u)
-dead_fns="$(awk '
-    FNR == 1 { test = 0; in_use = 0; defines = FILENAME !~ /^(benchmarks\/src|examples)\// }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
-    test { next }
+    crates/*/tests tests benchmarks/tests -name '*.rs' -not -path 'crates/compat/*' | sort -u)
+pub_fns="$(awk '
+    # The crate a file belongs to; tests, examples and the ledger define
+    # nothing, so any name unlike a defining crate will do.
+    function crate_of(file, part) {
+        if (file ~ /^crates\/bench\/benches\//) return "crates/bench/benches"
+        if (file ~ /^crates\/[^\/]+\/src\//) { split(file, part, "/"); return part[1] "/" part[2] }
+        if (file ~ /^src\/bin\//) return "src/bin"
+        if (file ~ /^src\//) return "src"
+        return file
+    }
+    FNR == 1 {
+        test = FILENAME ~ /(^|\/)tests\//
+        in_use = 0
+        defines = !test && FILENAME !~ /^(benchmarks\/src|examples)\//
+        crate = crate_of(FILENAME)
+    }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
     {
         line = $0
         sub(/\/\/.*/, "", line)
-        if (in_use || line ~ /^[[:space:]]*pub use /) { in_use = line !~ /;/; next }
+        if (in_use || line ~ /^[[:space:]]*pub(\(crate\))? use /) { in_use = line !~ /;/; next }
         rest = line
         while (defines && match(rest, /pub fn [a-z_][a-z0-9_]*/)) {
             name = substr(rest, RSTART + 7, RLENGTH - 7)
-            at[name] = (name in at ? at[name] " " : "") FILENAME ":" FNR
             rest = substr(rest, RSTART + RLENGTH)
+            # (awk creates an assigned element before it reads the right side)
+            seen = name in at
+            at[name] = (seen ? at[name] " " : "") FILENAME ":" FNR
+            seen = (name, crate) in home
+            home[name, crate] = (seen ? home[name, crate] " " : "") FILENAME ":" FNR
         }
         gsub(/fn [A-Za-z_][A-Za-z0-9_]*/, "fn", line)
         while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
             name = substr(line, RSTART, RLENGTH)
             before = substr(line, 1, RSTART - 1)
             line = substr(line, RSTART + RLENGTH)
-            if (line ~ /^(\(|::<)/ || before ~ /::$/) called[name] = 1
+            if (line !~ /^(\(|::<)/ && before !~ /::$/) continue
+            if (!test) called[name] = 1
+            # The calling crate, or "*" once two crates call it.
+            if (!(name in caller)) caller[name] = crate
+            else if (caller[name] != crate) caller[name] = "*"
         }
     }
-    END { for (name in at) if (!(name in called)) print name, at[name] }
+    END {
+        for (name in at) if (!(name in called)) print "dead", name, at[name]
+        for (key in home) {
+            split(key, part, SUBSEP)
+            if (!(part[1] in caller) || caller[part[1]] == part[2]) print "local", part[1], home[key]
+        }
+    }
 ' "${files[@]}" | sort)"
+dead_fns="$(sed -n 's/^dead //p' <<< "$pub_fns")"
+local_fns="$(sed -n 's/^local //p' <<< "$pub_fns")"
 listed="$(sed -n 's/^\([a-z_0-9]*\)  #.*/\1/p' <<< "$dead_fn_allowlist" | sort)"
 unlisted="$(join -v1 <(echo "$dead_fns") <(echo "$listed"))"
 stale="$(join -v2 <(echo "$dead_fns") <(echo "$listed"))"
-if [ -n "$unlisted" ] || [ -n "$stale" ]; then
+if [ -n "$unlisted" ] || [ -n "$stale" ] || [ -n "$local_fns" ]; then
     [ -z "$unlisted" ] || echo "check.sh: public functions no non-test code calls:" \
         "delete them or call them"$'\n'"$unlisted" >&2
     [ -z "$stale" ] || echo "check.sh: allowlisted functions that gained a caller or" \
         "disappeared: drop them from the allowlist"$'\n'"$stale" >&2
+    [ -z "$local_fns" ] || echo "check.sh: public functions nothing outside their crate" \
+        "calls: make them pub(crate)"$'\n'"$local_fns" >&2
     exit 1
 fi
 cargo clippy --workspace --all-targets -- -D warnings

@@ -392,34 +392,45 @@ fn bench_scenarios_grid() {
 
 #[test]
 fn error_paths_exit_two_with_a_one_line_reason() {
-    golden(
-        "errors",
-        &[
-            "bogus",
-            "run --bogus 1",
-            "run --ticks abc",
-            "run --ticks",
-            "run --scenario nope+soplex",
-            "run --scenario vlc",
-            "run --policy bogus",
-            "run --predictor warp-core",
-            "run --source bogus",
-            "run --source workload:warp-core",
-            "reuse",
-            "replay",
-            "replay --trace missing.jsonl",
-            "cluster --cluster-scenario warp-core",
-            "cluster --cluster-policy bogus",
-            "metrics-diff a.json b.json --threshold-for nope",
-            "metrics-diff a.json b.json --threshold nan",
-            "metrics-diff a.json b.json --threshold-for x_total=-1",
-            "events --cause nonsense",
-            "fleet --cells 18446744073709551615 --ticks 1",
-            "tournament --cells 9223372036854775807 --ticks 1 --json",
-            "tournament --resamples 4611686018427387904 --cells 2 --ticks 8 --scenario cpu-bomb --predictor kde --json",
-            "cluster --epoch-ticks 1099511627776 --epochs 1",
-        ],
+    // The smoke trace recorded on a host without a CPU: its header is
+    // rejected before any policy is built against that host.
+    let smoke = std::fs::read_to_string(Path::new(REPO).join("tests/fixtures/smoke_trace.jsonl"))
+        .expect("smoke trace");
+    let mut sandbox = Sandbox::new("errors");
+    sandbox.write(
+        "zero_cpu.jsonl",
+        &smoke.replacen("\"cpu_cores\":4.0", "\"cpu_cores\":0.0", 1),
     );
+    for step in [
+        "bogus",
+        "run --bogus 1",
+        "run --ticks abc",
+        "run --ticks",
+        "run --scenario nope+soplex",
+        "run --scenario vlc",
+        "run --policy bogus",
+        "run --predictor warp-core",
+        "run --source bogus",
+        "run --source workload:warp-core",
+        "reuse",
+        "replay",
+        "replay --trace missing.jsonl",
+        "replay --trace zero_cpu.jsonl --policy static",
+        "replay --trace zero_cpu.jsonl --policy null",
+        "cluster --cluster-scenario warp-core",
+        "cluster --cluster-policy bogus",
+        "metrics-diff a.json b.json --threshold-for nope",
+        "metrics-diff a.json b.json --threshold nan",
+        "metrics-diff a.json b.json --threshold-for x_total=-1",
+        "events --cause nonsense",
+        "fleet --cells 18446744073709551615 --ticks 1",
+        "tournament --cells 9223372036854775807 --ticks 1 --json",
+        "tournament --resamples 4611686018427387904 --cells 2 --ticks 8 --scenario cpu-bomb --predictor kde --json",
+        "cluster --epoch-ticks 1099511627776 --epochs 1",
+    ] {
+        sandbox.run(step);
+    }
+    sandbox.check("errors");
 }
 
 /// New with the flag table: a flag or operand the subcommand does not
