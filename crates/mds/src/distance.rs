@@ -36,12 +36,9 @@ impl Metric {
     /// whenever `Some(d)` is returned, `d` is bit-for-bit the value
     /// [`Metric::distance`] would produce. Callers can therefore use this
     /// as a drop-in scan kernel without changing any comparison outcome.
-    pub fn distance_pruned(&self, a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
+    pub(crate) fn distance_pruned(&self, a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
         debug_assert_eq!(a.len(), b.len(), "vectors must share a dimension");
-        // One part in 2^40 over-admits boundary candidates rather than ever
-        // mispruning one; their exact distance decides as in the full scan.
-        const SLACK: f64 = 1.0 + 1e-12;
-        let limit = bound * bound * SLACK;
+        let limit = pruning_limit(bound);
         let mut sum = 0.0;
         for (x, y) in a.iter().zip(b) {
             sum += (x - y) * (x - y);
@@ -51,6 +48,15 @@ impl Metric {
         }
         Some(sum.sqrt())
     }
+}
+
+/// The squared-distance accumulation past which
+/// [`Metric::distance_pruned`] abandons a candidate for `bound`. One part
+/// in 2^40 over-admits boundary candidates rather than ever mispruning
+/// one; their exact distance decides as in the full scan.
+pub(crate) fn pruning_limit(bound: f64) -> f64 {
+    const SLACK: f64 = 1.0 + 1e-12;
+    bound * bound * SLACK
 }
 
 /// A symmetric matrix of pairwise dissimilarities with a zero diagonal.

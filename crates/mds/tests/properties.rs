@@ -359,3 +359,222 @@ fn placement_recovers_a_planar_point() {
         );
     }
 }
+
+/// The linear scans the grid index replaced, kept as oracles. Insert: the
+/// nearest representative within `epsilon` by `(distance, index)`, else a
+/// new one.
+fn linear_insert(reps: &mut Vec<Vec<f64>>, epsilon: f64, v: &[f64]) -> (usize, bool) {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, rep) in reps.iter().enumerate() {
+        let d = Metric::Euclidean.distance(rep, v);
+        if d <= epsilon && best.is_none_or(|(_, bd)| d < bd) {
+            best = Some((i, d));
+        }
+    }
+    match best {
+        Some((i, _)) => (i, false),
+        None => {
+            reps.push(v.to_vec());
+            (reps.len() - 1, true)
+        }
+    }
+}
+
+/// Nearest: the first representative of least distance.
+fn linear_nearest(reps: &[Vec<f64>], v: &[f64]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, rep) in reps.iter().enumerate() {
+        let d = Metric::Euclidean.distance(rep, v);
+        if best.is_none_or(|(_, bd)| d < bd) {
+            best = Some((i, d));
+        }
+    }
+    best
+}
+
+/// The 3-nearest as the out-of-sample placement selected it before the
+/// index answered it: ascending by `(distance, index)`, an infinite
+/// distance never ranking.
+fn linear_three(reps: &[Vec<f64>], v: &[f64]) -> Vec<(usize, f64)> {
+    let mut top: [(usize, f64); 3] = [(usize::MAX, f64::INFINITY); 3];
+    let mut filled = 0usize;
+    for (i, rep) in reps.iter().enumerate() {
+        let d = Metric::Euclidean.distance(rep, v);
+        if d >= top[2].1 {
+            continue;
+        }
+        filled = (filled + 1).min(3);
+        if d < top[1].1 {
+            top[2] = top[1];
+            if d < top[0].1 {
+                top[1] = top[0];
+                top[0] = (i, d);
+            } else {
+                top[1] = (i, d);
+            }
+        } else {
+            top[2] = (i, d);
+        }
+    }
+    top[..filled].to_vec()
+}
+
+/// The bits of the inverse-distance-weighted point the placement draws
+/// from a 3-nearest list, over fixed positions per representative.
+fn interpolated_bits(top: &[(usize, f64)]) -> (u64, u64) {
+    let (mut x, mut y, mut wsum) = (0.0, 0.0, 0.0);
+    for &(i, d) in top {
+        let w = 1.0 / (d + 1e-9);
+        let t = i as f64;
+        x += w * (t * 0.7).sin();
+        y += w * (t * 1.3).cos();
+        wsum += w;
+    }
+    ((x / wsum).to_bits(), (y / wsum).to_bits())
+}
+
+fn bits(found: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    found.iter().map(|&(i, d)| (i, d.to_bits())).collect()
+}
+
+/// Streams `vectors` into a grid-indexed set and the linear oracles side by
+/// side. After every insert, `nearest` and `nearest_three` must answer the
+/// new vector and every probe as the scans do: the same indices, the same
+/// distance bits and the same interpolated point.
+fn grid_matches_linear_scans(
+    vectors: &[Vec<f64>],
+    probes: &[Vec<f64>],
+    epsilon: f64,
+) -> Result<(), TestCaseError> {
+    let mut grid = ReprSet::new(epsilon).unwrap().grid_indexed();
+    let mut reps: Vec<Vec<f64>> = Vec::new();
+    for v in vectors {
+        let out = grid.insert(v).unwrap();
+        prop_assert_eq!(
+            (out.index(), out.is_new()),
+            linear_insert(&mut reps, epsilon, v)
+        );
+        for q in std::iter::once(v).chain(probes) {
+            let near = grid.nearest(q).map(|(i, d)| (i, d.to_bits()));
+            let want = linear_nearest(&reps, q).map(|(i, d)| (i, d.to_bits()));
+            prop_assert_eq!(near, want, "nearest of {:?}", q);
+            let three = grid.nearest_three(q);
+            let want = linear_three(&reps, q);
+            prop_assert_eq!(bits(three.as_slice()), bits(&want), "3-nearest of {:?}", q);
+            prop_assert_eq!(
+                interpolated_bits(three.as_slice()),
+                interpolated_bits(&want)
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A measurement-like stream: each vector steps a little from the one
+/// before (so inserts dwell by one representative, as a steady map's do)
+/// or, one time in four, jumps to a fresh point.
+fn walk(steps: &[(u8, Vec<f64>)]) -> Vec<Vec<f64>> {
+    let mut out: Vec<Vec<f64>> = Vec::with_capacity(steps.len());
+    for (kind, point) in steps {
+        let next = match out.last() {
+            Some(last) if *kind != 0 => last
+                .iter()
+                .zip(point)
+                .map(|(x, p)| x + 0.04 * (p - 0.5))
+                .collect(),
+            _ => point.clone(),
+        };
+        out.push(next);
+    }
+    out
+}
+
+fn steps_strategy(max: usize, dim: usize) -> impl Strategy<Value = Vec<(u8, Vec<f64>)>> {
+    prop::collection::vec(
+        (0u8..4, prop::collection::vec(0.0f64..1.0, dim..=dim)),
+        1..max,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One coordinate never moves, as the sensitive VM's memory barely
+    /// does on the vlc maps: the grid must not bucket on it.
+    #[test]
+    fn grid_queries_match_linear_scans_with_a_constant_coordinate(
+        steps in steps_strategy(60, 5),
+        constant in 0.0f64..1.0,
+        epsilon in 0.01f64..0.3,
+        probe in prop::collection::vec(-0.5f64..1.5, 5..=5),
+    ) {
+        let mut vectors = walk(&steps);
+        for v in &mut vectors {
+            v[1] = constant;
+        }
+        grid_matches_linear_scans(&vectors, &[probe], epsilon)?;
+    }
+
+    /// The stream first spreads over coordinates 0 and 1, then far wider
+    /// over 2 and 3: the widest pair changes mid-stream and the grid is
+    /// filed again under it.
+    #[test]
+    fn grid_queries_match_linear_scans_when_the_widest_axes_switch(
+        first in steps_strategy(30, 4),
+        second in steps_strategy(30, 4),
+        epsilon in 0.01f64..0.3,
+    ) {
+        let mut vectors = walk(&first);
+        for v in &mut vectors {
+            v[2] *= 0.05;
+            v[3] *= 0.05;
+        }
+        vectors.extend(walk(&second).into_iter().map(|mut v| {
+            v[0] *= 0.05;
+            v[2] *= 4.0;
+            v[3] *= 3.0;
+            v
+        }));
+        let probes = [vec![0.5, 0.5, 2.0, 1.5], vec![-1.0, 0.2, 0.0, 5.0]];
+        grid_matches_linear_scans(&vectors, &probes, epsilon)?;
+    }
+
+    /// Coordinates of ±1e300 among unit ones: squared differences
+    /// overflow to infinite distances, which the 3-nearest never ranks.
+    #[test]
+    fn grid_queries_match_linear_scans_at_extreme_coordinates(
+        cells in prop::collection::vec(
+            prop::collection::vec((0u8..8, 0.0f64..1.0), 3..=3),
+            1..40,
+        ),
+        epsilon in 0.01f64..0.3,
+    ) {
+        let coordinate = |(kind, x): (u8, f64)| match kind {
+            0 => 1e300,
+            1 => -1e300,
+            _ => x,
+        };
+        let vectors: Vec<Vec<f64>> = cells
+            .iter()
+            .map(|v| v.iter().copied().map(coordinate).collect())
+            .collect();
+        let probes = [vec![0.5, 0.5, 0.5], vec![1e300, 0.0, -1e300], vec![5e299, 1.0, 0.0]];
+        grid_matches_linear_scans(&vectors, &probes, epsilon)?;
+    }
+
+    /// Points on a lattice of eighths: many exact `(distance, index)`
+    /// ties, and exact duplicates, which at `epsilon = 0` alone merge.
+    #[test]
+    fn grid_queries_match_linear_scans_on_lattice_ties(
+        cells in prop::collection::vec(prop::collection::vec(0u8..9, 3..=3), 1..60),
+        zero_epsilon in prop::sample::select(vec![true, false]),
+    ) {
+        let vectors: Vec<Vec<f64>> = cells
+            .iter()
+            .map(|v| v.iter().map(|&k| f64::from(k) * 0.125).collect())
+            .collect();
+        let probes = [vec![0.5, 0.5, 0.5], vec![0.0625, 0.5, 1.0], vec![2.0, -1.0, 0.5]];
+        let epsilon = if zero_epsilon { 0.0 } else { 0.125 };
+        grid_matches_linear_scans(&vectors, &probes, epsilon)?;
+    }
+}

@@ -424,6 +424,7 @@ pub struct MappingMetrics {
     dedup_ratio: Gauge,
     repr_states: Gauge,
     soft_capped: Counter,
+    nn_candidates: Counter,
     sweep_latency: Histogram,
     append_latency: Histogram,
     deep: bool,
@@ -484,6 +485,10 @@ impl MappingMetrics {
                 "stayaway_mapping_soft_capped_total",
                 "Samples absorbed by the soft state cap",
             ),
+            nn_candidates: registry.counter(
+                "stayaway_mapping_nn_candidates_total",
+                "Representative distances evaluated by nearest-representative queries (dedup inserts, nearest, 3-nearest placement)",
+            ),
             // Latency histograms end in `_nanos`, so fleet rollups strip
             // their timing payload via `stable_view` (counts survive).
             sweep_latency: registry.latency_histogram(
@@ -511,6 +516,11 @@ impl MappingMetrics {
     /// One sample absorbed by the soft state cap.
     pub(crate) fn on_soft_capped(&self) {
         self.soft_capped.inc();
+    }
+
+    /// One nearest-representative query evaluated `candidates` distances.
+    pub(crate) fn on_candidates(&self, candidates: u64) {
+        self.nn_candidates.add(candidates);
     }
 
     /// One new state fitted by single-point placement: whether it `fits`

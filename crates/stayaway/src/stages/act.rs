@@ -302,9 +302,10 @@ impl ActStage {
             return false;
         }
         let normalized = &self.normalized;
-        let Some((point, nearest_dist)) = map.approximate_point(normalized) else {
+        let Some((point, nearest)) = map.approximate_point(normalized) else {
             return false;
         };
+        let nearest_dist = nearest.map_or(f64::INFINITY, |(_, d)| d);
         // The 2-D interpolation is only trustworthy near explored
         // territory (within a few dedup radii of a representative).
         if nearest_dist <= 3.0 * self.dedup_epsilon && map.state_map().in_violation_range(point) {
@@ -318,7 +319,7 @@ impl ActStage {
         // bootstrapped, per §3.2.1's exploration bias.) In the
         // exact-overlap ablation this generalisation is disabled too: only
         // an estimate landing *on* a seen violation-state counts.
-        if let Some((rep, dist)) = map.nearest(normalized) {
+        if let Some((rep, dist)) = nearest.or_else(|| map.nearest(normalized)) {
             if !self.violation_range_enabled && dist > self.dedup_epsilon {
                 return false;
             }

@@ -360,60 +360,46 @@ impl MapStage {
 
     /// Nearest representative to a normalised vector: `(rep, distance)`.
     pub(crate) fn nearest(&self, normalized: &[f64]) -> Option<(usize, f64)> {
-        self.repr.nearest(normalized)
+        let nearest = self.repr.nearest(normalized);
+        self.count_candidates();
+        nearest
+    }
+
+    /// Moves the candidate distances the last representative-set query
+    /// evaluated into the mapping instruments: one add per query.
+    fn count_candidates(&self) {
+        self.metrics.on_candidates(self.repr.take_candidates());
     }
 
     /// Out-of-sample placement: approximates where a normalised vector
     /// *would* map without inserting it, as the inverse-distance-weighted
     /// average of its three nearest representatives' positions. Returns the
-    /// approximate point and the distance to the nearest representative
-    /// (a confidence measure — large distances mean unexplored territory).
-    pub(crate) fn approximate_point(&self, normalized: &[f64]) -> Option<(Point2, f64)> {
+    /// approximate point and the nearest representative with its distance
+    /// (a confidence measure — large distances mean unexplored territory);
+    /// that is [`MapStage::nearest`]'s answer whenever some representative
+    /// lies at a finite distance, and `None` when none does.
+    pub(crate) fn approximate_point(
+        &self,
+        normalized: &[f64],
+    ) -> Option<(Point2, Option<(usize, f64)>)> {
         let embedding = self.embedding.as_ref()?;
         if self.repr.is_empty() {
             return None;
         }
-        // Allocation-free top-3 selection, ascending by (distance, index).
-        // A candidate provably farther than the current third-best is
-        // abandoned mid-distance by the pruned metric; ties rank after the
-        // incumbent (lower index wins), matching a stable sort of the full
-        // distance list.
-        let metric = stayaway_mds::distance::Metric::Euclidean;
-        let mut top: [(usize, f64); 3] = [(usize::MAX, f64::INFINITY); 3];
-        let mut filled = 0usize;
-        for (i, rep) in self.repr.representatives().iter().enumerate() {
-            let Some(d) = metric.distance_pruned(rep, normalized, top[2].1) else {
-                continue;
-            };
-            if d >= top[2].1 {
-                continue;
-            }
-            filled = (filled + 1).min(3);
-            if d < top[1].1 {
-                top[2] = top[1];
-                if d < top[0].1 {
-                    top[1] = top[0];
-                    top[0] = (i, d);
-                } else {
-                    top[1] = (i, d);
-                }
-            } else {
-                top[2] = (i, d);
-            }
-        }
-        let nearest_dist = top[0].1;
-        let k = filled; // == min(repr count, 3)
+        let nearest = self.repr.nearest_three(normalized);
+        self.count_candidates();
         let mut x = 0.0;
         let mut y = 0.0;
         let mut wsum = 0.0;
-        for &(i, d) in top.iter().take(k) {
+        for &(i, d) in nearest.as_slice() {
             let w = 1.0 / (d + 1e-9);
             let (px, py) = embedding.xy(i);
             x += w * px;
             y += w * py;
             wsum += w;
         }
-        Some((Point2::new(x / wsum, y / wsum), nearest_dist))
+        let point = Point2::new(x / wsum, y / wsum);
+        Some((point, nearest.as_slice().first().copied()))
     }
 
     /// Dedups a normalised vector into the representative set, embedding
@@ -422,12 +408,14 @@ impl MapStage {
         // Soft cap: past `max_states`, absorb into the nearest existing
         // representative instead of growing the observation matrix.
         if self.repr.len() >= self.max_states {
-            if let Some((rep, _)) = self.repr.nearest(normalized) {
+            if let Some((rep, _)) = self.nearest(normalized) {
                 self.metrics.on_soft_capped();
                 return Ok(Insert::Merged(rep));
             }
         }
-        let outcome = self.repr.insert(normalized)?;
+        let outcome = self.repr.insert(normalized);
+        self.count_candidates();
+        let outcome = outcome?;
         let rep = outcome.index();
         Ok(if !outcome.is_new() {
             Insert::Merged(rep)
@@ -643,9 +631,9 @@ mod tests {
             let t = i as f64;
             ingest(&mut s, &raw(0.3 * t, 500.0 + 400.0 * t, 0.1 * t, 50.0 * t));
         }
-        // Reference: the allocate-sort-all formulation the pruned top-3
-        // selection replaced.
-        let naive = |q: &[f64]| -> (Point2, f64) {
+        // Reference: the allocate-sort-all formulation the indexed top-3
+        // query replaced.
+        let naive = |q: &[f64]| -> (Point2, Option<(usize, f64)>) {
             let embedding = s.embedding().unwrap();
             let mut dists: Vec<(usize, f64)> = (0..s.repr_count())
                 .map(|i| {
@@ -663,7 +651,7 @@ mod tests {
                 y += w * py;
                 wsum += w;
             }
-            (Point2::new(x / wsum, y / wsum), dists[0].1)
+            (Point2::new(x / wsum, y / wsum), Some(dists[0]))
         };
         for probe in [
             raw(0.1, 600.0, 0.0, 10.0),
@@ -674,6 +662,7 @@ mod tests {
             let q = s.normalize(&probe).unwrap();
             let fast = s.approximate_point(&q).unwrap();
             assert_eq!(fast, naive(&q), "probe {probe:?} diverged");
+            assert_eq!(fast.1, s.nearest(&q), "probe {probe:?}");
         }
     }
 

@@ -206,11 +206,15 @@ fn live_map_tracks_a_cold_exact_solve() {
 /// What became of every new state on the four co-locations of the
 /// ledger's `host-steady` workload (its first set under seed 3: the same
 /// scenarios, cell seeds and controller configuration) over its 3 000
-/// warm-up and 5 000 timed periods: `(states, placed, solved, skipped)` —
-/// fitted and kept, re-laid by a global solve, or placed without one
-/// because the solves before it were futile. Exact counts, so they cannot
-/// flake; they fence the outcome gate's saving: without the gate the same
-/// runs solved 4 / 25 / 93 / 52 times (DESIGN.md §6).
+/// warm-up and 5 000 timed periods: `(states, placed, solved, skipped,
+/// candidates)` — fitted and kept, re-laid by a global solve, or placed
+/// without one because the solves before it were futile; then the
+/// representative distances the nearest-representative queries began.
+/// Exact counts, so they cannot flake; they fence the outcome gate's
+/// saving: without the gate the same runs solved 4 / 25 / 93 / 52 times
+/// (DESIGN.md §6). On a grid keyed to coordinates 0 and 1, with the
+/// 3-nearest placement a linear scan, the candidates were 178 640 /
+/// 487 608 / 602 838 / 173 844.
 #[test]
 fn host_steady_solve_counts_are_pinned() {
     let co_locations: [fn(u64) -> Scenario; 4] = [
@@ -242,10 +246,11 @@ fn host_steady_solve_counts_are_pinned() {
             let c = snapshot.counters.iter().find(|c| c.name == name);
             c.unwrap_or_else(|| panic!("{name} registered")).value
         };
-        let (placed, solved, skipped) = (
+        let (placed, solved, skipped, candidates) = (
             count("stayaway_mapping_placements_total"),
             count("stayaway_mapping_smacof_runs_total"),
             count("stayaway_mapping_solves_skipped_total"),
+            count("stayaway_mapping_nn_candidates_total"),
         );
         let states = ctl.stats().states as u64;
         assert_eq!(
@@ -254,15 +259,15 @@ fn host_steady_solve_counts_are_pinned() {
             "{}",
             scenario(seed).name()
         );
-        counted.push((states, placed, solved, skipped));
+        counted.push((states, placed, solved, skipped, candidates));
     }
     assert_eq!(
         counted,
         [
-            (28, 24, 4, 0),
-            (128, 102, 20, 6),
-            (150, 60, 34, 56),
-            (120, 68, 35, 17),
+            (28, 24, 4, 0, 51_800),
+            (128, 102, 20, 6, 115_183),
+            (150, 60, 34, 56, 64_101),
+            (120, 68, 35, 17, 25_332),
         ]
     );
 }
