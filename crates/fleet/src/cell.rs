@@ -509,6 +509,10 @@ mod tests {
             .requests
             .expect("the workload engine simulates requests");
         assert!(qos.requests > 0 && qos.completed > 0);
+        // The sensitive counts are a subset of the all-tenant ones.
+        assert!(qos.sensitive_completed > 0);
+        assert!(qos.sensitive_completed <= qos.completed);
+        assert!(qos.sensitive_dropped <= qos.dropped);
         assert!(qos.p50_ms <= qos.p95_ms && qos.p95_ms <= qos.p99_ms);
         // The policy was built against the workload scenario's own host.
         assert_eq!(

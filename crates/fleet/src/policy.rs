@@ -192,23 +192,43 @@ mod tests {
     #[test]
     fn built_policies_close_the_loop_over_workload_scenarios() {
         // The `bench-scenarios` shape: a library scenario under each
-        // spec-built policy, closed over the workload substrate.
-        let scenario = stayaway_workload::by_name("cpu-bomb").unwrap();
+        // spec-built policy, closed over the workload substrate by the one
+        // single-host loop.
+        use crate::cell::{run_host, HostRun};
+        use crate::source::SourceSpec;
+        let source = SourceSpec::Workload {
+            scenario: "cpu-bomb".into(),
+        };
+        let prototype = stayaway_sim::scenario::Scenario::vlc_with_cpubomb(7);
         for name in ["stayaway", "reactive", "null"] {
             let spec = PolicySpec::parse(name).unwrap();
-            let mut policy = spec
-                .build(
-                    &ControllerConfig::default(),
-                    &scenario.host,
-                    Observability::disabled(),
-                )
-                .unwrap();
-            let row = stayaway_workload::bench_scenario(&scenario, policy.as_mut(), 7, 20).unwrap();
-            assert_eq!(row.scenario, "cpu-bomb");
-            assert_eq!(row.policy, spec.name());
-            assert_eq!(row.ticks, 20);
-            assert!(row.requests > 0);
-            assert!(row.p50_ms <= row.p95_ms && row.p95_ms <= row.p99_ms);
+            let out = run_host(HostRun {
+                source: &source,
+                scenario: &prototype,
+                seed: 7,
+                policy: &spec,
+                controller: &ControllerConfig::default(),
+                ticks: 20,
+                obs: &Observability::disabled(),
+                import: None,
+                export_as: None,
+                trace_out: None,
+                loop_nanos: None,
+            })
+            .unwrap();
+            let requests = out
+                .requests
+                .expect("the workload engine simulates requests");
+            // Row identity: the run sensed cpu-bomb's host under `spec`.
+            assert_eq!(source.scenario_label(prototype.name()), "workload:cpu-bomb");
+            assert_eq!(
+                out.host,
+                stayaway_workload::by_name("cpu-bomb").unwrap().host
+            );
+            assert_eq!(out.run.policy, spec.name());
+            assert_eq!(out.run.timeline.len(), 20);
+            assert!(requests.requests > 0);
+            assert!(requests.p50_ms <= requests.p95_ms && requests.p95_ms <= requests.p99_ms);
         }
     }
 }

@@ -100,7 +100,7 @@ impl TournamentOutcome {
             self.bootstrap_resamples,
         ));
         text.push_str(&format!(
-            "{:<5} {:<10} {:>5} {:>24} {:>22} {:>10} {:>8} {:>8} {:>9}\n",
+            "{:<5} {:<10} {:>5} {:>24} {:>22} {:>10} {:>8} {:>8}\n",
             "rank",
             "predictor",
             "cells",
@@ -109,11 +109,10 @@ impl TournamentOutcome {
             "batch",
             "accuracy",
             "rejected",
-            "decide",
         ));
         for s in &self.standings {
             text.push_str(&format!(
-                "{:<5} {:<10} {:>5} {:>7.1}% [{:>4.1}, {:>5.1}] {:>6.2}% [{:>4.2}, {:>5.2}] {:>10.0} {:>8} {:>8} {:>9}\n",
+                "{:<5} {:<10} {:>5} {:>7.1}% [{:>4.1}, {:>5.1}] {:>6.2}% [{:>4.2}, {:>5.2}] {:>10.0} {:>8} {:>8}\n",
                 s.rank,
                 s.predictor,
                 s.cells,
@@ -126,10 +125,6 @@ impl TournamentOutcome {
                 s.batch_work.mean,
                 format_accuracy(s.prediction_accuracy),
                 s.samples_rejected,
-                match s.decide_nanos {
-                Some(nanos) => format!("{:.1}µs", nanos / 1_000.0),
-                None => "n/a".to_string(),
-                },
             ));
         }
         text.push_str("per-scenario satisfaction:\n");

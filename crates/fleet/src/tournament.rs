@@ -14,10 +14,10 @@
 //! Each ranking metric carries a percentile-bootstrap confidence interval
 //! resampled from the per-cell values with a seeded RNG, so the intervals
 //! — like everything else in [`TournamentOutcome::to_json`] — are
-//! byte-identical for any worker count. Decision latency is measured by a
-//! separate per-predictor calibration micro-run and reported **outside**
-//! the JSON (wall-clock time is not deterministic); it informs, but never
-//! decides, the ranking.
+//! byte-identical for any worker count. A plane's forecast cost is not
+//! part of the outcome: `stayaway metrics --predictor P` exports its
+//! `stayaway_predict_forecast_latency_nanos` histogram, and the perf
+//! ledger times it on formed maps.
 
 use crate::aggregate::{CellSummary, PredictorRollup};
 use crate::config::FleetConfig;
@@ -28,16 +28,13 @@ use crate::FleetError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use stayaway_core::{Controller, ControllerConfig, Observability, PredictorKind};
-use stayaway_obs::{MetricsRegistry, MetricsSnapshot};
+use stayaway_core::{ControllerConfig, PredictorKind};
+use stayaway_obs::MetricsSnapshot;
 use stayaway_sim::scenario::Scenario;
 
 /// Seed-space tag separating tournament bootstrap streams from every
 /// other derived seed in the fleet (cells, jobs).
 const BOOTSTRAP_STREAM_TAG: u64 = 0xb001_57a9;
-
-/// Ticks of the per-predictor decision-latency calibration micro-run.
-const CALIBRATION_TICKS: u64 = 96;
 
 /// Configuration of one predictor tournament.
 #[derive(Debug, Clone)]
@@ -59,10 +56,6 @@ pub struct TournamentConfig {
     pub workers: usize,
     /// Bootstrap resamples behind each confidence interval.
     pub bootstrap_resamples: usize,
-    /// When true, a per-predictor calibration micro-run measures mean
-    /// forecast latency (reported text-only; never serialised, never
-    /// ranked on). Off by default in tests, on in the CLI.
-    pub calibrate_latency: bool,
     /// When true, every underlying fleet cell records into its own
     /// metrics registry and the outcome carries the deterministic
     /// fixed-order rollup (DESIGN.md §11). Decision-inert: standings are
@@ -76,7 +69,7 @@ pub struct TournamentConfig {
 impl TournamentConfig {
     /// The default tournament: all four predictors over the cpu-bomb,
     /// memory-bomb and flash-crowd workloads, three cells per
-    /// combination, 256 ticks, without latency calibration.
+    /// combination, 256 ticks.
     pub fn new(seed: u64) -> Self {
         TournamentConfig {
             predictors: PredictorKind::ALL.to_vec(),
@@ -90,7 +83,6 @@ impl TournamentConfig {
             seed,
             workers: 4,
             bootstrap_resamples: 1000,
-            calibrate_latency: false,
             collect_metrics: false,
             controller: ControllerConfig::default(),
         }
@@ -100,11 +92,25 @@ impl TournamentConfig {
     /// scenarios: the fleet's cell matrix runs source `i % S` and
     /// predictor `(i / S) % P`, so every predictor × scenario combination
     /// receives exactly `cells_per_combo` cells, each with its own derived
-    /// seed.
+    /// seed. A repeated predictor or scenario is rejected: standings and
+    /// per-scenario rows are keyed by name, so each copy would claim the
+    /// cells of both (a fleet takes repeats, which re-weight its matrix).
     fn fleet_config(&self) -> Result<FleetConfig, FleetError> {
         if self.scenarios.is_empty() {
             return Err(FleetError::InvalidConfig {
                 reason: "tournament needs at least one workload scenario".into(),
+            });
+        }
+        let predictors = self.predictors.iter().map(|p| p.name());
+        let repeat = first_repeat(predictors)
+            .map(|name| ("predictor", name))
+            .or_else(|| {
+                first_repeat(self.scenarios.iter().map(String::as_str))
+                    .map(|name| ("scenario", name))
+            });
+        if let Some((axis, name)) = repeat {
+            return Err(FleetError::InvalidConfig {
+                reason: format!("tournament lists {axis} '{name}' more than once"),
             });
         }
         let sources: Vec<SourceSpec> = self
@@ -133,6 +139,12 @@ impl TournamentConfig {
         config.collect_metrics = self.collect_metrics;
         Ok(config)
     }
+}
+
+/// The first name `names` yields a second time.
+fn first_repeat<'a>(names: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
+    let mut seen = std::collections::BTreeSet::new();
+    names.into_iter().find(|name| !seen.insert(*name))
 }
 
 /// A mean with its percentile-bootstrap 95% confidence interval.
@@ -235,12 +247,6 @@ pub struct Standing {
     pub(crate) samples_rejected: u64,
     /// Per-scenario breakdown, in configured scenario order.
     pub(crate) per_scenario: Vec<ScenarioScore>,
-    /// Mean forecast wall-latency in nanoseconds from the calibration
-    /// micro-run; `None` unless calibration ran and forecasts happened.
-    /// Informational only: wall-clock time is non-deterministic, so this
-    /// never enters [`TournamentOutcome::to_json`] and never ranks.
-    #[serde(skip)]
-    pub(crate) decide_nanos: Option<f64>,
 }
 
 /// The ranked result of one predictor tournament.
@@ -279,8 +285,7 @@ pub struct TournamentOutcome {
 impl TournamentOutcome {
     /// Renders the outcome as pretty JSON. Deterministic and
     /// byte-identical for any worker count: the projection carries no
-    /// worker count and no wall-clock measurement (decision latency is
-    /// deliberately excluded).
+    /// worker count and no wall-clock measurement.
     ///
     /// # Errors
     ///
@@ -292,7 +297,7 @@ impl TournamentOutcome {
 
 /// Runs the tournament: one deterministic fleet over the full predictor ×
 /// scenario cross-product, then ranking with bootstrap confidence
-/// intervals (and, when configured, per-predictor latency calibration).
+/// intervals.
 ///
 /// # Errors
 ///
@@ -359,10 +364,6 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
                 prediction_accuracy: rollup.and_then(PredictorRollup::prediction_accuracy),
                 samples_rejected: rollup.map_or(0, |r| r.samples_rejected),
                 per_scenario,
-                decide_nanos: config
-                    .calibrate_latency
-                    .then(|| calibrate_decide_latency(config, predictor))
-                    .flatten(),
             })
         })
         .collect::<Result<Vec<Standing>, FleetError>>()?;
@@ -398,37 +399,6 @@ pub fn run_tournament(config: &TournamentConfig) -> Result<TournamentOutcome, Fl
         metrics: fleet_outcome.metrics,
         metric_unit_mismatches: fleet_outcome.metric_unit_mismatches,
     })
-}
-
-/// Measures one predictor's mean forecast wall-latency with a short
-/// instrumented controller run (the `stayaway_predict_forecast_latency_nanos`
-/// histogram). Wall-clock and therefore non-deterministic — the result is
-/// reported text-only and never serialised.
-fn calibrate_decide_latency(config: &TournamentConfig, predictor: PredictorKind) -> Option<f64> {
-    let scenario = Scenario::vlc_with_twitter(config.seed);
-    let mut harness = scenario.build_harness().ok()?;
-    let registry = MetricsRegistry::new();
-    let controller_config = ControllerConfig {
-        seed: config.seed,
-        predictor,
-        ..config.controller.clone()
-    };
-    let mut controller = Controller::for_host_observed(
-        controller_config,
-        harness.host().spec(),
-        Observability::enabled(registry.clone()),
-    )
-    .ok()?;
-    harness.run(&mut controller, CALIBRATION_TICKS);
-    let snapshot = registry.snapshot();
-    let hist = snapshot
-        .histograms
-        .iter()
-        .find(|h| h.name == "stayaway_predict_forecast_latency_nanos")?;
-    if hist.hist.count == 0 {
-        return None;
-    }
-    Some(hist.hist.sum as f64 / hist.hist.count as f64)
 }
 
 #[cfg(test)]
@@ -482,6 +452,35 @@ mod tests {
         ] {
             // The first two steps of `run_tournament`.
             assert!(broken.fleet_config().and_then(Fleet::new).is_err());
+        }
+    }
+
+    #[test]
+    fn repeated_predictors_or_scenarios_are_rejected() {
+        for (broken, reason) in [
+            (
+                TournamentConfig {
+                    predictors: vec![PredictorKind::Kde, PredictorKind::Kde],
+                    ..tiny_config()
+                },
+                "tournament lists predictor 'kde' more than once",
+            ),
+            (
+                TournamentConfig {
+                    scenarios: vec![
+                        "cpu-bomb".into(),
+                        "memcached-like".into(),
+                        "cpu-bomb".into(),
+                    ],
+                    ..tiny_config()
+                },
+                "tournament lists scenario 'cpu-bomb' more than once",
+            ),
+        ] {
+            match run_tournament(&broken) {
+                Err(FleetError::InvalidConfig { reason: got }) => assert_eq!(got, reason),
+                other => panic!("expected the repeat to be rejected, got {other:?}"),
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 
 use std::cell::Cell;
 
-use crate::distance::{pruning_limit, Metric};
+use crate::distance::{euclidean_pruned, pruning_limit};
 use crate::MdsError;
 
 /// Uniform-grid bucket index over two coordinates of the (normalized,
@@ -362,7 +362,7 @@ impl ReprSet {
     }
 
     /// The distance from representative `i` to `vector`, or `None` once it
-    /// provably exceeds `bound`: [`Metric::distance_pruned`]'s answer, and
+    /// provably exceeds `bound`: [`euclidean_pruned`]'s answer, and
     /// the one place a query evaluates a candidate. With the grid, `at`
     /// (`vector`'s projection) settles most far candidates first: the
     /// squared differences on the two axes are two of the distance's
@@ -378,7 +378,7 @@ impl ReprSet {
             }
         }
         self.candidates.set(self.candidates.get() + 1);
-        Metric::Euclidean.distance_pruned(&self.representatives[i], vector, bound)
+        euclidean_pruned(&self.representatives[i], vector, bound)
     }
 
     /// `vector`'s projection on the grid's axes (unused without the grid).
@@ -857,7 +857,7 @@ mod tests {
         for v in &inputs {
             let out = set.insert(v).unwrap();
             let rep = set.representative(out.index());
-            let d = Metric::Euclidean.distance(rep, v);
+            let d = crate::distance::euclidean(rep, v);
             assert!(d <= 0.25 + 1e-12, "vector not covered: d = {d}");
         }
         assert!(set.len() < inputs.len(), "dedup should compress the stream");

@@ -2,58 +2,47 @@
 
 use crate::MdsError;
 
-/// Pairwise distance metric between measurement vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum Metric {
-    /// Standard Euclidean (L2) distance — the metric used by the paper.
-    #[default]
-    Euclidean,
+/// The Euclidean (L2) distance between two equal-length vectors — the
+/// metric the paper maps measurements with.
+///
+/// # Panics
+///
+/// Panics in debug builds if the lengths differ; in release builds the
+/// shorter length is used.
+pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "vectors must share a dimension");
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
 }
 
-impl Metric {
-    /// Computes the distance between two equal-length vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the lengths differ; in release builds the
-    /// shorter length is used.
-    pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len(), "vectors must share a dimension");
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Computes the distance with per-coordinate early exit: returns `None`
-    /// as soon as the partial accumulation proves the result exceeds
-    /// `bound`.
-    ///
-    /// The pruning threshold carries a small safety factor, so a candidate
-    /// is abandoned only when its distance provably exceeds `bound`;
-    /// whenever `Some(d)` is returned, `d` is bit-for-bit the value
-    /// [`Metric::distance`] would produce. Callers can therefore use this
-    /// as a drop-in scan kernel without changing any comparison outcome.
-    pub(crate) fn distance_pruned(&self, a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
-        debug_assert_eq!(a.len(), b.len(), "vectors must share a dimension");
-        let limit = pruning_limit(bound);
-        let mut sum = 0.0;
-        for (x, y) in a.iter().zip(b) {
-            sum += (x - y) * (x - y);
-            if sum > limit {
-                return None;
-            }
+/// [`euclidean`] with per-coordinate early exit: returns `None` as soon as
+/// the partial accumulation proves the result exceeds `bound`.
+///
+/// The pruning threshold carries a small safety factor, so a candidate is
+/// abandoned only when its distance provably exceeds `bound`; whenever
+/// `Some(d)` is returned, `d` is bit-for-bit the value [`euclidean`] would
+/// produce. Callers can therefore use this as a drop-in scan kernel
+/// without changing any comparison outcome.
+pub(crate) fn euclidean_pruned(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
+    debug_assert_eq!(a.len(), b.len(), "vectors must share a dimension");
+    let limit = pruning_limit(bound);
+    let mut sum = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        sum += (x - y) * (x - y);
+        if sum > limit {
+            return None;
         }
-        Some(sum.sqrt())
     }
+    Some(sum.sqrt())
 }
 
-/// The squared-distance accumulation past which
-/// [`Metric::distance_pruned`] abandons a candidate for `bound`. One part
-/// in 2^40 over-admits boundary candidates rather than ever mispruning
-/// one; their exact distance decides as in the full scan.
+/// The squared-distance accumulation past which [`euclidean_pruned`]
+/// abandons a candidate for `bound`. One part in 2^40 over-admits
+/// boundary candidates rather than ever mispruning one; their exact
+/// distance decides as in the full scan.
 pub(crate) fn pruning_limit(bound: f64) -> f64 {
     const SLACK: f64 = 1.0 + 1e-12;
     bound * bound * SLACK
@@ -101,11 +90,7 @@ impl DistanceMatrix {
         // (j-1, j) contiguously.
         let mut upper = Vec::with_capacity(n * (n - 1) / 2);
         for (j, point) in vectors.iter().enumerate().skip(1) {
-            upper.extend(
-                vectors[..j]
-                    .iter()
-                    .map(|v| Metric::Euclidean.distance(v, point)),
-            );
+            upper.extend(vectors[..j].iter().map(|v| euclidean(v, point)));
         }
         Ok(DistanceMatrix { n, upper })
     }
@@ -139,11 +124,8 @@ impl DistanceMatrix {
                 context: "distance matrix appended point",
             });
         }
-        self.upper.extend(
-            existing
-                .iter()
-                .map(|v| Metric::Euclidean.distance(v, point)),
-        );
+        self.upper
+            .extend(existing.iter().map(|v| euclidean(v, point)));
         self.n += 1;
         Ok(())
     }
@@ -207,24 +189,22 @@ pub(crate) mod tests {
 
     #[test]
     fn euclidean_distance_matches_hand_computation() {
-        let m = Metric::Euclidean;
-        assert_eq!(m.distance(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
-        assert_eq!(m.distance(&[1.0], &[1.0]), 0.0);
+        assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
+        assert_eq!(euclidean(&[1.0], &[1.0]), 0.0);
     }
 
     #[test]
     fn distance_pruned_matches_full_distance_or_proves_excess() {
         let a = [0.1, 0.9, 0.4, 0.7];
         let b = [0.3, 0.2, 0.8, 0.1];
-        let metric = Metric::Euclidean;
-        let d = metric.distance(&a, &b);
+        let d = euclidean(&a, &b);
         // Generous bound: completes and matches exactly.
-        assert_eq!(metric.distance_pruned(&a, &b, d), Some(d));
-        assert_eq!(metric.distance_pruned(&a, &b, f64::INFINITY), Some(d));
+        assert_eq!(euclidean_pruned(&a, &b, d), Some(d));
+        assert_eq!(euclidean_pruned(&a, &b, f64::INFINITY), Some(d));
         // Bound provably below the distance: pruned.
-        assert_eq!(metric.distance_pruned(&a, &b, d * 0.5), None);
+        assert_eq!(euclidean_pruned(&a, &b, d * 0.5), None);
         // Zero distance survives a zero bound.
-        assert_eq!(metric.distance_pruned(&a, &a, 0.0), Some(0.0));
+        assert_eq!(euclidean_pruned(&a, &a, 0.0), Some(0.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use stayaway_mds::classical::classical_mds;
 use stayaway_mds::dedup::ReprSet;
-use stayaway_mds::distance::{DistanceMatrix, Metric};
+use stayaway_mds::distance::{euclidean, DistanceMatrix};
 use stayaway_mds::normalize::{MetricBounds, Normalizer};
 use stayaway_mds::procrustes::{align_to_previous, prefix_rmsd};
 use stayaway_mds::smacof::{warm_start_with_new_points, Smacof};
@@ -106,7 +106,7 @@ proptest! {
         let mut set = ReprSet::new(epsilon).unwrap();
         for v in &vectors {
             let out = set.insert(v).unwrap();
-            let d = Metric::Euclidean.distance(set.representative(out.index()), v);
+            let d = euclidean(set.representative(out.index()), v);
             prop_assert!(d <= epsilon + 1e-12);
         }
     }
@@ -366,7 +366,7 @@ fn placement_recovers_a_planar_point() {
 fn linear_insert(reps: &mut Vec<Vec<f64>>, epsilon: f64, v: &[f64]) -> (usize, bool) {
     let mut best: Option<(usize, f64)> = None;
     for (i, rep) in reps.iter().enumerate() {
-        let d = Metric::Euclidean.distance(rep, v);
+        let d = euclidean(rep, v);
         if d <= epsilon && best.is_none_or(|(_, bd)| d < bd) {
             best = Some((i, d));
         }
@@ -384,7 +384,7 @@ fn linear_insert(reps: &mut Vec<Vec<f64>>, epsilon: f64, v: &[f64]) -> (usize, b
 fn linear_nearest(reps: &[Vec<f64>], v: &[f64]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (i, rep) in reps.iter().enumerate() {
-        let d = Metric::Euclidean.distance(rep, v);
+        let d = euclidean(rep, v);
         if best.is_none_or(|(_, bd)| d < bd) {
             best = Some((i, d));
         }
@@ -399,7 +399,7 @@ fn linear_three(reps: &[Vec<f64>], v: &[f64]) -> Vec<(usize, f64)> {
     let mut top: [(usize, f64); 3] = [(usize::MAX, f64::INFINITY); 3];
     let mut filled = 0usize;
     for (i, rep) in reps.iter().enumerate() {
-        let d = Metric::Euclidean.distance(rep, v);
+        let d = euclidean(rep, v);
         if d >= top[2].1 {
             continue;
         }

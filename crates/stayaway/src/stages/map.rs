@@ -637,8 +637,7 @@ mod tests {
             let embedding = s.embedding().unwrap();
             let mut dists: Vec<(usize, f64)> = (0..s.repr_count())
                 .map(|i| {
-                    let d = stayaway_mds::distance::Metric::Euclidean
-                        .distance(s.normalized_vector(i), q);
+                    let d = stayaway_mds::distance::euclidean(s.normalized_vector(i), q);
                     (i, d)
                 })
                 .collect();

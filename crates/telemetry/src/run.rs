@@ -154,7 +154,8 @@ impl RunOutcome {
 /// Whole-run per-request QoS, reported by substrates that simulate
 /// individual requests (the workload engine) through
 /// [`ObservationSource::request_qos`]; tick-level substrates have none.
-/// Latencies cover sensitive requests, counts cover every tenant.
+/// The latencies, the SLO-violation rate and the two `sensitive_*` counts
+/// cover sensitive requests; the other counts cover every tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestQos {
     /// Median sensitive-request latency in milliseconds.
@@ -173,6 +174,12 @@ pub struct RequestQos {
     pub completed: u64,
     /// Requests dropped on queue overflow.
     pub dropped: u64,
+    /// Sensitive requests completed.
+    pub sensitive_completed: u64,
+    /// Sensitive requests dropped on queue overflow. With
+    /// `sensitive_completed` it is the denominator `slo_violation_rate`
+    /// is computed over.
+    pub sensitive_dropped: u64,
     /// Containers cold-started.
     pub cold_starts: u64,
     /// Idle containers evicted.

@@ -1211,6 +1211,8 @@ impl ObservationSource for WorkloadHost {
             requests: totals.arrivals,
             completed: totals.completed,
             dropped: totals.dropped,
+            sensitive_completed: totals.sensitive_completed,
+            sensitive_dropped: totals.sensitive_dropped,
             cold_starts: totals.cold_starts,
             evictions: totals.evictions,
         })

@@ -17,11 +17,14 @@
 //!   lifecycle, contention-stretched service times, SIGSTOP-style
 //!   freezes, integer-nanosecond determinism. It is its own
 //!   [`ObservationSource`], so existing policies and the fleet sense the
-//!   event-driven host unchanged.
-//! - [`bench_scenario`] / [`BenchTable`] — the per-scenario/per-policy
-//!   QoS grid behind `stayaway bench-scenarios`.
+//!   event-driven host unchanged. Its whole-run per-request QoS
+//!   ([`ObservationSource::request_qos`]) reports latencies, the
+//!   SLO-violation rate and the `sensitive_*` counts over sensitive
+//!   requests alone, every other count over all tenants; `stayaway
+//!   bench-scenarios` tabulates it per scenario and policy.
 //!
 //! [`ObservationSource`]: stayaway_telemetry::ObservationSource
+//! [`ObservationSource::request_qos`]: stayaway_telemetry::ObservationSource::request_qos
 
 mod arrival;
 mod demand;
@@ -30,7 +33,6 @@ mod error;
 mod latency;
 mod metrics;
 mod queue;
-mod report;
 mod spec;
 
 pub use arrival::ArrivalProcess;
@@ -38,7 +40,6 @@ pub use demand::{DemandProfile, KeepalivePolicy};
 pub use engine::{RunTotals, WorkloadHost};
 pub use error::WorkloadError;
 pub use latency::LatencyHistogram;
-pub use report::{bench_scenario, BenchTable, ScenarioQos};
 pub use spec::{by_name, library, SloSpec, TenantSpec, WorkloadScenario};
 
 /// The engine under the name the perf ledger (`benchmarks/`) imports it by.

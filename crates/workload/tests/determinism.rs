@@ -6,9 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use stayaway_telemetry::{drive, Action, NullPolicy, Observation, ObservationSource, Policy};
-use stayaway_workload::{
-    bench_scenario, by_name, library, ArrivalProcess, WorkloadHost, WorkloadScenario,
-};
+use stayaway_workload::{by_name, library, ArrivalProcess, WorkloadHost, WorkloadScenario};
 
 /// Drives `ticks` control ticks by hand, capturing every observation as
 /// its JSON encoding (the byte-level contract traces and the fleet rely
@@ -84,20 +82,26 @@ fn different_seeds_diverge() {
 
 #[test]
 fn every_library_scenario_is_reproducible() {
+    // What one `bench-scenarios` row reads: the closed-loop outcome and the
+    // engine's whole-run request QoS.
+    let row = |name: &str| {
+        let mut host = WorkloadHost::new(by_name(name).unwrap(), 5).unwrap();
+        let run = drive(&mut host, &mut NullPolicy::new(), 25).unwrap();
+        let qos = host.request_qos().expect("the engine simulates requests");
+        (run, qos)
+    };
     for name in library().into_iter().map(|s| s.name) {
-        let row_a =
-            bench_scenario(&by_name(&name).unwrap(), &mut NullPolicy::new(), 5, 25).unwrap();
-        let row_b =
-            bench_scenario(&by_name(&name).unwrap(), &mut NullPolicy::new(), 5, 25).unwrap();
-        assert_eq!(row_a, row_b, "{name}");
+        let (run_a, qos_a) = row(&name);
+        let (run_b, qos_b) = row(&name);
+        assert_eq!((&run_a, &qos_a), (&run_b, &qos_b), "{name}");
         // Every library entry survives a drive and generates load.
-        assert_eq!(row_a.ticks, 25, "{name}");
-        assert!(row_a.requests > 0, "{name}");
+        assert_eq!(run_a.timeline.len(), 25, "{name}");
+        assert!(qos_a.requests > 0, "{name}");
         // The CLI contract is byte-identical JSON (float rendering
         // included).
         assert_eq!(
-            serde_json::to_string(&row_a).unwrap(),
-            serde_json::to_string(&row_b).unwrap(),
+            serde_json::to_string(&qos_a).unwrap(),
+            serde_json::to_string(&qos_b).unwrap(),
             "{name}"
         );
     }

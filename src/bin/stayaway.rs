@@ -26,7 +26,6 @@ use stay_away::obs::{
 use stay_away::sim::scenario::{BatchKind, Scenario};
 use stay_away::statespace::Template;
 use stay_away::telemetry::TraceSource;
-use stay_away::workload::{bench_scenario, BenchTable};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -658,8 +657,9 @@ fn publish(
 struct HostJob<'a> {
     /// Overrides `--source` (`replay` senses through its `--trace`).
     source: Option<SourceSpec>,
-    /// Overrides `--policy` (`compare` runs each policy in turn).
-    policy: Option<&'a str>,
+    /// Overrides `--policy` (`compare` and `bench-scenarios` run each
+    /// policy in turn).
+    policy: Option<PolicySpec>,
     /// Template to warm-start from (`reuse`).
     import: Option<&'a Template>,
     /// Sensitive key to export the learned template under (`capture`).
@@ -672,10 +672,10 @@ struct HostJob<'a> {
 }
 
 /// The single-host run path of `run`, `metrics`, `compare`, `capture`,
-/// `reuse`, `record` and `replay`: the substrate, scenario, policy,
-/// predictor, seed and length come from the flags (a flag the subcommand
-/// does not read is absent, so its default applies), `job` adds the
-/// subcommand's own extras, and [`run_host`] does the rest. Instruments
+/// `reuse`, `record`, `replay` and `bench-scenarios`: the substrate,
+/// scenario, policy, predictor, seed and length come from the flags (a
+/// flag the subcommand does not read is absent, so its default applies),
+/// `job` adds the subcommand's own extras, and [`run_host`] does the rest. Instruments
 /// exist only when a flag asks for them: an exported registry for
 /// `--metrics-out` / `--http`, a flight recorder for `--events-out` /
 /// `--http`; under `--http` the server starts before the run and observes
@@ -689,7 +689,10 @@ fn single_host(
         Some(source) => source,
         None => args.source()?,
     };
-    let policy = PolicySpec::parse(job.policy.unwrap_or(args.policy_or("stay-away")))?;
+    let policy = match job.policy {
+        Some(policy) => policy,
+        None => PolicySpec::parse(args.policy_or("stay-away"))?,
+    };
     let http = args.text("--http");
     let mut obs = match job.registry {
         Some(registry) => Observability::enabled(registry),
@@ -850,24 +853,77 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
         }
         "bench-scenarios" => {
             let policies = PolicySpec::parse_list(args.policy_or("stayaway,reactive,null"))?;
-            let mut table = BenchTable::default();
+            let mut rows = Vec::new();
             for scenario in stay_away::workload::library() {
-                for spec in &policies {
-                    let config = ControllerConfig::default();
-                    let obs = Observability::disabled();
-                    let mut policy = spec.build(&config, &scenario.host, obs)?;
-                    table.rows.push(bench_scenario(
-                        &scenario,
-                        policy.as_mut(),
-                        args.seed(),
-                        args.ticks(),
-                    )?);
+                for policy in &policies {
+                    let job = HostJob {
+                        source: Some(SourceSpec::Workload {
+                            scenario: scenario.name.clone(),
+                        }),
+                        policy: Some(policy.clone()),
+                        ..HostJob::default()
+                    };
+                    let (outcome, ..) = single_host(args, out, job)?;
+                    let Some(requests) = outcome.requests else {
+                        return fail(format!("{} simulates no requests", scenario.name));
+                    };
+                    rows.push((scenario.name.clone(), outcome.run, requests));
                 }
             }
             if json {
-                writeln!(out, "{}", table.to_json()?)?;
+                let rows: Vec<serde_json::Value> = rows
+                    .iter()
+                    .map(|(scenario, run, r)| {
+                        serde_json::json!({
+                            "scenario": scenario,
+                            "policy": run.policy,
+                            "ticks": run.timeline.len(),
+                            "requests": r.requests,
+                            "completed": r.sensitive_completed,
+                            "dropped": r.sensitive_dropped,
+                            "p50_ms": r.p50_ms,
+                            "p95_ms": r.p95_ms,
+                            "p99_ms": r.p99_ms,
+                            "mean_ms": r.mean_ms,
+                            "slo_violation_rate": r.slo_violation_rate,
+                            "tick_satisfaction": run.qos.satisfaction(),
+                            "batch_work": run.batch_work,
+                            "cold_starts": r.cold_starts,
+                            "evictions": r.evictions,
+                        })
+                    })
+                    .collect();
+                let table = serde_json::json!({ "rows": rows });
+                writeln!(out, "{}", serde_json::to_string_pretty(&table)?)?;
             } else {
-                write!(out, "{}", table.render())?;
+                writeln!(
+                    out,
+                    "{:<22} {:<18} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>10}",
+                    "scenario",
+                    "policy",
+                    "p50 ms",
+                    "p95 ms",
+                    "p99 ms",
+                    "slo-viol",
+                    "drops",
+                    "colds",
+                    "batch-work"
+                )?;
+                for (scenario, run, r) in &rows {
+                    writeln!(
+                        out,
+                        "{:<22} {:<18} {:>9.3} {:>9.3} {:>9.3} {:>8.1}% {:>8} {:>8} {:>10.1}",
+                        scenario,
+                        run.policy,
+                        r.p50_ms,
+                        r.p95_ms,
+                        r.p99_ms,
+                        r.slo_violation_rate * 100.0,
+                        r.sensitive_dropped,
+                        r.cold_starts,
+                        run.batch_work,
+                    )?;
+                }
             }
         }
         "run" => {
@@ -910,7 +966,13 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 args.seed(),
                 source.name(),
             )?;
-            for policy in ["null", "always", "reactive", "static", "stayaway"] {
+            for policy in [
+                PolicySpec::Null,
+                PolicySpec::AlwaysThrottle,
+                PolicySpec::Reactive,
+                PolicySpec::StaticThreshold,
+                PolicySpec::StayAway,
+            ] {
                 let job = HostJob {
                     policy: Some(policy),
                     ..HostJob::default()
@@ -1048,9 +1110,6 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             config.ticks = args.ticks();
             config.workers = args.workers();
             config.bootstrap_resamples = args.count("--resamples").unwrap_or(1000);
-            // Latency calibration is wall-clock and text-only; JSON output
-            // is the deterministic contract, so skip the extra runs there.
-            config.calibrate_latency = !json;
             config.collect_metrics = args.wants_metrics();
             let outcome = run_tournament(&config)?;
             match json {

@@ -15,9 +15,7 @@
 //! normaliser ([`normalise`]) masks exactly these shapes:
 //!
 //! * `"nanos": N` JSON fields → `"nanos": <t>`;
-//! * `N µs` readings (`40x/12µs` in the `stages:` line, the tournament's
-//!   right-aligned `decide` column) → `<t>µs`, with the column's padding
-//!   collapsed to one space;
+//! * `Nµs` readings (`40x/12µs` in the `stages:` line) → `<t>µs`;
 //! * sample lines of `*_nanos` series in a Prometheus exposition are
 //!   dropped (their `# HELP` / `# TYPE` lines stay).
 //!
@@ -51,12 +49,7 @@ fn normalise(stdout: &str) -> String {
         }
         let mut rest = line;
         while let Some(at) = rest.find("µs") {
-            let reading = rest[..at].trim_end_matches(|c: char| c.is_ascii_digit() || c == '.');
-            let text = reading.trim_end_matches(' ');
-            out.push_str(text);
-            if text.len() < reading.len() {
-                out.push(' ');
-            }
+            out.push_str(rest[..at].trim_end_matches(|c: char| c.is_ascii_digit()));
             out.push_str("<t>µs");
             rest = &rest[at + "µs".len()..];
         }
@@ -426,6 +419,8 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         "fleet --cells 18446744073709551615 --ticks 1",
         "tournament --cells 9223372036854775807 --ticks 1 --json",
         "tournament --resamples 4611686018427387904 --cells 2 --ticks 8 --scenario cpu-bomb --predictor kde --json",
+        "tournament --predictor kde,kde --scenario cpu-bomb --cells 1 --ticks 16",
+        "tournament --scenario cpu-bomb,cpu-bomb --predictor kde --cells 1 --ticks 16",
         "cluster --epoch-ticks 1099511627776 --epochs 1",
     ] {
         sandbox.run(step);
