@@ -2,73 +2,124 @@
 //!
 //! The real serde separates the data model from formats; this workspace
 //! only ever serializes to and from JSON, so the stand-in collapses the
-//! two: [`Serialize`] renders a value into a JSON-shaped [`Value`] tree and
-//! [`Deserialize`] rebuilds a value from one. The JSON text layer under
-//! the tree lives in [`value`] and is public on its own — the scalar
-//! writers `Value::to_json` renders through and the pull
-//! [`value::Cursor`] that [`value::parse_json`] drives — so a caller with a
-//! fixed schema on a hot path can write and read text without building a
-//! tree, through the same tokenizer, float formatter and string escaper.
+//! two: [`Serialize`] appends compact JSON text to a `String` with the
+//! scalar writers and [`Deserialize`] reads it back through the pull
+//! [`Cursor`], with no tree in between. The text layer lives in [`value`]:
+//! the scalar writers, [`value::indent`] for pretty text, the cursor, and
+//! the [`Value`] tree, which is one more type with its own impls, for
+//! documents whose shape is not known in advance ([`value::parse_json`]).
 //! The `serde_json` compat crate names the text entry points upstream
-//! does. The derive macros (`serde_derive`,
-//! re-exported behind the `derive` feature like upstream) generate the same
-//! external representation serde would: structs as objects, newtype structs
+//! does. The derive macros (`serde_derive`, re-exported behind the
+//! `derive` feature like upstream) generate the same external
+//! representation serde would: structs as objects, newtype structs
 //! transparently, unit enum variants as strings and data-carrying variants
 //! as single-key objects.
 
 mod ryu;
 pub mod value;
 
-pub use value::{Number, Value};
+use value::{write_json_bool, write_json_f64, write_json_i64, write_json_string, write_json_u64};
+pub use value::{Cursor, Number, Value};
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// Serialization error (unused by this stand-in, kept for API shape).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SerError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-/// Deserialization error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeError {
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl DeError {
-    /// Creates an error with the given message.
-    pub fn msg(message: impl Into<String>) -> Self {
-        DeError {
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for DeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for DeError {}
-
-/// Renders `self` into the JSON data model.
+/// Writes `self` as JSON text.
 pub trait Serialize {
-    /// The [`Value`] representation of `self`.
-    fn to_value(&self) -> Value;
+    /// Appends `self` to `out` as one JSON value, in compact text: no
+    /// whitespace outside strings.
+    fn serialize(&self, out: &mut String);
 }
 
-/// Rebuilds `Self` from the JSON data model.
+/// Reads `Self` from JSON text.
 pub trait Deserialize: Sized {
-    /// Parses `Self` out of a [`Value`], failing on shape mismatches.
+    /// Reads one JSON value as `Self`.
     ///
     /// # Errors
     ///
-    /// Returns [`DeError`] when `value` does not have the expected shape.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
+    /// A message naming the byte offset of a syntax error, or what the
+    /// text holds where it should hold a `Self`.
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String>;
+
+    /// Reads one JSON value into `self`, keeping what buffers `self` holds
+    /// (strings, vectors, the fields of a derived struct). On success
+    /// `self` equals what [`Deserialize::deserialize`] would have returned,
+    /// whatever it held before; on failure its contents are unspecified.
+    /// The default assigns a fresh value.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Deserialize::deserialize`].
+    fn deserialize_in_place(&mut self, cursor: &mut Cursor<'_>) -> Result<(), String> {
+        *self = Self::deserialize(cursor)?;
+        Ok(())
+    }
+}
+
+/// What the derived readers call: one rule per member of an object.
+#[doc(hidden)]
+pub mod de {
+    use crate::{Cursor, Deserialize};
+
+    /// Reads a member into its slot, or skips it when an earlier member of
+    /// the same name filled the slot: the first of repeated members counts.
+    pub fn member<T: Deserialize>(
+        slot: &mut Option<T>,
+        cursor: &mut Cursor<'_>,
+    ) -> Result<(), String> {
+        if slot.is_some() {
+            return cursor.skip_value();
+        }
+        *slot = Some(T::deserialize(cursor)?);
+        Ok(())
+    }
+
+    /// [`member`] into a field that is kept: `seen` says a member of the
+    /// name was read already.
+    pub fn member_in_place<T: Deserialize>(
+        seen: &mut bool,
+        field: &mut T,
+        cursor: &mut Cursor<'_>,
+    ) -> Result<(), String> {
+        if std::mem::replace(seen, true) {
+            return cursor.skip_value();
+        }
+        field.deserialize_in_place(cursor)
+    }
+
+    /// The member read, or what an absent member reads as.
+    pub fn required<T: Deserialize>(
+        slot: Option<T>,
+        field: &str,
+        owner: &str,
+    ) -> Result<T, String> {
+        match slot {
+            Some(value) => Ok(value),
+            None => missing(field, owner),
+        }
+    }
+
+    /// [`required`] for a kept field that no member filled.
+    pub fn settle<T: Deserialize>(
+        seen: bool,
+        field: &mut T,
+        name: &str,
+        owner: &str,
+    ) -> Result<(), String> {
+        if !seen {
+            *field = missing(name, owner)?;
+        }
+        Ok(())
+    }
+
+    /// What an absent member reads as: `null`, which an `Option` accepts
+    /// and a field of most types does not.
+    #[cold]
+    #[inline(never)]
+    fn missing<T: Deserialize>(field: &str, owner: &str) -> Result<T, String> {
+        T::deserialize(&mut Cursor::new("null"))
+            .map_err(|_| format!("missing field `{field}` in {owner}"))
+    }
 }
 
 // ---- primitive impls ----------------------------------------------------
@@ -76,16 +127,15 @@ pub trait Deserialize: Sized {
 macro_rules! ser_de_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Number(Number::U64(*self as u64))
+            #[inline]
+            fn serialize(&self, out: &mut String) {
+                write_json_u64(out, *self as u64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let n = value.as_u64().ok_or_else(|| {
-                    DeError::msg(concat!("expected unsigned integer for ", stringify!($t)))
-                })?;
-                <$t>::try_from(n).map_err(|_| DeError::msg("integer out of range"))
+            #[inline]
+            fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+                <$t>::try_from(cursor.u64()?).map_err(|_| "integer out of range".to_string())
             }
         }
     )*};
@@ -96,23 +146,21 @@ ser_de_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! ser_de_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                // Mirror upstream serde_json: non-negative integers use the
-                // unsigned representation, so values compare equal after a
-                // text round-trip (the parser produces U64 for them).
-                if *self >= 0 {
-                    Value::Number(Number::U64(*self as u64))
-                } else {
-                    Value::Number(Number::I64(*self as i64))
-                }
+            #[inline]
+            fn serialize(&self, out: &mut String) {
+                write_json_i64(out, *self as i64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let n = value.as_i64().ok_or_else(|| {
-                    DeError::msg(concat!("expected integer for ", stringify!($t)))
-                })?;
-                <$t>::try_from(n).map_err(|_| DeError::msg("integer out of range"))
+            #[inline]
+            fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+                let n = match cursor.number()? {
+                    Number::U64(n) => i64::try_from(n).ok(),
+                    Number::I64(n) => Some(n),
+                    Number::F64(_) => None,
+                };
+                let in_range = concat!("expected an integer in range of ", stringify!($t));
+                n.and_then(|n| <$t>::try_from(n).ok()).ok_or_else(|| in_range.to_string())
             }
         }
     )*};
@@ -123,22 +171,17 @@ ser_de_signed!(i8, i16, i32, i64, isize);
 macro_rules! ser_de_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                // JSON has no non-finite numbers; mirror serde_json's
-                // to-null behaviour so serialization never fails.
-                if (*self as f64).is_finite() {
-                    Value::Number(Number::F64(*self as f64))
-                } else {
-                    Value::Null
-                }
+            /// JSON has no non-finite numbers: those write `null`, as
+            /// `serde_json` does, so serialization never fails.
+            #[inline]
+            fn serialize(&self, out: &mut String) {
+                write_json_f64(out, *self as f64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                value
-                    .as_f64()
-                    .map(|f| f as $t)
-                    .ok_or_else(|| DeError::msg("expected number"))
+            #[inline]
+            fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+                cursor.f64().map(|f| f as $t)
             }
         }
     )*};
@@ -147,151 +190,208 @@ macro_rules! ser_de_float {
 ser_de_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    #[inline]
+    fn serialize(&self, out: &mut String) {
+        write_json_bool(out, *self);
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::msg("expected boolean")),
-        }
+    #[inline]
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+        cursor.bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    #[inline]
+    fn serialize(&self, out: &mut String) {
+        write_json_string(out, self);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::String(s) => Ok(s.clone()),
-            _ => Err(DeError::msg("expected string")),
-        }
+    #[inline]
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+        cursor.string().map(|s| s.into_owned())
+    }
+
+    #[inline]
+    fn deserialize_in_place(&mut self, cursor: &mut Cursor<'_>) -> Result<(), String> {
+        let text = cursor.string()?;
+        self.clear();
+        self.push_str(&text);
+        Ok(())
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    #[inline]
+    fn serialize(&self, out: &mut String) {
+        write_json_string(out, self);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut String) {
+        (**self).serialize(out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.serialize(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, out: &mut String) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Deserialize::from_value(value)?;
-        items
-            .try_into()
-            .map_err(|_| DeError::msg(format!("expected array of length {N}")))
+    fn serialize(&self, out: &mut String) {
+        self.as_slice().serialize(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            _ => Err(DeError::msg("expected array")),
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+        let mut items = Vec::new();
+        cursor.array(|cursor| {
+            items.push(T::deserialize(cursor)?);
+            Ok(())
+        })?;
+        Ok(items)
+    }
+
+    /// Reads each element into the kept one at its index, appends the
+    /// rest and drops the surplus.
+    fn deserialize_in_place(&mut self, cursor: &mut Cursor<'_>) -> Result<(), String> {
+        let mut len = 0;
+        cursor.array(|cursor| {
+            match self.get_mut(len) {
+                Some(item) => item.deserialize_in_place(cursor)?,
+                None => self.push(T::deserialize(cursor)?),
+            }
+            len += 1;
+            Ok(())
+        })?;
+        self.truncate(len);
+        Ok(())
+    }
+}
+
+impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+        let items: Vec<T> = Deserialize::deserialize(cursor)?;
+        items
+            .try_into()
+            .map_err(|_| format!("expected array of length {N}"))
+    }
+
+    fn deserialize_in_place(&mut self, cursor: &mut Cursor<'_>) -> Result<(), String> {
+        let mut len = 0;
+        cursor.array(|cursor| {
+            match self.get_mut(len) {
+                Some(item) => item.deserialize_in_place(cursor)?,
+                // Read as `deserialize` reads it, for the same error.
+                None => drop(T::deserialize(cursor)?),
+            }
+            len += 1;
+            Ok(())
+        })?;
+        if len == N {
+            Ok(())
+        } else {
+            Err(format!("expected array of length {N}"))
         }
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, out: &mut String) {
         match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
+            Some(v) => v.serialize(out),
+            None => out.push_str("null"),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+        if cursor.peek() == Some(b'n') {
+            cursor.skip_value().map(|()| None)
+        } else {
+            T::deserialize(cursor).map(Some)
         }
     }
 }
 
-macro_rules! ser_de_tuple {
-    ($(($($name:ident : $idx:tt),+)),* $(,)?) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                match value {
-                    Value::Array(items) => {
-                        let mut it = items.iter();
-                        Ok(($(
-                            {
-                                let _ = $idx;
-                                $name::from_value(
-                                    it.next().ok_or_else(|| DeError::msg("tuple too short"))?,
-                                )?
-                            },
-                        )+))
-                    }
-                    _ => Err(DeError::msg("expected array for tuple")),
-                }
-            }
-        }
-    )*};
+impl<A: Serialize, B: Serialize> Serialize for (A, B) {
+    fn serialize(&self, out: &mut String) {
+        out.push('[');
+        self.0.serialize(out);
+        out.push(',');
+        self.1.serialize(out);
+        out.push(']');
+    }
 }
 
-ser_de_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3),
-);
+/// The first two elements of an array; any more are skipped.
+impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+        let (mut a, mut b, mut at) = (None, None, 0);
+        cursor.array(|cursor| {
+            match at {
+                0 => a = Some(A::deserialize(cursor)?),
+                1 => b = Some(B::deserialize(cursor)?),
+                _ => cursor.skip_value()?,
+            }
+            at += 1;
+            Ok(())
+        })?;
+        a.zip(b).ok_or_else(|| "tuple too short".to_string())
+    }
+}
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.serialize(out),
+            Value::Number(Number::U64(n)) => n.serialize(out),
+            Value::Number(Number::I64(n)) => n.serialize(out),
+            Value::Number(Number::F64(n)) => n.serialize(out),
+            Value::String(s) => s.serialize(out),
+            Value::Array(items) => items.serialize(out),
+            Value::Object(entries) => {
+                out.push('{');
+                for (i, (key, member)) in entries.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json_string(out, key);
+                    out.push(':');
+                    member.serialize(out);
+                }
+                out.push('}');
+            }
+        }
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(value.clone())
+    fn deserialize(cursor: &mut Cursor<'_>) -> Result<Self, String> {
+        cursor.value()
     }
 }
 
@@ -299,28 +399,64 @@ impl Deserialize for Value {
 mod tests {
     use super::*;
 
+    fn text<T: Serialize>(value: &T) -> String {
+        let mut out = String::new();
+        value.serialize(&mut out);
+        out
+    }
+
+    fn read<T: Deserialize>(text: &str) -> Result<T, String> {
+        let mut cursor = Cursor::new(text);
+        let value = T::deserialize(&mut cursor)?;
+        cursor.end().map(|()| value)
+    }
+
     #[test]
     fn primitive_round_trips() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
+        assert_eq!(read::<u64>(&text(&42u64)), Ok(42));
+        assert_eq!(read::<i32>(&text(&-7i32)), Ok(-7));
+        assert_eq!(read::<f64>(&text(&1.5f64)), Ok(1.5));
+        assert_eq!(read::<bool>(&text(&true)), Ok(true));
         let v: Vec<f64> = vec![1.0, 2.5];
-        assert_eq!(Vec::<f64>::from_value(&v.to_value()).unwrap(), v);
+        assert_eq!(read::<Vec<f64>>(&text(&v)), Ok(v));
         let o: Option<u64> = None;
-        assert_eq!(Option::<u64>::from_value(&o.to_value()).unwrap(), None);
+        assert_eq!(read::<Option<u64>>(&text(&o)), Ok(None));
+        assert_eq!(read::<u8>("256"), Err("integer out of range".into()));
+        assert_eq!(read::<f64>("3"), Ok(3.0));
     }
 
     #[test]
     fn non_finite_floats_become_null() {
-        assert_eq!(f64::NAN.to_value(), Value::Null);
-        assert_eq!(f64::INFINITY.to_value(), Value::Null);
+        assert_eq!(text(&f64::NAN), "null");
+        assert_eq!(text(&f64::INFINITY), "null");
     }
 
     #[test]
     fn tuple_round_trip() {
-        let t = (1u64, 2.5f64, true);
-        let back = <(u64, f64, bool)>::from_value(&t.to_value()).unwrap();
-        assert_eq!(back, t);
+        let t = (1u64, 2.5f64);
+        assert_eq!(read::<(u64, f64)>(&text(&t)), Ok(t));
+        assert_eq!(read::<(u64, bool)>("[1, true, 2]"), Ok((1, true)));
+        assert!(read::<(u64, u64)>("[1]").is_err());
+    }
+
+    #[test]
+    fn in_place_reads_keep_the_buffers_and_drop_the_surplus() {
+        let mut names = vec![String::with_capacity(64), String::from("gone")];
+        let kept = names[0].as_ptr();
+        let mut cursor = Cursor::new(r#"["a\"b"]"#);
+        names.deserialize_in_place(&mut cursor).unwrap();
+        assert_eq!(names, ["a\"b"]);
+        assert_eq!(names[0].as_ptr(), kept);
+        let mut array = [0.0; 3];
+        assert!(array
+            .deserialize_in_place(&mut Cursor::new("[1, 2]"))
+            .is_err());
+        assert!(array
+            .deserialize_in_place(&mut Cursor::new("[1, 2, 3, 4]"))
+            .is_err());
+        array
+            .deserialize_in_place(&mut Cursor::new("[1, 2.5, 3]"))
+            .unwrap();
+        assert_eq!(array, [1.0, 2.5, 3.0]);
     }
 }

@@ -1,12 +1,13 @@
-//! The JSON-shaped data model shared by the `serde`/`serde_json` compat
-//! crates, and the one JSON text layer under it: the scalar writers
+//! The JSON text layer of the `serde` / `serde_json` compat crates: the
+//! scalar writers every [`Serialize`] impl appends compact text with
 //! ([`write_json_string`], [`write_json_f64`], [`write_json_u64`],
-//! [`write_json_i64`], [`write_json_bool`]) and the pull [`Cursor`].
-//! [`Value::to_json`] renders through those writers and [`parse_json`]
-//! builds its tree by driving the cursor; a caller with a fixed schema (the
-//! telemetry trace codec) uses the same two directly and never builds a
-//! tree.
+//! [`write_json_i64`], [`write_json_bool`]) and [`indent`], which
+//! pretty-prints that text; the pull [`Cursor`] that every
+//! [`Deserialize`](crate::Deserialize) impl reads from; and the [`Value`]
+//! tree for documents of no fixed shape, which [`parse_json`] builds by
+//! driving the cursor and [`Value::to_json`] renders with the writers.
 
+use crate::Serialize;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -116,73 +117,57 @@ impl Value {
     /// Renders compact JSON text.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out, None, 0);
+        self.serialize(&mut out);
         out
     }
 
     /// Renders pretty-printed JSON text (two-space indent).
     pub fn to_json_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out, Some(2), 0);
-        out
-    }
-
-    fn write_json(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => write_json_bool(out, *b),
-            Value::Number(Number::U64(n)) => write_json_u64(out, *n),
-            Value::Number(Number::I64(n)) => write_json_i64(out, *n),
-            Value::Number(Number::F64(n)) => write_json_f64(out, *n),
-            Value::String(s) => write_json_string(out, s),
-            Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    item.write_json(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push(']');
-            }
-            Value::Object(entries) => {
-                if entries.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    write_json_string(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write_json(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push('}');
-            }
-        }
+        indent(&self.to_json())
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(step) = indent {
+/// Pretty-prints compact JSON text as [`Serialize`] writes it: a line per
+/// member or element, two spaces of indent per level, a space after each
+/// `:`, and an empty array or object left as `[]` or `{}`.
+pub fn indent(compact: &str) -> String {
+    fn line(out: &mut String, depth: usize) {
         out.push('\n');
-        for _ in 0..depth * step {
-            out.push(' ');
+        for _ in 0..depth {
+            out.push_str("  ");
         }
     }
+    let mut out = String::with_capacity(compact.len() * 2);
+    let (mut depth, mut in_string, mut escaped) = (0, false, false);
+    for c in compact.chars() {
+        if in_string {
+            in_string = escaped || c != '"';
+            escaped = !escaped && c == '\\';
+            out.push(c);
+            continue;
+        }
+        // Outside strings, text that ends in `{` or `[` has just opened.
+        let opened = out.ends_with(['{', '[']);
+        match c {
+            '}' | ']' => {
+                depth -= 1;
+                if !opened {
+                    line(&mut out, depth);
+                }
+            }
+            _ if opened => line(&mut out, depth),
+            _ => {}
+        }
+        out.push(c);
+        match c {
+            '{' | '[' => depth += 1,
+            ',' => line(&mut out, depth),
+            ':' => out.push(' '),
+            '"' => in_string = true,
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Appends `s` as a JSON string literal: `"` and `\` escaped, `\n` `\r`
@@ -355,10 +340,11 @@ pub fn parse_json(input: &str) -> Result<Value, String> {
 /// stack frame, and text nested a million deep would overflow the stack.
 const MAX_DEPTH: usize = 128;
 
-/// A pull cursor over JSON text: the tokenizer [`parse_json`] is built on,
-/// public so a reader that knows its schema can decode straight into its
-/// own types. Every reader skips leading JSON whitespace, consumes exactly
-/// one token or value and fails with a message naming the byte offset.
+/// A pull cursor over JSON text: what every
+/// [`Deserialize`](crate::Deserialize) impl reads from, and the tokenizer
+/// [`parse_json`] is built on. Every reader skips leading JSON whitespace,
+/// consumes exactly one token or value and fails with a message naming the
+/// byte offset.
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     text: &'a str,
@@ -403,12 +389,12 @@ impl<'a> Cursor<'a> {
     ///
     /// When the next token does not start with `b`.
     #[inline]
-    pub fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(format!("{}, expected '{}'", self.unexpected(), b as char))
         }
     }
 

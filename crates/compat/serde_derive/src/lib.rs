@@ -10,6 +10,13 @@
 //! understood is `#[serde(skip)]` on a named struct field: never written,
 //! `Default::default()` on read.
 //!
+//! The generated impls append compact text to a `String` and read it
+//! through `serde::Cursor`; there is no tree in between. A named struct's
+//! reader takes its members in any order, skips unknown ones, keeps the
+//! first of a repeated one and names a missing one with its owner; it also
+//! gets a `deserialize_in_place` that reads each member into the field it
+//! names, so the fields' buffers are kept.
+//!
 //! The implementation parses the raw `proc_macro::TokenStream` directly so
 //! the workspace does not need `syn`/`quote` from crates.io.
 
@@ -248,264 +255,278 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 }
 
 // ---- code generation ----------------------------------------------------
+//
+// The generated code names its locals with a `__` prefix, so no field name
+// can shadow them: `__out` the text, `__c` the cursor.
 
-fn object_literal(pairs: &[(String, String)]) -> String {
-    let entries: Vec<String> = pairs
-        .iter()
-        .map(|(k, v)| format!("(::std::string::String::from({k:?}), {v})"))
-        .collect();
-    format!(
-        "::serde::Value::Object(::std::vec::Vec::from([{}]))",
-        entries.join(", ")
-    )
+/// Appends JSON text that is fixed at compile time: punctuation, and keys
+/// and unit variant names, which are Rust identifiers and so need no JSON
+/// escape (`{:?}` quotes them as JSON does).
+fn push(text: &str) -> String {
+    format!("__out.push_str({text:?});")
+}
+
+fn serialize(value: &str) -> String {
+    format!("::serde::Serialize::serialize({value}, __out);")
+}
+
+/// Writes an object whose members are `(key, expression of a reference)`:
+/// `{"a":` before the first value, `,"b":` before each next, `}` after.
+fn ser_object<'a>(members: impl IntoIterator<Item = (&'a str, String)>) -> String {
+    let mut code = String::new();
+    let mut open = "{";
+    for (key, value) in members {
+        code += &push(&format!("{open}{key:?}:"));
+        code += &serialize(&value);
+        open = ",";
+    }
+    code + &push(if open == "{" { "{}" } else { "}" })
+}
+
+/// Writes an array of expressions of references.
+fn ser_array(items: impl IntoIterator<Item = String>) -> String {
+    let items: Vec<String> = items.into_iter().map(|item| serialize(&item)).collect();
+    format!("{} {} {}", push("["), items.join(&push(",")), push("]"))
+}
+
+fn binders(arity: usize) -> Vec<String> {
+    (0..arity).map(|i| format!("__x{i}")).collect()
 }
 
 fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::NamedStruct { name, fields, .. } => {
-            let pairs: Vec<(String, String)> = fields
+    let (name, body) = match item {
+        Item::NamedStruct { name, fields, .. } => (
+            name,
+            ser_object(fields.iter().map(|f| (f.as_str(), format!("&self.{f}")))),
+        ),
+        Item::TupleStruct { name, arity: 1 } => (name, serialize("&self.0")),
+        Item::TupleStruct { name, arity } => {
+            (name, ser_array((0..*arity).map(|i| format!("&self.{i}"))))
+        }
+        Item::UnitStruct { name } => (name, push("null")),
+        Item::Enum { name, variants } => {
+            let arms: String = variants
                 .iter()
-                .map(|f| {
-                    (
-                        f.clone(),
-                        format!("::serde::Serialize::to_value(&self.{f})"),
-                    )
+                .map(|v| {
+                    let vname = &v.name;
+                    let (pattern, payload) = match &v.kind {
+                        VariantKind::Unit => {
+                            let tag = push(&format!("{vname:?}"));
+                            return format!("{name}::{vname} => {{ {tag} }}");
+                        }
+                        VariantKind::Tuple(1) => ("(__x0)".into(), serialize("__x0")),
+                        VariantKind::Tuple(arity) => {
+                            let binders = binders(*arity);
+                            (format!("({})", binders.join(", ")), ser_array(binders))
+                        }
+                        VariantKind::Named(fields) => (
+                            format!("{{ {} }}", fields.join(", ")),
+                            ser_object(fields.iter().map(|f| (f.as_str(), f.clone()))),
+                        ),
+                    };
+                    let (open, close) = (push(&format!("{{{vname:?}:")), push("}"));
+                    format!("{name}::{vname} {pattern} => {{ {open} {payload} {close} }}")
                 })
                 .collect();
-            impl_serialize(name, &object_literal(&pairs))
+            (name, format!("match self {{ {arms} }}"))
         }
-        Item::TupleStruct { name, arity: 1 } => {
-            impl_serialize(name, "::serde::Serialize::to_value(&self.0)")
-        }
-        Item::TupleStruct { name, arity } => {
-            let items: Vec<String> = (0..*arity)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            impl_serialize(
-                name,
-                &format!(
-                    "::serde::Value::Array(::std::vec::Vec::from([{}]))",
-                    items.join(", ")
-                ),
-            )
-        }
-        Item::UnitStruct { name } => impl_serialize(name, "::serde::Value::Null"),
-        Item::Enum { name, variants } => {
-            let mut arms = Vec::new();
-            for v in variants {
-                let vname = &v.name;
-                let arm = match &v.kind {
-                    VariantKind::Unit => format!(
-                        "{name}::{vname} => ::serde::Value::String(::std::string::String::from({vname:?})),"
-                    ),
-                    VariantKind::Tuple(1) => format!(
-                        "{name}::{vname}(x0) => {},",
-                        object_literal(&[(
-                            vname.clone(),
-                            "::serde::Serialize::to_value(x0)".to_string()
-                        )])
-                    ),
-                    VariantKind::Tuple(arity) => {
-                        let binders: Vec<String> = (0..*arity).map(|i| format!("x{i}")).collect();
-                        let items: Vec<String> = binders
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        let payload = format!(
-                            "::serde::Value::Array(::std::vec::Vec::from([{}]))",
-                            items.join(", ")
-                        );
-                        format!(
-                            "{name}::{vname}({}) => {},",
-                            binders.join(", "),
-                            object_literal(&[(vname.clone(), payload)])
-                        )
-                    }
-                    VariantKind::Named(fields) => {
-                        let pairs: Vec<(String, String)> = fields
-                            .iter()
-                            .map(|f| (f.clone(), format!("::serde::Serialize::to_value({f})")))
-                            .collect();
-                        format!(
-                            "{name}::{vname} {{ {} }} => {},",
-                            fields.join(", "),
-                            object_literal(&[(
-                                vname.clone(),
-                                object_literal(&pairs)
-                            )])
-                        )
-                    }
-                };
-                arms.push(arm);
-            }
-            impl_serialize(name, &format!("match self {{ {} }}", arms.join(" ")))
-        }
-    }
-}
-
-fn impl_serialize(name: &str, body: &str) -> String {
+    };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize(&self, __out: &mut ::std::string::String) {{ {body} }}\n\
          }}"
     )
 }
 
-/// Expression extracting field `f` from an `entries: &Vec<(String, Value)>`
-/// binding, falling back to `Null` (so `Option` fields tolerate omission).
-fn field_extract(owner: &str, field: &str) -> String {
-    format!(
-        "{{\n\
-            let found = entries.iter().find(|(k, _)| k == {field:?});\n\
-            match found {{\n\
-                ::core::option::Option::Some((_, v)) => ::serde::Deserialize::from_value(v)?,\n\
-                ::core::option::Option::None => ::serde::Deserialize::from_value(&::serde::Value::Null)\n\
-                    .map_err(|_| ::serde::DeError::msg(\"missing field `{field}` in {owner}\"))?,\n\
-            }}\n\
-        }}"
-    )
+/// Reads an object into `owner`'s named fields: the slot declarations,
+/// the walk over the members, and the field initialisers.
+fn de_fields(owner: &str, fields: &[String]) -> (String, String, String) {
+    if fields.is_empty() {
+        let walk = "__c.object(|__c, _| __c.skip_value())?;";
+        return (String::new(), walk.into(), String::new());
+    }
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for f in fields {
+        slots.push_str(&format!("let mut __f_{f} = ::core::option::Option::None;"));
+        arms.push_str(&format!("{f:?} => ::serde::de::member(&mut __f_{f}, __c),"));
+        inits.push_str(&format!(
+            "{f}: ::serde::de::required(__f_{f}, {f:?}, {owner:?})?,"
+        ));
+    }
+    let walk = format!("__c.object(|__c, __k| match &*__k {{ {arms} _ => __c.skip_value(), }})?;");
+    (slots, walk, inits)
+}
+
+/// Reads the first `arity` elements of an array (the rest are skipped):
+/// the slot declarations, the walk and one expression per element.
+fn de_items(what: &str, arity: usize) -> (String, String, String) {
+    let slots: String = binders(arity)
+        .iter()
+        .map(|x| format!("let mut {x} = ::core::option::Option::None;"))
+        .collect();
+    let arms: String = binders(arity)
+        .iter()
+        .enumerate()
+        .map(|(i, x)| {
+            let read = "::serde::Deserialize::deserialize(__c)?";
+            format!("{i} => {x} = ::core::option::Option::Some({read}),")
+        })
+        .collect();
+    let walk = format!(
+        "let mut __at = 0usize;\n\
+         __c.array(|__c| {{\n\
+             match __at {{ {arms} _ => __c.skip_value()?, }}\n\
+             __at += 1;\n\
+             ::core::result::Result::Ok(())\n\
+         }})?;"
+    );
+    let items = binders(arity)
+        .iter()
+        .map(|x| format!("{x}.ok_or({:?})?", format!("{what} too short")))
+        .collect::<Vec<_>>()
+        .join(", ");
+    (slots, walk, items)
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
+    let ok = "::core::result::Result::Ok";
+    let (name, body, in_place) = match item {
         Item::NamedStruct {
             name,
             fields,
             skipped,
         } => {
-            let inits: Vec<String> = fields
+            let (slots, walk, inits) = de_fields(name, fields);
+            let defaults: String = skipped
                 .iter()
-                .map(|f| format!("{f}: {}", field_extract(name, f)))
-                .chain(
-                    skipped
-                        .iter()
-                        .map(|f| format!("{f}: ::core::default::Default::default()")),
-                )
+                .map(|f| format!("{f}: ::core::default::Default::default(),"))
                 .collect();
-            impl_deserialize(
-                name,
-                &format!(
-                    "match value {{\n\
-                        ::serde::Value::Object(entries) => ::core::result::Result::Ok({name} {{ {} }}),\n\
-                        _ => ::core::result::Result::Err(::serde::DeError::msg(\"expected object for {name}\")),\n\
-                    }}",
-                    inits.join(", ")
-                ),
-            )
+            let body = format!("{slots} {walk} {ok}({name} {{ {inits} {defaults} }})");
+            (name, body, Some(gen_in_place(name, fields, skipped)))
         }
-        Item::TupleStruct { name, arity: 1 } => impl_deserialize(
+        Item::TupleStruct { name, arity: 1 } => (
             name,
-            &format!(
-                "::core::result::Result::Ok({name}(::serde::Deserialize::from_value(value)?))"
-            ),
+            format!("{ok}({name}(::serde::Deserialize::deserialize(__c)?))"),
+            None,
         ),
         Item::TupleStruct { name, arity } => {
-            let inits: Vec<String> = (0..*arity)
-                .map(|i| {
-                    format!(
-                        "::serde::Deserialize::from_value(items.get({i}).ok_or_else(|| \
-                         ::serde::DeError::msg(\"tuple struct {name} too short\"))?)?"
-                    )
-                })
-                .collect();
-            impl_deserialize(
-                name,
-                &format!(
-                    "match value {{\n\
-                        ::serde::Value::Array(items) => ::core::result::Result::Ok({name}({})),\n\
-                        _ => ::core::result::Result::Err(::serde::DeError::msg(\"expected array for {name}\")),\n\
-                    }}",
-                    inits.join(", ")
-                ),
-            )
+            let (slots, walk, items) = de_items(&format!("tuple struct {name}"), *arity);
+            (name, format!("{slots} {walk} {ok}({name}({items}))"), None)
         }
-        Item::UnitStruct { name } => {
-            impl_deserialize(name, &format!("::core::result::Result::Ok({name})"))
-        }
-        Item::Enum { name, variants } => {
-            let mut unit_arms = Vec::new();
-            let mut data_arms = Vec::new();
-            for v in variants {
-                let vname = &v.name;
-                match &v.kind {
-                    VariantKind::Unit => unit_arms.push(format!(
-                        "{vname:?} => ::core::result::Result::Ok({name}::{vname}),"
-                    )),
-                    VariantKind::Tuple(1) => data_arms.push(format!(
-                        "{vname:?} => ::core::result::Result::Ok({name}::{vname}(\
-                         ::serde::Deserialize::from_value(payload)?)),"
-                    )),
-                    VariantKind::Tuple(arity) => {
-                        let inits: Vec<String> = (0..*arity)
-                            .map(|i| {
-                                format!(
-                                    "::serde::Deserialize::from_value(items.get({i}).ok_or_else(|| \
-                                     ::serde::DeError::msg(\"variant {vname} too short\"))?)?"
-                                )
-                            })
-                            .collect();
-                        data_arms.push(format!(
-                            "{vname:?} => match payload {{\n\
-                                ::serde::Value::Array(items) => \
-                                    ::core::result::Result::Ok({name}::{vname}({})),\n\
-                                _ => ::core::result::Result::Err(::serde::DeError::msg(\
-                                    \"expected array payload for {name}::{vname}\")),\n\
-                            }},",
-                            inits.join(", ")
-                        ));
-                    }
-                    VariantKind::Named(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("{f}: {}", field_extract(vname, f)))
-                            .collect();
-                        data_arms.push(format!(
-                            "{vname:?} => match payload {{\n\
-                                ::serde::Value::Object(entries) => \
-                                    ::core::result::Result::Ok({name}::{vname} {{ {} }}),\n\
-                                _ => ::core::result::Result::Err(::serde::DeError::msg(\
-                                    \"expected object payload for {name}::{vname}\")),\n\
-                            }},",
-                            inits.join(", ")
-                        ));
-                    }
-                }
-            }
-            impl_deserialize(
-                name,
-                &format!(
-                    "match value {{\n\
-                        ::serde::Value::String(s) => match s.as_str() {{\n\
-                            {}\n\
-                            other => ::core::result::Result::Err(::serde::DeError::msg(\
-                                ::std::format!(\"unknown {name} variant `{{other}}`\"))),\n\
-                        }},\n\
-                        ::serde::Value::Object(entries) if entries.len() == 1 => {{\n\
-                            let (tag, payload) = &entries[0];\n\
-                            match tag.as_str() {{\n\
-                                {}\n\
-                                other => ::core::result::Result::Err(::serde::DeError::msg(\
-                                    ::std::format!(\"unknown {name} variant `{{other}}`\"))),\n\
-                            }}\n\
-                        }}\n\
-                        _ => ::core::result::Result::Err(::serde::DeError::msg(\
-                            \"expected string or single-key object for {name}\")),\n\
-                    }}",
-                    unit_arms.join("\n"),
-                    data_arms.join("\n")
-                ),
-            )
-        }
-    }
-}
-
-fn impl_deserialize(name: &str, body: &str) -> String {
+        Item::UnitStruct { name } => (name, format!("__c.skip_value()?; {ok}({name})"), None),
+        Item::Enum { name, variants } => (name, gen_enum(name, variants), None),
+    };
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(value: &::serde::Value) -> \
-                 ::core::result::Result<Self, ::serde::DeError> {{ {body} }}\n\
+             fn deserialize(__c: &mut ::serde::Cursor<'_>) -> \
+                 ::core::result::Result<Self, ::std::string::String> {{ {body} }}\n\
+             {}\n\
+         }}",
+        in_place.unwrap_or_default()
+    )
+}
+
+/// `deserialize_in_place` for a named struct: each member is read into
+/// the field it names, so the field's buffers are kept.
+fn gen_in_place(name: &str, fields: &[String], skipped: &[String]) -> String {
+    let (seen, walk) = if fields.is_empty() {
+        (
+            String::new(),
+            "__c.object(|__c, _| __c.skip_value())?;".to_string(),
+        )
+    } else {
+        let arms: String = fields
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                format!(
+                    "{f:?} => ::serde::de::member_in_place(&mut __seen[{i}], &mut self.{f}, __c),"
+                )
+            })
+            .collect();
+        (
+            format!("let mut __seen = [false; {}];", fields.len()),
+            format!("__c.object(|__c, __k| match &*__k {{ {arms} _ => __c.skip_value(), }})?;"),
+        )
+    };
+    let settle: String = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| format!("::serde::de::settle(__seen[{i}], &mut self.{f}, {f:?}, {name:?})?;"))
+        .collect();
+    let reset: String = skipped
+        .iter()
+        .map(|f| format!("self.{f} = ::core::default::Default::default();"))
+        .collect();
+    format!(
+        "fn deserialize_in_place(&mut self, __c: &mut ::serde::Cursor<'_>) -> \
+             ::core::result::Result<(), ::std::string::String> {{\n\
+             {seen} {walk} {settle} {reset} ::core::result::Result::Ok(())\n\
          }}"
+    )
+}
+
+/// A unit variant reads from its name string, a data-carrying one from a
+/// single-key object.
+fn gen_enum(name: &str, variants: &[Variant]) -> String {
+    let unknown = format!(
+        "::core::result::Result::Err(::std::format!(\"unknown {name} variant `{{}}`\", __tag))"
+    );
+    let not_one = format!(
+        "::core::result::Result::Err(::std::string::String::from(\
+         \"expected a string or a single-key object for {name}\"))"
+    );
+    let mut unit_arms = String::new();
+    let mut data_arms = String::new();
+    for v in variants {
+        let vname = &v.name;
+        let read = match &v.kind {
+            VariantKind::Unit => {
+                unit_arms.push_str(&format!(
+                    "{vname:?} => ::core::result::Result::Ok({name}::{vname}),"
+                ));
+                continue;
+            }
+            VariantKind::Tuple(1) => {
+                format!("{name}::{vname}(::serde::Deserialize::deserialize(__c)?)")
+            }
+            VariantKind::Tuple(arity) => {
+                let (slots, walk, items) = de_items(&format!("variant {vname}"), *arity);
+                format!("{{ {slots} {walk} {name}::{vname}({items}) }}")
+            }
+            VariantKind::Named(fields) => {
+                let (slots, walk, inits) = de_fields(vname, fields);
+                format!("{{ {slots} {walk} {name}::{vname} {{ {inits} }} }}")
+            }
+        };
+        data_arms.push_str(&format!("{vname:?} => {read},"));
+    }
+    let data = if data_arms.is_empty() {
+        format!("__c.object(|_, __tag| {unknown})?; {not_one}")
+    } else {
+        format!(
+            "let mut __out = ::core::option::Option::None;\n\
+             __c.object(|__c, __tag| {{\n\
+                 if __out.is_some() {{ return {not_one}; }}\n\
+                 __out = ::core::option::Option::Some(match &*__tag {{\n\
+                     {data_arms}\n\
+                     _ => return {unknown},\n\
+                 }});\n\
+                 ::core::result::Result::Ok(())\n\
+             }})?;\n\
+             match __out {{ ::core::option::Option::Some(__v) => ::core::result::Result::Ok(__v), \
+             ::core::option::Option::None => {not_one} }}"
+        )
+    };
+    format!(
+        "if __c.peek() == ::core::option::Option::Some(b'\"') {{\n\
+             let __tag = __c.string()?;\n\
+             return match &*__tag {{ {unit_arms} _ => {unknown}, }};\n\
+         }}\n\
+         {data}"
     )
 }

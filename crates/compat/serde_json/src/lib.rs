@@ -3,14 +3,16 @@
 //! Provides the subset of the upstream API this workspace uses — [`Value`],
 //! [`json!`], [`to_string`], [`to_string_pretty`], [`from_str`],
 //! [`to_writer_pretty`] and [`from_reader`] — on top of the compat `serde`
-//! crate's JSON data model. Floats are formatted with Rust's shortest
-//! round-trip representation, so `float_roundtrip` behaviour is the
-//! default.
+//! crate's text layer: serializing appends text with its scalar writers,
+//! deserializing reads through its `Cursor`, and neither builds a tree.
+//! Floats are formatted with Rust's shortest round-trip representation, so
+//! `float_roundtrip` behaviour is the default.
 
 use std::io::{Read, Write};
 
+use serde::value::indent;
 pub use serde::value::{parse_json, Number, Value};
-use serde::{Deserialize, Serialize};
+use serde::{Cursor, Deserialize, Serialize};
 
 /// Error type covering syntax, shape and I/O failures.
 #[derive(Debug)]
@@ -34,12 +36,6 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::DeError> for Error {
-    fn from(e: serde::DeError) -> Self {
-        Error { message: e.message }
-    }
-}
-
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error {
@@ -48,18 +44,16 @@ impl From<std::io::Error> for Error {
     }
 }
 
-/// Converts any serializable value into a [`Value`] tree.
+/// Converts any serializable value into a [`Value`] tree, through its
+/// text.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    value.to_value()
+    parse_json(&render(value)).expect("written JSON parses")
 }
 
-/// Rebuilds a deserializable value from a [`Value`] tree.
-///
-/// # Errors
-///
-/// Returns [`Error`] on shape mismatches.
-pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
-    Ok(T::from_value(value)?)
+fn render<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.serialize(&mut out);
+    out
 }
 
 /// Serializes to compact JSON text.
@@ -68,7 +62,7 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
 ///
 /// Infallible for this stand-in; the `Result` mirrors the upstream API.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.to_value().to_json())
+    Ok(render(value))
 }
 
 /// Serializes to pretty-printed JSON text.
@@ -77,17 +71,20 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 ///
 /// Infallible for this stand-in; the `Result` mirrors the upstream API.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.to_value().to_json_pretty())
+    Ok(indent(&render(value)))
 }
 
 /// Parses a value from JSON text.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on syntax errors or shape mismatches.
+/// Returns [`Error`] on syntax errors, shape mismatches or text after the
+/// value.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
-    let value = parse_json(input).map_err(Error::msg)?;
-    Ok(T::from_value(&value)?)
+    let mut cursor = Cursor::new(input);
+    let value = T::deserialize(&mut cursor).map_err(Error::msg)?;
+    cursor.end().map_err(Error::msg)?;
+    Ok(value)
 }
 
 /// Writes pretty-printed JSON into `writer`.
@@ -99,7 +96,7 @@ pub fn to_writer_pretty<W: Write, T: Serialize + ?Sized>(
     mut writer: W,
     value: &T,
 ) -> Result<(), Error> {
-    writer.write_all(value.to_value().to_json_pretty().as_bytes())?;
+    writer.write_all(indent(&render(value)).as_bytes())?;
     Ok(())
 }
 

@@ -528,13 +528,31 @@ mod tests {
             assert!(s.satisfaction.lo <= s.satisfaction.mean + 1e-12);
             assert!(s.satisfaction.hi >= s.satisfaction.mean - 1e-12);
         }
+        // Higher satisfaction, then lower slo-violation rate, then more
+        // batch work, then the name.
+        let key = |s: &Standing| {
+            (
+                -s.satisfaction.mean,
+                s.slo_violation_rate.mean,
+                -s.batch_work.mean,
+                s.predictor.clone(),
+            )
+        };
         for pair in outcome.standings.windows(2) {
             assert!(
-                pair[0].satisfaction.mean >= pair[1].satisfaction.mean
-                    || (pair[0].satisfaction.mean == pair[1].satisfaction.mean),
-                "standings must be sorted by satisfaction first"
+                key(&pair[0]) < key(&pair[1]),
+                "{} ranks above {}",
+                pair[0].predictor,
+                pair[1].predictor
             );
         }
+        // The planes tie on the first two keys here, so the order above is
+        // the batch-work tie-break's.
+        assert!(outcome.standings.windows(2).any(|pair| {
+            key(&pair[0]).0 == key(&pair[1]).0
+                && key(&pair[0]).1 == key(&pair[1]).1
+                && key(&pair[0]).2 != key(&pair[1]).2
+        }));
     }
 
     #[test]

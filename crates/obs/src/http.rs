@@ -21,7 +21,7 @@ use crate::export::to_prometheus;
 use crate::recorder::FlightRecorder;
 use crate::registry::MetricsRegistry;
 use crate::snapshot::MetricsSnapshot;
-use serde::{Serialize, Value};
+use serde::{Number, Value};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,9 +45,10 @@ pub enum StateScalar {
 impl StateScalar {
     fn to_value(self) -> Value {
         match self {
-            StateScalar::U64(n) => n.to_value(),
-            StateScalar::F64(x) => x.to_value(),
-            StateScalar::Bool(b) => b.to_value(),
+            StateScalar::U64(n) => Value::Number(Number::U64(n)),
+            StateScalar::F64(x) if x.is_finite() => Value::Number(Number::F64(x)),
+            StateScalar::F64(_) => Value::Null,
+            StateScalar::Bool(b) => Value::Bool(b),
         }
     }
 }

@@ -8,14 +8,19 @@
 //! from the sensitive VM's IPC, whose detector runs every period. So is
 //! the same loop through `FaultySource`, transparent at rate 0 and with
 //! 10 % sensor dropout and 30 % actuation failure, where a period whose
-//! batch the wrapper swallowed is let off like one that acted.
+//! batch the wrapper swallowed is let off like one that acted; and the
+//! trace plane's two ends: the simulator teed through a `RecordingSource`
+//! (the derive writing each observation line into the writer's kept
+//! buffer) and a `TraceSource` replay of a controller-recorded run (the
+//! derive reading each line in place into the recycled observation, and
+//! the period's record built without cloning the source's metadata).
 //!
 //! One `#[test]` only: the counting allocator is process-wide, and a
 //! second test running beside this one would be counted too.
 
 use stayaway_core::{Controller, ControllerConfig, ViolationDetection};
 use stayaway_sim::scenario::Scenario;
-use stayaway_telemetry::{FaultySource, HostSpec, ObservationSource};
+use stayaway_telemetry::{FaultySource, HostSpec, ObservationSource, RecordingSource, TraceSource};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,8 +84,48 @@ fn a_steady_closed_loop_period_allocates_nothing() {
                 let name = format!("{name}, faults {dropout} / {failure}");
                 fence(&name, faulty, &spec, detection, |s| s.dropped_actions());
             }
+            let tee = RecordingSource::new(harness(), std::io::sink()).unwrap();
+            fence(&format!("{name}, teed"), tee, &spec, detection, |_| 0);
+            let trace = recorded(harness(), &spec, detection);
+            let replay = TraceSource::new(trace.as_slice()).unwrap();
+            fence(
+                &format!("{name}, replayed"),
+                replay,
+                &spec,
+                detection,
+                |_| 0,
+            );
         }
     }
+}
+
+/// Periods before the fence applies: the map has formed and every buffer
+/// of the loop has reached its working size.
+const WARM_UP: u64 = 3_000;
+const TICKS: u64 = 6_000;
+
+/// The default controller, violations detected by `detection`.
+fn controller(spec: &HostSpec, detection: ViolationDetection) -> Controller {
+    let config = ControllerConfig {
+        violation_detection: detection,
+        ..ControllerConfig::default()
+    };
+    Controller::for_host(config, spec).unwrap()
+}
+
+/// The trace of `TICKS` periods of that controller closing the loop over
+/// `source`.
+fn recorded<S: ObservationSource>(
+    source: S,
+    spec: &HostSpec,
+    detection: ViolationDetection,
+) -> Vec<u8> {
+    let mut ctl = controller(spec, detection);
+    let mut tee = RecordingSource::new(source, Vec::new()).unwrap();
+    for _ in 0..TICKS {
+        stayaway_telemetry::step(&mut tee, &mut ctl).unwrap();
+    }
+    tee.finish().unwrap().1
 }
 
 /// Fences `TICKS` periods of the default controller over `source`;
@@ -92,16 +137,7 @@ fn fence<S: ObservationSource>(
     detection: ViolationDetection,
     swallowed: impl Fn(&S) -> u64,
 ) {
-    /// Periods before the fence applies: the map has formed and every
-    /// buffer of the loop has reached its working size.
-    const WARM_UP: u64 = 3_000;
-    const TICKS: u64 = 6_000;
-
-    let config = ControllerConfig {
-        violation_detection: detection,
-        ..ControllerConfig::default()
-    };
-    let mut ctl = Controller::for_host(config, spec).unwrap();
+    let mut ctl = controller(spec, detection);
 
     let (mut fenced, mut excused) = (0u64, Excused::default());
     for tick in 0..TICKS {
@@ -110,7 +146,7 @@ fn fence<S: ObservationSource>(
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let (record, _) = stayaway_telemetry::step(&mut source, &mut ctl)
             .unwrap()
-            .expect("the simulator never runs dry");
+            .expect("the source has a period left");
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
         if tick < WARM_UP {
             continue;

@@ -25,12 +25,15 @@
 //! state depends only on the observation sequence and its own seeded
 //! randomness, so replaying a recorded trace through the same policy
 //! configuration reproduces every action, event and statistic
-//! bit-for-bit.
+//! bit-for-bit. A trace holds one JSON line per observation, written and
+//! read by the observation types' `serde` derives: [`TraceWriter`] writes
+//! into one kept line buffer and [`TraceSource`] reads each line in place
+//! into the observation the loop handed back, so a steady recording or
+//! replay allocates nothing per period.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codec;
 mod host;
 mod observation;
 pub mod procfs;
@@ -41,7 +44,6 @@ mod trace;
 
 mod error;
 
-pub use codec::{decode_observation_into, encode_observation};
 pub use error::TelemetryError;
 pub use host::HostSpec;
 pub use observation::{

@@ -152,15 +152,6 @@ impl Observation {
         self.containers.resize_with(len, ContainerObs::blank);
         &mut self.containers
     }
-
-    /// The entry at `index` for a decoder that learns the length as it
-    /// goes: the kept one, or a blank appended at the end.
-    pub(crate) fn container_slot(&mut self, index: usize) -> &mut ContainerObs {
-        if index == self.containers.len() {
-            self.containers.push(ContainerObs::blank());
-        }
-        &mut self.containers[index]
-    }
 }
 
 /// An actuation a policy can request.

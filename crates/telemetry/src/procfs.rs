@@ -12,7 +12,8 @@
 //! against malformed `/proc`-style input without a kernel; decode failures
 //! carry the 1-based line number of the offending line.
 
-use crate::observation::{AppClass, ContainerId, ContainerObs, Observation};
+use crate::observation::{Action, AppClass, ContainerId, ContainerObs, Observation};
+use crate::run::{derive_record, TickRecord};
 use crate::source::{ObservationSource, SourceKind, SourceMeta};
 use crate::{ResourceKind, ResourceVector, TelemetryError};
 use stayaway_obs::{Counter, MetricsRegistry};
@@ -309,6 +310,12 @@ impl ObservationSource for ProcfsSource {
         self.prev = Some(now);
         self.tick += 1;
         Ok(Some(observation))
+    }
+
+    /// The default's record without [`meta`](ObservationSource::meta),
+    /// which builds the metric list: this source knows no host.
+    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+        derive_record(observation, actions.len(), None)
     }
 }
 

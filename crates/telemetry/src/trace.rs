@@ -12,19 +12,21 @@
 //! reject it with [`TelemetryError::UnsupportedVersion`] instead of
 //! misdecoding). Decode failures — a line that is not UTF-8 included —
 //! carry the 1-based line number of the offending line so hand-edited
-//! traces fail debuggably. The header line goes through `serde_json` once
-//! per file; observation lines go through [`crate::codec`].
+//! traces fail debuggably. Both kinds of line are the `serde` derives'
+//! JSON: an observation is written into one kept line buffer and read
+//! back with `Deserialize::deserialize_in_place` into the observation the
+//! controller handed back, so a steady recording or replay allocates
+//! nothing per line.
 //!
 //! [`TraceWriter`] appends to any [`Write`]; [`RecordingSource`] tees it
 //! around any other [`ObservationSource`] so a live run records itself;
 //! [`TraceSource`] streams a trace back as an open-loop source.
 
-use crate::codec::{decode_observation_into, encode_observation};
 use crate::observation::{Action, Observation};
-use crate::run::{RequestQos, TickRecord};
+use crate::run::{derive_record, RequestQos, TickRecord};
 use crate::source::{ObservationSource, SourceKind, SourceMeta};
 use crate::{HostSpec, ResourceKind, TelemetryError};
-use serde::{Deserialize, Serialize};
+use serde::{Cursor, Deserialize, Serialize};
 use stayaway_obs::{Counter, MetricsRegistry};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
@@ -153,7 +155,7 @@ impl<W: Write> TraceWriter<W> {
             });
         }
         self.line.clear();
-        encode_observation(&mut self.line, observation);
+        observation.serialize(&mut self.line);
         self.line.push('\n');
         self.out.write_all(self.line.as_bytes())?;
         self.observations += 1;
@@ -365,7 +367,9 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
                     "" => Ok(None), // tolerate blank separator lines
                     text => {
                         let mut observation = spare.take().unwrap_or_default();
-                        decode_observation_into(text, &mut observation).map(|()| Some(observation))
+                        let mut cursor = Cursor::new(text);
+                        observation.deserialize_in_place(&mut cursor)?;
+                        cursor.end().map(|()| Some(observation))
                     }
                 });
             match decoded {
@@ -386,6 +390,12 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
 
     fn recycle(&mut self, observation: Observation) {
         self.spare = Some(observation);
+    }
+
+    /// The default's record, from the header's host read in place:
+    /// [`meta`](ObservationSource::meta) clones the metric list.
+    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+        derive_record(observation, actions.len(), self.header.host.as_ref())
     }
 }
 

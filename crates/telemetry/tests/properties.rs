@@ -1,15 +1,17 @@
-//! Property tests for the trace codec and the procfs line parsers.
+//! Property tests for the trace format and the procfs line parsers.
 //!
-//! The observation-line codec (`stayaway_telemetry::codec`) is written
-//! against the fixed schema; the `Serialize` / `Deserialize` derives are
-//! its oracle. The first block below holds the two together: the encoder
-//! byte-equal to `serde_json::to_string` on generated observations, the
-//! decoder equal to `serde_json::from_str` — accept / reject and value —
-//! on generated texts (members permuted, unknown members, whitespace,
-//! integers for floats, repeated and missing members, out-of-range
-//! values, every truncation) and on arbitrary bytes.
+//! A trace's observation line is the `Serialize` / `Deserialize` derives'
+//! JSON. The first block below holds the derives to an oracle that uses
+//! neither: a tree built by hand from the schema, rendered with
+//! `Value::to_json`, for the writer, and a walk of `parse_json`'s tree by
+//! the rules the readers keep, for the reader. The writer must render the
+//! oracle's bytes on generated observations; the reader — fresh, and in
+//! place into a reused observation — must agree with the oracle on accept
+//! / reject and value on generated texts (members permuted, unknown
+//! members, whitespace, integers for floats, repeated and missing members,
+//! out-of-range values, every truncation) and on arbitrary bytes.
 //!
-//! The codec invariants: a written trace always reads back (round-trip
+//! The format invariants: a written trace always reads back (round-trip
 //! within 1e-12 on every float, exactly on every discrete field), and any
 //! corruption — garbled lines, truncation, a future format version —
 //! surfaces as a *typed* [`TelemetryError`] carrying the offending line
@@ -17,12 +19,13 @@
 //! parsers are pure functions over text, so they are fuzzed directly.
 
 use proptest::prelude::*;
-use serde_json::{Number, Value};
+use serde::{Cursor, Deserialize};
+use serde_json::{parse_json, Number, Value};
 use stayaway_telemetry::procfs::{parse_cpu_stat, parse_memory_current, parse_proc_stat};
 use stayaway_telemetry::{
-    decode_observation_into, encode_observation, AppClass, ContainerId, ContainerObs, HostSpec,
-    Observation, ObservationSource, ResourceKind, ResourceVector, SourceKind, SourceMeta,
-    TelemetryError, TraceHeader, TraceSource, TraceWriter, TRACE_VERSION,
+    AppClass, ContainerId, ContainerObs, HostSpec, Observation, ObservationSource, ResourceKind,
+    ResourceVector, SourceKind, SourceMeta, TelemetryError, TraceHeader, TraceSource, TraceWriter,
+    TRACE_VERSION,
 };
 
 fn meta() -> SourceMeta {
@@ -309,44 +312,174 @@ impl Gen {
 
 /// One line decoded into a fresh observation.
 fn decode_observation(line: &str) -> Result<Observation, String> {
-    let mut observation = Observation::default();
-    decode_observation_into(line, &mut observation).map(|()| observation)
+    serde_json::from_str(line).map_err(|e| e.to_string())
+}
+
+/// One line decoded into `out`, as a trace replay decodes it.
+fn decode_in_place(line: &str, out: &mut Observation) -> Result<(), String> {
+    let mut cursor = Cursor::new(line);
+    out.deserialize_in_place(&mut cursor)?;
+    cursor.end()
+}
+
+fn float(x: f64) -> Value {
+    Value::Number(Number::F64(x))
+}
+
+/// The writer's oracle: the observation's tree, built by hand in the
+/// schema's field order.
+fn tree(o: &Observation) -> Value {
+    let object = |members: Vec<(&str, Value)>| {
+        Value::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let container = |c: &ContainerObs| {
+        let class = if c.class == AppClass::Sensitive {
+            "Sensitive"
+        } else {
+            "Batch"
+        };
+        let values = ResourceKind::ALL.map(|kind| float(c.usage.get(kind)));
+        object(vec![
+            ("id", Value::Number(Number::U64(c.id.raw() as u64))),
+            ("name", Value::String(c.name.clone())),
+            ("class", Value::String(class.into())),
+            ("active", Value::Bool(c.active)),
+            ("paused", Value::Bool(c.paused)),
+            ("finished", Value::Bool(c.finished)),
+            (
+                "usage",
+                object(vec![("values", Value::Array(values.to_vec()))]),
+            ),
+            ("ipc", float(c.ipc)),
+            (
+                "priority",
+                Value::Number(Number::U64(u64::from(c.priority))),
+            ),
+        ])
+    };
+    object(vec![
+        ("tick", Value::Number(Number::U64(o.tick))),
+        (
+            "containers",
+            Value::Array(o.containers.iter().map(container).collect()),
+        ),
+        ("qos_violation", Value::Bool(o.qos_violation)),
+        ("qos_value", float(o.qos_value)),
+    ])
+}
+
+/// The first member named `key`; any later ones do not count.
+fn member<'a>(object: &'a Value, key: &str) -> Result<&'a Value, String> {
+    match object {
+        Value::Object(entries) => entries
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("missing {key}")),
+        _ => Err(format!("no object around {key}")),
+    }
+}
+
+fn u64_of(value: &Value) -> Result<u64, String> {
+    value.as_u64().ok_or_else(|| format!("{value} is no u64"))
+}
+
+fn f64_of(value: &Value) -> Result<f64, String> {
+    value
+        .as_f64()
+        .ok_or_else(|| format!("{value} is no number"))
+}
+
+fn bool_of(value: &Value) -> Result<bool, String> {
+    match value {
+        Value::Bool(b) => Ok(*b),
+        _ => Err(format!("{value} is no bool")),
+    }
+}
+
+/// The reader's oracle: `parse_json`'s tree, walked member by member.
+fn oracle(text: &str) -> Result<Observation, String> {
+    let line = parse_json(text)?;
+    let container = |c: &Value| -> Result<ContainerObs, String> {
+        let class = match member(c, "class")?.as_str() {
+            Some("Sensitive") => AppClass::Sensitive,
+            Some("Batch") => AppClass::Batch,
+            _ => return Err("no class".into()),
+        };
+        let values = member(member(c, "usage")?, "values")?
+            .as_array()
+            .ok_or("no values")?
+            .iter()
+            .map(f64_of)
+            .collect::<Result<Vec<_>, _>>()?;
+        let [cpu, memory, membw, disk, network, cache] = values[..] else {
+            return Err(format!("{} values", values.len()));
+        };
+        Ok(ContainerObs {
+            id: ContainerId::from_raw(
+                usize::try_from(u64_of(member(c, "id")?)?).map_err(|e| e.to_string())?,
+            ),
+            name: member(c, "name")?.as_str().ok_or("no name")?.to_string(),
+            class,
+            active: bool_of(member(c, "active")?)?,
+            paused: bool_of(member(c, "paused")?)?,
+            finished: bool_of(member(c, "finished")?)?,
+            usage: ResourceVector::new(cpu, memory, membw, disk, network, cache),
+            ipc: f64_of(member(c, "ipc")?)?,
+            priority: u8::try_from(u64_of(member(c, "priority")?)?).map_err(|e| e.to_string())?,
+        })
+    };
+    Ok(Observation {
+        tick: u64_of(member(&line, "tick")?)?,
+        containers: member(&line, "containers")?
+            .as_array()
+            .ok_or("no containers")?
+            .iter()
+            .map(container)
+            .collect::<Result<_, _>>()?,
+        qos_violation: bool_of(member(&line, "qos_violation")?)?,
+        qos_value: f64_of(member(&line, "qos_value")?)?,
+    })
 }
 
 thread_local! {
-    /// The buffer every `decode_observation_into` below decodes into: never
-    /// reset, so each decode starts from whatever the last one — accepted
-    /// or failed halfway — left behind, with more or fewer containers.
+    /// The buffer every in-place decode below decodes into: never reset,
+    /// so each decode starts from whatever the last one — accepted or
+    /// failed halfway — left behind, with more or fewer containers.
     static REUSED: std::cell::RefCell<Observation> =
         std::cell::RefCell::new(Gen(0x5eed).observation());
 }
 
-/// Both readers on one text: they must agree on accept / reject and, when
-/// they accept, on every bit of the value (`Debug` tells `-0.0` from `0.0`).
-/// Decoding into the reused buffer must return exactly what decoding into
-/// a fresh one does — the same value or the same error message.
+/// The reader and its oracle on one text: they must agree on accept /
+/// reject and, when they accept, on every bit of the value (`Debug` tells
+/// `-0.0` from `0.0`). Decoding into the reused buffer must return exactly
+/// what decoding into a fresh one does — the same value or the same error
+/// message.
 fn readers_agree(text: &str) -> Result<Option<Observation>, TestCaseError> {
-    let cursor = decode_observation(text);
+    let fresh = decode_observation(text);
     let reused = REUSED.with(|buf| {
         let mut buf = buf.borrow_mut();
-        decode_observation_into(text, &mut buf).map(|()| buf.clone())
+        decode_in_place(text, &mut buf).map(|()| buf.clone())
     });
     prop_assert_eq!(
         format!("{reused:?}"),
-        format!("{cursor:?}"),
+        format!("{fresh:?}"),
         "into, on {:?}",
         text
     );
-    let tree = serde_json::from_str::<Observation>(text);
-    match (cursor, tree) {
-        (Ok(cursor), Ok(tree)) => {
-            prop_assert_eq!(format!("{cursor:?}"), format!("{tree:?}"), "on {:?}", text);
-            Ok(Some(cursor))
+    match (fresh, oracle(text)) {
+        (Ok(fresh), Ok(oracle)) => {
+            prop_assert_eq!(format!("{fresh:?}"), format!("{oracle:?}"), "on {:?}", text);
+            Ok(Some(fresh))
         }
         (Err(_), Err(_)) => Ok(None),
-        (cursor, tree) => Err(TestCaseError::fail(format!(
-            "cursor {cursor:?} but tree {:?} on {text:?}",
-            tree.map_err(|e| e.to_string())
+        (fresh, oracle) => Err(TestCaseError::fail(format!(
+            "reader {fresh:?} but oracle {oracle:?} on {text:?}"
         ))),
     }
 }
@@ -354,24 +487,22 @@ fn readers_agree(text: &str) -> Result<Option<Observation>, TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The encoder writes the bytes the derive writes, and the decoder
+    /// The derive writes the bytes of the hand-built tree, and its reader
     /// reads them back to the same bits.
     #[test]
-    fn encoder_is_byte_equal_to_the_derive(seed in any::<u64>()) {
+    fn writer_is_byte_equal_to_the_oracle(seed in any::<u64>()) {
         let observation = Gen(seed).observation();
-        let mut line = String::from("kept:");
-        encode_observation(&mut line, &observation);
-        let oracle = serde_json::to_string(&observation).expect("encodes");
-        prop_assert_eq!(&line["kept:".len()..], oracle.as_str());
-        let back = decode_observation(&oracle).expect("own output decodes");
+        let line = serde_json::to_string(&observation).expect("encodes");
+        prop_assert_eq!(&line, &tree(&observation).to_json());
+        let back = readers_agree(&line)?.expect("own output decodes");
         prop_assert_eq!(format!("{back:?}"), format!("{observation:?}"));
     }
 
-    /// Rewritten lines: the cursor decoder and the derive agree on every
-    /// one, and a rewrite that only reorders, pads or adds unknown members
+    /// Rewritten lines: the reader and the oracle agree on every one, and
+    /// a rewrite that only reorders, pads or adds unknown members
     /// still decodes to the observation it came from.
     #[test]
-    fn decoder_agrees_with_the_derive_on_rewritten_lines(seed in any::<u64>()) {
+    fn reader_agrees_with_the_oracle_on_rewritten_lines(seed in any::<u64>()) {
         let mut gen = Gen(seed);
         let observation = gen.observation();
         let mut tree = serde_json::to_value(&observation);
@@ -399,10 +530,10 @@ proptest! {
         );
     }
 
-    /// A line cut at any byte: both readers reject it, or (cut inside
-    /// trailing whitespace) both accept it.
+    /// A line cut at any byte: the reader and the oracle reject it, or
+    /// (cut inside trailing whitespace) both accept it.
     #[test]
-    fn decoder_agrees_with_the_derive_on_every_truncation(seed in any::<u64>()) {
+    fn reader_agrees_with_the_oracle_on_every_truncation(seed in any::<u64>()) {
         let mut gen = Gen(seed);
         let mut observation = gen.observation();
         observation.containers.truncate(2);
@@ -418,7 +549,7 @@ proptest! {
     }
 
     /// Arbitrary bytes — raw, and drawn from JSON's own alphabet so the
-    /// tokenizer gets past the first byte — never panic either reader, and
+    /// tokenizer gets past the first byte — never panic the reader, and
     /// through a `TraceSource` fail as a typed Codec error on their line.
     #[test]
     fn arbitrary_bytes_never_panic(
@@ -442,8 +573,8 @@ proptest! {
     }
 }
 
-/// The committed fixture was written by the derive path; the codec reads
-/// every line of it and writes the same bytes back.
+/// The committed fixture: the derive reads every line of it as the oracle
+/// does, and writes the same bytes back.
 #[test]
 fn the_committed_fixture_re_encodes_to_itself() {
     let path = concat!(
@@ -454,9 +585,8 @@ fn the_committed_fixture_re_encodes_to_itself() {
     let mut lines = 0;
     for line in text.lines().skip(1) {
         let observation = decode_observation(line).expect("fixture line decodes");
-        let mut again = String::new();
-        encode_observation(&mut again, &observation);
-        assert_eq!(again, line);
+        assert_eq!(oracle(line), Ok(observation.clone()));
+        assert_eq!(serde_json::to_string(&observation).unwrap(), line);
         lines += 1;
     }
     assert_eq!(lines, 48);

@@ -282,18 +282,19 @@ fi
 #
 # Trace format (`--test record_replay`, `stayaway-telemetry --test
 # properties`, `serde --test text_layer`): a recorded run replays bit for
-# bit; the observation-line codec is held to its oracle, the serde derives
-# — encoder byte-equal to `serde_json::to_string`, decoder equal to
-# `serde_json::from_str` on accept / reject and value over rewritten,
-# truncated and arbitrary lines, the committed fixture re-encoding to
-# itself; and the JSON text layer under both renders a pinned corpus to
-# the same bytes, scans strings in linear time and writes every float and
+# bit; the serde derives that write and read the observation line are held
+# to test-local oracles — the writer byte-equal to a tree built by hand,
+# the reader equal to a walk of `parse_json`'s tree on accept / reject and
+# value over rewritten, truncated and arbitrary lines, the committed
+# fixture re-encoding to itself; and the JSON text layer under them
+# renders a pinned corpus to the same bytes, scans strings in linear time and writes every float and
 # integer byte for byte as `core::fmt` does (the old `write!` rule is the
 # test's oracle). The decoders a user points at a file (`--events-in`,
 # `reuse --template`, `metrics-diff`) are fuzzed in facade `--test
 # json_decoder_fuzz`: arbitrary bytes, every truncation, edited documents
 # and million-deep nesting decode or fail as values, never a panic or a
-# stack overflow, and no error names a byte as `Some(120)` or `None`.
+# stack overflow, and no error names a byte as `Some(120)` or `None`; trace
+# replay (`replay --trace`) is one more row of that table.
 #
 # Engine timelines (`stayaway-workload --test pinned_timelines`, the
 # `queue::tests` property tests): the seven library scenarios, bare and
@@ -333,7 +334,8 @@ fi
 # `stayaway-fleet --test workload_allocations`): counted, not clocked —
 # after warm-up, a `telemetry::step` over the simulator on vlc+cpubomb,
 # vlc+soplex and vlc+twitter, each with app-reported and with IPC-inferred
-# violation detection, allocates nothing unless it found a new
+# violation detection, bare, teed through a trace writer and replayed
+# from a recorded trace, allocates nothing unless it found a new
 # representative, labelled a violation or returned actions (the excuse
 # counts print with `--nocapture`), and the four storm-cluster workload
 # hosts, their observations recycled, average at most 0.2 allocations per
@@ -342,8 +344,8 @@ fi
 # `allocate_into` to a verbatim copy of the old physics bit for bit,
 # facade `--test observation_recycling` holds the four recycling sources
 # (sim, workload with attach / detach, tee, trace replay) to fresh runs
-# tick for tick, and the telemetry `properties` decoders check
-# `decode_observation_into` into a reused buffer against a fresh one on
+# tick for tick, and the telemetry `properties` readers check
+# `deserialize_in_place` into a reused observation against a fresh read on
 # every fuzz input, error messages included.
 #
 # Act stage (`stayaway-core --test act_stage`, `--lib stages::act`): one

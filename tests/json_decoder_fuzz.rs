@@ -6,8 +6,10 @@
 //! of input", never a Rust `Some(120)` / `None`. The decoders stand on the
 //! one `serde::value::Cursor`: `obs::events_from_jsonl` (`events
 //! --events-in`), `Template::load` followed by
-//! `Controller::import_template` (`reuse --template`) and
-//! `obs::diff::parse_snapshot` followed by `diff_series` (`metrics-diff`).
+//! `Controller::import_template` (`reuse --template`),
+//! `obs::diff::parse_snapshot` followed by `diff_series` (`metrics-diff`)
+//! and `TraceSource` drained to its end (`replay --trace`), whose header
+//! and observation lines the `serde` derives read.
 
 use std::sync::OnceLock;
 
@@ -21,7 +23,7 @@ use stay_away::obs::{
 };
 use stay_away::sim::scenario::Scenario;
 use stay_away::statespace::Template;
-use stay_away::telemetry::HostSpec;
+use stay_away::telemetry::{HostSpec, ObservationSource, RecordingSource, TraceSource};
 
 /// SplitMix64, seeded per case.
 struct Rng(u64);
@@ -349,6 +351,82 @@ fn malformed_input_files_name_what_they_hold() {
     }
 }
 
+/// A trace of a short closed-loop run: its header line and one line per
+/// observation.
+fn trace_text() -> &'static str {
+    static TRACE: OnceLock<String> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let harness = Scenario::vlc_with_cpubomb(31)
+            .build_harness()
+            .expect("harness");
+        let spec = *harness.host().spec();
+        let mut ctl = Controller::for_host(ControllerConfig::default(), &spec).expect("controller");
+        let mut tee = RecordingSource::new(harness, Vec::new()).expect("header");
+        stay_away::telemetry::drive(&mut tee, &mut ctl, 24).expect("records");
+        String::from_utf8(tee.finish().expect("flush").1).expect("JSON is UTF-8")
+    })
+}
+
+/// `replay --trace` over `text`: opens the trace and drains it, handing
+/// each observation back as a run does. Returns how many it read.
+fn replay(text: &[u8]) -> Result<usize, String> {
+    let mut source = readable(TraceSource::new(text).map_err(|e| e.to_string()))?;
+    let mut observations = 0;
+    while let Some(observation) = readable(source.next_observation().map_err(|e| e.to_string()))? {
+        source.recycle(observation);
+        observations += 1;
+    }
+    Ok(observations)
+}
+
+/// Cut at a line end (or just before its newline), a trace is its header
+/// and the observations before the cut; cut anywhere else, it fails.
+#[test]
+fn traces_decode_every_truncation() {
+    let text = trace_text();
+    assert_eq!(replay(text.as_bytes()), Ok(24));
+    for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+        let decoded = replay(&text.as_bytes()[..cut]);
+        let bytes = text.as_bytes();
+        if cut > 0 && (bytes[cut - 1] == b'\n' || bytes[cut] == b'\n') {
+            let observations = text[..cut].lines().count() - 1;
+            assert_eq!(decoded, Ok(observations), "cut at {cut}");
+        } else {
+            assert!(decoded.is_err(), "cut at {cut}");
+        }
+    }
+}
+
+/// Deep nesting as the header, and as an observation after a good header.
+#[test]
+fn traces_decode_deep_nesting_to_an_error() {
+    let header = trace_text().lines().next().expect("a header");
+    for text in deep_nesting() {
+        assert!(replay(text.as_bytes()).is_err());
+        assert!(replay(format!("{header}\n{text}").as_bytes()).is_err());
+    }
+}
+
+/// Edits decode or fail as values; both happen. Most edits break one of
+/// a trace's 25 lines, so fewer decode than of a single document.
+#[test]
+fn mutated_traces_decode_or_fail() {
+    let traces = decode_mutations(trace_text(), |text| replay(text.as_bytes()));
+    eprintln!("decoded {traces} traces of 256");
+    assert!((1..256).contains(&traces), "{traces}");
+}
+
+/// A trace whose header, or first observation, is `x` names it too.
+#[test]
+fn malformed_trace_lines_name_what_they_hold() {
+    let header = trace_text().lines().next().expect("a header");
+    let x = "unexpected 'x' at byte 0";
+    for text in ["x".to_string(), format!("{header}\nx")] {
+        let message = replay(text.as_bytes()).unwrap_err();
+        assert!(message.contains(x), "{message:?} lacks {x:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -365,5 +443,14 @@ proptest! {
     #[test]
     fn snapshots_decode_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = diff_against_snapshot(&String::from_utf8_lossy(&raw));
+    }
+
+    /// Arbitrary bytes as a whole trace, and as its lines after a good
+    /// header.
+    #[test]
+    fn traces_decode_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..512)) {
+        let _ = replay(&raw);
+        let header = trace_text().lines().next().expect("a header");
+        let _ = replay(&[header.as_bytes(), b"\n", &raw].concat());
     }
 }
