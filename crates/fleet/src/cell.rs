@@ -96,27 +96,6 @@ impl CellPlan {
         self.collect_events = collect;
         self
     }
-
-    /// The sensitive-workload key templates are registered under — named
-    /// after what the cell senses, so a template only ever warm-starts a
-    /// cell protecting the same application: the `<sensitive>` half of the
-    /// scenario's `<sensitive>+<batch>` name on the simulator, the
-    /// scenario's sensitive tenant on the workload engine (the key
-    /// [`crate::Cluster`] hosts use, so the two planes serve each other),
-    /// the source label for a trace or the live host.
-    pub(crate) fn sensitive_key(&self) -> String {
-        match &self.source {
-            SourceSpec::Sim => {
-                let name = self.scenario.name();
-                name.split('+').next().unwrap_or(name).to_string()
-            }
-            SourceSpec::Workload { scenario } => stayaway_workload::by_name(scenario)
-                .ok()
-                .and_then(|s| s.sensitive_tenant().map(|t| t.name.clone()))
-                .unwrap_or_else(|| self.source.label()),
-            SourceSpec::Trace { .. } | SourceSpec::Procfs => self.source.label(),
-        }
-    }
 }
 
 /// Everything one finished cell reports back to the fleet.
@@ -126,7 +105,7 @@ pub struct CellOutcome {
     pub(crate) idx: usize,
     /// Scenario the cell ran ([`SourceSpec::scenario_label`]).
     pub(crate) scenario: String,
-    /// Sensitive-workload registry key.
+    /// Sensitive-workload registry key ([`SourceSpec::sensitive_key`]).
     pub(crate) sensitive: String,
     /// Canonical name of the policy the cell ran.
     pub(crate) policy: String,
@@ -370,7 +349,7 @@ pub fn run_cell(
             "Wall time of one fleet cell's closed-loop run",
         )
     });
-    let sensitive = plan.sensitive_key();
+    let sensitive = plan.source.sensitive_key(plan.scenario.name());
     let out = run_host(HostRun {
         source: &plan.source,
         scenario: &plan.scenario,
@@ -416,21 +395,6 @@ mod tests {
         CellPlan::new(idx, seed, scenario, PolicySpec::StayAway)
     }
 
-    #[test]
-    fn sensitive_key_names_what_the_cell_senses() {
-        let plan = stayaway_plan(0, 7, Scenario::vlc_with_cpubomb(7));
-        assert_eq!(plan.sensitive_key(), "vlc");
-        assert_eq!(plan.seed, derive_cell_seed(7, 0));
-        let workload = plan.clone().with_source(SourceSpec::Workload {
-            scenario: "cpu-bomb".into(),
-        });
-        assert_eq!(workload.sensitive_key(), "kv-front");
-        let trace = plan.with_source(SourceSpec::Trace {
-            path: "t.jsonl".into(),
-        });
-        assert_eq!(trace.sensitive_key(), "trace:t.jsonl");
-    }
-
     /// The plan of a bare stay-away run over `source` at `seed`; tests
     /// override the extras with struct-update syntax.
     fn host_run<'a>(
@@ -457,8 +421,8 @@ mod tests {
 
     #[test]
     fn trace_tee_then_replay_reproduces_the_run() {
-        // The `record` → `replay` path: tee a live run into a trace file,
-        // then drive a fresh controller from that file.
+        // The `run --record-out` → `run --source trace:` path: tee a live
+        // run into a trace file, then drive a fresh controller from it.
         let path = std::env::temp_dir().join(format!("stayaway-tee-{}.jsonl", std::process::id()));
         let scenario = Scenario::vlc_with_cpubomb(3);
         let config = ControllerConfig::default();
@@ -567,8 +531,9 @@ mod tests {
     fn run_cell_produces_a_template_and_stats() {
         let plan = stayaway_plan(3, 7, Scenario::vlc_with_cpubomb(7));
         let out = run_cell(&plan, &ControllerConfig::default(), None, 150).unwrap();
-        assert_eq!(out.idx, 3);
+        assert_eq!((out.idx, out.seed), (3, derive_cell_seed(7, 3)));
         assert_eq!(out.scenario, "vlc+cpu-bomb");
+        assert_eq!(out.sensitive, "vlc");
         assert_eq!(out.policy, "stay-away");
         assert_eq!(out.run.timeline.len(), 150);
         assert!(out.stats.periods == 150);

@@ -83,7 +83,7 @@ impl PolicySpec {
 
     /// True when the policy can export/import state-map templates (§6);
     /// fleets only schedule template-sharing waves across such cells.
-    pub(crate) fn supports_templates(&self) -> bool {
+    pub fn supports_templates(&self) -> bool {
         matches!(self, PolicySpec::StayAway)
     }
 

@@ -119,7 +119,7 @@ impl Fleet {
             let mut pioneer_jobs = Vec::new();
             let mut follower_plans = Vec::new();
             for plan in plans {
-                let key = plan.sensitive_key();
+                let key = plan.source.sensitive_key(plan.scenario.name());
                 if plan.policy.supports_templates()
                     && !self.registry.contains(&key)
                     && pioneered.insert(key)
@@ -141,7 +141,9 @@ impl Fleet {
                 .into_iter()
                 .map(|plan| {
                     // A baseline ignores the template it is offered.
-                    let import = self.registry.lookup(&plan.sensitive_key());
+                    let import = self
+                        .registry
+                        .lookup(&plan.source.sensitive_key(plan.scenario.name()));
                     (plan, import.map(|entry| entry.template))
                 })
                 .collect();

@@ -105,13 +105,34 @@ impl SourceSpec {
         crate::parse_comma_list(tokens, "source", Self::parse)
     }
 
-    /// The scenario a run over this source reports: `workload:<scenario>`
-    /// for the engine's own library scenario, else the simulator's
-    /// `prototype` the run was configured with.
+    /// The scenario a run over this source reports: the simulator's
+    /// `prototype` the run was configured with, which it alone runs; every
+    /// other source reports its own label (`workload:<scenario>`,
+    /// `trace:<path>`, `procfs`).
     pub fn scenario_label(&self, prototype: &str) -> String {
         match self {
-            SourceSpec::Workload { .. } => self.label(),
-            _ => prototype.to_string(),
+            SourceSpec::Sim => prototype.to_string(),
+            _ => self.label(),
+        }
+    }
+
+    /// The sensitive-workload key a run over this source registers and
+    /// exports its template under — named after what the run senses, so a
+    /// template only ever warm-starts a run protecting the same
+    /// application: the `<sensitive>` half of the simulator `prototype`'s
+    /// `<sensitive>+<batch>` name, the scenario's sensitive tenant on the
+    /// workload engine (the key [`crate::Cluster`] hosts use, so the two
+    /// planes serve each other), the source label for a trace or the live
+    /// host. A fleet cell and `stayaway run --template-out` key by it
+    /// alike.
+    pub fn sensitive_key(&self, prototype: &str) -> String {
+        match self {
+            SourceSpec::Sim => prototype.split('+').next().unwrap_or(prototype).to_string(),
+            SourceSpec::Workload { scenario } => stayaway_workload::by_name(scenario)
+                .ok()
+                .and_then(|s| s.sensitive_tenant().map(|t| t.name.clone()))
+                .unwrap_or_else(|| self.label()),
+            SourceSpec::Trace { .. } | SourceSpec::Procfs => self.label(),
         }
     }
 
@@ -286,9 +307,24 @@ mod tests {
             SourceSpec::Sim.scenario_label("vlc+cpu-bomb"),
             "vlc+cpu-bomb"
         );
+        // Only the simulator runs the prototype: a replay and a live host
+        // are labelled after what they sensed.
+        let trace = SourceSpec::parse("trace:t.jsonl").unwrap();
+        assert_eq!(trace.scenario_label("vlc+cpu-bomb"), "trace:t.jsonl");
+        assert_eq!(SourceSpec::Procfs.scenario_label("vlc+cpu-bomb"), "procfs");
         // Unknown scenarios are rejected at parse time, not at cell start.
         assert!(SourceSpec::parse("workload:warp-core").is_err());
         assert!(SourceSpec::parse("workload:").is_err());
+    }
+
+    #[test]
+    fn sensitive_key_names_what_the_run_senses() {
+        assert_eq!(SourceSpec::Sim.sensitive_key("vlc+cpu-bomb"), "vlc");
+        let workload = SourceSpec::parse("workload:cpu-bomb").unwrap();
+        assert_eq!(workload.sensitive_key("vlc+cpu-bomb"), "kv-front");
+        let trace = SourceSpec::parse("trace:t.jsonl").unwrap();
+        assert_eq!(trace.sensitive_key("vlc+cpu-bomb"), "trace:t.jsonl");
+        assert_eq!(SourceSpec::Procfs.sensitive_key("vlc+cpu-bomb"), "procfs");
     }
 
     #[test]

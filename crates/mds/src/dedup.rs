@@ -303,7 +303,7 @@ pub struct ReprSet {
     epsilon: f64,
     dim: Option<usize>,
     representatives: Vec<Vec<f64>>,
-    grid: Option<GridIndex>,
+    grid: GridIndex,
     /// Candidate distances evaluated by queries since the last
     /// [`ReprSet::take_candidates`]; a `Cell` so the `&self` queries can
     /// count. Decision-inert.
@@ -312,14 +312,17 @@ pub struct ReprSet {
 
 impl ReprSet {
     /// Creates an empty set that merges vectors within `epsilon` of an
-    /// existing representative.
+    /// existing representative. Its uniform-grid bucket index prunes the
+    /// [`ReprSet::insert`], [`ReprSet::nearest`] and
+    /// [`ReprSet::nearest_three`] scans to nearby candidates; the answers
+    /// are the linear scans' (the test-local oracles of
+    /// `tests/properties.rs` hold them to it), only the work done differs.
     ///
     /// The threshold is **closed** — see `ReprSet::merges`. In
     /// particular `ReprSet::new(0.0)` is a valid exact-duplicate
     /// deduplicator: bit-equal vectors (distance 0) merge, any
     /// perturbation however small (e.g. 1e-7 in one coordinate) starts a
-    /// new representative. This holds identically on the grid-indexed
-    /// path.
+    /// new representative.
     ///
     /// # Errors
     ///
@@ -335,23 +338,9 @@ impl ReprSet {
             epsilon,
             dim: None,
             representatives: Vec::new(),
-            grid: None,
+            grid: GridIndex::new(epsilon),
             candidates: Cell::new(0),
         })
-    }
-
-    /// Enables the uniform-grid bucket index, pruning the
-    /// [`ReprSet::insert`], [`ReprSet::nearest`] and
-    /// [`ReprSet::nearest_three`] scans to nearby candidates. Results are
-    /// identical to the unindexed scans; only the work done changes. Any
-    /// representatives already held are indexed.
-    pub fn grid_indexed(mut self) -> Self {
-        let mut grid = GridIndex::new(self.epsilon);
-        for i in 0..self.representatives.len() {
-            grid.add(&self.representatives, i);
-        }
-        self.grid = Some(grid);
-        self
     }
 
     /// The candidate distances queries have evaluated since the last call
@@ -363,29 +352,20 @@ impl ReprSet {
 
     /// The distance from representative `i` to `vector`, or `None` once it
     /// provably exceeds `bound`: [`euclidean_pruned`]'s answer, and
-    /// the one place a query evaluates a candidate. With the grid, `at`
-    /// (`vector`'s projection) settles most far candidates first: the
+    /// the one place a query evaluates a candidate. `at` (`vector`'s
+    /// projection on the grid's axes) settles most far candidates first: the
     /// squared differences on the two axes are two of the distance's
     /// non-negative terms, and a float sum of such terms is no less than
     /// any two of them summed, so when those two alone pass the pruning
     /// limit the full sum does too.
     fn distance_within(&self, i: usize, vector: &[f64], at: [f64; 2], bound: f64) -> Option<f64> {
-        if let Some(grid) = &self.grid {
-            let [x, y] = grid.projections[i];
-            let (dx, dy) = (x - at[0], y - at[1]);
-            if dx * dx + dy * dy > pruning_limit(bound) {
-                return None;
-            }
+        let [x, y] = self.grid.projections[i];
+        let (dx, dy) = (x - at[0], y - at[1]);
+        if dx * dx + dy * dy > pruning_limit(bound) {
+            return None;
         }
         self.candidates.set(self.candidates.get() + 1);
         euclidean_pruned(&self.representatives[i], vector, bound)
-    }
-
-    /// `vector`'s projection on the grid's axes (unused without the grid).
-    fn project(&self, vector: &[f64]) -> [f64; 2] {
-        self.grid
-            .as_ref()
-            .map_or([0.0; 2], |grid| grid.project(vector))
     }
 
     /// The merge predicate: a vector at `distance` from a representative
@@ -453,10 +433,10 @@ impl ReprSet {
         self.dim = Some(vector.len());
 
         // Nearest representative within epsilon, if any. The scan prunes
-        // with squared-distance early exit (and the grid neighbourhood when
-        // indexed) but every accepted candidate is judged by its exact
-        // distance, so the outcome matches the plain linear scan.
-        let at = self.project(vector);
+        // with the grid neighbourhood and a squared-distance early exit,
+        // but every accepted candidate is judged by its exact distance, so
+        // the outcome matches the plain linear scan.
+        let at = self.grid.project(vector);
         let mut best: Option<(usize, f64)> = None;
         let mut consider = |i: usize| {
             let bound = best.map_or(self.epsilon, |(_, bd)| bd);
@@ -466,23 +446,18 @@ impl ReprSet {
                 }
             }
         };
-        if let Some(grid) = &self.grid {
-            // Cell side ≥ epsilon: all merge candidates live in rings 0-1.
-            let center = grid.cell_of(at);
-            for r in 0..=1 {
-                grid.visit_ring(center, r, |bucket| bucket.iter().for_each(|&i| consider(i)));
-            }
-        } else {
-            (0..self.representatives.len()).for_each(&mut consider);
+        // Cell side ≥ epsilon: all merge candidates live in rings 0-1.
+        let center = self.grid.cell_of(at);
+        for r in 0..=1 {
+            self.grid
+                .visit_ring(center, r, |bucket| bucket.iter().for_each(|&i| consider(i)));
         }
         match best {
             Some((i, _)) => Ok(DedupOutcome::Merged(i)),
             None => {
                 self.representatives.push(vector.to_vec());
                 let index = self.representatives.len() - 1;
-                if let Some(grid) = &mut self.grid {
-                    grid.add(&self.representatives, index);
-                }
+                self.grid.add(&self.representatives, index);
                 Ok(DedupOutcome::New(index))
             }
         }
@@ -491,12 +466,12 @@ impl ReprSet {
     /// Index of the representative nearest to `vector` and its distance, or
     /// `None` when the set is empty.
     ///
-    /// Ties go to the lowest index. With the grid index enabled the search
-    /// expands cell rings outward until no unvisited cell can hold a closer
-    /// representative, or until scanning every one is cheaper; the result
-    /// is identical to the linear scan.
+    /// Ties go to the lowest index. The search expands cell rings outward
+    /// until no unvisited cell can hold a closer representative, or until
+    /// scanning every one is cheaper; the result is identical to the
+    /// linear scan.
     pub fn nearest(&self, vector: &[f64]) -> Option<(usize, f64)> {
-        let at = self.project(vector);
+        let at = self.grid.project(vector);
         let mut best: Option<(usize, f64)> = None;
         self.search(
             at,
@@ -519,11 +494,10 @@ impl ReprSet {
     /// The (up to) three representatives nearest to `vector`, ascending by
     /// `(distance, index)`. A representative at infinite distance never
     /// ranks, so fewer than three come back only when fewer than three lie
-    /// at a finite distance. With the grid index enabled the rings expand
-    /// as in [`ReprSet::nearest`]; the result is identical to the linear
-    /// scan.
+    /// at a finite distance. The rings expand as in [`ReprSet::nearest`];
+    /// the result is identical to the linear scan.
     pub fn nearest_three(&self, vector: &[f64]) -> NearestThree {
-        let at = self.project(vector);
+        let at = self.grid.project(vector);
         let mut top = NearestThree::default();
         self.search(
             at,
@@ -538,16 +512,15 @@ impl ReprSet {
         top
     }
 
-    /// Offers each representative once to `offer`, nearest cells first.
-    /// With the grid, ring by ring around the cell of the query's
-    /// projection `at` until `settled(state, reach)` says that no
-    /// representative farther than `reach` can change the answer, or the
-    /// rings have covered every occupied cell. Once the box
-    /// out to the next ring would hold more cells than there are
-    /// representatives, the rest are scanned in index order instead, so no
-    /// query walks the rings between far-flung points (the projected test
-    /// in [`ReprSet::distance_within`] then settles most of them). Without
-    /// the grid every representative is offered.
+    /// Offers each representative once to `offer`, nearest cells first:
+    /// ring by ring around the cell of the query's projection `at` until
+    /// `settled(state, reach)` says that no representative farther than
+    /// `reach` can change the answer, or the rings have covered every
+    /// occupied cell. Once the box out to the next ring would hold more
+    /// cells than there are representatives, the rest are scanned in index
+    /// order instead, so no query walks the rings between far-flung points
+    /// (the projected test in [`ReprSet::distance_within`] then settles
+    /// most of them).
     fn search<S>(
         &self,
         at: [f64; 2],
@@ -555,10 +528,7 @@ impl ReprSet {
         offer: impl Fn(&mut S, usize),
         settled: impl Fn(&S, f64) -> bool,
     ) {
-        let Some(grid) = &self.grid else {
-            (0..self.representatives.len()).for_each(|i| offer(state, i));
-            return;
-        };
+        let grid = &self.grid;
         let center = grid.cell_of(at);
         let mut r = 0i64;
         while (2 * r + 1).pow(2) as usize <= self.representatives.len() {
@@ -681,45 +651,35 @@ mod tests {
 
     #[test]
     fn threshold_is_closed_at_epsilon() {
-        // d == epsilon exactly: merges, on both the linear and grid paths.
-        for indexed in [false, true] {
-            let mut set = ReprSet::new(0.5).unwrap();
-            if indexed {
-                set = set.grid_indexed();
-            }
-            set.insert(&[0.0, 0.0]).unwrap();
-            assert_eq!(
-                set.insert(&[0.5, 0.0]).unwrap(),
-                DedupOutcome::Merged(0),
-                "exactly-at-epsilon must merge (indexed = {indexed})"
-            );
-            // The next representable distance above epsilon is new.
-            let just_over = 0.5f64.next_up();
-            assert!(
-                set.insert(&[just_over, 0.0]).unwrap().is_new(),
-                "just over epsilon must be new (indexed = {indexed})"
-            );
-        }
+        // d == epsilon exactly: merges.
+        let mut set = ReprSet::new(0.5).unwrap();
+        set.insert(&[0.0, 0.0]).unwrap();
+        assert_eq!(
+            set.insert(&[0.5, 0.0]).unwrap(),
+            DedupOutcome::Merged(0),
+            "exactly-at-epsilon must merge"
+        );
+        // The next representable distance above epsilon is new.
+        let just_over = 0.5f64.next_up();
+        assert!(
+            set.insert(&[just_over, 0.0]).unwrap().is_new(),
+            "just over epsilon must be new"
+        );
     }
 
     #[test]
     fn zero_epsilon_treats_negative_zero_as_duplicate() {
-        for indexed in [false, true] {
-            let mut set = ReprSet::new(0.0).unwrap();
-            if indexed {
-                set = set.grid_indexed();
-            }
-            set.insert(&[0.0, 0.3]).unwrap();
-            // -0.0 == 0.0, so the distance is exactly zero: a duplicate.
-            assert_eq!(
-                set.insert(&[-0.0, 0.3]).unwrap(),
-                DedupOutcome::Merged(0),
-                "-0.0 must dedup against 0.0 (indexed = {indexed})"
-            );
-            // A 1e-7 perturbation is a genuinely new representative.
-            assert!(set.insert(&[0.0, 0.3 + 1e-7]).unwrap().is_new());
-            assert_eq!(set.len(), 2);
-        }
+        let mut set = ReprSet::new(0.0).unwrap();
+        set.insert(&[0.0, 0.3]).unwrap();
+        // -0.0 == 0.0, so the distance is exactly zero: a duplicate.
+        assert_eq!(
+            set.insert(&[-0.0, 0.3]).unwrap(),
+            DedupOutcome::Merged(0),
+            "-0.0 must dedup against 0.0"
+        );
+        // A 1e-7 perturbation is a genuinely new representative.
+        assert!(set.insert(&[0.0, 0.3 + 1e-7]).unwrap().is_new());
+        assert_eq!(set.len(), 2);
     }
 
     #[test]
@@ -763,92 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_index_matches_linear_scan_on_deterministic_stream() {
-        let mut plain = ReprSet::new(0.07).unwrap();
-        let mut indexed = ReprSet::new(0.07).unwrap().grid_indexed();
-        let stream: Vec<Vec<f64>> = (0..200)
-            .map(|i| {
-                let t = i as f64;
-                vec![
-                    (t * 0.61).sin().abs(),
-                    (t * 0.37).cos().abs(),
-                    (t * 0.23).sin().abs(),
-                    (t * 0.11).cos().abs(),
-                ]
-            })
-            .collect();
-        for v in &stream {
-            assert_eq!(plain.insert(v).unwrap(), indexed.insert(v).unwrap());
-        }
-        assert_eq!(plain.len(), indexed.len());
-        for v in &stream {
-            assert_eq!(plain.nearest(v), indexed.nearest(v));
-        }
-        // Probes far outside the occupied region exercise ring expansion.
-        for probe in [
-            vec![5.0, 5.0, 0.0, 0.0],
-            vec![-3.0, 0.5, 0.2, 0.9],
-            vec![0.5, -4.0, 1.0, 1.0],
-        ] {
-            assert_eq!(plain.nearest(&probe), indexed.nearest(&probe));
-        }
-    }
-
-    #[test]
-    fn grid_index_matches_linear_scan_at_extreme_coordinates() {
-        // Cells past ±2^40 clamp: no ring arithmetic overflows (a panic in
-        // debug, a wrap in release), and a query never walks the rings
-        // between points ~1e300 apart.
-        let far = [1e300, -1e300, f64::MAX, -f64::MAX, f64::MIN_POSITIVE];
-        let mut stream: Vec<Vec<f64>> = Vec::new();
-        for &x in &far {
-            for &y in &far {
-                stream.push(vec![x, y, 0.5]);
-            }
-            stream.push(vec![x, 0.3, 0.1]);
-            stream.push(vec![0.3, x, 0.1]);
-        }
-        stream.extend((0..20).map(|i| vec![0.05 * f64::from(i), 0.4, 0.2]));
-        let mut plain = ReprSet::new(0.07).unwrap();
-        let mut indexed = ReprSet::new(0.07).unwrap().grid_indexed();
-        for v in &stream {
-            assert_eq!(
-                plain.insert(v).unwrap(),
-                indexed.insert(v).unwrap(),
-                "{v:?}"
-            );
-        }
-        assert_eq!(plain.len(), indexed.len());
-        let probes = stream.iter().cloned().chain([
-            vec![0.0, 0.0, 0.0],
-            vec![5e299, -5e299, 1.0],
-            vec![f64::MAX, 0.0, -f64::MAX],
-        ]);
-        for probe in probes {
-            assert_eq!(plain.nearest(&probe), indexed.nearest(&probe), "{probe:?}");
-        }
-    }
-
-    #[test]
-    fn grid_indexed_after_growth_indexes_existing_representatives() {
-        let mut set = ReprSet::new(0.1).unwrap();
-        set.insert(&[0.1, 0.1]).unwrap();
-        set.insert(&[0.9, 0.9]).unwrap();
-        let mut set = set.grid_indexed();
-        // Pre-existing representatives are found through the grid.
-        assert_eq!(set.insert(&[0.12, 0.1]).unwrap(), DedupOutcome::Merged(0));
-        assert_eq!(set.nearest(&[0.85, 0.92]).unwrap().0, 1);
-    }
-
-    #[test]
-    fn zero_epsilon_grid_still_merges_exact_duplicates() {
-        let mut set = ReprSet::new(0.0).unwrap().grid_indexed();
-        set.insert(&[0.3, 0.3]).unwrap();
-        assert!(set.insert(&[0.3, 0.3]).unwrap().index() == 0);
-        assert!(set.insert(&[0.3, 0.3000001]).unwrap().is_new());
-    }
-
-    #[test]
     fn coverage_property_every_insert_within_epsilon_of_its_representative() {
         let mut set = ReprSet::new(0.25).unwrap();
         let inputs: Vec<Vec<f64>> = (0..50)
@@ -864,13 +738,13 @@ mod tests {
     }
 
     fn axes(set: &ReprSet) -> (usize, usize) {
-        set.grid.as_ref().unwrap().axes
+        set.grid.axes
     }
 
     /// Every representative filed exactly once, in the bucket of its cell
     /// under the current axes and side.
     fn assert_filed(set: &ReprSet) {
-        let grid = set.grid.as_ref().unwrap();
+        let grid = &set.grid;
         let mut filed = grid.entries.clone();
         filed.sort_unstable();
         assert_eq!(filed, (0..set.len()).collect::<Vec<_>>());
@@ -883,7 +757,7 @@ mod tests {
 
     #[test]
     fn axes_follow_the_widest_ranges_and_refile_on_a_switch() {
-        let mut set = ReprSet::new(0.05).unwrap().grid_indexed();
+        let mut set = ReprSet::new(0.05).unwrap();
         set.insert(&[0.5, 0.4, 0.5, 0.5]).unwrap();
         // All ranges zero: ties go to the lower coordinates.
         assert_eq!(axes(&set), (0, 1));
@@ -899,7 +773,7 @@ mod tests {
         assert_eq!(axes(&set), (0, 3));
         assert_filed(&set);
         // Equal ranges: the lower coordinate keeps its place.
-        let mut tied = ReprSet::new(0.05).unwrap().grid_indexed();
+        let mut tied = ReprSet::new(0.05).unwrap();
         tied.insert(&[0.0, 0.0, 0.0]).unwrap();
         tied.insert(&[0.0, 0.7, 0.7]).unwrap();
         assert_eq!(axes(&tied), (1, 2));
@@ -909,12 +783,12 @@ mod tests {
 
     #[test]
     fn a_wide_spread_coarsens_the_cells_instead_of_growing_the_box() {
-        let mut set = ReprSet::new(0.05).unwrap().grid_indexed();
+        let mut set = ReprSet::new(0.05).unwrap();
         for i in 0..21 {
             set.insert(&[0.05 * f64::from(i), 0.5]).unwrap();
         }
         // A unit map keeps the smallest side.
-        assert_eq!(set.grid.as_ref().unwrap().side, 0.05);
+        assert_eq!(set.grid.side, 0.05);
         for v in [
             [1e300, 0.5],
             [-1e300, 0.5],
@@ -922,11 +796,11 @@ mod tests {
             [3.0, 1e12],
         ] {
             set.insert(&v).unwrap();
-            let grid = set.grid.as_ref().unwrap();
+            let grid = &set.grid;
             assert!(grid.width <= 32 && grid.height <= 32, "{v:?}: {grid:?}");
             assert_filed(&set);
         }
-        assert_eq!(set.grid.as_ref().unwrap().side, f64::MAX);
+        assert_eq!(set.grid.side, f64::MAX);
     }
 
     #[test]

@@ -166,30 +166,22 @@ proptest! {
         prop_assert_eq!(init.len(), grown.len());
     }
 
-    /// The grid-indexed dedup path is an exact drop-in for the naive linear
-    /// scan: identical insert outcomes and identical `(index, distance)`
-    /// from `nearest`, for every query — including ones far outside the
-    /// indexed region (ring expansion).
+    /// The dedup set is an exact drop-in for the naive linear scans:
+    /// identical insert outcomes and identical `(index, distance)` from
+    /// `nearest` and `nearest_three`, for every query — the inserted
+    /// vectors and each of them shifted, most far outside the indexed
+    /// region (ring expansion).
     #[test]
     fn grid_index_is_exact_drop_in_for_linear_scan(
         vectors in vectors_strategy(60, 4),
         epsilon in 0.01f64..0.5,
         probe_shift in -2.0f64..2.0,
     ) {
-        let mut naive = ReprSet::new(epsilon).unwrap();
-        let mut grid = ReprSet::new(epsilon).unwrap().grid_indexed();
-        for v in &vectors {
-            let a = naive.insert(v).unwrap();
-            let b = grid.insert(v).unwrap();
-            prop_assert_eq!((a.index(), a.is_new()), (b.index(), b.is_new()));
-            // Exact equality: both paths judge candidates by the same
-            // full-precision distances.
-            prop_assert_eq!(naive.nearest(v), grid.nearest(v));
-        }
-        for v in &vectors {
-            let probe: Vec<f64> = v.iter().map(|x| x + probe_shift).collect();
-            prop_assert_eq!(naive.nearest(&probe), grid.nearest(&probe));
-        }
+        let probes: Vec<Vec<f64>> = vectors
+            .iter()
+            .map(|v| v.iter().map(|x| x + probe_shift).collect())
+            .collect();
+        grid_matches_linear_scans(&vectors, &probes, epsilon)?;
     }
 
     /// Growing a distance matrix column-by-column with `append_point`
@@ -437,7 +429,7 @@ fn bits(found: &[(usize, f64)]) -> Vec<(usize, u64)> {
     found.iter().map(|&(i, d)| (i, d.to_bits())).collect()
 }
 
-/// Streams `vectors` into a grid-indexed set and the linear oracles side by
+/// Streams `vectors` into a dedup set and the linear oracles side by
 /// side. After every insert, `nearest` and `nearest_three` must answer the
 /// new vector and every probe as the scans do: the same indices, the same
 /// distance bits and the same interpolated point.
@@ -446,7 +438,7 @@ fn grid_matches_linear_scans(
     probes: &[Vec<f64>],
     epsilon: f64,
 ) -> Result<(), TestCaseError> {
-    let mut grid = ReprSet::new(epsilon).unwrap().grid_indexed();
+    let mut grid = ReprSet::new(epsilon).unwrap();
     let mut reps: Vec<Vec<f64>> = Vec::new();
     for v in vectors {
         let out = grid.insert(v).unwrap();
@@ -468,6 +460,52 @@ fn grid_matches_linear_scans(
         }
     }
     Ok(())
+}
+
+/// A deterministic stream over four coordinates, with probes far outside
+/// its unit box that make the rings expand.
+#[test]
+fn grid_matches_linear_scans_on_a_deterministic_stream() {
+    let stream: Vec<Vec<f64>> = (0..200)
+        .map(|i| {
+            let t = f64::from(i);
+            vec![
+                (t * 0.61).sin().abs(),
+                (t * 0.37).cos().abs(),
+                (t * 0.23).sin().abs(),
+                (t * 0.11).cos().abs(),
+            ]
+        })
+        .collect();
+    let probes = [
+        vec![5.0, 5.0, 0.0, 0.0],
+        vec![-3.0, 0.5, 0.2, 0.9],
+        vec![0.5, -4.0, 1.0, 1.0],
+    ];
+    grid_matches_linear_scans(&stream, &probes, 0.07).unwrap();
+}
+
+/// Cells past ±2^40 clamp: no ring arithmetic overflows (a panic in debug,
+/// a wrap in release), and a query never walks the rings between points
+/// ~1e300 apart.
+#[test]
+fn grid_matches_linear_scans_at_the_float_extremes() {
+    let far = [1e300, -1e300, f64::MAX, -f64::MAX, f64::MIN_POSITIVE];
+    let mut stream: Vec<Vec<f64>> = Vec::new();
+    for &x in &far {
+        for &y in &far {
+            stream.push(vec![x, y, 0.5]);
+        }
+        stream.push(vec![x, 0.3, 0.1]);
+        stream.push(vec![0.3, x, 0.1]);
+    }
+    stream.extend((0..20).map(|i| vec![0.05 * f64::from(i), 0.4, 0.2]));
+    let probes = [
+        vec![0.0, 0.0, 0.0],
+        vec![5e299, -5e299, 1.0],
+        vec![f64::MAX, 0.0, -f64::MAX],
+    ];
+    grid_matches_linear_scans(&stream, &probes, 0.07).unwrap();
 }
 
 /// A measurement-like stream: each vector steps a little from the one

@@ -173,7 +173,7 @@ impl MapStage {
             normalized: Vec::new(),
             // The grid index keeps insert/nearest exact (identical indices
             // and distances) while pruning far candidates.
-            repr: ReprSet::new(config.dedup_epsilon)?.grid_indexed(),
+            repr: ReprSet::new(config.dedup_epsilon)?,
             dissim: None,
             smacof: Smacof::new(2).max_iterations(config.smacof_iterations),
             backoff: SolveBackoff::default(),

@@ -301,7 +301,7 @@ pub fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::{ContainerId, ContainerObs, NullPolicy};
+    use crate::observation::{Action, ContainerId, ContainerObs, NullPolicy};
     use crate::source::{SourceKind, SourceMeta};
     use crate::ResourceVector;
 
@@ -418,6 +418,9 @@ mod tests {
             let next = self.0.get(self.1).cloned();
             self.1 += 1;
             Ok(next)
+        }
+        fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+            derive_record(observation, actions.len(), Some(&HostSpec::default()))
         }
     }
 

@@ -15,7 +15,7 @@
 //! [`request_qos`]: ObservationSource::request_qos
 
 use crate::observation::{Action, Observation};
-use crate::run::{derive_record, RequestQos, TickRecord};
+use crate::run::{RequestQos, TickRecord};
 use crate::{splitmix64, HostSpec, ResourceKind, ResourceVector, TelemetryError, GAMMA};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -100,13 +100,15 @@ pub trait ObservationSource {
         Ok(0)
     }
 
-    /// Builds the run-accounting record for one tick. The default derives
-    /// it from the observation alone ([`derive_record`]); substrates with
-    /// ground-truth physics (the simulator) override it with their exact
-    /// noiseless accounting.
-    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
-        derive_record(observation, actions.len(), self.meta().host.as_ref())
-    }
+    /// Builds the run-accounting record for one tick. Substrates with
+    /// ground-truth physics (the simulator, the workload engine) report
+    /// their exact noiseless accounting; the others derive it from the
+    /// observation alone and the host they know
+    /// ([`derive_record`](crate::derive_record)).
+    /// Every source states its own: there is no default, because one
+    /// that read the host through [`meta`](ObservationSource::meta) would
+    /// build a whole [`SourceMeta`] every period.
+    fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord;
 
     /// Total nominal batch work completed so far. Only substrates with
     /// ground truth (the simulator) report a non-zero value.
@@ -272,6 +274,7 @@ impl<S: ObservationSource> ObservationSource for FaultySource<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::derive_record;
 
     struct Empty;
     impl ObservationSource for Empty {
@@ -285,6 +288,9 @@ mod tests {
         }
         fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
             Ok(None)
+        }
+        fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+            derive_record(observation, actions.len(), None)
         }
     }
 

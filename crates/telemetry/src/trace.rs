@@ -338,11 +338,6 @@ impl<R: BufRead> TraceSource<R> {
         ));
         self
     }
-
-    /// The decoded trace header.
-    pub fn header(&self) -> &TraceHeader {
-        &self.header
-    }
 }
 
 impl<R: BufRead> ObservationSource for TraceSource<R> {
@@ -392,8 +387,9 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
         self.spare = Some(observation);
     }
 
-    /// The default's record, from the header's host read in place:
-    /// [`meta`](ObservationSource::meta) clones the metric list.
+    /// The record derived from the observation and the header's host,
+    /// read in place: [`meta`](ObservationSource::meta) clones the metric
+    /// list.
     fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
         derive_record(observation, actions.len(), self.header.host.as_ref())
     }
@@ -445,9 +441,12 @@ mod tests {
     #[test]
     fn write_then_read_round_trips() {
         let bytes = record_two_ticks();
+        let first = std::str::from_utf8(&bytes).unwrap().lines().next().unwrap();
+        let header: TraceHeader = serde_json::from_str(first).unwrap();
+        assert_eq!(header, TraceHeader::for_meta(&meta()));
+        assert_eq!(header.recorded_from, SourceKind::Sim);
+        assert_eq!(header.version, TRACE_VERSION);
         let mut source = TraceSource::new(bytes.as_slice()).unwrap();
-        assert_eq!(source.header().recorded_from, SourceKind::Sim);
-        assert_eq!(source.header().version, TRACE_VERSION);
         assert_eq!(source.meta().kind, SourceKind::Trace);
         assert_eq!(source.next_observation().unwrap().unwrap(), observation(0));
         assert_eq!(source.next_observation().unwrap().unwrap(), observation(1));
@@ -624,6 +623,9 @@ mod tests {
             let o = observation(self.0);
             self.0 += 1;
             Ok(Some(o))
+        }
+        fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+            derive_record(observation, actions.len(), meta().host.as_ref())
         }
     }
 

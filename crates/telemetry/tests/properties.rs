@@ -609,8 +609,10 @@ proptest! {
             .map(|(tick, containers, qos)| observation(*tick, containers, *qos))
             .collect();
         let bytes = record(&observations);
+        let first = std::str::from_utf8(&bytes).expect("utf-8").lines().next().expect("header");
+        let header: TraceHeader = serde_json::from_str(first).expect("header decodes");
+        prop_assert_eq!(header.version, TRACE_VERSION);
         let mut source = TraceSource::new(bytes.as_slice()).expect("valid trace");
-        prop_assert_eq!(source.header().version, TRACE_VERSION);
         for expected in &observations {
             let got = source.next_observation().expect("decodes").expect("present");
             prop_assert_eq!(got.tick, expected.tick);

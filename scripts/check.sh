@@ -290,11 +290,11 @@ fi
 # renders a pinned corpus to the same bytes, scans strings in linear time and writes every float and
 # integer byte for byte as `core::fmt` does (the old `write!` rule is the
 # test's oracle). The decoders a user points at a file (`--events-in`,
-# `reuse --template`, `metrics-diff`) are fuzzed in facade `--test
+# `run --template`, `metrics-diff`) are fuzzed in facade `--test
 # json_decoder_fuzz`: arbitrary bytes, every truncation, edited documents
 # and million-deep nesting decode or fail as values, never a panic or a
 # stack overflow, and no error names a byte as `Some(120)` or `None`; trace
-# replay (`replay --trace`) is one more row of that table.
+# replay (`run --source trace:<path>`) is one more row of that table.
 #
 # Engine timelines (`stayaway-workload --test pinned_timelines`, the
 # `queue::tests` property tests): the seven library scenarios, bare and

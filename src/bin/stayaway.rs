@@ -25,8 +25,8 @@ use stay_away::obs::{
 };
 use stay_away::sim::scenario::{BatchKind, Scenario};
 use stay_away::statespace::Template;
-use stay_away::telemetry::TraceSource;
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -37,14 +37,10 @@ which); any other option or a stray operand is an error.
 
 commands:
   list                       list scenarios and policies
-  run                        run one scenario under one policy
+  run                        run one scenario under one policy, optionally
+                             seeded from a template, exporting the learned
+                             one or recording the observation stream
   compare                    run one scenario under every policy
-  capture                    run stay-away and export the learned template
-  reuse                      run stay-away seeded from a template
-  record                     run one scenario and record the observation
-                             stream to a JSONL trace file
-  replay                     drive a policy from a recorded trace: run
-                             --source trace:<path> plus a header line
   fleet                      run many co-location cells over a worker pool
   tournament                 rank every prediction plane over a set of
                              workload scenarios (the full predictor x
@@ -90,12 +86,15 @@ options:
                              workload:<scenario> (default sim; fleet:
                              comma-separated list crossed with its other
                              lists)
-  --trace <path>             recorded trace file for replay
   --ticks <n>                simulation length (default 384)
   --seed <n>                 deterministic seed (default 7)
-  --template <path>          template file for reuse
-  --out <path>               output path for capture (template.json) and
-                             record (trace.jsonl)
+  --template <path>          run: warm-start stay-away from a template file
+                             (as written by --template-out)
+  --template-out <path>      run: export the learned template to a file,
+                             keyed by what the run senses
+  --record-out <path>        run: record the observation stream to a JSONL
+                             trace file (replay it with --source
+                             trace:<path>)
   --cells <n>                fleet: number of co-location cells (default 8);
                              tournament: cells per predictor x scenario
                              combination (default 3)
@@ -180,9 +179,9 @@ impl Out<'_> {
 
 /// The subcommands, in `USAGE` order.
 #[rustfmt::skip]
-const COMMANDS: [&str; 16] = [
-    "list", "run", "compare", "capture", "reuse", "record", "replay", "fleet", "tournament",
-    "cluster", "metrics", "events", "metrics-diff", "promlint", "scenarios", "bench-scenarios",
+const COMMANDS: [&str; 12] = [
+    "list", "run", "compare", "fleet", "tournament", "cluster", "metrics", "events",
+    "metrics-diff", "promlint", "scenarios", "bench-scenarios",
 ];
 
 /// (subcommand, fewest, most) operands — non-flag arguments; every
@@ -208,16 +207,16 @@ use Shape::{Float, Int, Pair, Switch, Text};
 /// `usage_and_flag_table_agree` keeps the two in step.
 #[rustfmt::skip]
 const FLAGS: &[(&str, Shape, &str)] = &[
-    ("--scenario", Text, "run metrics compare capture reuse record fleet tournament"),
-    ("--policy", Text, "run metrics record replay fleet bench-scenarios cluster events"),
-    ("--predictor", Text, "run metrics compare capture reuse record replay fleet tournament"),
+    ("--scenario", Text, "run metrics compare fleet tournament"),
+    ("--policy", Text, "run metrics fleet bench-scenarios cluster events"),
+    ("--predictor", Text, "run metrics compare fleet tournament"),
     ("--resamples", Int, "tournament"),
     ("--source", Text, "run metrics compare fleet"),
-    ("--trace", Text, "replay"),
-    ("--ticks", Int, "run metrics compare capture reuse record replay fleet tournament bench-scenarios"),
-    ("--seed", Int, "run metrics compare capture reuse record fleet tournament bench-scenarios cluster events"),
-    ("--template", Text, "reuse"),
-    ("--out", Text, "capture record"),
+    ("--ticks", Int, "run metrics compare fleet tournament bench-scenarios"),
+    ("--seed", Int, "run metrics compare fleet tournament bench-scenarios cluster events"),
+    ("--template", Text, "run"),
+    ("--template-out", Text, "run"),
+    ("--record-out", Text, "run"),
     ("--cells", Int, "fleet tournament"),
     ("--workers", Int, "fleet tournament cluster events"),
     ("--share-templates", Switch, "fleet"),
@@ -240,7 +239,7 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--cause", Text, "events"),
     ("--threshold", Float, "metrics-diff"),
     ("--threshold-for", Pair, "metrics-diff"),
-    ("--json", Switch, "run metrics compare capture reuse record replay fleet tournament cluster events scenarios bench-scenarios"),
+    ("--json", Switch, "run metrics compare fleet tournament cluster events scenarios bench-scenarios"),
 ];
 
 /// One flag as given: its name, its text (a switch's is empty) and the
@@ -652,38 +651,39 @@ fn publish(
     Ok(())
 }
 
-/// What one single-host subcommand adds to the run its flags describe.
+/// What a subcommand that loops over runs overrides in the run its flags
+/// describe.
 #[derive(Default)]
-struct HostJob<'a> {
-    /// Overrides `--source` (`replay` senses through its `--trace`).
+struct HostJob {
+    /// Overrides `--source` (`bench-scenarios` senses each workload
+    /// scenario in turn).
     source: Option<SourceSpec>,
     /// Overrides `--policy` (`compare` and `bench-scenarios` run each
     /// policy in turn).
     policy: Option<PolicySpec>,
-    /// Template to warm-start from (`reuse`).
-    import: Option<&'a Template>,
-    /// Sensitive key to export the learned template under (`capture`).
-    export_as: Option<&'a str>,
-    /// Trace tee (`record`).
-    trace_out: Option<Box<dyn Write + 'a>>,
     /// Record into this registry even without `--metrics-out` / `--http`
     /// (`metrics`).
     registry: Option<MetricsRegistry>,
 }
 
-/// The single-host run path of `run`, `metrics`, `compare`, `capture`,
-/// `reuse`, `record`, `replay` and `bench-scenarios`: the substrate,
-/// scenario, policy, predictor, seed and length come from the flags (a
-/// flag the subcommand does not read is absent, so its default applies),
-/// `job` adds the subcommand's own extras, and [`run_host`] does the rest. Instruments
-/// exist only when a flag asks for them: an exported registry for
+/// The single-host run path of `run`, `metrics`, `compare` and
+/// `bench-scenarios`: the substrate, scenario, policy, predictor, seed,
+/// length and extras come from the flags (a flag the subcommand does not
+/// read is absent, so its default applies), `job` overrides what a loop
+/// over runs varies, and [`run_host`] does the rest. The extras are
+/// `run`'s: `--template` warm-starts the policy (its "seeded with" line
+/// is printed here), `--template-out` exports the learned template under
+/// the key [`SourceSpec::sensitive_key`] names, and `--record-out` tees
+/// the observation stream into a trace file, created only once the
+/// scenario, policy and template have been accepted. Instruments exist
+/// only when a flag asks for them: an exported registry for
 /// `--metrics-out` / `--http`, a flight recorder for `--events-out` /
 /// `--http`; under `--http` the server starts before the run and observes
 /// it live. Returns the outcome, the instrument bundle and that server.
 fn single_host(
     args: &Args,
     out: &mut Out<'_>,
-    job: HostJob<'_>,
+    job: HostJob,
 ) -> Result<(HostOutcome, Observability, Option<HttpServer>), CliError> {
     let source = match job.source {
         Some(source) => source,
@@ -692,6 +692,29 @@ fn single_host(
     let policy = match job.policy {
         Some(policy) => policy,
         None => PolicySpec::parse(args.policy_or("stay-away"))?,
+    };
+    let scenario = args.scenario()?;
+    let import = match args.text("--template") {
+        Some(path) => Some((path, Template::load_from_path(path)?)),
+        None => None,
+    };
+    let export_as = args
+        .switch("--template-out")
+        .then(|| source.sensitive_key(scenario.name()));
+    if (import.is_some() || export_as.is_some()) && !policy.supports_templates() {
+        return fail("the selected policy does not learn templates");
+    }
+    if let Some((path, template)) = &import {
+        writeln!(
+            out,
+            "seeded with {} template states ({} violation) from {path}",
+            template.len(),
+            template.violation_count()
+        )?;
+    }
+    let mut trace = match args.text("--record-out") {
+        Some(path) => Some(BufWriter::new(File::create(path)?)),
+        None => None,
     };
     let http = args.text("--http");
     let mut obs = match job.registry {
@@ -720,17 +743,22 @@ fn single_host(
     };
     let outcome = run_host(HostRun {
         source: &source,
-        scenario: &args.scenario()?,
+        scenario: &scenario,
         seed: args.seed(),
         policy: &policy,
         controller: &args.controller_config()?,
         ticks: args.ticks(),
         obs: &obs,
-        import: job.import,
-        export_as: job.export_as,
-        trace_out: job.trace_out,
+        import: import.as_ref().map(|(_, template)| template),
+        export_as: export_as.as_deref(),
+        trace_out: trace
+            .as_mut()
+            .map(|file| Box::new(file) as Box<dyn Write + '_>),
         loop_nanos: None,
     })?;
+    if let Some(file) = &mut trace {
+        file.flush()?;
+    }
     Ok((outcome, obs, server))
 }
 
@@ -927,14 +955,28 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             }
         }
         "run" => {
-            let source = args.source()?;
-            let scenario = source.scenario_label(args.scenario_name());
-            let job = HostJob {
-                source: Some(source),
-                ..HostJob::default()
-            };
-            let (outcome, obs, server) = single_host(args, out, job)?;
+            let scenario = args.source()?.scenario_label(args.scenario_name());
+            let (outcome, obs, server) = single_host(args, out, HostJob::default())?;
+            let template_out = args.text("--template-out").zip(outcome.template.as_ref());
+            if let Some((path, template)) = template_out {
+                template.save_to_path(path)?;
+            }
             summarize(out, json, &outcome.run.policy, &scenario, &outcome, true)?;
+            if let Some((path, template)) = template_out {
+                writeln!(
+                    out,
+                    "template with {} states ({} violation) written to {path}",
+                    template.len(),
+                    template.violation_count()
+                )?;
+            }
+            if let Some(path) = args.text("--record-out") {
+                writeln!(
+                    out,
+                    "trace with {} observations written to {path}",
+                    outcome.run.timeline.len()
+                )?;
+            }
             let metrics = obs.exported_registry().map(MetricsRegistry::snapshot);
             let events = obs.recorder().map(FlightRecorder::events);
             let (metrics, events) = (metrics.as_ref(), events.as_deref());
@@ -981,83 +1023,6 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 let label = &outcome.run.policy;
                 summarize(out, json, label, &scenario, &outcome, false)?;
             }
-        }
-        "capture" => {
-            let scenario = args.scenario_name();
-            let job = HostJob {
-                export_as: Some(scenario.split('+').next().unwrap_or("sensitive")),
-                ..HostJob::default()
-            };
-            let (outcome, ..) = single_host(args, out, job)?;
-            let Some(template) = &outcome.template else {
-                return fail("the selected policy does not learn templates");
-            };
-            let path = args.text("--out").unwrap_or("template.json");
-            template.save_to_path(path)?;
-            summarize(out, json, "stay-away", scenario, &outcome, false)?;
-            writeln!(
-                out,
-                "template with {} states ({} violation) written to {path}",
-                template.len(),
-                template.violation_count()
-            )?;
-        }
-        "reuse" => {
-            let Some(path) = args.text("--template") else {
-                return fail("reuse requires --template <path>");
-            };
-            let template = Template::load_from_path(path)?;
-            let job = HostJob {
-                import: Some(&template),
-                ..HostJob::default()
-            };
-            let (outcome, ..) = single_host(args, out, job)?;
-            writeln!(
-                out,
-                "seeded with {} template states ({} violation) from {path}",
-                template.len(),
-                template.violation_count()
-            )?;
-            let scenario = args.scenario_name();
-            summarize(out, json, "stay-away+tpl", scenario, &outcome, false)?;
-        }
-        "record" => {
-            // Reject a bad scenario before creating the file.
-            args.scenario()?;
-            let path = args.text("--out").unwrap_or("trace.jsonl");
-            let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-            let job = HostJob {
-                trace_out: Some(Box::new(&mut file)),
-                ..HostJob::default()
-            };
-            let (outcome, ..) = single_host(args, out, job)?;
-            file.flush()?;
-            let (label, scenario) = (&outcome.run.policy, args.scenario_name());
-            summarize(out, json, label, scenario, &outcome, false)?;
-            writeln!(
-                out,
-                "trace with {} observations written to {path}",
-                outcome.run.timeline.len()
-            )?;
-        }
-        "replay" => {
-            let Some(path) = args.text("--trace") else {
-                return fail("replay requires --trace <path>");
-            };
-            let recorded_from = TraceSource::open(path)?.header().recorded_from;
-            // From here on: `run --source trace:<path>` plus one header line.
-            let job = HostJob {
-                source: Some(SourceSpec::Trace { path: path.into() }),
-                ..HostJob::default()
-            };
-            let (outcome, ..) = single_host(args, out, job)?;
-            writeln!(
-                out,
-                "replayed {} observations from {path} (recorded from {recorded_from})",
-                outcome.run.timeline.len(),
-            )?;
-            let scenario = format!("replay:{path}");
-            summarize(out, json, &outcome.run.policy, &scenario, &outcome, true)?;
         }
         "fleet" => {
             let config = FleetConfig {
@@ -1639,7 +1604,7 @@ mod tests {
         assert!(parse_args(&argv("run --scenario")).is_err());
         assert!(parse_args(&argv("fleet --cells abc")).is_err());
         assert!(parse_args(&argv("fleet --workers")).is_err());
-        assert!(parse_args(&argv("replay --trace")).is_err());
+        assert!(parse_args(&argv("run --record-out")).is_err());
         assert!(parse_args(&argv("metrics-diff a b --threshold lots")).is_err());
         for tolerance in ["nan", "NaN", "inf", "-inf", "-1", "-1e-9"] {
             for flag in ["--threshold ", "--threshold-for x_total="] {
@@ -1712,14 +1677,46 @@ mod tests {
 
     #[test]
     fn parses_source_and_trace_flags() {
-        let a = parse_args(&argv("run --source trace:/tmp/t.jsonl")).unwrap();
+        let a = parse_args(&argv("run --source trace:/tmp/t.jsonl --policy reactive")).unwrap();
         assert_eq!(a.text("--source"), Some("trace:/tmp/t.jsonl"));
-        let a = parse_args(&argv("replay --trace out.jsonl --policy reactive")).unwrap();
-        assert_eq!(a.text("--trace"), Some("out.jsonl"));
         assert_eq!(a.policy_or("stay-away"), "reactive");
-        // `replay` senses through --trace alone.
-        assert!(parse_args(&argv("replay --source sim")).is_err());
-        assert_eq!(error_of("replay"), "replay requires --trace <path>");
+        let a = parse_args(&argv(
+            "run --record-out t.jsonl --template tpl.json --template-out out.json",
+        ))
+        .unwrap();
+        assert_eq!(a.text("--record-out"), Some("t.jsonl"));
+        assert_eq!(a.text("--template"), Some("tpl.json"));
+        assert_eq!(a.text("--template-out"), Some("out.json"));
+        // The extras are `run`'s alone; the retired spellings are gone.
+        assert!(parse_args(&argv("compare --record-out t.jsonl")).is_err());
+        assert_eq!(error_of("run --trace t.jsonl"), "unknown flag `--trace`");
+        assert_eq!(error_of("run --out t.jsonl"), "unknown flag `--out`");
+        assert_eq!(error_of("replay"), "unknown command `replay`");
+    }
+
+    #[test]
+    fn template_flags_need_a_policy_that_learns_templates() {
+        let (template, trace) = (scratch("learned.json"), scratch("never-written.jsonl"));
+        let stdout = stdout_of(&format!("run --ticks 20 --template-out {template}"));
+        assert!(
+            stdout.ends_with(&format!("written to {template}\n")),
+            "{stdout}"
+        );
+        // Refused before the run, and before the trace file is created.
+        for line in [
+            format!("run --policy reactive --template-out x.json --record-out {trace}"),
+            format!("run --policy null --template {template} --record-out {trace}"),
+        ] {
+            assert_eq!(
+                error_of(&line),
+                "the selected policy does not learn templates"
+            );
+            assert!(
+                !std::path::Path::new(&trace).exists(),
+                "`{line}` created its trace"
+            );
+        }
+        let _ = std::fs::remove_file(template);
     }
 
     #[test]

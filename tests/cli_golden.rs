@@ -11,6 +11,17 @@
 //! `replay_unbounded_ticks.txt` a later fix (a tick budget is a ceiling,
 //! never an allocation size).
 //!
+//! The single-host extras were later folded into `run` (`--template`,
+//! `--template-out`, `--record-out`, and `--source trace:<path>` for a
+//! replay), retiring the `capture`, `reuse`, `record` and `replay`
+//! commands. Their transcripts (`capture_reuse.txt`, `record_replay.txt`,
+//! `replay_fixture.txt`, `replay_unbounded_ticks.txt`) were rewritten in
+//! the `run` form; every headline and JSON number kept its value, and
+//! what changed on purpose is this: the former presets also print `run`'s
+//! `controller:` and `stages:` lines, a seeded run is labelled with its
+//! policy's own name, a replay is labelled `trace:<path>` after its
+//! source and prints no "replayed N observations" line.
+//!
 //! Wall-clock readings are the only nondeterministic output; one
 //! normaliser ([`normalise`]) masks exactly these shapes:
 //!
@@ -96,6 +107,16 @@ impl Sandbox {
 
     fn read(&self, rel: &str) -> String {
         std::fs::read_to_string(self.dir.join(rel)).expect("sandbox file")
+    }
+
+    /// Appends the lines of sandbox file `rel` that contain `needle`, as
+    /// `grep <needle> <rel>` would print them.
+    fn grep(&mut self, needle: &str, rel: &str) {
+        self.transcript
+            .push_str(&format!("$ grep {needle} {rel}\n"));
+        for line in self.read(rel).lines().filter(|l| l.contains(needle)) {
+            self.transcript.push_str(&format!("{line}\n"));
+        }
     }
 
     /// Runs one whitespace-separated command line and appends its
@@ -224,18 +245,25 @@ fn compare_every_policy() {
     );
 }
 
+/// `--template-out` keys the template by what the run senses, the rule a
+/// fleet cell keys by: the simulator prototype's sensitive half, a
+/// workload scenario's sensitive tenant.
 #[test]
 fn capture_then_reuse() {
-    golden(
-        "capture_reuse",
-        &[
-            "capture --ticks 120 --out tpl.json",
-            "reuse --scenario vlc+soplex --template tpl.json --ticks 60",
-            "reuse --scenario vlc+soplex --template tpl.json --ticks 60 --json",
-            "capture --scenario web-mem+memory-bomb --predictor denoise --ticks 60 --seed 4 --json",
-            "reuse --scenario web-mem+soplex --template template.json --ticks 40 --seed 4",
-        ],
-    );
+    let mut sandbox = Sandbox::new("capture_reuse");
+    for step in [
+        "run --ticks 120 --template-out tpl.json",
+        "run --scenario vlc+soplex --template tpl.json --ticks 60",
+        "run --scenario vlc+soplex --template tpl.json --ticks 60 --json",
+        "run --scenario web-mem+memory-bomb --predictor denoise --ticks 60 --seed 4 --json --template-out template.json",
+        "run --scenario web-mem+soplex --template template.json --ticks 40 --seed 4",
+    ] {
+        sandbox.run(step);
+    }
+    sandbox.grep("sensitive_app", "tpl.json");
+    sandbox.run("run --source workload:cpu-bomb --ticks 30 --template-out workload.json");
+    sandbox.grep("sensitive_app", "workload.json");
+    sandbox.check("capture_reuse");
 }
 
 #[test]
@@ -243,14 +271,12 @@ fn record_then_replay() {
     golden(
         "record_replay",
         &[
-            "record --ticks 60 --seed 5 --out t.jsonl",
-            "replay --trace t.jsonl",
-            "replay --trace t.jsonl --json",
-            "run --source trace:t.jsonl --ticks 60",
-            "run --source trace:t.jsonl --ticks 60 --json",
-            "replay --trace t.jsonl --policy reactive --ticks 30",
-            "record --scenario web-cpu+soplex --policy reactive --ticks 20 --json",
-            "replay --trace trace.jsonl --predictor xapp",
+            "run --ticks 60 --seed 5 --record-out t.jsonl",
+            "run --source trace:t.jsonl",
+            "run --source trace:t.jsonl --json",
+            "run --source trace:t.jsonl --policy reactive --ticks 30",
+            "run --scenario web-cpu+soplex --policy reactive --ticks 20 --json --record-out trace.jsonl",
+            "run --source trace:trace.jsonl --predictor xapp",
         ],
     );
 }
@@ -259,8 +285,6 @@ fn record_then_replay() {
 fn replay_of_the_committed_fixture_trace() {
     let mut sandbox = Sandbox::new("replay_fixture").with_smoke_trace();
     for step in [
-        "replay --trace tests/fixtures/smoke_trace.jsonl",
-        "replay --trace tests/fixtures/smoke_trace.jsonl --json",
         "run --source trace:tests/fixtures/smoke_trace.jsonl",
         "run --source trace:tests/fixtures/smoke_trace.jsonl --json",
         "fleet --source sim,trace:tests/fixtures/smoke_trace.jsonl --cells 4 --ticks 40",
@@ -276,7 +300,7 @@ fn replay_of_the_committed_fixture_trace() {
 #[test]
 fn replay_under_an_unbounded_tick_budget() {
     let mut sandbox = Sandbox::new("replay_unbounded_ticks").with_smoke_trace();
-    sandbox.run("replay --trace tests/fixtures/smoke_trace.jsonl --ticks 1000000000000");
+    sandbox.run("run --source trace:tests/fixtures/smoke_trace.jsonl --ticks 1000000000000");
     sandbox.check("replay_unbounded_ticks");
 }
 
@@ -405,11 +429,16 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         "run --predictor warp-core",
         "run --source bogus",
         "run --source workload:warp-core",
-        "reuse",
-        "replay",
-        "replay --trace missing.jsonl",
-        "replay --trace zero_cpu.jsonl --policy static",
-        "replay --trace zero_cpu.jsonl --policy null",
+        "run --template",
+        "run --template missing.json",
+        "run --source trace:",
+        "run --source trace:missing.jsonl",
+        "run --source trace:zero_cpu.jsonl --policy static",
+        "run --source trace:zero_cpu.jsonl --policy null",
+        "run --policy reactive --template-out t.json",
+        // A bad scenario is refused before the trace file is created.
+        "run --scenario vlc --record-out t.jsonl",
+        "run --source trace:t.jsonl",
         "cluster --cluster-scenario warp-core",
         "cluster --cluster-policy bogus",
         "metrics-diff a.json b.json --threshold-for nope",
@@ -437,9 +466,10 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
         &[
             "run --ticks 40 --epochs 5 --cluster-policy random --no-migration --cells 99 --threshold 0.3 stray",
             "run --ticks 40 stray",
-            "reuse --source workload:cpu-bomb --metrics-out m.json",
-            "capture --policy reactive",
-            "replay --trace t.jsonl --seed 3",
+            "compare --template tpl.json",
+            "metrics --template-out t.json",
+            "run --trace t.jsonl --seed 3",
+            "run --out t.json",
             "list --json",
             "tournament --http 127.0.0.1:0",
             "events --metrics-out m.json",

@@ -6,9 +6,9 @@
 //! of input", never a Rust `Some(120)` / `None`. The decoders stand on the
 //! one `serde::value::Cursor`: `obs::events_from_jsonl` (`events
 //! --events-in`), `Template::load` followed by
-//! `Controller::import_template` (`reuse --template`),
+//! `Controller::import_template` (`run --template`),
 //! `obs::diff::parse_snapshot` followed by `diff_series` (`metrics-diff`)
-//! and `TraceSource` drained to its end (`replay --trace`), whose header
+//! and `TraceSource` drained to its end (`run --source trace:<path>`), whose header
 //! and observation lines the `serde` derives read.
 
 use std::sync::OnceLock;
@@ -175,7 +175,7 @@ fn template_text() -> String {
 }
 
 /// Loads `text` as a template and, when it loads, imports it into a fresh
-/// controller: `reuse --template` up to its first period. Returns the
+/// controller: `run --template` up to its first period. Returns the
 /// number of states imported.
 fn load_and_import(text: &[u8]) -> Result<usize, String> {
     let template = readable(Template::load(text).map_err(|e| e.to_string()))?;
@@ -367,7 +367,7 @@ fn trace_text() -> &'static str {
     })
 }
 
-/// `replay --trace` over `text`: opens the trace and drains it, handing
+/// `run --source trace:<path>` over `text`: opens the trace and drains it, handing
 /// each observation back as a run does. Returns how many it read.
 fn replay(text: &[u8]) -> Result<usize, String> {
     let mut source = readable(TraceSource::new(text).map_err(|e| e.to_string()))?;

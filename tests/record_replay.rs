@@ -12,7 +12,7 @@
 use stay_away::core::{Controller, ControllerConfig, Observability};
 use stay_away::obs::FlightRecorder;
 use stay_away::sim::scenario::Scenario;
-use stay_away::telemetry::{drive, RecordingSource, SourceKind, TraceSource};
+use stay_away::telemetry::{drive, RecordingSource, SourceKind, TraceHeader, TraceSource};
 
 const TICKS: u64 = 300;
 
@@ -42,8 +42,10 @@ fn record_then_replay_is_bit_identical() {
     let (_, trace) = recorder.finish().expect("trace flushes");
 
     // Replay the trace through a fresh, identically-configured controller.
+    let first = std::str::from_utf8(&trace).expect("utf-8").lines().next();
+    let header: TraceHeader = serde_json::from_str(first.expect("header line")).expect("header");
+    assert_eq!(header.recorded_from, SourceKind::Sim);
     let mut source = TraceSource::new(trace.as_slice()).expect("trace parses");
-    assert_eq!(source.header().recorded_from, SourceKind::Sim);
     let (mut replayed, replayed_events) = recorded_controller(&scenario);
     let replay_out = drive(&mut source, &mut replayed, TICKS).expect("replayed run");
 
