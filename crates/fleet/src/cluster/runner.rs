@@ -26,7 +26,7 @@ use crate::FleetError;
 use stayaway_core::ControllerConfig;
 use stayaway_obs::{attr, merge_streams, AttrValue, EventId, EventKind, FlightRecorder, Layer};
 use stayaway_telemetry::{step, QosSummary, TelemetryError};
-use stayaway_workload::WorkloadHost;
+use stayaway_workload::{WorkloadError, WorkloadHost};
 use std::sync::Arc;
 
 /// Configuration of one cluster run.
@@ -220,6 +220,16 @@ impl Scheduling {
     }
 }
 
+/// Applies `verb` to host `h`'s workload engine, locating its error at
+/// that host.
+fn on_host<T>(
+    cells: &mut [HostCell],
+    h: usize,
+    verb: impl FnOnce(&mut WorkloadHost) -> Result<T, WorkloadError>,
+) -> Result<T, FleetError> {
+    verb(&mut cells[h].open.source).map_err(FleetError::at("host", h))
+}
+
 /// A cluster of open hosts under one scheduling policy.
 pub struct Cluster {
     config: ClusterConfig,
@@ -258,12 +268,8 @@ impl Cluster {
         let scenario = &config.scenario.hosts[idx];
         let seed = derive_cell_seed(config.seed, idx as u64);
         let Some(tenant) = scenario.sensitive_tenant() else {
-            return Err(FleetError::InvalidConfig {
-                reason: format!(
-                    "cluster host {idx} ({}) has no sensitive tenant",
-                    scenario.name
-                ),
-            });
+            let reason = format!("{} has no sensitive tenant", scenario.name);
+            return Err(FleetError::InvalidConfig { reason });
         };
         let sensitive_key = tenant.name.clone();
         let obs = host_observability("host", idx, config.collect_metrics, config.collect_events);
@@ -308,7 +314,7 @@ impl Cluster {
         let tick_ns = config.scenario.tick_period_ns();
         let epoch_ns = config.ticks_per_epoch * tick_ns;
         let mut cells: Vec<HostCell> = (0..config.scenario.hosts.len())
-            .map(|idx| self.build_cell(idx))
+            .map(|idx| self.build_cell(idx).map_err(FleetError::at("host", idx)))
             .collect::<Result<_, _>>()?;
         let mut jobs: Vec<JobState> = config
             .scenario
@@ -388,7 +394,7 @@ impl Cluster {
                             continue;
                         }
                         let tenant = jobs[job].spec.tenant.clone();
-                        let ti = cells[host].open.source.attach_tenant(tenant)?;
+                        let ti = on_host(&mut cells, host, |e| e.attach_tenant(tenant))?;
                         jobs[job].placement = Some((host, ti));
                         jobs[job].placements.push(host);
                         jobs[job].last_move_epoch = epoch;
@@ -427,9 +433,9 @@ impl Cluster {
                                 continue;
                             }
                         };
-                        jobs[job].carry(cells[from].open.source.detach_tenant(ti)?);
+                        jobs[job].carry(on_host(&mut cells, from, |e| e.detach_tenant(ti))?);
                         let tenant = jobs[job].spec.tenant.clone();
-                        let ti = cells[to].open.source.attach_tenant(tenant)?;
+                        let ti = on_host(&mut cells, to, |e| e.attach_tenant(tenant))?;
                         jobs[job].placement = Some((to, ti));
                         jobs[job].placements.push(to);
                         jobs[job].last_move_epoch = epoch;
@@ -473,7 +479,7 @@ impl Cluster {
                         for (t, nominal) in job.carried.drain(..).chain(due) {
                             // Past arrival times (carried backlog) are
                             // clamped to the host's current tick boundary.
-                            cells[h].open.source.inject_arrival(ti, t, nominal)?;
+                            on_host(&mut cells, h, |e| e.inject_arrival(ti, t, nominal))?;
                         }
                     }
                     None => job.carry(due),
@@ -485,8 +491,10 @@ impl Cluster {
             map_indexed(&mut cells, config.workers, |cell| {
                 cell.failure = cell.advance_epoch(ticks).err();
             });
-            if let Some(e) = cells.iter_mut().find_map(|cell| cell.failure.take()) {
-                return Err(e.into());
+            for cell in &mut cells {
+                if let Some(e) = cell.failure.take() {
+                    return Err(FleetError::at("host", cell.idx)(e));
+                }
             }
 
             // 7. Departures, in job-id order at the epoch's end.
@@ -497,7 +505,7 @@ impl Cluster {
                 match job.placement {
                     Some((h, ti)) => {
                         if cells[h].open.source.tenant_pending(ti) == 0 {
-                            cells[h].open.source.detach_tenant(ti)?;
+                            on_host(&mut cells, h, |e| e.detach_tenant(ti))?;
                             job.placement = None;
                             job.departed = true;
                         }
@@ -511,7 +519,8 @@ impl Cluster {
         // conflict resolution lives in the registry, but fixed order keeps
         // the walk deterministic anyway).
         for cell in &cells {
-            if let Some(template) = cell.open.policy.export_template(&cell.sensitive_key)? {
+            let exported = cell.open.policy.export_template(&cell.sensitive_key);
+            if let Some(template) = exported.map_err(FleetError::at("host", cell.idx))? {
                 self.registry.publish(template, cell.idx);
             }
         }

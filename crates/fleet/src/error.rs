@@ -2,7 +2,6 @@
 
 use stayaway_core::CoreError;
 use stayaway_sim::SimError;
-use stayaway_statespace::StateSpaceError;
 use stayaway_telemetry::TelemetryError;
 use stayaway_workload::WorkloadError;
 
@@ -14,41 +13,54 @@ pub enum FleetError {
         /// Human-readable description of the first problem found.
         reason: String,
     },
-    /// A cell's simulator failed.
+    /// The simulator failed.
     Sim(SimError),
-    /// A cell's controller failed.
+    /// The controller failed.
     Core(CoreError),
-    /// A cell's observation source failed.
+    /// The observation source failed.
     Telemetry(TelemetryError),
-    /// A cluster host's workload engine failed.
+    /// The workload engine failed.
     Workload(WorkloadError),
     /// Template registry (de)serialisation failed.
     Registry(String),
+    /// The error arose in the fleet cell or cluster host named first
+    /// (`cell 3`, `host 0`).
+    At(String, Box<FleetError>),
 }
 
+impl FleetError {
+    /// Locates an error in fleet cell or cluster host `idx`, for `map_err`.
+    pub(crate) fn at<E: Into<Self>>(place: &'static str, idx: usize) -> impl FnOnce(E) -> Self {
+        move |error| FleetError::At(format!("{place} {idx}"), Box::new(error.into()))
+    }
+}
+
+/// The cause, unframed: only [`FleetError::At`] says where it arose.
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FleetError::InvalidConfig { reason } => {
-                write!(f, "invalid fleet configuration: {reason}")
+            FleetError::InvalidConfig { reason } | FleetError::Registry(reason) => {
+                f.write_str(reason)
             }
-            FleetError::Sim(e) => write!(f, "cell simulator error: {e}"),
-            FleetError::Core(e) => write!(f, "cell controller error: {e}"),
-            FleetError::Telemetry(e) => write!(f, "cell observation source error: {e}"),
-            FleetError::Workload(e) => write!(f, "cluster host workload error: {e}"),
-            FleetError::Registry(reason) => write!(f, "template registry error: {reason}"),
+            FleetError::Sim(e) => e.fmt(f),
+            FleetError::Core(e) => e.fmt(f),
+            FleetError::Telemetry(e) => e.fmt(f),
+            FleetError::Workload(e) => e.fmt(f),
+            FleetError::At(place, error) => write!(f, "{place}: {error}"),
         }
     }
 }
 
+/// The display already holds the wrapped error, so the source is its own.
 impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            FleetError::Sim(e) => Some(e),
-            FleetError::Core(e) => Some(e),
-            FleetError::Telemetry(e) => Some(e),
-            FleetError::Workload(e) => Some(e),
-            _ => None,
+            FleetError::Sim(e) => e.source(),
+            FleetError::Core(e) => e.source(),
+            FleetError::Telemetry(e) => e.source(),
+            FleetError::Workload(e) => e.source(),
+            FleetError::At(_, error) => error.source(),
+            FleetError::InvalidConfig { .. } | FleetError::Registry(_) => None,
         }
     }
 }
@@ -77,21 +89,17 @@ impl From<WorkloadError> for FleetError {
     }
 }
 
-impl From<StateSpaceError> for FleetError {
-    fn from(e: StateSpaceError) -> Self {
-        FleetError::Registry(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn display_is_descriptive() {
+    fn display_is_the_cause_and_only_at_names_a_place() {
         let e = FleetError::InvalidConfig {
             reason: "cells must be positive".into(),
         };
-        assert!(e.to_string().contains("cells must be positive"));
+        assert_eq!(e.to_string(), "cells must be positive");
+        let located = FleetError::at("cell", 3)(e);
+        assert_eq!(located.to_string(), "cell 3: cells must be positive");
     }
 }

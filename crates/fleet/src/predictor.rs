@@ -6,8 +6,7 @@
 //! [`crate::PolicySpec`]s, so one fleet can run a mixed-predictor
 //! population — the substrate of the predictor tournament
 //! ([`crate::run_tournament`]). What the fleet adds is here: the label of a
-//! cell that runs no predictor, and the CLI list parser with the fleet's
-//! error wording.
+//! cell that runs no predictor, and the CLI list parser.
 
 use crate::FleetError;
 use stayaway_core::PredictorKind;
@@ -21,13 +20,11 @@ pub const NONE: &str = "-";
 ///
 /// # Errors
 ///
-/// Returns [`FleetError::InvalidConfig`] for an empty list or any unknown
-/// token.
+/// Returns [`FleetError::InvalidConfig`] for an empty list and
+/// [`FleetError::Core`] for an unknown token.
 pub fn parse_list(tokens: &str) -> Result<Vec<PredictorKind>, FleetError> {
     crate::parse_comma_list(tokens, "predictor", |t| {
-        PredictorKind::parse(t).map_err(|e| FleetError::InvalidConfig {
-            reason: e.to_string(),
-        })
+        PredictorKind::parse(t).map_err(FleetError::Core)
     })
 }
 
@@ -57,11 +54,11 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tokens_keep_the_fleet_wording() {
+    fn unknown_tokens_name_the_expected_planes_once() {
         assert_eq!(
             parse_list("warp-core").unwrap_err().to_string(),
-            "invalid fleet configuration: invalid configuration: unknown predictor \
-             'warp-core' (expected kde|xapp|denoise|last-tick)"
+            "invalid configuration: unknown predictor 'warp-core' \
+             (expected kde|xapp|denoise|last-tick)"
         );
     }
 }

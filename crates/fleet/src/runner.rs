@@ -105,8 +105,8 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidConfig`] when the plan list cannot be
-    /// allocated, and propagates the failure of the lowest-indexed failing
-    /// cell of the first failing wave (a deterministic choice).
+    /// allocated, and [`FleetError::At`] the lowest-indexed failing cell of
+    /// the first failing wave (a deterministic choice).
     pub fn run(&self) -> Result<FleetOutcome, FleetError> {
         let plans = self.plans()?;
         let mut outcomes: Vec<CellOutcome>;
@@ -173,6 +173,7 @@ impl Fleet {
         let ticks = self.config.ticks;
         map_indexed(&mut jobs, self.config.workers, |(plan, import)| {
             run_cell(plan, controller, import.as_ref(), ticks)
+                .map_err(FleetError::at("cell", plan.idx))
         })
         .into_iter()
         .collect()

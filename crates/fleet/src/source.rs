@@ -62,12 +62,13 @@ impl SourceSpec {
         }
     }
 
-    /// Parses a CLI source token: `sim`, `trace:<path>` or `procfs`.
+    /// Parses a CLI source token: `sim`, `trace:<path>`, `procfs` or
+    /// `workload:<scenario>`.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] for an unknown token or a
-    /// `trace:` token with an empty path.
+    /// Returns [`FleetError::InvalidConfig`] for an unknown token or an empty
+    /// trace path, [`FleetError::Workload`] for an unknown workload scenario.
     pub fn parse(token: &str) -> Result<Self, FleetError> {
         let token = token.trim();
         if let Some(path) = token.strip_prefix("trace:") {
@@ -141,7 +142,8 @@ impl SourceSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] describing the problem.
+    /// Returns [`FleetError::InvalidConfig`] for an empty trace path,
+    /// [`FleetError::Workload`] for an unknown workload scenario.
     pub(crate) fn validate(&self) -> Result<(), FleetError> {
         match self {
             SourceSpec::Trace { path } if path.trim().is_empty() => {
@@ -150,24 +152,35 @@ impl SourceSpec {
                 })
             }
             SourceSpec::Workload { scenario } => {
-                stayaway_workload::by_name(scenario).map_err(|e| FleetError::InvalidConfig {
-                    reason: e.to_string(),
-                })?;
+                stayaway_workload::by_name(scenario)?;
                 Ok(())
             }
             _ => Ok(()),
         }
     }
 
-    /// Instantiates the observation substrate for one host. `scenario`
-    /// and `seed` are only consulted by [`SourceSpec::Sim`] (the harness
-    /// is built from the scenario prototype and reseeded) and
-    /// [`SourceSpec::Workload`] (seed); a trace replays exactly what was
-    /// recorded and procfs samples the live host. The bundle's
-    /// [exported registry](Observability::exported_registry) receives the
-    /// substrate's instruments (trace decode errors, procfs probe
-    /// failures, workload engine metrics; the simulator has none), its
-    /// recorder the workload engine's SLO-violation events.
+    /// Whether `build` reads its `scenario`: only the simulator does.
+    /// (Labels and keys name the other sources, and the fallback host spec
+    /// is the same for every scenario.)
+    pub fn reads_scenario(&self) -> bool {
+        matches!(self, SourceSpec::Sim)
+    }
+
+    /// Whether `build` reads its `seed`: the simulator and the workload
+    /// engine do.
+    pub fn reads_seed(&self) -> bool {
+        matches!(self, SourceSpec::Sim | SourceSpec::Workload { .. })
+    }
+
+    /// Instantiates the observation substrate for one host, reading
+    /// `scenario` and `seed` as [`SourceSpec::reads_scenario`] and
+    /// [`SourceSpec::reads_seed`] declare: the simulator's harness is built
+    /// from the scenario and reseeded, the workload engine takes the seed,
+    /// a trace replays what was recorded and procfs samples the live host.
+    /// The bundle's [exported registry](Observability::exported_registry)
+    /// receives the substrate's instruments (trace decode errors, procfs
+    /// probe failures, workload engine metrics; the simulator has none),
+    /// its recorder the workload engine's SLO-violation events.
     ///
     /// # Errors
     ///
@@ -202,11 +215,7 @@ impl SourceSpec {
                 })
             }
             SourceSpec::Workload { scenario } => {
-                let spec = stayaway_workload::by_name(scenario).map_err(|e| {
-                    FleetError::InvalidConfig {
-                        reason: e.to_string(),
-                    }
-                })?;
+                let spec = stayaway_workload::by_name(scenario)?;
                 Box::new(workload_source(spec, seed, obs)?)
             }
         })
@@ -234,7 +243,7 @@ pub(crate) fn workload_source(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stayaway_telemetry::SourceKind;
+    use stayaway_telemetry::{Observation, SourceKind};
 
     #[test]
     fn parse_accepts_the_three_substrates() {
@@ -325,6 +334,44 @@ mod tests {
         let trace = SourceSpec::parse("trace:t.jsonl").unwrap();
         assert_eq!(trace.sensitive_key("vlc+cpu-bomb"), "trace:t.jsonl");
         assert_eq!(SourceSpec::Procfs.sensitive_key("vlc+cpu-bomb"), "procfs");
+    }
+
+    /// The first 40 observations `spec` yields when built under `scenario`
+    /// and `seed`.
+    fn stream(spec: &SourceSpec, scenario: &Scenario, seed: u64) -> Vec<Observation> {
+        let mut source = spec
+            .build(scenario, seed, &Observability::disabled())
+            .unwrap();
+        std::iter::from_fn(|| source.next_observation().unwrap())
+            .take(40)
+            .collect()
+    }
+
+    /// `reads_scenario` / `reads_seed` are what `build` does: a source
+    /// yields the same observation stream under two scenarios (two seeds)
+    /// exactly when it is declared not to read them.
+    #[test]
+    fn a_source_reads_the_inputs_it_declares_and_no_other() {
+        let trace = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/smoke_trace.jsonl"
+        );
+        let (a, b) = (Scenario::vlc_with_cpubomb(3), Scenario::vlc_with_soplex(3));
+        for spec in [
+            SourceSpec::Sim,
+            SourceSpec::parse(&format!("trace:{trace}")).unwrap(),
+            SourceSpec::parse("workload:cpu-bomb").unwrap(),
+        ] {
+            let reference = stream(&spec, &a, 3);
+            assert_eq!(reference.len(), 40, "{spec:?}");
+            let same_under_b = stream(&spec, &b, 3) == reference;
+            assert_eq!(same_under_b, !spec.reads_scenario(), "{spec:?}");
+            let same_under_seed = stream(&spec, &a, 11) == reference;
+            assert_eq!(same_under_seed, !spec.reads_seed(), "{spec:?}");
+            let both = stream(&spec, &b, 11) == reference;
+            assert_eq!(both, !spec.reads_scenario() && !spec.reads_seed());
+        }
+        assert!(!SourceSpec::Procfs.reads_scenario() && !SourceSpec::Procfs.reads_seed());
     }
 
     #[test]

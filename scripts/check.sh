@@ -289,7 +289,7 @@ fi
 # fixture re-encoding to itself; and the JSON text layer under them
 # renders a pinned corpus to the same bytes, scans strings in linear time and writes every float and
 # integer byte for byte as `core::fmt` does (the old `write!` rule is the
-# test's oracle). The decoders a user points at a file (`--events-in`,
+# test's oracle). The decoders a user points at a file (`events <file>`,
 # `run --template`, `metrics-diff`) are fuzzed in facade `--test
 # json_decoder_fuzz`: arbitrary bytes, every truncation, edited documents
 # and million-deep nesting decode or fail as values, never a panic or a

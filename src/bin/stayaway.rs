@@ -51,10 +51,8 @@ commands:
                              migration above per-host controllers)
   metrics                    run one scenario with full instrumentation and
                              print the metrics exposition
-  events                     run with the flight recorder on and print the
-                             causal event timeline (or inspect a JSONL file
-                             via --events-in); --cause <scope:seq> renders
-                             one event's causal chain
+  events <file>              print the causal timeline of an --events-out
+                             JSONL stream (`-` reads stdin)
   metrics-diff <a> <b>       compare two metrics snapshot JSON files (as
                              written by --metrics-out x.json) with relative
                              per-metric thresholds; exits 1 on regression
@@ -66,10 +64,10 @@ commands:
                              policies and print the per-request QoS table
 
 options:
-  --scenario <sens>+<batch>  e.g. vlc+cpu-bomb, web-mem+twitter-analysis
-                             (fleet default: a 4-scenario mix; tournament:
-                             comma-separated workload scenario names,
-                             default cpu-bomb,memory-bomb,flash-crowd)
+  --scenario <sens>+<batch>  e.g. vlc+cpu-bomb, web-mem+twitter-analysis;
+                             read by the sim source only (fleet default: a
+                             4-scenario mix; tournament: a workload scenario
+                             list, default cpu-bomb,memory-bomb,flash-crowd)
   --policy <name>            stayaway | reactive | static | always | null
                              (fleet/bench-scenarios: comma-separated list,
                              e.g. stayaway,reactive; bench-scenarios
@@ -87,7 +85,8 @@ options:
                              comma-separated list crossed with its other
                              lists)
   --ticks <n>                simulation length (default 384)
-  --seed <n>                 deterministic seed (default 7)
+  --seed <n>                 deterministic seed (default 7; one host reads
+                             it only from a sim or workload: source)
   --template <path>          run: warm-start stay-away from a template file
                              (as written by --template-out)
   --template-out <path>      run: export the learned template to a file,
@@ -120,8 +119,6 @@ options:
   --events-out <path>        run/fleet/cluster/events: write the canonical
                              event stream as JSON Lines (`-` writes to
                              stdout)
-  --events-in <path>         events: read a recorded JSONL stream instead
-                             of running a scenario
   --http <addr>              run/fleet/cluster: serve /health /metrics
                              /state /events?tail=N on <addr> (port 0 binds
                              an ephemeral port; the bound address is
@@ -186,7 +183,8 @@ const COMMANDS: [&str; 12] = [
 
 /// (subcommand, fewest, most) operands — non-flag arguments; every
 /// subcommand not listed takes none.
-const OPERANDS: &[(&str, usize, usize)] = &[("metrics-diff", 2, 2), ("promlint", 0, 1)];
+const OPERANDS: &[(&str, usize, usize)] =
+    &[("events", 1, 1), ("metrics-diff", 2, 2), ("promlint", 0, 1)];
 
 /// The shape of a flag's value: none, any string, an unsigned integer, a
 /// tolerance, or a repeatable `<metric>=<tolerance>`. A tolerance is a
@@ -208,28 +206,26 @@ use Shape::{Float, Int, Pair, Switch, Text};
 #[rustfmt::skip]
 const FLAGS: &[(&str, Shape, &str)] = &[
     ("--scenario", Text, "run metrics compare fleet tournament"),
-    ("--policy", Text, "run metrics fleet bench-scenarios cluster events"),
+    ("--policy", Text, "run metrics fleet bench-scenarios cluster"),
     ("--predictor", Text, "run metrics compare fleet tournament"),
     ("--resamples", Int, "tournament"),
     ("--source", Text, "run metrics compare fleet"),
     ("--ticks", Int, "run metrics compare fleet tournament bench-scenarios"),
-    ("--seed", Int, "run metrics compare fleet tournament bench-scenarios cluster events"),
+    ("--seed", Int, "run metrics compare fleet tournament bench-scenarios cluster"),
     ("--template", Text, "run"),
     ("--template-out", Text, "run"),
     ("--record-out", Text, "run"),
     ("--cells", Int, "fleet tournament"),
-    ("--workers", Int, "fleet tournament cluster events"),
+    ("--workers", Int, "fleet tournament cluster"),
     ("--share-templates", Switch, "fleet"),
-    // `events` records its demo stream from a cluster run.
-    ("--cluster-scenario", Text, "cluster events"),
-    ("--cluster-policy", Text, "cluster events"),
-    ("--epochs", Int, "cluster events"),
-    ("--epoch-ticks", Int, "cluster events"),
-    ("--no-migration", Switch, "cluster events"),
+    ("--cluster-scenario", Text, "cluster"),
+    ("--cluster-policy", Text, "cluster"),
+    ("--epochs", Int, "cluster"),
+    ("--epoch-ticks", Int, "cluster"),
+    ("--no-migration", Switch, "cluster"),
     ("--compare", Switch, "cluster"),
     ("--metrics-out", Text, "run metrics fleet tournament cluster"),
     ("--events-out", Text, "run fleet cluster events"),
-    ("--events-in", Text, "events"),
     ("--http", Text, "run fleet cluster"),
     ("--http-linger", Int, "run fleet cluster"),
     ("--kind", Text, "events"),
@@ -287,14 +283,16 @@ impl Shape {
 }
 
 /// A parsed command line: the subcommand, the flags it reads with their
-/// shape-checked values (in the order given) and its operands. Parsing
-/// has already rejected every flag the subcommand does not read, so an
-/// absent flag is simply `None`.
+/// shape-checked values (in the order given), its operands and, for a
+/// command that reads `--source`, the parsed source list (default the
+/// simulator). Parsing has already rejected every flag the subcommand does
+/// not read, so an absent flag is simply `None`.
 #[derive(Debug, Clone)]
 struct Args {
     command: String,
     values: Vec<Given>,
     operands: Vec<String>,
+    sources: Vec<SourceSpec>,
 }
 
 /// Scenario used by the single-run commands when `--scenario` is omitted.
@@ -356,9 +354,10 @@ impl Args {
         Ok(Scenario::parse(self.scenario_name(), self.seed())?)
     }
 
-    /// `--source`, default the simulator.
-    fn source(&self) -> Result<SourceSpec, CliError> {
-        Ok(SourceSpec::parse(self.text("--source").unwrap_or("sim"))?)
+    /// The one source of a single-host command (`run`, `metrics`,
+    /// `compare`).
+    fn source(&self) -> &SourceSpec {
+        &self.sources[0]
     }
 
     /// Whether a flag asks for a metrics rollup (`--metrics-out`, `--http`).
@@ -396,6 +395,7 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         command: command.clone(),
         values: Vec::new(),
         operands: Vec::new(),
+        sources: Vec::new(),
     };
     let mut tokens = argv[1..].iter();
     while let Some(token) = tokens.next() {
@@ -428,13 +428,48 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     if !(min..=max).contains(&given) {
         let takes = match (min, max) {
             (_, 0) => "no operands".to_string(),
+            (1, 1) => "exactly 1 operand".to_string(),
             (min, max) if min == max => format!("exactly {max} operands"),
             (_, max) => format!("at most {max} operand(s)"),
         };
-        let operands = args.operands.join(" ");
-        return fail(format!(
-            "`{command}` takes {takes}, got {given}: {operands}"
-        ));
+        let operands = match given {
+            0 => String::new(),
+            _ => format!(": {}", args.operands.join(" ")),
+        };
+        return fail(format!("`{command}` takes {takes}, got {given}{operands}"));
+    }
+    // `--source` is parsed here, once, because the sources decide whether
+    // `--scenario` and `--seed` are read (`SourceSpec::reads_*`); a fleet's
+    // seed derives every cell's.
+    let fleet = command == "fleet";
+    if fleet || matches!(command.as_str(), "run" | "metrics" | "compare") {
+        let token = args.text("--source").unwrap_or("sim");
+        args.sources = match fleet {
+            true => SourceSpec::parse_list(token)?,
+            false => vec![SourceSpec::parse(token)?],
+        };
+        let reads = |read: fn(&SourceSpec) -> bool| args.sources.iter().any(read);
+        let unread = [
+            ("--scenario", !reads(SourceSpec::reads_scenario)),
+            ("--seed", !fleet && !reads(SourceSpec::reads_seed)),
+        ];
+        let unread = unread
+            .into_iter()
+            .find(|&(flag, unread)| unread && args.switch(flag));
+        if let Some((flag, _)) = unread {
+            // Each source's kind, without its argument: `trace:`, `procfs`.
+            let mut kinds: Vec<String> = (args.sources.iter())
+                .map(|source| match source {
+                    SourceSpec::Sim | SourceSpec::Procfs => source.name().to_string(),
+                    _ => format!("{}:", source.name()),
+                })
+                .collect();
+            kinds.dedup();
+            let kinds = kinds.join(",");
+            return fail(format!(
+                "{flag} is not read by `{command} --source {kinds}`"
+            ));
+        }
     }
     Ok(args)
 }
@@ -687,7 +722,7 @@ fn single_host(
 ) -> Result<(HostOutcome, Observability, Option<HttpServer>), CliError> {
     let source = match job.source {
         Some(source) => source,
-        None => args.source()?,
+        None => args.source().clone(),
     };
     let policy = match job.policy {
         Some(policy) => policy,
@@ -787,15 +822,10 @@ fn exit_code(result: Result<ExitCode, CliError>) -> ExitCode {
     }
 }
 
-/// Runs one cluster configuration; the compare table, the single run and
-/// the `events` demo share this builder so they measure exactly the same
-/// experiment. `events` always collects the event stream.
-fn run_cluster_policy(
-    args: &Args,
-    policy: ClusterPolicySpec,
-    default_scenario: &str,
-) -> Result<ClusterOutcome, CliError> {
-    let name = args.text("--cluster-scenario").unwrap_or(default_scenario);
+/// Runs one cluster configuration; the compare table and the single run
+/// share this builder so they measure exactly the same experiment.
+fn run_cluster_policy(args: &Args, policy: ClusterPolicySpec) -> Result<ClusterOutcome, CliError> {
+    let name = args.text("--cluster-scenario").unwrap_or("hotspot");
     let mut config = ClusterConfig::new(cluster_by_name(name)?, args.seed());
     config.epochs = args.int("--epochs").unwrap_or(24);
     config.ticks_per_epoch = args.int("--epoch-ticks").unwrap_or(8);
@@ -804,7 +834,7 @@ fn run_cluster_policy(
     config.host_policy = PolicySpec::parse(args.policy_or("stay-away"))?;
     config.migration = !args.switch("--no-migration");
     config.collect_metrics = args.wants_metrics();
-    config.collect_events = args.wants_events() || args.command == "events";
+    config.collect_events = args.wants_events();
     Ok(Cluster::new(config)?.run()?)
 }
 
@@ -955,7 +985,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             }
         }
         "run" => {
-            let scenario = args.source()?.scenario_label(args.scenario_name());
+            let scenario = args.source().scenario_label(args.scenario_name());
             let (outcome, obs, server) = single_host(args, out, HostJob::default())?;
             let template_out = args.text("--template-out").zip(outcome.template.as_ref());
             if let Some((path, template)) = template_out {
@@ -999,13 +1029,16 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             }
         }
         "compare" => {
-            let (scenario, source) = (args.scenario()?, args.source()?);
+            let (scenario, source) = (args.scenario()?, args.source());
             let scenario = source.scenario_label(scenario.name());
+            let seed = match source.reads_seed() {
+                true => format!(", seed {}", args.seed()),
+                false => String::new(),
+            };
             writeln!(
                 out,
-                "scenario: {scenario} ({} ticks, seed {}, source {})\n",
+                "scenario: {scenario} ({} ticks{seed}, source {})\n",
                 args.ticks(),
-                args.seed(),
                 source.name(),
             )?;
             for policy in [
@@ -1037,7 +1070,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 },
                 policies: PolicySpec::parse_list(args.policy_or("stay-away"))?,
                 predictors: predictor::parse_list(args.text("--predictor").unwrap_or("kde"))?,
-                sources: SourceSpec::parse_list(args.text("--source").unwrap_or("sim"))?,
+                sources: args.sources.clone(),
                 controller: ControllerConfig::default(),
                 collect_metrics: args.wants_metrics(),
                 collect_events: args.wants_events(),
@@ -1085,7 +1118,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             publish(args, out, "tournament", metrics, None, None, NO_STATE)?;
         }
         "cluster" if args.switch("--compare") => {
-            let reference = run_cluster_policy(args, ClusterPolicySpec::NoPlacement, "hotspot")?;
+            let reference = run_cluster_policy(args, ClusterPolicySpec::NoPlacement)?;
             writeln!(
                 out,
                 "cluster comparison: {} ({} epochs x {} ticks, seed {}, host policy {}, migration {})\n",
@@ -1113,7 +1146,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 let row = if spec == ClusterPolicySpec::NoPlacement {
                     reference.clone()
                 } else {
-                    run_cluster_policy(args, spec, "hotspot")?
+                    run_cluster_policy(args, spec)?
                 };
                 writeln!(
                     out,
@@ -1131,7 +1164,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             }
         }
         "cluster" => {
-            let outcome = run_cluster_policy(args, cluster_policy(args)?, "hotspot")?;
+            let outcome = run_cluster_policy(args, cluster_policy(args)?)?;
             match json {
                 true => writeln!(out, "{}", outcome.to_json()?)?,
                 false => write!(out, "{}", outcome.render())?,
@@ -1148,22 +1181,17 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             )?;
         }
         "events" => {
-            // `--events-in` reads a JSONL export, otherwise a demo cluster
-            // run records one live. storm-cluster is the demo default
-            // because it exercises every cluster verb including migration
-            // (hotspot under scoring placement admits cleanly and never
-            // migrates).
-            let events = match args.text("--events-in") {
-                Some(path) => match events_from_jsonl(&read_text_input(path)?) {
-                    Ok(events) => events,
-                    Err(e) => return fail(format!("{path}: {e}")),
-                },
-                None => run_cluster_policy(args, cluster_policy(args)?, "storm-cluster")?
-                    .events
-                    .ok_or_else(|| CliError::Message("the cluster run kept no events".into()))?,
+            // The event id and kind are checked before the stream is read.
+            let cause = args.text("--cause").map(EventId::parse);
+            let cause = cause.transpose().map_err(CliError::Message)?;
+            let kind = args.text("--kind").map(EventKind::parse);
+            let kind = kind.transpose().map_err(CliError::Message)?;
+            let path = &args.operands[0];
+            let events = match events_from_jsonl(&read_text_input(path)?) {
+                Ok(events) => events,
+                Err(e) => return fail(format!("{path}: {e}")),
             };
-            if let Some(token) = args.text("--cause") {
-                let id = EventId::parse(token).map_err(CliError::Message)?;
+            if let Some(id) = cause {
                 for (depth, event) in causal_chain(&events, id)?.into_iter().enumerate() {
                     match depth {
                         0 => writeln!(out, "{}", event.render())?,
@@ -1178,11 +1206,6 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 }
                 return Ok(ExitCode::SUCCESS);
             }
-            let kind = args
-                .text("--kind")
-                .map(EventKind::parse)
-                .transpose()
-                .map_err(CliError::Message)?;
             let (host, from, to) = (
                 args.int("--host"),
                 args.int("--tick-from"),
@@ -1392,6 +1415,8 @@ mod tests {
                 line.push(name.to_string());
                 line.extend(match shape {
                     Switch => None,
+                    // The simulator is the source that reads every flag.
+                    Text if *name == "--source" => Some("sim".to_string()),
                     Text => Some("text".to_string()),
                     Int => Some("3".to_string()),
                     Float => Some("0.5".to_string()),
@@ -1424,6 +1449,13 @@ mod tests {
         assert_eq!(parse_args(&argv("promlint -")).unwrap().operands, ["-"]);
         assert!(error_of("promlint a b").contains("at most 1"));
         assert!(error_of("run stray").contains("`run` takes no operands, got 1: stray"));
+        // `events` reads one recorded stream: a file, or `-` for stdin.
+        assert_eq!(parse_args(&argv("events -")).unwrap().operands, ["-"]);
+        assert_eq!(
+            error_of("events"),
+            "`events` takes exactly 1 operand, got 0"
+        );
+        assert!(error_of("events a.jsonl b.jsonl").ends_with("got 2: a.jsonl b.jsonl"));
     }
 
     #[test]
@@ -1441,10 +1473,10 @@ mod tests {
     #[test]
     fn parses_events_filters_and_diff_positionals() {
         let a = parse_args(&argv(
-            "events --events-in ev.jsonl --kind migrate --host 2 --tick-from 10 --tick-to 20 --cause 2:17",
+            "events ev.jsonl --kind migrate --host 2 --tick-from 10 --tick-to 20 --cause 2:17",
         ))
         .unwrap();
-        assert_eq!(a.text("--events-in"), Some("ev.jsonl"));
+        assert_eq!(a.operands, ["ev.jsonl"]);
         assert_eq!(a.text("--kind"), Some("migrate"));
         assert_eq!(a.int("--host"), Some(2));
         assert_eq!(a.int("--tick-from"), Some(10));
@@ -1651,28 +1683,25 @@ mod tests {
     fn cluster_command_runs_through_the_cli_path() {
         // The same builder the `cluster` command uses, at smoke size.
         let args = parse_args(&argv("cluster --epochs 4 --epoch-ticks 2 --seed 3")).unwrap();
-        let out = run_cluster_policy(&args, ClusterPolicySpec::Score, "hotspot").unwrap();
+        let out = run_cluster_policy(&args, ClusterPolicySpec::Score).unwrap();
         assert_eq!(out.scenario, "hotspot");
         assert_eq!(out.cluster_policy, "score");
         assert_eq!(out.host_policy, "stay-away");
         assert_eq!(out.epochs, 4);
         assert_eq!(out.per_host.len(), 3);
         assert_eq!(out.per_job.len(), 4);
-        assert!(
-            out.events.is_none(),
-            "only `events` collects without a flag"
-        );
+        assert!(out.events.is_none(), "no flag asked for events");
         // --no-migration and the host-policy override flow through too.
         let args = parse_args(&argv(
             "cluster --epochs 4 --epoch-ticks 2 --seed 3 --no-migration --policy reactive",
         ))
         .unwrap();
-        let out = run_cluster_policy(&args, ClusterPolicySpec::NoPlacement, "hotspot").unwrap();
+        let out = run_cluster_policy(&args, ClusterPolicySpec::NoPlacement).unwrap();
         assert!(!out.migration);
         assert_eq!(out.migrations, 0);
         assert_eq!(out.host_policy, "reactive");
-        let args = parse_args(&argv("events --cluster-scenario warp-core")).unwrap();
-        assert!(run_cluster_policy(&args, ClusterPolicySpec::Score, "storm-cluster").is_err());
+        let args = parse_args(&argv("cluster --cluster-scenario warp-core")).unwrap();
+        assert!(run_cluster_policy(&args, ClusterPolicySpec::Score).is_err());
     }
 
     #[test]
@@ -1692,6 +1721,72 @@ mod tests {
         assert_eq!(error_of("run --trace t.jsonl"), "unknown flag `--trace`");
         assert_eq!(error_of("run --out t.jsonl"), "unknown flag `--out`");
         assert_eq!(error_of("replay"), "unknown command `replay`");
+    }
+
+    #[test]
+    fn the_source_decides_whether_scenario_and_seed_are_read() {
+        for line in [
+            "run --scenario web-mem+soplex --seed 3",
+            "metrics --source workload:cpu-bomb --seed 3",
+            "compare --source sim --scenario vlc+soplex --seed 3",
+            "fleet --source trace:t.jsonl --seed 3",
+            "fleet --source trace:t.jsonl,sim --scenario vlc+soplex",
+        ] {
+            assert!(parse_args(&argv(line)).is_ok(), "{line}");
+        }
+        for (line, error) in [
+            (
+                "run --source trace:t.jsonl --seed 3",
+                "--seed is not read by `run --source trace:`",
+            ),
+            // Rejected for the flag, before its value is parsed.
+            (
+                "run --source trace:t.jsonl --scenario bogus",
+                "--scenario is not read by `run --source trace:`",
+            ),
+            (
+                "metrics --source procfs --seed 3",
+                "--seed is not read by `metrics --source procfs`",
+            ),
+            (
+                "compare --source workload:cpu-bomb --scenario vlc",
+                "--scenario is not read by `compare --source workload:`",
+            ),
+            // A fleet names every source kind in its list, and a kind once
+            // per run of equal kinds.
+            (
+                "fleet --source trace:t.jsonl,workload:cpu-bomb --scenario vlc+soplex",
+                "--scenario is not read by `fleet --source trace:,workload:`",
+            ),
+            (
+                "fleet --source procfs,trace:a,trace:b --scenario vlc+soplex",
+                "--scenario is not read by `fleet --source procfs,trace:`",
+            ),
+        ] {
+            assert_eq!(error_of(line), error);
+        }
+        // The kind comes from the parsed source, not the raw token.
+        let padded = ["run", "--source", " trace:t.jsonl", "--seed", "3"].map(String::from);
+        assert!(matches!(
+            parse_args(&padded),
+            Err(CliError::Message(m)) if m == "--seed is not read by `run --source trace:`"
+        ));
+    }
+
+    #[test]
+    fn compare_prints_a_seed_only_when_its_source_reads_one() {
+        let trace = scratch("compare.jsonl");
+        stdout_of(&format!("run --ticks 10 --record-out {trace}"));
+        let header = |line: &str| stdout_of(line).lines().next().unwrap_or("").to_string();
+        assert_eq!(
+            header(&format!("compare --source trace:{trace} --ticks 10")),
+            format!("scenario: trace:{trace} (10 ticks, source trace)")
+        );
+        assert_eq!(
+            header("compare --source workload:cpu-bomb --ticks 4 --seed 3"),
+            "scenario: workload:cpu-bomb (4 ticks, seed 3, source workload)"
+        );
+        let _ = std::fs::remove_file(trace);
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //! policy's own name, a replay is labelled `trace:<path>` after its
 //! source and prints no "replayed N observations" line.
 //!
+//! Later still, `events` stopped running a demo cluster of its own: it
+//! reads the stream it inspects from its one operand (`events <file>`, `-`
+//! for stdin; formerly `events --events-in <file>`). Every event line kept
+//! its bytes; the demo rows became the `cluster --events-out` + `events
+//! <file>` steps they duplicated. Single-host errors lost the fleet's
+//! framing (`cell observation source error: `, `invalid fleet
+//! configuration: `), and a fleet's cell error names its cell.
+//!
 //! Wall-clock readings are the only nondeterministic output; one
 //! normaliser ([`normalise`]) masks exactly these shapes:
 //!
@@ -203,7 +211,7 @@ fn run_on_the_simulator() {
             "run --predictor last-tick --ticks 48 --json",
             "run --ticks 32 --metrics-out m.prom --events-out ev.jsonl",
             "promlint m.prom",
-            "events --events-in ev.jsonl",
+            "events ev.jsonl",
         ],
     );
 }
@@ -314,7 +322,7 @@ fn fleet_runs() {
             "fleet --cells 6 --ticks 64 --policy stayaway,reactive --predictor kde,xapp --share-templates",
             "fleet --scenario vlc+cpu-bomb --source workload:cpu-bomb,sim --cells 4 --ticks 24 --seed 3",
             "fleet --cells 2 --ticks 32 --events-out ev.jsonl --metrics-out m.json",
-            "events --events-in ev.jsonl --kind throttle",
+            "events ev.jsonl --kind throttle",
             "fleet --cells 2 --ticks 16 --events-out -",
         ],
     );
@@ -347,24 +355,29 @@ fn cluster_runs() {
     );
 }
 
+/// `events` inspects a recorded stream: a cluster run writes it with
+/// `--events-out`, `events <file>` (or `events -` on stdin) reads it back.
 #[test]
 fn events_timeline_filters_and_causal_chain() {
-    golden(
-        "events",
-        &[
-            "events --kind migrate",
-            "events --cause 4:3",
-            "cluster --cluster-scenario storm-cluster --events-out ev.jsonl",
-            "events --events-in ev.jsonl --kind migrate",
-            "events --events-in ev.jsonl --cause 4:6",
-            "events --events-in ev.jsonl --kind throttle --host 1 --tick-from 10 --tick-to 120 --json",
-            "events --events-in ev.jsonl --kind admit --events-out admits.jsonl",
-            "events --events-in admits.jsonl",
-            "events --cluster-scenario hotspot --cluster-policy none --epochs 6 --epoch-ticks 4 --kind throttle",
-            "events --events-in ev.jsonl --cause 9:9",
-            "events --events-in ev.jsonl --kind warp-core",
-        ],
-    );
+    let mut sandbox = Sandbox::new("events");
+    for step in [
+        "cluster --cluster-scenario storm-cluster --events-out ev.jsonl",
+        "events ev.jsonl --kind migrate",
+        "events ev.jsonl --cause 4:3",
+        "events ev.jsonl --cause 4:6",
+        "events ev.jsonl --kind throttle --host 1 --tick-from 10 --tick-to 120 --json",
+        "events ev.jsonl --kind admit --events-out admits.jsonl",
+        "events admits.jsonl",
+        "cluster --cluster-scenario hotspot --cluster-policy none --epochs 6 --epoch-ticks 4 --events-out hotspot.jsonl",
+        "events hotspot.jsonl --kind throttle",
+        "events ev.jsonl --cause 9:9",
+        "events ev.jsonl --kind warp-core",
+    ] {
+        sandbox.run(step);
+    }
+    let admits = sandbox.read("admits.jsonl");
+    sandbox.run_with_stdin("events - --kind admit", &admits);
+    sandbox.check("events");
 }
 
 #[test]
@@ -439,12 +452,15 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         // A bad scenario is refused before the trace file is created.
         "run --scenario vlc --record-out t.jsonl",
         "run --source trace:t.jsonl",
+        // A fleet names the cell that failed; a single host names none.
+        "fleet --source trace:missing.jsonl --cells 2",
         "cluster --cluster-scenario warp-core",
         "cluster --cluster-policy bogus",
         "metrics-diff a.json b.json --threshold-for nope",
         "metrics-diff a.json b.json --threshold nan",
         "metrics-diff a.json b.json --threshold-for x_total=-1",
-        "events --cause nonsense",
+        // The event id is checked before the stream is read.
+        "events missing.jsonl --cause nonsense",
         "fleet --cells 18446744073709551615 --ticks 1",
         "tournament --cells 9223372036854775807 --ticks 1 --json",
         "tournament --resamples 4611686018427387904 --cells 2 --ticks 8 --scenario cpu-bomb --predictor kde --json",
@@ -458,7 +474,9 @@ fn error_paths_exit_two_with_a_one_line_reason() {
 }
 
 /// New with the flag table: a flag or operand the subcommand does not
-/// read is an error naming both (the parent silently ignored them).
+/// read is an error naming both (the parent silently ignored them). Since
+/// the source decides whether `--scenario` and `--seed` are read, a run
+/// whose source reads neither rejects them the same way.
 #[test]
 fn flags_a_subcommand_does_not_read_are_rejected() {
     golden(
@@ -476,11 +494,21 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
             "metrics-diff a.json",
             "metrics-diff a.json b.json c.json",
             "promlint a.prom b.prom",
+            // The source decides whether `--scenario` and `--seed` are read.
+            "run --source trace:t.jsonl --seed 3",
+            "run --source trace:t.jsonl --scenario bogus",
+            "run --source workload:cpu-bomb --scenario vlc+soplex",
+            "run --source procfs --seed 3",
+            "fleet --source trace:t.jsonl --scenario vlc+soplex",
+            "fleet --source procfs,trace:t.jsonl,trace:u.jsonl --scenario vlc+soplex",
+            // `events` only reads a recorded stream.
+            "events --cluster-scenario hotspot",
+            "events",
         ],
     );
 }
 
-/// New with the library chain walk: a hostile `--events-in` stream whose
+/// New with the library chain walk: a hostile `events <file>` stream whose
 /// `cause` links form a cycle is an error, not an endless loop.
 #[test]
 fn cyclic_cause_links_are_an_error_not_a_hang() {
@@ -492,8 +520,8 @@ fn cyclic_cause_links_are_an_error_not_a_hang() {
         )
     };
     sandbox.write("cycle.jsonl", &(record(0, 1) + &record(1, 0)));
-    sandbox.run("events --events-in cycle.jsonl");
-    sandbox.run("events --events-in cycle.jsonl --cause 2:1");
+    sandbox.run("events cycle.jsonl");
+    sandbox.run("events cycle.jsonl --cause 2:1");
     sandbox.check("events_cycle");
 }
 
@@ -504,7 +532,13 @@ fn cyclic_cause_links_are_an_error_not_a_hang() {
 #[test]
 fn a_closed_stdout_ends_the_run_without_a_panic() {
     let mut child = Command::new(BIN)
-        .args(["events", "--json"])
+        .args([
+            "cluster",
+            "--cluster-scenario",
+            "storm-cluster",
+            "--events-out",
+            "-",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

@@ -5,7 +5,7 @@
 //! error names what it found in words a user reads — a character or "end
 //! of input", never a Rust `Some(120)` / `None`. The decoders stand on the
 //! one `serde::value::Cursor`: `obs::events_from_jsonl` (`events
-//! --events-in`), `Template::load` followed by
+//! <file>`), `Template::load` followed by
 //! `Controller::import_template` (`run --template`),
 //! `obs::diff::parse_snapshot` followed by `diff_series` (`metrics-diff`)
 //! and `TraceSource` drained to its end (`run --source trace:<path>`), whose header
