@@ -15,8 +15,8 @@
 //! resampled from the per-cell values with a seeded RNG, so the intervals
 //! — like everything else in [`TournamentOutcome::to_json`] — are
 //! byte-identical for any worker count. A plane's forecast cost is not
-//! part of the outcome: `stayaway metrics --predictor P` exports its
-//! `stayaway_predict_forecast_latency_nanos` histogram, and the perf
+//! part of the outcome: `stayaway run --predictor P --metrics-out <path>`
+//! exports its `stayaway_predict_forecast_latency_nanos` histogram, and the perf
 //! ledger times it on formed maps.
 
 use crate::aggregate::{CellSummary, PredictorRollup};

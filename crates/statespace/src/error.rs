@@ -18,7 +18,8 @@ pub enum StateSpaceError {
     },
     /// Template (de)serialisation failed.
     Template(String),
-    /// Underlying I/O failure while reading/writing a template.
+    /// A template file could not be opened; the message names the file
+    /// and what was attempted (`cannot read <path>: …`).
     Io(std::io::Error),
 }
 
@@ -32,7 +33,7 @@ impl fmt::Display for StateSpaceError {
                 write!(f, "invalid parameter `{name}`")
             }
             StateSpaceError::Template(msg) => write!(f, "template error: {msg}"),
-            StateSpaceError::Io(e) => write!(f, "template i/o error: {e}"),
+            StateSpaceError::Io(e) => write!(f, "{e}"),
         }
     }
 }
@@ -43,12 +44,6 @@ impl std::error::Error for StateSpaceError {
             StateSpaceError::Io(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<std::io::Error> for StateSpaceError {
-    fn from(e: std::io::Error) -> Self {
-        StateSpaceError::Io(e)
     }
 }
 
@@ -65,10 +60,12 @@ mod tests {
     }
 
     #[test]
-    fn io_error_converts_and_sources() {
+    fn a_file_error_names_its_path_and_sources() {
         use std::error::Error;
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "missing");
-        let e = StateSpaceError::from(io);
+        let missing = std::env::temp_dir().join(format!("stayaway-{}.json", std::process::id()));
+        let e = crate::Template::load_from_path(&missing).unwrap_err();
+        let named = format!("cannot read {}: ", missing.display());
+        assert!(e.to_string().starts_with(&named), "{e}");
         assert!(e.source().is_some());
     }
 }

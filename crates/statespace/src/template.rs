@@ -12,6 +12,7 @@
 use crate::StateSpaceError;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
+use std::path::Path;
 
 /// One labelled measurement vector inside a template.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,9 +160,11 @@ impl Template {
     ///
     /// # Errors
     ///
-    /// Propagates I/O and serialisation failures.
-    pub fn save_to_path(&self, path: impl AsRef<std::path::Path>) -> Result<(), StateSpaceError> {
-        let file = std::fs::File::create(path)?;
+    /// Returns [`StateSpaceError::Io`] naming `path` when the file cannot
+    /// be created, and propagates serialisation failures.
+    pub fn save_to_path(&self, path: impl AsRef<Path>) -> Result<(), StateSpaceError> {
+        let path = path.as_ref();
+        let file = std::fs::File::create(path).map_err(|e| file_error("write", path, e))?;
         self.save(file)
     }
 
@@ -169,11 +172,19 @@ impl Template {
     ///
     /// # Errors
     ///
-    /// Propagates I/O and deserialisation failures.
-    pub fn load_from_path(path: impl AsRef<std::path::Path>) -> Result<Self, StateSpaceError> {
-        let file = std::fs::File::open(path)?;
-        Template::load(file)
+    /// Returns [`StateSpaceError::Io`] naming `path` when the file cannot
+    /// be read, and propagates deserialisation failures.
+    pub fn load_from_path(path: impl AsRef<Path>) -> Result<Self, StateSpaceError> {
+        let path = path.as_ref();
+        let text = std::fs::read_to_string(path).map_err(|e| file_error("read", path, e))?;
+        Template::load(text.as_bytes())
     }
+}
+
+/// `error`, met trying to `action` the file at `path`, with both named.
+fn file_error(action: &str, path: &Path, error: std::io::Error) -> StateSpaceError {
+    let message = format!("cannot {action} {}: {error}", path.display());
+    StateSpaceError::Io(std::io::Error::new(error.kind(), message))
 }
 
 /// Every entry in `[0, 1]`, where a normaliser puts it. A template read

@@ -12,6 +12,13 @@ pub enum TelemetryError {
     },
     /// Underlying I/O failure.
     Io(std::io::Error),
+    /// A trace file could not be read.
+    File {
+        /// The file's path (boxed, so the error stays as small as it was).
+        path: Box<std::path::Path>,
+        /// The underlying failure.
+        error: std::io::Error,
+    },
     /// A trace or procfs line failed to decode.
     Codec {
         /// 1-based line number of the offending line within its file.
@@ -46,6 +53,9 @@ impl fmt::Display for TelemetryError {
                 write!(f, "invalid configuration: {reason}")
             }
             TelemetryError::Io(e) => write!(f, "i/o error: {e}"),
+            TelemetryError::File { path, error } => {
+                write!(f, "cannot read {}: {error}", path.display())
+            }
             TelemetryError::Codec { line, reason } => {
                 write!(f, "codec error at line {line}: {reason}")
             }
@@ -66,7 +76,7 @@ impl fmt::Display for TelemetryError {
 impl std::error::Error for TelemetryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TelemetryError::Io(e) => Some(e),
+            TelemetryError::Io(e) | TelemetryError::File { error: e, .. } => Some(e),
             _ => None,
         }
     }

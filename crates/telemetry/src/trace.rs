@@ -286,10 +286,20 @@ impl TraceSource<BufReader<File>> {
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Io`] when the file cannot be read, plus
-    /// the header failures of [`TraceSource::new`].
+    /// Returns [`TelemetryError::File`] naming `path` when the file cannot
+    /// be opened or its header line cannot be read, plus the other header
+    /// failures of [`TraceSource::new`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TelemetryError> {
-        TraceSource::new(BufReader::new(File::open(path)?))
+        let path = path.as_ref();
+        let named = |error| TelemetryError::File {
+            path: path.into(),
+            error,
+        };
+        let file = File::open(path).map_err(named)?;
+        TraceSource::new(BufReader::new(file)).map_err(|e| match e {
+            TelemetryError::Io(error) => named(error),
+            e => e,
+        })
     }
 }
 
@@ -453,6 +463,24 @@ mod tests {
         assert!(source.next_observation().unwrap().is_none());
         // Exhausted sources stay exhausted.
         assert!(source.next_observation().unwrap().is_none());
+    }
+
+    /// A file that cannot be opened, and a directory whose header line
+    /// cannot be read, both name their path.
+    #[test]
+    fn an_unreadable_trace_file_names_its_path() {
+        let dir = std::env::temp_dir();
+        let missing = dir.join(format!("stayaway-missing-{}.jsonl", std::process::id()));
+        for path in [missing, dir] {
+            match TraceSource::open(&path) {
+                Err(e @ TelemetryError::File { .. }) => {
+                    assert!(e
+                        .to_string()
+                        .starts_with(&format!("cannot read {}: ", path.display())));
+                }
+                other => panic!("expected File, got {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

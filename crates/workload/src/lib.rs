@@ -21,7 +21,8 @@
 //!   ([`ObservationSource::request_qos`]) reports latencies, the
 //!   SLO-violation rate and the `sensitive_*` counts over sensitive
 //!   requests alone, every other count over all tenants; `stayaway
-//!   bench-scenarios` tabulates it per scenario and policy.
+//!   compare --source workload:<a>,workload:<b>,…` prints it per scenario
+//!   and policy.
 //!
 //! [`ObservationSource`]: stayaway_telemetry::ObservationSource
 //! [`ObservationSource::request_qos`]: stayaway_telemetry::ObservationSource::request_qos

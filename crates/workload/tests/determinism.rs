@@ -82,8 +82,8 @@ fn different_seeds_diverge() {
 
 #[test]
 fn every_library_scenario_is_reproducible() {
-    // What one `bench-scenarios` row reads: the closed-loop outcome and the
-    // engine's whole-run request QoS.
+    // What one `compare --source workload:<name>` row reads: the
+    // closed-loop outcome and the engine's whole-run request QoS.
     let row = |name: &str| {
         let mut host = WorkloadHost::new(by_name(name).unwrap(), 5).unwrap();
         let run = drive(&mut host, &mut NullPolicy::new(), 25).unwrap();

@@ -383,10 +383,10 @@ benchmarks/run.sh --check
 # includes:
 #   replay of the committed fixture trace    -> replay_fixture.txt
 #   replay under `--ticks 1000000000000`     -> replay_unbounded_ticks.txt
-#   metrics exposition (periods, histograms) -> metrics.txt
+#   run --metrics-out exposition file        -> metrics.txt
 #   scenarios JSON, library listing          -> list.txt
 #   workload run `latency:` line             -> run_workload.txt
-#   bench-scenarios JSON rows                -> bench_scenarios.txt
+#   compare over the workload library        -> bench_scenarios.txt
 #   cluster JSON / compare table / no
 #   "workers" leak, cluster --metrics-out    -> cluster.txt (+ promlint step)
 #   tournament table + leak-free JSON,

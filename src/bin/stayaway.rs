@@ -9,7 +9,7 @@
 //! web-cpu, web-mem, web-mix} and batch ∈ {cpu-bomb, memory-bomb, soplex,
 //! twitter-analysis, vlc-transcode}.
 
-use stay_away::core::{ControllerConfig, Observability, PredictorKind};
+use stay_away::core::{ControllerConfig, ControllerStats, Observability, PredictorKind};
 use stay_away::fleet::cell::{run_host, HostOutcome, HostRun};
 use stay_away::fleet::report::format_accuracy;
 use stay_away::fleet::{
@@ -40,7 +40,8 @@ commands:
   run                        run one scenario under one policy, optionally
                              seeded from a template, exporting the learned
                              one or recording the observation stream
-  compare                    run one scenario under every policy
+  compare                    run each listed source under each listed
+                             policy (default every policy)
   fleet                      run many co-location cells over a worker pool
   tournament                 rank every prediction plane over a set of
                              workload scenarios (the full predictor x
@@ -49,8 +50,6 @@ commands:
   cluster                    run movable batch jobs over an open cluster of
                              workload hosts (placement + admission queue +
                              migration above per-host controllers)
-  metrics                    run one scenario with full instrumentation and
-                             print the metrics exposition
   events <file>              print the causal timeline of an --events-out
                              JSONL stream (`-` reads stdin)
   metrics-diff <a> <b>       compare two metrics snapshot JSON files (as
@@ -60,8 +59,6 @@ commands:
                              (`-` reads stdin); exits 1 on lint errors
   scenarios                  list the request-driven workload scenario
                              library (use with run --source workload:<name>)
-  bench-scenarios            run every workload scenario under a list of
-                             policies and print the per-request QoS table
 
 options:
   --scenario <sens>+<batch>  e.g. vlc+cpu-bomb, web-mem+twitter-analysis;
@@ -69,9 +66,9 @@ options:
                              4-scenario mix; tournament: a workload scenario
                              list, default cpu-bomb,memory-bomb,flash-crowd)
   --policy <name>            stayaway | reactive | static | always | null
-                             (fleet/bench-scenarios: comma-separated list,
-                             e.g. stayaway,reactive; bench-scenarios
-                             default stayaway,reactive,null)
+                             (fleet/compare: comma-separated list, e.g.
+                             stayaway,reactive; compare default
+                             null,always,reactive,static,stayaway)
   --predictor <name>         prediction plane for the stay-away controller:
                              kde | xapp | denoise | last-tick (default kde;
                              fleet/tournament: comma-separated list — the
@@ -79,14 +76,14 @@ options:
                              tournament enters every listed plane)
   --resamples <n>            tournament: bootstrap resamples behind each
                              confidence interval (default 1000)
-  --source <spec>            run/metrics/compare/fleet: the observation
-                             substrate, sim | trace:<path> | procfs |
-                             workload:<scenario> (default sim; fleet:
-                             comma-separated list crossed with its other
-                             lists)
+  --source <spec>            run/compare/fleet: the observation substrate,
+                             sim | trace:<path> | procfs |
+                             workload:<scenario> (default sim;
+                             compare/fleet: comma-separated list, crossed
+                             with the other lists)
   --ticks <n>                simulation length (default 384)
-  --seed <n>                 deterministic seed (default 7; one host reads
-                             it only from a sim or workload: source)
+  --seed <n>                 deterministic seed (default 7; run/compare
+                             read it only from a sim or workload: source)
   --template <path>          run: warm-start stay-away from a template file
                              (as written by --template-out)
   --template-out <path>      run: export the learned template to a file,
@@ -111,8 +108,8 @@ options:
   --no-migration             cluster: disable the Migrate verb
   --compare                  cluster: run every cluster policy and print
                              the comparison table
-  --metrics-out <path>       run/fleet/cluster/tournament/metrics: export
-                             the run's metrics snapshot; `-` writes pretty
+  --metrics-out <path>       run/fleet/cluster/tournament: export the
+                             run's metrics snapshot; `-` writes pretty
                              JSON to stdout, a `.json` path writes pretty
                              JSON, any other path writes Prometheus text
                              exposition
@@ -176,9 +173,9 @@ impl Out<'_> {
 
 /// The subcommands, in `USAGE` order.
 #[rustfmt::skip]
-const COMMANDS: [&str; 12] = [
-    "list", "run", "compare", "fleet", "tournament", "cluster", "metrics", "events",
-    "metrics-diff", "promlint", "scenarios", "bench-scenarios",
+const COMMANDS: [&str; 10] = [
+    "list", "run", "compare", "fleet", "tournament", "cluster", "events", "metrics-diff",
+    "promlint", "scenarios",
 ];
 
 /// (subcommand, fewest, most) operands — non-flag arguments; every
@@ -205,13 +202,13 @@ use Shape::{Float, Int, Pair, Switch, Text};
 /// `usage_and_flag_table_agree` keeps the two in step.
 #[rustfmt::skip]
 const FLAGS: &[(&str, Shape, &str)] = &[
-    ("--scenario", Text, "run metrics compare fleet tournament"),
-    ("--policy", Text, "run metrics fleet bench-scenarios cluster"),
-    ("--predictor", Text, "run metrics compare fleet tournament"),
+    ("--scenario", Text, "run compare fleet tournament"),
+    ("--policy", Text, "run compare fleet cluster"),
+    ("--predictor", Text, "run compare fleet tournament"),
     ("--resamples", Int, "tournament"),
-    ("--source", Text, "run metrics compare fleet"),
-    ("--ticks", Int, "run metrics compare fleet tournament bench-scenarios"),
-    ("--seed", Int, "run metrics compare fleet tournament bench-scenarios cluster"),
+    ("--source", Text, "run compare fleet"),
+    ("--ticks", Int, "run compare fleet tournament"),
+    ("--seed", Int, "run compare fleet tournament cluster"),
     ("--template", Text, "run"),
     ("--template-out", Text, "run"),
     ("--record-out", Text, "run"),
@@ -224,7 +221,7 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--epoch-ticks", Int, "cluster"),
     ("--no-migration", Switch, "cluster"),
     ("--compare", Switch, "cluster"),
-    ("--metrics-out", Text, "run metrics fleet tournament cluster"),
+    ("--metrics-out", Text, "run fleet tournament cluster"),
     ("--events-out", Text, "run fleet cluster events"),
     ("--http", Text, "run fleet cluster"),
     ("--http-linger", Int, "run fleet cluster"),
@@ -235,7 +232,7 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--cause", Text, "events"),
     ("--threshold", Float, "metrics-diff"),
     ("--threshold-for", Pair, "metrics-diff"),
-    ("--json", Switch, "run metrics compare fleet tournament cluster events scenarios bench-scenarios"),
+    ("--json", Switch, "run compare fleet tournament cluster events scenarios"),
 ];
 
 /// One flag as given: its name, its text (a switch's is empty) and the
@@ -295,8 +292,12 @@ struct Args {
     sources: Vec<SourceSpec>,
 }
 
-/// Scenario used by the single-run commands when `--scenario` is omitted.
+/// Scenario used by the single-host commands when `--scenario` is omitted.
 const DEFAULT_SCENARIO: &str = "vlc+cpu-bomb";
+
+/// `compare`'s default `--policy` list: every policy, from no prevention
+/// to Stay-Away.
+const EVERY_POLICY: &str = "null,always,reactive,static,stayaway";
 
 impl Args {
     /// The last value given for `flag` (later occurrences win).
@@ -354,8 +355,7 @@ impl Args {
         Ok(Scenario::parse(self.scenario_name(), self.seed())?)
     }
 
-    /// The one source of a single-host command (`run`, `metrics`,
-    /// `compare`).
+    /// The one source of `run`.
     fn source(&self) -> &SourceSpec {
         &self.sources[0]
     }
@@ -439,14 +439,15 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         return fail(format!("`{command}` takes {takes}, got {given}{operands}"));
     }
     // `--source` is parsed here, once, because the sources decide whether
-    // `--scenario` and `--seed` are read (`SourceSpec::reads_*`); a fleet's
-    // seed derives every cell's.
+    // `--scenario` and `--seed` are read (`SourceSpec::reads_*`): a flag is
+    // read when any listed source reads it, and a fleet's seed derives
+    // every cell's.
     let fleet = command == "fleet";
-    if fleet || matches!(command.as_str(), "run" | "metrics" | "compare") {
+    if matches!(command.as_str(), "run" | "compare" | "fleet") {
         let token = args.text("--source").unwrap_or("sim");
-        args.sources = match fleet {
-            true => SourceSpec::parse_list(token)?,
-            false => vec![SourceSpec::parse(token)?],
+        args.sources = match command.as_str() {
+            "run" => vec![SourceSpec::parse(token)?],
+            _ => SourceSpec::parse_list(token)?,
         };
         let reads = |read: fn(&SourceSpec) -> bool| args.sources.iter().any(read);
         let unread = [
@@ -474,52 +475,53 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     Ok(args)
 }
 
-/// Prints one single-host outcome: a JSON document under `--json`, the
-/// text headline otherwise. `full` adds the controller internals (when the
-/// policy counted its periods — baselines track nothing) and the
-/// per-request QoS (when the substrate simulates requests).
-fn summarize(
-    out: &mut Out<'_>,
-    json: bool,
-    label: &str,
-    scenario: &str,
-    outcome: &HostOutcome,
-    full: bool,
-) -> Result<(), CliError> {
+/// One single-host outcome as the JSON document `run --json` prints and
+/// `compare --json` lists: the headline, the per-request QoS when the
+/// substrate simulates requests, and the controller internals when the
+/// policy counted its periods (baselines track nothing).
+fn summary(scenario: &str, outcome: &HostOutcome) -> serde_json::Value {
     let run = &outcome.run;
-    let gained = run.mean_gained_utilization(outcome.host.cpu_cores);
-    let stats = Some(&outcome.stats).filter(|s| full && s.periods > 0);
-    let requests = outcome.requests.as_ref().filter(|_| full);
-    if json {
-        let mut doc = serde_json::json!({
-            "scenario": scenario,
-            "policy": label,
-            "ticks": run.timeline.len(),
-            "violations": run.qos.violations,
-            "satisfaction": run.qos.satisfaction(),
-            "mean_qos": run.qos.mean_qos(),
-            "gained_utilization": gained,
-            "batch_work": run.batch_work,
-        });
-        if let serde_json::Value::Object(pairs) = &mut doc {
-            if let Some(requests) = requests {
-                pairs.push(("latency".to_string(), serde_json::to_value(requests)));
-            }
-            if let Some(stats) = stats {
-                pairs.push(("controller".to_string(), serde_json::to_value(stats)));
-            }
+    let mut doc = serde_json::json!({
+        "scenario": scenario,
+        "policy": run.policy,
+        "ticks": run.timeline.len(),
+        "violations": run.qos.violations,
+        "satisfaction": run.qos.satisfaction(),
+        "mean_qos": run.qos.mean_qos(),
+        "gained_utilization": run.mean_gained_utilization(outcome.host.cpu_cores),
+        "batch_work": run.batch_work,
+    });
+    if let serde_json::Value::Object(pairs) = &mut doc {
+        if let Some(requests) = &outcome.requests {
+            pairs.push(("latency".to_string(), serde_json::to_value(requests)));
         }
-        return writeln!(out, "{}", serde_json::to_string_pretty(&doc)?);
+        if let Some(stats) = controller_stats(outcome) {
+            pairs.push(("controller".to_string(), serde_json::to_value(stats)));
+        }
     }
+    doc
+}
+
+/// The controller statistics worth printing: none for a policy that
+/// counted no periods.
+fn controller_stats(outcome: &HostOutcome) -> Option<&ControllerStats> {
+    Some(&outcome.stats).filter(|stats| stats.periods > 0)
+}
+
+/// Prints one single-host outcome as text: the headline, then what
+/// [`summary`] adds to it.
+fn summarize(out: &mut Out<'_>, outcome: &HostOutcome) -> Result<(), CliError> {
+    let run = &outcome.run;
     writeln!(
         out,
-        "{label:<16} violations {:>4}  satisfaction {:>5.1}%  gained util {:>5.1}%  batch work {:>6.0}",
+        "{:<16} violations {:>4}  satisfaction {:>5.1}%  gained util {:>5.1}%  batch work {:>6.0}",
+        run.policy,
         run.qos.violations,
         100.0 * run.qos.satisfaction(),
-        100.0 * gained,
+        100.0 * run.mean_gained_utilization(outcome.host.cpu_cores),
         run.batch_work,
     )?;
-    if let Some(stats) = stats {
+    if let Some(stats) = controller_stats(outcome) {
         writeln!(
             out,
             "controller: {} states ({} violation), {} throttles, {} resumes, prediction accuracy {}",
@@ -543,7 +545,7 @@ fn summarize(
             t.act.nanos / 1_000,
         )?;
     }
-    if let Some(r) = requests {
+    if let Some(r) = &outcome.requests {
         writeln!(
             out,
             "latency: p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms  slo-violation {:.2}%",
@@ -686,48 +688,25 @@ fn publish(
     Ok(())
 }
 
-/// What a subcommand that loops over runs overrides in the run its flags
-/// describe.
-#[derive(Default)]
-struct HostJob {
-    /// Overrides `--source` (`bench-scenarios` senses each workload
-    /// scenario in turn).
-    source: Option<SourceSpec>,
-    /// Overrides `--policy` (`compare` and `bench-scenarios` run each
-    /// policy in turn).
-    policy: Option<PolicySpec>,
-    /// Record into this registry even without `--metrics-out` / `--http`
-    /// (`metrics`).
-    registry: Option<MetricsRegistry>,
-}
-
-/// The single-host run path of `run`, `metrics`, `compare` and
-/// `bench-scenarios`: the substrate, scenario, policy, predictor, seed,
-/// length and extras come from the flags (a flag the subcommand does not
-/// read is absent, so its default applies), `job` overrides what a loop
-/// over runs varies, and [`run_host`] does the rest. The extras are
-/// `run`'s: `--template` warm-starts the policy (its "seeded with" line
-/// is printed here), `--template-out` exports the learned template under
-/// the key [`SourceSpec::sensitive_key`] names, and `--record-out` tees
-/// the observation stream into a trace file, created only once the
-/// scenario, policy and template have been accepted. Instruments exist
-/// only when a flag asks for them: an exported registry for
-/// `--metrics-out` / `--http`, a flight recorder for `--events-out` /
-/// `--http`; under `--http` the server starts before the run and observes
-/// it live. Returns the outcome, the instrument bundle and that server.
+/// The single-host run path of `run` and `compare`: `source` under
+/// `policy`, with the scenario, predictor, seed, length and extras from
+/// the flags (a flag the subcommand does not read is absent, so its
+/// default applies), and [`run_host`] doing the rest. The extras are
+/// `run`'s: `--template` warm-starts the policy (its "seeded with" line is
+/// printed here), `--template-out` exports the learned template under the
+/// key [`SourceSpec::sensitive_key`] names, and `--record-out` tees the
+/// observation stream into a trace file, created only once the scenario,
+/// policy and template have been accepted. Instruments exist only when a
+/// flag asks for them: an exported registry for `--metrics-out` /
+/// `--http`, a flight recorder for `--events-out` / `--http`; under
+/// `--http` the server starts before the run and observes it live.
+/// Returns the outcome, the instrument bundle and that server.
 fn single_host(
     args: &Args,
     out: &mut Out<'_>,
-    job: HostJob,
+    source: &SourceSpec,
+    policy: &PolicySpec,
 ) -> Result<(HostOutcome, Observability, Option<HttpServer>), CliError> {
-    let source = match job.source {
-        Some(source) => source,
-        None => args.source().clone(),
-    };
-    let policy = match job.policy {
-        Some(policy) => policy,
-        None => PolicySpec::parse(args.policy_or("stay-away"))?,
-    };
     let scenario = args.scenario()?;
     let import = match args.text("--template") {
         Some(path) => Some((path, Template::load_from_path(path)?)),
@@ -748,14 +727,16 @@ fn single_host(
         )?;
     }
     let mut trace = match args.text("--record-out") {
-        Some(path) => Some(BufWriter::new(File::create(path)?)),
+        Some(path) => match File::create(path) {
+            Ok(file) => Some(BufWriter::new(file)),
+            Err(e) => return fail(format!("cannot write {path}: {e}")),
+        },
         None => None,
     };
     let http = args.text("--http");
-    let mut obs = match job.registry {
-        Some(registry) => Observability::enabled(registry),
-        None if args.wants_metrics() => Observability::enabled(MetricsRegistry::new()),
-        None => Observability::disabled(),
+    let mut obs = match args.wants_metrics() {
+        true => Observability::enabled(MetricsRegistry::new()),
+        false => Observability::disabled(),
     };
     if args.wants_events() {
         obs = obs.with_recorder(FlightRecorder::for_scope(0, "run"));
@@ -777,10 +758,10 @@ fn single_host(
         None => None,
     };
     let outcome = run_host(HostRun {
-        source: &source,
+        source,
         scenario: &scenario,
         seed: args.seed(),
-        policy: &policy,
+        policy,
         controller: &args.controller_config()?,
         ticks: args.ticks(),
         obs: &obs,
@@ -791,8 +772,10 @@ fn single_host(
             .map(|file| Box::new(file) as Box<dyn Write + '_>),
         loop_nanos: None,
     })?;
-    if let Some(file) = &mut trace {
-        file.flush()?;
+    if let (Some(file), Some(path)) = (&mut trace, args.text("--record-out")) {
+        if let Err(e) = file.flush() {
+            return fail(format!("cannot write {path}: {e}"));
+        }
     }
     Ok((outcome, obs, server))
 }
@@ -909,89 +892,23 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 )?;
             }
         }
-        "bench-scenarios" => {
-            let policies = PolicySpec::parse_list(args.policy_or("stayaway,reactive,null"))?;
-            let mut rows = Vec::new();
-            for scenario in stay_away::workload::library() {
-                for policy in &policies {
-                    let job = HostJob {
-                        source: Some(SourceSpec::Workload {
-                            scenario: scenario.name.clone(),
-                        }),
-                        policy: Some(policy.clone()),
-                        ..HostJob::default()
-                    };
-                    let (outcome, ..) = single_host(args, out, job)?;
-                    let Some(requests) = outcome.requests else {
-                        return fail(format!("{} simulates no requests", scenario.name));
-                    };
-                    rows.push((scenario.name.clone(), outcome.run, requests));
-                }
-            }
-            if json {
-                let rows: Vec<serde_json::Value> = rows
-                    .iter()
-                    .map(|(scenario, run, r)| {
-                        serde_json::json!({
-                            "scenario": scenario,
-                            "policy": run.policy,
-                            "ticks": run.timeline.len(),
-                            "requests": r.requests,
-                            "completed": r.sensitive_completed,
-                            "dropped": r.sensitive_dropped,
-                            "p50_ms": r.p50_ms,
-                            "p95_ms": r.p95_ms,
-                            "p99_ms": r.p99_ms,
-                            "mean_ms": r.mean_ms,
-                            "slo_violation_rate": r.slo_violation_rate,
-                            "tick_satisfaction": run.qos.satisfaction(),
-                            "batch_work": run.batch_work,
-                            "cold_starts": r.cold_starts,
-                            "evictions": r.evictions,
-                        })
-                    })
-                    .collect();
-                let table = serde_json::json!({ "rows": rows });
-                writeln!(out, "{}", serde_json::to_string_pretty(&table)?)?;
-            } else {
-                writeln!(
-                    out,
-                    "{:<22} {:<18} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>10}",
-                    "scenario",
-                    "policy",
-                    "p50 ms",
-                    "p95 ms",
-                    "p99 ms",
-                    "slo-viol",
-                    "drops",
-                    "colds",
-                    "batch-work"
-                )?;
-                for (scenario, run, r) in &rows {
-                    writeln!(
-                        out,
-                        "{:<22} {:<18} {:>9.3} {:>9.3} {:>9.3} {:>8.1}% {:>8} {:>8} {:>10.1}",
-                        scenario,
-                        run.policy,
-                        r.p50_ms,
-                        r.p95_ms,
-                        r.p99_ms,
-                        r.slo_violation_rate * 100.0,
-                        r.sensitive_dropped,
-                        r.cold_starts,
-                        run.batch_work,
-                    )?;
-                }
-            }
-        }
         "run" => {
-            let scenario = args.source().scenario_label(args.scenario_name());
-            let (outcome, obs, server) = single_host(args, out, HostJob::default())?;
+            let source = args.source();
+            let scenario = source.scenario_label(args.scenario_name());
+            let policy = PolicySpec::parse(args.policy_or("stay-away"))?;
+            let (outcome, obs, server) = single_host(args, out, source, &policy)?;
             let template_out = args.text("--template-out").zip(outcome.template.as_ref());
             if let Some((path, template)) = template_out {
                 template.save_to_path(path)?;
             }
-            summarize(out, json, &outcome.run.policy, &scenario, &outcome, true)?;
+            match json {
+                true => writeln!(
+                    out,
+                    "{}",
+                    serde_json::to_string_pretty(&summary(&scenario, &outcome))?
+                )?,
+                false => summarize(out, &outcome)?,
+            }
             if let Some((path, template)) = template_out {
                 writeln!(
                     out,
@@ -1012,49 +929,36 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
             let (metrics, events) = (metrics.as_ref(), events.as_deref());
             publish(args, out, "run", metrics, events, server, NO_STATE)?;
         }
-        "metrics" => {
-            let registry = MetricsRegistry::new();
-            let job = HostJob {
-                registry: Some(registry.clone()),
-                ..HostJob::default()
-            };
-            single_host(args, out, job)?;
-            let snapshot = registry.snapshot();
-            match args.text("--metrics-out") {
-                Some(path) => write_metrics(out, &snapshot, path)?,
-                // Default exposition: JSON with --json, Prometheus text
-                // otherwise, both to stdout.
-                None if json => writeln!(out, "{}", metrics_json(&snapshot)?)?,
-                None => write!(out, "{}", to_prometheus(&snapshot))?,
-            }
-        }
         "compare" => {
-            let (scenario, source) = (args.scenario()?, args.source());
-            let scenario = source.scenario_label(scenario.name());
-            let seed = match source.reads_seed() {
-                true => format!(", seed {}", args.seed()),
-                false => String::new(),
-            };
-            writeln!(
-                out,
-                "scenario: {scenario} ({} ticks{seed}, source {})\n",
-                args.ticks(),
-                source.name(),
-            )?;
-            for policy in [
-                PolicySpec::Null,
-                PolicySpec::AlwaysThrottle,
-                PolicySpec::Reactive,
-                PolicySpec::StaticThreshold,
-                PolicySpec::StayAway,
-            ] {
-                let job = HostJob {
-                    policy: Some(policy),
-                    ..HostJob::default()
-                };
-                let (outcome, ..) = single_host(args, out, job)?;
-                let label = &outcome.run.policy;
-                summarize(out, json, label, &scenario, &outcome, false)?;
+            let policies = PolicySpec::parse_list(args.policy_or(EVERY_POLICY))?;
+            let prototype = args.scenario()?;
+            let mut rows = Vec::new();
+            for (i, source) in args.sources.iter().enumerate() {
+                let scenario = source.scenario_label(prototype.name());
+                if !json {
+                    let seed = match source.reads_seed() {
+                        true => format!(", seed {}", args.seed()),
+                        false => String::new(),
+                    };
+                    writeln!(
+                        out,
+                        "{}scenario: {scenario} ({} ticks{seed}, source {})\n",
+                        if i == 0 { "" } else { "\n" },
+                        args.ticks(),
+                        source.name(),
+                    )?;
+                }
+                for policy in &policies {
+                    let (outcome, ..) = single_host(args, out, source, policy)?;
+                    match json {
+                        true => rows.push(summary(&scenario, &outcome)),
+                        false => summarize(out, &outcome)?,
+                    }
+                }
+            }
+            if json {
+                let table = serde_json::json!({ "rows": rows });
+                writeln!(out, "{}", serde_json::to_string_pretty(&table)?)?;
             }
         }
         "fleet" => {
@@ -1727,8 +1631,11 @@ mod tests {
     fn the_source_decides_whether_scenario_and_seed_are_read() {
         for line in [
             "run --scenario web-mem+soplex --seed 3",
-            "metrics --source workload:cpu-bomb --seed 3",
+            "run --source workload:cpu-bomb --seed 3",
             "compare --source sim --scenario vlc+soplex --seed 3",
+            // A list reads a flag when any of its sources reads it.
+            "compare --source sim,workload:cpu-bomb --seed 3",
+            "compare --source trace:t.jsonl,sim --scenario vlc+soplex",
             "fleet --source trace:t.jsonl --seed 3",
             "fleet --source trace:t.jsonl,sim --scenario vlc+soplex",
         ] {
@@ -1745,8 +1652,12 @@ mod tests {
                 "--scenario is not read by `run --source trace:`",
             ),
             (
-                "metrics --source procfs --seed 3",
-                "--seed is not read by `metrics --source procfs`",
+                "compare --source procfs --seed 3",
+                "--seed is not read by `compare --source procfs`",
+            ),
+            (
+                "compare --source trace:a.jsonl,trace:b.jsonl --seed 3",
+                "--seed is not read by `compare --source trace:`",
             ),
             (
                 "compare --source workload:cpu-bomb --scenario vlc",
@@ -1850,8 +1761,9 @@ mod tests {
                 "run --scenario vlc+soplex --policy {token} --seed 1 --ticks 30"
             )))
             .unwrap();
+            let policy = PolicySpec::parse(token).unwrap();
             let (outcome, obs, server) =
-                single_host(&args, &mut Out(&mut Vec::new()), HostJob::default()).unwrap();
+                single_host(&args, &mut Out(&mut Vec::new()), args.source(), &policy).unwrap();
             assert_eq!(outcome.run.policy, name);
             assert_eq!(outcome.run.timeline.len(), 30);
             assert_eq!(outcome.host, *Scenario::vlc_with_soplex(1).host_spec());
@@ -1869,12 +1781,20 @@ mod tests {
         let a = parse_args(&argv("run")).unwrap();
         assert_eq!(a.text("--policy"), None);
         assert_eq!(a.policy_or("stay-away"), "stay-away");
+        // `compare` runs every policy unless its list names fewer.
+        let a = parse_args(&argv("compare")).unwrap();
         assert_eq!(
-            a.policy_or("stayaway,reactive,null"),
-            "stayaway,reactive,null"
+            PolicySpec::parse_list(a.policy_or(EVERY_POLICY)).unwrap(),
+            [
+                PolicySpec::Null,
+                PolicySpec::AlwaysThrottle,
+                PolicySpec::Reactive,
+                PolicySpec::StaticThreshold,
+                PolicySpec::StayAway,
+            ]
         );
-        let a = parse_args(&argv("bench-scenarios --policy null")).unwrap();
-        assert_eq!(a.policy_or("stayaway,reactive,null"), "null");
+        let a = parse_args(&argv("compare --policy null")).unwrap();
+        assert_eq!(a.policy_or(EVERY_POLICY), "null");
     }
 
     #[test]

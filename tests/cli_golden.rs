@@ -30,6 +30,14 @@
 //! framing (`cell observation source error: `, `invalid fleet
 //! configuration: `), and a fleet's cell error names its cell.
 //!
+//! Then `metrics` and `bench-scenarios` were retired. `metrics.txt` now
+//! pins `run --metrics-out` plus the file it wrote; each exposition kept
+//! its bytes. `bench_scenarios.txt` pins `compare` over the workload
+//! library, which prints each run as `run` does; [`bench_scenarios_grid`]
+//! checks every row against the retired table. `compare --json` prints
+//! one `{"rows": [...]}` document, and a file that cannot be opened is
+//! named in its error (`cannot read <path>: …`, `cannot write <path>: …`).
+//!
 //! Wall-clock readings are the only nondeterministic output; one
 //! normaliser ([`normalise`]) masks exactly these shapes:
 //!
@@ -115,6 +123,13 @@ impl Sandbox {
 
     fn read(&self, rel: &str) -> String {
         std::fs::read_to_string(self.dir.join(rel)).expect("sandbox file")
+    }
+
+    /// Appends sandbox file `rel`, normalised, as `cat <rel>` would print
+    /// it.
+    fn cat(&mut self, rel: &str) {
+        self.transcript.push_str(&format!("$ cat {rel}\n"));
+        self.transcript.push_str(&normalise(&self.read(rel)));
     }
 
     /// Appends the lines of sandbox file `rel` that contain `needle`, as
@@ -231,14 +246,12 @@ fn run_on_the_workload_engine() {
 
 #[test]
 fn metrics_exposition() {
-    golden(
-        "metrics",
-        &[
-            "metrics --ticks 32",
-            "metrics --source workload:cpu-bomb --policy reactive --ticks 16",
-            "metrics --ticks 16 --metrics-out m.prom",
-        ],
-    );
+    let mut sandbox = Sandbox::new("metrics");
+    sandbox.run("run --ticks 32 --metrics-out m.prom");
+    sandbox.cat("m.prom");
+    sandbox.run("run --source workload:cpu-bomb --policy reactive --ticks 16 --metrics-out w.prom");
+    sandbox.cat("w.prom");
+    sandbox.check("metrics");
 }
 
 #[test]
@@ -400,7 +413,7 @@ fn metrics_diff_gate() {
 fn promlint_accepts_and_rejects() {
     let mut sandbox = Sandbox::new("promlint");
     sandbox.write("bad.prom", "# TYPE x counter\nx{le=} nope\n");
-    sandbox.run("metrics --ticks 16 --metrics-out good.prom");
+    sandbox.run("run --ticks 16 --metrics-out good.prom");
     sandbox.run("promlint good.prom");
     sandbox.run("promlint bad.prom");
     let good = sandbox.read("good.prom");
@@ -409,15 +422,87 @@ fn promlint_accepts_and_rejects() {
     sandbox.check("promlint");
 }
 
+/// Every scenario of the workload library, as a `--source` list.
+const LIBRARY: &str = "workload:memcached-like,workload:video-transcode-like,workload:cpu-bomb,\
+                       workload:memory-bomb,workload:phase-shift-batch,workload:flash-crowd,\
+                       workload:multi-tenant-storm";
+
+/// The table the retired `stayaway bench-scenarios --ticks 24` printed:
+/// scenario, policy, sensitive p50 / p95 / p99 ms, SLO-violation rate,
+/// sensitive drops, cold starts and batch work.
+const RETIRED_GRID: &str = "\
+memcached-like         stay-away              0.999     1.180     1.180      0.0%        0        3       44.8
+memcached-like         reactive               0.999     1.180     1.180      0.0%        0        3       44.8
+memcached-like         no-prevention          0.999     1.180     1.180      0.0%        0        3       44.8
+video-transcode-like   stay-away              7.864     9.699     9.961      0.0%        0        3       52.6
+video-transcode-like   reactive               7.864     9.699     9.961      0.0%        0        3       52.6
+video-transcode-like   no-prevention          7.864     9.699     9.961      0.0%        0        3       52.6
+cpu-bomb               stay-away              2.097     2.490     2.490      0.9%        0        7        1.2
+cpu-bomb               reactive               2.163     8.258     9.699      9.1%        0        7        4.7
+cpu-bomb               no-prevention          8.389     9.961    10.224     96.7%        0        7       43.7
+memory-bomb            stay-away              1.671     1.999     5.505      1.6%        0        3        0.7
+memory-bomb            reactive               1.704     5.374     6.160      7.4%        0        3        1.0
+memory-bomb            no-prevention          5.243     6.291     6.423     64.0%        0        3        6.9
+phase-shift-batch      stay-away              3.015     3.539     9.961      4.5%        0        6        3.9
+phase-shift-batch      reactive               3.080     9.175    10.486     12.8%        0        6       12.0
+phase-shift-batch      no-prevention          8.913    10.748    10.748     96.1%        0        6       91.2
+flash-crowd            stay-away              3.408     4.325   117.441      2.5%        0       11       33.0
+flash-crowd            reactive               3.408     4.194   117.441      2.5%        0       11       30.1
+flash-crowd            no-prevention          3.998     4.850   117.441      2.5%        0       11       51.6
+multi-tenant-storm     stay-away              1.737    11.010    11.796     10.4%        0        8       40.4
+multi-tenant-storm     reactive               1.737    11.010    11.796     10.4%        0        8        0.1
+multi-tenant-storm     no-prevention          1.966    12.059    14.156     15.4%        0        8       52.4
+";
+
+/// `compare` over the workload library is the grid `bench-scenarios`
+/// printed: each of its JSON rows, laid out as that command's table, is
+/// the retired row.
 #[test]
 fn bench_scenarios_grid() {
+    use serde_json::Value;
+    let grid = format!("compare --source {LIBRARY} --policy stayaway,reactive,null --ticks 24");
     golden(
         "bench_scenarios",
         &[
-            "bench-scenarios --ticks 24",
-            "bench-scenarios --policy null --ticks 24 --seed 3 --json",
+            &grid,
+            &format!("compare --source {LIBRARY} --policy null --ticks 24 --seed 3 --json"),
         ],
     );
+    let output = Command::new(BIN)
+        .args(grid.split_whitespace())
+        .arg("--json")
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "`{grid} --json` failed");
+    let doc = serde_json::parse_json(&String::from_utf8_lossy(&output.stdout)).expect("JSON");
+    let rows = doc
+        .get("rows")
+        .and_then(|rows| rows.as_array())
+        .expect("rows");
+    let field = |value: &Value, key: &str| value.get(key).cloned().expect("a known field");
+    let text = |value: &Value, key: &str| field(value, key).as_str().expect("text").to_string();
+    let number = |value: &Value, key: &str| field(value, key).as_f64().expect("a number");
+    let count = |value: &Value, key: &str| field(value, key).as_u64().expect("a count");
+    let mut table = String::new();
+    for row in rows {
+        let latency = field(row, "latency");
+        let scenario = text(row, "scenario");
+        table.push_str(&format!(
+            "{:<22} {:<18} {:>9.3} {:>9.3} {:>9.3} {:>8.1}% {:>8} {:>8} {:>10.1}\n",
+            scenario
+                .strip_prefix("workload:")
+                .expect("a workload scenario"),
+            text(row, "policy"),
+            number(&latency, "p50_ms"),
+            number(&latency, "p95_ms"),
+            number(&latency, "p99_ms"),
+            100.0 * number(&latency, "slo_violation_rate"),
+            count(&latency, "sensitive_dropped"),
+            count(&latency, "cold_starts"),
+            number(row, "batch_work"),
+        ));
+    }
+    assert_eq!(table, RETIRED_GRID);
 }
 
 #[test]
@@ -444,11 +529,17 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         "run --source workload:warp-core",
         "run --template",
         "run --template missing.json",
+        "run --template .",
         "run --source trace:",
         "run --source trace:missing.jsonl",
+        "run --source trace:.",
         "run --source trace:zero_cpu.jsonl --policy static",
         "run --source trace:zero_cpu.jsonl --policy null",
         "run --policy reactive --template-out t.json",
+        // A file that cannot be created is named like one that cannot be
+        // read.
+        "run --ticks 4 --template-out missing/t.json",
+        "run --record-out missing/t.jsonl",
         // A bad scenario is refused before the trace file is created.
         "run --scenario vlc --record-out t.jsonl",
         "run --source trace:t.jsonl",
@@ -485,7 +576,11 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
             "run --ticks 40 --epochs 5 --cluster-policy random --no-migration --cells 99 --threshold 0.3 stray",
             "run --ticks 40 stray",
             "compare --template tpl.json",
-            "metrics --template-out t.json",
+            "compare --record-out t.jsonl",
+            // `metrics` is `run --metrics-out`; `bench-scenarios` is
+            // `compare` over the workload library.
+            "metrics --ticks 32",
+            "bench-scenarios --ticks 24",
             "run --trace t.jsonl --seed 3",
             "run --out t.json",
             "list --json",
@@ -501,6 +596,8 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
             "run --source procfs --seed 3",
             "fleet --source trace:t.jsonl --scenario vlc+soplex",
             "fleet --source procfs,trace:t.jsonl,trace:u.jsonl --scenario vlc+soplex",
+            // A list reads a flag when any of its sources reads it.
+            "compare --source trace:a.jsonl,trace:b.jsonl --seed 3",
             // `events` only reads a recorded stream.
             "events --cluster-scenario hotspot",
             "events",
