@@ -9,14 +9,18 @@
 //! name but not the job: that module aggregates *within one observation*
 //! (batch VMs → one logical VM, §5) to build the controller's measurement
 //! vector, while this one aggregates *across finished cells* into fleet
-//! and per-policy statistics. The two operate on different inputs at
+//! and per-policy statistics and, when two or more prediction planes ran,
+//! their ranked standings. The two operate on different inputs at
 //! different times and share no code beyond [`stayaway_core::hit_ratio`] —
 //! the one genuinely common fold, kept in `stayaway-core` (its single
 //! home) and reused here.
 
 use crate::cell::CellOutcome;
 use crate::config::FleetConfig;
+use crate::seed::derive_cell_seed;
 use crate::FleetError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use stayaway_core::{hit_ratio, ControllerStats};
 use stayaway_obs::{merge_streams, EventRecord, MetricsSnapshot};
@@ -234,72 +238,174 @@ impl PolicyRollup {
     }
 }
 
-/// Per-predictor rollup of the Stay-Away cells that ran one prediction
-/// plane (DESIGN.md §15), for mixed-predictor fleets and the tournament.
-/// Baseline cells (predictor `"-"`) join no predictor rollup.
+/// Bootstrap resamples behind each confidence interval of the ranking.
+const BOOTSTRAP_RESAMPLES: usize = 1000;
+
+/// Seed-space tag separating the ranking's bootstrap streams from every
+/// other derived seed in the fleet (cells, jobs).
+const BOOTSTRAP_STREAM_TAG: u64 = 0xb001_57a9;
+
+/// A mean with its percentile-bootstrap 95% confidence interval.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct MeanCi {
+    /// Fixed-order sample mean.
+    pub(crate) mean: f64,
+    /// 2.5th percentile of the bootstrap resample means.
+    pub(crate) lo: f64,
+    /// 97.5th percentile of the bootstrap resample means.
+    pub(crate) hi: f64,
+}
+
+impl MeanCi {
+    /// Bootstraps the mean of `values` with [`BOOTSTRAP_RESAMPLES`] draws
+    /// from the given seeded RNG. Fewer than two values collapse the
+    /// interval onto the mean.
+    pub(crate) fn bootstrap(values: &[f64], rng: &mut StdRng) -> Self {
+        let n = values.len();
+        let mean = values.iter().sum::<f64>() / n.max(1) as f64;
+        if n < 2 {
+            return MeanCi {
+                mean,
+                lo: mean,
+                hi: mean,
+            };
+        }
+        let mut means: Vec<f64> = (0..BOOTSTRAP_RESAMPLES)
+            .map(|_| {
+                let mut sum = 0.0;
+                for _ in 0..n {
+                    sum += values[rng.gen_range(0..n)];
+                }
+                sum / n as f64
+            })
+            .collect();
+        means.sort_by(f64::total_cmp);
+        let pick = |q: f64| means[((means.len() - 1) as f64 * q).round() as usize];
+        MeanCi {
+            mean,
+            lo: pick(0.025),
+            hi: pick(0.975),
+        }
+    }
+}
+
+/// One predictor's mean performance on one scenario.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct ScenarioScore {
+    /// The cells' scenario label ([`CellSummary`]'s `scenario`).
+    pub(crate) scenario: String,
+    /// Cells of this predictor on this scenario.
+    pub(crate) cells: usize,
+    /// Mean per-cell QoS satisfaction.
+    pub(crate) satisfaction: f64,
+    /// Mean per-cell tick-level SLO-violation rate.
+    pub(crate) slo_violation_rate: f64,
+    /// Mean per-cell nominal batch work.
+    pub(crate) batch_work: f64,
+}
+
+/// One prediction plane's standing among the Stay-Away cells of a fleet
+/// that ran two or more planes (DESIGN.md §15). Baseline cells (predictor
+/// `"-"`) join no standing. Planes rank by
+///
+/// 1. sensitive QoS satisfaction (higher is better),
+/// 2. tick-level SLO-violation rate (lower is better),
+/// 3. batch progress (higher is better),
+/// 4. predictor name (a total, deterministic tie-break),
+///
+/// each a per-cell mean with a percentile-bootstrap confidence interval
+/// resampled from a seeded stream, so the standings are byte-identical
+/// for any worker count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PredictorRollup {
+    /// 1-based rank (1 = winner).
+    pub(crate) rank: usize,
     /// Canonical predictor token (`kde`, `xapp`, `denoise`, `last-tick`).
     pub predictor: String,
     /// Cells that ran this predictor.
     pub cells: usize,
-    /// Pooled QoS accounting over those cells.
-    pub(crate) qos: QosSummary,
-    /// Mean of those cells' gained (batch) utilisations.
-    pub(crate) mean_gained_utilization: f64,
-    /// Total nominal batch work completed by those cells.
-    pub(crate) total_batch_work: f64,
-    /// Total throttle actions.
-    pub(crate) throttles: u64,
-    /// Total resume actions.
-    pub(crate) resumes: u64,
-    /// Total predicted violations.
-    pub(crate) violations_predicted: u64,
-    /// Total checked predictions.
-    pub(crate) prediction_checks: u64,
-    /// Total checked predictions that matched reality.
-    pub(crate) prediction_hits: u64,
-    /// Total observation samples sanitised before they could poison a
-    /// model (sense-stage rejections plus predictor-reported ones).
+    /// Per-cell QoS satisfaction, bootstrapped.
+    pub satisfaction: MeanCi,
+    /// Per-cell tick-level SLO-violation rate, bootstrapped.
+    pub slo_violation_rate: MeanCi,
+    /// Per-cell nominal batch work, bootstrapped.
+    pub batch_work: MeanCi,
+    /// Pooled prediction accuracy; `None` when no verdict was checked.
+    pub(crate) prediction_accuracy: Option<f64>,
+    /// Observation samples sanitised across this predictor's cells
+    /// (sense-stage rejections plus predictor-reported ones).
     pub(crate) samples_rejected: u64,
+    /// Per-scenario breakdown, in order of first appearance.
+    pub(crate) per_scenario: Vec<ScenarioScore>,
 }
 
 impl PredictorRollup {
-    fn new(predictor: &str, t: &Tally) -> Self {
-        PredictorRollup {
-            predictor: predictor.to_string(),
-            cells: t.count,
-            qos: t.qos,
-            mean_gained_utilization: t.mean_gained_utilization(),
-            total_batch_work: t.batch_work,
-            throttles: t.throttles,
-            resumes: t.resumes,
-            violations_predicted: t.violations_predicted,
-            prediction_checks: t.prediction_checks,
-            prediction_hits: t.prediction_hits,
-            samples_rejected: t.samples_rejected,
+    /// Ranks the predictor groups: group `g`'s intervals draw, in a fixed
+    /// order, from the stream [`derive_cell_seed`]`(fleet_seed ^ tag, g)`,
+    /// and its per-cell values are taken in cell-index order.
+    fn rank(fleet_seed: u64, groups: &[(&str, Tally)], per_cell: &[CellSummary]) -> Vec<Self> {
+        let mut standings: Vec<Self> = (groups.iter().enumerate())
+            .map(|(g, &(predictor, ref tally))| {
+                let cells: Vec<&CellSummary> = per_cell
+                    .iter()
+                    .filter(|c| c.predictor == predictor)
+                    .collect();
+                let column = |metric: fn(&CellSummary) -> f64| -> Vec<f64> {
+                    cells.iter().map(|c| metric(c)).collect()
+                };
+                let mut scenarios: Vec<(&str, Vec<&CellSummary>)> = Vec::new();
+                for &cell in &cells {
+                    match scenarios.iter_mut().find(|(s, _)| *s == cell.scenario) {
+                        Some((_, combo)) => combo.push(cell),
+                        None => scenarios.push((&cell.scenario, vec![cell])),
+                    }
+                }
+                let per_scenario = (scenarios.into_iter())
+                    .map(|(scenario, combo)| {
+                        let mean = |metric: fn(&CellSummary) -> f64| {
+                            combo.iter().map(|c| metric(c)).sum::<f64>() / combo.len() as f64
+                        };
+                        ScenarioScore {
+                            scenario: scenario.to_string(),
+                            cells: combo.len(),
+                            satisfaction: mean(|c| c.satisfaction),
+                            slo_violation_rate: mean(CellSummary::slo_violation_rate),
+                            batch_work: mean(|c| c.batch_work),
+                        }
+                    })
+                    .collect();
+                let seed = derive_cell_seed(fleet_seed ^ BOOTSTRAP_STREAM_TAG, g as u64);
+                let mut rng = StdRng::seed_from_u64(seed);
+                PredictorRollup {
+                    rank: 0, // assigned after sorting
+                    predictor: predictor.to_string(),
+                    cells: cells.len(),
+                    satisfaction: MeanCi::bootstrap(&column(|c| c.satisfaction), &mut rng),
+                    slo_violation_rate: MeanCi::bootstrap(
+                        &column(CellSummary::slo_violation_rate),
+                        &mut rng,
+                    ),
+                    batch_work: MeanCi::bootstrap(&column(|c| c.batch_work), &mut rng),
+                    prediction_accuracy: hit_ratio(tally.prediction_hits, tally.prediction_checks),
+                    samples_rejected: tally.samples_rejected,
+                    per_scenario,
+                }
+            })
+            .collect();
+        standings.sort_by(|a, b| {
+            (b.satisfaction.mean.total_cmp(&a.satisfaction.mean))
+                .then(
+                    a.slo_violation_rate
+                        .mean
+                        .total_cmp(&b.slo_violation_rate.mean),
+                )
+                .then(b.batch_work.mean.total_cmp(&a.batch_work.mean))
+                .then(a.predictor.cmp(&b.predictor))
+        });
+        for (i, standing) in standings.iter_mut().enumerate() {
+            standing.rank = i + 1;
         }
-    }
-
-    /// QoS satisfaction over this predictor's pooled active ticks.
-    pub(crate) fn satisfaction(&self) -> f64 {
-        self.qos.satisfaction()
-    }
-
-    /// Tick-level SLO-violation rate over this predictor's pooled active
-    /// ticks (0 when the cohort never ran).
-    pub(crate) fn slo_violation_rate(&self) -> f64 {
-        if self.qos.active_ticks == 0 {
-            0.0
-        } else {
-            self.qos.violations as f64 / self.qos.active_ticks as f64
-        }
-    }
-
-    /// Prediction accuracy over this predictor's pooled checks; `None`
-    /// when no verdict was ever checked.
-    pub(crate) fn prediction_accuracy(&self) -> Option<f64> {
-        hit_ratio(self.prediction_hits, self.prediction_checks)
+        standings
     }
 }
 
@@ -345,8 +451,8 @@ pub struct FleetOutcome {
     /// Per-policy rollups, in order of first appearance across cells
     /// (deterministic: cell plans are a pure function of the config).
     pub(crate) per_policy: Vec<PolicyRollup>,
-    /// Per-predictor rollups over the predictive (Stay-Away) cells, in
-    /// order of first appearance; empty when no cell ran a predictor.
+    /// The predictors' standings, best first; empty unless the fleet's
+    /// Stay-Away cells ran two or more distinct predictors.
     pub per_predictor: Vec<PredictorRollup>,
     /// Per-cell summaries, in cell-index order.
     pub per_cell: Vec<CellSummary>,
@@ -406,6 +512,7 @@ impl FleetOutcome {
             cells_imported += usize::from(o.imported_template);
             proactive_first_throttles += usize::from(o.first_throttle_proactive);
         }
+        let per_cell: Vec<CellSummary> = outcomes.iter().map(CellSummary::from_outcome).collect();
         FleetOutcome {
             cells: outcomes.len(),
             ticks_per_cell: config.ticks,
@@ -428,11 +535,11 @@ impl FleetOutcome {
                 .iter()
                 .map(|(policy, t)| PolicyRollup::new(policy, t))
                 .collect(),
-            per_predictor: per_predictor
-                .iter()
-                .map(|(predictor, t)| PredictorRollup::new(predictor, t))
-                .collect(),
-            per_cell: outcomes.iter().map(CellSummary::from_outcome).collect(),
+            per_predictor: match per_predictor.len() {
+                0 | 1 => Vec::new(),
+                _ => PredictorRollup::rank(config.fleet_seed, &per_predictor, &per_cell),
+            },
+            per_cell,
             metrics: metrics.map(|m| m.stable_view()),
             metric_unit_mismatches,
             events: event_streams.map(merge_streams),
@@ -542,6 +649,65 @@ mod tests {
         let json = fleet.to_json().unwrap();
         let back: FleetOutcome = serde_json::from_str(&json).unwrap();
         assert_eq!(fleet, back);
+    }
+
+    #[test]
+    fn ranks_are_dense_and_ordered_by_the_ranking_key() {
+        let mut config = FleetConfig::new(8, 2, 11);
+        config.ticks = 48;
+        config.sources =
+            crate::SourceSpec::parse_list("workload:cpu-bomb,workload:memcached-like").unwrap();
+        config.predictors = crate::predictor::parse_list("kde,xapp,denoise,last-tick").unwrap();
+        let outcome = crate::Fleet::new(config).unwrap().run().unwrap();
+        let standings = &outcome.per_predictor;
+        assert_eq!(standings.len(), 4);
+        for (i, s) in standings.iter().enumerate() {
+            assert_eq!(s.rank, i + 1);
+            assert_eq!(s.per_scenario.len(), 2);
+            assert!(s.satisfaction.lo <= s.satisfaction.mean + 1e-12);
+            assert!(s.satisfaction.hi >= s.satisfaction.mean - 1e-12);
+        }
+        // Higher satisfaction, then lower slo-violation rate, then more
+        // batch work, then the name.
+        let key = |s: &PredictorRollup| {
+            (
+                -s.satisfaction.mean,
+                s.slo_violation_rate.mean,
+                -s.batch_work.mean,
+                s.predictor.clone(),
+            )
+        };
+        for pair in standings.windows(2) {
+            assert!(
+                key(&pair[0]) < key(&pair[1]),
+                "{} ranks above {}",
+                pair[0].predictor,
+                pair[1].predictor
+            );
+        }
+        // The planes tie on the first two keys here, so the order above is
+        // the batch-work tie-break's.
+        assert!(standings.windows(2).any(|pair| {
+            key(&pair[0]).0 == key(&pair[1]).0
+                && key(&pair[0]).1 == key(&pair[1]).1
+                && key(&pair[0]).2 != key(&pair[1]).2
+        }));
+        // The standings round-trip through their JSON.
+        let back: FleetOutcome = serde_json::from_str(&outcome.to_json().unwrap()).unwrap();
+        assert_eq!(back, outcome);
+    }
+
+    #[test]
+    fn bootstrap_is_deterministic_for_a_fixed_seed() {
+        let values = [0.9, 0.8, 0.95, 0.7, 0.85];
+        let mut a = StdRng::seed_from_u64(42);
+        let mut b = StdRng::seed_from_u64(42);
+        let ci_a = MeanCi::bootstrap(&values, &mut a);
+        assert_eq!(ci_a, MeanCi::bootstrap(&values, &mut b));
+        assert!(ci_a.lo < ci_a.mean && ci_a.mean < ci_a.hi);
+        // One value collapses the interval onto the mean.
+        let single = MeanCi::bootstrap(&[0.5], &mut a);
+        assert_eq!((single.lo, single.mean, single.hi), (0.5, 0.5, 0.5));
     }
 
     #[test]

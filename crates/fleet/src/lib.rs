@@ -10,7 +10,9 @@
 //! crosses its source, predictor, policy and scenario lists into one cell
 //! matrix ([`FleetConfig`]), so a Stay-Away cohort and its control group
 //! run the same co-locations in one experiment; the rollup reports
-//! per-policy and per-predictor aggregates alongside the fleet totals.
+//! per-policy aggregates alongside the fleet totals and, when two or more
+//! prediction planes ran, ranks them with bootstrap confidence intervals
+//! (the predictor tournament, DESIGN.md §15).
 //! Predictors are plain [`stayaway_core::PredictorKind`]s, parsed from the
 //! CLI's comma list by [`predictor::parse_list`].
 //!
@@ -62,12 +64,11 @@ pub mod report;
 mod runner;
 mod seed;
 mod source;
-mod tournament;
 
 mod error;
 mod pool;
 
-pub use aggregate::{CellSummary, FleetOutcome, PredictorRollup};
+pub use aggregate::{CellSummary, FleetOutcome, MeanCi, PredictorRollup};
 pub use cell::{CellOutcome, CellPlan};
 pub use cluster::{
     cluster_by_name, cluster_library, derive_job_seed, Cluster, ClusterConfig, ClusterOutcome,
@@ -80,9 +81,6 @@ pub use registry::{RegistryEntry, TemplateRegistry};
 pub use runner::Fleet;
 pub use seed::derive_cell_seed;
 pub use source::SourceSpec;
-pub use tournament::{
-    run_tournament, MeanCi, ScenarioScore, Standing, TournamentConfig, TournamentOutcome,
-};
 
 /// The `--policy` / `--source` / `--predictor` list grammar: comma-split,
 /// blanks skipped, each token `parse`d, an empty list rejected.

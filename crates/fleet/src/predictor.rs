@@ -1,12 +1,11 @@
 //! Predictor selection: which prediction plane a Stay-Away cell runs.
 //!
-//! Fleets, cell plans and tournaments hold
-//! [`stayaway_core::PredictorKind`] directly (DESIGN.md §15); a fleet's
-//! list of them is one axis of its cell matrix, like its
-//! [`crate::PolicySpec`]s, so one fleet can run a mixed-predictor
-//! population — the substrate of the predictor tournament
-//! ([`crate::run_tournament`]). What the fleet adds is here: the label of a
-//! cell that runs no predictor, and the CLI list parser.
+//! Fleets and cell plans hold [`stayaway_core::PredictorKind`] directly
+//! (DESIGN.md §15); a fleet's list of them is one axis of its cell matrix,
+//! like its [`crate::PolicySpec`]s, so one fleet can run a mixed-predictor
+//! population and rank its planes ([`crate::PredictorRollup`]). What the
+//! fleet adds is here: the label of a cell that runs no predictor, and the
+//! CLI list parser.
 
 use crate::FleetError;
 use stayaway_core::PredictorKind;

@@ -1,9 +1,8 @@
 //! Human-readable reports of the multi-host outcomes — what `stayaway
-//! fleet`, `tournament` and `cluster` print without `--json`.
+//! fleet` and `cluster` print without `--json`.
 
 use crate::aggregate::FleetOutcome;
 use crate::cluster::ClusterOutcome;
-use crate::tournament::TournamentOutcome;
 
 /// Prediction accuracy for humans: a percentage, or "n/a" before any
 /// prediction has been checked (never a made-up 100%).
@@ -64,41 +63,9 @@ impl FleetOutcome {
                 ));
             }
         }
-        if self.per_predictor.len() > 1 {
-            for r in &self.per_predictor {
-                text.push_str(&format!(
-                    "  predictor {:<10} {} cells  satisfaction {:>5.1}%  slo-viol {:>5.2}%  accuracy {:>6}  {} samples rejected\n",
-                    r.predictor,
-                    r.cells,
-                    100.0 * r.satisfaction(),
-                    100.0 * r.slo_violation_rate(),
-                    format_accuracy(r.prediction_accuracy()),
-                    r.samples_rejected,
-                ));
-            }
+        if self.per_predictor.is_empty() {
+            return text;
         }
-        text
-    }
-}
-
-impl TournamentOutcome {
-    /// The ranked table and per-scenario rows `stayaway tournament` prints.
-    pub fn render(&self) -> String {
-        let mut text = String::new();
-        text.push_str(&format!(
-            "tournament: {} predictors x {} scenarios x {} cells/combo = {} cells, {} ticks each, seed {}\n",
-            self.predictors.len(),
-            self.scenarios.len(),
-            self.cells_per_combo,
-            self.cells,
-            self.ticks,
-            self.seed,
-        ));
-        text.push_str(&format!(
-            "scenarios: {} ({} bootstrap resamples per interval)\n",
-            self.scenarios.join(", "),
-            self.bootstrap_resamples,
-        ));
         text.push_str(&format!(
             "{:<5} {:<10} {:>5} {:>24} {:>22} {:>10} {:>8} {:>8}\n",
             "rank",
@@ -110,7 +77,7 @@ impl TournamentOutcome {
             "accuracy",
             "rejected",
         ));
-        for s in &self.standings {
+        for s in &self.per_predictor {
             text.push_str(&format!(
                 "{:<5} {:<10} {:>5} {:>7.1}% [{:>4.1}, {:>5.1}] {:>6.2}% [{:>4.2}, {:>5.2}] {:>10.0} {:>8} {:>8}\n",
                 s.rank,
@@ -128,7 +95,7 @@ impl TournamentOutcome {
             ));
         }
         text.push_str("per-scenario satisfaction:\n");
-        for s in &self.standings {
+        for s in &self.per_predictor {
             let row: Vec<String> = s
                 .per_scenario
                 .iter()
@@ -225,7 +192,7 @@ mod tests {
     use crate::cluster::{cluster_by_name, Cluster, ClusterConfig};
     use crate::config::FleetConfig;
     use crate::runner::Fleet;
-    use crate::tournament::{run_tournament, TournamentConfig};
+    use crate::source::SourceSpec;
 
     #[test]
     fn accuracy_is_never_made_up() {
@@ -269,16 +236,16 @@ mod tests {
     }
 
     #[test]
-    fn tournament_report_ranks_every_predictor_once() {
-        let mut config = TournamentConfig::new(7);
-        config.scenarios = vec!["cpu-bomb".into()];
-        config.cells_per_combo = 1;
+    fn a_fleet_of_several_predictors_ranks_each_once() {
+        let mut config = FleetConfig::new(4, 1, 7);
         config.ticks = 32;
-        config.bootstrap_resamples = 20;
-        let outcome = run_tournament(&config).unwrap();
+        config.sources = SourceSpec::parse_list("workload:cpu-bomb").unwrap();
+        config.predictors = crate::predictor::parse_list("kde,xapp,denoise,last-tick").unwrap();
+        let outcome = Fleet::new(config).unwrap().run().unwrap();
         let text = outcome.render();
         assert!(text.contains("\nrank  predictor"));
-        for standing in &outcome.standings {
+        assert_eq!(outcome.per_predictor.len(), 4);
+        for standing in &outcome.per_predictor {
             // Once in the ranked table, once in the per-scenario rows.
             assert_eq!(
                 text.matches(&format!(" {:<10} ", standing.predictor))
@@ -286,7 +253,7 @@ mod tests {
                 2
             );
         }
-        // No calibration run, so the wall-clock column has no reading.
+        // The ranking reads no clock.
         assert!(!text.contains("µs"));
     }
 }

@@ -240,11 +240,12 @@ mod tests {
         config.policies = vec![PolicySpec::StayAway, PolicySpec::Reactive];
         config.predictors = vec![PredictorKind::Kde, PredictorKind::XApp];
         let outcome = Fleet::new(config.clone()).unwrap().run().unwrap();
-        let planes: Vec<&str> = outcome
+        let mut planes: Vec<&str> = outcome
             .per_predictor
             .iter()
             .map(|r| r.predictor.as_str())
             .collect();
+        planes.sort_unstable();
         assert_eq!(planes, ["kde", "xapp"]);
         let cells = matrix(&outcome);
         for scenario in &config.scenarios {

@@ -18,8 +18,9 @@ pub enum StateSpaceError {
     },
     /// Template (de)serialisation failed.
     Template(String),
-    /// A template file could not be opened; the message names the file
-    /// and what was attempted (`cannot read <path>: …`).
+    /// A template file could not be read or written, or held no valid
+    /// template; the message names the file and what was attempted
+    /// (`cannot read <path>: …`).
     Io(std::io::Error),
 }
 
@@ -59,6 +60,13 @@ mod tests {
         assert!(e.to_string().contains("epsilon"));
     }
 
+    /// The error is returned per period (`StateMap::entry` and friends),
+    /// so growing it costs the steady loop; a path belongs in the message.
+    #[test]
+    fn error_stays_three_words() {
+        assert_eq!(std::mem::size_of::<StateSpaceError>(), 24);
+    }
+
     #[test]
     fn a_file_error_names_its_path_and_sources() {
         use std::error::Error;
@@ -67,5 +75,14 @@ mod tests {
         let named = format!("cannot read {}: ", missing.display());
         assert!(e.to_string().starts_with(&named), "{e}");
         assert!(e.source().is_some());
+        // A file that opens but holds no template is named too.
+        std::fs::write(&missing, "{\"").unwrap();
+        let e = crate::Template::load_from_path(&missing).unwrap_err();
+        std::fs::remove_file(&missing).unwrap();
+        assert!(
+            e.to_string()
+                .starts_with(&format!("{named}template error: ")),
+            "{e}"
+        );
     }
 }

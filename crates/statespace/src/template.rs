@@ -173,11 +173,14 @@ impl Template {
     /// # Errors
     ///
     /// Returns [`StateSpaceError::Io`] naming `path` when the file cannot
-    /// be read, and propagates deserialisation failures.
+    /// be read or holds no valid template.
     pub fn load_from_path(path: impl AsRef<Path>) -> Result<Self, StateSpaceError> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path).map_err(|e| file_error("read", path, e))?;
-        Template::load(text.as_bytes())
+        Template::load(text.as_bytes()).map_err(|e| {
+            let invalid = std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string());
+            file_error("read", path, invalid)
+        })
     }
 }
 

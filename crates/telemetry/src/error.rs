@@ -12,7 +12,10 @@ pub enum TelemetryError {
     },
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// A trace file could not be read.
+    /// The sink a trace was being written to failed.
+    Record(std::io::Error),
+    /// A trace file could not be read: it would not open, or a line of it
+    /// failed to read or decode.
     File {
         /// The file's path (boxed, so the error stays as small as it was).
         path: Box<std::path::Path>,
@@ -53,6 +56,7 @@ impl fmt::Display for TelemetryError {
                 write!(f, "invalid configuration: {reason}")
             }
             TelemetryError::Io(e) => write!(f, "i/o error: {e}"),
+            TelemetryError::Record(e) => write!(f, "cannot write the trace: {e}"),
             TelemetryError::File { path, error } => {
                 write!(f, "cannot read {}: {error}", path.display())
             }
@@ -76,7 +80,9 @@ impl fmt::Display for TelemetryError {
 impl std::error::Error for TelemetryError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TelemetryError::Io(e) | TelemetryError::File { error: e, .. } => Some(e),
+            TelemetryError::Io(e)
+            | TelemetryError::Record(e)
+            | TelemetryError::File { error: e, .. } => Some(e),
             _ => None,
         }
     }
@@ -123,6 +129,13 @@ mod tests {
         use std::error::Error;
         let e = TelemetryError::from(std::io::Error::other("boom"));
         assert!(e.source().is_some());
+    }
+
+    /// The error is returned on every control period, so growing it costs
+    /// the steady loop; a path or message belongs behind a box.
+    #[test]
+    fn error_stays_four_words() {
+        assert_eq!(std::mem::size_of::<TelemetryError>(), 32);
     }
 
     #[test]

@@ -124,14 +124,14 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Io`] when the sink fails.
+    /// Returns [`TelemetryError::Record`] when the sink fails.
     pub fn new(mut out: W, meta: &SourceMeta) -> Result<Self, TelemetryError> {
         let header = TraceHeader::for_meta(meta);
         let line = serde_json::to_string(&header).map_err(|e| TelemetryError::Codec {
             line: 1,
             reason: e.to_string(),
         })?;
-        writeln!(out, "{line}")?;
+        writeln!(out, "{line}").map_err(TelemetryError::Record)?;
         Ok(TraceWriter {
             out,
             observations: 0,
@@ -143,7 +143,7 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Io`] when the sink fails, or
+    /// Returns [`TelemetryError::Record`] when the sink fails, or
     /// [`TelemetryError::Codec`] when the observation contains a
     /// non-finite float — JSON has no representation for those, so writing
     /// one would produce a trace the reader must reject.
@@ -157,7 +157,9 @@ impl<W: Write> TraceWriter<W> {
         self.line.clear();
         observation.serialize(&mut self.line);
         self.line.push('\n');
-        self.out.write_all(self.line.as_bytes())?;
+        self.out
+            .write_all(self.line.as_bytes())
+            .map_err(TelemetryError::Record)?;
         self.observations += 1;
         Ok(())
     }
@@ -166,9 +168,9 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Io`] when the flush fails.
+    /// Returns [`TelemetryError::Record`] when the flush fails.
     pub fn finish(mut self) -> Result<W, TelemetryError> {
-        self.out.flush()?;
+        self.out.flush().map_err(TelemetryError::Record)?;
         Ok(self.out)
     }
 }
@@ -206,7 +208,7 @@ impl<S: ObservationSource, W: Write> RecordingSource<S, W> {
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Io`] when the sink fails.
+    /// Returns [`TelemetryError::Record`] when the sink fails.
     pub fn new(inner: S, out: W) -> Result<Self, TelemetryError> {
         let writer = TraceWriter::new(out, &inner.meta())?;
         Ok(RecordingSource { inner, writer })
@@ -217,7 +219,7 @@ impl<S: ObservationSource, W: Write> RecordingSource<S, W> {
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Io`] when the flush fails.
+    /// Returns [`TelemetryError::Record`] when the flush fails.
     pub fn finish(self) -> Result<(S, W), TelemetryError> {
         let out = self.writer.finish()?;
         Ok((self.inner, out))
@@ -279,6 +281,8 @@ pub struct TraceSource<R: BufRead> {
     /// still fails hard — the counter only makes the failure visible in
     /// exported metrics.
     decode_errors: Option<Counter>,
+    /// The file the trace was opened from, named by every failure.
+    path: Option<Box<Path>>,
 }
 
 impl TraceSource<BufReader<File>> {
@@ -287,19 +291,26 @@ impl TraceSource<BufReader<File>> {
     /// # Errors
     ///
     /// Returns [`TelemetryError::File`] naming `path` when the file cannot
-    /// be opened or its header line cannot be read, plus the other header
-    /// failures of [`TraceSource::new`].
+    /// be opened or fails a check of [`TraceSource::new`]; every line that
+    /// later fails to read or decode names `path` the same way.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, TelemetryError> {
         let path = path.as_ref();
-        let named = |error| TelemetryError::File {
-            path: path.into(),
-            error,
-        };
-        let file = File::open(path).map_err(named)?;
-        TraceSource::new(BufReader::new(file)).map_err(|e| match e {
-            TelemetryError::Io(error) => named(error),
-            e => e,
-        })
+        let file = File::open(path).map_err(|e| in_file(path, TelemetryError::Io(e)))?;
+        let mut source = TraceSource::new(BufReader::new(file)).map_err(|e| in_file(path, e))?;
+        source.path = Some(path.into());
+        Ok(source)
+    }
+}
+
+/// `error`, met reading the trace file at `path`, with the file named.
+fn in_file(path: &Path, error: TelemetryError) -> TelemetryError {
+    let error = match error {
+        TelemetryError::Io(error) => error,
+        error => std::io::Error::new(std::io::ErrorKind::InvalidData, error),
+    };
+    TelemetryError::File {
+        path: path.into(),
+        error,
     }
 }
 
@@ -335,6 +346,7 @@ impl<R: BufRead> TraceSource<R> {
             buf,
             spare: None,
             decode_errors: None,
+            path: None,
         })
     }
 
@@ -347,6 +359,14 @@ impl<R: BufRead> TraceSource<R> {
             "Trace observation lines that failed to decode",
         ));
         self
+    }
+
+    /// `error` met reading this trace, naming its file when it has one.
+    fn named(&self, error: TelemetryError) -> TelemetryError {
+        match &self.path {
+            Some(path) => in_file(path, error),
+            None => error,
+        }
     }
 }
 
@@ -361,7 +381,8 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
             // `read_until` + one validation is what `read_line` does, but a
             // byte that is not UTF-8 stays a decode failure of this line
             // instead of an I/O error without a line number.
-            if self.reader.read_until(b'\n', &mut self.buf)? == 0 {
+            let read = self.reader.read_until(b'\n', &mut self.buf);
+            if read.map_err(|e| self.named(TelemetryError::Io(e)))? == 0 {
                 return Ok(None);
             }
             self.line += 1;
@@ -384,10 +405,10 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
                     if let Some(counter) = &self.decode_errors {
                         counter.inc();
                     }
-                    return Err(TelemetryError::Codec {
+                    return Err(self.named(TelemetryError::Codec {
                         line: self.line,
                         reason,
-                    });
+                    }));
                 }
             }
         }
@@ -480,6 +501,54 @@ mod tests {
                 }
                 other => panic!("expected File, got {:?}", other.map(|_| ())),
             }
+        }
+    }
+
+    /// A line that fails to decode names the file it is in, its line and
+    /// what it held; the same bytes read from memory name no file.
+    #[test]
+    fn a_bad_line_of_a_trace_file_names_its_path() {
+        let mut text = Vec::new();
+        TraceWriter::new(&mut text, &meta()).unwrap();
+        text.extend_from_slice(b"garbage\n");
+        let path = std::env::temp_dir().join(format!("stayaway-bad-{}.jsonl", std::process::id()));
+        std::fs::write(&path, &text).unwrap();
+        let error = TraceSource::open(&path)
+            .unwrap()
+            .next_observation()
+            .unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            error.to_string(),
+            format!(
+                "cannot read {}: codec error at line 2: unexpected 'g' at byte 0, expected '{{'",
+                path.display()
+            )
+        );
+        let unnamed = TraceSource::new(&text[..]).unwrap().next_observation();
+        assert!(matches!(
+            unnamed,
+            Err(TelemetryError::Codec { line: 2, .. })
+        ));
+    }
+
+    /// A sink that fails is the recording's failure, whatever it fails on.
+    #[test]
+    fn a_failing_sink_is_a_record_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        match TraceWriter::new(Full, &meta()) {
+            Err(e @ TelemetryError::Record(_)) => {
+                assert_eq!(e.to_string(), "cannot write the trace: disk full");
+            }
+            other => panic!("expected Record, got {:?}", other.map(drop)),
         }
     }
 

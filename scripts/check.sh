@@ -257,7 +257,7 @@ fi
 #
 # Predictor plane (`stayaway-core --test predictor_plane`, `--lib
 # stages::predict`, `stayaway-trajectory --test properties`,
-# `stayaway-fleet --test tournament_determinism`): the KDE reference
+# `stayaway-fleet --test predictor_ranking`): the KDE reference
 # through the Predictor trait must stay bit-for-bit on the golden
 # fixture; the three competitor planes and the pooled KDE must reproduce
 # eight literal digests recorded before the verdict ledger moved into
@@ -266,9 +266,9 @@ fi
 # its three ledger rules (no verdict from a `None` forecast, no cursor
 # move on a failed observe, cancel drops exactly the pending verdict);
 # `ModePredictor` must vote like the bare `TrajectoryModel`s it routes
-# to, pooled and per mode; and the tournament's ranked JSON — the serde
-# derive's output, bootstrap confidence intervals included — must be
-# byte-identical for any worker count.
+# to, pooled and per mode; and a fleet's ranked predictor JSON — the
+# serde derive's output, bootstrap confidence intervals included — must
+# be byte-identical for any worker count.
 #
 # Behaviour fence (`stayaway-bench --test figure_shapes`, facade `--test
 # map_quality`): what a change that moves map coordinates must keep, since
@@ -389,8 +389,10 @@ benchmarks/run.sh --check
 #   compare over the workload library        -> bench_scenarios.txt
 #   cluster JSON / compare table / no
 #   "workers" leak, cluster --metrics-out    -> cluster.txt (+ promlint step)
-#   tournament table + leak-free JSON,
-#   tournament --metrics-out                 -> tournament.txt
+#   ranked fleet table + leak-free JSON,
+#   ranked fleet --metrics-out               -> tournament.txt
+#   (standings = the retired `tournament`'s,
+#   tournament_ranking.json)                 -> the_ranking_is_the_retired_tournaments
 #   events export/import round-trip          -> run.txt, fleet.txt, events.txt
 #   metrics-diff self-pass / perturbed seed  -> metrics_diff.txt
 #

@@ -13,9 +13,8 @@ use stay_away::core::{ControllerConfig, ControllerStats, Observability, Predicto
 use stay_away::fleet::cell::{run_host, HostOutcome, HostRun};
 use stay_away::fleet::report::format_accuracy;
 use stay_away::fleet::{
-    cluster_by_name, cluster_library, predictor, run_tournament, Cluster, ClusterConfig,
-    ClusterOutcome, ClusterPolicySpec, Fleet, FleetConfig, PolicySpec, SourceSpec,
-    TournamentConfig,
+    cluster_by_name, cluster_library, predictor, Cluster, ClusterConfig, ClusterOutcome,
+    ClusterPolicySpec, Fleet, FleetConfig, FleetError, PolicySpec, SourceSpec,
 };
 use stay_away::obs::diff::{diff_series, parse_snapshot};
 use stay_away::obs::{
@@ -25,6 +24,7 @@ use stay_away::obs::{
 };
 use stay_away::sim::scenario::{BatchKind, Scenario};
 use stay_away::statespace::Template;
+use stay_away::telemetry::TelemetryError;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -42,11 +42,9 @@ commands:
                              one or recording the observation stream
   compare                    run each listed source under each listed
                              policy (default every policy)
-  fleet                      run many co-location cells over a worker pool
-  tournament                 rank every prediction plane over a set of
-                             workload scenarios (the full predictor x
-                             scenario cross-product, with bootstrap
-                             confidence intervals)
+  fleet                      run many co-location cells over a worker pool;
+                             two or more predictors are ranked, with
+                             bootstrap confidence intervals
   cluster                    run movable batch jobs over an open cluster of
                              workload hosts (placement + admission queue +
                              migration above per-host controllers)
@@ -63,19 +61,15 @@ commands:
 options:
   --scenario <sens>+<batch>  e.g. vlc+cpu-bomb, web-mem+twitter-analysis;
                              read by the sim source only (fleet default: a
-                             4-scenario mix; tournament: a workload scenario
-                             list, default cpu-bomb,memory-bomb,flash-crowd)
+                             4-scenario mix)
   --policy <name>            stayaway | reactive | static | always | null
                              (fleet/compare: comma-separated list, e.g.
                              stayaway,reactive; compare default
                              null,always,reactive,static,stayaway)
   --predictor <name>         prediction plane for the stay-away controller:
                              kde | xapp | denoise | last-tick (default kde;
-                             fleet/tournament: comma-separated list — the
-                             fleet crosses it with its other lists, the
-                             tournament enters every listed plane)
-  --resamples <n>            tournament: bootstrap resamples behind each
-                             confidence interval (default 1000)
+                             fleet: comma-separated list, crossed with the
+                             other lists)
   --source <spec>            run/compare/fleet: the observation substrate,
                              sim | trace:<path> | procfs |
                              workload:<scenario> (default sim;
@@ -91,10 +85,8 @@ options:
   --record-out <path>        run: record the observation stream to a JSONL
                              trace file (replay it with --source
                              trace:<path>)
-  --cells <n>                fleet: number of co-location cells (default 8);
-                             tournament: cells per predictor x scenario
-                             combination (default 3)
-  --workers <n>              fleet/tournament/cluster: worker threads
+  --cells <n>                fleet: number of co-location cells (default 8)
+  --workers <n>              fleet/cluster: worker threads
                              (default 1; results are identical for any
                              value)
   --share-templates          fleet: warm-start cells from the registry
@@ -108,7 +100,7 @@ options:
   --no-migration             cluster: disable the Migrate verb
   --compare                  cluster: run every cluster policy and print
                              the comparison table
-  --metrics-out <path>       run/fleet/cluster/tournament: export the
+  --metrics-out <path>       run/fleet/cluster: export the
                              run's metrics snapshot; `-` writes pretty
                              JSON to stdout, a `.json` path writes pretty
                              JSON, any other path writes Prometheus text
@@ -173,9 +165,9 @@ impl Out<'_> {
 
 /// The subcommands, in `USAGE` order.
 #[rustfmt::skip]
-const COMMANDS: [&str; 10] = [
-    "list", "run", "compare", "fleet", "tournament", "cluster", "events", "metrics-diff",
-    "promlint", "scenarios",
+const COMMANDS: [&str; 9] = [
+    "list", "run", "compare", "fleet", "cluster", "events", "metrics-diff", "promlint",
+    "scenarios",
 ];
 
 /// (subcommand, fewest, most) operands — non-flag arguments; every
@@ -202,18 +194,17 @@ use Shape::{Float, Int, Pair, Switch, Text};
 /// `usage_and_flag_table_agree` keeps the two in step.
 #[rustfmt::skip]
 const FLAGS: &[(&str, Shape, &str)] = &[
-    ("--scenario", Text, "run compare fleet tournament"),
+    ("--scenario", Text, "run compare fleet"),
     ("--policy", Text, "run compare fleet cluster"),
-    ("--predictor", Text, "run compare fleet tournament"),
-    ("--resamples", Int, "tournament"),
+    ("--predictor", Text, "run compare fleet"),
     ("--source", Text, "run compare fleet"),
-    ("--ticks", Int, "run compare fleet tournament"),
-    ("--seed", Int, "run compare fleet tournament cluster"),
+    ("--ticks", Int, "run compare fleet"),
+    ("--seed", Int, "run compare fleet cluster"),
     ("--template", Text, "run"),
     ("--template-out", Text, "run"),
     ("--record-out", Text, "run"),
-    ("--cells", Int, "fleet tournament"),
-    ("--workers", Int, "fleet tournament cluster"),
+    ("--cells", Int, "fleet"),
+    ("--workers", Int, "fleet cluster"),
     ("--share-templates", Switch, "fleet"),
     ("--cluster-scenario", Text, "cluster"),
     ("--cluster-policy", Text, "cluster"),
@@ -221,7 +212,7 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--epoch-ticks", Int, "cluster"),
     ("--no-migration", Switch, "cluster"),
     ("--compare", Switch, "cluster"),
-    ("--metrics-out", Text, "run fleet tournament cluster"),
+    ("--metrics-out", Text, "run fleet cluster"),
     ("--events-out", Text, "run fleet cluster events"),
     ("--http", Text, "run fleet cluster"),
     ("--http-linger", Int, "run fleet cluster"),
@@ -232,7 +223,7 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--cause", Text, "events"),
     ("--threshold", Float, "metrics-diff"),
     ("--threshold-for", Pair, "metrics-diff"),
-    ("--json", Switch, "run compare fleet tournament cluster events scenarios"),
+    ("--json", Switch, "run compare fleet cluster events scenarios"),
 ];
 
 /// One flag as given: its name, its text (a switch's is empty) and the
@@ -726,7 +717,8 @@ fn single_host(
             template.violation_count()
         )?;
     }
-    let mut trace = match args.text("--record-out") {
+    let record_out = args.text("--record-out");
+    let mut trace = match record_out {
         Some(path) => match File::create(path) {
             Ok(file) => Some(BufWriter::new(file)),
             Err(e) => return fail(format!("cannot write {path}: {e}")),
@@ -757,7 +749,9 @@ fn single_host(
         }
         None => None,
     };
-    let outcome = run_host(HostRun {
+    let unwritten =
+        |e| CliError::Message(format!("cannot write {}: {e}", record_out.unwrap_or("")));
+    let outcome = match run_host(HostRun {
         source,
         scenario: &scenario,
         seed: args.seed(),
@@ -771,11 +765,12 @@ fn single_host(
             .as_mut()
             .map(|file| Box::new(file) as Box<dyn Write + '_>),
         loop_nanos: None,
-    })?;
-    if let (Some(file), Some(path)) = (&mut trace, args.text("--record-out")) {
-        if let Err(e) = file.flush() {
-            return fail(format!("cannot write {path}: {e}"));
-        }
+    }) {
+        Err(FleetError::Telemetry(TelemetryError::Record(e))) => return Err(unwritten(e)),
+        outcome => outcome?,
+    };
+    if let Some(file) = &mut trace {
+        file.flush().map_err(unwritten)?;
     }
     Ok((outcome, obs, server))
 }
@@ -994,32 +989,6 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 None,
                 outcome.state_json(),
             )?;
-        }
-        "tournament" => {
-            let mut config = TournamentConfig::new(args.seed());
-            if let Some(tokens) = args.text("--predictor") {
-                config.predictors = predictor::parse_list(tokens)?;
-            }
-            if let Some(names) = args.text("--scenario") {
-                config.scenarios = names
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|t| !t.is_empty())
-                    .map(String::from)
-                    .collect();
-            }
-            config.cells_per_combo = args.count("--cells").unwrap_or(3);
-            config.ticks = args.ticks();
-            config.workers = args.workers();
-            config.bootstrap_resamples = args.count("--resamples").unwrap_or(1000);
-            config.collect_metrics = args.wants_metrics();
-            let outcome = run_tournament(&config)?;
-            match json {
-                true => writeln!(out, "{}", outcome.to_json()?)?,
-                false => write!(out, "{}", outcome.render())?,
-            }
-            let metrics = outcome.metrics.as_ref();
-            publish(args, out, "tournament", metrics, None, None, NO_STATE)?;
         }
         "cluster" if args.switch("--compare") => {
             let reference = run_cluster_policy(args, ClusterPolicySpec::NoPlacement)?;
@@ -1495,8 +1464,7 @@ mod tests {
     #[test]
     fn fleet_defaults_are_modest() {
         let a = parse_args(&argv("fleet")).unwrap();
-        // No --cells on the command line: the fleet defaults to 8, the
-        // tournament to 3 per combination.
+        // No --cells on the command line: the fleet defaults to 8.
         assert_eq!(a.int("--cells"), None);
         assert_eq!(a.workers(), 1);
         assert!(!a.switch("--share-templates"));
@@ -1506,17 +1474,27 @@ mod tests {
 
     #[test]
     fn parses_predictor_and_tournament_flags() {
+        // A tournament is a fleet over a predictor list: two or more planes
+        // are ranked, and the source list names the workload scenarios.
         let a = parse_args(&argv(
-            "tournament --predictor kde,xapp --scenario cpu-bomb,flash-crowd \
-             --cells 2 --resamples 250 --workers 4 --json",
+            "fleet --predictor kde,xapp --source workload:cpu-bomb,workload:flash-crowd \
+             --cells 8 --workers 4 --json",
         ))
         .unwrap();
-        assert_eq!(a.command, "tournament");
+        assert_eq!(a.command, "fleet");
         assert_eq!(a.text("--predictor"), Some("kde,xapp"));
-        assert_eq!(a.text("--scenario"), Some("cpu-bomb,flash-crowd"));
-        assert_eq!(a.int("--cells"), Some(2));
-        assert_eq!(a.int("--resamples"), Some(250));
+        assert_eq!(a.sources.len(), 2);
+        assert_eq!(a.int("--cells"), Some(8));
         assert!(a.switch("--json"));
+        // There is no `tournament` command and no `--resamples` flag.
+        assert!(matches!(
+            parse_args(&argv("tournament --cells 2")),
+            Err(CliError::Message(m)) if m == "unknown command `tournament`"
+        ));
+        assert!(matches!(
+            parse_args(&argv("fleet --resamples 250")),
+            Err(CliError::Message(m)) if m == "unknown flag `--resamples`"
+        ));
         // A single --predictor flows into the controller configuration.
         let a = parse_args(&argv("run --predictor last-tick")).unwrap();
         assert_eq!(
@@ -1524,10 +1502,9 @@ mod tests {
             PredictorKind::LastTick
         );
         assert!(parse_args(&argv("run --predictor")).is_err());
-        assert!(parse_args(&argv("tournament --resamples abc")).is_err());
         let a = parse_args(&argv("run --predictor warp-core")).unwrap();
         assert!(a.controller_config().is_err());
-        // One host runs one plane: a list is for `fleet` and `tournament`.
+        // One host runs one plane: a list is for `fleet`.
         let a = parse_args(&argv("run --predictor kde,xapp")).unwrap();
         assert!(a.controller_config().is_err());
     }

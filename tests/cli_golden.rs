@@ -38,6 +38,13 @@
 //! one `{"rows": [...]}` document, and a file that cannot be opened is
 //! named in its error (`cannot read <path>: …`, `cannot write <path>: …`).
 //!
+//! Then `tournament` was retired: a fleet that runs two or more predictors
+//! ranks them. `tournament.txt` pins the ranked fleets that ran the
+//! retired command's cells, and [`the_ranking_is_the_retired_tournaments`]
+//! holds their standings to that command's recorded output. A file that
+//! opens but holds bad content, or a trace sink that fails mid-run, is
+//! named like one that cannot be opened.
+//!
 //! Wall-clock readings are the only nondeterministic output; one
 //! normaliser ([`normalise`]) masks exactly these shapes:
 //!
@@ -341,16 +348,83 @@ fn fleet_runs() {
     );
 }
 
+/// The four planes over two workload sources, one cell per combination.
+const RANKED_FLEET: &str = "fleet --source workload:cpu-bomb,workload:flash-crowd \
+                            --predictor kde,xapp,denoise,last-tick --cells 8 --ticks 48";
+
+/// A fleet of two or more predictors ranks them: the ranked table, the
+/// per-scenario rows and the standings in `per_predictor`.
 #[test]
 fn tournament_table_and_json() {
     golden(
         "tournament",
         &[
-            "tournament --cells 1 --ticks 48 --resamples 50 --scenario cpu-bomb,flash-crowd",
-            "tournament --cells 1 --ticks 48 --resamples 50 --workers 4 --json",
-            "tournament --predictor kde,last-tick --scenario cpu-bomb --cells 2 --ticks 32 --resamples 20 --seed 3 --metrics-out t.json",
+            RANKED_FLEET,
+            "fleet --source workload:cpu-bomb,workload:memory-bomb,workload:flash-crowd \
+             --predictor kde,xapp,denoise,last-tick --cells 12 --ticks 48 --workers 4 --json",
+            "fleet --source workload:cpu-bomb --predictor kde,last-tick --cells 4 --ticks 32 \
+             --seed 3 --metrics-out t.json",
         ],
     );
+}
+
+/// Replaces every `"scenario": "<name>"` member with
+/// `"scenario": "workload:<name>"`.
+fn prefix_scenarios(value: &mut serde_json::Value) {
+    use serde_json::Value;
+    match value {
+        Value::Array(items) => items.iter_mut().for_each(prefix_scenarios),
+        Value::Object(members) => {
+            for (key, member) in members {
+                match member {
+                    Value::String(name) if key == "scenario" => {
+                        *name = format!("workload:{name}");
+                    }
+                    _ => prefix_scenarios(member),
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The ranking is the retired `tournament` command's, bit for bit:
+/// `tests/fixtures/tournament_ranking.json` is what `tournament --cells 1
+/// --ticks 48 --scenario cpu-bomb,flash-crowd --json` printed at its
+/// default 1000 bootstrap resamples, and [`RANKED_FLEET`] runs the same
+/// cells. Each standing keeps its rank, cells, intervals, accuracy,
+/// rejected count and per-scenario means; only the scenario names gained
+/// their `workload:` prefix. The fleet's JSON is byte-identical for any
+/// worker count.
+#[test]
+fn the_ranking_is_the_retired_tournaments() {
+    let recorded =
+        std::fs::read_to_string(Path::new(REPO).join("tests/fixtures/tournament_ranking.json"))
+            .expect("recorded tournament");
+    let recorded = serde_json::parse_json(&recorded).expect("JSON");
+    let mut expected = recorded.get("standings").cloned().expect("standings");
+    prefix_scenarios(&mut expected);
+    let fleet_json = |workers: &str| {
+        let output = Command::new(BIN)
+            .args(RANKED_FLEET.split_whitespace())
+            .args(["--json", "--workers", workers])
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "`{RANKED_FLEET} --json` failed");
+        String::from_utf8(output.stdout).expect("utf-8 output")
+    };
+    let solo = fleet_json("1");
+    assert_eq!(
+        solo,
+        fleet_json("4"),
+        "the worker count leaked into the JSON"
+    );
+    let doc = serde_json::parse_json(&solo).expect("JSON");
+    let ranked = doc.get("per_predictor").expect("per_predictor");
+    assert_eq!(ranked.as_array().map(<[_]>::len), Some(4));
+    // Compact text compares every float by its shortest round-trip form,
+    // so equal text is equal bits.
+    assert_eq!(ranked.to_json(), expected.to_json());
 }
 
 #[test]
@@ -516,6 +590,11 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         "zero_cpu.jsonl",
         &smoke.replacen("\"cpu_cores\":4.0", "\"cpu_cores\":0.0", 1),
     );
+    // A file that opens but holds bad content: a truncated template, and
+    // the smoke trace's header followed by a garbage line.
+    sandbox.write("bad.json", "{\"");
+    let header = smoke.lines().next().expect("a header line");
+    sandbox.write("garbage.jsonl", &format!("{header}\ngarbage\n"));
     for step in [
         "bogus",
         "run --bogus 1",
@@ -530,9 +609,11 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         "run --template",
         "run --template missing.json",
         "run --template .",
+        "run --template bad.json",
         "run --source trace:",
         "run --source trace:missing.jsonl",
         "run --source trace:.",
+        "run --source trace:garbage.jsonl",
         "run --source trace:zero_cpu.jsonl --policy static",
         "run --source trace:zero_cpu.jsonl --policy null",
         "run --policy reactive --template-out t.json",
@@ -540,11 +621,16 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         // read.
         "run --ticks 4 --template-out missing/t.json",
         "run --record-out missing/t.jsonl",
+        // A sink that fails mid-run is named like one that fails at the
+        // final flush.
+        "run --ticks 4 --record-out /dev/full",
+        "run --ticks 2000 --record-out /dev/full",
         // A bad scenario is refused before the trace file is created.
         "run --scenario vlc --record-out t.jsonl",
         "run --source trace:t.jsonl",
         // A fleet names the cell that failed; a single host names none.
         "fleet --source trace:missing.jsonl --cells 2",
+        "fleet --source trace:garbage.jsonl --cells 2",
         "cluster --cluster-scenario warp-core",
         "cluster --cluster-policy bogus",
         "metrics-diff a.json b.json --threshold-for nope",
@@ -553,10 +639,6 @@ fn error_paths_exit_two_with_a_one_line_reason() {
         // The event id is checked before the stream is read.
         "events missing.jsonl --cause nonsense",
         "fleet --cells 18446744073709551615 --ticks 1",
-        "tournament --cells 9223372036854775807 --ticks 1 --json",
-        "tournament --resamples 4611686018427387904 --cells 2 --ticks 8 --scenario cpu-bomb --predictor kde --json",
-        "tournament --predictor kde,kde --scenario cpu-bomb --cells 1 --ticks 16",
-        "tournament --scenario cpu-bomb,cpu-bomb --predictor kde --cells 1 --ticks 16",
         "cluster --epoch-ticks 1099511627776 --epochs 1",
     ] {
         sandbox.run(step);
@@ -578,13 +660,14 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
             "compare --template tpl.json",
             "compare --record-out t.jsonl",
             // `metrics` is `run --metrics-out`; `bench-scenarios` is
-            // `compare` over the workload library.
+            // `compare` over the workload library; `tournament` is a fleet
+            // over a predictor list.
             "metrics --ticks 32",
             "bench-scenarios --ticks 24",
+            "tournament --cells 1 --ticks 48",
             "run --trace t.jsonl --seed 3",
             "run --out t.json",
             "list --json",
-            "tournament --http 127.0.0.1:0",
             "events --metrics-out m.json",
             "metrics-diff a.json",
             "metrics-diff a.json b.json c.json",
