@@ -185,7 +185,17 @@ impl ClusterPolicySpec {
         }
     }
 
-    /// Every spec, in comparison-table order.
+    /// Parses a comma-separated list of policy tokens, one cluster run each.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::InvalidConfig`] for an empty list or any
+    /// unknown token.
+    pub fn parse_list(tokens: &str) -> Result<Vec<Self>, FleetError> {
+        crate::parse_comma_list(tokens, "cluster policy", Self::parse)
+    }
+
+    /// Every spec, in the order `list` names them.
     pub fn all() -> [ClusterPolicySpec; 4] {
         [
             ClusterPolicySpec::Score,
@@ -487,6 +497,20 @@ mod tests {
         for spec in ClusterPolicySpec::all() {
             assert_eq!(ClusterPolicySpec::parse(spec.name()).unwrap(), spec);
         }
+    }
+
+    #[test]
+    fn parse_list_keeps_the_given_order() {
+        assert_eq!(
+            ClusterPolicySpec::parse_list("none, score,,random").unwrap(),
+            [
+                ClusterPolicySpec::NoPlacement,
+                ClusterPolicySpec::Score,
+                ClusterPolicySpec::Random,
+            ]
+        );
+        assert!(ClusterPolicySpec::parse_list(" , ").is_err());
+        assert!(ClusterPolicySpec::parse_list("score,bogus").is_err());
     }
 
     #[test]

@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn built_policies_close_the_loop_over_workload_scenarios() {
-        // The `compare --source workload:<name>` shape: a library scenario
+        // The `run --source workload:<name>` shape: a library scenario
         // under each spec-built policy, closed over the workload substrate
         // by the one single-host loop.
         use crate::cell::{run_host, HostRun};

@@ -27,7 +27,7 @@ impl fmt::Display for WorkloadError {
             WorkloadError::UnknownScenario { name } => {
                 write!(
                     f,
-                    "unknown workload scenario '{name}' (see `stayaway scenarios`)"
+                    "unknown workload scenario '{name}' (see `stayaway list`)"
                 )
             }
         }

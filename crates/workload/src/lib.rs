@@ -20,9 +20,9 @@
 //!   event-driven host unchanged. Its whole-run per-request QoS
 //!   ([`ObservationSource::request_qos`]) reports latencies, the
 //!   SLO-violation rate and the `sensitive_*` counts over sensitive
-//!   requests alone, every other count over all tenants; `stayaway
-//!   compare --source workload:<a>,workload:<b>,…` prints it per scenario
-//!   and policy.
+//!   requests alone, every other count over all tenants; `stayaway run
+//!   --source workload:<a>,workload:<b>,…` prints it per scenario and
+//!   policy.
 //!
 //! [`ObservationSource`]: stayaway_telemetry::ObservationSource
 //! [`ObservationSource::request_qos`]: stayaway_telemetry::ObservationSource::request_qos

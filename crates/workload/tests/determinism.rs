@@ -82,7 +82,7 @@ fn different_seeds_diverge() {
 
 #[test]
 fn every_library_scenario_is_reproducible() {
-    // What one `compare --source workload:<name>` row reads: the
+    // What one `run --source workload:<name>` run reads: the
     // closed-loop outcome and the engine's whole-run request QoS.
     let row = |name: &str| {
         let mut host = WorkloadHost::new(by_name(name).unwrap(), 5).unwrap();

@@ -384,11 +384,15 @@ benchmarks/run.sh --check
 #   replay of the committed fixture trace    -> replay_fixture.txt
 #   replay under `--ticks 1000000000000`     -> replay_unbounded_ticks.txt
 #   run --metrics-out exposition file        -> metrics.txt
-#   scenarios JSON, library listing          -> list.txt
+#   library listing, list --json             -> list.txt
+#   (its workload_scenarios = the retired
+#   `scenarios --json`, workload_library.json) -> list_and_scenarios
 #   workload run `latency:` line             -> run_workload.txt
-#   compare over the workload library        -> bench_scenarios.txt
-#   cluster JSON / compare table / no
-#   "workers" leak, cluster --metrics-out    -> cluster.txt (+ promlint step)
+#   run over the workload library            -> bench_scenarios.txt
+#   cluster JSON / --cluster-policy list
+#   table / no "workers" leak,
+#   cluster --metrics-out                    -> cluster.txt (+ promlint step)
+#   list rows = their single runs            -> a_list_run_is_its_single_runs
 #   ranked fleet table + leak-free JSON,
 #   ranked fleet --metrics-out               -> tournament.txt
 #   (standings = the retired `tournament`'s,

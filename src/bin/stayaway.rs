@@ -33,15 +33,15 @@ const USAGE: &str = "\
 usage: stayaway <command> [options]
 
 A command accepts only the options it reads (the descriptions below say
-which); any other option or a stray operand is an error.
+which); any other option or a stray operand is an error. A list of
+several runs reads no option of one run: --template, --template-out,
+--record-out, --metrics-out, --events-out, --http and --http-linger.
 
 commands:
-  list                       list scenarios and policies
-  run                        run one scenario under one policy, optionally
-                             seeded from a template, exporting the learned
-                             one or recording the observation stream
-  compare                    run each listed source under each listed
-                             policy (default every policy)
+  list                       list scenarios, workload library, policies
+  run                        run each listed source under each listed
+                             policy; one run may be seeded from a template,
+                             export the learned one or record its trace
   fleet                      run many co-location cells over a worker pool;
                              two or more predictors are ranked, with
                              bootstrap confidence intervals
@@ -55,29 +55,25 @@ commands:
                              per-metric thresholds; exits 1 on regression
   promlint <file>            validate a Prometheus text exposition file
                              (`-` reads stdin); exits 1 on lint errors
-  scenarios                  list the request-driven workload scenario
-                             library (use with run --source workload:<name>)
 
 options:
   --scenario <sens>+<batch>  e.g. vlc+cpu-bomb, web-mem+twitter-analysis;
                              read by the sim source only (fleet default: a
                              4-scenario mix)
   --policy <name>            stayaway | reactive | static | always | null
-                             (fleet/compare: comma-separated list, e.g.
-                             stayaway,reactive; compare default
-                             null,always,reactive,static,stayaway)
+                             (default stayaway; run/fleet: comma-separated
+                             list, e.g. null,stayaway)
   --predictor <name>         prediction plane for the stay-away controller:
                              kde | xapp | denoise | last-tick (default kde;
                              fleet: comma-separated list, crossed with the
                              other lists)
-  --source <spec>            run/compare/fleet: the observation substrate,
-                             sim | trace:<path> | procfs |
-                             workload:<scenario> (default sim;
-                             compare/fleet: comma-separated list, crossed
+  --source <spec>            run/fleet: the observation substrate, sim |
+                             trace:<path> | procfs | workload:<scenario>
+                             (default sim; comma-separated list, crossed
                              with the other lists)
   --ticks <n>                simulation length (default 384)
-  --seed <n>                 deterministic seed (default 7; run/compare
-                             read it only from a sim or workload: source)
+  --seed <n>                 deterministic seed (default 7; run reads it
+                             only from a sim or workload: source)
   --template <path>          run: warm-start stay-away from a template file
                              (as written by --template-out)
   --template-out <path>      run: export the learned template to a file,
@@ -94,12 +90,11 @@ options:
                              (default hotspot)
   --cluster-policy <name>    cluster: score | random | least-loaded | none
                              (default score; none = throttle-only
-                             round-robin Stay-Away)
+                             round-robin Stay-Away; a comma-separated list
+                             prints a comparison table)
   --epochs <n>               cluster: placement epochs (default 24)
   --epoch-ticks <n>          cluster: control ticks per epoch (default 8)
   --no-migration             cluster: disable the Migrate verb
-  --compare                  cluster: run every cluster policy and print
-                             the comparison table
   --metrics-out <path>       run/fleet/cluster: export the
                              run's metrics snapshot; `-` writes pretty
                              JSON to stdout, a `.json` path writes pretty
@@ -112,8 +107,8 @@ options:
                              /state /events?tail=N on <addr> (port 0 binds
                              an ephemeral port; the bound address is
                              printed)
-  --http-linger <secs>       keep the HTTP server up this many seconds
-                             after the run completes (default 0)
+  --http-linger <secs>       with --http: keep the server up this many
+                             seconds after the run completes (default 0)
   --kind <name>              events: only show this event kind
   --host <n>                 events: only show this recorder scope
   --tick-from <n>            events: drop events before this tick
@@ -130,7 +125,9 @@ options:
 /// Why a command did not run to completion.
 #[derive(Debug)]
 enum CliError {
-    /// Reported as `error: <message>` plus the usage text; exit code 2.
+    /// Refused by [`parse_args`]: `error: <message>` plus the usage; exit 2.
+    Usage(String),
+    /// Failed after parsing: `error: <message>` alone; exit 2.
     Message(String),
     /// The reader closed stdout (`stayaway … | head -1`): not an error,
     /// the run just ends.
@@ -165,9 +162,8 @@ impl Out<'_> {
 
 /// The subcommands, in `USAGE` order.
 #[rustfmt::skip]
-const COMMANDS: [&str; 9] = [
-    "list", "run", "compare", "fleet", "cluster", "events", "metrics-diff", "promlint",
-    "scenarios",
+const COMMANDS: [&str; 7] = [
+    "list", "run", "fleet", "cluster", "events", "metrics-diff", "promlint",
 ];
 
 /// (subcommand, fewest, most) operands — non-flag arguments; every
@@ -194,12 +190,12 @@ use Shape::{Float, Int, Pair, Switch, Text};
 /// `usage_and_flag_table_agree` keeps the two in step.
 #[rustfmt::skip]
 const FLAGS: &[(&str, Shape, &str)] = &[
-    ("--scenario", Text, "run compare fleet"),
-    ("--policy", Text, "run compare fleet cluster"),
-    ("--predictor", Text, "run compare fleet"),
-    ("--source", Text, "run compare fleet"),
-    ("--ticks", Int, "run compare fleet"),
-    ("--seed", Int, "run compare fleet cluster"),
+    ("--scenario", Text, "run fleet"),
+    ("--policy", Text, "run fleet cluster"),
+    ("--predictor", Text, "run fleet"),
+    ("--source", Text, "run fleet"),
+    ("--ticks", Int, "run fleet"),
+    ("--seed", Int, "run fleet cluster"),
     ("--template", Text, "run"),
     ("--template-out", Text, "run"),
     ("--record-out", Text, "run"),
@@ -211,7 +207,6 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--epochs", Int, "cluster"),
     ("--epoch-ticks", Int, "cluster"),
     ("--no-migration", Switch, "cluster"),
-    ("--compare", Switch, "cluster"),
     ("--metrics-out", Text, "run fleet cluster"),
     ("--events-out", Text, "run fleet cluster events"),
     ("--http", Text, "run fleet cluster"),
@@ -223,8 +218,14 @@ const FLAGS: &[(&str, Shape, &str)] = &[
     ("--cause", Text, "events"),
     ("--threshold", Float, "metrics-diff"),
     ("--threshold-for", Pair, "metrics-diff"),
-    ("--json", Switch, "run compare fleet cluster events scenarios"),
+    ("--json", Switch, "list run fleet cluster events"),
 ];
+
+/// The flags of one run: `run` and `cluster` read them only when their
+/// lists name one run.
+#[rustfmt::skip]
+const ONE_RUN: [&str; 7] =
+    ["--template", "--template-out", "--record-out", "--metrics-out", "--events-out", "--http", "--http-linger"];
 
 /// One flag as given: its name, its text (a switch's is empty) and the
 /// number its shape parsed out of the text — an `Int` flag's integer, a
@@ -271,9 +272,9 @@ impl Shape {
 }
 
 /// A parsed command line: the subcommand, the flags it reads with their
-/// shape-checked values (in the order given), its operands and, for a
-/// command that reads `--source`, the parsed source list (default the
-/// simulator). Parsing has already rejected every flag the subcommand does
+/// shape-checked values (in the order given), its operands and its lists,
+/// parsed (`run` / `fleet`: sources and policies; `cluster`: cluster
+/// policies). Parsing has already rejected every flag the subcommand does
 /// not read, so an absent flag is simply `None`.
 #[derive(Debug, Clone)]
 struct Args {
@@ -281,14 +282,9 @@ struct Args {
     values: Vec<Given>,
     operands: Vec<String>,
     sources: Vec<SourceSpec>,
+    policies: Vec<PolicySpec>,
+    cluster_policies: Vec<ClusterPolicySpec>,
 }
-
-/// Scenario used by the single-host commands when `--scenario` is omitted.
-const DEFAULT_SCENARIO: &str = "vlc+cpu-bomb";
-
-/// `compare`'s default `--policy` list: every policy, from no prevention
-/// to Stay-Away.
-const EVERY_POLICY: &str = "null,always,reactive,static,stayaway";
 
 impl Args {
     /// The last value given for `flag` (later occurrences win).
@@ -330,27 +326,6 @@ impl Args {
         self.count("--workers").unwrap_or(1).max(1)
     }
 
-    /// The `--policy` value, or `default` when the flag was omitted.
-    fn policy_or<'a>(&'a self, default: &'a str) -> &'a str {
-        self.text("--policy").unwrap_or(default)
-    }
-
-    /// `--scenario`, default [`DEFAULT_SCENARIO`].
-    fn scenario_name(&self) -> &str {
-        self.text("--scenario").unwrap_or(DEFAULT_SCENARIO)
-    }
-
-    /// The `<sensitive>+<batch>` scenario of a single-host command, under
-    /// `--seed`.
-    fn scenario(&self) -> Result<Scenario, CliError> {
-        Ok(Scenario::parse(self.scenario_name(), self.seed())?)
-    }
-
-    /// The one source of `run`.
-    fn source(&self) -> &SourceSpec {
-        &self.sources[0]
-    }
-
     /// Whether a flag asks for a metrics rollup (`--metrics-out`, `--http`).
     fn wants_metrics(&self) -> bool {
         self.switch("--metrics-out") || self.switch("--http")
@@ -375,9 +350,10 @@ impl Args {
     }
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, CliError> {
+/// Parses a command line, or says why it is refused.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let Some(command) = argv.first().filter(|c| COMMANDS.contains(&c.as_str())) else {
-        return fail(match argv.first() {
+        return Err(match argv.first() {
             Some(command) => format!("unknown command `{command}`"),
             None => "missing command".to_string(),
         });
@@ -387,6 +363,8 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         values: Vec::new(),
         operands: Vec::new(),
         sources: Vec::new(),
+        policies: Vec::new(),
+        cluster_policies: Vec::new(),
     };
     let mut tokens = argv[1..].iter();
     while let Some(token) = tokens.next() {
@@ -396,20 +374,19 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
             continue;
         }
         let Some(&(name, shape, read_by)) = FLAGS.iter().find(|f| f.0 == token) else {
-            return fail(format!("unknown flag `{token}`"));
+            return Err(format!("unknown flag `{token}`"));
         };
         if !read_by.split(' ').any(|reader| reader == command) {
-            return fail(format!("{name} is not read by `{command}`"));
+            return Err(format!("{name} is not read by `{command}`"));
         }
         let value = match shape {
             Switch => String::new(),
             _ => match tokens.next() {
                 Some(value) => value.clone(),
-                None => return fail(format!("{name} expects a value")),
+                None => return Err(format!("{name} expects a value")),
             },
         };
-        args.values
-            .push(shape.parse(name, value).map_err(CliError::Message)?);
+        args.values.push(shape.parse(name, value)?);
     }
     let given = args.operands.len();
     let (_, min, max) = *OPERANDS
@@ -427,19 +404,22 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
             0 => String::new(),
             _ => format!(": {}", args.operands.join(" ")),
         };
-        return fail(format!("`{command}` takes {takes}, got {given}{operands}"));
+        return Err(format!("`{command}` takes {takes}, got {given}{operands}"));
     }
-    // `--source` is parsed here, once, because the sources decide whether
-    // `--scenario` and `--seed` are read (`SourceSpec::reads_*`): a flag is
+    // The lists are parsed here, once: the sources decide whether
+    // `--scenario` and `--seed` are read (`SourceSpec::reads_*`; a flag is
     // read when any listed source reads it, and a fleet's seed derives
-    // every cell's.
-    let fleet = command == "fleet";
-    if matches!(command.as_str(), "run" | "compare" | "fleet") {
-        let token = args.text("--source").unwrap_or("sim");
-        args.sources = match command.as_str() {
-            "run" => vec![SourceSpec::parse(token)?],
-            _ => SourceSpec::parse_list(token)?,
-        };
+    // every cell's), the lengths whether the flags of one run are.
+    let (fleet, text) = (command == "fleet", |e: FleetError| e.to_string());
+    if command == "cluster" {
+        let token = args.text("--cluster-policy").unwrap_or("score");
+        args.cluster_policies = ClusterPolicySpec::parse_list(token).map_err(text)?;
+    }
+    if matches!(command.as_str(), "run" | "fleet") {
+        args.sources =
+            SourceSpec::parse_list(args.text("--source").unwrap_or("sim")).map_err(text)?;
+        let policies = args.text("--policy").unwrap_or("stay-away");
+        args.policies = PolicySpec::parse_list(policies).map_err(text)?;
         let reads = |read: fn(&SourceSpec) -> bool| args.sources.iter().any(read);
         let unread = [
             ("--scenario", !reads(SourceSpec::reads_scenario)),
@@ -458,18 +438,30 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 .collect();
             kinds.dedup();
             let kinds = kinds.join(",");
-            return fail(format!(
+            return Err(format!(
                 "{flag} is not read by `{command} --source {kinds}`"
             ));
         }
     }
+    // A fleet is one run of many cells; `run` and `cluster` run each entry.
+    let runs = args.sources.len().max(1) * args.policies.len().max(1);
+    let runs = runs * args.cluster_policies.len().max(1);
+    let one_run = ONE_RUN.into_iter().find(|flag| args.switch(flag));
+    if let Some(flag) = one_run.filter(|_| runs > 1 && !fleet) {
+        return Err(format!(
+            "{flag} is not read by `{command}` over {runs} runs"
+        ));
+    }
+    if args.switch("--http-linger") && !args.switch("--http") {
+        return Err("--http-linger is not read without --http".to_string());
+    }
     Ok(args)
 }
 
-/// One single-host outcome as the JSON document `run --json` prints and
-/// `compare --json` lists: the headline, the per-request QoS when the
-/// substrate simulates requests, and the controller internals when the
-/// policy counted its periods (baselines track nothing).
+/// One single-host outcome as the JSON document `run --json` prints (one
+/// row of a list's `{"rows": [...]}`): the headline, the per-request QoS
+/// when the substrate simulates requests, and the controller internals
+/// when the policy counted its periods (baselines track nothing).
 fn summary(scenario: &str, outcome: &HostOutcome) -> serde_json::Value {
     let run = &outcome.run;
     let mut doc = serde_json::json!({
@@ -620,17 +612,15 @@ fn serve(out: &mut Out<'_>, addr: &str, intro: Introspection) -> Result<HttpServ
     Ok(server)
 }
 
-/// The `/state` document of a command that serves none of its own.
-const NO_STATE: serde_json::Value = serde_json::Value::Null;
-
 /// The export tail every observable command ends with: write
 /// `--metrics-out`, write `--events-out`, then keep the `--http` server up
 /// for `--http-linger` seconds and stop it. A single-host run hands over
-/// the `live` server that watched it. The multi-cell planes publish after
-/// the run rather than live, so their streams stay canonical: without a
-/// live server, `--http` starts one now over the frozen metrics rollup,
-/// `state` and the merged event stream. `plane` names the producer in
-/// "produced no …" errors.
+/// the `live` server that watched it (and no `state`: its controller
+/// serves its own). The multi-cell planes publish after the run rather
+/// than live, so their streams stay canonical: without a live server,
+/// `--http` starts one now over the frozen metrics rollup, `state` and the
+/// merged event stream. `plane` names the producer in "produced no …"
+/// errors.
 fn publish(
     args: &Args,
     out: &mut Out<'_>,
@@ -679,26 +669,25 @@ fn publish(
     Ok(())
 }
 
-/// The single-host run path of `run` and `compare`: `source` under
-/// `policy`, with the scenario, predictor, seed, length and extras from
-/// the flags (a flag the subcommand does not read is absent, so its
-/// default applies), and [`run_host`] doing the rest. The extras are
-/// `run`'s: `--template` warm-starts the policy (its "seeded with" line is
-/// printed here), `--template-out` exports the learned template under the
-/// key [`SourceSpec::sensitive_key`] names, and `--record-out` tees the
-/// observation stream into a trace file, created only once the scenario,
-/// policy and template have been accepted. Instruments exist only when a
-/// flag asks for them: an exported registry for `--metrics-out` /
-/// `--http`, a flight recorder for `--events-out` / `--http`; under
-/// `--http` the server starts before the run and observes it live.
-/// Returns the outcome, the instrument bundle and that server.
+/// One run of `run`'s cross: `source` under `policy` (the simulator runs
+/// `scenario`), with the predictor, seed, length and extras from the flags,
+/// and [`run_host`] doing the rest. The extras, which [`parse_args`] admits
+/// only for one run: `--template` warm-starts the policy (its "seeded
+/// with" line is printed here), `--template-out` exports the learned
+/// template under the key [`SourceSpec::sensitive_key`] names, and
+/// `--record-out` tees the observation stream into a trace file, created
+/// only once the scenario, policy and template have been accepted.
+/// Instruments exist only when a flag asks for them: an exported registry
+/// for `--metrics-out` / `--http`, a flight recorder for `--events-out` /
+/// `--http`; under `--http` the server starts before the run and observes
+/// it live. Returns the outcome, the instrument bundle and that server.
 fn single_host(
     args: &Args,
     out: &mut Out<'_>,
     source: &SourceSpec,
+    scenario: &Scenario,
     policy: &PolicySpec,
 ) -> Result<(HostOutcome, Observability, Option<HttpServer>), CliError> {
-    let scenario = args.scenario()?;
     let import = match args.text("--template") {
         Some(path) => Some((path, Template::load_from_path(path)?)),
         None => None,
@@ -725,7 +714,6 @@ fn single_host(
         },
         None => None,
     };
-    let http = args.text("--http");
     let mut obs = match args.wants_metrics() {
         true => Observability::enabled(MetricsRegistry::new()),
         false => Observability::disabled(),
@@ -733,7 +721,7 @@ fn single_host(
     if args.wants_events() {
         obs = obs.with_recorder(FlightRecorder::for_scope(0, "run"));
     }
-    let server = match http {
+    let server = match args.text("--http") {
         Some(addr) => {
             let mut intro = Introspection::new();
             if let Some(recorder) = obs.recorder() {
@@ -753,7 +741,7 @@ fn single_host(
         |e| CliError::Message(format!("cannot write {}: {e}", record_out.unwrap_or("")));
     let outcome = match run_host(HostRun {
         source,
-        scenario: &scenario,
+        scenario,
         seed: args.seed(),
         policy,
         controller: &args.controller_config()?,
@@ -787,21 +775,20 @@ fn main() -> ExitCode {
 }
 
 /// The process exit code of a command's result: an error prints its
-/// reason and the usage to stderr and exits 2.
+/// reason (after a refused command line, the usage too) and exits 2.
 fn exit_code(result: Result<ExitCode, CliError>) -> ExitCode {
-    match result {
-        Ok(code) => code,
-        Err(CliError::StdoutClosed) => ExitCode::SUCCESS,
-        Err(CliError::Message(e)) => {
-            eprintln!("error: {e}");
-            eprint!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    let (e, usage) = match result {
+        Ok(code) => return code,
+        Err(CliError::StdoutClosed) => return ExitCode::SUCCESS,
+        Err(CliError::Usage(e)) => (e, USAGE),
+        Err(CliError::Message(e)) => (e, ""),
+    };
+    eprint!("error: {e}\n{usage}");
+    ExitCode::from(2)
 }
 
-/// Runs one cluster configuration; the compare table and the single run
-/// share this builder so they measure exactly the same experiment.
+/// Runs one entry of the `--cluster-policy` list; a single run and every
+/// row of a comparison measure exactly the same experiment.
 fn run_cluster_policy(args: &Args, policy: ClusterPolicySpec) -> Result<ClusterOutcome, CliError> {
     let name = args.text("--cluster-scenario").unwrap_or("hotspot");
     let mut config = ClusterConfig::new(cluster_by_name(name)?, args.seed());
@@ -809,52 +796,84 @@ fn run_cluster_policy(args: &Args, policy: ClusterPolicySpec) -> Result<ClusterO
     config.ticks_per_epoch = args.int("--epoch-ticks").unwrap_or(8);
     config.workers = args.workers();
     config.cluster_policy = policy;
-    config.host_policy = PolicySpec::parse(args.policy_or("stay-away"))?;
+    config.host_policy = PolicySpec::parse(args.text("--policy").unwrap_or("stay-away"))?;
     config.migration = !args.switch("--no-migration");
     config.collect_metrics = args.wants_metrics();
     config.collect_events = args.wants_events();
     Ok(Cluster::new(config)?.run()?)
 }
 
-/// `--cluster-policy`, default scoring placement.
-fn cluster_policy(args: &Args) -> Result<ClusterPolicySpec, CliError> {
-    Ok(ClusterPolicySpec::parse(
-        args.text("--cluster-policy").unwrap_or("score"),
-    )?)
+/// Prints the `--json` of a list of runs: one `{"rows": [...]}` document.
+fn print_rows(out: &mut Out<'_>, rows: Vec<serde_json::Value>) -> Result<(), CliError> {
+    let table = serde_json::json!({ "rows": rows });
+    writeln!(out, "{}", serde_json::to_string_pretty(&table)?)
+}
+
+/// Prints a comparison of cluster policies: the experiment every row
+/// shares, a column header, then one row per policy in list order.
+fn cluster_table(out: &mut Out<'_>, rows: &[ClusterOutcome]) -> Result<(), CliError> {
+    let first = &rows[0];
+    writeln!(
+        out,
+        "cluster comparison: {} ({} epochs x {} ticks, seed {}, host policy {}, migration {})\n",
+        first.scenario,
+        first.epochs,
+        first.ticks_per_epoch,
+        first.seed,
+        first.host_policy,
+        if first.migration { "on" } else { "off" },
+    )?;
+    writeln!(
+        out,
+        "policy         batch-work  slo-viol   satisf  admits   migr  defer  queued log-dropped"
+    )?;
+    for row in rows {
+        writeln!(
+            out,
+            "{:<14} {:>10.0} {:>8.2}% {:>7.1}% {:>7} {:>6} {:>6} {:>7} {:>11}",
+            row.cluster_policy,
+            row.total_batch_work,
+            100.0 * row.slo_violation_rate,
+            100.0 * row.satisfaction(),
+            row.admissions,
+            row.migrations,
+            row.deferrals,
+            row.queue_actions,
+            row.events_dropped,
+        )?;
+    }
+    Ok(())
 }
 
 fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
-    let args = &parse_args(argv)?;
+    let args = &parse_args(argv).map_err(CliError::Usage)?;
     let json = args.switch("--json");
     match args.command.as_str() {
         "list" => {
-            let batch = BatchKind::ALL.map(|k| k.name()).join(", ");
-            let predictors: Vec<&str> = PredictorKind::ALL.iter().map(|p| p.name()).collect();
-            let cluster_policies = ClusterPolicySpec::all().map(|p| p.name()).join(", ");
-            let predictors = predictors.join(", ");
-            writeln!(
-                out,
-                "sensitive applications: vlc, web-cpu, web-mem, web-mix"
-            )?;
-            writeln!(out, "batch applications:     {batch}")?;
-            writeln!(
-                out,
-                "policies:               stayaway, reactive, static, always, null"
-            )?;
-            writeln!(out, "predictors:             {predictors}")?;
-            writeln!(out, "workload scenarios:     see `stayaway scenarios`")?;
-            for c in cluster_library()? {
-                let (name, about) = (c.name, c.description);
-                writeln!(out, "cluster scenario:       {name:<14} {about}")?;
-            }
-            writeln!(out, "cluster policies:       {cluster_policies}")?;
-        }
-        "scenarios" => {
+            let sensitive = ["vlc", "web-cpu", "web-mem", "web-mix"];
+            let policies = ["stayaway", "reactive", "static", "always", "null"];
+            let batch = BatchKind::ALL.map(|k| k.name());
+            let predictors = PredictorKind::ALL.map(|p| p.name());
             let library = stay_away::workload::library();
+            let clusters = cluster_library()?;
+            let placements = ClusterPolicySpec::all().map(|p| p.name());
             if json {
-                writeln!(out, "{}", serde_json::to_string_pretty(&library)?)?;
+                let doc = serde_json::json!({
+                    "sensitive_applications": sensitive,
+                    "batch_applications": batch,
+                    "policies": policies,
+                    "predictors": predictors,
+                    "workload_scenarios": library,
+                    "cluster_scenarios": clusters,
+                    "cluster_policies": placements,
+                });
+                writeln!(out, "{}", serde_json::to_string_pretty(&doc)?)?;
                 return Ok(ExitCode::SUCCESS);
             }
+            writeln!(out, "sensitive applications: {}", sensitive.join(", "))?;
+            writeln!(out, "batch applications:     {}", batch.join(", "))?;
+            writeln!(out, "policies:               {}", policies.join(", "))?;
+            writeln!(out, "predictors:             {}", predictors.join(", "))?;
             for scenario in &library {
                 writeln!(out, "{:<20} {}", scenario.name, scenario.description)?;
                 writeln!(
@@ -874,63 +893,29 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                         tenant.arrival.summary(),
                     )?;
                 }
-                let co_runners = scenario.co_runners();
-                writeln!(
-                    out,
-                    "{:20} co-runners: {}",
-                    "",
-                    if co_runners.is_empty() {
-                        "none".to_string()
-                    } else {
-                        co_runners.join(", ")
-                    },
-                )?;
+                let co_runners = match scenario.co_runners() {
+                    names if names.is_empty() => "none".to_string(),
+                    names => names.join(", "),
+                };
+                writeln!(out, "{:20} co-runners: {co_runners}", "")?;
             }
+            for c in clusters {
+                let (name, about) = (c.name, c.description);
+                writeln!(out, "cluster scenario:       {name:<14} {about}")?;
+            }
+            writeln!(out, "cluster policies:       {}", placements.join(", "))?;
         }
+        // The cross of the source and policy lists, source by source. One
+        // run prints its summary alone; a list prints a `scenario:` header
+        // per source, or one `{"rows": [...]}` document under `--json`.
         "run" => {
-            let source = args.source();
-            let scenario = source.scenario_label(args.scenario_name());
-            let policy = PolicySpec::parse(args.policy_or("stay-away"))?;
-            let (outcome, obs, server) = single_host(args, out, source, &policy)?;
-            let template_out = args.text("--template-out").zip(outcome.template.as_ref());
-            if let Some((path, template)) = template_out {
-                template.save_to_path(path)?;
-            }
-            match json {
-                true => writeln!(
-                    out,
-                    "{}",
-                    serde_json::to_string_pretty(&summary(&scenario, &outcome))?
-                )?,
-                false => summarize(out, &outcome)?,
-            }
-            if let Some((path, template)) = template_out {
-                writeln!(
-                    out,
-                    "template with {} states ({} violation) written to {path}",
-                    template.len(),
-                    template.violation_count()
-                )?;
-            }
-            if let Some(path) = args.text("--record-out") {
-                writeln!(
-                    out,
-                    "trace with {} observations written to {path}",
-                    outcome.run.timeline.len()
-                )?;
-            }
-            let metrics = obs.exported_registry().map(MetricsRegistry::snapshot);
-            let events = obs.recorder().map(FlightRecorder::events);
-            let (metrics, events) = (metrics.as_ref(), events.as_deref());
-            publish(args, out, "run", metrics, events, server, NO_STATE)?;
-        }
-        "compare" => {
-            let policies = PolicySpec::parse_list(args.policy_or(EVERY_POLICY))?;
-            let prototype = args.scenario()?;
+            let one_run = args.sources.len() * args.policies.len() == 1;
+            let name = args.text("--scenario").unwrap_or("vlc+cpu-bomb");
+            let prototype = Scenario::parse(name, args.seed())?;
             let mut rows = Vec::new();
             for (i, source) in args.sources.iter().enumerate() {
                 let scenario = source.scenario_label(prototype.name());
-                if !json {
+                if !(one_run || json) {
                     let seed = match source.reads_seed() {
                         true => format!(", seed {}", args.seed()),
                         false => String::new(),
@@ -943,17 +928,50 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                         source.name(),
                     )?;
                 }
-                for policy in &policies {
-                    let (outcome, ..) = single_host(args, out, source, policy)?;
-                    match json {
-                        true => rows.push(summary(&scenario, &outcome)),
-                        false => summarize(out, &outcome)?,
+                for policy in &args.policies {
+                    let (outcome, obs, server) =
+                        single_host(args, out, source, &prototype, policy)?;
+                    let template_out = args.text("--template-out").zip(outcome.template.as_ref());
+                    if let Some((path, template)) = template_out {
+                        template.save_to_path(path)?;
                     }
+                    let doc = summary(&scenario, &outcome);
+                    match (json, one_run) {
+                        (false, _) => summarize(out, &outcome)?,
+                        (true, false) => rows.push(doc),
+                        (true, true) => writeln!(out, "{}", serde_json::to_string_pretty(&doc)?)?,
+                    }
+                    if let Some((path, template)) = template_out {
+                        writeln!(
+                            out,
+                            "template with {} states ({} violation) written to {path}",
+                            template.len(),
+                            template.violation_count()
+                        )?;
+                    }
+                    if let Some(path) = args.text("--record-out") {
+                        writeln!(
+                            out,
+                            "trace with {} observations written to {path}",
+                            outcome.run.timeline.len()
+                        )?;
+                    }
+                    let metrics = obs.exported_registry().map(MetricsRegistry::snapshot);
+                    let events = obs.recorder().map(FlightRecorder::events);
+                    let (metrics, events) = (metrics.as_ref(), events.as_deref());
+                    publish(
+                        args,
+                        out,
+                        "run",
+                        metrics,
+                        events,
+                        server,
+                        serde_json::Value::Null,
+                    )?;
                 }
             }
-            if json {
-                let table = serde_json::json!({ "rows": rows });
-                writeln!(out, "{}", serde_json::to_string_pretty(&table)?)?;
+            if !one_run && json {
+                print_rows(out, rows)?;
             }
         }
         "fleet" => {
@@ -967,7 +985,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                     Some(name) => vec![Scenario::parse(name, args.seed())?],
                     None => FleetConfig::standard_mix(args.seed()),
                 },
-                policies: PolicySpec::parse_list(args.policy_or("stay-away"))?,
+                policies: args.policies.clone(),
                 predictors: predictor::parse_list(args.text("--predictor").unwrap_or("kde"))?,
                 sources: args.sources.clone(),
                 controller: ControllerConfig::default(),
@@ -990,68 +1008,33 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 outcome.state_json(),
             )?;
         }
-        "cluster" if args.switch("--compare") => {
-            let reference = run_cluster_policy(args, ClusterPolicySpec::NoPlacement)?;
-            writeln!(
-                out,
-                "cluster comparison: {} ({} epochs x {} ticks, seed {}, host policy {}, migration {})\n",
-                reference.scenario,
-                reference.epochs,
-                reference.ticks_per_epoch,
-                reference.seed,
-                reference.host_policy,
-                if reference.migration { "on" } else { "off" },
-            )?;
-            writeln!(
-                out,
-                "{:<14} {:>10} {:>9} {:>8} {:>7} {:>6} {:>6} {:>7} {:>11}",
-                "policy",
-                "batch-work",
-                "slo-viol",
-                "satisf",
-                "admits",
-                "migr",
-                "defer",
-                "queued",
-                "log-dropped",
-            )?;
-            for spec in ClusterPolicySpec::all() {
-                let row = if spec == ClusterPolicySpec::NoPlacement {
-                    reference.clone()
-                } else {
-                    run_cluster_policy(args, spec)?
-                };
-                writeln!(
-                    out,
-                    "{:<14} {:>10.0} {:>8.2}% {:>7.1}% {:>7} {:>6} {:>6} {:>7} {:>11}",
-                    row.cluster_policy,
-                    row.total_batch_work,
-                    100.0 * row.slo_violation_rate,
-                    100.0 * row.satisfaction(),
-                    row.admissions,
-                    row.migrations,
-                    row.deferrals,
-                    row.queue_actions,
-                    row.events_dropped,
-                )?;
-            }
-        }
+        // One cluster policy prints its outcome; a list prints the
+        // comparison table, or one `{"rows": [...]}` document under
+        // `--json`.
         "cluster" => {
-            let outcome = run_cluster_policy(args, cluster_policy(args)?)?;
-            match json {
-                true => writeln!(out, "{}", outcome.to_json()?)?,
-                false => write!(out, "{}", outcome.render())?,
+            let outcomes = (args.cluster_policies.iter())
+                .map(|&policy| run_cluster_policy(args, policy))
+                .collect::<Result<Vec<_>, _>>()?;
+            match (&outcomes[..], json) {
+                ([outcome], _) => {
+                    match json {
+                        true => writeln!(out, "{}", outcome.to_json()?)?,
+                        false => write!(out, "{}", outcome.render())?,
+                    }
+                    let (metrics, events) = (outcome.metrics.as_ref(), outcome.events.as_deref());
+                    publish(
+                        args,
+                        out,
+                        "cluster",
+                        metrics,
+                        events,
+                        None,
+                        outcome.state_json(),
+                    )?;
+                }
+                (_, true) => print_rows(out, outcomes.iter().map(serde_json::to_value).collect())?,
+                (_, false) => cluster_table(out, &outcomes)?,
             }
-            let (metrics, events) = (outcome.metrics.as_ref(), outcome.events.as_deref());
-            publish(
-                args,
-                out,
-                "cluster",
-                metrics,
-                events,
-                None,
-                outcome.state_json(),
-            )?;
         }
         "events" => {
             // The event id and kind are checked before the stream is read.
@@ -1204,8 +1187,8 @@ mod tests {
                     }
                 }
                 Err(error) => {
-                    prop_assert!(matches!(error, CliError::Message(_)));
-                    prop_assert_eq!(exit_code(Err(error)), ExitCode::from(2));
+                    prop_assert!(!error.is_empty());
+                    prop_assert_eq!(exit_code(Err(CliError::Usage(error))), ExitCode::from(2));
                 }
             }
         }
@@ -1216,7 +1199,7 @@ mod tests {
     fn cli(line: &str) -> (Result<ExitCode, String>, String) {
         let mut stdout = Vec::new();
         let result = run(&argv(line), &mut Out(&mut stdout)).map_err(|e| match e {
-            CliError::Message(message) => message,
+            CliError::Usage(message) | CliError::Message(message) => message,
             CliError::StdoutClosed => unreachable!("a Vec never closes"),
         });
         (result, String::from_utf8(stdout).expect("utf-8 output"))
@@ -1288,8 +1271,12 @@ mod tests {
                 line.push(name.to_string());
                 line.extend(match shape {
                     Switch => None,
-                    // The simulator is the source that reads every flag.
+                    // The simulator is the source that reads every flag;
+                    // a list flag names one entry, so every flag of one
+                    // run is read.
                     Text if *name == "--source" => Some("sim".to_string()),
+                    Text if *name == "--policy" => Some("stayaway".to_string()),
+                    Text if *name == "--cluster-policy" => Some("none".to_string()),
                     Text => Some("text".to_string()),
                     Int => Some("3".to_string()),
                     Float => Some("0.5".to_string()),
@@ -1305,7 +1292,7 @@ mod tests {
                 .find(|flag| !reads(flag))
                 .expect("no subcommand reads every flag");
             let message = match parse_args(&argv(&format!("{command} {stranger} 1"))) {
-                Err(CliError::Message(message)) => message,
+                Err(message) => message,
                 other => panic!("{command} accepted {stranger}: {other:?}"),
             };
             assert_eq!(message, format!("{stranger} is not read by `{command}`"));
@@ -1489,11 +1476,11 @@ mod tests {
         // There is no `tournament` command and no `--resamples` flag.
         assert!(matches!(
             parse_args(&argv("tournament --cells 2")),
-            Err(CliError::Message(m)) if m == "unknown command `tournament`"
+            Err(m) if m == "unknown command `tournament`"
         ));
         assert!(matches!(
             parse_args(&argv("fleet --resamples 250")),
-            Err(CliError::Message(m)) if m == "unknown flag `--resamples`"
+            Err(m) if m == "unknown flag `--resamples`"
         ));
         // A single --predictor flows into the controller configuration.
         let a = parse_args(&argv("run --predictor last-tick")).unwrap();
@@ -1539,25 +1526,26 @@ mod tests {
         .unwrap();
         assert_eq!(a.command, "cluster");
         assert_eq!(a.text("--cluster-scenario"), Some("storm-cluster"));
-        assert_eq!(cluster_policy(&a).unwrap(), ClusterPolicySpec::LeastLoaded);
+        assert_eq!(a.cluster_policies, [ClusterPolicySpec::LeastLoaded]);
         assert_eq!(a.int("--epochs"), Some(12));
         assert_eq!(a.int("--epoch-ticks"), Some(4));
         assert_eq!(a.workers(), 4);
         assert!(a.switch("--no-migration"));
-        assert!(!a.switch("--compare"));
         assert!(a.switch("--json"));
-        let a = parse_args(&argv("cluster --compare")).unwrap();
-        assert!(a.switch("--compare"));
+        // A comparison is a list of cluster policies, in the order given.
+        let a = parse_args(&argv("cluster --cluster-policy none,score")).unwrap();
+        let compared = [ClusterPolicySpec::NoPlacement, ClusterPolicySpec::Score];
+        assert_eq!(a.cluster_policies, compared);
+        assert_eq!(error_of("cluster --compare"), "unknown flag `--compare`");
         // Defaults when nothing is given: the library's standard shape.
+        let a = parse_args(&argv("cluster")).unwrap();
         assert_eq!(a.text("--cluster-scenario"), None);
-        assert_eq!(cluster_policy(&a).unwrap(), ClusterPolicySpec::Score);
+        assert_eq!(a.cluster_policies, [ClusterPolicySpec::Score]);
         assert_eq!(a.int("--epochs"), None);
         assert!(!a.switch("--no-migration"));
         assert!(parse_args(&argv("cluster --epochs abc")).is_err());
         assert!(parse_args(&argv("cluster --cluster-policy")).is_err());
-        assert!(
-            cluster_policy(&parse_args(&argv("cluster --cluster-policy bogus")).unwrap()).is_err()
-        );
+        assert!(parse_args(&argv("cluster --cluster-policy score,bogus")).is_err());
     }
 
     #[test]
@@ -1589,7 +1577,7 @@ mod tests {
     fn parses_source_and_trace_flags() {
         let a = parse_args(&argv("run --source trace:/tmp/t.jsonl --policy reactive")).unwrap();
         assert_eq!(a.text("--source"), Some("trace:/tmp/t.jsonl"));
-        assert_eq!(a.policy_or("stay-away"), "reactive");
+        assert_eq!(a.policies, [PolicySpec::Reactive]);
         let a = parse_args(&argv(
             "run --record-out t.jsonl --template tpl.json --template-out out.json",
         ))
@@ -1597,8 +1585,8 @@ mod tests {
         assert_eq!(a.text("--record-out"), Some("t.jsonl"));
         assert_eq!(a.text("--template"), Some("tpl.json"));
         assert_eq!(a.text("--template-out"), Some("out.json"));
-        // The extras are `run`'s alone; the retired spellings are gone.
-        assert!(parse_args(&argv("compare --record-out t.jsonl")).is_err());
+        // The extras are one run's alone; the retired spellings are gone.
+        assert!(parse_args(&argv("run --policy null,stayaway --record-out t.jsonl")).is_err());
         assert_eq!(error_of("run --trace t.jsonl"), "unknown flag `--trace`");
         assert_eq!(error_of("run --out t.jsonl"), "unknown flag `--out`");
         assert_eq!(error_of("replay"), "unknown command `replay`");
@@ -1609,10 +1597,10 @@ mod tests {
         for line in [
             "run --scenario web-mem+soplex --seed 3",
             "run --source workload:cpu-bomb --seed 3",
-            "compare --source sim --scenario vlc+soplex --seed 3",
+            "run --source sim --scenario vlc+soplex --seed 3",
             // A list reads a flag when any of its sources reads it.
-            "compare --source sim,workload:cpu-bomb --seed 3",
-            "compare --source trace:t.jsonl,sim --scenario vlc+soplex",
+            "run --source sim,workload:cpu-bomb --seed 3",
+            "run --source trace:t.jsonl,sim --scenario vlc+soplex",
             "fleet --source trace:t.jsonl --seed 3",
             "fleet --source trace:t.jsonl,sim --scenario vlc+soplex",
         ] {
@@ -1629,16 +1617,16 @@ mod tests {
                 "--scenario is not read by `run --source trace:`",
             ),
             (
-                "compare --source procfs --seed 3",
-                "--seed is not read by `compare --source procfs`",
+                "run --source procfs --policy null,stayaway --seed 3",
+                "--seed is not read by `run --source procfs`",
             ),
             (
-                "compare --source trace:a.jsonl,trace:b.jsonl --seed 3",
-                "--seed is not read by `compare --source trace:`",
+                "run --source trace:a.jsonl,trace:b.jsonl --seed 3",
+                "--seed is not read by `run --source trace:`",
             ),
             (
-                "compare --source workload:cpu-bomb --scenario vlc",
-                "--scenario is not read by `compare --source workload:`",
+                "run --source workload:cpu-bomb --scenario vlc",
+                "--scenario is not read by `run --source workload:`",
             ),
             // A fleet names every source kind in its list, and a kind once
             // per run of equal kinds.
@@ -1657,21 +1645,25 @@ mod tests {
         let padded = ["run", "--source", " trace:t.jsonl", "--seed", "3"].map(String::from);
         assert!(matches!(
             parse_args(&padded),
-            Err(CliError::Message(m)) if m == "--seed is not read by `run --source trace:`"
+            Err(m) if m == "--seed is not read by `run --source trace:`"
         ));
     }
 
+    /// A list run's `scenario:` header names the seed only for a source
+    /// that reads one.
     #[test]
     fn compare_prints_a_seed_only_when_its_source_reads_one() {
         let trace = scratch("compare.jsonl");
         stdout_of(&format!("run --ticks 10 --record-out {trace}"));
         let header = |line: &str| stdout_of(line).lines().next().unwrap_or("").to_string();
         assert_eq!(
-            header(&format!("compare --source trace:{trace} --ticks 10")),
+            header(&format!(
+                "run --source trace:{trace} --policy null,stayaway --ticks 10"
+            )),
             format!("scenario: trace:{trace} (10 ticks, source trace)")
         );
         assert_eq!(
-            header("compare --source workload:cpu-bomb --ticks 4 --seed 3"),
+            header("run --source workload:cpu-bomb --policy null,stayaway --ticks 4 --seed 3"),
             "scenario: workload:cpu-bomb (4 ticks, seed 3, source workload)"
         );
         let _ = std::fs::remove_file(trace);
@@ -1739,8 +1731,10 @@ mod tests {
             )))
             .unwrap();
             let policy = PolicySpec::parse(token).unwrap();
+            let scenario = Scenario::vlc_with_soplex(1);
+            let mut out = Out(&mut Vec::new());
             let (outcome, obs, server) =
-                single_host(&args, &mut Out(&mut Vec::new()), args.source(), &policy).unwrap();
+                single_host(&args, &mut out, &args.sources[0], &scenario, &policy).unwrap();
             assert_eq!(outcome.run.policy, name);
             assert_eq!(outcome.run.timeline.len(), 30);
             assert_eq!(outcome.host, *Scenario::vlc_with_soplex(1).host_spec());
@@ -1755,13 +1749,16 @@ mod tests {
 
     #[test]
     fn policy_defaults_are_per_command() {
-        let a = parse_args(&argv("run")).unwrap();
-        assert_eq!(a.text("--policy"), None);
-        assert_eq!(a.policy_or("stay-away"), "stay-away");
-        // `compare` runs every policy unless its list names fewer.
-        let a = parse_args(&argv("compare")).unwrap();
+        for command in ["run", "fleet"] {
+            let a = parse_args(&argv(command)).unwrap();
+            assert_eq!(a.text("--policy"), None);
+            assert_eq!(a.policies, [PolicySpec::StayAway]);
+            assert_eq!(a.sources, [SourceSpec::Sim]);
+        }
+        // A list is run in the order given.
+        let a = parse_args(&argv("run --policy null,always,reactive,static,stayaway")).unwrap();
         assert_eq!(
-            PolicySpec::parse_list(a.policy_or(EVERY_POLICY)).unwrap(),
+            a.policies,
             [
                 PolicySpec::Null,
                 PolicySpec::AlwaysThrottle,
@@ -1770,8 +1767,48 @@ mod tests {
                 PolicySpec::StayAway,
             ]
         );
-        let a = parse_args(&argv("compare --policy null")).unwrap();
-        assert_eq!(a.policy_or(EVERY_POLICY), "null");
+        // `cluster --policy` is the one host policy; the list is
+        // `--cluster-policy`.
+        let a = parse_args(&argv("cluster --policy reactive")).unwrap();
+        assert_eq!(a.policies, []);
+        assert_eq!(a.cluster_policies, [ClusterPolicySpec::Score]);
+    }
+
+    /// The flags of one run are read only when the lists name one run:
+    /// a `run` or `cluster` list rejects each of them, counting its runs,
+    /// and a fleet, which is one run of many cells, reads them under any
+    /// list. `--http-linger` is read only with `--http`.
+    #[test]
+    fn the_flags_of_one_run_need_one_run() {
+        let read_by = |flag: &str| FLAGS.iter().find(|f| f.0 == flag).expect("a flag").2;
+        for flag in ONE_RUN {
+            for (lists, runs) in [
+                ("run --policy null,stayaway", 2),
+                ("run --source sim,sim", 2),
+                ("run --source sim,procfs --policy null,always,stayaway", 6),
+                ("cluster --cluster-policy score,none", 2),
+            ] {
+                let command = &lists[..lists.find(' ').unwrap()];
+                if read_by(flag).contains(command) {
+                    let error = error_of(&format!("{lists} {flag} 3"));
+                    assert_eq!(
+                        error,
+                        format!("{flag} is not read by `{command}` over {runs} runs")
+                    );
+                }
+            }
+            let http = "--http 127.0.0.1:0";
+            assert!(parse_args(&argv(&format!("run --policy null {http} {flag} 3"))).is_ok());
+            let fleet = format!("fleet --policy null,stayaway --source sim,sim {http} {flag} 3");
+            let fleet_reads = read_by(flag).contains("fleet");
+            assert_eq!(parse_args(&argv(&fleet)).is_ok(), fleet_reads, "{fleet}");
+        }
+        for command in ["run", "fleet", "cluster"] {
+            assert_eq!(
+                error_of(&format!("{command} --http-linger 3")),
+                "--http-linger is not read without --http"
+            );
+        }
     }
 
     #[test]

@@ -45,6 +45,24 @@
 //! opens but holds bad content, or a trace sink that fails mid-run, is
 //! named like one that cannot be opened.
 //!
+//! Then every command that runs something took one list grammar.
+//! `compare` is `run` over lists: `--source` and `--policy` are comma
+//! lists and `run` runs their cross, printing one run as before and a
+//! list as `compare` did (a `scenario:` header per source, or one
+//! `{"rows": [...]}` document); `compare.txt` and `bench_scenarios.txt`
+//! kept every output byte. `cluster --compare` is a `--cluster-policy`
+//! list: `cluster.txt`'s table kept its bytes, and
+//! [`a_list_run_is_its_single_runs`] holds each `--json` row of both
+//! commands to its single run. `scenarios` is `list`'s workload library
+//! block; `list --json` carries it as `workload_scenarios`, which
+//! [`list_and_scenarios`] holds to what `scenarios --json` printed
+//! (`tests/fixtures/workload_library.json`). The flags of one run
+//! (`--template`, `--template-out`, `--record-out`, `--metrics-out`,
+//! `--events-out`, `--http`, `--http-linger`) are refused beside a list
+//! naming several runs, `--http-linger` without `--http`, and only a
+//! refused command line prints the usage after its error
+//! ([`the_usage_follows_only_a_refused_command_line`]).
+//!
 //! Wall-clock readings are the only nondeterministic output; one
 //! normaliser ([`normalise`]) masks exactly these shapes:
 //!
@@ -217,9 +235,85 @@ fn golden(case: &str, steps: &[&str]) {
     sandbox.check(case);
 }
 
+/// What one command line printed and how it exited.
+fn output_of(line: &str) -> std::process::Output {
+    Command::new(BIN)
+        .args(line.split_whitespace())
+        .output()
+        .expect("binary runs")
+}
+
+/// Stdout of one command line that must succeed.
+fn stdout_of(line: &str) -> String {
+    let output = output_of(line);
+    assert!(output.status.success(), "`{line}` failed");
+    String::from_utf8(output.stdout).expect("utf-8 output")
+}
+
+/// The JSON document a command line prints, its wall-clock `"nanos"`
+/// readings zeroed.
+fn json_of(line: &str) -> serde_json::Value {
+    let text = normalise(&stdout_of(line)).replace("\"nanos\": <t>", "\"nanos\": 0");
+    serde_json::parse_json(&text).expect("JSON")
+}
+
+/// `list` prints the workload library where it pointed at the retired
+/// `scenarios`; `list --json`'s `workload_scenarios` is the array
+/// `scenarios --json` printed, recorded in
+/// `tests/fixtures/workload_library.json`.
 #[test]
 fn list_and_scenarios() {
-    golden("list", &["list", "scenarios", "scenarios --json"]);
+    golden("list", &["list", "list --json"]);
+    let recorded =
+        std::fs::read_to_string(Path::new(REPO).join("tests/fixtures/workload_library.json"))
+            .expect("recorded library");
+    let recorded = serde_json::parse_json(&recorded).expect("JSON");
+    assert_eq!(
+        json_of("list --json").get("workload_scenarios"),
+        Some(&recorded)
+    );
+}
+
+/// Each row of a list's `--json` is the document its single run prints:
+/// `run` crosses sources with policies, source by source, and `cluster`
+/// runs its policies in the order given.
+#[test]
+fn a_list_run_is_its_single_runs() {
+    let rows = |line: &str| match json_of(line).get("rows") {
+        Some(serde_json::Value::Array(rows)) => rows.clone(),
+        other => panic!("`{line}` printed no rows: {other:?}"),
+    };
+    let run = rows("run --policy null,stayaway --source sim,workload:cpu-bomb --json");
+    let singles = ["sim", "workload:cpu-bomb"].iter().flat_map(|source| {
+        ["null", "stayaway"].map(|policy| format!("run --policy {policy} --source {source} --json"))
+    });
+    let singles: Vec<_> = singles.map(|line| json_of(&line)).collect();
+    assert_eq!(run, singles);
+    let cluster = rows("cluster --cluster-policy score,none --json");
+    let singles =
+        ["score", "none"].map(|p| json_of(&format!("cluster --cluster-policy {p} --json")));
+    assert_eq!(cluster, singles);
+}
+
+/// A command line `parse_args` refuses prints its error and the usage; a
+/// command that fails later prints its error alone. Both exit 2.
+#[test]
+fn the_usage_follows_only_a_refused_command_line() {
+    let usage = stdout_of("--help");
+    for (line, stderr) in [
+        (
+            "run --bogus 1",
+            format!("error: unknown flag `--bogus`\n{usage}"),
+        ),
+        (
+            "run --ticks 5 --record-out /dev/full",
+            "error: cannot write /dev/full: No space left on device (os error 28)\n".to_string(),
+        ),
+    ] {
+        let output = output_of(line);
+        assert_eq!(String::from_utf8_lossy(&output.stderr), stderr, "`{line}`");
+        assert_eq!(output.status.code(), Some(2), "`{line}`");
+    }
 }
 
 #[test]
@@ -266,9 +360,11 @@ fn compare_every_policy() {
     golden(
         "compare",
         &[
-            "compare --ticks 48",
-            "compare --scenario web-mem+twitter-analysis --ticks 32 --seed 2 --json",
-            "compare --source workload:cpu-bomb --predictor xapp --ticks 20",
+            "run --policy null,always,reactive,static,stayaway --ticks 48",
+            "run --policy null,always,reactive,static,stayaway --scenario web-mem+twitter-analysis \
+             --ticks 32 --seed 2 --json",
+            "run --source workload:cpu-bomb --policy null,always,reactive,static,stayaway \
+             --predictor xapp --ticks 20",
         ],
     );
 }
@@ -404,15 +500,8 @@ fn the_ranking_is_the_retired_tournaments() {
     let recorded = serde_json::parse_json(&recorded).expect("JSON");
     let mut expected = recorded.get("standings").cloned().expect("standings");
     prefix_scenarios(&mut expected);
-    let fleet_json = |workers: &str| {
-        let output = Command::new(BIN)
-            .args(RANKED_FLEET.split_whitespace())
-            .args(["--json", "--workers", workers])
-            .output()
-            .expect("binary runs");
-        assert!(output.status.success(), "`{RANKED_FLEET} --json` failed");
-        String::from_utf8(output.stdout).expect("utf-8 output")
-    };
+    let fleet_json =
+        |workers: &str| stdout_of(&format!("{RANKED_FLEET} --json --workers {workers}"));
     let solo = fleet_json("1");
     assert_eq!(
         solo,
@@ -434,7 +523,8 @@ fn cluster_runs() {
         &[
             "cluster --epochs 8 --epoch-ticks 4",
             "cluster --cluster-scenario hotspot --epochs 8 --epoch-ticks 4 --workers 2 --json",
-            "cluster --compare --cluster-scenario hotspot --epochs 12 --epoch-ticks 4",
+            "cluster --cluster-policy score,random,least-loaded,none --cluster-scenario hotspot \
+             --epochs 12 --epoch-ticks 4",
             "cluster --cluster-scenario storm-cluster --cluster-policy least-loaded --policy reactive --no-migration --epochs 6 --epoch-ticks 4 --seed 3",
             "cluster --epochs 6 --epoch-ticks 4 --metrics-out c.prom --events-out ev.jsonl",
             "promlint c.prom",
@@ -528,27 +618,21 @@ multi-tenant-storm     reactive               1.737    11.010    11.796     10.4
 multi-tenant-storm     no-prevention          1.966    12.059    14.156     15.4%        0        8       52.4
 ";
 
-/// `compare` over the workload library is the grid `bench-scenarios`
+/// `run` over the workload library is the grid `bench-scenarios`
 /// printed: each of its JSON rows, laid out as that command's table, is
 /// the retired row.
 #[test]
 fn bench_scenarios_grid() {
     use serde_json::Value;
-    let grid = format!("compare --source {LIBRARY} --policy stayaway,reactive,null --ticks 24");
+    let grid = format!("run --source {LIBRARY} --policy stayaway,reactive,null --ticks 24");
     golden(
         "bench_scenarios",
         &[
             &grid,
-            &format!("compare --source {LIBRARY} --policy null --ticks 24 --seed 3 --json"),
+            &format!("run --source {LIBRARY} --policy null --ticks 24 --seed 3 --json"),
         ],
     );
-    let output = Command::new(BIN)
-        .args(grid.split_whitespace())
-        .arg("--json")
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success(), "`{grid} --json` failed");
-    let doc = serde_json::parse_json(&String::from_utf8_lossy(&output.stdout)).expect("JSON");
+    let doc = json_of(&format!("{grid} --json"));
     let rows = doc
         .get("rows")
         .and_then(|rows| rows.as_array())
@@ -649,7 +733,8 @@ fn error_paths_exit_two_with_a_one_line_reason() {
 /// New with the flag table: a flag or operand the subcommand does not
 /// read is an error naming both (the parent silently ignored them). Since
 /// the source decides whether `--scenario` and `--seed` are read, a run
-/// whose source reads neither rejects them the same way.
+/// whose source reads neither rejects them the same way; a list naming
+/// several runs rejects the flags of one run, naming the lists.
 #[test]
 fn flags_a_subcommand_does_not_read_are_rejected() {
     golden(
@@ -657,17 +742,25 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
         &[
             "run --ticks 40 --epochs 5 --cluster-policy random --no-migration --cells 99 --threshold 0.3 stray",
             "run --ticks 40 stray",
-            "compare --template tpl.json",
-            "compare --record-out t.jsonl",
-            // `metrics` is `run --metrics-out`; `bench-scenarios` is
-            // `compare` over the workload library; `tournament` is a fleet
-            // over a predictor list.
+            "run --source sim,workload:cpu-bomb --template tpl.json",
+            "run --policy stayaway,reactive --record-out t.jsonl",
+            "cluster --cluster-policy score,random --metrics-out m.prom",
+            "cluster --cluster-policy score,none --events-out ev.jsonl",
+            "run --policy null,stayaway --http 127.0.0.1:0",
+            "run --ticks 8 --http-linger 3",
+            // `metrics` is `run --metrics-out`; `bench-scenarios` and
+            // `compare` are `run` over lists; `tournament` is a fleet over
+            // a predictor list; `scenarios` is `list`; `cluster --compare`
+            // is a `--cluster-policy` list.
             "metrics --ticks 32",
             "bench-scenarios --ticks 24",
             "tournament --cells 1 --ticks 48",
+            "compare --ticks 4",
+            "scenarios",
+            "cluster --compare",
             "run --trace t.jsonl --seed 3",
             "run --out t.json",
-            "list --json",
+            "list --policy null",
             "events --metrics-out m.json",
             "metrics-diff a.json",
             "metrics-diff a.json b.json c.json",
@@ -680,7 +773,7 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
             "fleet --source trace:t.jsonl --scenario vlc+soplex",
             "fleet --source procfs,trace:t.jsonl,trace:u.jsonl --scenario vlc+soplex",
             // A list reads a flag when any of its sources reads it.
-            "compare --source trace:a.jsonl,trace:b.jsonl --seed 3",
+            "run --source trace:a.jsonl,trace:b.jsonl --seed 3",
             // `events` only reads a recorded stream.
             "events --cluster-scenario hotspot",
             "events",
