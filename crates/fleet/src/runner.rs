@@ -387,13 +387,20 @@ mod tests {
             .find(|c| c.name == "stayaway_controller_periods_total")
             .expect("periods counter in rollup");
         assert_eq!(periods.value, 6 * 90);
-        // ...and the per-stage latency histograms reduced to counts.
+        // ...and the per-stage latency histograms reduced to counts: each
+        // cell's stage clock sampled the periods of its 90 that the rule
+        // names (period `p` from 0 when it is the offset
+        // `splitmix64(block) % 16` of its block of 16; copied here as an
+        // oracle).
+        let sampled = (0..90u64)
+            .filter(|&p| p % 16 == stayaway_telemetry::splitmix64(p / 16) % 16)
+            .count() as u64;
         let sense = metrics
             .histograms
             .iter()
             .find(|h| h.name == "stayaway_controller_sense_latency_nanos")
             .expect("sense latency in rollup");
-        assert_eq!(sense.hist.count, 6 * 90);
+        assert_eq!(sense.hist.count, 6 * sampled);
         assert_eq!(sense.hist.sum, 0, "stable view strips recorded nanos");
         assert_eq!(a, b);
         assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());

@@ -2,7 +2,7 @@
 //! (sense → map → predict → act), every period.
 
 use crate::config::ControllerConfig;
-use crate::obs::{ControllerMetrics, Laps, MappingMetrics, Observability};
+use crate::obs::{ControllerMetrics, Laps, MappingMetrics, Observability, CLOCK_STRIDE};
 use crate::policy::ControlPolicy;
 use crate::stages::{ActStage, MapStage, PredictStage, ResumeDecision, SenseStage};
 use crate::stats::{hit_ratio, ControllerStats, StageClock, StageTiming};
@@ -25,10 +25,10 @@ use stayaway_telemetry::{Action, HostSpec, Observation, Policy};
 /// through the four [`crate::stages`] in the paper's §3 order, translates
 /// stage outcomes into statistics and flight-recorder events (the one
 /// decision stream, present only when [`Observability::with_recorder`]
-/// supplied a recorder), and records per-stage wall time into
-/// [`crate::stats::StageTiming`]. All randomness is drawn from the
-/// controller's single seeded RNG, in a fixed call order, so runs with the
-/// same seed are bit-identical.
+/// supplied a recorder), and records per-stage wall time, on one period
+/// in 16, into [`crate::stats::StageTiming`]. All randomness is drawn
+/// from the controller's single seeded RNG, in a fixed call order, so
+/// runs with the same seed are bit-identical.
 #[derive(Debug)]
 pub struct Controller {
     sense: SenseStage,
@@ -119,13 +119,18 @@ impl Controller {
 
     /// Aggregate statistics so far, read where each is kept: decisions in
     /// their registry counters (the only count of them), states in the map
-    /// stage, and [`ControllerStats::stage_timing`] (invocations, nanos)
-    /// in the per-stage latency histograms.
+    /// stage. [`ControllerStats::stage_timing`] counts every finished
+    /// period exactly (the periods less the errored ones) and estimates
+    /// its nanoseconds from the per-stage latency histograms, which hold
+    /// one period in 16: each sampled period stands for the 16 of its
+    /// block, so the estimate is additive across controllers and across a
+    /// run's stretches.
     pub fn stats(&self) -> ControllerStats {
         let o = &self.obs;
+        let finished = o.periods.get() - o.mapping_errors.get();
         let clock = |h: &stayaway_obs::Histogram| StageClock {
-            invocations: h.count(),
-            nanos: h.sum(),
+            invocations: finished,
+            nanos: h.sum() * CLOCK_STRIDE,
         };
         ControllerStats {
             periods: o.periods.get(),
@@ -196,18 +201,19 @@ impl Controller {
     /// Stage calls interleave where the paper's mechanism demands it (an
     /// observed violation first labels the map, then adapts β), so each
     /// stage's wall time is accumulated across its calls within the period
-    /// and recorded once at the end. The clock is read once per stage
-    /// boundary ([`Laps`]): the read that ends one stretch starts the
-    /// next. Verify → track is one predict stretch unless a violation is
-    /// learned in between, and its end is the forecast's start. Each
-    /// decision is one [`ControllerMetrics`] call made right after the
-    /// lap of the stage that took it, so its event write is charged to
-    /// no stage.
+    /// and recorded once at the end. On the one period in 16 that is
+    /// clocked, the clock is read once per stage boundary ([`Laps`]): the
+    /// read that ends one stretch starts the next; every other period
+    /// reads no clock and records no stage. Verify → track is one predict
+    /// stretch unless a violation is learned in between, and its end is
+    /// the forecast's start. Each decision is one [`ControllerMetrics`]
+    /// call made right after the lap of the stage that took it, so its
+    /// event write is charged to no stage.
     fn period(&mut self, obs: &Observation) -> Result<Vec<Action>, CoreError> {
+        let mut clock = Laps::start(self.obs.periods.get());
         self.obs.periods.inc();
         let tick = obs.tick;
         let mut spent = StageNanos::default();
-        let mut clock = Laps::start();
 
         // ---- Sense ------------------------------------------------------
         let sensed = self.sense.observe(obs);
@@ -290,7 +296,9 @@ impl Controller {
                         .forecast(&self.map, &sensed, mapped.point, &mut self.rng);
                 let forecast_nanos = clock.lap();
                 spent.predict += forecast_nanos;
-                self.obs.forecast_latency.record(forecast_nanos);
+                if clock.is_clocked() {
+                    self.obs.forecast_latency.record(forecast_nanos);
+                }
                 if let Some(forecast) = forecast {
                     predicted_violation = forecast.predicted_violation;
                     verdict = self.obs.verdict(&mut clock, tick, &forecast);
@@ -340,30 +348,33 @@ impl Controller {
             let name = "stayaway_controller_reissued_actions_total";
             self.obs.bundle.registry().counter(name, help).add(reissued);
         }
-        self.finish_period(tick, mapped.point, spent);
+        self.finish_period(tick, mapped.point, clock.is_clocked().then_some(spent));
         self.sense.recycle(sensed);
         Ok(actions)
     }
 
-    /// End-of-period instrumentation: one latency record per stage
-    /// (keeping histogram invocation counts == periods), mirrored span
-    /// records, and the derived gauges. Pure writes — decision-inert.
-    fn finish_period(&mut self, tick: u64, point: Point2, spent: StageNanos) {
+    /// End-of-period instrumentation: on a clocked period (`spent` is its
+    /// stage times) one latency record per stage and the mirrored span
+    /// records; on every period the derived gauges. Pure writes —
+    /// decision-inert.
+    fn finish_period(&mut self, tick: u64, point: Point2, spent: Option<StageNanos>) {
         use stayaway_obs::StateScalar::{Bool, F64, U64};
-        self.obs.sense_latency.record(spent.sense);
-        self.obs.map_latency.record(spent.map);
-        self.obs.predict_latency.record(spent.predict);
-        self.obs.act_latency.record(spent.act);
-        if let Some(sink) = self.obs.bundle.sink() {
-            sink.emit_all(
-                tick,
-                &[
-                    ("controller.sense", spent.sense),
-                    ("controller.map", spent.map),
-                    ("controller.predict", spent.predict),
-                    ("controller.act", spent.act),
-                ],
-            );
+        if let Some(spent) = spent {
+            self.obs.sense_latency.record(spent.sense);
+            self.obs.map_latency.record(spent.map);
+            self.obs.predict_latency.record(spent.predict);
+            self.obs.act_latency.record(spent.act);
+            if let Some(sink) = self.obs.bundle.sink() {
+                sink.emit_all(
+                    tick,
+                    &[
+                        ("controller.sense", spent.sense),
+                        ("controller.map", spent.map),
+                        ("controller.predict", spent.predict),
+                        ("controller.act", spent.act),
+                    ],
+                );
+            }
         }
         let throttling = self.act.is_throttling();
         if throttling {
@@ -623,19 +634,95 @@ mod tests {
         assert!(ticks.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// The stage clock's sampling rule, copied here as the oracle the
+    /// controller is held to: period `p` (from 0) is clocked when it is
+    /// the offset `splitmix64(block) % 16` of its block of 16.
+    fn sampled(p: u64) -> bool {
+        p % 16 == stayaway_telemetry::splitmix64(p / 16) % 16
+    }
+
     #[test]
     fn stage_timing_covers_every_period() {
         let scenario = Scenario::vlc_with_cpubomb(23);
         let mut h = scenario.build_harness().unwrap();
         let mut ctl = default_controller(&h);
-        h.run(&mut ctl, 200);
-        let timing = ctl.stats().stage_timing;
-        // Sense and map run unconditionally each period; predict and act
-        // are recorded every period too (possibly with zero spans).
-        for clock in [timing.sense, timing.map, timing.predict, timing.act] {
-            assert_eq!(clock.invocations, 200);
+        let mut landed = false;
+        for period in 0..200 {
+            let observation = h.next_observation().unwrap().unwrap();
+            let actions = ctl.decide(&observation);
+            h.apply(&actions);
+            landed |= sampled(period);
+            let t = ctl.stats().stage_timing;
+            // Every finished period is counted, clocked or not...
+            for clock in [t.sense, t.map, t.predict, t.act] {
+                assert_eq!(clock.invocations, period + 1);
+            }
+            // ...and the time estimate is non-zero once a sample landed.
+            let nanos = t.sense.nanos + t.map.nanos + t.predict.nanos + t.act.nanos;
+            assert_eq!(nanos > 0, landed, "period {period}: {nanos} ns");
         }
-        assert!(timing.sense.nanos > 0 || timing.map.nanos > 0);
+        assert!(landed);
+    }
+
+    /// The sampled periods are a function of the period count alone: a
+    /// bare controller and one with every instrument on clock the same
+    /// periods — the ones the rule names — and decide the same actions.
+    #[test]
+    fn every_bundle_clocks_the_same_periods_and_decides_alike() {
+        let scenario = Scenario::vlc_with_twitter(7);
+        let mut bare_host = scenario.build_harness().unwrap();
+        let mut watched_host = scenario.build_harness().unwrap();
+        let spec = *bare_host.host().spec();
+        let mut bare = Controller::for_host(ControllerConfig::default(), &spec).unwrap();
+        let sink = stayaway_obs::SpanSink::bounded(4096);
+        let obs = Observability::enabled(stayaway_obs::MetricsRegistry::new())
+            .with_sink(sink.clone())
+            .with_recorder(FlightRecorder::for_scope(0, "watched"))
+            .with_state(stayaway_obs::StateCell::new());
+        let mut watched =
+            Controller::for_host_observed(ControllerConfig::default(), &spec, obs).unwrap();
+        let samples = |ctl: &Controller| {
+            let snapshot = ctl.metrics();
+            let sense = snapshot
+                .histograms
+                .iter()
+                .find(|h| h.name == "stayaway_controller_sense_latency_nanos")
+                .expect("sense histogram registered");
+            sense.hist.count
+        };
+        let (mut clocked_ticks, mut actions_seen) = (Vec::new(), 0);
+        for period in 0..600 {
+            let bare_obs = bare_host.next_observation().unwrap().unwrap();
+            let watched_obs = watched_host.next_observation().unwrap().unwrap();
+            let (bare_before, watched_before) = (samples(&bare), samples(&watched));
+            let bare_actions = bare.decide(&bare_obs);
+            let watched_actions = watched.decide(&watched_obs);
+            assert_eq!(bare_actions, watched_actions, "period {period}");
+            actions_seen += bare_actions.len();
+            bare_host.apply(&bare_actions);
+            watched_host.apply(&watched_actions);
+            let expected = u64::from(sampled(period));
+            assert_eq!(
+                samples(&bare) - bare_before,
+                expected,
+                "bare, period {period}"
+            );
+            assert_eq!(
+                samples(&watched) - watched_before,
+                expected,
+                "watched, period {period}"
+            );
+            if sampled(period) {
+                clocked_ticks.push(bare_obs.tick);
+            }
+        }
+        assert!(actions_seen > 0, "the run never acted");
+        assert_eq!(bare.stats(), watched.stats());
+        // The span sink holds the four stretches of each clocked period.
+        let mut span_ticks: Vec<u64> = sink.records().iter().map(|r| r.tick).collect();
+        span_ticks.dedup();
+        assert_eq!(span_ticks, clocked_ticks);
+        assert_eq!(sink.records().len(), 4 * clocked_ticks.len());
     }
 
     /// `/state` is rendered when someone asks; the bytes must be those of

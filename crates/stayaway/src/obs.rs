@@ -22,6 +22,7 @@ use stayaway_obs::{
     MetricsRegistry, SpanSink, StateCell,
 };
 use stayaway_statespace::Point2;
+use stayaway_telemetry::splitmix64;
 use std::time::Instant;
 
 /// Observability options for a controller instance.
@@ -29,7 +30,8 @@ use std::time::Instant;
 /// [`Observability::disabled`] (the default) still maintains the
 /// per-stage latency histograms that back
 /// [`ControllerStats::stage_timing`](crate::ControllerStats) — they
-/// live in a private registry nobody exports. [`Observability::enabled`]
+/// live in a private registry nobody exports, and like every bundle's
+/// they record one control period in 16. [`Observability::enabled`]
 /// points the instruments at a caller-owned registry, which
 /// [`Observability::exported_registry`] then hands out, and turns on the
 /// deep derived metrics (e.g. the O(n²) final embedding stress).
@@ -137,18 +139,18 @@ impl Observability {
 #[derive(Debug)]
 pub(crate) struct ControllerMetrics {
     pub(crate) bundle: Observability,
-    // Per-stage wall-time, one record per control period per stage —
-    // the primary store behind the `ControllerStats::stage_timing`
-    // compatibility view.
+    // Per-stage wall-time, one record per stage of each clocked period
+    // (one in `CLOCK_STRIDE`) — the primary store behind the
+    // `ControllerStats::stage_timing` compatibility view.
     pub(crate) sense_latency: Histogram,
     pub(crate) map_latency: Histogram,
     pub(crate) predict_latency: Histogram,
     pub(crate) act_latency: Histogram,
     // Prediction-plane instruments (DESIGN.md §15): one record per
-    // forecast invocation of the configured predictor. Since a controller
-    // runs exactly one predictor, this histogram *is* per-predictor at
-    // cell granularity; fleet rollups attribute it via the per-predictor
-    // cohorts.
+    // forecast invocation of the configured predictor on a clocked
+    // period. Since a controller runs exactly one predictor, this
+    // histogram *is* per-predictor at cell granularity; fleet rollups
+    // attribute it via the per-predictor cohorts.
     pub(crate) forecast_latency: Histogram,
     pub(crate) verdicts: Counter,
     pub(crate) violation_verdicts: Counter,
@@ -179,19 +181,19 @@ impl ControllerMetrics {
         ControllerMetrics {
             sense_latency: r.latency_histogram(
                 "stayaway_controller_sense_latency_nanos",
-                "Wall time of the sense stage per control period",
+                "Wall time of the sense stage on one period in 16",
             ),
             map_latency: r.latency_histogram(
                 "stayaway_controller_map_latency_nanos",
-                "Wall time of the map stage per control period",
+                "Wall time of the map stage on one period in 16",
             ),
             predict_latency: r.latency_histogram(
                 "stayaway_controller_predict_latency_nanos",
-                "Wall time of the predict stage per control period",
+                "Wall time of the predict stage on one period in 16",
             ),
             act_latency: r.latency_histogram(
                 "stayaway_controller_act_latency_nanos",
-                "Wall time of the act stage per control period",
+                "Wall time of the act stage on one period in 16",
             ),
             forecast_latency: r.latency_histogram(
                 "stayaway_predict_forecast_latency_nanos",
@@ -382,31 +384,55 @@ impl ControllerMetrics {
     }
 }
 
-/// The period's stopwatch: one clock read per boundary, shared by the
-/// stretch that ends there and the one that starts.
+/// The stage clock reads one control period in this many (DESIGN.md §11).
+pub(crate) const CLOCK_STRIDE: u64 = 16;
+
+/// Whether control period `period` (counted from 0) is the one period of
+/// its block of [`CLOCK_STRIDE`] that the stage clock reads. The block's
+/// offset is hashed from the block index, so the pick is a pure function
+/// of the period count: it draws no controller RNG, is the same whatever
+/// instruments are on, and does not lock onto a periodic workload.
+pub(crate) fn clocked(period: u64) -> bool {
+    period % CLOCK_STRIDE == splitmix64(period / CLOCK_STRIDE) % CLOCK_STRIDE
+}
+
+/// The period's stopwatch. On a [`clocked`] period it reads the clock once
+/// per boundary, shared by the stretch that ends there and the one that
+/// starts; on any other period it reads no clock and every lap is 0.
 pub(crate) struct Laps {
-    boundary: Instant,
+    boundary: Option<Instant>,
 }
 
 impl Laps {
-    pub(crate) fn start() -> Self {
+    /// The stopwatch of control period `period` (counted from 0).
+    pub(crate) fn start(period: u64) -> Self {
         Laps {
-            boundary: Instant::now(),
+            boundary: clocked(period).then(Instant::now),
         }
+    }
+
+    /// Whether this period reads the clock.
+    pub(crate) fn is_clocked(&self) -> bool {
+        self.boundary.is_some()
     }
 
     /// Nanoseconds since the previous boundary; now is the new boundary.
     pub(crate) fn lap(&mut self) -> u64 {
+        let Some(boundary) = &mut self.boundary else {
+            return 0;
+        };
         let now = Instant::now();
-        let nanos = now.duration_since(self.boundary).as_nanos() as u64;
-        self.boundary = now;
+        let nanos = now.duration_since(*boundary).as_nanos() as u64;
+        *boundary = now;
         nanos
     }
 
     /// Moves the boundary to now, charging the stretch behind it (a
     /// flight-recorder write) to no stage.
     fn skip(&mut self) {
-        self.boundary = Instant::now();
+        if let Some(boundary) = &mut self.boundary {
+            *boundary = Instant::now();
+        }
     }
 }
 
@@ -555,5 +581,27 @@ impl MappingMetrics {
     /// wall-nanoseconds.
     pub(crate) fn on_append_timed(&self, nanos: u64) {
         self.append_latency.record(nanos);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_period_of_each_block_is_clocked_and_every_offset_occurs() {
+        let mut offsets = [0u32; CLOCK_STRIDE as usize];
+        for block in 0..4096 {
+            let first = block * CLOCK_STRIDE;
+            let picked: Vec<u64> = (first..first + CLOCK_STRIDE)
+                .filter(|&p| clocked(p))
+                .collect();
+            assert_eq!(picked.len(), 1, "block {block} clocked {picked:?}");
+            offsets[(picked[0] - first) as usize] += 1;
+        }
+        assert!(
+            offsets.iter().all(|&n| n > 0),
+            "offsets never picked: {offsets:?}"
+        );
     }
 }

@@ -18,15 +18,23 @@ pub enum ResumeReason {
 
 /// Invocation count and accumulated wall-time of one pipeline stage.
 ///
+/// `invocations` is exact: every finished control period. `nanos` is an
+/// estimate: the controller reads the clock on one period in 16 (picked
+/// by a hash of the period count, DESIGN.md §11) and reports 16 × the
+/// sampled sum, each sample weighted by the inverse of its sampling
+/// probability. The estimate is additive, so stage clocks of several
+/// controllers, or of two points of one run, add and subtract.
+///
 /// Wall-time is diagnostic only: two bit-identical runs disagree on
 /// nanoseconds, so equality compares invocation counts alone — the
 /// determinism suite can keep asserting `stats == stats` while perf PRs
 /// still see which stage burns the per-period budget.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StageClock {
-    /// Times the stage ran.
+    /// Times the stage ran: every finished period, exactly.
     pub invocations: u64,
-    /// Accumulated wall-clock nanoseconds across those invocations.
+    /// Estimated wall-clock nanoseconds across those invocations: 16 ×
+    /// the time of the one period in 16 that was clocked.
     pub nanos: u64,
 }
 
@@ -99,7 +107,8 @@ pub struct ControllerStats {
     /// refused because its ring was full; 0 for a controller built without
     /// a recorder, which retains no events.
     pub events_dropped: u64,
-    /// Per-stage tick counters and wall-time of the control pipeline.
+    /// Per-stage tick counters (exact) and wall-time (estimated from one
+    /// period in 16; see [`StageClock`]) of the control pipeline.
     pub stage_timing: StageTiming,
 }
 

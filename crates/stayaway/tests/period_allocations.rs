@@ -64,8 +64,9 @@ fn a_watched_period_allocates_no_more_than_a_bare_one() {
 
 fn compare_periods(scenario: &Scenario) {
     /// Periods before the comparison starts: the map has formed, the span
-    /// ring has wrapped (4 096 slots, four spans a period) and every
-    /// lazily registered instrument exists.
+    /// ring has wrapped (256 slots, four spans a clocked period, one
+    /// period in 16 clocked) and every lazily registered instrument
+    /// exists.
     const WARM_UP: u64 = 1_500;
     const TICKS: u64 = 4_000;
 
@@ -75,7 +76,7 @@ fn compare_periods(scenario: &Scenario) {
 
     let mut bare = Controller::for_host(ControllerConfig::default(), &spec).unwrap();
     let recorder = FlightRecorder::for_scope(0, "fence");
-    let sink = SpanSink::bounded(4096);
+    let sink = SpanSink::bounded(256);
     let cell = StateCell::new();
     let obs = Observability::enabled(MetricsRegistry::new())
         .with_sink(sink.clone())

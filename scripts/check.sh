@@ -82,6 +82,25 @@ if awk '/fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENG
     echo "check.sh: a flight-recorder write outside the one decision helper (above)" >&2
     exit 1
 fi
+# One stopwatch: the controller reads the clock on one control period in
+# 16, through `obs::Laps`; the map stage's append and solve timers clock
+# rare work (a new representative), not periods. A clock read anywhere
+# else in the controller crate (comments aside) is a per-period cost the
+# sampling rule does not cover.
+if awk 'FNR == 1 { scope = "" }
+        /^impl / { scope = $0 }
+        /^}/ { scope = "" }
+        /fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
+        { code = $0; sub(/\/\/.*/, "", code) }
+        code ~ /Instant::now|\.elapsed\(\)|SystemTime/ {
+            ok = (FILENAME ~ /\/obs\.rs$/ && scope ~ /^impl Laps /) ||
+                 (FILENAME ~ /\/stages\/map\.rs$/ && (f == "refresh_dissim" || f == "re_embed"))
+            if (!ok) { print FILENAME ":" FNR ":" $0; bad = 1 }
+        }
+        END { exit !bad }' $(find crates/stayaway/src -name '*.rs' | sort); then
+    echo "check.sh: a clock read outside obs::Laps and the map stage's append / solve timers (above)" >&2
+    exit 1
+fi
 # One cell matrix: a fleet cell's source, predictor, policy and scenario
 # are the mixed-radix digits of its index, read in one place
 # (`Fleet::plans` in `crates/fleet/src/runner.rs`). An index into one of

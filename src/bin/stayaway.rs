@@ -272,10 +272,11 @@ impl Shape {
 }
 
 /// A parsed command line: the subcommand, the flags it reads with their
-/// shape-checked values (in the order given), its operands and its lists,
-/// parsed (`run` / `fleet`: sources and policies; `cluster`: cluster
-/// policies). Parsing has already rejected every flag the subcommand does
-/// not read, so an absent flag is simply `None`.
+/// shape-checked values (in the order given), its operands and its named
+/// values, parsed (`run` / `fleet`: sources, policies, predictors and the
+/// `--scenario` prototype; `cluster`: cluster policies). Parsing has
+/// already rejected every flag the subcommand does not read, so an absent
+/// flag is simply `None`.
 #[derive(Debug, Clone)]
 struct Args {
     command: String,
@@ -283,6 +284,8 @@ struct Args {
     operands: Vec<String>,
     sources: Vec<SourceSpec>,
     policies: Vec<PolicySpec>,
+    predictors: Vec<PredictorKind>,
+    scenario: Option<Scenario>,
     cluster_policies: Vec<ClusterPolicySpec>,
 }
 
@@ -338,15 +341,12 @@ impl Args {
 
     /// The controller configuration single-run commands build policies
     /// with: the defaults, with `--predictor` applied when given.
-    fn controller_config(&self) -> Result<ControllerConfig, CliError> {
+    fn controller_config(&self) -> ControllerConfig {
         let mut config = ControllerConfig::default();
-        if let Some(tokens) = self.text("--predictor") {
-            let [predictor] = predictor::parse_list(tokens)?[..] else {
-                return fail(format!("`{}` runs one predictor", self.command));
-            };
+        if let [predictor] = self.predictors[..] {
             config.predictor = predictor;
         }
-        Ok(config)
+        config
     }
 }
 
@@ -364,6 +364,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         operands: Vec::new(),
         sources: Vec::new(),
         policies: Vec::new(),
+        predictors: Vec::new(),
+        scenario: None,
         cluster_policies: Vec::new(),
     };
     let mut tokens = argv[1..].iter();
@@ -441,6 +443,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             return Err(format!(
                 "{flag} is not read by `{command} --source {kinds}`"
             ));
+        }
+        let predictors = args.text("--predictor").unwrap_or("kde");
+        args.predictors = predictor::parse_list(predictors).map_err(text)?;
+        if !fleet && args.predictors.len() > 1 {
+            return Err(format!("`{command}` runs one predictor"));
+        }
+        if let Some(name) = args.text("--scenario") {
+            let scenario = Scenario::parse(name, args.seed()).map_err(|e| e.to_string())?;
+            args.scenario = Some(scenario);
         }
     }
     // A fleet is one run of many cells; `run` and `cluster` run each entry.
@@ -744,7 +755,7 @@ fn single_host(
         scenario,
         seed: args.seed(),
         policy,
-        controller: &args.controller_config()?,
+        controller: &args.controller_config(),
         ticks: args.ticks(),
         obs: &obs,
         import: import.as_ref().map(|(_, template)| template),
@@ -910,8 +921,10 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
         // per source, or one `{"rows": [...]}` document under `--json`.
         "run" => {
             let one_run = args.sources.len() * args.policies.len() == 1;
-            let name = args.text("--scenario").unwrap_or("vlc+cpu-bomb");
-            let prototype = Scenario::parse(name, args.seed())?;
+            let prototype = match &args.scenario {
+                Some(scenario) => scenario.clone(),
+                None => Scenario::parse("vlc+cpu-bomb", args.seed())?,
+            };
             let mut rows = Vec::new();
             for (i, source) in args.sources.iter().enumerate() {
                 let scenario = source.scenario_label(prototype.name());
@@ -981,12 +994,12 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                 ticks: args.ticks(),
                 fleet_seed: args.seed(),
                 share_templates: args.switch("--share-templates"),
-                scenarios: match args.text("--scenario") {
-                    Some(name) => vec![Scenario::parse(name, args.seed())?],
+                scenarios: match &args.scenario {
+                    Some(scenario) => vec![scenario.clone()],
                     None => FleetConfig::standard_mix(args.seed()),
                 },
                 policies: args.policies.clone(),
-                predictors: predictor::parse_list(args.text("--predictor").unwrap_or("kde"))?,
+                predictors: args.predictors.clone(),
                 sources: args.sources.clone(),
                 controller: ControllerConfig::default(),
                 collect_metrics: args.wants_metrics(),
@@ -1273,9 +1286,12 @@ mod tests {
                     Switch => None,
                     // The simulator is the source that reads every flag;
                     // a list flag names one entry, so every flag of one
-                    // run is read.
+                    // run is read. A named value is checked while parsing,
+                    // so it names one that exists.
                     Text if *name == "--source" => Some("sim".to_string()),
                     Text if *name == "--policy" => Some("stayaway".to_string()),
+                    Text if *name == "--predictor" => Some("kde".to_string()),
+                    Text if *name == "--scenario" => Some("vlc+soplex".to_string()),
                     Text if *name == "--cluster-policy" => Some("none".to_string()),
                     Text => Some("text".to_string()),
                     Int => Some("3".to_string()),
@@ -1484,16 +1500,21 @@ mod tests {
         ));
         // A single --predictor flows into the controller configuration.
         let a = parse_args(&argv("run --predictor last-tick")).unwrap();
-        assert_eq!(
-            a.controller_config().unwrap().predictor,
-            PredictorKind::LastTick
-        );
+        assert_eq!(a.controller_config().predictor, PredictorKind::LastTick);
         assert!(parse_args(&argv("run --predictor")).is_err());
-        let a = parse_args(&argv("run --predictor warp-core")).unwrap();
-        assert!(a.controller_config().is_err());
+        // A predictor that does not exist is a refused command line, like
+        // a policy that does not.
+        assert!(matches!(
+            parse_args(&argv("run --predictor warp-core")),
+            Err(m) if m.contains("unknown predictor 'warp-core'")
+        ));
         // One host runs one plane: a list is for `fleet`.
-        let a = parse_args(&argv("run --predictor kde,xapp")).unwrap();
-        assert!(a.controller_config().is_err());
+        assert!(matches!(
+            parse_args(&argv("run --predictor kde,xapp")),
+            Err(m) if m == "`run` runs one predictor"
+        ));
+        let a = parse_args(&argv("fleet --predictor kde,xapp")).unwrap();
+        assert_eq!(a.predictors, [PredictorKind::Kde, PredictorKind::XApp]);
     }
 
     #[test]
@@ -1502,6 +1523,9 @@ mod tests {
         assert!(parse_args(&argv("run --ticks abc")).is_err());
         assert!(parse_args(&argv("run --ticks -3")).is_err());
         assert!(parse_args(&argv("run --scenario")).is_err());
+        assert!(parse_args(&argv("run --scenario warp-core")).is_err());
+        assert!(parse_args(&argv("fleet --scenario nope+soplex")).is_err());
+        assert!(parse_args(&argv("fleet --predictor warp-core")).is_err());
         assert!(parse_args(&argv("fleet --cells abc")).is_err());
         assert!(parse_args(&argv("fleet --workers")).is_err());
         assert!(parse_args(&argv("run --record-out")).is_err());

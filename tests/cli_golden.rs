@@ -305,6 +305,19 @@ fn the_usage_follows_only_a_refused_command_line() {
             "run --bogus 1",
             format!("error: unknown flag `--bogus`\n{usage}"),
         ),
+        // A value a list or name check refuses is a refused command line
+        // too: `--policy`, `--predictor` and `--scenario` alike.
+        (
+            "run --predictor warp-core",
+            format!(
+                "error: invalid configuration: unknown predictor 'warp-core' \
+                 (expected kde|xapp|denoise|last-tick)\n{usage}"
+            ),
+        ),
+        (
+            "run --scenario warp-core",
+            format!("error: scenario `warp-core` is not of the form <sensitive>+<batch>\n{usage}"),
+        ),
         (
             "run --ticks 5 --record-out /dev/full",
             "error: cannot write /dev/full: No space left on device (os error 28)\n".to_string(),
