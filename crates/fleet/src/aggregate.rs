@@ -24,10 +24,10 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use stayaway_core::{hit_ratio, ControllerStats};
 use stayaway_obs::{merge_streams, EventRecord, MetricsSnapshot};
-use stayaway_telemetry::QosSummary;
+use stayaway_telemetry::{QosSummary, RunOutcome};
 
 /// The one fold over finished cells and cluster hosts behind every rollup:
-/// pooled QoS, utilisation sums, batch work and controller counters, added
+/// pooled QoS, the runs' means, batch work and controller counters, added
 /// in index order, means divided by `max(1)` — each rollup copies out the
 /// fields it declares.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,29 +47,14 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    /// The empty tally. Its QoS starts from [`QosSummary::new`] — a
-    /// derived default would pin `worst` at 0.
-    pub(crate) fn new() -> Self {
-        Tally {
-            qos: QosSummary::new(),
-            ..Tally::default()
-        }
-    }
-
-    /// Adds one finished cell or host.
-    pub(crate) fn add(
-        &mut self,
-        qos: &QosSummary,
-        mean_utilization: f64,
-        gained_utilization: f64,
-        batch_work: f64,
-        stats: &ControllerStats,
-    ) {
+    /// Adds one finished cell or host: its run on a host of
+    /// `cpu_capacity` cores, and its controller's counters.
+    pub(crate) fn add(&mut self, run: &RunOutcome, cpu_capacity: f64, stats: &ControllerStats) {
         self.count += 1;
-        self.qos.absorb(qos);
-        self.utilization += mean_utilization;
-        self.gained_utilization += gained_utilization;
-        self.batch_work += batch_work;
+        self.qos.absorb(&run.qos);
+        self.utilization += run.mean_utilization();
+        self.gained_utilization += run.mean_gained_utilization(cpu_capacity);
+        self.batch_work += run.batch_work;
         self.throttles += stats.throttles;
         self.resumes += stats.resumes;
         self.violations_predicted += stats.violations_predicted;
@@ -95,7 +80,7 @@ fn group<'g, 'a>(groups: &'g mut Vec<(&'a str, Tally)>, key: &'a str) -> &'g mut
     let at = match groups.iter().position(|(k, _)| *k == key) {
         Some(at) => at,
         None => {
-            groups.push((key, Tally::new()));
+            groups.push((key, Tally::default()));
             groups.len() - 1
         }
     };
@@ -479,7 +464,7 @@ impl FleetOutcome {
     /// Folds per-cell outcomes (already sorted by cell index) into the
     /// fleet rollup.
     pub fn aggregate(config: &FleetConfig, outcomes: &[CellOutcome]) -> Self {
-        let mut fleet = Tally::new();
+        let mut fleet = Tally::default();
         let mut per_policy: Vec<(&str, Tally)> = Vec::new();
         let mut per_predictor: Vec<(&str, Tally)> = Vec::new();
         let mut cells_imported = 0;
@@ -500,10 +485,7 @@ impl FleetOutcome {
                     .get_or_insert_with(Vec::new)
                     .push(cell_events.clone());
             }
-            let utilization = o.run.mean_utilization();
-            let gained = o.run.mean_gained_utilization(o.cpu_capacity);
-            let add =
-                |t: &mut Tally| t.add(&o.run.qos, utilization, gained, o.run.batch_work, &o.stats);
+            let add = |t: &mut Tally| t.add(&o.run, o.cpu_capacity, &o.stats);
             add(group(&mut per_policy, &o.policy));
             if o.predictor != crate::predictor::NONE {
                 add(group(&mut per_predictor, &o.predictor));

@@ -25,7 +25,7 @@ use crate::source::workload_source;
 use crate::FleetError;
 use stayaway_core::ControllerConfig;
 use stayaway_obs::{attr, merge_streams, AttrValue, EventId, EventKind, FlightRecorder, Layer};
-use stayaway_telemetry::{step, QosSummary, TelemetryError};
+use stayaway_telemetry::{step, RunOutcome, TelemetryError};
 use stayaway_workload::{WorkloadError, WorkloadHost};
 use std::sync::Arc;
 
@@ -113,20 +113,18 @@ impl ClusterConfig {
 
 /// One open host — the [`WorkloadHost`] + policy a `workload:` fleet cell
 /// opens — kept open across epochs so the cluster verbs reach the engine,
-/// `open.source`, between them. Tick records fold into sums, not a list.
+/// `open.source`, between them. Its ticks fold into two [`RunOutcome`]s
+/// through [`RunOutcome::fold`], as a fleet cell's do, and neither keeps a
+/// timeline.
 struct HostCell {
     idx: usize,
     open: OpenHost<WorkloadHost>,
     sensitive_key: String,
     seed: u64,
-    qos: QosSummary,
-    epoch_qos: QosSummary,
-    epoch_cpu_sum: f64,
-    epoch_ticks: u64,
-    sum_utilization: f64,
-    sum_batch_cpu: f64,
-    ticks: u64,
-    rejected: u64,
+    /// The whole run's ticks.
+    run: RunOutcome,
+    /// The last epoch's ticks, read by the epoch-boundary snapshot.
+    epoch: RunOutcome,
     /// Source failure of the last epoch advance, parked so the parallel
     /// section returns (and allocates) nothing; surfaced at the barrier.
     failure: Option<TelemetryError>,
@@ -135,25 +133,16 @@ struct HostCell {
 impl HostCell {
     /// Advances the local closed loop by up to `ticks` periods of
     /// [`stayaway_telemetry::step`] — the loop every fleet cell runs —
-    /// folding each record into the epoch and run sums.
+    /// folding each record into the run and a fresh epoch.
     fn advance_epoch(&mut self, ticks: u64) -> Result<(), TelemetryError> {
-        self.epoch_qos = QosSummary::new();
-        self.epoch_cpu_sum = 0.0;
-        self.epoch_ticks = ticks;
+        self.epoch = RunOutcome::default();
         for _ in 0..ticks {
             let Some((record, rejected)) = step(&mut self.open.source, self.open.policy.as_mut())?
             else {
                 break;
             };
-            if record.sensitive_active {
-                self.qos.record(record.qos_value, record.violated);
-                self.epoch_qos.record(record.qos_value, record.violated);
-            }
-            self.rejected += rejected;
-            self.sum_utilization += record.utilization;
-            self.sum_batch_cpu += record.batch_cpu;
-            self.epoch_cpu_sum += record.sensitive_cpu + record.batch_cpu;
-            self.ticks += 1;
+            self.run.fold(&record, rejected);
+            self.epoch.fold(&record, rejected);
         }
         Ok(())
     }
@@ -166,12 +155,8 @@ impl HostCell {
             name: host.scenario().name.clone(),
             spec: host.scenario().host,
             load: host.load(),
-            mean_cpu: if self.epoch_ticks > 0 {
-                self.epoch_cpu_sum / self.epoch_ticks as f64
-            } else {
-                0.0
-            },
-            epoch_qos: self.epoch_qos,
+            mean_cpu: self.epoch.mean_cpu(),
+            epoch_qos: self.epoch.qos,
             frozen_jobs: host.frozen_batch(),
             placed_jobs,
             template_violations: registry
@@ -292,14 +277,8 @@ impl Cluster {
             open,
             sensitive_key,
             seed,
-            qos: QosSummary::new(),
-            epoch_qos: QosSummary::new(),
-            epoch_cpu_sum: 0.0,
-            epoch_ticks: 0,
-            sum_utilization: 0.0,
-            sum_batch_cpu: 0.0,
-            ticks: 0,
-            rejected: 0,
+            run: RunOutcome::default(),
+            epoch: RunOutcome::default(),
             failure: None,
         })
     }
@@ -530,35 +509,27 @@ impl Cluster {
 
     fn aggregate(
         &self,
-        cells: Vec<HostCell>,
+        mut cells: Vec<HostCell>,
         jobs: Vec<JobState>,
         sched: Scheduling,
     ) -> ClusterOutcome {
         let config = &self.config;
-        let mut cluster = Tally::new();
+        let mut cluster = Tally::default();
         let mut slo_met = 0u64;
         let mut slo_total = 0u64;
         let mut metrics: Option<stayaway_obs::MetricsSnapshot> = None;
         let mut metric_unit_mismatches = 0u64;
         let per_host: Vec<HostRollup> = cells
-            .iter()
+            .iter_mut()
             .map(|cell| {
                 let host = &cell.open.source;
                 let totals = host.totals();
                 slo_met += totals.sensitive_met;
                 slo_total += totals.sensitive_completed + totals.sensitive_dropped;
-                let ticks = cell.ticks.max(1) as f64;
-                let mean_utilization = cell.sum_utilization / ticks;
-                let gained = cell.sum_batch_cpu
-                    / (ticks * host.scenario().host.cpu_cores.max(f64::MIN_POSITIVE));
+                let cpu_cores = host.scenario().host.cpu_cores;
+                cell.run.batch_work = host.batch_work();
                 let stats = cell.open.stats();
-                cluster.add(
-                    &cell.qos,
-                    mean_utilization,
-                    gained,
-                    host.batch_work(),
-                    &stats,
-                );
+                cluster.add(&cell.run, cpu_cores, &stats);
                 if let Some(r) = cell.open.obs.exported_registry() {
                     metric_unit_mismatches += metrics
                         .get_or_insert_with(stayaway_obs::MetricsSnapshot::default)
@@ -569,21 +540,21 @@ impl Cluster {
                     name: host.scenario().name.clone(),
                     sensitive: cell.sensitive_key.clone(),
                     seed: cell.seed,
-                    qos: cell.qos,
+                    qos: cell.run.qos,
                     slo_violation_rate: totals.slo_violation_rate(),
                     arrivals: totals.arrivals,
                     completed: totals.completed,
                     dropped: totals.dropped,
-                    mean_utilization,
-                    gained_utilization: gained,
-                    batch_work: host.batch_work(),
+                    mean_utilization: cell.run.mean_utilization(),
+                    gained_utilization: cell.run.mean_gained_utilization(cpu_cores),
+                    batch_work: cell.run.batch_work,
                     throttles: stats.throttles,
                     resumes: stats.resumes,
                     events_dropped: stats.events_dropped,
                     prediction_checks: stats.prediction_checks,
                     prediction_hits: stats.prediction_hits,
                     samples_rejected: stats.samples_rejected,
-                    rejected_actions: cell.rejected,
+                    rejected_actions: cell.run.rejected_actions,
                     imported_template: cell.open.imported_template,
                     jobs_hosted: jobs
                         .iter()

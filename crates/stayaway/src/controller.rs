@@ -122,14 +122,15 @@ impl Controller {
     /// stage. [`ControllerStats::stage_timing`] counts every finished
     /// period exactly (the periods less the errored ones) and estimates
     /// its nanoseconds from the per-stage latency histograms, which hold
-    /// one period in 16: each sampled period stands for the 16 of its
-    /// block, so the estimate is additive across controllers and across a
-    /// run's stretches.
+    /// one period in 16 (their count is `clocked`): each sampled period
+    /// stands for the 16 of its block, so the estimate is additive across
+    /// controllers and across a run's stretches.
     pub fn stats(&self) -> ControllerStats {
         let o = &self.obs;
         let finished = o.periods.get() - o.mapping_errors.get();
         let clock = |h: &stayaway_obs::Histogram| StageClock {
             invocations: finished,
+            clocked: h.count(),
             nanos: h.sum() * CLOCK_STRIDE,
         };
         ControllerStats {
@@ -646,22 +647,23 @@ mod tests {
         let scenario = Scenario::vlc_with_cpubomb(23);
         let mut h = scenario.build_harness().unwrap();
         let mut ctl = default_controller(&h);
-        let mut landed = false;
+        let mut clocked = 0;
         for period in 0..200 {
             let observation = h.next_observation().unwrap().unwrap();
             let actions = ctl.decide(&observation);
             h.apply(&actions);
-            landed |= sampled(period);
+            clocked += u64::from(sampled(period));
             let t = ctl.stats().stage_timing;
-            // Every finished period is counted, clocked or not...
+            // Every finished period is counted, clocked or not, and so is
+            // every clocked one...
             for clock in [t.sense, t.map, t.predict, t.act] {
-                assert_eq!(clock.invocations, period + 1);
+                assert_eq!((clock.invocations, clock.clocked), (period + 1, clocked));
             }
             // ...and the time estimate is non-zero once a sample landed.
             let nanos = t.sense.nanos + t.map.nanos + t.predict.nanos + t.act.nanos;
-            assert_eq!(nanos > 0, landed, "period {period}: {nanos} ns");
+            assert_eq!(nanos > 0, clocked > 0, "period {period}: {nanos} ns");
         }
-        assert!(landed);
+        assert!(clocked > 0);
     }
 
     /// The sampled periods are a function of the period count alone: a

@@ -22,17 +22,22 @@ pub enum ResumeReason {
 /// estimate: the controller reads the clock on one period in 16 (picked
 /// by a hash of the period count, DESIGN.md §11) and reports 16 × the
 /// sampled sum, each sample weighted by the inverse of its sampling
-/// probability. The estimate is additive, so stage clocks of several
-/// controllers, or of two points of one run, add and subtract.
+/// probability. `clocked` counts those samples, so a stage with none
+/// reads "no sample", not "no time". The estimate is additive, so stage
+/// clocks of several controllers, or of two points of one run, add and
+/// subtract.
 ///
 /// Wall-time is diagnostic only: two bit-identical runs disagree on
-/// nanoseconds, so equality compares invocation counts alone — the
+/// nanoseconds, so equality compares the two counts alone — the
 /// determinism suite can keep asserting `stats == stats` while perf PRs
 /// still see which stage burns the per-period budget.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct StageClock {
     /// Times the stage ran: every finished period, exactly.
     pub invocations: u64,
+    /// Finished periods whose time was read: exact, and a function of the
+    /// period count alone.
+    pub clocked: u64,
     /// Estimated wall-clock nanoseconds across those invocations: 16 ×
     /// the time of the one period in 16 that was clocked.
     pub nanos: u64,
@@ -40,7 +45,7 @@ pub struct StageClock {
 
 impl PartialEq for StageClock {
     fn eq(&self, other: &Self) -> bool {
-        self.invocations == other.invocations
+        (self.invocations, self.clocked) == (other.invocations, other.clocked)
     }
 }
 
@@ -142,13 +147,18 @@ mod tests {
 
     #[test]
     fn stage_clock_equality_ignores_wall_time() {
-        let clock = |invocations, nanos| StageClock { invocations, nanos };
+        let clock = |invocations, clocked, nanos| StageClock {
+            invocations,
+            clocked,
+            nanos,
+        };
         assert_eq!(
-            clock(1, 10),
-            clock(1, 9999),
-            "same invocation count must compare equal"
+            clock(1, 1, 10),
+            clock(1, 1, 9999),
+            "same counts must compare equal"
         );
-        assert_ne!(clock(1, 10), clock(2, 10_000));
+        assert_ne!(clock(1, 1, 10), clock(2, 1, 10_000));
+        assert_ne!(clock(16, 0, 0), clock(16, 1, 0));
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! itself, and cluster hosts advance their epochs with it — so
 //! every consumer (bench runner, fleet cells, cluster hosts, CLI) closes
 //! the loop identically over sim, trace, workload and procfs substrates.
+//! Every one of them accounts a tick through [`RunOutcome::fold`], the one
+//! per-tick fold, so their QoS and means agree bit for bit.
 
 use crate::observation::{AppClass, Observation, Policy};
 use crate::source::ObservationSource;
 use crate::{HostSpec, TelemetryError};
 use serde::{Deserialize, Serialize};
 
-/// Aggregated QoS statistics over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+/// Aggregated QoS statistics over a run. Its default is [`QosSummary::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QosSummary {
     /// Ticks during which the sensitive application was active.
     pub active_ticks: u64,
@@ -37,7 +39,8 @@ impl QosSummary {
         }
     }
 
-    /// Records one active tick.
+    /// Records one active tick. [`RunOutcome::fold`] is its one caller
+    /// outside tests.
     pub fn record(&mut self, qos_value: f64, violated: bool) {
         self.active_ticks += 1;
         if violated {
@@ -75,6 +78,14 @@ impl QosSummary {
     }
 }
 
+impl Default for QosSummary {
+    /// The empty summary: `worst` starts at 1, the best QoS, so the
+    /// first recorded tick sets it.
+    fn default() -> Self {
+        QosSummary::new()
+    }
+}
+
 /// One tick of a recorded run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TickRecord {
@@ -100,8 +111,11 @@ pub struct TickRecord {
     pub actions: usize,
 }
 
-/// The outcome of a complete run.
-#[derive(Debug, Clone, PartialEq)]
+/// The outcome of a complete run: its ticks folded, in order, into QoS
+/// and tick-ordered sums by [`RunOutcome::fold`], and the means read off
+/// those sums. [`drive`] also keeps each record in `timeline`; a run
+/// built by `fold` alone keeps none and reports the same means.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunOutcome {
     /// Name of the policy that drove the run.
     pub policy: String,
@@ -114,26 +128,55 @@ pub struct RunOutcome {
     /// Actions rejected by the substrate (e.g. pausing a sensitive
     /// container).
     pub rejected_actions: u64,
+    /// Ticks folded in.
+    pub ticks: u64,
+    /// Sum of the ticks' machine utilisations.
+    utilization_sum: f64,
+    /// Sum of the ticks' batch CPU grants, in cores.
+    batch_cpu_sum: f64,
+    /// Sum of the ticks' host CPU (sensitive + batch grants), in cores.
+    host_cpu_sum: f64,
 }
 
 impl RunOutcome {
+    /// Accounts one tick: its QoS when the sensitive application was
+    /// active, the actions the substrate rejected, and the tick-ordered
+    /// sums the means divide.
+    pub fn fold(&mut self, record: &TickRecord, rejected: u64) {
+        if record.sensitive_active {
+            self.qos.record(record.qos_value, record.violated);
+        }
+        self.rejected_actions += rejected;
+        self.ticks += 1;
+        self.utilization_sum += record.utilization;
+        self.batch_cpu_sum += record.batch_cpu;
+        self.host_cpu_sum += record.sensitive_cpu + record.batch_cpu;
+    }
+
     /// Mean machine CPU utilisation over the run.
     pub fn mean_utilization(&self) -> f64 {
-        if self.timeline.is_empty() {
+        if self.ticks == 0 {
             return 0.0;
         }
-        self.timeline.iter().map(|r| r.utilization).sum::<f64>() / self.timeline.len() as f64
+        self.utilization_sum / self.ticks as f64
     }
 
     /// Mean *gained* utilisation: the CPU share consumed by batch work,
     /// which is exactly the utilisation gained over running the sensitive
     /// application alone (Figures 10–12).
     pub fn mean_gained_utilization(&self, cpu_capacity: f64) -> f64 {
-        if self.timeline.is_empty() || cpu_capacity <= 0.0 {
+        if self.ticks == 0 || cpu_capacity <= 0.0 {
             return 0.0;
         }
-        self.timeline.iter().map(|r| r.batch_cpu).sum::<f64>()
-            / (self.timeline.len() as f64 * cpu_capacity)
+        self.batch_cpu_sum / (self.ticks as f64 * cpu_capacity)
+    }
+
+    /// Mean host CPU (sensitive + batch grants) per tick, in cores.
+    pub fn mean_cpu(&self) -> f64 {
+        if self.ticks == 0 {
+            return 0.0;
+        }
+        self.host_cpu_sum / self.ticks as f64
     }
 
     /// The per-tick gained-utilisation series.
@@ -263,9 +306,10 @@ where
     Ok(Some((record, rejected)))
 }
 
-/// Runs the closed loop: up to `ticks` [`step`]s against `source`,
-/// accumulated into a [`RunOutcome`]. Stops early when the source is
-/// exhausted (finite traces), so `ticks` is a budget, not a promise.
+/// Runs the closed loop: up to `ticks` [`step`]s against `source`, each
+/// record folded into a [`RunOutcome`] and then kept in its timeline.
+/// Stops early when the source is exhausted (finite traces), so `ticks`
+/// is a budget, not a promise.
 ///
 /// # Errors
 ///
@@ -276,26 +320,20 @@ pub fn drive(
     policy: &mut dyn Policy,
     ticks: u64,
 ) -> Result<RunOutcome, TelemetryError> {
-    let mut qos = QosSummary::new();
-    let mut timeline = Vec::with_capacity(ticks.min(MAX_RESERVED_TICKS) as usize);
-    let mut rejected_actions = 0;
+    let mut run = RunOutcome {
+        policy: policy.name().to_string(),
+        timeline: Vec::with_capacity(ticks.min(MAX_RESERVED_TICKS) as usize),
+        ..RunOutcome::default()
+    };
     for _ in 0..ticks {
         let Some((record, rejected)) = step(source, policy)? else {
             break;
         };
-        if record.sensitive_active {
-            qos.record(record.qos_value, record.violated);
-        }
-        rejected_actions += rejected;
-        timeline.push(record);
+        run.fold(&record, rejected);
+        run.timeline.push(record);
     }
-    Ok(RunOutcome {
-        policy: policy.name().to_string(),
-        qos,
-        timeline,
-        batch_work: source.batch_work(),
-        rejected_actions,
-    })
+    run.batch_work = source.batch_work();
+    Ok(run)
 }
 
 #[cfg(test)]
@@ -348,6 +386,12 @@ mod tests {
         let s = QosSummary::new();
         assert_eq!(s.satisfaction(), 1.0);
         assert_eq!(s.mean_qos(), 1.0);
+    }
+
+    #[test]
+    fn the_default_summary_is_the_empty_one() {
+        assert_eq!(QosSummary::default(), QosSummary::new());
+        assert_eq!(RunOutcome::default().qos.worst, 1.0);
     }
 
     fn observation(tick: u64, batch_active: bool) -> Observation {
@@ -460,6 +504,132 @@ mod tests {
         let out = drive(&mut source, &mut NullPolicy::new(), 4).unwrap();
         assert_eq!(out.timeline.len(), 4);
         assert_eq!(out.timeline.last().unwrap().batch_paused, 1);
+    }
+
+    /// The means as `RunOutcome` computed them from its timeline before it
+    /// kept sums (the cluster host's epoch CPU for `mean_cpu`), kept
+    /// verbatim as the reference for the sums.
+    fn reference_means(timeline: &[TickRecord], cpu_capacity: f64) -> [f64; 3] {
+        let utilization = if timeline.is_empty() {
+            0.0
+        } else {
+            timeline.iter().map(|r| r.utilization).sum::<f64>() / timeline.len() as f64
+        };
+        let gained = if timeline.is_empty() || cpu_capacity <= 0.0 {
+            0.0
+        } else {
+            timeline.iter().map(|r| r.batch_cpu).sum::<f64>()
+                / (timeline.len() as f64 * cpu_capacity)
+        };
+        let mut cpu_sum = 0.0;
+        for r in timeline {
+            cpu_sum += r.sensitive_cpu + r.batch_cpu;
+        }
+        let cpu = if timeline.is_empty() {
+            0.0
+        } else {
+            cpu_sum / timeline.len() as f64
+        };
+        [utilization, gained, cpu]
+    }
+
+    fn means(run: &RunOutcome, cpu_capacity: f64) -> [u64; 3] {
+        [
+            run.mean_utilization(),
+            run.mean_gained_utilization(cpu_capacity),
+            run.mean_cpu(),
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// A source of `len` ticks whose records are drawn from `seed`.
+    struct Random {
+        seed: u64,
+        len: u64,
+        next: u64,
+    }
+    impl ObservationSource for Random {
+        fn meta(&self) -> SourceMeta {
+            Canned(Vec::new(), 0).meta()
+        }
+        fn next_observation(&mut self) -> Result<Option<Observation>, TelemetryError> {
+            self.next += 1;
+            Ok((self.next <= self.len).then(|| observation(self.next - 1, true)))
+        }
+        fn record_for(&self, observation: &Observation, actions: &[Action]) -> TickRecord {
+            let mut state = self.seed ^ observation.tick.wrapping_mul(crate::GAMMA);
+            let mut unit = || {
+                state = crate::splitmix64(state);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let (qos_value, active, violated) = (unit(), unit() < 0.8, unit() < 0.3);
+            let batch_cpu = if unit() < 0.2 { 0.0 } else { 8.0 * unit() };
+            TickRecord {
+                tick: observation.tick,
+                qos_value,
+                violated,
+                sensitive_active: active,
+                batch_active: 1,
+                batch_paused: 0,
+                sensitive_cpu: 4.0 * unit(),
+                batch_cpu,
+                utilization: unit(),
+                actions: actions.len(),
+            }
+        }
+    }
+
+    #[test]
+    fn the_sums_give_the_timelines_means_bit_for_bit() {
+        // Budgets below, at and past each stream's length: a source that
+        // runs dry stops the run early. Length 0 is the empty run.
+        for seed in 0..64u64 {
+            let len = crate::splitmix64(seed) % 200;
+            for budget in [len / 2, len, len + 7] {
+                let mut source = Random { seed, len, next: 0 };
+                let run = drive(&mut source, &mut NullPolicy::new(), budget).unwrap();
+                assert_eq!(run.ticks, budget.min(len));
+                assert_eq!(run.timeline.len() as u64, run.ticks);
+                // The same ticks through `fold` alone, keeping no timeline.
+                let mut folded = RunOutcome {
+                    policy: run.policy.clone(),
+                    ..RunOutcome::default()
+                };
+                for record in &run.timeline {
+                    folded.fold(record, 0);
+                }
+                assert!(folded.timeline.is_empty());
+                assert_eq!(folded.qos, run.qos);
+                assert_eq!(folded.rejected_actions, run.rejected_actions);
+                for capacity in [4.0, 1.5, 0.0, -2.0] {
+                    let reference = reference_means(&run.timeline, capacity).map(f64::to_bits);
+                    assert_eq!(
+                        means(&run, capacity),
+                        reference,
+                        "seed {seed}, {capacity} cores"
+                    );
+                    assert_eq!(means(&folded, capacity), reference);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sums_lose_only_the_sign_of_an_all_negative_zero_stream() {
+        // `Iterator::sum` starts from -0.0 and the sums from 0.0, so they
+        // part only on a stream whose every term is -0.0 (a tick without
+        // batch containers sums an empty set to -0.0), and then only in
+        // the sign of a zero mean.
+        let mut record = derive_record(&observation(0, true), 0, None);
+        record.batch_cpu = -0.0;
+        let timeline = vec![record; 3];
+        let mut run = RunOutcome::default();
+        for r in &timeline {
+            run.fold(r, 0);
+        }
+        let [_, reference, _] = reference_means(&timeline, 4.0);
+        assert_eq!(reference.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(run.mean_gained_utilization(4.0).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -119,8 +119,6 @@ struct TickStats {
     completed: u64,
     met: u64,
     dropped: u64,
-    cold_starts: u64,
-    evictions: u64,
     slowdown_sum: f64,
     /// Resource-time integrals over the tick (value · nanoseconds), on
     /// the [`ResourceKind::SHARED_RATES`] axes.
@@ -708,7 +706,6 @@ impl WorkloadHost {
         };
         let gen = t.containers[slot].gen;
         t.alive += 1;
-        t.stats.cold_starts += 1;
         self.totals.cold_starts += 1;
         add_kinds(&mut self.load, &t.occupancy, &OCCUPANCY);
         if let Some(m) = &self.metrics {
@@ -732,7 +729,6 @@ impl WorkloadHost {
         c.active = 0;
         t.alive -= 1;
         t.free_slots.push(slot);
-        t.stats.evictions += 1;
         self.totals.evictions += 1;
         sub_kinds(&mut self.load, &t.occupancy, &OCCUPANCY);
         if let Some(m) = &self.metrics {

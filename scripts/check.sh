@@ -72,10 +72,10 @@ fi
 # (`ControllerMetrics::decision` in `crates/stayaway/src/obs.rs`,
 # `Scheduling::applied` in the runner), the call that also bumps the
 # decision's counter. An event written anywhere else in these two files
-# forks that path. (`*_latency.record(` are histograms, `*qos.record(`
-# QoS tallies.)
+# forks that path. (`*_latency.record(` are histograms; a QoS tally's
+# `record` is the "one per-tick fold" guard's below.)
 if awk '/fn [a-z_]+/ { match($0, /fn [a-z_]+/); f = substr($0, RSTART + 3, RLENGTH - 3) }
-        /\.record(_for)?\(/ && !/(_latency|qos)\.record\(/ && f != "applied" {
+        /\.record(_for)?\(/ && !/_latency\.record\(/ && f != "applied" {
             print FILENAME ":" FNR ":" $0; bad = 1
         }
         END { exit !bad }' crates/stayaway/src/controller.rs crates/fleet/src/cluster/runner.rs; then
@@ -116,6 +116,23 @@ if awk 'FNR == 1 { test = 0 }
         }
         END { exit !bad }' "${plan_files[@]}"; then
     echo "check.sh: a cell axis indexed with % outside Fleet::plans (above)" >&2
+    exit 1
+fi
+# One per-tick fold: every plane accounts a tick through `RunOutcome::fold`
+# (`crates/telemetry/src/run.rs`), which `telemetry::drive` calls for a
+# fleet cell or a single host and `HostCell::advance_epoch` for a cluster
+# host. A `qos.record(` anywhere else in non-test code (comments aside) is
+# a second per-tick fold, whose QoS and means need not agree with it.
+mapfile -t fold_files < <(find crates/*/src src -name '*.rs' \
+    -not -path crates/telemetry/src/run.rs | sort)
+if awk 'FNR == 1 { test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
+        { code = $0; sub(/\/\/.*/, "", code) }
+        !test && code ~ /qos\.record\(/ {
+            print FILENAME ":" FNR ":" $0; bad = 1
+        }
+        END { exit !bad }' "${fold_files[@]}"; then
+    echo "check.sh: a QoS tick recorded outside RunOutcome::fold (above)" >&2
     exit 1
 fi
 # Every public function has a caller, and one outside its crate. rustc
@@ -266,7 +283,8 @@ fi
 # rejected samples and the metrics rollup (the host's equals the cell's
 # stable view but for the cell-runtime span) — because both planes open
 # their host through one `open_host`, record into one `Observability`
-# bundle, fold through one tally and run the one `telemetry::step` loop.
+# bundle, run the one `telemetry::step` loop, account each tick through
+# the one `RunOutcome::fold` and fold each finished run through one tally.
 #
 # Flight-recorder determinism (`stayaway-fleet --test event_determinism`):
 # the canonical event stream must be byte-identical for any worker count

@@ -9,7 +9,9 @@
 //! web-cpu, web-mem, web-mix} and batch ∈ {cpu-bomb, memory-bomb, soplex,
 //! twitter-analysis, vlc-transcode}.
 
-use stay_away::core::{ControllerConfig, ControllerStats, Observability, PredictorKind};
+use stay_away::core::{
+    ControllerConfig, ControllerStats, Observability, PredictorKind, StageClock,
+};
 use stay_away::fleet::cell::{run_host, HostOutcome, HostRun};
 use stay_away::fleet::report::format_accuracy;
 use stay_away::fleet::{
@@ -478,7 +480,7 @@ fn summary(scenario: &str, outcome: &HostOutcome) -> serde_json::Value {
     let mut doc = serde_json::json!({
         "scenario": scenario,
         "policy": run.policy,
-        "ticks": run.timeline.len(),
+        "ticks": run.ticks,
         "violations": run.qos.violations,
         "satisfaction": run.qos.satisfaction(),
         "mean_qos": run.qos.mean_qos(),
@@ -525,18 +527,19 @@ fn summarize(out: &mut Out<'_>, outcome: &HostOutcome) -> Result<(), CliError> {
             stats.resumes,
             format_accuracy(stats.prediction_accuracy()),
         )?;
+        // A stage no period was clocked in has no time to report.
+        let clock = |c: &StageClock| match c.clocked {
+            0 => format!("{}x/n/a", c.invocations),
+            _ => format!("{}x/{}µs", c.invocations, c.nanos / 1_000),
+        };
         let t = &stats.stage_timing;
         writeln!(
             out,
-            "stages: sense {}x/{}µs, map {}x/{}µs, predict {}x/{}µs, act {}x/{}µs",
-            t.sense.invocations,
-            t.sense.nanos / 1_000,
-            t.map.invocations,
-            t.map.nanos / 1_000,
-            t.predict.invocations,
-            t.predict.nanos / 1_000,
-            t.act.invocations,
-            t.act.nanos / 1_000,
+            "stages: sense {}, map {}, predict {}, act {}",
+            clock(&t.sense),
+            clock(&t.map),
+            clock(&t.predict),
+            clock(&t.act),
         )?;
     }
     if let Some(r) = &outcome.requests {
@@ -966,7 +969,7 @@ fn run(argv: &[String], out: &mut Out<'_>) -> Result<ExitCode, CliError> {
                         writeln!(
                             out,
                             "trace with {} observations written to {path}",
-                            outcome.run.timeline.len()
+                            outcome.run.ticks
                         )?;
                     }
                     let metrics = obs.exported_registry().map(MetricsRegistry::snapshot);

@@ -63,6 +63,11 @@
 //! refused command line prints the usage after its error
 //! ([`the_usage_follows_only_a_refused_command_line`]).
 //!
+//! Then a stage clock carries its count of clocked periods: `--json`
+//! prints `"clocked"` beside `"invocations"`, and the `stages:` line
+//! reads `n/a` for a stage with none (`run --ticks 5`), where it read
+//! `0µs` as if no time had passed.
+//!
 //! Wall-clock readings are the only nondeterministic output; one
 //! normaliser ([`normalise`]) masks exactly these shapes:
 //!
@@ -334,6 +339,7 @@ fn run_on_the_simulator() {
     golden(
         "run",
         &[
+            "run --ticks 5",
             "run --ticks 48",
             "run --ticks 48 --json",
             "run --scenario web-mem+soplex --policy reactive --ticks 48 --seed 3",
