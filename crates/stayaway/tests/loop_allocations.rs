@@ -9,16 +9,19 @@
 //! the same loop through `FaultySource`, transparent at rate 0 and with
 //! 10 % sensor dropout and 30 % actuation failure, where a period whose
 //! batch the wrapper swallowed is let off like one that acted; and the
-//! trace plane's two ends: the simulator teed through a `RecordingSource`
-//! (the derive writing each observation line into the writer's kept
-//! buffer) and a `TraceSource` replay of a controller-recorded run (the
-//! derive reading each line in place into the recycled observation, and
-//! the period's record built without cloning the source's metadata).
+//! trace plane's two ends, in the version 2 format: the simulator teed
+//! through a `RecordingSource` (each tick line written into the writer's
+//! kept buffer after a roster compare in place) and a `TraceSource` replay
+//! of a controller-recorded run with its byte and error counters on (each
+//! tick line read into the recycled observation, names copied from the
+//! roster into the buffers the observation holds, and the period's record
+//! built without cloning the source's metadata).
 //!
 //! One `#[test]` only: the counting allocator is process-wide, and a
 //! second test running beside this one would be counted too.
 
 use stayaway_core::{Controller, ControllerConfig, ViolationDetection};
+use stayaway_obs::MetricsRegistry;
 use stayaway_sim::scenario::Scenario;
 use stayaway_telemetry::{FaultySource, HostSpec, ObservationSource, RecordingSource, TraceSource};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -87,7 +90,9 @@ fn a_steady_closed_loop_period_allocates_nothing() {
             let tee = RecordingSource::new(harness(), std::io::sink()).unwrap();
             fence(&format!("{name}, teed"), tee, &spec, detection, |_| 0);
             let trace = recorded(harness(), &spec, detection);
-            let replay = TraceSource::new(trace.as_slice()).unwrap();
+            let replay = TraceSource::new(trace.as_slice())
+                .unwrap()
+                .with_metrics(&MetricsRegistry::new());
             fence(
                 &format!("{name}, replayed"),
                 replay,

@@ -25,11 +25,16 @@
 //! state depends only on the observation sequence and its own seeded
 //! randomness, so replaying a recorded trace through the same policy
 //! configuration reproduces every action, event and statistic
-//! bit-for-bit. A trace holds one JSON line per observation, written and
-//! read by the observation types' `serde` derives: [`TraceWriter`] writes
-//! into one kept line buffer and [`TraceSource`] reads each line in place
-//! into the observation the loop handed back, so a steady recording or
-//! replay allocates nothing per period.
+//! bit-for-bit. A trace (version 2) names the containers once, in its
+//! header's roster, and holds one JSON array per observation of only the
+//! values that change — `[tick, violated, qos, [[flags, [usage×6], ipc],
+//! …]]` — with a line restating the roster where a source's containers
+//! change. [`TraceWriter`] writes into one kept line buffer and
+//! [`TraceSource`] reads each line in place into the observation the loop
+//! handed back, so a steady recording or replay allocates nothing per
+//! period. Version 1 traces, one `serde`-derived observation object per
+//! line, still replay. A header member added later that a replay can do
+//! without is skipped by readers and needs no version bump.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

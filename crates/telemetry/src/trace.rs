@@ -1,31 +1,49 @@
 //! Streaming JSONL trace record/replay.
 //!
-//! A trace file is line-oriented JSON:
+//! A trace file is line-oriented JSON. Version 2, the one
+//! [`TraceWriter`] writes ([`TRACE_VERSION`]):
 //!
 //! * **line 1** — a [`TraceHeader`]: format tag, version, the substrate the
-//!   trace was recorded from, its metric set, tick period and host spec;
-//! * **every further line** — one [`Observation`], in tick order.
+//!   trace was recorded from, its metric set, tick period, host spec and
+//!   the container **roster** — each container's `id`, `name`, `class` and
+//!   `priority`, in observation order;
+//! * **every further line** — one tick, an array of only what changes from
+//!   period to period: `[tick, violated, qos, [[flags, [usage×6], ipc], …]]`,
+//!   one entry per roster container, `flags` packing `active` (1),
+//!   `paused` (2) and `finished` (4). Floats are the scalar writer's
+//!   shortest round-trip text, so a replay is the recorded run bit for
+//!   bit;
+//! * where a source's roster changes (a tenant attached or detached), a
+//!   line `{"roster":[…]}` restating it comes before the first tick under
+//!   it.
+//!
+//! Version 1 traces — one [`Observation`] object per line, every
+//! container's identity and every key restated on every tick — still
+//! read: [`TraceSource`] picks its path by the header's `version`, and a
+//! v1 line goes through the `serde` derives as before.
 //!
 //! The format is versioned: readers accept any header whose `version` is
-//! at most [`TRACE_VERSION`] (newer minor revisions must stay
-//! backwards-readable; a breaking change bumps the version and old readers
-//! reject it with [`TelemetryError::UnsupportedVersion`] instead of
-//! misdecoding). Decode failures — a line that is not UTF-8 included —
-//! carry the 1-based line number of the offending line so hand-edited
-//! traces fail debuggably. Both kinds of line are the `serde` derives'
-//! JSON: an observation is written into one kept line buffer and read
-//! back with `Deserialize::deserialize_in_place` into the observation the
-//! controller handed back, so a steady recording or replay allocates
+//! at most [`TRACE_VERSION`], and a change old readers would misdecode
+//! bumps it, so they reject it with [`TelemetryError::UnsupportedVersion`].
+//! Readers skip header members they do not know, so a member added later
+//! that a replay can do without (a run's identity, say) needs no bump.
+//! Decode failures — a line that is not UTF-8, or a tick whose container
+//! count is not the roster's, included — carry the 1-based line number of
+//! the offending line so hand-edited traces fail debuggably. The writer
+//! keeps one line buffer and the reader refills the observation the
+//! controller handed back, its names copied from the roster into the
+//! buffers they already hold, so a steady recording or replay allocates
 //! nothing per line.
 //!
 //! [`TraceWriter`] appends to any [`Write`]; [`RecordingSource`] tees it
 //! around any other [`ObservationSource`] so a live run records itself;
 //! [`TraceSource`] streams a trace back as an open-loop source.
 
-use crate::observation::{Action, Observation};
+use crate::observation::{Action, AppClass, ContainerId, ContainerObs, Observation};
 use crate::run::{derive_record, RequestQos, TickRecord};
 use crate::source::{ObservationSource, SourceKind, SourceMeta};
 use crate::{HostSpec, ResourceKind, TelemetryError};
+use serde::value::{write_json_bool, write_json_f64, write_json_u64};
 use serde::{Cursor, Deserialize, Serialize};
 use stayaway_obs::{Counter, MetricsRegistry};
 use std::fs::File;
@@ -36,7 +54,12 @@ use std::path::Path;
 pub(crate) const TRACE_FORMAT: &str = "stayaway-trace";
 
 /// Newest trace version this build reads and the version it writes.
-pub const TRACE_VERSION: u32 = 1;
+pub const TRACE_VERSION: u32 = 2;
+
+/// The bits of a v2 container entry's `flags`.
+const ACTIVE: u64 = 1;
+const PAUSED: u64 = 2;
+const FINISHED: u64 = 4;
 
 /// First line of every trace file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,10 +76,14 @@ pub struct TraceHeader {
     pub(crate) tick_period_secs: f64,
     /// Host capacities of the recorded host, when known.
     pub(crate) host: Option<HostSpec>,
+    /// The roster of the first tick (v2); absent from a v1 header, and
+    /// read as empty from a v2 header without one.
+    roster: Option<Vec<RosterEntry>>,
 }
 
 impl TraceHeader {
-    /// Builds the header describing a recording of `meta`.
+    /// Builds the header describing a recording of `meta`, with no roster
+    /// yet: the writer sets it from the first observation.
     pub fn for_meta(meta: &SourceMeta) -> Self {
         TraceHeader {
             format: TRACE_FORMAT.to_string(),
@@ -65,6 +92,7 @@ impl TraceHeader {
             metrics: meta.metrics.clone(),
             tick_period_secs: meta.tick_period_secs,
             host: meta.host,
+            roster: None,
         }
     }
 
@@ -109,37 +137,214 @@ impl TraceHeader {
     }
 }
 
+/// What a v2 trace says of a container once per roster instead of on
+/// every tick.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct RosterEntry {
+    id: ContainerId,
+    name: String,
+    class: AppClass,
+    priority: u8,
+}
+
+/// The containers a v2 tick line's entries belong to, in order; written
+/// as the line that restates it, `{"roster":[…]}`.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct Roster {
+    roster: Vec<RosterEntry>,
+}
+
+impl Roster {
+    /// True when `containers` are this roster's, in its order: id, name,
+    /// class and priority compared in place.
+    fn lists(&self, containers: &[ContainerObs]) -> bool {
+        self.roster.len() == containers.len()
+            && self.roster.iter().zip(containers).all(|(r, c)| {
+                r.id == c.id && r.class == c.class && r.priority == c.priority && r.name == c.name
+            })
+    }
+
+    /// Makes this the roster of `containers`.
+    fn set(&mut self, containers: &[ContainerObs]) {
+        self.roster.clear();
+        self.roster.extend(containers.iter().map(|c| RosterEntry {
+            id: c.id,
+            name: c.name.clone(),
+            class: c.class,
+            priority: c.priority,
+        }));
+    }
+}
+
+/// Appends one v2 tick line, without its newline.
+fn write_tick(out: &mut String, observation: &Observation) {
+    out.push('[');
+    write_json_u64(out, observation.tick);
+    out.push(',');
+    write_json_bool(out, observation.qos_violation);
+    out.push(',');
+    write_json_f64(out, observation.qos_value);
+    out.push_str(",[");
+    for (i, c) in observation.containers.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let flags = (ACTIVE * u64::from(c.active))
+            | (PAUSED * u64::from(c.paused))
+            | (FINISHED * u64::from(c.finished));
+        out.push('[');
+        write_json_u64(out, flags);
+        out.push(',');
+        c.usage.values.serialize(out);
+        out.push(',');
+        write_json_f64(out, c.ipc);
+        out.push(']');
+    }
+    out.push_str("]]");
+}
+
+/// Walks an array of exactly `len` entries, handing each to `entry` with
+/// its index, which is therefore below `len`.
+fn entries(
+    cursor: &mut Cursor<'_>,
+    what: &str,
+    len: usize,
+    mut entry: impl FnMut(&mut Cursor<'_>, usize) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut at = 0;
+    cursor.array(|cursor| {
+        if at == len {
+            return Err(format!("{what} holds more than {len}"));
+        }
+        entry(cursor, at)?;
+        at += 1;
+        Ok(())
+    })?;
+    if at == len {
+        Ok(())
+    } else {
+        Err(format!("{what} holds {at} where {len} belong"))
+    }
+}
+
+/// Reads one v2 tick line into `observation`, its containers named by
+/// `roster`.
+fn read_tick(
+    cursor: &mut Cursor<'_>,
+    roster: &[RosterEntry],
+    observation: &mut Observation,
+) -> Result<(), String> {
+    observation.resize_containers(roster.len());
+    entries(cursor, "a tick line", 4, |cursor, at| match at {
+        0 => cursor.u64().map(|tick| observation.tick = tick),
+        1 => cursor
+            .bool()
+            .map(|violated| observation.qos_violation = violated),
+        2 => cursor.f64().map(|qos| observation.qos_value = qos),
+        _ => {
+            let what = "the tick's container list (one entry per roster container)";
+            let containers = &mut observation.containers;
+            entries(cursor, what, roster.len(), |cursor, i| {
+                read_container(cursor, &roster[i], &mut containers[i])
+            })
+        }
+    })
+}
+
+/// Reads one `[flags, [usage×6], ipc]` entry into `slot`, its identity
+/// copied from `entry`.
+fn read_container(
+    cursor: &mut Cursor<'_>,
+    entry: &RosterEntry,
+    slot: &mut ContainerObs,
+) -> Result<(), String> {
+    entries(cursor, "a container entry", 3, |cursor, at| match at {
+        0 => {
+            let flags = cursor.u64()?;
+            if flags > ACTIVE | PAUSED | FINISHED {
+                return Err(format!("container flags {flags} above 7"));
+            }
+            slot.active = flags & ACTIVE != 0;
+            slot.paused = flags & PAUSED != 0;
+            slot.finished = flags & FINISHED != 0;
+            Ok(())
+        }
+        1 => slot.usage.values.deserialize_in_place(cursor),
+        _ => cursor.f64().map(|ipc| slot.ipc = ipc),
+    })?;
+    slot.id = entry.id;
+    slot.name.clone_from(&entry.name);
+    slot.class = entry.class;
+    slot.priority = entry.priority;
+    Ok(())
+}
+
 /// Appends a versioned trace to any byte sink, one JSON line per tick.
+///
+/// The header carries the first tick's roster, so it is written with the
+/// first observation — or by [`TraceWriter::finish`], or when the writer
+/// is dropped, for a recording of no observations.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
-    out: W,
-    observations: u64,
+    /// The sink; taken only by [`TraceWriter::finish`], which consumes
+    /// the writer.
+    out: Option<W>,
+    /// The header, until it is written.
+    header: Option<TraceHeader>,
+    /// The roster of the last tick line written.
+    roster: Roster,
+    /// Lines the trace holds once the header is written.
+    lines: u64,
     /// The line being written, kept across ticks so a steady recording
     /// allocates nothing per observation.
     line: String,
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Starts a trace describing `meta` by writing the header line.
+    /// Starts a trace describing `meta`; the header line is written with
+    /// the first observation.
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Record`] when the sink fails.
-    pub fn new(mut out: W, meta: &SourceMeta) -> Result<Self, TelemetryError> {
+    /// Returns [`TelemetryError::Codec`] at line 1 when `meta`'s host spec
+    /// holds a capacity that is not positive and finite, which no reader
+    /// would accept.
+    pub fn new(out: W, meta: &SourceMeta) -> Result<Self, TelemetryError> {
         let header = TraceHeader::for_meta(meta);
-        let line = serde_json::to_string(&header).map_err(|e| TelemetryError::Codec {
-            line: 1,
-            reason: e.to_string(),
-        })?;
-        writeln!(out, "{line}").map_err(TelemetryError::Record)?;
+        header.validate()?;
         Ok(TraceWriter {
-            out,
-            observations: 0,
+            out: Some(out),
+            header: Some(header),
+            roster: Roster::default(),
+            lines: 1,
             line: String::new(),
         })
     }
 
-    /// Appends one observation line.
+    /// Hands the line buffer to the sink in one write.
+    fn emit(&mut self) -> Result<(), TelemetryError> {
+        let out = self
+            .out
+            .as_mut()
+            .expect("the sink is taken only by `finish`");
+        out.write_all(self.line.as_bytes())
+            .map_err(TelemetryError::Record)
+    }
+
+    /// Writes the header, with the current roster, unless it is written.
+    fn start(&mut self) -> Result<(), TelemetryError> {
+        if let Some(mut header) = self.header.take() {
+            header.roster = Some(self.roster.roster.clone());
+            self.line.clear();
+            header.serialize(&mut self.line);
+            self.line.push('\n');
+            self.emit()?;
+        }
+        Ok(())
+    }
+
+    /// Appends one tick line, after the header or a line restating the
+    /// roster when this observation's roster is new.
     ///
     /// # Errors
     ///
@@ -148,30 +353,53 @@ impl<W: Write> TraceWriter<W> {
     /// non-finite float — JSON has no representation for those, so writing
     /// one would produce a trace the reader must reject.
     pub fn record(&mut self, observation: &Observation) -> Result<(), TelemetryError> {
+        let new_roster = !self.roster.lists(&observation.containers);
+        let restate = new_roster && self.header.is_none();
         if let Some(reason) = non_finite_field(observation) {
             return Err(TelemetryError::Codec {
-                line: self.observations + 2,
+                line: self.lines + 1 + u64::from(restate),
                 reason,
             });
         }
+        if new_roster {
+            self.roster.set(&observation.containers);
+        }
+        self.start()?;
         self.line.clear();
-        observation.serialize(&mut self.line);
+        if restate {
+            self.roster.serialize(&mut self.line);
+            self.line.push('\n');
+            self.lines += 1;
+        }
+        write_tick(&mut self.line, observation);
         self.line.push('\n');
-        self.out
-            .write_all(self.line.as_bytes())
-            .map_err(TelemetryError::Record)?;
-        self.observations += 1;
+        self.emit()?;
+        self.lines += 1;
         Ok(())
     }
 
-    /// Flushes and returns the underlying sink.
+    /// Flushes and returns the underlying sink, after writing the header
+    /// if no observation did.
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Record`] when the flush fails.
+    /// Returns [`TelemetryError::Record`] when the header write or the
+    /// flush fails.
     pub fn finish(mut self) -> Result<W, TelemetryError> {
-        self.out.flush().map_err(TelemetryError::Record)?;
-        Ok(self.out)
+        self.start()?;
+        let mut out = self.out.take().expect("the sink is taken only here");
+        out.flush().map_err(TelemetryError::Record)?;
+        Ok(out)
+    }
+}
+
+impl<W: Write> Drop for TraceWriter<W> {
+    /// Writes the header of a recording that saw no observation, so a run
+    /// of zero periods leaves a trace that replays as one. A sink failing
+    /// here has no caller to tell.
+    fn drop(&mut self) {
+        // After `finish`, which took the sink, the header is written.
+        let _ = self.start();
     }
 }
 
@@ -204,11 +432,11 @@ pub struct RecordingSource<S: ObservationSource, W: Write> {
 }
 
 impl<S: ObservationSource, W: Write> RecordingSource<S, W> {
-    /// Wraps `inner`, writing the trace header for its metadata to `out`.
+    /// Wraps `inner`, starting a trace of its metadata on `out`.
     ///
     /// # Errors
     ///
-    /// Returns [`TelemetryError::Record`] when the sink fails.
+    /// Those of [`TraceWriter::new`].
     pub fn new(inner: S, out: W) -> Result<Self, TelemetryError> {
         let writer = TraceWriter::new(out, &inner.meta())?;
         Ok(RecordingSource { inner, writer })
@@ -270,6 +498,8 @@ impl<S: ObservationSource, W: Write> ObservationSource for RecordingSource<S, W>
 pub struct TraceSource<R: BufRead> {
     reader: R,
     header: TraceHeader,
+    /// The roster in force, for a v2 trace; `None` reads v1 lines.
+    roster: Option<Roster>,
     /// 1-based number of the last line consumed (the header is line 1).
     line: u64,
     /// The raw bytes of the current line, reused across lines.
@@ -281,6 +511,8 @@ pub struct TraceSource<R: BufRead> {
     /// still fails hard — the counter only makes the failure visible in
     /// exported metrics.
     decode_errors: Option<Counter>,
+    /// Counts the bytes of the lines read after the header.
+    bytes: Option<Counter>,
     /// The file the trace was opened from, named by every failure.
     path: Option<Box<Path>>,
 }
@@ -332,31 +564,42 @@ impl<R: BufRead> TraceSource<R> {
                 reason: "empty stream".into(),
             });
         }
-        let header: TraceHeader = std::str::from_utf8(&buf)
+        let mut header: TraceHeader = std::str::from_utf8(&buf)
             .map_err(|e| e.to_string())
             .and_then(|text| serde_json::from_str(text.trim_end()).map_err(|e| e.to_string()))
             .map_err(|e| TelemetryError::MissingHeader {
                 reason: format!("undecodable header line: {e}"),
             })?;
         header.validate()?;
+        let roster = (header.version >= 2).then(|| Roster {
+            roster: header.roster.take().unwrap_or_default(),
+        });
         Ok(TraceSource {
             reader,
             header,
+            roster,
             line: 1,
             buf,
             spare: None,
             decode_errors: None,
+            bytes: None,
             path: None,
         })
     }
 
     /// Registers this source's instruments into `registry`
     /// (builder-style, decision-inert): undecodable observation lines
-    /// increment `stayaway_telemetry_trace_decode_errors_total`.
+    /// increment `stayaway_telemetry_trace_decode_errors_total`, and every
+    /// line read after the header adds its bytes to
+    /// `stayaway_telemetry_trace_bytes_total`.
     pub fn with_metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.decode_errors = Some(registry.counter(
             "stayaway_telemetry_trace_decode_errors_total",
             "Trace observation lines that failed to decode",
+        ));
+        self.bytes = Some(registry.counter(
+            "stayaway_telemetry_trace_bytes_total",
+            "Bytes of the trace lines read after the header",
         ));
         self
     }
@@ -368,6 +611,31 @@ impl<R: BufRead> TraceSource<R> {
             None => error,
         }
     }
+}
+
+/// Decodes one non-blank line: an observation, or `None` for a line that
+/// restates the roster. A v1 line (`roster` is `None`) is a derived
+/// [`Observation`] object, read in place into `spare`.
+fn decode_line(
+    text: &str,
+    roster: Option<&mut Roster>,
+    spare: &mut Option<Observation>,
+) -> Result<Option<Observation>, String> {
+    let mut cursor = Cursor::new(text);
+    let mut observation = None;
+    match roster {
+        Some(roster) if text.starts_with('{') => roster.deserialize_in_place(&mut cursor)?,
+        Some(roster) => {
+            let into = observation.insert(spare.take().unwrap_or_default());
+            read_tick(&mut cursor, &roster.roster, into)?;
+        }
+        None => {
+            let into = observation.insert(spare.take().unwrap_or_default());
+            into.deserialize_in_place(&mut cursor)?;
+        }
+    }
+    cursor.end()?;
+    Ok(observation)
 }
 
 impl<R: BufRead> ObservationSource for TraceSource<R> {
@@ -382,21 +650,19 @@ impl<R: BufRead> ObservationSource for TraceSource<R> {
             // byte that is not UTF-8 stays a decode failure of this line
             // instead of an I/O error without a line number.
             let read = self.reader.read_until(b'\n', &mut self.buf);
-            if read.map_err(|e| self.named(TelemetryError::Io(e)))? == 0 {
+            let read = read.map_err(|e| self.named(TelemetryError::Io(e)))?;
+            if read == 0 {
                 return Ok(None);
             }
+            if let Some(counter) = &self.bytes {
+                counter.add(read as u64);
+            }
             self.line += 1;
-            let spare = &mut self.spare;
             let decoded = std::str::from_utf8(&self.buf)
                 .map_err(|e| e.to_string())
                 .and_then(|text| match text.trim() {
                     "" => Ok(None), // tolerate blank separator lines
-                    text => {
-                        let mut observation = spare.take().unwrap_or_default();
-                        let mut cursor = Cursor::new(text);
-                        observation.deserialize_in_place(&mut cursor)?;
-                        cursor.end().map(|()| Some(observation))
-                    }
+                    text => decode_line(text, self.roster.as_mut(), &mut self.spare),
                 });
             match decoded {
                 Ok(None) => continue,
@@ -465,7 +731,7 @@ mod tests {
         let mut writer = TraceWriter::new(Vec::new(), &meta()).unwrap();
         writer.record(&observation(0)).unwrap();
         writer.record(&observation(1)).unwrap();
-        assert_eq!(writer.observations, 2);
+        assert_eq!(writer.lines, 3);
         writer.finish().unwrap()
     }
 
@@ -474,7 +740,13 @@ mod tests {
         let bytes = record_two_ticks();
         let first = std::str::from_utf8(&bytes).unwrap().lines().next().unwrap();
         let header: TraceHeader = serde_json::from_str(first).unwrap();
-        assert_eq!(header, TraceHeader::for_meta(&meta()));
+        let mut roster = Roster::default();
+        roster.set(&observation(0).containers);
+        let want = TraceHeader {
+            roster: Some(roster.roster),
+            ..TraceHeader::for_meta(&meta())
+        };
+        assert_eq!(header, want);
         assert_eq!(header.recorded_from, SourceKind::Sim);
         assert_eq!(header.version, TRACE_VERSION);
         let mut source = TraceSource::new(bytes.as_slice()).unwrap();
@@ -521,7 +793,7 @@ mod tests {
         assert_eq!(
             error.to_string(),
             format!(
-                "cannot read {}: codec error at line 2: unexpected 'g' at byte 0, expected '{{'",
+                "cannot read {}: codec error at line 2: unexpected 'g' at byte 0, expected '['",
                 path.display()
             )
         );
@@ -544,12 +816,171 @@ mod tests {
                 Ok(())
             }
         }
-        match TraceWriter::new(Full, &meta()) {
+        let mut writer = TraceWriter::new(Full, &meta()).unwrap();
+        match writer.record(&observation(0)) {
             Err(e @ TelemetryError::Record(_)) => {
                 assert_eq!(e.to_string(), "cannot write the trace: disk full");
             }
-            other => panic!("expected Record, got {:?}", other.map(drop)),
+            other => panic!("expected Record, got {other:?}"),
         }
+        let unstarted = TraceWriter::new(Full, &meta()).unwrap();
+        assert!(matches!(unstarted.finish(), Err(TelemetryError::Record(_))));
+    }
+
+    /// The header is written with the first observation and carries its
+    /// roster; each tick line holds only the changing values.
+    #[test]
+    fn a_tick_line_holds_only_the_changing_values() {
+        let text = String::from_utf8(record_two_ticks()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0]
+            .ends_with(r#","roster":[{"id":0,"name":"svc","class":"Sensitive","priority":0}]}"#));
+        assert_eq!(
+            lines[1],
+            "[0,false,0.99,[[1,[1.5,0.0,0.0,0.0,0.0,0.0],0.97]]]"
+        );
+        assert_eq!(
+            lines[2],
+            "[1,false,0.99,[[1,[1.5,0.0,0.0,0.0,0.0,0.0],0.97]]]"
+        );
+    }
+
+    /// A writer that saw no observation still leaves a trace, when it is
+    /// finished and when it is only dropped.
+    #[test]
+    fn a_trace_of_no_observations_is_its_header() {
+        let finished = TraceWriter::new(Vec::new(), &meta())
+            .unwrap()
+            .finish()
+            .unwrap();
+        let mut dropped = Vec::new();
+        drop(TraceWriter::new(&mut dropped, &meta()).unwrap());
+        assert_eq!(finished, dropped);
+        assert!(finished.ends_with(b",\"roster\":[]}\n"));
+        let mut source = TraceSource::new(finished.as_slice()).unwrap();
+        assert!(source.next_observation().unwrap().is_none());
+    }
+
+    /// A source whose containers change: a line restating the roster comes
+    /// before the first tick under it, and the replay is the recording.
+    #[test]
+    fn a_changed_roster_is_restated_and_replays() {
+        let mut two = observation(2);
+        two.containers.push(ContainerObs {
+            id: ContainerId::from_raw(4),
+            name: "batch".into(),
+            class: AppClass::Batch,
+            ..observation(2).containers[0].clone()
+        });
+        let mut renamed = observation(4);
+        renamed.containers[0].name = "svc-2".into();
+        let mut reprioritised = observation(5);
+        reprioritised.containers[0].priority = 3;
+        let ticks = [
+            observation(0),
+            observation(1),
+            two.clone(),
+            two,
+            observation(3),
+            renamed,
+            reprioritised,
+            Observation::default(),
+        ];
+        let mut writer = TraceWriter::new(Vec::new(), &meta()).unwrap();
+        for tick in &ticks {
+            writer.record(tick).unwrap();
+        }
+        let text = String::from_utf8(writer.finish().unwrap()).unwrap();
+        let restated: Vec<usize> = (text.lines().enumerate())
+            .filter(|(i, line)| *i > 0 && line.starts_with('{'))
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(restated, [4, 7, 9, 11, 13]);
+        let mut source = TraceSource::new(text.as_bytes()).unwrap();
+        for tick in &ticks {
+            let got = source.next_observation().unwrap().unwrap();
+            assert_eq!(&got, tick);
+            source.recycle(got);
+        }
+        assert!(source.next_observation().unwrap().is_none());
+    }
+
+    /// Entries that do not match the roster, or flags no writer sets, are
+    /// typed errors on their line.
+    #[test]
+    fn a_tick_that_does_not_fit_its_roster_names_its_line() {
+        let bytes = record_two_ticks();
+        let header = std::str::from_utf8(&bytes).unwrap().lines().next().unwrap();
+        let entry = "[1,[1.5,0.0,0.0,0.0,0.0,0.0],0.97]";
+        for (line, want) in [
+            ("[0,false,1.0,[]]".into(), "holds 0 where 1 belong"),
+            (
+                format!("[0,false,1.0,[{entry},{entry}]]"),
+                "holds more than 1",
+            ),
+            (
+                "[0,false,1.0,[[8,[0,0,0,0,0,0],1]]]".into(),
+                "flags 8 above 7",
+            ),
+            ("[0,false,1.0,[[1,[0,0,0,0,0],1]]]".into(), "length 6"),
+            ("[0,false,1.0]".into(), "a tick line holds 3 where 4 belong"),
+            (
+                format!("[0,false,1.0,[{entry}],5]"),
+                "a tick line holds more than 4",
+            ),
+            (
+                "[0,false,1.0,[[1,[0,0,0,0,0,0]]]]".into(),
+                "a container entry holds 2",
+            ),
+            (r#"{"roster":[{"id":0}]}"#.into(), "missing field `name`"),
+        ] {
+            let text = format!("{header}\n[0,false,1.0,[{entry}]]\n{line}\n");
+            let mut source = TraceSource::new(text.as_bytes()).unwrap();
+            assert!(source.next_observation().unwrap().is_some());
+            match source.next_observation() {
+                Err(TelemetryError::Codec { line: 3, reason }) => {
+                    assert!(reason.contains(want), "{reason:?} lacks {want:?}");
+                }
+                other => panic!("expected a line-3 Codec error on {line}, got {other:?}"),
+            }
+        }
+    }
+
+    /// A version 1 trace still reads: one derived observation object per
+    /// line.
+    #[test]
+    fn a_version_one_trace_still_reads() {
+        let header = TraceHeader {
+            version: 1,
+            ..TraceHeader::for_meta(&meta())
+        };
+        let mut text = serde_json::to_string(&header).unwrap();
+        for tick in 0..2 {
+            text.push('\n');
+            text.push_str(&serde_json::to_string(&observation(tick)).unwrap());
+        }
+        let mut source = TraceSource::new(text.as_bytes()).unwrap();
+        assert_eq!(source.next_observation().unwrap().unwrap(), observation(0));
+        assert_eq!(source.next_observation().unwrap().unwrap(), observation(1));
+        assert!(source.next_observation().unwrap().is_none());
+    }
+
+    /// Every line read after the header adds its bytes, newline included.
+    #[test]
+    fn the_bytes_read_are_counted() {
+        let bytes = record_two_ticks();
+        let header = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let registry = MetricsRegistry::new();
+        let mut source = TraceSource::new(bytes.as_slice())
+            .unwrap()
+            .with_metrics(&registry);
+        while source.next_observation().unwrap().is_some() {}
+        let counted = registry.counter(
+            "stayaway_telemetry_trace_bytes_total",
+            "Bytes of the trace lines read after the header",
+        );
+        assert_eq!(counted.get(), (bytes.len() - header) as u64);
     }
 
     #[test]
@@ -704,7 +1135,7 @@ mod tests {
         let mut bad = observation(0);
         bad.containers[0].usage.set(ResourceKind::Memory, f64::NAN);
         assert!(writer.record(&bad).is_err());
-        assert_eq!(writer.observations, 0);
+        assert_eq!(writer.lines, 1);
     }
 
     /// A canned source for tee tests.

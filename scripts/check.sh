@@ -67,6 +67,15 @@ if awk -v types="$sim_reexports" '
         "from stayaway_telemetry" >&2
     exit 1
 fi
+# Version 1 trace reading: the writer emits only version 2, so the
+# committed fixture is the one version 1 text that the CLI goldens
+# (`replay_fixture.txt`, `replay_unbounded_ticks.txt`) and the decoder fuzz
+# rows replay. Re-recorded, it would take the v1 read path's coverage with
+# it and no test would notice.
+if ! head -n 1 tests/fixtures/smoke_trace.jsonl | grep -q '^{"format":"stayaway-trace","version":1,'; then
+    echo "check.sh: tests/fixtures/smoke_trace.jsonl is no longer a version 1 trace" >&2
+    exit 1
+fi
 # One call per decision: the controller's decisions and the cluster
 # barrier's verbs reach their flight recorder through one helper each
 # (`ControllerMetrics::decision` in `crates/stayaway/src/obs.rs`,
@@ -319,7 +328,10 @@ fi
 #
 # Trace format (`--test record_replay`, `stayaway-telemetry --test
 # properties`, `serde --test text_layer`): a recorded run replays bit for
-# bit; the serde derives that write and read the observation line are held
+# bit, a run whose roster changes (workload attach / detach, bare and
+# faulty) included, the bytes of a 60-tick recording are pinned, and the
+# version 1 fixture re-recorded as version 2 decodes to the same stream;
+# the serde derives that read a version 1 observation line are held
 # to test-local oracles — the writer byte-equal to a tree built by hand,
 # the reader equal to a walk of `parse_json`'s tree on accept / reject and
 # value over rewritten, truncated and arbitrary lines, the committed
@@ -331,7 +343,8 @@ fi
 # json_decoder_fuzz`: arbitrary bytes, every truncation, edited documents
 # and million-deep nesting decode or fail as values, never a panic or a
 # stack overflow, and no error names a byte as `Some(120)` or `None`; trace
-# replay (`run --source trace:<path>`) is one more row of that table.
+# replay (`run --source trace:<path>`) is two more rows of that table, one
+# per format version, plus a version 2 tick that does not fit its roster.
 #
 # Engine timelines (`stayaway-workload --test pinned_timelines`, the
 # `queue::tests` property tests): the seven library scenarios, bare and

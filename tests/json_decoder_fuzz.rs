@@ -8,8 +8,11 @@
 //! <file>`), `Template::load` followed by
 //! `Controller::import_template` (`run --template`),
 //! `obs::diff::parse_snapshot` followed by `diff_series` (`metrics-diff`)
-//! and `TraceSource` drained to its end (`run --source trace:<path>`), whose header
-//! and observation lines the `serde` derives read.
+//! and `TraceSource` drained to its end (`run --source trace:<path>`), in
+//! both formats: version 2, whose header and roster lines the `serde`
+//! derives read and whose tick arrays a `Cursor::array` walk reads, and
+//! version 1, whose observation objects the derives read, fed from the
+//! committed fixture since no writer emits version 1 any more.
 
 use std::sync::OnceLock;
 
@@ -351,8 +354,8 @@ fn malformed_input_files_name_what_they_hold() {
     }
 }
 
-/// A trace of a short closed-loop run: its header line and one line per
-/// observation.
+/// A version 2 trace of a short closed-loop run: its header line, with
+/// the roster, and one line per tick.
 fn trace_text() -> &'static str {
     static TRACE: OnceLock<String> = OnceLock::new();
     TRACE.get_or_init(|| {
@@ -364,6 +367,21 @@ fn trace_text() -> &'static str {
         let mut tee = RecordingSource::new(harness, Vec::new()).expect("header");
         stay_away::telemetry::drive(&mut tee, &mut ctl, 24).expect("records");
         String::from_utf8(tee.finish().expect("flush").1).expect("JSON is UTF-8")
+    })
+}
+
+/// A version 1 trace, which no writer emits any more: the header and the
+/// first 24 observation lines of the committed fixture.
+fn v1_trace_text() -> &'static str {
+    static TRACE: OnceLock<String> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/smoke_trace.jsonl"
+        );
+        let text = std::fs::read_to_string(path).expect("the fixture reads");
+        assert!(text.starts_with(r#"{"format":"stayaway-trace","version":1,"#));
+        text.split_inclusive('\n').take(25).collect()
     })
 }
 
@@ -381,9 +399,7 @@ fn replay(text: &[u8]) -> Result<usize, String> {
 
 /// Cut at a line end (or just before its newline), a trace is its header
 /// and the observations before the cut; cut anywhere else, it fails.
-#[test]
-fn traces_decode_every_truncation() {
-    let text = trace_text();
+fn decode_every_truncation(text: &str) {
     assert_eq!(replay(text.as_bytes()), Ok(24));
     for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
         let decoded = replay(&text.as_bytes()[..cut]);
@@ -397,33 +413,129 @@ fn traces_decode_every_truncation() {
     }
 }
 
-/// Deep nesting as the header, and as an observation after a good header.
 #[test]
-fn traces_decode_deep_nesting_to_an_error() {
-    let header = trace_text().lines().next().expect("a header");
+fn traces_decode_every_truncation() {
+    decode_every_truncation(v1_trace_text());
+}
+
+#[test]
+fn v2_traces_decode_every_truncation() {
+    decode_every_truncation(trace_text());
+}
+
+/// Deep nesting as the header, and as an observation after a good header.
+fn decode_deep_nesting_to_an_error(text: &str) {
+    let header = text.lines().next().expect("a header");
     for text in deep_nesting() {
         assert!(replay(text.as_bytes()).is_err());
         assert!(replay(format!("{header}\n{text}").as_bytes()).is_err());
     }
 }
 
+#[test]
+fn traces_decode_deep_nesting_to_an_error() {
+    decode_deep_nesting_to_an_error(v1_trace_text());
+}
+
+#[test]
+fn v2_traces_decode_deep_nesting_to_an_error() {
+    decode_deep_nesting_to_an_error(trace_text());
+}
+
 /// Edits decode or fail as values; both happen. Most edits break one of
 /// a trace's 25 lines, so fewer decode than of a single document.
+fn mutations_decode_or_fail(text: &str) -> usize {
+    let traces = decode_mutations(text, |text| replay(text.as_bytes()));
+    assert!((1..256).contains(&traces), "{traces}");
+    traces
+}
+
 #[test]
 fn mutated_traces_decode_or_fail() {
-    let traces = decode_mutations(trace_text(), |text| replay(text.as_bytes()));
-    eprintln!("decoded {traces} traces of 256");
-    assert!((1..256).contains(&traces), "{traces}");
+    let traces = mutations_decode_or_fail(v1_trace_text());
+    eprintln!("decoded {traces} version 1 traces of 256");
+}
+
+#[test]
+fn mutated_v2_traces_decode_or_fail() {
+    let traces = mutations_decode_or_fail(trace_text());
+    eprintln!("decoded {traces} version 2 traces of 256");
 }
 
 /// A trace whose header, or first observation, is `x` names it too.
 #[test]
 fn malformed_trace_lines_name_what_they_hold() {
-    let header = trace_text().lines().next().expect("a header");
     let x = "unexpected 'x' at byte 0";
-    for text in ["x".to_string(), format!("{header}\nx")] {
+    for trace in [v1_trace_text(), trace_text()] {
+        let header = trace.lines().next().expect("a header");
+        for text in ["x".to_string(), format!("{header}\nx")] {
+            let message = replay(text.as_bytes()).unwrap_err();
+            assert!(message.contains(x), "{message:?} lacks {x:?}");
+        }
+    }
+}
+
+/// `trace_text` with its line `at` (1-based) rewritten by `edit`.
+fn with_line(at: usize, edit: impl Fn(&str) -> String) -> String {
+    (trace_text().lines().enumerate())
+        .map(|(i, line)| match i + 1 == at {
+            true => edit(line) + "\n",
+            false => format!("{line}\n"),
+        })
+        .collect()
+}
+
+/// A v2 tick line whose container list is shorter or longer than the
+/// roster, and a roster that no longer fits the tick lines after it, are
+/// typed errors naming the first line that does not fit.
+#[test]
+fn a_v2_tick_that_does_not_fit_its_roster_names_its_line() {
+    let entry = "[0,[0.0,0.0,0.0,0.0,0.0,0.0],0.0]";
+    let cases = [
+        // One container entry dropped from line 5.
+        (
+            with_line(5, |line| {
+                let list = line.find(",[[").expect("a container list") + 2;
+                let first = line[list..].find("],[").expect("two entries") + list + 1;
+                format!("{}]]", &line[..first])
+            }),
+            5,
+            "holds 1 where 2 belong",
+        ),
+        // One container entry too many on line 7.
+        (
+            with_line(7, |line| format!("{},{entry}]]", &line[..line.len() - 2])),
+            7,
+            "more than 2",
+        ),
+        // A roster of one container restated before line 9.
+        (
+            with_line(9, |line| {
+                let roster =
+                    r#"{"roster":[{"id":0,"name":"vlc","class":"Sensitive","priority":0}]}"#;
+                format!("{roster}\n{line}")
+            }),
+            10,
+            "more than 1",
+        ),
+        // The header's roster loses its last container.
+        (
+            with_line(1, |line| {
+                let last = line.rfind(",{").expect("two roster entries");
+                format!("{}]}}", &line[..last])
+            }),
+            2,
+            "more than 1",
+        ),
+    ];
+    for (text, line, want) in cases {
         let message = replay(text.as_bytes()).unwrap_err();
-        assert!(message.contains(x), "{message:?} lacks {x:?}");
+        let at = format!("codec error at line {line}: ");
+        assert!(
+            message.starts_with(&at),
+            "{message:?} is not at line {line}"
+        );
+        assert!(message.contains(want), "{message:?} lacks {want:?}");
     }
 }
 
@@ -446,11 +558,25 @@ proptest! {
     }
 
     /// Arbitrary bytes as a whole trace, and as its lines after a good
-    /// header.
+    /// version 1 header.
     #[test]
     fn traces_decode_arbitrary_bytes(raw in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = replay(&raw);
-        let header = trace_text().lines().next().expect("a header");
+        let header = v1_trace_text().lines().next().expect("a header");
         let _ = replay(&[header.as_bytes(), b"\n", &raw].concat());
+    }
+
+    /// Arbitrary bytes after a good version 2 header, and JSON's own
+    /// alphabet, so the tick reader gets past the first byte.
+    #[test]
+    fn v2_traces_decode_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..512),
+        jsonish in prop::collection::vec(
+            prop::sample::select(b"{}[]\",:0123456789.-e truefalsn\n".to_vec()), 0..512),
+    ) {
+        let header = trace_text().lines().next().expect("a header");
+        for bytes in [raw, jsonish] {
+            let _ = replay(&[header.as_bytes(), b"\n", &bytes].concat());
+        }
     }
 }
